@@ -36,7 +36,7 @@ func runParQuery(b *testing.B, db *Database, q string) {
 		b.Run(fmt.Sprintf("p=%d", par), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := db.QueryWith(context.Background(), q, QueryOptions{Parallelism: par})
+				res, err := db.Execute(context.Background(), q, QueryOptions{Parallelism: par})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,14 +4,14 @@
 //   - BenchmarkFirstResult: time-to-first-item must stay flat as result
 //     cardinality grows 10× — the defining property of pull-based
 //     evaluation (an eager evaluator's first item costs O(n)).
-//   - BenchmarkWriteXML vs BenchmarkSerializeXML: streaming
-//     serialization must hold per-item allocation behavior instead of
-//     materializing the full rendering.
+//   - BenchmarkWriteXML: streaming serialization must hold per-item
+//     allocation behavior instead of materializing the full rendering.
 //
 // `make bench` appends both to BENCH_query.json via cmd/benchjson.
 package xquec
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -45,7 +45,7 @@ func BenchmarkFirstResult(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := db.Query(streamQuery)
+				res, err := db.Execute(context.Background(), streamQuery, QueryOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -64,29 +64,11 @@ func BenchmarkWriteXML(b *testing.B) {
 	db := benchStreamDB(b, 2000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Query(streamQuery)
+		res, err := db.Execute(context.Background(), streamQuery, QueryOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := res.WriteXML(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-		res.Close()
-	}
-}
-
-// BenchmarkSerializeXML is the deprecated eager form: same evaluation,
-// but the rendering is materialized as one string. The gap to
-// BenchmarkWriteXML in B/op is the cost of that materialization.
-func BenchmarkSerializeXML(b *testing.B) {
-	db := benchStreamDB(b, 2000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := db.Query(streamQuery)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := res.SerializeXML(); err != nil {
 			b.Fatal(err)
 		}
 		res.Close()

@@ -6,6 +6,7 @@
 package xquec
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -34,7 +35,7 @@ func BenchmarkVMStream(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := prep.Run()
+				res, err := prep.Execute(context.Background(), QueryOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -74,7 +75,7 @@ func BenchmarkVMFirstResult(b *testing.B) {
 				b.Setenv("XQUEC_EVAL", e.env)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := prep.Run()
+					res, err := prep.Execute(context.Background(), QueryOptions{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -104,7 +105,7 @@ func BenchmarkVMPredicate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := prep.Run()
+				res, err := prep.Execute(context.Background(), QueryOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package xquec_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -21,10 +22,10 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := db.Query(`
+	res, err := db.Execute(context.Background(), `
 	  FOR $b IN document("catalog.xml")/catalog/book
 	  WHERE $b/price >= 40
-	  RETURN $b/title/text()`)
+	  RETURN $b/title/text()`, xquec.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func ExampleResults_Next() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := db.Query(`/catalog/book/title/text()`)
+	res, err := db.Execute(context.Background(), `/catalog/book/title/text()`, xquec.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func ExampleResults_Next() {
 
 // Aggregates and constructors work over the compressed containers; only
 // serialized output is decompressed.
-func ExampleDatabase_Query() {
+func ExampleDatabase_MustQuery() {
 	db, err := xquec.Compress([]byte(catalog), xquec.Options{})
 	if err != nil {
 		log.Fatal(err)

@@ -1,4 +1,4 @@
-package shard
+package partition
 
 import (
 	"strings"
@@ -9,17 +9,18 @@ import (
 
 // Decision is the scatter analyzer's verdict on one query.
 type Decision struct {
-	// Scatter is true when per-shard evaluation + ordered merge is
-	// provably equivalent to evaluating on the unsharded corpus.
+	// Scatter is true when per-part evaluation + ordered merge is
+	// provably equivalent to evaluating on the unpartitioned corpus.
 	Scatter bool
 	// Reason explains a false Scatter (for EXPLAIN output and metrics).
 	Reason string
 }
 
 // Analyze decides whether a query can be scattered across the set's
-// shards. The proof obligation: every result item must be computable
-// from a single partitioned subtree, and the item stream of each shard
-// must be a rank-contiguous subsequence of the global result.
+// parts. The proof obligation: every result item must be computable
+// from a single subtree rooted at the split level, and the item stream
+// of each part must be a rank-contiguous subsequence of the global
+// result.
 //
 // Sufficient conditions, checked structurally:
 //
@@ -29,31 +30,35 @@ type Decision struct {
 //     paths) is anchored below one subtree root. Exactly one absolute
 //     path may appear in the whole query: a second one reaches across
 //     subtree boundaries (multi-document joins, Q8/Q9).
-//  2. No top-level ORDER BY (it reorders across shards; nested FLWORs
+//  2. No top-level ORDER BY (it reorders across parts; nested FLWORs
 //     inside RETURN order within one binding and are fine).
-//  3. The binding path, resolved against every shard's structure
-//     summary, only reaches nodes strictly inside partitioned subtrees:
-//     elements at the partition level or deeper — never spine nodes
-//     (duplicated across shards) or partition-level attributes (they
-//     belong to spine elements and are duplicated too).
-//  4. Step predicates on the binding path run against spine content
-//     only when that content is replicated identically: predicates at
-//     depths above the partition level are rejected outright, and at
-//     exactly the partition level positional predicates are rejected
-//     (position among siblings is per-shard, not global).
+//  3. The binding path, resolved against every part's structure
+//     summary, only reaches nodes inside split-level subtrees: elements
+//     at the split level or deeper — never the shared nodes above it.
+//     Attributes at the split level belong to a shared element: on a
+//     replicated spine every part repeats them, so they decline; on a
+//     contiguous layout the only such element is the root, appended
+//     roots are forbidden from carrying attributes, so only the base
+//     part yields any — exactly the unpartitioned answer.
+//  4. Step predicates on the binding path never run against shared
+//     nodes: predicates at depths above the split level are rejected
+//     outright (a replicated spine repeats the content, a shared root
+//     holds only its own part's children), and at exactly the split
+//     level positional predicates are rejected (position among siblings
+//     is per part, not global).
 //
 // Everything else — aggregates over the binding, nested FLWORs,
 // constructors, WHERE joins between clause variables — is per-binding
 // work and needs no analysis. Queries failing these checks fall back
 // to the fused store, trading speed for unconditional correctness.
 func Analyze(expr xquery.Expr, set *Set) Decision {
-	level := set.Man.PartitionLevel
+	level, noun := set.Layout.Level, set.Layout.Noun
 
 	var binding *xquery.PathExpr
 	switch x := expr.(type) {
 	case *xquery.FLWOR:
 		if x.OrderBy != nil {
-			return Decision{Reason: "top-level ORDER BY reorders across shards"}
+			return Decision{Reason: "top-level ORDER BY reorders across " + noun + "s"}
 		}
 		if len(x.Clauses) == 0 || x.Clauses[0].Let {
 			return Decision{Reason: "first clause is not a FOR"}
@@ -83,7 +88,7 @@ func Analyze(expr xquery.Expr, set *Set) Decision {
 		steps = steps[:len(steps)-1]
 	}
 	if len(steps) == 0 {
-		return Decision{Reason: "binding path selects the document root (spine)"}
+		return Decision{Reason: "binding path selects the document root (shared across " + noun + "s)"}
 	}
 
 	// Predicate placement (condition 4). Step i has depth exactly i+1
@@ -104,16 +109,16 @@ func Analyze(expr xquery.Expr, set *Set) Decision {
 		case minDepth == level && !descSeen:
 			for _, pred := range st.Preds {
 				if isPositionalish(pred) {
-					return Decision{Reason: "positional predicate at the partition level counts per shard"}
+					return Decision{Reason: "positional predicate at the split level counts per " + noun}
 				}
 			}
 		default:
-			return Decision{Reason: "predicate on a spine step evaluates differently per shard"}
+			return Decision{Reason: "predicate on a step above the split level evaluates differently per " + noun}
 		}
 	}
 
 	// Binding depth (condition 3): resolve the path against every
-	// shard's summary — shard summaries cover disjoint subtree sets, so
+	// part's summary — each part's summary covers its own subtrees, so
 	// the union is the corpus's full summary.
 	pattern := make([]storage.PathStep, len(steps))
 	for i, st := range steps {
@@ -127,10 +132,10 @@ func Analyze(expr xquery.Expr, set *Set) Decision {
 		for _, sn := range st.Sum.Match(pattern) {
 			depth := summaryDepth(sn)
 			if depth < level {
-				return Decision{Reason: "binding path reaches spine nodes (duplicated across shards)"}
+				return Decision{Reason: "binding path reaches nodes above the split level (shared across " + noun + "s)"}
 			}
-			if depth == level && strings.HasPrefix(sn.Tag, "@") {
-				return Decision{Reason: "binding path reaches partition-level attributes (spine-owned)"}
+			if depth == level && set.Layout.Interleaved && strings.HasPrefix(sn.Tag, "@") {
+				return Decision{Reason: "binding path reaches split-level attributes (owned by the replicated spine)"}
 			}
 		}
 	}

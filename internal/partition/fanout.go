@@ -1,4 +1,4 @@
-package shard
+package partition
 
 import (
 	"context"
@@ -7,10 +7,11 @@ import (
 	"time"
 
 	"xquec/internal/xpar"
-	"xquec/internal/xquery"
 )
 
-// Options configures one scattered evaluation.
+// Options configures the fan-out of one scattered evaluation. It only
+// applies to interleaved (shard) sets; contiguous parts are pulled
+// inline and are always fail-fast.
 type Options struct {
 	// Partial selects the partial-results policy: false (fail-fast)
 	// aborts the whole query on the first shard failure; true drops the
@@ -27,97 +28,94 @@ type Options struct {
 	// Fanout bounds how many shards evaluate concurrently (xpar worker
 	// budget). 0 or >= shard count means all shards at once.
 	Fanout int
-	// Parallelism is the per-shard intra-query worker budget.
-	Parallelism int
 }
 
-// Coordinator fans a query out to per-shard workers and merges their
-// ordered streams. It is stateless across queries and safe for
-// concurrent Scatter calls.
-type Coordinator struct {
-	set     *Set
-	workers []Worker
+// Worker evaluates requests against one part. Implementations must
+// allow concurrent Query calls (the fan-out hedges stragglers by
+// re-dispatching to the same worker). The interface is deliberately
+// RPC-shaped: everything in is serializable, everything out is
+// (rank, bytes) pairs.
+type Worker interface {
+	// Query starts an evaluation. ctx cancellation must abort it.
+	Query(ctx context.Context, req Request) (Stream, error)
 }
 
-// NewCoordinator returns a coordinator over the set's in-process
-// workers.
-func NewCoordinator(set *Set) *Coordinator {
-	return &Coordinator{set: set, workers: set.Workers()}
+// inprocWorker evaluates against the local part store. It keeps no
+// per-query state: programs come from the request's per-store lookup.
+type inprocWorker struct {
+	set  *Set
+	part int
 }
 
-// NewCoordinatorWorkers returns a coordinator over explicit workers —
-// the seam for fault-injection tests (and, later, RPC workers).
-func NewCoordinatorWorkers(set *Set, workers []Worker) *Coordinator {
-	return &Coordinator{set: set, workers: workers}
+func (w *inprocWorker) Query(ctx context.Context, req Request) (Stream, error) {
+	return w.set.openPart(ctx, w.part, req)
 }
 
-// Scatter compiles the query once, starts the bounded fan-out, and
-// returns the merging cursor. Evaluation is lazy per shard stream but
-// eager in dispatch: shards begin evaluating (into their unbounded
+// FanOut starts the bounded concurrent evaluation of req on every
+// worker and returns the merging cursor. Evaluation is lazy per stream
+// but eager in dispatch: workers begin evaluating (into their unbounded
 // queues) as the fan-out schedules them, regardless of merge progress.
-func (c *Coordinator) Scatter(ctx context.Context, query string, opts Options) (*Cursor, error) {
-	expr, err := xquery.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return c.ScatterExpr(ctx, query, expr, opts)
-}
-
-// ScatterExpr is Scatter for callers that already hold the parsed
-// query (prepared statements, plan caches): no parse happens at all.
-// query must be the text expr was parsed from — it is what crosses an
-// RPC boundary to workers that cannot share the AST.
-func (c *Coordinator) ScatterExpr(ctx context.Context, query string, expr xquery.Expr, opts Options) (*Cursor, error) {
+// It is stateless across queries and safe for concurrent calls.
+func FanOut(ctx context.Context, workers []Worker, req Request, opts Options) *Cursor {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	counters.scatterQueries.Add(1)
 
 	cctx, cancel := context.WithCancel(ctx)
-	n := len(c.workers)
+	n := len(workers)
 	queues := make([]*queue, n)
+	streams := make([]Stream, n)
 	for i := range queues {
 		queues[i] = newQueue()
+		streams[i] = queueStream{q: queues[i], ctx: cctx}
 	}
-	cur := &Cursor{
-		queues:  queues,
-		ctx:     cctx,
-		cancel:  cancel,
-		partial: opts.Partial,
-	}
-	req := Request{Query: query, Parallelism: opts.Parallelism, expr: expr}
+	cur := &Cursor{streams: streams, cancel: cancel, partial: opts.Partial}
 	fanout := opts.Fanout
 	if fanout <= 0 || fanout > n {
 		fanout = n
 	}
 	go func() {
 		err := xpar.ForEach(fanout, n, func(i int) error {
-			return c.runShard(cctx, c.workers[i], queues[i], req, opts)
+			return runPart(cctx, workers[i], queues[i], req, opts)
 		})
 		if err != nil {
 			// Fail-fast root cause: record it, wake every waiter, and
-			// sweep-close all queues (shards the fan-out never started
+			// sweep-close all queues (parts the fan-out never started
 			// would otherwise leave the merge waiting forever). closeWith
-			// keeps the first close, so shards that already failed or
-			// finished keep their own terminal state.
-			cur.noteRootErr(err)
+			// keeps the first close, so parts that already failed or
+			// finished keep their own terminal state. The merge reports the
+			// root cause in preference to the sweep errors derived from it.
+			cur.root.set(err)
 			cancel()
 			for _, q := range queues {
 				q.closeWith(err)
 			}
 		}
 	}()
-	return cur, nil
+	return cur
 }
 
-// runShard evaluates one shard into its queue, applying the hedging
-// and partial-results policies. A returned error aborts the fan-out
-// (fail-fast); nil keeps the other shards running.
-func (c *Coordinator) runShard(ctx context.Context, w Worker, out *queue, req Request, opts Options) error {
+// queueStream is the merge's view of one fanned-out part: the consumer
+// end of the queue its puller goroutine fills.
+type queueStream struct {
+	q   *queue
+	ctx context.Context
+}
+
+func (s queueStream) Next() (Item, bool, error) { return s.q.pop(s.ctx) }
+
+// Close is a no-op: cancelling the fan-out context releases the puller.
+func (s queueStream) Close() error { return nil }
+
+// runPart evaluates one part into its queue, applying the hedging and
+// partial-results policies. A returned error aborts the fan-out
+// (fail-fast); nil keeps the other parts running.
+func runPart(ctx context.Context, w Worker, out *queue, req Request, opts Options) error {
 	counters.shardStreams.Add(1)
 	var err error
 	if opts.HedgeAfter > 0 {
-		err = c.pumpHedged(ctx, w, out, req, opts)
+		err = pumpHedged(ctx, w, out, req, opts)
 	} else {
 		err = pump(ctx, w, out, req)
 	}
@@ -125,7 +123,7 @@ func (c *Coordinator) runShard(ctx context.Context, w Worker, out *queue, req Re
 		counters.shardFailures.Add(1)
 		out.closeWith(err)
 		if opts.Partial && !isCtxErr(err) {
-			return nil // isolate: the cursor drops this shard, others proceed
+			return nil // isolate: the cursor drops this part, others proceed
 		}
 		return err
 	}
@@ -157,24 +155,7 @@ func pump(ctx context.Context, w Worker, out *queue, req Request) error {
 // the hedged path, where the elector must be able to observe "no first
 // item yet" while the stream is still working.
 func pullInto(ctx context.Context, w Worker, req Request, q *queue) {
-	st, err := w.Query(ctx, req)
-	if err != nil {
-		q.closeWith(err)
-		return
-	}
-	defer st.Close()
-	for {
-		it, ok, err := st.Next()
-		if err != nil {
-			q.closeWith(err)
-			return
-		}
-		if !ok {
-			q.closeWith(nil)
-			return
-		}
-		q.push(it)
-	}
+	q.closeWith(pump(ctx, w, q, req))
 }
 
 // pumpHedged races a primary stream against a hedge launched after
@@ -183,7 +164,7 @@ func pullInto(ctx context.Context, w Worker, req Request, q *queue) {
 // failed) an error — wins and is drained into out; the loser's context
 // is cancelled. Both streams evaluate the same deterministic request,
 // so the winner's identity never changes the merged result.
-func (c *Coordinator) pumpHedged(ctx context.Context, w Worker, out *queue, req Request, opts Options) error {
+func pumpHedged(ctx context.Context, w Worker, out *queue, req Request, opts Options) error {
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	qp := newQueue()

@@ -1,8 +1,9 @@
-package shard
+package partition
 
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"sort"
 	"strings"
@@ -26,12 +27,9 @@ func buildSet(t *testing.T, src []byte, shards int) *Set {
 	return set
 }
 
-func scatterXML(t *testing.T, c *Coordinator, ctx context.Context, query string, opts Options) (string, *Cursor) {
+func scatterXML(t *testing.T, workers []Worker, ctx context.Context, query string, opts Options) (string, *Cursor) {
 	t.Helper()
-	cur, err := c.Scatter(ctx, query, opts)
-	if err != nil {
-		t.Fatalf("scatter: %v", err)
-	}
+	cur := FanOut(ctx, workers, Request{Query: query}, opts)
 	var sb strings.Builder
 	if _, err := cur.WriteXML(&sb); err != nil {
 		cur.Close()
@@ -71,9 +69,8 @@ func (s *jitterStream) Next() (Item, bool, error) {
 func (s *jitterStream) Close() error { return s.inner.Close() }
 
 // downWorker fails at dispatch — the shard never produces a stream.
-type downWorker struct{ shard int }
+type downWorker struct{}
 
-func (w *downWorker) Shard() int { return w.shard }
 func (w *downWorker) Query(context.Context, Request) (Stream, error) {
 	return nil, errors.New("injected: shard store corrupt")
 }
@@ -214,14 +211,13 @@ func TestScatterRandomizedScheduling(t *testing.T) {
 	want := unshardedXML(t, src, faultQuery)
 	for _, shards := range []int{2, 4, 8} {
 		set := buildSet(t, src, shards)
-		base := set.Workers()
+		base := set.workers
 		for round := 0; round < 3; round++ {
 			workers := make([]Worker, len(base))
 			for i := range base {
 				workers[i] = &jitterWorker{Worker: base[i], seed: int64(shards*100 + round*10 + i)}
 			}
-			c := NewCoordinatorWorkers(set, workers)
-			got, cur := scatterXML(t, c, context.Background(), faultQuery, Options{})
+			got, cur := scatterXML(t, workers, context.Background(), faultQuery, Options{})
 			cur.Close()
 			if got != want {
 				t.Fatalf("shards=%d round=%d: jittered scatter diverged", shards, round)
@@ -235,11 +231,11 @@ func TestScatterRandomizedScheduling(t *testing.T) {
 // policy should return when that shard fails after n items.
 func expectedWithPrefix(t *testing.T, set *Set, skip, n int) string {
 	t.Helper()
-	base := set.Workers()
+	base := set.workers
 	workers := make([]Worker, len(base))
 	copy(workers, base)
 	workers[skip] = &prefixWorker{Worker: base[skip], n: n}
-	got, cur := scatterXML(t, NewCoordinatorWorkers(set, workers), context.Background(), faultQuery, Options{})
+	got, cur := scatterXML(t, workers, context.Background(), faultQuery, Options{})
 	cur.Close()
 	return got
 }
@@ -251,29 +247,25 @@ func expectedWithPrefix(t *testing.T, set *Set, skip, n int) string {
 func TestScatterPartialPolicy(t *testing.T) {
 	src := xmarkDoc(t)
 	set := buildSet(t, src, 4)
-	base := set.Workers()
+	base := set.workers
 
 	inject := func(name string, delivered int, mk func(i int) Worker) {
 		for _, failShard := range []int{0, 2} {
 			workers := make([]Worker, len(base))
 			copy(workers, base)
 			workers[failShard] = mk(failShard)
-			c := NewCoordinatorWorkers(set, workers)
 
 			// Fail-fast: the injected error must reach the caller.
-			cur, err := c.Scatter(context.Background(), faultQuery, Options{})
-			if err == nil {
-				var sb strings.Builder
-				_, err = cur.WriteXML(&sb)
-				cur.Close()
-			}
+			cur := FanOut(context.Background(), workers, Request{Query: faultQuery}, Options{})
+			_, err := cur.WriteXML(io.Discard)
+			cur.Close()
 			if err == nil || !strings.Contains(err.Error(), "injected") {
 				t.Fatalf("%s shard=%d fail-fast: err=%v, want injected failure", name, failShard, err)
 			}
 
 			// Partial: healthy shards only, cursor flagged.
 			before := counters.partialResults.Load()
-			got, cur2 := scatterXML(t, c, context.Background(), faultQuery, Options{Partial: true})
+			got, cur2 := scatterXML(t, workers, context.Background(), faultQuery, Options{Partial: true})
 			if !cur2.Partial() {
 				t.Fatalf("%s shard=%d: partial cursor not flagged", name, failShard)
 			}
@@ -288,7 +280,7 @@ func TestScatterPartialPolicy(t *testing.T) {
 		}
 	}
 
-	inject("dispatch", 0, func(i int) Worker { return &downWorker{shard: i} })
+	inject("dispatch", 0, func(int) Worker { return &downWorker{} })
 	inject("midstream", 1, func(i int) Worker { return &truncWorker{Worker: base[i], after: 1} })
 }
 
@@ -300,15 +292,14 @@ func TestScatterHedging(t *testing.T) {
 	src := xmarkDoc(t)
 	want := unshardedXML(t, src, faultQuery)
 	set := buildSet(t, src, 4)
-	base := set.Workers()
+	base := set.workers
 	workers := make([]Worker, len(base))
 	copy(workers, base)
 	stalled := &stallWorker{Worker: base[1]}
 	workers[1] = stalled
-	c := NewCoordinatorWorkers(set, workers)
 
 	launched, wins := counters.hedgesLaunched.Load(), counters.hedgeWins.Load()
-	got, cur := scatterXML(t, c, context.Background(), faultQuery, Options{HedgeAfter: 5 * time.Millisecond})
+	got, cur := scatterXML(t, workers, context.Background(), faultQuery, Options{HedgeAfter: 5 * time.Millisecond})
 	cur.Close()
 	if got != want {
 		t.Fatalf("hedged scatter diverged from unsharded result")
@@ -328,15 +319,11 @@ func TestScatterHedging(t *testing.T) {
 	// surface as the context error under either policy.
 	stalled.calls.Store(1) // already past first call; keep stalling off
 	workers[1] = &stallWorker{Worker: base[1]}
-	c = NewCoordinatorWorkers(set, workers)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	cur2, err := c.Scatter(ctx, faultQuery, Options{Partial: true})
-	if err == nil {
-		var sb strings.Builder
-		_, err = cur2.WriteXML(&sb)
-		cur2.Close()
-	}
+	cur2 := FanOut(ctx, workers, Request{Query: faultQuery}, Options{Partial: true})
+	_, err := cur2.WriteXML(io.Discard)
+	cur2.Close()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("unhedged stall: err=%v, want DeadlineExceeded", err)
 	}
@@ -348,20 +335,16 @@ func TestScatterHedging(t *testing.T) {
 func TestScatterDeadlineMidStream(t *testing.T) {
 	src := xmarkDoc(t)
 	set := buildSet(t, src, 4)
-	base := set.Workers()
+	base := set.workers
 	workers := make([]Worker, len(base))
 	for i := range base {
 		workers[i] = &slowWorker{Worker: base[i], delay: 20 * time.Millisecond}
 	}
-	c := NewCoordinatorWorkers(set, workers)
 	for _, partial := range []bool{false, true} {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		cur, err := c.Scatter(ctx, faultQuery, Options{Partial: partial})
-		if err == nil {
-			var sb strings.Builder
-			_, err = cur.WriteXML(&sb)
-			cur.Close()
-		}
+		cur := FanOut(ctx, workers, Request{Query: faultQuery}, Options{Partial: partial})
+		_, err := cur.WriteXML(io.Discard)
+		cur.Close()
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("partial=%v: err=%v, want DeadlineExceeded", partial, err)
@@ -375,7 +358,7 @@ func TestScatterDeadlineMidStream(t *testing.T) {
 func TestScatterRankOrder(t *testing.T) {
 	src := xmarkDoc(t)
 	set := buildSet(t, src, 4)
-	base := set.Workers()
+	base := set.workers
 
 	// Collect each shard's rank sequence through the raw worker API.
 	var all []uint64

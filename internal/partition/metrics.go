@@ -1,4 +1,4 @@
-package shard
+package partition
 
 import "sync/atomic"
 
@@ -16,10 +16,6 @@ var counters struct {
 	partialResults  atomic.Int64
 	mergedItems     atomic.Int64
 }
-
-// CountFallback records a query the analyzer declined to scatter (the
-// dispatch decision lives in the public API layer, the counter here).
-func CountFallback() { counters.fallbackQueries.Add(1) }
 
 // Stats is one snapshot of the scatter-gather counters.
 type Stats struct {

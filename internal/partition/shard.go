@@ -1,17 +1,63 @@
-package shard
+package partition
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"xquec/internal/storage"
 	"xquec/internal/xmlparser"
 	"xquec/internal/xpar"
 )
+
+// ShardManifest is the persisted description of a shard set: how many
+// shards, where they live, how subtrees were routed, and the dictionary
+// hash every shard must reproduce.
+//
+// The routing map is implicit in the "roundrobin" policy: the k-th
+// partitioned subtree (document order) of shard s has global rank
+// k*len(Shards)+s, so merge order needs no per-subtree table.
+type ShardManifest struct {
+	Format string `json:"format"` // ShardManifestFormat
+	// Shards are the shard repository file names, in shard order,
+	// relative to the manifest's directory.
+	Shards []string `json:"shards"`
+	// PartitionLevel is the element level whose subtrees were routed
+	// (root = 1).
+	PartitionLevel int `json:"partition_level"`
+	// Routing is the subtree routing policy; "roundrobin" is the only
+	// one defined.
+	Routing string `json:"routing"`
+	// Subtrees is the total number of partitioned subtrees.
+	Subtrees int `json:"subtrees"`
+	// SubtreeCounts is the per-shard partitioned subtree count.
+	SubtreeCounts []int `json:"subtree_counts"`
+	// DictHash is the SHA-256 of the shared name dictionary; every
+	// shard repository of the set must reproduce it.
+	DictHash string `json:"dict_hash"`
+	// OriginalSize is the uncompressed corpus size in bytes.
+	OriginalSize int `json:"original_size"`
+}
+
+func (m *ShardManifest) check() error {
+	if m.Format != ShardManifestFormat {
+		return fmt.Errorf("partition: manifest format %q, want %q", m.Format, ShardManifestFormat)
+	}
+	if len(m.Shards) == 0 {
+		return fmt.Errorf("partition: manifest lists no shards")
+	}
+	if m.Routing != "roundrobin" {
+		return fmt.Errorf("partition: unknown routing policy %q", m.Routing)
+	}
+	if len(m.SubtreeCounts) != len(m.Shards) {
+		return fmt.Errorf("partition: %d subtree counts for %d shards", len(m.SubtreeCounts), len(m.Shards))
+	}
+	if m.PartitionLevel < 2 {
+		return fmt.Errorf("partition: partition level %d < 2", m.PartitionLevel)
+	}
+	return nil
+}
 
 // span is one partitioned subtree in a shard store: the pre-order ID of
 // its root and the largest ID in its subtree. Spans are in document
@@ -21,27 +67,6 @@ type span struct {
 	start, end storage.NodeID
 }
 
-// Set is a shard set opened as one logical repository: the manifest,
-// the N shard stores, and the per-shard subtree tables that map a
-// node to its global document-order rank.
-type Set struct {
-	Man    *Manifest
-	Stores []*storage.Store
-
-	tables [][]span // per shard, partitioned subtree roots in doc order
-
-	// fused is the lazily reconstructed single-store view, used for
-	// queries the scatter analyzer declines (aggregates over the whole
-	// corpus, multi-document joins, ORDER BY). Built at most once.
-	fuseOnce sync.Once
-	fused    *storage.Store
-	fuseErr  error
-	fusePar  int
-
-	workersOnce sync.Once
-	workers     []Worker
-}
-
 // Build splits src into `shards` shard repositories (shard-aware
 // ingest) and assembles the in-memory Set.
 func Build(src []byte, shards int, opts storage.LoadOptions) (*Set, error) {
@@ -49,8 +74,8 @@ func Build(src []byte, shards int, opts storage.LoadOptions) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	man := &Manifest{
-		Format:         ManifestFormat,
+	man := &ShardManifest{
+		Format:         ShardManifestFormat,
 		Shards:         make([]string, shards),
 		PartitionLevel: split.PartitionLevel,
 		Routing:        "roundrobin",
@@ -62,67 +87,57 @@ func Build(src []byte, shards int, opts storage.LoadOptions) (*Set, error) {
 	for i := range man.Shards {
 		man.Shards[i] = fmt.Sprintf("shard-%03d.xqc", i)
 	}
-	return newSet(man, stores)
+	return newShardSet(man, stores)
 }
 
-// OpenSet loads a shard set from its manifest file. Shard repositories
-// load in parallel; each is checked against the manifest's dictionary
-// hash so shards from different builds cannot be mixed.
-func OpenSet(path string) (*Set, error) {
-	man, err := ReadManifest(path)
+// openShards loads a shard set from its manifest bytes. Each shard is
+// checked against the manifest's dictionary hash so shards from
+// different builds cannot be mixed.
+func openShards(path string, data []byte) (*Set, error) {
+	man := &ShardManifest{}
+	if err := parseManifest(data, man); err != nil {
+		return nil, err
+	}
+	stores, _, err := openParts(filepath.Dir(path), man.Shards, "shard")
 	if err != nil {
 		return nil, err
 	}
-	dir := filepath.Dir(path)
-	stores := make([]*storage.Store, len(man.Shards))
-	err = xpar.ForEach(len(man.Shards), len(man.Shards), func(i int) error {
-		st, err := storage.OpenFile(filepath.Join(dir, man.Shards[i]))
+	return newShardSet(man, stores)
+}
+
+// openParts loads the named part repositories from dir in parallel,
+// returning the stores and the full paths they were read from.
+func openParts(dir string, names []string, noun string) ([]*storage.Store, []string, error) {
+	stores := make([]*storage.Store, len(names))
+	paths := make([]string, len(names))
+	err := xpar.ForEach(len(names), len(names), func(i int) error {
+		paths[i] = filepath.Join(dir, names[i])
+		st, err := storage.OpenFile(paths[i])
 		if err != nil {
-			return fmt.Errorf("shard: opening shard %d (%s): %w", i, man.Shards[i], err)
+			return fmt.Errorf("partition: opening %s %d (%s): %w", noun, i, names[i], err)
 		}
 		stores[i] = st
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return newSet(man, stores)
+	return stores, paths, err
 }
 
-// OpenSetBytes assembles a set from a parsed manifest and raw shard
-// repository bytes (index-aligned with man.Shards) — the in-memory
-// counterpart of OpenSet.
-func OpenSetBytes(man *Manifest, shardData [][]byte) (*Set, error) {
-	if len(shardData) != len(man.Shards) {
-		return nil, fmt.Errorf("shard: %d shard payloads for %d shards", len(shardData), len(man.Shards))
+func newShardSet(man *ShardManifest, stores []*storage.Store) (*Set, error) {
+	s := &Set{
+		Layout:  Layout{Noun: "shard", Level: man.PartitionLevel, Interleaved: true},
+		Stores:  stores,
+		Shards:  man,
+		tables:  make([][]span, len(stores)),
+		workers: make([]Worker, len(stores)),
 	}
-	stores := make([]*storage.Store, len(shardData))
-	err := xpar.ForEach(len(shardData), len(shardData), func(i int) error {
-		st, err := storage.LoadBinary(shardData[i])
-		if err != nil {
-			return fmt.Errorf("shard: decoding shard %d: %w", i, err)
-		}
-		stores[i] = st
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return newSet(man, stores)
-}
-
-func newSet(man *Manifest, stores []*storage.Store) (*Set, error) {
-	if len(stores) != len(man.Shards) {
-		return nil, fmt.Errorf("shard: %d stores for %d manifest shards", len(stores), len(man.Shards))
-	}
-	s := &Set{Man: man, Stores: stores, tables: make([][]span, len(stores))}
 	for i, st := range stores {
+		s.workers[i] = &inprocWorker{set: s, part: i}
 		if got := DictionaryHash(st.Names); got != man.DictHash {
-			return nil, fmt.Errorf("shard: shard %d dictionary hash %.12s does not match manifest %.12s (mixed shard builds?)", i, got, man.DictHash)
+			return nil, fmt.Errorf("partition: shard %d dictionary hash %.12s does not match manifest %.12s (mixed shard builds?)", i, got, man.DictHash)
 		}
 		s.tables[i] = subtreeTable(st, man.PartitionLevel)
 		if len(s.tables[i]) != man.SubtreeCounts[i] {
-			return nil, fmt.Errorf("shard: shard %d has %d partitioned subtrees, manifest says %d", i, len(s.tables[i]), man.SubtreeCounts[i])
+			return nil, fmt.Errorf("partition: shard %d has %d partitioned subtrees, manifest says %d", i, len(s.tables[i]), man.SubtreeCounts[i])
 		}
 	}
 	return s, nil
@@ -149,9 +164,6 @@ func subtreeTable(st *storage.Store, level int) []span {
 	return out
 }
 
-// Shards returns the shard count.
-func (s *Set) Shards() int { return len(s.Stores) }
-
 // rankOf maps a node of one shard store to the global document-order
 // rank of the partitioned subtree containing it. ok is false for spine
 // nodes (nodes outside every partitioned subtree) — a scatter-safe
@@ -174,59 +186,28 @@ func (s *Set) rankOf(shard int, id storage.NodeID) (uint64, bool) {
 	return uint64(k)*uint64(len(s.Stores)) + uint64(shard), true
 }
 
-// TopologyKey describes the shard topology for cache keying: two sets
-// answer queries identically only if their topology keys match.
-func (s *Set) TopologyKey() string {
-	return fmt.Sprintf("shards=%d;level=%d;subtrees=%d;dict=%.12s",
-		len(s.Stores), s.Man.PartitionLevel, s.Man.Subtrees, s.Man.DictHash)
-}
-
-// Save writes the shard repositories next to the manifest at path
-// (which should end in ManifestExt). Shard file names derive from the
-// manifest base name, and the manifest is written last so a readable
-// manifest implies readable shards.
-func (s *Set) Save(path string) error {
+// saveShards writes the shard repositories next to the manifest at path
+// (which should end in ShardManifestExt). Shard file names derive from
+// the manifest base name.
+func (s *Set) saveShards(path string) error {
 	dir := filepath.Dir(path)
-	base := strings.TrimSuffix(filepath.Base(path), ManifestExt)
+	base := strings.TrimSuffix(filepath.Base(path), ShardManifestExt)
 	for i, st := range s.Stores {
-		s.Man.Shards[i] = fmt.Sprintf("%s.shard-%03d.xqc", base, i)
-		if err := st.SaveFile(filepath.Join(dir, s.Man.Shards[i])); err != nil {
+		s.Shards.Shards[i] = fmt.Sprintf("%s.shard-%03d.xqc", base, i)
+		if err := st.SaveFile(filepath.Join(dir, s.Shards.Shards[i])); err != nil {
 			return err
 		}
 	}
-	data, err := MarshalManifest(s.Man)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeManifest(path, s.Shards)
 }
 
-// Fused returns the single-store view of the set, reconstructing the
-// original corpus from the shards and re-ingesting it on first use.
-// Queries the analyzer cannot scatter (whole-corpus aggregates,
-// multi-document joins, ORDER BY over the full result) run here, so
-// every query over a shard set has an answer — scatter is the fast
-// path, not the only path.
-func (s *Set) Fused(parallelism int) (*storage.Store, error) {
-	s.fuseOnce.Do(func() {
-		s.fusePar = parallelism
-		xml, err := s.FuseXML()
-		if err != nil {
-			s.fuseErr = fmt.Errorf("shard: reconstructing corpus: %w", err)
-			return
-		}
-		s.fused, s.fuseErr = storage.Load(xml, storage.LoadOptions{Parallelism: parallelism})
-	})
-	return s.fused, s.fuseErr
-}
-
-// FuseXML reconstructs the original document from the shards: the
+// fuseShards reconstructs the original document from the shards: the
 // spine (and its text) comes from shard 0, and each spine parent's
 // partitioned subtrees are re-interleaved from all shards in global
 // rank order — exactly inverting the round-robin split.
-func (s *Set) FuseXML() ([]byte, error) {
+func (s *Set) fuseShards() ([]byte, error) {
 	s0 := s.Stores[0]
-	level := s.Man.PartitionLevel
+	level := s.Layout.Level
 
 	// Spine elements occupy the same ordinal positions in every shard
 	// (the splitter echoes them to all shards in document order), so a
@@ -258,7 +239,7 @@ func (s *Set) FuseXML() ([]byte, error) {
 			parent := s.Stores[si].Parent(sp.start)
 			psi, ok := spineIdx[si][parent]
 			if !ok {
-				return nil, fmt.Errorf("shard: subtree %d of shard %d has non-spine parent", k, si)
+				return nil, fmt.Errorf("partition: subtree %d of shard %d has non-spine parent", k, si)
 			}
 			byParent[psi] = append(byParent[psi], part{
 				rank:  uint64(k)*uint64(len(s.Stores)) + uint64(si),

@@ -1,4 +1,4 @@
-package segment
+package partition
 
 import (
 	"bytes"
@@ -33,7 +33,7 @@ func splitDoc(doc []byte) (docParts, error) {
 		return p, err
 	}
 	if i >= len(doc) || doc[i] != '<' {
-		return p, fmt.Errorf("segment: document has no root element")
+		return p, fmt.Errorf("partition: document has no root element")
 	}
 	// Tag name.
 	j := i + 1
@@ -41,7 +41,7 @@ func splitDoc(doc []byte) (docParts, error) {
 		j++
 	}
 	if j == i+1 {
-		return p, fmt.Errorf("segment: document has no root element name")
+		return p, fmt.Errorf("partition: document has no root element name")
 	}
 	p.root = string(doc[i+1 : j])
 	// End of the start tag, honoring quoted attribute values.
@@ -58,7 +58,7 @@ func splitDoc(doc []byte) (docParts, error) {
 	}
 	if selfClose {
 		if len(bytes.TrimRight(doc[end+1:], " \t\n\r")) != 0 {
-			return p, fmt.Errorf("segment: trailing content after <%s/>", p.root)
+			return p, fmt.Errorf("partition: trailing content after <%s/>", p.root)
 		}
 		// Normalize "<root .../>" to an open tag so callers can splice
 		// content under it.
@@ -75,11 +75,11 @@ func splitDoc(doc []byte) (docParts, error) {
 	closeTag := []byte("</" + p.root)
 	ci := bytes.LastIndex(rest, closeTag)
 	if ci < 0 {
-		return p, fmt.Errorf("segment: document root <%s> is never closed", p.root)
+		return p, fmt.Errorf("partition: document root <%s> is never closed", p.root)
 	}
 	tail := bytes.TrimLeft(rest[ci+len(closeTag):], " \t\n\r")
 	if !bytes.Equal(tail, []byte(">")) {
-		return p, fmt.Errorf("segment: trailing content after </%s>", p.root)
+		return p, fmt.Errorf("partition: trailing content after </%s>", p.root)
 	}
 	p.inner = rest[:ci]
 	return p, nil
@@ -96,13 +96,13 @@ func skipProlog(doc []byte) (int, error) {
 		case bytes.HasPrefix(doc[i:], []byte("<?")):
 			e := bytes.Index(doc[i:], []byte("?>"))
 			if e < 0 {
-				return 0, fmt.Errorf("segment: unterminated processing instruction")
+				return 0, fmt.Errorf("partition: unterminated processing instruction")
 			}
 			i += e + 2
 		case bytes.HasPrefix(doc[i:], []byte("<!--")):
 			e := bytes.Index(doc[i:], []byte("-->"))
 			if e < 0 {
-				return 0, fmt.Errorf("segment: unterminated comment")
+				return 0, fmt.Errorf("partition: unterminated comment")
 			}
 			i += e + 3
 		case bytes.HasPrefix(doc[i:], []byte("<!DOCTYPE")):
@@ -118,14 +118,14 @@ func skipProlog(doc []byte) (int, error) {
 				}
 			}
 			if j >= len(doc) {
-				return 0, fmt.Errorf("segment: unterminated DOCTYPE")
+				return 0, fmt.Errorf("partition: unterminated DOCTYPE")
 			}
 			i = j + 1
 		default:
 			return i, nil
 		}
 	}
-	return 0, fmt.Errorf("segment: document has no root element")
+	return 0, fmt.Errorf("partition: document has no root element")
 }
 
 // scanTagEnd finds the index of the '>' ending the start tag whose
@@ -148,7 +148,7 @@ func scanTagEnd(doc []byte, pos int) (end int, selfClose bool, err error) {
 			return i, i > pos && doc[i-1] == '/', nil
 		}
 	}
-	return 0, false, fmt.Errorf("segment: unterminated root start tag")
+	return 0, false, fmt.Errorf("partition: unterminated root start tag")
 }
 
 func isTagDelim(b byte) bool {
@@ -162,7 +162,7 @@ func isTagDelim(b byte) bool {
 // is nowhere for them to go on the shared root).
 func Concat(docs ...[]byte) ([]byte, error) {
 	if len(docs) == 0 {
-		return nil, fmt.Errorf("segment: no documents to concatenate")
+		return nil, fmt.Errorf("partition: no documents to concatenate")
 	}
 	base, err := splitDoc(docs[0])
 	if err != nil {
@@ -174,13 +174,13 @@ func Concat(docs ...[]byte) ([]byte, error) {
 	for k, doc := range docs[1:] {
 		p, err := splitDoc(doc)
 		if err != nil {
-			return nil, fmt.Errorf("segment: document %d: %w", k+1, err)
+			return nil, fmt.Errorf("partition: document %d: %w", k+1, err)
 		}
 		if p.root != base.root {
-			return nil, fmt.Errorf("segment: document %d root <%s> does not match base root <%s>", k+1, p.root, base.root)
+			return nil, fmt.Errorf("partition: document %d root <%s> does not match base root <%s>", k+1, p.root, base.root)
 		}
 		if p.hasAttrs {
-			return nil, fmt.Errorf("segment: document %d root <%s> carries attributes (unsupported in a concatenation)", k+1, p.root)
+			return nil, fmt.Errorf("partition: document %d root <%s> carries attributes (unsupported in a concatenation)", k+1, p.root)
 		}
 		out = append(out, p.inner...)
 	}

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xquec/internal/shard"
+	"xquec/internal/partition"
 	"xquec/internal/storage"
 	"xquec/internal/xpar"
 )
@@ -225,7 +225,7 @@ type Snapshot struct {
 	ParallelPartitions  int64 `json:"parallel_partitions"`
 	ParallelWorkersBusy int64 `json:"parallel_workers_busy"`
 
-	// Scatter-gather tier activity (process-wide, from internal/shard):
+	// Scatter-gather tier activity (process-wide, from internal/partition):
 	// queries scattered vs run on the fused fallback, shard streams
 	// dispatched/failed, straggler hedges launched/won, cursors that
 	// completed partial, and total merged items.
@@ -299,7 +299,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.ParallelScans = ps.Scans
 	s.ParallelPartitions = ps.Partitions
 	s.ParallelWorkersBusy = ps.Busy
-	ss := shard.Snapshot()
+	ss := partition.Snapshot()
 	s.ShardScatterQueries = ss.ScatterQueries
 	s.ShardFallbackQueries = ss.FallbackQueries
 	s.ShardStreams = ss.ShardStreams
@@ -419,7 +419,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP xquecd_parallel_workers_busy Intra-query pool workers currently running.\n")
 	fmt.Fprintf(w, "# TYPE xquecd_parallel_workers_busy gauge\nxquecd_parallel_workers_busy %d\n", ps.Busy)
 
-	ss := shard.Snapshot()
+	ss := partition.Snapshot()
 	counter("xquecd_shard_scatter_queries_total", "Queries scattered across shard workers.", ss.ScatterQueries)
 	counter("xquecd_shard_fallback_queries_total", "Sharded-repository queries evaluated on the fused store.", ss.FallbackQueries)
 	counter("xquecd_shard_streams_total", "Per-shard evaluation streams dispatched (hedges included).", ss.ShardStreams)

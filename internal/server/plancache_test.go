@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"xquec"
@@ -97,11 +99,12 @@ func TestPlanCacheExecutableEntries(t *testing.T) {
 	p := testPrepared(t, `count(/doc/a)`)
 	c.Put("r", "t", p.Text(), p)
 	got := c.Get("r", "t", p.Text())
-	res, err := got.Run()
+	res, err := got.Execute(context.Background(), xquec.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, _ := res.SerializeXML(); out != "2" {
-		t.Fatalf("cached plan result = %q", out)
+	var out strings.Builder
+	if _, err := res.WriteXML(&out); err != nil || out.String() != "2" {
+		t.Fatalf("cached plan result = %q, %v", out.String(), err)
 	}
 }

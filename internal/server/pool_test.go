@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -150,7 +151,7 @@ func TestPoolEvictionDuringStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(`/doc/a/text()`)
+	res, err := db.Execute(context.Background(), `/doc/a/text()`, xquec.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +181,9 @@ func TestPoolEvictionDuringStream(t *testing.T) {
 	if swapped == db {
 		t.Fatal("reload returned the evicted handle")
 	}
-	if out, _ := swapped.MustQuery(`/doc/a/text()`).SerializeXML(); out != "SWAPPED" {
-		t.Fatalf("swapped repo = %q", out)
+	var out strings.Builder
+	if _, err := swapped.MustQuery(`/doc/a/text()`).WriteXML(&out); err != nil || out.String() != "SWAPPED" {
+		t.Fatalf("swapped repo = %q, %v", out.String(), err)
 	}
 
 	// The original cursor keeps streaming the original corpus.

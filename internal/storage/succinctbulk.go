@@ -22,8 +22,8 @@ import "xquec/internal/succinct"
 // whose paren pair spans its subtree. Only a parent change pays for an
 // ancestor search, which the BP shortcut directories bound to about
 // one block scan, plus one FindClose for the new containment bound.
-// (A ParenScanner min-excess fold was measured here too; its per-word
-// table work on every skipped paren costs more than the occasional
+// (A running min-excess fold over the skipped parens was measured here
+// too; its per-word table work costs more than the occasional
 // FindClose on a parent change.)
 func (t *SuccinctStructure) parentBulk(ids, out []NodeID) {
 	ns := succinct.NewSelectScanner(t.isNode)

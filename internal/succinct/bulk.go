@@ -51,120 +51,3 @@ func (s *SelectScanner) Seek(k int) int {
 		s.w++
 	}
 }
-
-// wordExcess returns the excess delta and the minimum running excess
-// (relative to the excess entering the word) over all 64 bits of a
-// paren word, via the byte excess tables.
-func wordExcess(w uint64) (delta, min int) {
-	e, mn := 0, 127
-	for j := 0; j < 64; j += 8 {
-		bb := byte(w >> uint(j))
-		if v := e + int(exMin[bb]); v < mn {
-			mn = v
-		}
-		e += int(exDelta[bb])
-	}
-	return e, mn
-}
-
-// rangeExcess processes bits [from, to) of a paren word starting from
-// excess e, returning the minimum running excess over the range (the
-// empty range has no minimum: 1<<30) and the excess after it.
-func rangeExcess(w uint64, from, to, e int) (min, after int) {
-	if from >= to {
-		return 1 << 30, e
-	}
-	mn := e + 65 // any processed bit lowers this below the sentinel
-	for j := from; j < to; j++ {
-		if w>>uint(j)&1 == 1 {
-			e++
-		} else {
-			e--
-		}
-		if e < mn {
-			mn = e
-		}
-	}
-	return mn, e
-}
-
-// ParenScanner answers ascending "position of the k-th open paren"
-// queries over a BP sequence while tracking the minimum excess seen
-// since the last ResetMin — the ingredient a bulk parent kernel needs
-// to decide whether the cursor is still inside the previous parent's
-// subtree without any backward search.
-type ParenScanner struct {
-	b   *BP
-	w   int // next word to examine
-	wr  int // ones before word w
-	we  int // excess before word w (= 2*wr - 64*w)
-	pos int // last returned position (-1 initially)
-	ex  int // excess at pos
-	mn  int // min excess over (anchor, pos]
-}
-
-// NewParenScanner returns a scanner positioned before the sequence.
-func (b *BP) NewParenScanner() ParenScanner {
-	return ParenScanner{b: b, pos: -1, mn: 1 << 30}
-}
-
-// Seek returns the position of the k-th (0-based) open paren and the
-// excess there, updating the running minimum over the skipped range.
-// Successive calls must not decrease k. jumped reports that the cursor
-// re-seeded (the running minimum no longer covers the full range since
-// the anchor and the caller must take its slow path).
-func (s *ParenScanner) Seek(k int) (pos, excess int, jumped bool) {
-	if k-s.wr > selReseedGap {
-		p := s.b.bv.Select1(k)
-		s.w = p >> 6
-		s.wr = s.b.bv.Rank1(s.w << 6)
-		s.we = 2*s.wr - s.w<<6
-		s.pos = s.w<<6 - 1
-		s.ex = s.we
-		s.mn = 1 << 30
-		jumped = true
-	}
-	words := s.b.bv.words
-	for {
-		c := bits.OnesCount64(words[s.w])
-		if s.wr+c > k {
-			break
-		}
-		// The whole word (or its tail past pos) is skipped: fold its
-		// minimum excess into the running minimum.
-		if s.pos >= s.w<<6 {
-			mn, _ := rangeExcess(words[s.w], s.pos&63+1, 64, s.ex)
-			if mn < s.mn {
-				s.mn = mn
-			}
-		} else {
-			_, mn := wordExcess(words[s.w])
-			if s.we+mn < s.mn {
-				s.mn = s.we + mn
-			}
-		}
-		s.wr += c
-		s.we += 2*c - 64
-		s.w++
-	}
-	off := selectWord(words[s.w], k-s.wr)
-	from, e := 0, s.we
-	if s.pos >= s.w<<6 {
-		from, e = s.pos&63+1, s.ex
-	}
-	mn, after := rangeExcess(words[s.w], from, off+1, e)
-	if mn < s.mn {
-		s.mn = mn
-	}
-	s.pos = s.w<<6 + off
-	s.ex = after
-	return s.pos, after, jumped
-}
-
-// MinExcess returns the minimum excess over (anchor, pos], where the
-// anchor is set by ResetMin.
-func (s *ParenScanner) MinExcess() int { return s.mn }
-
-// ResetMin re-anchors the running minimum: the caller asserts the
-// minimum excess over (new anchor, pos] is v.
-func (s *ParenScanner) ResetMin(v int) { s.mn = v }

@@ -82,55 +82,6 @@ func TestSelectScanner(t *testing.T) {
 	}
 }
 
-func TestParenScanner(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for name, parens := range shapes(rng) {
-		bp := NewBP(buildFromBools(parens))
-		o := newBPOracle(parens)
-		opens := []int{}
-		for i, open := range parens {
-			if open {
-				opens = append(opens, i)
-			}
-		}
-		// Walk every open in order, checking position, excess, and the
-		// running minimum over the stretch since the previous open.
-		sc := bp.NewParenScanner()
-		prev := -1
-		for k, want := range opens {
-			pos, ex, _ := sc.Seek(k)
-			if pos != want {
-				t.Fatalf("%s: Seek(%d)=%d want %d", name, k, pos, want)
-			}
-			if ex != o.excess[pos] {
-				t.Fatalf("%s: Seek(%d) excess=%d want %d", name, k, ex, o.excess[pos])
-			}
-			if prev >= 0 {
-				mn := 1 << 30
-				for j := prev; j <= pos; j++ {
-					if o.excess[j] < mn {
-						mn = o.excess[j]
-					}
-				}
-				if got := sc.MinExcess(); got != mn {
-					t.Fatalf("%s: MinExcess after Seek(%d)=%d want %d", name, k, got, mn)
-				}
-			}
-			sc.ResetMin(ex)
-			prev = pos
-		}
-		// Random strides, including jumps that force a re-seed.
-		sc = bp.NewParenScanner()
-		for k := 0; k < len(opens); k += 1 + rng.Intn(len(opens)/4+1) {
-			pos, ex, _ := sc.Seek(k)
-			if pos != opens[k] || ex != o.excess[pos] {
-				t.Fatalf("%s: stride Seek(%d)=(%d,%d) want (%d,%d)",
-					name, k, pos, ex, opens[k], o.excess[opens[k]])
-			}
-		}
-	}
-}
-
 func TestAncestorAtDepth(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for name, parens := range shapes(rng) {

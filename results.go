@@ -2,15 +2,14 @@ package xquec
 
 import (
 	"io"
-	"strings"
 
 	"xquec/internal/engine"
-	"xquec/internal/shard"
+	"xquec/internal/partition"
 )
 
 // Results is a query result sequence, consumed as a pull-based cursor:
 //
-//	res, err := db.Query(q)
+//	res, err := db.Execute(ctx, q, xquec.QueryOptions{})
 //	defer res.Close()
 //	for {
 //		item, ok, err := res.Next()
@@ -23,33 +22,21 @@ import (
 // Values stay compressed until an item is serialized (Item.XML /
 // WriteXML), and for streamable queries the evaluation itself advances
 // one item per Next — stopping early (or cancelling the context passed
-// to QueryContext/RunContext) stops evaluation-side decompression too.
+// to Execute) stops evaluation-side decompression too.
 // A Results must be fully consumed or Closed to release its pooled
 // buffers; Close is idempotent and always safe to defer.
 //
 // A Results is a single-consumer cursor. The Database it came from may
 // serve any number of concurrent queries, each with its own Results.
 //
-// On a sharded or segmented database a scattered query is backed by a
-// merging cursor (the shard coordinator's, or the segment merge)
+// On a sharded or segmented database a scattered query is backed by
+// the partitioned set's merging cursor (over pre-serialized items)
 // instead of a single engine evaluation; the API and the item sequence
 // are identical, and Partial reports whether any shard was dropped
 // under the partial-results policy.
 type Results struct {
 	res *engine.Result
-	cur byteCursor
-}
-
-// byteCursor is the merged-stream backend contract: a single-consumer
-// cursor over pre-serialized items. shard.Cursor and segment.Cursor
-// both satisfy it, so Results wraps either interchangeably with the
-// plain engine result.
-type byteCursor interface {
-	Prime() error
-	Next() ([]byte, bool, error)
-	WriteXML(w io.Writer) (int, error)
-	Close() error
-	Len() int
+	cur *partition.Cursor // non-nil for a scattered query
 }
 
 // Item is one result item. It is a lightweight handle — a stored node
@@ -142,22 +129,4 @@ func (r *Results) Len() int {
 // partial-results policy (QueryOptions.PartialResults on a sharded
 // database). It is definitive once the cursor is exhausted; false for
 // every non-scattered query (segment merges are always fail-fast).
-func (r *Results) Partial() bool {
-	sc, ok := r.cur.(*shard.Cursor)
-	return ok && sc.Partial()
-}
-
-// SerializeXML renders the remaining items as XML/text, one item per
-// line.
-//
-// Deprecated: SerializeXML materializes the entire rendering as one
-// string, forfeiting the O(1-item) memory profile of the cursor. It is
-// kept as a convenience wrapper over WriteXML for small results; new
-// code should use WriteXML or Next/Item.XML.
-func (r *Results) SerializeXML() (string, error) {
-	var sb strings.Builder
-	if _, err := r.WriteXML(&sb); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
-}
+func (r *Results) Partial() bool { return r.cur != nil && r.cur.Partial() }

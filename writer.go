@@ -6,7 +6,7 @@ import (
 	"strings"
 	"sync"
 
-	"xquec/internal/segment"
+	"xquec/internal/partition"
 	"xquec/internal/storage"
 )
 
@@ -47,15 +47,15 @@ type Writer struct {
 // are the write-path partitioning; a compacted set can be re-sharded
 // by re-compressing the decompressed corpus).
 func NewWriter(db *Database, opts Options) (*Writer, error) {
-	if db.set != nil {
+	if db.Sharded() {
 		return nil, fmt.Errorf("xquec: a sharded database is not appendable; compact to a single repository first")
 	}
-	if db.segs == nil {
-		segs, err := segment.NewBase(db.store)
+	if db.set == nil {
+		segs, err := partition.NewBase(db.store)
 		if err != nil {
 			return nil, err
 		}
-		db = fromSegs(segs)
+		db = &Database{set: segs}
 	}
 	return &Writer{db: db, opts: opts}, nil
 }
@@ -74,8 +74,8 @@ func (w *Writer) DB() *Database {
 // written next to it, superseded ones are garbage-collected). A ".xqcg"
 // extension is appended when missing.
 func (w *Writer) BindFile(path string) {
-	if !strings.HasSuffix(path, segment.ManifestExt) {
-		path += segment.ManifestExt
+	if !strings.HasSuffix(path, partition.SegmentManifestExt) {
+		path += partition.SegmentManifestExt
 	}
 	w.mu.Lock()
 	w.path = path
@@ -97,7 +97,7 @@ func (w *Writer) OnSwap(fn func(*Database)) {
 func (w *Writer) Append(doc []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.db.segs.CheckAppend(doc); err != nil {
+	if err := w.db.set.CheckAppend(doc); err != nil {
 		return err
 	}
 	w.pending = append(w.pending, append([]byte(nil), doc...))
@@ -127,7 +127,7 @@ func (w *Writer) commitLocked() (*Database, error) {
 	if len(w.pending) == 0 {
 		return w.db, nil
 	}
-	segs := w.db.segs
+	segs := w.db.set
 	for _, doc := range w.pending {
 		plan, err := resolvePlan(doc, w.opts)
 		if err != nil {
@@ -154,8 +154,8 @@ func (w *Writer) Compact(ctx context.Context) (*Database, error) {
 	if _, err := w.commitLocked(); err != nil {
 		return nil, err
 	}
-	segs := w.db.segs
-	if segs.Segments() == 1 {
+	segs := w.db.set
+	if len(segs.Stores) == 1 {
 		return w.db, nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -184,13 +184,13 @@ func (w *Writer) Compact(ctx context.Context) (*Database, error) {
 
 // publishLocked persists (when bound to a file), swaps the current
 // handle, clears the staging area and notifies the swap hook.
-func (w *Writer) publishLocked(segs *segment.Set) (*Database, error) {
+func (w *Writer) publishLocked(segs *partition.Set) (*Database, error) {
 	if w.path != "" {
 		if err := segs.Save(w.path); err != nil {
 			return nil, err
 		}
 	}
-	db := fromSegs(segs)
+	db := &Database{set: segs}
 	w.pending = nil
 	w.db = db
 	if w.onSwap != nil {

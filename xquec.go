@@ -42,7 +42,6 @@ package xquec
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -51,8 +50,7 @@ import (
 
 	"xquec/internal/costmodel"
 	"xquec/internal/engine"
-	"xquec/internal/segment"
-	"xquec/internal/shard"
+	"xquec/internal/partition"
 	"xquec/internal/storage"
 	"xquec/internal/vm"
 	"xquec/internal/workload"
@@ -114,66 +112,38 @@ type Options struct {
 // builds a new Database value and readers of the old one keep their
 // snapshot.
 type Database struct {
+	// Exactly one of store and set is non-nil. set holds a partitioned
+	// corpus — a shard set (Options.Shards ≥ 2 / Open on a shard-set
+	// manifest) or a segment set (a Writer's Commit / Open on a
+	// segment-set manifest): several repositories sharing one name
+	// dictionary, over which scatterable queries evaluate per part and
+	// merge in document order while everything else runs on the lazily
+	// fused single store (db.fused).
 	store *storage.Store
-
-	// set and coord are non-nil for sharded databases (Options.Shards ≥
-	// 2 / Open on a shard-set manifest): the corpus lives in N shard
-	// repositories sharing one name dictionary, scatterable queries fan
-	// out across them, and everything else runs on the lazily fused
-	// single store (db.fused).
-	set   *shard.Set
-	coord *shard.Coordinator
-
-	// segs is non-nil for segmented databases (a Writer's Commit / Open
-	// on a segment-set manifest): the corpus is a base segment plus
-	// append segments sharing one name dictionary, scatterable queries
-	// evaluate per segment and merge in document order, the rest run on
-	// the lazily fused single store.
-	segs *segment.Set
+	set   *partition.Set
 }
 
 // Compress parses and compresses an XML document into a Database. With
 // Options.Shards ≥ 2 the repository is built sharded (see the field
 // doc); otherwise it is a single repository.
 func Compress(doc []byte, opts Options) (*Database, error) {
+	plan, err := resolvePlan(doc, opts)
+	if err != nil {
+		return nil, err
+	}
+	load := storage.LoadOptions{Plan: plan, Parallelism: opts.Parallelism}
 	if opts.Shards >= 2 {
-		return buildShardSet(doc, opts.Shards, opts)
+		set, err := partition.Build(doc, opts.Shards, load)
+		if err != nil {
+			return nil, err
+		}
+		return &Database{set: set}, nil
 	}
-	plan, err := resolvePlan(doc, opts)
+	s, err := storage.Load(doc, load)
 	if err != nil {
 		return nil, err
 	}
-	s, err := storage.Load(doc, storage.LoadOptions{Plan: plan, Parallelism: opts.Parallelism})
-	if err != nil {
-		return nil, err
-	}
-	return fromStore(s), nil
-}
-
-// CompressSharded is Compress targeting the scatter-gather serving
-// tier (see Options.Shards).
-//
-// Deprecated: use Compress with Options.Shards. CompressSharded keeps
-// its historical behavior — a shards value of 1 still builds an
-// explicit one-shard set, where Compress{Shards: 1} builds a plain
-// single repository.
-func CompressSharded(doc []byte, shards int, opts Options) (*Database, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("xquec: shard count %d < 1", shards)
-	}
-	return buildShardSet(doc, shards, opts)
-}
-
-func buildShardSet(doc []byte, shards int, opts Options) (*Database, error) {
-	plan, err := resolvePlan(doc, opts)
-	if err != nil {
-		return nil, err
-	}
-	set, err := shard.Build(doc, shards, storage.LoadOptions{Plan: plan, Parallelism: opts.Parallelism})
-	if err != nil {
-		return nil, err
-	}
-	return fromSet(set), nil
+	return &Database{store: s}, nil
 }
 
 // resolvePlan turns Options into a compression plan (nil = per-type
@@ -238,92 +208,40 @@ func WorkloadFromQueries(queries ...string) (*Workload, error) {
 // detected by content, so a serving pool can open every kind through
 // one call).
 func Open(path string) (*Database, error) {
-	kind, err := manifestKind(path)
+	manifest, err := isManifest(path)
 	if err != nil {
 		return nil, openErr(fmt.Errorf("xquec: open repository %s: %w", path, err))
 	}
-	switch kind {
-	case manifestSegment:
-		set, err := segment.Open(path)
+	if manifest {
+		set, err := partition.Open(path)
 		if err != nil {
-			return nil, openErr(fmt.Errorf("xquec: open segment set %s: %w", path, err))
+			return nil, openErr(fmt.Errorf("xquec: open repository set %s: %w", path, err))
 		}
-		return fromSegs(set), nil
-	case manifestShard:
-		set, err := shard.OpenSet(path)
-		if err != nil {
-			return nil, openErr(fmt.Errorf("xquec: open shard set %s: %w", path, err))
-		}
-		return fromSet(set), nil
+		return &Database{set: set}, nil
 	}
 	s, err := storage.OpenFile(path)
 	if err != nil {
 		return nil, openErr(fmt.Errorf("xquec: open repository %s: %w", path, err))
 	}
-	return fromStore(s), nil
+	return &Database{store: s}, nil
 }
 
-const (
-	manifestNone    = ""
-	manifestShard   = "shard"
-	manifestSegment = "segment"
-)
-
-// manifestKind sniffs whether path is a set manifest, and which kind:
-// by extension first, then by content (manifests are JSON objects
-// carrying a format field, repositories start with the XQCR magic).
-func manifestKind(path string) (string, error) {
-	if strings.HasSuffix(path, shard.ManifestExt) {
-		return manifestShard, nil
-	}
-	if strings.HasSuffix(path, segment.ManifestExt) {
-		return manifestSegment, nil
+// isManifest sniffs whether path is a set manifest: by extension first,
+// then by content (manifests are JSON objects, repositories start with
+// the XQCR magic). A JSON object with an unknown format still counts,
+// so the manifest parser's error names the expected format.
+func isManifest(path string) (bool, error) {
+	if strings.HasSuffix(path, partition.ShardManifestExt) || strings.HasSuffix(path, partition.SegmentManifestExt) {
+		return true, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return manifestNone, err
+		return false, err
 	}
 	var b [1]byte
 	_, err = f.Read(b[:])
 	f.Close()
-	if err != nil {
-		return manifestNone, err
-	}
-	if b[0] != '{' {
-		return manifestNone, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return manifestNone, err
-	}
-	if kind := sniffManifest(data); kind != manifestNone {
-		return kind, nil
-	}
-	// A JSON object with an unknown format: route to the shard-manifest
-	// parser so the error names the expected format.
-	return manifestShard, nil
-}
-
-// sniffManifest classifies raw bytes as a set manifest by the JSON
-// format field; manifestNone for anything that is not a recognizable
-// manifest.
-func sniffManifest(data []byte) string {
-	if len(data) == 0 || data[0] != '{' {
-		return manifestNone
-	}
-	var probe struct {
-		Format string `json:"format"`
-	}
-	if json.Unmarshal(data, &probe) != nil {
-		return manifestNone
-	}
-	switch probe.Format {
-	case shard.ManifestFormat:
-		return manifestShard
-	case segment.ManifestFormat:
-		return manifestSegment
-	}
-	return manifestNone
+	return err == nil && b[0] == '{', err
 }
 
 // OpenBytes loads a Database from serialized repository bytes. Manifest
@@ -332,52 +250,36 @@ func sniffManifest(data []byte) string {
 // them, so OpenBytes rejects one with a typed ErrCorruptRepository
 // explaining the mismatch instead of failing on the magic check.
 func OpenBytes(data []byte) (*Database, error) {
-	switch sniffManifest(data) {
-	case manifestShard:
+	if noun := partition.SniffManifest(data); noun != "" {
 		return nil, tagErr(ErrCorruptRepository, fmt.Errorf(
-			"xquec: load repository: data is a shard-set manifest (%s), which references external shard files rather than containing them; open it from its path with Open", shard.ManifestFormat))
-	case manifestSegment:
-		return nil, tagErr(ErrCorruptRepository, fmt.Errorf(
-			"xquec: load repository: data is a segment-set manifest (%s), which references external segment files rather than containing them; open it from its path with Open", segment.ManifestFormat))
+			"xquec: load repository: data is a %s-set manifest, which references external %s files rather than containing them; open it from its path with Open", noun, noun))
 	}
 	s, err := storage.LoadBinary(data)
 	if err != nil {
 		return nil, openErr(fmt.Errorf("xquec: load repository: %w", err))
 	}
-	return fromStore(s), nil
-}
-
-func fromStore(s *storage.Store) *Database {
-	return &Database{store: s}
-}
-
-func fromSet(set *shard.Set) *Database {
-	return &Database{set: set, coord: shard.NewCoordinator(set)}
-}
-
-func fromSegs(set *segment.Set) *Database {
-	return &Database{segs: set}
+	return &Database{store: s}, nil
 }
 
 // Sharded reports whether the database is a shard set.
-func (db *Database) Sharded() bool { return db.set != nil }
+func (db *Database) Sharded() bool { return db.set != nil && db.set.Layout.Interleaved }
 
 // Shards returns the shard count (1 for a single repository).
 func (db *Database) Shards() int {
-	if db.set != nil {
-		return db.set.Shards()
+	if db.Sharded() {
+		return len(db.set.Stores)
 	}
 	return 1
 }
 
 // Segmented reports whether the database is a segment set (opened from
 // a segment-set manifest or produced by a Writer).
-func (db *Database) Segmented() bool { return db.segs != nil }
+func (db *Database) Segmented() bool { return db.set != nil && !db.set.Layout.Interleaved }
 
 // Segments returns the segment count (1 for an unsegmented database).
 func (db *Database) Segments() int {
-	if db.segs != nil {
-		return db.segs.Segments()
+	if db.Segmented() {
+		return len(db.set.Stores)
 	}
 	return 1
 }
@@ -392,9 +294,6 @@ func (db *Database) TopologyKey() string {
 	if db.set != nil {
 		return fmt.Sprintf("set=%p;%s", db.set, db.set.TopologyKey())
 	}
-	if db.segs != nil {
-		return fmt.Sprintf("segset=%p;%s", db.segs, db.segs.TopologyKey())
-	}
 	return fmt.Sprintf("store=%p", db.store)
 }
 
@@ -403,17 +302,7 @@ func (db *Database) TopologyKey() string {
 func (db *Database) fused(parallelism int) (*storage.Store, error) {
 	if db.set != nil {
 		s, err := db.set.Fused(parallelism)
-		if err != nil {
-			return nil, tagErr(ErrCorruptRepository, err)
-		}
-		return s, nil
-	}
-	if db.segs != nil {
-		s, err := db.segs.Fused(parallelism)
-		if err != nil {
-			return nil, tagErr(ErrCorruptRepository, err)
-		}
-		return s, nil
+		return s, tagErr(ErrCorruptRepository, err)
 	}
 	return db.store, nil
 }
@@ -424,9 +313,6 @@ func (db *Database) fused(parallelism int) (*storage.Store, error) {
 func (db *Database) SaveFile(path string) error {
 	if db.set != nil {
 		return db.set.Save(path)
-	}
-	if db.segs != nil {
-		return db.segs.Save(path)
 	}
 	return db.store.SaveFile(path)
 }
@@ -449,9 +335,6 @@ func (db *Database) Bytes() []byte {
 func (db *Database) Decompress() ([]byte, error) {
 	if db.set != nil {
 		return db.set.FuseXML()
-	}
-	if db.segs != nil {
-		return db.segs.FuseXML()
 	}
 	return db.store.Serialize(nil, 1)
 }
@@ -496,35 +379,36 @@ func EvalEngine() string {
 	return "tree"
 }
 
-// run is the single evaluation entry point behind Execute and every
-// legacy Query/Run wrapper: pick the evaluator, build the streaming
-// cursor, and prime its first item so errors that occur before any
-// output — an expired deadline, an unbound variable, a failing
-// aggregate — surface here rather than on the first Next. Each call
-// gets its own evaluation state.
+// run is the single evaluation entry point behind Execute: pick the
+// evaluator, build the streaming cursor, and prime its first item so
+// errors that occur before any output — an expired deadline, an unbound
+// variable, a failing aggregate — surface here rather than on the first
+// Next. Each call gets its own evaluation state.
 //
 // By default the compiled program's VM loop feeds the cursor directly;
 // XQUEC_EVAL=tree (or a query shape the compiler refused) falls back
 // to a fresh tree-walking engine over the same store.
 //
-// On a sharded database the scatter analyzer decides the path: provably
-// decomposable queries fan out across the shards (each worker runs its
-// own per-shard compiled program) and merge in global document order;
-// the rest run on the fused single-store view. On a segmented database
-// the segment analyzer does the same per segment, merging streams
-// through the k-way rank heap with rank = segment index. All paths
-// return byte-identical results to a single-repository database over
-// the same corpus.
+// On a partitioned database the set decides the path: provably
+// decomposable queries evaluate per part (each on this statement's
+// program for that part) and merge in global document order; the rest —
+// and every query over a single-part set — run on one store, the fused
+// view or the part itself. All paths return byte-identical results to
+// a single-repository database over the same corpus.
 func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error) {
 	db := p.db
 	st := db.store
-	if db.set != nil {
-		if dec := shard.Analyze(p.expr, db.set); dec.Scatter {
-			cur, err := db.coord.ScatterExpr(ctx, p.text, p.expr, shard.Options{
-				Partial:     opts.PartialResults,
-				HedgeAfter:  opts.HedgeAfter,
-				Fanout:      opts.ShardFanout,
+	if set := db.set; set != nil {
+		if p.scatter {
+			cur, err := set.Eval(ctx, partition.Request{
+				Query:       p.text,
 				Parallelism: opts.Parallelism,
+				Expr:        p.expr,
+				ProgramFor:  p.program,
+			}, partition.Options{
+				Partial:    opts.PartialResults,
+				HedgeAfter: opts.HedgeAfter,
+				Fanout:     opts.ShardFanout,
 			})
 			if err != nil {
 				return nil, tagErr(ErrEval, err)
@@ -535,43 +419,9 @@ func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error)
 			}
 			return &Results{cur: cur}, nil
 		}
-		shard.CountFallback()
 		var err error
-		if st, err = db.fused(opts.Parallelism); err != nil {
-			return nil, err
-		}
-	}
-	if db.segs != nil {
-		switch {
-		case db.segs.Segments() == 1:
-			// A single-segment set is just its base store; skip the merge
-			// machinery entirely.
-			st = db.segs.Stores[0]
-		default:
-			if dec := segment.Analyze(p.expr, db.segs); dec.Scatter {
-				var progFor func(*storage.Store) *vm.Program
-				if vm.Enabled() {
-					progFor = p.program
-				}
-				cur, err := segment.Eval(db.segs, p.expr, segment.EvalOptions{
-					Ctx:         ctx,
-					Parallelism: opts.Parallelism,
-					ProgramFor:  progFor,
-					Text:        p.text,
-				})
-				if err != nil {
-					return nil, tagErr(ErrEval, err)
-				}
-				if err := cur.Prime(); err != nil {
-					cur.Close()
-					return nil, tagErr(ErrEval, err)
-				}
-				return &Results{cur: cur}, nil
-			}
-			var err error
-			if st, err = db.fused(opts.Parallelism); err != nil {
-				return nil, err
-			}
+		if st, err = set.Fallback(opts.Parallelism); err != nil {
+			return nil, tagErr(ErrCorruptRepository, err)
 		}
 	}
 	if vm.Enabled() {
@@ -597,8 +447,7 @@ func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error)
 }
 
 // Execute parses and evaluates an XQuery expression under ctx with
-// per-call options — the single query entry point (the legacy Query,
-// QueryContext and QueryWith are thin wrappers over it). Safe for
+// per-call options — the single query entry point. Safe for
 // concurrent use: the per-query state (join-index caches, cursor
 // position) is private to the call. The returned Results is a pull
 // cursor; consume it with Next/WriteXML and Close it.
@@ -616,33 +465,12 @@ func (db *Database) Execute(ctx context.Context, q string, opts QueryOptions) (*
 	return prep.run(ctx, opts)
 }
 
-// Query evaluates q with background context and default options.
-//
-// Deprecated: use Execute.
-func (db *Database) Query(q string) (*Results, error) {
-	return db.Execute(context.Background(), q, QueryOptions{})
-}
-
-// QueryContext evaluates q under ctx with default options.
-//
-// Deprecated: use Execute.
-func (db *Database) QueryContext(ctx context.Context, q string) (*Results, error) {
-	return db.Execute(ctx, q, QueryOptions{})
-}
-
-// QueryWith evaluates q under ctx with opts.
-//
-// Deprecated: use Execute.
-func (db *Database) QueryWith(ctx context.Context, q string, opts QueryOptions) (*Results, error) {
-	return db.Execute(ctx, q, opts)
-}
-
 // Prepare parses — and, on the VM engine, compiles — a query once for
 // repeated execution, skipping the parser and compiler on every
 // subsequent run: the unit a serving plan cache stores. Compilation is
 // eager here so the cache can account the compiled program's bytes at
 // admission time. The prepared query is bound to this Database and is
-// safe for concurrent Run calls: the parsed form and the compiled
+// safe for concurrent Execute calls: the parsed form and the compiled
 // program are never mutated and every execution gets fresh run state.
 func (db *Database) Prepare(q string) (*Prepared, error) {
 	expr, err := xquery.Parse(q)
@@ -650,11 +478,17 @@ func (db *Database) Prepare(q string) (*Prepared, error) {
 		return nil, tagErr(ErrParse, err)
 	}
 	p := &Prepared{db: db, expr: expr, text: q}
+	p.scatter = db.set != nil && db.set.Decide(expr).Scatter
 	if vm.Enabled() {
-		// Sharded databases compile against shard 0: the shards share
-		// one summary shape, so its program is every worker's program
-		// for size/len reporting (workers compile their own copy).
-		p.program(p.planStore())
+		// A scattered query compiles one program per part, here and
+		// only here; anything else compiles against the plan store.
+		if p.scatter {
+			for _, st := range db.set.Stores {
+				p.program(st)
+			}
+		} else {
+			p.program(p.planStore())
+		}
 	}
 	return p, nil
 }
@@ -665,20 +499,21 @@ type Prepared struct {
 	db   *Database
 	expr xquery.Expr
 	text string
+	// scatter is the set's dispatch decision for this query — a pure
+	// function of the parsed form and the (immutable) set, so it is
+	// taken once, not per execution. Always false for a plain database.
+	scatter bool
 
 	mu    sync.Mutex
 	progs map[*storage.Store]*vm.Program // nil entry: compile declined, use tree
 }
 
 // planStore is the store whose compiled program represents this query
-// for reporting (the store itself; shard 0 when sharded; the base
-// segment when segmented).
+// for reporting: the store itself, or part 0 of a set (the parts share
+// one summary shape).
 func (p *Prepared) planStore() *storage.Store {
 	if p.db.set != nil {
 		return p.db.set.Stores[0]
-	}
-	if p.db.segs != nil {
-		return p.db.segs.Stores[0]
 	}
 	return p.db.store
 }
@@ -725,13 +560,23 @@ func (p *Prepared) ProgramLen() int {
 }
 
 // CostBytes estimates the prepared statement's resident size for
-// byte-based plan-cache accounting: the compiled program's bytes, or a
-// query-text-proportional floor for tree-only statements.
+// byte-based plan-cache accounting: the bytes of every program compiled
+// so far (one per part for a scattered query — they all die with the
+// statement), or a query-text-proportional floor for tree-only
+// statements.
 func (p *Prepared) CostBytes() int {
-	if prog := p.program(p.planStore()); prog != nil {
-		return prog.SizeBytes()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, prog := range p.progs {
+		if prog != nil {
+			n += prog.SizeBytes()
+		}
 	}
-	return 256 + 2*len(p.text)
+	if n == 0 {
+		n = 256 + 2*len(p.text)
+	}
+	return n
 }
 
 // Disassemble returns the compiled program's instruction listing
@@ -744,34 +589,10 @@ func (p *Prepared) Disassemble() string {
 }
 
 // Execute evaluates the prepared query under ctx with per-call options
-// — the single prepared-statement entry point (the legacy Run,
-// RunContext and RunWith are thin wrappers over it). See
-// Database.Execute for the ctx and options semantics.
+// — the single prepared-statement entry point. See Database.Execute for
+// the ctx and options semantics.
 func (p *Prepared) Execute(ctx context.Context, opts QueryOptions) (*Results, error) {
 	return p.run(ctx, opts)
-}
-
-// Run evaluates the prepared query with background context and default
-// options.
-//
-// Deprecated: use Execute.
-func (p *Prepared) Run() (*Results, error) {
-	return p.Execute(context.Background(), QueryOptions{})
-}
-
-// RunContext evaluates the prepared query under ctx with default
-// options.
-//
-// Deprecated: use Execute.
-func (p *Prepared) RunContext(ctx context.Context) (*Results, error) {
-	return p.Execute(ctx, QueryOptions{})
-}
-
-// RunWith evaluates the prepared query under ctx with per-call options.
-//
-// Deprecated: use Execute.
-func (p *Prepared) RunWith(ctx context.Context, opts QueryOptions) (*Results, error) {
-	return p.Execute(ctx, opts)
 }
 
 // Explain renders the evaluation strategy for a query without running
@@ -781,36 +602,24 @@ func (p *Prepared) RunWith(ctx context.Context, opts QueryOptions) (*Results, er
 // per-shard plan (shard repositories share one summary shape, so shard
 // 0's plan is every shard's plan).
 func (db *Database) Explain(q string) (string, error) {
-	if db.set == nil && db.segs == nil {
+	if db.set == nil {
 		return engine.New(db.store).Explain(q)
 	}
 	expr, err := xquery.Parse(q)
 	if err != nil {
 		return "", tagErr(ErrParse, err)
 	}
+	parts, noun := len(db.set.Stores), db.set.Layout.Noun
 	var head string
-	var st *storage.Store
-	if db.set != nil {
-		st = db.set.Stores[0]
-		if dec := shard.Analyze(expr, db.set); dec.Scatter {
-			head = fmt.Sprintf("scatter across %d shards, merge by document order\n", db.set.Shards())
-		} else {
-			head = fmt.Sprintf("no scatter (%s); evaluate on fused store\n", dec.Reason)
-		}
-	} else {
-		st = db.segs.Stores[0]
-		switch {
-		case db.segs.Segments() == 1:
-			head = "single segment; evaluate directly\n"
-		default:
-			if dec := segment.Analyze(expr, db.segs); dec.Scatter {
-				head = fmt.Sprintf("scatter across %d segments, merge by segment order\n", db.segs.Segments())
-			} else {
-				head = fmt.Sprintf("no scatter (%s); evaluate on fused store\n", dec.Reason)
-			}
-		}
+	switch dec := db.set.Decide(expr); {
+	case dec.Scatter:
+		head = fmt.Sprintf("scatter across %d %ss, merge by document order\n", parts, noun)
+	case parts == 1:
+		head = fmt.Sprintf("single %s; evaluate directly\n", noun)
+	default:
+		head = fmt.Sprintf("no scatter (%s); evaluate on fused store\n", dec.Reason)
 	}
-	plan, err := engine.New(st).Explain(q)
+	plan, err := engine.New(db.memberStores()[0]).Explain(q)
 	if err != nil {
 		return "", err
 	}
@@ -828,14 +637,7 @@ func (db *Database) ExplainProgram(q string) (string, error) {
 	if err != nil {
 		return "", tagErr(ErrParse, err)
 	}
-	st := db.store
-	if db.set != nil {
-		st = db.set.Stores[0]
-	}
-	if db.segs != nil {
-		st = db.segs.Stores[0]
-	}
-	prog, err := vm.Compile(expr, st, q)
+	prog, err := vm.Compile(expr, db.memberStores()[0], q)
 	if err != nil {
 		return "", nil
 	}
@@ -855,9 +657,6 @@ func (db *Database) MustQuery(q string) *Results {
 // for the serialized repository (summed over the shards/segments when
 // sharded or segmented).
 func (db *Database) CompressionFactor() float64 {
-	if db.set == nil && db.segs == nil {
-		return db.store.CompressionFactor()
-	}
 	s := db.Stats()
 	if s.OriginalBytes == 0 {
 		return 0
@@ -868,11 +667,8 @@ func (db *Database) CompressionFactor() float64 {
 // memberStores lists every physical store of the database: the single
 // repository, or all shard/segment members.
 func (db *Database) memberStores() []*storage.Store {
-	switch {
-	case db.set != nil:
+	if db.set != nil {
 		return db.set.Stores
-	case db.segs != nil:
-		return db.segs.Stores
 	}
 	return []*storage.Store{db.store}
 }
@@ -924,45 +720,23 @@ func (db *Database) StructureBitsPerNode() float64 {
 // single repository; a segment set duplicates only the root element
 // per segment).
 func (db *Database) Stats() Stats {
-	switch {
-	case db.set != nil:
-		return aggStats(db.set.Stores, db.set.Man.OriginalSize)
-	case db.segs != nil:
-		return aggStats(db.segs.Stores, db.segs.OriginalSize())
+	var agg Stats
+	if db.set != nil {
+		agg.OriginalBytes = db.set.OriginalSize()
+	} else {
+		agg.OriginalBytes = db.store.OriginalSize
 	}
-	return storeStats(db.store, db.store.OriginalSize)
-}
-
-func aggStats(stores []*storage.Store, original int) Stats {
-	agg := Stats{OriginalBytes: original}
-	for _, st := range stores {
-		s := storeStats(st, 0)
-		agg.CompressedBytes += s.CompressedBytes
-		agg.Nodes += s.Nodes
-		agg.Containers += s.Containers
-		agg.SourceModels += s.SourceModels
-		agg.SummaryNodes += s.SummaryNodes
-		agg.InMemoryTotal += s.InMemoryTotal
-		agg.InMemoryMinimal += s.InMemoryMinimal
+	for _, st := range db.memberStores() {
+		f := st.Footprint()
+		agg.CompressedBytes += len(st.AppendBinary(nil))
+		agg.Nodes += st.NumNodes()
+		agg.Containers += len(st.Containers)
+		agg.SourceModels += len(st.Models)
+		agg.SummaryNodes += len(st.Sum.Nodes())
+		agg.InMemoryTotal += f.Total()
+		agg.InMemoryMinimal += f.Minimal()
 	}
 	return agg
-}
-
-func storeStats(st *storage.Store, original int) Stats {
-	f := st.Footprint()
-	if original == 0 {
-		original = st.OriginalSize
-	}
-	return Stats{
-		OriginalBytes:   original,
-		CompressedBytes: len(st.AppendBinary(nil)),
-		Nodes:           st.NumNodes(),
-		Containers:      len(st.Containers),
-		SourceModels:    len(st.Models),
-		SummaryNodes:    len(st.Sum.Nodes()),
-		InMemoryTotal:   f.Total(),
-		InMemoryMinimal: f.Minimal(),
-	}
 }
 
 // IngestStats reports the compressor pipeline's phase timings and
@@ -970,15 +744,7 @@ func storeStats(st *storage.Store, original int) Stats {
 // shards ingest concurrently, so one shard's wall time is
 // representative). Zero for databases opened from disk — the timings
 // describe a Compress run, not the repository itself.
-func (db *Database) IngestStats() storage.BuildStats {
-	if db.set != nil {
-		return db.set.Stores[0].Build
-	}
-	if db.segs != nil {
-		return db.segs.Stores[0].Build
-	}
-	return db.store.Build
-}
+func (db *Database) IngestStats() storage.BuildStats { return db.memberStores()[0].Build }
 
 // Stats is a database summary.
 type Stats struct {
@@ -1016,40 +782,24 @@ type ContainerInfo struct {
 // containers (Shard/Segment identifies the owner; the same path
 // appears once per member holding values for it).
 func (db *Database) Containers() []ContainerInfo {
-	if db.set != nil {
-		var out []ContainerInfo
-		for si, st := range db.set.Stores {
-			for _, ci := range storeContainers(st) {
-				ci.Shard = si
-				out = append(out, ci)
+	var out []ContainerInfo
+	for i, st := range db.memberStores() {
+		for _, c := range st.Containers {
+			ci := ContainerInfo{
+				Path:      c.Path,
+				Kind:      c.Kind.String(),
+				Algorithm: c.Codec().Name(),
+				Group:     c.Group,
+				Records:   c.Len(),
+				Bytes:     c.CompressedBytes(),
 			}
-		}
-		return out
-	}
-	if db.segs != nil {
-		var out []ContainerInfo
-		for si, st := range db.segs.Stores {
-			for _, ci := range storeContainers(st) {
-				ci.Segment = si
-				out = append(out, ci)
+			if db.Sharded() {
+				ci.Shard = i
+			} else {
+				ci.Segment = i
 			}
+			out = append(out, ci)
 		}
-		return out
-	}
-	return storeContainers(db.store)
-}
-
-func storeContainers(st *storage.Store) []ContainerInfo {
-	out := make([]ContainerInfo, 0, len(st.Containers))
-	for _, c := range st.Containers {
-		out = append(out, ContainerInfo{
-			Path:      c.Path,
-			Kind:      c.Kind.String(),
-			Algorithm: c.Codec().Name(),
-			Group:     c.Group,
-			Records:   c.Len(),
-			Bytes:     c.CompressedBytes(),
-		})
 	}
 	return out
 }

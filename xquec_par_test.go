@@ -55,7 +55,7 @@ func lowParFloors(t testing.TB) {
 // render streams a query's results through WriteXML, the same path the
 // CLI and server use.
 func render(db *Database, q string, par int) ([]byte, error) {
-	res, err := db.QueryWith(context.Background(), q, QueryOptions{Parallelism: par})
+	res, err := db.Execute(context.Background(), q, QueryOptions{Parallelism: par})
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +146,7 @@ func TestPreparedRunWithParallelism(t *testing.T) {
 	}
 	var outs [][]byte
 	for _, par := range []int{1, 4} {
-		res, err := prep.RunWith(context.Background(), QueryOptions{Parallelism: par})
+		res, err := prep.Execute(context.Background(), QueryOptions{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 
 	"xquec"
 	"xquec/internal/datagen"
-	"xquec/internal/segment"
+	"xquec/internal/partition"
 	"xquec/internal/xmarkq"
 )
 
@@ -64,7 +64,7 @@ func TestAppendResultsIdentical(t *testing.T) {
 	queries := append(xmarkq.Queries(), xmarkq.ExtendedQueries()...)
 	for _, segs := range []int{1, 2, 4} {
 		docs := all[:segs]
-		concat, err := segment.Concat(docs...)
+		concat, err := partition.Concat(docs...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,9 +396,9 @@ func execXML(t *testing.T, db *xquec.Database, q string, opts xquec.QueryOptions
 		t.Fatalf("%s: %v", q, err)
 	}
 	defer res.Close()
-	var sb strings.Builder
-	if _, err := res.WriteXML(&sb); err != nil {
+	out, err := xquec.ResultXML(res)
+	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
-	return sb.String()
+	return out
 }

@@ -6,10 +6,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"xquec/internal/datagen"
+	"xquec/internal/xquery"
 )
 
 // slowDoc and slowQuery build an evaluation long enough that the
@@ -37,7 +42,7 @@ func TestQueryContextTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	started := time.Now()
-	_, err := db.QueryContext(ctx, slowQuery)
+	_, err := db.Execute(ctx, slowQuery, QueryOptions{})
 	elapsed := time.Since(started)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -54,7 +59,7 @@ func TestQueryContextCancel(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := db.QueryContext(ctx, slowQuery); !errors.Is(err, context.Canceled) {
+	if _, err := db.Execute(ctx, slowQuery, QueryOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
 }
@@ -67,15 +72,15 @@ func TestQueryContextExpiredBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	if _, err := db.QueryContext(ctx, `count(/site//person)`); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := db.Execute(ctx, `count(/site//person)`, QueryOptions{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	// A background context behaves exactly like plain Query.
-	res, err := db.QueryContext(context.Background(), `count(/site//person)`)
+	res, err := db.Execute(context.Background(), `count(/site//person)`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, _ := res.SerializeXML(); out != "2" {
+	if out, _ := ResultXML(res); out != "2" {
 		t.Fatalf("result = %q", out)
 	}
 }
@@ -93,13 +98,13 @@ func TestPreparedMatchesQuery(t *testing.T) {
 	if prep.Text() != q {
 		t.Fatalf("Text = %q", prep.Text())
 	}
-	want, _ := db.MustQuery(q).SerializeXML()
+	want, _ := ResultXML(db.MustQuery(q))
 	for i := 0; i < 3; i++ {
-		res, err := prep.Run()
+		res, err := prep.Execute(context.Background(), QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := res.SerializeXML(); got != want {
+		if got, _ := ResultXML(res); got != want {
 			t.Fatalf("run %d: %q != %q", i, got, want)
 		}
 	}
@@ -133,11 +138,11 @@ func TestPreparedConcurrentRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		preps[i] = p
-		res, err := p.Run()
+		res, err := p.Execute(context.Background(), QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i], _ = res.SerializeXML()
+		want[i], _ = ResultXML(res)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 128)
@@ -147,12 +152,12 @@ func TestPreparedConcurrentRuns(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				k := (w + i) % len(preps)
-				res, err := preps[k].RunContext(context.Background())
+				res, err := preps[k].Execute(context.Background(), QueryOptions{})
 				if err != nil {
 					errs <- err
 					return
 				}
-				if got, _ := res.SerializeXML(); got != want[k] {
+				if got, _ := ResultXML(res); got != want[k] {
 					errs <- fmt.Errorf("query %d: %q != %q", k, got, want[k])
 					return
 				}
@@ -218,4 +223,80 @@ func TestOpenFailurePaths(t *testing.T) {
 			t.Fatalf("error does not name the file: %v", err)
 		}
 	})
+}
+
+// TestPreparedOwnsPartPrograms pins where a partitioned database keeps
+// per-query state: in the Prepared, nowhere else. Literal-varying
+// traffic against a sharded database must leave nothing behind once the
+// statements are dropped (the shard workers used to cache one plan per
+// distinct query text forever), and a statement's CostBytes must cover
+// every part's program, since evicting it frees them all.
+func TestPreparedOwnsPartPrograms(t *testing.T) {
+	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 71})
+	single, err := Compress(doc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := func(i int) string {
+		return fmt.Sprintf(`FOR $p IN /site/people/person WHERE $p/@id != "nobody%d" RETURN $p/name/text()`, i)
+	}
+
+	sharded, err := Compress(doc, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	var freed atomic.Int32
+	for i := 0; i < n; i++ {
+		prep, err := sharded.Prepare(text(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := prep.Execute(context.Background(), QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ResultXML(res); err != nil {
+			t.Fatal(err)
+		}
+		// The parsed query travels with every per-shard request; anything
+		// that remembered the request would keep it alive.
+		runtime.SetFinalizer(prep.expr.(*xquery.FLWOR), func(*xquery.FLWOR) { freed.Add(1) })
+	}
+	for i := 0; i < 50 && freed.Load() < n; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := freed.Load(); got != n {
+		t.Fatalf("%d of %d dropped statements are still reachable from the database", n-got, n)
+	}
+	runtime.KeepAlive(sharded)
+
+	four, err := Compress(doc, Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := single.Prepare(text(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := four.Prepare(text(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts.CostBytes() <= one.CostBytes() {
+		t.Fatalf("CostBytes on 4 parts = %d, single store = %d: the per-part programs are unaccounted",
+			parts.CostBytes(), one.CostBytes())
+	}
+	if len(parts.progs) != 4 {
+		t.Fatalf("Prepare compiled %d programs for 4 parts", len(parts.progs))
+	}
+	res, err := parts.Execute(context.Background(), QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Close()
+	if len(parts.progs) != 4 {
+		t.Fatalf("executing compiled again: %d programs for 4 parts", len(parts.progs))
+	}
 }

@@ -10,6 +10,8 @@ import (
 
 	"xquec"
 	"xquec/internal/datagen"
+	"xquec/internal/partition"
+	"xquec/internal/storage"
 	"xquec/internal/xmarkq"
 )
 
@@ -27,27 +29,27 @@ func TestShardedResultsIdentical(t *testing.T) {
 	queries := append(xmarkq.Queries(), xmarkq.ExtendedQueries()...)
 	want := map[string]string{}
 	for _, q := range queries {
-		res, err := single.Query(q.Text)
+		res, err := single.Execute(context.Background(), q.Text, xquec.QueryOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
-		want[q.ID], err = res.SerializeXML()
+		want[q.ID], err = xquec.ResultXML(res)
 		res.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		db, err := xquec.CompressSharded(doc, shards, xquec.Options{})
+		db, err := xquec.Compress(doc, xquec.Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		for _, q := range queries {
-			res, err := db.Query(q.Text)
+			res, err := db.Execute(context.Background(), q.Text, xquec.QueryOptions{})
 			if err != nil {
 				t.Fatalf("shards=%d %s: %v", shards, q.ID, err)
 			}
-			got, err := res.SerializeXML()
+			got, err := xquec.ResultXML(res)
 			res.Close()
 			if err != nil {
 				t.Fatalf("shards=%d %s: %v", shards, q.ID, err)
@@ -67,7 +69,7 @@ func TestShardedResultsIdentical(t *testing.T) {
 // WriteXML) against a scattered query, including early Close.
 func TestShardedItemCursor(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 42})
-	db, err := xquec.CompressSharded(doc, 4, xquec.Options{})
+	db, err := xquec.Compress(doc, xquec.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +78,12 @@ func TestShardedItemCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = `FOR $p IN document("auction.xml")/site/people/person RETURN $p/name/text()`
-	wantRes, err := single.Query(q)
+	wantRes, err := single.Execute(context.Background(), q, xquec.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wantRes.Close()
-	res, err := db.Query(q)
+	res, err := db.Execute(context.Background(), q, xquec.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestShardedItemCursor(t *testing.T) {
 	}
 
 	// Early close mid-stream must not deadlock or error later cursors.
-	res2, err := db.Query(q)
+	res2, err := db.Execute(context.Background(), q, xquec.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +129,12 @@ func TestShardedItemCursor(t *testing.T) {
 // through the sniffing Open, asserting results survive the round trip.
 func TestShardedSaveOpenRoundTrip(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 43})
-	db, err := xquec.CompressSharded(doc, 3, xquec.Options{})
+	db, err := xquec.Compress(doc, xquec.Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const q = `FOR $i IN document("auction.xml")/site/regions/australia/item RETURN $i/name/text()`
-	want := mustXML(t, db, q)
+	want := execXML(t, db, q, xquec.QueryOptions{})
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "auction.xqcs")
@@ -146,7 +148,7 @@ func TestShardedSaveOpenRoundTrip(t *testing.T) {
 	if !re.Sharded() || re.Shards() != 3 {
 		t.Fatalf("reopened: sharded=%v shards=%d", re.Sharded(), re.Shards())
 	}
-	if got := mustXML(t, re, q); got != want {
+	if got := execXML(t, re, q, xquec.QueryOptions{}); got != want {
 		t.Fatalf("round trip changed results:\n got %.200q\nwant %.200q", got, want)
 	}
 	if re.TopologyKey() == db.TopologyKey() {
@@ -167,7 +169,7 @@ func TestShardedDecompress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := xquec.CompressSharded(doc, 4, xquec.Options{})
+	db, err := xquec.Compress(doc, xquec.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,18 +203,18 @@ func TestShardedDecompress(t *testing.T) {
 // the context's error even under the partial-results policy.
 func TestShardedDeadline(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 45})
-	db, err := xquec.CompressSharded(doc, 4, xquec.Options{})
+	db, err := xquec.Compress(doc, xquec.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	const q = `FOR $p IN document("auction.xml")/site/people/person RETURN $p/name/text()`
-	res, err := db.QueryWith(ctx, q, xquec.QueryOptions{PartialResults: true})
+	res, err := db.Execute(ctx, q, xquec.QueryOptions{PartialResults: true})
 	if err == nil {
 		// The deadline may surface on the first Next instead of at
 		// prime time depending on scheduling; drain to find it.
-		_, err = res.SerializeXML()
+		_, err = xquec.ResultXML(res)
 		res.Close()
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -220,16 +222,39 @@ func TestShardedDeadline(t *testing.T) {
 	}
 }
 
-func mustXML(t *testing.T, db *xquec.Database, q string) string {
-	t.Helper()
-	res, err := db.Query(q)
+// TestOneShardSetEvaluatesDirectly opens a one-shard ".xqcs" (only
+// reachable from disk: Compress builds a plain repository for Shards
+// 1) and asserts a scatterable and a fallback query answer
+// byte-identically to the single repository — on the shard itself,
+// with no fan-out and no second resident copy of the corpus.
+func TestOneShardSetEvaluatesDirectly(t *testing.T) {
+	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 46})
+	single, err := xquec.Compress(doc, xquec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer res.Close()
-	out, err := res.SerializeXML()
+	set, err := partition.Build(doc, 1, storage.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	path := filepath.Join(t.TempDir(), "one.xqcs")
+	if err := set.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	db, err := xquec.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !db.Sharded() || db.Shards() != 1 {
+		t.Fatalf("opened: sharded=%v shards=%d", db.Sharded(), db.Shards())
+	}
+	for _, q := range []string{xmarkq.Q2, xmarkq.Q8} {
+		if got, want := execXML(t, db, q, xquec.QueryOptions{}), execXML(t, single, q, xquec.QueryOptions{}); got != want {
+			t.Errorf("one-shard result differs\n got: %.200q\nwant: %.200q", got, want)
+		}
+		plan, err := db.Explain(q)
+		if err != nil || !strings.HasPrefix(plan, "single shard; evaluate directly\n") {
+			t.Errorf("Explain = %.60q, %v", plan, err)
+		}
+	}
 }

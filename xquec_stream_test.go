@@ -35,7 +35,7 @@ const streamQuery = `FOR $i IN /d/i RETURN $i/v/text()`
 
 func TestResultsNextIteration(t *testing.T) {
 	db := streamDB(t, 5)
-	res, err := db.Query(streamQuery)
+	res, err := db.Execute(context.Background(), streamQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +67,28 @@ func TestResultsNextIteration(t *testing.T) {
 	}
 }
 
-func TestWriteXMLMatchesSerializeXML(t *testing.T) {
+// TestWriteXMLMatchesItems checks the streamed rendering against the
+// item-at-a-time one: the same items, newline-separated.
+func TestWriteXMLMatchesItems(t *testing.T) {
 	db := streamDB(t, 7)
-	want, err := db.MustQuery(streamQuery).SerializeXML()
-	if err != nil {
-		t.Fatal(err)
+	items := db.MustQuery(streamQuery)
+	var parts []string
+	for {
+		it, ok, err := items.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		x, err := it.XML()
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, x)
 	}
-	res, err := db.Query(streamQuery)
+	want := strings.Join(parts, "\n")
+	res, err := db.Execute(context.Background(), streamQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +117,7 @@ func TestStreamCancellationMidIteration(t *testing.T) {
 	db := streamDB(t, 50)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, err := db.QueryContext(ctx, streamQuery)
+	res, err := db.Execute(ctx, streamQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +154,7 @@ func TestEarlyStopSkipsDecoding(t *testing.T) {
 	db := streamDB(t, n)
 
 	base := storage.DecodeOps()
-	res, err := db.Query(streamQuery)
+	res, err := db.Execute(context.Background(), streamQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +179,7 @@ func TestEarlyStopSkipsDecoding(t *testing.T) {
 
 	// Control: a full drain does pay for every item.
 	base = storage.DecodeOps()
-	res2, err := db.Query(streamQuery)
+	res2, err := db.Execute(context.Background(), streamQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +197,7 @@ func TestEarlyStopSkipsDecoding(t *testing.T) {
 // fully private to each cursor.
 func TestConcurrentStreamIterators(t *testing.T) {
 	db := streamDB(t, 40)
-	want, err := db.MustQuery(streamQuery).SerializeXML()
+	want, err := ResultXML(db.MustQuery(streamQuery))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +208,7 @@ func TestConcurrentStreamIterators(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				res, err := db.Query(streamQuery)
+				res, err := db.Execute(context.Background(), streamQuery, QueryOptions{})
 				if err != nil {
 					errs <- err
 					return
@@ -237,7 +252,7 @@ func TestErrorSentinels(t *testing.T) {
 	db := streamDB(t, 3)
 
 	t.Run("parse", func(t *testing.T) {
-		if _, err := db.Query(`FOR $x IN`); !errors.Is(err, ErrParse) {
+		if _, err := db.Execute(context.Background(), `FOR $x IN`, QueryOptions{}); !errors.Is(err, ErrParse) {
 			t.Fatalf("Query parse err = %v", err)
 		}
 		if _, err := db.Prepare(`((`); !errors.Is(err, ErrParse) {
@@ -253,7 +268,7 @@ func TestErrorSentinels(t *testing.T) {
 
 	t.Run("eval", func(t *testing.T) {
 		for _, q := range []string{`$undefined`, `unknownfn(1)`} {
-			_, err := db.Query(q)
+			_, err := db.Execute(context.Background(), q, QueryOptions{})
 			if !errors.Is(err, ErrEval) {
 				t.Fatalf("Query(%s) err = %v, want ErrEval", q, err)
 			}
@@ -295,7 +310,7 @@ func TestErrorSentinels(t *testing.T) {
 	t.Run("cancellation is untagged", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err := db.QueryContext(ctx, streamQuery)
+		_, err := db.Execute(ctx, streamQuery, QueryOptions{})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v", err)
 		}
@@ -308,7 +323,7 @@ func TestErrorSentinels(t *testing.T) {
 // TestItemAppendXML exercises the allocation-free per-item form.
 func TestItemAppendXML(t *testing.T) {
 	db := streamDB(t, 3)
-	res, err := db.Query(streamQuery)
+	res, err := db.Execute(context.Background(), streamQuery, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,12 @@ import (
 // serialized result (engine selection follows XQUEC_EVAL, read at run
 // time).
 func evalWith(db *xquec.Database, query string, par int) (string, error) {
-	res, err := db.QueryWith(context.Background(), query, xquec.QueryOptions{Parallelism: par})
+	res, err := db.Execute(context.Background(), query, xquec.QueryOptions{Parallelism: par})
 	if err != nil {
 		return "", err
 	}
 	defer res.Close()
-	return res.SerializeXML()
+	return xquec.ResultXML(res)
 }
 
 // TestVMDifferentialMatrix is the top-level correctness gate for the
@@ -42,13 +42,7 @@ func TestVMDifferentialMatrix(t *testing.T) {
 	t.Setenv("XQUEC_EVAL", "")
 
 	for _, shards := range []int{1, 2, 4, 8} {
-		var db *xquec.Database
-		var err error
-		if shards == 1 {
-			db, err = xquec.Compress(doc, xquec.Options{})
-		} else {
-			db, err = xquec.CompressSharded(doc, shards, xquec.Options{})
-		}
+		db, err := xquec.Compress(doc, xquec.Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -105,11 +99,11 @@ func TestEvalEngineSwitch(t *testing.T) {
 	if dis := prep.Disassemble(); dis == "" {
 		t.Fatal("empty disassembly for a compiled plan")
 	}
-	res, err := prep.Run()
+	res, err := prep.Execute(context.Background(), xquec.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := res.SerializeXML()
+	out, err := xquec.ResultXML(res)
 	res.Close()
 	if err != nil || out != "2" {
 		t.Fatalf("vm result = %q, %v", out, err)
