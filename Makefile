@@ -111,8 +111,10 @@ bench-diff:
 	done; exit $$fail
 
 # Short fuzzing pass over the codec fuzz targets (roundtrip, order
-# preservation, decode-vs-reference). Not part of tier-1 `check`; the
-# targets' seed corpora still run under plain `go test`.
+# preservation, decode-vs-reference), the navigation kernels and the
+# repository loader (hostile bytes behind a repaired checksum). Not part
+# of tier-1 `check`; the targets' seed corpora still run under plain
+# `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHuffmanRoundtrip -fuzztime 5s ./internal/compress/huffman/
 	$(GO) test -run '^$$' -fuzz FuzzHuffmanDecodeGarbage -fuzztime 5s ./internal/compress/huffman/
@@ -125,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBitvectorRankSelect -fuzztime 5s ./internal/succinct/
 	$(GO) test -run '^$$' -fuzz FuzzBPNavigation -fuzztime 5s ./internal/succinct/
 	$(GO) test -run '^$$' -fuzz FuzzBulkNavigation -fuzztime 5s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzLoadBinary -fuzztime 5s ./internal/storage/
 
 # Full paper benchmark suite (scaled-down in-test versions).
 bench-paper:

@@ -13,6 +13,8 @@ package xquec
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"xquec/internal/datagen"
@@ -267,6 +269,38 @@ func BenchmarkCompressXMark(b *testing.B) {
 			b.SetBytes(int64(len(doc)))
 			for i := 0; i < b.N; i++ {
 				if _, err := storage.Load(doc, storage.LoadOptions{Parallelism: par}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkOpen measures opening a saved repository — the cost under
+// every pool miss, daemon start and shard/segment part: ns/op and
+// allocs/op of xquec.Open, with the file size as the byte count so the
+// MB/s column is the load rate of the file.
+func BenchmarkOpen(b *testing.B) {
+	for _, scale := range []float64{2, 8} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			doc := datagen.XMark(datagen.XMarkConfig{Scale: scale, Seed: experiments.Seed})
+			db, err := Compress(doc, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := filepath.Join(b.TempDir(), "auction.xqc")
+			if err := db.SaveFile(path); err != nil {
+				b.Fatal(err)
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(fi.Size())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Open(path); err != nil {
 					b.Fatal(err)
 				}
 			}

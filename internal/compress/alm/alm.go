@@ -21,12 +21,21 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"iter"
+	"math/bits"
+	"slices"
 
 	"xquec/internal/compress"
 )
 
+// singles holds the 256 single-byte tokens every dictionary contains,
+// so that every byte string is encodable.
+var singles [256]byte
+
 func init() {
+	for i := range singles {
+		singles[i] = byte(i)
+	}
 	compress.RegisterLoader("alm", func(data []byte) (compress.Codec, error) {
 		return loadModel(data)
 	})
@@ -36,27 +45,23 @@ func init() {
 // the 256 single-byte tokens are always present).
 const DefaultMaxTokens = 8192
 
-// interval is one partitioning interval [lo, next.lo) with its prefix
-// token. Intervals tile ["\x00", +inf) contiguously, so upper bounds are
-// implicit.
-type interval struct {
-	lo     []byte
-	prefix []byte
-}
-
 // Codec is a trained ALM coder. Safe for concurrent use.
+//
+// The partitioning intervals tile ["\x00", +inf) contiguously, so upper
+// bounds are implicit: interval i is [lo(i), lo(i+1)) and carries the
+// prefix token prefix(i). The partition is a deterministic function of
+// the mined multi-byte tokens, and each token t is the prefix of exactly
+// one interval whose lower bound is t itself (see tokens), so neither
+// the interval list nor the dictionary is stored beyond the flattened
+// index below.
 type Codec struct {
-	intervals []interval
-	// tokens are the mined multi-byte dictionary tokens, sorted; the
-	// interval partition is rebuilt deterministically from them, so the
-	// persisted source model is just this list (front-coded).
-	tokens    [][]byte
+	n         int // number of intervals
 	codeWidth int // bytes per code: 1 or 2
 	modelSize int
 	// byFirst[b] is the index of the first interval whose lower bound
-	// starts with byte b; byFirst[256] = len(intervals). Because the 256
-	// single-byte tokens partition the top level, an interval never
-	// spans first bytes, so locating a string only searches one bucket.
+	// starts with byte b; byFirst[256] = n. Because the 256 single-byte
+	// tokens partition the top level, an interval never spans first
+	// bytes, so locating a string only searches one bucket.
 	byFirst [257]int32
 
 	// Flattened interval index, the encode/decode hot-path layout: the
@@ -85,6 +90,9 @@ type Codec struct {
 	// NULs at the suffix boundary) fall back to a full bytes.Compare.
 	loKey []uint64
 }
+
+func (c *Codec) lo(i int) []byte     { return c.loBlob[c.loOff[i]:c.loOff[i+1]] }
+func (c *Codec) prefix(i int) []byte { return c.prefBlob[c.prefOff[i]:c.prefOff[i+1]] }
 
 // beKey returns the first 8 bytes of b as a zero-padded big-endian
 // word. Key order agrees with bytes.Compare order except on ties,
@@ -123,177 +131,214 @@ func (t Trainer) Train(values [][]byte) (compress.Codec, error) {
 // Train mines a token dictionary from the sample values and builds the
 // partitioning-interval codec.
 func Train(values [][]byte, maxTokens int) (*Codec, error) {
-	tokens := mineTokens(values, maxTokens)
-	return build(tokens)
+	return build(mineTokens(values, maxTokens))
 }
 
-// build constructs the interval partition from a token set. The 256
-// single-byte tokens are added unconditionally so that every byte string
-// is encodable.
+// build constructs the codec from an arbitrary token set: tokens shorter
+// than two bytes are dropped (the 256 single-byte tokens are implicit),
+// the rest sorted and deduplicated. It reorders extra in place.
 func build(extra [][]byte) (*Codec, error) {
-	seen := make(map[string]bool, len(extra)+256)
-	tokens := make([][]byte, 0, len(extra)+256)
-	for b := 0; b < 256; b++ {
-		t := []byte{byte(b)}
-		seen[string(t)] = true
-		tokens = append(tokens, t)
-	}
+	extra = slices.DeleteFunc(extra, func(t []byte) bool { return len(t) < 2 })
+	slices.SortFunc(extra, bytes.Compare)
+	extra = slices.CompactFunc(extra, bytes.Equal)
+	size := 0
 	for _, t := range extra {
-		if len(t) < 2 || seen[string(t)] {
-			continue
-		}
-		seen[string(t)] = true
-		tokens = append(tokens, append([]byte(nil), t...))
+		size += len(t)
 	}
-	sort.Slice(tokens, func(i, j int) bool { return bytes.Compare(tokens[i], tokens[j]) < 0 })
-	var mined [][]byte
-	for _, t := range tokens {
-		if len(t) >= 2 {
-			mined = append(mined, t)
-		}
+	b := newBuilder(len(extra), size)
+	for _, t := range extra {
+		b.add(t)
 	}
+	return b.finish()
+}
 
-	// Build the prefix forest: in lexicographic order a token's parent is
-	// the nearest preceding token that prefixes it.
-	type node struct {
-		tok      []byte
-		children []int
-	}
-	nodes := make([]node, len(tokens))
-	roots := make([]int, 0, 256)
-	var stack []int
-	for i, t := range tokens {
-		nodes[i].tok = t
-		for len(stack) > 0 && !bytes.HasPrefix(t, nodes[stack[len(stack)-1]].tok) {
-			stack = stack[:len(stack)-1]
-		}
-		if len(stack) == 0 {
-			roots = append(roots, i)
-		} else {
-			p := stack[len(stack)-1]
-			nodes[p].children = append(nodes[p].children, i)
-		}
-		stack = append(stack, i)
-	}
+// builder constructs the interval partition in one pass over the mined
+// tokens in strictly increasing order, writing the flattened index
+// directly. In lexicographic order a token's parent in the prefix forest
+// is the nearest preceding token that prefixes it, so the forest is the
+// stack of tokens still open; each token's range [tok, succ(tok)) is cut
+// into its children's ranges interleaved with gap intervals carrying
+// the token itself as prefix.
+type builder struct {
+	c     *Codec
+	stack [][]byte // open tokens, each a prefix of the next (aliases prefBlob)
+	next  int      // next single-byte token to open
+	succ  [2][]byte
+	flip  int
 
-	c := &Codec{tokens: mined}
-	// emit recursively: for each token range [tok, succ(tok)), interleave
-	// gap intervals (carrying the parent prefix) with child sub-ranges.
-	var emit func(idx int) error
-	emit = func(idx int) error {
-		n := nodes[idx]
-		cur := n.tok
-		for _, ch := range n.children {
-			chLo := nodes[ch].tok
-			if bytes.Compare(cur, chLo) < 0 {
-				c.intervals = append(c.intervals, interval{lo: cur, prefix: n.tok})
-			}
-			if err := emit(ch); err != nil {
-				return err
-			}
-			cur = succ(nodes[ch].tok)
-			if cur == nil {
-				return nil // child range extends to +inf
-			}
-		}
-		hi := succ(n.tok)
-		if hi == nil || bytes.Compare(cur, hi) < 0 {
-			c.intervals = append(c.intervals, interval{lo: cur, prefix: n.tok})
-		}
-		return nil
+	// Running size of the front-coded model (see AppendModel).
+	nTokens, modelBytes int
+}
+
+// newBuilder sizes the index for nTokens mined tokens of about
+// tokenBytes in total; the blobs grow if the estimate is short.
+func newBuilder(nTokens, tokenBytes int) *builder {
+	// Every token, single bytes included, opens one interval. A gap
+	// interval follows a closed token (at most one per token) and lies
+	// between two children or after the last child of some token (at
+	// most two per mined token, all of which are children).
+	maxIntervals := 256 + nTokens + min(256+nTokens, 2*nTokens)
+	blob := 256 + tokenBytes*3/2
+	c := &Codec{
+		loBlob:   make([]byte, 0, blob),
+		loOff:    make([]int32, 0, maxIntervals+1),
+		prefBlob: make([]byte, 0, blob),
+		prefOff:  make([]int32, 0, maxIntervals+1),
 	}
-	for _, r := range roots {
-		if err := emit(r); err != nil {
-			return nil, err
-		}
+	return &builder{c: c}
+}
+
+// add opens the next mined token (len ≥ 2, greater than every token
+// added before), after any single-byte tokens that sort before it.
+func (b *builder) add(t []byte) {
+	// The previous mined token was opened last, so it is the stack top.
+	lcp := 0
+	if b.nTokens > 0 {
+		lcp = commonPrefixLen(b.stack[len(b.stack)-1], t)
 	}
-	if len(c.intervals) == 0 {
-		return nil, errors.New("alm: empty interval partition")
+	b.nTokens++
+	b.modelBytes += uvarintLen(lcp) + uvarintLen(len(t)-lcp) + len(t) - lcp
+	for ; b.next <= int(t[0]); b.next++ {
+		b.open(singles[b.next : b.next+1])
 	}
-	if len(c.intervals) <= 256 {
+	b.open(t)
+}
+
+func commonPrefixLen[T string | []byte](a, b T) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
+}
+
+func uvarintLen(v int) int { return (bits.Len64(uint64(v)|1) + 6) / 7 }
+
+// open closes every open token that does not prefix t, emits the gap
+// between the last closed sibling and t, and opens t with the interval
+// [t, ...) whose prefix is t itself.
+func (b *builder) open(t []byte) {
+	var cur []byte // start of the pending gap under the top token; nil = none
+	for len(b.stack) > 0 && !bytes.HasPrefix(t, b.stack[len(b.stack)-1]) {
+		cur = b.close(cur)
+	}
+	if cur != nil && len(b.stack) > 0 && bytes.Compare(cur, t) < 0 {
+		b.emit(cur, b.stack[len(b.stack)-1])
+	}
+	b.emit(t, t)
+	c := b.c
+	b.stack = append(b.stack, c.prefBlob[len(c.prefBlob)-len(t):len(c.prefBlob):len(c.prefBlob)])
+}
+
+// close pops the top token, emitting its trailing gap [cur, succ(tok))
+// when one is pending and non-empty, and returns succ(tok) — the start
+// of the parent's next gap, nil when the token's range extends to +inf.
+func (b *builder) close(cur []byte) []byte {
+	tok := b.stack[len(b.stack)-1]
+	b.stack = b.stack[:len(b.stack)-1]
+	b.flip ^= 1
+	hi := appendSucc(b.succ[b.flip][:0], tok)
+	if hi != nil {
+		b.succ[b.flip] = hi
+	}
+	if cur != nil && (hi == nil || bytes.Compare(cur, hi) < 0) {
+		b.emit(cur, tok)
+	}
+	return hi
+}
+
+func (b *builder) emit(lo, prefix []byte) {
+	c := b.c
+	c.loOff = append(c.loOff, int32(len(c.loBlob)))
+	c.loBlob = append(c.loBlob, lo...)
+	c.prefOff = append(c.prefOff, int32(len(c.prefBlob)))
+	c.prefBlob = append(c.prefBlob, prefix...)
+}
+
+// finish opens the remaining single-byte tokens, closes everything and
+// builds the search indexes.
+func (b *builder) finish() (*Codec, error) {
+	for ; b.next < 256; b.next++ {
+		b.open(singles[b.next : b.next+1])
+	}
+	var cur []byte
+	for len(b.stack) > 0 {
+		cur = b.close(cur)
+	}
+	c := b.c
+	c.n = len(c.loOff)
+	c.loOff = append(c.loOff, int32(len(c.loBlob)))
+	c.prefOff = append(c.prefOff, int32(len(c.prefBlob)))
+	if c.n <= 256 {
 		c.codeWidth = 1
-	} else if len(c.intervals) <= 1<<16 {
+	} else if c.n <= 1<<16 {
 		c.codeWidth = 2
 	} else {
-		return nil, fmt.Errorf("alm: %d intervals exceed the 2-byte code space", len(c.intervals))
+		return nil, fmt.Errorf("alm: %d intervals exceed the 2-byte code space", c.n)
 	}
-	c.buildFirstIndex()
-	c.flatten()
-	c.modelSize = len(c.AppendModel(nil))
+	c.buildIndex()
+	c.modelSize = uvarintLen(b.nTokens) + b.modelBytes
 	return c, nil
 }
 
-func (c *Codec) buildFirstIndex() {
+// buildIndex derives the first-byte buckets, the search keys and the
+// second-level index from the flattened bounds.
+func (c *Codec) buildIndex() {
 	i := 0
 	for b := 0; b < 256; b++ {
 		c.byFirst[b] = int32(i)
-		for i < len(c.intervals) && c.intervals[i].lo[0] == byte(b) {
+		for i < c.n && c.loBlob[c.loOff[i]] == byte(b) {
 			i++
 		}
 	}
-	c.byFirst[256] = int32(len(c.intervals))
-}
+	c.byFirst[256] = int32(c.n)
 
-// flatten materializes the interval bounds and prefixes as contiguous
-// blobs (see the Codec field comments).
-func (c *Codec) flatten() {
-	c.loOff = make([]int32, len(c.intervals)+1)
-	c.prefOff = make([]int32, len(c.intervals)+1)
-	loBytes, prefBytes := 0, 0
-	for _, iv := range c.intervals {
-		loBytes += len(iv.lo)
-		prefBytes += len(iv.prefix)
-	}
-	c.loBlob = make([]byte, 0, loBytes)
-	c.prefBlob = make([]byte, 0, prefBytes)
-	for i, iv := range c.intervals {
-		c.loOff[i] = int32(len(c.loBlob))
-		c.loBlob = append(c.loBlob, iv.lo...)
-		c.prefOff[i] = int32(len(c.prefBlob))
-		c.prefBlob = append(c.prefBlob, iv.prefix...)
-	}
-	c.loOff[len(c.intervals)] = int32(len(c.loBlob))
-	c.prefOff[len(c.intervals)] = int32(len(c.prefBlob))
-
-	c.loKey = make([]uint64, len(c.intervals))
-	for i, iv := range c.intervals {
-		if len(iv.lo) >= 2 {
-			c.loKey[i] = beKey(iv.lo[2:])
+	c.loKey = make([]uint64, c.n)
+	for i := range c.loKey {
+		if lo := c.lo(i); len(lo) >= 2 {
+			c.loKey[i] = beKey(lo[2:])
 		}
 	}
 
 	// Second-level index over multi-interval buckets.
-	c.sec = c.sec[:0]
+	multi := 0
+	for b := 0; b < 256; b++ {
+		if c.byFirst[b+1]-c.byFirst[b] > 1 {
+			multi++
+		}
+	}
+	c.sec = make([]int32, 257*multi)
+	next := 0
 	for b := 0; b < 256; b++ {
 		lo, hi := int(c.byFirst[b]), int(c.byFirst[b+1])
 		if hi-lo <= 1 {
 			c.secOff[b] = -1
 			continue
 		}
-		base := len(c.sec)
-		c.secOff[b] = int32(base)
+		c.secOff[b] = int32(next)
+		grp := c.sec[next : next+257]
+		next += 257
 		// Bucket bounds past the first are sorted by their second byte;
 		// walk them once, recording where each second-byte group starts.
 		i := lo + 1
 		for cc := 0; cc < 256; cc++ {
-			c.sec = append(c.sec, int32(i))
-			for i < hi && c.intervals[i].lo[1] == byte(cc) {
+			grp[cc] = int32(i)
+			for i < hi && c.loBlob[c.loOff[i]+1] == byte(cc) {
 				i++
 			}
 		}
-		c.sec = append(c.sec, int32(hi))
+		grp[256] = int32(hi)
 	}
 }
 
-// succ returns the smallest byte string greater than every string with
-// prefix t, or nil for +inf.
-func succ(t []byte) []byte {
+// appendSucc appends to dst the smallest byte string greater than every
+// string with prefix t, or returns nil for +inf.
+func appendSucc(dst, t []byte) []byte {
 	for i := len(t) - 1; i >= 0; i-- {
 		if t[i] != 0xff {
-			s := make([]byte, i+1)
-			copy(s, t[:i+1])
-			s[i]++
-			return s
+			dst = append(dst, t[:i+1]...)
+			dst[len(dst)-1]++
+			return dst
 		}
 	}
 	return nil
@@ -316,20 +361,6 @@ func (c *Codec) ModelSize() int { return c.modelSize }
 // coders (the property §2.1 highlights). Measured vs huffman = 1.0 in
 // the BENCH_codec.json run (529.23 vs 154.20 MB/s).
 func (c *Codec) DecodeCost() float64 { return 0.291 }
-
-// locate returns the index of the interval containing s, searching only
-// the bucket of s's first byte. Retained as the reference kernel; the
-// hot paths inline an equivalent search over the flattened index.
-func (c *Codec) locate(s []byte) (int, error) {
-	lo, hi := int(c.byFirst[s[0]]), int(c.byFirst[int(s[0])+1])
-	idx := lo + sort.Search(hi-lo, func(i int) bool {
-		return bytes.Compare(c.intervals[lo+i].lo, s) > 0
-	}) - 1
-	if idx < lo {
-		return 0, fmt.Errorf("alm: string %q below interval space", s)
-	}
-	return idx, nil
-}
 
 // Encode implements compress.Codec. The encoded form is the fixed-width
 // code sequence of the intervals visited while consuming the value.
@@ -385,34 +416,11 @@ func (c *Codec) Encode(dst, value []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodeReference is the retained sort.Search-based encoder: the
-// differential-test oracle for Encode, not used on hot paths.
-func (c *Codec) EncodeReference(dst, value []byte) ([]byte, error) {
-	s := value
-	for len(s) > 0 {
-		idx, err := c.locate(s)
-		if err != nil {
-			return dst, err
-		}
-		p := c.intervals[idx].prefix
-		if !bytes.HasPrefix(s, p) {
-			return dst, fmt.Errorf("alm: internal error: interval %d prefix %q does not prefix %q", idx, p, s)
-		}
-		if c.codeWidth == 2 {
-			dst = append(dst, byte(idx>>8), byte(idx))
-		} else {
-			dst = append(dst, byte(idx))
-		}
-		s = s[len(p):]
-	}
-	return dst, nil
-}
-
 // Decode implements compress.Codec, copying each code's prefix out of
 // the contiguous prefix blob.
 func (c *Codec) Decode(dst, enc []byte) ([]byte, error) {
 	if c.codeWidth == 1 {
-		n := len(c.intervals)
+		n := c.n
 		for _, b := range enc {
 			idx := int(b)
 			if idx >= n {
@@ -425,7 +433,7 @@ func (c *Codec) Decode(dst, enc []byte) ([]byte, error) {
 	if len(enc)%2 != 0 {
 		return dst, fmt.Errorf("alm: encoded length %d not a multiple of code width %d", len(enc), c.codeWidth)
 	}
-	n := len(c.intervals)
+	n := c.n
 	for i := 0; i < len(enc); i += 2 {
 		idx := int(enc[i])<<8 | int(enc[i+1])
 		if idx >= n {
@@ -436,25 +444,19 @@ func (c *Codec) Decode(dst, enc []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeReference is the retained per-interval-slice decoder: the
-// differential-test oracle for Decode, not used on hot paths.
-func (c *Codec) DecodeReference(dst, enc []byte) ([]byte, error) {
-	if len(enc)%c.codeWidth != 0 {
-		return dst, fmt.Errorf("alm: encoded length %d not a multiple of code width %d", len(enc), c.codeWidth)
-	}
-	for i := 0; i < len(enc); i += c.codeWidth {
-		var idx int
-		if c.codeWidth == 2 {
-			idx = int(enc[i])<<8 | int(enc[i+1])
-		} else {
-			idx = int(enc[i])
+// tokens yields the mined multi-byte dictionary tokens in increasing
+// order. The builder opens each token t with the interval [t, ...) whose
+// prefix is t, and every other interval of t starts at a successor bound
+// greater than t, so the tokens are exactly the prefixes of the
+// intervals whose lower bound equals their prefix.
+func (c *Codec) tokens() iter.Seq[[]byte] {
+	return func(yield func([]byte) bool) {
+		for i := 0; i < c.n; i++ {
+			if t := c.prefix(i); len(t) >= 2 && bytes.Equal(t, c.lo(i)) && !yield(t) {
+				return
+			}
 		}
-		if idx >= len(c.intervals) {
-			return dst, fmt.Errorf("alm: code %d out of range (%d intervals)", idx, len(c.intervals))
-		}
-		dst = append(dst, c.intervals[idx].prefix...)
 	}
-	return dst, nil
 }
 
 // AppendModel implements compress.Codec. The interval partition is a
@@ -462,13 +464,14 @@ func (c *Codec) DecodeReference(dst, enc []byte) ([]byte, error) {
 // sorted mined tokens, front-coded (each entry stores the length of the
 // prefix shared with its predecessor plus the new suffix).
 func (c *Codec) AppendModel(dst []byte) []byte {
-	dst = compress.AppendUvarint(dst, uint64(len(c.tokens)))
+	count := 0
+	for range c.tokens() {
+		count++
+	}
+	dst = compress.AppendUvarint(dst, uint64(count))
 	var prev []byte
-	for _, t := range c.tokens {
-		lcp := 0
-		for lcp < len(prev) && lcp < len(t) && prev[lcp] == t[lcp] {
-			lcp++
-		}
+	for t := range c.tokens() {
+		lcp := commonPrefixLen(prev, t)
 		dst = compress.AppendUvarint(dst, uint64(lcp))
 		dst = compress.AppendBytes(dst, t[lcp:])
 		prev = t
@@ -476,14 +479,31 @@ func (c *Codec) AppendModel(dst []byte) []byte {
 	return dst
 }
 
+// maxModelBytes bounds the decoded size of a persisted dictionary.
+// Front coding lets n bytes of model describe O(n²) bytes of tokens; no
+// trained model comes near the bound (65 280 tokens of at most 64 bytes
+// is 4 MB), and the int32 blob offsets need one anyway.
+const maxModelBytes = 1 << 24
+
+// loadModel rebuilds a codec from AppendModel's bytes. The input is
+// untrusted: every count is bounded by the bytes that remain before
+// anything is allocated, and the tokens must be strictly increasing —
+// which is what lets them feed the builder directly, without the sort
+// and dedup an arbitrary token set needs.
 func loadModel(data []byte) (*Codec, error) {
 	count, n, err := compress.ReadUvarint(data)
 	if err != nil {
 		return nil, err
 	}
 	data = data[n:]
-	tokens := make([][]byte, 0, count)
-	var prev []byte
+	// A token costs at least two bytes of model: its prefix length and
+	// its suffix length.
+	if count > uint64(len(data))/2 {
+		return nil, fmt.Errorf("alm: model of %d bytes cannot hold %d tokens", len(data), count)
+	}
+	b := newBuilder(int(count), 2*len(data))
+	var tok []byte // the current token, rewritten in place from its predecessor
+	total := 0
 	for i := uint64(0); i < count; i++ {
 		lcp, n, err := compress.ReadUvarint(data)
 		if err != nil {
@@ -495,23 +515,25 @@ func loadModel(data []byte) (*Codec, error) {
 			return nil, err
 		}
 		data = data[n:]
-		if int(lcp) > len(prev) {
+		if lcp > uint64(len(tok)) {
 			return nil, errors.New("alm: front-coded token has bad prefix length")
 		}
-		t := make([]byte, 0, int(lcp)+len(suffix))
-		t = append(t, prev[:lcp]...)
-		t = append(t, suffix...)
-		if len(t) < 2 {
+		if int(lcp)+len(suffix) < 2 {
 			return nil, errors.New("alm: persisted token shorter than 2 bytes")
 		}
-		if prev != nil && bytes.Compare(prev, t) >= 0 {
+		// prev < prev[:lcp]+suffix iff prev's tail past lcp sorts before
+		// the suffix.
+		if i > 0 && bytes.Compare(tok[lcp:], suffix) >= 0 {
 			return nil, errors.New("alm: persisted tokens not strictly increasing")
 		}
-		tokens = append(tokens, t)
-		prev = t
+		tok = append(tok[:lcp], suffix...)
+		if total += len(tok); total > maxModelBytes {
+			return nil, fmt.Errorf("alm: persisted dictionary exceeds %d bytes", maxModelBytes)
+		}
+		b.add(tok)
 	}
 	if len(data) != 0 {
 		return nil, errors.New("alm: trailing bytes in model")
 	}
-	return build(tokens)
+	return b.finish()
 }

@@ -2,7 +2,9 @@ package alm
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -126,24 +128,24 @@ func TestQuickRoundTrip(t *testing.T) {
 
 func TestIntervalsArePartition(t *testing.T) {
 	c := train(t, proseSample)
-	if len(c.intervals) == 0 {
+	if c.n == 0 {
 		t.Fatal("no intervals")
 	}
-	if !bytes.Equal(c.intervals[0].lo, []byte{0x00}) {
-		t.Fatalf("first interval lo = %x, want 00", c.intervals[0].lo)
+	if !bytes.Equal(c.lo(0), []byte{0x00}) {
+		t.Fatalf("first interval lo = %x, want 00", c.lo(0))
 	}
-	for i := 1; i < len(c.intervals); i++ {
-		if bytes.Compare(c.intervals[i-1].lo, c.intervals[i].lo) >= 0 {
+	for i := 1; i < c.n; i++ {
+		if bytes.Compare(c.lo(i-1), c.lo(i)) >= 0 {
 			t.Fatalf("intervals not strictly increasing at %d", i)
 		}
 	}
-	for i, iv := range c.intervals {
-		if len(iv.prefix) == 0 {
+	for i := 0; i < c.n; i++ {
+		if len(c.prefix(i)) == 0 {
 			t.Fatalf("interval %d has empty prefix", i)
 		}
 		// The prefix must prefix the lower bound (lo is in the interval).
-		if !bytes.HasPrefix(iv.lo, iv.prefix) {
-			t.Fatalf("interval %d: prefix %q does not prefix lo %q", i, iv.prefix, iv.lo)
+		if !bytes.HasPrefix(c.lo(i), c.prefix(i)) {
+			t.Fatalf("interval %d: prefix %q does not prefix lo %q", i, c.prefix(i), c.lo(i))
 		}
 	}
 }
@@ -267,6 +269,92 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLoadModelBoundsCounts: a token count read from hostile bytes must
+// be checked against the bytes that remain before it sizes anything.
+// The eight bytes below once panicked with "makeslice: cap out of
+// range".
+func TestLoadModelBoundsCounts(t *testing.T) {
+	if _, err := loadModel([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}); err == nil {
+		t.Fatal("2^56-token model accepted")
+	}
+	// Front coding describes quadratically many token bytes: token i
+	// extends token i-1 by one byte.
+	var m []byte
+	const n = 8000
+	m = compress.AppendUvarint(m, n)
+	m = compress.AppendUvarint(m, 0)
+	m = compress.AppendBytes(m, []byte("ab"))
+	for i := 1; i < n; i++ {
+		m = compress.AppendUvarint(m, uint64(i+1))
+		m = compress.AppendBytes(m, []byte("c"))
+	}
+	if _, err := loadModel(m); err == nil {
+		t.Fatalf("%d-byte model expanding past %d bytes accepted", len(m), maxModelBytes)
+	}
+}
+
+// TestBuildMatchesReference: the one-pass builder must produce exactly
+// the partition of the reference construction, and a reloaded model
+// exactly the trained one — on mined dictionaries and on adversarial
+// token sets (0xff runs, deep prefix chains, adjacent siblings).
+func TestBuildMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sets := map[string][][]byte{
+		"ff":       {{0xff, 0xff}, {0xff, 0xff, 0xff}, {0xfe, 0xff}, {0xfe, 0xff, 0xff}, {0xff, 0x00}},
+		"chain":    {[]byte("ab"), []byte("abc"), []byte("abcd"), []byte("abce"), []byte("abd"), []byte("ac"), []byte("b\xff"), []byte("b\xff\xff")},
+		"dupshort": {[]byte("x"), []byte("xy"), []byte("xy"), nil, []byte("xyz")},
+	}
+	var mined [][]byte
+	for tok := range train(t, proseSample).tokens() {
+		mined = append(mined, tok)
+	}
+	sets["prose"] = mined
+	for k := 0; k < 20; k++ {
+		var set [][]byte
+		for i := 0; i < 1+rng.Intn(300); i++ {
+			tok := make([]byte, 1+rng.Intn(5))
+			for j := range tok {
+				tok[j] = []byte{0x00, 0x01, 'a', 'b', 0xfe, 0xff}[rng.Intn(6)]
+			}
+			set = append(set, tok)
+		}
+		sets[fmt.Sprintf("random%d", k)] = set
+	}
+	for name, set := range sets {
+		ref := buildReference(set)
+		c, err := build(slices.Clone(set))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c2, err := loadModel(c.AppendModel(nil))
+		if err != nil {
+			t.Fatalf("%s: reload: %v", name, err)
+		}
+		for _, c := range []*Codec{c, c2} {
+			if c.n != len(ref.intervals) || c.codeWidth != ref.codeWidth {
+				t.Fatalf("%s: %d intervals width %d, reference %d width %d",
+					name, c.n, c.codeWidth, len(ref.intervals), ref.codeWidth)
+			}
+			for i, iv := range ref.intervals {
+				if !bytes.Equal(c.lo(i), iv.lo) || !bytes.Equal(c.prefix(i), iv.prefix) {
+					t.Fatalf("%s: interval %d = [%x | %x], reference [%x | %x]",
+						name, i, c.lo(i), c.prefix(i), iv.lo, iv.prefix)
+				}
+			}
+		}
+		nTok := 0
+		for range c.tokens() {
+			nTok++
+		}
+		if limit := 256 + nTok + min(256+nTok, 2*nTok); c.n > limit {
+			t.Fatalf("%s: %d intervals from %d tokens, above the builder's bound %d", name, c.n, nTok, limit)
+		}
+		if c.ModelSize() != c2.ModelSize() || c.ModelSize() != len(c.AppendModel(nil)) {
+			t.Fatalf("%s: model size %d / %d, serialized %d", name, c.ModelSize(), c2.ModelSize(), len(c.AppendModel(nil)))
+		}
+	}
+}
+
 func TestDecodeRejectsBadCodes(t *testing.T) {
 	c := train(t, proseSample)
 	if c.codeWidth == 2 {
@@ -302,7 +390,7 @@ func TestSucc(t *testing.T) {
 		{[]byte{0xff, 0x00}, []byte{0xff, 0x01}},
 	}
 	for _, c := range cases {
-		got := succ(c.in)
+		got := appendSucc(nil, c.in)
 		if !bytes.Equal(got, c.want) {
 			t.Fatalf("succ(%x) = %x, want %x", c.in, got, c.want)
 		}

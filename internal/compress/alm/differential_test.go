@@ -144,8 +144,8 @@ func TestSecondLevelIndexAgreesWithLocate(t *testing.T) {
 				s, enc, encErr, refEnc, refErr, want)
 		}
 	}
-	for i := range c.intervals {
-		lo := c.intervals[i].lo
+	for i := 0; i < c.n; i++ {
+		lo := c.lo(i)
 		probe(lo)
 		probe(append(append([]byte(nil), lo...), 0x00))
 		probe(append(append([]byte(nil), lo...), 0xff))

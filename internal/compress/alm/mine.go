@@ -62,7 +62,7 @@ func mineTokens(values [][]byte, maxTokens int) [][]byte {
 	}
 	sort.Strings(sorted)
 	for i := 1; i < len(sorted); i++ {
-		cp := commonPrefix(sorted[i-1], sorted[i])
+		cp := sorted[i][:commonPrefixLen(sorted[i-1], sorted[i])]
 		if len(cp) >= 3 && len(cp) <= maxTokenLen {
 			counts[cp]++
 		}
@@ -97,18 +97,6 @@ func mineTokens(values [][]byte, maxTokens int) [][]byte {
 
 func isAlnum(b byte) bool {
 	return b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' || b >= '0' && b <= '9'
-}
-
-func commonPrefix(a, b string) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return a[:i]
 }
 
 // Compare compares two ALM-encoded values; because the scheme is

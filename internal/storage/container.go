@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"xquec/internal/compress"
@@ -257,14 +258,21 @@ func buildContainer(path string, kind ValueKind, group string, codec compress.Co
 		c.recs[i] = Record{Value: encs[pos], Owner: owners[pos]}
 		mapping[pos] = int32(i)
 	}
-	if !op {
-		c.eqOrder = make([]int32, len(c.recs))
-		for i := range c.eqOrder {
-			c.eqOrder[i] = int32(i)
-		}
-		sort.SliceStable(c.eqOrder, func(a, b int) bool {
-			return bytes.Compare(c.recs[c.eqOrder[a]].Value, c.recs[c.eqOrder[b]].Value) < 0
-		})
-	}
+	c.buildEqOrder()
 	return c, mapping, nil
+}
+
+// buildEqOrder derives the equality permutation of an order-agnostic
+// container: record indexes stably sorted by compressed bytes.
+func (c *Container) buildEqOrder() {
+	if c.codec.Props().OrderPreserving {
+		return
+	}
+	c.eqOrder = make([]int32, len(c.recs))
+	for i := range c.eqOrder {
+		c.eqOrder[i] = int32(i)
+	}
+	slices.SortStableFunc(c.eqOrder, func(a, b int32) int {
+		return bytes.Compare(c.recs[a].Value, c.recs[b].Value)
+	})
 }

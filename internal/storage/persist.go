@@ -14,13 +14,10 @@ import (
 	"xquec/internal/succinct"
 )
 
-// Repository file magics. Version 3 replaced the per-node record
-// stream of the structure section with the succinct encoding (paren
-// bits + node marks); version-2 files still load — see LoadBinary.
-var (
-	magic   = []byte("XQCR3\n")
-	magicV2 = []byte("XQCR2\n")
-)
+// Repository file magic. Version 3 stores the structure section in the
+// succinct encoding (paren bits + node marks); it is the only version
+// read or written.
+var magic = []byte("XQCR3\n")
 
 // AppendBinary serializes the repository. Everything derivable is
 // rebuilt by LoadBinary instead of being stored: parent pointers,
@@ -33,7 +30,40 @@ var (
 func (s *Store) AppendBinary(dst []byte) []byte {
 	dst = append(dst, magic...)
 	dst = compress.AppendUvarint(dst, uint64(s.OriginalSize))
-	dst = s.appendDictModelsContainers(dst)
+
+	// Dictionary.
+	dst = compress.AppendUvarint(dst, uint64(len(s.Names)))
+	for _, n := range s.Names {
+		dst = compress.AppendBytes(dst, []byte(n))
+	}
+
+	// Source models.
+	groupNames := make([]string, 0, len(s.Models))
+	for g := range s.Models {
+		groupNames = append(groupNames, g)
+	}
+	sort.Strings(groupNames)
+	dst = compress.AppendUvarint(dst, uint64(len(groupNames)))
+	groupIdx := map[string]int{}
+	for i, g := range groupNames {
+		groupIdx[g] = i
+		gm := s.Models[g]
+		dst = compress.AppendBytes(dst, []byte(g))
+		dst = compress.AppendBytes(dst, []byte(gm.Algorithm))
+		dst = compress.AppendBytes(dst, gm.Codec.AppendModel(nil))
+	}
+
+	// Containers.
+	dst = compress.AppendUvarint(dst, uint64(len(s.Containers)))
+	for _, c := range s.Containers {
+		dst = compress.AppendBytes(dst, []byte(c.Path))
+		dst = append(dst, byte(c.Kind))
+		dst = compress.AppendUvarint(dst, uint64(groupIdx[c.Group]))
+		dst = compress.AppendUvarint(dst, uint64(len(c.recs)))
+		for _, r := range c.recs {
+			dst = compress.AppendBytes(dst, r.Value)
+		}
+	}
 
 	// Structure tree: the succinct section. Paren bits and node marks
 	// carry the full shape including text interleaving; tags are listed
@@ -82,77 +112,6 @@ func (s *Store) structureArrays() *succinctArrays {
 	return recordsToArrays(s)
 }
 
-// appendDictModelsContainers writes the format sections shared by both
-// file versions: the dictionary, the source models, and the container
-// payloads.
-func (s *Store) appendDictModelsContainers(dst []byte) []byte {
-	// Dictionary.
-	dst = compress.AppendUvarint(dst, uint64(len(s.Names)))
-	for _, n := range s.Names {
-		dst = compress.AppendBytes(dst, []byte(n))
-	}
-
-	// Source models.
-	groupNames := make([]string, 0, len(s.Models))
-	for g := range s.Models {
-		groupNames = append(groupNames, g)
-	}
-	sort.Strings(groupNames)
-	dst = compress.AppendUvarint(dst, uint64(len(groupNames)))
-	groupIdx := map[string]int{}
-	for i, g := range groupNames {
-		groupIdx[g] = i
-		gm := s.Models[g]
-		dst = compress.AppendBytes(dst, []byte(g))
-		dst = compress.AppendBytes(dst, []byte(gm.Algorithm))
-		dst = compress.AppendBytes(dst, gm.Codec.AppendModel(nil))
-	}
-
-	// Containers.
-	dst = compress.AppendUvarint(dst, uint64(len(s.Containers)))
-	for _, c := range s.Containers {
-		dst = compress.AppendBytes(dst, []byte(c.Path))
-		dst = append(dst, byte(c.Kind))
-		dst = compress.AppendUvarint(dst, uint64(groupIdx[c.Group]))
-		dst = compress.AppendUvarint(dst, uint64(len(c.recs)))
-		for _, r := range c.recs {
-			dst = compress.AppendBytes(dst, r.Value)
-		}
-	}
-	return dst
-}
-
-// appendBinaryV2 writes the version-2 (record-stream) format: tags and
-// document-order child lists, child IDs delta-encoded against the
-// node's own pre-order ID. Kept so the V2 read path stays covered by
-// tests; new repositories always write the current format.
-func (s *Store) appendBinaryV2(dst []byte) []byte {
-	if s.nodes == nil {
-		panic("storage: appendBinaryV2 needs the record backend")
-	}
-	dst = append(dst, magicV2...)
-	dst = compress.AppendUvarint(dst, uint64(s.OriginalSize))
-	dst = s.appendDictModelsContainers(dst)
-	var tree []byte
-	tree = compress.AppendUvarint(tree, uint64(len(s.nodes)))
-	for i := range s.nodes {
-		id := NodeID(i + 1)
-		n := &s.nodes[i]
-		tree = compress.AppendUvarint(tree, uint64(n.Tag))
-		tree = compress.AppendUvarint(tree, uint64(len(n.Kids)))
-		for _, k := range n.Kids {
-			if k.IsValue() {
-				tree = compress.AppendUvarint(tree, 1)
-				tree = compress.AppendUvarint(tree, uint64(n.Values[k.ValueIndex()].Index))
-			} else {
-				tree = compress.AppendUvarint(tree, uint64(k.Node()-id)<<1)
-			}
-		}
-	}
-	dst = compress.AppendBytes(dst, blob.Compress(nil, tree))
-	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst))
-}
-
 // appendPackedBits appends ceil(nBits/8) bytes of the packed bit words
 // (bit i of the sequence = bit i%8 of byte i/8).
 func appendPackedBits(dst []byte, words []uint64, nBits int) []byte {
@@ -178,13 +137,29 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// count reads an element count and rejects one the remaining bytes
+// cannot hold at minBytes apiece, so that no count read from the file
+// sizes an allocation the file has not paid for.
+func (r *reader) count(what string, minBytes int) (int, error) {
+	v, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if rest := len(r.data) - r.pos; v > uint64(rest/minBytes) {
+		return 0, fmt.Errorf("storage: %s count %d exceeds what the remaining %d bytes can hold", what, v, rest)
+	}
+	return int(v), nil
+}
+
+// bytes returns the next length-prefixed string as a sub-slice of the
+// input, capped so an append cannot reach the bytes after it.
 func (r *reader) bytes() ([]byte, error) {
 	b, n, err := compress.ReadBytes(r.data[r.pos:])
 	if err != nil {
 		return nil, fmt.Errorf("storage: corrupt repository at byte %d: %w", r.pos, err)
 	}
 	r.pos += n
-	return b, nil
+	return b[:len(b):len(b)], nil
 }
 
 func (r *reader) byte() (byte, error) {
@@ -196,23 +171,24 @@ func (r *reader) byte() (byte, error) {
 	return b, nil
 }
 
-// LoadBinary reconstructs a repository serialized by AppendBinary. It
-// reads both the current format and version-2 (record-stream) files;
-// either loads into whichever structure backend XQUEC_STRUCT selects.
+// LoadBinary reconstructs a repository serialized by AppendBinary, into
+// whichever structure backend XQUEC_STRUCT selects. It is one linear
+// pass over the bytes: each section is checked as it is read, and the
+// walk that derives the summary, the value refs and the record owners
+// (deriveFromSuccinct) is also the proof that the structure is a
+// well-formed tree — nothing is validated a second time.
+//
+// The store keeps data: record values are sub-slices of it. The caller
+// hands the buffer over and must not modify it afterwards.
 func LoadBinary(data []byte) (*Store, error) {
-	if len(data) < len(magic)+4 {
-		return nil, fmt.Errorf("storage: not a repository file (bad magic)")
-	}
-	v3 := bytes.Equal(data[:len(magic)], magic)
-	if !v3 && !bytes.Equal(data[:len(magicV2)], magicV2) {
+	if len(data) < len(magic)+4 || !bytes.Equal(data[:len(magic)], magic) {
 		return nil, fmt.Errorf("storage: not a repository file (bad magic)")
 	}
 	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
 		return nil, fmt.Errorf("storage: checksum mismatch (corrupt repository)")
 	}
-	data = body
-	r := &reader{data: data, pos: len(magic)}
+	r := &reader{data: body, pos: len(magic)}
 	s := &Store{nameIdx: map[string]uint16{}, Models: map[string]GroupModel{}}
 
 	osz, err := r.uvarint()
@@ -221,11 +197,14 @@ func LoadBinary(data []byte) (*Store, error) {
 	}
 	s.OriginalSize = int(osz)
 
-	nNames, err := r.uvarint()
+	nNames, err := r.count("name", 1)
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < nNames; i++ {
+	if nNames > 1<<16 {
+		return nil, fmt.Errorf("storage: %d names exceed the 16-bit tag space", nNames)
+	}
+	for i := 0; i < nNames; i++ {
 		b, err := r.bytes()
 		if err != nil {
 			return nil, err
@@ -233,12 +212,12 @@ func LoadBinary(data []byte) (*Store, error) {
 		s.intern(string(b))
 	}
 
-	nGroups, err := r.uvarint()
+	nGroups, err := r.count("source model", 3)
 	if err != nil {
 		return nil, err
 	}
 	groupNames := make([]string, nGroups)
-	for i := uint64(0); i < nGroups; i++ {
+	for i := range groupNames {
 		g, err := r.bytes()
 		if err != nil {
 			return nil, err
@@ -256,14 +235,15 @@ func LoadBinary(data []byte) (*Store, error) {
 			return nil, fmt.Errorf("storage: group %q: %w", g, err)
 		}
 		groupNames[i] = string(g)
-		s.Models[string(g)] = GroupModel{Algorithm: string(alg), Codec: codec}
+		s.Models[groupNames[i]] = GroupModel{Algorithm: string(alg), Codec: codec}
 	}
 
-	nConts, err := r.uvarint()
+	nConts, err := r.count("container", 4)
 	if err != nil {
 		return nil, err
 	}
-	for ci := uint64(0); ci < nConts; ci++ {
+	s.Containers = make([]*Container, nConts)
+	for ci := range s.Containers {
 		path, err := r.bytes()
 		if err != nil {
 			return nil, err
@@ -280,12 +260,9 @@ func LoadBinary(data []byte) (*Store, error) {
 			return nil, fmt.Errorf("storage: container %q references group %d", path, gi)
 		}
 		group := groupNames[gi]
-		nRecs, err := r.uvarint()
+		nRecs, err := r.count("record", 1)
 		if err != nil {
 			return nil, err
-		}
-		if nRecs > uint64(len(data)) {
-			return nil, fmt.Errorf("storage: container %q record count %d implausible", path, nRecs)
 		}
 		c := &Container{
 			Path:  string(path),
@@ -294,26 +271,15 @@ func LoadBinary(data []byte) (*Store, error) {
 			codec: s.Models[group].Codec,
 			recs:  make([]Record, nRecs),
 		}
-		for i := uint64(0); i < nRecs; i++ {
-			v, err := r.bytes()
-			if err != nil {
+		// Owners are not stored: the structure walk re-derives them from
+		// the tree's value refs.
+		for i := range c.recs {
+			if c.recs[i].Value, err = r.bytes(); err != nil {
 				return nil, err
 			}
-			// Owners are not stored: the reconstruction walk re-derives
-			// them from the structure tree's value refs.
-			c.recs[i] = Record{Value: append([]byte(nil), v...)}
 		}
-		// Rebuild the equality permutation for order-agnostic codecs.
-		if !c.codec.Props().OrderPreserving {
-			c.eqOrder = make([]int32, len(c.recs))
-			for i := range c.eqOrder {
-				c.eqOrder[i] = int32(i)
-			}
-			sort.SliceStable(c.eqOrder, func(a, b int) bool {
-				return bytes.Compare(c.recs[c.eqOrder[a]].Value, c.recs[c.eqOrder[b]].Value) < 0
-			})
-		}
-		s.Containers = append(s.Containers, c)
+		c.buildEqOrder()
+		s.Containers[ci] = c
 	}
 
 	// Structure tree shape (blob-compressed section).
@@ -321,61 +287,35 @@ func LoadBinary(data []byte) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.pos != len(data) {
-		return nil, fmt.Errorf("storage: %d trailing bytes after repository", len(data)-r.pos)
+	if r.pos != len(body) {
+		return nil, fmt.Errorf("storage: %d trailing bytes after repository", len(body)-r.pos)
 	}
 	treeRaw, err := blob.Decompress(nil, treeComp)
 	if err != nil {
 		return nil, fmt.Errorf("storage: corrupt structure section: %w", err)
 	}
 	r = &reader{data: treeRaw}
-	mode := resolveStructure(StructDefault)
-	if v3 {
-		err = s.loadTreeV3(r)
-	} else {
-		err = s.loadTreeV2(r)
-	}
-	if err != nil {
+	if err := s.loadTree(r); err != nil {
 		return nil, err
 	}
 	if r.pos != len(treeRaw) {
 		return nil, fmt.Errorf("storage: %d trailing bytes in structure section", len(treeRaw)-r.pos)
 	}
-
-	// Rebuild the derived state on the backend the file loaded into,
-	// then convert to the resident backend the mode asks for.
-	if v3 {
-		if err := s.deriveFromSuccinct(); err != nil {
-			return nil, err
-		}
-		if mode == StructRecords {
-			nodes, end, level, err := succinctToRecords(s.succ)
-			if err != nil {
-				return nil, err
-			}
-			s.nodes, s.end, s.level = nodes, end, level
-			s.succ = nil
-			s.buildNodeIndex()
-		}
-	} else {
-		if err := s.reconstructDerived(mode == StructRecords); err != nil {
-			return nil, err
-		}
-		if mode == StructSuccinct {
-			s.succ = recordsToArrays(s).build()
-			s.nodes, s.end, s.level = nil, nil, nil
-		}
-	}
-	if err := s.Validate(); err != nil {
+	if err := s.deriveFromSuccinct(); err != nil {
 		return nil, err
+	}
+	if resolveStructure(StructDefault) == StructRecords {
+		s.nodes, s.end, s.level = succinctToRecords(s.succ)
+		s.succ = nil
+		s.buildNodeIndex()
 	}
 	return s, nil
 }
 
-// loadTreeV3 parses the succinct structure section into s.succ. The
+// loadTree parses the succinct structure section into s.succ. The
 // bytes are untrusted: shape checks here, semantic checks in
 // deriveFromSuccinct.
-func (s *Store) loadTreeV3(r *reader) error {
+func (s *Store) loadTree(r *reader) error {
 	nParens, err := r.uvarint()
 	if err != nil {
 		return err
@@ -403,6 +343,10 @@ func (s *Store) loadTreeV3(r *reader) error {
 	marks, err := r.packedBits(int(nOpens))
 	if err != nil {
 		return err
+	}
+	// Every node's tag and every leaf's value index is at least a byte.
+	if nOpens > uint64(len(r.data)-r.pos) {
+		return fmt.Errorf("storage: %d tree nodes exceed what the remaining %d bytes can hold", nOpens, len(r.data)-r.pos)
 	}
 	a := &succinctArrays{
 		parens:  parens,
@@ -437,12 +381,9 @@ func (s *Store) loadTreeV3(r *reader) error {
 	// Optional shortcut-directory section (absent in files written
 	// before it existed; build() then re-derives the directories).
 	if r.pos < len(r.data) {
-		nBlocks, err := r.uvarint()
+		nBlocks, err := r.count("directory block", 2)
 		if err != nil {
 			return err
-		}
-		if nBlocks > uint64(len(r.data)) {
-			return fmt.Errorf("storage: implausible directory block count %d", nBlocks)
 		}
 		a.excBase = make([]int32, nBlocks)
 		a.anc = make([]int32, nBlocks)
@@ -485,63 +426,6 @@ func (r *reader) packedBits(nBits int) ([]uint64, error) {
 	return words, nil
 }
 
-// loadTreeV2 parses the version-2 record-stream structure section into
-// s.nodes (tags and child lists only; reconstructDerived fills the
-// rest).
-func (s *Store) loadTreeV2(r *reader) error {
-	nNodes, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if nNodes == 0 || nNodes > uint64(len(r.data)) {
-		return fmt.Errorf("storage: implausible node count %d", nNodes)
-	}
-	s.nodes = make([]NodeRecord, nNodes)
-	s.end = make([]NodeID, nNodes)
-	s.level = make([]uint16, nNodes)
-	for i := uint64(0); i < nNodes; i++ {
-		id := NodeID(i + 1)
-		tag, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if tag >= uint64(len(s.Names)) {
-			return fmt.Errorf("storage: node %d has unknown tag %d", id, tag)
-		}
-		nKids, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if nKids > nNodes+uint64(len(r.data)) {
-			return fmt.Errorf("storage: node %d kid count %d implausible", id, nKids)
-		}
-		n := &s.nodes[i]
-		n.Tag = uint16(tag)
-		for k := uint64(0); k < nKids; k++ {
-			v, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			if v&1 == 1 {
-				recIdx, err := r.uvarint()
-				if err != nil {
-					return err
-				}
-				n.Kids = append(n.Kids, ValueChild(len(n.Values)))
-				// Container resolved during the reconstruction walk.
-				n.Values = append(n.Values, ValueRef{Container: -1, Index: int32(recIdx)})
-			} else {
-				kid := id + NodeID(v>>1)
-				if uint64(kid) > nNodes || kid <= id {
-					return fmt.Errorf("storage: node %d has bad child %d", id, kid)
-				}
-				n.Kids = append(n.Kids, NodeChild(kid))
-			}
-		}
-	}
-	return nil
-}
-
 // buildNodeIndex bulk-loads the B+ node index over the record array
 // (records backend only; the succinct backend navigates by rank).
 func (s *Store) buildNodeIndex() {
@@ -552,120 +436,6 @@ func (s *Store) buildNodeIndex() {
 		vals[i] = int64(i)
 	}
 	s.Index = btree.BulkLoad(keys, vals)
-}
-
-// reconstructDerived rebuilds parents, subtree ends, levels, the
-// structure summary with extents, the value-ref container fields, and
-// (when the record backend stays resident) the B+ index.
-func (s *Store) reconstructDerived(buildIndex bool) error {
-	sum := &Summary{}
-	s.Sum = sum
-	contByPath := map[string]int32{}
-	for i, c := range s.Containers {
-		contByPath[c.Path] = int32(i)
-	}
-	fanTotal := map[int32]int{}
-
-	resolveValues := func(id NodeID, sn *SummaryNode) error {
-		n := &s.nodes[id-1]
-		if len(n.Values) == 0 {
-			return nil
-		}
-		var vsn *SummaryNode
-		if isAttrName(s.Names[n.Tag]) {
-			vsn = sn
-		} else {
-			vsn = sum.child(sn, "#text", true)
-		}
-		if vsn.Container < 0 {
-			ci, ok := contByPath[vsn.Path()]
-			if !ok {
-				return fmt.Errorf("storage: no container for path %s", vsn.Path())
-			}
-			vsn.Container = ci
-		}
-		cont := s.Containers[vsn.Container]
-		for vi := range n.Values {
-			n.Values[vi].Container = vsn.Container
-			idx := int(n.Values[vi].Index)
-			if idx >= cont.Len() {
-				return fmt.Errorf("storage: node %d value index %d out of range for %s",
-					id, n.Values[vi].Index, cont.Path)
-			}
-			if owner := cont.recs[idx].Owner; owner != 0 && owner != id {
-				return fmt.Errorf("storage: record %d of %s claimed by nodes %d and %d",
-					idx, cont.Path, owner, id)
-			}
-			cont.recs[idx].Owner = id
-		}
-		return nil
-	}
-
-	type frame struct {
-		id   NodeID
-		kidI int
-		sn   *SummaryNode
-	}
-	root := sum.child(nil, s.Names[s.nodes[0].Tag], true)
-	root.Extent = append(root.Extent, 1)
-	s.nodes[0].Parent = 0
-	s.level[0] = 1
-	if err := resolveValues(1, root); err != nil {
-		return err
-	}
-	stack := []frame{{id: 1, sn: root}}
-	visited := NodeID(1)
-
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		n := &s.nodes[f.id-1]
-		advanced := false
-		for f.kidI < len(n.Kids) {
-			k := n.Kids[f.kidI]
-			f.kidI++
-			if k.IsValue() {
-				continue
-			}
-			kid := k.Node()
-			if kid != visited+1 {
-				return fmt.Errorf("storage: node %d is not in pre-order (expected %d)", kid, visited+1)
-			}
-			visited = kid
-			s.nodes[kid-1].Parent = f.id
-			s.level[kid-1] = s.level[f.id-1] + 1
-			tag := s.Names[s.nodes[kid-1].Tag]
-			ksn := sum.child(f.sn, tag, true)
-			ksn.Extent = append(ksn.Extent, kid)
-			if !isAttrName(tag) {
-				fanTotal[f.sn.ID]++
-			}
-			if err := resolveValues(kid, ksn); err != nil {
-				return err
-			}
-			stack = append(stack, frame{id: kid, sn: ksn})
-			advanced = true
-			break
-		}
-		if !advanced {
-			s.end[f.id-1] = visited
-			stack = stack[:len(stack)-1]
-		}
-	}
-	if int(visited) != len(s.nodes) {
-		return fmt.Errorf("storage: %d of %d nodes unreachable from the root", len(s.nodes)-int(visited), len(s.nodes))
-	}
-
-	for _, sn := range sum.Nodes() {
-		sn.Count = len(sn.Extent)
-		if sn.Count > 0 {
-			sn.AvgFan = float64(fanTotal[sn.ID]) / float64(sn.Count)
-		}
-	}
-
-	if buildIndex {
-		s.buildNodeIndex()
-	}
-	return nil
 }
 
 func isAttrName(tag string) bool { return len(tag) > 0 && tag[0] == '@' }

@@ -99,69 +99,45 @@ func TestCrossBackendEquivalence(t *testing.T) {
 	}
 }
 
-// TestPersistRoundTripBothModes: the current format must load into
-// either backend and stay equivalent to the original.
+// TestPersistRoundTripBothModes: a saved repository must load into
+// either backend equivalent to the original — every accessor answer,
+// the Validate oracle, the footprint model, and the re-serialized bytes
+// — for a bushy, a deep and a mixed-content document.
 func TestPersistRoundTripBothModes(t *testing.T) {
-	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.002, Seed: 11})
-	rec, _ := loadBoth(t, doc)
-	blob := rec.AppendBinary(nil)
-
-	t.Run("records", func(t *testing.T) {
-		t.Setenv("XQUEC_STRUCT", "records")
-		s2, err := LoadBinary(blob)
-		if err != nil {
-			t.Fatalf("LoadBinary: %v", err)
+	docs := map[string][]byte{
+		"xmark": datagen.XMark(datagen.XMarkConfig{Scale: 0.002, Seed: 11}),
+		"deep":  datagen.DeepTree(datagen.DeepTreeConfig{Depth: 300, Seed: 3}),
+		"mixed": []byte(`<doc id="1">lead <b>bold</b> middle <i a="x">it<u>deep</u>al</i> tail<e/><n>42</n><n>7</n> end</doc>`),
+	}
+	for name, doc := range docs {
+		rec, suc := loadBoth(t, doc)
+		blob := rec.AppendBinary(nil)
+		for _, mode := range []StructureKind{StructRecords, StructSuccinct} {
+			t.Run(name+"/"+mode.String(), func(t *testing.T) {
+				t.Setenv("XQUEC_STRUCT", mode.String())
+				s2, err := LoadBinary(bytes.Clone(blob))
+				if err != nil {
+					t.Fatalf("LoadBinary: %v", err)
+				}
+				if s2.StructureKind() != mode {
+					t.Fatalf("backend = %v", s2.StructureKind())
+				}
+				if err := s2.Validate(); err != nil {
+					t.Fatalf("Validate: %v", err)
+				}
+				assertStoresEqual(t, rec, s2)
+				want := rec
+				if mode == StructSuccinct {
+					want = suc
+				}
+				if got := s2.Footprint(); got != want.Footprint() {
+					t.Fatalf("footprint after reload %v, ingested %v", got, want.Footprint())
+				}
+				if !bytes.Equal(blob, s2.AppendBinary(nil)) {
+					t.Fatal("re-serialization differs")
+				}
+			})
 		}
-		if s2.StructureKind() != StructRecords {
-			t.Fatalf("backend = %v", s2.StructureKind())
-		}
-		assertStoresEqual(t, rec, s2)
-		if !bytes.Equal(blob, s2.AppendBinary(nil)) {
-			t.Fatal("re-serialization differs")
-		}
-	})
-	t.Run("succinct", func(t *testing.T) {
-		t.Setenv("XQUEC_STRUCT", "")
-		s2, err := LoadBinary(blob)
-		if err != nil {
-			t.Fatalf("LoadBinary: %v", err)
-		}
-		if s2.StructureKind() != StructSuccinct {
-			t.Fatalf("backend = %v", s2.StructureKind())
-		}
-		assertStoresEqual(t, rec, s2)
-		if !bytes.Equal(blob, s2.AppendBinary(nil)) {
-			t.Fatal("re-serialization differs")
-		}
-	})
-}
-
-// TestV2FormatCompat: repositories written by the previous release
-// (record-stream structure section) must still open, into either
-// backend.
-func TestV2FormatCompat(t *testing.T) {
-	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.002, Seed: 13})
-	rec, _ := loadBoth(t, doc)
-	v2 := rec.appendBinaryV2(nil)
-
-	for _, mode := range []string{"records", ""} {
-		name := mode
-		if name == "" {
-			name = "succinct"
-		}
-		t.Run(name, func(t *testing.T) {
-			t.Setenv("XQUEC_STRUCT", mode)
-			s2, err := LoadBinary(v2)
-			if err != nil {
-				t.Fatalf("LoadBinary(v2): %v", err)
-			}
-			assertStoresEqual(t, rec, s2)
-			// Saving a v2-loaded repository upgrades it to the current
-			// format, byte-identical to a fresh ingest's output.
-			if !bytes.Equal(rec.AppendBinary(nil), s2.AppendBinary(nil)) {
-				t.Fatal("upgraded serialization differs from fresh ingest")
-			}
-		})
 	}
 }
 

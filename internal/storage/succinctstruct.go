@@ -371,9 +371,9 @@ func recordsToArrays(s *Store) *succinctArrays {
 }
 
 // succinctToRecords rebuilds the record arrays from the paren walk —
-// the XQUEC_STRUCT=records path for repositories read from the
-// succinct persist format.
-func succinctToRecords(t *SuccinctStructure) (nodes []NodeRecord, end []NodeID, level []uint16, err error) {
+// the XQUEC_STRUCT=records path. The structure has already passed
+// deriveFromSuccinct, so the walk checks nothing.
+func succinctToRecords(t *SuccinctStructure) (nodes []NodeRecord, end []NodeID, level []uint16) {
 	nNodes := t.numNodes()
 	nodes = make([]NodeRecord, nNodes)
 	end = make([]NodeID, nNodes)
@@ -383,9 +383,6 @@ func succinctToRecords(t *SuccinctStructure) (nodes []NodeRecord, end []NodeID, 
 	n := t.pv.Len()
 	for p := 0; p < n; p++ {
 		if !t.pv.Get(p) {
-			if len(stack) == 0 {
-				return nil, nil, nil, fmt.Errorf("storage: unbalanced parens at %d", p)
-			}
 			end[stack[len(stack)-1]-1] = id
 			stack = stack[:len(stack)-1]
 			continue
@@ -401,9 +398,6 @@ func succinctToRecords(t *SuccinctStructure) (nodes []NodeRecord, end []NodeID, 
 			level[id-1] = uint16(len(stack) + 1)
 			stack = append(stack, id)
 		} else {
-			if len(stack) == 0 || p+1 >= n || t.pv.Get(p+1) {
-				return nil, nil, nil, fmt.Errorf("storage: malformed text leaf at %d", p)
-			}
 			owner := &nodes[stack[len(stack)-1]-1]
 			owner.Kids = append(owner.Kids, ValueChild(len(owner.Values)))
 			owner.Values = append(owner.Values,
@@ -413,27 +407,74 @@ func succinctToRecords(t *SuccinctStructure) (nodes []NodeRecord, end []NodeID, 
 		}
 		ord++
 	}
-	if len(stack) != 0 || int(id) != nNodes {
-		return nil, nil, nil, fmt.Errorf("storage: truncated paren sequence")
-	}
-	return nodes, end, level, nil
+	return nodes, end, level
 }
 
 // deriveFromSuccinct rebuilds everything the succinct persist section
-// leaves out: the structure summary with extents and stats, the
-// container index of each value ref (path-implied), and the container
-// records' owner back-pointers. It is the succinct counterpart of the
-// record walk in reconstructDerived, with the same validation duties —
-// the input bytes are untrusted.
+// leaves out — the structure summary with extents and stats, the
+// container index of each value ref (path-implied), the container
+// records' owner back-pointers — in one walk of the paren sequence with
+// an explicit stack of open nodes. The input bytes are untrusted, and
+// this walk is the whole proof that they describe a repository; every
+// invariant the Validate oracle asserts holds by construction once it
+// returns nil:
+//
+//   - one tree: the parens balance, and a node or text leaf met with the
+//     stack empty is rejected unless it is node 1, so everything lies in
+//     the root's subtree;
+//   - parent precedes child: a node's parent is the stack top, opened
+//     earlier, and IDs are handed out ascending — for the same reason
+//     every subtree end lies in [id, nNodes], a child's ID exceeds its
+//     parent's, and every summary extent is strictly increasing;
+//   - labels in range: each node's tag indexes the dictionary;
+//   - values resolve and are singly owned: a text leaf is exactly "()",
+//     its container is the one its summary path names, its record index
+//     is inside that container, and no record is claimed by two nodes;
+//   - the counts agree: opens, node marks, tags and value refs are all
+//     consumed exactly.
+//
+// Navigation (Parent, SubtreeEnd, Kids) then agrees with this walk
+// because its directories are rebuilt from, or checked against, the
+// same paren bits (see succinct.NewBPWithDirs).
 func (s *Store) deriveFromSuccinct() error {
 	t := s.succ
 	sum := &Summary{}
 	s.Sum = sum
-	contByPath := map[string]int32{}
+	contByPath := make(map[string]int32, len(s.Containers))
 	for i, c := range s.Containers {
 		contByPath[c.Path] = int32(i)
 	}
-	fanTotal := map[int32]int{}
+	// Per summary node, by ID: element children seen (the fan-out
+	// total) and the summary node its instances' text values fall under.
+	type sumInfo struct {
+		fan  int
+		text *SummaryNode
+	}
+	var infos []sumInfo
+	info := func(sn *SummaryNode) *sumInfo {
+		for len(infos) <= int(sn.ID) {
+			infos = append(infos, sumInfo{})
+		}
+		return &infos[sn.ID]
+	}
+
+	// textNode resolves, once per summary node, where the values of its
+	// instances live: the node itself for an attribute, its #text child
+	// for an element — and the container that path names.
+	textNode := func(sn *SummaryNode) (*SummaryNode, error) {
+		vsn := sn
+		if !isAttrName(sn.Tag) {
+			vsn = sum.child(sn, "#text", true)
+		}
+		if vsn.Container < 0 {
+			ci, ok := contByPath[vsn.Path()]
+			if !ok {
+				return nil, fmt.Errorf("storage: no container for path %s", vsn.Path())
+			}
+			vsn.Container = ci
+		}
+		return vsn, nil
+	}
 
 	type sframe struct {
 		id NodeID
@@ -472,7 +513,7 @@ func (s *Store) deriveFromSuccinct() error {
 			sn := sum.child(psn, tag, true)
 			sn.Extent = append(sn.Extent, id)
 			if psn != nil && !isAttrName(tag) {
-				fanTotal[psn.ID]++
+				info(psn).fan++
 			}
 			stack = append(stack, sframe{id: id, sn: sn})
 		} else {
@@ -482,20 +523,15 @@ func (s *Store) deriveFromSuccinct() error {
 			if vord >= len(t.valIdx) {
 				return fmt.Errorf("storage: more text leaves than value refs")
 			}
-			f := &stack[len(stack)-1]
-			var vsn *SummaryNode
-			if isAttrName(s.Names[t.tags[f.id-1]]) {
-				vsn = f.sn
-			} else {
-				vsn = sum.child(f.sn, "#text", true)
-			}
-			if vsn.Container < 0 {
-				ci, ok := contByPath[vsn.Path()]
-				if !ok {
-					return fmt.Errorf("storage: no container for path %s", vsn.Path())
+			f := stack[len(stack)-1]
+			fi := info(f.sn)
+			if fi.text == nil {
+				var err error
+				if fi.text, err = textNode(f.sn); err != nil {
+					return err
 				}
-				vsn.Container = ci
 			}
+			vsn := fi.text
 			cont := s.Containers[vsn.Container]
 			idx := int(t.valIdx[vord])
 			if idx >= cont.Len() {
@@ -525,7 +561,7 @@ func (s *Store) deriveFromSuccinct() error {
 	for _, sn := range sum.Nodes() {
 		sn.Count = len(sn.Extent)
 		if sn.Count > 0 {
-			sn.AvgFan = float64(fanTotal[sn.ID]) / float64(sn.Count)
+			sn.AvgFan = float64(info(sn).fan) / float64(sn.Count)
 		}
 	}
 	return nil

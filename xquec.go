@@ -41,6 +41,7 @@
 package xquec
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -249,12 +250,16 @@ func isManifest(path string) (bool, error) {
 // manifest only references its shard/segment files, it does not contain
 // them, so OpenBytes rejects one with a typed ErrCorruptRepository
 // explaining the mismatch instead of failing on the magic check.
+//
+// The Database does not retain data: the store keeps its record values
+// as sub-slices of the buffer it loads from, so OpenBytes loads from a
+// copy (Open reads the file into a buffer of its own and needs none).
 func OpenBytes(data []byte) (*Database, error) {
 	if noun := partition.SniffManifest(data); noun != "" {
 		return nil, tagErr(ErrCorruptRepository, fmt.Errorf(
 			"xquec: load repository: data is a %s-set manifest, which references external %s files rather than containing them; open it from its path with Open", noun, noun))
 	}
-	s, err := storage.LoadBinary(data)
+	s, err := storage.LoadBinary(bytes.Clone(data))
 	if err != nil {
 		return nil, openErr(fmt.Errorf("xquec: load repository: %w", err))
 	}
