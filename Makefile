@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check build test race vet vet-unsafeptr loc bench-serve bench bench-query bench-par bench-codec bench-vm bench-succinct bench-succinct-smoke bench-diff bench-paper fuzz-smoke
+.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench bench-query bench-par bench-codec bench-vm bench-succinct bench-succinct-smoke bench-diff bench-paper fuzz-smoke
 
 # Measurement is not part of the gate: bench/ (BENCHMARK.json) owns it,
 # and the `bench` target below appends to tracked BENCH_*.json files.
-check: vet vet-unsafeptr build race bench-succinct-smoke ## tier-1: vet + build + race-clean tests + bench smoke
+check: vet vet-unsafeptr build bench-build race bench-succinct-smoke ## tier-1: vet + build + race-clean tests + bench smoke
 
 vet:
 	$(GO) vet ./...
@@ -20,6 +20,18 @@ vet-unsafeptr:
 
 build:
 	$(GO) build ./...
+
+# bench/ is a module of its own whose per-layer probes call internal
+# signatures (algebra.Descendants, algebra.SemiJoinAncestor,
+# Store.ParentBulk, KWayHeap): build and vet it here so a change to one
+# fails at tier-1 time, not at the next benchmark run. Nothing is run, and
+# the toolchain writes only under .bench_build/, as bench/run.sh has it.
+BENCH_BUILD = $(CURDIR)/.bench_build
+bench-build:
+	mkdir -p $(BENCH_BUILD)/tmp
+	cd bench && GOCACHE=$(BENCH_BUILD)/gocache GOTMPDIR=$(BENCH_BUILD)/tmp GOPATH=$(BENCH_BUILD)/gopath \
+		XDG_CONFIG_HOME=$(BENCH_BUILD)/config GOENV=off GOTOOLCHAIN=local GOWORK=off \
+		sh -c '$(GO) build ./... && $(GO) vet ./...'
 
 test:
 	$(GO) test ./...

@@ -225,6 +225,40 @@ func Descendants(s *storage.Store, in NodeSet, extent NodeSet) NodeSet {
 	return SortUnique(out)
 }
 
+// Within is the single-interval form of Descendants: extent ∩ [lo, hi]
+// as a sub-slice of extent (no copy). pos, when non-nil, holds where the
+// previous lookup over the same extent started; as long as intervals
+// ascend — FOR bindings do — the search gallops forward from there
+// instead of bisecting the whole extent, and any other interval falls
+// back to a search from the front.
+func Within(extent NodeSet, lo, hi storage.NodeID, pos *int) NodeSet {
+	from := 0
+	if pos != nil && *pos <= len(extent) && (*pos == 0 || extent[*pos-1] < lo) {
+		from = *pos
+	}
+	start := gallop(extent, from, lo)
+	if pos != nil {
+		*pos = start
+	}
+	return extent[start:gallop(extent, start, hi+1)]
+}
+
+// gallop returns the first index i >= from with extent[i] >= v, given
+// that everything before from is smaller: doubling steps bracket the
+// answer, a binary search inside the bracket pins it.
+func gallop(extent NodeSet, from int, v storage.NodeID) int {
+	lo, hi, step := from, from, 1
+	for hi < len(extent) && extent[hi] < v {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	if hi > len(extent) {
+		hi = len(extent)
+	}
+	return lo + sort.Search(hi-lo, func(k int) bool { return extent[lo+k] >= v })
+}
+
 // SemiJoinAncestor returns the input (outer) nodes whose subtree
 // contains at least one inner node — a structural semi-join via a
 // linear merge over the pre/post intervals.
@@ -450,30 +484,14 @@ func JoinContainers(a, b *storage.Container) ([]Pair, bool, error) {
 	return pairs, false, err
 }
 
-// TextContent pairs each input node with its immediate text value,
+// TextContentEach pairs each input node with its immediate text value,
 // decoded. In the paper this is a hash join between element IDs and a
 // ContScan; our node records keep direct value pointers, so it is a
 // pointer chase with one decode per value (still the only decompression
-// point).
-func TextContent(s *storage.Store, in NodeSet) ([]string, error) {
-	out := make([]string, len(in))
-	i := 0
-	err := TextContentEach(s, in, func(text string) bool {
-		out[i] = text
-		i++
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// TextContentEach is the pull-friendly form of TextContent: it decodes
-// the text value of one input node at a time and hands it to fn,
-// stopping early when fn returns false. A consumer that abandons the
-// iteration after N values therefore never decompresses value N+1 —
-// the operator-level half of the streaming-result contract.
+// point). It hands one value at a time to fn, stopping early when fn
+// returns false: a consumer that abandons the iteration after N values
+// never decompresses value N+1 — the operator-level half of the
+// streaming-result contract.
 func TextContentEach(s *storage.Store, in NodeSet, fn func(text string) bool) error {
 	sc := storage.NewScratch()
 	defer sc.Release()

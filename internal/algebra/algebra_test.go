@@ -256,7 +256,11 @@ func TestJoinDuplicates(t *testing.T) {
 func TestTextContent(t *testing.T) {
 	s := load(t, nil)
 	names := extent(t, s, "/site/people/person/name")
-	texts, err := TextContent(s, names)
+	var texts []string
+	err := TextContentEach(s, names, func(text string) bool {
+		texts = append(texts, text)
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,6 @@
 //     per-chunk owner lists in chunk order is exactly the owner list the
 //     serial scan appends in record order, so the final SortUnique sees
 //     the same multiset and returns the same set.
-//   - DescendantsPar cuts the input set at subtree boundaries (a chunk
-//     is extended until the next node falls outside every subtree seen
-//     so far), so chunk outputs are disjoint ascending blocks and plain
-//     concatenation already restores the full ordered set.
 //   - SemiJoinAncestorPar / MapToAncestorInPar exploit that the serial
 //     merge pointer is, at every element, exactly a lower bound over the
 //     other side; chunking one side and re-seeding the pointer with a
@@ -117,66 +113,6 @@ func ContEqPar(c *storage.Container, probe []byte, par int) (NodeSet, error) {
 		return ContEq(c, probe)
 	}
 	return ContFilterPar(c, par, func(plain []byte) bool { return bytes.Equal(plain, probe) })
-}
-
-// span is a half-open index range into a NodeSet.
-type span struct{ lo, hi int }
-
-// cutSubtreeChunks splits in into about `parts` contiguous chunks whose
-// boundaries fall between subtrees: a chunk keeps extending while the
-// next node still lies inside some subtree already in the chunk, so the
-// descendant ranges of distinct chunks cannot overlap.
-func cutSubtreeChunks(s *storage.Store, in NodeSet, parts int) []span {
-	target := (len(in) + parts - 1) / parts
-	ends := make([]storage.NodeID, len(in))
-	s.SubtreeEndBulk(in, ends)
-	spans := make([]span, 0, parts)
-	lo := 0
-	for lo < len(in) {
-		hi := lo + target
-		if hi >= len(in) {
-			spans = append(spans, span{lo, len(in)})
-			break
-		}
-		var end storage.NodeID
-		for k := lo; k < hi; k++ {
-			if ends[k] > end {
-				end = ends[k]
-			}
-		}
-		for hi < len(in) && in[hi] <= end {
-			if ends[hi] > end {
-				end = ends[hi]
-			}
-			hi++
-		}
-		spans = append(spans, span{lo, hi})
-		lo = hi
-	}
-	return spans
-}
-
-// DescendantsPar is Descendants with the input set split at subtree
-// boundaries across up to par workers. Each chunk's output is an
-// ordered set lying strictly before every later chunk's output, so the
-// chunk outputs concatenate into the full ordered set without
-// re-sorting. Byte-identical to Descendants at every par.
-func DescendantsPar(s *storage.Store, in NodeSet, extent NodeSet, par int) NodeSet {
-	parts := partitionCount(par, len(extent), MinNodesPerPartition)
-	if parts <= 1 || len(in) < 2 {
-		return Descendants(s, in, extent)
-	}
-	spans := cutSubtreeChunks(s, in, parts)
-	if len(spans) < 2 {
-		return Descendants(s, in, extent)
-	}
-	xpar.NoteScan(len(spans))
-	chunks := make([]NodeSet, len(spans))
-	_ = xpar.ForEach(len(spans), len(spans), func(p int) error {
-		chunks[p] = Descendants(s, in[spans[p].lo:spans[p].hi], extent)
-		return nil
-	})
-	return concat(chunks)
 }
 
 // SemiJoinAncestorPar is SemiJoinAncestor with the outer set split into

@@ -51,7 +51,6 @@ func BenchmarkStructuralJoinPar(b *testing.B) {
 	s := syntheticStore(n)
 	outer := nonNestingSubset(s, everyKth(n, 3))
 	inner := everyKth(n, 7)
-	extent := everyKth(n, 2)
 
 	oldN := MinNodesPerPartition
 	MinNodesPerPartition = 1024
@@ -62,14 +61,6 @@ func BenchmarkStructuralJoinPar(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				SemiJoinAncestorPar(s, outer, inner, par)
-			}
-		})
-	}
-	for _, par := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("descendants/p=%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				DescendantsPar(s, outer, extent, par)
 			}
 		})
 	}

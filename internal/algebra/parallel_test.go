@@ -107,19 +107,13 @@ func TestStructuralParMatchesSerial(t *testing.T) {
 		for id := storage.NodeID(1); int(id) <= s.NumNodes(); id++ {
 			all = append(all, id)
 		}
-		in := randomSubset(rng, all, 0.4)     // may nest
-		extent := randomSubset(rng, all, 0.6) // candidate descendants
 		outer := randomSubset(rng, all, 0.35) // semi-join outer (may nest)
 		inner := randomSubset(rng, all, 0.5)  // semi-join inner
 		nonNest := nonNestingSubset(s, all)   // for MapToAncestorIn
 
-		wantD := Descendants(s, in, extent)
 		wantS := SemiJoinAncestor(s, outer, inner)
 		wantM := MapToAncestorIn(s, nonNest, inner)
 		for _, par := range []int{2, 3, 5, 16} {
-			if got := DescendantsPar(s, in, extent, par); !equalSets(got, wantD) {
-				t.Fatalf("seed=%d par=%d Descendants: got %v want %v", seed, par, got, wantD)
-			}
 			if got := SemiJoinAncestorPar(s, outer, inner, par); !equalSets(got, wantS) {
 				t.Fatalf("seed=%d par=%d SemiJoinAncestor: got %v want %v", seed, par, got, wantS)
 			}

@@ -302,31 +302,36 @@ func (e *Engine) evalFLWOR(x *xquery.FLWOR, env *scope) (Seq, error) {
 	if err := walk(0, env); err != nil {
 		return nil, err
 	}
-	if x.OrderBy != nil {
-		order := make([]int, len(keys))
-		for i := range order {
-			order[i] = i
-		}
-		less := func(a, b int) bool { return orderKeyLess(keys[order[a]], keys[order[b]]) }
-		if x.OrderDesc {
-			inner := less
-			less = func(a, b int) bool { return inner(b, a) }
-		}
-		sort.SliceStable(order, less)
-		for _, i := range order {
-			out = append(out, tuples[i]...)
-		}
+	for _, i := range sortedOrder(keys, x.OrderDesc) {
+		out = append(out, tuples[i]...)
 	}
 	return out, nil
 }
 
-func orderKeyLess(a, b string) bool {
-	fa, ea := strconv.ParseFloat(strings.TrimSpace(a), 64)
-	fb, eb := strconv.ParseFloat(strings.TrimSpace(b), 64)
-	if ea == nil && eb == nil {
-		return fa < fb
+// sortedOrder is the engine's ORDER BY rule, restated: one comparison
+// for the whole sort — numeric when every key is a number, plain string
+// order otherwise — applied stably.
+func sortedOrder(keys []string, desc bool) []int {
+	order := make([]int, len(keys))
+	nums := make([]float64, len(keys))
+	numeric := true
+	for i, k := range keys {
+		order[i] = i
+		if numeric {
+			f, err := strconv.ParseFloat(strings.TrimSpace(k), 64)
+			nums[i], numeric = f, err == nil && f == f
+		}
 	}
-	return a < b
+	sort.SliceStable(order, func(a, b int) bool {
+		if desc {
+			a, b = b, a
+		}
+		if numeric {
+			return nums[order[a]] < nums[order[b]]
+		}
+		return keys[order[a]] < keys[order[b]]
+	})
+	return order
 }
 
 // evalPath walks the DOM.

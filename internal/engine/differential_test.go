@@ -6,13 +6,14 @@ import (
 	"strings"
 	"testing"
 
-	"xquec/internal/baselines/galaxlike"
 	"xquec/internal/storage"
 )
 
 // randomDoc builds a random record-shaped document: groups of entries
-// with string/int/decimal fields, attributes and occasional nesting —
-// enough variety to exercise paths, predicates, joins and aggregates.
+// with string/int/decimal fields and attributes on several levels, mixed
+// content, and recursive nesting — entry inside entry, nested inside
+// nested — so a variable bound over //entry or //nested has a summary
+// set that is not an antichain.
 func randomDoc(rng *rand.Rand) []byte {
 	var sb strings.Builder
 	sb.WriteString("<root>")
@@ -20,21 +21,42 @@ func randomDoc(rng *rand.Rand) []byte {
 	for g := 0; g < nGroups; g++ {
 		fmt.Fprintf(&sb, `<group id="g%d">`, g)
 		for e := 0; e < rng.Intn(8); e++ {
-			fmt.Fprintf(&sb, `<entry key="k%d">`, rng.Intn(5))
-			fmt.Fprintf(&sb, "<label>%s</label>", []string{"alpha", "beta", "gamma", "delta"}[rng.Intn(4)])
-			fmt.Fprintf(&sb, "<num>%d</num>", rng.Intn(100))
-			if rng.Intn(2) == 0 {
-				fmt.Fprintf(&sb, "<price>%d.%02d</price>", rng.Intn(50), rng.Intn(100))
-			}
-			if rng.Intn(3) == 0 {
-				fmt.Fprintf(&sb, "<nested><label>%s</label></nested>", []string{"x", "y"}[rng.Intn(2)])
-			}
-			sb.WriteString("</entry>")
+			randomEntry(&sb, rng, 0)
 		}
 		sb.WriteString("</group>")
 	}
 	sb.WriteString("</root>")
 	return []byte(sb.String())
+}
+
+func randomEntry(sb *strings.Builder, rng *rand.Rand, depth int) {
+	fmt.Fprintf(sb, `<entry key="k%d">`, rng.Intn(5))
+	if rng.Intn(4) == 0 {
+		sb.WriteString("memo ") // mixed content
+	}
+	fmt.Fprintf(sb, "<label>%s</label>", []string{"alpha", "beta", "gamma", "delta"}[rng.Intn(4)])
+	fmt.Fprintf(sb, "<num>%d</num>", rng.Intn(100))
+	if rng.Intn(2) == 0 {
+		fmt.Fprintf(sb, "<price>%d.%02d</price>", rng.Intn(50), rng.Intn(100))
+	}
+	for n := rng.Intn(3); n > 0; n-- {
+		randomNested(sb, rng, 0)
+	}
+	if depth < 2 && rng.Intn(3) == 0 {
+		randomEntry(sb, rng, depth+1)
+	}
+	if rng.Intn(4) == 0 {
+		sb.WriteString(" tail")
+	}
+	sb.WriteString("</entry>")
+}
+
+func randomNested(sb *strings.Builder, rng *rand.Rand, depth int) {
+	fmt.Fprintf(sb, `<nested key="n%d"><label>%s</label>`, rng.Intn(3), []string{"x", "y"}[rng.Intn(2)])
+	if depth < 2 && rng.Intn(3) == 0 {
+		randomNested(sb, rng, depth+1)
+	}
+	sb.WriteString("</nested>")
 }
 
 // queryBattery is the fixed set of query shapes run on every random
@@ -61,55 +83,33 @@ var queryBattery = []string{
 	`min(//entry/num)`,
 	`(count(//group), count(//label), count(//price))`,
 	`FOR $a IN //entry, $b IN //entry WHERE $a/num = $b/num RETURN $a/@key`,
-}
-
-// TestRandomDifferential compares the compressed engine against the DOM
-// reference on random documents for every query in the battery and
-// every compression plan.
-func TestRandomDifferential(t *testing.T) {
-	plans := []*storage.CompressionPlan{
-		nil,
-		{DefaultAlgorithm: storage.AlgHuffman},
-		{DefaultAlgorithm: storage.AlgHuTucker},
-	}
-	rng := rand.New(rand.NewSource(20040315))
-	trials := 25
-	if testing.Short() {
-		trials = 5
-	}
-	for trial := 0; trial < trials; trial++ {
-		doc := randomDoc(rng)
-		ref := galaxlike.New(doc)
-		plan := plans[trial%len(plans)]
-		s, err := storage.Load(doc, storage.LoadOptions{Plan: plan})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		eng := New(s)
-		for qi, q := range queryBattery {
-			got, gerr := eng.Query(q)
-			want, werr := ref.Query(q)
-			if (gerr == nil) != (werr == nil) {
-				t.Fatalf("trial %d query %d error mismatch: engine=%v reference=%v\nquery: %s\ndoc: %s",
-					trial, qi, gerr, werr, q, doc)
-			}
-			if gerr != nil {
-				continue
-			}
-			gs, err := got.SerializeXML()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ws, err := want.SerializeXML()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gs != ws {
-				t.Fatalf("trial %d query %d differs\nquery: %s\nengine:    %q\nreference: %q\ndoc: %s",
-					trial, qi, q, gs, ws, doc)
-			}
-		}
-	}
+	// Variable-rooted paths: the summary-extent range lookup where the
+	// variable's summary set is an antichain ($g, and $e over one level
+	// of entries), the step-by-step route where it is not ($e over
+	// //entry, $n over //nested).
+	`FOR $e IN //entry RETURN $e/label/text()`,
+	`FOR $e IN //entry RETURN <e>{$e//label/text()}</e>`,
+	`FOR $e IN //entry RETURN $e/nested/label`,
+	`FOR $e IN /root/group/entry RETURN <e k="{$e/@key}" n="{$e/nested/@key}">{$e/*}</e>`,
+	`FOR $e IN //entry RETURN <e k="{$e/@key}">{$e/*}</e>`,
+	`FOR $e IN //entry RETURN $e/text()`,
+	`FOR $n IN //nested RETURN <n k="{$n/@key}">{$n/nested/label/text()}</n>`,
+	`FOR $n IN //nested RETURN count($n//nested)`,
+	`FOR $g IN /root/group RETURN $g/entry[1]/num/text()`,
+	`FOR $g IN /root/group RETURN $g/entry[last()]/@key`,
+	`FOR $g IN /root/group RETURN $g/entry[2]/label`,
+	`FOR $g IN /root/group RETURN $g/entry/nested[1]/label`,
+	`FOR $e IN //entry RETURN $e/entry[1]/nested[last()]/label/text()`,
+	`FOR $g IN /root/group RETURN $g//entry/num/text()`,
+	`FOR $g IN /root/group
+	 LET $l := FOR $e IN $g/entry RETURN $e/nested[1]/label/text()
+	 RETURN <g n="{count($l)}">{$l}</g>`,
+	`FOR $g IN /root/group
+	 LET $l := FOR $e IN $g//entry WHERE $e/num >= 30 RETURN $e/entry/label
+	 RETURN count($l)`,
+	`FOR $e IN //entry WHERE empty($e/price/text()) RETURN count($e/nested/label)`,
+	`FOR $e IN //entry WHERE exists($e/entry) AND count($e//nested) > 1 RETURN $e/@key`,
+	`FOR $e IN /root/group/entry ORDER BY $e/label RETURN $e/label/text()`,
 }
 
 // TestRandomDifferentialAfterReload repeats a slice of the battery on a

@@ -21,6 +21,16 @@ type Engine struct {
 	// so correlated nested FLWORs (the Q8/Q9 shape) build the join once
 	// instead of rescanning per outer binding.
 	joinIdx map[*xquery.Cmp]*joinIndex
+	// plans holds what the compiler derived once for the whole program;
+	// paths and flwors memoise the same per expression for this run
+	// (everything the program did not cover, plus each path's galloping
+	// positions), so a tuple never re-plans.
+	plans  *Plans
+	paths  map[*xquery.PathExpr]*pathCursor
+	flwors map[*xquery.FLWOR]*FLWORPlan
+	// endOf/end remember the last SubtreeEnd answer: the paths of one
+	// tuple ask for the same binding's interval one after the other.
+	endOf, end storage.NodeID
 	// ctx, when non-nil, is polled in the evaluation loop so timeouts
 	// and client disconnects abort long evaluations mid-stream.
 	ctx      context.Context
@@ -28,8 +38,10 @@ type Engine struct {
 	canceled error
 	// sbuf is the reusable decode buffer for stringValue: one evaluation
 	// atomizes many nodes, and the engine is single-goroutine, so one
-	// buffer serves them all without per-call allocation.
-	sbuf []byte
+	// buffer serves them all without per-call allocation. abuf is its
+	// twin for the attribute value a constructor is assembling. Both are
+	// valid until the next decode; whatever is emitted is copied out.
+	sbuf, abuf []byte
 	// par is the intra-query worker budget for the partitioned operators
 	// (decoding scans, structural joins, container fan-outs). 1 = serial.
 	// Only pure container/summary reads run on workers; the engine's own
@@ -50,7 +62,16 @@ type Engine struct {
 // New returns an engine over the store. Evaluation is serial until
 // WithParallelism grants a worker budget.
 func New(s *storage.Store) *Engine {
-	return &Engine{store: s, joinIdx: map[*xquery.Cmp]*joinIndex{}, par: 1}
+	e := &Engine{store: s, par: 1}
+	e.resetRun()
+	return e
+}
+
+// resetRun drops every per-evaluation memo (the FLWOR-only ones are
+// made on first use: a point lookup has no FLWOR).
+func (e *Engine) resetRun() {
+	e.paths = map[*xquery.PathExpr]*pathCursor{}
+	e.joinIdx, e.flwors, e.canceled = nil, nil, nil
 }
 
 // WithContext arms the engine's cancellation checks with ctx and
@@ -105,8 +126,7 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) 
 
 // Eval evaluates a parsed query.
 func (e *Engine) Eval(expr xquery.Expr) (*Result, error) {
-	e.joinIdx = map[*xquery.Cmp]*joinIndex{}
-	e.canceled = nil
+	e.resetRun()
 	if e.ctx != nil {
 		// Check once up front so an already-expired deadline fails
 		// deterministically, before any evaluation work.
@@ -145,38 +165,85 @@ func (e *Engine) checkCancel() error {
 	}
 }
 
-// env is the evaluation environment: variable bindings, the context
-// item, and — for the compressed-domain fast paths — the summary nodes
-// each variable's bindings are instances of.
+// binding is one variable's slot in a scope. A FOR clause creates it once
+// and rewrites it per tuple, so binding a tuple allocates nothing: node
+// values stay unboxed (ids, backed by one for a single FOR item), and a
+// value is boxed into a Seq only where an expression asks for it.
+type binding struct {
+	seq  Seq             // generic value (LET over atoms or fragments)
+	ids  algebra.NodeSet // document-ordered node value; non-nil replaces seq
+	item Item            // single non-node FOR item; non-nil replaces seq
+	one  [1]storage.NodeID
+	sums []*storage.SummaryNode
+}
+
+func (b *binding) set(it Item) {
+	if id, isNode := it.(storage.NodeID); isNode {
+		b.setNode(id)
+		return
+	}
+	b.ids, b.item = nil, it
+}
+
+func (b *binding) setNode(id storage.NodeID) {
+	b.one[0] = id
+	b.ids, b.item = b.one[:], nil
+}
+
+// value boxes the binding. The result is a fresh sequence unless the
+// binding holds an immutable LET value, so callers may keep it across
+// tuples.
+func (b *binding) value() Seq {
+	switch {
+	case b.ids != nil:
+		out := make(Seq, len(b.ids))
+		for i, id := range b.ids {
+			out[i] = id
+		}
+		return out
+	case b.item != nil:
+		return Seq{b.item}
+	}
+	return b.seq
+}
+
+// scope is the evaluation environment: variable bindings, the context
+// node (0 when there is none), and — for the compressed-domain fast
+// paths — the summary nodes each is an instance of. One scope serves a
+// whole evaluation: clauses bind in place and restore what they
+// shadowed on the way out.
 type scope struct {
-	vars    map[string]Seq
-	varSums map[string][]*storage.SummaryNode
-	ctx     Item
+	vars    map[string]*binding
+	ctx     [1]storage.NodeID
 	ctxSums []*storage.SummaryNode
 }
 
-func newScope() *scope {
-	return &scope{vars: map[string]Seq{}, varSums: map[string][]*storage.SummaryNode{}}
+func newScope() *scope { return &scope{vars: map[string]*binding{}} }
+
+// bind installs a fresh slot for name and returns it with the one it
+// shadows, which unbind puts back.
+func (v *scope) bind(name string, sums []*storage.SummaryNode) (b, shadowed *binding) {
+	shadowed = v.vars[name]
+	b = &binding{sums: sums}
+	v.vars[name] = b
+	return b, shadowed
 }
 
-func (v *scope) clone() *scope {
-	nv := newScope()
-	for k, val := range v.vars {
-		nv.vars[k] = val
+func (v *scope) unbind(name string, shadowed *binding) {
+	if shadowed == nil {
+		delete(v.vars, name)
+	} else {
+		v.vars[name] = shadowed
 	}
-	for k, val := range v.varSums {
-		nv.varSums[k] = val
-	}
-	nv.ctx = v.ctx
-	nv.ctxSums = v.ctxSums
-	return nv
 }
 
-func (v *scope) withCtx(it Item, sums []*storage.SummaryNode) *scope {
-	nv := v.clone()
-	nv.ctx = it
-	nv.ctxSums = sums
-	return nv
+// ctxValue boxes the context item (a nil item when there is none, which
+// every consumer rejects as a non-node).
+func (v *scope) ctxValue() Seq {
+	if v.ctx[0] == 0 {
+		return Seq{nil}
+	}
+	return Seq{v.ctx[0]}
 }
 
 // eval dispatches on the AST.
@@ -191,13 +258,13 @@ func (e *Engine) eval(expr xquery.Expr, env *scope) (Seq, error) {
 		return Seq{x.Val}, nil
 	case *xquery.VarRef:
 		if x.Name == "." {
-			return Seq{env.ctx}, nil
+			return env.ctxValue(), nil
 		}
-		s, ok := env.vars[x.Name]
+		b, ok := env.vars[x.Name]
 		if !ok {
 			return nil, fmt.Errorf("engine: unbound variable $%s", x.Name)
 		}
-		return s, nil
+		return b.value(), nil
 	case *xquery.Sequence:
 		var out Seq
 		for _, item := range x.Items {
@@ -211,11 +278,8 @@ func (e *Engine) eval(expr xquery.Expr, env *scope) (Seq, error) {
 	case *xquery.PathExpr:
 		return e.evalPath(x, env)
 	case *xquery.Cmp:
-		b, err := e.evalCmp(x, env)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{b}, nil
+		b, err := e.evalBool(x, env)
+		return Seq{b}, err
 	case *xquery.Logic:
 		lb, err := e.evalBool(x.Left, env)
 		if err != nil {
@@ -245,6 +309,17 @@ func (e *Engine) eval(expr xquery.Expr, env *scope) (Seq, error) {
 }
 
 func (e *Engine) evalBool(expr xquery.Expr, env *scope) (bool, error) {
+	// The per-tuple filters of the XMark queries are comparisons and
+	// emptiness tests: answer those without a one-item sequence.
+	switch x := expr.(type) {
+	case *xquery.Cmp:
+		return e.evalCmp(x, env)
+	case *xquery.Call:
+		if x.Name == "empty" || x.Name == "exists" {
+			n, err := e.argLen(x, env)
+			return (n == 0) == (x.Name == "empty"), err
+		}
+	}
 	v, err := e.eval(expr, env)
 	if err != nil {
 		return false, err
@@ -323,41 +398,74 @@ func (e *Engine) evalNum(expr xquery.Expr, env *scope) (float64, error) {
 	return f, nil
 }
 
-// evalCtor builds a Fragment.
+// evalCtor builds a Fragment. Attribute values are assembled in abuf
+// (detached while in use, so a nested constructor cannot clobber it) and
+// path-valued content goes straight into the fragment.
 func (e *Engine) evalCtor(x *xquery.ElementCtor, env *scope) (Seq, error) {
 	frag := &Fragment{Name: x.Name}
-	for _, a := range x.Attrs {
-		var sb strings.Builder
-		for _, part := range a.Value {
-			v, err := e.eval(part, env)
-			if err != nil {
-				return nil, err
+	if len(x.Attrs) > 0 {
+		frag.Attrs = make([]FragAttr, 0, len(x.Attrs))
+		buf := e.abuf
+		e.abuf = nil
+		for _, a := range x.Attrs {
+			buf = buf[:0]
+			for _, part := range a.Value {
+				var err error
+				if buf, err = e.appendAtoms(buf, part, env); err != nil {
+					return nil, err
+				}
 			}
-			atoms, err := e.atomize(v)
-			if err != nil {
-				return nil, err
-			}
-			sb.WriteString(strings.Join(atoms, " "))
+			frag.Attrs = append(frag.Attrs, FragAttr{Name: a.Name, Value: string(buf)})
 		}
-		frag.Attrs = append(frag.Attrs, FragAttr{Name: a.Name, Value: sb.String()})
+		e.abuf = buf
 	}
 	for _, c := range x.Content {
-		if lit, isLit := c.(*xquery.StringLit); isLit {
+		var err error
+		switch c := c.(type) {
+		case *xquery.StringLit:
 			// Whitespace-only literal chunks between constructor items
 			// are boilerplate, not data.
-			if strings.TrimSpace(lit.Val) == "" {
-				continue
+			if strings.TrimSpace(c.Val) != "" {
+				frag.Content = append(frag.Content, c.Val)
 			}
-			frag.Content = append(frag.Content, lit.Val)
-			continue
+		case *xquery.PathExpr:
+			frag.Content, err = e.appendPath(frag.Content, c, env)
+		default:
+			var v Seq
+			v, err = e.eval(c, env)
+			frag.Content = append(frag.Content, v...)
 		}
-		v, err := e.eval(c, env)
 		if err != nil {
 			return nil, err
 		}
-		frag.Content = append(frag.Content, v...)
 	}
 	return Seq{frag}, nil
+}
+
+// appendAtoms appends the space-joined string values of x's items to
+// dst; path results are decoded straight from the store.
+func (e *Engine) appendAtoms(dst []byte, x xquery.Expr, env *scope) ([]byte, error) {
+	if p, isPath := x.(*xquery.PathExpr); isPath {
+		st, textTail, err := e.evalPathNodes(p, env)
+		textTail = textTail || leafOnly(st.sums)
+		for i := 0; err == nil && i < len(st.nodes); i++ {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst, err = e.appendNodeValue(dst, st.nodes[i], textTail)
+		}
+		return dst, err
+	}
+	v, err := e.eval(x, env)
+	for i := 0; err == nil && i < len(v); i++ {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		var a string
+		a, err = e.stringValue(v[i])
+		dst = append(dst, a...)
+	}
+	return dst, err
 }
 
 // evalBindingSeq evaluates a FOR/LET source. When the source is a node
@@ -365,52 +473,38 @@ func (e *Engine) evalCtor(x *xquery.ElementCtor, env *scope) (Seq, error) {
 // avoid boxing and re-sorting the domain; otherwise the generic
 // sequence is returned.
 func (e *Engine) evalBindingSeq(expr xquery.Expr, env *scope) (Seq, algebra.NodeSet, []*storage.SummaryNode, error) {
-	return e.bindingSeqPre(expr, env, nil)
-}
-
-// bindingSeqPre is evalBindingSeq with optional precomputed per-step
-// summary targets for the path case (see evalPathNodesPre).
-func (e *Engine) bindingSeqPre(expr xquery.Expr, env *scope, pre [][]*storage.SummaryNode) (Seq, algebra.NodeSet, []*storage.SummaryNode, error) {
-	if p, isPath := expr.(*xquery.PathExpr); isPath {
-		st, textTail, err := e.evalPathNodesPre(p, env, pre)
+	switch x := expr.(type) {
+	case *xquery.PathExpr:
+		st, textTail, err := e.evalPathNodes(x, env)
 		if err != nil {
-			if err == errNonNodePath {
-				v, err2 := e.eval(expr, env)
-				return v, nil, nil, err2
-			}
 			return nil, nil, nil, err
 		}
 		if textTail {
-			texts, err := algebra.TextContent(e.store, st.nodes)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			seq := make(Seq, len(texts))
-			for i, t := range texts {
-				seq[i] = t
-			}
-			return seq, nil, nil, nil
+			seq, err := e.appendTexts(nil, st.nodes)
+			return seq, nil, nil, err
 		}
 		if st.nodes == nil {
 			st.nodes = algebra.NodeSet{}
 		}
 		return nil, st.nodes, st.sums, nil
+	case *xquery.VarRef:
+		// Propagate summary knowledge through plain variable references.
+		// The node-set fast path applies only when the sequence is already
+		// in document order: FOR must preserve the bound sequence's order
+		// (it may carry a deliberate ORDER BY arrangement).
+		if b := env.vars[x.Name]; b != nil {
+			ids := b.ids
+			if ids == nil {
+				ids, _ = docOrderedNodeSeq(b.seq)
+			}
+			if len(ids) > 0 {
+				return nil, ids, b.sums, nil
+			}
+			return b.value(), nil, b.sums, nil
+		}
 	}
 	v, err := e.eval(expr, env)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// Propagate summary knowledge through plain variable references.
-	// The node-set fast path applies only when the sequence is already
-	// in document order: FOR must preserve the bound sequence's order
-	// (it may carry a deliberate ORDER BY arrangement).
-	if vr, isVar := expr.(*xquery.VarRef); isVar {
-		if ids, ok := docOrderedNodeSeq(v); ok && len(ids) > 0 {
-			return nil, ids, env.varSums[vr.Name], nil
-		}
-		return v, nil, env.varSums[vr.Name], nil
-	}
-	return v, nil, nil, nil
+	return v, nil, nil, err
 }
 
 // docOrderedNodeSeq extracts the node IDs of a sequence only if they

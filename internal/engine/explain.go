@@ -70,7 +70,7 @@ func (e *Engine) explain(sb *strings.Builder, expr xquery.Expr, varSums map[stri
 }
 
 func (e *Engine) explainFLWOR(sb *strings.Builder, x *xquery.FLWOR, varSums map[string][]*storage.SummaryNode, depth int) {
-	plan := planFLWOR(x)
+	plan := PlanFLWOR(x)
 	local := map[string][]*storage.SummaryNode{}
 	for k, v := range varSums {
 		local[k] = v
@@ -93,17 +93,17 @@ func (e *Engine) explainFLWOR(sb *strings.Builder, x *xquery.FLWOR, varSums map[
 				e.explainFLWOR(sb, inner, local, depth+2)
 			}
 		}
-		for _, pd := range plan.pushdowns[ci] {
+		for _, pd := range plan.Pushdowns[ci] {
 			indent(sb, depth+2)
-			if pd.isLit {
+			if pd.IsLit {
 				sb.WriteString(e.describeLitPushdown(local[cl.Var], pd))
 			} else {
-				sb.WriteString(e.describeJoinPushdown(local[cl.Var], local[pd.otherVar], pd))
+				sb.WriteString(e.describeJoinPushdown(local[cl.Var], local[pd.OtherVar], pd))
 			}
 			sb.WriteByte('\n')
 		}
 	}
-	for _, c := range plan.residual {
+	for _, c := range plan.Residual {
 		indent(sb, depth+1)
 		fmt.Fprintf(sb, "WHERE (residual, tuple-at-a-time): %s\n", c)
 	}
@@ -112,25 +112,11 @@ func (e *Engine) explainFLWOR(sb *strings.Builder, x *xquery.FLWOR, varSums map[
 	e.explain(sb, x.Return, local, depth+2)
 }
 
-// staticPath resolves a path's summary nodes without touching extents.
+// staticPath resolves a path's summary nodes without touching extents;
+// exact mirrors pathState.exact.
 func (e *Engine) staticPath(p *xquery.PathExpr, varSums map[string][]*storage.SummaryNode) ([]*storage.SummaryNode, bool) {
-	var sums []*storage.SummaryNode
-	exact := false
-	if p.Var == "" {
-		exact = true
-	} else {
-		sums = varSums[p.Var]
-	}
-	for i, step := range p.Steps {
-		if step.Test == xquery.TestText {
-			break
-		}
-		sums = e.summaryTargets(sums, i == 0 && p.Var == "", step)
-		if len(step.Preds) > 0 {
-			exact = false
-		}
-	}
-	return sums, exact
+	pl := e.resolvePath(p, varSums[p.Var])
+	return pl.Sums(), pl.plain
 }
 
 func describeAccess(sums []*storage.SummaryNode, exact bool) string {
@@ -150,31 +136,31 @@ func describeAccess(sums []*storage.SummaryNode, exact bool) string {
 	return fmt.Sprintf("%s %s (%d nodes)", op, strings.Join(paths, " ∪ "), total)
 }
 
-func (e *Engine) describeLitPushdown(sums []*storage.SummaryNode, pd pushdown) string {
-	conts, _, ok := e.relValueTarget(sums, pd.rel)
+func (e *Engine) describeLitPushdown(sums []*storage.SummaryNode, pd Pushdown) string {
+	conts, _, ok := e.relValueTarget(sums, pd.Rel)
 	if !ok || len(conts) == 0 {
-		return fmt.Sprintf("pushdown %s: no container resolved, tuple-at-a-time fallback", pd.conj)
+		return fmt.Sprintf("pushdown %s: no container resolved, tuple-at-a-time fallback", pd.Conj)
 	}
 	var parts []string
 	for _, c := range conts {
 		props := c.Codec().Props()
 		mode := "decompressing ContScan"
 		switch {
-		case pd.op == "=" && props.Eq:
+		case pd.Op == "=" && props.Eq:
 			mode = "ContAccess eq on compressed bytes"
-		case pd.op != "=" && pd.op != "!=" && props.OrderPreserving:
+		case pd.Op != "=" && pd.Op != "!=" && props.OrderPreserving:
 			mode = "ContAccess range on compressed bytes"
 		}
 		parts = append(parts, fmt.Sprintf("%s [%s, %s]", c.Path, c.Codec().Name(), mode))
 	}
-	return fmt.Sprintf("pushdown %s -> %s", pd.conj, strings.Join(parts, "; "))
+	return fmt.Sprintf("pushdown %s -> %s", pd.Conj, strings.Join(parts, "; "))
 }
 
-func (e *Engine) describeJoinPushdown(sums, otherSums []*storage.SummaryNode, pd pushdown) string {
-	thisConts, _, ok1 := e.relValueTarget(sums, pd.relThis)
-	otherConts, _, ok2 := e.relValueTarget(otherSums, pd.relOther)
+func (e *Engine) describeJoinPushdown(sums, otherSums []*storage.SummaryNode, pd Pushdown) string {
+	thisConts, _, ok1 := e.relValueTarget(sums, pd.RelThis)
+	otherConts, _, ok2 := e.relValueTarget(otherSums, pd.RelOther)
 	if !ok1 || !ok2 || len(thisConts) == 0 || len(otherConts) == 0 {
-		return fmt.Sprintf("join %s: containers unresolved, tuple-at-a-time fallback", pd.conj)
+		return fmt.Sprintf("join %s: containers unresolved, tuple-at-a-time fallback", pd.Conj)
 	}
 	strategy := "HashJoin (decompress both sides)"
 	if algebra.SameModel(thisConts[0], otherConts[0]) &&
@@ -182,5 +168,5 @@ func (e *Engine) describeJoinPushdown(sums, otherSums []*storage.SummaryNode, pd
 		strategy = "MergeJoin on compressed bytes (shared source model)"
 	}
 	return fmt.Sprintf("join %s -> %s: %s ⋈ %s",
-		pd.conj, strategy, thisConts[0].Path, otherConts[0].Path)
+		pd.Conj, strategy, thisConts[0].Path, otherConts[0].Path)
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"maps"
+	"slices"
 	"sort"
 
 	"xquec/internal/algebra"
@@ -8,34 +10,36 @@ import (
 	"xquec/internal/xquery"
 )
 
-// pushdown is a WHERE conjunct statically assigned to a FOR clause: it
+// Pushdown is a WHERE conjunct statically assigned to a FOR clause: it
 // is applied while computing the clause's domain instead of as a
 // per-tuple filter. Each pushdown keeps the original conjunct so the
 // runtime can fall back to tuple-at-a-time evaluation when the
 // compressed-domain shape does not materialize (e.g. untracked summary
 // nodes).
-type pushdown struct {
-	conj *xquery.Cmp
+type Pushdown struct {
+	Conj *xquery.Cmp
 	// literal comparison: $v/rel op literal
-	isLit bool
-	rel   *xquery.PathExpr
-	op    string
-	lit   string
+	IsLit bool
+	Rel   *xquery.PathExpr
+	Op    string
+	Lit   string
 	// equality join: $v/relThis = $other/relOther
-	otherVar string
-	relThis  *xquery.PathExpr
-	relOther *xquery.PathExpr
+	OtherVar string
+	RelThis  *xquery.PathExpr
+	RelOther *xquery.PathExpr
 }
 
-// flworPlan is the static evaluation plan of one FLWOR.
-type flworPlan struct {
-	pushdowns map[int][]pushdown // clause index -> pushdowns
-	residual  []xquery.Expr      // conjuncts evaluated per tuple
+// FLWORPlan is the static evaluation plan of one FLWOR.
+type FLWORPlan struct {
+	Pushdowns map[int][]Pushdown // clause index -> pushdowns, in plan order
+	Residual  []xquery.Expr      // conjuncts evaluated per tuple
 }
 
-// planFLWOR assigns WHERE conjuncts to FOR clauses.
-func planFLWOR(x *xquery.FLWOR) *flworPlan {
-	plan := &flworPlan{pushdowns: map[int][]pushdown{}}
+// PlanFLWOR assigns WHERE conjuncts to FOR clauses; the VM compiler
+// lowers a top-level FLWOR from the same assignment the tree walker
+// evaluates.
+func PlanFLWOR(x *xquery.FLWOR) *FLWORPlan {
+	plan := &FLWORPlan{Pushdowns: map[int][]Pushdown{}}
 	clauseOf := map[string]int{}
 	for i, c := range x.Clauses {
 		if !c.Let {
@@ -45,15 +49,15 @@ func planFLWOR(x *xquery.FLWOR) *flworPlan {
 	for _, conj := range splitConjuncts(x.Where) {
 		cmp, isCmp := conj.(*xquery.Cmp)
 		if !isCmp {
-			plan.residual = append(plan.residual, conj)
+			plan.Residual = append(plan.Residual, conj)
 			continue
 		}
 		assigned := false
 		// literal comparison on a FOR variable of this FLWOR
 		for v, ci := range clauseOf {
 			if rel, lit, op, ok := splitVarCmp(cmp, v); ok {
-				plan.pushdowns[ci] = append(plan.pushdowns[ci], pushdown{
-					conj: cmp, isLit: true, rel: rel, op: op, lit: lit,
+				plan.Pushdowns[ci] = append(plan.Pushdowns[ci], Pushdown{
+					Conj: cmp, IsLit: true, Rel: rel, Op: op, Lit: lit,
 				})
 				assigned = true
 				break
@@ -71,25 +75,114 @@ func planFLWOR(x *xquery.FLWOR) *flworPlan {
 				ri, rIn := clauseOf[rp.Var]
 				switch {
 				case lIn && (!rIn || li >= ri):
-					plan.pushdowns[li] = append(plan.pushdowns[li], pushdown{
-						conj: cmp, otherVar: rp.Var,
-						relThis:  &xquery.PathExpr{Var: ".", Steps: lp.Steps},
-						relOther: &xquery.PathExpr{Var: ".", Steps: rp.Steps},
+					plan.Pushdowns[li] = append(plan.Pushdowns[li], Pushdown{
+						Conj: cmp, OtherVar: rp.Var,
+						RelThis:  &xquery.PathExpr{Var: ".", Steps: lp.Steps},
+						RelOther: &xquery.PathExpr{Var: ".", Steps: rp.Steps},
 					})
 					assigned = true
 				case rIn:
-					plan.pushdowns[ri] = append(plan.pushdowns[ri], pushdown{
-						conj: cmp, otherVar: lp.Var,
-						relThis:  &xquery.PathExpr{Var: ".", Steps: rp.Steps},
-						relOther: &xquery.PathExpr{Var: ".", Steps: lp.Steps},
+					plan.Pushdowns[ri] = append(plan.Pushdowns[ri], Pushdown{
+						Conj: cmp, OtherVar: lp.Var,
+						RelThis:  &xquery.PathExpr{Var: ".", Steps: rp.Steps},
+						RelOther: &xquery.PathExpr{Var: ".", Steps: lp.Steps},
 					})
 					assigned = true
 				}
 			}
 		}
 		if !assigned {
-			plan.residual = append(plan.residual, conj)
+			plan.Residual = append(plan.Residual, conj)
 		}
+	}
+	return plan
+}
+
+// Plans is what is derivable once per query and not per run: the
+// pushdown plan of each FLWOR and the resolved plan of each path whose
+// origin summary set is static. The compiler fills one per program;
+// runs only read it, so any number of them share it.
+type Plans struct {
+	flwors map[*xquery.FLWOR]*FLWORPlan
+	paths  map[*xquery.PathExpr]*PathPlan
+}
+
+// NewPlans returns an empty plan set for a compiler to fill.
+func NewPlans() *Plans {
+	return &Plans{paths: map[*xquery.PathExpr]*PathPlan{}}
+}
+
+// SizeBytes estimates the resident size of the plans, for the plan
+// cache's byte accounting: a few slices of summary-node pointers each.
+func (pl *Plans) SizeBytes() int { return 128*len(pl.flwors) + 192*len(pl.paths) }
+
+// PlanExpr records in pl the plan of every FLWOR and every path under
+// x, and returns the summary set of x's value when that is static (a
+// path without a text() tail, a variable). vars gives the summary sets
+// of the variables in scope, "." for the context; a set that turns out
+// different at run time only costs that path a re-resolution, so an
+// unknown variable may simply be absent.
+func (e *Engine) PlanExpr(pl *Plans, x xquery.Expr, vars map[string][]*storage.SummaryNode) []*storage.SummaryNode {
+	switch x := x.(type) {
+	case *xquery.VarRef:
+		return vars[x.Name]
+	case *xquery.PathExpr:
+		plan := e.resolvePath(x, vars[x.Var])
+		pl.paths[x] = plan
+		for i, step := range x.Steps {
+			if len(step.Preds) > 0 && i < len(plan.targets) {
+				inner := cloneVars(vars)
+				inner["."] = plan.targets[i]
+				for _, pred := range step.Preds {
+					e.PlanExpr(pl, pred, inner)
+				}
+			}
+		}
+		if len(plan.targets) < len(x.Steps) {
+			return nil // text() tail: the value is strings
+		}
+		return plan.Sums()
+	case *xquery.FLWOR:
+		if pl.flwors == nil {
+			pl.flwors = map[*xquery.FLWOR]*FLWORPlan{}
+		}
+		pl.flwors[x] = PlanFLWOR(x)
+		vars = cloneVars(vars)
+		for _, cl := range x.Clauses {
+			vars[cl.Var] = e.PlanExpr(pl, cl.Seq, vars)
+		}
+		for _, sub := range []xquery.Expr{x.Where, x.OrderBy, x.Return} {
+			e.PlanExpr(pl, sub, vars) // a nil part has no children
+		}
+		return nil
+	}
+	for _, sub := range xquery.Children(x) {
+		e.PlanExpr(pl, sub, vars)
+	}
+	return nil
+}
+
+func cloneVars(vars map[string][]*storage.SummaryNode) map[string][]*storage.SummaryNode {
+	out := make(map[string][]*storage.SummaryNode, len(vars)+1)
+	maps.Copy(out, vars)
+	return out
+}
+
+// flworPlanFor returns the pushdown plan of x: the program's, else this
+// run's memo.
+func (e *Engine) flworPlanFor(x *xquery.FLWOR) *FLWORPlan {
+	if e.plans != nil {
+		if plan := e.plans.flwors[x]; plan != nil {
+			return plan
+		}
+	}
+	plan := e.flwors[x]
+	if plan == nil {
+		if e.flwors == nil {
+			e.flwors = map[*xquery.FLWOR]*FLWORPlan{}
+		}
+		plan = PlanFLWOR(x)
+		e.flwors[x] = plan
 	}
 	return plan
 }
@@ -121,89 +214,71 @@ func (e *Engine) evalFLWOR(x *xquery.FLWOR, env *scope) (Seq, error) {
 // FLWOR has an ORDER BY, chunks are necessarily buffered and emitted
 // after the sort.
 //
+// Every clause binds its variable into env in place — one slot per
+// clause evaluation, rewritten per tuple — and restores what it
+// shadowed when its domain is exhausted.
+//
 // hook, when non-nil, observes the clause-0 FOR binding node before the
 // tuples derived from it are walked (the Engine.bindHook contract). It
 // is threaded explicitly — not read from the engine — so nested FLWORs
 // evaluated inside RETURN/WHERE (which go through evalFLWOR) never fire
 // the top-level hook.
 func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, hook func(storage.NodeID)) error {
-	plan := planFLWOR(x)
+	plan := e.flworPlanFor(x)
 	var tuples []Seq // buffered return chunks when ordering
 	var keys []string
 
-	var walk func(ci int, env *scope) error
-	walk = func(ci int, env *scope) error {
+	var walk func(ci int) error
+	// each walks the remaining clauses for the FOR item just bound.
+	each := func(ci int, b *binding, filters []xquery.Expr) error {
+		if ok, err := e.passAll(filters, env); err != nil || !ok {
+			return err
+		}
+		if hook != nil && ci == 0 && b.ids != nil {
+			hook(b.ids[0])
+		}
+		return walk(ci + 1)
+	}
+	walk = func(ci int) error {
 		if ci == len(x.Clauses) {
-			for _, c := range plan.residual {
-				ok, err := e.evalBool(c, env)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
+			if ok, err := e.passAll(plan.Residual, env); err != nil || !ok {
+				return err
 			}
 			v, err := e.eval(x.Return, env)
 			if err != nil {
 				return err
 			}
-			if x.OrderBy != nil {
-				kseq, err := e.eval(x.OrderBy, env)
-				if err != nil {
-					return err
-				}
-				katoms, err := e.atomize(kseq)
-				if err != nil {
-					return err
-				}
-				key := ""
-				if len(katoms) > 0 {
-					key = katoms[0]
-				}
-				keys = append(keys, key)
-				tuples = append(tuples, v)
-				return nil
+			if x.OrderBy == nil {
+				return emit(v)
 			}
-			return emit(v)
+			key, err := e.firstString(x.OrderBy, env)
+			if err != nil {
+				return err
+			}
+			keys = append(keys, key)
+			tuples = append(tuples, v)
+			return nil
 		}
 		cl := x.Clauses[ci]
 		seq, ids, sums, err := e.evalBindingSeq(cl.Seq, env)
 		if err != nil {
 			return err
 		}
+		b, shadowed := env.bind(cl.Var, sums)
+		defer env.unbind(cl.Var, shadowed)
 		if cl.Let {
-			sub := env.clone()
-			if ids != nil {
-				seq = make(Seq, len(ids))
-				for i, id := range ids {
-					seq[i] = id
-				}
-			}
-			sub.vars[cl.Var] = seq
-			sub.varSums[cl.Var] = sums
-			return walk(ci+1, sub)
+			b.seq, b.ids = seq, ids
+			return walk(ci + 1)
 		}
-		pds := plan.pushdowns[ci]
+		pds := plan.Pushdowns[ci]
 		if ids == nil {
 			var fallbackFilters []xquery.Expr
 			for _, pd := range pds {
-				fallbackFilters = append(fallbackFilters, pd.conj)
+				fallbackFilters = append(fallbackFilters, pd.Conj)
 			}
 			for _, it := range seq {
-				sub := env.clone()
-				sub.vars[cl.Var] = Seq{it}
-				sub.varSums[cl.Var] = sums
-				if ok, err := e.passAll(fallbackFilters, sub); err != nil {
-					return err
-				} else if !ok {
-					continue
-				}
-				if hook != nil && ci == 0 {
-					if id, isNode := it.(storage.NodeID); isNode {
-						hook(id)
-					}
-				}
-				if err := walk(ci+1, sub); err != nil {
+				b.set(it)
+				if err := each(ci, b, fallbackFilters); err != nil {
 					return err
 				}
 			}
@@ -212,8 +287,8 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 		cur := ids
 		var perTuple []xquery.Expr
 		for _, pd := range pds {
-			if pd.isLit {
-				owners, handled, err := e.matchOwners(sums, pd.rel, pd.op, pd.lit, e.par)
+			if pd.IsLit {
+				owners, handled, err := e.matchOwners(sums, pd.Rel, pd.Op, pd.Lit, e.par)
 				if err != nil {
 					return err
 				}
@@ -221,7 +296,7 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 					cur = algebra.SemiJoinAncestorPar(e.store, cur, owners, e.par)
 					continue
 				}
-				perTuple = append(perTuple, pd.conj)
+				perTuple = append(perTuple, pd.Conj)
 				continue
 			}
 			// join pushdown: restrict to the partners of the other
@@ -234,57 +309,52 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 				cur = restricted
 				continue
 			}
-			perTuple = append(perTuple, pd.conj)
+			perTuple = append(perTuple, pd.Conj)
 		}
 		for _, id := range cur {
-			sub := env.clone()
-			sub.vars[cl.Var] = Seq{id}
-			sub.varSums[cl.Var] = sums
-			if ok, err := e.passAll(perTuple, sub); err != nil {
-				return err
-			} else if !ok {
-				continue
-			}
-			if hook != nil && ci == 0 {
-				hook(id)
-			}
-			if err := walk(ci+1, sub); err != nil {
+			b.setNode(id)
+			if err := each(ci, b, perTuple); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(0, env); err != nil {
+	if err := walk(0); err != nil {
 		return err
 	}
-	if x.OrderBy != nil {
-		order := make([]int, len(keys))
-		for i := range order {
-			order[i] = i
-		}
-		less := func(a, b int) bool { return orderKeyLess(keys[order[a]], keys[order[b]]) }
-		if x.OrderDesc {
-			inner := less
-			less = func(a, b int) bool { return inner(b, a) }
-		}
-		sort.SliceStable(order, less)
-		for _, i := range order {
-			if err := emit(tuples[i]); err != nil {
-				return err
-			}
+	for _, i := range sortedOrder(keys, x.OrderDesc) {
+		if err := emit(tuples[i]); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// orderKeyLess sorts numerically when both keys are numbers.
-func orderKeyLess(a, b string) bool {
-	fa, oka := parseNum(a)
-	fb, okb := parseNum(b)
-	if oka && okb {
-		return fa < fb
+// sortedOrder returns the stable ORDER BY permutation of keys. The
+// comparison is decided once per sort — numeric when every key is a
+// number, plain string order otherwise — because a per-pair choice is
+// not an order on mixed keys ("2" < "10" < "1a" < "2").
+func sortedOrder(keys []string, desc bool) []int {
+	order := make([]int, len(keys))
+	nums := make([]float64, len(keys))
+	numeric := true
+	for i, k := range keys {
+		order[i] = i
+		if numeric { // the first non-number settles it; a failed parse allocates its error
+			f, ok := parseNum(k)
+			nums[i], numeric = f, ok && f == f
+		}
 	}
-	return a < b
+	sort.SliceStable(order, func(a, b int) bool {
+		if desc {
+			a, b = b, a
+		}
+		if numeric {
+			return nums[order[a]] < nums[order[b]]
+		}
+		return keys[order[a]] < keys[order[b]]
+	})
+	return order
 }
 
 func (e *Engine) passAll(filters []xquery.Expr, env *scope) (bool, error) {
@@ -301,32 +371,27 @@ func (e *Engine) passAll(filters []xquery.Expr, env *scope) (bool, error) {
 }
 
 // joinIndex maps nodes of the "other" side of an equality join to their
-// partner nodes on "this" side. Built once per (comparison, summary
-// fingerprint), it is what turns the Q8/Q9 correlated nested loops into
+// partner nodes on "this" side. Built once per comparison and pair of
+// summary sets, it is what turns the Q8/Q9 correlated nested loops into
 // a single container join.
 type joinIndex struct {
-	key     string
-	byOther map[storage.NodeID]algebra.NodeSet
-	merged  bool // true when the compressed merge join was used
+	sums, otherSums []*storage.SummaryNode
+	byOther         map[storage.NodeID]algebra.NodeSet
+	merged          bool // true when the compressed merge join was used
 }
 
 // applyJoin restricts cur (the domain of this clause's variable) to the
 // join partners of the other variable's current binding.
-func (e *Engine) applyJoin(pd pushdown, cur algebra.NodeSet, sums []*storage.SummaryNode, env *scope) (algebra.NodeSet, bool, error) {
-	otherSeq, bound := env.vars[pd.otherVar]
-	otherSums := env.varSums[pd.otherVar]
-	if !bound || len(otherSeq) != 1 || len(otherSums) == 0 || len(sums) == 0 {
+func (e *Engine) applyJoin(pd Pushdown, cur algebra.NodeSet, sums []*storage.SummaryNode, env *scope) (algebra.NodeSet, bool, error) {
+	other := env.vars[pd.OtherVar]
+	if other == nil || len(other.ids) != 1 || len(other.sums) == 0 || len(sums) == 0 {
 		return nil, false, nil
 	}
-	otherNode, isNode := otherSeq[0].(storage.NodeID)
-	if !isNode {
-		return nil, false, nil
-	}
-	idx, ok, err := e.joinIndexFor(pd, sums, otherSums)
+	idx, ok, err := e.joinIndexFor(pd, sums, other.sums)
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	matches := idx.byOther[otherNode]
+	matches := idx.byOther[other.ids[0]]
 	// The matches are usually a tiny subset of the clause domain: probe
 	// them into cur by binary search instead of a full linear merge.
 	var out algebra.NodeSet
@@ -340,19 +405,18 @@ func (e *Engine) applyJoin(pd pushdown, cur algebra.NodeSet, sums []*storage.Sum
 }
 
 // joinIndexFor builds (or reuses) the join index for a comparison.
-func (e *Engine) joinIndexFor(pd pushdown, sums, otherSums []*storage.SummaryNode) (*joinIndex, bool, error) {
-	key := sumFingerprint(sums) + "|" + sumFingerprint(otherSums)
-	if idx, ok := e.joinIdx[pd.conj]; ok && idx.key == key {
+func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNode) (*joinIndex, bool, error) {
+	if idx, ok := e.joinIdx[pd.Conj]; ok && slices.Equal(idx.sums, sums) && slices.Equal(idx.otherSums, otherSums) {
 		return idx, true, nil
 	}
-	thisConts, _, ok1 := e.relValueTarget(sums, pd.relThis)
-	otherConts, _, ok2 := e.relValueTarget(otherSums, pd.relOther)
+	thisConts, _, ok1 := e.relValueTarget(sums, pd.RelThis)
+	otherConts, _, ok2 := e.relValueTarget(otherSums, pd.RelOther)
 	if !ok1 || !ok2 || len(thisConts) == 0 || len(otherConts) == 0 {
 		return nil, false, nil
 	}
 	thisExtent := algebra.SummaryAccess(sums)
 	otherExtent := algebra.SummaryAccess(otherSums)
-	idx := &joinIndex{key: key, byOther: map[storage.NodeID]algebra.NodeSet{}}
+	idx := &joinIndex{sums: sums, otherSums: otherSums, byOther: map[storage.NodeID]algebra.NodeSet{}}
 	for _, tc := range thisConts {
 		for _, oc := range otherConts {
 			pairs, merged, err := algebra.JoinContainers(tc, oc)
@@ -378,7 +442,10 @@ func (e *Engine) joinIndexFor(pd pushdown, sums, otherSums []*storage.SummaryNod
 	for k := range idx.byOther {
 		idx.byOther[k] = algebra.SortUnique(idx.byOther[k])
 	}
-	e.joinIdx[pd.conj] = idx
+	if e.joinIdx == nil {
+		e.joinIdx = map[*xquery.Cmp]*joinIndex{}
+	}
+	e.joinIdx[pd.Conj] = idx
 	return idx, true, nil
 }
 
@@ -402,12 +469,4 @@ func ancestorMap(s *storage.Store, outer, inner algebra.NodeSet, par int) map[st
 		m[p.B] = p.A
 	}
 	return m
-}
-
-func sumFingerprint(sums []*storage.SummaryNode) string {
-	b := make([]byte, 0, 4*len(sums))
-	for _, sn := range sums {
-		b = append(b, byte(sn.ID), byte(sn.ID>>8), byte(sn.ID>>16), byte(sn.ID>>24))
-	}
-	return string(b)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"xquec/internal/storage"
 	"xquec/internal/xquery"
 )
 
@@ -11,11 +12,8 @@ import (
 func (e *Engine) evalCall(x *xquery.Call, env *scope) (Seq, error) {
 	switch x.Name {
 	case "count":
-		v, err := e.evalArg(x, 0, env)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{float64(len(v))}, nil
+		n, err := e.argLen(x, env)
+		return Seq{float64(n)}, err
 	case "sum", "avg", "min", "max":
 		v, err := e.evalArg(x, 0, env)
 		if err != nil {
@@ -75,18 +73,9 @@ func (e *Engine) evalCall(x *xquery.Call, env *scope) (Seq, error) {
 			return nil, err
 		}
 		return Seq{!b}, nil
-	case "empty":
-		v, err := e.evalArg(x, 0, env)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{len(v) == 0}, nil
-	case "exists":
-		v, err := e.evalArg(x, 0, env)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{len(v) > 0}, nil
+	case "empty", "exists":
+		b, err := e.evalBool(x, env)
+		return Seq{b}, err
 	case "string":
 		s, err := e.argString(x, 0, env)
 		if err != nil {
@@ -175,21 +164,59 @@ func (e *Engine) evalArg(x *xquery.Call, i int, env *scope) (Seq, error) {
 	return e.eval(x.Args[i], env)
 }
 
+// argLen returns the length of the first argument's value; a path is
+// counted on its node set, with no item ever boxed.
+func (e *Engine) argLen(x *xquery.Call, env *scope) (int, error) {
+	if len(x.Args) > 0 {
+		if p, isPath := x.Args[0].(*xquery.PathExpr); isPath {
+			st, _, err := e.evalPathNodes(p, env)
+			return len(st.nodes), err
+		}
+	}
+	v, err := e.evalArg(x, 0, env)
+	return len(v), err
+}
+
+// leafOnly reports that sums is known and no instance of it has element
+// children, so an instance's string value is its immediate text.
+func leafOnly(sums []*storage.SummaryNode) bool {
+	if len(sums) == 0 {
+		return false
+	}
+	for _, sn := range sums {
+		for _, c := range sn.Children {
+			if c.Tag != "#text" && !strings.HasPrefix(c.Tag, "@") {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func (e *Engine) argString(x *xquery.Call, i int, env *scope) (string, error) {
-	v, err := e.evalArg(x, i, env)
-	if err != nil {
+	if i >= len(x.Args) {
+		return "", fmt.Errorf("engine: %s() needs at least %d arguments", x.Name, i+1)
+	}
+	return e.firstString(x.Args[i], env)
+}
+
+// firstString returns the string value of the first item of x's value,
+// "" when it is empty (XPath 1.0 style, which is what the paper-era
+// queries assume). Only that item is decoded.
+func (e *Engine) firstString(x xquery.Expr, env *scope) (string, error) {
+	if p, isPath := x.(*xquery.PathExpr); isPath {
+		st, textTail, err := e.evalPathNodes(p, env)
+		if err != nil || len(st.nodes) == 0 {
+			return "", err
+		}
+		e.sbuf, err = e.appendNodeValue(e.sbuf[:0], st.nodes[0], textTail || leafOnly(st.sums))
+		return string(e.sbuf), err
+	}
+	v, err := e.eval(x, env)
+	if err != nil || len(v) == 0 {
 		return "", err
 	}
-	atoms, err := e.atomize(v)
-	if err != nil {
-		return "", err
-	}
-	// The string value of a sequence is the value of its first item
-	// (XPath 1.0 style, which is what the paper-era queries assume).
-	if len(atoms) == 0 {
-		return "", nil
-	}
-	return atoms[0], nil
+	return e.stringValue(v[0])
 }
 
 func (e *Engine) argBool(x *xquery.Call, i int, env *scope) (bool, error) {

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -24,57 +25,142 @@ type pathState struct {
 	exact bool
 }
 
-// evalPath evaluates a path expression to a sequence.
-func (e *Engine) evalPath(p *xquery.PathExpr, env *scope) (Seq, error) {
-	return e.evalPathPre(p, env, nil)
+// PathPlan is the structural part of one path expression resolved
+// against the structure summary for one origin summary set. A summary
+// node is a full root path, so the plan answers "which extents can hold
+// the result" once, and evaluation only intersects them with the
+// bindings' subtree intervals.
+type PathPlan struct {
+	origin  []*storage.SummaryNode   // the variable's (or context's) summary set; nil for absolute paths
+	targets [][]*storage.SummaryNode // targets[i]: the summary nodes steps[:i+1] reach
+	// anti[i]: the set step i starts from is an antichain (no member is a
+	// summary-ancestor of another), which makes the range lookup sound.
+	anti []bool
+	// plain: absolute and predicate-free, so the result is the same all run.
+	plain bool
 }
 
-// evalPathPre is evalPath with optional per-step precomputed summary
-// targets (see evalPathNodesPre).
-func (e *Engine) evalPathPre(p *xquery.PathExpr, env *scope, pre [][]*storage.SummaryNode) (Seq, error) {
-	st, textTail, err := e.evalPathNodesPre(p, env, pre)
+// Sums returns the summary nodes the structural steps end on.
+func (pl *PathPlan) Sums() []*storage.SummaryNode {
+	if len(pl.targets) == 0 {
+		return pl.origin
+	}
+	return pl.targets[len(pl.targets)-1]
+}
+
+// pathCursor is one run's state for one path expression: the plan, the
+// galloping position inside each target extent, and — for plain paths —
+// the result.
+type pathCursor struct {
+	plan     *PathPlan
+	pos      [][]int
+	done     bool
+	st       pathState
+	textTail bool
+}
+
+// resolvePath builds the plan of p for an origin summary set.
+func (e *Engine) resolvePath(p *xquery.PathExpr, sums []*storage.SummaryNode) *PathPlan {
+	pl := &PathPlan{origin: sums, plain: p.Var == "",
+		targets: make([][]*storage.SummaryNode, 0, len(p.Steps)), anti: make([]bool, 0, len(p.Steps))}
+	cur := sums
+	for i, step := range p.Steps {
+		if step.Test == xquery.TestText {
+			break
+		}
+		pl.plain = pl.plain && len(step.Preds) == 0
+		pl.anti = append(pl.anti, antichain(cur))
+		cur = e.summaryTargets(cur, i == 0 && p.Var == "", step)
+		pl.targets = append(pl.targets, cur)
+	}
+	return pl
+}
+
+// antichain reports that no member of sums is a summary-ancestor of
+// another, i.e. that instances of sums never nest.
+func antichain(sums []*storage.SummaryNode) bool {
+	for _, sn := range sums {
+		if nestedIn(sn, sums) {
+			return false
+		}
+	}
+	return true
+}
+
+// nestedIn reports that sn has a summary-ancestor in sums.
+func nestedIn(sn *storage.SummaryNode, sums []*storage.SummaryNode) bool {
+	for anc := sn.Parent; len(sums) > 1 && anc != nil; anc = anc.Parent {
+		if slices.Contains(sums, anc) {
+			return true
+		}
+	}
+	return false
+}
+
+// cursorFor returns the run's cursor for p over the origin set sums,
+// taking the plan from the program when it resolved this origin and
+// resolving it here otherwise. A path whose origin set changes between
+// evaluations (a variable without summary knowledge) re-resolves.
+func (e *Engine) cursorFor(p *xquery.PathExpr, sums []*storage.SummaryNode) *pathCursor {
+	pc := e.paths[p]
+	if pc != nil && slices.Equal(pc.plan.origin, sums) {
+		return pc
+	}
+	var pl *PathPlan
+	if e.plans != nil {
+		pl = e.plans.paths[p]
+	}
+	if pl == nil || !slices.Equal(pl.origin, sums) {
+		pl = e.resolvePath(p, sums)
+	}
+	pc = &pathCursor{plan: pl, pos: make([][]int, len(pl.targets))}
+	for i, tg := range pl.targets {
+		pc.pos[i] = make([]int, len(tg))
+	}
+	e.paths[p] = pc
+	return pc
+}
+
+// evalPath evaluates a path expression to a sequence.
+func (e *Engine) evalPath(p *xquery.PathExpr, env *scope) (Seq, error) {
+	return e.appendPath(nil, p, env)
+}
+
+// appendPath appends the items of a path expression to dst.
+func (e *Engine) appendPath(dst Seq, p *xquery.PathExpr, env *scope) (Seq, error) {
+	st, textTail, err := e.evalPathNodes(p, env)
 	if err != nil {
 		return nil, err
 	}
 	if textTail {
-		texts, err := algebra.TextContent(e.store, st.nodes)
-		if err != nil {
-			return nil, err
-		}
-		out := make(Seq, len(texts))
-		for i, t := range texts {
-			out[i] = t
-		}
-		return out, nil
+		return e.appendTexts(dst, st.nodes)
 	}
-	out := make(Seq, len(st.nodes))
-	for i, id := range st.nodes {
-		out[i] = id
+	if dst == nil {
+		dst = make(Seq, 0, len(st.nodes))
 	}
-	return out, nil
+	for _, id := range st.nodes {
+		dst = append(dst, id)
+	}
+	return dst, nil
 }
 
 // evalPathNodes evaluates the structural part of a path; if the final
 // step is text(), textTail is true and the returned nodes are the text
-// owners.
+// owners. The nodes may alias a summary extent or a binding: they are
+// read-only, and valid until the variable is rebound.
 func (e *Engine) evalPathNodes(p *xquery.PathExpr, env *scope) (pathState, bool, error) {
-	return e.evalPathNodesPre(p, env, nil)
-}
-
-// evalPathNodesPre is evalPathNodes with optional precomputed per-step
-// summary targets: pre[i], when non-nil, replaces the summaryTargets
-// call for step i (the bytecode compiler resolves step targets against
-// the structure summary once at compile time instead of per tuple).
-// Every other decision — exactness, predicate evaluation, structural
-// moves — is taken by the same code as the plain path, so results are
-// identical by construction.
-func (e *Engine) evalPathNodesPre(p *xquery.PathExpr, env *scope, pre [][]*storage.SummaryNode) (pathState, bool, error) {
 	st, err := e.pathOrigin(p, env)
 	if err != nil {
 		return pathState{}, false, err
 	}
+	pc := e.cursorFor(p, st.sums)
+	if pc.done {
+		return pc.st, pc.textTail, nil
+	}
+	textTail := false
 	steps := p.Steps
-	for i, step := range steps {
+	for i := 0; i < len(steps); {
+		step := steps[i]
 		if step.Test == xquery.TestText {
 			if i != len(steps)-1 {
 				return pathState{}, false, fmt.Errorf("engine: text() must be the final step")
@@ -82,49 +168,69 @@ func (e *Engine) evalPathNodesPre(p *xquery.PathExpr, env *scope, pre [][]*stora
 			if len(step.Preds) > 0 {
 				return pathState{}, false, fmt.Errorf("engine: predicates on text() are not supported")
 			}
-			// Restrict to nodes that actually have immediate text.
-			var withText algebra.NodeSet
-			for _, id := range st.nodes {
-				if e.store.HasText(id) {
-					withText = append(withText, id)
-				}
+			st.nodes, textTail = e.withText(st.nodes), true
+			break
+		}
+		if len(step.Preds) > 0 {
+			if st, err = e.predStep(st, steps, i, env, pc); err != nil {
+				return pathState{}, false, err
 			}
-			st.nodes = withText
-			return st, true, nil
+			i++
+			continue
 		}
-		var tg []*storage.SummaryNode
-		if pre != nil && i < len(pre) {
-			tg = pre[i]
+		j := i + 1
+		for j < len(steps) && steps[j].Test != xquery.TestText && len(steps[j].Preds) == 0 {
+			j++
 		}
-		st, err = e.applyStep(st, i == 0 && p.Var == "" /* fromDocument */, step, env, tg)
-		if err != nil {
-			return pathState{}, false, err
-		}
+		st = e.moveRun(st, steps, i, j, pc)
+		i = j
 	}
-	return st, false, nil
+	if pc.plan.plain {
+		pc.done, pc.st, pc.textTail = true, st, textTail
+	}
+	return st, textTail, nil
+}
+
+// withText restricts nodes to those that have immediate text, copying
+// only when one does not.
+func (e *Engine) withText(nodes algebra.NodeSet) algebra.NodeSet {
+	for i, id := range nodes {
+		if e.store.HasText(id) {
+			continue
+		}
+		out := append(make(algebra.NodeSet, 0, len(nodes)-1), nodes[:i]...)
+		for _, id := range nodes[i+1:] {
+			if e.store.HasText(id) {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	return nodes
 }
 
 // pathOrigin resolves the origin of a path.
 func (e *Engine) pathOrigin(p *xquery.PathExpr, env *scope) (pathState, error) {
 	if p.Var == "" { // absolute: the (single) document
-		return pathState{nodes: nil, sums: nil, exact: true}, nil
+		return pathState{exact: true}, nil
 	}
-	var seq Seq
+	var ids algebra.NodeSet
 	var sums []*storage.SummaryNode
 	if p.Var == "." {
-		seq = Seq{env.ctx}
-		sums = env.ctxSums
+		if env.ctx[0] == 0 {
+			return pathState{}, errNonNodePath
+		}
+		ids, sums = env.ctx[:], env.ctxSums
 	} else {
-		s, ok := env.vars[p.Var]
+		b, ok := env.vars[p.Var]
 		if !ok {
 			return pathState{}, fmt.Errorf("engine: unbound variable $%s", p.Var)
 		}
-		seq = s
-		sums = env.varSums[p.Var]
-	}
-	ids, ok := nodeSeq(seq)
-	if !ok {
-		return pathState{}, errNonNodePath
+		if ids, sums = b.ids, b.sums; ids == nil {
+			if ids, ok = nodeSeq(b.value()); !ok {
+				return pathState{}, errNonNodePath
+			}
+		}
 	}
 	if len(sums) == 0 && len(ids) > 0 && len(p.Steps) > 0 {
 		// The variable was bound from a non-path source (e.g. a nested
@@ -132,7 +238,7 @@ func (e *Engine) pathOrigin(p *xquery.PathExpr, env *scope) (pathState, error) {
 		// path upward.
 		sums = e.summariesOf(ids)
 	}
-	return pathState{nodes: ids, sums: sums, exact: false}, nil
+	return pathState{nodes: ids, sums: sums}, nil
 }
 
 // summariesOf returns the distinct summary nodes the given nodes are
@@ -178,242 +284,207 @@ func (e *Engine) summaryOf(id storage.NodeID) *storage.SummaryNode {
 
 var errNonNodePath = fmt.Errorf("engine: path step over non-node sequence")
 
-// summaryChildren returns the distinct summary children of sums
-// matching the step (child axis), or all matching descendants for the
-// descendant axis. fromDocument handles the virtual document node for
-// absolute paths.
+// summaryTargets returns the distinct summary children of sums matching
+// the step (child axis), or all matching descendants for the descendant
+// axis. fromDocument starts from the virtual document node, whose one
+// child is the root.
 func (e *Engine) summaryTargets(sums []*storage.SummaryNode, fromDocument bool, step xquery.Step) []*storage.SummaryNode {
 	name := step.Name
 	if step.Test == xquery.TestAttr {
 		name = "@" + step.Name
 	}
-	match := func(sn *storage.SummaryNode) bool {
-		if step.Test == xquery.TestName && name == "*" {
-			return !strings.HasPrefix(sn.Tag, "@") && sn.Tag != "#text"
-		}
-		return sn.Tag == name
+	if fromDocument {
+		sums = []*storage.SummaryNode{{Children: []*storage.SummaryNode{e.store.Sum.Root}}}
 	}
 	var out []*storage.SummaryNode
-	seen := map[int32]bool{}
-	add := func(sn *storage.SummaryNode) {
-		if !seen[sn.ID] && match(sn) {
-			seen[sn.ID] = true
-			out = append(out, sn)
-		}
-	}
-	if fromDocument {
-		root := e.store.Sum.Root
-		if step.Axis == xquery.AxisChild {
-			add(root)
-		} else {
-			var walk func(sn *storage.SummaryNode)
-			walk = func(sn *storage.SummaryNode) {
-				add(sn)
-				for _, c := range sn.Children {
-					walk(c)
-				}
-			}
-			walk(root)
-		}
-		return out
-	}
 	for _, sn := range sums {
-		if step.Axis == xquery.AxisChild {
-			for _, c := range sn.Children {
-				add(c)
-			}
-		} else {
-			var walk func(sn *storage.SummaryNode)
-			walk = func(sn *storage.SummaryNode) {
-				for _, c := range sn.Children {
-					add(c)
-					walk(c)
-				}
-			}
-			walk(sn)
+		// Children of distinct summary nodes are distinct; a descendant
+		// walk from an origin nested in another would only repeat it.
+		if step.Axis == xquery.AxisChild || !nestedIn(sn, sums) {
+			out = appendTargets(out, sn, name, step)
 		}
 	}
 	return out
 }
 
-// applyStep applies one structural step (element or attribute test).
-// pre, when non-nil, is the step's precomputed summary-target set (same
-// value summaryTargets would return — the compiler resolves it once).
-func (e *Engine) applyStep(st pathState, fromDocument bool, step xquery.Step, env *scope, pre []*storage.SummaryNode) (pathState, error) {
-	targets := pre
-	if targets == nil {
-		targets = e.summaryTargets(st.sums, fromDocument, step)
+func appendTargets(out []*storage.SummaryNode, sn *storage.SummaryNode, name string, step xquery.Step) []*storage.SummaryNode {
+	for _, c := range sn.Children {
+		match := c.Tag == name
+		if step.Test == xquery.TestName && name == "*" {
+			match = !strings.HasPrefix(c.Tag, "@") && c.Tag != "#text"
+		}
+		if match {
+			out = append(out, c)
+		}
+		if step.Axis != xquery.AxisChild {
+			out = appendTargets(out, c, name, step)
+		}
 	}
+	return out
+}
+
+// moveRun applies the predicate-free steps [i, j) to st. From an exact
+// state the result is the targets' extents themselves. From a node set
+// whose summary set is an antichain it is the targets' extents inside
+// the nodes' subtree intervals: containment in the interval is
+// reachability by the steps, the intervals are disjoint and ascend, so
+// no intermediate step is evaluated and no child is visited. Any other
+// set goes step by step until the set it has reached is an antichain.
+func (e *Engine) moveRun(st pathState, steps []xquery.Step, i, j int, pc *pathCursor) pathState {
+	pl := pc.plan
+	next := pathState{sums: pl.targets[j-1]}
+	if st.exact {
+		next.nodes, next.exact = algebra.SummaryAccess(next.sums), true
+		return next
+	}
+	next.nodes = st.nodes
+	for k := i; k < j && len(next.nodes) > 0; k++ {
+		if pl.anti[k] {
+			next.nodes = e.within(next.nodes, next.sums, pc.pos[j-1])
+			break
+		}
+		next.nodes = e.stepwise(next.nodes, pl.targets[k], steps[k].Axis == xquery.AxisChild)
+	}
+	return next
+}
+
+// within returns the targets' extent nodes inside the subtrees of nodes,
+// whose summary set is an antichain. One node and one non-empty extent
+// range yield a sub-slice of that extent; anything else is copied.
+func (e *Engine) within(nodes algebra.NodeSet, targets []*storage.SummaryNode, pos []int) algebra.NodeSet {
+	var one, out algebra.NodeSet
+	var prev storage.NodeID
+	for _, b := range nodes {
+		if b == prev {
+			continue
+		}
+		prev = b
+		if e.endOf != b {
+			e.endOf, e.end = b, e.store.SubtreeEnd(b)
+		}
+		end := e.end
+		mark, pieces := len(out), 0
+		for t, sn := range targets {
+			r := algebra.Within(sn.Extent, b+1, end, &pos[t])
+			if len(r) == 0 {
+				continue
+			}
+			if pieces++; len(nodes) == 1 && pieces == 1 {
+				one = r
+				continue
+			}
+			out = append(append(out, one...), r...)
+			one = nil
+		}
+		if pieces > 1 { // extents of sibling paths interleave inside one subtree
+			slices.Sort(out[mark:])
+		}
+	}
+	if out == nil {
+		return one
+	}
+	return out
+}
+
+// stepwise applies one step to nodes that may nest (a recursive schema:
+// their summary set is not an antichain), where an extent node inside a
+// subtree need not be reachable by the step: a child step keeps a
+// candidate only if its parent is the node it was found under.
+func (e *Engine) stepwise(nodes algebra.NodeSet, targets []*storage.SummaryNode, child bool) algebra.NodeSet {
+	var out []storage.NodeID
+	for _, b := range nodes {
+		end := e.store.SubtreeEnd(b)
+		for _, sn := range targets {
+			for _, x := range algebra.Within(sn.Extent, b+1, end, nil) {
+				if !child || e.store.Parent(x) == b {
+					out = append(out, x)
+				}
+			}
+		}
+	}
+	return algebra.SortUnique(out)
+}
+
+// predStep applies step i, which carries predicates. Positional ones
+// select per parent, so the parent set is walked node by node; the
+// rest filter the moved set as a whole.
+func (e *Engine) predStep(st pathState, steps []xquery.Step, i int, env *scope, pc *pathCursor) (pathState, error) {
+	preds, targets := steps[i].Preds, pc.plan.targets[i]
 	next := pathState{sums: targets}
 	if len(targets) == 0 {
 		return next, nil
 	}
 	positional := false
-	for _, pred := range step.Preds {
-		if isPositionalPred(pred) {
+	for _, pred := range preds {
+		if _, is := pickPositional(nil, pred); is {
 			positional = true
 		}
 	}
-	if positional {
-		// Positional predicates need per-parent child grouping: evaluate
-		// navigationally from the (materialized) parent set.
+	var err error
+	switch {
+	case !positional:
+		next = e.moveRun(st, steps, i, i+1, pc)
+		next.nodes, err = e.applyPreds(next.nodes, preds, env, targets)
+		next.exact = false
+	case i == 0 && st.exact:
+		// The document node has one child, the root: position among it.
+		next.nodes, err = e.applyPreds(algebra.NodeSet{1}, preds, env, nil)
+	default:
 		parents := st.nodes
 		if st.exact {
 			parents = algebra.SummaryAccess(st.sums)
-			if fromDocument {
-				parents = algebra.NodeSet{}
-				if step.Axis == xquery.AxisChild {
-					parents = nil // handled below: document has one child, the root
-				}
-			}
-		}
-		if fromDocument {
-			parents = algebra.NodeSet{1}
-			// position among the root itself
-			sel, err := e.filterPositional(algebra.NodeSet{1}, step, env)
-			if err != nil {
-				return next, err
-			}
-			next.nodes = sel
-			next.exact = false
-			return next, nil
 		}
 		var out []storage.NodeID
-		for _, parent := range parents {
-			kids := e.childList(parent, step, targets)
-			sel, err := e.applyPreds(kids, step.Preds, env, targets)
-			if err != nil {
-				return next, err
+		for k := range parents {
+			kids := e.moveRun(pathState{nodes: parents[k : k+1]}, steps, i, i+1, pc).nodes
+			if kids, err = e.applyPreds(kids, preds, env, targets); err != nil {
+				break
 			}
-			out = append(out, sel...)
+			if len(parents) == 1 {
+				out = kids // a sub-slice of an extent: never written to
+				break
+			}
+			out = append(out, kids...)
 		}
 		next.nodes = algebra.SortUnique(out)
-		next.exact = false
-		return next, nil
 	}
-
-	// Structural move.
-	if st.exact || fromDocument {
-		next.nodes = algebra.SummaryAccess(targets)
-		next.exact = true
-	} else {
-		if step.Axis == xquery.AxisChild {
-			next.nodes = childrenWithin(e.store, st.nodes, targets)
-		} else {
-			next.nodes = algebra.DescendantsPar(e.store, st.nodes, algebra.SummaryAccess(targets), e.par)
-		}
-		next.exact = false
-	}
-	// Non-positional predicates.
-	if len(step.Preds) > 0 {
-		sel, err := e.applyPreds(next.nodes, step.Preds, env, targets)
-		if err != nil {
-			return next, err
-		}
-		next.nodes = sel
-		next.exact = false
-	}
-	return next, nil
+	return next, err
 }
 
-// childrenWithin keeps the targets' extent nodes whose parent is in
-// parents. For small parent sets it scans the parents' kid lists and
-// never materializes the extent union (a FOR-bound variable has one
-// node; touching thousands of extent entries per binding would make
-// predicates quadratic).
-func childrenWithin(s *storage.Store, parents algebra.NodeSet, targets []*storage.SummaryNode) algebra.NodeSet {
-	if len(parents) == 0 || len(targets) == 0 {
-		return nil
-	}
-	extentSize := 0
-	for _, sn := range targets {
-		extentSize += len(sn.Extent)
-	}
-	if extentSize == 0 {
-		return nil
-	}
-	if len(parents)*8 < extentSize {
-		tagSet := map[uint16]bool{}
-		for _, sn := range targets {
-			if code, ok := s.Code(sn.Tag); ok {
-				tagSet[code] = true
-			}
-		}
-		var out []storage.NodeID
-		for _, p := range parents {
-			for k := range s.Kids(p) {
-				if k.ID != 0 && tagSet[s.TagCodeOf(k.ID)] {
-					out = append(out, k.ID)
-				}
-			}
-		}
-		return algebra.SortUnique(out)
-	}
-	extent := algebra.SummaryAccess(targets)
-	inParents := make(map[storage.NodeID]bool, len(parents))
-	for _, p := range parents {
-		inParents[p] = true
-	}
-	// One bulk pass resolves every extent node's parent (the extent is
-	// document-ordered, which is what the kernel rides).
-	pars := make([]storage.NodeID, len(extent))
-	s.ParentBulk(extent, pars)
-	var out algebra.NodeSet
-	for i, c := range extent {
-		if inParents[pars[i]] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// childList returns the parent's children matching the step, in
-// document order.
-func (e *Engine) childList(parent storage.NodeID, step xquery.Step, targets []*storage.SummaryNode) algebra.NodeSet {
-	if step.Axis == xquery.AxisDescendantOrSelf {
-		extent := algebra.SummaryAccess(targets)
-		return algebra.Descendants(e.store, algebra.NodeSet{parent}, extent)
-	}
-	name := step.Name
-	if step.Test == xquery.TestAttr {
-		name = "@" + step.Name
-	}
-	var out algebra.NodeSet
-	for k := range e.store.Kids(parent) {
-		if k.ID == 0 {
-			continue
-		}
-		tag := e.store.TagOf(k.ID)
-		if name == "*" {
-			if !strings.HasPrefix(tag, "@") {
-				out = append(out, k.ID)
-			}
-		} else if tag == name {
-			out = append(out, k.ID)
-		}
-	}
-	return out
-}
-
-// isPositionalPred reports whether the predicate selects by position.
-func isPositionalPred(pred xquery.Expr) bool {
+// pickPositional applies a positional predicate (an integer literal or
+// last()) to cur; is reports whether pred is one.
+func pickPositional(cur algebra.NodeSet, pred xquery.Expr) (sel algebra.NodeSet, is bool) {
 	switch p := pred.(type) {
 	case *xquery.NumberLit:
-		return true
+		if idx := int(p.Val); idx >= 1 && idx <= len(cur) {
+			return cur[idx-1 : idx], true
+		}
+		return nil, true
 	case *xquery.Call:
-		return p.Name == "last"
+		if p.Name == "last" {
+			if len(cur) > 0 {
+				cur = cur[len(cur)-1:]
+			}
+			return cur, true
+		}
 	}
-	return false
+	return cur, false
 }
 
 // applyPreds filters candidate nodes by the step predicates, in order.
 func (e *Engine) applyPreds(nodes algebra.NodeSet, preds []xquery.Expr, env *scope, sums []*storage.SummaryNode) (algebra.NodeSet, error) {
+	if len(preds) == 1 {
+		// The lone [1] or [last()] of Q2/Q3: nothing to flatten.
+		if sel, is := pickPositional(nodes, preds[0]); is {
+			return sel, nil
+		}
+	}
 	cur := nodes
 	// AND-predicates are split so each conjunct can use the container
 	// fast path independently.
 	var flat []xquery.Expr
 	for _, pred := range preds {
-		if isPositionalPred(pred) {
+		if _, is := pickPositional(nil, pred); is {
 			flat = append(flat, pred)
 			continue
 		}
@@ -425,23 +496,9 @@ func (e *Engine) applyPreds(nodes algebra.NodeSet, preds []xquery.Expr, env *sco
 	// evaluated concurrently and consumed in predicate order.
 	pre := e.precomputeConjunctOwners(preds, sums)
 	for i, pred := range preds {
-		switch p := pred.(type) {
-		case *xquery.NumberLit:
-			idx := int(p.Val)
-			if idx < 1 || idx > len(cur) {
-				cur = nil
-			} else {
-				cur = algebra.NodeSet{cur[idx-1]}
-			}
+		if sel, is := pickPositional(cur, pred); is {
+			cur = sel
 			continue
-		case *xquery.Call:
-			if p.Name == "last" {
-				if len(cur) == 0 {
-					continue
-				}
-				cur = algebra.NodeSet{cur[len(cur)-1]}
-				continue
-			}
 		}
 		// Value predicate: container fast path, else per-node. A
 		// precomputed conjunct replays its (owners, ok, err) in predicate
@@ -460,14 +517,14 @@ func (e *Engine) applyPreds(nodes algebra.NodeSet, preds []xquery.Expr, env *sco
 			cur = sel
 			continue
 		}
+		// The context is set in place and restored: the scope is shared
+		// with the enclosing expression.
+		ctx, ctxSums := env.ctx[0], env.ctxSums
+		env.ctxSums = sums
 		var out algebra.NodeSet
 		for _, id := range cur {
-			sub := env.withCtx(id, sums)
-			v, err := e.eval(pred, sub)
-			if err != nil {
-				return nil, err
-			}
-			b, err := e.effectiveBool(v)
+			env.ctx[0] = id
+			b, err := e.evalBool(pred, env)
 			if err != nil {
 				return nil, err
 			}
@@ -475,6 +532,7 @@ func (e *Engine) applyPreds(nodes algebra.NodeSet, preds []xquery.Expr, env *sco
 				out = append(out, id)
 			}
 		}
+		env.ctx[0], env.ctxSums = ctx, ctxSums
 		cur = out
 	}
 	return cur, nil
@@ -544,11 +602,6 @@ func splitPredConjuncts(pred xquery.Expr) []xquery.Expr {
 	return []xquery.Expr{pred}
 }
 
-// filterPositional applies only positional predicates to a node list.
-func (e *Engine) filterPositional(nodes algebra.NodeSet, step xquery.Step, env *scope) (algebra.NodeSet, error) {
-	return e.applyPreds(nodes, step.Preds, env, nil)
-}
-
 // ---------------------------------------------------------------------
 // Compressed-domain predicate fast path
 // ---------------------------------------------------------------------
@@ -562,6 +615,12 @@ func (e *Engine) filterPositional(nodes algebra.NodeSet, step xquery.Step, env *
 func (e *Engine) relValueTarget(sums []*storage.SummaryNode, p *xquery.PathExpr) (conts []*storage.Container, complete bool, ok bool) {
 	if p.Var == "" {
 		return nil, false, false // absolute paths are not context-relative
+	}
+	if !antichain(sums) {
+		// Instances nest (a recursive schema): a value under an inner
+		// instance also lies inside the outer one's interval, so owners
+		// cannot be mapped back to instances by containment.
+		return nil, false, false
 	}
 	cur := sums
 	for _, step := range p.Steps {

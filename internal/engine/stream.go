@@ -24,8 +24,7 @@ var errStopStream = errors.New("engine: result stream stopped")
 // The returned Result must be fully consumed or Closed; both release
 // the evaluation coroutine and pooled buffers.
 func (e *Engine) EvalStream(expr xquery.Expr) (*Result, error) {
-	e.joinIdx = map[*xquery.Cmp]*joinIndex{}
-	e.canceled = nil
+	e.resetRun()
 	if e.ctx != nil {
 		// Fail an already-expired deadline deterministically, before any
 		// evaluation work (same contract as Eval).

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"xquec/internal/algebra"
 	"xquec/internal/storage"
 )
 
@@ -344,17 +345,39 @@ func formatNum(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
+// appendNodeValue appends a stored node's decompressed value to dst: its
+// immediate text (an attribute's value, or what a text() step selects),
+// else the string value of the element.
+func (e *Engine) appendNodeValue(dst []byte, id storage.NodeID, immediate bool) ([]byte, error) {
+	if immediate || e.store.IsAttr(id) {
+		return e.store.Text(dst, id)
+	}
+	return e.store.DeepText(dst, id)
+}
+
+// appendTexts appends the immediate text of each owner to dst, decoded
+// through sbuf: the item string is the only copy made.
+func (e *Engine) appendTexts(dst Seq, owners algebra.NodeSet) (Seq, error) {
+	if dst == nil {
+		dst = make(Seq, 0, len(owners))
+	}
+	for _, id := range owners {
+		var err error
+		if e.sbuf, err = e.store.Text(e.sbuf[:0], id); err != nil {
+			return nil, err
+		}
+		dst = append(dst, string(e.sbuf))
+	}
+	return dst, nil
+}
+
 // stringValue atomizes one item to its string value, decompressing
 // stored node content as needed.
 func (e *Engine) stringValue(it Item) (string, error) {
 	switch v := it.(type) {
 	case storage.NodeID:
 		var err error
-		if e.store.IsAttr(v) {
-			e.sbuf, err = e.store.Text(e.sbuf[:0], v)
-		} else {
-			e.sbuf, err = e.store.DeepText(e.sbuf[:0], v)
-		}
+		e.sbuf, err = e.appendNodeValue(e.sbuf[:0], v, false)
 		return string(e.sbuf), err
 	case string:
 		return v, nil

@@ -20,8 +20,8 @@ import (
 // Env is an exported handle on the evaluation environment (variable
 // bindings plus their summary-node provenance). The VM keeps one Env
 // per run and rebinds variables in place as its cursors advance; the
-// engine never mutates an Env passed to it (nested FLWOR evaluation
-// clones internally), so in-place rebinding is safe.
+// engine binds nested FLWOR variables into the same scope and restores
+// what they shadowed, so the VM's slots survive every call.
 type Env struct{ s *scope }
 
 // NewEnv returns a fresh, empty environment.
@@ -32,10 +32,33 @@ func (e *Engine) NewEnv() *Env { return &Env{s: newScope()} }
 // matching the tree walker's scoping).
 func (v *Env) Reset() { v.s = newScope() }
 
-// Bind sets a variable's value and summary provenance.
-func (v *Env) Bind(name string, seq Seq, sums []*storage.SummaryNode) {
-	v.s.vars[name] = seq
-	v.s.varSums[name] = sums
+func (v *Env) slot(name string, sums []*storage.SummaryNode) *binding {
+	b := v.s.vars[name]
+	if b == nil {
+		b = &binding{}
+		v.s.vars[name] = b
+	}
+	b.sums = sums
+	return b
+}
+
+// Bind sets a variable's value — a document-ordered node set when ids
+// is non-nil, else a generic sequence the caller no longer writes to —
+// and its summary provenance.
+func (v *Env) Bind(name string, seq Seq, ids algebra.NodeSet, sums []*storage.SummaryNode) {
+	b := v.slot(name, sums)
+	b.seq, b.ids, b.item = seq, ids, nil
+}
+
+// BindNode rebinds a FOR variable to one node, allocating nothing.
+func (v *Env) BindNode(name string, id storage.NodeID, sums []*storage.SummaryNode) {
+	v.slot(name, sums).setNode(id)
+}
+
+// WithPlans hands the engine the plans its program was compiled with.
+func (e *Engine) WithPlans(pl *Plans) *Engine {
+	e.plans = pl
+	return e
 }
 
 // EvalExpr evaluates an arbitrary expression under env — the VM's
@@ -51,37 +74,17 @@ func (e *Engine) EvalBoolExpr(x xquery.Expr, env *Env) (bool, error) {
 	return e.evalBool(x, env.s)
 }
 
-// BindingSeq evaluates a FOR/LET source (evalBindingSeq), with optional
-// precomputed per-step summary targets for path sources.
-func (e *Engine) BindingSeq(x xquery.Expr, env *Env, pre [][]*storage.SummaryNode) (Seq, algebra.NodeSet, []*storage.SummaryNode, error) {
-	return e.bindingSeqPre(x, env.s, pre)
+// BindingSeq evaluates a FOR/LET source (evalBindingSeq).
+func (e *Engine) BindingSeq(x xquery.Expr, env *Env) (Seq, algebra.NodeSet, []*storage.SummaryNode, error) {
+	return e.evalBindingSeq(x, env.s)
 }
 
-// PathNodes evaluates the structural part of a path (evalPathNodes)
-// with optional precomputed per-step targets. textTail reports a final
-// text() step; the returned nodes are then the text owners.
-func (e *Engine) PathNodes(p *xquery.PathExpr, env *Env, pre [][]*storage.SummaryNode) (algebra.NodeSet, []*storage.SummaryNode, bool, error) {
-	st, textTail, err := e.evalPathNodesPre(p, env.s, pre)
+// PathNodes evaluates the structural part of a path (evalPathNodes).
+// textTail reports a final text() step; the returned nodes are then the
+// text owners.
+func (e *Engine) PathNodes(p *xquery.PathExpr, env *Env) (algebra.NodeSet, []*storage.SummaryNode, bool, error) {
+	st, textTail, err := e.evalPathNodes(p, env.s)
 	return st.nodes, st.sums, textTail, err
-}
-
-// EvalPathExpr evaluates a full path expression to a sequence
-// (evalPath), with optional precomputed per-step targets.
-func (e *Engine) EvalPathExpr(p *xquery.PathExpr, env *Env, pre [][]*storage.SummaryNode) (Seq, error) {
-	return e.evalPathPre(p, env.s, pre)
-}
-
-// StaticPath resolves a path's summary nodes without touching extents
-// (compile-time twin of the runtime step resolution; exact mirrors
-// pathState.exact).
-func (e *Engine) StaticPath(p *xquery.PathExpr, varSums map[string][]*storage.SummaryNode) ([]*storage.SummaryNode, bool) {
-	return e.staticPath(p, varSums)
-}
-
-// SummaryTargets resolves one step's summary targets from the given
-// origin summary nodes — the per-step unit StaticPath is built from.
-func (e *Engine) SummaryTargets(sums []*storage.SummaryNode, fromDocument bool, step xquery.Step) []*storage.SummaryNode {
-	return e.summaryTargets(sums, fromDocument, step)
 }
 
 // RelValueTarget resolves a context-relative predicate path to its
@@ -109,53 +112,11 @@ func (e *Engine) SemiJoinOwners(cur, owners algebra.NodeSet) algebra.NodeSet {
 	return algebra.SemiJoinAncestorPar(e.store, cur, owners, e.par)
 }
 
-// PushdownInfo is the exported view of a planned WHERE-conjunct
-// pushdown (see the pushdown type).
-type PushdownInfo struct {
-	Conj *xquery.Cmp
-	// literal comparison: $v/rel op literal
-	IsLit bool
-	Rel   *xquery.PathExpr
-	Op    string
-	Lit   string
-	// equality join: $v/relThis = $other/relOther
-	OtherVar string
-	RelThis  *xquery.PathExpr
-	RelOther *xquery.PathExpr
-}
-
-// FLWORPlanInfo is the exported view of planFLWOR's clause assignment.
-type FLWORPlanInfo struct {
-	Pushdowns map[int][]PushdownInfo // clause index -> pushdowns, in plan order
-	Residual  []xquery.Expr          // conjuncts evaluated per tuple
-}
-
-// PlanFLWOR exposes the FLWOR pushdown planner so the VM compiler
-// assigns WHERE conjuncts to clauses exactly as the tree walker does.
-func PlanFLWOR(x *xquery.FLWOR) FLWORPlanInfo {
-	plan := planFLWOR(x)
-	out := FLWORPlanInfo{Pushdowns: map[int][]PushdownInfo{}, Residual: plan.residual}
-	for ci, pds := range plan.pushdowns {
-		infos := make([]PushdownInfo, len(pds))
-		for i, pd := range pds {
-			infos[i] = PushdownInfo{
-				Conj: pd.conj, IsLit: pd.isLit, Rel: pd.rel, Op: pd.op, Lit: pd.lit,
-				OtherVar: pd.otherVar, RelThis: pd.relThis, RelOther: pd.relOther,
-			}
-		}
-		out.Pushdowns[ci] = infos
-	}
-	return out
-}
-
 // ApplyJoinPushdown restricts cur to the join partners of the other
 // variable's current binding (applyJoin), building or reusing the
 // engine's per-comparison join index.
-func (e *Engine) ApplyJoinPushdown(pd PushdownInfo, cur algebra.NodeSet, sums []*storage.SummaryNode, env *Env) (algebra.NodeSet, bool, error) {
-	return e.applyJoin(pushdown{
-		conj: pd.Conj, isLit: pd.IsLit, rel: pd.Rel, op: pd.Op, lit: pd.Lit,
-		otherVar: pd.OtherVar, relThis: pd.RelThis, relOther: pd.RelOther,
-	}, cur, sums, env.s)
+func (e *Engine) ApplyJoinPushdown(pd Pushdown, cur algebra.NodeSet, sums []*storage.SummaryNode, env *Env) (algebra.NodeSet, bool, error) {
+	return e.applyJoin(pd, cur, sums, env.s)
 }
 
 // CheckCancel polls the engine's context (amortized); the VM calls it

@@ -210,15 +210,22 @@ func (s *Store) ContainerByPath(path string) (*Container, bool) {
 }
 
 // Text appends the decompressed concatenation of the node's immediate
-// text values (for attribute nodes, the attribute value).
+// text values (for attribute nodes, the attribute value). It walks the
+// node's value refs directly rather than through Kids: per-tuple query
+// evaluation calls it once per text() item, and an iterator body that
+// captures dst and err costs six allocations a call.
 func (s *Store) Text(dst []byte, id NodeID) ([]byte, error) {
+	if s.succ != nil {
+		return s.succ.text(s.Containers, dst, id)
+	}
+	n := &s.nodes[id-1]
 	var err error
-	for k := range s.Kids(id) {
-		if k.ID != 0 {
+	for _, k := range n.Kids {
+		if !k.IsValue() {
 			continue
 		}
-		dst, err = s.Containers[k.Val.Container].Decode(dst, int(k.Val.Index))
-		if err != nil {
+		v := n.Values[k.ValueIndex()]
+		if dst, err = s.Containers[v.Container].Decode(dst, int(v.Index)); err != nil {
 			return dst, err
 		}
 	}

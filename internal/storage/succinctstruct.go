@@ -284,6 +284,30 @@ func (t *SuccinctStructure) hasText(id NodeID) bool {
 	return false
 }
 
+// text appends the node's immediate text values, decoded: hasText's
+// walk over the children, decoding each text leaf it passes.
+func (t *SuccinctStructure) text(conts []*Container, dst []byte, id NodeID) ([]byte, error) {
+	k := t.isNode.Select1(int(id) - 1)
+	q := t.pv.Select1(k) + 1
+	ord := k + 1
+	var err error
+	for t.pv.Get(q) {
+		if t.isNode.Get(ord) {
+			c := t.bp.FindCloseAt(q, 2*(ord+1)-(q+1))
+			ord += (c - q + 1) / 2
+			q = c + 1
+			continue
+		}
+		v := ord - t.isNode.Rank1(ord)
+		if dst, err = conts[t.valCont[v]].Decode(dst, int(t.valIdx[v])); err != nil {
+			return dst, err
+		}
+		ord++
+		q += 2 // a text leaf is always "()"
+	}
+	return dst, nil
+}
+
 // scanNodes calls fn for every node in pre-order with its depth. The
 // sweep walks the paren words directly, visiting only the set bits:
 // the depth at an open needs no close tracking, since the excess at

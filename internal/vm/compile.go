@@ -12,9 +12,10 @@ import (
 )
 
 // Compile lowers a parsed query into a Program bound to store. The
-// compiler resolves per-step summary targets and predicate value
-// containers against the repository's structure summary, folds constant
-// arithmetic, and orders each clause's literal pushdowns
+// compiler resolves every path's summary targets (into the program's
+// plan pool, which all runs share) and predicate value containers
+// against the repository's structure summary, plans every nested FLWOR,
+// folds constant arithmetic, and orders each clause's literal pushdowns
 // cheapest-container-first using the cost model's measured decode
 // costs. Shapes it does not specialize (ORDER BY, constructors, nested
 // FLWOR domains) lower to fallback instructions that call into the
@@ -28,7 +29,7 @@ func Compile(expr xquery.Expr, store *storage.Store, src string) (prog *Program,
 		}
 	}()
 	c := &compiler{
-		p:      &Program{src: src, store: store},
+		p:      &Program{src: src, store: store, plans: engine.NewPlans()},
 		eng:    engine.New(store),
 		varIdx: map[string]int32{},
 	}
@@ -66,7 +67,10 @@ func (c *compiler) addVar(name string) int32 {
 	return i
 }
 
-func (c *compiler) addExpr(x xquery.Expr) int32 {
+// addExpr pools an expression the tree evaluator will run, planning its
+// paths and nested FLWORs under the variables in scope.
+func (c *compiler) addExpr(x xquery.Expr, varSums map[string][]*storage.SummaryNode) int32 {
+	c.eng.PlanExpr(c.p.plans, x, varSums)
 	c.p.exprs = append(c.p.exprs, x)
 	return int32(len(c.p.exprs) - 1)
 }
@@ -107,7 +111,7 @@ func (c *compiler) top(x xquery.Expr) {
 // fallback lowers a block to one tree-evaluator call plus streaming
 // emission of its result sequence.
 func (c *compiler) fallback(x xquery.Expr) {
-	ei := c.addExpr(foldExpr(x))
+	ei := c.addExpr(foldExpr(x), nil)
 	c.emit(Instr{Op: OpEvalPush, A: ei})
 	i := c.emit(Instr{Op: OpEmitSeq})
 	c.p.instrs[i].C = int32(i + 1)
@@ -131,8 +135,8 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 	plan := engine.PlanFLWOR(x)
 	varSums := map[string][]*storage.SummaryNode{}
 	known := map[string]bool{}
-	var endPatch []int      // instructions whose C is the block end
-	innermost := int32(-1)  // pc of the innermost OpIter so far
+	var endPatch []int     // instructions whose C is the block end
+	innermost := int32(-1) // pc of the innermost OpIter so far
 
 	for ci, cl := range x.Clauses {
 		if cl.Let {
@@ -145,6 +149,7 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 		}
 		pds := plan.Pushdowns[ci]
 		spec := c.domainFor(cl.Seq, varSums, known)
+		c.note(cl.Var, spec, varSums, known)
 
 		// Build the clause's predicate specs. Literal pushdowns whose
 		// clause summary is statically known resolve their containers
@@ -155,6 +160,7 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 		var lits, joins []int32
 		for slot, pd := range pds {
 			ps := predSpec{pd: pd, slot: int32(slot)}
+			c.eng.PlanExpr(c.p.plans, pd.Conj, varSums) // evaluated per tuple if deferred
 			if pd.IsLit && spec.static {
 				ps.resolved = true
 				ps.conts, ps.complete, ps.fastOK = c.eng.RelValueTarget(spec.sums, pd.Rel)
@@ -204,11 +210,10 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 			c.emit(Instr{Op: OpHook, A: cu})
 		}
 		innermost = int32(iter)
-		c.note(cl.Var, spec, varSums, known)
 	}
 
 	for _, conj := range plan.Residual {
-		ei := c.addExpr(foldExpr(conj))
+		ei := c.addExpr(foldExpr(conj), varSums)
 		wi := c.emit(Instr{Op: OpWhere, A: ei})
 		if innermost >= 0 {
 			c.p.instrs[wi].C = innermost
@@ -217,18 +222,7 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 		}
 	}
 
-	if rp, ok := foldExpr(x.Return).(*xquery.PathExpr); ok {
-		ps := pathSpec{p: rp}
-		if pre, _, _, ok := c.preChain(rp, varSums, known); ok {
-			ps.pre = pre
-		}
-		ps.desc = trunc(rp.String(), 48)
-		c.p.paths = append(c.p.paths, ps)
-		c.emit(Instr{Op: OpPathPush, A: int32(len(c.p.paths) - 1)})
-	} else {
-		ei := c.addExpr(foldExpr(x.Return))
-		c.emit(Instr{Op: OpEvalPush, A: ei})
-	}
+	c.emit(Instr{Op: OpEvalPush, A: c.addExpr(foldExpr(x.Return), varSums)})
 	es := c.emit(Instr{Op: OpEmitSeq})
 	if innermost >= 0 {
 		c.p.instrs[es].C = innermost
@@ -252,29 +246,29 @@ func (c *compiler) note(name string, spec domainSpec, varSums map[string][]*stor
 
 // domainFor analyzes one FOR/LET source (or top-level path): constant
 // folding, static summary resolution, and invariance (no free
-// variables → scan once per run).
+// variables → scan once per run). static requires a known origin:
+// absolute paths, or variables whose (non-empty) summaries were
+// tracked.
 func (c *compiler) domainFor(x xquery.Expr, varSums map[string][]*storage.SummaryNode, known map[string]bool) domainSpec {
 	folded := foldExpr(x)
 	spec := domainSpec{expr: folded}
 	free := map[string]bool{}
 	addFree(folded, nil, free)
 	spec.invariant = len(free) == 0
+	sums := c.eng.PlanExpr(c.p.plans, folded, varSums)
 	switch e := folded.(type) {
 	case *xquery.PathExpr:
 		spec.path = e
-		if pre, sums, textTail, ok := c.preChain(e, varSums, known); ok {
-			spec.static, spec.pre, spec.textTail = true, pre, textTail
-			if textTail {
-				// Text-tail domains bind decoded strings; the runtime
-				// reports no summary provenance for them.
-				spec.sums = nil
-			} else {
-				spec.sums = sums
-			}
+		if e.Var == "" || known[e.Var] {
+			// Text-tail domains bind decoded strings; the runtime reports
+			// no summary provenance for them, and PlanExpr none either.
+			n := len(e.Steps)
+			spec.static, spec.sums = true, sums
+			spec.textTail = n > 0 && e.Steps[n-1].Test == xquery.TestText
 		}
 	case *xquery.VarRef:
 		if known[e.Name] {
-			spec.static, spec.sums = true, varSums[e.Name]
+			spec.static, spec.sums = true, sums
 		}
 	default:
 		// Every other shape evaluates generically: the runtime reports
@@ -283,35 +277,6 @@ func (c *compiler) domainFor(x xquery.Expr, varSums map[string][]*storage.Summar
 	}
 	spec.desc = domDesc(&spec)
 	return spec
-}
-
-// preChain resolves a path's per-step summary targets at compile time.
-// ok requires a statically known origin: absolute paths, or variables
-// whose (non-empty) summaries were tracked. Statically empty target
-// sets are stored as non-nil empty slices — nil entries mean "resolve
-// at runtime".
-func (c *compiler) preChain(p *xquery.PathExpr, varSums map[string][]*storage.SummaryNode, known map[string]bool) (pre [][]*storage.SummaryNode, sums []*storage.SummaryNode, textTail, ok bool) {
-	if p.Var != "" && (p.Var == "." || !known[p.Var]) {
-		return nil, nil, false, false
-	}
-	sums = varSums[p.Var]
-	pre = make([][]*storage.SummaryNode, len(p.Steps))
-	for i, step := range p.Steps {
-		if step.Test == xquery.TestText {
-			if i != len(p.Steps)-1 {
-				// Malformed (text() mid-path); leave it to the runtime.
-				return nil, nil, false, false
-			}
-			return pre, sums, true, true
-		}
-		tg := c.eng.SummaryTargets(sums, i == 0 && p.Var == "", step)
-		if tg == nil {
-			tg = []*storage.SummaryNode{}
-		}
-		pre[i] = tg
-		sums = tg
-	}
-	return pre, sums, false, true
 }
 
 // restrictCost orders literal restricts: statically costed container
@@ -614,21 +579,12 @@ func (c *compiler) estimateSize() int {
 	for i := range p.doms {
 		d := &p.doms[i]
 		sz += 112 + len(d.desc) + len(d.preds)*4
-		for _, tg := range d.pre {
-			sz += 24 + len(tg)*8
-		}
 	}
 	for i := range p.preds {
 		ps := &p.preds[i]
 		sz += 128 + len(ps.desc) + len(ps.conts)*8
 	}
-	for i := range p.paths {
-		pp := &p.paths[i]
-		sz += 48 + len(pp.desc)
-		for _, tg := range pp.pre {
-			sz += 24 + len(tg)*8
-		}
-	}
+	sz += p.plans.SizeBytes()
 	sz += len(p.exprs)*16 + len(p.vars)*16
 	for _, v := range p.vars {
 		sz += len(v)

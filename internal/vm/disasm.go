@@ -32,13 +32,6 @@ func (p *Program) Disassemble() string {
 			fmt.Fprintf(&b, " e%d, fail->%d     ; %s", in.A, in.C, trunc(p.exprs[in.A].String(), 48))
 		case OpEvalPush:
 			fmt.Fprintf(&b, " e%d              ; %s", in.A, trunc(p.exprs[in.A].String(), 48))
-		case OpPathPush:
-			ps := &p.paths[in.A]
-			static := "runtime targets"
-			if ps.pre != nil {
-				static = "static targets"
-			}
-			fmt.Fprintf(&b, " p%d              ; %s (%s)", in.A, ps.desc, static)
 		case OpEmitSeq:
 			fmt.Fprintf(&b, " done->%d", in.C)
 		case OpIterEmit:

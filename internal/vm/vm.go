@@ -74,9 +74,6 @@ const (
 	// evaluator and push the sequence onto the emit stack (RETURN
 	// bodies the compiler does not specialize, eager fallback blocks).
 	OpEvalPush
-	// OpPathPush A=path: evaluate a compiled path (per-step summary
-	// targets resolved at compile time) and push the sequence.
-	OpPathPush
 	// OpEmitSeq C=jump: emit the top-of-stack sequence one item per
 	// Next; pop and jump to C when drained.
 	OpEmitSeq
@@ -91,7 +88,7 @@ var opNames = [...]string{
 	OpLitRestrict: "LITREST", OpJoinRestrict: "JOINREST",
 	OpIter: "ITER", OpDeferred: "DEFERRED", OpHook: "HOOK",
 	OpLet: "LET", OpWhere: "WHERE", OpEvalPush: "EVAL",
-	OpPathPush: "PATH", OpEmitSeq: "EMITSEQ", OpIterEmit: "ITEREMIT",
+	OpEmitSeq: "EMITSEQ", OpIterEmit: "ITEREMIT",
 }
 
 func (o Op) String() string {
@@ -113,9 +110,6 @@ type Instr struct {
 type domainSpec struct {
 	expr xquery.Expr
 	path *xquery.PathExpr // non-nil when the source is a path
-	// pre holds per-step summary targets resolved at compile time
-	// (nil entries are resolved at runtime).
-	pre [][]*storage.SummaryNode
 	// sums is the statically resolved result summary set; valid only
 	// when static is true.
 	sums   []*storage.SummaryNode
@@ -135,7 +129,7 @@ type domainSpec struct {
 
 // predSpec is one WHERE pushdown assigned to a clause.
 type predSpec struct {
-	pd   engine.PushdownInfo
+	pd   engine.Pushdown
 	slot int32 // original position among the clause's pushdowns
 	// Literal pushdowns with a statically known clause summary resolve
 	// their containers at compile time.
@@ -147,24 +141,19 @@ type predSpec struct {
 	desc     string
 }
 
-// pathSpec is a compiled RETURN path (summary targets pre-resolved).
-type pathSpec struct {
-	p    *xquery.PathExpr
-	pre  [][]*storage.SummaryNode
-	desc string
-}
-
 // Program is a compiled query plan: a flat instruction slice plus the
 // operand pools its instructions index into. Programs are immutable
 // after Compile and safe for any number of concurrent Runs — the plan
 // cache shares one Program across requests.
 type Program struct {
-	src     string
-	instrs  []Instr
-	doms    []domainSpec
-	preds   []predSpec
-	paths   []pathSpec
-	exprs   []xquery.Expr
+	src    string
+	instrs []Instr
+	doms   []domainSpec
+	preds  []predSpec
+	exprs  []xquery.Expr
+	// plans is the pool of resolved paths and planned FLWORs: every
+	// expression a run hands to the engine finds its plan here.
+	plans   *engine.Plans
 	vars    []string
 	ncur    int
 	store   *storage.Store
@@ -276,7 +265,7 @@ func (r *Run) pull() (engine.Item, error, bool) {
 // NewRun builds the execution state without wrapping it in a Result
 // (tests drive Next directly).
 func (p *Program) NewRun(opts RunOptions) (*Run, error) {
-	eng := engine.New(p.store)
+	eng := engine.New(p.store).WithPlans(p.plans)
 	if opts.Ctx != nil {
 		eng.WithContext(opts.Ctx)
 	}
@@ -345,7 +334,7 @@ func (r *Run) next() (engine.Item, bool, error) {
 			c := &r.cursors[in.A]
 			c.pos = 0
 			if spec.topPath {
-				nodes, sums, textTail, err := eng.PathNodes(spec.path, r.env, spec.pre)
+				nodes, sums, textTail, err := eng.PathNodes(spec.path, r.env)
 				if err != nil {
 					return r.fail(err)
 				}
@@ -360,7 +349,7 @@ func (r *Run) next() (engine.Item, bool, error) {
 				}
 			}
 			if res == nil {
-				seq, ids, sums, err := eng.BindingSeq(spec.expr, r.env, spec.pre)
+				seq, ids, sums, err := eng.BindingSeq(spec.expr, r.env)
 				if err != nil {
 					return r.fail(err)
 				}
@@ -468,18 +457,14 @@ func (r *Run) next() (engine.Item, bool, error) {
 				r.pc = in.C
 				continue
 			}
-			var it engine.Item
 			if c.seqMode {
-				it = c.seq[c.pos]
+				c.curNode, c.curIsNode = c.seq[c.pos].(storage.NodeID)
+				r.env.Bind(p.vars[in.B], c.seq[c.pos:c.pos+1], nil, c.sums)
 			} else {
-				it = c.ids[c.pos]
+				c.curNode, c.curIsNode = c.ids[c.pos], true
+				r.env.BindNode(p.vars[in.B], c.curNode, c.sums)
 			}
 			c.pos++
-			c.curNode, c.curIsNode = 0, false
-			if id, isNode := it.(storage.NodeID); isNode {
-				c.curNode, c.curIsNode = id, true
-			}
-			r.env.Bind(p.vars[in.B], engine.Seq{it}, c.sums)
 			r.pc++
 
 		case OpDeferred:
@@ -514,17 +499,11 @@ func (r *Run) next() (engine.Item, bool, error) {
 
 		case OpLet:
 			spec := &p.doms[in.B]
-			seq, ids, sums, err := eng.BindingSeq(spec.expr, r.env, spec.pre)
+			seq, ids, sums, err := eng.BindingSeq(spec.expr, r.env)
 			if err != nil {
 				return r.fail(err)
 			}
-			if ids != nil {
-				seq = make(engine.Seq, len(ids))
-				for i, id := range ids {
-					seq[i] = id
-				}
-			}
-			r.env.Bind(p.vars[in.A], seq, sums)
+			r.env.Bind(p.vars[in.A], seq, ids, sums)
 			r.pc++
 
 		case OpWhere:
@@ -540,15 +519,6 @@ func (r *Run) next() (engine.Item, bool, error) {
 
 		case OpEvalPush:
 			v, err := eng.EvalExpr(p.exprs[in.A], r.env)
-			if err != nil {
-				return r.fail(err)
-			}
-			r.stack = append(r.stack, emitFrame{seq: v})
-			r.pc++
-
-		case OpPathPush:
-			ps := &p.paths[in.A]
-			v, err := eng.EvalPathExpr(ps.p, r.env, ps.pre)
 			if err != nil {
 				return r.fail(err)
 			}

@@ -9,45 +9,46 @@ func Walk(expr Expr, fn func(Expr)) {
 		return
 	}
 	fn(expr)
+	for _, c := range Children(expr) {
+		Walk(c, fn)
+	}
+}
+
+// Children returns the direct sub-expressions of expr in evaluation
+// order (for a FLWOR: clause sources, WHERE, ORDER BY, RETURN; for a
+// path: its step predicates), so a traversal that tracks scope can
+// recurse on its own terms. Absent optional parts are skipped.
+func Children(expr Expr) []Expr {
+	var out []Expr
 	switch x := expr.(type) {
 	case *FLWOR:
 		for _, c := range x.Clauses {
-			Walk(c.Seq, fn)
+			out = append(out, c.Seq)
 		}
-		Walk(x.Where, fn)
-		Walk(x.OrderBy, fn)
-		Walk(x.Return, fn)
+		for _, sub := range []Expr{x.Where, x.OrderBy, x.Return} {
+			if sub != nil {
+				out = append(out, sub)
+			}
+		}
 	case *PathExpr:
 		for _, st := range x.Steps {
-			for _, p := range st.Preds {
-				Walk(p, fn)
-			}
+			out = append(out, st.Preds...)
 		}
 	case *Cmp:
-		Walk(x.Left, fn)
-		Walk(x.Right, fn)
+		out = []Expr{x.Left, x.Right}
 	case *Logic:
-		Walk(x.Left, fn)
-		Walk(x.Right, fn)
+		out = []Expr{x.Left, x.Right}
 	case *Arith:
-		Walk(x.Left, fn)
-		Walk(x.Right, fn)
+		out = []Expr{x.Left, x.Right}
 	case *Call:
-		for _, a := range x.Args {
-			Walk(a, fn)
-		}
+		out = x.Args
 	case *ElementCtor:
 		for _, a := range x.Attrs {
-			for _, v := range a.Value {
-				Walk(v, fn)
-			}
+			out = append(out, a.Value...)
 		}
-		for _, c := range x.Content {
-			Walk(c, fn)
-		}
+		out = append(out, x.Content...)
 	case *Sequence:
-		for _, it := range x.Items {
-			Walk(it, fn)
-		}
+		out = x.Items
 	}
+	return out
 }
