@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench bench-query bench-par bench-codec bench-vm bench-succinct bench-succinct-smoke bench-diff bench-paper fuzz-smoke
+.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench bench-query bench-par bench-codec bench-vm bench-succinct bench-succinct-smoke bench-fuse-smoke bench-diff bench-paper fuzz-smoke
 
 # Measurement is not part of the gate: bench/ (BENCHMARK.json) owns it,
 # and the `bench` target below appends to tracked BENCH_*.json files.
-check: vet vet-unsafeptr build bench-build race bench-succinct-smoke ## tier-1: vet + build + race-clean tests + bench smoke
+check: vet vet-unsafeptr build bench-build race bench-succinct-smoke bench-fuse-smoke ## tier-1: vet + build + race-clean tests + bench smoke
 
 vet:
 	$(GO) vet ./...
@@ -100,6 +100,12 @@ bench-succinct:
 # proves the benchmarks still compile and run, without recording JSON.
 bench-succinct-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct' -benchtime 1x . >/dev/null
+
+# The same for BenchmarkFuse: one fusion of each layout (a scale-2 base
+# with appended fragments, four shards of scale 8) next to the re-ingest
+# it replaced. Writes nothing.
+bench-fuse-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkFuse' -benchtime 1x . >/dev/null
 
 # Compiled-plan engine benchmarks: the same streaming/predicate
 # workloads on the stack VM vs the tree-walking oracle (per-item

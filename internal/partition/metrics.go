@@ -15,6 +15,8 @@ var counters struct {
 	hedgeWins       atomic.Int64
 	partialResults  atomic.Int64
 	mergedItems     atomic.Int64
+	fusions         atomic.Int64
+	fusionNanos     atomic.Int64
 }
 
 // Stats is one snapshot of the scatter-gather counters.
@@ -37,6 +39,10 @@ type Stats struct {
 	PartialResults int64
 	// MergedItems is the total number of items the merge emitted.
 	MergedItems int64
+	// Fused stores built (either layout) and their time: did an append or
+	// a swap make the next unscatterable query pay for a rebuild, and how much.
+	Fusions     int64
+	FusionNanos int64
 }
 
 // Snapshot returns the current counter values.
@@ -50,5 +56,7 @@ func Snapshot() Stats {
 		HedgeWins:       counters.hedgeWins.Load(),
 		PartialResults:  counters.partialResults.Load(),
 		MergedItems:     counters.mergedItems.Load(),
+		Fusions:         counters.fusions.Load(),
+		FusionNanos:     counters.fusionNanos.Load(),
 	}
 }

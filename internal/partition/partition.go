@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"time"
 
 	"xquec/internal/storage"
 	"xquec/internal/xquery"
@@ -218,44 +219,58 @@ func (s *Set) Save(path string) error {
 	return s.saveSegments(path)
 }
 
-// FuseXML reconstructs the whole corpus as one XML document.
+// FuseXML serializes the fused store: the whole corpus as one document, for
+// decompression to return and compaction to re-train on. No query needs it.
 func (s *Set) FuseXML() ([]byte, error) {
-	if s.Shards != nil {
-		return s.fuseShards()
+	st, err := s.Fused()
+	if err != nil {
+		return nil, err
 	}
-	return s.fuseSegments()
+	return st.Serialize(nil, 1)
 }
 
-// Fused returns the single-store view of the set, reconstructing the
-// corpus from the parts and re-ingesting it on first use. Queries the
-// analyzer cannot scatter (whole-corpus aggregates, multi-document
-// joins, ORDER BY over the full result) run here, so every query over a
-// set has an answer — scatter is the fast path, not the only path. A
-// set with a single part IS the corpus and needs no re-ingest.
-func (s *Set) Fused(parallelism int) (*storage.Store, error) {
+// Fused returns the single-store view of the set, built on first use.
+// Queries the analyzer cannot scatter (whole-corpus aggregates,
+// multi-document joins, ORDER BY over the full result) run here, so every
+// query over a set has an answer — scatter is the fast path, not the only
+// path. A set with a single part IS the corpus. Otherwise the layout names
+// the pieces of the parts' structures in document order and storage.Fusion
+// copies them, merges the containers and proves the result: compressed
+// domain throughout, nothing serialized or parsed.
+func (s *Set) Fused() (*storage.Store, error) {
 	s.fuseOnce.Do(func() {
 		if len(s.Stores) == 1 {
 			s.fused = s.Stores[0]
 			return
 		}
-		xml, err := s.FuseXML()
+		start := time.Now()
+		f := storage.NewFusion(s.Stores)
+		splice := s.spliceSegments
+		if s.Layout.Interleaved {
+			splice = s.spliceShards
+		}
+		err := splice(f)
+		if err == nil {
+			s.fused, err = f.Store()
+		}
 		if err != nil {
-			s.fuseErr = fmt.Errorf("partition: reconstructing corpus: %w", err)
+			s.fuseErr = fmt.Errorf("partition: fusing %ss: %w", s.Layout.Noun, err)
 			return
 		}
-		s.fused, s.fuseErr = storage.Load(xml, storage.LoadOptions{Parallelism: parallelism})
+		s.fused.OriginalSize = s.OriginalSize()
+		counters.fusions.Add(1)
+		counters.fusionNanos.Add(int64(time.Since(start)))
 	})
 	return s.fused, s.fuseErr
 }
 
-// Fallback is Fused for the query path: it also accounts the declined
-// query (the fallback counter is exported as a shard-tier metric and
-// counts shard sets only).
-func (s *Set) Fallback(parallelism int) (*storage.Store, error) {
+// Fallback is Fused for the query path: it also counts the declined query
+// (the counter is exported as a shard-tier metric and counts shard sets only).
+func (s *Set) Fallback() (*storage.Store, error) {
 	if s.Layout.Interleaved {
 		counters.fallbackQueries.Add(1)
 	}
-	return s.Fused(parallelism)
+	return s.Fused()
 }
 
 // Decide is the set's dispatch for one query: scatter over the parts

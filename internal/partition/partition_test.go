@@ -174,7 +174,7 @@ func TestSinglePartEvaluatesDirectly(t *testing.T) {
 			if set.Decide(expr).Scatter {
 				t.Fatalf("one-%s set scatters %.40q", noun, q)
 			}
-			st, err := set.Fallback(1)
+			st, err := set.Fallback()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -542,7 +542,7 @@ func TestAnalyze(t *testing.T) {
 
 func mustFused(t *testing.T, set *Set) *storage.Store {
 	t.Helper()
-	st, err := set.Fused(1)
+	st, err := set.Fused()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"xquec/internal/storage"
-	"xquec/internal/xpar"
 )
 
 // SegmentManifest is the persisted description of a segment set: the
@@ -222,22 +221,21 @@ func (s *Set) validateSegments() error {
 	return nil
 }
 
-// fuseSegments reconstructs the concatenated corpus: every segment's
-// document serialized from its store, spliced under the base root.
-func (s *Set) fuseSegments() ([]byte, error) {
-	docs := make([][]byte, len(s.Stores))
-	err := xpar.ForEach(len(s.Stores), len(s.Stores), func(i int) error {
-		xml, err := s.Stores[i].Serialize(nil, 1)
-		if err != nil {
-			return fmt.Errorf("partition: serializing segment %d: %w", i, err)
+// spliceSegments names the pieces of the concatenated corpus: the base's
+// structure up to its root's close, every later segment's root content,
+// and the close.
+func (s *Set) spliceSegments(f *storage.Fusion) error {
+	_, end := f.Span(0, 1)
+	f.Add(0, 0, end)
+	for i, st := range s.Stores[1:] {
+		if st.NumNodes() > 1 && st.IsAttr(2) {
+			return fmt.Errorf("segment %d root <%s> carries attributes (unsupported in a concatenation)", i+1, st.TagOf(1))
 		}
-		docs[i] = xml
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		_, inner := f.Span(i+1, 1)
+		f.Add(i+1, 1, inner)
 	}
-	return Concat(docs...)
+	f.Add(0, end, end+1)
+	return nil
 }
 
 // saveSegments writes the set next to the manifest at path (which

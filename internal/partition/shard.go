@@ -1,13 +1,13 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"xquec/internal/storage"
-	"xquec/internal/xmlparser"
 	"xquec/internal/xpar"
 )
 
@@ -201,109 +201,73 @@ func (s *Set) saveShards(path string) error {
 	return writeManifest(path, s.Shards)
 }
 
-// fuseShards reconstructs the original document from the shards: the
-// spine (and its text) comes from shard 0, and each spine parent's
-// partitioned subtrees are re-interleaved from all shards in global
-// rank order — exactly inverting the round-robin split.
-func (s *Set) fuseShards() ([]byte, error) {
-	s0 := s.Stores[0]
-	level := s.Layout.Level
+// subtree is one partitioned subtree of a shard set.
+type subtree struct {
+	rank   uint64
+	shard  int
+	root   storage.NodeID
+	parent int // ordinal of its parent among the spine elements
+}
 
-	// Spine elements occupy the same ordinal positions in every shard
-	// (the splitter echoes them to all shards in document order), so a
-	// per-shard "spine index" aligns parents across shards.
-	spineIdx := make([]map[storage.NodeID]int, len(s.Stores))
+// subtreesInOrder lists the partitioned subtrees of all shards in global
+// rank order — document order, the inverse of the round-robin split (the
+// k-th table entry of shard s has rank k·N+s) — and shard 0's spine
+// elements by ordinal. The splitter echoes the spine to every shard in
+// document order, so the ordinal names a subtree's parent across shards,
+// and the subtrees of one parent are a run of the list.
+func (s *Set) subtreesInOrder() (subs []subtree, spine0 []storage.NodeID, err error) {
 	for si, st := range s.Stores {
-		idx := map[storage.NodeID]int{}
-		n := 0
+		var spine []storage.NodeID
 		st.ScanNodes(func(id storage.NodeID, lvl uint16) {
-			if int(lvl) < level && !st.IsAttr(id) {
-				idx[id] = n
-				n++
+			if int(lvl) < s.Layout.Level && !st.IsAttr(id) {
+				spine = append(spine, id)
 			}
 		})
-		spineIdx[si] = idx
-	}
-
-	// Partitioned subtrees grouped by their parent's spine ordinal,
-	// sorted by global rank (table order is rank order within a shard:
-	// the k-th table entry of shard s has rank k*N+s).
-	type part struct {
-		rank  uint64
-		shard int
-		root  storage.NodeID
-	}
-	byParent := map[int][]part{}
-	for si := range s.Stores {
+		if si == 0 {
+			spine0 = spine
+		}
 		for k, sp := range s.tables[si] {
-			parent := s.Stores[si].Parent(sp.start)
-			psi, ok := spineIdx[si][parent]
-			if !ok {
-				return nil, fmt.Errorf("partition: subtree %d of shard %d has non-spine parent", k, si)
+			ord, ok := slices.BinarySearch(spine, st.Parent(sp.start))
+			if !ok || ord >= len(spine0) {
+				return nil, nil, fmt.Errorf("partition: subtree %d of shard %d has non-spine parent", k, si)
 			}
-			byParent[psi] = append(byParent[psi], part{
-				rank:  uint64(k)*uint64(len(s.Stores)) + uint64(si),
-				shard: si,
-				root:  sp.start,
-			})
+			subs = append(subs, subtree{uint64(k)*uint64(len(s.Stores)) + uint64(si), si, sp.start, ord})
 		}
 	}
-	for _, ps := range byParent {
-		sort.Slice(ps, func(i, j int) bool { return ps[i].rank < ps[j].rank })
-	}
+	slices.SortFunc(subs, func(a, b subtree) int { return cmp.Compare(a.rank, b.rank) })
+	return subs, spine0, nil
+}
 
-	sc := storage.NewScratch()
-	defer sc.Release()
-	var dst []byte
-	var emit func(id storage.NodeID) error
-	emit = func(id storage.NodeID) error {
-		tag := s0.TagOf(id)
-		dst = append(dst, '<')
-		dst = append(dst, tag...)
-		for k := range s0.Kids(id) {
-			if k.ID != 0 && s0.IsAttr(k.ID) {
-				dst = append(dst, ' ')
-				var err error
-				dst, err = s0.SerializeScratch(sc, dst, k.ID)
-				if err != nil {
-					return err
-				}
-			}
-		}
-		dst = append(dst, '>')
-		for k := range s0.Kids(id) {
-			if k.ID == 0 {
-				v, err := s0.Container(k.Val.Container).DecodeScratch(sc, int(k.Val.Index))
-				if err != nil {
-					return err
-				}
-				dst = xmlparser.EscapeText(dst, string(v))
-				continue
-			}
-			if s0.IsAttr(k.ID) || int(s0.LevelOf(k.ID)) >= level {
-				// Attributes were emitted with the tag; level-P kids are
-				// shard 0's own partitioned subtrees and come back via
-				// the merged rank order below.
-				continue
-			}
-			if err := emit(k.ID); err != nil {
-				return err
-			}
-		}
-		for _, p := range byParent[spineIdx[0][id]] {
-			var err error
-			dst, err = s.Stores[p.shard].SerializeScratch(sc, dst, p.root)
-			if err != nil {
-				return err
-			}
-		}
-		dst = append(dst, '<', '/')
-		dst = append(dst, tag...)
-		dst = append(dst, '>')
-		return nil
+// spliceShards names the pieces of the original document: shard 0's
+// structure — the spine with its attributes and text — cut at every
+// parent of partitioned subtrees, where that parent's subtrees from all
+// shards go in rank order in place of shard 0's own (it has no text, so
+// they are its last children: the cut is from shard 0's first to its close).
+func (s *Set) spliceShards(f *storage.Fusion) error {
+	subs, spine0, err := s.subtreesInOrder()
+	if err != nil {
+		return err
 	}
-	if err := emit(1); err != nil {
-		return nil, err
+	at := 0
+	for i := 0; i < len(subs); {
+		_, end := f.Span(0, spine0[subs[i].parent])
+		cut, j := end, i
+		for ; j < len(subs) && subs[j].parent == subs[i].parent; j++ {
+			if subs[j].shard == 0 && cut == end {
+				cut, _ = f.Span(0, subs[j].root)
+			}
+		}
+		if cut < at {
+			return fmt.Errorf("partition: shard subtrees are not in document order")
+		}
+		f.Add(0, at, cut)
+		for _, p := range subs[i:j] {
+			open, end := f.Span(p.shard, p.root)
+			f.Add(p.shard, open, end+1)
+		}
+		at, i = end, j
 	}
-	return dst, nil
+	_, end := f.Span(0, 1)
+	f.Add(0, at, end+1)
+	return nil
 }

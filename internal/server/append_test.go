@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xquec/internal/partition"
 )
 
 func postAppend(t testing.TB, url string, req AppendRequest) (*AppendResponse, *http.Response) {
@@ -34,6 +36,7 @@ func postAppend(t testing.TB, url string, req AppendRequest) (*AppendResponse, *
 
 func TestAppendGrowsRepository(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
+	fusions := partition.Snapshot().Fusions
 
 	before, _ := postQuery(t, ts.URL, QueryRequest{Repo: "numbers", Query: `count(/data/v)`})
 	if before == nil || before.Result != "4" {
@@ -91,6 +94,19 @@ func TestAppendGrowsRepository(t *testing.T) {
 	}
 	if m.RepoSegments["numbers"] != 2 {
 		t.Fatalf("repo segments = %v", m.RepoSegments)
+	}
+	// The count after the append could not scatter: it paid for one
+	// fusion of the two segments, and the metrics say so.
+	if now := partition.Snapshot(); now.Fusions <= fusions || now.FusionNanos == 0 {
+		t.Fatalf("fusions = %d (was %d), %d ns", now.Fusions, fusions, now.FusionNanos)
+	}
+	var prom bytes.Buffer
+	srv.Metrics().WritePrometheus(&prom)
+	for _, series := range []string{"\nxquecd_fusions_total ", "\nxquecd_fusion_seconds_total "} {
+		i := strings.Index(prom.String(), series)
+		if i < 0 || strings.HasPrefix(prom.String()[i+len(series):], "0\n") {
+			t.Fatalf("/metrics lacks a non-zero %q", series)
+		}
 	}
 }
 

@@ -428,6 +428,8 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("xquecd_shard_hedge_wins_total", "Hedge streams that beat their primary.", ss.HedgeWins)
 	counter("xquecd_shard_partial_results_total", "Scattered queries completed with a shard dropped.", ss.PartialResults)
 	counter("xquecd_shard_merged_items_total", "Items emitted by the scatter-gather merge.", ss.MergedItems)
+	counter("xquecd_fusions_total", "Fused fallback stores built (first non-scatterable query on a set after an open, append or swap).", ss.Fusions)
+	fmt.Fprintf(w, "# HELP xquecd_fusion_seconds_total Time spent building fused fallback stores.\n# TYPE xquecd_fusion_seconds_total counter\nxquecd_fusion_seconds_total %g\n", float64(ss.FusionNanos)/1e9)
 
 	fmt.Fprintf(w, "# HELP xquecd_in_flight_queries Queries currently evaluating.\n")
 	fmt.Fprintf(w, "# TYPE xquecd_in_flight_queries gauge\nxquecd_in_flight_queries %d\n", m.InFlight.Load())

@@ -332,10 +332,7 @@ func (s *Store) buildContainers(sum *Summary, values map[int32]*valueList0, plan
 		c := &cls[i]
 		if c.typed != nil {
 			contCodec[i] = c.typed
-			contGroup[i] = "typed:" + c.typed.Name()
-			if _, ok := s.Models[contGroup[i]]; !ok {
-				s.Models[contGroup[i]] = GroupModel{Algorithm: c.typed.Name(), Codec: c.typed}
-			}
+			contGroup[i] = typedGroup(s.Models, c.typed)
 			continue
 		}
 		contGroup[i] = pathGroupName(pathGroup, c.path)
@@ -382,6 +379,20 @@ func (s *Store) buildContainers(sum *Summary, values map[int32]*valueList0, plan
 	}
 	s.Build.Encode = time.Since(phase)
 	return nil
+}
+
+// typedGroup returns the model group of a typed codec, registering it on
+// first use: "typed:<name>", or, when a codec of other parameters has
+// that name (a second decimal scale), the name plus its model bytes.
+func typedGroup(models map[string]GroupModel, c compress.Codec) string {
+	g := "typed:" + c.Name()
+	if m, ok := models[g]; ok && m.Codec != c {
+		g = fmt.Sprintf("%s/%x", g, c.AppendModel(nil))
+	}
+	if _, ok := models[g]; !ok {
+		models[g] = GroupModel{Algorithm: c.Name(), Codec: c}
+	}
+	return g
 }
 
 func pathGroupName(pathGroup map[string]string, path string) string {

@@ -301,15 +301,25 @@ func LoadBinary(data []byte) (*Store, error) {
 	if r.pos != len(treeRaw) {
 		return nil, fmt.Errorf("storage: %d trailing bytes in structure section", len(treeRaw)-r.pos)
 	}
-	if err := s.deriveFromSuccinct(); err != nil {
+	if err := s.adoptStructure(); err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// adoptStructure is where both ways of building a store from arrays end,
+// LoadBinary and Fusion: the sweep that derives the rest and proves the
+// arrays a repository, then the record backend if XQUEC_STRUCT asks.
+func (s *Store) adoptStructure() error {
+	if err := s.deriveFromSuccinct(); err != nil {
+		return err
 	}
 	if resolveStructure(StructDefault) == StructRecords {
 		s.nodes, s.end, s.level = succinctToRecords(s.succ)
 		s.succ = nil
 		s.buildNodeIndex()
 	}
-	return s, nil
+	return nil
 }
 
 // loadTree parses the succinct structure section into s.succ. The

@@ -108,6 +108,9 @@ func TestPersistRoundTripBothModes(t *testing.T) {
 		"xmark": datagen.XMark(datagen.XMarkConfig{Scale: 0.002, Seed: 11}),
 		"deep":  datagen.DeepTree(datagen.DeepTreeConfig{Depth: 300, Seed: 3}),
 		"mixed": []byte(`<doc id="1">lead <b>bold</b> middle <i a="x">it<u>deep</u>al</i> tail<e/><n>42</n><n>7</n> end</doc>`),
+		// Two decimal scales (and a repeat of each): one group per codec,
+		// or the second scale reopens under the first's model.
+		"scales": []byte(`<r><a>1.25</a><a>2.50</a><b>1.250</b><b>3.125</b><c>0.75</c><d>0.001</d><e>0.5</e></r>`),
 	}
 	for name, doc := range docs {
 		rec, suc := loadBoth(t, doc)

@@ -25,10 +25,16 @@ type SummaryNode struct {
 
 // Path returns the full path of the node, e.g. /site/people/person/@id.
 func (s *SummaryNode) Path() string {
-	if s.Parent == nil {
-		return "/" + s.Tag
+	n := 0
+	for p := s; p != nil; p = p.Parent {
+		n += 1 + len(p.Tag)
 	}
-	return s.Parent.Path() + "/" + s.Tag
+	buf := make([]byte, n)
+	for p := s; p != nil; p = p.Parent {
+		n -= copy(buf[n-len(p.Tag):], p.Tag) + 1
+		buf[n] = '/'
+	}
+	return string(buf)
 }
 
 // Summary is the structure summary tree.

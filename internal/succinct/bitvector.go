@@ -53,6 +53,20 @@ func (b *BitBuilder) Append(bit bool) {
 	b.n++
 }
 
+// AppendRange adds bits [from, to) of words, a source word at a time,
+// each shifted to the builder's offset and split over at most two words.
+func (b *BitBuilder) AppendRange(words []uint64, from, to int) {
+	for n := 0; from < to; from, b.n = from+n, b.n+n {
+		n = min(64-from&63, to-from)
+		w := words[from>>6] >> (uint(from) & 63) & (1<<uint(n) - 1)
+		if off := uint(b.n) & 63; off == 0 {
+			b.words = append(b.words, w)
+		} else if b.words[len(b.words)-1] |= w << off; int(off)+n > 64 {
+			b.words = append(b.words, w>>(64-off))
+		}
+	}
+}
+
 // Len returns the number of bits appended so far.
 func (b *BitBuilder) Len() int { return b.n }
 

@@ -2,6 +2,7 @@ package succinct
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -287,4 +288,31 @@ func FuzzBPNavigation(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestAppendRangeMatchesAppend: the word-shifted range copy must write
+// the bits the one-at-a-time Append writes, at every pair of alignments.
+func TestAppendRangeMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	src := make([]uint64, 12)
+	for i := range src {
+		src[i] = rng.Uint64()
+	}
+	for trial := 0; trial < 2000; trial++ {
+		want, got := NewBitBuilder(0), NewBitBuilder(0)
+		for piece := 0; piece < 1+rng.Intn(5); piece++ {
+			from := rng.Intn(64 * len(src))
+			to := from + rng.Intn(64*len(src)-from+1)
+			if rng.Intn(4) == 0 {
+				to = min(to, from+rng.Intn(70))
+			}
+			for i := from; i < to; i++ {
+				want.Append(src[i>>6]>>(uint(i)&63)&1 == 1)
+			}
+			got.AppendRange(src, from, to)
+		}
+		if got.Len() != want.Len() || !slices.Equal(got.Words(), want.Words()) {
+			t.Fatalf("trial %d: %d bits %x, want %d bits %x", trial, got.Len(), got.Words(), want.Len(), want.Words())
+		}
+	}
 }

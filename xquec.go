@@ -304,9 +304,9 @@ func (db *Database) TopologyKey() string {
 
 // fused returns the single-store view: the store itself, or the
 // shard/segment set's lazily reconstructed fusion.
-func (db *Database) fused(parallelism int) (*storage.Store, error) {
+func (db *Database) fused() (*storage.Store, error) {
 	if db.set != nil {
-		s, err := db.set.Fused(parallelism)
+		s, err := db.set.Fused()
 		return s, tagErr(ErrCorruptRepository, err)
 	}
 	return db.store, nil
@@ -326,7 +326,7 @@ func (db *Database) SaveFile(path string) error {
 // fused single-repository serialization (shard sets are a multi-file
 // layout; use SaveFile to persist one); nil if fusion fails.
 func (db *Database) Bytes() []byte {
-	s, err := db.fused(0)
+	s, err := db.fused()
 	if err != nil {
 		return nil
 	}
@@ -425,7 +425,7 @@ func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error)
 			return &Results{cur: cur}, nil
 		}
 		var err error
-		if st, err = set.Fallback(opts.Parallelism); err != nil {
+		if st, err = set.Fallback(); err != nil {
 			return nil, tagErr(ErrCorruptRepository, err)
 		}
 	}
