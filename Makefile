@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench bench-query bench-par bench-codec bench-vm bench-succinct bench-succinct-smoke bench-fuse-smoke bench-diff bench-paper fuzz-smoke
+.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench bench-query bench-par bench-codec bench-vm bench-succinct bench-succinct-smoke bench-fuse-smoke bench-ingest-smoke bench-diff bench-paper fuzz-smoke
 
 # Measurement is not part of the gate: bench/ (BENCHMARK.json) owns it,
 # and the `bench` target below appends to tracked BENCH_*.json files.
-check: vet vet-unsafeptr build bench-build race bench-succinct-smoke bench-fuse-smoke ## tier-1: vet + build + race-clean tests + bench smoke
+check: vet vet-unsafeptr build bench-build race bench-succinct-smoke bench-fuse-smoke bench-ingest-smoke ## tier-1: vet + build + race-clean tests + bench smoke
 
 vet:
 	$(GO) vet ./...
@@ -107,6 +107,12 @@ bench-succinct-smoke:
 bench-fuse-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFuse' -benchtime 1x . >/dev/null
 
+# And for BenchmarkCompressXMark: one storage.Load of the scale-1
+# document at each worker count, the in-process number ISSUE 17's
+# acceptance cites (ns/op and allocs/op with -benchmem). Writes nothing.
+bench-ingest-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkCompressXMark' -benchtime 1x . >/dev/null
+
 # Compiled-plan engine benchmarks: the same streaming/predicate
 # workloads on the stack VM vs the tree-walking oracle (per-item
 # dispatch cost, first-item latency, allocs). Appends to BENCH_vm.json;
@@ -129,9 +135,10 @@ bench-diff:
 	done; exit $$fail
 
 # Short fuzzing pass over the codec fuzz targets (roundtrip, order
-# preservation, decode-vs-reference), the navigation kernels and the
-# repository loader (hostile bytes behind a repaired checksum). Not part
-# of tier-1 `check`; the targets' seed corpora still run under plain
+# preservation, decode-vs-reference), the navigation kernels, the
+# repository loader (hostile bytes behind a repaired checksum) and the
+# XML scanner under the ingest loader (hostile documents). Not part of
+# tier-1 `check`; the targets' seed corpora still run under plain
 # `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHuffmanRoundtrip -fuzztime 5s ./internal/compress/huffman/
@@ -146,6 +153,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBPNavigation -fuzztime 5s ./internal/succinct/
 	$(GO) test -run '^$$' -fuzz FuzzBulkNavigation -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzLoadBinary -fuzztime 5s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzSAX -fuzztime 5s ./internal/storage/
 
 # Full paper benchmark suite (scaled-down in-test versions).
 bench-paper:

@@ -51,7 +51,7 @@ func Compress(src []byte) (*Document, error) {
 	// Pass 1: gather values per path.
 	pathIdx := map[string]int{}
 	var samples [][][]byte
-	collect := func(path string, v string) int {
+	collect := func(path string, v []byte) int {
 		i, ok := pathIdx[path]
 		if !ok {
 			i = len(samples)
@@ -59,7 +59,7 @@ func Compress(src []byte) (*Document, error) {
 			samples = append(samples, nil)
 			d.Paths = append(d.Paths, path)
 		}
-		samples[i] = append(samples[i], []byte(v))
+		samples[i] = append(samples[i], bytes.Clone(v))
 		return i
 	}
 	var path []string
@@ -67,9 +67,9 @@ func Compress(src []byte) (*Document, error) {
 	err := p.Parse(func(ev *xmlparser.Event) error {
 		switch ev.Kind {
 		case xmlparser.EventStartElement:
-			path = append(path, ev.Name)
+			path = append(path, string(ev.Name))
 			for _, at := range ev.Attrs {
-				collect(strings.Join(path, "/")+"/@"+at.Name, at.Value)
+				collect(strings.Join(path, "/")+"/@"+string(at.Name), at.Value)
 			}
 		case xmlparser.EventEndElement:
 			path = path[:len(path)-1]
@@ -96,18 +96,18 @@ func Compress(src []byte) (*Document, error) {
 	err = p2.Parse(func(ev *xmlparser.Event) error {
 		switch ev.Kind {
 		case xmlparser.EventStartElement:
-			path = append(path, ev.Name)
+			path = append(path, string(ev.Name))
 			d.Stream = append(d.Stream, opStart)
-			d.Stream = compress.AppendUvarint(d.Stream, uint64(intern(ev.Name)))
+			d.Stream = compress.AppendUvarint(d.Stream, uint64(intern(string(ev.Name))))
 			for _, at := range ev.Attrs {
-				pi := pathIdx[strings.Join(path, "/")+"/@"+at.Name]
+				pi := pathIdx[strings.Join(path, "/")+"/@"+string(at.Name)]
 				var err error
-				enc, err = d.Models[pi].Encode(enc[:0], []byte(at.Value))
+				enc, err = d.Models[pi].Encode(enc[:0], at.Value)
 				if err != nil {
 					return err
 				}
 				d.Stream = append(d.Stream, opAttr)
-				d.Stream = compress.AppendUvarint(d.Stream, uint64(intern("@"+at.Name)))
+				d.Stream = compress.AppendUvarint(d.Stream, uint64(intern("@"+string(at.Name))))
 				d.Stream = compress.AppendUvarint(d.Stream, uint64(pi))
 				d.Stream = compress.AppendBytes(d.Stream, enc)
 			}
@@ -117,7 +117,7 @@ func Compress(src []byte) (*Document, error) {
 		case xmlparser.EventText:
 			pi := pathIdx[strings.Join(path, "/")+"/#text"]
 			var err error
-			enc, err = d.Models[pi].Encode(enc[:0], []byte(ev.Text))
+			enc, err = d.Models[pi].Encode(enc[:0], ev.Text)
 			if err != nil {
 				return err
 			}

@@ -65,13 +65,13 @@ func Compress(src []byte) (*Archive, error) {
 	err := p.Parse(func(ev *xmlparser.Event) error {
 		switch ev.Kind {
 		case xmlparser.EventStartElement:
-			path = append(path, ev.Name)
+			path = append(path, string(ev.Name))
 			structure = append(structure, opStart)
-			structure = compress.AppendUvarint(structure, uint64(intern(ev.Name)))
+			structure = compress.AppendUvarint(structure, uint64(intern(string(ev.Name))))
 			for _, at := range ev.Attrs {
-				ci := container(strings.Join(path, "/") + "/@" + at.Name)
+				ci := container(strings.Join(path, "/") + "/@" + string(at.Name))
 				structure = append(structure, opAttr)
-				structure = compress.AppendUvarint(structure, uint64(intern("@"+at.Name)))
+				structure = compress.AppendUvarint(structure, uint64(intern("@"+string(at.Name))))
 				structure = compress.AppendUvarint(structure, uint64(ci))
 				raw[ci] = append(raw[ci], at.Value...)
 				raw[ci] = append(raw[ci], 0)

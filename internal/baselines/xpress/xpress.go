@@ -11,6 +11,7 @@
 package xpress
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -71,13 +72,13 @@ func Compress(src []byte) (*Document, error) {
 	err := p.Parse(func(ev *xmlparser.Event) error {
 		switch ev.Kind {
 		case xmlparser.EventStartElement:
-			freq[ev.Name]++
+			freq[string(ev.Name)]++
 			for _, at := range ev.Attrs {
-				freq["@"+at.Name]++
-				values = append(values, []byte(at.Value))
+				freq["@"+string(at.Name)]++
+				values = append(values, bytes.Clone(at.Value))
 			}
 		case xmlparser.EventText:
-			values = append(values, []byte(ev.Text))
+			values = append(values, bytes.Clone(ev.Text))
 		}
 		return nil
 	})
@@ -141,9 +142,9 @@ func Compress(src []byte) (*Document, error) {
 	err = p2.Parse(func(ev *xmlparser.Event) error {
 		switch ev.Kind {
 		case xmlparser.EventStartElement:
-			iv := d.pathInterval(ev.Name, stack)
+			iv := d.pathInterval(string(ev.Name), stack)
 			stack = append(stack, iv)
-			pathKey = append(pathKey, ev.Name)
+			pathKey = append(pathKey, string(ev.Name))
 			key := strings.Join(pathKey, "/")
 			pid, known := pathID[key]
 			if !known {
@@ -157,8 +158,8 @@ func Compress(src []byte) (*Document, error) {
 			d.Stream = compress.AppendUvarint(d.Stream, uint64(pid))
 			for _, at := range ev.Attrs {
 				d.Stream = append(d.Stream, opAttr)
-				d.Stream = compress.AppendUvarint(d.Stream, uint64(d.nameIdx["@"+at.Name]))
-				if err := emitValue(at.Value); err != nil {
+				d.Stream = compress.AppendUvarint(d.Stream, uint64(d.nameIdx["@"+string(at.Name)]))
+				if err := emitValue(string(at.Value)); err != nil {
 					return err
 				}
 			}
@@ -168,7 +169,7 @@ func Compress(src []byte) (*Document, error) {
 			d.Stream = append(d.Stream, opEnd)
 		case xmlparser.EventText:
 			d.Stream = append(d.Stream, opText)
-			return emitValue(ev.Text)
+			return emitValue(string(ev.Text))
 		}
 		return nil
 	})

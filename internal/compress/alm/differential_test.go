@@ -2,7 +2,9 @@ package alm
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -159,6 +161,65 @@ func TestSecondLevelIndexAgreesWithLocate(t *testing.T) {
 			if above[n-1] < 0xff {
 				above[n-1]++
 				probe(above)
+			}
+		}
+	}
+}
+
+// mineCorpora are the value-list shapes the miner's three candidate
+// kinds each respond to, plus the degenerate ones.
+func mineCorpora(rng *rand.Rand) map[string][][]byte {
+	words := []string{"the", "quick", "auction", "of", "gold", "and", "silver", "mine", "zephyr", "a", "an", "1999", "x86"}
+	corpora := map[string][][]byte{
+		"empty":    nil,
+		"one-byte": {[]byte("a"), []byte(""), []byte("b"), []byte("a")},
+		"one":      {[]byte("solitary value")},
+	}
+	var random, prose, ids, enum, long [][]byte
+	for i := 0; i < 400; i++ {
+		v := make([]byte, rng.Intn(40))
+		for j := range v {
+			v[j] = "ab1 -\x00\xc3"[rng.Intn(7)] // few enough symbols that runs repeat
+		}
+		random = append(random, v)
+
+		var sb []byte
+		for n := 1 + rng.Intn(30); n > 0; n-- {
+			sb = append(sb, words[rng.Intn(len(words))]...)
+			sb = append(sb, " ,.-"[rng.Intn(4)])
+			if rng.Intn(3) > 0 {
+				sb = append(sb, ' ')
+			}
+		}
+		prose = append(prose, sb)
+
+		ids = append(ids, []byte(fmt.Sprintf("person%d", rng.Intn(3000))))
+		enum = append(enum, []byte([]string{"Yes", "No", "Creditcard", "Cash", "Money order"}[rng.Intn(5)]))
+		// Past the whole-value, distinct-value and token length limits.
+		long = append(long, bytes.Repeat([]byte(words[rng.Intn(len(words))]), 1+rng.Intn(90)))
+	}
+	corpora["random"], corpora["prose"], corpora["identifiers"] = random, prose, ids
+	corpora["enumeration"], corpora["long"] = enum, long
+	corpora["mixed"] = slices.Concat(prose[:50], ids[:100], enum[:30], random[:20], long[:10])
+	return corpora
+}
+
+// TestMineTokens checks the token table against the map-based miner it
+// replaced: the same tokens in the same order, at caps that cut the
+// candidate list and caps that do not.
+func TestMineTokens(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		for name, values := range mineCorpora(rand.New(rand.NewSource(seed))) {
+			for _, max := range []int{0, 1, 7, 100, DefaultMaxTokens} {
+				got, want := mineTokens(values, max), mineTokensReference(values, max)
+				if len(got) != len(want) {
+					t.Fatalf("%s (seed %d, max %d): %d tokens, reference %d", name, seed, max, len(got), len(want))
+				}
+				for i := range want {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("%s (seed %d, max %d): token %d = %q, reference %q", name, seed, max, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}

@@ -49,10 +49,10 @@ func (DecimalTrainer) Train(values [][]byte) (compress.Codec, error) {
 		}
 	}
 	c := DecimalCodec{Scale: scale}
-	var buf []byte
+	var buf, enc []byte
 	for _, v := range values {
-		enc, err := c.Encode(nil, v)
-		if err != nil {
+		var err error
+		if enc, err = c.Encode(enc[:0], v); err != nil {
 			return nil, fmt.Errorf("%w: %q", ErrNotRepresentable, v)
 		}
 		buf, _ = c.Decode(buf[:0], enc)

@@ -50,10 +50,10 @@ func (IntTrainer) Name() string { return "int" }
 // Train implements compress.Trainer.
 func (IntTrainer) Train(values [][]byte) (compress.Codec, error) {
 	c := IntCodec{}
-	var buf []byte
+	var buf, enc []byte
 	for _, v := range values {
-		enc, err := c.Encode(nil, v)
-		if err != nil {
+		var err error
+		if enc, err = c.Encode(enc[:0], v); err != nil {
 			return nil, fmt.Errorf("%w: %q", ErrNotRepresentable, v)
 		}
 		buf, _ = c.Decode(buf[:0], enc)
@@ -116,10 +116,10 @@ func (FloatTrainer) Name() string { return "float" }
 // Train implements compress.Trainer.
 func (FloatTrainer) Train(values [][]byte) (compress.Codec, error) {
 	c := FloatCodec{}
-	var buf []byte
+	var buf, enc []byte
 	for _, v := range values {
-		enc, err := c.Encode(nil, v)
-		if err != nil {
+		var err error
+		if enc, err = c.Encode(enc[:0], v); err != nil {
 			return nil, fmt.Errorf("%w: %q", ErrNotRepresentable, v)
 		}
 		buf, _ = c.Decode(buf[:0], enc)
@@ -192,10 +192,10 @@ func (DateTrainer) Name() string { return "date" }
 // Train implements compress.Trainer.
 func (DateTrainer) Train(values [][]byte) (compress.Codec, error) {
 	c := DateCodec{}
-	var buf []byte
+	var buf, enc []byte
 	for _, v := range values {
-		enc, err := c.Encode(nil, v)
-		if err != nil {
+		var err error
+		if enc, err = c.Encode(enc[:0], v); err != nil {
 			return nil, fmt.Errorf("%w: %q", ErrNotRepresentable, v)
 		}
 		buf, _ = c.Decode(buf[:0], enc)

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"bytes"
 	"strings"
 
 	"xquec/internal/compress/numeric"
@@ -25,7 +26,7 @@ func CollectContainers(src []byte) ([]ContainerInfo, error) {
 	accs := map[string]*acc{}
 	var path []string
 	order := 0
-	record := func(p string, value string) {
+	record := func(p string, value []byte) {
 		a := accs[p]
 		if a == nil {
 			a = &acc{info: ContainerInfo{Path: p}, order: order}
@@ -35,16 +36,16 @@ func CollectContainers(src []byte) ([]ContainerInfo, error) {
 		a.info.Count++
 		a.info.TotalBytes += len(value)
 		if len(a.info.Sample) < MaxSampleValues {
-			a.info.Sample = append(a.info.Sample, []byte(value))
+			a.info.Sample = append(a.info.Sample, bytes.Clone(value))
 		}
 	}
 	parser := xmlparser.NewParser(src)
 	err := parser.Parse(func(ev *xmlparser.Event) error {
 		switch ev.Kind {
 		case xmlparser.EventStartElement:
-			path = append(path, ev.Name)
+			path = append(path, string(ev.Name))
 			for _, attr := range ev.Attrs {
-				record("/"+strings.Join(path, "/")+"/@"+attr.Name, attr.Value)
+				record("/"+strings.Join(path, "/")+"/@"+string(attr.Name), attr.Value)
 			}
 		case xmlparser.EventEndElement:
 			path = path[:len(path)-1]

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xquec/internal/algebra"
+	"xquec/internal/datagen"
 	"xquec/internal/storage"
 )
 
@@ -32,7 +33,7 @@ func TestParallelDifferential(t *testing.T) {
 		trials = 4
 	}
 	for trial := 0; trial < trials; trial++ {
-		doc := randomDoc(rng)
+		doc := datagen.RandomRecords(rng)
 		s, err := storage.Load(doc, storage.LoadOptions{Plan: plans[trial%len(plans)]})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

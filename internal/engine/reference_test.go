@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xquec/internal/algebra"
+	"xquec/internal/datagen"
 	"xquec/internal/storage"
 	"xquec/internal/xquery"
 )
@@ -86,7 +87,7 @@ func TestChildStepAgainstNavigation(t *testing.T) {
 	}
 	ranges, steps := 0, 0
 	for trial := 0; trial < 40; trial++ {
-		doc := randomDoc(rng)
+		doc := datagen.RandomRecords(rng)
 		s, err := storage.Load(doc, storage.LoadOptions{})
 		if err != nil {
 			t.Fatal(err)

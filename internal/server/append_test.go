@@ -187,3 +187,28 @@ func TestAppendValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendDepthBomb: a million nested elements answer 400 — a syntax
+// error, where the recursive parser overflowed the stack of a process no
+// recover could save — and the repository goes on serving reads and
+// taking appends.
+func TestAppendDepthBomb(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	bomb := "<data>" + strings.Repeat("<v>", 1_000_000)
+	res, resp := postAppend(t, ts.URL, AppendRequest{Repo: "numbers", Doc: bomb + strings.Repeat("</v>", 1_000_000) + "</data>"})
+	if res != nil || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("nesting bomb: res=%+v status=%d, want 400", res, resp.StatusCode)
+	}
+	if b, _ := io.ReadAll(resp.Body); !strings.Contains(string(b), "element depth exceeds 65535") {
+		t.Fatalf("nesting bomb: %s", b)
+	}
+	if out, _ := postQuery(t, ts.URL, QueryRequest{Repo: "numbers", Query: `count(/data/v)`}); out == nil || out.Result != "4" {
+		t.Fatalf("query after the bomb = %+v", out)
+	}
+	if res, resp := postAppend(t, ts.URL, AppendRequest{Repo: "numbers", Doc: `<data><v>5</v></data>`}); res == nil || res.Segments != 2 {
+		t.Fatalf("append after the bomb: res=%+v status=%d", res, resp.StatusCode)
+	}
+	if out, _ := postQuery(t, ts.URL, QueryRequest{Repo: "numbers", Query: `count(/data/v)`}); out == nil || out.Result != "5" {
+		t.Fatalf("query after the next append = %+v", out)
+	}
+}

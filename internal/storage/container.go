@@ -212,51 +212,62 @@ func (c *Container) FindRangeDecoding(loPlain []byte, loInclusive bool, hiPlain 
 func buildContainer(path string, kind ValueKind, group string, codec compress.Codec, plains [][]byte, owners []NodeID) (*Container, []int32, error) {
 	n := len(plains)
 	// Duplicate values (enumerations, flags, repeated names) are common;
-	// encode each distinct plaintext once. Dedup by sorting rather than a
-	// map[string][]byte cache: the map store allocated a string key per
-	// distinct value, and the container needs a value-order sort anyway.
-	// A stable sort by plaintext groups duplicates into runs; the run
-	// head is encoded once and the encoding shared across the run.
-	byPlain := make([]int32, n)
-	for i := range byPlain {
-		byPlain[i] = int32(i)
+	// encode each distinct plaintext once. The container needs a
+	// value-order sort anyway: a stable sort by plaintext groups
+	// duplicates into runs, the run head is encoded once and the encoding
+	// shared across the run.
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
 	}
-	sort.SliceStable(byPlain, func(a, b int) bool {
-		return bytes.Compare(plains[byPlain[a]], plains[byPlain[b]]) < 0
-	})
-	encs := make([][]byte, n)
-	var run []byte
-	for k, pos := range byPlain {
-		if k == 0 || !bytes.Equal(plains[pos], plains[byPlain[k-1]]) {
-			e, err := codec.Encode(nil, plains[pos])
-			if err != nil {
-				return nil, nil, fmt.Errorf("container %s: encode %q: %w", path, plains[pos], err)
-			}
-			run = e
+	slices.SortStableFunc(order, func(a, b int32) int { return bytes.Compare(plains[a], plains[b]) })
+	// All encodings go into one slab, cut to size once they are known;
+	// span[k] is where the encoding of order[k] lies in it.
+	var slab []byte
+	span := make([][2]int, n)
+	for k, pos := range order {
+		if k > 0 && bytes.Equal(plains[pos], plains[order[k-1]]) {
+			span[k] = span[k-1]
+			continue
 		}
-		encs[pos] = run
+		from := len(slab)
+		var err error
+		if slab, err = codec.Encode(slab, plains[pos]); err != nil {
+			return nil, nil, fmt.Errorf("container %s: encode %q: %w", path, plains[pos], err)
+		}
+		span[k] = [2]int{from, len(slab)}
 	}
-	// Final value order. Order-agnostic codecs sort by plaintext, which
-	// byPlain already is. Order-preserving codecs sort by encoding: typed
-	// codecs preserve value-domain order (e.g. 9 < 10 as integers, but
-	// "10" < "9" as bytes), so the plaintext order must be re-sorted.
-	// Encodings are injective, so equal encodings mean equal plaintexts,
-	// and stacking the two stable sorts leaves ties in document order —
-	// the same result as one stable sort of document order by the final
-	// key.
-	op := codec.Props().OrderPreserving
-	order := byPlain
-	if op {
-		sort.SliceStable(order, func(a, b int) bool {
-			return bytes.Compare(encs[order[a]], encs[order[b]]) < 0
-		})
-	}
+	slab = slices.Clone(slab)
 	c := &Container{Path: path, Kind: kind, Group: group, codec: codec}
 	c.recs = make([]Record, n)
+	for k, pos := range order {
+		from, to := span[k][0], span[k][1]
+		c.recs[k] = Record{Value: slab[from:to:to], Owner: owners[pos]}
+	}
+	// Final value order. Order-agnostic codecs sort by plaintext, which
+	// the records already are. Order-preserving codecs sort by encoding:
+	// for a string codec that is the plaintext order again, but typed
+	// codecs preserve value-domain order (e.g. 9 < 10 as integers, but
+	// "10" < "9" as bytes), so the records must be re-sorted. Encodings
+	// are injective, so equal encodings mean equal plaintexts, and
+	// stacking the two stable sorts leaves ties in document order — the
+	// same result as one stable sort of document order by the final key.
+	byValue := func(a, b Record) int { return bytes.Compare(a.Value, b.Value) }
+	if codec.Props().OrderPreserving && !slices.IsSortedFunc(c.recs, byValue) {
+		// Sort the records with their document positions: the owner
+		// field carries the position through the sort.
+		for k, pos := range order {
+			c.recs[k].Owner = NodeID(pos)
+		}
+		slices.SortStableFunc(c.recs, byValue)
+		for k := range c.recs {
+			order[k] = int32(c.recs[k].Owner)
+			c.recs[k].Owner = owners[order[k]]
+		}
+	}
 	mapping := make([]int32, n)
-	for i, pos := range order {
-		c.recs[i] = Record{Value: encs[pos], Owner: owners[pos]}
-		mapping[pos] = int32(i)
+	for k, pos := range order {
+		mapping[pos] = int32(k)
 	}
 	c.buildEqOrder()
 	return c, mapping, nil

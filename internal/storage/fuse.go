@@ -35,7 +35,7 @@ func NewFusion(parts []*Store) *Fusion {
 	f := &Fusion{parts: parts, trees: make([]*SuccinctStructure, len(parts))}
 	for i, p := range parts {
 		if f.trees[i] = p.succ; p.succ == nil {
-			f.trees[i] = recordsToArrays(p).build()
+			f.trees[i] = p.arr.build()
 		}
 	}
 	return f

@@ -6,9 +6,9 @@ import (
 	"sort"
 	"time"
 
-	"xquec/internal/btree"
 	"xquec/internal/compress"
 	"xquec/internal/compress/numeric"
+	"xquec/internal/succinct"
 	"xquec/internal/xmlparser"
 )
 
@@ -44,136 +44,61 @@ type LoadOptions struct {
 // Load parses an XML document and builds the compressed repository.
 //
 // Ingestion is a two-phase pipeline. Phase one is the serial SAX pass:
-// it assembles the structure tree, the structure summary and the
-// per-container plaintext value lists in document order (§2.2 makes
-// each root-to-leaf path an independent compression unit, but document
-// order itself is inherently sequential). Phase two fans out over those
-// independent units on a worker pool — see buildContainers.
+// it writes the structure tree as it will be stored — paren bits, node
+// marks, tag codes and one value ref per text leaf — and assembles the
+// structure summary and the per-container plaintext value lists in
+// document order (§2.2 makes each root-to-leaf path an independent
+// compression unit, but document order itself is inherently sequential).
+// Phase two fans out over those independent units on a worker pool — see
+// buildContainers — and the arrays are frozen the way an opened file's
+// and a fusion's are (succinctArrays.build).
 func Load(src []byte, opts LoadOptions) (*Store, error) {
 	par := opts.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
 	s := &Store{
-		nameIdx:      map[string]uint16{},
 		Models:       map[string]GroupModel{},
 		OriginalSize: len(src),
+		Sum:          &Summary{},
 	}
 	s.Build.Parallelism = par
+	in := &ingest{
+		dict: newDictionary(),
+		sum:  s.Sum,
+		pb:   succinct.NewBitBuilder(len(src) / 8),
+		mb:   succinct.NewBitBuilder(len(src) / 16),
+	}
 	for _, name := range opts.Dictionary {
-		s.intern(name)
-	}
-	sum := &Summary{}
-	s.Sum = sum
-
-	values := map[int32]*valueList0{}
-	valueListFor := func(sn *SummaryNode) *valueList0 {
-		vl := values[sn.ID]
-		if vl == nil {
-			vl = &valueList0{sumID: sn.ID}
-			values[sn.ID] = vl
+		if _, err := in.dict.add(name); err != nil {
+			return nil, err
 		}
-		return vl
-	}
-
-	type frame struct {
-		id  NodeID
-		sn  *SummaryNode
-		lvl uint16
-	}
-	var stack []frame
-	fanTotal := map[int32]int{}
-
-	newNode := func(tag string, parent NodeID, lvl uint16) NodeID {
-		s.nodes = append(s.nodes, NodeRecord{Tag: s.intern(tag), Parent: parent})
-		s.end = append(s.end, NodeID(len(s.nodes)))
-		s.level = append(s.level, lvl)
-		return NodeID(len(s.nodes))
 	}
 
 	phase := time.Now()
-	p := xmlparser.NewParser(src)
-	err := p.Parse(func(ev *xmlparser.Event) error {
-		switch ev.Kind {
-		case xmlparser.EventStartElement:
-			var parent frame
-			if len(stack) > 0 {
-				parent = stack[len(stack)-1]
-			}
-			id := newNode(ev.Name, parent.id, parent.lvl+1)
-			sn := sum.child(parent.sn, ev.Name, true)
-			sn.Extent = append(sn.Extent, id)
-			if parent.id != 0 {
-				s.nodes[parent.id-1].Kids = append(s.nodes[parent.id-1].Kids, NodeChild(id))
-				fanTotal[parent.sn.ID]++
-			}
-			for _, a := range ev.Attrs {
-				aid := newNode("@"+a.Name, id, parent.lvl+2)
-				s.nodes[id-1].Kids = append(s.nodes[id-1].Kids, NodeChild(aid))
-				asn := sum.child(sn, "@"+a.Name, true)
-				asn.Extent = append(asn.Extent, aid)
-				vl := valueListFor(asn)
-				vl.plains = append(vl.plains, []byte(a.Value))
-				vl.owners = append(vl.owners, aid)
-				// Placeholder ref: Container = summary ID, Index =
-				// document position; fixed up after containers build.
-				s.nodes[aid-1].Values = append(s.nodes[aid-1].Values,
-					ValueRef{Container: asn.ID, Index: int32(len(vl.plains) - 1)})
-				s.nodes[aid-1].Kids = append(s.nodes[aid-1].Kids, ValueChild(0))
-			}
-			stack = append(stack, frame{id: id, sn: sn, lvl: parent.lvl + 1})
-		case xmlparser.EventEndElement:
-			top := stack[len(stack)-1]
-			s.end[top.id-1] = NodeID(len(s.nodes))
-			stack = stack[:len(stack)-1]
-		case xmlparser.EventText:
-			top := stack[len(stack)-1]
-			tsn := sum.child(top.sn, "#text", true)
-			vl := valueListFor(tsn)
-			vl.plains = append(vl.plains, []byte(ev.Text))
-			vl.owners = append(vl.owners, top.id)
-			owner := &s.nodes[top.id-1]
-			owner.Kids = append(owner.Kids, ValueChild(len(owner.Values)))
-			owner.Values = append(owner.Values,
-				ValueRef{Container: tsn.ID, Index: int32(len(vl.plains) - 1)})
-		}
-		return nil
-	})
-	if err != nil {
+	if err := xmlparser.NewParser(src).Parse(in.event); err != nil {
 		return nil, err
 	}
-	if len(s.nodes) == 0 {
-		return nil, fmt.Errorf("storage: document has no elements")
-	}
+	s.Names, s.nameIdx = in.dict.names, in.dict.idx
 	s.Build.Parse = time.Since(phase)
 
-	if err := s.buildContainers(sum, values, opts.Plan, par); err != nil {
+	if err := s.buildContainers(in, opts.Plan, par); err != nil {
 		return nil, err
 	}
 
 	phase = time.Now()
-	if resolveStructure(opts.Structure) == StructSuccinct {
-		// Swap the record arrays for the BP self-index. The succinct
-		// backend also skips the redundant B+ index: with dense pre-order
-		// IDs it is never consulted, and it would defeat the memory goal.
-		s.succ = recordsToArrays(s).build()
-		s.nodes, s.end, s.level = nil, nil, nil
-	} else {
-		// Redundant B+ index over node IDs.
-		keys := make([]uint64, len(s.nodes))
-		vals := make([]int64, len(s.nodes))
-		for i := range keys {
-			keys[i] = uint64(i + 1)
-			vals[i] = int64(i)
-		}
-		s.Index = btree.BulkLoad(keys, vals)
+	a := &in.arr
+	a.parens, a.nParens = in.pb.Words(), in.pb.Len()
+	a.marks, a.nOpens = in.mb.Words(), in.mb.Len()
+	s.succ = a.build()
+	if resolveStructure(opts.Structure) == StructRecords {
+		s.useRecords()
 	}
-
 	// Statistics.
-	for _, sn := range sum.Nodes() {
+	for _, sn := range s.Sum.Nodes() {
 		sn.Count = len(sn.Extent)
 		if sn.Count > 0 {
-			sn.AvgFan = float64(fanTotal[sn.ID]) / float64(sn.Count)
+			sn.AvgFan = float64(in.sums[sn.ID].fan) / float64(sn.Count)
 		}
 	}
 	s.Build.Index = time.Since(phase)
@@ -181,9 +106,149 @@ func Load(src []byte, opts LoadOptions) (*Store, error) {
 	return s, nil
 }
 
+// ingest is the state of Load's SAX pass: the structure arrays under
+// construction and, per summary node, what the pass needs to find its
+// way without comparing strings.
+type ingest struct {
+	dict   *dictionary
+	sum    *Summary
+	pb, mb *succinct.BitBuilder // paren bits; node marks over the opens
+	// arr collects tags and value refs. Until buildContainers resolves
+	// them, a ref's valCont is the summary ID of its value path and its
+	// valIdx the value's position in that path's list.
+	arr  succinctArrays
+	sums []sumState // by summary ID
+	// wide finds a summary node's children past the first scanKids by
+	// (parent ID, tag code): a parent with tens of thousands of distinct
+	// child names must not cost a scan of them per instance.
+	wide  map[[2]int32]*SummaryNode
+	stack []openElem
+	slab  []byte // copies of the values the parser decoded into its own buffer
+}
+
+// scanKids is how many children of a summary node are found by scanning.
+const scanKids = 16
+
+type sumState struct {
+	code int32        // tag code of the node's instances, -1 for a #text node
+	fan  int          // element children over all instances
+	text *SummaryNode // the #text child, once an instance had text
+	// A value path's (attribute or #text) values in document order, one
+	// container's worth. The plaintexts are views of the document, or of
+	// ingest.slab when the document spells them with references or CDATA.
+	plains [][]byte
+	owners []NodeID
+}
+
+type openElem struct {
+	id NodeID
+	sn *SummaryNode
+}
+
+// event is the xmlparser.Handler of the pass.
+func (in *ingest) event(ev *xmlparser.Event) error {
+	switch ev.Kind {
+	case xmlparser.EventStartElement:
+		code, err := in.dict.elem(ev.Name)
+		if err != nil {
+			return err
+		}
+		var parent *SummaryNode
+		if len(in.stack) > 0 {
+			parent = in.stack[len(in.stack)-1].sn
+			in.sums[parent.ID].fan++
+		}
+		id, sn := in.open(parent, code)
+		if len(ev.Attrs) > 0 && len(in.stack)+1 == xmlparser.MaxDepth {
+			return fmt.Errorf("storage: attribute of an element at depth %d exceeds the 16-bit level space", xmlparser.MaxDepth)
+		}
+		for i := range ev.Attrs {
+			a := &ev.Attrs[i]
+			if code, err = in.dict.attr(a.Name); err != nil {
+				return err
+			}
+			aid, asn := in.open(sn, code)
+			in.value(asn, aid, a.Value, a.Decoded)
+			in.pb.Append(false)
+		}
+		in.stack = append(in.stack, openElem{id: id, sn: sn})
+	case xmlparser.EventEndElement:
+		in.pb.Append(false)
+		in.stack = in.stack[:len(in.stack)-1]
+	case xmlparser.EventText:
+		top := in.stack[len(in.stack)-1]
+		tsn := in.sums[top.sn.ID].text
+		if tsn == nil {
+			tsn = in.addSummary(top.sn, -1, "#text")
+			in.sums[top.sn.ID].text = tsn
+		}
+		in.value(tsn, top.id, ev.Text, ev.Decoded)
+	}
+	return nil
+}
+
+// open writes the open paren of the next element or attribute node and
+// files the node under its parent's summary child of that tag code.
+func (in *ingest) open(parent *SummaryNode, code uint16) (NodeID, *SummaryNode) {
+	in.pb.Append(true)
+	in.mb.Append(true)
+	in.arr.tags = append(in.arr.tags, code)
+	id := NodeID(len(in.arr.tags))
+	var sn *SummaryNode
+	if parent == nil {
+		sn = in.sum.Root
+	} else {
+		kids := parent.Children
+		for _, c := range kids[:min(len(kids), scanKids)] {
+			if in.sums[c.ID].code == int32(code) {
+				sn = c
+				break
+			}
+		}
+		if sn == nil && len(kids) > scanKids {
+			sn = in.wide[[2]int32{parent.ID, int32(code)}]
+		}
+	}
+	if sn == nil {
+		sn = in.addSummary(parent, int32(code), in.dict.names[code])
+		if parent != nil && len(parent.Children) > scanKids {
+			if in.wide == nil {
+				in.wide = map[[2]int32]*SummaryNode{}
+			}
+			in.wide[[2]int32{parent.ID, int32(code)}] = sn
+		}
+	}
+	sn.Extent = append(sn.Extent, id)
+	return id, sn
+}
+
+func (in *ingest) addSummary(parent *SummaryNode, code int32, tag string) *SummaryNode {
+	in.sums = append(in.sums, sumState{code: code})
+	return in.sum.add(parent, tag)
+}
+
+// value writes a text leaf — "()", unmarked — owned by node owner and
+// appends its plaintext to the list of the value path sn.
+func (in *ingest) value(sn *SummaryNode, owner NodeID, plain []byte, decoded bool) {
+	in.pb.Append(true)
+	in.pb.Append(false)
+	in.mb.Append(false)
+	if decoded {
+		// The parser's buffer is overwritten by the next event.
+		k := len(in.slab)
+		in.slab = append(in.slab, plain...)
+		plain = in.slab[k:len(in.slab):len(in.slab)]
+	}
+	st := &in.sums[sn.ID]
+	in.arr.valCont = append(in.arr.valCont, sn.ID)
+	in.arr.valIdx = append(in.arr.valIdx, int32(len(st.plains)))
+	st.plains = append(st.plains, plain)
+	st.owners = append(st.owners, owner)
+}
+
 // buildContainers infers container types, resolves the compression plan
 // into source-model groups, trains codecs, builds sorted containers and
-// fixes up the placeholder value refs in the structure tree.
+// resolves the structure arrays' value refs against them.
 //
 // This is the fan-out phase of the pipeline. Three stages run on the
 // worker pool, each over independent units:
@@ -199,12 +264,15 @@ func Load(src []byte, opts LoadOptions) (*Store, error) {
 // summary-ID order, and every parallel stage writes results into a
 // slice cell keyed by its input index, so the container order, group
 // order and all persisted bytes are identical for any worker count.
-func (s *Store) buildContainers(sum *Summary, values map[int32]*valueList0, plan *CompressionPlan, par int) error {
-	sumIDs := make([]int32, 0, len(values))
-	for id := range values {
-		sumIDs = append(sumIDs, id)
+func (s *Store) buildContainers(in *ingest, plan *CompressionPlan, par int) error {
+	sum := in.sum
+	var sumIDs []int32 // the value paths, ascending
+	for id := range in.sums {
+		if len(in.sums[id].plains) > 0 {
+			sumIDs = append(sumIDs, int32(id))
+		}
 	}
-	sort.Slice(sumIDs, func(i, j int) bool { return sumIDs[i] < sumIDs[j] })
+	plains := func(sumID int32) [][]byte { return in.sums[sumID].plains }
 
 	defaultAlg := AlgALM
 	pathGroup := map[string]string{} // path -> group name
@@ -245,7 +313,7 @@ func (s *Store) buildContainers(sum *Summary, values map[int32]*valueList0, plan
 			cls[i].group = g
 			return nil
 		}
-		if kind, codec := inferTyped(values[id].plains); codec != nil {
+		if kind, codec := inferTyped(plains(id)); codec != nil {
 			cls[i].kind = kind
 			cls[i].typed = codec
 		}
@@ -284,7 +352,7 @@ func (s *Store) buildContainers(sum *Summary, values map[int32]*valueList0, plan
 
 	// Stage 2 (parallel): train one codec per group on the union of the
 	// members' values. Each training run owns its group exclusively; the
-	// shared `values` map is only read.
+	// value lists are only read.
 	phase = time.Now()
 	groupCodecs := make([]compress.Codec, len(groupNames))
 	err = forEachIndex(par, len(groupNames), func(gi int) error {
@@ -297,9 +365,12 @@ func (s *Store) buildContainers(sum *Summary, values map[int32]*valueList0, plan
 		if err != nil {
 			return err
 		}
-		var union [][]byte
-		for _, m := range groups[g] {
-			union = append(union, values[m.sumID].plains...)
+		union := plains(groups[g][0].sumID)
+		if len(groups[g]) > 1 {
+			union = nil
+			for _, m := range groups[g] {
+				union = append(union, plains(m.sumID)...)
+			}
 		}
 		codec, err := tr.Train(union)
 		if err != nil {
@@ -341,7 +412,7 @@ func (s *Store) buildContainers(sum *Summary, values map[int32]*valueList0, plan
 	conts := make([]*Container, len(sumIDs))
 	mappingByIdx := make([][]int32, len(sumIDs))
 	err = forEachIndex(par, len(sumIDs), func(i int) error {
-		vl := values[sumIDs[i]]
+		vl := &in.sums[sumIDs[i]]
 		cont, mapping, err := buildContainer(cls[i].path, cls[i].kind, contGroup[i], contCodec[i], vl.plains, vl.owners)
 		if err != nil {
 			return err
@@ -354,28 +425,20 @@ func (s *Store) buildContainers(sum *Summary, values map[int32]*valueList0, plan
 		return err
 	}
 
-	// Serial: append containers in summary-ID order and remember the
-	// fix-up maps.
-	contOf := map[int32]int32{}
-	mappings := map[int32][]int32{}
+	// Serial: append containers in summary-ID order, then turn every
+	// ref's (summary ID, document position) into (container, record).
+	contOf := make([]int32, len(in.sums))
+	mappings := make([][]int32, len(in.sums))
 	for i, id := range sumIDs {
-		idx := int32(len(s.Containers))
-		s.Containers = append(s.Containers, conts[i])
-		sum.NodeByID(id).Container = idx
-		contOf[id] = idx
+		contOf[id] = int32(len(s.Containers))
 		mappings[id] = mappingByIdx[i]
+		sum.NodeByID(id).Container = contOf[id]
+		s.Containers = append(s.Containers, conts[i])
 	}
-
-	// Fix up the placeholder value refs.
-	for i := range s.nodes {
-		n := &s.nodes[i]
-		for vi := range n.Values {
-			sumID := n.Values[vi].Container
-			n.Values[vi] = ValueRef{
-				Container: contOf[sumID],
-				Index:     mappings[sumID][n.Values[vi].Index],
-			}
-		}
+	a := &in.arr
+	for v, sumID := range a.valCont {
+		a.valCont[v] = contOf[sumID]
+		a.valIdx[v] = mappings[sumID][a.valIdx[v]]
 	}
 	s.Build.Encode = time.Since(phase)
 	return nil
@@ -421,12 +484,4 @@ func inferTyped(plains [][]byte) (ValueKind, compress.Codec) {
 		return KindFloat, c
 	}
 	return KindString, nil
-}
-
-// valueList0 is the loader-internal accumulation of one container's
-// values in document order.
-type valueList0 struct {
-	sumID  int32
-	plains [][]byte
-	owners []NodeID
 }

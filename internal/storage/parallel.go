@@ -16,11 +16,14 @@ func forEachIndex(workers, n int, fn func(i int) error) error {
 }
 
 // BuildStats records the wall-clock time Load spent in each phase of the
-// two-phase ingestion pipeline. Parse is the serial SAX pass; Classify,
-// Train and Encode are the parallel fan-out (type inference, source-model
-// training, value encoding + container sorting); Index is the serial
-// B+ bulk-load and statistics pass. Not persisted: repositories opened
-// from disk report a zero BuildStats.
+// two-phase ingestion pipeline. Parse is the serial SAX pass, which writes
+// the structure arrays; Classify, Train and Encode are the parallel
+// fan-out (type inference, source-model training, value encoding +
+// container sorting + value-ref resolution); Index is the serial freeze of
+// the succinct structure (rank/select and navigation directories) and the
+// summary statistics — plus, under XQUEC_STRUCT=records, the expansion
+// into record arrays and their B+ bulk-load. Not persisted: repositories
+// opened from disk report a zero BuildStats.
 type BuildStats struct {
 	Parallelism int
 	Parse       time.Duration

@@ -104,12 +104,12 @@ func (s *Store) AppendBinary(dst []byte) []byte {
 }
 
 // structureArrays returns the succinct encoding of the structure tree,
-// converting transiently when the record backend is resident.
+// which the record backend keeps beside its arrays.
 func (s *Store) structureArrays() *succinctArrays {
 	if s.succ != nil {
 		return s.succ.arrays()
 	}
-	return recordsToArrays(s)
+	return s.arr
 }
 
 // appendPackedBits appends ceil(nBits/8) bytes of the packed bit words
@@ -189,7 +189,7 @@ func LoadBinary(data []byte) (*Store, error) {
 		return nil, fmt.Errorf("storage: checksum mismatch (corrupt repository)")
 	}
 	r := &reader{data: body, pos: len(magic)}
-	s := &Store{nameIdx: map[string]uint16{}, Models: map[string]GroupModel{}}
+	s := &Store{Models: map[string]GroupModel{}}
 
 	osz, err := r.uvarint()
 	if err != nil {
@@ -201,16 +201,20 @@ func LoadBinary(data []byte) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nNames > 1<<16 {
-		return nil, fmt.Errorf("storage: %d names exceed the 16-bit tag space", nNames)
+	if nNames > maxNames {
+		return nil, errTooManyNames(nNames)
 	}
+	dict := newDictionary()
 	for i := 0; i < nNames; i++ {
 		b, err := r.bytes()
 		if err != nil {
 			return nil, err
 		}
-		s.intern(string(b))
+		if _, err := dict.add(string(b)); err != nil {
+			return nil, err
+		}
 	}
+	s.Names, s.nameIdx = dict.names, dict.idx
 
 	nGroups, err := r.count("source model", 3)
 	if err != nil {
@@ -307,19 +311,27 @@ func LoadBinary(data []byte) (*Store, error) {
 	return s, nil
 }
 
-// adoptStructure is where both ways of building a store from arrays end,
-// LoadBinary and Fusion: the sweep that derives the rest and proves the
-// arrays a repository, then the record backend if XQUEC_STRUCT asks.
+// adoptStructure is where two of the three ways of building a store from
+// arrays end, LoadBinary and Fusion (Load derives the summary while it
+// parses): the sweep that derives the rest and proves the arrays a
+// repository, then the record backend if XQUEC_STRUCT asks.
 func (s *Store) adoptStructure() error {
 	if err := s.deriveFromSuccinct(); err != nil {
 		return err
 	}
 	if resolveStructure(StructDefault) == StructRecords {
-		s.nodes, s.end, s.level = succinctToRecords(s.succ)
-		s.succ = nil
-		s.buildNodeIndex()
+		s.useRecords()
 	}
 	return nil
+}
+
+// useRecords swaps the succinct structure for the record arrays and
+// their B+ index, keeping the raw encoding for AppendBinary and Fusion.
+func (s *Store) useRecords() {
+	s.arr = s.succ.arrays()
+	s.nodes, s.end, s.level = succinctToRecords(s.succ)
+	s.succ = nil
+	s.buildNodeIndex()
 }
 
 // loadTree parses the succinct structure section into s.succ. The

@@ -68,17 +68,10 @@ func SplitXML(src []byte, shards, partitionLevel int) (*ShardSplit, error) {
 	// the loader's intern order: element tag, then its attributes in
 	// order) and per-level element counts for the auto partition level.
 	var (
-		dict     []string
-		dictSeen = map[string]bool{}
+		dict     = newDictionary()
 		depth    int
 		lvlCount [4]int // elements at levels 1..3
 	)
-	seen := func(name string) {
-		if !dictSeen[name] {
-			dictSeen[name] = true
-			dict = append(dict, name)
-		}
-	}
 	p := xmlparser.NewParser(src)
 	err := p.Parse(func(ev *xmlparser.Event) error {
 		switch ev.Kind {
@@ -87,9 +80,13 @@ func SplitXML(src []byte, shards, partitionLevel int) (*ShardSplit, error) {
 			if depth < len(lvlCount) {
 				lvlCount[depth]++
 			}
-			seen(ev.Name)
+			if _, err := dict.elem(ev.Name); err != nil {
+				return err
+			}
 			for _, a := range ev.Attrs {
-				seen("@" + a.Name)
+				if _, err := dict.attr(a.Name); err != nil {
+					return err
+				}
 			}
 		case xmlparser.EventEndElement:
 			depth--
@@ -117,7 +114,7 @@ func SplitXML(src []byte, shards, partitionLevel int) (*ShardSplit, error) {
 
 	sp := &ShardSplit{
 		Docs:           make([][]byte, shards),
-		Dictionary:     dict,
+		Dictionary:     dict.names,
 		PartitionLevel: level,
 		SubtreeCounts:  make([]int, shards),
 	}
@@ -130,9 +127,9 @@ func SplitXML(src []byte, shards, partitionLevel int) (*ShardSplit, error) {
 	// subtree. Partition parents (level P-1) are watched for mixed
 	// content.
 	type parentState struct {
-		text bool // emitted a text child
-		part bool // emitted a partitioned element child
-		name string
+		text bool   // emitted a text child
+		part bool   // emitted a partitioned element child
+		name []byte // a view of src
 	}
 	var (
 		curShard = -1

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"iter"
 	"strings"
 
@@ -32,6 +33,9 @@ type Store struct {
 
 	// Succinct backend: the BP self-index. Nil in records mode.
 	succ *SuccinctStructure
+	// Records mode: the raw succinct encoding the records were expanded
+	// from — what persists and what a Fusion splices.
+	arr *succinctArrays
 
 	Containers []*Container
 	Sum        *Summary
@@ -68,15 +72,61 @@ func (s *Store) Code(name string) (uint16, bool) {
 // Name returns the name for a dictionary code.
 func (s *Store) Name(code uint16) string { return s.Names[code] }
 
-// intern returns the code for name, adding it to the dictionary.
-func (s *Store) intern(name string) uint16 {
-	if c, ok := s.nameIdx[name]; ok {
-		return c
+// dictionary builds a name dictionary: codes in first-seen order, which
+// is the order every builder of one has to agree on (Load, SplitXML's
+// shared dictionary, the names of a file). Tag codes are 16-bit, so the
+// 65 537th name is an error, not a wrapped code.
+type dictionary struct {
+	names []string
+	idx   map[string]uint16 // by dictionary name: "tag", "@attr"
+	attrs map[string]uint16 // attribute codes by bare name: a parsed attribute is looked up without building "@"+name
+}
+
+func newDictionary() *dictionary {
+	return &dictionary{idx: map[string]uint16{}, attrs: map[string]uint16{}}
+}
+
+// add returns the code of a dictionary name, assigning the next one to a
+// name not seen before.
+func (d *dictionary) add(name string) (uint16, error) {
+	if c, ok := d.idx[name]; ok {
+		return c, nil
 	}
-	c := uint16(len(s.Names))
-	s.Names = append(s.Names, name)
-	s.nameIdx[name] = c
-	return c
+	if len(d.names) == maxNames {
+		return 0, errTooManyNames(len(d.names) + 1)
+	}
+	c := uint16(len(d.names))
+	d.names = append(d.names, name)
+	d.idx[name] = c
+	return c, nil
+}
+
+// elem returns the code of an element name as the parser delivers it.
+func (d *dictionary) elem(name []byte) (uint16, error) {
+	if c, ok := d.idx[string(name)]; ok {
+		return c, nil
+	}
+	return d.add(string(name))
+}
+
+// attr returns the code of "@"+name for a parsed attribute name.
+func (d *dictionary) attr(name []byte) (uint16, error) {
+	if c, ok := d.attrs[string(name)]; ok {
+		return c, nil
+	}
+	c, err := d.add("@" + string(name))
+	if err != nil {
+		return 0, err
+	}
+	d.attrs[string(name)] = c
+	return c, nil
+}
+
+// maxNames is the size of the 16-bit tag space.
+const maxNames = 1 << 16
+
+func errTooManyNames(n int) error {
+	return fmt.Errorf("storage: %d names exceed the 16-bit tag space", n)
 }
 
 // StructureKind reports which structure backend is active.

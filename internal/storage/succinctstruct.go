@@ -339,64 +339,9 @@ func (t *SuccinctStructure) footprintBytes() (bp, marks, refs int) {
 	return
 }
 
-// recordsToArrays encodes the record-backed structure tree as succinct
-// arrays via one pre-order walk over the child lists (which carry the
-// text interleaving the parens must preserve).
-func recordsToArrays(s *Store) *succinctArrays {
-	nNodes := len(s.nodes)
-	nLeaves := 0
-	for i := range s.nodes {
-		nLeaves += len(s.nodes[i].Values)
-	}
-	pb := succinct.NewBitBuilder(2 * (nNodes + nLeaves))
-	mb := succinct.NewBitBuilder(nNodes + nLeaves)
-	a := &succinctArrays{
-		tags:    make([]uint16, 0, nNodes),
-		valCont: make([]int32, 0, nLeaves),
-		valIdx:  make([]int32, 0, nLeaves),
-	}
-	type frame struct {
-		id   NodeID
-		kidI int
-	}
-	open := func(id NodeID) {
-		pb.Append(true)
-		mb.Append(true)
-		a.tags = append(a.tags, s.nodes[id-1].Tag)
-	}
-	stack := []frame{{id: 1}}
-	open(1)
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		n := &s.nodes[f.id-1]
-		if f.kidI >= len(n.Kids) {
-			pb.Append(false)
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		k := n.Kids[f.kidI]
-		f.kidI++
-		if k.IsValue() {
-			vr := n.Values[k.ValueIndex()]
-			pb.Append(true)
-			pb.Append(false)
-			mb.Append(false)
-			a.valCont = append(a.valCont, vr.Container)
-			a.valIdx = append(a.valIdx, vr.Index)
-			continue
-		}
-		kid := k.Node()
-		open(kid)
-		stack = append(stack, frame{id: kid})
-	}
-	a.parens, a.nParens = pb.Words(), pb.Len()
-	a.marks, a.nOpens = mb.Words(), mb.Len()
-	return a
-}
-
 // succinctToRecords rebuilds the record arrays from the paren walk —
-// the XQUEC_STRUCT=records path. The structure has already passed
-// deriveFromSuccinct, so the walk checks nothing.
+// the XQUEC_STRUCT=records path. The structure is well-formed — built by
+// Load, or past deriveFromSuccinct — so the walk checks nothing.
 func succinctToRecords(t *SuccinctStructure) (nodes []NodeRecord, end []NodeID, level []uint16) {
 	nNodes := t.numNodes()
 	nodes = make([]NodeRecord, nNodes)

@@ -55,24 +55,28 @@ func (s *Summary) child(parent *SummaryNode, tag string, create bool) *SummaryNo
 		if s.Root != nil && s.Root.Tag == tag {
 			return s.Root
 		}
-		if !create {
-			return nil
-		}
-		s.Root = &SummaryNode{ID: int32(len(s.nodes)), Tag: tag, Container: -1}
-		s.nodes = append(s.nodes, s.Root)
-		return s.Root
-	}
-	for _, c := range parent.Children {
-		if c.Tag == tag {
-			return c
+	} else {
+		for _, c := range parent.Children {
+			if c.Tag == tag {
+				return c
+			}
 		}
 	}
 	if !create {
 		return nil
 	}
+	return s.add(parent, tag)
+}
+
+// add appends a new node under parent (the root when parent is nil).
+func (s *Summary) add(parent *SummaryNode, tag string) *SummaryNode {
 	n := &SummaryNode{ID: int32(len(s.nodes)), Tag: tag, Parent: parent, Container: -1}
 	s.nodes = append(s.nodes, n)
-	parent.Children = append(parent.Children, n)
+	if parent == nil {
+		s.Root = n
+	} else {
+		parent.Children = append(parent.Children, n)
+	}
 	return n
 }
 

@@ -49,9 +49,9 @@ func BuildDOM(src []byte) (*Document, error) {
 	err := p.Parse(func(ev *Event) error {
 		switch ev.Kind {
 		case EventStartElement:
-			n := &Node{Kind: NodeElement, Name: ev.Name, Pos: nextPos()}
+			n := &Node{Kind: NodeElement, Name: string(ev.Name), Pos: nextPos()}
 			for _, a := range ev.Attrs {
-				an := &Node{Kind: NodeAttr, Name: a.Name, Text: a.Value, Parent: n, Pos: nextPos()}
+				an := &Node{Kind: NodeAttr, Name: string(a.Name), Text: string(a.Value), Parent: n, Pos: nextPos()}
 				n.Attrs = append(n.Attrs, an)
 			}
 			if len(stack) == 0 {
@@ -72,7 +72,7 @@ func BuildDOM(src []byte) (*Document, error) {
 				return fmt.Errorf("xml: text outside root element")
 			}
 			top := stack[len(stack)-1]
-			top.Children = append(top.Children, &Node{Kind: NodeText, Text: ev.Text, Parent: top, Pos: nextPos()})
+			top.Children = append(top.Children, &Node{Kind: NodeText, Text: string(ev.Text), Parent: top, Pos: nextPos()})
 		}
 		return nil
 	})
@@ -184,17 +184,17 @@ func CollectStats(src []byte) (Stats, error) {
 		switch ev.Kind {
 		case EventStartElement:
 			st.Elements++
-			names[ev.Name] = true
+			names[string(ev.Name)] = true
 			depth++
-			path = append(path, ev.Name)
+			path = append(path, string(ev.Name))
 			paths[strings.Join(path, "/")] = true
 			if depth > st.MaxDepth {
 				st.MaxDepth = depth
 			}
 			for _, a := range ev.Attrs {
 				st.Attributes++
-				names["@"+a.Name] = true
-				paths[strings.Join(path, "/")+"/@"+a.Name] = true
+				names["@"+string(a.Name)] = true
+				paths[strings.Join(path, "/")+"/@"+string(a.Name)] = true
 				st.ValueBytes += len(a.Value)
 			}
 		case EventEndElement:

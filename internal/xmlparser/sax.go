@@ -11,7 +11,7 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 )
 
 // EventKind discriminates parser events.
@@ -26,20 +26,40 @@ const (
 	EventProcInst
 )
 
-// Attr is a decoded attribute.
+// MaxDepth is the deepest element nesting the parser accepts: node
+// levels are 16-bit throughout the repository, and a bound on the open
+// element stack is what keeps a nesting bomb a syntax error.
+const MaxDepth = 1<<16 - 1
+
+// Attr is a decoded attribute. See Event for the lifetime of its slices.
 type Attr struct {
-	Name  string
-	Value string
+	Name  []byte
+	Value []byte
+	// Decoded reports that Value held references and was assembled in
+	// the parser's buffer instead of aliasing the document.
+	Decoded bool
 }
 
 // Event is one parsing event. Name is set for start/end elements and
 // processing instructions; Text for text, comments, and PI payloads;
 // Attrs only for start elements.
+//
+// The event and every slice in it are valid only until the handler
+// returns: the parser reuses the Event, and a Text or attribute Value
+// marked Decoded lives in a buffer the next event overwrites. Everything
+// else — names, comments, and text and values written without references
+// or CDATA sections — is a view of the document itself, so a handler
+// that keeps the document unchanged may keep those views and need only
+// copy what is Decoded. Views are capped at their length; appending to
+// one never writes into the document.
 type Event struct {
 	Kind  EventKind
-	Name  string
-	Text  string
+	Name  []byte
+	Text  []byte
 	Attrs []Attr
+	// Decoded reports that Text was assembled (references expanded,
+	// CDATA sections joined) in the parser's buffer.
+	Decoded bool
 }
 
 // Handler receives parser events. Returning an error aborts the parse.
@@ -56,11 +76,14 @@ func (e *SyntaxError) Error() string {
 }
 
 // Parser is a single-use streaming parser over an in-memory document.
+// It is one loop over the bytes with an explicit stack of open element
+// names, so nesting costs heap, not goroutine stack.
 type Parser struct {
 	src   []byte
 	pos   int
-	stack []string
-	ev    Event // reused event
+	stack [][]byte // names of the open elements, views of src
+	ev    Event    // the one event every callback receives
+	buf   []byte   // decoded text or attribute values of the current event
 	// WhitespaceText controls whether whitespace-only text nodes are
 	// reported (default: dropped, matching how the paper's systems
 	// treat ignorable whitespace).
@@ -80,7 +103,10 @@ func (p *Parser) Parse(h Handler) error {
 	if p.pos >= len(p.src) || p.src[p.pos] != '<' {
 		return p.errf("expected root element")
 	}
-	if err := p.element(h); err != nil {
+	if err := p.startTag(h); err != nil {
+		return err
+	}
+	if err := p.content(h); err != nil {
 		return err
 	}
 	p.skipMisc()
@@ -94,6 +120,14 @@ func (p *Parser) errf(format string, args ...interface{}) error {
 	return &SyntaxError{Offset: p.pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+func (p *Parser) emit(h Handler, kind EventKind, name, text []byte, decoded bool) error {
+	p.ev.Kind, p.ev.Name, p.ev.Text, p.ev.Decoded = kind, name, text, decoded
+	if kind != EventStartElement {
+		p.ev.Attrs = p.ev.Attrs[:0]
+	}
+	return h(&p.ev)
+}
+
 func (p *Parser) skipSpace() {
 	for p.pos < len(p.src) && isSpace(p.src[p.pos]) {
 		p.pos++
@@ -102,33 +136,31 @@ func (p *Parser) skipSpace() {
 
 func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\n' || b == '\r' }
 
+// at reports whether the document continues with lit at the cursor.
+func (p *Parser) at(lit string) bool {
+	return len(p.src)-p.pos >= len(lit) && string(p.src[p.pos:p.pos+len(lit)]) == lit
+}
+
 // prolog consumes the XML declaration, doctype, comments and PIs before
 // the root element.
 func (p *Parser) prolog() error {
 	for {
 		p.skipSpace()
-		if p.pos+1 >= len(p.src) || p.src[p.pos] != '<' {
-			return nil
-		}
-		switch p.src[p.pos+1] {
-		case '?':
-			if err := p.skipProcInst(); err != nil {
-				return err
-			}
-		case '!':
-			if strings.HasPrefix(string(p.src[p.pos:min(p.pos+4, len(p.src))]), "<!--") {
-				if err := p.skipComment(); err != nil {
-					return err
-				}
-			} else if strings.HasPrefix(string(p.src[p.pos:min(p.pos+9, len(p.src))]), "<!DOCTYPE") {
-				if err := p.skipDoctype(); err != nil {
-					return err
-				}
-			} else {
-				return p.errf("unexpected markup in prolog")
-			}
+		var err error
+		switch {
+		case p.at("<?"):
+			err = p.skipProcInst()
+		case p.at("<!--"):
+			err = p.skipComment()
+		case p.at("<!DOCTYPE"):
+			err = p.skipDoctype()
+		case p.at("<!"):
+			err = p.errf("unexpected markup in prolog")
 		default:
 			return nil // root element
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -137,31 +169,26 @@ func (p *Parser) prolog() error {
 func (p *Parser) skipMisc() {
 	for {
 		p.skipSpace()
-		if p.pos+3 < len(p.src) && string(p.src[p.pos:p.pos+4]) == "<!--" {
-			if p.skipComment() != nil {
-				return
-			}
-			continue
+		switch {
+		case p.at("<!--") && p.skipComment() == nil:
+		case p.at("<?") && p.skipProcInst() == nil:
+		default:
+			return
 		}
-		if p.pos+1 < len(p.src) && p.src[p.pos] == '<' && p.src[p.pos+1] == '?' {
-			if p.skipProcInst() != nil {
-				return
-			}
-			continue
-		}
-		return
 	}
 }
 
+// skipProcInst moves past the "<?…?>" at the cursor.
 func (p *Parser) skipProcInst() error {
-	end := bytes.Index(p.src[p.pos:], []byte("?>"))
+	end := bytes.Index(p.src[p.pos+2:], []byte("?>"))
 	if end < 0 {
 		return p.errf("unterminated processing instruction")
 	}
-	p.pos += end + 2
+	p.pos += 2 + end + 2
 	return nil
 }
 
+// skipComment moves past the "<!--…-->" at the cursor.
 func (p *Parser) skipComment() error {
 	end := bytes.Index(p.src[p.pos+4:], []byte("-->"))
 	if end < 0 {
@@ -189,15 +216,19 @@ func (p *Parser) skipDoctype() error {
 	return p.errf("unterminated DOCTYPE")
 }
 
-// element parses one element (recursively) starting at '<'.
-func (p *Parser) element(h Handler) error {
+// startTag parses the start or empty-element tag at the cursor's '<',
+// reports it, and opens the element.
+func (p *Parser) startTag(h Handler) error {
+	if len(p.stack) >= MaxDepth {
+		return p.errf("element depth exceeds %d", MaxDepth)
+	}
 	start := p.pos
 	p.pos++ // consume '<'
 	name, err := p.name()
 	if err != nil {
 		return err
 	}
-	p.ev = Event{Kind: EventStartElement, Name: name}
+	p.ev.Attrs, p.buf = p.ev.Attrs[:0], p.buf[:0]
 	for {
 		p.skipSpace()
 		if p.pos >= len(p.src) {
@@ -206,313 +237,271 @@ func (p *Parser) element(h Handler) error {
 		switch p.src[p.pos] {
 		case '>':
 			p.pos++
-			if err := h(&p.ev); err != nil {
-				return err
-			}
 			p.stack = append(p.stack, name)
-			if err := p.content(h); err != nil {
-				return err
-			}
-			return p.endTag(h, name)
+			return p.emit(h, EventStartElement, name, nil, false)
 		case '/':
 			if p.pos+1 >= len(p.src) || p.src[p.pos+1] != '>' {
 				return p.errf("malformed empty-element tag")
 			}
 			p.pos += 2
-			if err := h(&p.ev); err != nil {
+			if err := p.emit(h, EventStartElement, name, nil, false); err != nil {
 				return err
 			}
-			end := Event{Kind: EventEndElement, Name: name}
-			return h(&end)
+			return p.emit(h, EventEndElement, name, nil, false)
 		default:
-			aname, err := p.name()
-			if err != nil {
+			a := Attr{}
+			if a.Name, err = p.name(); err != nil {
 				return err
 			}
 			p.skipSpace()
 			if p.pos >= len(p.src) || p.src[p.pos] != '=' {
-				return p.errf("attribute %q missing '='", aname)
+				return p.errf("attribute %q missing '='", a.Name)
 			}
 			p.pos++
 			p.skipSpace()
-			aval, err := p.attrValue()
-			if err != nil {
+			if a.Value, a.Decoded, err = p.attrValue(); err != nil {
 				return err
 			}
-			p.ev.Attrs = append(p.ev.Attrs, Attr{Name: aname, Value: aval})
+			p.ev.Attrs = append(p.ev.Attrs, a)
 		}
 	}
 }
 
-// content parses element content until the matching end tag is seen
-// (left unconsumed).
+// content runs from just inside the root's start tag to just past its
+// end tag: text runs, references, CDATA, comments, PIs and the tags of
+// every descendant, the open ones on p.stack.
 func (p *Parser) content(h Handler) error {
-	textStart := p.pos
-	var textBuf strings.Builder
-	flushText := func() error {
-		raw := string(p.src[textStart:p.pos])
-		var text string
-		if textBuf.Len() > 0 {
-			textBuf.WriteString(raw)
-			text = textBuf.String()
-			textBuf.Reset()
-		} else {
-			text = raw
-		}
-		if text == "" {
-			return nil
-		}
-		if !p.WhitespaceText && isAllSpace(text) {
-			return nil
-		}
-		ev := Event{Kind: EventText, Text: text}
-		return h(&ev)
-	}
-	for p.pos < len(p.src) {
-		b := p.src[p.pos]
-		switch {
-		case b == '<':
-			if p.pos+1 >= len(p.src) {
+	src := p.src
+	for len(p.stack) > 0 {
+		// One text node: everything up to the next markup other than a
+		// CDATA section, which joins the text around it. src[textStart:]
+		// is the part of it not yet copied to p.buf; nothing is copied
+		// unless a reference or a CDATA section makes the text differ
+		// from the document.
+		textStart, decoded := p.pos, false
+		p.buf = p.buf[:0]
+		for {
+			end := len(src)
+			lt := bytes.IndexByte(src[p.pos:], '<')
+			if lt >= 0 {
+				end = p.pos + lt
+			}
+			// A reference that parses holds no '<', so it ends before end.
+			for {
+				amp := bytes.IndexByte(src[p.pos:end], '&')
+				if amp < 0 {
+					break
+				}
+				p.pos += amp
+				p.buf = append(p.buf, src[textStart:p.pos]...)
+				var err error
+				if p.buf, err = p.entity(p.buf); err != nil {
+					return err
+				}
+				textStart, decoded = p.pos, true
+			}
+			p.pos = end
+			if lt < 0 {
+				return p.errf("unexpected end of document inside element %q", p.stack[len(p.stack)-1])
+			}
+			if p.pos+1 >= len(src) {
 				return p.errf("truncated markup")
 			}
-			switch p.src[p.pos+1] {
-			case '/':
-				return flushText()
-			case '!':
-				if p.pos+3 < len(p.src) && string(p.src[p.pos:p.pos+4]) == "<!--" {
-					if err := flushText(); err != nil {
-						return err
-					}
-					cstart := p.pos + 4
-					if err := p.skipComment(); err != nil {
-						return err
-					}
-					ev := Event{Kind: EventComment, Text: string(p.src[cstart : p.pos-3])}
-					if err := h(&ev); err != nil {
-						return err
-					}
-					textStart = p.pos
-					continue
-				}
-				if p.pos+8 < len(p.src) && string(p.src[p.pos:p.pos+9]) == "<![CDATA[" {
-					// CDATA joins the surrounding text node.
-					textBuf.WriteString(string(p.src[textStart:p.pos]))
-					end := bytes.Index(p.src[p.pos+9:], []byte("]]>"))
-					if end < 0 {
-						return p.errf("unterminated CDATA section")
-					}
-					textBuf.WriteString(string(p.src[p.pos+9 : p.pos+9+end]))
-					p.pos += 9 + end + 3
-					textStart = p.pos
-					continue
-				}
-				return p.errf("unexpected markup")
-			case '?':
-				if err := flushText(); err != nil {
-					return err
-				}
-				pstart := p.pos + 2
-				if err := p.skipProcInst(); err != nil {
-					return err
-				}
-				body := string(p.src[pstart : p.pos-2])
-				name := body
-				if i := strings.IndexAny(body, " \t\r\n"); i >= 0 {
-					name = body[:i]
-					body = strings.TrimLeft(body[i:], " \t\r\n")
-				} else {
-					body = ""
-				}
-				ev := Event{Kind: EventProcInst, Name: name, Text: body}
-				if err := h(&ev); err != nil {
-					return err
-				}
-				textStart = p.pos
-				continue
-			default:
-				if err := flushText(); err != nil {
-					return err
-				}
-				if err := p.element(h); err != nil {
-					return err
-				}
-				textStart = p.pos
-				continue
+			if src[p.pos+1] != '!' || p.at("<!--") {
+				break
 			}
-		case b == '&':
-			textBuf.WriteString(string(p.src[textStart:p.pos]))
-			r, err := p.entity()
-			if err != nil {
+			if !p.at("<![CDATA[") {
+				return p.errf("unexpected markup")
+			}
+			p.buf = append(p.buf, src[textStart:p.pos]...)
+			n := bytes.Index(src[p.pos+9:], []byte("]]>"))
+			if n < 0 {
+				return p.errf("unterminated CDATA section")
+			}
+			p.buf = append(p.buf, src[p.pos+9:p.pos+9+n]...)
+			p.pos += 9 + n + 3
+			textStart, decoded = p.pos, true
+		}
+		text := src[textStart:p.pos:p.pos]
+		if decoded {
+			p.buf = append(p.buf, text...)
+			text = p.buf[:len(p.buf):len(p.buf)]
+		}
+		if len(text) > 0 && (p.WhitespaceText || !isAllSpace(text)) {
+			if err := p.emit(h, EventText, nil, text, decoded); err != nil {
 				return err
 			}
-			textBuf.WriteString(r)
-			textStart = p.pos
-			continue
+		}
+
+		var err error
+		switch src[p.pos+1] {
+		case '/':
+			err = p.endTag(h)
+		case '!':
+			from := p.pos + 4
+			if err = p.skipComment(); err == nil {
+				err = p.emit(h, EventComment, nil, src[from:p.pos-3:p.pos-3], false)
+			}
+		case '?':
+			from := p.pos + 2
+			if err = p.skipProcInst(); err == nil {
+				name, body := src[from:p.pos-2:p.pos-2], []byte(nil)
+				if i := bytes.IndexAny(name, " \t\r\n"); i >= 0 {
+					name, body = name[:i:i], bytes.TrimLeft(name[i:], " \t\r\n")
+				}
+				err = p.emit(h, EventProcInst, name, body, false)
+			}
 		default:
-			p.pos++
+			err = p.startTag(h)
+		}
+		if err != nil {
+			return err
 		}
 	}
-	return p.errf("unexpected end of document inside element %q", p.topName())
+	return nil
 }
 
-func (p *Parser) topName() string {
-	if len(p.stack) == 0 {
-		return ""
-	}
-	return p.stack[len(p.stack)-1]
-}
-
-func (p *Parser) endTag(h Handler, name string) error {
-	if p.pos+1 >= len(p.src) || p.src[p.pos] != '<' || p.src[p.pos+1] != '/' {
-		return p.errf("expected end tag for %q", name)
-	}
-	p.pos += 2
-	got, err := p.name()
-	if err != nil {
-		return err
-	}
-	if got != name {
-		return p.errf("mismatched end tag: got </%s>, want </%s>", got, name)
+// endTag parses the end tag at the cursor's "</", which must name the
+// innermost open element, and closes it. The usual tag is compared with
+// the open name in place.
+func (p *Parser) endTag(h Handler) error {
+	open := p.stack[len(p.stack)-1]
+	if rest := p.src[p.pos+2:]; len(rest) > len(open) && bytes.HasPrefix(rest, open) && nameClass[rest[len(open)]] == 0 {
+		p.pos += 2 + len(open)
+	} else {
+		p.pos += 2
+		got, err := p.name()
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, open) {
+			return p.errf("mismatched end tag: got </%s>, want </%s>", got, open)
+		}
 	}
 	p.skipSpace()
 	if p.pos >= len(p.src) || p.src[p.pos] != '>' {
-		return p.errf("malformed end tag </%s>", got)
+		return p.errf("malformed end tag </%s>", open)
 	}
 	p.pos++
 	p.stack = p.stack[:len(p.stack)-1]
-	ev := Event{Kind: EventEndElement, Name: name}
-	return h(&ev)
+	return p.emit(h, EventEndElement, open, nil, false)
 }
+
+// nameClass classifies bytes of XML names: nameStart may begin one,
+// any non-zero class may continue one.
+var nameClass = func() (t [256]uint8) {
+	const nameStart, nameRest = 1, 2
+	for b := range t {
+		switch {
+		case b >= 'a' && b <= 'z', b >= 'A' && b <= 'Z', b == '_', b == ':':
+			t[b] = nameStart
+		case b >= 0x80: // permissive: any non-ASCII byte may appear in names
+			t[b] = nameStart
+		case b >= '0' && b <= '9', b == '-', b == '.':
+			t[b] = nameRest
+		}
+	}
+	return t
+}()
 
 // name parses an XML name.
-func (p *Parser) name() (string, error) {
+func (p *Parser) name() ([]byte, error) {
 	start := p.pos
-	for p.pos < len(p.src) && isNameByte(p.src[p.pos], p.pos == start) {
+	if p.pos < len(p.src) && nameClass[p.src[p.pos]] == 1 {
 		p.pos++
+		for p.pos < len(p.src) && nameClass[p.src[p.pos]] != 0 {
+			p.pos++
+		}
 	}
 	if p.pos == start {
-		return "", p.errf("expected name")
+		return nil, p.errf("expected name")
 	}
-	return string(p.src[start:p.pos]), nil
+	return p.src[start:p.pos:p.pos], nil
 }
 
-func isNameByte(b byte, first bool) bool {
-	switch {
-	case b >= 'a' && b <= 'z', b >= 'A' && b <= 'Z', b == '_', b == ':':
-		return true
-	case b >= 0x80: // permissive: any non-ASCII byte may appear in names
-		return true
-	case first:
-		return false
-	case b >= '0' && b <= '9', b == '-', b == '.':
-		return true
-	}
-	return false
-}
-
-// attrValue parses a quoted attribute value with entity expansion.
-func (p *Parser) attrValue() (string, error) {
+// attrValue parses a quoted attribute value with entity expansion. A
+// value with references is assembled at the end of p.buf, after those of
+// the tag's earlier attributes.
+func (p *Parser) attrValue() (val []byte, decoded bool, err error) {
 	if p.pos >= len(p.src) {
-		return "", p.errf("expected attribute value")
+		return nil, false, p.errf("expected attribute value")
 	}
 	quote := p.src[p.pos]
 	if quote != '"' && quote != '\'' {
-		return "", p.errf("attribute value must be quoted")
+		return nil, false, p.errf("attribute value must be quoted")
 	}
 	p.pos++
-	var sb strings.Builder
-	start := p.pos
+	start, mark := p.pos, len(p.buf)
 	for p.pos < len(p.src) {
-		b := p.src[p.pos]
-		switch b {
+		switch p.src[p.pos] {
 		case quote:
-			raw := string(p.src[start:p.pos])
+			val = p.src[start:p.pos:p.pos]
 			p.pos++
-			if sb.Len() == 0 {
-				return raw, nil
+			if decoded {
+				p.buf = append(p.buf, val...)
+				val = p.buf[mark:len(p.buf):len(p.buf)]
 			}
-			sb.WriteString(raw)
-			return sb.String(), nil
+			return val, decoded, nil
 		case '&':
-			sb.WriteString(string(p.src[start:p.pos]))
-			r, err := p.entity()
-			if err != nil {
-				return "", err
+			p.buf = append(p.buf, p.src[start:p.pos]...)
+			if p.buf, err = p.entity(p.buf); err != nil {
+				return nil, false, err
 			}
-			sb.WriteString(r)
-			start = p.pos
+			start, decoded = p.pos, true
 		case '<':
-			return "", p.errf("'<' in attribute value")
+			return nil, false, p.errf("'<' in attribute value")
 		default:
 			p.pos++
 		}
 	}
-	return "", p.errf("unterminated attribute value")
+	return nil, false, p.errf("unterminated attribute value")
 }
 
-// entity decodes an entity reference starting at '&'.
-func (p *Parser) entity() (string, error) {
-	end := -1
-	limit := p.pos + 12
-	if limit > len(p.src) {
-		limit = len(p.src)
-	}
-	for i := p.pos + 1; i < limit; i++ {
-		if p.src[i] == ';' {
-			end = i
-			break
-		}
-	}
+// entity decodes the entity reference at the cursor's '&' onto dst.
+func (p *Parser) entity(dst []byte) ([]byte, error) {
+	end := bytes.IndexByte(p.src[p.pos+1:min(p.pos+12, len(p.src))], ';')
 	if end < 0 {
-		return "", p.errf("unterminated entity reference")
+		return dst, p.errf("unterminated entity reference")
 	}
-	body := string(p.src[p.pos+1 : end])
-	p.pos = end + 1
-	switch body {
+	body := p.src[p.pos+1 : p.pos+1+end]
+	p.pos += end + 2
+	switch string(body) {
 	case "lt":
-		return "<", nil
+		return append(dst, '<'), nil
 	case "gt":
-		return ">", nil
+		return append(dst, '>'), nil
 	case "amp":
-		return "&", nil
+		return append(dst, '&'), nil
 	case "apos":
-		return "'", nil
+		return append(dst, '\''), nil
 	case "quot":
-		return "\"", nil
+		return append(dst, '"'), nil
 	}
-	if strings.HasPrefix(body, "#") {
-		num := body[1:]
-		base := 10
-		if strings.HasPrefix(num, "x") || strings.HasPrefix(num, "X") {
+	if len(body) > 0 && body[0] == '#' {
+		num, base := body[1:], 10
+		if len(num) > 0 && (num[0] == 'x' || num[0] == 'X') {
 			num, base = num[1:], 16
 		}
-		n, err := strconv.ParseUint(num, base, 32)
+		n, err := strconv.ParseUint(string(num), base, 32)
 		if err != nil {
-			return "", p.errf("bad character reference &%s;", body)
+			return dst, p.errf("bad character reference &%s;", body)
 		}
-		return string(rune(n)), nil
+		return utf8.AppendRune(dst, rune(n)), nil
 	}
-	return "", p.errf("unknown entity &%s;", body)
+	return dst, p.errf("unknown entity &%s;", body)
 }
 
-func isAllSpace(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if !isSpace(s[i]) {
+func isAllSpace(s []byte) bool {
+	for _, b := range s {
+		if !isSpace(b) {
 			return false
 		}
 	}
 	return true
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // EscapeText appends the XML-escaped form of s (for text content).
-func EscapeText(dst []byte, s string) []byte {
+func EscapeText[S string | []byte](dst []byte, s S) []byte {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '<':
@@ -530,7 +519,7 @@ func EscapeText(dst []byte, s string) []byte {
 
 // EscapeAttr appends the XML-escaped form of s (for attribute values,
 // double-quoted).
-func EscapeAttr(dst []byte, s string) []byte {
+func EscapeAttr[S string | []byte](dst []byte, s S) []byte {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '<':

@@ -6,13 +6,23 @@ import (
 	"testing"
 )
 
-func collect(t *testing.T, src string) []Event {
+// event is a retained copy of an Event, which itself is only valid
+// during the callback.
+type event struct {
+	Kind       EventKind
+	Name, Text string
+	Attrs      [][2]string
+}
+
+func collect(t *testing.T, src string) []event {
 	t.Helper()
-	var evs []Event
+	var evs []event
 	p := NewParser([]byte(src))
 	err := p.Parse(func(ev *Event) error {
-		cp := *ev
-		cp.Attrs = append([]Attr(nil), ev.Attrs...)
+		cp := event{Kind: ev.Kind, Name: string(ev.Name), Text: string(ev.Text)}
+		for _, a := range ev.Attrs {
+			cp.Attrs = append(cp.Attrs, [2]string{string(a.Name), string(a.Value)})
+		}
 		evs = append(evs, cp)
 		return nil
 	})
@@ -24,23 +34,17 @@ func collect(t *testing.T, src string) []Event {
 
 func TestSimpleDocument(t *testing.T) {
 	evs := collect(t, `<a><b x="1">hi</b><c/></a>`)
-	want := []Event{
+	want := []event{
 		{Kind: EventStartElement, Name: "a"},
-		{Kind: EventStartElement, Name: "b", Attrs: []Attr{{"x", "1"}}},
+		{Kind: EventStartElement, Name: "b", Attrs: [][2]string{{"x", "1"}}},
 		{Kind: EventText, Text: "hi"},
 		{Kind: EventEndElement, Name: "b"},
 		{Kind: EventStartElement, Name: "c"},
 		{Kind: EventEndElement, Name: "c"},
 		{Kind: EventEndElement, Name: "a"},
 	}
-	if len(evs) != len(want) {
-		t.Fatalf("got %d events, want %d: %+v", len(evs), len(want), evs)
-	}
-	for i := range want {
-		if evs[i].Kind != want[i].Kind || evs[i].Name != want[i].Name || evs[i].Text != want[i].Text ||
-			!reflect.DeepEqual(append([]Attr{}, evs[i].Attrs...), append([]Attr{}, want[i].Attrs...)) {
-			t.Fatalf("event %d = %+v, want %+v", i, evs[i], want[i])
-		}
+	if !reflect.DeepEqual(evs, want) {
+		t.Fatalf("events = %+v, want %+v", evs, want)
 	}
 }
 
@@ -58,7 +62,7 @@ func TestPrologAndMisc(t *testing.T) {
 
 func TestEntities(t *testing.T) {
 	evs := collect(t, `<a b="&lt;&amp;&quot;&#65;">x &gt; y &#x41;&apos;</a>`)
-	if got, want := evs[0].Attrs[0].Value, `<&"A`; got != want {
+	if got, want := evs[0].Attrs[0][1], `<&"A`; got != want {
 		t.Fatalf("attr = %q, want %q", got, want)
 	}
 	if got, want := evs[1].Text, "x > y A'"; got != want {
@@ -195,7 +199,7 @@ func TestDeepNesting(t *testing.T) {
 
 func TestAttributesSingleQuotes(t *testing.T) {
 	evs := collect(t, `<a x='v1' y="v2"/>`)
-	if len(evs[0].Attrs) != 2 || evs[0].Attrs[0].Value != "v1" || evs[0].Attrs[1].Value != "v2" {
+	if len(evs[0].Attrs) != 2 || evs[0].Attrs[0][1] != "v1" || evs[0].Attrs[1][1] != "v2" {
 		t.Fatalf("attrs = %+v", evs[0].Attrs)
 	}
 }

@@ -115,8 +115,9 @@ func (w *Writer) Pending() int {
 // publishes the grown Database (also returned). Each appended
 // document's compression plan is resolved independently under the
 // Writer's Options. With nothing staged, Commit is a no-op returning
-// the current handle. On error nothing is published and the staged
-// documents remain staged.
+// the current handle. On error nothing is published; the document that
+// failed to ingest — it never will — is dropped from the staging area so
+// that it cannot block later commits, the others remain staged.
 func (w *Writer) Commit() (*Database, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -128,13 +129,13 @@ func (w *Writer) commitLocked() (*Database, error) {
 		return w.db, nil
 	}
 	segs := w.db.set
-	for _, doc := range w.pending {
+	for i, doc := range w.pending {
 		plan, err := resolvePlan(doc, w.opts)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			segs, err = segs.Append([][]byte{doc}, storage.LoadOptions{Plan: plan, Parallelism: w.opts.Parallelism})
 		}
-		segs, err = segs.Append([][]byte{doc}, storage.LoadOptions{Plan: plan, Parallelism: w.opts.Parallelism})
 		if err != nil {
+			w.pending = append(w.pending[:i:i], w.pending[i+1:]...)
 			return nil, err
 		}
 	}
