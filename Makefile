@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench bench-query bench-par bench-codec bench-vm bench-succinct bench-succinct-smoke bench-fuse-smoke bench-ingest-smoke bench-diff bench-paper fuzz-smoke
+.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench bench-query bench-par bench-codec bench-vm bench-succinct bench-succinct-smoke bench-fuse-smoke bench-stream-smoke bench-ingest-smoke bench-diff bench-paper fuzz-smoke
 
 # Measurement is not part of the gate: bench/ (BENCHMARK.json) owns it,
 # and the `bench` target below appends to tracked BENCH_*.json files.
-check: vet vet-unsafeptr build bench-build race bench-succinct-smoke bench-fuse-smoke bench-ingest-smoke ## tier-1: vet + build + race-clean tests + bench smoke
+check: vet vet-unsafeptr build bench-build race bench-succinct-smoke bench-fuse-smoke bench-stream-smoke bench-ingest-smoke ## tier-1: vet + build + race-clean tests + bench smoke
 
 vet:
 	$(GO) vet ./...
@@ -60,12 +60,11 @@ bench: bench-query bench-par bench-codec bench-vm bench-succinct
 	 $(GO) test -run '^$$' -bench BenchmarkServerQuery -benchmem ./internal/server/) \
 	| /tmp/benchjson -o BENCH_ingest.json -label ingest+decode+serve
 
-# Streaming result-path benchmarks: time-to-first-item at 10×-apart
-# cardinalities (must stay flat) and WriteXML allocation counts.
-# Appends to BENCH_query.json.
+# Streaming result-path benchmark: time-to-first-item at 10×-apart
+# cardinalities (must stay flat). Appends to BENCH_query.json.
 bench-query:
 	@$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkFirstResult|BenchmarkWriteXML' -benchmem . \
+	$(GO) test -run '^$$' -bench 'BenchmarkFirstResult' -benchmem . \
 	| /tmp/benchjson -o BENCH_query.json -label query-streaming
 
 # Intra-query parallelism benchmarks: the partitioned container scan
@@ -106,6 +105,13 @@ bench-succinct-smoke:
 # it replaced. Writes nothing.
 bench-fuse-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFuse' -benchtime 1x . >/dev/null
+
+# And for BenchmarkStreamLarge: each of bench/'s five stream_large
+# requests once at scale 8, Next + AppendXML into one buffer — the MB/s
+# and allocs/op per request class that EXPERIMENTS.md tabulates. Writes
+# nothing.
+bench-stream-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkStreamLarge' -benchtime 1x . >/dev/null
 
 # And for BenchmarkCompressXMark: one storage.Load of the scale-1
 # document at each worker count, the in-process number ISSUE 17's

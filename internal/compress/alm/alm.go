@@ -19,6 +19,7 @@ package alm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"iter"
@@ -269,6 +270,7 @@ func (b *builder) finish() (*Codec, error) {
 	c.n = len(c.loOff)
 	c.loOff = append(c.loOff, int32(len(c.loBlob)))
 	c.prefOff = append(c.prefOff, int32(len(c.prefBlob)))
+	c.prefBlob = append(c.prefBlob, make([]byte, decodeSlack)...) // Decode reads whole words
 	if c.n <= 256 {
 		c.codeWidth = 1
 	} else if c.n <= 1<<16 {
@@ -416,32 +418,52 @@ func (c *Codec) Encode(dst, value []byte) ([]byte, error) {
 	return dst, nil
 }
 
+// decodeSlack is how far past a token's own bytes its copy may read and
+// write: prefBlob is padded by it, and Decode keeps as much room ahead
+// of its write position.
+const decodeSlack = 16
+
 // Decode implements compress.Codec, copying each code's prefix out of
-// the contiguous prefix blob.
+// the contiguous prefix blob. Tokens are 2–8 bytes for the most part,
+// where an append per token — a capacity check and a memmove call —
+// costs more than the bytes it moves: so Decode writes into dst's spare
+// capacity, making room only when less than the slack is left, and
+// copies a token of up to 16 bytes as two 8-byte words whatever its
+// length. The bytes past it are overwritten by the next token or lie
+// beyond the length returned.
 func (c *Codec) Decode(dst, enc []byte) ([]byte, error) {
-	if c.codeWidth == 1 {
-		n := c.n
-		for _, b := range enc {
-			idx := int(b)
-			if idx >= n {
-				return dst, fmt.Errorf("alm: code %d out of range (%d intervals)", idx, n)
-			}
-			dst = append(dst, c.prefBlob[c.prefOff[idx]:c.prefOff[idx+1]]...)
+	w := c.codeWidth
+	if len(enc)%w != 0 {
+		return dst, fmt.Errorf("alm: encoded length %d not a multiple of code width %d", len(enc), w)
+	}
+	off := c.prefOff
+	at := len(dst)
+	dst = dst[:cap(dst)]
+	for i := 0; i < len(enc); i += w {
+		idx := int(enc[i])
+		if w == 2 {
+			idx = idx<<8 | int(enc[i+1])
 		}
-		return dst, nil
-	}
-	if len(enc)%2 != 0 {
-		return dst, fmt.Errorf("alm: encoded length %d not a multiple of code width %d", len(enc), c.codeWidth)
-	}
-	n := c.n
-	for i := 0; i < len(enc); i += 2 {
-		idx := int(enc[i])<<8 | int(enc[i+1])
-		if idx >= n {
-			return dst, fmt.Errorf("alm: code %d out of range (%d intervals)", idx, n)
+		if idx >= c.n {
+			return dst[:at], fmt.Errorf("alm: code %d out of range (%d intervals)", idx, c.n)
 		}
-		dst = append(dst, c.prefBlob[c.prefOff[idx]:c.prefOff[idx+1]]...)
+		from, n := int(off[idx]), int(off[idx+1]-off[idx])
+		if at+max(n, decodeSlack) > len(dst) {
+			// This token, the slack, and a byte at least for every code
+			// left; append's growth amortizes the rest.
+			dst = append(dst[:at], make([]byte, n+decodeSlack+len(enc)-i)...)
+			dst = dst[:cap(dst)]
+		}
+		if n <= decodeSlack {
+			src, out := c.prefBlob[from:from+decodeSlack], dst[at:at+decodeSlack]
+			binary.LittleEndian.PutUint64(out, binary.LittleEndian.Uint64(src))
+			binary.LittleEndian.PutUint64(out[8:], binary.LittleEndian.Uint64(src[8:]))
+		} else {
+			copy(dst[at:], c.prefBlob[from:from+n])
+		}
+		at += n
 	}
-	return dst, nil
+	return dst[:at], nil
 }
 
 // tokens yields the mined multi-byte dictionary tokens in increasing

@@ -23,6 +23,25 @@ func assertSameDecode(t *testing.T, c *Codec, enc []byte) {
 		t.Fatalf("decode mismatch on %x:\n fast %q err=%v\n ref  %q err=%v",
 			enc, got, errGot, ref, errRef)
 	}
+	// Decode writes words into dst's spare capacity: what is already in
+	// dst must survive whether there is no room, a little, or plenty.
+	const head = "kept"
+	for _, room := range []int{0, 3, decodeSlack, 4096} {
+		dst := append(make([]byte, 0, len(head)+room), head...)
+		got, errGot := c.Decode(dst, enc)
+		if string(got) != head+string(ref) || !sameError(errGot, errRef) {
+			t.Fatalf("decode of %x into a buffer with room %d: %q err=%v, reference %q err=%v",
+				enc, room, got, errGot, ref, errRef)
+		}
+	}
+}
+
+// appendCode appends the code of interval idx.
+func (c *Codec) appendCode(dst []byte, idx int) []byte {
+	if c.codeWidth == 2 {
+		dst = append(dst, byte(idx>>8))
+	}
+	return append(dst, byte(idx))
 }
 
 // diffValues mixes corpus-like strings with unseen and binary values so
@@ -110,6 +129,13 @@ func TestDifferentialAutomaton(t *testing.T) {
 					bad[rng.Intn(len(bad))] ^= byte(1 << uint(rng.Intn(8)))
 					assertSameDecode(t, c, bad)
 				}
+			}
+			// Values of no, one and two tokens.
+			assertSameDecode(t, c, nil)
+			for idx := 0; idx < c.n; idx += 1 + c.n/97 {
+				one := c.appendCode(nil, idx)
+				assertSameDecode(t, c, one)
+				assertSameDecode(t, c, c.appendCode(one, c.n-1-idx))
 			}
 			// Pure-garbage code streams.
 			for k := 0; k < 100; k++ {

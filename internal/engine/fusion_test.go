@@ -118,6 +118,13 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 	if out, err := got.Serialize(nil, 1); err != nil || !bytes.Equal(out, xml) || !bytes.Equal(fx, xml) {
 		t.Fatalf("fused store serializes to\n%s (%v), FuseXML is\n%s, the corpus\n%s", out, err, fx, xml)
 	}
+	// What FuseXML writes is what compaction re-ingests: it must read
+	// back as the same document, white space included.
+	if re, err := storage.Load(fx, storage.LoadOptions{}); err != nil {
+		t.Fatalf("Load(FuseXML): %v\n%s", err, fx)
+	} else if out, err := re.Serialize(nil, 1); err != nil || !bytes.Equal(out, fx) {
+		t.Fatalf("FuseXML\n%s\nre-ingested serializes to\n%s (%v)", fx, out, err)
+	}
 
 	contPath := func(s *storage.Store, i int32) string {
 		if i < 0 {
@@ -281,6 +288,7 @@ func fusedDirected(t *testing.T) {
 		"an empty appended root":            {`<site><a>x</a></site>`, `<site/>`, `<site><a>y</a></site>`, `<site></site>`},
 		"an empty base":                     {`<site k="v"/>`, `<site><a>y</a></site>`},
 		"attributes on the base root":       {`<site k="1" j="x"><a k="2">x</a></site>`, `<site><a k="3">y</a></site>`},
+		"white space kept by references":    {"<site><a k=\"l1&#10;l2&#9;t&#13;c\">t&#13;x</a></site>", "<site><a k=\"&#9;\">&#13;&#10;</a>&#13;</site>"},
 		"values of unseen bytes":            {`<site><a>aaaa</a><a>abab</a></site>`, "<site><a>\xc3\xbf\xc3\xbfzz</a><a>Q&amp;&lt;</a><a k=\"\">~</a></site>"},
 	}
 	for name, docs := range segments {

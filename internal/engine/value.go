@@ -17,6 +17,7 @@ import (
 
 	"xquec/internal/algebra"
 	"xquec/internal/storage"
+	"xquec/internal/xmlparser"
 )
 
 // Item is one item of an XQuery sequence: a stored node (storage.NodeID),
@@ -63,7 +64,6 @@ type Result struct {
 
 	served int   // items already handed out
 	err    error // sticky: first evaluation or cancellation error
-	sc     *storage.Scratch
 }
 
 // newEagerResult wraps an already-evaluated sequence.
@@ -122,17 +122,12 @@ func (r *Result) fail(err error) {
 	r.release()
 }
 
-// release stops the lazy source and returns the serialization scratch
-// to the pool.
+// release stops the lazy source.
 func (r *Result) release() {
 	if r.stop != nil {
 		r.stop()
 		r.stop = nil
 		r.pull = nil
-	}
-	if r.sc != nil {
-		r.sc.Release()
-		r.sc = nil
 	}
 }
 
@@ -252,20 +247,16 @@ func (r *Result) SerializeXML() (string, error) {
 }
 
 // AppendItemXML appends the XML/text rendering of one item (as handed
-// out by Next) to dst. Decoding runs through the result's pooled
-// scratch buffer, so steady-state per-item serialization does not
-// allocate for value decompression.
+// out by Next) to dst. Values are decoded straight into dst, so a
+// consumer reusing one buffer serializes without allocating.
 func (r *Result) AppendItemXML(dst []byte, it Item) ([]byte, error) {
-	if r.sc == nil {
-		r.sc = storage.NewScratch()
-	}
-	return serializeItem(dst, r.store, it, r.sc)
+	return serializeItem(dst, r.store, it)
 }
 
-func serializeItem(dst []byte, s *storage.Store, it Item, sc *storage.Scratch) ([]byte, error) {
+func serializeItem(dst []byte, s *storage.Store, it Item) ([]byte, error) {
 	switch v := it.(type) {
 	case storage.NodeID:
-		return s.SerializeScratch(sc, dst, v)
+		return s.Serialize(dst, v)
 	case string:
 		return append(dst, v...), nil
 	case float64:
@@ -279,7 +270,7 @@ func serializeItem(dst []byte, s *storage.Store, it Item, sc *storage.Scratch) (
 			dst = append(dst, ' ')
 			dst = append(dst, a.Name...)
 			dst = append(dst, '=', '"')
-			dst = appendEscAttr(dst, a.Value)
+			dst = xmlparser.EscapeAttr(dst, a.Value)
 			dst = append(dst, '"')
 		}
 		if len(v.Content) == 0 {
@@ -289,10 +280,10 @@ func serializeItem(dst []byte, s *storage.Store, it Item, sc *storage.Scratch) (
 		var err error
 		for _, c := range v.Content {
 			if str, ok := c.(string); ok {
-				dst = appendEscText(dst, str)
+				dst = xmlparser.EscapeText(dst, str)
 				continue
 			}
-			dst, err = serializeItem(dst, s, c, sc)
+			dst, err = serializeItem(dst, s, c)
 			if err != nil {
 				return dst, err
 			}
@@ -302,38 +293,6 @@ func serializeItem(dst []byte, s *storage.Store, it Item, sc *storage.Scratch) (
 		return append(dst, '>'), nil
 	}
 	return dst, fmt.Errorf("engine: cannot serialize %T", it)
-}
-
-func appendEscText(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '<':
-			dst = append(dst, "&lt;"...)
-		case '>':
-			dst = append(dst, "&gt;"...)
-		case '&':
-			dst = append(dst, "&amp;"...)
-		default:
-			dst = append(dst, s[i])
-		}
-	}
-	return dst
-}
-
-func appendEscAttr(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '<':
-			dst = append(dst, "&lt;"...)
-		case '&':
-			dst = append(dst, "&amp;"...)
-		case '"':
-			dst = append(dst, "&quot;"...)
-		default:
-			dst = append(dst, s[i])
-		}
-	}
-	return dst
 }
 
 // formatNum renders numbers the XPath way: integers without a decimal

@@ -13,10 +13,6 @@ import (
 // pool hands each caller its own.
 type Scratch struct {
 	buf []byte
-	// kids is SerializeScratch's child-collection stack: each recursion
-	// level appends its children past the caller's region and truncates
-	// on return, so repeated subtree serialization allocates nothing.
-	kids []Kid
 }
 
 var (

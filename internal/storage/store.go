@@ -3,10 +3,10 @@ package storage
 import (
 	"fmt"
 	"iter"
-	"strings"
 
 	"xquec/internal/btree"
 	"xquec/internal/compress"
+	"xquec/internal/xmlparser"
 )
 
 // Store is a loaded compressed repository: dictionary, structure tree,
@@ -201,7 +201,7 @@ func (s *Store) TagCodeOf(id NodeID) uint16 {
 func (s *Store) TagOf(id NodeID) string { return s.Names[s.TagCodeOf(id)] }
 
 // IsAttr reports whether the node is an attribute node.
-func (s *Store) IsAttr(id NodeID) bool { return strings.HasPrefix(s.TagOf(id), "@") }
+func (s *Store) IsAttr(id NodeID) bool { return isAttrName(s.TagOf(id)) }
 
 // Kids yields the node's children in document order: element and
 // attribute children by ID, immediate text values by value ref.
@@ -285,135 +285,79 @@ func (s *Store) Text(dst []byte, id NodeID) ([]byte, error) {
 // DeepText appends the decompressed concatenation of every text value in
 // the subtree of id (document order) — the string value of an element.
 func (s *Store) DeepText(dst []byte, id NodeID) ([]byte, error) {
-	var err error
-	for k := range s.Kids(id) {
-		if k.ID == 0 {
-			dst, err = s.Containers[k.Val.Container].Decode(dst, int(k.Val.Index))
-			if err != nil {
-				return dst, err
-			}
-			continue
-		}
-		if s.IsAttr(k.ID) {
-			continue
-		}
-		dst, err = s.DeepText(dst, k.ID)
-		if err != nil {
-			return dst, err
-		}
+	if s.succ != nil {
+		return s.succ.sweep(s.Names, s.Containers, dst, id, false)
 	}
-	return dst, nil
+	return s.walkRecords(dst, id, false)
 }
 
 // Serialize appends the XML reconstruction of the subtree rooted at id.
 // This is the XMLSerialize operator's core: the only place where whole
 // subtrees are decompressed.
 func (s *Store) Serialize(dst []byte, id NodeID) ([]byte, error) {
-	sc := NewScratch()
-	defer sc.Release()
-	return s.SerializeScratch(sc, dst, id)
+	if s.succ != nil {
+		return s.succ.sweep(s.Names, s.Containers, dst, id, true)
+	}
+	return s.walkRecords(dst, id, true)
 }
 
-// SerializeScratch is Serialize with the value decodes routed through a
-// caller-held scratch buffer, so a streaming consumer serializing many
-// subtrees one at a time performs no per-value decode allocation. The
-// scratch holds only transient single-value state between calls.
-func (s *Store) SerializeScratch(sc *Scratch, dst []byte, id NodeID) ([]byte, error) {
-	tag := s.TagOf(id)
-	if strings.HasPrefix(tag, "@") {
-		// Attribute serialized standalone: name="value".
+// walkRecords is what SuccinctStructure.sweep does, on the records
+// backend: the recursion over child lists that the sweep replaced, kept
+// because running every query under XQUEC_STRUCT=records is how the
+// differential matrices hold the sweep to it.
+func (s *Store) walkRecords(dst []byte, id NodeID, markup bool) ([]byte, error) {
+	n := &s.nodes[id-1]
+	tag := s.Names[n.Tag]
+	var err error
+	if isAttrName(tag) {
+		if !markup {
+			return s.Text(dst, id)
+		}
 		dst = append(dst, tag[1:]...)
 		dst = append(dst, '=', '"')
-		v, err := s.TextScratch(sc, id)
-		if err != nil {
-			return dst, err
-		}
-		dst = appendEscapedAttr(dst, v)
-		return append(dst, '"'), nil
+		from := len(dst)
+		dst, err = s.Text(dst, id)
+		return append(xmlparser.EscapeAttrFrom(dst, from), '"'), err
 	}
-	if tag == "#text" {
-		v, err := s.TextScratch(sc, id)
-		if err != nil {
-			return dst, err
-		}
-		return appendEscapedText(dst, v), nil
-	}
-	dst = append(dst, '<')
-	dst = append(dst, tag...)
-	// One pass over the children: attributes serialize with the tag,
-	// content children are collected for the body (kid iteration is not
-	// free on the succinct backend, so avoid repeated sweeps). The
-	// collection region [base, base+n) of the shared scratch survives
-	// recursive calls, which append past it and truncate on return.
-	base := len(sc.kids)
-	for k := range s.Kids(id) {
-		if k.ID != 0 && s.IsAttr(k.ID) {
+	content := 0
+	if markup {
+		dst = append(dst, '<')
+		dst = append(dst, tag...)
+		for _, k := range n.Kids {
+			if k.IsValue() || !s.IsAttr(k.Node()) {
+				content++
+				continue
+			}
 			dst = append(dst, ' ')
-			var err error
-			dst, err = s.SerializeScratch(sc, dst, k.ID)
-			if err != nil {
+			if dst, err = s.walkRecords(dst, k.Node(), true); err != nil {
 				return dst, err
 			}
-			continue
 		}
-		sc.kids = append(sc.kids, k)
+		if content == 0 {
+			return append(dst, '/', '>'), nil
+		}
+		dst = append(dst, '>')
 	}
-	n := len(sc.kids) - base
-	defer func() { sc.kids = sc.kids[:base] }()
-	if n == 0 {
-		return append(dst, '/', '>'), nil
-	}
-	dst = append(dst, '>')
-	var err error
-	for i := base; i < base+n; i++ {
-		k := sc.kids[i]
-		if k.ID == 0 {
-			var v []byte
-			v, err = s.Containers[k.Val.Container].DecodeScratch(sc, int(k.Val.Index))
-			if err != nil {
+	for _, k := range n.Kids {
+		if k.IsValue() {
+			v := n.Values[k.ValueIndex()]
+			from := len(dst)
+			if dst, err = s.Containers[v.Container].Decode(dst, int(v.Index)); err != nil {
 				return dst, err
 			}
-			dst = appendEscapedText(dst, v)
-			continue
-		}
-		dst, err = s.SerializeScratch(sc, dst, k.ID)
-		if err != nil {
-			return dst, err
-		}
-	}
-	dst = append(dst, '<', '/')
-	dst = append(dst, tag...)
-	return append(dst, '>'), nil
-}
-
-func appendEscapedText(dst, v []byte) []byte {
-	for _, b := range v {
-		switch b {
-		case '<':
-			dst = append(dst, "&lt;"...)
-		case '>':
-			dst = append(dst, "&gt;"...)
-		case '&':
-			dst = append(dst, "&amp;"...)
-		default:
-			dst = append(dst, b)
+			if markup {
+				dst = xmlparser.EscapeTextFrom(dst, from)
+			}
+		} else if !s.IsAttr(k.Node()) {
+			if dst, err = s.walkRecords(dst, k.Node(), markup); err != nil {
+				return dst, err
+			}
 		}
 	}
-	return dst
-}
-
-func appendEscapedAttr(dst, v []byte) []byte {
-	for _, b := range v {
-		switch b {
-		case '<':
-			dst = append(dst, "&lt;"...)
-		case '&':
-			dst = append(dst, "&amp;"...)
-		case '"':
-			dst = append(dst, "&quot;"...)
-		default:
-			dst = append(dst, b)
-		}
+	if markup {
+		dst = append(dst, '<', '/')
+		dst = append(dst, tag...)
+		dst = append(dst, '>')
 	}
-	return dst
+	return dst, nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"xquec/internal/succinct"
+	"xquec/internal/xmlparser"
 )
 
 // StructureKind selects the in-memory encoding of the structure tree.
@@ -306,6 +307,108 @@ func (t *SuccinctStructure) text(conts []*Container, dst []byte, id NodeID) ([]b
 		q += 2 // a text leaf is always "()"
 	}
 	return dst, nil
+}
+
+// sweep appends the subtree of id to dst in one forward pass over its
+// paren range: as XML when markup is set (Store.Serialize), else as the
+// element's string value — text leaves only, attribute children skipped
+// (Store.DeepText). A subtree is a contiguous range whose node marks, tag
+// codes and value refs are consumed strictly in order, so the pass keeps
+// three running ordinals (pre-order consecutivity, as in kidsScan) and
+// never selects, ranks or finds a close again after locating the open of
+// id: a close paren pops the stack of open tag codes, and the pass ends
+// when that empties. Values are decoded straight into dst and escaped
+// there. The walk trusts that the parens balance, that a text leaf is
+// "()", and that marks, tags, value refs and record indexes are in range
+// — which deriveFromSuccinct proved of every structure that got here.
+func (t *SuccinctStructure) sweep(names []string, conts []*Container, dst []byte, id NodeID, markup bool) ([]byte, error) {
+	words, marks := t.pv.Words(), t.isNode.Words()
+	ord := t.isNode.Select1(int(id) - 1) // ordinal of the next open paren
+	p := t.pv.Select1(ord)               // position of the next paren
+	node := int(id) - 1                  // marked opens before ord: index of the next tag
+	leaf := ord - node                   // unmarked opens before ord: index of the next value ref
+	var fixed [64]uint16
+	stack := fixed[:0] // tag codes of the open nodes
+	// tagOpen: the start tag of the innermost open element still lacks
+	// its '>' — attributes may follow, and a close now makes it "/>".
+	// attr: the innermost open node is an attribute.
+	tagOpen, attr := false, false
+	decoded := 0
+	var err error
+	for {
+		if words[p>>6]>>(uint(p)&63)&1 == 0 {
+			code := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if markup {
+				switch {
+				case attr:
+					dst = append(dst, '"')
+				case tagOpen:
+					dst = append(dst, '/', '>')
+					tagOpen = false
+				default:
+					dst = append(dst, '<', '/')
+					dst = append(dst, names[code]...)
+					dst = append(dst, '>')
+				}
+			}
+			attr = false
+			if len(stack) == 0 {
+				break
+			}
+			p++
+			continue
+		}
+		if marks[ord>>6]>>(uint(ord)&63)&1 == 1 {
+			code := t.tags[node]
+			node++
+			name := names[code]
+			attr = isAttrName(name)
+			if markup {
+				if attr {
+					if len(stack) > 0 {
+						dst = append(dst, ' ')
+					}
+					dst = append(dst, name[1:]...)
+					dst = append(dst, '=', '"')
+				} else {
+					if tagOpen {
+						dst = append(dst, '>')
+					}
+					dst = append(dst, '<')
+					dst = append(dst, name...)
+					tagOpen = true
+				}
+			}
+			stack = append(stack, code)
+			p++
+		} else {
+			if markup || !attr || len(stack) == 1 {
+				if tagOpen && !attr {
+					dst = append(dst, '>')
+					tagOpen = false
+				}
+				from := len(dst)
+				c := conts[t.valCont[leaf]]
+				decoded++
+				if dst, err = c.codec.Decode(dst, c.recs[t.valIdx[leaf]].Value); err != nil {
+					break
+				}
+				if markup {
+					if attr {
+						dst = xmlparser.EscapeAttrFrom(dst, from)
+					} else {
+						dst = xmlparser.EscapeTextFrom(dst, from)
+					}
+				}
+			}
+			leaf++
+			p += 2 // a text leaf is always "()"
+		}
+		ord++
+	}
+	decodeOps.Add(int64(decoded))
+	return dst, err
 }
 
 // scanNodes calls fn for every node in pre-order with its depth. The

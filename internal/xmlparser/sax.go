@@ -500,36 +500,65 @@ func isAllSpace(s []byte) bool {
 	return true
 }
 
+// The escapers. A text value must not contain a raw '<' or '&' ('>' is
+// escaped for the "]]>" case), a double-quoted attribute value no '<',
+// '&' or '"'. The white space a conforming parser would normalize away
+// goes out as a character reference too, so that what was stored is what
+// is read back: '\r' anywhere (line-end handling turns it into '\n'),
+// and '\t' and '\n' in attribute values (attribute-value normalization
+// turns them into spaces).
+var (
+	escapes = [...]string{"", "&lt;", "&gt;", "&amp;", "&quot;", "&#9;", "&#10;", "&#13;"}
+	// textEsc and attrEsc give, per byte, the index of its replacement
+	// in escapes; 0 means the byte goes out as it is.
+	textEsc = [256]uint8{'<': 1, '>': 2, '&': 3, '\r': 7}
+	attrEsc = [256]uint8{'<': 1, '&': 3, '"': 4, '\t': 5, '\n': 6, '\r': 7}
+)
+
 // EscapeText appends the XML-escaped form of s (for text content).
 func EscapeText[S string | []byte](dst []byte, s S) []byte {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '<':
-			dst = append(dst, "&lt;"...)
-		case '>':
-			dst = append(dst, "&gt;"...)
-		case '&':
-			dst = append(dst, "&amp;"...)
-		default:
-			dst = append(dst, s[i])
-		}
-	}
-	return dst
+	n := len(dst)
+	return EscapeTextFrom(append(dst, s...), n)
 }
 
 // EscapeAttr appends the XML-escaped form of s (for attribute values,
 // double-quoted).
 func EscapeAttr[S string | []byte](dst []byte, s S) []byte {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '<':
-			dst = append(dst, "&lt;"...)
-		case '&':
-			dst = append(dst, "&amp;"...)
-		case '"':
-			dst = append(dst, "&quot;"...)
-		default:
-			dst = append(dst, s[i])
+	n := len(dst)
+	return EscapeAttrFrom(append(dst, s...), n)
+}
+
+// EscapeTextFrom escapes dst[from:] in place as text content — for a
+// value that was decoded straight into the output buffer.
+func EscapeTextFrom(dst []byte, from int) []byte { return escapeFrom(dst, from, &textEsc) }
+
+// EscapeAttrFrom is EscapeTextFrom for a double-quoted attribute value.
+func EscapeAttrFrom(dst []byte, from int) []byte { return escapeFrom(dst, from, &attrEsc) }
+
+// escapeFrom is the one escaper: a scan of dst[from:] that, for the
+// usual value without a special byte, is all there is; otherwise dst
+// grows by what the replacements add and the tail is expanded back to
+// front, down to the first special — below it read and write position
+// coincide again.
+func escapeFrom(dst []byte, from int, esc *[256]uint8) []byte {
+	extra := 0
+	for _, b := range dst[from:] {
+		if e := esc[b]; e != 0 {
+			extra += len(escapes[e]) - 1
+		}
+	}
+	if extra == 0 {
+		return dst
+	}
+	r := len(dst) - 1
+	dst = append(dst, make([]byte, extra)...)
+	for w := len(dst); w != r+1; r-- {
+		if e := esc[dst[r]]; e != 0 {
+			w -= len(escapes[e])
+			copy(dst[w:], escapes[e])
+		} else {
+			w--
+			dst[w] = dst[r]
 		}
 	}
 	return dst

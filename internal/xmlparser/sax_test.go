@@ -1,6 +1,7 @@
 package xmlparser
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -210,6 +211,48 @@ func TestEscapeHelpers(t *testing.T) {
 	}
 	if got := string(EscapeAttr(nil, `a"<&`)); got != "a&quot;&lt;&amp;" {
 		t.Fatalf("EscapeAttr = %q", got)
+	}
+	// The escapers expand in place: what precedes the value stays, and
+	// every placing of specials — none, all, first, last — comes out as
+	// the byte-by-byte definition has it, parsed back to the value.
+	for _, v := range []string{"", "plain", "<", "&&&&", "<a", "a>", "a\rb\nc\td", `"q"`, "x<y&z>\"\r"} {
+		for name, esc := range map[string]func([]byte, string) []byte{"text": EscapeText[string], "attr": EscapeAttr[string]} {
+			var want []byte
+			for i := 0; i < len(v); i++ {
+				switch c := v[i]; {
+				case c == '<':
+					want = append(want, "&lt;"...)
+				case c == '&':
+					want = append(want, "&amp;"...)
+				case c == '>' && name == "text":
+					want = append(want, "&gt;"...)
+				case c == '"' && name == "attr":
+					want = append(want, "&quot;"...)
+				case c == '\r', name == "attr" && (c == '\n' || c == '\t'):
+					want = append(want, fmt.Sprintf("&#%d;", c)...)
+				default:
+					want = append(want, c)
+				}
+			}
+			if got := string(esc([]byte("head"), v)); got != "head"+string(want) {
+				t.Fatalf("%s escape of %q = %q, want head%s", name, v, got, want)
+			}
+			doc := "<a>" + string(want) + "</a>"
+			if name == "attr" {
+				doc = `<a x="` + string(want) + `"/>`
+			}
+			back := ""
+			for _, ev := range collect(t, doc) {
+				if ev.Kind == EventStartElement && len(ev.Attrs) == 1 {
+					back = ev.Attrs[0][1]
+				} else if ev.Kind == EventText {
+					back = ev.Text
+				}
+			}
+			if back != v {
+				t.Fatalf("%s reads back as %q, want %q", doc, back, v)
+			}
+		}
 	}
 }
 

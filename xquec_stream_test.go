@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"xquec/internal/datagen"
 	"xquec/internal/storage"
 )
 
@@ -190,6 +191,51 @@ func TestEarlyStopSkipsDecoding(t *testing.T) {
 		t.Fatalf("full drain decoded only %d of %d values", drained, n)
 	}
 	res2.Close()
+}
+
+// TestStreamedSubtreesAllocatePerItemNotPerNode: streaming whole
+// subtrees through Next + AppendXML into one buffer costs what the
+// engine pays to hand out an item (boxing the binding: two allocations)
+// and nothing per node or value serialized — a person of XMark is some
+// forty nodes.
+func TestStreamedSubtreesAllocatePerItemNotPerNode(t *testing.T) {
+	db, err := Compress(datagen.XMark(datagen.XMarkConfig{Scale: 0.5, Seed: 1}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := db.Prepare(`FOR $p IN /site/people/person RETURN $p`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	items := 0
+	drain := func() {
+		res, err := prep.Execute(context.Background(), QueryOptions{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Close()
+		for items = 0; ; items++ {
+			it, ok, err := res.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return
+			}
+			if buf, err = it.AppendXML(buf[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(3, drain)
+	if items < 300 {
+		t.Fatalf("%d persons", items)
+	}
+	// 64: what a run costs before its first item.
+	if limit := float64(2*items + 64); allocs > limit {
+		t.Fatalf("%d persons streamed in %.0f allocations, limit %.0f", items, allocs, limit)
+	}
 }
 
 // TestConcurrentStreamIterators runs many independent cursors over one
