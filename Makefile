@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench bench-query bench-par bench-codec bench-vm bench-succinct bench-succinct-smoke bench-fuse-smoke bench-stream-smoke bench-ingest-smoke bench-diff bench-paper fuzz-smoke
+.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench bench-query bench-par bench-codec bench-vm bench-succinct bench-succinct-smoke bench-fuse-smoke bench-stream-smoke bench-point-smoke bench-ingest-smoke bench-diff bench-paper fuzz-smoke
 
 # Measurement is not part of the gate: bench/ (BENCHMARK.json) owns it,
 # and the `bench` target below appends to tracked BENCH_*.json files.
-check: vet vet-unsafeptr build bench-build race bench-succinct-smoke bench-fuse-smoke bench-stream-smoke bench-ingest-smoke ## tier-1: vet + build + race-clean tests + bench smoke
+check: vet vet-unsafeptr build bench-build race bench-succinct-smoke bench-fuse-smoke bench-stream-smoke bench-point-smoke bench-ingest-smoke ## tier-1: vet + build + race-clean tests + bench smoke
 
 vet:
 	$(GO) vet ./...
@@ -112,6 +112,13 @@ bench-fuse-smoke:
 # nothing.
 bench-stream-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamLarge' -benchtime 1x . >/dev/null
+
+# And for BenchmarkPointLookup: bench/'s two point_literal texts for the
+# first, the middle and the last person and item of the scale-8 document —
+# six numbers that must stay within a small factor of each other
+# (TestPointLookupFlat is the gate; this is the number). Writes nothing.
+bench-point-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkPointLookup' -benchtime 1x . >/dev/null
 
 # And for BenchmarkCompressXMark: one storage.Load of the scale-1
 # document at each worker count, the in-process number ISSUE 17's

@@ -232,15 +232,22 @@ func Descendants(s *storage.Store, in NodeSet, extent NodeSet) NodeSet {
 // instead of bisecting the whole extent, and any other interval falls
 // back to a search from the front.
 func Within(extent NodeSet, lo, hi storage.NodeID, pos *int) NodeSet {
-	from := 0
-	if pos != nil && *pos <= len(extent) && (*pos == 0 || extent[*pos-1] < lo) {
-		from = *pos
-	}
-	start := gallop(extent, from, lo)
-	if pos != nil {
-		*pos = start
-	}
+	start := seek(extent, pos, lo)
 	return extent[start:gallop(extent, start, hi+1)]
+}
+
+// seek returns the first index i with extent[i] >= v: galloping from the
+// hint *pos when everything before it is smaller, from the front
+// otherwise. A non-nil pos is left at the answer.
+func seek(extent NodeSet, pos *int, v storage.NodeID) int {
+	if pos == nil {
+		return gallop(extent, 0, v)
+	}
+	if *pos > len(extent) || (*pos > 0 && extent[*pos-1] >= v) {
+		*pos = 0
+	}
+	*pos = gallop(extent, *pos, v)
+	return *pos
 }
 
 // gallop returns the first index i >= from with extent[i] >= v, given
@@ -259,9 +266,83 @@ func gallop(extent NodeSet, from int, v storage.NodeID) int {
 	return lo + sort.Search(hi-lo, func(k int) bool { return extent[lo+k] >= v })
 }
 
+// Nearest returns, over the extents of sums, the greatest instance that
+// is <= id, as (k, i) with sums[k].Extent[i] that instance; k is -1 when
+// there is none. It reads containment off extent order (DESIGN.md,
+// "Containment is extent order"): a summary node is one root path, so its
+// instances never nest and the ancestor of id among them is id's
+// predecessor in the extent; and when no member of sums is a
+// summary-ancestor of another, id has one ancestor over all of sums, the
+// greatest predecessor. An id that is itself an instance is found as
+// itself, whatever sums is. pos, when non-nil, holds one galloping hint
+// per member of sums, as in Within.
+func Nearest(sums []*storage.SummaryNode, pos []int, id storage.NodeID) (k, i int) {
+	k, i = -1, -1
+	var best storage.NodeID
+	for s, sn := range sums {
+		var hint *int
+		if pos != nil {
+			hint = &pos[s]
+		}
+		if after := seek(sn.Extent, hint, id+1); after > 0 && sn.Extent[after-1] > best {
+			k, i, best = s, after-1, sn.Extent[after-1]
+		}
+	}
+	return k, i
+}
+
+// AncestorsIn returns, in document order, the instances of sums with a
+// node of inner in their subtree (or that are one), given that no member
+// of sums is a summary-ancestor of another and that every inner node lies
+// under some instance, as the value owners of containers below sums do.
+func AncestorsIn(sums []*storage.SummaryNode, inner NodeSet) NodeSet {
+	pos := make([]int, len(sums))
+	var out NodeSet
+	for _, d := range inner {
+		if k, i := Nearest(sums, pos, d); k >= 0 {
+			if a := sums[k].Extent[i]; len(out) == 0 || out[len(out)-1] != a {
+				out = append(out, a)
+			}
+		}
+	}
+	return out
+}
+
+// SemiJoinIn is AncestorsIn restricted to outer, a set of instances of
+// sums — SemiJoinAncestor without asking the tree where a subtree ends.
+// Each step places one inner node by Nearest and gallops both sides past
+// what that rules out: a logarithm per element of the smaller side, and a
+// lone inner node costs the same wherever in outer its ancestor is.
+func SemiJoinIn(sums []*storage.SummaryNode, outer, inner NodeSet) NodeSet {
+	pos := make([]int, len(sums))
+	var out NodeSet
+	i := 0
+	for j := 0; j < len(inner); {
+		k, p := Nearest(sums, pos, inner[j])
+		if k < 0 {
+			j++
+			continue
+		}
+		a := sums[k].Extent[p]
+		if i = gallop(outer, i, a); i < len(outer) && outer[i] == a {
+			out = append(out, a)
+			i++
+		}
+		if i == len(outer) {
+			break
+		}
+		// No outer node lies in [a, outer[i]) but a itself, and the
+		// ancestors of the inner nodes before outer[i] all do.
+		j = gallop(inner, j+1, outer[i])
+	}
+	return out
+}
+
 // SemiJoinAncestor returns the input (outer) nodes whose subtree
 // contains at least one inner node — a structural semi-join via a
-// linear merge over the pre/post intervals.
+// linear merge over the pre/post intervals, for any outer set. The query
+// path, whose outer sets are instances of known summary nodes, uses
+// SemiJoinIn, which the property tests hold to this one.
 func SemiJoinAncestor(s *storage.Store, outer, inner NodeSet) NodeSet {
 	if len(inner) == 0 {
 		return nil
@@ -280,31 +361,6 @@ func SemiJoinAncestor(s *storage.Store, outer, inner NodeSet) NodeSet {
 		}
 		if j < len(inner) && inner[j] <= ends[i] {
 			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// MapToAncestorIn maps each inner node to its (unique) ancestor-or-self
-// inside the outer set, returning pairs; inner nodes with no covering
-// outer node are dropped. Outer must be non-nesting (a path extent is).
-func MapToAncestorIn(s *storage.Store, outer, inner NodeSet) []Pair {
-	if len(inner) == 0 {
-		return nil
-	}
-	// Outer nodes past the last inner node cannot cover any of them.
-	hi := sort.Search(len(outer), func(k int) bool { return outer[k] > inner[len(inner)-1] })
-	outer = outer[:hi]
-	ends := make([]storage.NodeID, len(outer))
-	s.SubtreeEndBulk(outer, ends)
-	var out []Pair
-	j := 0
-	for _, d := range inner {
-		for j < len(outer) && ends[j] < d {
-			j++
-		}
-		if j < len(outer) && outer[j] <= d && d <= ends[j] {
-			out = append(out, Pair{A: outer[j], B: d})
 		}
 	}
 	return out

@@ -3,7 +3,6 @@ package algebra
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -13,11 +12,11 @@ import (
 
 // lowFloors drops the partitioning floors so small test inputs exercise
 // the parallel paths, restoring them afterwards.
-func lowFloors(t *testing.T, recs, nodes int) {
+func lowFloors(t *testing.T, recs int) {
 	t.Helper()
-	oldR, oldN := MinRecordsPerPartition, MinNodesPerPartition
-	MinRecordsPerPartition, MinNodesPerPartition = recs, nodes
-	t.Cleanup(func() { MinRecordsPerPartition, MinNodesPerPartition = oldR, oldN })
+	old := MinRecordsPerPartition
+	MinRecordsPerPartition = recs
+	t.Cleanup(func() { MinRecordsPerPartition = old })
 }
 
 func equalSets(a, b NodeSet) bool {
@@ -35,7 +34,7 @@ func equalSets(a, b NodeSet) bool {
 // TestContFilterParMatchesSerial compares the partitioned decoding scan
 // against the serial one at several worker counts, over every codec.
 func TestContFilterParMatchesSerial(t *testing.T) {
-	lowFloors(t, 4, 64)
+	lowFloors(t, 4)
 	var sb strings.Builder
 	sb.WriteString("<r>")
 	rng := rand.New(rand.NewSource(7))
@@ -83,59 +82,6 @@ func TestContFilterParMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-}
-
-// randomSubset picks a random document-ordered subset.
-func randomSubset(rng *rand.Rand, all NodeSet, p float64) NodeSet {
-	var out NodeSet
-	for _, id := range all {
-		if rng.Float64() < p {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// TestStructuralParMatchesSerial fuzzes the partitioned structural
-// operators against their serial forms on random (nesting) trees.
-func TestStructuralParMatchesSerial(t *testing.T) {
-	lowFloors(t, 4, 4)
-	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s := randomTree(t, rng)
-		all := make(NodeSet, 0, s.NumNodes())
-		for id := storage.NodeID(1); int(id) <= s.NumNodes(); id++ {
-			all = append(all, id)
-		}
-		outer := randomSubset(rng, all, 0.35) // semi-join outer (may nest)
-		inner := randomSubset(rng, all, 0.5)  // semi-join inner
-		nonNest := nonNestingSubset(s, all)   // for MapToAncestorIn
-
-		wantS := SemiJoinAncestor(s, outer, inner)
-		wantM := MapToAncestorIn(s, nonNest, inner)
-		for _, par := range []int{2, 3, 5, 16} {
-			if got := SemiJoinAncestorPar(s, outer, inner, par); !equalSets(got, wantS) {
-				t.Fatalf("seed=%d par=%d SemiJoinAncestor: got %v want %v", seed, par, got, wantS)
-			}
-			if got := MapToAncestorInPar(s, nonNest, inner, par); !reflect.DeepEqual(got, wantM) {
-				t.Fatalf("seed=%d par=%d MapToAncestorIn: got %v want %v", seed, par, got, wantM)
-			}
-		}
-	}
-}
-
-// nonNestingSubset returns a maximal document-ordered subset whose
-// subtrees are pairwise disjoint (the MapToAncestorIn outer contract).
-func nonNestingSubset(s *storage.Store, all NodeSet) NodeSet {
-	var out NodeSet
-	var lastEnd storage.NodeID
-	for _, id := range all {
-		if id > lastEnd {
-			out = append(out, id)
-			lastEnd = s.SubtreeEnd(id)
-		}
-	}
-	return out
 }
 
 // sortUniqueReference is the pre-optimization SortUnique: always sort,

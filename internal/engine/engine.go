@@ -28,9 +28,10 @@ type Engine struct {
 	plans  *Plans
 	paths  map[*xquery.PathExpr]*pathCursor
 	flwors map[*xquery.FLWOR]*FLWORPlan
-	// endOf/end remember the last SubtreeEnd answer: the paths of one
-	// tuple ask for the same binding's interval one after the other.
-	endOf, end storage.NodeID
+	// owners caches the container match of each `path op literal`
+	// comparison the same way, so a literal restrict that is reached once
+	// per outer tuple scans its containers once per run.
+	owners map[*xquery.Cmp]*conjunctOwners
 	// ctx, when non-nil, is polled in the evaluation loop so timeouts
 	// and client disconnects abort long evaluations mid-stream.
 	ctx      context.Context
@@ -71,6 +72,7 @@ func New(s *storage.Store) *Engine {
 // made on first use: a point lookup has no FLWOR).
 func (e *Engine) resetRun() {
 	e.paths = map[*xquery.PathExpr]*pathCursor{}
+	e.owners = map[*xquery.Cmp]*conjunctOwners{}
 	e.joinIdx, e.flwors, e.canceled = nil, nil, nil
 }
 

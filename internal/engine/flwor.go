@@ -287,21 +287,15 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 		cur := ids
 		var perTuple []xquery.Expr
 		for _, pd := range pds {
+			// A literal pushdown keeps the nodes whose value matches, a join
+			// pushdown the partners of the other variable's current binding.
+			var restricted algebra.NodeSet
+			var handled bool
 			if pd.IsLit {
-				owners, handled, err := e.matchOwners(sums, pd.Rel, pd.Op, pd.Lit, e.par)
-				if err != nil {
-					return err
-				}
-				if handled {
-					cur = algebra.SemiJoinAncestorPar(e.store, cur, owners, e.par)
-					continue
-				}
-				perTuple = append(perTuple, pd.Conj)
-				continue
+				restricted, handled, err = e.applyLit(pd, cur, sums)
+			} else {
+				restricted, handled, err = e.applyJoin(pd, cur, sums, env)
 			}
-			// join pushdown: restrict to the partners of the other
-			// variable's current binding
-			restricted, handled, err := e.applyJoin(pd, cur, sums, env)
 			if err != nil {
 				return err
 			}
@@ -373,11 +367,38 @@ func (e *Engine) passAll(filters []xquery.Expr, env *scope) (bool, error) {
 // joinIndex maps nodes of the "other" side of an equality join to their
 // partner nodes on "this" side. Built once per comparison and pair of
 // summary sets, it is what turns the Q8/Q9 correlated nested loops into
-// a single container join.
+// a single container join. It is keyed by extent ordinal: the instances
+// of otherSums[k] are numbered first[k], first[k]+1, … in extent order,
+// and the partners of the instance numbered o are
+// partners[start[o]:start[o+1]], in document order.
 type joinIndex struct {
 	sums, otherSums []*storage.SummaryNode
-	byOther         map[storage.NodeID]algebra.NodeSet
+	first           []int
+	start           []int32
+	partners        algebra.NodeSet
 	merged          bool // true when the compressed merge join was used
+}
+
+// partnersOf returns the partners of one binding of the other variable.
+func (idx *joinIndex) partnersOf(other storage.NodeID) algebra.NodeSet {
+	k, i := algebra.Nearest(idx.otherSums, nil, other)
+	if k < 0 || idx.otherSums[k].Extent[i] != other {
+		return nil
+	}
+	o := idx.first[k] + i
+	return idx.partners[idx.start[o]:idx.start[o+1]]
+}
+
+// applyLit restricts cur (the domain of this clause's variable, instances
+// of sums) to the nodes whose value under the pushdown's path matches its
+// literal, by one container match per run; handled is false when the
+// comparison has no container fast path.
+func (e *Engine) applyLit(pd Pushdown, cur algebra.NodeSet, sums []*storage.SummaryNode) (algebra.NodeSet, bool, error) {
+	co, err := e.matchOwners(pd.Conj, sums, pd.Rel, pd.Op, pd.Lit)
+	if err != nil || !co.ok {
+		return nil, false, err
+	}
+	return algebra.SemiJoinIn(sums, cur, co.owners), true, nil
 }
 
 // applyJoin restricts cur (the domain of this clause's variable) to the
@@ -391,11 +412,10 @@ func (e *Engine) applyJoin(pd Pushdown, cur algebra.NodeSet, sums []*storage.Sum
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	matches := idx.byOther[other.ids[0]]
-	// The matches are usually a tiny subset of the clause domain: probe
+	// The partners are usually a tiny subset of the clause domain: probe
 	// them into cur by binary search instead of a full linear merge.
 	var out algebra.NodeSet
-	for _, m := range matches {
+	for _, m := range idx.partnersOf(other.ids[0]) {
 		i := sort.Search(len(cur), func(k int) bool { return cur[k] >= m })
 		if i < len(cur) && cur[i] == m {
 			out = append(out, m)
@@ -404,7 +424,10 @@ func (e *Engine) applyJoin(pd Pushdown, cur algebra.NodeSet, sums []*storage.Sum
 	return out, true, nil
 }
 
-// joinIndexFor builds (or reuses) the join index for a comparison.
+// joinIndexFor builds (or reuses) the join index for a comparison. Both
+// sides' value owners are placed under their bindings by extent order
+// (algebra.Nearest: relValueTarget resolves containers only under summary
+// sets whose instances never nest).
 func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNode) (*joinIndex, bool, error) {
 	if idx, ok := e.joinIdx[pd.Conj]; ok && slices.Equal(idx.sums, sums) && slices.Equal(idx.otherSums, otherSums) {
 		return idx, true, nil
@@ -414,9 +437,20 @@ func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNod
 	if !ok1 || !ok2 || len(thisConts) == 0 || len(otherConts) == 0 {
 		return nil, false, nil
 	}
-	thisExtent := algebra.SummaryAccess(sums)
-	otherExtent := algebra.SummaryAccess(otherSums)
-	idx := &joinIndex{sums: sums, otherSums: otherSums, byOther: map[storage.NodeID]algebra.NodeSet{}}
+	idx := &joinIndex{sums: sums, otherSums: otherSums, first: make([]int, len(otherSums))}
+	n := 0
+	for k, sn := range otherSums {
+		idx.first[k] = n
+		n += len(sn.Extent)
+	}
+	// One (other ordinal, this node) link per joined value pair, counted
+	// into start while they are collected.
+	type link struct {
+		o int32
+		t storage.NodeID
+	}
+	var links []link
+	idx.start = make([]int32, n+1)
 	for _, tc := range thisConts {
 		for _, oc := range otherConts {
 			pairs, merged, err := algebra.JoinContainers(tc, oc)
@@ -424,49 +458,40 @@ func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNod
 				return nil, false, err
 			}
 			idx.merged = idx.merged || merged
-			if len(pairs) == 0 {
-				continue
-			}
-			// Map each side's value owners up to the binding level.
-			thisAnc := ancestorMap(e.store, thisExtent, ownersOf(pairs, true), e.par)
-			otherAnc := ancestorMap(e.store, otherExtent, ownersOf(pairs, false), e.par)
 			for _, p := range pairs {
-				tn, okT := thisAnc[p.A]
-				on, okO := otherAnc[p.B]
-				if okT && okO {
-					idx.byOther[on] = append(idx.byOther[on], tn)
+				tk, ti := algebra.Nearest(sums, nil, p.A)
+				ok, oi := algebra.Nearest(otherSums, nil, p.B)
+				if tk >= 0 && ok >= 0 {
+					o := int32(idx.first[ok] + oi)
+					links = append(links, link{o, sums[tk].Extent[ti]})
+					idx.start[o+1]++
 				}
 			}
 		}
 	}
-	for k := range idx.byOther {
-		idx.byOther[k] = algebra.SortUnique(idx.byOther[k])
+	// Bucket the links by ordinal, then sort and deduplicate every bucket
+	// in place, closing the gaps the duplicates leave.
+	for o := 0; o < n; o++ {
+		idx.start[o+1] += idx.start[o]
 	}
+	idx.partners = make(algebra.NodeSet, len(links))
+	fill := slices.Clone(idx.start[:n])
+	for _, l := range links {
+		idx.partners[fill[l.o]] = l.t
+		fill[l.o]++
+	}
+	w, lo := int32(0), idx.start[0]
+	for o := 0; o < n; o++ {
+		hi := idx.start[o+1]
+		bucket := algebra.SortUnique(idx.partners[lo:hi])
+		idx.start[o] = w
+		w += int32(copy(idx.partners[w:], bucket))
+		lo = hi
+	}
+	idx.start[n] = w
 	if e.joinIdx == nil {
 		e.joinIdx = map[*xquery.Cmp]*joinIndex{}
 	}
 	e.joinIdx[pd.Conj] = idx
 	return idx, true, nil
-}
-
-func ownersOf(pairs []algebra.Pair, first bool) algebra.NodeSet {
-	ids := make([]storage.NodeID, 0, len(pairs))
-	for _, p := range pairs {
-		if first {
-			ids = append(ids, p.A)
-		} else {
-			ids = append(ids, p.B)
-		}
-	}
-	return algebra.SortUnique(ids)
-}
-
-// ancestorMap maps each inner node to its covering node in outer,
-// splitting the structural merge across up to par workers.
-func ancestorMap(s *storage.Store, outer, inner algebra.NodeSet, par int) map[storage.NodeID]storage.NodeID {
-	m := make(map[storage.NodeID]storage.NodeID, len(inner))
-	for _, p := range algebra.MapToAncestorInPar(s, outer, inner, par) {
-		m[p.B] = p.A
-	}
-	return m
 }

@@ -168,10 +168,10 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 	}
 	for i, w := range ws {
 		g := gs[i]
-		if g.ID != w.ID || g.Path() != w.Path() || g.Count != w.Count || g.AvgFan != w.AvgFan ||
+		if g.ID != w.ID || g.Path() != w.Path() || g.Count != w.Count || g.AvgFan != w.AvgFan || g.TextCount != w.TextCount ||
 			!slices.Equal(g.Extent, w.Extent) || contPath(got, g.Container) != contPath(want, w.Container) {
-			t.Fatalf("summary node %d: %s count %d fan %g, want %s count %d fan %g\ncorpus: %s",
-				i, g.Path(), g.Count, g.AvgFan, w.Path(), w.Count, w.AvgFan, xml)
+			t.Fatalf("summary node %d: %s count %d fan %g text %d, want %s count %d fan %g text %d\ncorpus: %s",
+				i, g.Path(), g.Count, g.AvgFan, g.TextCount, w.Path(), w.Count, w.AvgFan, w.TextCount, xml)
 		}
 	}
 

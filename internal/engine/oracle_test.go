@@ -96,19 +96,19 @@ func TestRandomDifferential(t *testing.T) {
 	}
 }
 
-// TestNestedBindingsStepByStep: a variable bound over nodes that nest
-// cannot use the range lookup — an extent node inside a binding's
-// interval may sit under a nested binding — so those paths go step by
-// step (TestNestedOriginPlansStepwise pins which route each takes), and
-// both routes agree with the reference.
-func TestNestedBindingsStepByStep(t *testing.T) {
+// TestNestedBindings: a variable bound over nodes that nest — listitems
+// inside listitems, a spine forty elements deep — reads, like any other,
+// the extents under each binding's own summary node up to the next
+// instance of that node (TestRunsResolvePerOrigin pins what each origin
+// looks in), and agrees with the reference.
+func TestNestedBindings(t *testing.T) {
 	docs := map[string][]byte{
 		"lists": []byte(engine.NestedLists),
 		"deep":  datagen.DeepTree(datagen.DeepTreeConfig{Depth: 40, Seed: 5}),
 	}
 	queries := map[string][]string{
 		"lists": {
-			// $d over descriptions: one summary node, the range lookup.
+			// $d over descriptions: one summary node.
 			`FOR $d IN /site/regions/asia/item/description RETURN <d>{$d//listitem/text/text()}</d>`,
 			`FOR $d IN //description RETURN count($d//listitem)`,
 			`FOR $d IN //description RETURN <d>{$d/parlist/listitem/text/text()}</d>`,
@@ -182,6 +182,59 @@ func TestOrderByMixedKeys(t *testing.T) {
 		}
 		if want := "10\n1a\n2"; !strings.Contains(q, "DESC") && first != want {
 			t.Fatalf("mixed keys sort to %q, want string order %q", first, want)
+		}
+	}
+}
+
+// TestLiteralRestrictScansOncePerRun: a literal pushdown reached once per
+// outer tuple — in a nested FLWOR, in a non-first clause, in a step
+// predicate of a relative path — matches its container once per run. The
+// comparison here has to decode (a string container against a number),
+// so the scan shows in storage.DecodeOps: the same 60 values in 2 groups
+// or in 20 cost the same decodes, where they used to cost one scan per
+// group.
+func TestLiteralRestrictScansOncePerRun(t *testing.T) {
+	const entries, hits = 60, 3
+	doc := func(groups int) []byte {
+		var sb strings.Builder
+		sb.WriteString("<r>")
+		for g, n := 0, 0; g < groups; g++ {
+			sb.WriteString("<g>")
+			for i := 0; i < entries/groups; i, n = i+1, n+1 {
+				v := fmt.Sprintf("w%d", n)
+				if n%(entries/hits) == 0 {
+					v = "7.0"
+				}
+				fmt.Fprintf(&sb, `<e k="k%d"><v>%s</v></e>`, n, v)
+			}
+			sb.WriteString("</g>")
+		}
+		sb.WriteString("</r>")
+		return []byte(sb.String())
+	}
+	for _, q := range []string{
+		`FOR $g IN /r/g RETURN <g>{FOR $e IN $g/e WHERE $e/v = 7 RETURN $e/@k}</g>`,
+		`FOR $g IN /r/g, $e IN $g/e WHERE $e/v = 7 RETURN $e/@k`,
+		`FOR $g IN /r/g RETURN count($g/e[v = 7])`,
+	} {
+		for _, ev := range evaluators {
+			var deltas []int64
+			for _, groups := range []int{2, 20} {
+				d := doc(groups)
+				s, err := storage.Load(d, storage.LoadOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				agree(t, d, s, q)
+				before := storage.DecodeOps()
+				if _, err := ev.run(s, q); err != nil {
+					t.Fatal(err)
+				}
+				deltas = append(deltas, storage.DecodeOps()-before)
+			}
+			if deltas[0] != deltas[1] || deltas[0] < entries || deltas[0] > entries+hits {
+				t.Errorf("%s: %s decodes %d values over 2 groups and %d over 20, want one scan of %d (and the %d hits' keys) both times", ev.name, q, deltas[0], deltas[1], entries, hits)
+			}
 		}
 	}
 }

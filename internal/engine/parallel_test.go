@@ -13,14 +13,12 @@ import (
 // TestParallelDifferential runs the whole query battery on random
 // documents at several worker budgets and requires byte-identical
 // output (and identical error outcomes) against the serial engine.
-// The partition floors are dropped so the small random documents
+// The partition floor is dropped so the small random documents
 // genuinely split.
 func TestParallelDifferential(t *testing.T) {
-	oldR, oldN := algebra.MinRecordsPerPartition, algebra.MinNodesPerPartition
-	algebra.MinRecordsPerPartition, algebra.MinNodesPerPartition = 2, 2
-	t.Cleanup(func() {
-		algebra.MinRecordsPerPartition, algebra.MinNodesPerPartition = oldR, oldN
-	})
+	old := algebra.MinRecordsPerPartition
+	algebra.MinRecordsPerPartition = 2
+	t.Cleanup(func() { algebra.MinRecordsPerPartition = old })
 
 	pars := []int{2, 4, 8, runtime.GOMAXPROCS(0)}
 	plans := []*storage.CompressionPlan{

@@ -18,26 +18,62 @@ import (
 // and whether the set is exactly the union of the summary extents —
 // when it is, the next structural step is answered purely from the
 // structure summary (the StructureSummaryAccess strategy of §2.3),
-// without touching the structure tree.
+// without touching the structure tree, and nodes stays nil until someone
+// needs the union itself (allNodes).
 type pathState struct {
 	nodes algebra.NodeSet
 	sums  []*storage.SummaryNode
 	exact bool
 }
 
+// allNodes materializes an exact state.
+func (st *pathState) allNodes() algebra.NodeSet {
+	if st.exact && st.nodes == nil {
+		st.nodes = algebra.SummaryAccess(st.sums)
+	}
+	return st.nodes
+}
+
 // PathPlan is the structural part of one path expression resolved
 // against the structure summary for one origin summary set. A summary
 // node is a full root path, so the plan answers "which extents can hold
 // the result" once, and evaluation only intersects them with the
-// bindings' subtree intervals.
+// stretch of document order that belongs to each binding.
 type PathPlan struct {
 	origin  []*storage.SummaryNode   // the variable's (or context's) summary set; nil for absolute paths
 	targets [][]*storage.SummaryNode // targets[i]: the summary nodes steps[:i+1] reach
-	// anti[i]: the set step i starts from is an antichain (no member is a
-	// summary-ancestor of another), which makes the range lookup sound.
-	anti []bool
+	// runs[i] resolves the steps [i, runEnd(i)) — what evaluation moves
+	// over at once — from each member of the set they start from, for
+	// every i that starts such a run from a node set (an absolute path's
+	// leading run starts from the document and needs none).
+	runs  []runPlan
+	slots int // galloping positions a cursor over the plan needs
 	// plain: absolute and predicate-free, so the result is the same all run.
 	plain bool
+}
+
+// runPlan is one run of steps resolved per origin: targets[o] are the
+// summary nodes the run reaches from an instance of from[o], and only
+// those — `$b/location` under `//item` looks in the one location extent
+// of $b's own region, not in six.
+type runPlan struct {
+	from    []*storage.SummaryNode
+	targets [][]*storage.SummaryNode
+	// Slots of the cursor: len(from) for the from extents starting at
+	// slot, then one per target of from[o] starting at tslot[o].
+	slot  int
+	tslot []int
+}
+
+// runEnd returns the end of the run of steps that starts at step i: the
+// step alone when it carries predicates, else up to the next step that
+// does (or the text() tail).
+func runEnd(steps []xquery.Step, i int) int {
+	j := i + 1
+	for len(steps[i].Preds) == 0 && j < len(steps) && steps[j].Test != xquery.TestText && len(steps[j].Preds) == 0 {
+		j++
+	}
+	return j
 }
 
 // Sums returns the summary nodes the structural steps end on.
@@ -49,11 +85,11 @@ func (pl *PathPlan) Sums() []*storage.SummaryNode {
 }
 
 // pathCursor is one run's state for one path expression: the plan, the
-// galloping position inside each target extent, and — for plain paths —
-// the result.
+// galloping positions inside the extents its runs read, and — for plain
+// paths — the result.
 type pathCursor struct {
 	plan     *PathPlan
-	pos      [][]int
+	pos      []int
 	done     bool
 	st       pathState
 	textTail bool
@@ -61,17 +97,39 @@ type pathCursor struct {
 
 // resolvePath builds the plan of p for an origin summary set.
 func (e *Engine) resolvePath(p *xquery.PathExpr, sums []*storage.SummaryNode) *PathPlan {
-	pl := &PathPlan{origin: sums, plain: p.Var == "",
-		targets: make([][]*storage.SummaryNode, 0, len(p.Steps)), anti: make([]bool, 0, len(p.Steps))}
+	pl := &PathPlan{origin: sums, plain: p.Var == "", targets: make([][]*storage.SummaryNode, 0, len(p.Steps))}
 	cur := sums
 	for i, step := range p.Steps {
 		if step.Test == xquery.TestText {
 			break
 		}
 		pl.plain = pl.plain && len(step.Preds) == 0
-		pl.anti = append(pl.anti, antichain(cur))
 		cur = e.summaryTargets(cur, i == 0 && p.Var == "", step)
 		pl.targets = append(pl.targets, cur)
+	}
+	for i, j := 0, 0; i < len(pl.targets); i = j {
+		j = runEnd(p.Steps, i)
+		from := sums
+		if i > 0 {
+			from = pl.targets[i-1]
+		} else if p.Var == "" {
+			continue
+		}
+		if pl.runs == nil {
+			pl.runs = make([]runPlan, len(pl.targets))
+		}
+		run := &pl.runs[i]
+		run.from, run.slot = from, pl.slots
+		pl.slots += len(from)
+		for o := range from {
+			reach := from[o : o+1]
+			for k := i; k < j; k++ {
+				reach = e.summaryTargets(reach, false, p.Steps[k])
+			}
+			run.targets = append(run.targets, reach)
+			run.tslot = append(run.tslot, pl.slots)
+			pl.slots += len(reach)
+		}
 	}
 	return pl
 }
@@ -113,10 +171,7 @@ func (e *Engine) cursorFor(p *xquery.PathExpr, sums []*storage.SummaryNode) *pat
 	if pl == nil || !slices.Equal(pl.origin, sums) {
 		pl = e.resolvePath(p, sums)
 	}
-	pc = &pathCursor{plan: pl, pos: make([][]int, len(pl.targets))}
-	for i, tg := range pl.targets {
-		pc.pos[i] = make([]int, len(tg))
-	}
+	pc = &pathCursor{plan: pl, pos: make([]int, pl.slots)}
 	e.paths[p] = pc
 	return pc
 }
@@ -168,32 +223,36 @@ func (e *Engine) evalPathNodes(p *xquery.PathExpr, env *scope) (pathState, bool,
 			if len(step.Preds) > 0 {
 				return pathState{}, false, fmt.Errorf("engine: predicates on text() are not supported")
 			}
-			st.nodes, textTail = e.withText(st.nodes), true
+			st.nodes, st.exact, textTail = e.withText(st.allNodes(), st.sums), false, true
 			break
 		}
-		if len(step.Preds) > 0 {
-			if st, err = e.predStep(st, steps, i, env, pc); err != nil {
-				return pathState{}, false, err
-			}
-			i++
-			continue
+		j := runEnd(steps, i)
+		if len(step.Preds) == 0 {
+			st = e.moveRun(st, i, j, pc)
+		} else if st, err = e.predStep(st, steps, i, env, pc); err != nil {
+			return pathState{}, false, err
 		}
-		j := i + 1
-		for j < len(steps) && steps[j].Test != xquery.TestText && len(steps[j].Preds) == 0 {
-			j++
-		}
-		st = e.moveRun(st, steps, i, j, pc)
 		i = j
 	}
+	st.allNodes()
 	if pc.plan.plain {
 		pc.done, pc.st, pc.textTail = true, st, textTail
 	}
 	return st, textTail, nil
 }
 
-// withText restricts nodes to those that have immediate text, copying
-// only when one does not.
-func (e *Engine) withText(nodes algebra.NodeSet) algebra.NodeSet {
+// withText restricts nodes, instances of sums, to those that have
+// immediate text. Where the summary says every instance has some — the
+// rule for a path one asks text() of — that is all of them, and the tree
+// is not asked; otherwise only a node without text is copied around.
+func (e *Engine) withText(nodes algebra.NodeSet, sums []*storage.SummaryNode) algebra.NodeSet {
+	all := len(sums) > 0
+	for _, sn := range sums {
+		all = all && sn.TextCount == sn.Count
+	}
+	if all {
+		return nodes
+	}
 	for i, id := range nodes {
 		if e.store.HasText(id) {
 			continue
@@ -323,49 +382,46 @@ func appendTargets(out []*storage.SummaryNode, sn *storage.SummaryNode, name str
 	return out
 }
 
-// moveRun applies the predicate-free steps [i, j) to st. From an exact
-// state the result is the targets' extents themselves. From a node set
-// whose summary set is an antichain it is the targets' extents inside
-// the nodes' subtree intervals: containment in the interval is
-// reachability by the steps, the intervals are disjoint and ascend, so
-// no intermediate step is evaluated and no child is visited. Any other
-// set goes step by step until the set it has reached is an antichain.
-func (e *Engine) moveRun(st pathState, steps []xquery.Step, i, j int, pc *pathCursor) pathState {
-	pl := pc.plan
-	next := pathState{sums: pl.targets[j-1]}
-	if st.exact {
-		next.nodes, next.exact = algebra.SummaryAccess(next.sums), true
-		return next
-	}
-	next.nodes = st.nodes
-	for k := i; k < j && len(next.nodes) > 0; k++ {
-		if pl.anti[k] {
-			next.nodes = e.within(next.nodes, next.sums, pc.pos[j-1])
-			break
-		}
-		next.nodes = e.stepwise(next.nodes, pl.targets[k], steps[k].Axis == xquery.AxisChild)
+// lastID stands in for "the next instance" after the last one of an
+// extent: no node has it.
+const lastID = ^storage.NodeID(0)
+
+// moveRun applies the steps [i, j), a run of the plan, to st: from an
+// exact state the targets' extents themselves, from a node set what
+// within finds — no intermediate step is evaluated, no child visited and
+// no subtree end asked for.
+func (e *Engine) moveRun(st pathState, i, j int, pc *pathCursor) pathState {
+	next := pathState{sums: pc.plan.targets[j-1], exact: st.exact}
+	if !st.exact {
+		next.nodes = e.within(st.nodes, &pc.plan.runs[i], pc.pos)
 	}
 	return next
 }
 
-// within returns the targets' extent nodes inside the subtrees of nodes,
-// whose summary set is an antichain. One node and one non-empty extent
-// range yield a sub-slice of that extent; anything else is copied.
-func (e *Engine) within(nodes algebra.NodeSet, targets []*storage.SummaryNode, pos []int) algebra.NodeSet {
+// within returns what a run reaches from nodes, instances of run.from:
+// for b = S.Extent[i] and a summary node T the run reaches from S, the
+// part of T.Extent between b and S.Extent[i+1] — every instance of T has
+// exactly one ancestor among the instances of S, which never nest, so it
+// is the nearest one before it (DESIGN.md, "Containment is extent order";
+// recursion changes nothing, T is a summary node of its own at every
+// depth). The cursors that place b advance with ascending bindings. One
+// node and one non-empty extent range yield a sub-slice of that extent;
+// anything else is copied.
+func (e *Engine) within(nodes algebra.NodeSet, run *runPlan, pos []int) algebra.NodeSet {
 	var one, out algebra.NodeSet
-	var prev storage.NodeID
+	sorted := true
 	for _, b := range nodes {
-		if b == prev {
-			continue
+		o, i := algebra.Nearest(run.from, pos[run.slot:run.slot+len(run.from)], b)
+		if o < 0 || run.from[o].Extent[i] != b {
+			continue // not an instance of the origin set: reaches nothing
 		}
-		prev = b
-		if e.endOf != b {
-			e.endOf, e.end = b, e.store.SubtreeEnd(b)
+		next := lastID
+		if ext := run.from[o].Extent; i+1 < len(ext) {
+			next = ext[i+1]
 		}
-		end := e.end
 		mark, pieces := len(out), 0
-		for t, sn := range targets {
-			r := algebra.Within(sn.Extent, b+1, end, &pos[t])
+		for t, sn := range run.targets[o] {
+			r := algebra.Within(sn.Extent, b+1, next-1, &pos[run.tslot[o]+t])
 			if len(r) == 0 {
 				continue
 			}
@@ -376,33 +432,19 @@ func (e *Engine) within(nodes algebra.NodeSet, targets []*storage.SummaryNode, p
 			out = append(append(out, one...), r...)
 			one = nil
 		}
-		if pieces > 1 { // extents of sibling paths interleave inside one subtree
+		if pieces > 1 { // extents of sibling paths interleave under one node
 			slices.Sort(out[mark:])
 		}
+		// Nodes that nest reach overlapping stretches.
+		sorted = sorted && (mark == 0 || mark == len(out) || out[mark-1] < out[mark])
 	}
 	if out == nil {
 		return one
 	}
-	return out
-}
-
-// stepwise applies one step to nodes that may nest (a recursive schema:
-// their summary set is not an antichain), where an extent node inside a
-// subtree need not be reachable by the step: a child step keeps a
-// candidate only if its parent is the node it was found under.
-func (e *Engine) stepwise(nodes algebra.NodeSet, targets []*storage.SummaryNode, child bool) algebra.NodeSet {
-	var out []storage.NodeID
-	for _, b := range nodes {
-		end := e.store.SubtreeEnd(b)
-		for _, sn := range targets {
-			for _, x := range algebra.Within(sn.Extent, b+1, end, nil) {
-				if !child || e.store.Parent(x) == b {
-					out = append(out, x)
-				}
-			}
-		}
+	if !sorted {
+		return algebra.SortUnique(out)
 	}
-	return algebra.SortUnique(out)
+	return out
 }
 
 // predStep applies step i, which carries predicates. Positional ones
@@ -423,21 +465,18 @@ func (e *Engine) predStep(st pathState, steps []xquery.Step, i int, env *scope, 
 	var err error
 	switch {
 	case !positional:
-		next = e.moveRun(st, steps, i, i+1, pc)
-		next.nodes, err = e.applyPreds(next.nodes, preds, env, targets)
+		next = e.moveRun(st, i, i+1, pc)
+		next.nodes, err = e.applyPreds(next.nodes, next.exact, preds, env, targets)
 		next.exact = false
 	case i == 0 && st.exact:
 		// The document node has one child, the root: position among it.
-		next.nodes, err = e.applyPreds(algebra.NodeSet{1}, preds, env, nil)
+		next.nodes, err = e.applyPreds(algebra.NodeSet{1}, false, preds, env, nil)
 	default:
-		parents := st.nodes
-		if st.exact {
-			parents = algebra.SummaryAccess(st.sums)
-		}
+		parents := st.allNodes()
 		var out []storage.NodeID
 		for k := range parents {
-			kids := e.moveRun(pathState{nodes: parents[k : k+1]}, steps, i, i+1, pc).nodes
-			if kids, err = e.applyPreds(kids, preds, env, targets); err != nil {
+			kids := e.within(parents[k:k+1], &pc.plan.runs[i], pc.pos)
+			if kids, err = e.applyPreds(kids, false, preds, env, targets); err != nil {
 				break
 			}
 			if len(parents) == 1 {
@@ -471,9 +510,13 @@ func pickPositional(cur algebra.NodeSet, pred xquery.Expr) (sel algebra.NodeSet,
 	return cur, false
 }
 
-// applyPreds filters candidate nodes by the step predicates, in order.
-func (e *Engine) applyPreds(nodes algebra.NodeSet, preds []xquery.Expr, env *scope, sums []*storage.SummaryNode) (algebra.NodeSet, error) {
-	if len(preds) == 1 {
+// applyPreds filters candidate nodes, instances of sums, by the step
+// predicates, in order. all says that the candidates are every instance
+// of sums and that nodes, nil, does not spell them out: a container match
+// then goes from the matching values to their instances directly, and the
+// candidates are materialized only if some predicate has to see them.
+func (e *Engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr, env *scope, sums []*storage.SummaryNode) (algebra.NodeSet, error) {
+	if len(preds) == 1 && !all {
 		// The lone [1] or [last()] of Q2/Q3: nothing to flatten.
 		if sel, is := pickPositional(nodes, preds[0]); is {
 			return sel, nil
@@ -496,24 +539,34 @@ func (e *Engine) applyPreds(nodes algebra.NodeSet, preds []xquery.Expr, env *sco
 	// evaluated concurrently and consumed in predicate order.
 	pre := e.precomputeConjunctOwners(preds, sums)
 	for i, pred := range preds {
-		if sel, is := pickPositional(cur, pred); is {
-			cur = sel
-			continue
-		}
 		// Value predicate: container fast path, else per-node. A
 		// precomputed conjunct replays its (owners, ok, err) in predicate
 		// order, so error and fallback selection match the serial loop.
-		if pc := pre[i]; pc != nil {
-			if pc.err != nil {
-				return nil, pc.err
+		co := pre[i]
+		if co == nil {
+			var err error
+			if co, err = e.predOwners(sums, pred); err != nil {
+				return nil, err
 			}
-			if pc.ok {
-				cur = algebra.SemiJoinAncestorPar(e.store, cur, pc.owners, e.par)
-				continue
+		}
+		if co.err != nil {
+			return nil, co.err
+		}
+		if co.ok {
+			// The owners are values below sums, whose instances never nest
+			// (relValueTarget resolves nothing else): extent order alone
+			// places each under its instance.
+			if all {
+				cur, all = algebra.AncestorsIn(sums, co.owners), false
+			} else {
+				cur = algebra.SemiJoinIn(sums, cur, co.owners)
 			}
-		} else if sel, ok, err := e.predFastPath(cur, sums, pred, env); err != nil {
-			return nil, err
-		} else if ok {
+			continue
+		}
+		if all {
+			cur, all = algebra.SummaryAccess(sums), false
+		}
+		if sel, is := pickPositional(cur, pred); is {
 			cur = sel
 			continue
 		}
@@ -535,16 +588,26 @@ func (e *Engine) applyPreds(nodes algebra.NodeSet, preds []xquery.Expr, env *sco
 		env.ctx[0], env.ctxSums = ctx, ctxSums
 		cur = out
 	}
+	if all {
+		cur = algebra.SummaryAccess(sums)
+	}
 	return cur, nil
 }
 
-// conjunctOwners is one precomputed fast-path result: the matched owner
-// set, whether the fast path applies, and any container error.
+// conjunctOwners is one container fast-path result: the matched owner
+// set under the summary set it was resolved for, whether the fast path
+// applies, and any container error. The engine keeps one per comparison
+// and run (Engine.owners), so a literal restrict inside a nested FLWOR,
+// a non-first clause or a step predicate of a relative path scans its
+// container once per run, not once per outer tuple.
 type conjunctOwners struct {
+	sums   []*storage.SummaryNode
 	owners algebra.NodeSet
 	ok     bool
 	err    error
 }
+
+var noOwners = &conjunctOwners{}
 
 // precomputeConjunctOwners fans the container fast paths of independent
 // `relPath op literal` conjuncts out across the worker pool. It returns
@@ -553,11 +616,13 @@ type conjunctOwners struct {
 // result is replayed in predicate order by the caller, so evaluation
 // order, error selection and fallback decisions are serial-identical.
 func (e *Engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.SummaryNode) []*conjunctOwners {
+	out := make([]*conjunctOwners, len(preds))
 	if e.par <= 1 || len(sums) == 0 || len(preds) < 2 {
-		return make([]*conjunctOwners, len(preds))
+		return out
 	}
 	type job struct {
 		idx     int
+		cmp     *xquery.Cmp
 		rel     *xquery.PathExpr
 		op, lit string
 	}
@@ -567,11 +632,12 @@ func (e *Engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.S
 		if !isCmp {
 			continue
 		}
-		if rel, lit, op, ok := splitCmp(cmp); ok {
-			jobs = append(jobs, job{idx: i, rel: rel, op: op, lit: lit})
+		if co := e.owners[cmp]; co != nil && slices.Equal(co.sums, sums) {
+			out[i] = co
+		} else if rel, lit, op, ok := splitCmp(cmp); ok {
+			jobs = append(jobs, job{idx: i, cmp: cmp, rel: rel, op: op, lit: lit})
 		}
 	}
-	out := make([]*conjunctOwners, len(preds))
 	if len(jobs) < 2 {
 		return out
 	}
@@ -586,11 +652,16 @@ func (e *Engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.S
 	xpar.NoteScan(len(jobs))
 	_ = xpar.ForEach(workers, len(jobs), func(k int) error {
 		j := jobs[k]
-		pc := &conjunctOwners{}
-		pc.owners, pc.ok, pc.err = e.matchOwners(sums, j.rel, j.op, j.lit, inner)
-		out[j.idx] = pc
+		co := &conjunctOwners{sums: sums}
+		co.owners, co.ok, co.err = e.scanOwners(sums, j.rel, j.op, j.lit, inner)
+		out[j.idx] = co
 		return nil
 	})
+	for _, j := range jobs {
+		if out[j.idx].err == nil {
+			e.owners[j.cmp] = out[j.idx]
+		}
+	}
 	return out
 }
 
@@ -660,16 +731,7 @@ func (e *Engine) relValueTarget(sums []*storage.SummaryNode, p *xquery.PathExpr)
 				// all "", which the containers cannot answer.
 				return nil, false, false
 			}
-			// #text summary nodes carry no structural extent (values live
-			// in the containers), so instance coverage is measured by the
-			// container's record count: one record per instance with text.
-			txtCount := txt.Count
-			if txt.Container >= 0 {
-				if c := e.store.Container(txt.Container); c != nil {
-					txtCount = c.Len()
-				}
-			}
-			if txtCount < sn.Count {
+			if sn.TextCount < sn.Count {
 				complete = false // some instances have no text value
 			}
 			target = txt
@@ -683,24 +745,20 @@ func (e *Engine) relValueTarget(sums []*storage.SummaryNode, p *xquery.PathExpr)
 	return conts, complete, true
 }
 
-// predFastPath evaluates predicates of the form  relPath op literal
+// predOwners evaluates a predicate of the form  relPath op literal
 // (either side) against the containers, in the compressed domain when
-// the codec supports the comparison. It returns ok=false when the
-// predicate does not have that shape.
-func (e *Engine) predFastPath(nodes algebra.NodeSet, sums []*storage.SummaryNode, pred xquery.Expr, env *scope) (algebra.NodeSet, bool, error) {
+// the codec supports the comparison. Its ok is false when the predicate
+// does not have that shape.
+func (e *Engine) predOwners(sums []*storage.SummaryNode, pred xquery.Expr) (*conjunctOwners, error) {
 	cmp, okShape := pred.(*xquery.Cmp)
 	if !okShape || len(sums) == 0 {
-		return nil, false, nil
+		return noOwners, nil
 	}
 	rel, lit, op, ok := splitCmp(cmp)
 	if !ok {
-		return nil, false, nil
+		return noOwners, nil
 	}
-	owners, ok, err := e.matchOwners(sums, rel, op, lit, e.par)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	return algebra.SemiJoinAncestorPar(e.store, nodes, owners, e.par), true, nil
+	return e.matchOwners(cmp, sums, rel, op, lit)
 }
 
 // splitCmp normalizes a comparison into (relative path, literal,
@@ -743,23 +801,33 @@ func flipOp(op string) string {
 	return op // = and != are symmetric
 }
 
-// matchOwners returns the owner nodes (value parents) matching
-// `relPath op literal` under the given summary nodes, spending up to
-// par workers: one summary path can map to many containers, so the
-// per-container matches fan out across the pool, each container scan
-// splitting its leftover worker share internally.
-func (e *Engine) matchOwners(sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string, par int) (algebra.NodeSet, bool, error) {
+// matchOwners returns the owner nodes (value parents) matching the
+// comparison conj, `relPath op literal`, under the given summary nodes:
+// this run's earlier answer when conj was asked under the same summary
+// set before, else a scan of the containers (scanOwners).
+func (e *Engine) matchOwners(conj *xquery.Cmp, sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string) (*conjunctOwners, error) {
+	if co := e.owners[conj]; co != nil && slices.Equal(co.sums, sums) {
+		return co, nil
+	}
+	co := &conjunctOwners{sums: sums}
+	var err error
+	if co.owners, co.ok, err = e.scanOwners(sums, rel, op, literal, e.par); err != nil {
+		return nil, err
+	}
+	e.owners[conj] = co
+	return co, nil
+}
+
+// scanOwners resolves `relPath op literal` under the given summary nodes
+// to its containers and matches them, spending up to par workers: one
+// summary path can map to many containers, so the per-container matches
+// fan out across the pool, each container scan splitting its leftover
+// worker share internally.
+func (e *Engine) scanOwners(sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string, par int) (algebra.NodeSet, bool, error) {
 	conts, complete, ok := e.relValueTarget(sums, rel)
 	if !ok {
 		return nil, false, nil
 	}
-	return e.matchOwnersConts(conts, complete, op, literal, par)
-}
-
-// matchOwnersConts is the scan half of matchOwners, taking an already
-// resolved container set (the bytecode compiler resolves relValueTarget
-// statically and calls in here per execution).
-func (e *Engine) matchOwnersConts(conts []*storage.Container, complete bool, op, literal string, par int) (algebra.NodeSet, bool, error) {
 	// An instance without a text value still atomizes to the string ""
 	// (an empty element's string value), which matches != and <-style
 	// comparisons — but has no container record. When such instances

@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"xquec/internal/algebra"
@@ -11,62 +12,49 @@ import (
 	"xquec/internal/xquery"
 )
 
-// childrenWithin is the navigational child step the summary-extent
-// range lookup replaced, kept verbatim as the reference the new code is
-// held to: it keeps the targets' extent nodes whose parent is in
-// parents, by scanning the parents' kid lists when they are few and by
-// resolving every extent node's parent otherwise.
-func childrenWithin(s *storage.Store, parents algebra.NodeSet, targets []*storage.SummaryNode) algebra.NodeSet {
-	if len(parents) == 0 || len(targets) == 0 {
-		return nil
-	}
-	extentSize := 0
-	for _, sn := range targets {
-		extentSize += len(sn.Extent)
-	}
-	if extentSize == 0 {
-		return nil
-	}
-	if len(parents)*8 < extentSize {
-		tagSet := map[uint16]bool{}
-		for _, sn := range targets {
-			if code, ok := s.Code(sn.Tag); ok {
-				tagSet[code] = true
-			}
-		}
+// navigate is the reference the extent-order run lookup (Engine.within)
+// is held to: the steps applied one at a time the way a tree walk does
+// them, with what the tree itself says — every node between a binding
+// and the end of its subtree (SubtreeEnd) is a descendant, and a child
+// if its parent (Parent) is the binding. It never looks at the summary.
+func navigate(s *storage.Store, nodes algebra.NodeSet, steps []xquery.Step) algebra.NodeSet {
+	for _, step := range steps {
 		var out []storage.NodeID
-		for _, p := range parents {
-			for k := range s.Kids(p) {
-				if k.ID != 0 && tagSet[s.TagCodeOf(k.ID)] {
-					out = append(out, k.ID)
+		for _, b := range nodes {
+			for id := b + 1; id <= s.SubtreeEnd(b); id++ {
+				tag := s.TagOf(id)
+				match := tag == step.Name && step.Test == xquery.TestName ||
+					tag == "@"+step.Name && step.Test == xquery.TestAttr ||
+					step.Name == "*" && step.Test == xquery.TestName && !strings.HasPrefix(tag, "@")
+				if match && (step.Axis != xquery.AxisChild || s.Parent(id) == b) {
+					out = append(out, id)
 				}
 			}
 		}
-		return algebra.SortUnique(out)
+		nodes = algebra.SortUnique(out)
 	}
-	extent := algebra.SummaryAccess(targets)
-	inParents := make(map[storage.NodeID]bool, len(parents))
-	for _, p := range parents {
-		inParents[p] = true
-	}
-	pars := make([]storage.NodeID, len(extent))
-	s.ParentBulk(extent, pars)
-	var out algebra.NodeSet
-	for i, c := range extent {
-		if inParents[pars[i]] {
-			out = append(out, c)
-		}
-	}
-	return out
+	return nodes
 }
 
-// TestChildStepAgainstNavigation holds both replacements of
-// childrenWithin to it on random subsets of bindings: the range lookup
-// wherever the bindings' summary set is an antichain (every single
-// summary node's extent), the parent-checked step on the nested sets
-// (all entries, all nested) where it is not.
-func TestChildStepAgainstNavigation(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
+// relSteps parses a relative path like "/a//b/@c" into its steps.
+func relSteps(t *testing.T, rel string) []xquery.Step {
+	t.Helper()
+	expr, err := xquery.Parse("$v" + rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return expr.(*xquery.PathExpr).Steps
+}
+
+// TestRunsAgainstNavigation holds the run lookup to navigate on random
+// subsets of bindings of every kind of origin set — one summary node,
+// every summary node of one tag (across recursion levels these nest, and
+// so do their instances), all of a node's children at once — over runs
+// of child, descendant and wildcard steps, on documents that recurse
+// (RandomRecords, DeepTree) and one that does not (XMark), each both as
+// ingested and as opened from its serialized form.
+func TestRunsAgainstNavigation(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
 	subset := func(ext []storage.NodeID) algebra.NodeSet {
 		var out algebra.NodeSet
 		for _, id := range ext {
@@ -76,61 +64,86 @@ func TestChildStepAgainstNavigation(t *testing.T) {
 		}
 		return out
 	}
-	check := func(what string, doc []byte, got, want algebra.NodeSet) {
-		t.Helper()
-		if len(got) == 0 && len(want) == 0 {
-			return
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: got %v, reference %v\ndoc: %s", what, got, want, doc)
-		}
+	docs := map[string][]byte{
+		"xmark": datagen.XMark(datagen.XMarkConfig{Scale: 0.25, Seed: 2}),
+		"deep":  datagen.DeepTree(datagen.DeepTreeConfig{Depth: 60, Seed: 3}),
+		"lists": []byte(nestedLists),
 	}
-	ranges, steps := 0, 0
-	for trial := 0; trial < 40; trial++ {
-		doc := datagen.RandomRecords(rng)
-		s, err := storage.Load(doc, storage.LoadOptions{})
+	for _, name := range []string{"r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9", "r10", "r11"} {
+		docs[name] = datagen.RandomRecords(rng)
+	}
+	rels := map[string][]string{
+		"xmark": {"/name", "/location", "/@id", "/*", "//text", "//listitem//text", "/description//listitem", "/profile/interest/@category", "//@person", "/watches/watch"},
+		"deep":  {"/sa", "/sb", "/la", "//la", "//sa", "/sb/sc", "//sc/la", "/*", "/la/@k", "//lx"},
+		"lists": {"/parlist/listitem", "//listitem", "/text", "//text", "/*", "/parlist/listitem/text", "//parlist/listitem"},
+		"":      {"/entry", "/nested", "/label", "//label", "//nested", "/entry/nested/label", "//entry/@key", "/*", "/@key", "//nested//label", "/entry//nested"},
+	}
+	compared, nested, multi := 0, 0, 0
+	for name, doc := range docs {
+		loaded, err := storage.Load(doc, storage.LoadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(s)
-		byTag := map[string][]*storage.SummaryNode{}
-		for _, sn := range s.Sum.Nodes() {
-			if sn.Tag == "#text" || len(sn.Children) == 0 {
-				continue
+		opened, err := storage.LoadBinary(loaded.AppendBinary(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := rels[name]
+		if paths == nil {
+			paths = rels[""]
+		}
+		for _, s := range []*storage.Store{loaded, opened} {
+			e := New(s)
+			byTag := map[string][]*storage.SummaryNode{}
+			var origins [][]*storage.SummaryNode
+			for _, sn := range s.Sum.Nodes() {
+				if sn.Tag == "#text" || strings.HasPrefix(sn.Tag, "@") {
+					continue
+				}
+				byTag[sn.Tag] = append(byTag[sn.Tag], sn)
+				origins = append(origins, []*storage.SummaryNode{sn})
 			}
-			byTag[sn.Tag] = append(byTag[sn.Tag], sn)
-			// One summary node is an antichain: every child tag alone,
-			// then all children at once (the * step, whose extents
-			// interleave inside one parent).
-			sets := [][]*storage.SummaryNode{sn.Children}
-			for _, c := range sn.Children {
-				sets = append(sets, []*storage.SummaryNode{c})
+			for _, sums := range byTag {
+				if len(sums) > 1 {
+					origins = append(origins, sums)
+				}
 			}
-			for _, targets := range sets {
-				for rep := 0; rep < 3; rep++ {
-					parents := subset(sn.Extent)
-					got := e.within(parents, targets, make([]int, len(targets)))
-					check("within "+sn.Path(), doc, got, childrenWithin(s, parents, targets))
-					ranges++
+			for _, sums := range origins {
+				if len(sums) > 1 {
+					multi++
+					if !antichain(sums) {
+						nested++
+					}
+				}
+				for _, rel := range paths {
+					steps := relSteps(t, rel)
+					pl := e.resolvePath(&xquery.PathExpr{Var: "v", Steps: steps}, sums)
+					if runEnd(steps, 0) != len(steps) {
+						t.Fatalf("%s is not one run", rel)
+					}
+					pos := make([]int, pl.slots)
+					for rep := 0; rep < 2; rep++ {
+						bindings := subset(algebra.SummaryAccess(sums))
+						got, want := e.within(bindings, &pl.runs[0], pos), navigate(s, bindings, steps)
+						if (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: %s from %v under %d origins: got %v, navigation %v", name, rel, bindings, len(sums), got, want)
+						}
+						// One binding at a time, in random order: the cursors
+						// are hints, never constraints.
+						for _, k := range rng.Perm(len(bindings)) {
+							got, want := e.within(bindings[k:k+1], &pl.runs[0], pos), navigate(s, bindings[k:k+1], steps)
+							if (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s: %s from %d: got %v, navigation %v", name, rel, bindings[k], got, want)
+							}
+						}
+						compared++
+					}
 				}
 			}
 		}
-		// All instances of one tag across recursion levels nest.
-		for tag, sums := range byTag {
-			if antichain(sums) {
-				continue
-			}
-			var targets []*storage.SummaryNode
-			for _, sn := range sums {
-				targets = append(targets, sn.Children...)
-			}
-			parents := subset(algebra.SummaryAccess(sums))
-			check("stepwise "+tag, doc, e.stepwise(parents, targets, true), childrenWithin(s, parents, targets))
-			steps++
-		}
 	}
-	if ranges == 0 || steps == 0 {
-		t.Fatalf("nothing compared: %d range lookups, %d nested sets", ranges, steps)
+	if compared == 0 || nested == 0 || multi == nested {
+		t.Fatalf("nothing compared: %d lookups, %d multi-origin sets, %d of them nested", compared, multi, nested)
 	}
 }
 
@@ -176,19 +189,13 @@ const nestedLists = `<site><regions><asia>
 </parlist></description></item>
 </asia></regions></site>`
 
-// TestNestedOriginPlansStepwise pins the route: a path from the
-// descriptions (one summary node) plans the range lookup, the same
-// steps from all listitems (three summary nodes, each inside the last)
-// plan the parent-checked step, and so does every later step whose
-// origin still nests.
-func TestNestedOriginPlansStepwise(t *testing.T) {
-	s, err := storage.Load([]byte(nestedLists), storage.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(s)
-	plan := func(origin, rel string) *PathPlan {
+// TestRunsResolvePerOrigin pins what a plan looks in: a step from one
+// of several origins reads the extents under that origin only, and a
+// nested origin set is resolved like any other.
+func TestRunsResolvePerOrigin(t *testing.T) {
+	plan := func(s *storage.Store, origin, rel string) *PathPlan {
 		t.Helper()
+		e := New(s)
 		expr, err := xquery.Parse("FOR $v IN " + origin + " RETURN $v" + rel)
 		if err != nil {
 			t.Fatal(err)
@@ -200,16 +207,43 @@ func TestNestedOriginPlansStepwise(t *testing.T) {
 		}
 		return e.resolvePath(f.Return.(*xquery.PathExpr), sums)
 	}
-	if pl := plan("//description", "/parlist/listitem"); !pl.anti[0] || !pl.anti[1] {
-		t.Fatalf("$d/parlist/listitem: anti %v, want the range lookup throughout", pl.anti)
+	xmark, err := storage.Load(datagen.XMark(datagen.XMarkConfig{Scale: 0.25, Seed: 2}), storage.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pl := plan("//description", "//listitem"); !pl.anti[0] || len(pl.Sums()) != 3 {
-		t.Fatalf("$d//listitem: anti %v over %d targets, want one range lookup over 3", pl.anti, len(pl.Sums()))
+	pl := plan(xmark, "/site/regions//item", "/location")
+	if run := pl.runs[0]; len(run.from) != 6 || len(pl.Sums()) != 6 {
+		t.Fatalf("$i/location under //item: %d origins, %d targets in all, want 6 and 6", len(run.from), len(pl.Sums()))
+	} else {
+		for o, targets := range run.targets {
+			if len(targets) != 1 || targets[0].Parent != run.from[o] {
+				t.Fatalf("origin %s looks in %d extents", run.from[o].Path(), len(targets))
+			}
+		}
 	}
-	if pl := plan("//listitem", "/parlist/listitem"); pl.anti[0] || pl.anti[1] {
-		t.Fatalf("$l/parlist/listitem: anti %v, want step by step", pl.anti)
+	lists, err := storage.Load([]byte(nestedLists), storage.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pl := plan("//listitem", "/text"); pl.anti[0] {
-		t.Fatalf("$l/text: anti %v, want step by step", pl.anti)
+	if pl := plan(lists, "//description", "//listitem"); len(pl.runs[0].targets) != 1 || len(pl.runs[0].targets[0]) != 3 {
+		t.Fatalf("$d//listitem: %v, want one origin reaching 3 extents", pl.runs[0].targets)
+	}
+	// Three listitem summary nodes, each inside the last: the outermost
+	// reaches the two below it, the innermost none.
+	pl = plan(lists, "//listitem", "/parlist/listitem")
+	reach := []int{}
+	for _, targets := range pl.runs[0].targets {
+		reach = append(reach, len(targets))
+	}
+	if !reflect.DeepEqual(reach, []int{1, 1, 0}) {
+		t.Fatalf("$l/parlist/listitem reaches %v extents per origin, want [1 1 0]", reach)
+	}
+	pl = plan(lists, "//listitem", "//listitem")
+	reach = reach[:0]
+	for _, targets := range pl.runs[0].targets {
+		reach = append(reach, len(targets))
+	}
+	if !reflect.DeepEqual(reach, []int{2, 1, 0}) {
+		t.Fatalf("$l//listitem reaches %v extents per origin, want [2 1 0]", reach)
 	}
 }

@@ -93,23 +93,10 @@ func (e *Engine) RelValueTarget(sums []*storage.SummaryNode, p *xquery.PathExpr)
 	return e.relValueTarget(sums, p)
 }
 
-// MatchOwners runs the compressed-domain literal-predicate fast path
-// with runtime container resolution (the VM's dynamic case, when the
-// clause's summary nodes were not statically known).
-func (e *Engine) MatchOwners(sums []*storage.SummaryNode, rel *xquery.PathExpr, op, lit string) (algebra.NodeSet, bool, error) {
-	return e.matchOwners(sums, rel, op, lit, e.par)
-}
-
-// MatchOwnersConts runs the fast path over statically resolved
-// containers (the VM's compiled case).
-func (e *Engine) MatchOwnersConts(conts []*storage.Container, complete bool, op, lit string) (algebra.NodeSet, bool, error) {
-	return e.matchOwnersConts(conts, complete, op, lit, e.par)
-}
-
-// SemiJoinOwners restricts cur to the nodes having an owner in owners
-// within their subtree — the semijoin half of a pushdown.
-func (e *Engine) SemiJoinOwners(cur, owners algebra.NodeSet) algebra.NodeSet {
-	return algebra.SemiJoinAncestorPar(e.store, cur, owners, e.par)
+// ApplyLitPushdown restricts cur, instances of sums, to the nodes that
+// satisfy a literal pushdown (applyLit).
+func (e *Engine) ApplyLitPushdown(pd Pushdown, cur algebra.NodeSet, sums []*storage.SummaryNode) (algebra.NodeSet, bool, error) {
+	return e.applyLit(pd, cur, sums)
 }
 
 // ApplyJoinPushdown restricts cur to the join partners of the other

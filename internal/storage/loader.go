@@ -116,21 +116,14 @@ type ingest struct {
 	// arr collects tags and value refs. Until buildContainers resolves
 	// them, a ref's valCont is the summary ID of its value path and its
 	// valIdx the value's position in that path's list.
-	arr  succinctArrays
-	sums []sumState // by summary ID
-	// wide finds a summary node's children past the first scanKids by
-	// (parent ID, tag code): a parent with tens of thousands of distinct
-	// child names must not cost a scan of them per instance.
-	wide  map[[2]int32]*SummaryNode
+	arr   succinctArrays
+	sums  []sumState // by summary ID
+	kids  childIndex
 	stack []openElem
 	slab  []byte // copies of the values the parser decoded into its own buffer
 }
 
-// scanKids is how many children of a summary node are found by scanning.
-const scanKids = 16
-
 type sumState struct {
-	code int32        // tag code of the node's instances, -1 for a #text node
 	fan  int          // element children over all instances
 	text *SummaryNode // the #text child, once an instance had text
 	// A value path's (attribute or #text) values in document order, one
@@ -141,8 +134,9 @@ type sumState struct {
 }
 
 type openElem struct {
-	id NodeID
-	sn *SummaryNode
+	id   NodeID
+	sn   *SummaryNode
+	text bool // a text leaf of this instance has been written
 }
 
 // event is the xmlparser.Handler of the pass.
@@ -168,6 +162,7 @@ func (in *ingest) event(ev *xmlparser.Event) error {
 				return err
 			}
 			aid, asn := in.open(sn, code)
+			asn.TextCount++
 			in.value(asn, aid, a.Value, a.Decoded)
 			in.pb.Append(false)
 		}
@@ -176,10 +171,15 @@ func (in *ingest) event(ev *xmlparser.Event) error {
 		in.pb.Append(false)
 		in.stack = in.stack[:len(in.stack)-1]
 	case xmlparser.EventText:
-		top := in.stack[len(in.stack)-1]
+		top := &in.stack[len(in.stack)-1]
+		if !top.text {
+			top.text = true
+			top.sn.TextCount++
+		}
 		tsn := in.sums[top.sn.ID].text
 		if tsn == nil {
-			tsn = in.addSummary(top.sn, -1, "#text")
+			tsn = in.kids.addText(in.sum, top.sn)
+			in.sums = append(in.sums, sumState{})
 			in.sums[top.sn.ID].text = tsn
 		}
 		in.value(tsn, top.id, ev.Text, ev.Decoded)
@@ -194,37 +194,12 @@ func (in *ingest) open(parent *SummaryNode, code uint16) (NodeID, *SummaryNode) 
 	in.mb.Append(true)
 	in.arr.tags = append(in.arr.tags, code)
 	id := NodeID(len(in.arr.tags))
-	var sn *SummaryNode
-	if parent == nil {
-		sn = in.sum.Root
-	} else {
-		kids := parent.Children
-		for _, c := range kids[:min(len(kids), scanKids)] {
-			if in.sums[c.ID].code == int32(code) {
-				sn = c
-				break
-			}
-		}
-		if sn == nil && len(kids) > scanKids {
-			sn = in.wide[[2]int32{parent.ID, int32(code)}]
-		}
-	}
-	if sn == nil {
-		sn = in.addSummary(parent, int32(code), in.dict.names[code])
-		if parent != nil && len(parent.Children) > scanKids {
-			if in.wide == nil {
-				in.wide = map[[2]int32]*SummaryNode{}
-			}
-			in.wide[[2]int32{parent.ID, int32(code)}] = sn
-		}
+	sn := in.kids.child(in.sum, parent, code, in.dict.names[code])
+	if int(sn.ID) == len(in.sums) { // added just now
+		in.sums = append(in.sums, sumState{})
 	}
 	sn.Extent = append(sn.Extent, id)
 	return id, sn
-}
-
-func (in *ingest) addSummary(parent *SummaryNode, code int32, tag string) *SummaryNode {
-	in.sums = append(in.sums, sumState{code: code})
-	return in.sum.add(parent, tag)
 }
 
 // value writes a text leaf — "()", unmarked — owned by node owner and

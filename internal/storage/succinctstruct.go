@@ -516,8 +516,10 @@ func (s *Store) deriveFromSuccinct() error {
 	for i, c := range s.Containers {
 		contByPath[c.Path] = int32(i)
 	}
-	// Per summary node, by ID: element children seen (the fan-out
-	// total) and the summary node its instances' text values fall under.
+	// Summary children are found by tag code (kids), never by name. Per
+	// summary node, by ID: element children seen (the fan-out total) and
+	// the summary node its instances' text values fall under.
+	var kids childIndex
 	type sumInfo struct {
 		fan  int
 		text *SummaryNode
@@ -536,7 +538,7 @@ func (s *Store) deriveFromSuccinct() error {
 	textNode := func(sn *SummaryNode) (*SummaryNode, error) {
 		vsn := sn
 		if !isAttrName(sn.Tag) {
-			vsn = sum.child(sn, "#text", true)
+			vsn = kids.addText(sum, sn)
 		}
 		if vsn.Container < 0 {
 			ci, ok := contByPath[vsn.Path()]
@@ -549,8 +551,9 @@ func (s *Store) deriveFromSuccinct() error {
 	}
 
 	type sframe struct {
-		id NodeID
-		sn *SummaryNode
+		id   NodeID
+		sn   *SummaryNode
+		text bool // a text leaf of this instance has been seen
 	}
 	var stack []sframe
 	ord, id, vord := 0, NodeID(0), 0
@@ -582,7 +585,7 @@ func (s *Store) deriveFromSuccinct() error {
 			} else if id != 1 {
 				return fmt.Errorf("storage: node %d outside the root subtree", id)
 			}
-			sn := sum.child(psn, tag, true)
+			sn := kids.child(sum, psn, tagCode, tag)
 			sn.Extent = append(sn.Extent, id)
 			if psn != nil && !isAttrName(tag) {
 				info(psn).fan++
@@ -595,7 +598,11 @@ func (s *Store) deriveFromSuccinct() error {
 			if vord >= len(t.valIdx) {
 				return fmt.Errorf("storage: more text leaves than value refs")
 			}
-			f := stack[len(stack)-1]
+			f := &stack[len(stack)-1]
+			if !f.text {
+				f.text = true
+				f.sn.TextCount++
+			}
 			fi := info(f.sn)
 			if fi.text == nil {
 				var err error

@@ -21,6 +21,11 @@ type SummaryNode struct {
 	// "other indexes and statistics").
 	Count  int     // == len(Extent)
 	AvgFan float64 // average number of element children per instance
+	// TextCount is how many instances have at least one immediate text
+	// value (an attribute always has its value): when it equals Count, a
+	// text() step over this path keeps every instance. Derived by the same
+	// sweeps that derive Extent, never persisted.
+	TextCount int
 }
 
 // Path returns the full path of the node, e.g. /site/people/person/@id.
@@ -43,29 +48,76 @@ type Summary struct {
 	nodes []*SummaryNode // by ID
 }
 
+// scanKids is how many children of a summary node childIndex finds by
+// scanning.
+const scanKids = 16
+
+// childIndex finds a summary node's child by the tag code of its
+// instances, for the two sweeps that file every node of a document under
+// its summary node (Load's SAX pass, deriveFromSuccinct): the first
+// scanKids children by comparing codes, the rest through a map, so a
+// parent with tens of thousands of distinct child names does not cost a
+// scan of them — let alone a string comparison each — per instance.
+type childIndex struct {
+	code []int32 // by summary ID: tag code of the node's instances, -1 for a #text node
+	wide map[[2]int32]*SummaryNode
+}
+
+// child returns the child of parent (the root when parent is nil) whose
+// instances carry the tag code, adding it to sum under the name tag if
+// there is none yet.
+func (ix *childIndex) child(sum *Summary, parent *SummaryNode, code uint16, tag string) *SummaryNode {
+	if parent == nil {
+		if sum.Root == nil {
+			ix.code = append(ix.code, int32(code))
+			return sum.add(nil, tag)
+		}
+		return sum.Root
+	}
+	kids := parent.Children
+	for _, c := range kids[:min(len(kids), scanKids)] {
+		if ix.code[c.ID] == int32(code) {
+			return c
+		}
+	}
+	key := [2]int32{parent.ID, int32(code)}
+	if len(kids) > scanKids {
+		if c := ix.wide[key]; c != nil {
+			return c
+		}
+	}
+	ix.code = append(ix.code, int32(code))
+	sn := sum.add(parent, tag)
+	if len(parent.Children) > scanKids {
+		if ix.wide == nil {
+			ix.wide = map[[2]int32]*SummaryNode{}
+		}
+		ix.wide[key] = sn
+	}
+	return sn
+}
+
+// addText adds the #text child of an element's summary node; the sweeps
+// remember it per parent, so there is no lookup.
+func (ix *childIndex) addText(sum *Summary, parent *SummaryNode) *SummaryNode {
+	ix.code = append(ix.code, -1)
+	return sum.add(parent, "#text")
+}
+
 // Nodes returns all summary nodes in creation (pre-order) order.
 func (s *Summary) Nodes() []*SummaryNode { return s.nodes }
 
 // NodeByID returns the summary node with the given ID.
 func (s *Summary) NodeByID(id int32) *SummaryNode { return s.nodes[id] }
 
-// child returns the child with the given tag, creating it if requested.
-func (s *Summary) child(parent *SummaryNode, tag string, create bool) *SummaryNode {
-	if parent == nil {
-		if s.Root != nil && s.Root.Tag == tag {
-			return s.Root
-		}
-	} else {
-		for _, c := range parent.Children {
-			if c.Tag == tag {
-				return c
-			}
+// child returns the child of parent with the given tag, or nil.
+func (s *Summary) child(parent *SummaryNode, tag string) *SummaryNode {
+	for _, c := range parent.Children {
+		if c.Tag == tag {
+			return c
 		}
 	}
-	if !create {
-		return nil
-	}
-	return s.add(parent, tag)
+	return nil
 }
 
 // add appends a new node under parent (the root when parent is nil).
@@ -92,7 +144,7 @@ func (s *Summary) Lookup(path string) *SummaryNode {
 	}
 	cur := s.Root
 	for _, p := range parts[1:] {
-		cur = s.child(cur, p, false)
+		cur = s.child(cur, p)
 		if cur == nil {
 			return nil
 		}

@@ -132,7 +132,9 @@ type predSpec struct {
 	pd   engine.Pushdown
 	slot int32 // original position among the clause's pushdowns
 	// Literal pushdowns with a statically known clause summary resolve
-	// their containers at compile time.
+	// their containers at compile time, for the cost that orders the
+	// restricts, the disassembly, and to defer at once what has no fast
+	// path; a run matches them through the engine, once (ApplyLitPushdown).
 	conts    []*storage.Container
 	complete bool
 	fastOK   bool // relValueTarget ok (false: always deferred)
@@ -215,13 +217,6 @@ type domResult struct {
 	textTail bool
 }
 
-// ownersResult is a cached literal-pushdown owner set (resolved
-// pushdowns only: containers, operator and literal are all static).
-type ownersResult struct {
-	owners  algebra.NodeSet
-	handled bool
-}
-
 // Run is one execution of a Program: the program counter, cursors,
 // emit stack and variable environment. A Run is single-goroutine, like
 // the engine it drives.
@@ -234,7 +229,6 @@ type Run struct {
 	cursors []cursor
 	stack   []emitFrame
 	doms    map[int32]*domResult
-	owners  map[int32]*ownersResult
 
 	sc   *storage.Scratch
 	err  error
@@ -396,31 +390,12 @@ func (r *Run) next() (engine.Item, bool, error) {
 				r.pc++
 				continue
 			}
-			var owners algebra.NodeSet
-			var handled bool
-			if ps.resolved {
-				if cached, ok := r.owners[in.B]; ok {
-					owners, handled = cached.owners, cached.handled
-				} else {
-					var err error
-					owners, handled, err = eng.MatchOwnersConts(ps.conts, ps.complete, ps.pd.Op, ps.pd.Lit)
-					if err != nil {
-						return r.fail(err)
-					}
-					if r.owners == nil {
-						r.owners = map[int32]*ownersResult{}
-					}
-					r.owners[in.B] = &ownersResult{owners: owners, handled: handled}
-				}
-			} else {
-				var err error
-				owners, handled, err = eng.MatchOwners(c.sums, ps.pd.Rel, ps.pd.Op, ps.pd.Lit)
-				if err != nil {
-					return r.fail(err)
-				}
+			restricted, handled, err := eng.ApplyLitPushdown(ps.pd, c.ids, c.sums)
+			if err != nil {
+				return r.fail(err)
 			}
 			if handled {
-				c.ids = eng.SemiJoinOwners(c.ids, owners)
+				c.ids = restricted
 			} else {
 				c.deferred[ps.slot] = ps.pd.Conj
 			}

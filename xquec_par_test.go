@@ -42,14 +42,12 @@ var parQueries = []string{
 	`(count(//e), count(//k))`,
 }
 
-// lowParFloors drops the algebra partition floors for the test's
+// lowParFloors drops the algebra partition floor for the test's
 // duration so the modest fixture actually splits.
 func lowParFloors(t testing.TB) {
-	oldR, oldN := algebra.MinRecordsPerPartition, algebra.MinNodesPerPartition
-	algebra.MinRecordsPerPartition, algebra.MinNodesPerPartition = 2, 2
-	t.Cleanup(func() {
-		algebra.MinRecordsPerPartition, algebra.MinNodesPerPartition = oldR, oldN
-	})
+	old := algebra.MinRecordsPerPartition
+	algebra.MinRecordsPerPartition = 2
+	t.Cleanup(func() { algebra.MinRecordsPerPartition = old })
 }
 
 // render streams a query's results through WriteXML, the same path the
