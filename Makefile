@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench bench-query bench-par bench-codec bench-vm bench-succinct bench-succinct-smoke bench-fuse-smoke bench-stream-smoke bench-point-smoke bench-ingest-smoke bench-diff bench-paper fuzz-smoke
+.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench bench-query bench-par bench-codec bench-vm bench-succinct bench-smoke bench-diff bench-paper fuzz-smoke
 
 # Measurement is not part of the gate: bench/ (BENCHMARK.json) owns it,
 # and the `bench` target below appends to tracked BENCH_*.json files.
-check: vet vet-unsafeptr build bench-build race bench-succinct-smoke bench-fuse-smoke bench-stream-smoke bench-point-smoke bench-ingest-smoke ## tier-1: vet + build + race-clean tests + bench smoke
+check: vet vet-unsafeptr build bench-build race bench-smoke ## tier-1: vet + build + race-clean tests + bench smoke
 
 vet:
 	$(GO) vet ./...
@@ -40,12 +40,14 @@ race:
 	$(GO) test -race ./...
 
 # Size of the thing, tracked next to ns/op (ROADMAP): non-test Go lines
-# under internal/ and in the root package, and the exported-symbol count
-# of package xquec.
+# under internal/ and in the root package, the exported-symbol count of
+# package xquec, and the environment reads left in non-test internal/
+# code (the north star wants none).
 loc:
 	@echo "internal/ non-test Go lines: $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "root package non-test Go lines: $$(ls *.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
 	@echo "package xquec exported symbols: $$($(GO) doc -short . | wc -l)"
+	@echo "internal/ non-test os.Getenv calls: $$(find internal -name '*.go' ! -name '*_test.go' | xargs grep -o 'os\.Getenv(' | wc -l)"
 
 # Serving-throughput baseline (recorded in EXPERIMENTS.md).
 bench-serve:
@@ -86,45 +88,25 @@ bench-codec:
 	| /tmp/benchjson -o BENCH_codec.json -label codec-kernels
 
 # Succinct-structure benchmarks: structure density (bits per tree
-# node) and resident bytes per backend, Descendants/Parent operator
-# throughput, and end-to-end query latency, each run on both the
-# record-array oracle and the balanced-parentheses self-index. Appends
-# to BENCH_succinct.json.
+# node) and resident bytes, Descendants/Parent operator throughput, and
+# end-to-end query latency. Appends to BENCH_succinct.json.
 bench-succinct:
 	@$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct' -benchmem . \
 	| /tmp/benchjson -o BENCH_succinct.json -label succinct-structure
 
-# One-iteration smoke of the succinct bench harness for `make check`:
-# proves the benchmarks still compile and run, without recording JSON.
-bench-succinct-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct' -benchtime 1x . >/dev/null
-
-# The same for BenchmarkFuse: one fusion of each layout (a scale-2 base
-# with appended fragments, four shards of scale 8) next to the re-ingest
-# it replaced. Writes nothing.
-bench-fuse-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFuse' -benchtime 1x . >/dev/null
-
-# And for BenchmarkStreamLarge: each of bench/'s five stream_large
-# requests once at scale 8, Next + AppendXML into one buffer — the MB/s
-# and allocs/op per request class that EXPERIMENTS.md tabulates. Writes
-# nothing.
-bench-stream-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkStreamLarge' -benchtime 1x . >/dev/null
-
-# And for BenchmarkPointLookup: bench/'s two point_literal texts for the
-# first, the middle and the last person and item of the scale-8 document —
-# six numbers that must stay within a small factor of each other
-# (TestPointLookupFlat is the gate; this is the number). Writes nothing.
-bench-point-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPointLookup' -benchtime 1x . >/dev/null
-
-# And for BenchmarkCompressXMark: one storage.Load of the scale-1
-# document at each worker count, the in-process number ISSUE 17's
-# acceptance cites (ns/op and allocs/op with -benchmem). Writes nothing.
-bench-ingest-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkCompressXMark' -benchtime 1x . >/dev/null
+# One iteration of each in-process benchmark an issue's criterion cites,
+# for `make check`: proves they still compile and run, records nothing.
+# BenchmarkSuccinct* (structure density, operators, queries);
+# BenchmarkFuse (one fusion of each layout next to the re-ingest it
+# replaced); BenchmarkStreamLarge (bench/'s five stream_large requests at
+# scale 8, Next + AppendXML into one buffer); BenchmarkPointLookup
+# (bench/'s two point_literal texts for the first, middle and last person
+# and item at scale 8 — TestPointLookupFlat is the gate, this is the
+# number); BenchmarkCompressXMark (one storage.Load of the scale-1
+# document at each worker count).
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct|BenchmarkFuse|BenchmarkStreamLarge|BenchmarkPointLookup|BenchmarkCompressXMark' -benchtime 1x . >/dev/null
 
 # Compiled-plan engine benchmarks: the same streaming/predicate
 # workloads on the stack VM vs the tree-walking oracle (per-item

@@ -336,8 +336,7 @@ func cmdStats(args []string) error {
 	}
 	fmt.Println(db.Stats())
 	f := db.Footprint()
-	fmt.Printf("resident: %d bytes (structure=%s, access overhead %.2fx)\n",
-		f.Total(), db.StructureKind(), f.AccessOverheadFactor())
+	fmt.Printf("resident: %d bytes (access overhead %.2fx)\n", f.Total(), f.AccessOverheadFactor())
 	if bits := db.StructureBitsPerNode(); bits > 0 {
 		fmt.Printf("structure density: %.2f bits/node\n", bits)
 	}

@@ -154,9 +154,8 @@ func goldenCases() []goldenCase {
 
 // TestIngestGolden pins the bytes of every kind of ingest — recorded at
 // the commit before the loader stopped building a record tree — at every
-// worker count and under both structure backends: a change to the
-// parser, the loader, the trainers or the container build that moves one
-// bit of a repository fails here.
+// worker count: a change to the parser, the loader, the trainers or the
+// container build that moves one bit of a repository fails here.
 func TestIngestGolden(t *testing.T) {
 	const path = "testdata/ingest_golden.json"
 	golden := map[string]string{}
@@ -174,28 +173,25 @@ func TestIngestGolden(t *testing.T) {
 		pars = []int{2}
 	}
 	cases := goldenCases()
-	for _, backend := range []string{"succinct", "records"} {
-		t.Setenv("XQUEC_STRUCT", backend)
-		for _, par := range pars {
-			for _, c := range cases {
-				blobs, err := c.build(par)
-				if err != nil {
-					t.Fatalf("%s (p=%d, %s): %v", c.name, par, backend, err)
+	for _, par := range pars {
+		for _, c := range cases {
+			blobs, err := c.build(par)
+			if err != nil {
+				t.Fatalf("%s (p=%d): %v", c.name, par, err)
+			}
+			h := sha256.New()
+			for _, b := range blobs {
+				fmt.Fprintf(h, "%d:", len(b))
+				h.Write(b)
+			}
+			got := hex.EncodeToString(h.Sum(nil))
+			if want, ok := golden[c.name]; !ok {
+				if !*updateGolden {
+					t.Fatalf("%s: no golden hash recorded", c.name)
 				}
-				h := sha256.New()
-				for _, b := range blobs {
-					fmt.Fprintf(h, "%d:", len(b))
-					h.Write(b)
-				}
-				got := hex.EncodeToString(h.Sum(nil))
-				if want, ok := golden[c.name]; !ok {
-					if !*updateGolden {
-						t.Fatalf("%s: no golden hash recorded", c.name)
-					}
-					golden[c.name] = got
-				} else if got != want {
-					t.Errorf("%s (p=%d, %s): repository bytes changed: sha256 %s, golden %s", c.name, par, backend, got, want)
-				}
+				golden[c.name] = got
+			} else if got != want {
+				t.Errorf("%s (p=%d): repository bytes changed: sha256 %s, golden %s", c.name, par, got, want)
 			}
 		}
 	}

@@ -103,25 +103,6 @@ func mergeTwo(a, b NodeSet) NodeSet {
 	return out
 }
 
-// Intersect returns the document-ordered intersection of two sets.
-func Intersect(a, b NodeSet) NodeSet {
-	var out NodeSet
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return out
-}
-
 // SortUnique sorts ids and removes duplicates, restoring the NodeSet
 // invariant after an order-destroying step (e.g. Parent). A single
 // linear scan first detects the already-strictly-ascending common case
@@ -189,7 +170,7 @@ func Child(s *storage.Store, in NodeSet, tag string) NodeSet {
 func Parent(s *storage.Store, in NodeSet) NodeSet {
 	// One bulk pass resolves every parent: the kernel rides the
 	// document-order invariant (sibling runs repeat the previous answer,
-	// and on the succinct backend the whole batch is one forward scan).
+	// and the whole batch is one forward scan).
 	ids := make([]storage.NodeID, len(in))
 	s.ParentBulk(in, ids)
 	// Collapse adjacent duplicates while filtering roots: sibling runs
@@ -368,12 +349,6 @@ func SemiJoinAncestor(s *storage.Store, outer, inner NodeSet) NodeSet {
 
 // Pair is a joined node pair.
 type Pair struct{ A, B storage.NodeID }
-
-// AttrOwners maps attribute nodes to their owning elements, preserving
-// document order of the owners.
-func AttrOwners(s *storage.Store, attrs NodeSet) NodeSet {
-	return Parent(s, attrs)
-}
 
 // ContEq is ContAccess with an equality criterion evaluated in the
 // compressed domain: the document-order set of owner nodes whose value

@@ -276,10 +276,6 @@ func TestSetHelpers(t *testing.T) {
 	if len(u) != 5 || u[0] != 1 || u[4] != 9 {
 		t.Fatalf("union = %v", u)
 	}
-	i := Intersect(a, b)
-	if len(i) != 2 || i[0] != 3 || i[1] != 5 {
-		t.Fatalf("intersect = %v", i)
-	}
 	su := SortUnique([]storage.NodeID{5, 1, 5, 3, 1})
 	if len(su) != 3 || su[0] != 1 || su[2] != 5 {
 		t.Fatalf("sortunique = %v", su)

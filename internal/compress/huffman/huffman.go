@@ -293,7 +293,7 @@ func MatchesPrefix(enc, prefixBits []byte, nbits int) bool {
 // take the per-length canonical scan on the same peeked word. Because
 // a complete prefix-free code has exactly one match per bit window,
 // the result — including the error on truncated or corrupt input — is
-// identical to the bit-at-a-time DecodeReference.
+// identical to the bit-at-a-time DecodeReference (reference_test.go).
 func (c *Codec) Decode(dst, enc []byte) ([]byte, error) {
 	// Value Reader + Init keeps the reader on the stack; NewReader would
 	// heap-allocate one per decoded value.
@@ -346,41 +346,6 @@ func (c *Codec) decodeLong(r *bitio.Reader) (int, error) {
 	// load); mirror the reference decoder's two failure modes anyway.
 	if r.Remaining() < maxBits {
 		return 0, fmt.Errorf("huffman: truncated value: %w", r.ErrTruncated())
-	}
-	return 0, errors.New("huffman: invalid code")
-}
-
-// DecodeReference is the retained bit-at-a-time decoder. It is the
-// differential-test oracle for Decode and is not used on hot paths.
-func (c *Codec) DecodeReference(dst, enc []byte) ([]byte, error) {
-	var r bitio.Reader
-	r.Init(enc, -1)
-	for {
-		sym, err := c.decodeSymbolRef(&r)
-		if err != nil {
-			return dst, err
-		}
-		if sym == eosSymbol {
-			return dst, nil
-		}
-		dst = append(dst, byte(sym))
-	}
-}
-
-func (c *Codec) decodeSymbolRef(r *bitio.Reader) (int, error) {
-	var code uint64
-	for l := 1; l <= maxBits; l++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, fmt.Errorf("huffman: truncated value: %w", err)
-		}
-		code = code<<1 | uint64(b)
-		if n := c.countAtLen[l]; n > 0 {
-			first := c.firstCode[l]
-			if code >= first && code < first+uint64(n) {
-				return int(c.symByCode[c.firstIndex[l]+int(code-first)]), nil
-			}
-		}
 	}
 	return 0, errors.New("huffman: invalid code")
 }

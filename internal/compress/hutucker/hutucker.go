@@ -253,7 +253,8 @@ func (c *Codec) Encode(dst, value []byte) ([]byte, error) {
 // code longer than tableBits resumes the alphabetic tree walk from its
 // pre-descended depth-tableBits node. Because the alphabetic tree is
 // complete, every bit window resolves to exactly one code, so output
-// and errors are identical to the bit-at-a-time DecodeReference.
+// and errors are identical to the bit-at-a-time DecodeReference
+// (reference_test.go).
 func (c *Codec) Decode(dst, enc []byte) ([]byte, error) {
 	// Value Reader + Init keeps the reader on the stack; NewReader would
 	// heap-allocate one per decoded value.
@@ -282,31 +283,6 @@ func (c *Codec) Decode(dst, enc []byte) ([]byte, error) {
 		}
 		r.Consume(tableBits)
 		n := c.longNodes[e>>8]
-		for n.symbol < 0 {
-			b, err := r.ReadBit()
-			if err != nil {
-				return dst, fmt.Errorf("hutucker: truncated value: %w", err)
-			}
-			if b == 0 {
-				n = n.left
-			} else {
-				n = n.right
-			}
-		}
-		if n.symbol == 0 { // EOS
-			return dst, nil
-		}
-		dst = append(dst, byte(n.symbol-1))
-	}
-}
-
-// DecodeReference is the retained bit-at-a-time tree-walk decoder: the
-// differential-test oracle for Decode, not used on hot paths.
-func (c *Codec) DecodeReference(dst, enc []byte) ([]byte, error) {
-	var r bitio.Reader
-	r.Init(enc, -1)
-	for {
-		n := c.root
 		for n.symbol < 0 {
 			b, err := r.ReadBit()
 			if err != nil {

@@ -91,13 +91,14 @@ func shardSet(t *testing.T, doc []byte, n, shift int) *partition.Set {
 	return set
 }
 
-// checkFused holds the spliced store of set to an ingest of corpus: the
-// same serialization, which is also FuseXML's, the same answer from
-// every accessor of the structure, the same summary, the same containers
+// checkFused holds the spliced store of set — or, with reopen, that store
+// reopened from its bytes — to an ingest of corpus: the same
+// serialization, which is also FuseXML's, the same answer from every
+// accessor of the structure, the same summary, the same containers
 // record by record, and the same result for every query under both
 // evaluators. The oracle is a Load product, so agreeing with it on every
 // accessor is also passing storage's Validate.
-func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []string) {
+func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []string, reopen bool) {
 	t.Helper()
 	fx, err := set.FuseXML()
 	if err != nil {
@@ -114,6 +115,11 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 	got, err := set.Fused()
 	if err != nil {
 		t.Fatalf("Fused: %v\ncorpus: %s", err, xml)
+	}
+	if reopen {
+		if got, err = storage.LoadBinary(got.AppendBinary(nil)); err != nil {
+			t.Fatalf("reopening the fused store: %v", err)
+		}
 	}
 	if out, err := got.Serialize(nil, 1); err != nil || !bytes.Equal(out, xml) || !bytes.Equal(fx, xml) {
 		t.Fatalf("fused store serializes to\n%s (%v), FuseXML is\n%s, the corpus\n%s", out, err, fx, xml)
@@ -227,50 +233,43 @@ func xmarkTexts() []string {
 
 // TestFusedRandomDifferential: random documents — recursive, mixed
 // content, attributes on three levels — as 2–5 segments and as 2–4
-// shards, every part under its own plan; a fifth of them again with the
-// record backend resident.
+// shards, every part under its own plan.
 func TestFusedRandomDifferential(t *testing.T) {
 	queries := append(slices.Clone(engine.QueryBattery), xmarkTexts()...)
 	trials := 25
 	if testing.Short() {
 		trials = 5
 	}
-	for _, backend := range []string{"succinct", "records"} {
-		t.Setenv("XQUEC_STRUCT", backend)
-		rng := rand.New(rand.NewSource(20040316))
-		for trial := 0; trial < trials; trial++ {
-			if backend == "records" && trial >= trials/5 {
-				break
-			}
-			docs := make([][]byte, 2+rng.Intn(4))
-			for i := range docs {
-				docs[i] = engine.RandomDoc(rng)
-			}
-			corpus, err := partition.Concat(docs...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkFused(t, segmentSet(t, docs, trial), corpus, queries)
-			if !bytes.Contains(corpus, []byte("<entry")) {
-				continue // nothing below the groups to route
-			}
-			checkFused(t, shardSet(t, corpus, 2+rng.Intn(3), trial), corpus, queries)
+	rng := rand.New(rand.NewSource(20040316))
+	for trial := 0; trial < trials; trial++ {
+		docs := make([][]byte, 2+rng.Intn(4))
+		for i := range docs {
+			docs[i] = engine.RandomDoc(rng)
 		}
+		corpus, err := partition.Concat(docs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFused(t, segmentSet(t, docs, trial), corpus, queries, false)
+		if !bytes.Contains(corpus, []byte("<entry")) {
+			continue // nothing below the groups to route
+		}
+		checkFused(t, shardSet(t, corpus, 2+rng.Intn(3), trial), corpus, queries, false)
 	}
 }
 
-// TestFusedDirected: the shapes a random document does not reach, under
-// both structure backends.
+// TestFusedDirected: the shapes a random document does not reach, each
+// fused store held to checkFused as spliced ("succinct") and as reopened
+// from the bytes Database.Bytes writes for a set ("records"). The arms
+// keep the names of the two structure backends they ran under until the
+// record backend left the binary, so the subtest IDs stay stable.
 func TestFusedDirected(t *testing.T) {
-	for _, backend := range []string{"succinct", "records"} {
-		t.Run(backend, func(t *testing.T) {
-			t.Setenv("XQUEC_STRUCT", backend)
-			fusedDirected(t)
-		})
+	for _, arm := range []string{"succinct", "records"} {
+		t.Run(arm, func(t *testing.T) { fusedDirected(t, arm == "records") })
 	}
 }
 
-func fusedDirected(t *testing.T) {
+func fusedDirected(t *testing.T, reopen bool) {
 	queries := []string{
 		`count(//*)`, `/site/*`, `/site/text()`, `//n/text()`, `sum(//n)`, `max(//n)`, `//p/text()`, `sum(//p)`,
 		`//@k`, `count(//b/c)`, `FOR $x IN /site/* ORDER BY $x RETURN $x`, `FOR $x IN //n WHERE $x >= 3 RETURN $x/text()`,
@@ -302,7 +301,7 @@ func fusedDirected(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkFused(t, segmentSet(t, in, shift), corpus, queries)
+				checkFused(t, segmentSet(t, in, shift), corpus, queries, reopen)
 			})
 		}
 	}
@@ -318,7 +317,7 @@ func fusedDirected(t *testing.T) {
 	for name, doc := range shards {
 		for n := 2; n <= 4; n++ {
 			t.Run(fmt.Sprintf("%s/%d", name, n), func(t *testing.T) {
-				checkFused(t, shardSet(t, []byte(doc), n, n), []byte(doc), queries)
+				checkFused(t, shardSet(t, []byte(doc), n, n), []byte(doc), queries, reopen)
 			})
 		}
 	}
@@ -333,8 +332,8 @@ func fusedDirected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkFused(t, segmentSet(t, docs, 1), corpus, xmarkTexts())
-		checkFused(t, shardSet(t, docs[0], 3, 2), docs[0], xmarkTexts())
+		checkFused(t, segmentSet(t, docs, 1), corpus, xmarkTexts(), reopen)
+		checkFused(t, shardSet(t, docs[0], 3, 2), docs[0], xmarkTexts(), reopen)
 	})
 }
 

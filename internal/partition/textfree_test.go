@@ -98,7 +98,7 @@ func TestFusedIsTextFree(t *testing.T) {
 					seen[k] = true
 					queue = append(queue, k)
 				}
-			case path == "xquec/internal/succinct" || path == "xquec/internal/btree" || strings.HasPrefix(path, "xquec/internal/compress"):
+			case path == "xquec/internal/succinct" || strings.HasPrefix(path, "xquec/internal/compress"):
 				// below storage: no way up to the loader or the parser
 			default:
 				t.Errorf("%s uses %s.%s: Set.Fused reaches %s", at, o.Pkg().Name(), o.Name(), path)

@@ -401,7 +401,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	seconds("xquecd_ingest_classify_seconds_total", "Ingestion time in container type inference.", bt.ClassifyNs)
 	seconds("xquecd_ingest_train_seconds_total", "Ingestion time training source models.", bt.TrainNs)
 	seconds("xquecd_ingest_encode_seconds_total", "Ingestion time encoding and sorting containers.", bt.EncodeNs)
-	seconds("xquecd_ingest_index_seconds_total", "Ingestion time bulk-loading the B+ index.", bt.IndexNs)
+	seconds("xquecd_ingest_index_seconds_total", "Ingestion time freezing the structure directories and summary statistics.", bt.IndexNs)
 
 	ps := xpar.Snapshot()
 	counter("xquecd_parallel_scan_total", "Partitioned (multi-worker) evaluations.", ps.Scans)

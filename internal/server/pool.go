@@ -231,12 +231,9 @@ func (p *Pool) Available() ([]string, error) {
 	return names, nil
 }
 
-// RepoStructure describes the structure backend of one resident
-// repository: which encoding navigates its tree and how dense that
-// encoding is (zero for the record backend, which spends whole words
-// per node).
+// RepoStructure describes the structure tree of one resident
+// repository: how dense its paren encoding is.
 type RepoStructure struct {
-	Backend     string  `json:"backend"`
 	BitsPerNode float64 `json:"bits_per_node,omitempty"`
 }
 
@@ -272,10 +269,7 @@ func (p *Pool) Stats() PoolStats {
 	if len(ready) > 0 {
 		st.Structures = make(map[string]RepoStructure, len(ready))
 		for _, e := range ready {
-			st.Structures[e.name] = RepoStructure{
-				Backend:     e.db.StructureKind(),
-				BitsPerNode: e.db.StructureBitsPerNode(),
-			}
+			st.Structures[e.name] = RepoStructure{BitsPerNode: e.db.StructureBitsPerNode()}
 		}
 	}
 	return st

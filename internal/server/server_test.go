@@ -283,10 +283,7 @@ func TestServerReposStatsHealthMetrics(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats missing structure info for resident repo: %+v", stats.Pool)
 	}
-	if ps.Backend != "succinct" && ps.Backend != "records" {
-		t.Fatalf("structure backend = %q", ps.Backend)
-	}
-	if ps.Backend == "succinct" && (ps.BitsPerNode <= 0 || ps.BitsPerNode > 64) {
+	if ps.BitsPerNode <= 0 || ps.BitsPerNode > 64 {
 		t.Fatalf("bits/node = %v", ps.BitsPerNode)
 	}
 

@@ -1,42 +1,15 @@
 package storage
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"xquec/internal/datagen"
 )
 
-// The bulk kernels must agree with the scalar accessors element-for-
-// element on every backend; the scalar succinct path is itself pinned
-// against the record array elsewhere, so the chain roots in one oracle.
-
-// bulkTestStores builds one store per backend per document shape:
-// XMark (shallow, bushy) and DeepTree (long recursive spine), the two
-// shapes that stress different parts of the BP machinery.
-func bulkTestStores(t testing.TB) map[string]*Store {
-	t.Helper()
-	docs := map[string][]byte{
-		"xmark": datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 7}),
-		"deep":  datagen.DeepTree(datagen.DeepTreeConfig{Depth: 700, Fanout: 3, Seed: 7}),
-	}
-	out := map[string]*Store{}
-	for shape, doc := range docs {
-		for _, kind := range []StructureKind{StructRecords, StructSuccinct} {
-			s, err := Load(doc, LoadOptions{Structure: kind})
-			if err != nil {
-				t.Fatalf("%s: %v", shape, err)
-			}
-			name := shape + "/records"
-			if kind == StructSuccinct {
-				name = shape + "/succinct"
-			}
-			out[name] = s
-		}
-	}
-	return out
-}
+// The bulk kernels must agree element-for-element with the scalar
+// accessors and with the record oracle (records_test.go), which the
+// scalar accessors are themselves held to.
 
 // ascendingSubset returns a random strictly ascending ID subset — the
 // NodeSet invariant the bulk kernels require.
@@ -52,69 +25,60 @@ func ascendingSubset(rng *rand.Rand, n int, density float64) []NodeID {
 
 func checkBulkAgainstScalar(t *testing.T, s *Store, ids []NodeID) {
 	t.Helper()
-	n := len(ids)
-	pars := make([]NodeID, n)
-	ends := make([]NodeID, n)
-	levels := make([]uint16, n)
-	s.ParentBulk(ids, pars)
-	s.SubtreeEndBulk(ids, ends)
-	s.LevelBulk(ids, levels)
+	checkBulk(t, ids, s.ParentBulk, s.Parent, "Parent")
+	checkBulk(t, ids, s.SubtreeEndBulk, s.SubtreeEnd, "SubtreeEnd")
+}
+
+// checkBulk compares one bulk kernel with a per-node answer.
+func checkBulk(t *testing.T, ids []NodeID, bulk func(ids, out []NodeID), want func(NodeID) NodeID, what string) {
+	t.Helper()
+	out := make([]NodeID, len(ids))
+	bulk(ids, out)
 	for i, id := range ids {
-		if want := s.Parent(id); pars[i] != want {
-			t.Fatalf("ParentBulk(%d) = %d, scalar Parent = %d", id, pars[i], want)
-		}
-		if want := s.SubtreeEnd(id); ends[i] != want {
-			t.Fatalf("SubtreeEndBulk(%d) = %d, scalar SubtreeEnd = %d", id, ends[i], want)
-		}
-		if want := s.LevelOf(id); levels[i] != want {
-			t.Fatalf("LevelBulk(%d) = %d, scalar LevelOf = %d", id, levels[i], want)
+		if w := want(id); out[i] != w {
+			t.Fatalf("%sBulk(%d) = %d, want %d", what, id, out[i], w)
 		}
 	}
 }
 
-// TestBulkKernelsMatchScalar pins the bulk kernels against the scalar
-// accessors over random subsets at several densities (dense subsets
-// exercise the sequential cursor walk, sparse ones the re-seed path)
-// on both document shapes and both backends.
+// TestBulkKernelsMatchScalar pins the bulk kernels over random subsets
+// at several densities (dense subsets exercise the sequential cursor
+// walk, sparse ones the re-seed path) on XMark (shallow, bushy) and
+// DeepTree (a long recursive spine), the two shapes that stress
+// different parts of the BP machinery: against the scalar accessors
+// ("succinct") and against the record oracle ("records").
 func TestBulkKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for name, s := range bulkTestStores(t) {
-		t.Run(name, func(t *testing.T) {
-			n := s.NumNodes()
-			for _, density := range []float64{1, 0.25, 0.01} {
-				ids := ascendingSubset(rng, n, density)
-				if len(ids) == 0 {
-					continue
-				}
-				checkBulkAgainstScalar(t, s, ids)
-			}
-			// Singletons and the extremes.
-			checkBulkAgainstScalar(t, s, []NodeID{1})
-			checkBulkAgainstScalar(t, s, []NodeID{NodeID(n)})
-			checkBulkAgainstScalar(t, s, []NodeID{1, NodeID(n)})
-		})
+	docs := map[string][]byte{
+		"xmark": datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 7}),
+		"deep":  datagen.DeepTree(datagen.DeepTreeConfig{Depth: 700, Fanout: 3, Seed: 7}),
 	}
-}
-
-// TestKidsScanMatchesRecords pins the succinct Kids iteration (which
-// dispatches between the word-at-a-time subtree scan and the skip
-// walk by subtree size) against the record backend's child lists.
-func TestKidsScanMatchesRecords(t *testing.T) {
-	stores := bulkTestStores(t)
-	for _, shape := range []string{"xmark", "deep"} {
-		rec, suc := stores[shape+"/records"], stores[shape+"/succinct"]
-		for id := NodeID(1); id <= NodeID(rec.NumNodes()); id++ {
-			var a, b []string
-			for k := range rec.Kids(id) {
-				a = append(a, fmt.Sprint(k.ID, k.Val))
-			}
-			for k := range suc.Kids(id) {
-				b = append(b, fmt.Sprint(k.ID, k.Val))
-			}
-			if fmt.Sprint(a) != fmt.Sprint(b) {
-				t.Fatalf("%s: Kids(%d) differs: records %v, succinct %v", shape, id, a, b)
+	for shape, doc := range docs {
+		s, err := Load(doc, LoadOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", shape, err)
+		}
+		n := s.NumNodes()
+		var subsets [][]NodeID
+		for _, density := range []float64{1, 0.25, 0.01} {
+			if ids := ascendingSubset(rng, n, density); len(ids) > 0 {
+				subsets = append(subsets, ids)
 			}
 		}
+		// Singletons and the extremes.
+		subsets = append(subsets, []NodeID{1}, []NodeID{NodeID(n)}, []NodeID{1, NodeID(n)})
+		t.Run(shape+"/succinct", func(t *testing.T) {
+			for _, ids := range subsets {
+				checkBulkAgainstScalar(t, s, ids)
+			}
+		})
+		t.Run(shape+"/records", func(t *testing.T) {
+			recs := records(s)
+			for _, ids := range subsets {
+				checkBulk(t, ids, s.ParentBulk, func(id NodeID) NodeID { return recs[id-1].parent }, "Parent")
+				checkBulk(t, ids, s.SubtreeEndBulk, func(id NodeID) NodeID { return recs[id-1].end }, "SubtreeEnd")
+			}
+		})
 	}
 }
 
@@ -132,7 +96,7 @@ func FuzzBulkNavigation(f *testing.F) {
 			t.Skip()
 		}
 		doc := datagen.DeepTree(datagen.DeepTreeConfig{Depth: depth, Fanout: fanout, Seed: seed})
-		s, err := Load(doc, LoadOptions{Structure: StructSuccinct})
+		s, err := Load(doc, LoadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"iter"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -80,8 +81,9 @@ func frame(pre, tree []byte) []byte {
 // memory than the input pays for. The memory bound is linear with a
 // large constant because small inputs legitimately fan out: a source
 // model of a few bytes builds a few KB of codec tables, and the LZSS
-// structure section expands up to ~90x.
-func checkHostile(t testing.TB, data []byte, what string) (accepted bool) {
+// structure section expands up to ~90x. It returns the store, nil when
+// the bytes were refused.
+func checkHostile(t testing.TB, data []byte, what string) *Store {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -91,7 +93,7 @@ func checkHostile(t testing.TB, data []byte, what string) (accepted bool) {
 		t.Fatalf("%s: loading %d bytes allocated %d (limit %d)", what, len(data), got, limit)
 	}
 	if err != nil {
-		return false
+		return nil
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("%s: the load pass accepted a repository the oracle rejects: %v", what, err)
@@ -101,13 +103,24 @@ func checkHostile(t testing.TB, data []byte, what string) (accepted bool) {
 	// on everything accepted it must run to the end, from the root and
 	// from nodes inside, without a panic or an out-of-range read — a
 	// decode may still fail (a value can be corrupt).
-	n := NodeID(s.NumNodes())
-	for id := NodeID(1); id <= n; id += 1 + n/16 {
+	for id := range sampledNodes(s) {
 		_, _ = s.Serialize(nil, id)
 		_, _ = s.DeepText(nil, id)
 	}
-	_, _ = s.Serialize(nil, n)
-	return true
+	return s
+}
+
+// sampledNodes yields every (1+n/16)-th node and the last.
+func sampledNodes(s *Store) iter.Seq[NodeID] {
+	return func(yield func(NodeID) bool) {
+		n := NodeID(s.NumNodes())
+		for id := NodeID(1); id <= n; id += 1 + n/16 {
+			if !yield(id) {
+				return
+			}
+		}
+		yield(n)
+	}
 }
 
 // hostileSeeds are the corpora the mutation suite and the fuzzer start
@@ -155,22 +168,29 @@ func mutate(rng *rand.Rand, b []byte) []byte {
 }
 
 // TestCorruptionNeverPanics mutates serialized repositories — raw, and
-// section by section behind a repaired frame — under both structure
-// backends.
+// section by section behind a repaired frame. Two arms draw different
+// mutants: "succinct" holds each accepted one to Validate and the
+// serializer (checkHostile), "records" also to the record oracle.
 func TestCorruptionNeverPanics(t *testing.T) {
 	seeds := hostileSeeds(t)
-	for _, mode := range []string{"succinct", "records"} {
+	for seed, mode := range []string{"succinct", "records"} {
 		t.Run(mode, func(t *testing.T) {
-			t.Setenv("XQUEC_STRUCT", mode)
-			rng := rand.New(rand.NewSource(99))
+			rng := rand.New(rand.NewSource(99 + int64(seed)))
+			check := func(data []byte, what string) bool {
+				s := checkHostile(t, data, what)
+				if s != nil && mode == "records" {
+					checkRecords(t, s, sampledNodes(s))
+				}
+				return s != nil
+			}
 			for _, repo := range seeds {
 				// Raw mutations: these exercise the magic, the checksum and
 				// the decompressor.
 				for i := 0; i < 60; i++ {
-					checkHostile(t, mutate(rng, repo), "raw mutation")
+					check(mutate(rng, repo), "raw mutation")
 				}
 				pre, tree, contStart := unframe(t, repo)
-				if !checkHostile(t, frame(pre, tree), "re-framed original") {
+				if !check(frame(pre, tree), "re-framed original") {
 					t.Fatal("re-framed original rejected")
 				}
 				accepted := 0
@@ -188,7 +208,7 @@ func TestCorruptionNeverPanics(t *testing.T) {
 						what = "structure mutation"
 						data = frame(pre, mutate(rng, tree))
 					}
-					if checkHostile(t, data, what) {
+					if check(data, what) {
 						accepted++
 					}
 				}

@@ -3,34 +3,32 @@ package storage
 import "fmt"
 
 // Footprint breaks down the repository's *in-memory* size into the
-// components §2.2 discusses. The access-support structures — parent
-// pointers ("backward edges"), pre/post/level navigation fields, the B+
-// index and the structure summary with its extents — are what the paper
-// says can be dropped to shrink the database by a factor of 3–4 at the
-// price of query performance. (The on-disk format already omits them;
-// LoadBinary re-derives them, so the in-memory view is the right place
-// to measure the trade-off.)
+// components §2.2 discusses. The paper's access-support structures are
+// parent pointers ("backward edges"), pre/post/level navigation fields,
+// the B+ index and the structure summary with its extents, which it says
+// can be dropped to shrink the database by a factor of 3–4 at the price
+// of query performance. The paren sequence answers the first three from
+// its rank/select directories, so the summary is the one left to
+// measure. (The on-disk format omits it; LoadBinary re-derives it, so
+// the in-memory view is the right place to measure the trade-off.)
 type Footprint struct {
-	Dictionary     int // name dictionary
-	StructureBP    int // succinct backend: paren bits + rank/select directories + rmM tree + node marks
-	StructureTree  int // records: tag codes + child lists + value refs; succinct: tags + value refs
-	ParentPointers int // records backend: backward edges + subtree ends + levels
-	BPlusIndex     int // B+ tree over node records (records backend)
-	Summary        int // structure summary including extents
-	Containers     int // compressed value payloads + owner pointers
-	SourceModels   int // compression source models
+	Dictionary    int // name dictionary
+	StructureBP   int // paren bits + rank/select directories + rmM tree + node marks
+	StructureTree int // tag codes + value refs
+	Summary       int // structure summary including extents
+	Containers    int // compressed value payloads + owner pointers
+	SourceModels  int // compression source models
 }
 
 // Total is the full repository size (all access structures included).
 func (f Footprint) Total() int {
-	return f.Dictionary + f.StructureBP + f.StructureTree + f.ParentPointers +
-		f.BPlusIndex + f.Summary + f.Containers + f.SourceModels
+	return f.Dictionary + f.StructureBP + f.StructureTree + f.Summary + f.Containers + f.SourceModels
 }
 
-// Minimal is the size without the access-support structures (no parent
-// pointers, no B+ index, no summary) — the §2.2 ablation. The succinct
-// backend's BP bits count as structure, not access support: they ARE
-// the tree, and navigation falls out of them for free.
+// Minimal is the size without the access-support structure (the
+// summary) — the §2.2 ablation. The BP bits count as structure, not
+// access support: they ARE the tree, and navigation falls out of them
+// for free.
 func (f Footprint) Minimal() int {
 	return f.Dictionary + f.StructureBP + f.StructureTree + f.Containers + f.SourceModels
 }
@@ -43,8 +41,6 @@ func (f Footprint) Add(g Footprint) Footprint {
 	f.Dictionary += g.Dictionary
 	f.StructureBP += g.StructureBP
 	f.StructureTree += g.StructureTree
-	f.ParentPointers += g.ParentPointers
-	f.BPlusIndex += g.BPlusIndex
 	f.Summary += g.Summary
 	f.Containers += g.Containers
 	f.SourceModels += g.SourceModels
@@ -61,31 +57,18 @@ func (f Footprint) AccessOverheadFactor() float64 {
 }
 
 func (f Footprint) String() string {
-	return fmt.Sprintf("dict=%d bp=%d tree=%d parents=%d b+=%d summary=%d containers=%d models=%d total=%d",
-		f.Dictionary, f.StructureBP, f.StructureTree, f.ParentPointers, f.BPlusIndex,
-		f.Summary, f.Containers, f.SourceModels, f.Total())
+	return fmt.Sprintf("dict=%d bp=%d tree=%d summary=%d containers=%d models=%d total=%d",
+		f.Dictionary, f.StructureBP, f.StructureTree, f.Summary, f.Containers, f.SourceModels, f.Total())
 }
 
-// Footprint measures the repository's in-memory component sizes, for
-// whichever structure backend is resident.
+// Footprint measures the repository's in-memory component sizes.
 func (s *Store) Footprint() Footprint {
 	var f Footprint
 	for _, n := range s.Names {
 		f.Dictionary += len(n) + 16
 	}
-	if s.succ != nil {
-		bp, marks, refs := s.succ.footprintBytes()
-		f.StructureBP = bp + marks
-		f.StructureTree = refs
-	}
-	for i := range s.nodes {
-		n := &s.nodes[i]
-		f.StructureTree += 2 + 4*len(n.Kids) + 8*len(n.Values)
-		f.ParentPointers += 4 + 4 + 2 // parent + subtree end + level
-	}
-	if s.Index != nil {
-		f.BPlusIndex = s.Index.FootprintBytes()
-	}
+	bp, marks, refs := s.succ.footprintBytes()
+	f.StructureBP, f.StructureTree = bp+marks, refs
 	f.Summary = s.Sum.FootprintBytes()
 	for _, c := range s.Containers {
 		f.Containers += len(c.Path) + 16

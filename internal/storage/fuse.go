@@ -20,7 +20,6 @@ import (
 // value bytes and dictionary and owns what it writes.
 type Fusion struct {
 	parts  []*Store
-	trees  []*SuccinctStructure // the parts' structures (transient under XQUEC_STRUCT=records)
 	pieces []piece
 	vals   [][]byte // merge scratch, reused from container to container
 	plain  []byte
@@ -31,20 +30,13 @@ type piece struct{ part, from, to, v0, v1 int }
 
 // NewFusion starts a fusion of parts, which share one name dictionary up
 // to extension (every dictionary a prefix of the longest).
-func NewFusion(parts []*Store) *Fusion {
-	f := &Fusion{parts: parts, trees: make([]*SuccinctStructure, len(parts))}
-	for i, p := range parts {
-		if f.trees[i] = p.succ; p.succ == nil {
-			f.trees[i] = p.arr.build()
-		}
-	}
-	return f
-}
+func NewFusion(parts []*Store) *Fusion { return &Fusion{parts: parts} }
 
 // Span returns the paren positions of node id's open and close in a part.
 func (f *Fusion) Span(part int, id NodeID) (open, end int) {
-	open = f.trees[part].openPos(id)
-	return open, f.trees[part].bp.FindClose(open)
+	t := f.parts[part].succ
+	open = t.openPos(id)
+	return open, t.bp.FindClose(open)
 }
 
 // Add appends the paren range [from, to) of a part to the fused sequence.
@@ -67,7 +59,7 @@ func (f *Fusion) Store() (*Store, error) {
 		if len(part.Names) > len(s.Names) {
 			s.Names, s.nameIdx = part.Names, part.nameIdx
 		}
-		nParens += f.trees[p].pv.Len() // an upper bound: the pieces are cut from these
+		nParens += part.succ.pv.Len() // an upper bound: the pieces are cut from these
 		n := 0
 		for _, c := range part.Containers {
 			n += c.Len()
@@ -86,7 +78,7 @@ func (f *Fusion) Store() (*Store, error) {
 	leaves := 0
 	for i := range f.pieces {
 		pc := &f.pieces[i]
-		t := f.trees[pc.part]
+		t := f.parts[pc.part].succ
 		o0, o1 := t.pv.Rank1(pc.from), t.pv.Rank1(pc.to)
 		n0, n1 := t.isNode.Rank1(o0), t.isNode.Rank1(o1)
 		pb.AppendRange(t.pv.Words(), pc.from, pc.to)
@@ -122,7 +114,7 @@ func (f *Fusion) Store() (*Store, error) {
 	// Value refs: every copied leaf's record index, through the merge.
 	a.valIdx, a.valCont = make([]int32, 0, leaves), make([]int32, leaves)
 	for _, pc := range f.pieces {
-		t := f.trees[pc.part]
+		t := f.parts[pc.part].succ
 		for v := pc.v0; v < pc.v1; v++ {
 			a.valIdx = append(a.valIdx, at[pc.part][t.valCont[v]][t.valIdx[v]])
 		}
@@ -130,7 +122,7 @@ func (f *Fusion) Store() (*Store, error) {
 	a.parens, a.nParens = pb.Words(), pb.Len()
 	a.marks, a.nOpens = mb.Words(), mb.Len()
 	s.succ = a.build()
-	if err := s.adoptStructure(); err != nil {
+	if err := s.deriveFromSuccinct(); err != nil {
 		return nil, err
 	}
 	return s, nil

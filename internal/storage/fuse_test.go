@@ -58,74 +58,68 @@ func TestStringCodecsAreTotal(t *testing.T) {
 // in a wrong order, twice, or cut inside a node: the sweep, not a later
 // query, must be what objects.
 func TestFusionIsProven(t *testing.T) {
-	for _, mode := range []StructureKind{StructSuccinct, StructRecords} {
-		t.Setenv("XQUEC_STRUCT", mode.String())
-		a, err := Load(datagen.XMark(datagen.XMarkConfig{Scale: 0.01, Seed: 1}), LoadOptions{})
-		if err != nil {
-			t.Fatal(err)
+	a, err := Load(datagen.XMark(datagen.XMarkConfig{Scale: 0.01, Seed: 1}), LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Load(datagen.XMark(datagen.XMarkConfig{Scale: 0.01, Seed: 2}), LoadOptions{Dictionary: a.Names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := []*Store{a, b}
+	var owners []NodeID // of every record of both parts, before any fusion
+	for _, p := range parts {
+		for _, c := range p.Containers {
+			for j := 0; j < c.Len(); j++ {
+				owners = append(owners, c.Record(j).Owner)
+			}
 		}
-		b, err := Load(datagen.XMark(datagen.XMarkConfig{Scale: 0.01, Seed: 2}), LoadOptions{Dictionary: a.Names})
-		if err != nil {
-			t.Fatal(err)
+	}
+	probe := NewFusion(parts)
+	_, endA := probe.Span(0, 1)
+	_, endB := probe.Span(1, 1)
+	good := [][3]int{{0, 0, endA}, {1, 1, endB}, {0, endA, endA + 1}}
+	fuse := func(pieces [][3]int) (*Store, error) {
+		f := NewFusion(parts)
+		for _, p := range pieces {
+			f.Add(p[0], p[1], p[2])
 		}
-		parts := []*Store{a, b}
-		var owners []NodeID // of every record of both parts, before any fusion
-		for _, p := range parts {
-			for _, c := range p.Containers {
-				for j := 0; j < c.Len(); j++ {
-					owners = append(owners, c.Record(j).Owner)
+		return f.Store()
+	}
+	s, err := fuse(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if s.NumNodes() != a.NumNodes()+b.NumNodes()-1 {
+		t.Fatalf("%d nodes from %d and %d", s.NumNodes(), a.NumNodes(), b.NumNodes())
+	}
+	for i, p := range parts {
+		for _, c := range p.Containers {
+			for j := 0; j < c.Len(); j++ {
+				if c.Record(j).Owner != owners[0] {
+					t.Fatalf("fusion wrote to part %d: %s record %d owner %d, was %d", i, c.Path, j, c.Record(j).Owner, owners[0])
 				}
+				owners = owners[1:]
 			}
 		}
-		probe := NewFusion(parts)
-		_, endA := probe.Span(0, 1)
-		_, endB := probe.Span(1, 1)
-		good := [][3]int{{0, 0, endA}, {1, 1, endB}, {0, endA, endA + 1}}
-		fuse := func(pieces [][3]int) (*Store, error) {
-			f := NewFusion(parts)
-			for _, p := range pieces {
-				f.Add(p[0], p[1], p[2])
-			}
-			return f.Store()
-		}
-		s, err := fuse(good)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.StructureKind() != mode {
-			t.Fatalf("backend = %v, want %v", s.StructureKind(), mode)
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("Validate: %v", err)
-		}
-		if s.NumNodes() != a.NumNodes()+b.NumNodes()-1 {
-			t.Fatalf("%d nodes from %d and %d", s.NumNodes(), a.NumNodes(), b.NumNodes())
-		}
-		for i, p := range parts {
-			for _, c := range p.Containers {
-				for j := 0; j < c.Len(); j++ {
-					if c.Record(j).Owner != owners[0] {
-						t.Fatalf("fusion wrote to part %d: %s record %d owner %d, was %d", i, c.Path, j, c.Record(j).Owner, owners[0])
-					}
-					owners = owners[1:]
-				}
-			}
-		}
+	}
 
-		mid, _ := probe.Span(1, 3)
-		for name, pieces := range map[string][][3]int{
-			"a piece twice":            {good[0], good[1], good[1], good[2]},
-			"the close first":          {good[2], good[0], good[1]},
-			"no close":                 {good[0], good[1]},
-			"a cut through an element": {good[0], {1, 1, mid + 1}, good[2]},
-		} {
-			s, err := fuse(pieces)
-			if err == nil {
-				err = s.Validate()
-			}
-			if err == nil {
-				t.Errorf("%s: accepted", name)
-			}
+	mid, _ := probe.Span(1, 3)
+	for name, pieces := range map[string][][3]int{
+		"a piece twice":            {good[0], good[1], good[1], good[2]},
+		"the close first":          {good[2], good[0], good[1]},
+		"no close":                 {good[0], good[1]},
+		"a cut through an element": {good[0], {1, 1, mid + 1}, good[2]},
+	} {
+		s, err := fuse(pieces)
+		if err == nil {
+			err = s.Validate()
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

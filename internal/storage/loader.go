@@ -34,11 +34,6 @@ type LoadOptions struct {
 	// Names encountered during the parse that are already pre-seeded keep
 	// their seeded code; new names append after the seed.
 	Dictionary []string
-	// Structure selects the structure-tree backend. StructDefault means
-	// succinct unless the XQUEC_STRUCT environment variable says
-	// "records". The choice affects memory and latency, never results or
-	// persisted bytes.
-	Structure StructureKind
 }
 
 // Load parses an XML document and builds the compressed repository.
@@ -91,9 +86,6 @@ func Load(src []byte, opts LoadOptions) (*Store, error) {
 	a.parens, a.nParens = in.pb.Words(), in.pb.Len()
 	a.marks, a.nOpens = in.mb.Words(), in.mb.Len()
 	s.succ = a.build()
-	if resolveStructure(opts.Structure) == StructRecords {
-		s.useRecords()
-	}
 	// Statistics.
 	for _, sn := range s.Sum.Nodes() {
 		sn.Count = len(sn.Extent)

@@ -21,9 +21,8 @@ func forEachIndex(workers, n int, fn func(i int) error) error {
 // fan-out (type inference, source-model training, value encoding +
 // container sorting + value-ref resolution); Index is the serial freeze of
 // the succinct structure (rank/select and navigation directories) and the
-// summary statistics — plus, under XQUEC_STRUCT=records, the expansion
-// into record arrays and their B+ bulk-load. Not persisted: repositories
-// opened from disk report a zero BuildStats.
+// summary statistics. Not persisted: repositories opened from disk report
+// a zero BuildStats.
 type BuildStats struct {
 	Parallelism int
 	Parse       time.Duration

@@ -8,10 +8,8 @@ import (
 	"os"
 	"sort"
 
-	"xquec/internal/btree"
 	"xquec/internal/compress"
 	"xquec/internal/compress/blob"
-	"xquec/internal/succinct"
 )
 
 // Repository file magic. Version 3 stores the structure section in the
@@ -20,13 +18,12 @@ import (
 var magic = []byte("XQCR3\n")
 
 // AppendBinary serializes the repository. Everything derivable is
-// rebuilt by LoadBinary instead of being stored: parent pointers,
-// subtree ends, levels, the B+ index, summary extents, per-container
-// equality permutations, and the container a value ref points to (it is
+// rebuilt by LoadBinary instead of being stored: the rank/select and
+// rmM directories, summary extents, per-container equality
+// permutations, and the container a value ref points to (it is
 // determined by the owning node's path). What remains on disk is the
 // dictionary, the source models, the compressed container payloads, the
 // structure tree's shape, and the sorted-record indexes of the values.
-// The bytes are identical whichever structure backend is resident.
 func (s *Store) AppendBinary(dst []byte) []byte {
 	dst = append(dst, magic...)
 	dst = compress.AppendUvarint(dst, uint64(s.OriginalSize))
@@ -71,7 +68,7 @@ func (s *Store) AppendBinary(dst []byte) []byte {
 	// index in the (path-implied) container. The stream is highly
 	// repetitive, so — like XMill's structure stream — it is stored
 	// blob-compressed.
-	a := s.structureArrays()
+	a := s.succ.arrays()
 	var tree []byte
 	tree = compress.AppendUvarint(tree, uint64(a.nParens))
 	tree = compress.AppendUvarint(tree, uint64(a.nOpens))
@@ -86,30 +83,16 @@ func (s *Store) AppendBinary(dst []byte) []byte {
 	}
 	// Shortcut directories (trailing, so files written before they
 	// existed still load — the reader rebuilds when the section is
-	// absent). They are a pure function of the paren bits, which keeps
-	// the bytes backend-independent.
-	excBase, anc := a.excBase, a.anc
-	if excBase == nil {
-		excBase, anc = succinct.BuildDirs(a.parens, a.nParens)
-	}
-	tree = compress.AppendUvarint(tree, uint64(len(excBase)))
-	for i := range excBase {
-		tree = compress.AppendUvarint(tree, uint64(excBase[i]))
-		tree = compress.AppendUvarint(tree, uint64(anc[i]+1))
+	// absent). They are a pure function of the paren bits.
+	tree = compress.AppendUvarint(tree, uint64(len(a.excBase)))
+	for i := range a.excBase {
+		tree = compress.AppendUvarint(tree, uint64(a.excBase[i]))
+		tree = compress.AppendUvarint(tree, uint64(a.anc[i]+1))
 	}
 	dst = compress.AppendBytes(dst, blob.Compress(nil, tree))
 	// Whole-file checksum: cheap end-to-end corruption detection for the
 	// value payloads, which no structural validation can cover.
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst))
-}
-
-// structureArrays returns the succinct encoding of the structure tree,
-// which the record backend keeps beside its arrays.
-func (s *Store) structureArrays() *succinctArrays {
-	if s.succ != nil {
-		return s.succ.arrays()
-	}
-	return s.arr
 }
 
 // appendPackedBits appends ceil(nBits/8) bytes of the packed bit words
@@ -171,11 +154,10 @@ func (r *reader) byte() (byte, error) {
 	return b, nil
 }
 
-// LoadBinary reconstructs a repository serialized by AppendBinary, into
-// whichever structure backend XQUEC_STRUCT selects. It is one linear
-// pass over the bytes: each section is checked as it is read, and the
-// walk that derives the summary, the value refs and the record owners
-// (deriveFromSuccinct) is also the proof that the structure is a
+// LoadBinary reconstructs a repository serialized by AppendBinary. It is
+// one linear pass over the bytes: each section is checked as it is read,
+// and the walk that derives the summary, the value refs and the record
+// owners (deriveFromSuccinct) is also the proof that the structure is a
 // well-formed tree — nothing is validated a second time.
 //
 // The store keeps data: record values are sub-slices of it. The caller
@@ -305,33 +287,10 @@ func LoadBinary(data []byte) (*Store, error) {
 	if r.pos != len(treeRaw) {
 		return nil, fmt.Errorf("storage: %d trailing bytes in structure section", len(treeRaw)-r.pos)
 	}
-	if err := s.adoptStructure(); err != nil {
+	if err := s.deriveFromSuccinct(); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// adoptStructure is where two of the three ways of building a store from
-// arrays end, LoadBinary and Fusion (Load derives the summary while it
-// parses): the sweep that derives the rest and proves the arrays a
-// repository, then the record backend if XQUEC_STRUCT asks.
-func (s *Store) adoptStructure() error {
-	if err := s.deriveFromSuccinct(); err != nil {
-		return err
-	}
-	if resolveStructure(StructDefault) == StructRecords {
-		s.useRecords()
-	}
-	return nil
-}
-
-// useRecords swaps the succinct structure for the record arrays and
-// their B+ index, keeping the raw encoding for AppendBinary and Fusion.
-func (s *Store) useRecords() {
-	s.arr = s.succ.arrays()
-	s.nodes, s.end, s.level = succinctToRecords(s.succ)
-	s.succ = nil
-	s.buildNodeIndex()
 }
 
 // loadTree parses the succinct structure section into s.succ. The
@@ -446,18 +405,6 @@ func (r *reader) packedBits(nBits int) ([]uint64, error) {
 	}
 	r.pos += nBytes
 	return words, nil
-}
-
-// buildNodeIndex bulk-loads the B+ node index over the record array
-// (records backend only; the succinct backend navigates by rank).
-func (s *Store) buildNodeIndex() {
-	keys := make([]uint64, len(s.nodes))
-	vals := make([]int64, len(s.nodes))
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-		vals[i] = int64(i)
-	}
-	s.Index = btree.BulkLoad(keys, vals)
 }
 
 func isAttrName(tag string) bool { return len(tag) > 0 && tag[0] == '@' }

@@ -21,80 +21,10 @@ const edgeDoc = `<r><only x="1" y=""/><empty/><open></open><cd><![CDATA[]]></cd>
 	`<m>first<i>in</i>middle<i/>last</m><m><i>in</i>last</m><m>first<i a="v">in</i></m>` +
 	`<ws v="l1&#10;l2&#9;t&#13;c">t&#13;x&#10;y&#9;z</ws></r>`
 
-// recordsTwin returns s on the records backend, over the same arrays and
-// containers: what XQUEC_STRUCT=records would have built.
-func recordsTwin(t *testing.T, s *Store) *Store {
-	t.Helper()
-	if s.succ == nil {
-		t.Fatal("recordsTwin of a records store")
-	}
-	twin := *s
-	twin.useRecords()
-	return &twin
-}
-
-// sweepStores returns doc as an ingested store, as a store opened from
-// its file bytes, and as the fusion of the document with other (both
-// under one root): the three ways a structure comes to exist.
-func sweepStores(t *testing.T, doc, other []byte) map[string]*Store {
-	t.Helper()
-	t.Setenv("XQUEC_STRUCT", "succinct")
-	a, err := Load(doc, LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opened, err := LoadBinary(a.AppendBinary(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Load(other, LoadOptions{Dictionary: a.Names})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := NewFusion([]*Store{a, b})
-	_, endA := f.Span(0, 1)
-	_, endB := f.Span(1, 1)
-	f.Add(0, 0, endA)
-	f.Add(1, 1, endB)
-	f.Add(0, endA, endA+1)
-	fused, err := f.Store()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*Store{"ingested": a, "opened": opened, "fused": fused}
-}
-
-// assertSweepIsRecursion holds the sweep to the recursion over child
-// lists at the given nodes, as XML and as string value.
-func assertSweepIsRecursion(t *testing.T, s *Store, ids func(yield func(NodeID) bool)) {
-	t.Helper()
-	ref := recordsTwin(t, s)
-	var got, want []byte
-	for id := range ids {
-		var gerr, werr error
-		got, gerr = s.Serialize(got[:0], id)
-		want, werr = ref.Serialize(want[:0], id)
-		if gerr != nil || werr != nil || !bytes.Equal(got, want) {
-			t.Fatalf("Serialize(%d):\n sweep     %s (%v)\n recursion %s (%v)", id, got, gerr, want, werr)
-		}
-		got, gerr = s.DeepText(got[:0], id)
-		want, werr = ref.DeepText(want[:0], id)
-		if gerr != nil || werr != nil || !bytes.Equal(got, want) {
-			t.Fatalf("DeepText(%d):\n sweep     %q (%v)\n recursion %q (%v)", id, got, gerr, want, werr)
-		}
-	}
-}
-
-func everyNode(s *Store) func(yield func(NodeID) bool) {
-	return func(yield func(NodeID) bool) {
-		for id := NodeID(1); int(id) <= s.NumNodes() && yield(id); id++ {
-		}
-	}
-}
-
-// TestSweepMatchesRecursion: at every node of every corpus, on every
-// kind of store, the forward sweep and the recursive walk of the records
-// backend write the same bytes.
+// TestSweepMatchesRecursion: at every node of the edge-case, the random
+// and a larger XMark corpus, on every kind of store, the forward sweep
+// writes what the recursion over the record oracle's child lists does —
+// and every other accessor answers as the records do (checkRecords).
 func TestSweepMatchesRecursion(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	corpora := map[string][2][]byte{
@@ -111,11 +41,7 @@ func TestSweepMatchesRecursion(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		corpora["random"+string(rune('a'+i))] = [2][]byte{datagen.RandomRecords(rng), datagen.RandomRecords(rng)}
 	}
-	for name, docs := range corpora {
-		for kind, s := range sweepStores(t, docs[0], docs[1]) {
-			t.Run(name+"/"+kind, func(t *testing.T) { assertSweepIsRecursion(t, s, everyNode(s)) })
-		}
-	}
+	checkCorpora(t, corpora)
 }
 
 // TestSweepDeeperThanItsStack: a chain of 20 000 open elements outgrows
@@ -125,7 +51,7 @@ func TestSweepMatchesRecursion(t *testing.T) {
 func TestSweepDeeperThanItsStack(t *testing.T) {
 	const depth = 20000
 	doc := datagen.DeepTree(datagen.DeepTreeConfig{Depth: depth, Fanout: 1, Seed: 3})
-	s, err := Load(doc, LoadOptions{Structure: StructSuccinct})
+	s, err := Load(doc, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +65,7 @@ func TestSweepDeeperThanItsStack(t *testing.T) {
 		t.Fatalf("no node below level %d", depth)
 	}
 	n := NodeID(s.NumNodes())
-	assertSweepIsRecursion(t, s, func(yield func(NodeID) bool) {
+	checkRecords(t, s, func(yield func(NodeID) bool) {
 		for id := NodeID(1); id <= n; id++ {
 			if (id == 1 || id%211 == 0 || id+300 > n) && !yield(id) {
 				return
@@ -152,7 +78,7 @@ func TestSweepDeeperThanItsStack(t *testing.T) {
 // on its own and with a leading space inside its owner's start tag, and
 // its string value is its value.
 func TestStandaloneAttribute(t *testing.T) {
-	s, err := Load([]byte(edgeDoc), LoadOptions{Structure: StructSuccinct})
+	s, err := Load([]byte(edgeDoc), LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,30 +109,28 @@ func TestStandaloneAttribute(t *testing.T) {
 // character references) and must come back out of any conforming parser,
 // which normalizes the raw characters away.
 func TestSerializedWhitespaceSurvivesAParser(t *testing.T) {
-	for _, mode := range []StructureKind{StructSuccinct, StructRecords} {
-		s, err := Load([]byte(`<a x="l1&#10;l2&#9;t&#13;c">t&#13;x</a>`), LoadOptions{Structure: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := s.Serialize(nil, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var a struct {
-			X    string `xml:"x,attr"`
-			Text string `xml:",chardata"`
-		}
-		if err := xml.Unmarshal(out, &a); err != nil {
-			t.Fatalf("%s: %v", out, err)
-		}
-		if a.X != "l1\nl2\tt\rc" || a.Text != "t\rx" {
-			t.Fatalf("%v: %s reads back as x=%q text=%q", mode, out, a.X, a.Text)
-		}
-		if again, err := Load(out, LoadOptions{Structure: mode}); err != nil {
-			t.Fatal(err)
-		} else if out2, _ := again.Serialize(nil, 1); !bytes.Equal(out, out2) {
-			t.Fatalf("%v: %s re-ingested serializes to %s", mode, out, out2)
-		}
+	s, err := Load([]byte(`<a x="l1&#10;l2&#9;t&#13;c">t&#13;x</a>`), LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.Serialize(nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a struct {
+		X    string `xml:"x,attr"`
+		Text string `xml:",chardata"`
+	}
+	if err := xml.Unmarshal(out, &a); err != nil {
+		t.Fatalf("%s: %v", out, err)
+	}
+	if a.X != "l1\nl2\tt\rc" || a.Text != "t\rx" {
+		t.Fatalf("%s reads back as x=%q text=%q", out, a.X, a.Text)
+	}
+	if again, err := Load(out, LoadOptions{}); err != nil {
+		t.Fatal(err)
+	} else if out2, _ := again.Serialize(nil, 1); !bytes.Equal(out, out2) {
+		t.Fatalf("%s re-ingested serializes to %s", out, out2)
 	}
 }
 
@@ -215,7 +139,7 @@ func TestSerializedWhitespaceSurvivesAParser(t *testing.T) {
 // allocations — and it counts one decode per text leaf, no more: the
 // decode counter is what the early-stop contract is tested against.
 func TestSerializeAllocatesNothing(t *testing.T) {
-	s, err := Load(datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 1}), LoadOptions{Structure: StructSuccinct})
+	s, err := Load(datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 1}), LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +152,11 @@ func TestSerializeAllocatesNothing(t *testing.T) {
 	if len(persons) == 0 {
 		t.Fatal("no persons")
 	}
-	ref := recordsTwin(t, s)
+	recs := records(s)
 	var leaves func(id NodeID) int
 	leaves = func(id NodeID) int {
 		n := 0
-		for k := range ref.Kids(id) {
+		for _, k := range recs[id-1].kids {
 			if k.ID == 0 {
 				n++
 			} else {

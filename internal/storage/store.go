@@ -4,47 +4,26 @@ import (
 	"fmt"
 	"iter"
 
-	"xquec/internal/btree"
 	"xquec/internal/compress"
-	"xquec/internal/xmlparser"
 )
 
 // Store is a loaded compressed repository: dictionary, structure tree,
-// B+ index, containers, structure summary and source models.
+// containers, structure summary and source models.
 //
-// The structure tree lives behind one of two backends: the explicit
-// per-node record arrays (the paper's layout, XQUEC_STRUCT=records) or
-// the balanced-parentheses self-index (the default — see
-// SuccinctStructure). All structural access goes through the accessor
-// methods, which answer identically on either backend.
+// The structure tree is the balanced-parentheses self-index
+// (SuccinctStructure); each structural accessor below is one call into
+// it. The paper's per-node records and their B+ index (§2.2) are what
+// its rank/select identities implement (DESIGN.md "Storage model").
 type Store struct {
 	// Names is the node-name dictionary: tag code -> name. Attribute
 	// names are stored with an '@' prefix; "#text" is the value tag.
 	Names   []string
 	nameIdx map[string]uint16
 
-	// Record backend: nodes[id-1] is the record of id; end[id-1] the
-	// largest ID in its subtree, level[id-1] its depth — the "3-valued
-	// IDs" (pre/post/level) enabling O(1) ancestorship tests. Nil when
-	// the succinct backend is active.
-	nodes []NodeRecord
-	end   []NodeID
-	level []uint16
-
-	// Succinct backend: the BP self-index. Nil in records mode.
 	succ *SuccinctStructure
-	// Records mode: the raw succinct encoding the records were expanded
-	// from — what persists and what a Fusion splices.
-	arr *succinctArrays
 
 	Containers []*Container
 	Sum        *Summary
-
-	// Index is the redundant B+ tree over node IDs (§2.2). With dense
-	// pre-order IDs it is not strictly necessary, but it is part of the
-	// paper's storage model and of the footprint ablation. The succinct
-	// backend — whose point is minimal resident structure — skips it.
-	Index *btree.Tree
 
 	// Models maps source-model group name -> (algorithm, codec).
 	Models map[string]GroupModel
@@ -129,59 +108,27 @@ func errTooManyNames(n int) error {
 	return fmt.Errorf("storage: %d names exceed the 16-bit tag space", n)
 }
 
-// StructureKind reports which structure backend is active.
-func (s *Store) StructureKind() StructureKind {
-	if s.succ != nil {
-		return StructSuccinct
-	}
-	return StructRecords
-}
-
 // StructureStats reports the succinct encoding's resident size in bits:
 // the BP proper (paren bitvector + rank/select directories + rmM tree),
 // the node-mark bitvector, and the tree node count they encode
-// (elements + attributes + immediate text values). All zero when the
-// record backend is resident.
+// (elements + attributes + immediate text values).
 func (s *Store) StructureStats() (bpBits, markBits, treeNodes int) {
-	if s.succ == nil {
-		return 0, 0, 0
-	}
 	bp, marks, _ := s.succ.footprintBytes()
 	return 8 * bp, 8 * marks, s.succ.isNode.Len()
 }
 
 // NumNodes returns the number of element+attribute nodes.
-func (s *Store) NumNodes() int {
-	if s.succ != nil {
-		return s.succ.numNodes()
-	}
-	return len(s.nodes)
-}
+func (s *Store) NumNodes() int { return s.succ.numNodes() }
 
 // Parent returns the parent of id (0 for the root).
-func (s *Store) Parent(id NodeID) NodeID {
-	if s.succ != nil {
-		return s.succ.parent(id)
-	}
-	return s.nodes[id-1].Parent
-}
+func (s *Store) Parent(id NodeID) NodeID { return s.succ.parent(id) }
 
 // SubtreeEnd returns the largest ID in the subtree of id.
-func (s *Store) SubtreeEnd(id NodeID) NodeID {
-	if s.succ != nil {
-		return s.succ.subtreeEnd(id)
-	}
-	return s.end[id-1]
-}
+func (s *Store) SubtreeEnd(id NodeID) NodeID { return s.succ.subtreeEnd(id) }
 
 // LevelOf returns the depth of id (the root is 1; an attribute sits one
 // below its owner element).
-func (s *Store) LevelOf(id NodeID) uint16 {
-	if s.succ != nil {
-		return s.succ.levelOf(id)
-	}
-	return s.level[id-1]
-}
+func (s *Store) LevelOf(id NodeID) uint16 { return s.succ.levelOf(id) }
 
 // IsAncestor reports whether a is an ancestor of (or equal to) d, using
 // the pre/post interval test.
@@ -190,12 +137,7 @@ func (s *Store) IsAncestor(a, d NodeID) bool {
 }
 
 // TagCodeOf returns the dictionary code of the node's tag.
-func (s *Store) TagCodeOf(id NodeID) uint16 {
-	if s.succ != nil {
-		return s.succ.tags[id-1]
-	}
-	return s.nodes[id-1].Tag
-}
+func (s *Store) TagCodeOf(id NodeID) uint16 { return s.succ.tags[id-1] }
 
 // TagOf returns the tag name of a node.
 func (s *Store) TagOf(id NodeID) string { return s.Names[s.TagCodeOf(id)] }
@@ -205,45 +147,16 @@ func (s *Store) IsAttr(id NodeID) bool { return isAttrName(s.TagOf(id)) }
 
 // Kids yields the node's children in document order: element and
 // attribute children by ID, immediate text values by value ref.
-func (s *Store) Kids(id NodeID) iter.Seq[Kid] {
-	if s.succ != nil {
-		return s.succ.kids(id)
-	}
-	n := &s.nodes[id-1]
-	return func(yield func(Kid) bool) {
-		for _, k := range n.Kids {
-			if k.IsValue() {
-				if !yield(Kid{Val: n.Values[k.ValueIndex()]}) {
-					return
-				}
-			} else if !yield(Kid{ID: k.Node()}) {
-				return
-			}
-		}
-	}
-}
+func (s *Store) Kids(id NodeID) iter.Seq[Kid] { return s.succ.kids(id) }
 
 // HasText reports whether the node has at least one immediate text
 // value (for attribute nodes: the attribute value).
-func (s *Store) HasText(id NodeID) bool {
-	if s.succ != nil {
-		return s.succ.hasText(id)
-	}
-	return len(s.nodes[id-1].Values) > 0
-}
+func (s *Store) HasText(id NodeID) bool { return s.succ.hasText(id) }
 
 // ScanNodes calls fn for every node in pre-order (= ID order) with its
 // depth — the bulk structural sweep behind shard tables and spine
-// indexes, cheaper than per-ID LevelOf on either backend.
-func (s *Store) ScanNodes(fn func(id NodeID, level uint16)) {
-	if s.succ != nil {
-		s.succ.scanNodes(fn)
-		return
-	}
-	for i, lvl := range s.level {
-		fn(NodeID(i+1), lvl)
-	}
-}
+// indexes, cheaper than per-ID LevelOf.
+func (s *Store) ScanNodes(fn func(id NodeID, level uint16)) { s.succ.scanNodes(fn) }
 
 // Container returns the i-th container.
 func (s *Store) Container(i int32) *Container { return s.Containers[i] }
@@ -261,103 +174,22 @@ func (s *Store) ContainerByPath(path string) (*Container, bool) {
 
 // Text appends the decompressed concatenation of the node's immediate
 // text values (for attribute nodes, the attribute value). It walks the
-// node's value refs directly rather than through Kids: per-tuple query
+// node's children directly rather than through Kids: per-tuple query
 // evaluation calls it once per text() item, and an iterator body that
 // captures dst and err costs six allocations a call.
 func (s *Store) Text(dst []byte, id NodeID) ([]byte, error) {
-	if s.succ != nil {
-		return s.succ.text(s.Containers, dst, id)
-	}
-	n := &s.nodes[id-1]
-	var err error
-	for _, k := range n.Kids {
-		if !k.IsValue() {
-			continue
-		}
-		v := n.Values[k.ValueIndex()]
-		if dst, err = s.Containers[v.Container].Decode(dst, int(v.Index)); err != nil {
-			return dst, err
-		}
-	}
-	return dst, nil
+	return s.succ.text(s.Containers, dst, id)
 }
 
 // DeepText appends the decompressed concatenation of every text value in
 // the subtree of id (document order) — the string value of an element.
 func (s *Store) DeepText(dst []byte, id NodeID) ([]byte, error) {
-	if s.succ != nil {
-		return s.succ.sweep(s.Names, s.Containers, dst, id, false)
-	}
-	return s.walkRecords(dst, id, false)
+	return s.succ.sweep(s.Names, s.Containers, dst, id, false)
 }
 
 // Serialize appends the XML reconstruction of the subtree rooted at id.
 // This is the XMLSerialize operator's core: the only place where whole
 // subtrees are decompressed.
 func (s *Store) Serialize(dst []byte, id NodeID) ([]byte, error) {
-	if s.succ != nil {
-		return s.succ.sweep(s.Names, s.Containers, dst, id, true)
-	}
-	return s.walkRecords(dst, id, true)
-}
-
-// walkRecords is what SuccinctStructure.sweep does, on the records
-// backend: the recursion over child lists that the sweep replaced, kept
-// because running every query under XQUEC_STRUCT=records is how the
-// differential matrices hold the sweep to it.
-func (s *Store) walkRecords(dst []byte, id NodeID, markup bool) ([]byte, error) {
-	n := &s.nodes[id-1]
-	tag := s.Names[n.Tag]
-	var err error
-	if isAttrName(tag) {
-		if !markup {
-			return s.Text(dst, id)
-		}
-		dst = append(dst, tag[1:]...)
-		dst = append(dst, '=', '"')
-		from := len(dst)
-		dst, err = s.Text(dst, id)
-		return append(xmlparser.EscapeAttrFrom(dst, from), '"'), err
-	}
-	content := 0
-	if markup {
-		dst = append(dst, '<')
-		dst = append(dst, tag...)
-		for _, k := range n.Kids {
-			if k.IsValue() || !s.IsAttr(k.Node()) {
-				content++
-				continue
-			}
-			dst = append(dst, ' ')
-			if dst, err = s.walkRecords(dst, k.Node(), true); err != nil {
-				return dst, err
-			}
-		}
-		if content == 0 {
-			return append(dst, '/', '>'), nil
-		}
-		dst = append(dst, '>')
-	}
-	for _, k := range n.Kids {
-		if k.IsValue() {
-			v := n.Values[k.ValueIndex()]
-			from := len(dst)
-			if dst, err = s.Containers[v.Container].Decode(dst, int(v.Index)); err != nil {
-				return dst, err
-			}
-			if markup {
-				dst = xmlparser.EscapeTextFrom(dst, from)
-			}
-		} else if !s.IsAttr(k.Node()) {
-			if dst, err = s.walkRecords(dst, k.Node(), markup); err != nil {
-				return dst, err
-			}
-		}
-	}
-	if markup {
-		dst = append(dst, '<', '/')
-		dst = append(dst, tag...)
-		dst = append(dst, '>')
-	}
-	return dst, nil
+	return s.succ.sweep(s.Names, s.Containers, dst, id, true)
 }

@@ -2,14 +2,14 @@ package storage
 
 import "xquec/internal/succinct"
 
-// Bulk structural kernels over the succinct backend. All take their
+// Bulk structural kernels over the paren sequence. All take their
 // inputs in strictly ascending ID order — the NodeSet invariant the
 // algebra maintains everywhere — and exploit it by walking the paren
 // and mark bitvectors forward with cursor scanners instead of issuing
 // an independent Select1 pair per node. The scalar accessors stay the
 // single source of truth for semantics; these must agree with them
-// element-for-element (pinned by the property tests and the
-// differential matrix).
+// element-for-element (pinned by the property tests and the record
+// oracle in records_test.go).
 
 // parentBulk fills out[i] with the parent of ids[i] (0 for a root).
 //
@@ -66,50 +66,10 @@ func (t *SuccinctStructure) subtreeEndBulk(ids, out []NodeID) {
 	}
 }
 
-// levelBulk fills out[i] with the depth of ids[i]; the level falls out
-// of the ordinal/position pair arithmetically.
-func (t *SuccinctStructure) levelBulk(ids []NodeID, out []uint16) {
-	ns := succinct.NewSelectScanner(t.isNode)
-	qs := succinct.NewSelectScanner(t.pv)
-	for i, id := range ids {
-		k := ns.Seek(int(id) - 1)
-		q := qs.Seek(k)
-		out[i] = uint16(2*(k+1) - (q + 1))
-	}
-}
-
 // ParentBulk fills out[i] with the parent of ids[i] (0 for a root).
 // ids must be strictly ascending; out must have len(ids) room.
-func (s *Store) ParentBulk(ids, out []NodeID) {
-	if s.succ != nil {
-		s.succ.parentBulk(ids, out)
-		return
-	}
-	for i, id := range ids {
-		out[i] = s.nodes[id-1].Parent
-	}
-}
+func (s *Store) ParentBulk(ids, out []NodeID) { s.succ.parentBulk(ids, out) }
 
 // SubtreeEndBulk fills out[i] with the largest ID in the subtree of
 // ids[i]. ids must be strictly ascending; out must have len(ids) room.
-func (s *Store) SubtreeEndBulk(ids, out []NodeID) {
-	if s.succ != nil {
-		s.succ.subtreeEndBulk(ids, out)
-		return
-	}
-	for i, id := range ids {
-		out[i] = s.end[id-1]
-	}
-}
-
-// LevelBulk fills out[i] with the depth of ids[i]. ids must be
-// strictly ascending; out must have len(ids) room.
-func (s *Store) LevelBulk(ids []NodeID, out []uint16) {
-	if s.succ != nil {
-		s.succ.levelBulk(ids, out)
-		return
-	}
-	for i, id := range ids {
-		out[i] = s.level[id-1]
-	}
-}
+func (s *Store) SubtreeEndBulk(ids, out []NodeID) { s.succ.subtreeEndBulk(ids, out) }

@@ -4,52 +4,10 @@ import (
 	"fmt"
 	"iter"
 	"math/bits"
-	"os"
 
 	"xquec/internal/succinct"
 	"xquec/internal/xmlparser"
 )
-
-// StructureKind selects the in-memory encoding of the structure tree.
-type StructureKind uint8
-
-const (
-	// StructDefault resolves to StructSuccinct unless the XQUEC_STRUCT
-	// environment variable is "records".
-	StructDefault StructureKind = iota
-	// StructRecords is the paper's explicit per-node record array
-	// (NodeRecord + parent/end/level arrays) — retained as the
-	// differential oracle and escape hatch.
-	StructRecords
-	// StructSuccinct is the balanced-parentheses self-index: ~2-3 bits
-	// per tree node instead of tens of bytes.
-	StructSuccinct
-)
-
-func (k StructureKind) String() string {
-	switch k {
-	case StructRecords:
-		return "records"
-	case StructSuccinct:
-		return "succinct"
-	}
-	return "default"
-}
-
-// resolveStructure applies the environment default. Both spellings are
-// accepted explicitly; anything else falls through to the default.
-func resolveStructure(k StructureKind) StructureKind {
-	if k != StructDefault {
-		return k
-	}
-	switch os.Getenv("XQUEC_STRUCT") {
-	case "records":
-		return StructRecords
-	case "succinct":
-		return StructSuccinct
-	}
-	return StructSuccinct
-}
 
 // Kid is one child of a node in document order: an element/attribute
 // child (ID != 0) or an immediate text value (ID == 0, Val set).
@@ -440,46 +398,6 @@ func (t *SuccinctStructure) footprintBytes() (bp, marks, refs int) {
 	marks = t.isNode.FootprintBytes()
 	refs = 2*len(t.tags) + 8*len(t.valCont)
 	return
-}
-
-// succinctToRecords rebuilds the record arrays from the paren walk —
-// the XQUEC_STRUCT=records path. The structure is well-formed — built by
-// Load, or past deriveFromSuccinct — so the walk checks nothing.
-func succinctToRecords(t *SuccinctStructure) (nodes []NodeRecord, end []NodeID, level []uint16) {
-	nNodes := t.numNodes()
-	nodes = make([]NodeRecord, nNodes)
-	end = make([]NodeID, nNodes)
-	level = make([]uint16, nNodes)
-	var stack []NodeID
-	ord, id, vord := 0, NodeID(0), 0
-	n := t.pv.Len()
-	for p := 0; p < n; p++ {
-		if !t.pv.Get(p) {
-			end[stack[len(stack)-1]-1] = id
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		if t.isNode.Get(ord) {
-			id++
-			nodes[id-1].Tag = t.tags[id-1]
-			if len(stack) > 0 {
-				parent := stack[len(stack)-1]
-				nodes[id-1].Parent = parent
-				nodes[parent-1].Kids = append(nodes[parent-1].Kids, NodeChild(id))
-			}
-			level[id-1] = uint16(len(stack) + 1)
-			stack = append(stack, id)
-		} else {
-			owner := &nodes[stack[len(stack)-1]-1]
-			owner.Kids = append(owner.Kids, ValueChild(len(owner.Values)))
-			owner.Values = append(owner.Values,
-				ValueRef{Container: t.valCont[vord], Index: t.valIdx[vord]})
-			vord++
-			p++ // consume the leaf's close
-		}
-		ord++
-	}
-	return nodes, end, level
 }
 
 // deriveFromSuccinct rebuilds everything the succinct persist section

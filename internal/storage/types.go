@@ -1,6 +1,7 @@
 // Package storage implements the XQueC compressed repository (§2.2):
-// the node-name dictionary, the structure tree of node records with its
-// B+ tree index, the per-path value containers holding individually
+// the node-name dictionary, the structure tree as a balanced-parentheses
+// self-index (which answers what the paper's node records and their B+
+// index do), the per-path value containers holding individually
 // compressed values, the structure summary, and simple statistics. It
 // also provides the loader/compressor (Fig. 1, module 1) and binary
 // persistence of the whole repository.
@@ -18,42 +19,10 @@ import (
 // order-preserving operators of the algebra rely on. 0 means "none".
 type NodeID uint32
 
-// ChildRef is one entry of a node's child list in document order. The
-// high bit discriminates: clear = element/attribute child (NodeID), set
-// = index into the node's Values (a text child).
-type ChildRef uint32
-
-const valueRefFlag ChildRef = 1 << 31
-
-// IsValue reports whether the ref denotes a text child.
-func (c ChildRef) IsValue() bool { return c&valueRefFlag != 0 }
-
-// Node returns the referenced child node ID (only if !IsValue).
-func (c ChildRef) Node() NodeID { return NodeID(c) }
-
-// ValueIndex returns the index into the owner's Values (only if IsValue).
-func (c ChildRef) ValueIndex() int { return int(c &^ valueRefFlag) }
-
-// NodeChild wraps a node ID as a ChildRef.
-func NodeChild(id NodeID) ChildRef { return ChildRef(id) }
-
-// ValueChild wraps a value index as a ChildRef.
-func ValueChild(i int) ChildRef { return ChildRef(i) | valueRefFlag }
-
 // ValueRef points at one compressed value inside a container.
 type ValueRef struct {
 	Container int32 // container index in the store
 	Index     int32 // record index within the container
-}
-
-// NodeRecord is one record of the structure tree (§2.2): tag code,
-// parent ID, children in document order, and pointers to the node's
-// values in their containers.
-type NodeRecord struct {
-	Tag    uint16
-	Parent NodeID
-	Kids   []ChildRef
-	Values []ValueRef
 }
 
 // ValueKind is the inferred elementary type of a container (§1.1: one

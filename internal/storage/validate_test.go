@@ -3,8 +3,7 @@ package storage
 import "fmt"
 
 // Validate checks the structural invariants of the repository, node by
-// node on the accessor surface, so it validates whichever backend is
-// resident. It is the slow oracle: LoadBinary proves the same
+// node on the accessor surface. It is the slow oracle: LoadBinary proves the same
 // properties while it derives the structure (see deriveFromSuccinct),
 // and the corruption suite holds the two to the same verdict.
 func (s *Store) Validate() error {

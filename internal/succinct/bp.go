@@ -204,8 +204,7 @@ func (b *BP) buildDirs() {
 // BuildDirs derives the shortcut directories from raw paren words: for
 // each rmM block, the excess entering it and the position of the
 // innermost paren still open at its boundary (-1 at depth zero). The
-// output is a pure function of the bits, so persisted directories are
-// identical whichever backend produced the file.
+// output is a pure function of the bits.
 func BuildDirs(words []uint64, nBits int) (excBase, anc []int32) {
 	nBlocks := (nBits + rmmBlockBits - 1) / rmmBlockBits
 	excBase = make([]int32, nBlocks)

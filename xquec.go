@@ -695,17 +695,10 @@ func (db *Database) Footprint() storage.Footprint {
 // xquecd_repo_resident_bytes gauge.
 func (db *Database) ResidentBytes() int { return db.Footprint().Total() }
 
-// StructureKind names the resident structure backend ("succinct" or
-// "records" — see the XQUEC_STRUCT escape hatch).
-func (db *Database) StructureKind() string {
-	return db.memberStores()[0].StructureKind().String()
-}
-
 // StructureBitsPerNode reports the density of the succinct structure
 // encoding — paren bits, rank/select and shortcut directories, and
 // node marks — aggregated over all member repositories, in bits per
-// tree node (elements + attributes + text values). Zero when the
-// record backend is resident.
+// tree node (elements + attributes + text values).
 func (db *Database) StructureBitsPerNode() float64 {
 	bits, nodes := 0, 0
 	for _, s := range db.memberStores() {
