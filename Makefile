@@ -98,6 +98,7 @@ bench-succinct:
 # One iteration of each in-process benchmark an issue's criterion cites,
 # for `make check`: proves they still compile and run, records nothing.
 # BenchmarkSuccinct* (structure density, operators, queries);
+# BenchmarkXMarkMix (bench/'s xmark_mix queries, plans cached);
 # BenchmarkFuse (one fusion of each layout next to the re-ingest it
 # replaced); BenchmarkStreamLarge (bench/'s five stream_large requests at
 # scale 8, Next + AppendXML into one buffer); BenchmarkPointLookup
@@ -106,7 +107,7 @@ bench-succinct:
 # number); BenchmarkCompressXMark (one storage.Load of the scale-1
 # document at each worker count).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct|BenchmarkFuse|BenchmarkStreamLarge|BenchmarkPointLookup|BenchmarkCompressXMark' -benchtime 1x . >/dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct|BenchmarkXMarkMix|BenchmarkFuse|BenchmarkStreamLarge|BenchmarkPointLookup|BenchmarkCompressXMark' -benchtime 1x . >/dev/null
 
 # Compiled-plan engine benchmarks: the same streaming/predicate
 # workloads on the stack VM vs the tree-walking oracle (per-item

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"xquec/internal/datagen"
 	"xquec/internal/xmarkq"
@@ -82,7 +83,9 @@ func streamLargeTexts() []xmarkq.Query {
 // BenchmarkStreamLarge runs each stream_large request the way the stream
 // handler does: Next + AppendXML into one reused buffer. MB/s is over
 // the serialized bytes; allocs/op divided by the item count (reported
-// as items/op) is the per-item allocation figure EXPERIMENTS.md quotes.
+// as items/op) is the per-item allocation figure EXPERIMENTS.md quotes;
+// first-item-ms is the mean time from Execute to the first item — the
+// in-process counterpart of the workload's first_byte_p50_ms.
 func BenchmarkStreamLarge(b *testing.B) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 8, Seed: 1})
 	db, err := Compress(doc, Options{})
@@ -98,7 +101,9 @@ func BenchmarkStreamLarge(b *testing.B) {
 			b.ReportAllocs()
 			var buf []byte
 			items, size := 0, 0
+			var first time.Duration
 			for i := 0; i < b.N; i++ {
+				start := time.Now()
 				res, err := prep.Execute(context.Background(), QueryOptions{Parallelism: 1})
 				if err != nil {
 					b.Fatal(err)
@@ -108,6 +113,9 @@ func BenchmarkStreamLarge(b *testing.B) {
 					it, ok, err := res.Next()
 					if err != nil {
 						b.Fatal(err)
+					}
+					if items == 0 {
+						first += time.Since(start)
 					}
 					if !ok {
 						break
@@ -122,6 +130,7 @@ func BenchmarkStreamLarge(b *testing.B) {
 			}
 			b.SetBytes(int64(size))
 			b.ReportMetric(float64(items), "items/op")
+			b.ReportMetric(float64(first.Microseconds())/1e3/float64(b.N), "first-item-ms")
 		})
 	}
 }

@@ -1,10 +1,11 @@
 // Package algebra implements the physical operators of the XQueC query
 // processor (§4): data-access operators over the compressed repository
-// (ContScan, ContAccess, StructureSummaryAccess, Parent, Child,
-// TextContent, structural navigation), data-combination operators
-// (merge join, hash join, structural semi-joins) and the compression-
-// aware operators (compressed-domain predicate evaluation, explicit
-// Decompress). Operators are set-at-a-time: node sequences are kept in
+// (ContScan, ContAccess, StructureSummaryAccess, Parent, TextContent and
+// structural navigation, where a Child step is an extent range, Within),
+// data-combination operators (merge join, hash join, structural
+// semi-joins) and the compression-aware operators (compressed-domain
+// predicate evaluation, explicit Decompress). Operators are
+// set-at-a-time: node sequences are kept in
 // document order (ascending pre-order IDs), which is what lets path
 // steps and structural joins run as linear merges without sorting —
 // the order-preservation property §4 highlights.
@@ -106,7 +107,7 @@ func mergeTwo(a, b NodeSet) NodeSet {
 // SortUnique sorts ids and removes duplicates, restoring the NodeSet
 // invariant after an order-destroying step (e.g. Parent). A single
 // linear scan first detects the already-strictly-ascending common case
-// (Child and Descendants call this defensively; their output is almost
+// (Parent and Descendants call this defensively; their output is almost
 // always ordered) and returns the input untouched, skipping the
 // O(n log n) sort. The ids[0] != 0 guard keeps the fast path
 // byte-identical to the sorting path, which drops zero IDs.
@@ -128,41 +129,6 @@ func SortUnique(ids []storage.NodeID) NodeSet {
 		}
 	}
 	return out
-}
-
-// Child is the Child operator: all element/attribute children of the
-// input nodes, optionally restricted to one tag ("" = all element
-// children, "@x" selects attributes). Children of a document-ordered
-// input are emitted in document order without sorting.
-func Child(s *storage.Store, in NodeSet, tag string) NodeSet {
-	var out NodeSet
-	var code uint16
-	restrict := tag != ""
-	if restrict {
-		c, ok := s.Code(tag)
-		if !ok {
-			return nil
-		}
-		code = c
-	}
-	for _, id := range in {
-		for k := range s.Kids(id) {
-			if k.ID == 0 {
-				continue
-			}
-			if restrict && s.TagCodeOf(k.ID) != code {
-				continue
-			}
-			if !restrict && s.IsAttr(k.ID) {
-				continue
-			}
-			out = append(out, k.ID)
-		}
-	}
-	// Children of distinct doc-ordered parents are doc-ordered, but a
-	// child can follow a later parent's child only when parents nest —
-	// impossible for same-level sets; restore the invariant defensively.
-	return SortUnique(out)
 }
 
 // Parent is the Parent operator: the distinct parents of the input
@@ -267,6 +233,9 @@ func Nearest(sums []*storage.SummaryNode, pos []int, id storage.NodeID) (k, i in
 		}
 		if after := seek(sn.Extent, hint, id+1); after > 0 && sn.Extent[after-1] > best {
 			k, i, best = s, after-1, sn.Extent[after-1]
+			if best == id {
+				break // an instance itself: nothing can be nearer
+			}
 		}
 	}
 	return k, i

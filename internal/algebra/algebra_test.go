@@ -64,15 +64,15 @@ func TestSummaryAccessMergesExtents(t *testing.T) {
 func TestChildAndParent(t *testing.T) {
 	s := load(t, nil)
 	persons := extent(t, s, "/site/people/person")
-	names := Child(s, persons, "name")
+	names := children(s, persons, "name")
 	if len(names) != 3 || tags(s, names) != "name,name,name" {
 		t.Fatalf("names = %v", tags(s, names))
 	}
-	all := Child(s, persons, "")
+	all := children(s, persons, "")
 	if len(all) != 6 { // name+age per person; @id excluded
 		t.Fatalf("all children = %v", tags(s, all))
 	}
-	attrs := Child(s, persons, "@id")
+	attrs := children(s, persons, "@id")
 	if len(attrs) != 3 {
 		t.Fatalf("attrs = %v", tags(s, attrs))
 	}
@@ -80,7 +80,7 @@ func TestChildAndParent(t *testing.T) {
 	if len(back) != 3 || tags(s, back) != "person,person,person" {
 		t.Fatalf("parents = %v", tags(s, back))
 	}
-	if got := Child(s, persons, "zzz"); got != nil {
+	if got := children(s, persons, "zzz"); got != nil {
 		t.Fatalf("unknown tag should give nil, got %v", got)
 	}
 }

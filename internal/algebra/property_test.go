@@ -116,7 +116,7 @@ func TestMapToAncestorMatchesNaive(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		s := randomTree(t, rng)
 		// roots of the random forest under <root> never nest
-		roots := Child(s, NodeSet{1}, "")
+		roots := children(s, NodeSet{1}, "")
 		cs := allElements(s, "c")
 		got := MapToAncestorIn(s, roots, cs)
 		var want []Pair
@@ -145,7 +145,7 @@ func TestParentChildInverse(t *testing.T) {
 		s := randomTree(t, rng)
 		for _, tag := range []string{"a", "b", "c"} {
 			nodes := allElements(s, tag)
-			kids := Child(s, nodes, "")
+			kids := children(s, nodes, "")
 			// every kid's parent is in nodes
 			parents := Parent(s, kids)
 			for _, p := range parents {

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"slices"
 	"sort"
 
 	"xquec/internal/storage"
@@ -29,6 +30,19 @@ func MapToAncestorIn(s *storage.Store, outer, inner NodeSet) []Pair {
 		}
 		if j < len(outer) && outer[j] <= d && d <= ends[j] {
 			out = append(out, Pair{A: outer[j], B: d})
+		}
+	}
+	return out
+}
+
+// children is the Child operator by brute force, for the tests that
+// still need one: the children of in, restricted to one tag ("" = every
+// element child, "@x" an attribute).
+func children(s *storage.Store, in NodeSet, tag string) NodeSet {
+	var out NodeSet
+	for id := storage.NodeID(1); int(id) <= s.NumNodes(); id++ {
+		if p := s.Parent(id); p != 0 && slices.Contains(in, p) && (s.TagOf(id) == tag || tag == "" && !s.IsAttr(id)) {
+			out = append(out, id)
 		}
 	}
 	return out

@@ -98,6 +98,24 @@ var queryBattery = []string{
 	// second with a five-member summary set on one side.
 	`FOR $a IN /root/group/entry, $b IN /root/group/entry/entry WHERE $a/label = $b/label RETURN $b/@key`,
 	`FOR $a IN /root/group/entry, $b IN /root/group/entry/* WHERE $a/@key = $b/@key RETURN <p a="{$a/num}">{$b/num/text()}</p>`,
+	// ORDER BY: keys the compiler ranks on their containers — strings,
+	// attributes, ints and decimals, over one summary node or several,
+	// missing for some tuples — and keys it does not (several text leaves,
+	// element content, a variable); both directions, with ties; two FOR
+	// clauses and a LET on both sides of the sort; a nested sort; a RETURN
+	// that fails for the tuples without a price.
+	`FOR $e IN //entry ORDER BY $e/price RETURN $e/@key`,
+	`FOR $e IN //entry ORDER BY $e/price/text() DESCENDING RETURN <e k="{$e/@key}">{$e/num/text()}</e>`,
+	`FOR $e IN //entry ORDER BY $e/@key DESCENDING RETURN $e/label/text()`,
+	`FOR $e IN /root/group/entry ORDER BY $e/label DESCENDING RETURN $e/@key`,
+	`FOR $e IN //entry ORDER BY $e/num DESCENDING RETURN $e/num/text()`,
+	`FOR $e IN //entry ORDER BY $e/text() RETURN $e/@key`,
+	`FOR $g IN /root/group ORDER BY $g/entry/label RETURN $g/@id`,
+	`FOR $n IN //nested ORDER BY $n RETURN $n/@key`,
+	`FOR $e IN //entry LET $l := $e/label ORDER BY $l RETURN $e/num/text()`,
+	`FOR $g IN /root/group, $e IN $g/entry LET $n := $e/num WHERE $n >= 20 ORDER BY $e/label RETURN <r g="{$g/@id}">{$n/text()}</r>`,
+	`FOR $g IN /root/group RETURN <g>{FOR $e IN $g//entry ORDER BY $e/num DESCENDING RETURN $e/@key}</g>`,
+	`FOR $e IN //entry ORDER BY $e/@key RETURN number($e/price)`,
 }
 
 // TestRandomDifferentialAfterReload repeats a slice of the battery on a

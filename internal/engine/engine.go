@@ -101,8 +101,9 @@ func (e *Engine) WithParallelism(n int) *Engine {
 // WithBindHook arms fn as the top-level binding observer (see the
 // bindHook field) and returns the engine. Only streamed evaluation
 // (EvalStream) fires the hook, and only for the streamable top-level
-// shapes; items produced by the eager fallback (aggregates, ORDER BY
-// rewrites) have no single origin node and never fire it.
+// shapes; items produced by the eager fallback (aggregates) have no
+// single origin node and never fire it. Under an ORDER BY it fires as
+// the tuples are collected, all before the first item.
 func (e *Engine) WithBindHook(fn func(storage.NodeID)) *Engine {
 	e.bindHook = fn
 	return e

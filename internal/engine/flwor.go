@@ -33,6 +33,12 @@ type Pushdown struct {
 type FLWORPlan struct {
 	Pushdowns map[int][]Pushdown // clause index -> pushdowns, in plan order
 	Residual  []xquery.Expr      // conjuncts evaluated per tuple
+	// Collect and Replay say, per clause, whether a LET of a FLWOR with
+	// ORDER BY is evaluated while the tuples are collected and after the
+	// sort (orderPhases); nil without ORDER BY. hides: a replayed LET
+	// refers to a name that only it or a later clause binds.
+	Collect, Replay []bool
+	hides           bool
 }
 
 // PlanFLWOR assigns WHERE conjuncts to FOR clauses; the VM compiler
@@ -40,6 +46,9 @@ type FLWORPlan struct {
 // evaluates.
 func PlanFLWOR(x *xquery.FLWOR) *FLWORPlan {
 	plan := &FLWORPlan{Pushdowns: map[int][]Pushdown{}}
+	if x.OrderBy != nil {
+		plan.Collect, plan.Replay, plan.hides = orderPhases(x)
+	}
 	clauseOf := map[string]int{}
 	for i, c := range x.Clauses {
 		if !c.Let {
@@ -210,9 +219,9 @@ func (e *Engine) evalFLWOR(x *xquery.FLWOR, env *scope) (Seq, error) {
 // RETURN chunk to emit as soon as its bindings are settled. An error
 // from emit aborts the tuple walk immediately, so a streaming consumer
 // that stops pulling also stops binding evaluation (and with it every
-// predicate-side decompression for the tuples never reached). When the
-// FLWOR has an ORDER BY, chunks are necessarily buffered and emitted
-// after the sort.
+// predicate-side decompression for the tuples never reached). With an
+// ORDER BY the walk only collects the tuples (TupleSort); the RETURN of
+// each runs after the sort, one tuple at a time.
 //
 // Every clause binds its variable into env in place — one slot per
 // clause evaluation, rewritten per tuple — and restores what it
@@ -225,8 +234,12 @@ func (e *Engine) evalFLWOR(x *xquery.FLWOR, env *scope) (Seq, error) {
 // the top-level hook.
 func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, hook func(storage.NodeID)) error {
 	plan := e.flworPlanFor(x)
-	var tuples []Seq // buffered return chunks when ordering
-	var keys []string
+	var ts *TupleSort
+	var fors []*binding // by clause: the FOR bindings a collected tuple records
+	if x.OrderBy != nil {
+		ts = NewTupleSort(x, plan, nil)
+		fors = make([]*binding, len(x.Clauses))
+	}
 
 	var walk func(ci int) error
 	// each walks the remaining clauses for the FOR item just bound.
@@ -244,22 +257,28 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 			if ok, err := e.passAll(plan.Residual, env); err != nil || !ok {
 				return err
 			}
-			v, err := e.eval(x.Return, env)
-			if err != nil {
-				return err
-			}
-			if x.OrderBy == nil {
+			if ts == nil {
+				v, err := e.eval(x.Return, env)
+				if err != nil {
+					return err
+				}
 				return emit(v)
 			}
-			key, err := e.firstString(x.OrderBy, env)
-			if err != nil {
-				return err
+			for _, b := range fors {
+				if b != nil {
+					var id storage.NodeID
+					if b.ids != nil {
+						id = b.ids[0]
+					}
+					ts.Add(id, b.item, b.sums)
+				}
 			}
-			keys = append(keys, key)
-			tuples = append(tuples, v)
-			return nil
+			return e.collectKey(ts, env)
 		}
 		cl := x.Clauses[ci]
+		if cl.Let && ts != nil && !plan.Collect[ci] {
+			return walk(ci + 1) // only the RETURN needs it, if anything does
+		}
 		seq, ids, sums, err := e.evalBindingSeq(cl.Seq, env)
 		if err != nil {
 			return err
@@ -269,6 +288,9 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 		if cl.Let {
 			b.seq, b.ids = seq, ids
 			return walk(ci + 1)
+		}
+		if ts != nil {
+			fors[ci] = b
 		}
 		pds := plan.Pushdowns[ci]
 		if ids == nil {
@@ -313,15 +335,30 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 		}
 		return nil
 	}
-	if err := walk(0); err != nil {
+	if err := walk(0); err != nil || ts == nil {
 		return err
 	}
-	for _, i := range sortedOrder(keys, x.OrderDesc) {
-		if err := emit(tuples[i]); err != nil {
+	if err := e.SortTuples(ts); err != nil {
+		return err
+	}
+	// Replay rebinds the clauses' variables: put back what they shadow.
+	for ci, cl := range x.Clauses {
+		ts.outer[ci] = env.vars[cl.Var]
+		defer env.unbind(cl.Var, ts.outer[ci])
+	}
+	for {
+		ok, err := e.replay(ts, env)
+		if err != nil || !ok {
+			return err
+		}
+		v, err := e.eval(x.Return, env)
+		if err != nil {
+			return err
+		}
+		if err := emit(v); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // sortedOrder returns the stable ORDER BY permutation of keys. The

@@ -148,23 +148,16 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 				got.Parent(id), got.SubtreeEnd(id), got.LevelOf(id), got.TagOf(id), got.HasText(id),
 				want.Parent(id), want.SubtreeEnd(id), want.LevelOf(id), want.TagOf(id), want.HasText(id), xml)
 		}
-		var gk, wk []storage.Kid
-		for k := range got.Kids(id) {
-			gk = append(gk, k)
-		}
-		for k := range want.Kids(id) {
-			wk = append(wk, k)
-		}
-		same := len(gk) == len(wk)
-		for i := 0; same && i < len(gk); i++ {
+		gr, wr := got.TextRefs(nil, id), want.TextRefs(nil, id)
+		same := len(gr) == len(wr)
+		for i := 0; same && i < len(gr); i++ {
 			// Containers are compared by path: the fused store lists them
 			// in the order the parts do. The record index is compared as
 			// it is — equal values must lie in document order.
-			same = gk[i].ID == wk[i].ID && gk[i].Val.Index == wk[i].Val.Index &&
-				(gk[i].ID != 0 || contPath(got, gk[i].Val.Container) == contPath(want, wk[i].Val.Container))
+			same = gr[i].Index == wr[i].Index && contPath(got, gr[i].Container) == contPath(want, wr[i].Container)
 		}
 		if !same {
-			t.Fatalf("node %d: kids %v, want %v\ncorpus: %s", id, gk, wk, xml)
+			t.Fatalf("node %d: text refs %v, want %v\ncorpus: %s", id, gr, wr, xml)
 		}
 	}
 

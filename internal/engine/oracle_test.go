@@ -186,6 +186,79 @@ func TestOrderByMixedKeys(t *testing.T) {
 	}
 }
 
+// TestOrderByBattery holds both evaluators to the reference on the
+// documents where ORDER BY keys are awkward, under every compression
+// plan: a missing key, an element with no text, a key of two text leaves
+// (which leaves the compiled program's rank table for the decoded keys),
+// a key path that finds several nodes, attribute keys mixing "10", "9.0"
+// and "x" and an empty attribute, typed int and decimal keys, " 3"
+// against "03", ties in both directions — through a rankable key path,
+// its text() form, a key with element content, two FOR clauses with a LET
+// on both sides of the sort, a nested sort and a RETURN that fails for
+// some tuples.
+func TestOrderByBattery(t *testing.T) {
+	docs := []string{
+		`<r><e id="1"><k>b</k></e><e id="2"/><e id="3"><k/></e><e id="4"><k>a</k></e><e id="5"><k>b</k><k>a</k></e><e id="6"><k></k></e></r>`,
+		`<r><e id="1"><k>a<!--c-->0</k></e><e id="2"><k>a1</k></e><e id="3"><k>a</k></e><e id="4"/></r>`,
+		`<r><e id="1" a="10"/><e id="2" a="9.0"/><e id="3" a="x"/><e id="4" a=""/><e id="5"/><e id="6" a="9.0"/></r>`,
+		`<r><e id="1" a="10"><k>10</k></e><e id="2" a="9.0"><k>9</k></e><e id="3" a="9"><k>-2</k></e><e id="4" a="-1"><k>10</k></e></r>`,
+		`<r><e id="1"><k>1.50</k></e><e id="2"><k>0.25</k></e><e id="3"><k>1.50</k></e><e id="4"><k>12.00</k></e></r>`,
+		`<r><e id="1"><k> 3</k></e><e id="2"><k>03</k></e><e id="3"><k>3</k></e><e id="4"><k>2</k></e></r>`,
+		`<r><e id="1"><k> 3</k></e><e id="2"><k>03</k></e><e id="3"><k>x</k></e><e id="4"><k>3</k></e></r>`,
+		`<r><e id="1"><k>b</k></e><e id="2"><k>a</k></e><e id="3"><k>b</k></e><e id="4"><k>a</k></e><e id="5"><k>b</k></e></r>`,
+		// the spellings strconv.ParseFloat takes; NaN is no number
+		`<r><e id="1" a="+1"><k>inf</k></e><e id="2" a=".5"><k>-Infinity</k></e><e id="3" a="1e3"><k>0x1p4</k></e><e id="4" a="-0"><k>INF</k></e><e id="5" a="&#160;7"><k>2</k></e></r>`,
+		`<r><e id="1"><k>2</k></e><e id="2"><k>nan</k></e><e id="3"><k>10</k></e></r>`,
+	}
+	queries := []string{
+		`FOR $e IN /r/e ORDER BY $e/k RETURN $e/@id`,
+		`FOR $e IN /r/e ORDER BY $e/k DESCENDING RETURN $e/@id`,
+		`FOR $e IN /r/e ORDER BY $e/k/text() RETURN <e id="{$e/@id}">{$e/k/text()}</e>`,
+		`FOR $e IN /r/e ORDER BY $e/@a RETURN $e/@id`,
+		`FOR $e IN /r/e ORDER BY $e/@a DESCENDING RETURN $e/@id`,
+		`FOR $e IN /r/e ORDER BY $e RETURN $e/@id`,
+		`FOR $e IN /r/e, $k IN $e/k LET $t := $k/text() WHERE $t != "b" ORDER BY $k DESCENDING RETURN <x e="{$e/@id}">{$t}</x>`,
+		`FOR $x IN /r RETURN <o>{FOR $e IN $x/e ORDER BY $e/k DESCENDING RETURN $e/@id}</o>`,
+		`FOR $e IN /r/e ORDER BY $e/k RETURN number($e/k)`,
+		`FOR $a IN /r/e RETURN <o>{FOR $b IN $a/k LET $a := $a/k ORDER BY $b DESCENDING RETURN count($a)}</o>`,
+		`FOR $b IN /r/e/k LET $a := $a/k ORDER BY $b RETURN count($a)`,
+	}
+	plans := []*storage.CompressionPlan{
+		nil,
+		{DefaultAlgorithm: storage.AlgHuffman},
+		{DefaultAlgorithm: storage.AlgHuTucker},
+	}
+	for _, doc := range docs {
+		for _, plan := range plans {
+			s, err := storage.Load([]byte(doc), storage.LoadOptions{Plan: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range queries {
+				agree(t, []byte(doc), s, q)
+			}
+		}
+	}
+	// The battery must go through the rank tables, not only around them.
+	s, err := storage.Load([]byte(docs[0]), storage.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q, ranked := range map[string]bool{queries[0]: true, queries[3]: true, queries[5]: false} {
+		expr, err := xquery.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := vm.Compile(expr, s, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dis := prog.Disassemble(); strings.Contains(dis, "ranks over") != ranked {
+			t.Errorf("%s: ranked %v, want %v:\n%s", q, !ranked, ranked, dis)
+		}
+	}
+}
+
 // TestLiteralRestrictScansOncePerRun: a literal pushdown reached once per
 // outer tuple — in a nested FLWOR, in a non-first clause, in a step
 // predicate of a relative path — matches its container once per run. The

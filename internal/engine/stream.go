@@ -15,11 +15,12 @@ var errStopStream = errors.New("engine: result stream stopped")
 
 // EvalStream evaluates a parsed query as a pull-based cursor: no
 // result items exist before the first Next, and — for the streamable
-// top-level shapes (FLWOR without ORDER BY, paths, sequences) —
-// binding evaluation, predicate work and value decompression for item
-// k+1 happen only after item k has been pulled. Non-streamable shapes
-// (aggregates, ORDER BY) evaluate on the first pull and then drain
-// incrementally, which still bounds serialization memory to one item.
+// top-level shapes (FLWORs, paths, sequences) — binding evaluation,
+// predicate work and value decompression for item k+1 happen only after
+// item k has been pulled. A FLWOR with ORDER BY collects and sorts its
+// tuples on the first pull, then evaluates one RETURN per tuple pulled.
+// Aggregates evaluate on the first pull and then drain incrementally,
+// which still bounds serialization memory to one item.
 //
 // The returned Result must be fully consumed or Closed; both release
 // the evaluation coroutine and pooled buffers.
@@ -63,8 +64,8 @@ func (e *Engine) streamTop(expr xquery.Expr, env *scope, emit func(Item) bool) e
 	switch x := expr.(type) {
 	case *xquery.FLWOR:
 		// flworEach hands over each RETURN chunk as soon as its tuple's
-		// bindings and predicates are settled; an ORDER BY buffers
-		// inside flworEach but still emits incrementally after sorting.
+		// bindings and predicates are settled — with an ORDER BY, as soon
+		// as its tuple comes up in sorted order.
 		return e.flworEach(x, env, func(v Seq) error {
 			for _, it := range v {
 				if !emit(it) {

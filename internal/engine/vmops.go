@@ -106,6 +106,13 @@ func (e *Engine) ApplyJoinPushdown(pd Pushdown, cur algebra.NodeSet, sums []*sto
 	return e.applyJoin(pd, cur, sums, env.s)
 }
 
+// CollectKey completes the tuple the VM just added to t with its key
+// (collectKey).
+func (e *Engine) CollectKey(t *TupleSort, env *Env) error { return e.collectKey(t, env.s) }
+
+// Replay binds t's next tuple into env (replay).
+func (e *Engine) Replay(t *TupleSort, env *Env) (bool, error) { return e.replay(t, env.s) }
+
 // CheckCancel polls the engine's context (amortized); the VM calls it
 // once per binding iteration.
 func (e *Engine) CheckCancel() error { return e.checkCancel() }

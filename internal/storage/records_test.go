@@ -21,6 +21,13 @@ import (
 // forward sweep replaced. It is what is left of the record backend that
 // used to be selectable in the binary.
 
+// Kid is one entry of a record's child list: an element or attribute
+// child (ID != 0) or an immediate text value (ID == 0, Val set).
+type Kid struct {
+	ID  NodeID
+	Val ValueRef
+}
+
 type record struct {
 	tag    uint16
 	parent NodeID
@@ -63,6 +70,17 @@ func records(s *Store) []record {
 
 func (r *record) hasText() bool {
 	return slices.ContainsFunc(r.kids, func(k Kid) bool { return k.ID == 0 })
+}
+
+// textRefs returns the references of the node's immediate text values.
+func (r *record) textRefs() []ValueRef {
+	var refs []ValueRef
+	for _, k := range r.kids {
+		if k.ID == 0 {
+			refs = append(refs, k.Val)
+		}
+	}
+	return refs
 }
 
 // text appends the node's immediate text values, decoded.
@@ -144,7 +162,7 @@ func everyNode(s *Store) iter.Seq[NodeID] {
 }
 
 // checkRecords holds s to its records: Parent, SubtreeEnd, LevelOf,
-// TagCodeOf, HasText, Kids and Text at every node, and Serialize and
+// TagCodeOf, HasText, TextRefs and Text at every node, and Serialize and
 // DeepText at the nodes sweepAt yields. A decode error only has to be
 // met by one on the other side — a hostile store may hold corrupt values.
 func checkRecords(t testing.TB, s *Store, sweepAt iter.Seq[NodeID]) {
@@ -166,8 +184,8 @@ func checkRecords(t testing.TB, s *Store, sweepAt iter.Seq[NodeID]) {
 				s.Parent(id), s.SubtreeEnd(id), s.LevelOf(id), s.TagCodeOf(id), s.HasText(id),
 				r.parent, r.end, r.level, r.tag, r.hasText())
 		}
-		if kids := slices.Collect(s.Kids(id)); !slices.Equal(kids, r.kids) {
-			t.Fatalf("Kids(%d) = %v, records %v", id, kids, r.kids)
+		if refs := s.TextRefs(nil, id); !slices.Equal(refs, r.textRefs()) {
+			t.Fatalf("TextRefs(%d) = %v, records %v", id, refs, r.textRefs())
 		}
 		got, gerr = s.Text(got[:0], id)
 		want, werr = r.text(s, want[:0])

@@ -156,11 +156,9 @@ func TestTextAndDeepText(t *testing.T) {
 		t.Fatalf("DeepText = %q", txt)
 	}
 	// Attribute node text.
-	var attrID NodeID
-	for k := range s.Kids(p0) {
-		if k.ID != 0 && s.IsAttr(k.ID) {
-			attrID = k.ID
-		}
+	attrID := s.Sum.Lookup("/site/people/person/@id").Extent[0]
+	if s.Parent(attrID) != p0 {
+		t.Fatalf("@id %d is not an attribute of person %d", attrID, p0)
 	}
 	atxt, err := s.Text(nil, attrID)
 	if err != nil || string(atxt) != "p0" {

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"iter"
 
 	"xquec/internal/compress"
 )
@@ -145,10 +144,6 @@ func (s *Store) TagOf(id NodeID) string { return s.Names[s.TagCodeOf(id)] }
 // IsAttr reports whether the node is an attribute node.
 func (s *Store) IsAttr(id NodeID) bool { return isAttrName(s.TagOf(id)) }
 
-// Kids yields the node's children in document order: element and
-// attribute children by ID, immediate text values by value ref.
-func (s *Store) Kids(id NodeID) iter.Seq[Kid] { return s.succ.kids(id) }
-
 // HasText reports whether the node has at least one immediate text
 // value (for attribute nodes: the attribute value).
 func (s *Store) HasText(id NodeID) bool { return s.succ.hasText(id) }
@@ -173,13 +168,15 @@ func (s *Store) ContainerByPath(path string) (*Container, bool) {
 }
 
 // Text appends the decompressed concatenation of the node's immediate
-// text values (for attribute nodes, the attribute value). It walks the
-// node's children directly rather than through Kids: per-tuple query
-// evaluation calls it once per text() item, and an iterator body that
-// captures dst and err costs six allocations a call.
+// text values (for attribute nodes, the attribute value).
 func (s *Store) Text(dst []byte, id NodeID) ([]byte, error) {
 	return s.succ.text(s.Containers, dst, id)
 }
+
+// TextRefs appends the references of the values Text would decode, in
+// document order, without decoding them: none when the node has no
+// immediate text, one for an attribute.
+func (s *Store) TextRefs(dst []ValueRef, id NodeID) []ValueRef { return s.succ.textRefs(dst, id) }
 
 // DeepText appends the decompressed concatenation of every text value in
 // the subtree of id (document order) — the string value of an element.

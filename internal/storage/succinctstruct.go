@@ -2,19 +2,11 @@ package storage
 
 import (
 	"fmt"
-	"iter"
 	"math/bits"
 
 	"xquec/internal/succinct"
 	"xquec/internal/xmlparser"
 )
-
-// Kid is one child of a node in document order: an element/attribute
-// child (ID != 0) or an immediate text value (ID == 0, Val set).
-type Kid struct {
-	ID  NodeID
-	Val ValueRef
-}
 
 // SuccinctStructure is the balanced-parentheses encoding of the
 // structure tree. Every tree node — element, attribute, and each
@@ -135,136 +127,63 @@ func (t *SuccinctStructure) levelOf(id NodeID) uint16 {
 	return uint16(2*(k+1) - (q + 1))
 }
 
-// kidsScanBits bounds the subtree size (in parens) below which kids
-// switches from the per-kid skip loop to one sequential scan of the
-// subtree's open bits. Small subtrees — the overwhelming case — then
-// cost a couple of ns per open with no per-kid rank or FindClose.
-const kidsScanBits = 2048
+// leafWalk is a walk over one node's children that stops at its
+// immediate text leaves: the paren position and open ordinal of the next
+// child.
+type leafWalk struct{ q, ord int }
 
-// kids yields the node's children in document order. Small subtrees
-// take kidsScan; larger ones the skip loop, where the open ordinal is
-// tracked incrementally — a skipped kid subtree spanning parens
-// [q, c] holds exactly (c-q+1)/2 opens — so each kid costs one
-// isNode rank plus one FindClose, with no paren ranks at all.
-func (t *SuccinctStructure) kids(id NodeID) iter.Seq[Kid] {
-	return func(yield func(Kid) bool) {
-		k := t.isNode.Select1(int(id) - 1) // open ordinal of id itself
-		q := t.pv.Select1(k)
-		c := t.bp.FindCloseAt(q, 2*(k+1)-(q+1))
-		if c-q <= kidsScanBits {
-			t.kidsScan(id, k, q, c, yield)
-			return
-		}
-		q++
-		ord := k + 1
-		for t.pv.Get(q) {
-			if t.isNode.Get(ord) {
-				if !yield(Kid{ID: NodeID(t.isNode.Rank1(ord) + 1)}) {
-					return
-				}
-				c := t.bp.FindCloseAt(q, 2*(ord+1)-(q+1))
-				ord += (c - q + 1) / 2
-				q = c + 1
-			} else {
-				v := ord - t.isNode.Rank1(ord)
-				if !yield(Kid{Val: ValueRef{Container: t.valCont[v], Index: t.valIdx[v]}}) {
-					return
-				}
-				ord++
-				q += 2 // a text leaf is always "()"
-			}
-		}
-	}
+// leaves starts a leafWalk at the first child of id.
+func (t *SuccinctStructure) leaves(id NodeID) leafWalk {
+	k := t.isNode.Select1(int(id) - 1)
+	return leafWalk{q: t.pv.Select1(k) + 1, ord: k + 1}
 }
 
-// kidsScan yields the children of the node with open ordinal k at
-// paren position q and close at c by scanning the subtree's open bits
-// word-at-a-time. No close tracking or per-kid rank is needed: the
-// excess at the ord-th open at position p is 2*(ord+1)-(p+1), so a
-// child is any open one level below the node, and pre-order ID
-// consecutivity makes the running counts of marked/unmarked opens the
-// next NodeID and text-leaf ordinal.
-func (t *SuccinctStructure) kidsScan(id NodeID, k, q, c int, yield func(Kid) bool) {
-	words := t.pv.Words()
-	marks := t.isNode.Words()
-	ord := k + 1
-	kid := int(id)        // last NodeID assigned
-	vord := k + 1 - kid   // unmarked opens before ordinal k+1
-	target := 2*(k+1) - q // child excess: excess(q)+1
-	w := (q + 1) >> 6
-	word := words[w] & (^uint64(0) << uint((q+1)&63))
-	for {
-		for word != 0 {
-			p := w<<6 + bits.TrailingZeros64(word)
-			if p >= c {
-				return
-			}
-			word &= word - 1
-			marked := marks[ord>>6]>>(uint(ord)&63)&1 == 1
-			if marked {
-				kid++
-			}
-			if 2*(ord+1)-(p+1) == target {
-				if marked {
-					if !yield(Kid{ID: NodeID(kid)}) {
-						return
-					}
-				} else if !yield(Kid{Val: ValueRef{Container: t.valCont[vord], Index: t.valIdx[vord]}}) {
-					return
-				}
-			}
-			if !marked {
-				vord++
-			}
-			ord++
+// nextLeaf returns the value-ref index of the node's next immediate text
+// leaf, or -1 at its close. An element or attribute child is skipped
+// whole: its subtree spanning parens [q, c] holds exactly (c-q+1)/2
+// opens.
+func (t *SuccinctStructure) nextLeaf(w *leafWalk) int {
+	for t.pv.Get(w.q) {
+		if !t.isNode.Get(w.ord) {
+			v := w.ord - t.isNode.Rank1(w.ord)
+			w.ord++
+			w.q += 2 // a text leaf is always "()"
+			return v
 		}
-		w++
-		if w<<6 >= c {
-			return
-		}
-		word = words[w]
+		c := t.bp.FindCloseAt(w.q, 2*(w.ord+1)-(w.q+1))
+		w.ord += (c - w.q + 1) / 2
+		w.q = c + 1
 	}
+	return -1
 }
 
 // hasText reports whether the node has at least one immediate text
 // value (for attribute nodes: the attribute value).
 func (t *SuccinctStructure) hasText(id NodeID) bool {
-	k := t.isNode.Select1(int(id) - 1)
-	q := t.pv.Select1(k) + 1
-	ord := k + 1
-	for t.pv.Get(q) {
-		if !t.isNode.Get(ord) {
-			return true
-		}
-		c := t.bp.FindCloseAt(q, 2*(ord+1)-(q+1))
-		ord += (c - q + 1) / 2
-		q = c + 1
-	}
-	return false
+	w := t.leaves(id)
+	return t.nextLeaf(&w) >= 0
 }
 
-// text appends the node's immediate text values, decoded: hasText's
-// walk over the children, decoding each text leaf it passes.
+// text appends the node's immediate text values, decoded.
 func (t *SuccinctStructure) text(conts []*Container, dst []byte, id NodeID) ([]byte, error) {
-	k := t.isNode.Select1(int(id) - 1)
-	q := t.pv.Select1(k) + 1
-	ord := k + 1
-	var err error
-	for t.pv.Get(q) {
-		if t.isNode.Get(ord) {
-			c := t.bp.FindCloseAt(q, 2*(ord+1)-(q+1))
-			ord += (c - q + 1) / 2
-			q = c + 1
-			continue
-		}
-		v := ord - t.isNode.Rank1(ord)
+	w := t.leaves(id)
+	for v := t.nextLeaf(&w); v >= 0; v = t.nextLeaf(&w) {
+		var err error
 		if dst, err = conts[t.valCont[v]].Decode(dst, int(t.valIdx[v])); err != nil {
 			return dst, err
 		}
-		ord++
-		q += 2 // a text leaf is always "()"
 	}
 	return dst, nil
+}
+
+// textRefs appends the references of the node's immediate text values —
+// what text decodes — to dst.
+func (t *SuccinctStructure) textRefs(dst []ValueRef, id NodeID) []ValueRef {
+	w := t.leaves(id)
+	for v := t.nextLeaf(&w); v >= 0; v = t.nextLeaf(&w) {
+		dst = append(dst, ValueRef{Container: t.valCont[v], Index: t.valIdx[v]})
+	}
+	return dst
 }
 
 // sweep appends the subtree of id to dst in one forward pass over its
@@ -272,10 +191,10 @@ func (t *SuccinctStructure) text(conts []*Container, dst []byte, id NodeID) ([]b
 // element's string value — text leaves only, attribute children skipped
 // (Store.DeepText). A subtree is a contiguous range whose node marks, tag
 // codes and value refs are consumed strictly in order, so the pass keeps
-// three running ordinals (pre-order consecutivity, as in kidsScan) and
-// never selects, ranks or finds a close again after locating the open of
-// id: a close paren pops the stack of open tag codes, and the pass ends
-// when that empties. Values are decoded straight into dst and escaped
+// three running ordinals (pre-order consecutivity: each open is the next
+// tag or the next value ref) and never selects, ranks or finds a close
+// again after locating the open of id: a close paren pops the stack of
+// open tag codes, and the pass ends when that empties. Values are decoded straight into dst and escaped
 // there. The walk trusts that the parens balance, that a text leaf is
 // "()", and that marks, tags, value refs and record indexes are in range
 // — which deriveFromSuccinct proved of every structure that got here.
@@ -423,7 +342,7 @@ func (t *SuccinctStructure) footprintBytes() (bp, marks, refs int) {
 //   - the counts agree: opens, node marks, tags and value refs are all
 //     consumed exactly.
 //
-// Navigation (Parent, SubtreeEnd, Kids) then agrees with this walk
+// Navigation (Parent, SubtreeEnd, Text) then agrees with this walk
 // because its directories are rebuilt from, or checked against, the
 // same paren bits (see succinct.NewBPWithDirs).
 func (s *Store) deriveFromSuccinct() error {

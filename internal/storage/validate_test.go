@@ -19,29 +19,27 @@ func (s *Store) Validate() error {
 		if p := s.Parent(id); p >= id {
 			return fmt.Errorf("storage: node %d has non-preceding parent %d", id, p)
 		}
-		if e := s.SubtreeEnd(id); e < id || int(e) > nNodes {
+		e := s.SubtreeEnd(id)
+		if e < id || int(e) > nNodes {
 			return fmt.Errorf("storage: node %d has bad subtree end %d", id, e)
 		}
-		for k := range s.Kids(id) {
-			if k.ID == 0 {
-				vr := k.Val
-				if int(vr.Container) >= len(s.Containers) || vr.Container < 0 {
-					return fmt.Errorf("storage: node %d references container %d", id, vr.Container)
-				}
-				c := s.Containers[vr.Container]
-				if int(vr.Index) >= c.Len() {
-					return fmt.Errorf("storage: node %d references record %d of %s", id, vr.Index, c.Path)
-				}
-				if c.Record(int(vr.Index)).Owner != id {
-					return fmt.Errorf("storage: value owner mismatch for node %d", id)
-				}
-				continue
+		// Parent (Enclose) and SubtreeEnd (FindClose) must agree: a node
+		// and its whole subtree lie inside its parent's subtree.
+		if p := s.Parent(id); p != 0 {
+			if pe := s.SubtreeEnd(p); id > pe || e > pe {
+				return fmt.Errorf("storage: node %d (subtree end %d) escapes parent %d ending at %d", id, e, p, pe)
 			}
-			if k.ID <= id || int(k.ID) > nNodes {
-				return fmt.Errorf("storage: node %d has bad child %d", id, k.ID)
+		}
+		for _, vr := range s.TextRefs(nil, id) {
+			if int(vr.Container) >= len(s.Containers) || vr.Container < 0 {
+				return fmt.Errorf("storage: node %d references container %d", id, vr.Container)
 			}
-			if p := s.Parent(k.ID); p != id {
-				return fmt.Errorf("storage: child %d of %d has parent %d", k.ID, id, p)
+			c := s.Containers[vr.Container]
+			if int(vr.Index) >= c.Len() {
+				return fmt.Errorf("storage: node %d references record %d of %s", id, vr.Index, c.Path)
+			}
+			if c.Record(int(vr.Index)).Owner != id {
+				return fmt.Errorf("storage: value owner mismatch for node %d", id)
 			}
 		}
 	}

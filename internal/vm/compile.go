@@ -17,9 +17,11 @@ import (
 // against the repository's structure summary, plans every nested FLWOR,
 // folds constant arithmetic, and orders each clause's literal pushdowns
 // cheapest-container-first using the cost model's measured decode
-// costs. Shapes it does not specialize (ORDER BY, constructors, nested
-// FLWOR domains) lower to fallback instructions that call into the
-// tree evaluator, so compilation always succeeds on parseable input;
+// costs; an ORDER BY key whose values live in known containers gets a
+// rank table, built here once. Shapes it does not specialize
+// (constructors, nested FLWORs, aggregates) lower to instructions that
+// call into the tree evaluator, so compilation always succeeds on
+// parseable input;
 // the error return guards against compiler bugs (it converts panics),
 // keeping the fuzz contract checkable.
 func Compile(expr xquery.Expr, store *storage.Store, src string) (prog *Program, err error) {
@@ -94,12 +96,6 @@ func (c *compiler) top(x xquery.Expr) {
 	c.emit(Instr{Op: OpReset})
 	switch e := x.(type) {
 	case *xquery.FLWOR:
-		if e.OrderBy != nil {
-			// ORDER BY buffers every tuple anyway; eager fallback emits
-			// the identical sorted stream.
-			c.fallback(x)
-			return
-		}
 		c.flwor(e)
 	case *xquery.PathExpr:
 		c.topPath(e)
@@ -130,21 +126,32 @@ func (c *compiler) topPath(p *xquery.PathExpr) {
 	c.p.instrs[i].C = int32(i + 1)
 }
 
-// flwor compiles a FLWOR (no ORDER BY) into nested cursor loops.
+// flwor compiles a FLWOR into nested cursor loops. With an ORDER BY the
+// loops end in OpCollect, and OpSort, OpReplay and the RETURN follow.
 func (c *compiler) flwor(x *xquery.FLWOR) {
 	plan := engine.PlanFLWOR(x)
 	varSums := map[string][]*storage.SummaryNode{}
 	known := map[string]bool{}
-	var endPatch []int     // instructions whose C is the block end
+	var endPatch []int     // instructions whose C is the loops' end
 	innermost := int32(-1) // pc of the innermost OpIter so far
+	var fors []int32       // the FOR clauses' cursors
+	// loop makes instruction i jump back to the innermost OpIter, or past
+	// the loops when there is none.
+	loop := func(i int) {
+		if innermost >= 0 {
+			c.p.instrs[i].C = innermost
+		} else {
+			endPatch = append(endPatch, i)
+		}
+	}
 
 	for ci, cl := range x.Clauses {
 		if cl.Let {
 			spec := c.domainFor(cl.Seq, varSums, known)
-			vi := c.addVar(cl.Var)
-			di := c.addDom(spec)
-			c.emit(Instr{Op: OpLet, A: vi, B: di})
 			c.note(cl.Var, spec, varSums, known)
+			if plan.Collect == nil || plan.Collect[ci] {
+				c.emit(Instr{Op: OpLet, A: c.addVar(cl.Var), B: c.addDom(spec)})
+			}
 			continue
 		}
 		pds := plan.Pushdowns[ci]
@@ -187,6 +194,7 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 
 		di := c.addDom(spec)
 		cu := c.newCursor()
+		fors = append(fors, cu)
 		c.emit(Instr{Op: OpScan, A: cu, B: di})
 		for _, pi := range lits {
 			c.emit(Instr{Op: OpLitRestrict, A: cu, B: pi})
@@ -196,11 +204,7 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 		}
 		vi := c.addVar(cl.Var)
 		iter := c.emit(Instr{Op: OpIter, A: cu, B: vi})
-		if innermost >= 0 {
-			c.p.instrs[iter].C = innermost
-		} else {
-			endPatch = append(endPatch, iter)
-		}
+		loop(iter)
 		if len(pds) > 0 {
 			c.emit(Instr{Op: OpDeferred, A: cu, C: int32(iter)})
 		}
@@ -213,26 +217,40 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 	}
 
 	for _, conj := range plan.Residual {
-		ei := c.addExpr(foldExpr(conj), varSums)
-		wi := c.emit(Instr{Op: OpWhere, A: ei})
-		if innermost >= 0 {
-			c.p.instrs[wi].C = innermost
-		} else {
-			endPatch = append(endPatch, wi)
-		}
+		loop(c.emit(Instr{Op: OpWhere, A: c.addExpr(foldExpr(conj), varSums)}))
 	}
 
-	c.emit(Instr{Op: OpEvalPush, A: c.addExpr(foldExpr(x.Return), varSums)})
-	es := c.emit(Instr{Op: OpEmitSeq})
-	if innermost >= 0 {
-		c.p.instrs[es].C = innermost
+	ret := c.addExpr(foldExpr(x.Return), varSums)
+	end := 0 // where the loops exit to
+	if x.OrderBy == nil {
+		c.emit(Instr{Op: OpEvalPush, A: ret})
+		loop(c.emit(Instr{Op: OpEmitSeq}))
+		end = len(c.p.instrs)
 	} else {
-		endPatch = append(endPatch, es)
+		si := c.addSort(x, plan, fors, varSums, known)
+		loop(c.emit(Instr{Op: OpCollect, A: si}))
+		end = c.emit(Instr{Op: OpSort, A: si})
+		replay := c.emit(Instr{Op: OpReplay, A: si})
+		c.emit(Instr{Op: OpEvalPush, A: ret})
+		c.emit(Instr{Op: OpEmitSeq, C: int32(replay)})
+		c.p.instrs[replay].C = int32(len(c.p.instrs))
 	}
-	end := int32(len(c.p.instrs))
 	for _, i := range endPatch {
-		c.p.instrs[i].C = end
+		c.p.instrs[i].C = int32(end)
 	}
+}
+
+// addSort pools the ORDER BY of x, with its key's rank table when the key
+// is an eligible path from a variable of known summary set (KeyRanks).
+func (c *compiler) addSort(x *xquery.FLWOR, plan *engine.FLWORPlan, fors []int32, varSums map[string][]*storage.SummaryNode, known map[string]bool) int32 {
+	ss := sortSpec{flwor: x, plan: plan, fors: fors}
+	c.eng.PlanExpr(c.p.plans, x.OrderBy, varSums)
+	if p, isPath := x.OrderBy.(*xquery.PathExpr); isPath && known[p.Var] {
+		ss.ranks = c.eng.KeyRanks(p, varSums[p.Var])
+	}
+	ss.desc = sortDesc(&ss)
+	c.p.sorts = append(c.p.sorts, ss)
+	return int32(len(c.p.sorts) - 1)
 }
 
 // note records what is statically known about a freshly bound variable.
@@ -252,9 +270,7 @@ func (c *compiler) note(name string, spec domainSpec, varSums map[string][]*stor
 func (c *compiler) domainFor(x xquery.Expr, varSums map[string][]*storage.SummaryNode, known map[string]bool) domainSpec {
 	folded := foldExpr(x)
 	spec := domainSpec{expr: folded}
-	free := map[string]bool{}
-	addFree(folded, nil, free)
-	spec.invariant = len(free) == 0
+	spec.invariant = len(engine.FreeVars(folded)) == 0
 	sums := c.eng.PlanExpr(c.p.plans, folded, varSums)
 	switch e := folded.(type) {
 	case *xquery.PathExpr:
@@ -432,82 +448,6 @@ func foldList(xs []xquery.Expr) ([]xquery.Expr, bool) {
 	return out, true
 }
 
-// ---- free-variable analysis (domain invariance) ----
-
-// addFree collects unbound variable names (the context item counts as
-// the pseudo-variable "."). Step predicates bind "." locally; FLWOR
-// clauses bind their variables for later clauses and the tail.
-func addFree(x xquery.Expr, bound map[string]bool, free map[string]bool) {
-	switch e := x.(type) {
-	case nil:
-		return
-	case *xquery.VarRef:
-		if !bound[e.Name] {
-			free[e.Name] = true
-		}
-	case *xquery.PathExpr:
-		if e.Var != "" && !bound[e.Var] {
-			free[e.Var] = true
-		}
-		var pb map[string]bool
-		for _, st := range e.Steps {
-			if len(st.Preds) == 0 {
-				continue
-			}
-			if pb == nil {
-				pb = withBound(bound, ".")
-			}
-			for _, pr := range st.Preds {
-				addFree(pr, pb, free)
-			}
-		}
-	case *xquery.Cmp:
-		addFree(e.Left, bound, free)
-		addFree(e.Right, bound, free)
-	case *xquery.Logic:
-		addFree(e.Left, bound, free)
-		addFree(e.Right, bound, free)
-	case *xquery.Arith:
-		addFree(e.Left, bound, free)
-		addFree(e.Right, bound, free)
-	case *xquery.Call:
-		for _, a := range e.Args {
-			addFree(a, bound, free)
-		}
-	case *xquery.Sequence:
-		for _, it := range e.Items {
-			addFree(it, bound, free)
-		}
-	case *xquery.ElementCtor:
-		for _, a := range e.Attrs {
-			for _, v := range a.Value {
-				addFree(v, bound, free)
-			}
-		}
-		for _, cnt := range e.Content {
-			addFree(cnt, bound, free)
-		}
-	case *xquery.FLWOR:
-		b := bound
-		for _, cl := range e.Clauses {
-			addFree(cl.Seq, b, free)
-			b = withBound(b, cl.Var)
-		}
-		addFree(e.Where, b, free)
-		addFree(e.OrderBy, b, free)
-		addFree(e.Return, b, free)
-	}
-}
-
-func withBound(bound map[string]bool, name string) map[string]bool {
-	out := make(map[string]bool, len(bound)+1)
-	for k := range bound {
-		out[k] = true
-	}
-	out[name] = true
-	return out
-}
-
 // ---- disassembly annotations ----
 
 func trunc(s string, n int) string {
@@ -548,6 +488,17 @@ func domDesc(spec *domainSpec) string {
 	return b.String()
 }
 
+func sortDesc(ss *sortSpec) string {
+	desc := trunc(ss.flwor.OrderBy.String(), 40)
+	if ss.flwor.OrderDesc {
+		desc += " descending"
+	}
+	if ss.ranks == nil {
+		return desc + " ; keys decoded"
+	}
+	return fmt.Sprintf("%s ; ranks over %d records", desc, ss.ranks.Records())
+}
+
 func predDesc(ps *predSpec) string {
 	var b strings.Builder
 	b.WriteString(trunc(ps.pd.Conj.String(), 40))
@@ -583,6 +534,13 @@ func (c *compiler) estimateSize() int {
 	for i := range p.preds {
 		ps := &p.preds[i]
 		sz += 128 + len(ps.desc) + len(ps.conts)*8
+	}
+	for i := range p.sorts {
+		ss := &p.sorts[i]
+		sz += 64 + len(ss.desc) + len(ss.fors)*4
+		if ss.ranks != nil {
+			sz += 8 * ss.ranks.Records()
+		}
 	}
 	sz += p.plans.SizeBytes()
 	sz += len(p.exprs)*16 + len(p.vars)*16

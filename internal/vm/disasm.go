@@ -36,6 +36,12 @@ func (p *Program) Disassemble() string {
 			fmt.Fprintf(&b, " done->%d", in.C)
 		case OpIterEmit:
 			fmt.Fprintf(&b, " c%d, done->%d", in.A, in.C)
+		case OpCollect:
+			fmt.Fprintf(&b, " t%d, next->%d", in.A, in.C)
+		case OpSort:
+			fmt.Fprintf(&b, " t%d              ; %s", in.A, p.sorts[in.A].desc)
+		case OpReplay:
+			fmt.Fprintf(&b, " t%d, done->%d", in.A, in.C)
 		}
 		b.WriteByte('\n')
 	}

@@ -21,6 +21,12 @@ func FuzzCompile(f *testing.F) {
 	f.Add(`FOR $x IN /site/a LET $y := $x/b WHERE $y > 1 + 2 RETURN <r>{$y}</r>`)
 	f.Add(`(1 + 2 * 3, "lit", /site/people)`)
 	f.Add(`FOR $x IN /a FOR $y IN /b WHERE $x/@id = $y/@ref RETURN $x`)
+	// ORDER BY: collect, sort on ranks or decoded keys, replay.
+	f.Add(`FOR $p IN /site/people/person ORDER BY $p/@id RETURN $p/name/text()`)
+	f.Add(`FOR $i IN /site/regions//item ORDER BY $i/location/text() DESCENDING RETURN <i>{$i/name/text()}</i>`)
+	f.Add(`FOR $p IN /site/people/person LET $a := $p/profile/age WHERE $a >= 30 ORDER BY $p/name RETURN <p a="{$a}"/>`)
+	f.Add(`FOR $o IN /site/open_auctions/open_auction ORDER BY $o/initial RETURN number($o/reserve)`)
+	f.Add(`FOR $p IN /site/people/person, $w IN $p/watches/watch ORDER BY $p DESCENDING RETURN $w/@open_auction`)
 	s := store(f)
 	f.Fuzz(func(t *testing.T, query string) {
 		if len(query) > 1024 {

@@ -5,7 +5,9 @@
 // container and summary-node operands are resolved against the
 // repository's structure summary at compile time, FLWOR clauses become
 // cursor loops, and the §4 predicate fast paths (compressed-domain
-// container matches, summary-pruned steps) are dedicated opcodes. The
+// container matches, summary-pruned steps) are dedicated opcodes. An
+// ORDER BY collects its tuples, sorts them — on container ranks when it
+// can — and evaluates one RETURN per replayed tuple, per Next. The
 // VM's run loop IS the streaming cursor: Run.Next executes instructions
 // until one emits an item, then suspends at the program counter — no
 // per-item goroutine or coroutine handoff (the iter.Pull2 hop of the
@@ -81,6 +83,14 @@ const (
 	// cursor A and emit its node (or its decoded text for text() tails)
 	// directly; jump to C when exhausted.
 	OpIterEmit
+	// OpCollect A=sort C=jump: add the FOR cursors' bindings and the key
+	// as a tuple of sorter A; jump back to C (the innermost OpIter).
+	OpCollect
+	// OpSort A=sort: order sorter A's tuples (on ranks when it can).
+	OpSort
+	// OpReplay A=sort C=jump: bind sorter A's next tuple and the LETs the
+	// RETURN needs; jump to C when none is left.
+	OpReplay
 )
 
 var opNames = [...]string{
@@ -89,6 +99,7 @@ var opNames = [...]string{
 	OpIter: "ITER", OpDeferred: "DEFERRED", OpHook: "HOOK",
 	OpLet: "LET", OpWhere: "WHERE", OpEvalPush: "EVAL",
 	OpEmitSeq: "EMITSEQ", OpIterEmit: "ITEREMIT",
+	OpCollect: "COLLECT", OpSort: "SORT", OpReplay: "REPLAY",
 }
 
 func (o Op) String() string {
@@ -143,6 +154,16 @@ type predSpec struct {
 	desc     string
 }
 
+// sortSpec is one top-level FLWOR's ORDER BY, what each run builds its
+// engine.TupleSort from.
+type sortSpec struct {
+	flwor *xquery.FLWOR
+	plan  *engine.FLWORPlan
+	fors  []int32       // the FOR clauses' cursors, in clause order
+	ranks *engine.Ranks // the key's rank table; nil: keys are decoded
+	desc  string
+}
+
 // Program is a compiled query plan: a flat instruction slice plus the
 // operand pools its instructions index into. Programs are immutable
 // after Compile and safe for any number of concurrent Runs — the plan
@@ -153,6 +174,7 @@ type Program struct {
 	doms   []domainSpec
 	preds  []predSpec
 	exprs  []xquery.Expr
+	sorts  []sortSpec
 	// plans is the pool of resolved paths and planned FLWORs: every
 	// expression a run hands to the engine finds its plan here.
 	plans   *engine.Plans
@@ -229,6 +251,7 @@ type Run struct {
 	cursors []cursor
 	stack   []emitFrame
 	doms    map[int32]*domResult
+	sorts   []*engine.TupleSort
 
 	sc   *storage.Scratch
 	err  error
@@ -270,12 +293,16 @@ func (p *Program) NewRun(opts RunOptions) (*Run, error) {
 	if err := eng.ContextErr(); err != nil {
 		return nil, err
 	}
-	return &Run{
+	r := &Run{
 		prog:    p,
 		eng:     eng,
 		env:     eng.NewEnv(),
 		cursors: make([]cursor, p.ncur),
-	}, nil
+	}
+	for _, ss := range p.sorts {
+		r.sorts = append(r.sorts, engine.NewTupleSort(ss.flwor, ss.plan, ss.ranks))
+	}
+	return r, nil
 }
 
 // Next yields the next result item. ok=false ends the stream; a
@@ -538,6 +565,37 @@ func (r *Run) next() (engine.Item, bool, error) {
 				return string(buf), true, nil
 			}
 			return id, true, nil
+
+		case OpCollect:
+			ts := r.sorts[in.A]
+			for _, cu := range p.sorts[in.A].fors {
+				if c := &r.cursors[cu]; c.curIsNode {
+					ts.Add(c.curNode, nil, c.sums)
+				} else {
+					ts.Add(0, c.seq[c.pos-1], c.sums)
+				}
+			}
+			if err := eng.CollectKey(ts, r.env); err != nil {
+				return r.fail(err)
+			}
+			r.pc = in.C
+
+		case OpSort:
+			if err := eng.SortTuples(r.sorts[in.A]); err != nil {
+				return r.fail(err)
+			}
+			r.pc++
+
+		case OpReplay:
+			ok, err := eng.Replay(r.sorts[in.A], r.env)
+			if err != nil {
+				return r.fail(err)
+			}
+			if !ok {
+				r.pc = in.C
+				continue
+			}
+			r.pc++
 
 		default:
 			return r.fail(fmt.Errorf("vm: invalid opcode %v at pc %d", in.Op, r.pc))

@@ -149,6 +149,7 @@ func TestBindHookParity(t *testing.T) {
 		`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 RETURN $p/name/text()`,
 		`/site/regions/africa/item/name/text()`,
 		`FOR $a IN /site/closed_auctions/closed_auction FOR $p IN /site/people/person WHERE $p/@id = $a/buyer/@person RETURN $p/name/text()`,
+		`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 ORDER BY $p/name DESCENDING RETURN $p/name/text()`,
 	}
 	for _, q := range hooked {
 		expr, err := xquery.Parse(q)
