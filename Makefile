@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench bench-query bench-par bench-codec bench-vm bench-succinct bench-smoke bench-diff bench-paper fuzz-smoke
+.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench bench-query bench-par bench-codec bench-succinct bench-smoke bench-diff bench-paper fuzz-smoke
 
 # Measurement is not part of the gate: bench/ (BENCHMARK.json) owns it,
 # and the `bench` target below appends to tracked BENCH_*.json files.
-check: vet vet-unsafeptr build bench-build race bench-smoke ## tier-1: vet + build + race-clean tests + bench smoke
+check: vet vet-unsafeptr build loc bench-build race bench-smoke ## tier-1: vet + build + no env reads under internal/ + race-clean tests + bench smoke
 
 vet:
 	$(GO) vet ./...
@@ -41,13 +41,16 @@ race:
 
 # Size of the thing, tracked next to ns/op (ROADMAP): non-test Go lines
 # under internal/ and in the root package, the exported-symbol count of
-# package xquec, and the environment reads left in non-test internal/
-# code (the north star wants none).
+# package xquec, and the environment reads in non-test internal/ code —
+# which must be none, so `check` fails on the first one: behaviour is
+# chosen by options, never by the environment of the process.
 loc:
 	@echo "internal/ non-test Go lines: $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "root package non-test Go lines: $$(ls *.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
 	@echo "package xquec exported symbols: $$($(GO) doc -short . | wc -l)"
-	@echo "internal/ non-test os.Getenv calls: $$(find internal -name '*.go' ! -name '*_test.go' | xargs grep -o 'os\.Getenv(' | wc -l)"
+	@n=$$(find internal -name '*.go' ! -name '*_test.go' | xargs grep -o 'os\.Getenv(' | wc -l); \
+	echo "internal/ non-test os.Getenv calls: $$n"; \
+	test $$n -eq 0 || { echo "loc: non-test code under internal/ calls os.Getenv"; exit 1; }
 
 # Serving-throughput baseline (recorded in EXPERIMENTS.md).
 bench-serve:
@@ -56,7 +59,7 @@ bench-serve:
 # Ingestion + decode + serving benchmarks with allocation counts; each
 # run appends one JSON record to BENCH_ingest.json for cross-commit
 # comparison.
-bench: bench-query bench-par bench-codec bench-vm bench-succinct
+bench: bench-query bench-par bench-codec bench-succinct
 	@$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	($(GO) test -run '^$$' -bench 'BenchmarkCompressXMark|BenchmarkDecodeScratch' -benchmem . && \
 	 $(GO) test -run '^$$' -bench BenchmarkServerQuery -benchmem ./internal/server/) \
@@ -108,15 +111,6 @@ bench-succinct:
 # document at each worker count).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct|BenchmarkXMarkMix|BenchmarkFuse|BenchmarkStreamLarge|BenchmarkPointLookup|BenchmarkCompressXMark' -benchtime 1x . >/dev/null
-
-# Compiled-plan engine benchmarks: the same streaming/predicate
-# workloads on the stack VM vs the tree-walking oracle (per-item
-# dispatch cost, first-item latency, allocs). Appends to BENCH_vm.json;
-# the before/after record lives in EXPERIMENTS.md.
-bench-vm:
-	@$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkVM(Stream|FirstResult|Predicate)' -benchmem . \
-	| /tmp/benchjson -o BENCH_vm.json -label vm-dispatch
 
 # Compare the latest two records of every benchmark log (`make bench`
 # appends a fresh record per log), benchmark by benchmark. bench-diff

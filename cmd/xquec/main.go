@@ -305,9 +305,9 @@ func cmdExplain(args []string) error {
 	return printExplain(db, *q)
 }
 
-// printExplain writes the tree-walker access plan followed by the
-// compiled stack-VM program (when the query compiles) — the pair
-// `xquec query -explain` and `xquec explain` both print.
+// printExplain writes the access plan followed by the compiled stack-VM
+// program — the pair `xquec query -explain` and `xquec explain` both
+// print.
 func printExplain(db *xquec.Database, q string) error {
 	plan, err := db.Explain(q)
 	if err != nil {
@@ -318,11 +318,7 @@ func printExplain(db *xquec.Database, q string) error {
 	if err != nil {
 		return err
 	}
-	if prog == "" {
-		fmt.Println("\ncompiled program: none (tree-walker fallback)")
-		return nil
-	}
-	fmt.Printf("\ncompiled program (engine=%s):\n%s", xquec.EvalEngine(), prog)
+	fmt.Printf("\ncompiled program:\n%s", prog)
 	return nil
 }
 

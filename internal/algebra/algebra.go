@@ -105,10 +105,10 @@ func mergeTwo(a, b NodeSet) NodeSet {
 }
 
 // SortUnique sorts ids and removes duplicates, restoring the NodeSet
-// invariant after an order-destroying step (e.g. Parent). A single
-// linear scan first detects the already-strictly-ascending common case
-// (Parent and Descendants call this defensively; their output is almost
-// always ordered) and returns the input untouched, skipping the
+// invariant after an order-destroying step (e.g. a join's partner
+// lists). A single linear scan first detects the already-strictly-
+// ascending common case (Descendants calls this defensively; its output
+// is almost always ordered) and returns the input untouched, skipping the
 // O(n log n) sort. The ids[0] != 0 guard keeps the fast path
 // byte-identical to the sorting path, which drops zero IDs.
 func SortUnique(ids []storage.NodeID) NodeSet {
@@ -129,27 +129,6 @@ func SortUnique(ids []storage.NodeID) NodeSet {
 		}
 	}
 	return out
-}
-
-// Parent is the Parent operator: the distinct parents of the input
-// nodes, in document order.
-func Parent(s *storage.Store, in NodeSet) NodeSet {
-	// One bulk pass resolves every parent: the kernel rides the
-	// document-order invariant (sibling runs repeat the previous answer,
-	// and the whole batch is one forward scan).
-	ids := make([]storage.NodeID, len(in))
-	s.ParentBulk(in, ids)
-	// Collapse adjacent duplicates while filtering roots: sibling runs
-	// in the document-ordered input repeat the same parent back to
-	// back, and dropping the repeats here usually leaves the output
-	// already strictly ascending, so SortUnique skips its sort.
-	out := ids[:0]
-	for _, p := range ids {
-		if p != 0 && (len(out) == 0 || out[len(out)-1] != p) {
-			out = append(out, p)
-		}
-	}
-	return SortUnique(out)
 }
 
 // Descendants restricts a document-ordered candidate extent to the
@@ -482,27 +461,4 @@ func JoinContainers(a, b *storage.Container) ([]Pair, bool, error) {
 	}
 	pairs, err := HashJoinContainers(a, b)
 	return pairs, false, err
-}
-
-// TextContentEach pairs each input node with its immediate text value,
-// decoded. In the paper this is a hash join between element IDs and a
-// ContScan; our node records keep direct value pointers, so it is a
-// pointer chase with one decode per value (still the only decompression
-// point). It hands one value at a time to fn, stopping early when fn
-// returns false: a consumer that abandons the iteration after N values
-// never decompresses value N+1 — the operator-level half of the
-// streaming-result contract.
-func TextContentEach(s *storage.Store, in NodeSet, fn func(text string) bool) error {
-	sc := storage.NewScratch()
-	defer sc.Release()
-	for _, id := range in {
-		buf, err := s.TextScratch(sc, id)
-		if err != nil {
-			return err
-		}
-		if !fn(string(buf)) {
-			return nil
-		}
-	}
-	return nil
 }

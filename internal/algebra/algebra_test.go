@@ -76,7 +76,7 @@ func TestChildAndParent(t *testing.T) {
 	if len(attrs) != 3 {
 		t.Fatalf("attrs = %v", tags(s, attrs))
 	}
-	back := Parent(s, names)
+	back := parents(s, names)
 	if len(back) != 3 || tags(s, back) != "person,person,person" {
 		t.Fatalf("parents = %v", tags(s, back))
 	}
@@ -253,16 +253,20 @@ func TestJoinDuplicates(t *testing.T) {
 	}
 }
 
+// TestTextContent: a text() tail decodes each owner's immediate text,
+// one value at a time through one scratch buffer.
 func TestTextContent(t *testing.T) {
 	s := load(t, nil)
 	names := extent(t, s, "/site/people/person/name")
+	sc := storage.NewScratch()
+	defer sc.Release()
 	var texts []string
-	err := TextContentEach(s, names, func(text string) bool {
-		texts = append(texts, text)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range names {
+		buf, err := s.TextScratch(sc, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts = append(texts, string(buf))
 	}
 	if strings.Join(texts, ",") != "Alice,Bob,Alice" {
 		t.Fatalf("texts = %v", texts)

@@ -3,6 +3,7 @@ package algebra
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -147,16 +148,8 @@ func TestParentChildInverse(t *testing.T) {
 			nodes := allElements(s, tag)
 			kids := children(s, nodes, "")
 			// every kid's parent is in nodes
-			parents := Parent(s, kids)
-			for _, p := range parents {
-				found := false
-				for _, n := range nodes {
-					if n == p {
-						found = true
-						break
-					}
-				}
-				if !found {
+			for _, p := range parents(s, kids) {
+				if !slices.Contains(nodes, p) {
 					t.Fatalf("parent %d not in input set", p)
 				}
 			}

@@ -47,3 +47,11 @@ func children(s *storage.Store, in NodeSet, tag string) NodeSet {
 	}
 	return out
 }
+
+// parents is the Parent operator over the store's bulk kernel: the
+// distinct parents of the input nodes, in document order.
+func parents(s *storage.Store, in NodeSet) NodeSet {
+	ids := make([]storage.NodeID, len(in))
+	s.ParentBulk(in, ids)
+	return SortUnique(slices.DeleteFunc(ids, func(p storage.NodeID) bool { return p == 0 }))
+}

@@ -92,25 +92,6 @@ func (w *Writer) WriteBits(v uint64, n int) {
 	w.nbit += n
 }
 
-// WriteCode appends a variable-length code given as packed bytes with an
-// explicit bit length, as produced by code tables.
-func (w *Writer) WriteCode(code []byte, nbits int) {
-	for nbits >= 32 {
-		w.WriteBits(uint64(binary.BigEndian.Uint32(code)), 32)
-		code = code[4:]
-		nbits -= 32
-	}
-	if nbits <= 0 {
-		return
-	}
-	var v uint64
-	nb := (nbits + 7) / 8
-	for i := 0; i < nb; i++ {
-		v = v<<8 | uint64(code[i])
-	}
-	w.WriteBits(v>>uint(8*nb-nbits), nbits)
-}
-
 // Len returns the number of bits written so far.
 func (w *Writer) Len() int { return w.nbit }
 
@@ -213,26 +194,6 @@ func (r *Reader) ReadBit() (uint, error) {
 	r.ncur--
 	r.pos++
 	return b, nil
-}
-
-// ReadBits reads n bits (n ≤ 64) MSB-first and returns them as the low
-// bits of the result.
-func (r *Reader) ReadBits(n int) (uint64, error) {
-	if n > r.end-r.pos {
-		return 0, r.errPastEnd()
-	}
-	var v uint64
-	for n > 0 {
-		k := n
-		if k > 32 {
-			k = 32
-		}
-		r.Refill()
-		v = v<<uint(k) | r.Peek(k)
-		r.Consume(k)
-		n -= k
-	}
-	return v, nil
 }
 
 // errPastEnd is the end-of-input error; ErrTruncated exposes it so

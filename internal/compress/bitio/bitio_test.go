@@ -45,9 +45,13 @@ func TestWriteBitsRoundTrip(t *testing.T) {
 	}
 	r := NewReader(w.Bytes(), w.Len())
 	for i, c := range cases {
-		got, err := r.ReadBits(c.n)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
+		var got uint64
+		for n := c.n; n > 0; {
+			k := min(n, 32)
+			r.Refill()
+			got = got<<uint(k) | r.Peek(k)
+			r.Consume(k)
+			n -= k
 		}
 		if got != c.v {
 			t.Fatalf("case %d: got %x, want %x", i, got, c.v)
@@ -69,19 +73,6 @@ func TestMSBFirstPacking(t *testing.T) {
 	w2.WriteBits(0b101, 3)
 	if got := w2.Bytes()[0]; got != 0b10100000 {
 		t.Fatalf("partial byte = %08b, want 10100000", got)
-	}
-}
-
-func TestWriteCode(t *testing.T) {
-	w := NewWriter(4)
-	// code 1101 packed as 1101_0000
-	w.WriteCode([]byte{0b11010000}, 4)
-	w.WriteCode([]byte{0b10000000}, 1)
-	if w.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", w.Len())
-	}
-	if got := w.Bytes()[0]; got != 0b11011000 {
-		t.Fatalf("byte = %08b, want 11011000", got)
 	}
 }
 

@@ -31,31 +31,6 @@ func TestWriteBitsMatchesWriteBitLoop(t *testing.T) {
 	}
 }
 
-// TestWriteCodeMatchesWriteBitLoop checks WriteCode (packed-bytes code
-// emission) against the per-bit loop at every length and alignment.
-func TestWriteCodeMatchesWriteBitLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	code := make([]byte, 16)
-	for nbits := 0; nbits <= 8*len(code); nbits++ {
-		for align := 0; align < 8; align++ {
-			rng.Read(code)
-			fast := NewWriter(0)
-			ref := NewWriter(0)
-			for i := 0; i < align; i++ {
-				fast.WriteBit(1)
-				ref.WriteBit(1)
-			}
-			fast.WriteCode(code, nbits)
-			for i := 0; i < nbits; i++ {
-				ref.WriteBit(uint(code[i>>3]>>uint(7-i&7)) & 1)
-			}
-			if !bytes.Equal(fast.Bytes(), ref.Bytes()) {
-				t.Fatalf("nbits=%d align=%d: %x vs %x", nbits, align, fast.Bytes(), ref.Bytes())
-			}
-		}
-	}
-}
-
 // TestPeekConsumeMatchesReadBit drives Refill/Peek/Consume with random
 // window widths and checks every bit against a ReadBit-loop reader over
 // the same buffer.

@@ -116,6 +116,11 @@ var queryBattery = []string{
 	`FOR $g IN /root/group, $e IN $g/entry LET $n := $e/num WHERE $n >= 20 ORDER BY $e/label RETURN <r g="{$g/@id}">{$n/text()}</r>`,
 	`FOR $g IN /root/group RETURN <g>{FOR $e IN $g//entry ORDER BY $e/num DESCENDING RETURN $e/@key}</g>`,
 	`FOR $e IN //entry ORDER BY $e/@key RETURN number($e/price)`,
+	// A clause source sees the clauses before it in the current tuple,
+	// never its own or a later clause's binding from the previous one:
+	// over two groups or more, both fail with an unbound $a.
+	`FOR $g IN /root/group LET $a := (if ($g/@id = "g0") then "first" else $a) RETURN $a`,
+	`FOR $g IN /root/group, $a IN (if ($g/@id = "g0") then /root/group else $a) RETURN $a/@id`,
 }
 
 // TestRandomDifferentialAfterReload repeats a slice of the battery on a

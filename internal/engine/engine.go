@@ -51,12 +51,13 @@ type Engine struct {
 	par int
 	// bindHook, when armed, observes the top-level binding node each
 	// streamed item originates from: the clause-0 FOR binding of a
-	// top-level FLWOR, or the matched node of a top-level path. It fires
-	// on the evaluation goroutine strictly before the items derived from
-	// that binding are emitted, so a cursor consumer reading the last
-	// hooked node after Next sees the current item's origin. The shard
-	// coordinator uses this to assign each item a global document-order
-	// rank without touching serialization.
+	// top-level FLWOR, or the matched node of a top-level path. The
+	// compiled program fires it (Hook) on the evaluation goroutine
+	// strictly before the items derived from that binding are emitted,
+	// so a cursor consumer reading the last hooked node after Next sees
+	// the current item's origin. The shard coordinator uses this to
+	// assign each item a global document-order rank without touching
+	// serialization.
 	bindHook func(storage.NodeID)
 }
 
@@ -99,10 +100,10 @@ func (e *Engine) WithParallelism(n int) *Engine {
 }
 
 // WithBindHook arms fn as the top-level binding observer (see the
-// bindHook field) and returns the engine. Only streamed evaluation
-// (EvalStream) fires the hook, and only for the streamable top-level
-// shapes; items produced by the eager fallback (aggregates) have no
-// single origin node and never fire it. Under an ORDER BY it fires as
+// bindHook field) and returns the engine. Only a compiled program's run
+// fires the hook, and only for top-level FLWORs and paths; items of an
+// expression evaluated whole (aggregates) have no single origin node and
+// never fire it, and neither does Eval. Under an ORDER BY it fires as
 // the tuples are collected, all before the first item.
 func (e *Engine) WithBindHook(fn func(storage.NodeID)) *Engine {
 	e.bindHook = fn
@@ -119,12 +120,6 @@ func (e *Engine) Query(src string) (*Result, error) {
 		return nil, err
 	}
 	return e.Eval(expr)
-}
-
-// QueryContext is Query with cancellation: the evaluation loop polls
-// ctx and aborts with ctx.Err() once it is done.
-func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) {
-	return e.WithContext(ctx).Query(src)
 }
 
 // Eval evaluates a parsed query.

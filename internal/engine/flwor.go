@@ -42,8 +42,8 @@ type FLWORPlan struct {
 }
 
 // PlanFLWOR assigns WHERE conjuncts to FOR clauses; the VM compiler
-// lowers a top-level FLWOR from the same assignment the tree walker
-// evaluates.
+// lowers a top-level FLWOR from the same assignment flworEach evaluates
+// a nested one with.
 func PlanFLWOR(x *xquery.FLWOR) *FLWORPlan {
 	plan := &FLWORPlan{Pushdowns: map[int][]Pushdown{}}
 	if x.OrderBy != nil {
@@ -200,10 +200,7 @@ func (e *Engine) flworPlanFor(x *xquery.FLWOR) *FLWORPlan {
 // RETURN chunk into one sequence.
 func (e *Engine) evalFLWOR(x *xquery.FLWOR, env *scope) (Seq, error) {
 	var out Seq
-	err := e.flworEach(x, env, func(v Seq) error {
-		out = append(out, v...)
-		return nil
-	}, nil)
+	err := e.flworEach(x, env, func(v Seq) { out = append(out, v...) })
 	if err != nil {
 		return nil, err
 	}
@@ -216,23 +213,14 @@ func (e *Engine) evalFLWOR(x *xquery.FLWOR, env *scope) (Seq, error) {
 // between variables are answered by a container join index built once
 // (the compressed merge join of the Q9 plan when the sides share a
 // source model) instead of rescanning per outer binding — handing each
-// RETURN chunk to emit as soon as its bindings are settled. An error
-// from emit aborts the tuple walk immediately, so a streaming consumer
-// that stops pulling also stops binding evaluation (and with it every
-// predicate-side decompression for the tuples never reached). With an
+// RETURN chunk to emit as soon as its bindings are settled. With an
 // ORDER BY the walk only collects the tuples (TupleSort); the RETURN of
 // each runs after the sort, one tuple at a time.
 //
 // Every clause binds its variable into env in place — one slot per
 // clause evaluation, rewritten per tuple — and restores what it
 // shadowed when its domain is exhausted.
-//
-// hook, when non-nil, observes the clause-0 FOR binding node before the
-// tuples derived from it are walked (the Engine.bindHook contract). It
-// is threaded explicitly — not read from the engine — so nested FLWORs
-// evaluated inside RETURN/WHERE (which go through evalFLWOR) never fire
-// the top-level hook.
-func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, hook func(storage.NodeID)) error {
+func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq)) error {
 	plan := e.flworPlanFor(x)
 	var ts *TupleSort
 	var fors []*binding // by clause: the FOR bindings a collected tuple records
@@ -243,12 +231,9 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 
 	var walk func(ci int) error
 	// each walks the remaining clauses for the FOR item just bound.
-	each := func(ci int, b *binding, filters []xquery.Expr) error {
+	each := func(ci int, filters []xquery.Expr) error {
 		if ok, err := e.passAll(filters, env); err != nil || !ok {
 			return err
-		}
-		if hook != nil && ci == 0 && b.ids != nil {
-			hook(b.ids[0])
 		}
 		return walk(ci + 1)
 	}
@@ -262,7 +247,8 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 				if err != nil {
 					return err
 				}
-				return emit(v)
+				emit(v)
+				return nil
 			}
 			for _, b := range fors {
 				if b != nil {
@@ -300,7 +286,7 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 			}
 			for _, it := range seq {
 				b.set(it)
-				if err := each(ci, b, fallbackFilters); err != nil {
+				if err := each(ci, fallbackFilters); err != nil {
 					return err
 				}
 			}
@@ -329,7 +315,7 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 		}
 		for _, id := range cur {
 			b.setNode(id)
-			if err := each(ci, b, perTuple); err != nil {
+			if err := each(ci, perTuple); err != nil {
 				return err
 			}
 		}
@@ -355,9 +341,7 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq) error, ho
 		if err != nil {
 			return err
 		}
-		if err := emit(v); err != nil {
-			return err
-		}
+		emit(v)
 	}
 }
 

@@ -197,8 +197,8 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 
 	for _, q := range queries {
 		for _, ev := range evaluators {
-			gr, gerr := ev.run(got, q)
-			wr, werr := ev.run(want, q)
+			gr, gerr := ev.run(t, got, q)
+			wr, werr := ev.run(t, want, q)
 			if (gerr == nil) != (werr == nil) || gr != wr {
 				t.Fatalf("%s: %s\nfused:      %q (%v)\nre-ingested: %q (%v)\ncorpus: %s", ev.name, q, gr, gerr, wr, werr, xml)
 			}
@@ -348,7 +348,7 @@ func TestFusedKeepsJunctionTextApart(t *testing.T) {
 		t.Fatalf("fused store serializes to %s (%v), FuseXML is %s", out, err, xml)
 	}
 	for _, ev := range evaluators {
-		if got, err := ev.run(st, `/site/text()`); err != nil || got != "tailhead" {
+		if got, err := ev.run(t, st, `/site/text()`); err != nil || got != "tailhead" {
 			t.Fatalf("%s: /site/text() = %q (%v), want tailhead", ev.name, got, err)
 		}
 	}

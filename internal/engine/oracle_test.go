@@ -14,28 +14,29 @@ import (
 	"xquec/internal/xquery"
 )
 
-// evaluators are the two ways a query runs over a store: the tree
-// walker and the compiled program. Both must agree with the DOM
-// reference, which shares no code (and so no mistake) with either.
+// evaluators are the compiled program — the way a query runs — and the
+// engine's eager evaluator, the oracle of the VM's own tests. Both must
+// agree with the DOM reference, which shares no code (and so no
+// mistake) with either. A query that parses must compile.
 var evaluators = []struct {
 	name string
-	run  func(*storage.Store, string) (string, error)
+	run  func(*testing.T, *storage.Store, string) (string, error)
 }{
-	{"tree", func(s *storage.Store, q string) (string, error) {
+	{"eager", func(_ *testing.T, s *storage.Store, q string) (string, error) {
 		res, err := engine.New(s).Query(q)
 		if err != nil {
 			return "", err
 		}
 		return res.SerializeXML()
 	}},
-	{"vm", func(s *storage.Store, q string) (string, error) {
+	{"vm", func(t *testing.T, s *storage.Store, q string) (string, error) {
 		expr, err := xquery.Parse(q)
 		if err != nil {
 			return "", err
 		}
 		prog, err := vm.Compile(expr, s, q)
 		if err != nil {
-			return "", err
+			t.Fatalf("compile %s: %v", q, err)
 		}
 		res, err := prog.Run(vm.RunOptions{Parallelism: 1})
 		if err != nil {
@@ -58,7 +59,7 @@ func agree(t *testing.T, doc []byte, s *storage.Store, q string) {
 		}
 	}
 	for _, ev := range evaluators {
-		gs, gerr := ev.run(s, q)
+		gs, gerr := ev.run(t, s, q)
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("%s: error mismatch: got %v, reference %v\nquery: %s\ndoc: %s", ev.name, gerr, werr, q, doc)
 		}
@@ -169,7 +170,7 @@ func TestOrderByMixedKeys(t *testing.T) {
 				t.Fatal(err)
 			}
 			agree(t, doc, s, q)
-			got, err := evaluators[0].run(s, q)
+			got, err := evaluators[0].run(t, s, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -300,7 +301,7 @@ func TestLiteralRestrictScansOncePerRun(t *testing.T) {
 				}
 				agree(t, d, s, q)
 				before := storage.DecodeOps()
-				if _, err := ev.run(s, q); err != nil {
+				if _, err := ev.run(t, s, q); err != nil {
 					t.Fatal(err)
 				}
 				deltas = append(deltas, storage.DecodeOps()-before)

@@ -1,15 +1,20 @@
-package engine
+package engine_test
 
 import (
 	"context"
 	"io"
 	"strings"
 	"testing"
+
+	"xquec/internal/engine"
+	"xquec/internal/storage"
+	"xquec/internal/vm"
+	"xquec/internal/xquery"
 )
 
-// streamQueries covers every top-level shape EvalStream dispatches on:
+// streamQueries covers every top-level shape a compiled program streams:
 // paths (with and without a text() tail), FLWOR (plain, nested, WHERE,
-// ORDER BY), sequences, and the eager fallbacks (aggregates,
+// ORDER BY), sequences, and the expressions evaluated whole (aggregates,
 // constructors).
 var streamQueries = []string{
 	`document("d")/site/people/person/name/text()`,
@@ -26,18 +31,55 @@ var streamQueries = []string{
 	`<wrap>{/site/people/person/name}</wrap>`,
 }
 
+func peopleStore(t *testing.T) *storage.Store {
+	t.Helper()
+	s, err := storage.Load([]byte(engine.PeopleDoc), storage.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// stream compiles q against s and starts one run of it under ctx.
+func stream(t *testing.T, ctx context.Context, s *storage.Store, q string) *engine.Result {
+	t.Helper()
+	expr, err := xquery.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := vm.Compile(expr, s, q)
+	if err != nil {
+		t.Fatalf("Compile(%s): %v", q, err)
+	}
+	res, err := prog.Run(vm.RunOptions{Ctx: ctx, Parallelism: 1})
+	if err != nil {
+		t.Fatalf("Run(%s): %v", q, err)
+	}
+	return res
+}
+
+// eager evaluates q with the engine's eager evaluator.
+func eager(t *testing.T, s *storage.Store, q string) string {
+	t.Helper()
+	res, err := engine.New(s).Query(q)
+	if err != nil {
+		t.Fatalf("Query(%s): %v", q, err)
+	}
+	out, err := res.SerializeXML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestStreamMatchesEager is the equivalence anchor: draining the
-// streaming cursor must be byte-identical to the eager evaluator for
-// every shape.
+// program's streaming cursor must be byte-identical to the eager
+// evaluator for every shape.
 func TestStreamMatchesEager(t *testing.T) {
-	e := newEngine(t, peopleDoc)
+	s := peopleStore(t)
 	for _, q := range streamQueries {
-		want := run(t, e, q)
-		res, err := e.QueryStream(q)
-		if err != nil {
-			t.Fatalf("QueryStream(%s): %v", q, err)
-		}
-		got, err := res.SerializeXML()
+		want := eager(t, s, q)
+		got, err := stream(t, context.Background(), s, q).SerializeXML()
 		if err != nil {
 			t.Fatalf("SerializeXML(%s): %v", q, err)
 		}
@@ -48,11 +90,7 @@ func TestStreamMatchesEager(t *testing.T) {
 }
 
 func TestStreamNextAndLen(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	res, err := e.QueryStream(`/site/people/person/name/text()`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := stream(t, context.Background(), peopleStore(t), `/site/people/person/name/text()`)
 	// Len before any Next materializes without losing items.
 	if res.Len() != 3 {
 		t.Fatalf("Len = %d", res.Len())
@@ -76,15 +114,11 @@ func TestStreamNextAndLen(t *testing.T) {
 	}
 }
 
-// TestStreamEarlyClose stops consuming after one item; the generator
-// must unwind cleanly (no goroutine leak panics under -race, no error)
-// and the cursor must stay closed.
+// TestStreamEarlyClose stops consuming after one item; the run must stop
+// cleanly (no error, its scratch released) and the cursor must stay
+// closed.
 func TestStreamEarlyClose(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	res, err := e.QueryStream(`FOR $p IN /site/people/person RETURN $p/name/text()`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := stream(t, context.Background(), peopleStore(t), `FOR $p IN /site/people/person RETURN $p/name/text()`)
 	if _, ok, err := res.Next(); !ok || err != nil {
 		t.Fatalf("first Next: ok=%v err=%v", ok, err)
 	}
@@ -97,11 +131,8 @@ func TestStreamEarlyClose(t *testing.T) {
 }
 
 func TestStreamEvalError(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	res, err := e.QueryStream(`$undefined`)
-	if err != nil {
-		t.Fatal(err) // construction succeeds; the error surfaces on pull
-	}
+	// Starting the run succeeds; the error surfaces on pull.
+	res := stream(t, context.Background(), peopleStore(t), `$undefined`)
 	if _, ok, err := res.Next(); ok || err == nil {
 		t.Fatalf("Next = ok=%v err=%v, want error", ok, err)
 	}
@@ -112,12 +143,8 @@ func TestStreamEvalError(t *testing.T) {
 }
 
 func TestStreamContextCancel(t *testing.T) {
-	e := newEngine(t, peopleDoc)
 	ctx, cancel := context.WithCancel(context.Background())
-	res, err := e.WithContext(ctx).QueryStream(`/site/people/person/name/text()`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := stream(t, ctx, peopleStore(t), `/site/people/person/name/text()`)
 	if _, ok, err := res.Next(); !ok || err != nil {
 		t.Fatalf("first Next: ok=%v err=%v", ok, err)
 	}
@@ -128,12 +155,10 @@ func TestStreamContextCancel(t *testing.T) {
 }
 
 func TestStreamWriteXML(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	want := run(t, e, `/site/people/person/name/text()`)
-	res, err := e.QueryStream(`/site/people/person/name/text()`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := peopleStore(t)
+	const q = `/site/people/person/name/text()`
+	want := eager(t, s, q)
+	res := stream(t, context.Background(), s, q)
 	var sb strings.Builder
 	n, err := res.WriteXML(&sb)
 	if err != nil {

@@ -45,10 +45,10 @@ type Seq []Item
 
 // Result is the outcome of a query: a pull-based cursor over the
 // result sequence. Results built by Eval arrive fully materialized;
-// results built by EvalStream compute items on demand, so a consumer
-// that serializes one item at a time holds O(1 item) of decompressed
-// data, and one that stops after N items (or cancels its context)
-// stops evaluation-side decoding too.
+// results a compiled program's run drives (NewPullResult) compute items
+// on demand, so a consumer that serializes one item at a time holds
+// O(1 item) of decompressed data, and one that stops after N items (or
+// cancels its context) stops evaluation-side decoding too.
 type Result struct {
 	store *storage.Store
 	ctx   context.Context // non-nil when the evaluation is cancellable
@@ -57,8 +57,8 @@ type Result struct {
 	// read cursor. Eager results start with queue fully populated.
 	queue Seq
 	qpos  int
-	// pull/stop drive the lazy source (iter.Pull2 over the push
-	// evaluator); nil for eager results and after exhaustion.
+	// pull/stop drive the lazy source (the program's run loop); nil for
+	// eager results and after exhaustion.
 	pull func() (Item, error, bool)
 	stop func()
 

@@ -3,56 +3,88 @@ package engine
 // vmops exports the evaluator's internals to the bytecode VM
 // (internal/vm). The VM's compiler resolves structure-summary targets
 // and predicate containers at compile time and its run loop drives
-// binding iteration directly, but every set-at-a-time operation — path
+// binding iteration directly; every set-at-a-time operation — path
 // navigation, compressed-domain container matches, join indexes,
-// per-tuple expression evaluation — runs through the same engine code
-// the tree walker uses, so the two evaluators are byte-identical by
-// construction wherever the VM delegates here.
+// per-tuple expression evaluation — runs through the engine code here,
+// the same code the eager Eval (the oracle of the VM's tests) runs.
 
 import (
-	"context"
-
 	"xquec/internal/algebra"
 	"xquec/internal/storage"
 	"xquec/internal/xquery"
 )
 
 // Env is an exported handle on the evaluation environment (variable
-// bindings plus their summary-node provenance). The VM keeps one Env
-// per run and rebinds variables in place as its cursors advance; the
-// engine binds nested FLWOR variables into the same scope and restores
-// what they shadowed, so the VM's slots survive every call.
-type Env struct{ s *scope }
+// bindings plus their summary-node provenance) for the clauses of a
+// compiled FLWOR. The clause bound k-th binds at depth k, and binding
+// there first unbinds every deeper clause, restoring what each shadowed:
+// a clause source evaluated after its enclosing FOR clause rebinds sees
+// exactly the clauses before it in the current tuple — never its own or
+// a later clause's binding from the previous tuple, which flworEach's
+// scoping has already dropped. The engine binds nested FLWOR
+// variables into the same scope and restores what they shadowed, so the
+// VM's bindings survive every call.
+type Env struct {
+	s      *scope
+	frames []frame // the bound clauses, by depth; a slot outlives its frame
+}
+
+// frame is one bound clause: its variable, the slot holding its value,
+// and the binding the slot shadows.
+type frame struct {
+	name        string
+	b, shadowed *binding
+}
 
 // NewEnv returns a fresh, empty environment.
 func (e *Engine) NewEnv() *Env { return &Env{s: newScope()} }
 
 // Reset drops every binding (the VM emits a reset at each top-level
-// block boundary so sibling blocks cannot see each other's variables,
-// matching the tree walker's scoping).
-func (v *Env) Reset() { v.s = newScope() }
+// block boundary so sibling blocks cannot see each other's variables).
+func (v *Env) Reset() {
+	v.s = newScope()
+	v.frames = v.frames[:0]
+}
 
-func (v *Env) slot(name string, sums []*storage.SummaryNode) *binding {
-	b := v.s.vars[name]
-	if b == nil {
-		b = &binding{}
-		v.s.vars[name] = b
+// slot unbinds the clauses deeper than depth and returns the slot of the
+// clause at depth, installing it under name when that clause is not
+// bound yet — the clauses above it are. A FOR clause's next tuple
+// rebinds the installed slot, allocating nothing.
+func (v *Env) slot(depth int, name string, sums []*storage.SummaryNode) *binding {
+	for len(v.frames) > depth+1 {
+		f := &v.frames[len(v.frames)-1]
+		v.s.unbind(f.name, f.shadowed)
+		v.frames = v.frames[:len(v.frames)-1]
 	}
+	if len(v.frames) == depth {
+		if depth < cap(v.frames) {
+			v.frames = v.frames[:depth+1]
+		} else {
+			v.frames = append(v.frames, frame{})
+		}
+		f := &v.frames[depth]
+		if f.b == nil {
+			f.b = &binding{}
+		}
+		f.name, f.shadowed = name, v.s.vars[name]
+		v.s.vars[name] = f.b
+	}
+	b := v.frames[depth].b
 	b.sums = sums
 	return b
 }
 
-// Bind sets a variable's value — a document-ordered node set when ids
-// is non-nil, else a generic sequence the caller no longer writes to —
-// and its summary provenance.
-func (v *Env) Bind(name string, seq Seq, ids algebra.NodeSet, sums []*storage.SummaryNode) {
-	b := v.slot(name, sums)
+// Bind binds the clause at depth to a value — a document-ordered node
+// set when ids is non-nil, else a generic sequence the caller no longer
+// writes to — and its summary provenance.
+func (v *Env) Bind(depth int, name string, seq Seq, ids algebra.NodeSet, sums []*storage.SummaryNode) {
+	b := v.slot(depth, name, sums)
 	b.seq, b.ids, b.item = seq, ids, nil
 }
 
-// BindNode rebinds a FOR variable to one node, allocating nothing.
-func (v *Env) BindNode(name string, id storage.NodeID, sums []*storage.SummaryNode) {
-	v.slot(name, sums).setNode(id)
+// BindNode binds the FOR clause at depth to one node.
+func (v *Env) BindNode(depth int, name string, id storage.NodeID, sums []*storage.SummaryNode) {
+	v.slot(depth, name, sums).setNode(id)
 }
 
 // WithPlans hands the engine the plans its program was compiled with.
@@ -61,10 +93,9 @@ func (e *Engine) WithPlans(pl *Plans) *Engine {
 	return e
 }
 
-// EvalExpr evaluates an arbitrary expression under env — the VM's
-// fallback for shapes it does not compile (nested FLWORs, constructors,
-// aggregates), identical to the tree walker because it IS the tree
-// walker.
+// EvalExpr evaluates an arbitrary expression under env — how the VM
+// runs the shapes it does not compile into instructions (nested
+// FLWORs, constructors, aggregates).
 func (e *Engine) EvalExpr(x xquery.Expr, env *Env) (Seq, error) {
 	return e.eval(x, env.s)
 }
@@ -118,16 +149,13 @@ func (e *Engine) Replay(t *TupleSort, env *Env) (bool, error) { return e.replay(
 func (e *Engine) CheckCancel() error { return e.checkCancel() }
 
 // ContextErr reports the armed context's error, nil when none is armed
-// (the up-front deadline check EvalStream performs).
+// (the up-front deadline check a run performs, as Eval does).
 func (e *Engine) ContextErr() error {
 	if e.ctx == nil {
 		return nil
 	}
 	return e.ctx.Err()
 }
-
-// Context returns the armed context (nil when none).
-func (e *Engine) Context() context.Context { return e.ctx }
 
 // Hook returns the armed bind hook (nil when none); the VM fires it for
 // clause-0 FOR bindings and top-level path nodes, strictly before the

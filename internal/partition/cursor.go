@@ -26,23 +26,18 @@ type Request struct {
 	// Expr is the parsed form of Query; nil forces a parse per part.
 	Expr xquery.Expr
 	// ProgramFor, when non-nil, supplies the compiled program for a part
-	// store (nil return = tree walker) — a prepared statement passes its
-	// per-store lookup here, so every part compiles once per statement
-	// and the programs die with it. When nil, parts compile on the spot.
-	ProgramFor func(*storage.Store) *vm.Program
+	// store — a prepared statement passes its per-store lookup here, so
+	// every part compiles once per statement and the programs die with
+	// it. When nil, parts compile on the spot.
+	ProgramFor func(*storage.Store) (*vm.Program, error)
 }
 
-// program resolves the compiled program for st under the engine
-// selection read at evaluation time; nil means the tree walker.
-func (r *Request) program(expr xquery.Expr, st *storage.Store) *vm.Program {
-	if !vm.Enabled() {
-		return nil
-	}
+// program resolves the compiled program for st.
+func (r *Request) program(expr xquery.Expr, st *storage.Store) (*vm.Program, error) {
 	if r.ProgramFor != nil {
 		return r.ProgramFor(st)
 	}
-	prog, _ := vm.Compile(expr, st, r.Query)
-	return prog
+	return vm.Compile(expr, st, r.Query)
 }
 
 // Item is one part's result item: its global document-order rank and
@@ -72,7 +67,7 @@ func closeStreams(streams []Stream) {
 }
 
 // openPart starts the evaluation of req on one part. Evaluation is
-// lazy: the engine only advances inside the stream's Next.
+// lazy: the program only advances inside the stream's Next.
 func (s *Set) openPart(ctx context.Context, part int, req Request) (Stream, error) {
 	expr := req.Expr
 	if expr == nil {
@@ -87,17 +82,11 @@ func (s *Set) openPart(ctx context.Context, part int, req Request) (Stream, erro
 	if s.Layout.Interleaved {
 		hook = func(id storage.NodeID) { ps.origin = id }
 	}
-	var err error
-	if prog := req.program(expr, store); prog != nil {
-		ps.res, err = prog.Run(vm.RunOptions{Ctx: ctx, Parallelism: req.Parallelism, BindHook: hook})
-	} else {
-		ps.res, err = engine.New(store).
-			WithContext(ctx).
-			WithParallelism(req.Parallelism).
-			WithBindHook(hook).
-			EvalStream(expr)
-	}
+	prog, err := req.program(expr, store)
 	if err != nil {
+		return nil, err
+	}
+	if ps.res, err = prog.Run(vm.RunOptions{Ctx: ctx, Parallelism: req.Parallelism, BindHook: hook}); err != nil {
 		return nil, err
 	}
 	return ps, nil
@@ -107,7 +96,7 @@ func (s *Set) openPart(ctx context.Context, part int, req Request) (Stream, erro
 // each item with its merge rank. On a contiguous layout that is the
 // part index: everything below the root of part k precedes part k+1 in
 // the corpus. On an interleaved layout it is the global rank of the
-// subtree the item's binding lies in; origin is written by the engine's
+// subtree the item's binding lies in; origin is written by the program's
 // bind hook strictly before the item it belongs to is yielded, and the
 // evaluation only advances inside Next, so reading origin after Next is
 // race-free.

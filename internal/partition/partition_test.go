@@ -30,18 +30,18 @@ func mustLoad(t *testing.T, doc string, dict []string) *storage.Store {
 	return st
 }
 
-// storeXML evaluates the query on one store with a plain engine.
+// storeXML evaluates the query on one store with the engine's eager
+// evaluator, which shares no per-part or merge code with a set.
 func storeXML(t *testing.T, st *storage.Store, query string) string {
 	t.Helper()
 	expr, err := xquery.Parse(query)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := engine.New(st).EvalStream(expr)
+	res, err := engine.New(st).Eval(expr)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
-	defer res.Close()
 	var sb strings.Builder
 	if _, err := res.WriteXML(&sb); err != nil {
 		t.Fatalf("serialize: %v", err)

@@ -34,22 +34,11 @@ type Metrics struct {
 	Timeouts      atomic.Int64 // aborted by deadline or client disconnect
 	InFlight      atomic.Int64 // gauge: queries currently evaluating
 
-	RepoHits   atomic.Int64 // repository pool hits
-	RepoMisses atomic.Int64 // repository pool misses (loads)
-	PlanHits   atomic.Int64 // plan cache hits
-	PlanMisses atomic.Int64 // plan cache misses (parses)
-
-	// Plan-cache traffic split by evaluation engine ("vm" = compiled
-	// program, "tree" = AST walker oracle). The unlabeled PlanHits/
-	// PlanMisses above stay authoritative for totals; labeled misses
-	// count only successful prepares (a parse error has no engine).
-	PlanHitsVM        atomic.Int64
-	PlanHitsTree      atomic.Int64
-	PlanMissesVM      atomic.Int64
-	PlanMissesTree    atomic.Int64
-	PlanEvictionsVM   atomic.Int64
-	PlanEvictionsTree atomic.Int64
-	PlanCacheBytes    atomic.Int64 // gauge: resident plan-cache bytes (CostBytes sum)
+	RepoHits       atomic.Int64 // repository pool hits
+	RepoMisses     atomic.Int64 // repository pool misses (loads)
+	PlanHits       atomic.Int64 // plan cache hits
+	PlanMisses     atomic.Int64 // plan cache misses (parses)
+	PlanCacheBytes atomic.Int64 // gauge: resident plan-cache bytes (CostBytes sum)
 
 	ResultItems atomic.Int64 // result sequence items returned
 	ResultBytes atomic.Int64 // serialized result bytes returned
@@ -91,32 +80,10 @@ type Metrics struct {
 	fbBkt   [len(latencyBounds) + 1]atomic.Int64
 
 	// Compiled-program length (instructions), observed once per plan
-	// compile (plan-cache miss that produced a VM program).
+	// compile (a plan-cache miss that prepared the query).
 	progCount atomic.Int64
 	progSum   atomic.Int64
 	progBkt   [len(programLenBounds) + 1]atomic.Int64
-}
-
-// AddPlanHit records an engine-labeled plan cache hit.
-func (m *Metrics) AddPlanHit(engine string) { m.planEngine(&m.PlanHitsVM, &m.PlanHitsTree, engine) }
-
-// AddPlanMiss records an engine-labeled plan cache miss (after a
-// successful prepare — a parse failure has no engine to attribute).
-func (m *Metrics) AddPlanMiss(engine string) {
-	m.planEngine(&m.PlanMissesVM, &m.PlanMissesTree, engine)
-}
-
-// AddPlanEviction records an engine-labeled plan cache eviction.
-func (m *Metrics) AddPlanEviction(engine string) {
-	m.planEngine(&m.PlanEvictionsVM, &m.PlanEvictionsTree, engine)
-}
-
-func (m *Metrics) planEngine(vm, tree *atomic.Int64, engine string) {
-	if engine == "vm" {
-		vm.Add(1)
-	} else {
-		tree.Add(1)
-	}
 }
 
 // ObserveProgramLen records one compiled program's instruction count.
@@ -171,12 +138,6 @@ type Snapshot struct {
 	RepoMisses      int64   `json:"repo_misses"`
 	PlanHits        int64   `json:"plan_hits"`
 	PlanMisses      int64   `json:"plan_misses"`
-	PlanHitsVM      int64   `json:"plan_hits_vm"`
-	PlanHitsTree    int64   `json:"plan_hits_tree"`
-	PlanMissesVM    int64   `json:"plan_misses_vm"`
-	PlanMissesTree  int64   `json:"plan_misses_tree"`
-	PlanEvictVM     int64   `json:"plan_evictions_vm"`
-	PlanEvictTree   int64   `json:"plan_evictions_tree"`
 	PlanCacheBytes  int64   `json:"plan_cache_bytes"`
 	ResultItems     int64   `json:"result_items"`
 	ResultBytes     int64   `json:"result_bytes"`
@@ -250,12 +211,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		RepoMisses:     m.RepoMisses.Load(),
 		PlanHits:       m.PlanHits.Load(),
 		PlanMisses:     m.PlanMisses.Load(),
-		PlanHitsVM:     m.PlanHitsVM.Load(),
-		PlanHitsTree:   m.PlanHitsTree.Load(),
-		PlanMissesVM:   m.PlanMissesVM.Load(),
-		PlanMissesTree: m.PlanMissesTree.Load(),
-		PlanEvictVM:    m.PlanEvictionsVM.Load(),
-		PlanEvictTree:  m.PlanEvictionsTree.Load(),
 		PlanCacheBytes: m.PlanCacheBytes.Load(),
 		ResultItems:    m.ResultItems.Load(),
 		ResultBytes:    m.ResultBytes.Load(),
@@ -325,16 +280,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("xquecd_repo_cache_misses_total", "Repository pool misses.", m.RepoMisses.Load())
 	counter("xquecd_plan_cache_hits_total", "Plan cache hits.", m.PlanHits.Load())
 	counter("xquecd_plan_cache_misses_total", "Plan cache misses.", m.PlanMisses.Load())
-	labeled := func(name, help string, vm, tree int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		fmt.Fprintf(w, "%s{engine=\"vm\"} %d\n%s{engine=\"tree\"} %d\n", name, vm, name, tree)
-	}
-	labeled("xquecd_plancache_hits", "Plan cache hits by evaluation engine.",
-		m.PlanHitsVM.Load(), m.PlanHitsTree.Load())
-	labeled("xquecd_plancache_misses", "Plan cache misses (successful prepares) by evaluation engine.",
-		m.PlanMissesVM.Load(), m.PlanMissesTree.Load())
-	labeled("xquecd_plancache_evictions", "Plan cache evictions by evaluation engine.",
-		m.PlanEvictionsVM.Load(), m.PlanEvictionsTree.Load())
 	fmt.Fprintf(w, "# HELP xquecd_plan_cache_bytes Resident plan-cache size (compiled-program bytes).\n")
 	fmt.Fprintf(w, "# TYPE xquecd_plan_cache_bytes gauge\nxquecd_plan_cache_bytes %d\n", m.PlanCacheBytes.Load())
 	fmt.Fprintf(w, "# HELP xquecd_program_len Compiled program length in instructions.\n")

@@ -73,19 +73,19 @@ func TestPlanCacheByteAccounting(t *testing.T) {
 	p1 := testPrepared(t, `count(/doc/a)`)
 	p2 := testPrepared(t, `count(/doc)`)
 	p3 := testPrepared(t, `/doc/a/text()`)
-	if _, bytes := c.Put("r", "t", "q1", p1); bytes != int64(p1.CostBytes()) {
+	if bytes := c.Put("r", "t", "q1", p1); bytes != int64(p1.CostBytes()) {
 		t.Fatalf("bytes after first Put = %d, want %d", bytes, p1.CostBytes())
 	}
 	c.Put("r", "t", "q2", p2)
-	evicted, bytes := c.Put("r", "t", "q3", p3) // evicts q1 (LRU)
-	if len(evicted) != 1 || evicted[0] != p1.EngineLabel() {
-		t.Fatalf("evicted = %v", evicted)
+	bytes := c.Put("r", "t", "q3", p3) // evicts q1 (LRU)
+	if c.Get("r", "t", "q1") != nil || c.Stats().Evictions != 1 {
+		t.Fatalf("q1 not evicted: %+v", c.Stats())
 	}
 	if want := int64(p2.CostBytes() + p3.CostBytes()); bytes != want {
 		t.Fatalf("bytes after eviction = %d, want %d", bytes, want)
 	}
 	// Replacing an entry swaps its charge rather than double-counting.
-	if _, bytes := c.Put("r", "t", "q3", p1); bytes != int64(p2.CostBytes()+p1.CostBytes()) {
+	if bytes := c.Put("r", "t", "q3", p1); bytes != int64(p2.CostBytes()+p1.CostBytes()) {
 		t.Fatalf("bytes after replace = %d", bytes)
 	}
 	c.Invalidate("r")

@@ -333,16 +333,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // ExplainResponse is the /query?explain=1 response body: the access
-// plan from the tree explainer plus, when the query compiles, the
-// stack-VM program disassembly the server would actually execute.
+// plan plus the stack-VM program disassembly the server would actually
+// execute.
 type ExplainResponse struct {
-	Repo   string `json:"repo"`
-	Query  string `json:"query"`
-	Engine string `json:"engine"`
-	Plan   string `json:"plan"`
-	// Program is the compiled bytecode disassembly; empty when the
-	// query falls back to the tree walker.
-	Program string `json:"program,omitempty"`
+	Repo    string `json:"repo"`
+	Query   string `json:"query"`
+	Plan    string `json:"plan"`
+	Program string `json:"program"`
 }
 
 // handleExplain answers POST /query?explain=1: it plans the query but
@@ -367,12 +364,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, req QueryRequest) {
 		writeJSON(w, statusFor(err), errorResponse{err.Error()})
 		return
 	}
-	engine := xquec.EvalEngine()
-	if program == "" {
-		engine = "tree"
-	}
 	writeJSON(w, http.StatusOK, ExplainResponse{
-		Repo: req.Repo, Query: req.Query, Engine: engine, Plan: plan, Program: program,
+		Repo: req.Repo, Query: req.Query, Plan: plan, Program: program,
 	})
 }
 
@@ -401,22 +394,14 @@ func (s *Server) resolve(ctx context.Context, req QueryRequest) (res *xquec.Resu
 	planCached = prep != nil
 	if planCached {
 		s.metrics.PlanHits.Add(1)
-		s.metrics.AddPlanHit(prep.EngineLabel())
 	} else {
 		s.metrics.PlanMisses.Add(1)
 		prep, err = db.Prepare(req.Query)
 		if err != nil {
 			return nil, planCached, repoCached, statusFor(err), err
 		}
-		s.metrics.AddPlanMiss(prep.EngineLabel())
-		if n := prep.ProgramLen(); n > 0 {
-			s.metrics.ObserveProgramLen(n)
-		}
-		evicted, bytes := s.plans.Put(req.Repo, topo, req.Query, prep)
-		for _, engine := range evicted {
-			s.metrics.AddPlanEviction(engine)
-		}
-		s.metrics.PlanCacheBytes.Store(bytes)
+		s.metrics.ObserveProgramLen(prep.ProgramLen())
+		s.metrics.PlanCacheBytes.Store(s.plans.Put(req.Repo, topo, req.Query, prep))
 	}
 
 	res, err = prep.Execute(ctx, s.queryOptions(req))

@@ -171,17 +171,6 @@ func (v *Bitvector) Rank1(i int) int {
 	return r
 }
 
-// Rank0 returns the number of clear bits in [0, i).
-func (v *Bitvector) Rank0(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i > v.n {
-		i = v.n
-	}
-	return i - v.Rank1(i)
-}
-
 // rankAtBlock returns the number of ones before block blk.
 func (v *Bitvector) rankAtBlock(blk int) int {
 	return int(v.super[blk*blockBits/superBits]) + int(v.block[blk])

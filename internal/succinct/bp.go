@@ -1,8 +1,8 @@
 package succinct
 
 // BP is a balanced-parentheses sequence (bit 1 = open, 0 = close) with
-// the navigation primitives of a succinct ordinal tree: FindClose,
-// FindOpen and Enclose run a forward/backward excess search over a
+// the navigation primitives of a succinct ordinal tree: FindClose and
+// Enclose run a forward/backward excess search over a
 // range min-max tree of 1024-bit blocks, with byte-granular excess
 // tables inside a block. Excess(i) is the number of opens minus closes
 // in [0, i] — the depth after processing position i.
@@ -280,9 +280,6 @@ func (b *BP) Len() int { return b.bv.Len() }
 // the structure layer).
 func (b *BP) Bitvector() *Bitvector { return b.bv }
 
-// IsOpen reports whether position i is an open paren.
-func (b *BP) IsOpen(i int) bool { return b.bv.Get(i) }
-
 // Excess returns the excess after processing position i (the depth of
 // the node opened at i, when i is an open paren). Excess(-1) is 0.
 func (b *BP) Excess(i int) int {
@@ -307,16 +304,6 @@ func (b *BP) FindCloseAt(i, excess int) int {
 		return i + 1
 	}
 	return b.fwdSearch(i, excess, excess-1)
-}
-
-// FindOpen returns the position of the open paren matching the close
-// paren at i.
-func (b *BP) FindOpen(i int) int {
-	// Leaf fast path: "()" — the previous paren is the match.
-	if i > 0 && b.bv.Get(i-1) {
-		return i - 1
-	}
-	return b.bwdSearch(i, b.Excess(i)) + 1
 }
 
 // Enclose returns the position of the open paren of the closest

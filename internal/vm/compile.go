@@ -20,10 +20,9 @@ import (
 // costs; an ORDER BY key whose values live in known containers gets a
 // rank table, built here once. Shapes it does not specialize
 // (constructors, nested FLWORs, aggregates) lower to instructions that
-// call into the tree evaluator, so compilation always succeeds on
-// parseable input;
-// the error return guards against compiler bugs (it converts panics),
-// keeping the fuzz contract checkable.
+// hand the expression to the engine, so compilation succeeds on every
+// parseable query; the error return reports a compiler bug (a recovered
+// panic) instead of crashing the caller.
 func Compile(expr xquery.Expr, store *storage.Store, src string) (prog *Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -31,9 +30,8 @@ func Compile(expr xquery.Expr, store *storage.Store, src string) (prog *Program,
 		}
 	}()
 	c := &compiler{
-		p:      &Program{src: src, store: store, plans: engine.NewPlans()},
-		eng:    engine.New(store),
-		varIdx: map[string]int32{},
+		p:   &Program{src: src, store: store, plans: engine.NewPlans()},
+		eng: engine.New(store),
 	}
 	c.top(expr)
 	c.emit(Instr{Op: OpHalt})
@@ -43,10 +41,9 @@ func Compile(expr xquery.Expr, store *storage.Store, src string) (prog *Program,
 }
 
 type compiler struct {
-	p      *Program
-	eng    *engine.Engine // compile-time summary/container resolution only
-	varIdx map[string]int32
-	ncur   int32
+	p    *Program
+	eng  *engine.Engine // compile-time summary/container resolution only
+	ncur int32
 }
 
 func (c *compiler) emit(in Instr) int {
@@ -59,17 +56,13 @@ func (c *compiler) newCursor() int32 {
 	return c.ncur - 1
 }
 
-func (c *compiler) addVar(name string) int32 {
-	if i, ok := c.varIdx[name]; ok {
-		return i
-	}
-	i := int32(len(c.p.vars))
-	c.p.vars = append(c.p.vars, name)
-	c.varIdx[name] = i
-	return i
+// addVar pools the variable of a clause bound at depth.
+func (c *compiler) addVar(name string, depth int32) int32 {
+	c.p.vars = append(c.p.vars, varSpec{name: name, depth: depth})
+	return int32(len(c.p.vars) - 1)
 }
 
-// addExpr pools an expression the tree evaluator will run, planning its
+// addExpr pools an expression the engine will evaluate, planning its
 // paths and nested FLWORs under the variables in scope.
 func (c *compiler) addExpr(x xquery.Expr, varSums map[string][]*storage.SummaryNode) int32 {
 	c.eng.PlanExpr(c.p.plans, x, varSums)
@@ -83,8 +76,7 @@ func (c *compiler) addDom(spec domainSpec) int32 {
 }
 
 // top compiles one top-level block per sequence item. Each block gets a
-// fresh environment (OpReset): the tree walker never mutates the
-// top-level scope, so sibling blocks must not see each other's
+// fresh environment (OpReset): sibling blocks must not see each other's
 // variables.
 func (c *compiler) top(x xquery.Expr) {
 	if seq, ok := x.(*xquery.Sequence); ok {
@@ -104,7 +96,7 @@ func (c *compiler) top(x xquery.Expr) {
 	}
 }
 
-// fallback lowers a block to one tree-evaluator call plus streaming
+// fallback lowers a block to one engine evaluation plus streaming
 // emission of its result sequence.
 func (c *compiler) fallback(x xquery.Expr) {
 	ei := c.addExpr(foldExpr(x), nil)
@@ -135,6 +127,7 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 	var endPatch []int     // instructions whose C is the loops' end
 	innermost := int32(-1) // pc of the innermost OpIter so far
 	var fors []int32       // the FOR clauses' cursors
+	depth := int32(0)      // clauses bound so far
 	// loop makes instruction i jump back to the innermost OpIter, or past
 	// the loops when there is none.
 	loop := func(i int) {
@@ -150,7 +143,8 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 			spec := c.domainFor(cl.Seq, varSums, known)
 			c.note(cl.Var, spec, varSums, known)
 			if plan.Collect == nil || plan.Collect[ci] {
-				c.emit(Instr{Op: OpLet, A: c.addVar(cl.Var), B: c.addDom(spec)})
+				c.emit(Instr{Op: OpLet, A: c.addVar(cl.Var, depth), B: c.addDom(spec)})
+				depth++
 			}
 			continue
 		}
@@ -162,7 +156,7 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 		// clause summary is statically known resolve their containers
 		// now; the rest resolve (or defer) at runtime. Slots remember
 		// each pushdown's original plan position so deferred filters
-		// evaluate in tree-walker order no matter how restricts are
+		// evaluate in plan order no matter how restricts are
 		// reordered.
 		var lits, joins []int32
 		for slot, pd := range pds {
@@ -202,7 +196,8 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 		for _, pi := range joins {
 			c.emit(Instr{Op: OpJoinRestrict, A: cu, B: pi})
 		}
-		vi := c.addVar(cl.Var)
+		vi := c.addVar(cl.Var, depth)
+		depth++
 		iter := c.emit(Instr{Op: OpIter, A: cu, B: vi})
 		loop(iter)
 		if len(pds) > 0 {
@@ -319,13 +314,13 @@ func decodeCost(name string) float64 {
 // ---- constant folding ----
 
 // foldExpr folds constant arithmetic (+, -, *, div over numeric
-// literals — exactly the operations whose tree evaluation is a pure
+// literals — exactly the operations whose engine evaluation is a pure
 // float64 function, since formatNum/parseNum round-trip float64
-// losslessly). mod is excluded: the tree evaluator faults on zero
-// divisors at evaluation time and folding would move that fault to
-// compile time. Folding builds new nodes along changed spines only —
-// the input AST is shared with the tree oracle and with pushdown
-// conjunct identity, and is never mutated.
+// losslessly). mod is excluded: the engine faults on zero divisors at
+// evaluation time and folding would move that fault to compile time.
+// Folding builds new nodes along changed spines only — the input AST is
+// shared with the prepared statement and with pushdown conjunct
+// identity, and is never mutated.
 func foldExpr(x xquery.Expr) xquery.Expr {
 	switch e := x.(type) {
 	case *xquery.Arith:
@@ -543,9 +538,9 @@ func (c *compiler) estimateSize() int {
 		}
 	}
 	sz += p.plans.SizeBytes()
-	sz += len(p.exprs)*16 + len(p.vars)*16
+	sz += len(p.exprs)*16 + len(p.vars)*24
 	for _, v := range p.vars {
-		sz += len(v)
+		sz += len(v.name)
 	}
 	return sz
 }

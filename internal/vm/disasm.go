@@ -21,13 +21,13 @@ func (p *Program) Disassemble() string {
 		case OpLitRestrict, OpJoinRestrict:
 			fmt.Fprintf(&b, " c%d, p%d          ; %s", in.A, in.B, p.preds[in.B].desc)
 		case OpIter:
-			fmt.Fprintf(&b, " c%d -> $%s, done->%d", in.A, p.vars[in.B], in.C)
+			fmt.Fprintf(&b, " c%d -> $%s, done->%d", in.A, p.vars[in.B].name, in.C)
 		case OpDeferred:
 			fmt.Fprintf(&b, " c%d, fail->%d", in.A, in.C)
 		case OpHook:
 			fmt.Fprintf(&b, " c%d", in.A)
 		case OpLet:
-			fmt.Fprintf(&b, " $%s <- d%d       ; %s", p.vars[in.A], in.B, p.doms[in.B].desc)
+			fmt.Fprintf(&b, " $%s <- d%d       ; %s", p.vars[in.A].name, in.B, p.doms[in.B].desc)
 		case OpWhere:
 			fmt.Fprintf(&b, " e%d, fail->%d     ; %s", in.A, in.C, trunc(p.exprs[in.A].String(), 48))
 		case OpEvalPush:

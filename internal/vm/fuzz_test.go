@@ -9,11 +9,11 @@ import (
 
 // FuzzCompile feeds arbitrary query text through the full
 // parse→compile→run pipeline and cross-checks the compiled program
-// against the tree-walking oracle: any input that parses must either
-// compile and produce byte-identical output (and identical errors), or
-// be declined by the compiler — never compile into a program that
-// disagrees. The seed corpus is the unit battery, so `go test` alone
-// replays every compiled construct through the differential check.
+// against the eager evaluator: any input that parses must compile — a
+// compile error is a query the user cannot run — and produce
+// byte-identical output, or fail with the same error. The seed corpus is
+// the unit battery, so `go test` alone replays every compiled construct
+// through the differential check.
 func FuzzCompile(f *testing.F) {
 	for _, q := range queryBattery() {
 		f.Add(q.Text)
@@ -38,9 +38,9 @@ func FuzzCompile(f *testing.F) {
 		}
 		prog, err := Compile(expr, s, query)
 		if err != nil {
-			return // declining is a legal fallback, miscompiling is not
+			t.Fatalf("%q: %v", query, err)
 		}
-		vOut, vErr := func() (string, error) {
+		got, vErr := func() (string, error) {
 			res, err := prog.Run(RunOptions{})
 			if err != nil {
 				return "", err
@@ -48,22 +48,15 @@ func FuzzCompile(f *testing.F) {
 			defer res.Close()
 			return drain(s, res.Next)
 		}()
-		tOut, tErr := func() (string, error) {
-			res, err := engine.New(s).EvalStream(expr)
+		want, wErr := func() (string, error) {
+			res, err := engine.New(s).Eval(expr)
 			if err != nil {
 				return "", err
 			}
-			defer res.Close()
 			return drain(s, res.Next)
 		}()
-		if (vErr == nil) != (tErr == nil) {
-			t.Fatalf("%q: vm err=%v, tree err=%v", query, vErr, tErr)
-		}
-		if vErr != nil && vErr.Error() != tErr.Error() {
-			t.Fatalf("%q: vm err %q, tree err %q", query, vErr, tErr)
-		}
-		if vOut != tOut {
-			t.Fatalf("%q: output mismatch\n--- vm ---\n%s\n--- tree ---\n%s", query, vOut, tOut)
+		if err := differ(want, wErr, got, vErr); err != "" {
+			t.Fatalf("%q: %s", query, err)
 		}
 	})
 }

@@ -10,31 +10,27 @@
 // can — and evaluates one RETURN per replayed tuple, per Next. The
 // VM's run loop IS the streaming cursor: Run.Next executes instructions
 // until one emits an item, then suspends at the program counter — no
-// per-item goroutine or coroutine handoff (the iter.Pull2 hop of the
-// tree walker's EvalStream).
+// per-item goroutine or coroutine handoff.
 //
-// Everything set-at-a-time — path navigation, container scans, join
-// indexes, per-tuple fallback evaluation — delegates to the same
-// internal/engine code the tree walker runs, which is what makes the
-// two evaluators byte-identical by construction. The tree walker stays
-// available as an oracle behind XQUEC_EVAL=tree.
+// A compiled program is the only way a query runs. Everything
+// set-at-a-time — path navigation, container scans, join indexes, the
+// expressions a program hands over whole (constructors, aggregates,
+// nested FLWORs) — delegates to internal/engine, the VM's operand
+// library. Its eager evaluator (Engine.Eval) is the differential oracle
+// of this package's tests; the DOM evaluator of
+// internal/baselines/galaxlike, which shares no code with either, is the
+// oracle of the end-to-end ones.
 package vm
 
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"xquec/internal/algebra"
 	"xquec/internal/engine"
 	"xquec/internal/storage"
 	"xquec/internal/xquery"
 )
-
-// Enabled reports whether compiled-plan evaluation is selected (the
-// default). Setting XQUEC_EVAL=tree switches every evaluation back to
-// the tree-walking oracle; any other value keeps the VM.
-func Enabled() bool { return os.Getenv("XQUEC_EVAL") != "tree" }
 
 // Op is a VM opcode.
 type Op uint8
@@ -44,7 +40,7 @@ const (
 	OpHalt Op = iota
 	// OpReset installs a fresh variable environment (emitted at each
 	// top-level block boundary so sibling blocks cannot observe each
-	// other's bindings, matching tree-walker scoping).
+	// other's bindings).
 	OpReset
 	// OpScan A=cursor B=domain: evaluate a FOR domain (or top-level
 	// path) into cursor A. Invariant domains are computed once per run.
@@ -57,8 +53,9 @@ const (
 	// via the engine's per-comparison join index, else deferred.
 	OpJoinRestrict
 	// OpIter A=cursor B=var C=jump: advance cursor A and bind its
-	// current item to var; jump to C when exhausted (the enclosing
-	// clause's OpIter, or the block end for clause 0).
+	// current item to var, unbinding the clauses after it; jump to C
+	// when exhausted (the enclosing clause's OpIter, or the block end for
+	// clause 0).
 	OpIter
 	// OpDeferred A=cursor C=jump: evaluate the cursor's deferred
 	// conjuncts (original plan order) against the fresh binding; jump
@@ -72,9 +69,9 @@ const (
 	// OpWhere A=expr C=jump: residual WHERE conjunct; jump back to C
 	// (the innermost OpIter) when false.
 	OpWhere
-	// OpEvalPush A=expr: evaluate an expression through the tree
-	// evaluator and push the sequence onto the emit stack (RETURN
-	// bodies the compiler does not specialize, eager fallback blocks).
+	// OpEvalPush A=expr: evaluate an expression through the engine and
+	// push the sequence onto the emit stack (RETURN bodies the compiler
+	// does not specialize, eager blocks).
 	OpEvalPush
 	// OpEmitSeq C=jump: emit the top-of-stack sequence one item per
 	// Next; pop and jump to C when drained.
@@ -154,6 +151,13 @@ type predSpec struct {
 	desc     string
 }
 
+// varSpec is the variable one FLWOR clause binds, and its depth: the
+// number of clauses of the FLWOR the program binds before it.
+type varSpec struct {
+	name  string
+	depth int32
+}
+
 // sortSpec is one top-level FLWOR's ORDER BY, what each run builds its
 // engine.TupleSort from.
 type sortSpec struct {
@@ -178,7 +182,7 @@ type Program struct {
 	// plans is the pool of resolved paths and planned FLWORs: every
 	// expression a run hands to the engine finds its plan here.
 	plans   *engine.Plans
-	vars    []string
+	vars    []varSpec
 	ncur    int
 	store   *storage.Store
 	sizeEst int
@@ -259,8 +263,8 @@ type Run struct {
 }
 
 // Run starts one execution and returns it wrapped as a streaming
-// engine.Result: the VM loop is the cursor behind Result.Next. The
-// up-front deadline check matches EvalStream's contract.
+// engine.Result: the VM loop is the cursor behind Result.Next. An
+// already-expired deadline fails here, before any evaluation work.
 func (p *Program) Run(opts RunOptions) (*engine.Result, error) {
 	r, err := p.NewRun(opts)
 	if err != nil {
@@ -386,7 +390,7 @@ func (r *Run) next() (engine.Item, bool, error) {
 			c.seqMode = res.ids == nil
 			// Reset the deferred slots. In sequence mode (the domain is
 			// not a node set) every pushdown becomes a per-tuple filter,
-			// exactly like the tree walker's fallbackFilters.
+			// as engine.flworEach does for a nested FLWOR.
 			if n := len(spec.preds); n > 0 {
 				if cap(c.deferred) < n {
 					c.deferred = make([]xquery.Expr, n)
@@ -459,12 +463,13 @@ func (r *Run) next() (engine.Item, bool, error) {
 				r.pc = in.C
 				continue
 			}
+			v := &p.vars[in.B]
 			if c.seqMode {
 				c.curNode, c.curIsNode = c.seq[c.pos].(storage.NodeID)
-				r.env.Bind(p.vars[in.B], c.seq[c.pos:c.pos+1], nil, c.sums)
+				r.env.Bind(int(v.depth), v.name, c.seq[c.pos:c.pos+1], nil, c.sums)
 			} else {
 				c.curNode, c.curIsNode = c.ids[c.pos], true
-				r.env.BindNode(p.vars[in.B], c.curNode, c.sums)
+				r.env.BindNode(int(v.depth), v.name, c.curNode, c.sums)
 			}
 			c.pos++
 			r.pc++
@@ -505,7 +510,8 @@ func (r *Run) next() (engine.Item, bool, error) {
 			if err != nil {
 				return r.fail(err)
 			}
-			r.env.Bind(p.vars[in.A], seq, ids, sums)
+			v := &p.vars[in.A]
+			r.env.Bind(int(v.depth), v.name, seq, ids, sums)
 			r.pc++
 
 		case OpWhere:

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,18 +54,17 @@ func drain(s *storage.Store, next func() (engine.Item, bool, error)) (string, er
 	}
 }
 
-// evalTree runs the tree-walking oracle.
-func evalTree(t *testing.T, s *storage.Store, q string, par int) (string, error) {
+// evalEager runs the engine's eager evaluator, the oracle.
+func evalEager(t *testing.T, s *storage.Store, q string, par int) (string, error) {
 	t.Helper()
 	expr, err := xquery.Parse(q)
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	res, err := engine.New(s).WithParallelism(par).EvalStream(expr)
+	res, err := engine.New(s).WithParallelism(par).Eval(expr)
 	if err != nil {
 		return "", err
 	}
-	defer res.Close()
 	return drain(s, res.Next)
 }
 
@@ -120,61 +121,78 @@ func queryBattery() []xmarkq.Query {
 }
 
 // TestDifferentialBattery: VM output must be byte-identical to the
-// tree walker — including errors — for every battery query at
-// parallelism 1 and 4.
+// eager evaluator for every battery query at parallelism 1 and 4, and
+// fail with the same error where it fails (the VM may have streamed
+// items before a late error; the eager result has none).
 func TestDifferentialBattery(t *testing.T) {
 	s := store(t)
 	for _, q := range queryBattery() {
 		for _, par := range []int{1, 4} {
-			tOut, tErr := evalTree(t, s, q.Text, par)
-			vOut, vErr := evalVM(t, s, q.Text, par)
-			if (tErr == nil) != (vErr == nil) {
-				t.Fatalf("%s par=%d: tree err=%v, vm err=%v", q.ID, par, tErr, vErr)
-			}
-			if tErr != nil && tErr.Error() != vErr.Error() {
-				t.Fatalf("%s par=%d: tree err %q, vm err %q", q.ID, par, tErr, vErr)
-			}
-			if tOut != vOut {
-				t.Fatalf("%s par=%d: output mismatch\n--- tree ---\n%s\n--- vm ---\n%s", q.ID, par, tOut, vOut)
+			want, wErr := evalEager(t, s, q.Text, par)
+			got, vErr := evalVM(t, s, q.Text, par)
+			if err := differ(want, wErr, got, vErr); err != "" {
+				t.Fatalf("%s par=%d: %s", q.ID, par, err)
 			}
 		}
 	}
 }
 
-// TestBindHookParity: the clause-0 bind hook must observe the same
-// nodes in the same order under both engines.
+// differ compares a VM result with the oracle's: the same error, or no
+// error and the same output. It returns what differs, "" if nothing.
+func differ(want string, wErr error, got string, vErr error) string {
+	switch {
+	case (wErr == nil) != (vErr == nil):
+		return fmt.Sprintf("eager err=%v, vm err=%v", wErr, vErr)
+	case wErr != nil && wErr.Error() != vErr.Error():
+		return fmt.Sprintf("eager err %q, vm err %q", wErr, vErr)
+	case wErr == nil && got != want:
+		return fmt.Sprintf("output mismatch\n--- eager ---\n%s\n--- vm ---\n%s", want, got)
+	}
+	return ""
+}
+
+// TestBindHookParity: the clause-0 bind hook observes, in order, the
+// top-level path's nodes or the clause-0 bindings that pass their own
+// filters — the nodes the eager evaluator returns for each oracle query.
 func TestBindHookParity(t *testing.T) {
 	s := store(t)
-	hooked := []string{
-		`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 RETURN $p/name/text()`,
-		`/site/regions/africa/item/name/text()`,
-		`FOR $a IN /site/closed_auctions/closed_auction FOR $p IN /site/people/person WHERE $p/@id = $a/buyer/@person RETURN $p/name/text()`,
-		`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 ORDER BY $p/name DESCENDING RETURN $p/name/text()`,
+	hooked := []struct{ query, origins string }{
+		{`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 RETURN $p/name/text()`,
+			`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 RETURN $p`},
+		{`/site/regions/africa/item/name/text()`, `/site/regions/africa/item/name`},
+		{`FOR $a IN /site/closed_auctions/closed_auction FOR $p IN /site/people/person WHERE $p/@id = $a/buyer/@person RETURN $p/name/text()`,
+			`/site/closed_auctions/closed_auction`},
+		{`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 ORDER BY $p/name DESCENDING RETURN $p/name/text()`,
+			`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 RETURN $p`},
 	}
-	for _, q := range hooked {
-		expr, err := xquery.Parse(q)
+	for _, h := range hooked {
+		res, err := engine.New(s).Query(h.origins)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var treeIDs []storage.NodeID
-		res, err := engine.New(s).WithBindHook(func(id storage.NodeID) {
-			treeIDs = append(treeIDs, id)
-		}).EvalStream(expr)
-		if err != nil {
-			t.Fatal(err)
+		var want []storage.NodeID
+		for {
+			it, ok, err := res.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			want = append(want, it.(storage.NodeID))
 		}
-		if _, err := drain(s, res.Next); err != nil {
-			t.Fatal(err)
-		}
-		res.Close()
 
-		prog, err := Compile(expr, s, q)
+		expr, err := xquery.Parse(h.query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var vmIDs []storage.NodeID
+		prog, err := Compile(expr, s, h.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []storage.NodeID
 		vres, err := prog.Run(RunOptions{BindHook: func(id storage.NodeID) {
-			vmIDs = append(vmIDs, id)
+			got = append(got, id)
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -184,13 +202,8 @@ func TestBindHookParity(t *testing.T) {
 		}
 		vres.Close()
 
-		if len(treeIDs) != len(vmIDs) {
-			t.Fatalf("%s: hook count tree=%d vm=%d", q, len(treeIDs), len(vmIDs))
-		}
-		for i := range treeIDs {
-			if treeIDs[i] != vmIDs[i] {
-				t.Fatalf("%s: hook[%d] tree=%d vm=%d", q, i, treeIDs[i], vmIDs[i])
-			}
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("%s: hooked %d nodes %v, want %d %v", h.query, len(got), got, len(want), want)
 		}
 	}
 }

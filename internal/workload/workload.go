@@ -101,12 +101,3 @@ func (w *Workload) Paths() []string {
 	}
 	return out
 }
-
-// TotalWeight returns the summed predicate weights.
-func (w *Workload) TotalWeight() int {
-	t := 0
-	for _, p := range w.Predicates {
-		t += p.weight()
-	}
-	return t
-}

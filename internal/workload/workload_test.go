@@ -42,15 +42,6 @@ func TestPathsDedup(t *testing.T) {
 	}
 }
 
-func TestTotalWeight(t *testing.T) {
-	var w Workload
-	w.Add(Predicate{Kind: Eq, Left: "/a", Weight: 3})
-	w.Add(Predicate{Kind: Ineq, Left: "/b"}) // defaults to 1
-	if w.TotalWeight() != 4 {
-		t.Fatalf("TotalWeight = %d", w.TotalWeight())
-	}
-}
-
 func TestStrings(t *testing.T) {
 	p := Predicate{Kind: Ineq, Left: "/a/b"}
 	if !strings.Contains(p.String(), "ineq") || !strings.Contains(p.String(), "<const>") {

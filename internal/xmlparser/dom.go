@@ -2,7 +2,6 @@ package xmlparser
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -212,33 +211,4 @@ func CollectStats(src []byte) (Stats, error) {
 	st.DistinctNames = len(names)
 	st.DistinctPaths = len(paths)
 	return st, nil
-}
-
-// PathsOf returns all distinct root-to-node paths of the document in
-// sorted order, attribute steps prefixed with '@'. Used by tests and by
-// the structure-summary checks.
-func PathsOf(doc *Document) []string {
-	set := map[string]bool{}
-	var walk func(n *Node, prefix string)
-	walk = func(n *Node, prefix string) {
-		if n.Kind == NodeText {
-			set[prefix+"/#text"] = true
-			return
-		}
-		p := prefix + "/" + n.Name
-		set[p] = true
-		for _, a := range n.Attrs {
-			set[p+"/@"+a.Name] = true
-		}
-		for _, c := range n.Children {
-			walk(c, p)
-		}
-	}
-	walk(doc.Root, "")
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -119,35 +119,6 @@ func TestCollectStats(t *testing.T) {
 	}
 }
 
-func TestPathsOf(t *testing.T) {
-	doc, _ := BuildDOM([]byte(sampleDoc))
-	paths := PathsOf(doc)
-	want := []string{
-		"/site",
-		"/site/people",
-		"/site/people/person",
-		"/site/people/person/@id",
-		"/site/people/person/age",
-		"/site/people/person/age/#text",
-		"/site/people/person/name",
-		"/site/people/person/name/#text",
-		"/site/regions",
-		"/site/regions/europe",
-		"/site/regions/europe/item",
-		"/site/regions/europe/item/@id",
-		"/site/regions/europe/item/name",
-		"/site/regions/europe/item/name/#text",
-	}
-	if len(paths) != len(want) {
-		t.Fatalf("paths = %v", paths)
-	}
-	for i := range want {
-		if paths[i] != want[i] {
-			t.Fatalf("path %d = %q, want %q", i, paths[i], want[i])
-		}
-	}
-}
-
 func TestBuildDOMErrors(t *testing.T) {
 	if _, err := BuildDOM([]byte(`<a></b>`)); err == nil {
 		t.Fatal("mismatched tags accepted")

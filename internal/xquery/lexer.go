@@ -157,15 +157,6 @@ func (l *lexer) next() (token, error) {
 	return token{}, l.errf(start, "unexpected character %q", c)
 }
 
-// peekRune returns the byte at the current position without consuming.
-func (l *lexer) peekByte() byte {
-	l.skipSpace()
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
 func (l *lexer) name() string {
 	i := l.pos
 	for i < len(l.src) && isNamePart(l.src[i]) {

@@ -373,26 +373,12 @@ type QueryOptions struct {
 	ShardFanout int
 }
 
-// EvalEngine reports which evaluator queries run on: "vm" (the
-// default — plans compile to bytecode, see internal/vm) or "tree" (the
-// tree-walking oracle, selected with XQUEC_EVAL=tree). The setting is
-// read per evaluation, so tests can switch engines between calls.
-func EvalEngine() string {
-	if vm.Enabled() {
-		return "vm"
-	}
-	return "tree"
-}
-
-// run is the single evaluation entry point behind Execute: pick the
-// evaluator, build the streaming cursor, and prime its first item so
-// errors that occur before any output — an expired deadline, an unbound
-// variable, a failing aggregate — surface here rather than on the first
-// Next. Each call gets its own evaluation state.
-//
-// By default the compiled program's VM loop feeds the cursor directly;
-// XQUEC_EVAL=tree (or a query shape the compiler refused) falls back
-// to a fresh tree-walking engine over the same store.
+// run is the single evaluation entry point behind Execute: build the
+// streaming cursor and prime its first item so errors that occur before
+// any output — an expired deadline, an unbound variable, a failing
+// aggregate — surface here rather than on the first Next. Each call
+// gets its own evaluation state; the compiled program's VM loop feeds
+// the cursor directly.
 //
 // On a partitioned database the set decides the path: provably
 // decomposable queries evaluate per part (each on this statement's
@@ -429,19 +415,11 @@ func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error)
 			return nil, tagErr(ErrCorruptRepository, err)
 		}
 	}
-	if vm.Enabled() {
-		if prog := p.program(st); prog != nil {
-			res, err := prog.Run(vm.RunOptions{Ctx: ctx, Parallelism: opts.Parallelism})
-			if err != nil {
-				return nil, tagErr(ErrEval, err)
-			}
-			if err := res.Prime(); err != nil {
-				return nil, tagErr(ErrEval, err)
-			}
-			return &Results{res: res}, nil
-		}
+	prog, err := p.program(st)
+	if err != nil {
+		return nil, tagErr(ErrEval, err)
 	}
-	res, err := engine.New(st).WithContext(ctx).WithParallelism(opts.Parallelism).EvalStream(p.expr)
+	res, err := prog.Run(vm.RunOptions{Ctx: ctx, Parallelism: opts.Parallelism})
 	if err != nil {
 		return nil, tagErr(ErrEval, err)
 	}
@@ -470,13 +448,14 @@ func (db *Database) Execute(ctx context.Context, q string, opts QueryOptions) (*
 	return prep.run(ctx, opts)
 }
 
-// Prepare parses — and, on the VM engine, compiles — a query once for
-// repeated execution, skipping the parser and compiler on every
-// subsequent run: the unit a serving plan cache stores. Compilation is
-// eager here so the cache can account the compiled program's bytes at
-// admission time. The prepared query is bound to this Database and is
-// safe for concurrent Execute calls: the parsed form and the compiled
-// program are never mutated and every execution gets fresh run state.
+// Prepare parses and compiles a query once for repeated execution,
+// skipping the parser and compiler on every subsequent run: the unit a
+// serving plan cache stores. Compilation is eager here so the cache can
+// account the compiled program's bytes at admission time, and so a
+// query that does not compile fails here, tagged ErrEval. The prepared
+// query is bound to this Database and is safe for concurrent Execute
+// calls: the parsed form and the compiled programs are never mutated
+// and every execution gets fresh run state.
 func (db *Database) Prepare(q string) (*Prepared, error) {
 	expr, err := xquery.Parse(q)
 	if err != nil {
@@ -484,15 +463,15 @@ func (db *Database) Prepare(q string) (*Prepared, error) {
 	}
 	p := &Prepared{db: db, expr: expr, text: q}
 	p.scatter = db.set != nil && db.set.Decide(expr).Scatter
-	if vm.Enabled() {
-		// A scattered query compiles one program per part, here and
-		// only here; anything else compiles against the plan store.
-		if p.scatter {
-			for _, st := range db.set.Stores {
-				p.program(st)
-			}
-		} else {
-			p.program(p.planStore())
+	// A scattered query compiles one program per part, here and only
+	// here; anything else compiles against the plan store.
+	stores := []*storage.Store{p.planStore()}
+	if p.scatter {
+		stores = db.set.Stores
+	}
+	for _, st := range stores {
+		if _, err := p.program(st); err != nil {
+			return nil, tagErr(ErrEval, err)
 		}
 	}
 	return p, nil
@@ -510,7 +489,7 @@ type Prepared struct {
 	scatter bool
 
 	mu    sync.Mutex
-	progs map[*storage.Store]*vm.Program // nil entry: compile declined, use tree
+	progs map[*storage.Store]*vm.Program
 }
 
 // planStore is the store whose compiled program represents this query
@@ -524,74 +503,53 @@ func (p *Prepared) planStore() *storage.Store {
 }
 
 // program returns the compiled program for st, compiling on first use.
-// A failed compilation is cached as nil, pinning the query to the
-// tree-walking fallback.
-func (p *Prepared) program(st *storage.Store) *vm.Program {
+// A failed compilation is not cached: it is an error every time.
+func (p *Prepared) program(st *storage.Store) (*vm.Program, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if prog, ok := p.progs[st]; ok {
-		return prog
+		return prog, nil
 	}
 	prog, err := vm.Compile(p.expr, st, p.text)
 	if err != nil {
-		prog = nil
+		return nil, err
 	}
 	if p.progs == nil {
 		p.progs = map[*storage.Store]*vm.Program{}
 	}
 	p.progs[st] = prog
-	return prog
+	return prog, nil
 }
 
 // Text returns the original query text.
 func (p *Prepared) Text() string { return p.text }
 
-// EngineLabel reports how run will evaluate this statement: "vm" when
-// a compiled program exists and the VM is enabled, else "tree".
-func (p *Prepared) EngineLabel() string {
-	if vm.Enabled() && p.program(p.planStore()) != nil {
-		return "vm"
-	}
-	return "tree"
+// reported is the program compiled against the plan store, which
+// Prepare compiled: the lookup cannot fail.
+func (p *Prepared) reported() *vm.Program {
+	prog, _ := p.program(p.planStore())
+	return prog
 }
 
-// ProgramLen returns the compiled program's instruction count (0 when
-// the query runs on the tree walker).
-func (p *Prepared) ProgramLen() int {
-	if prog := p.program(p.planStore()); prog != nil {
-		return prog.Len()
-	}
-	return 0
-}
+// ProgramLen returns the compiled program's instruction count.
+func (p *Prepared) ProgramLen() int { return p.reported().Len() }
 
 // CostBytes estimates the prepared statement's resident size for
 // byte-based plan-cache accounting: the bytes of every program compiled
 // so far (one per part for a scattered query — they all die with the
-// statement), or a query-text-proportional floor for tree-only
-// statements.
+// statement).
 func (p *Prepared) CostBytes() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
 	for _, prog := range p.progs {
-		if prog != nil {
-			n += prog.SizeBytes()
-		}
-	}
-	if n == 0 {
-		n = 256 + 2*len(p.text)
+		n += prog.SizeBytes()
 	}
 	return n
 }
 
-// Disassemble returns the compiled program's instruction listing
-// (empty when the query runs on the tree walker).
-func (p *Prepared) Disassemble() string {
-	if prog := p.program(p.planStore()); prog != nil {
-		return prog.Disassemble()
-	}
-	return ""
-}
+// Disassemble returns the compiled program's instruction listing.
+func (p *Prepared) Disassemble() string { return p.reported().Disassemble() }
 
 // Execute evaluates the prepared query under ctx with per-call options
 // — the single prepared-statement entry point. See Database.Execute for
@@ -635,8 +593,8 @@ func (db *Database) Explain(q string) (string, error) {
 // for a query — opcodes, operands, and the containers and summary
 // paths resolved at compile time — the companion to Explain's
 // tree-level plan. On a sharded database the program shown is shard
-// 0's (shard repositories share one summary shape). An empty string
-// means the query runs on the tree walker.
+// 0's (shard repositories share one summary shape). A query that does
+// not compile is an error tagged ErrEval.
 func (db *Database) ExplainProgram(q string) (string, error) {
 	expr, err := xquery.Parse(q)
 	if err != nil {
@@ -644,7 +602,7 @@ func (db *Database) ExplainProgram(q string) (string, error) {
 	}
 	prog, err := vm.Compile(expr, db.memberStores()[0], q)
 	if err != nil {
-		return "", nil
+		return "", tagErr(ErrEval, err)
 	}
 	return prog.Disassemble(), nil
 }

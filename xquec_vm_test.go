@@ -2,17 +2,16 @@ package xquec_test
 
 import (
 	"context"
-	"os"
 	"testing"
 
 	"xquec"
+	"xquec/internal/baselines/galaxlike"
 	"xquec/internal/datagen"
 	"xquec/internal/xmarkq"
 )
 
 // evalWith runs one query at the given parallelism and returns the
-// serialized result (engine selection follows XQUEC_EVAL, read at run
-// time).
+// serialized result.
 func evalWith(db *xquec.Database, query string, par int) (string, error) {
 	res, err := db.Execute(context.Background(), query, xquec.QueryOptions{Parallelism: par})
 	if err != nil {
@@ -22,25 +21,37 @@ func evalWith(db *xquec.Database, query string, par int) (string, error) {
 	return xquec.ResultXML(res)
 }
 
+// domXML evaluates a query over the uncompressed document with the DOM
+// reference evaluator, which shares no code with the compressed engine.
+func domXML(t *testing.T, doc []byte, q string) string {
+	t.Helper()
+	res, err := galaxlike.New(doc).Query(q)
+	if err != nil {
+		t.Fatalf("reference: %s: %v", q, err)
+	}
+	out, err := res.SerializeXML()
+	if err != nil {
+		t.Fatalf("reference: %s: %v", q, err)
+	}
+	return out
+}
+
 // TestVMDifferentialMatrix is the top-level correctness gate for the
 // compiled-plan engine: every benchmark query, at every shard count in
 // {1, 2, 4, 8} and intra-query parallelism in {1, 4}, must produce
-// byte-identical output (and identical errors) on the stack VM and the
-// tree-walking oracle. Sharded databases exercise the worker-side
-// per-shard programs; the fused/scatter split is whatever the analyzer
-// decides, identically for both engines.
+// output byte-identical to the DOM reference over the uncompressed
+// document. Sharded databases exercise the worker-side per-shard
+// programs and the fused fallback, whichever the analyzer picks.
 func TestVMDifferentialMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is slow under -short")
 	}
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.03, Seed: 91})
 	queries := append(xmarkq.Queries(), xmarkq.ExtendedQueries()...)
-
-	// Register env restoration, then toggle per-run: Enabled() reads
-	// XQUEC_EVAL at evaluation time, so the same Database serves both
-	// engines.
-	t.Setenv("XQUEC_EVAL", "")
-
+	want := map[string]string{}
+	for _, q := range queries {
+		want[q.ID] = domXML(t, doc, q.Text)
+	}
 	for _, shards := range []int{1, 2, 4, 8} {
 		db, err := xquec.Compress(doc, xquec.Options{Shards: shards})
 		if err != nil {
@@ -48,40 +59,23 @@ func TestVMDifferentialMatrix(t *testing.T) {
 		}
 		for _, par := range []int{1, 4} {
 			for _, q := range queries {
-				os.Setenv("XQUEC_EVAL", "")
-				vmOut, vmErr := evalWith(db, q.Text, par)
-				os.Setenv("XQUEC_EVAL", "tree")
-				treeOut, treeErr := evalWith(db, q.Text, par)
-				if (vmErr == nil) != (treeErr == nil) {
-					t.Fatalf("shards=%d par=%d %s: vm err=%v, tree err=%v",
-						shards, par, q.ID, vmErr, treeErr)
+				got, err := evalWith(db, q.Text, par)
+				if err != nil {
+					t.Fatalf("shards=%d par=%d %s: %v", shards, par, q.ID, err)
 				}
-				if vmErr != nil && vmErr.Error() != treeErr.Error() {
-					t.Fatalf("shards=%d par=%d %s: vm err %q, tree err %q",
-						shards, par, q.ID, vmErr, treeErr)
-				}
-				if vmOut != treeOut {
-					t.Fatalf("shards=%d par=%d %s: output mismatch\n--- vm ---\n%.400s\n--- tree ---\n%.400s",
-						shards, par, q.ID, vmOut, treeOut)
+				if got != want[q.ID] {
+					t.Fatalf("shards=%d par=%d %s: output differs from the reference\n--- vm ---\n%.400s\n--- reference ---\n%.400s",
+						shards, par, q.ID, got, want[q.ID])
 				}
 			}
 		}
 	}
 }
 
-// TestEvalEngineSwitch pins the XQUEC_EVAL contract: default is the
-// compiled VM, "tree" selects the oracle, and both answer queries.
+// TestEvalEngineSwitch pins what replaced the evaluator switch: a
+// prepared statement is its compiled program — instructions, a listing
+// and a resident size for the plan cache — and runs as nothing else.
 func TestEvalEngineSwitch(t *testing.T) {
-	t.Setenv("XQUEC_EVAL", "")
-	if xquec.EvalEngine() != "vm" {
-		t.Fatalf("default engine = %q", xquec.EvalEngine())
-	}
-	os.Setenv("XQUEC_EVAL", "tree")
-	if xquec.EvalEngine() != "tree" {
-		t.Fatalf("XQUEC_EVAL=tree engine = %q", xquec.EvalEngine())
-	}
-	os.Setenv("XQUEC_EVAL", "")
-
 	db, err := xquec.Compress([]byte(`<doc><a>1</a><a>2</a></doc>`), xquec.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +84,8 @@ func TestEvalEngineSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prep.EngineLabel() != "vm" || prep.ProgramLen() == 0 {
-		t.Fatalf("prepared: engine=%q len=%d", prep.EngineLabel(), prep.ProgramLen())
+	if prep.ProgramLen() == 0 {
+		t.Fatal("prepared statement has no program")
 	}
 	if prep.CostBytes() <= 0 {
 		t.Fatalf("CostBytes = %d", prep.CostBytes())
@@ -106,6 +100,6 @@ func TestEvalEngineSwitch(t *testing.T) {
 	out, err := xquec.ResultXML(res)
 	res.Close()
 	if err != nil || out != "2" {
-		t.Fatalf("vm result = %q, %v", out, err)
+		t.Fatalf("result = %q, %v", out, err)
 	}
 }
