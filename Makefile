@@ -126,8 +126,9 @@ bench-diff:
 
 # Short fuzzing pass over the codec fuzz targets (roundtrip, order
 # preservation, decode-vs-reference), the navigation kernels, the
-# repository loader (hostile bytes behind a repaired checksum) and the
-# XML scanner under the ingest loader (hostile documents). Not part of
+# repository loader (hostile bytes behind a repaired checksum), the ALM
+# model loader (what it accepts must build on first use) and the XML
+# scanner under the ingest loader (hostile documents). Not part of
 # tier-1 `check`; the targets' seed corpora still run under plain
 # `go test`.
 fuzz-smoke:
@@ -143,6 +144,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBPNavigation -fuzztime 5s ./internal/succinct/
 	$(GO) test -run '^$$' -fuzz FuzzBulkNavigation -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzLoadBinary -fuzztime 5s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzALMLoadModel -fuzztime 5s ./internal/compress/alm/
 	$(GO) test -run '^$$' -fuzz FuzzSAX -fuzztime 5s ./internal/storage/
 
 # Full paper benchmark suite (scaled-down in-test versions).

@@ -312,7 +312,7 @@ func ContEq(c *storage.Container, probe []byte) (NodeSet, error) {
 		}
 		ids := make([]storage.NodeID, 0, m.Count())
 		for i := 0; i < m.Count(); i++ {
-			ids = append(ids, c.Record(m.At(i)).Owner)
+			ids = append(ids, c.Owner(m.At(i)))
 		}
 		return SortUnique(ids), nil
 	}
@@ -328,7 +328,7 @@ func ContRange(c *storage.Container, lo []byte, loInc bool, hi []byte, hiInc boo
 	if err == nil {
 		ids := make([]storage.NodeID, 0, h-l)
 		for i := l; i < h; i++ {
-			ids = append(ids, c.Record(i).Owner)
+			ids = append(ids, c.Owner(i))
 		}
 		return SortUnique(ids), nil
 	}
@@ -343,7 +343,7 @@ func ContRange(c *storage.Container, lo []byte, loInc bool, hi []byte, hiInc boo
 	}
 	ids := make([]storage.NodeID, 0, h-l)
 	for i := l; i < h; i++ {
-		ids = append(ids, c.Record(i).Owner)
+		ids = append(ids, c.Owner(i))
 	}
 	return SortUnique(ids), nil
 }
@@ -362,7 +362,7 @@ func ContFilter(c *storage.Container, pred func(plain []byte) bool) (NodeSet, er
 			return nil, err
 		}
 		if pred(buf) {
-			ids = append(ids, c.Record(i).Owner)
+			ids = append(ids, c.Owner(i))
 		}
 	}
 	return SortUnique(ids), nil
@@ -387,7 +387,7 @@ func MergeJoinContainers(a, b *storage.Container) ([]Pair, error) {
 	var out []Pair
 	i, j := 0, 0
 	for i < a.Len() && j < b.Len() {
-		cmp := bytes.Compare(a.Record(i).Value, b.Record(j).Value)
+		cmp := bytes.Compare(a.Value(i), b.Value(j))
 		switch {
 		case cmp < 0:
 			i++
@@ -395,18 +395,18 @@ func MergeJoinContainers(a, b *storage.Container) ([]Pair, error) {
 			j++
 		default:
 			// emit the cross product of the two equal runs
-			v := a.Record(i).Value
+			v := a.Value(i)
 			iEnd := i
-			for iEnd < a.Len() && bytes.Equal(a.Record(iEnd).Value, v) {
+			for iEnd < a.Len() && bytes.Equal(a.Value(iEnd), v) {
 				iEnd++
 			}
 			jEnd := j
-			for jEnd < b.Len() && bytes.Equal(b.Record(jEnd).Value, v) {
+			for jEnd < b.Len() && bytes.Equal(b.Value(jEnd), v) {
 				jEnd++
 			}
 			for x := i; x < iEnd; x++ {
 				for y := j; y < jEnd; y++ {
-					out = append(out, Pair{A: a.Record(x).Owner, B: b.Record(y).Owner})
+					out = append(out, Pair{A: a.Owner(x), B: b.Owner(y)})
 				}
 			}
 			i, j = iEnd, jEnd
@@ -433,7 +433,7 @@ func HashJoinContainers(a, b *storage.Container) ([]Pair, error) {
 		if err != nil {
 			return nil, err
 		}
-		table[string(buf)] = append(table[string(buf)], a.Record(i).Owner)
+		table[string(buf)] = append(table[string(buf)], a.Owner(i))
 	}
 	var out []Pair
 	for j := 0; j < b.Len(); j++ {
@@ -443,9 +443,9 @@ func HashJoinContainers(a, b *storage.Container) ([]Pair, error) {
 		}
 		for _, owner := range table[string(buf)] {
 			if swapped {
-				out = append(out, Pair{A: b.Record(j).Owner, B: owner})
+				out = append(out, Pair{A: b.Owner(j), B: owner})
 			} else {
-				out = append(out, Pair{A: owner, B: b.Record(j).Owner})
+				out = append(out, Pair{A: owner, B: b.Owner(j)})
 			}
 		}
 	}

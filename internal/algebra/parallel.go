@@ -82,7 +82,7 @@ func ContFilterPar(c *storage.Container, par int, pred func(plain []byte) bool) 
 				return err
 			}
 			if pred(buf) {
-				ids = append(ids, c.Record(i).Owner)
+				ids = append(ids, c.Owner(i))
 			}
 		}
 		chunks[p] = ids

@@ -22,9 +22,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"iter"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"xquec/internal/compress"
 )
@@ -46,19 +46,25 @@ func init() {
 // the 256 single-byte tokens are always present).
 const DefaultMaxTokens = 8192
 
-// Codec is a trained ALM coder. Safe for concurrent use.
+// Codec is an ALM coder. Safe for concurrent use.
 //
-// The partitioning intervals tile ["\x00", +inf) contiguously, so upper
-// bounds are implicit: interval i is [lo(i), lo(i+1)) and carries the
-// prefix token prefix(i). The partition is a deterministic function of
-// the mined multi-byte tokens, and each token t is the prefix of exactly
-// one interval whose lower bound is t itself (see tokens), so neither
-// the interval list nor the dictionary is stored beyond the flattened
-// index below.
+// The source model is the sorted mined multi-byte tokens, front-coded:
+// model holds exactly the bytes AppendModel writes. The partitioning
+// intervals tile ["\x00", +inf) contiguously, so upper bounds are
+// implicit: interval i is [lo(i), lo(i+1)) and carries the prefix token
+// prefix(i). The partition is a deterministic function of the tokens, so
+// it is not stored: the flattened index below is built from the model —
+// by Train at once, and for a codec loaded from a repository by its first
+// Encode or Decode (see loadModel), so that opening a repository proves
+// every model but builds only those its queries read.
 type Codec struct {
+	model      []byte // never changes once the codec is returned
+	nTokens    int    // tokens in model
+	tokenBytes int    // their total length
+	once       sync.Once
+
 	n         int // number of intervals
 	codeWidth int // bytes per code: 1 or 2
-	modelSize int
 	// byFirst[b] is the index of the first interval whose lower bound
 	// starts with byte b; byFirst[256] = n. Because the 256 single-byte
 	// tokens partition the top level, an interval never spans first
@@ -132,23 +138,65 @@ func (t Trainer) Train(values [][]byte) (compress.Codec, error) {
 // Train mines a token dictionary from the sample values and builds the
 // partitioning-interval codec.
 func Train(values [][]byte, maxTokens int) (*Codec, error) {
-	return build(mineTokens(values, maxTokens))
+	return fromTokens(mineTokens(values, maxTokens))
 }
 
-// build constructs the codec from an arbitrary token set: tokens shorter
+// fromTokens builds the codec of an arbitrary token set: tokens shorter
 // than two bytes are dropped (the 256 single-byte tokens are implicit),
-// the rest sorted and deduplicated. It reorders extra in place.
-func build(extra [][]byte) (*Codec, error) {
+// the rest sorted, deduplicated, front-coded into the model and fed to
+// the builder at once. It reorders extra in place.
+func fromTokens(extra [][]byte) (*Codec, error) {
 	extra = slices.DeleteFunc(extra, func(t []byte) bool { return len(t) < 2 })
 	slices.SortFunc(extra, bytes.Compare)
 	extra = slices.CompactFunc(extra, bytes.Equal)
-	size := 0
+	c := &Codec{nTokens: len(extra)}
 	for _, t := range extra {
-		size += len(t)
+		c.tokenBytes += len(t)
 	}
-	b := newBuilder(len(extra), size)
+	// Room for one-byte varints: mined tokens are at most 64 bytes long.
+	c.model = make([]byte, 0, binary.MaxVarintLen64+2*len(extra)+c.tokenBytes)
+	c.model = compress.AppendUvarint(c.model, uint64(len(extra)))
+	b := newBuilder(c)
+	var prev []byte
 	for _, t := range extra {
+		c.model = appendToken(c.model, t, commonPrefixLen(prev, t))
 		b.add(t)
+		prev = t
+	}
+	if err := b.finish(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// appendToken front-codes token t after a predecessor it shares lcp
+// bytes with.
+func appendToken(dst, t []byte, lcp int) []byte {
+	dst = compress.AppendUvarint(dst, uint64(lcp))
+	return compress.AppendBytes(dst, t[lcp:])
+}
+
+// index makes sure the interval index exists: a codec loaded with at
+// most maxLazyTokens tokens builds it on the first call, from any
+// goroutine; every other codec was built when it was made.
+func (c *Codec) index() { c.once.Do(c.buildLoaded) }
+
+func (c *Codec) buildLoaded() {
+	if c.n > 0 {
+		return
+	}
+	if err := c.build(); err != nil {
+		// loadModel validated the model, and the token count bounds the
+		// intervals within the code space.
+		panic(fmt.Sprintf("alm: building a validated model: %v", err))
+	}
+}
+
+// build derives the interval index from the model.
+func (c *Codec) build() error {
+	b := newBuilder(c)
+	if _, err := decodeModel(c.model, func(t []byte, _ int) { b.add(t) }); err != nil {
+		return err
 	}
 	return b.finish()
 }
@@ -166,39 +214,27 @@ type builder struct {
 	next  int      // next single-byte token to open
 	succ  [2][]byte
 	flip  int
-
-	// Running size of the front-coded model (see AppendModel).
-	nTokens, modelBytes int
 }
 
-// newBuilder sizes the index for nTokens mined tokens of about
-// tokenBytes in total; the blobs grow if the estimate is short.
-func newBuilder(nTokens, tokenBytes int) *builder {
+// newBuilder sizes c's index for its model's tokens; the blobs grow if
+// the estimate is short.
+func newBuilder(c *Codec) *builder {
 	// Every token, single bytes included, opens one interval. A gap
 	// interval follows a closed token (at most one per token) and lies
 	// between two children or after the last child of some token (at
 	// most two per mined token, all of which are children).
-	maxIntervals := 256 + nTokens + min(256+nTokens, 2*nTokens)
-	blob := 256 + tokenBytes*3/2
-	c := &Codec{
-		loBlob:   make([]byte, 0, blob),
-		loOff:    make([]int32, 0, maxIntervals+1),
-		prefBlob: make([]byte, 0, blob),
-		prefOff:  make([]int32, 0, maxIntervals+1),
-	}
+	maxIntervals := 256 + c.nTokens + min(256+c.nTokens, 2*c.nTokens)
+	blob := 256 + c.tokenBytes*3/2
+	c.loBlob = make([]byte, 0, blob)
+	c.loOff = make([]int32, 0, maxIntervals+1)
+	c.prefBlob = make([]byte, 0, blob)
+	c.prefOff = make([]int32, 0, maxIntervals+1)
 	return &builder{c: c}
 }
 
 // add opens the next mined token (len ≥ 2, greater than every token
 // added before), after any single-byte tokens that sort before it.
 func (b *builder) add(t []byte) {
-	// The previous mined token was opened last, so it is the stack top.
-	lcp := 0
-	if b.nTokens > 0 {
-		lcp = commonPrefixLen(b.stack[len(b.stack)-1], t)
-	}
-	b.nTokens++
-	b.modelBytes += uvarintLen(lcp) + uvarintLen(len(t)-lcp) + len(t) - lcp
 	for ; b.next <= int(t[0]); b.next++ {
 		b.open(singles[b.next : b.next+1])
 	}
@@ -258,7 +294,7 @@ func (b *builder) emit(lo, prefix []byte) {
 
 // finish opens the remaining single-byte tokens, closes everything and
 // builds the search indexes.
-func (b *builder) finish() (*Codec, error) {
+func (b *builder) finish() error {
 	for ; b.next < 256; b.next++ {
 		b.open(singles[b.next : b.next+1])
 	}
@@ -276,16 +312,15 @@ func (b *builder) finish() (*Codec, error) {
 	} else if c.n <= 1<<16 {
 		c.codeWidth = 2
 	} else {
-		return nil, fmt.Errorf("alm: %d intervals exceed the 2-byte code space", c.n)
+		return fmt.Errorf("alm: %d intervals exceed the 2-byte code space", c.n)
 	}
-	c.buildIndex()
-	c.modelSize = uvarintLen(b.nTokens) + b.modelBytes
-	return c, nil
+	c.buildSearch()
+	return nil
 }
 
-// buildIndex derives the first-byte buckets, the search keys and the
+// buildSearch derives the first-byte buckets, the search keys and the
 // second-level index from the flattened bounds.
-func (c *Codec) buildIndex() {
+func (c *Codec) buildSearch() {
 	i := 0
 	for b := 0; b < 256; b++ {
 		c.byFirst[b] = int32(i)
@@ -356,7 +391,7 @@ func (c *Codec) Props() compress.Properties {
 }
 
 // ModelSize implements compress.Codec.
-func (c *Codec) ModelSize() int { return c.modelSize }
+func (c *Codec) ModelSize() int { return len(c.model) }
 
 // DecodeCost implements compress.Codec. ALM emits multi-byte tokens per
 // dictionary step, so it decompresses faster than bit-level entropy
@@ -373,8 +408,9 @@ func (c *Codec) DecodeCost() float64 { return 0.291 }
 // binary search over the contiguous lower-bound blob finds the last
 // interval at or below the remaining string. The located interval's
 // prefix is guaranteed to prefix s by the partition construction (see
-// build), so the consumed length comes straight from the offset table.
+// builder), so the consumed length comes straight from the offset table.
 func (c *Codec) Encode(dst, value []byte) ([]byte, error) {
+	c.index()
 	s := value
 	for len(s) > 0 {
 		b := s[0]
@@ -432,6 +468,7 @@ const decodeSlack = 16
 // length. The bytes past it are overwritten by the next token or lie
 // beyond the length returned.
 func (c *Codec) Decode(dst, enc []byte) ([]byte, error) {
+	c.index()
 	w := c.codeWidth
 	if len(enc)%w != 0 {
 		return dst, fmt.Errorf("alm: encoded length %d not a multiple of code width %d", len(enc), w)
@@ -466,40 +503,12 @@ func (c *Codec) Decode(dst, enc []byte) ([]byte, error) {
 	return dst[:at], nil
 }
 
-// tokens yields the mined multi-byte dictionary tokens in increasing
-// order. The builder opens each token t with the interval [t, ...) whose
-// prefix is t, and every other interval of t starts at a successor bound
-// greater than t, so the tokens are exactly the prefixes of the
-// intervals whose lower bound equals their prefix.
-func (c *Codec) tokens() iter.Seq[[]byte] {
-	return func(yield func([]byte) bool) {
-		for i := 0; i < c.n; i++ {
-			if t := c.prefix(i); len(t) >= 2 && bytes.Equal(t, c.lo(i)) && !yield(t) {
-				return
-			}
-		}
-	}
-}
-
 // AppendModel implements compress.Codec. The interval partition is a
 // deterministic function of the token set, so the model is just the
-// sorted mined tokens, front-coded (each entry stores the length of the
-// prefix shared with its predecessor plus the new suffix).
-func (c *Codec) AppendModel(dst []byte) []byte {
-	count := 0
-	for range c.tokens() {
-		count++
-	}
-	dst = compress.AppendUvarint(dst, uint64(count))
-	var prev []byte
-	for t := range c.tokens() {
-		lcp := commonPrefixLen(prev, t)
-		dst = compress.AppendUvarint(dst, uint64(lcp))
-		dst = compress.AppendBytes(dst, t[lcp:])
-		prev = t
-	}
-	return dst
-}
+// sorted mined tokens, front-coded: the token count, then per token the
+// length of the prefix it shares with its predecessor and the rest.
+// Appending it never builds the index.
+func (c *Codec) AppendModel(dst []byte) []byte { return append(dst, c.model...) }
 
 // maxModelBytes bounds the decoded size of a persisted dictionary.
 // Front coding lets n bytes of model describe O(n²) bytes of tokens; no
@@ -507,55 +516,106 @@ func (c *Codec) AppendModel(dst []byte) []byte {
 // is 4 MB), and the int32 blob offsets need one anyway.
 const maxModelBytes = 1 << 24
 
-// loadModel rebuilds a codec from AppendModel's bytes. The input is
-// untrusted: every count is bounded by the bytes that remain before
-// anything is allocated, and the tokens must be strictly increasing —
-// which is what lets them feed the builder directly, without the sort
-// and dedup an arbitrary token set needs.
+// maxLazyTokens is the largest token count whose index build cannot
+// fail: up to it, newBuilder's interval bound 256 + n + min(256+n, 2n)
+// stays within the 65 536 codes of two bytes.
+const maxLazyTokens = 32512
+
+// loadModel makes a codec of AppendModel's bytes, which it keeps. It
+// proves the model — every check decodeModel makes — and leaves the
+// index to the first Encode or Decode (index), so that opening a
+// repository pays for the models its queries read and no more. A model of
+// more than maxLazyTokens tokens is built here: its build could fail,
+// and a file is refused at open or not at all. A model not front-coded on
+// the tokens' true common prefixes, or with a varint longer than it need
+// be, is coded again as AppendModel has it — never longer than data.
 func loadModel(data []byte) (*Codec, error) {
-	count, n, err := compress.ReadUvarint(data)
+	shape, err := decodeModel(data, nil)
 	if err != nil {
 		return nil, err
 	}
-	data = data[n:]
+	c := &Codec{model: data, nTokens: shape.tokens, tokenBytes: shape.bytes}
+	if !shape.canonical {
+		m := compress.AppendUvarint(make([]byte, 0, len(data)), uint64(shape.tokens))
+		_, _ = decodeModel(data, func(t []byte, lcp int) { m = appendToken(m, t, lcp) })
+		c.model = m
+	}
+	if c.nTokens > maxLazyTokens {
+		if err := c.build(); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// modelShape is what decodeModel learns of a model.
+type modelShape struct {
+	tokens, bytes int  // token count and their total length
+	canonical     bool // the bytes are the ones AppendModel would write
+}
+
+// decodeModel front-decodes a model. The input is untrusted: every count
+// is bounded by the bytes that remain before anything is allocated, the
+// tokens are at least two bytes long, strictly increasing — the order
+// the builder consumes them in, without the sort and dedup an arbitrary
+// token set needs — and at most maxModelBytes in all, and nothing trails
+// them. fn, unless nil, is called with each token, valid only during the
+// call, and the length of the prefix it truly shares with its
+// predecessor, which may exceed the stored one.
+func decodeModel(data []byte, fn func(tok []byte, lcp int)) (modelShape, error) {
+	var shape modelShape
+	count, n, err := compress.ReadUvarint(data)
+	if err != nil {
+		return shape, err
+	}
+	rest := data[n:]
 	// A token costs at least two bytes of model: its prefix length and
 	// its suffix length.
-	if count > uint64(len(data))/2 {
-		return nil, fmt.Errorf("alm: model of %d bytes cannot hold %d tokens", len(data), count)
+	if count > uint64(len(rest))/2 {
+		return shape, fmt.Errorf("alm: model of %d bytes cannot hold %d tokens", len(rest), count)
 	}
-	b := newBuilder(int(count), 2*len(data))
-	var tok []byte // the current token, rewritten in place from its predecessor
-	total := 0
+	size := uvarintLen(int(count)) // of the canonical coding
+	exact := true                  // every stored prefix length is the true one
+	tok := make([]byte, 0, 64)     // the current token, rewritten in place from its predecessor
 	for i := uint64(0); i < count; i++ {
-		lcp, n, err := compress.ReadUvarint(data)
+		lcp, n, err := compress.ReadUvarint(rest)
 		if err != nil {
-			return nil, err
+			return shape, err
 		}
-		data = data[n:]
-		suffix, n, err := compress.ReadBytes(data)
+		rest = rest[n:]
+		suffix, n, err := compress.ReadBytes(rest)
 		if err != nil {
-			return nil, err
+			return shape, err
 		}
-		data = data[n:]
+		rest = rest[n:]
 		if lcp > uint64(len(tok)) {
-			return nil, errors.New("alm: front-coded token has bad prefix length")
+			return shape, errors.New("alm: front-coded token has bad prefix length")
 		}
 		if int(lcp)+len(suffix) < 2 {
-			return nil, errors.New("alm: persisted token shorter than 2 bytes")
+			return shape, errors.New("alm: persisted token shorter than 2 bytes")
 		}
 		// prev < prev[:lcp]+suffix iff prev's tail past lcp sorts before
 		// the suffix.
 		if i > 0 && bytes.Compare(tok[lcp:], suffix) >= 0 {
-			return nil, errors.New("alm: persisted tokens not strictly increasing")
+			return shape, errors.New("alm: persisted tokens not strictly increasing")
 		}
+		shared := int(lcp) + commonPrefixLen(tok[lcp:], suffix)
+		exact = exact && shared == int(lcp)
 		tok = append(tok[:lcp], suffix...)
-		if total += len(tok); total > maxModelBytes {
-			return nil, fmt.Errorf("alm: persisted dictionary exceeds %d bytes", maxModelBytes)
+		if shape.bytes += len(tok); shape.bytes > maxModelBytes {
+			return shape, fmt.Errorf("alm: persisted dictionary exceeds %d bytes", maxModelBytes)
 		}
-		b.add(tok)
+		size += uvarintLen(shared) + uvarintLen(len(tok)-shared) + len(tok) - shared
+		if fn != nil {
+			fn(tok, shared)
+		}
 	}
-	if len(data) != 0 {
-		return nil, errors.New("alm: trailing bytes in model")
+	if len(rest) != 0 {
+		return shape, errors.New("alm: trailing bytes in model")
 	}
-	return b.finish()
+	shape.tokens = int(count)
+	// With the true prefix lengths stored, the suffixes are the canonical
+	// ones, and only a varint longer than it need be can add a byte.
+	shape.canonical = exact && size == len(data)
+	return shape, nil
 }

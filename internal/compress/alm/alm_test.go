@@ -322,7 +322,7 @@ func TestBuildMatchesReference(t *testing.T) {
 	}
 	for name, set := range sets {
 		ref := buildReference(set)
-		c, err := build(slices.Clone(set))
+		c, err := fromTokens(slices.Clone(set))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -330,6 +330,7 @@ func TestBuildMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reload: %v", name, err)
 		}
+		c2.index()
 		for _, c := range []*Codec{c, c2} {
 			if c.n != len(ref.intervals) || c.codeWidth != ref.codeWidth {
 				t.Fatalf("%s: %d intervals width %d, reference %d width %d",
@@ -342,9 +343,20 @@ func TestBuildMatchesReference(t *testing.T) {
 				}
 			}
 		}
+		// The index holds exactly the model's tokens.
+		var fromModel [][]byte
+		if _, err := decodeModel(c.model, func(t []byte, _ int) { fromModel = append(fromModel, slices.Clone(t)) }); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		nTok := 0
-		for range c.tokens() {
+		for tok := range c.tokens() {
+			if nTok >= len(fromModel) || !bytes.Equal(tok, fromModel[nTok]) {
+				t.Fatalf("%s: index token %d = %q, not the model's", name, nTok, tok)
+			}
 			nTok++
+		}
+		if nTok != len(fromModel) {
+			t.Fatalf("%s: index has %d tokens, the model %d", name, nTok, len(fromModel))
 		}
 		if limit := 256 + nTok + min(256+nTok, 2*nTok); c.n > limit {
 			t.Fatalf("%s: %d intervals from %d tokens, above the builder's bound %d", name, c.n, nTok, limit)
@@ -399,7 +411,7 @@ func TestSucc(t *testing.T) {
 
 func TestAllFFTokens(t *testing.T) {
 	// Tokens ending in 0xff exercise the open-ended range path.
-	c, err := build([][]byte{{0xff, 0xff}, {0xff, 0xff, 0xff}})
+	c, err := fromTokens([][]byte{{0xff, 0xff}, {0xff, 0xff, 0xff}})
 	if err != nil {
 		t.Fatal(err)
 	}

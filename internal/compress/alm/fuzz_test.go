@@ -75,6 +75,42 @@ func FuzzALMOrder(f *testing.F) {
 	})
 }
 
+// FuzzALMLoadModel feeds arbitrary model bytes to loadModel. Whatever it
+// accepts must build on its first Decode without a panic, write a model
+// of its ModelSize, and load again to a codec writing the same bytes.
+func FuzzALMLoadModel(f *testing.F) {
+	c, err := fuzzCodec()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(c.AppendModel(nil), []byte{0x00, 0x01, 0xff})
+	f.Add([]byte{0x02, 0x00, 0x02, 'a', 'b', 0x00, 0x03, 'a', 'b', 'c'}, []byte{0x00}) // prefix not shared
+	f.Add([]byte{0x80, 0x00}, []byte{0x61})                                            // no tokens, padded count
+	f.Fuzz(func(t *testing.T, model, enc []byte) {
+		c, err := loadModel(model)
+		if err != nil {
+			return
+		}
+		dec, err := c.Decode(nil, enc)
+		if err == nil {
+			if _, err := c.Encode(nil, dec); err != nil {
+				t.Fatalf("encode of a decoded value: %v", err)
+			}
+		}
+		out := c.AppendModel(nil)
+		if len(out) != c.ModelSize() || len(out) > len(model) {
+			t.Fatalf("model of %d bytes writes %d, ModelSize %d", len(model), len(out), c.ModelSize())
+		}
+		again, err := loadModel(out)
+		if err != nil {
+			t.Fatalf("written model does not load: %v", err)
+		}
+		if !bytes.Equal(again.AppendModel(nil), out) {
+			t.Fatalf("reloaded model writes %x, first load %x", again.AppendModel(nil), out)
+		}
+	})
+}
+
 // FuzzALMDecodeGarbage feeds arbitrary code streams to both decoders
 // and requires identical output and identical errors.
 func FuzzALMDecodeGarbage(f *testing.F) {

@@ -3,6 +3,7 @@ package alm
 import (
 	"bytes"
 	"fmt"
+	"iter"
 	"sort"
 	"sync"
 )
@@ -25,6 +26,23 @@ type refCodec struct {
 }
 
 var refCodecs sync.Map // *Codec -> *refCodec
+
+// tokens yields the mined multi-byte dictionary tokens in increasing
+// order, read out of the interval index rather than the model: the
+// builder opens each token t with the interval [t, ...) whose prefix is
+// t, and every other interval of t starts at a successor bound greater
+// than t, so the tokens are exactly the prefixes of the intervals whose
+// lower bound equals their prefix.
+func (c *Codec) tokens() iter.Seq[[]byte] {
+	c.index()
+	return func(yield func([]byte) bool) {
+		for i := 0; i < c.n; i++ {
+			if t := c.prefix(i); len(t) >= 2 && bytes.Equal(t, c.lo(i)) && !yield(t) {
+				return
+			}
+		}
+	}
+}
 
 // reference returns the reference codec over c's dictionary.
 func reference(c *Codec) *refCodec {

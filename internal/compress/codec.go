@@ -69,6 +69,7 @@ func RegisterLoader(name string, fn func(data []byte) (Codec, error)) {
 }
 
 // LoadModel reconstructs a codec from its family name and persisted model.
+// The codec may keep data; the caller must not modify it afterwards.
 func LoadModel(name string, data []byte) (Codec, error) {
 	fn, ok := loaders[name]
 	if !ok {

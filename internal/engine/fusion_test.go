@@ -188,9 +188,9 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 		for i := 0; i < w.Len(); i++ {
 			gv, gerr := g.Decode(nil, i)
 			wv, werr := w.Decode(nil, i)
-			if gerr != nil || werr != nil || !bytes.Equal(gv, wv) || g.Record(i).Owner != w.Record(i).Owner {
+			if gerr != nil || werr != nil || !bytes.Equal(gv, wv) || g.Owner(i) != w.Owner(i) {
 				t.Fatalf("container %s record %d: %q of node %d (%v), want %q of node %d (%v)\ncorpus: %s",
-					w.Path, i, gv, g.Record(i).Owner, gerr, wv, w.Record(i).Owner, werr, xml)
+					w.Path, i, gv, g.Owner(i), gerr, wv, w.Owner(i), werr, xml)
 			}
 		}
 	}
@@ -353,7 +353,7 @@ func TestFusedKeepsJunctionTextApart(t *testing.T) {
 		}
 	}
 	c, ok := st.ContainerByPath("/site/#text")
-	if !ok || c.Len() != 2 || c.Record(0).Owner != 1 || c.Record(1).Owner != 1 {
+	if !ok || c.Len() != 2 || c.Owner(0) != 1 || c.Owner(1) != 1 {
 		t.Fatalf("/site/#text = %v, want the two values of node 1", c)
 	}
 }

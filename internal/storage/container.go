@@ -37,10 +37,15 @@ type Container struct {
 	Group string // source-model group name
 
 	codec compress.Codec
-	recs  []Record
-	// eqOrder: permutation of recs sorted by compressed bytes; nil when
-	// the codec is order-preserving (recs themselves are then sorted by
-	// compressed bytes).
+	// Record i is the compressed value vals[i] of the node owners[i] (its
+	// "parent in the structure tree"). The two are parallel arrays so that
+	// what reads only owners — restricts, joins, the open path's claim
+	// check — walks four bytes a record.
+	vals   [][]byte
+	owners []NodeID
+	// eqOrder: permutation of the records sorted by compressed bytes; nil
+	// when the codec is order-preserving (the records themselves are then
+	// sorted by compressed bytes).
 	eqOrder []int32
 }
 
@@ -48,15 +53,18 @@ type Container struct {
 func (c *Container) Codec() compress.Codec { return c.codec }
 
 // Len returns the number of records.
-func (c *Container) Len() int { return len(c.recs) }
+func (c *Container) Len() int { return len(c.vals) }
 
-// Record returns the i-th record in value order.
-func (c *Container) Record(i int) Record { return c.recs[i] }
+// Value returns the compressed value of the i-th record in value order.
+func (c *Container) Value(i int) []byte { return c.vals[i] }
+
+// Owner returns the node the i-th record in value order belongs to.
+func (c *Container) Owner(i int) NodeID { return c.owners[i] }
 
 // Decode appends the decompressed i-th value to dst.
 func (c *Container) Decode(dst []byte, i int) ([]byte, error) {
 	decodeOps.Add(1)
-	return c.codec.Decode(dst, c.recs[i].Value)
+	return c.codec.Decode(dst, c.vals[i])
 }
 
 // Encode compresses a probe value with the container's codec.
@@ -67,8 +75,8 @@ func (c *Container) Encode(dst, plain []byte) ([]byte, error) {
 // CompressedBytes returns the total compressed payload size.
 func (c *Container) CompressedBytes() int {
 	n := 0
-	for i := range c.recs {
-		n += len(c.recs[i].Value)
+	for _, v := range c.vals {
+		n += len(v)
 	}
 	return n
 }
@@ -84,15 +92,15 @@ func (c *Container) FindEq(plain []byte) (EqMatch, error) {
 		return EqMatch{}, err
 	}
 	if c.codec.Props().OrderPreserving {
-		lo := sort.Search(len(c.recs), func(i int) bool { return bytes.Compare(c.recs[i].Value, enc) >= 0 })
-		hi := sort.Search(len(c.recs), func(i int) bool { return bytes.Compare(c.recs[i].Value, enc) > 0 })
+		lo := sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(c.vals[i], enc) >= 0 })
+		hi := sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(c.vals[i], enc) > 0 })
 		return EqMatch{c: c, lo: lo, hi: hi, direct: true}, nil
 	}
 	lo := sort.Search(len(c.eqOrder), func(i int) bool {
-		return bytes.Compare(c.recs[c.eqOrder[i]].Value, enc) >= 0
+		return bytes.Compare(c.vals[c.eqOrder[i]], enc) >= 0
 	})
 	hi := sort.Search(len(c.eqOrder), func(i int) bool {
-		return bytes.Compare(c.recs[c.eqOrder[i]].Value, enc) > 0
+		return bytes.Compare(c.vals[c.eqOrder[i]], enc) > 0
 	})
 	return EqMatch{c: c, lo: lo, hi: hi, direct: false}, nil
 }
@@ -131,21 +139,21 @@ func (c *Container) FindRange(loPlain []byte, loInclusive bool, hiPlain []byte, 
 			return 0, 0, err
 		}
 		if loInclusive {
-			lo = sort.Search(len(c.recs), func(i int) bool { return bytes.Compare(c.recs[i].Value, enc) >= 0 })
+			lo = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(c.vals[i], enc) >= 0 })
 		} else {
-			lo = sort.Search(len(c.recs), func(i int) bool { return bytes.Compare(c.recs[i].Value, enc) > 0 })
+			lo = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(c.vals[i], enc) > 0 })
 		}
 	}
-	hi := len(c.recs)
+	hi := len(c.vals)
 	if hiPlain != nil {
 		enc, err := c.codec.Encode(nil, hiPlain)
 		if err != nil {
 			return 0, 0, err
 		}
 		if hiInclusive {
-			hi = sort.Search(len(c.recs), func(i int) bool { return bytes.Compare(c.recs[i].Value, enc) > 0 })
+			hi = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(c.vals[i], enc) > 0 })
 		} else {
-			hi = sort.Search(len(c.recs), func(i int) bool { return bytes.Compare(c.recs[i].Value, enc) >= 0 })
+			hi = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(c.vals[i], enc) >= 0 })
 		}
 	}
 	if hi < lo {
@@ -183,17 +191,17 @@ func (c *Container) FindRangeDecoding(loPlain []byte, loInclusive bool, hiPlain 
 	lo := 0
 	if loPlain != nil {
 		if loInclusive {
-			lo = sort.Search(len(c.recs), func(i int) bool { return bytes.Compare(decodeAt(i), loPlain) >= 0 })
+			lo = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(decodeAt(i), loPlain) >= 0 })
 		} else {
-			lo = sort.Search(len(c.recs), func(i int) bool { return bytes.Compare(decodeAt(i), loPlain) > 0 })
+			lo = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(decodeAt(i), loPlain) > 0 })
 		}
 	}
-	hi := len(c.recs)
+	hi := len(c.vals)
 	if hiPlain != nil {
 		if hiInclusive {
-			hi = sort.Search(len(c.recs), func(i int) bool { return bytes.Compare(decodeAt(i), hiPlain) > 0 })
+			hi = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(decodeAt(i), hiPlain) > 0 })
 		} else {
-			hi = sort.Search(len(c.recs), func(i int) bool { return bytes.Compare(decodeAt(i), hiPlain) >= 0 })
+			hi = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(decodeAt(i), hiPlain) >= 0 })
 		}
 	}
 	if decodeErr != nil {
@@ -239,10 +247,10 @@ func buildContainer(path string, kind ValueKind, group string, codec compress.Co
 	}
 	slab = slices.Clone(slab)
 	c := &Container{Path: path, Kind: kind, Group: group, codec: codec}
-	c.recs = make([]Record, n)
-	for k, pos := range order {
+	c.vals = make([][]byte, n)
+	for k := range order {
 		from, to := span[k][0], span[k][1]
-		c.recs[k] = Record{Value: slab[from:to:to], Owner: owners[pos]}
+		c.vals[k] = slab[from:to:to]
 	}
 	// Final value order. Order-agnostic codecs sort by plaintext, which
 	// the records already are. Order-preserving codecs sort by encoding:
@@ -252,18 +260,20 @@ func buildContainer(path string, kind ValueKind, group string, codec compress.Co
 	// are injective, so equal encodings mean equal plaintexts, and
 	// stacking the two stable sorts leaves ties in document order — the
 	// same result as one stable sort of document order by the final key.
-	byValue := func(a, b Record) int { return bytes.Compare(a.Value, b.Value) }
-	if codec.Props().OrderPreserving && !slices.IsSortedFunc(c.recs, byValue) {
-		// Sort the records with their document positions: the owner
-		// field carries the position through the sort.
+	if codec.Props().OrderPreserving && !slices.IsSortedFunc(c.vals, bytes.Compare) {
+		// Sort the document positions by their encodings.
+		enc := make([][]byte, n)
 		for k, pos := range order {
-			c.recs[k].Owner = NodeID(pos)
+			enc[pos] = c.vals[k]
 		}
-		slices.SortStableFunc(c.recs, byValue)
-		for k := range c.recs {
-			order[k] = int32(c.recs[k].Owner)
-			c.recs[k].Owner = owners[order[k]]
+		slices.SortStableFunc(order, func(a, b int32) int { return bytes.Compare(enc[a], enc[b]) })
+		for k, pos := range order {
+			c.vals[k] = enc[pos]
 		}
+	}
+	c.owners = make([]NodeID, n)
+	for k, pos := range order {
+		c.owners[k] = owners[pos]
 	}
 	mapping := make([]int32, n)
 	for k, pos := range order {
@@ -279,11 +289,11 @@ func (c *Container) buildEqOrder() {
 	if c.codec.Props().OrderPreserving {
 		return
 	}
-	c.eqOrder = make([]int32, len(c.recs))
+	c.eqOrder = make([]int32, len(c.vals))
 	for i := range c.eqOrder {
 		c.eqOrder[i] = int32(i)
 	}
 	slices.SortStableFunc(c.eqOrder, func(a, b int32) int {
-		return bytes.Compare(c.recs[a].Value, c.recs[b].Value)
+		return bytes.Compare(c.vals[a], c.vals[b])
 	})
 }

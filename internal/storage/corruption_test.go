@@ -77,20 +77,24 @@ func frame(pre, tree []byte) []byte {
 
 // checkHostile loads untrusted repository bytes and holds LoadBinary to
 // its contract: an error, or a repository the slow Validate oracle also
-// accepts and the serializer can walk — never a panic, and never more
-// memory than the input pays for. The memory bound is linear with a
-// large constant because small inputs legitimately fan out: a source
-// model of a few bytes builds a few KB of codec tables, and the LZSS
-// structure section expands up to ~90x. It returns the store, nil when
-// the bytes were refused.
+// accepts, the serializer can walk and every record of which decodes or
+// fails to — never a panic, and never more memory than the input pays
+// for. The memory bound is linear with a large constant because small
+// inputs legitimately fan out: a source model of a few bytes builds a few
+// KB of codec tables, and the LZSS structure section expands up to ~90x.
+// It covers the first decodes as well as the load, since an ALM model is
+// built on its first use. It returns the store, nil when the bytes were
+// refused.
 func checkHostile(t testing.TB, data []byte, what string) *Store {
 	t.Helper()
+	limit := uint64(1<<20 + 4096*len(data))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	s, err := LoadBinary(data)
 	runtime.ReadMemStats(&after)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+4096*len(data)); got > limit {
-		t.Fatalf("%s: loading %d bytes allocated %d (limit %d)", what, len(data), got, limit)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc > limit {
+		t.Fatalf("%s: loading %d bytes allocated %d (limit %d)", what, len(data), alloc, limit)
 	}
 	if err != nil {
 		return nil
@@ -102,10 +106,22 @@ func checkHostile(t testing.TB, data []byte, what string) *Store {
 	// mark count and the value refs that deriveFromSuccinct proved. So
 	// on everything accepted it must run to the end, from the root and
 	// from nodes inside, without a panic or an out-of-range read — a
-	// decode may still fail (a value can be corrupt).
+	// decode may still fail (a value can be corrupt). The sweep and the
+	// decodes after it are the first use of every model.
+	runtime.ReadMemStats(&before)
+	var buf []byte
 	for id := range sampledNodes(s) {
-		_, _ = s.Serialize(nil, id)
-		_, _ = s.DeepText(nil, id)
+		buf, _ = s.Serialize(buf[:0], id)
+		buf, _ = s.DeepText(buf[:0], id)
+	}
+	for _, c := range s.Containers {
+		for i := 0; i < c.Len(); i++ {
+			buf, _ = c.Decode(buf[:0], i)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if alloc += after.TotalAlloc - before.TotalAlloc; alloc > limit {
+		t.Fatalf("%s: loading %d bytes and decoding from them allocated %d (limit %d)", what, len(data), alloc, limit)
 	}
 	return s
 }
@@ -224,6 +240,43 @@ func TestCorruptionNeverPanics(t *testing.T) {
 		copy(garbage, magic)
 		checkHostile(t, garbage, "magic-prefixed garbage")
 		checkHostile(t, frame(garbage[:len(garbage)/2], garbage[len(garbage)/2:]), "framed garbage")
+	}
+}
+
+// TestLoadBinaryRejectsUnownedRecords: every record of every container
+// belongs to a node. A record no text leaf names — one appended to a
+// container, or a whole container repeated under its path, which names
+// only the last copy — is reachable by no query yet counted in CF, Stats
+// and Footprint; the load pass refuses the file, and the oracle the
+// store it came from.
+func TestLoadBinaryRejectsUnownedRecords(t *testing.T) {
+	const doc = `<site><people><person id="p1"><name>alice</name></person><person id="p2"><name>bob</name></person></people></site>`
+	for _, mutant := range []string{"extra record", "repeated path"} {
+		s, err := Load([]byte(doc), LoadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, ok := s.ContainerByPath("/site/people/person/name/#text")
+		if !ok {
+			t.Fatal("no name container")
+		}
+		switch mutant {
+		case "extra record":
+			v, err := c.Encode(nil, []byte("zzz"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.vals, c.owners = append(c.vals, v), append(c.owners, 0)
+			if err := s.Validate(); err == nil {
+				t.Errorf("%s: the oracle accepts a record no node owns", mutant)
+			}
+		case "repeated path":
+			dup := *c
+			s.Containers = append(s.Containers, &dup)
+		}
+		if _, err := LoadBinary(s.AppendBinary(nil)); err == nil || !strings.Contains(err.Error(), "belong to no node") {
+			t.Errorf("%s: LoadBinary err = %v, want the unowned record refused", mutant, err)
+		}
 	}
 }
 

@@ -72,8 +72,8 @@ func (s *Store) Footprint() Footprint {
 	f.Summary = s.Sum.FootprintBytes()
 	for _, c := range s.Containers {
 		f.Containers += len(c.Path) + 16
-		for i := range c.recs {
-			f.Containers += len(c.recs[i].Value) + 4
+		for _, v := range c.vals {
+			f.Containers += len(v) + 4
 		}
 		if c.eqOrder != nil {
 			f.Containers += 4 * len(c.eqOrder)

@@ -140,7 +140,7 @@ func (r *run) val() []byte {
 	if r.vals != nil {
 		return r.vals[r.i]
 	}
-	return r.c.recs[r.i].Value
+	return r.c.vals[r.i]
 }
 
 // next moves the cursor onto the next spliced record, if there is one.
@@ -210,7 +210,7 @@ func (f *Fusion) merge(s *Store, all []run) (*Container, error) {
 	if !c.codec.Props().OrderPreserving {
 		return f.rebuild(s, runs, n, c)
 	}
-	c.recs, f.vals = make([]Record, 0, n), f.vals[:0]
+	c.vals, f.vals = make([][]byte, 0, n), f.vals[:0]
 	var arena []byte // the re-encoded values; earlier sub-slices survive its growth
 	for ri := range runs {
 		r := &runs[ri]
@@ -224,7 +224,7 @@ func (f *Fusion) merge(s *Store, all []run) (*Container, error) {
 			if r.at[i] < 0 {
 				continue
 			}
-			if prev >= 0 && bytes.Equal(r.c.recs[i].Value, r.c.recs[prev].Value) {
+			if prev >= 0 && bytes.Equal(r.c.vals[i], r.c.vals[prev]) {
 				// Equal encodings are equal plaintexts, and sorted records
 				// keep them together: one decode and encode per distinct value.
 				r.vals[i] = r.vals[prev]
@@ -232,7 +232,7 @@ func (f *Fusion) merge(s *Store, all []run) (*Container, error) {
 			}
 			prev = i
 			var err error
-			if f.plain, err = r.c.codec.Decode(f.plain[:0], r.c.recs[i].Value); err != nil {
+			if f.plain, err = r.c.codec.Decode(f.plain[:0], r.c.vals[i]); err != nil {
 				return nil, err
 			}
 			k := len(arena)
@@ -257,13 +257,14 @@ func (f *Fusion) merge(s *Store, all []run) (*Container, error) {
 			}
 		}
 		if best == nil {
+			c.owners = make([]NodeID, len(c.vals)) // written by the sweep that proves the store
 			return c, nil
 		}
 		// One run stays ahead for long stretches (the base against an
 		// appended fragment): take from it until the runner-up's head is due.
 		for ok := true; ok; ok = best.next() && (second == nil || best.before(second)) {
-			best.at[best.i] = int32(len(c.recs))
-			c.recs = append(c.recs, Record{Value: best.val()})
+			best.at[best.i] = int32(len(c.vals))
+			c.vals = append(c.vals, best.val())
 			best.i++
 		}
 	}
@@ -283,7 +284,7 @@ func (f *Fusion) rebuild(s *Store, runs []run, n int, as *Container) (*Container
 	leaves, plains := make([]leaf, 0, n), make([][]byte, 0, n)
 	for _, r := range runs {
 		for ; r.next(); r.i++ {
-			plain, err := r.c.codec.Decode(nil, r.c.recs[r.i].Value)
+			plain, err := r.c.codec.Decode(nil, r.c.vals[r.i])
 			if err != nil {
 				return nil, err
 			}

@@ -71,7 +71,7 @@ func TestFusionIsProven(t *testing.T) {
 	for _, p := range parts {
 		for _, c := range p.Containers {
 			for j := 0; j < c.Len(); j++ {
-				owners = append(owners, c.Record(j).Owner)
+				owners = append(owners, c.Owner(j))
 			}
 		}
 	}
@@ -99,8 +99,8 @@ func TestFusionIsProven(t *testing.T) {
 	for i, p := range parts {
 		for _, c := range p.Containers {
 			for j := 0; j < c.Len(); j++ {
-				if c.Record(j).Owner != owners[0] {
-					t.Fatalf("fusion wrote to part %d: %s record %d owner %d, was %d", i, c.Path, j, c.Record(j).Owner, owners[0])
+				if c.Owner(j) != owners[0] {
+					t.Fatalf("fusion wrote to part %d: %s record %d owner %d, was %d", i, c.Path, j, c.Owner(j), owners[0])
 				}
 				owners = owners[1:]
 			}

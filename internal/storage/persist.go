@@ -56,9 +56,9 @@ func (s *Store) AppendBinary(dst []byte) []byte {
 		dst = compress.AppendBytes(dst, []byte(c.Path))
 		dst = append(dst, byte(c.Kind))
 		dst = compress.AppendUvarint(dst, uint64(groupIdx[c.Group]))
-		dst = compress.AppendUvarint(dst, uint64(len(c.recs)))
-		for _, r := range c.recs {
-			dst = compress.AppendBytes(dst, r.Value)
+		dst = compress.AppendUvarint(dst, uint64(len(c.vals)))
+		for _, v := range c.vals {
+			dst = compress.AppendBytes(dst, v)
 		}
 	}
 
@@ -158,10 +158,12 @@ func (r *reader) byte() (byte, error) {
 // one linear pass over the bytes: each section is checked as it is read,
 // and the walk that derives the summary, the value refs and the record
 // owners (deriveFromSuccinct) is also the proof that the structure is a
-// well-formed tree — nothing is validated a second time.
+// well-formed tree — nothing is validated a second time. Source models
+// are proved here too, but an ALM model builds its interval index on
+// first use (see alm.loadModel).
 //
-// The store keeps data: record values are sub-slices of it. The caller
-// hands the buffer over and must not modify it afterwards.
+// The store keeps data: record values and ALM models are sub-slices of
+// it. The caller hands the buffer over and must not modify it afterwards.
 func LoadBinary(data []byte) (*Store, error) {
 	if len(data) < len(magic)+4 || !bytes.Equal(data[:len(magic)], magic) {
 		return nil, fmt.Errorf("storage: not a repository file (bad magic)")
@@ -251,16 +253,17 @@ func LoadBinary(data []byte) (*Store, error) {
 			return nil, err
 		}
 		c := &Container{
-			Path:  string(path),
-			Kind:  ValueKind(kind),
-			Group: group,
-			codec: s.Models[group].Codec,
-			recs:  make([]Record, nRecs),
+			Path:   string(path),
+			Kind:   ValueKind(kind),
+			Group:  group,
+			codec:  s.Models[group].Codec,
+			vals:   make([][]byte, nRecs),
+			owners: make([]NodeID, nRecs),
 		}
 		// Owners are not stored: the structure walk re-derives them from
 		// the tree's value refs.
-		for i := range c.recs {
-			if c.recs[i].Value, err = r.bytes(); err != nil {
+		for i := range c.vals {
+			if c.vals[i], err = r.bytes(); err != nil {
 				return nil, err
 			}
 		}

@@ -54,7 +54,7 @@ func ScratchStats() (gets, allocs int64) {
 func (c *Container) DecodeScratch(s *Scratch, i int) ([]byte, error) {
 	decodeOps.Add(1)
 	var err error
-	s.buf, err = c.codec.Decode(s.buf[:0], c.recs[i].Value)
+	s.buf, err = c.codec.Decode(s.buf[:0], c.vals[i])
 	return s.buf, err
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"xquec/internal/compress"
 	"xquec/internal/datagen"
 	"xquec/internal/xmlparser"
 )
@@ -108,9 +109,8 @@ func TestFindEq(t *testing.T) {
 	if m.Count() != 1 {
 		t.Fatalf("FindEq(Bob) count = %d", m.Count())
 	}
-	rec := cont.Record(m.At(0))
-	if s.TagOf(rec.Owner) != "name" {
-		t.Fatalf("owner tag = %q", s.TagOf(rec.Owner))
+	if owner := cont.Owner(m.At(0)); s.TagOf(owner) != "name" {
+		t.Fatalf("owner tag = %q", s.TagOf(owner))
 	}
 	if m, _ := cont.FindEq([]byte("Zed")); m.Count() != 0 {
 		t.Fatal("found non-existent value")
@@ -315,6 +315,60 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err != nil || hi-lo != 2 {
 		t.Fatalf("reloaded FindRange: [%d,%d) %v", lo, hi, err)
 	}
+}
+
+// TestLoadedModelsMatchTrained: an ALM model loaded from its bytes, whose
+// index is built on first use, is the codec that was trained: on XMark
+// scale 1 every one writes the same model of the same size, and encodes
+// every value and decodes every record of its containers as the trained
+// one does.
+func TestLoadedModelsMatchTrained(t *testing.T) {
+	s, err := Load(datagen.XMark(datagen.XMarkConfig{Scale: 1, Seed: 1}), LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := map[string]compress.Codec{}
+	for g, gm := range s.Models {
+		if gm.Algorithm != AlgALM {
+			continue
+		}
+		model := gm.Codec.AppendModel(nil)
+		lc, err := compress.LoadModel(AlgALM, model)
+		if err != nil {
+			t.Fatalf("%s: %v", g, err)
+		}
+		if got := lc.AppendModel(nil); !bytes.Equal(got, model) || lc.ModelSize() != gm.Codec.ModelSize() {
+			t.Fatalf("%s: loaded model %d bytes (size %d), trained %d bytes (size %d)",
+				g, len(got), lc.ModelSize(), len(model), gm.Codec.ModelSize())
+		}
+		loaded[g] = lc
+	}
+	if len(loaded) < 10 {
+		t.Fatalf("only %d ALM models", len(loaded))
+	}
+	records := 0
+	for _, c := range s.Containers {
+		lc, ok := loaded[c.Group]
+		if !ok {
+			continue
+		}
+		for i := 0; i < c.Len(); i++ {
+			want, err := c.codec.Decode(nil, c.Value(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := lc.Decode(nil, c.Value(i))
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s record %d: loaded codec decodes %q (%v), trained %q", c.Path, i, got, err, want)
+			}
+			enc, err := lc.Encode(nil, want)
+			if err != nil || !bytes.Equal(enc, c.Value(i)) {
+				t.Fatalf("%s record %d: loaded codec encodes %q as %x (%v), trained %x", c.Path, i, want, enc, err, c.Value(i))
+			}
+			records++
+		}
+	}
+	t.Logf("%d ALM models, %d records", len(loaded), records)
 }
 
 func TestPersistRejectsCorruption(t *testing.T) {

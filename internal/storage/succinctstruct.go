@@ -268,7 +268,7 @@ func (t *SuccinctStructure) sweep(names []string, conts []*Container, dst []byte
 				from := len(dst)
 				c := conts[t.valCont[leaf]]
 				decoded++
-				if dst, err = c.codec.Decode(dst, c.recs[t.valIdx[leaf]].Value); err != nil {
+				if dst, err = c.codec.Decode(dst, c.vals[t.valIdx[leaf]]); err != nil {
 					break
 				}
 				if markup {
@@ -338,7 +338,9 @@ func (t *SuccinctStructure) footprintBytes() (bp, marks, refs int) {
 //   - labels in range: each node's tag indexes the dictionary;
 //   - values resolve and are singly owned: a text leaf is exactly "()",
 //     its container is the one its summary path names, its record index
-//     is inside that container, and no record is claimed by two nodes;
+//     is inside that container, no record is claimed by two nodes, and
+//     every record of every container is claimed — a record no node owns
+//     could be reached by no query, yet would count in every size;
 //   - the counts agree: opens, node marks, tags and value refs are all
 //     consumed exactly.
 //
@@ -394,6 +396,7 @@ func (s *Store) deriveFromSuccinct() error {
 	}
 	var stack []sframe
 	ord, id, vord := 0, NodeID(0), 0
+	owned := 0 // records claimed so far
 	n := t.pv.Len()
 	for p := 0; p < n; p++ {
 		if !t.pv.Get(p) {
@@ -453,10 +456,14 @@ func (s *Store) deriveFromSuccinct() error {
 			if idx >= cont.Len() {
 				return fmt.Errorf("storage: node %d value index %d out of range for %s", f.id, idx, cont.Path)
 			}
-			if owner := cont.recs[idx].Owner; owner != 0 && owner != f.id {
+			switch owner := cont.owners[idx]; owner {
+			case 0:
+				cont.owners[idx] = f.id
+				owned++
+			case f.id:
+			default:
 				return fmt.Errorf("storage: record %d of %s claimed by nodes %d and %d", idx, cont.Path, owner, f.id)
 			}
-			cont.recs[idx].Owner = f.id
 			t.valCont[vord] = vsn.Container
 			vord++
 			if p+1 >= n || t.pv.Get(p+1) {
@@ -472,6 +479,13 @@ func (s *Store) deriveFromSuccinct() error {
 	if int(id) != len(t.tags) || vord != len(t.valIdx) || ord != t.isNode.Len() {
 		return fmt.Errorf("storage: structure section inconsistent (%d/%d nodes, %d/%d values)",
 			id, len(t.tags), vord, len(t.valIdx))
+	}
+	records := 0
+	for _, c := range s.Containers {
+		records += c.Len()
+	}
+	if owned != records {
+		return fmt.Errorf("storage: %d of %d container records belong to no node", records-owned, records)
 	}
 
 	for _, sn := range sum.Nodes() {

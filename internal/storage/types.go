@@ -54,13 +54,6 @@ func (k ValueKind) String() string {
 	return fmt.Sprintf("ValueKind(%d)", uint8(k))
 }
 
-// Record is one container record: an individually compressed value plus
-// the ID of the node it belongs to (its "parent in the structure tree").
-type Record struct {
-	Value []byte // compressed bytes
-	Owner NodeID
-}
-
 // Algorithm names accepted in compression plans.
 const (
 	AlgALM      = "alm"

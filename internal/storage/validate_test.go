@@ -38,8 +38,15 @@ func (s *Store) Validate() error {
 			if int(vr.Index) >= c.Len() {
 				return fmt.Errorf("storage: node %d references record %d of %s", id, vr.Index, c.Path)
 			}
-			if c.Record(int(vr.Index)).Owner != id {
+			if c.Owner(int(vr.Index)) != id {
 				return fmt.Errorf("storage: value owner mismatch for node %d", id)
+			}
+		}
+	}
+	for _, c := range s.Containers {
+		for i := 0; i < c.Len(); i++ {
+			if c.Owner(i) == 0 {
+				return fmt.Errorf("storage: record %d of %s belongs to no node", i, c.Path)
 			}
 		}
 	}
