@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -225,7 +226,7 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	if *explain {
-		return printExplain(db, *q)
+		return printExplain(os.Stdout, db, *q)
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -302,24 +303,23 @@ func cmdExplain(args []string) error {
 	if err != nil {
 		return err
 	}
-	return printExplain(db, *q)
+	return printExplain(os.Stdout, db, *q)
 }
 
 // printExplain writes the access plan followed by the compiled stack-VM
 // program — the pair `xquec query -explain` and `xquec explain` both
 // print.
-func printExplain(db *xquec.Database, q string) error {
+func printExplain(w io.Writer, db *xquec.Database, q string) error {
 	plan, err := db.Explain(q)
 	if err != nil {
 		return err
 	}
-	fmt.Print(plan)
 	prog, err := db.ExplainProgram(q)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\ncompiled program:\n%s", prog)
-	return nil
+	_, err = fmt.Fprintf(w, "%s\ncompiled program:\n%s", plan, prog)
+	return err
 }
 
 func cmdStats(args []string) error {

@@ -17,10 +17,11 @@ import (
 // Store concurrently.
 type Engine struct {
 	store *storage.Store
-	// joinIdx caches container join indexes per comparison expression,
-	// so correlated nested FLWORs (the Q8/Q9 shape) build the join once
-	// instead of rescanning per outer binding.
-	joinIdx map[*xquery.Cmp]*joinIndex
+	// joinIdx caches, per comparison, the container join indexes this run
+	// built: those of joins whose summary sets were not static at compile
+	// time (a program builds the others once, and all its runs share
+	// them), and of the nested FLWORs the walker evaluates.
+	joinIdx map[*xquery.Cmp]*JoinIndex
 	// plans holds what the compiler derived once for the whole program;
 	// paths and flwors memoise the same per expression for this run
 	// (everything the program did not cover, plus each path's galloping

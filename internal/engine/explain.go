@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"xquec/internal/algebra"
@@ -156,17 +157,31 @@ func (e *Engine) describeLitPushdown(sums []*storage.SummaryNode, pd Pushdown) s
 	return fmt.Sprintf("pushdown %s -> %s", pd.Conj, strings.Join(parts, "; "))
 }
 
+// describeJoinPushdown names the join's strategy. JoinContainers decides
+// it per pair of containers, so the description does too: one strategy
+// when every pair agrees, else each pair's.
 func (e *Engine) describeJoinPushdown(sums, otherSums []*storage.SummaryNode, pd Pushdown) string {
 	thisConts, _, ok1 := e.relValueTarget(sums, pd.RelThis)
 	otherConts, _, ok2 := e.relValueTarget(otherSums, pd.RelOther)
 	if !ok1 || !ok2 || len(thisConts) == 0 || len(otherConts) == 0 {
 		return fmt.Sprintf("join %s: containers unresolved, tuple-at-a-time fallback", pd.Conj)
 	}
-	strategy := "HashJoin (decompress both sides)"
-	if algebra.SameModel(thisConts[0], otherConts[0]) &&
-		thisConts[0].Codec().Props().OrderPreserving {
-		strategy = "MergeJoin on compressed bytes (shared source model)"
+	var pairs, strategies []string
+	for _, tc := range thisConts {
+		for _, oc := range otherConts {
+			strategy := "HashJoin (decompress both sides)"
+			if algebra.SameModel(tc, oc) && tc.Codec().Props().OrderPreserving {
+				strategy = "MergeJoin on compressed bytes (shared source model)"
+			}
+			pairs = append(pairs, fmt.Sprintf("%s ⋈ %s", tc.Path, oc.Path))
+			strategies = append(strategies, strategy)
+		}
 	}
-	return fmt.Sprintf("join %s -> %s: %s ⋈ %s",
-		pd.Conj, strategy, thisConts[0].Path, otherConts[0].Path)
+	if !slices.ContainsFunc(strategies, func(s string) bool { return s != strategies[0] }) {
+		return fmt.Sprintf("join %s -> %s: %s", pd.Conj, strategies[0], strings.Join(pairs, "; "))
+	}
+	for i := range pairs {
+		pairs[i] = strategies[i] + ": " + pairs[i]
+	}
+	return fmt.Sprintf("join %s -> mixed: %s", pd.Conj, strings.Join(pairs, "; "))
 }

@@ -102,3 +102,31 @@ func TestExplainParseError(t *testing.T) {
 		t.Fatal("bad query accepted")
 	}
 }
+
+// TestExplainJoinStrategyPerPair: a join whose side spans two containers
+// runs one strategy per container pair (JoinContainers), and explain
+// reports each pair's when they differ.
+func TestExplainJoinStrategyPerPair(t *testing.T) {
+	doc := `<r><a><x ref="p1"/></a><b><x ref="p2"/></b><p id="p1"/><p id="p2"/></r>`
+	plan := &storage.CompressionPlan{
+		Groups:     map[string][]string{"refs": {"/r/a/x/@ref", "/r/p/@id"}},
+		Algorithms: map[string]string{"refs": storage.AlgALM},
+	}
+	s, err := storage.Load([]byte(doc), storage.LoadOptions{Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := New(s).Explain(`FOR $p IN /r/p LET $a := FOR $t IN /r//x WHERE $t/@ref = $p/@id RETURN $t RETURN count($a)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"-> mixed: ",
+		"MergeJoin on compressed bytes (shared source model): /r/a/x/@ref ⋈ /r/p/@id",
+		"HashJoin (decompress both sides): /r/b/x/@ref ⋈ /r/p/@id",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("explain lacks %q:\n%s", want, out)
+		}
+	}
+}

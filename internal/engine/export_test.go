@@ -14,3 +14,6 @@ const (
 	NestedLists = nestedLists
 	PeopleDoc   = peopleDoc
 )
+
+// JoinIndexBuilds returns how many join indexes were built so far.
+func JoinIndexBuilds() int64 { return joinIndexBuilds.Load() }

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"xquec/internal/algebra"
 	"xquec/internal/storage"
@@ -302,7 +303,7 @@ func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq)) error {
 			if pd.IsLit {
 				restricted, handled, err = e.applyLit(pd, cur, sums)
 			} else {
-				restricted, handled, err = e.applyJoin(pd, cur, sums, env)
+				restricted, handled, err = e.applyJoin(pd, nil, false, cur, sums, env)
 			}
 			if err != nil {
 				return err
@@ -385,14 +386,16 @@ func (e *Engine) passAll(filters []xquery.Expr, env *scope) (bool, error) {
 	return true, nil
 }
 
-// joinIndex maps nodes of the "other" side of an equality join to their
+// JoinIndex maps nodes of the "other" side of an equality join to their
 // partner nodes on "this" side. Built once per comparison and pair of
-// summary sets, it is what turns the Q8/Q9 correlated nested loops into
-// a single container join. It is keyed by extent ordinal: the instances
+// summary sets — by the compiler when both sets are static, else once
+// per run — it is what turns the Q8/Q9 correlated nested loops into a
+// single container join. It is keyed by extent ordinal: the instances
 // of otherSums[k] are numbered first[k], first[k]+1, … in extent order,
 // and the partners of the instance numbered o are
-// partners[start[o]:start[o+1]], in document order.
-type joinIndex struct {
+// partners[start[o]:start[o+1]], in document order. It is read-only once
+// built, so any number of runs share it.
+type JoinIndex struct {
 	sums, otherSums []*storage.SummaryNode
 	first           []int
 	start           []int32
@@ -400,21 +403,43 @@ type joinIndex struct {
 	merged          bool // true when the compressed merge join was used
 }
 
-// partnersOf returns the partners of one binding of the other variable.
-func (idx *joinIndex) partnersOf(other storage.NodeID) algebra.NodeSet {
+// joinIndexBuilds counts the join indexes built, for the tests that
+// prove a program builds its static ones once.
+var joinIndexBuilds atomic.Int64
+
+// Partners returns the number of (binding, partner) links the index holds.
+func (idx *JoinIndex) Partners() int { return len(idx.partners) }
+
+// SizeBytes is the index's resident size: a 4-byte node per partner and
+// a 4-byte start per ordinal.
+func (idx *JoinIndex) SizeBytes() int { return 4*len(idx.partners) + 4*len(idx.start) }
+
+// covers reports that the index was built for these summary sets.
+func (idx *JoinIndex) covers(sums, otherSums []*storage.SummaryNode) bool {
+	return slices.Equal(idx.sums, sums) && slices.Equal(idx.otherSums, otherSums)
+}
+
+// partnersOf returns the partners of one binding of the other variable,
+// a read-only window of the index (capped, so appending to it copies).
+func (idx *JoinIndex) partnersOf(other storage.NodeID) algebra.NodeSet {
 	k, i := algebra.Nearest(idx.otherSums, nil, other)
 	if k < 0 || idx.otherSums[k].Extent[i] != other {
 		return nil
 	}
 	o := idx.first[k] + i
-	return idx.partners[idx.start[o]:idx.start[o+1]]
+	return idx.partners[idx.start[o]:idx.start[o+1]:idx.start[o+1]]
 }
 
 // applyLit restricts cur (the domain of this clause's variable, instances
 // of sums) to the nodes whose value under the pushdown's path matches its
 // literal, by one container match per run; handled is false when the
-// comparison has no container fast path.
+// comparison has no container fast path — among them nodes without a
+// summary set (bound from a nested FLWOR), which an empty set must not
+// prove empty.
 func (e *Engine) applyLit(pd Pushdown, cur algebra.NodeSet, sums []*storage.SummaryNode) (algebra.NodeSet, bool, error) {
+	if len(sums) == 0 {
+		return nil, false, nil
+	}
 	co, err := e.matchOwners(pd.Conj, sums, pd.Rel, pd.Op, pd.Lit)
 	if err != nil || !co.ok {
 		return nil, false, err
@@ -423,20 +448,31 @@ func (e *Engine) applyLit(pd Pushdown, cur algebra.NodeSet, sums []*storage.Summ
 }
 
 // applyJoin restricts cur (the domain of this clause's variable) to the
-// join partners of the other variable's current binding.
-func (e *Engine) applyJoin(pd Pushdown, cur algebra.NodeSet, sums []*storage.SummaryNode, env *scope) (algebra.NodeSet, bool, error) {
+// join partners of the other variable's current binding, through idx
+// when it was built for these summary sets and the run's own index
+// otherwise. whole says cur is every instance of sums, so the partners
+// are the restriction as they stand.
+func (e *Engine) applyJoin(pd Pushdown, idx *JoinIndex, whole bool, cur algebra.NodeSet, sums []*storage.SummaryNode, env *scope) (algebra.NodeSet, bool, error) {
 	other := env.vars[pd.OtherVar]
 	if other == nil || len(other.ids) != 1 || len(other.sums) == 0 || len(sums) == 0 {
 		return nil, false, nil
 	}
-	idx, ok, err := e.joinIndexFor(pd, sums, other.sums)
-	if err != nil || !ok {
-		return nil, ok, err
+	if idx == nil || !idx.covers(sums, other.sums) {
+		var ok bool
+		var err error
+		if idx, ok, err = e.joinIndexFor(pd, sums, other.sums); err != nil || !ok {
+			return nil, ok, err
+		}
+		whole = false
+	}
+	partners := idx.partnersOf(other.ids[0])
+	if whole {
+		return partners, true, nil
 	}
 	// The partners are usually a tiny subset of the clause domain: probe
 	// them into cur by binary search instead of a full linear merge.
 	var out algebra.NodeSet
-	for _, m := range idx.partnersOf(other.ids[0]) {
+	for _, m := range partners {
 		i := sort.Search(len(cur), func(k int) bool { return cur[k] >= m })
 		if i < len(cur) && cur[i] == m {
 			out = append(out, m)
@@ -449,8 +485,8 @@ func (e *Engine) applyJoin(pd Pushdown, cur algebra.NodeSet, sums []*storage.Sum
 // sides' value owners are placed under their bindings by extent order
 // (algebra.Nearest: relValueTarget resolves containers only under summary
 // sets whose instances never nest).
-func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNode) (*joinIndex, bool, error) {
-	if idx, ok := e.joinIdx[pd.Conj]; ok && slices.Equal(idx.sums, sums) && slices.Equal(idx.otherSums, otherSums) {
+func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNode) (*JoinIndex, bool, error) {
+	if idx, ok := e.joinIdx[pd.Conj]; ok && idx.covers(sums, otherSums) {
 		return idx, true, nil
 	}
 	thisConts, _, ok1 := e.relValueTarget(sums, pd.RelThis)
@@ -458,7 +494,8 @@ func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNod
 	if !ok1 || !ok2 || len(thisConts) == 0 || len(otherConts) == 0 {
 		return nil, false, nil
 	}
-	idx := &joinIndex{sums: sums, otherSums: otherSums, first: make([]int, len(otherSums))}
+	joinIndexBuilds.Add(1)
+	idx := &JoinIndex{sums: sums, otherSums: otherSums, first: make([]int, len(otherSums))}
 	n := 0
 	for k, sn := range otherSums {
 		idx.first[k] = n
@@ -511,7 +548,7 @@ func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNod
 	}
 	idx.start[n] = w
 	if e.joinIdx == nil {
-		e.joinIdx = map[*xquery.Cmp]*joinIndex{}
+		e.joinIdx = map[*xquery.Cmp]*JoinIndex{}
 	}
 	e.joinIdx[pd.Conj] = idx
 	return idx, true, nil

@@ -21,19 +21,23 @@ import (
 // a clause source evaluated after its enclosing FOR clause rebinds sees
 // exactly the clauses before it in the current tuple — never its own or
 // a later clause's binding from the previous tuple, which flworEach's
-// scoping has already dropped. The engine binds nested FLWOR
+// scoping has already dropped. A LET whose source the program runs as
+// loops of its own reserves its depth (Open) and its inner clauses bind
+// deeper; binding the LET drops them. The engine binds nested FLWOR
 // variables into the same scope and restores what they shadowed, so the
 // VM's bindings survive every call.
 type Env struct {
 	s      *scope
-	frames []frame // the bound clauses, by depth; a slot outlives its frame
+	frames []frame // the clauses, by depth; a slot outlives its frame
 }
 
-// frame is one bound clause: its variable, the slot holding its value,
-// and the binding the slot shadows.
+// frame is one clause: its variable, the slot holding its value, and the
+// binding the slot shadows. A frame is live while its variable is bound;
+// an open (reserved) frame is not yet.
 type frame struct {
 	name        string
 	b, shadowed *binding
+	live        bool
 }
 
 // NewEnv returns a fresh, empty environment.
@@ -46,32 +50,56 @@ func (v *Env) Reset() {
 	v.frames = v.frames[:0]
 }
 
+// truncate unbinds the clauses at depth n and deeper.
+func (v *Env) truncate(n int) {
+	for len(v.frames) > n {
+		f := &v.frames[len(v.frames)-1]
+		if f.live {
+			v.s.unbind(f.name, f.shadowed)
+			f.live = false
+		}
+		v.frames = v.frames[:len(v.frames)-1]
+	}
+}
+
+// push adds an open frame at the next depth, reusing its slot.
+func (v *Env) push() {
+	if len(v.frames) < cap(v.frames) {
+		v.frames = v.frames[:len(v.frames)+1]
+	} else {
+		v.frames = append(v.frames, frame{})
+	}
+	f := &v.frames[len(v.frames)-1]
+	f.live = false
+	if f.b == nil {
+		f.b = &binding{}
+	}
+}
+
+// Open reserves depth for a LET whose value the clauses bound after it
+// compute: the clauses at depth and deeper are unbound, and the LET's own
+// variable stays unbound — its source must not see it — until Bind.
+func (v *Env) Open(depth int) {
+	v.truncate(depth)
+	v.push()
+}
+
 // slot unbinds the clauses deeper than depth and returns the slot of the
 // clause at depth, installing it under name when that clause is not
 // bound yet — the clauses above it are. A FOR clause's next tuple
 // rebinds the installed slot, allocating nothing.
 func (v *Env) slot(depth int, name string, sums []*storage.SummaryNode) *binding {
-	for len(v.frames) > depth+1 {
-		f := &v.frames[len(v.frames)-1]
-		v.s.unbind(f.name, f.shadowed)
-		v.frames = v.frames[:len(v.frames)-1]
-	}
+	v.truncate(depth + 1)
 	if len(v.frames) == depth {
-		if depth < cap(v.frames) {
-			v.frames = v.frames[:depth+1]
-		} else {
-			v.frames = append(v.frames, frame{})
-		}
-		f := &v.frames[depth]
-		if f.b == nil {
-			f.b = &binding{}
-		}
-		f.name, f.shadowed = name, v.s.vars[name]
+		v.push()
+	}
+	f := &v.frames[depth]
+	if !f.live {
+		f.name, f.shadowed, f.live = name, v.s.vars[name], true
 		v.s.vars[name] = f.b
 	}
-	b := v.frames[depth].b
-	b.sums = sums
-	return b
+	f.b.sums = sums
+	return f.b
 }
 
 // Bind binds the clause at depth to a value — a document-ordered node
@@ -98,6 +126,16 @@ func (e *Engine) WithPlans(pl *Plans) *Engine {
 // FLWORs, constructors, aggregates).
 func (e *Engine) EvalExpr(x xquery.Expr, env *Env) (Seq, error) {
 	return e.eval(x, env.s)
+}
+
+// AppendExpr appends the items of an expression to dst (a path's go
+// straight from the store).
+func (e *Engine) AppendExpr(dst Seq, x xquery.Expr, env *Env) (Seq, error) {
+	if p, isPath := x.(*xquery.PathExpr); isPath {
+		return e.appendPath(dst, p, env.s)
+	}
+	v, err := e.eval(x, env.s)
+	return append(dst, v...), err
 }
 
 // EvalBoolExpr evaluates an expression to its effective boolean value.
@@ -130,11 +168,20 @@ func (e *Engine) ApplyLitPushdown(pd Pushdown, cur algebra.NodeSet, sums []*stor
 	return e.applyLit(pd, cur, sums)
 }
 
+// BuildJoinIndex builds the join index of a pushdown for static summary
+// sets (joinIndexFor), for a program to share across its runs; ok is
+// false when the join has no container fast path.
+func (e *Engine) BuildJoinIndex(pd Pushdown, sums, otherSums []*storage.SummaryNode) (*JoinIndex, bool, error) {
+	return e.joinIndexFor(pd, sums, otherSums)
+}
+
 // ApplyJoinPushdown restricts cur to the join partners of the other
-// variable's current binding (applyJoin), building or reusing the
-// engine's per-comparison join index.
-func (e *Engine) ApplyJoinPushdown(pd Pushdown, cur algebra.NodeSet, sums []*storage.SummaryNode, env *Env) (algebra.NodeSet, bool, error) {
-	return e.applyJoin(pd, cur, sums, env.s)
+// variable's current binding (applyJoin): through idx, the program's
+// index, when the run's summary sets are the ones it was built for, else
+// through the run's own. whole says cur is every instance of its summary
+// set; the result may then alias idx and must not be written.
+func (e *Engine) ApplyJoinPushdown(pd Pushdown, idx *JoinIndex, whole bool, cur algebra.NodeSet, sums []*storage.SummaryNode, env *Env) (algebra.NodeSet, bool, error) {
+	return e.applyJoin(pd, idx, whole, cur, sums, env.s)
 }
 
 // CollectKey completes the tuple the VM just added to t with its key

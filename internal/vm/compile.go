@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -14,15 +15,17 @@ import (
 // Compile lowers a parsed query into a Program bound to store. The
 // compiler resolves every path's summary targets (into the program's
 // plan pool, which all runs share) and predicate value containers
-// against the repository's structure summary, plans every nested FLWOR,
+// against the repository's structure summary, lowers a LET bound to a
+// FLWOR into loops of the program, plans every other nested FLWOR,
 // folds constant arithmetic, and orders each clause's literal pushdowns
 // cheapest-container-first using the cost model's measured decode
 // costs; an ORDER BY key whose values live in known containers gets a
-// rank table, built here once. Shapes it does not specialize
-// (constructors, nested FLWORs, aggregates) lower to instructions that
-// hand the expression to the engine, so compilation succeeds on every
-// parseable query; the error return reports a compiler bug (a recovered
-// panic) instead of crashing the caller.
+// rank table, and a join whose sides' summary sets are static its join
+// index, both built here once. Shapes it does not specialize
+// (constructors, aggregates, the other nested FLWORs) lower to
+// instructions that hand the expression to the engine, so compilation
+// succeeds on every parseable query; the error return reports a
+// compiler bug (a recovered panic) instead of crashing the caller.
 func Compile(expr xquery.Expr, store *storage.Store, src string) (prog *Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -122,29 +125,73 @@ func (c *compiler) topPath(p *xquery.PathExpr) {
 // loops end in OpCollect, and OpSort, OpReplay and the RETURN follow.
 func (c *compiler) flwor(x *xquery.FLWOR) {
 	plan := engine.PlanFLWOR(x)
-	varSums := map[string][]*storage.SummaryNode{}
-	known := map[string]bool{}
-	var endPatch []int     // instructions whose C is the loops' end
-	innermost := int32(-1) // pc of the innermost OpIter so far
-	var fors []int32       // the FOR clauses' cursors
-	depth := int32(0)      // clauses bound so far
-	// loop makes instruction i jump back to the innermost OpIter, or past
-	// the loops when there is none.
-	loop := func(i int) {
-		if innermost >= 0 {
-			c.p.instrs[i].C = innermost
-		} else {
-			endPatch = append(endPatch, i)
-		}
+	n := c.loops(x, plan, 0, map[string][]*storage.SummaryNode{}, map[string]bool{}, true)
+	ret := c.addExpr(foldExpr(x.Return), n.varSums)
+	end := 0 // where the loops exit to
+	if x.OrderBy == nil {
+		c.emit(Instr{Op: OpEvalPush, A: ret})
+		n.loop(c.emit(Instr{Op: OpEmitSeq}))
+		end = len(c.p.instrs)
+	} else {
+		si := c.addSort(x, plan, n.fors, n.varSums, n.known)
+		n.loop(c.emit(Instr{Op: OpCollect, A: si}))
+		end = c.emit(Instr{Op: OpSort, A: si})
+		replay := c.emit(Instr{Op: OpReplay, A: si})
+		c.emit(Instr{Op: OpEvalPush, A: ret})
+		c.emit(Instr{Op: OpEmitSeq, C: int32(replay)})
+		c.p.instrs[replay].C = int32(len(c.p.instrs))
 	}
+	n.exit(end)
+}
 
+// nest is the loop nest of one FLWOR's clauses as the compiler lays it
+// out: what the body after the clauses needs to close the loops.
+type nest struct {
+	c         *compiler
+	endPatch  []int   // instructions whose C is the loops' end
+	innermost int32   // pc of the innermost OpIter so far; -1: none
+	fors      []int32 // the FOR clauses' cursors
+	forDoms   []int32 // and the domains they scan
+	depth     int32   // the depth the next clause binds at
+	varSums   map[string][]*storage.SummaryNode
+	known     map[string]bool
+}
+
+// loop makes instruction i jump back to the innermost OpIter, or past
+// the loops when there is none.
+func (n *nest) loop(i int) {
+	if n.innermost >= 0 {
+		n.c.p.instrs[i].C = n.innermost
+	} else {
+		n.endPatch = append(n.endPatch, i)
+	}
+}
+
+// exit points the jumps that leave the loops at end.
+func (n *nest) exit(end int) {
+	for _, i := range n.endPatch {
+		n.c.p.instrs[i].C = int32(end)
+	}
+}
+
+// loops lowers the clauses and residual WHERE of x, binding its variables
+// from depth on, into nested cursor loops; the caller emits the body and
+// closes them. varSums and known describe the variables in scope and
+// learn x's. top marks a top-level FLWOR, whose clause-0 FOR bindings the
+// bind hook observes.
+func (c *compiler) loops(x *xquery.FLWOR, plan *engine.FLWORPlan, depth int32, varSums map[string][]*storage.SummaryNode, known map[string]bool, top bool) *nest {
+	n := &nest{c: c, innermost: -1, depth: depth, varSums: varSums, known: known}
 	for ci, cl := range x.Clauses {
 		if cl.Let {
+			if inner, isFLWOR := foldExpr(cl.Seq).(*xquery.FLWOR); isFLWOR && inner.OrderBy == nil && x.OrderBy == nil {
+				c.letFLWOR(cl.Var, inner, n)
+				continue
+			}
 			spec := c.domainFor(cl.Seq, varSums, known)
 			c.note(cl.Var, spec, varSums, known)
 			if plan.Collect == nil || plan.Collect[ci] {
-				c.emit(Instr{Op: OpLet, A: c.addVar(cl.Var, depth), B: c.addDom(spec)})
-				depth++
+				c.emit(Instr{Op: OpLet, A: c.addVar(cl.Var, n.depth), B: c.addDom(spec)})
+				n.depth++
 			}
 			continue
 		}
@@ -162,14 +209,20 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 		for slot, pd := range pds {
 			ps := predSpec{pd: pd, slot: int32(slot)}
 			c.eng.PlanExpr(c.p.plans, pd.Conj, varSums) // evaluated per tuple if deferred
-			if pd.IsLit && spec.static {
+			switch {
+			case pd.IsLit && spec.static:
 				ps.resolved = true
 				ps.conts, ps.complete, ps.fastOK = c.eng.RelValueTarget(spec.sums, pd.Rel)
 				for _, ct := range ps.conts {
 					ps.cost += float64(ct.Len()) * decodeCost(ct.Codec().Name())
 				}
+			case !pd.IsLit && spec.static && len(spec.sums) > 0 && known[pd.OtherVar]:
+				// Both sides static: the index is built here, once. An
+				// error is left for a run to meet.
+				if idx, ok, err := c.eng.BuildJoinIndex(pd, spec.sums, varSums[pd.OtherVar]); ok && err == nil {
+					ps.idx = idx
+				}
 			}
-			ps.desc = predDesc(&ps)
 			pi := int32(len(c.p.preds))
 			c.p.preds = append(c.p.preds, ps)
 			spec.preds = append(spec.preds, pi)
@@ -185,54 +238,107 @@ func (c *compiler) flwor(x *xquery.FLWOR) {
 		sort.SliceStable(lits, func(a, b int) bool {
 			return restrictCost(&c.p.preds[lits[a]]) < restrictCost(&c.p.preds[lits[b]])
 		})
+		// The first restrict of a cursor that holds its whole static
+		// domain takes the join partners as they stand.
+		if len(lits) == 0 && len(joins) > 0 && c.p.preds[joins[0]].idx != nil && wholeDomain(&spec) {
+			c.p.preds[joins[0]].whole = true
+		}
 
 		di := c.addDom(spec)
 		cu := c.newCursor()
-		fors = append(fors, cu)
+		n.fors, n.forDoms = append(n.fors, cu), append(n.forDoms, di)
 		c.emit(Instr{Op: OpScan, A: cu, B: di})
 		for _, pi := range lits {
+			c.p.preds[pi].desc = predDesc(&c.p.preds[pi])
 			c.emit(Instr{Op: OpLitRestrict, A: cu, B: pi})
 		}
 		for _, pi := range joins {
+			c.p.preds[pi].desc = predDesc(&c.p.preds[pi])
 			c.emit(Instr{Op: OpJoinRestrict, A: cu, B: pi})
 		}
-		vi := c.addVar(cl.Var, depth)
-		depth++
+		vi := c.addVar(cl.Var, n.depth)
+		n.depth++
 		iter := c.emit(Instr{Op: OpIter, A: cu, B: vi})
-		loop(iter)
+		n.loop(iter)
 		if len(pds) > 0 {
 			c.emit(Instr{Op: OpDeferred, A: cu, C: int32(iter)})
 		}
-		if ci == 0 {
+		if top && ci == 0 {
 			// The bind hook observes clause-0 FOR bindings only, after
 			// the deferred filters pass (flworEach contract).
 			c.emit(Instr{Op: OpHook, A: cu})
 		}
-		innermost = int32(iter)
+		n.innermost = int32(iter)
 	}
 
 	for _, conj := range plan.Residual {
-		loop(c.emit(Instr{Op: OpWhere, A: c.addExpr(foldExpr(conj), varSums)}))
+		n.loop(c.emit(Instr{Op: OpWhere, A: c.addExpr(foldExpr(conj), varSums)}))
 	}
+	return n
+}
 
-	ret := c.addExpr(foldExpr(x.Return), varSums)
-	end := 0 // where the loops exit to
-	if x.OrderBy == nil {
-		c.emit(Instr{Op: OpEvalPush, A: ret})
-		loop(c.emit(Instr{Op: OpEmitSeq}))
-		end = len(c.p.instrs)
+// wholeDomain reports that a FOR domain's scan yields every instance of
+// its static summary set: an absolute path without predicates or a
+// text() tail, which is also invariant.
+func wholeDomain(spec *domainSpec) bool {
+	if spec.path == nil || spec.path.Var != "" || !spec.static || spec.textTail || !spec.invariant {
+		return false
+	}
+	for _, st := range spec.path.Steps {
+		if len(st.Preds) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// letFLWOR lowers `LET $name := inner` into the enclosing nest n: the
+// inner clauses become loops of the program that bind after the LET's
+// depth, their RETURN appends to an accumulator, and their exhaustion
+// binds the LET from it. When the inner RETURN is the variable of its
+// only FOR, over a node path, the accumulator is that cursor's
+// (ascending) nodes and the LET keeps its summary set.
+func (c *compiler) letFLWOR(name string, inner *xquery.FLWOR, n *nest) {
+	depth := n.depth
+	ai := int32(c.p.naccs)
+	c.p.naccs++
+	c.emit(Instr{Op: OpLetOpen, A: ai, B: depth})
+	in := c.loops(inner, engine.PlanFLWOR(inner), depth+1, maps.Clone(n.varSums), maps.Clone(n.known), false)
+	cu, spec := c.bareFor(inner, in)
+	if cu >= 0 {
+		in.loop(c.emit(Instr{Op: OpAppendCur, A: ai, B: cu}))
+		n.varSums[name], n.known[name] = spec.sums, len(spec.sums) > 0
 	} else {
-		si := c.addSort(x, plan, fors, varSums, known)
-		loop(c.emit(Instr{Op: OpCollect, A: si}))
-		end = c.emit(Instr{Op: OpSort, A: si})
-		replay := c.emit(Instr{Op: OpReplay, A: si})
-		c.emit(Instr{Op: OpEvalPush, A: ret})
-		c.emit(Instr{Op: OpEmitSeq, C: int32(replay)})
-		c.p.instrs[replay].C = int32(len(c.p.instrs))
+		in.loop(c.emit(Instr{Op: OpAppend, A: ai, B: c.addExpr(foldExpr(inner.Return), in.varSums)}))
+		n.varSums[name], n.known[name] = nil, false
 	}
-	for _, i := range endPatch {
-		c.p.instrs[i].C = int32(end)
+	in.exit(c.emit(Instr{Op: OpLetBind, A: c.addVar(name, depth), B: ai, C: cu}))
+	n.depth++
+}
+
+// bareFor returns the cursor and domain of x's only FOR clause when x
+// returns that clause's variable and the domain is a node path with a
+// static summary set; -1 otherwise.
+func (c *compiler) bareFor(x *xquery.FLWOR, in *nest) (int32, *domainSpec) {
+	ret, isVar := x.Return.(*xquery.VarRef)
+	if !isVar || len(in.fors) != 1 {
+		return -1, nil
 	}
+	for ci := len(x.Clauses) - 1; ci >= 0; ci-- {
+		cl := x.Clauses[ci]
+		if cl.Var != ret.Name {
+			continue
+		}
+		if cl.Let {
+			return -1, nil
+		}
+		spec := &c.p.doms[in.forDoms[0]]
+		if spec.path == nil || !spec.static || spec.textTail {
+			return -1, nil
+		}
+		return in.fors[0], spec
+	}
+	return -1, nil
 }
 
 // addSort pools the ORDER BY of x, with its key's rank table when the key
@@ -509,6 +615,11 @@ func predDesc(ps *predSpec) string {
 		}
 	case ps.resolved:
 		b.WriteString(" ; no container fast path, deferred")
+	case ps.idx != nil:
+		fmt.Fprintf(&b, " ; index built at compile, %d partners", ps.idx.Partners())
+		if ps.whole {
+			b.WriteString(", whole domain")
+		}
 	default:
 		b.WriteString(" ; runtime container resolution")
 	}
@@ -529,6 +640,9 @@ func (c *compiler) estimateSize() int {
 	for i := range p.preds {
 		ps := &p.preds[i]
 		sz += 128 + len(ps.desc) + len(ps.conts)*8
+		if ps.idx != nil {
+			sz += ps.idx.SizeBytes()
+		}
 	}
 	for i := range p.sorts {
 		ss := &p.sorts[i]

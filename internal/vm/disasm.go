@@ -42,6 +42,17 @@ func (p *Program) Disassemble() string {
 			fmt.Fprintf(&b, " t%d              ; %s", in.A, p.sorts[in.A].desc)
 		case OpReplay:
 			fmt.Fprintf(&b, " t%d, done->%d", in.A, in.C)
+		case OpLetOpen:
+			fmt.Fprintf(&b, " a%d, depth %d", in.A, in.B)
+		case OpAppend:
+			fmt.Fprintf(&b, " a%d, e%d, next->%d ; %s", in.A, in.B, in.C, trunc(p.exprs[in.B].String(), 48))
+		case OpAppendCur:
+			fmt.Fprintf(&b, " a%d, c%d, next->%d", in.A, in.B, in.C)
+		case OpLetBind:
+			fmt.Fprintf(&b, " $%s <- a%d", p.vars[in.A].name, in.B)
+			if in.C >= 0 {
+				fmt.Fprintf(&b, " ; nodes of c%d", in.C)
+			}
 		}
 		b.WriteByte('\n')
 	}

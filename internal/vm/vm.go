@@ -3,21 +3,22 @@
 //
 // The compiler (compile.go) lowers the AST into a flat []Instr program:
 // container and summary-node operands are resolved against the
-// repository's structure summary at compile time, FLWOR clauses become
-// cursor loops, and the §4 predicate fast paths (compressed-domain
-// container matches, summary-pruned steps) are dedicated opcodes. An
-// ORDER BY collects its tuples, sorts them — on container ranks when it
-// can — and evaluates one RETURN per replayed tuple, per Next. The
-// VM's run loop IS the streaming cursor: Run.Next executes instructions
-// until one emits an item, then suspends at the program counter — no
-// per-item goroutine or coroutine handoff.
+// repository's structure summary at compile time, FLWOR clauses — those
+// of a FLWOR a LET is bound to too — become cursor loops, and the §4
+// predicate fast paths (compressed-domain container matches, join
+// indexes built at compile time, summary-pruned steps) are dedicated
+// opcodes. An ORDER BY collects its tuples, sorts them — on container
+// ranks when it can — and evaluates one RETURN per replayed tuple, per
+// Next. The VM's run loop IS the streaming cursor: Run.Next executes
+// instructions until one emits an item, then suspends at the program
+// counter — no per-item goroutine or coroutine handoff.
 //
 // A compiled program is the only way a query runs. Everything
 // set-at-a-time — path navigation, container scans, join indexes, the
-// expressions a program hands over whole (constructors, aggregates,
-// nested FLWORs) — delegates to internal/engine, the VM's operand
-// library. Its eager evaluator (Engine.Eval) is the differential oracle
-// of this package's tests; the DOM evaluator of
+// expressions a program hands over whole (constructors, aggregates, the
+// nested FLWORs it does not lower) — delegates to internal/engine, the
+// VM's operand library. Its eager evaluator (Engine.Eval) is the
+// differential oracle of this package's tests; the DOM evaluator of
 // internal/baselines/galaxlike, which shares no code with either, is the
 // oracle of the end-to-end ones.
 package vm
@@ -88,6 +89,21 @@ const (
 	// OpReplay A=sort C=jump: bind sorter A's next tuple and the LETs the
 	// RETURN needs; jump to C when none is left.
 	OpReplay
+	// OpLetOpen A=acc B=depth: start a LET whose source FLWOR the program
+	// runs as loops: empty accumulator A and reserve the LET's depth, so
+	// the inner clauses bind after it.
+	OpLetOpen
+	// OpAppend A=acc B=expr C=jump: append the inner RETURN's items to
+	// accumulator A; jump back to C (the inner innermost OpIter).
+	OpAppend
+	// OpAppendCur A=acc B=cursor C=jump: append cursor B's current node
+	// to accumulator A (an inner RETURN that is its only FOR's variable);
+	// jump back to C.
+	OpAppendCur
+	// OpLetBind A=var B=acc C=cursor: bind the LET to accumulator B's
+	// items — when C ≥ 0, the nodes OpAppendCur appended, with cursor C's
+	// summary set — which unbinds the inner clauses.
+	OpLetBind
 )
 
 var opNames = [...]string{
@@ -97,6 +113,8 @@ var opNames = [...]string{
 	OpLet: "LET", OpWhere: "WHERE", OpEvalPush: "EVAL",
 	OpEmitSeq: "EMITSEQ", OpIterEmit: "ITEREMIT",
 	OpCollect: "COLLECT", OpSort: "SORT", OpReplay: "REPLAY",
+	OpLetOpen: "LETOPEN", OpAppend: "APPEND", OpAppendCur: "APPENDCUR",
+	OpLetBind: "LETBIND",
 }
 
 func (o Op) String() string {
@@ -148,7 +166,13 @@ type predSpec struct {
 	fastOK   bool // relValueTarget ok (false: always deferred)
 	resolved bool // conts/complete/fastOK are valid
 	cost     float64
-	desc     string
+	// idx is a join pushdown's index, built at compile time when both
+	// sides' summary sets are static; whole says the cursor holds every
+	// instance of its set when the join restricts it, so the partners
+	// are the restriction.
+	idx   *engine.JoinIndex
+	whole bool
+	desc  string
 }
 
 // varSpec is the variable one FLWOR clause binds, and its depth: the
@@ -179,6 +203,7 @@ type Program struct {
 	preds  []predSpec
 	exprs  []xquery.Expr
 	sorts  []sortSpec
+	naccs  int // accumulators, one per LET run as loops
 	// plans is the pool of resolved paths and planned FLWORs: every
 	// expression a run hands to the engine finds its plan here.
 	plans   *engine.Plans
@@ -235,6 +260,14 @@ type cursor struct {
 	curIsNode bool
 }
 
+// accum is one LET's value while its inner loops run: nodes for an
+// OpAppendCur accumulator, items otherwise. OpLetBind hands it to the
+// binding, so each OpLetOpen starts a fresh one.
+type accum struct {
+	ids algebra.NodeSet
+	seq engine.Seq
+}
+
 // domResult is a cached invariant-domain scan.
 type domResult struct {
 	seq      engine.Seq
@@ -256,6 +289,7 @@ type Run struct {
 	stack   []emitFrame
 	doms    map[int32]*domResult
 	sorts   []*engine.TupleSort
+	accs    []accum
 
 	sc   *storage.Scratch
 	err  error
@@ -302,6 +336,7 @@ func (p *Program) NewRun(opts RunOptions) (*Run, error) {
 		eng:     eng,
 		env:     eng.NewEnv(),
 		cursors: make([]cursor, p.ncur),
+		accs:    make([]accum, p.naccs),
 	}
 	for _, ss := range p.sorts {
 		r.sorts = append(r.sorts, engine.NewTupleSort(ss.flwor, ss.plan, ss.ranks))
@@ -331,16 +366,29 @@ func (r *Run) stop() {
 	r.releaseScratch()
 }
 
-// next is the dispatch loop: execute instructions until one emits an
-// item (returning with the program counter parked so the next call
-// resumes), the program halts, or evaluation fails.
-func (r *Run) next() (engine.Item, bool, error) {
+// next runs the dispatch loop. A panic in an instruction fails the run
+// with an error, as one in Compile does, and the error is sticky. (The
+// loop is a function of its own: with its many returns a deferred call
+// there could not be open-coded, and would cost every item.)
+func (r *Run) next() (it engine.Item, ok bool, err error) {
 	if r.err != nil {
 		return nil, false, r.err
 	}
 	if r.done {
 		return nil, false, nil
 	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			it, ok, err = r.fail(fmt.Errorf("vm: run: internal error at pc %d: %v", r.pc, rec))
+		}
+	}()
+	return r.dispatch()
+}
+
+// dispatch executes instructions until one emits an item (returning with
+// the program counter parked so the next call resumes), the program
+// halts, or evaluation fails.
+func (r *Run) dispatch() (engine.Item, bool, error) {
 	p := r.prog
 	eng := r.eng
 	for {
@@ -439,7 +487,7 @@ func (r *Run) next() (engine.Item, bool, error) {
 				continue
 			}
 			ps := &p.preds[in.B]
-			restricted, handled, err := eng.ApplyJoinPushdown(ps.pd, c.ids, c.sums, r.env)
+			restricted, handled, err := eng.ApplyJoinPushdown(ps.pd, ps.idx, ps.whole, c.ids, c.sums, r.env)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -601,6 +649,39 @@ func (r *Run) next() (engine.Item, bool, error) {
 				r.pc = in.C
 				continue
 			}
+			r.pc++
+
+		case OpLetOpen:
+			r.accs[in.A] = accum{}
+			r.env.Open(int(in.B))
+			r.pc++
+
+		case OpAppend:
+			a := &r.accs[in.A]
+			seq, err := eng.AppendExpr(a.seq, p.exprs[in.B], r.env)
+			if err != nil {
+				return r.fail(err)
+			}
+			a.seq = seq
+			r.pc = in.C
+
+		case OpAppendCur:
+			a := &r.accs[in.A]
+			a.ids = append(a.ids, r.cursors[in.B].curNode)
+			r.pc = in.C
+
+		case OpLetBind:
+			a, v := &r.accs[in.B], &p.vars[in.A]
+			if in.C >= 0 {
+				ids := a.ids
+				if ids == nil {
+					ids = algebra.NodeSet{}
+				}
+				r.env.Bind(int(v.depth), v.name, nil, ids, r.cursors[in.C].sums)
+			} else {
+				r.env.Bind(int(v.depth), v.name, a.seq, nil, nil)
+			}
+			*a = accum{}
 			r.pc++
 
 		default:

@@ -90,7 +90,8 @@ func evalVM(t *testing.T, s *storage.Store, q string, par int) (string, error) {
 // queryBattery is the unit-level differential corpus: XMark plus
 // targeted shapes for each compiled construct (restrict reordering,
 // deferred slots, invariant domains, LET propagation, residual WHERE,
-// fallback blocks, text tails, sequences of blocks).
+// fallback blocks, text tails, sequences of blocks) and the nested LET
+// shapes the compiler lowers to loops.
 func queryBattery() []xmarkq.Query {
 	qs := append([]xmarkq.Query{}, xmarkq.Queries()...)
 	qs = append(qs, xmarkq.ExtendedQueries()...)
@@ -117,7 +118,8 @@ func queryBattery() []xmarkq.Query {
 		{ID: "agg-block", Text: `sum(/site/open_auctions/open_auction/initial)`},
 		{ID: "invariant-inner", Text: `FOR $p IN /site/people/person FOR $e IN /site/regions/europe/item WHERE $p/@id = "person1" RETURN $e/name/text()`},
 	}
-	return append(qs, extra...)
+	qs = append(qs, extra...)
+	return append(qs, xmarkq.NestedLets()...)
 }
 
 // TestDifferentialBattery: VM output must be byte-identical to the
@@ -279,5 +281,87 @@ func TestConstantFolding(t *testing.T) {
 	foldExpr(expr3)
 	if expr3.String() != before {
 		t.Fatal("foldExpr mutated its input")
+	}
+}
+
+// TestRunRecoversPanic: a panicking instruction fails the run with an
+// error — sticky, with the decode scratch released — and leaves the
+// program fit for the next run.
+func TestRunRecoversPanic(t *testing.T) {
+	s := store(t)
+	q := `(/site/regions/africa/item/name/text(), 1 + count(/site/people/person))`
+	expr, _ := xquery.Parse(q)
+	prog, err := Compile(expr, s, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := -1
+	for i, in := range prog.instrs {
+		if in.Op == OpEvalPush {
+			pc = i
+		}
+	}
+	if pc < 0 {
+		t.Fatalf("no EVAL to break:\n%s", prog.Disassemble())
+	}
+	r, err := withPanic(prog, pc).NewRun(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := 0
+	for {
+		_, ok, err := r.Next()
+		if err != nil {
+			if !strings.Contains(err.Error(), "internal error") {
+				t.Fatalf("err = %v", err)
+			}
+			if _, _, again := r.Next(); again != err {
+				t.Fatalf("error not sticky: %v then %v", err, again)
+			}
+			break
+		}
+		if !ok {
+			t.Fatal("run ended without the panic")
+		}
+		items++
+	}
+	if items == 0 || r.sc != nil {
+		t.Fatalf("items before the panic = %d, scratch released = %v", items, r.sc == nil)
+	}
+	want, wErr := evalEager(t, s, q, 1)
+	got, vErr := evalVM(t, s, q, 1)
+	if d := differ(want, wErr, got, vErr); d != "" {
+		t.Fatalf("run after the panic: %s", d)
+	}
+}
+
+// TestNestedLetListing: Q8's and Q16's inner FLWORs are loops of the
+// program between LETOPEN and LETBIND, their join restricts read an
+// index built at compile time, and the program's size counts it.
+func TestNestedLetListing(t *testing.T) {
+	s := store(t)
+	for _, q := range []string{xmarkq.Q8, xmarkq.Q16} {
+		expr, _ := xquery.Parse(q)
+		prog, err := Compile(expr, s, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dis := prog.Disassemble()
+		open, bind := strings.Index(dis, "LETOPEN"), strings.Index(dis, "LETBIND")
+		if open < 0 || bind < open {
+			t.Fatalf("no LETOPEN…LETBIND:\n%s", dis)
+		}
+		inner := dis[open:bind]
+		for _, want := range []string{"SCAN", "JOINREST", "index built at compile", "ITER", "APPEND"} {
+			if !strings.Contains(inner, want) {
+				t.Fatalf("inner loops lack %q:\n%s", want, dis)
+			}
+		}
+		if strings.Contains(dis, "LET  ") {
+			t.Fatalf("the LET is still handed to the engine:\n%s", dis)
+		}
+		if ib := prog.joinIndexBytes(); ib == 0 || prog.SizeBytes() <= ib {
+			t.Fatalf("SizeBytes = %d, join index bytes = %d", prog.SizeBytes(), ib)
+		}
 	}
 }

@@ -128,3 +128,37 @@ const Q19 = `FOR $b IN document("auction.xml")/site/regions//item
 LET $k := $b/name/text()
 ORDER BY $b/location
 RETURN <item name="{$k}">{$b/location/text()}</item>`
+
+// NestedLets returns the shapes a LET bound to a FLWOR takes beyond Q8,
+// Q9, Q11 and Q16 — the differential corpus of the compiled nested
+// loops: shadowing, an inner ORDER BY, several inner joins on the outer
+// variable, a literal restrict beside the join, an inner RETURN of the
+// outer variable, sequences, a LET-FLWOR read by a later one, an outer
+// ORDER BY and WHERE over one, paths from a node-set LET, a LET-FLWOR
+// inside another's inner FLWOR, one with no enclosing FOR, and empty
+// inner results.
+func NestedLets() []Query {
+	const (
+		persons = `/site/people/person`
+		closed  = `/site/closed_auctions/closed_auction`
+		open    = `/site/open_auctions/open_auction`
+	)
+	return []Query{
+		{"let-shadow", `FOR $p IN ` + persons + ` LET $a := FOR $a IN ` + closed + ` WHERE $a/buyer/@person = $p/@id RETURN $a RETURN <n id="{$p/@id}">{count($a)}</n>`},
+		{"let-outer-same-name", `FOR $a IN ` + persons + ` LET $a := FOR $t IN ` + closed + ` WHERE $t/buyer/@person = $a/@id RETURN $t RETURN count($a)`},
+		{"let-inner-orderby", `FOR $p IN ` + persons + ` LET $a := FOR $t IN ` + closed + ` WHERE $t/buyer/@person = $p/@id ORDER BY $t/price RETURN $t/price/text() RETURN <p>{$a}</p>`},
+		{"let-two-joins", `FOR $p IN ` + persons + ` LET $a := FOR $t IN ` + closed + `, $o IN ` + open + ` WHERE $t/buyer/@person = $p/@id AND $o/seller/@person = $p/@id RETURN <x>{$t/price/text()}/{$o/initial/text()}</x> RETURN <p>{$a}</p>`},
+		{"let-lit-and-join", `FOR $p IN ` + persons + ` LET $a := FOR $t IN ` + closed + ` WHERE $t/buyer/@person = $p/@id AND $t/price >= 20 RETURN $t RETURN <p n="{count($a)}">{$a/price/text()}</p>`},
+		{"let-returns-outer", `FOR $p IN ` + persons + ` LET $a := FOR $t IN ` + closed + ` WHERE $t/seller/@person = $p/@id RETURN $p RETURN <p>{count($a)}</p>`},
+		{"let-seq-source", `FOR $p IN ` + persons + ` LET $a := (FOR $t IN ` + closed + ` WHERE $t/buyer/@person = $p/@id RETURN $t, $p) RETURN count($a)`},
+		{"let-in-seq", `(FOR $p IN ` + persons + ` LET $a := FOR $t IN ` + closed + ` WHERE $t/buyer/@person = $p/@id RETURN $t RETURN count($a), count(` + persons + `))`},
+		{"let-chain", `FOR $p IN ` + persons + ` LET $a := FOR $t IN ` + closed + ` WHERE $t/buyer/@person = $p/@id RETURN $t LET $b := FOR $u IN $a WHERE $u/price >= 20 RETURN $u/price/text() RETURN <p>{$b}</p>`},
+		{"let-outer-orderby", `FOR $p IN ` + persons + ` LET $a := FOR $t IN ` + closed + ` WHERE $t/buyer/@person = $p/@id RETURN $t ORDER BY $p/name RETURN <p>{count($a)}</p>`},
+		{"let-outer-where", `FOR $a IN ` + closed + ` LET $n := FOR $p IN ` + persons + ` WHERE $p/@id = $a/seller/@person RETURN $p/name/text() WHERE count($n) > 0 RETURN <r>{$n}</r>`},
+		{"let-nodeset-path", `FOR $p IN ` + persons + ` LET $a := FOR $t IN ` + closed + ` WHERE $t/buyer/@person = $p/@id RETURN $t RETURN <p>{$a/price/text()}</p>`},
+		{"let-empty-domain", `FOR $p IN ` + persons + ` LET $a := FOR $t IN /site/nowhere/thing RETURN $t RETURN count($a)`},
+		{"let-nested", `FOR $p IN ` + persons + ` LET $a := FOR $t IN ` + closed + ` LET $b := FOR $o IN ` + open + ` WHERE $o/seller/@person = $t/seller/@person RETURN $o WHERE $t/buyer/@person = $p/@id RETURN count($b) RETURN <p>{$a}</p>`},
+		{"let-top", `LET $a := FOR $t IN ` + closed + ` WHERE $t/price >= 40 RETURN $t RETURN count($a)`},
+		{"let-empty-join", `FOR $p IN ` + persons + ` LET $a := FOR $t IN ` + closed + ` WHERE $t/buyer/@person = "nobody" RETURN $t RETURN <p>{$a}</p>`},
+	}
+}

@@ -2,6 +2,7 @@ package xquec_test
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"xquec"
@@ -101,5 +102,90 @@ func TestEvalEngineSwitch(t *testing.T) {
 	res.Close()
 	if err != nil || out != "2" {
 		t.Fatalf("result = %q, %v", out, err)
+	}
+}
+
+// TestNestedLetDifferential pins the LETs bound to a FLWOR, which the
+// compiler lowers to loops of the program: Q8, Q9 and Q16 at two scales
+// and two seeds, and every shape of xmarkq.NestedLets, at shard counts
+// {1, 4} and parallelism {1, 4}, against the DOM reference.
+func TestNestedLetDifferential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix is slow under -short")
+	}
+	joins := []xmarkq.Query{{ID: "q8", Text: xmarkq.Q8}, {ID: "q9", Text: xmarkq.Q9}, {ID: "q16", Text: xmarkq.Q16}}
+	type corpus struct {
+		scale   float64
+		seed    int64
+		queries []xmarkq.Query
+	}
+	corpora := []corpus{
+		{0.03, 5, append(joins, xmarkq.NestedLets()...)},
+		{0.03, 17, joins},
+		{0.1, 5, joins},
+		{0.1, 17, append(joins, xmarkq.NestedLets()...)},
+	}
+	for _, c := range corpora {
+		doc := datagen.XMark(datagen.XMarkConfig{Scale: c.scale, Seed: c.seed})
+		for _, shards := range []int{1, 4} {
+			db, err := xquec.Compress(doc, xquec.Options{Shards: shards})
+			if err != nil {
+				t.Fatalf("scale=%v seed=%d shards=%d: %v", c.scale, c.seed, shards, err)
+			}
+			for _, q := range c.queries {
+				want := domXML(t, doc, q.Text)
+				for _, par := range []int{1, 4} {
+					got, err := evalWith(db, q.Text, par)
+					if err != nil {
+						t.Fatalf("scale=%v seed=%d shards=%d par=%d %s: %v", c.scale, c.seed, shards, par, q.ID, err)
+					}
+					if got != want {
+						t.Fatalf("scale=%v seed=%d shards=%d par=%d %s: output differs from the reference\n--- vm ---\n%.400s\n--- reference ---\n%.400s",
+							c.scale, c.seed, shards, par, q.ID, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPreparedSharedJoinIndex: every execution of a prepared Q9 reads
+// the join indexes its program built at compile time; eight at once must
+// each produce the serial output (run under -race by make check).
+func TestPreparedSharedJoinIndex(t *testing.T) {
+	db, err := xquec.Compress(datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 11}), xquec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := db.Prepare(xmarkq.Q9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (string, error) {
+		res, err := prep.Execute(context.Background(), xquec.QueryOptions{Parallelism: 1})
+		if err != nil {
+			return "", err
+		}
+		defer res.Close()
+		return xquec.ResultXML(res)
+	}
+	want, err := run()
+	if err != nil || want == "" {
+		t.Fatalf("serial run: %q, %v", want, err)
+	}
+	outs, errs := make([]string, 8), make([]error, 8)
+	var wg sync.WaitGroup
+	for g := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[g], errs[g] = run()
+		}()
+	}
+	wg.Wait()
+	for g := range outs {
+		if errs[g] != nil || outs[g] != want {
+			t.Fatalf("goroutine %d: err=%v, output equal=%v", g, errs[g], outs[g] == want)
+		}
 	}
 }
