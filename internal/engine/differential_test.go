@@ -121,6 +121,14 @@ var queryBattery = []string{
 	// over two groups or more, both fail with an unbound $a.
 	`FOR $g IN /root/group LET $a := (if ($g/@id = "g0") then "first" else $a) RETURN $a`,
 	`FOR $g IN /root/group, $a IN (if ($g/@id = "g0") then /root/group else $a) RETURN $a/@id`,
+	// Emission templates: literal text and markup to escape, nested and
+	// empty elements, element, attribute and text content, a top-level
+	// constructor, and a LET-FLWOR of constructors that is only written
+	// out and counted beside one that is atomized.
+	`FOR $e IN //entry RETURN <e a="x&amp;{$e/label/text()}&lt;" b="{$e/nested}">k &lt; {$e/@key} <n>{$e/price/text()}</n><z/>{$e/nested/label}</e>`,
+	`<all n="{count(//entry)}">{/root/group[1]/entry[1]/label}<none>{//missing}</none></all>`,
+	`FOR $g IN /root/group LET $l := FOR $e IN $g//entry RETURN <l k="{$e/@key}">{$e/label/text()}</l> RETURN <g n="{count($l)}">{$l}</g>`,
+	`FOR $g IN /root/group LET $l := FOR $e IN $g/entry RETURN <l>{$e/label/text()}</l> RETURN <g s="{$l}"/>`,
 }
 
 // TestRandomDifferentialAfterReload repeats a slice of the battery on a

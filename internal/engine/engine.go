@@ -44,6 +44,11 @@ type Engine struct {
 	// twin for the attribute value a constructor is assembling. Both are
 	// valid until the next decode; whatever is emitted is copied out.
 	sbuf, abuf []byte
+	// out and xmls are what emitted items are cut from (Emit): the bytes
+	// and the *XML headers, appended to and never overwritten, so every
+	// item handed out stays valid.
+	out  []byte
+	xmls []XML
 	// par is the intra-query worker budget for the partitioned operators
 	// (decoding scans, structural joins, container fan-outs). 1 = serial.
 	// Only pure container/summary reads run on workers; the engine's own
@@ -204,6 +209,17 @@ func (b *binding) value() Seq {
 		return Seq{b.item}
 	}
 	return b.seq
+}
+
+// len is the length of the binding's value, without boxing it.
+func (b *binding) len() int {
+	switch {
+	case b.ids != nil:
+		return len(b.ids)
+	case b.item != nil:
+		return 1
+	}
+	return len(b.seq)
 }
 
 // scope is the evaluation environment: variable bindings, the context

@@ -165,12 +165,18 @@ func (e *Engine) evalArg(x *xquery.Call, i int, env *scope) (Seq, error) {
 }
 
 // argLen returns the length of the first argument's value; a path is
-// counted on its node set, with no item ever boxed.
+// counted on its node set and a variable on its binding, with no item
+// ever boxed.
 func (e *Engine) argLen(x *xquery.Call, env *scope) (int, error) {
 	if len(x.Args) > 0 {
-		if p, isPath := x.Args[0].(*xquery.PathExpr); isPath {
-			st, _, err := e.evalPathNodes(p, env)
+		switch a := x.Args[0].(type) {
+		case *xquery.PathExpr:
+			st, _, err := e.evalPathNodes(a, env)
 			return len(st.nodes), err
+		case *xquery.VarRef:
+			if b := env.vars[a.Name]; b != nil {
+				return b.len(), nil
+			}
 		}
 	}
 	v, err := e.evalArg(x, 0, env)

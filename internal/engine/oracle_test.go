@@ -260,6 +260,42 @@ func TestOrderByBattery(t *testing.T) {
 	}
 }
 
+// TestTemplateEscaping holds the emission templates to the reference on
+// values that need escaping — `& < > " '`, a tab and a carriage return, in
+// text and in attributes — written into attributes, as text content and as
+// serialized nodes, beside literal text that needs it too, and checks that
+// the program really writes them through templates.
+func TestTemplateEscaping(t *testing.T) {
+	doc := []byte(`<r><e k="a&amp;b &quot;q&quot; &lt;x&gt;&#9;t&#13;" j="it&apos;s"><v>1 &lt; 2 &amp;&amp; 3 &gt; 2</v><w>tab&#9;cr&#13;end "q" 'a'</w></e><e k="" j="&lt;"><v/><w>&amp;</w></e></r>`)
+	queries := []string{
+		`FOR $e IN /r/e RETURN <o k="{$e/@k}" v="{$e/v/text()}" w="[{$e/w}]">{$e/v/text()}|{$e/@j}</o>`,
+		`FOR $e IN /r/e RETURN <o lit="&lt;&amp;&quot;">a &lt; b &amp; c{$e/w/text()}<n k="{$e/@k}">{$e/v}</n>{$e}</o>`,
+		`FOR $e IN /r/e RETURN <o>{$e/v/text()}</o>`,
+		`<all>{count(/r/e)}{/r/e[1]/w}</all>`,
+		`FOR $x IN /r LET $l := FOR $e IN $x/e RETURN <l j="{$e/@j}">{$e/w/text()}</l> RETURN <o n="{count($l)}">{$l}</o>`,
+	}
+	for _, plan := range []*storage.CompressionPlan{nil, {DefaultAlgorithm: storage.AlgHuffman}, {DefaultAlgorithm: storage.AlgHuTucker}} {
+		s, err := storage.Load(doc, storage.LoadOptions{Plan: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			agree(t, doc, s, q)
+			expr, err := xquery.Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := vm.Compile(expr, s, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dis := prog.Disassemble(); !strings.Contains(dis, "EMITCTOR") || strings.Contains(dis, "EVAL") {
+				t.Fatalf("%s: not written through a template:\n%s", q, dis)
+			}
+		}
+	}
+}
+
 // TestLiteralRestrictScansOncePerRun: a literal pushdown reached once per
 // outer tuple — in a nested FLWOR, in a non-first clause, in a step
 // predicate of a relative path — matches its container once per run. The

@@ -21,8 +21,8 @@ import (
 )
 
 // Item is one item of an XQuery sequence: a stored node (storage.NodeID),
-// an atomic value (string, float64, bool), or a constructed element
-// (*Fragment).
+// an atomic value (string, float64, bool), or a constructed element —
+// a *Fragment, or the *XML an emission template wrote.
 type Item interface{}
 
 // Fragment is an element built by a constructor; its content may mix
@@ -263,6 +263,8 @@ func serializeItem(dst []byte, s *storage.Store, it Item) ([]byte, error) {
 		return append(dst, formatNum(v)...), nil
 	case bool:
 		return strconv.AppendBool(dst, v), nil
+	case *XML:
+		return append(dst, v.Data...), nil
 	case *Fragment:
 		dst = append(dst, '<')
 		dst = append(dst, v.Name...)

@@ -21,11 +21,13 @@ import (
 // cheapest-container-first using the cost model's measured decode
 // costs; an ORDER BY key whose values live in known containers gets a
 // rank table, and a join whose sides' summary sets are static its join
-// index, both built here once. Shapes it does not specialize
-// (constructors, aggregates, the other nested FLWORs) lower to
-// instructions that hand the expression to the engine, so compilation
-// succeeds on every parseable query; the error return reports a
-// compiler bug (a recovered panic) instead of crashing the caller.
+// index, both built here once. A constructor whose element only goes to
+// the output becomes an emission template. Shapes it does not specialize
+// (aggregates, the other nested FLWORs, constructors whose value is
+// looked into) lower to instructions that hand the expression to the
+// engine, so compilation succeeds on every parseable query; the error
+// return reports a compiler bug (a recovered panic) instead of crashing
+// the caller.
 func Compile(expr xquery.Expr, store *storage.Store, src string) (prog *Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -99,13 +101,34 @@ func (c *compiler) top(x xquery.Expr) {
 	}
 }
 
-// fallback lowers a block to one engine evaluation plus streaming
-// emission of its result sequence.
+// fallback lowers a block to its emission: an emission template, or one
+// engine evaluation plus streaming emission of its result sequence.
 func (c *compiler) fallback(x xquery.Expr) {
-	ei := c.addExpr(foldExpr(x), nil)
-	c.emit(Instr{Op: OpEvalPush, A: ei})
-	i := c.emit(Instr{Op: OpEmitSeq})
+	i := c.emitReturn(foldExpr(x), nil)
 	c.p.instrs[i].C = int32(i + 1)
+}
+
+// emitReturn lowers an expression whose items are the program's output:
+// a constructor to EMITCTOR through its template, anything else to EVAL
+// and EMITSEQ. It returns the emitting instruction, whose C the caller
+// points where the next pull resumes.
+func (c *compiler) emitReturn(x xquery.Expr, varSums map[string][]*storage.SummaryNode) int {
+	if ctor, isCtor := x.(*xquery.ElementCtor); isCtor {
+		return c.emit(Instr{Op: OpEmitCtor, A: c.addTemplate(ctor, varSums)})
+	}
+	c.emit(Instr{Op: OpEvalPush, A: c.addExpr(x, varSums)})
+	return c.emit(Instr{Op: OpEmitSeq})
+}
+
+// addTemplate pools the emission template of a constructor, planning the
+// paths it reads under the variables in scope.
+func (c *compiler) addTemplate(x *xquery.ElementCtor, varSums map[string][]*storage.SummaryNode) int32 {
+	c.eng.PlanExpr(c.p.plans, x, varSums)
+	t := engine.CompileTemplate(x)
+	lit, dyn := t.Shape()
+	desc := fmt.Sprintf("%s ; %d literal bytes, %d dynamic", trunc(x.String(), 40), lit, dyn)
+	c.p.tpls = append(c.p.tpls, tplSpec{t: t, desc: desc})
+	return int32(len(c.p.tpls) - 1)
 }
 
 // topPath compiles a top-level path into a streaming cursor: scan the
@@ -126,19 +149,17 @@ func (c *compiler) topPath(p *xquery.PathExpr) {
 func (c *compiler) flwor(x *xquery.FLWOR) {
 	plan := engine.PlanFLWOR(x)
 	n := c.loops(x, plan, 0, map[string][]*storage.SummaryNode{}, map[string]bool{}, true)
-	ret := c.addExpr(foldExpr(x.Return), n.varSums)
+	ret := foldExpr(x.Return)
 	end := 0 // where the loops exit to
 	if x.OrderBy == nil {
-		c.emit(Instr{Op: OpEvalPush, A: ret})
-		n.loop(c.emit(Instr{Op: OpEmitSeq}))
+		n.loop(c.emitReturn(ret, n.varSums))
 		end = len(c.p.instrs)
 	} else {
 		si := c.addSort(x, plan, n.fors, n.varSums, n.known)
 		n.loop(c.emit(Instr{Op: OpCollect, A: si}))
 		end = c.emit(Instr{Op: OpSort, A: si})
 		replay := c.emit(Instr{Op: OpReplay, A: si})
-		c.emit(Instr{Op: OpEvalPush, A: ret})
-		c.emit(Instr{Op: OpEmitSeq, C: int32(replay)})
+		c.p.instrs[c.emitReturn(ret, n.varSums)].C = int32(replay)
 		c.p.instrs[replay].C = int32(len(c.p.instrs))
 	}
 	n.exit(end)
@@ -184,7 +205,7 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *engine.FLWORPlan, depth int32, v
 	for ci, cl := range x.Clauses {
 		if cl.Let {
 			if inner, isFLWOR := foldExpr(cl.Seq).(*xquery.FLWOR); isFLWOR && inner.OrderBy == nil && x.OrderBy == nil {
-				c.letFLWOR(cl.Var, inner, n)
+				c.letFLWOR(cl.Var, inner, n, top && emittedOnly(cl.Var, x, ci))
 				continue
 			}
 			spec := c.domainFor(cl.Seq, varSums, known)
@@ -297,23 +318,104 @@ func wholeDomain(spec *domainSpec) bool {
 // depth, their RETURN appends to an accumulator, and their exhaustion
 // binds the LET from it. When the inner RETURN is the variable of its
 // only FOR, over a node path, the accumulator is that cursor's
-// (ascending) nodes and the LET keeps its summary set.
-func (c *compiler) letFLWOR(name string, inner *xquery.FLWOR, n *nest) {
+// (ascending) nodes and the LET keeps its summary set. When the LET's
+// items are only ever written out or counted (emitted), each is written
+// as element content when it is appended — a constructor through its
+// emission template — and the accumulator's storage is reused per tuple.
+func (c *compiler) letFLWOR(name string, inner *xquery.FLWOR, n *nest, emitted bool) {
 	depth := n.depth
-	ai := int32(c.p.naccs)
-	c.p.naccs++
+	ai := int32(len(c.p.reuse))
+	c.p.reuse = append(c.p.reuse, emitted)
 	c.emit(Instr{Op: OpLetOpen, A: ai, B: depth})
 	in := c.loops(inner, engine.PlanFLWOR(inner), depth+1, maps.Clone(n.varSums), maps.Clone(n.known), false)
 	cu, spec := c.bareFor(inner, in)
-	if cu >= 0 {
+	ret := foldExpr(inner.Return)
+	ctor, isCtor := ret.(*xquery.ElementCtor)
+	n.varSums[name], n.known[name] = nil, false
+	switch {
+	case cu >= 0:
 		in.loop(c.emit(Instr{Op: OpAppendCur, A: ai, B: cu}))
 		n.varSums[name], n.known[name] = spec.sums, len(spec.sums) > 0
-	} else {
-		in.loop(c.emit(Instr{Op: OpAppend, A: ai, B: c.addExpr(foldExpr(inner.Return), in.varSums)}))
-		n.varSums[name], n.known[name] = nil, false
+	case isCtor && emitted:
+		in.loop(c.emit(Instr{Op: OpAppendCtor, A: ai, B: c.addTemplate(ctor, in.varSums)}))
+	case emitted:
+		in.loop(c.emit(Instr{Op: OpAppendOut, A: ai, B: c.addExpr(ret, in.varSums)}))
+	default:
+		in.loop(c.emit(Instr{Op: OpAppend, A: ai, B: c.addExpr(ret, in.varSums)}))
 	}
 	in.exit(c.emit(Instr{Op: OpLetBind, A: c.addVar(name, depth), B: ai, C: cu}))
 	n.depth++
+}
+
+// emittedOnly reports that the LET variable name, bound by clause ci of
+// the top-level FLWOR x, is read only where its items are written out as
+// they are or counted: as an enclosed `{$name}` of x's RETURN
+// constructor — an emission template — or of an element nested in it, or
+// as the argument of count, exists or empty. Nothing then atomizes or
+// navigates its items, so they can be bytes (engine.XML), not fragments.
+func emittedOnly(name string, x *xquery.FLWOR, ci int) bool {
+	ret, isCtor := x.Return.(*xquery.ElementCtor)
+	if !isCtor {
+		return false
+	}
+	for _, cl := range x.Clauses[ci+1:] {
+		if reads(cl.Seq, name) {
+			return false
+		}
+	}
+	return !reads(x.Where, name) && !reads(x.OrderBy, name) && !readsCtor(ret, name)
+}
+
+// reads reports that x reads the variable name other than as the
+// argument of count, exists or empty.
+func reads(x xquery.Expr, name string) bool {
+	switch e := x.(type) {
+	case *xquery.VarRef:
+		return e.Name == name
+	case *xquery.PathExpr:
+		if e.Var == name {
+			return true
+		}
+	case *xquery.Call:
+		if len(e.Args) == 1 && (e.Name == "count" || e.Name == "exists" || e.Name == "empty") {
+			if v, isVar := e.Args[0].(*xquery.VarRef); isVar && v.Name == name {
+				return false
+			}
+		}
+	}
+	for _, sub := range xquery.Children(x) {
+		if reads(sub, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// readsCtor is reads over an emitted constructor, whose content items
+// `{$name}` write the variable's items out.
+func readsCtor(x *xquery.ElementCtor, name string) bool {
+	for _, a := range x.Attrs {
+		for _, part := range a.Value {
+			if reads(part, name) {
+				return true
+			}
+		}
+	}
+	for _, item := range x.Content {
+		switch item := item.(type) {
+		case *xquery.VarRef:
+			continue
+		case *xquery.ElementCtor:
+			if readsCtor(item, name) {
+				return true
+			}
+		default:
+			if reads(item, name) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // bareFor returns the cursor and domain of x's only FOR clause when x
@@ -650,6 +752,10 @@ func (c *compiler) estimateSize() int {
 		if ss.ranks != nil {
 			sz += 8 * ss.ranks.Records()
 		}
+	}
+	for _, ts := range p.tpls {
+		lit, dyn := ts.t.Shape()
+		sz += 64 + len(ts.desc) + lit + 32*dyn
 	}
 	sz += p.plans.SizeBytes()
 	sz += len(p.exprs)*16 + len(p.vars)*24

@@ -44,10 +44,14 @@ func (p *Program) Disassemble() string {
 			fmt.Fprintf(&b, " t%d, done->%d", in.A, in.C)
 		case OpLetOpen:
 			fmt.Fprintf(&b, " a%d, depth %d", in.A, in.B)
-		case OpAppend:
+		case OpAppend, OpAppendOut:
 			fmt.Fprintf(&b, " a%d, e%d, next->%d ; %s", in.A, in.B, in.C, trunc(p.exprs[in.B].String(), 48))
 		case OpAppendCur:
 			fmt.Fprintf(&b, " a%d, c%d, next->%d", in.A, in.B, in.C)
+		case OpEmitCtor:
+			fmt.Fprintf(&b, " m%d, next->%d    ; %s", in.A, in.C, p.tpls[in.A].desc)
+		case OpAppendCtor:
+			fmt.Fprintf(&b, " a%d, m%d, next->%d ; %s", in.A, in.B, in.C, p.tpls[in.B].desc)
 		case OpLetBind:
 			fmt.Fprintf(&b, " $%s <- a%d", p.vars[in.A].name, in.B)
 			if in.C >= 0 {

@@ -9,18 +9,20 @@
 // indexes built at compile time, summary-pruned steps) are dedicated
 // opcodes. An ORDER BY collects its tuples, sorts them — on container
 // ranks when it can — and evaluates one RETURN per replayed tuple, per
-// Next. The VM's run loop IS the streaming cursor: Run.Next executes
-// instructions until one emits an item, then suspends at the program
-// counter — no per-item goroutine or coroutine handoff.
+// Next. A RETURN that is an element constructor is an emission template:
+// its item is written straight into the run's output buffer, no
+// fragment built. The VM's run loop IS the streaming cursor: Run.Next
+// executes instructions until one emits an item, then suspends at the
+// program counter — no per-item goroutine or coroutine handoff.
 //
 // A compiled program is the only way a query runs. Everything
-// set-at-a-time — path navigation, container scans, join indexes, the
-// expressions a program hands over whole (constructors, aggregates, the
-// nested FLWORs it does not lower) — delegates to internal/engine, the
-// VM's operand library. Its eager evaluator (Engine.Eval) is the
-// differential oracle of this package's tests; the DOM evaluator of
-// internal/baselines/galaxlike, which shares no code with either, is the
-// oracle of the end-to-end ones.
+// set-at-a-time — path navigation, container scans, join indexes,
+// template emission, the expressions a program hands over whole
+// (aggregates, the nested FLWORs it does not lower) — delegates to
+// internal/engine, the VM's operand library. Its eager evaluator
+// (Engine.Eval) is the differential oracle of this package's tests; the
+// DOM evaluator of internal/baselines/galaxlike, which shares no code
+// with either, is the oracle of the end-to-end ones.
 package vm
 
 import (
@@ -104,6 +106,17 @@ const (
 	// items — when C ≥ 0, the nodes OpAppendCur appended, with cursor C's
 	// summary set — which unbinds the inner clauses.
 	OpLetBind
+	// OpEmitCtor A=template C=jump: write a RETURN's constructed element
+	// through emission template A and emit it; the next pull resumes at C.
+	OpEmitCtor
+	// OpAppendCtor A=acc B=template C=jump: write an inner RETURN's
+	// constructed element through template B and append it to accumulator
+	// A (a LET whose items are only written out or counted); jump to C.
+	OpAppendCtor
+	// OpAppendOut A=acc B=expr C=jump: append the inner RETURN's items to
+	// accumulator A each written as element content (such a LET's other
+	// RETURNs); jump to C.
+	OpAppendOut
 )
 
 var opNames = [...]string{
@@ -114,7 +127,7 @@ var opNames = [...]string{
 	OpEmitSeq: "EMITSEQ", OpIterEmit: "ITEREMIT",
 	OpCollect: "COLLECT", OpSort: "SORT", OpReplay: "REPLAY",
 	OpLetOpen: "LETOPEN", OpAppend: "APPEND", OpAppendCur: "APPENDCUR",
-	OpLetBind: "LETBIND",
+	OpLetBind: "LETBIND", OpEmitCtor: "EMITCTOR", OpAppendCtor: "APPENDCTOR", OpAppendOut: "APPENDOUT",
 }
 
 func (o Op) String() string {
@@ -192,6 +205,12 @@ type sortSpec struct {
 	desc  string
 }
 
+// tplSpec is a constructor compiled into an emission template.
+type tplSpec struct {
+	t    *engine.Template
+	desc string
+}
+
 // Program is a compiled query plan: a flat instruction slice plus the
 // operand pools its instructions index into. Programs are immutable
 // after Compile and safe for any number of concurrent Runs — the plan
@@ -203,7 +222,11 @@ type Program struct {
 	preds  []predSpec
 	exprs  []xquery.Expr
 	sorts  []sortSpec
-	naccs  int // accumulators, one per LET run as loops
+	tpls   []tplSpec
+	// reuse has one entry per accumulator, one per LET run as loops: true
+	// when nothing keeps the LET's value past its tuple (its items are only
+	// written out or counted), so each LETOPEN refills the same storage.
+	reuse []bool
 	// plans is the pool of resolved paths and planned FLWORs: every
 	// expression a run hands to the engine finds its plan here.
 	plans   *engine.Plans
@@ -262,7 +285,8 @@ type cursor struct {
 
 // accum is one LET's value while its inner loops run: nodes for an
 // OpAppendCur accumulator, items otherwise. OpLetBind hands it to the
-// binding, so each OpLetOpen starts a fresh one.
+// binding, so each OpLetOpen starts a fresh one — unless the program
+// reuses it (Program.reuse), when the binding dies with its tuple.
 type accum struct {
 	ids algebra.NodeSet
 	seq engine.Seq
@@ -336,7 +360,7 @@ func (p *Program) NewRun(opts RunOptions) (*Run, error) {
 		eng:     eng,
 		env:     eng.NewEnv(),
 		cursors: make([]cursor, p.ncur),
-		accs:    make([]accum, p.naccs),
+		accs:    make([]accum, len(p.reuse)),
 	}
 	for _, ss := range p.sorts {
 		r.sorts = append(r.sorts, engine.NewTupleSort(ss.flwor, ss.plan, ss.ranks))
@@ -652,7 +676,11 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			r.pc++
 
 		case OpLetOpen:
-			r.accs[in.A] = accum{}
+			if a := &r.accs[in.A]; p.reuse[in.A] {
+				a.ids, a.seq = a.ids[:0], a.seq[:0]
+			} else {
+				*a = accum{}
+			}
 			r.env.Open(int(in.B))
 			r.pc++
 
@@ -681,8 +709,36 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			} else {
 				r.env.Bind(int(v.depth), v.name, a.seq, nil, nil)
 			}
-			*a = accum{}
+			if !p.reuse[in.B] {
+				*a = accum{} // the binding owns the items now
+			}
 			r.pc++
+
+		case OpEmitCtor:
+			it, err := eng.Emit(p.tpls[in.A].t, r.env)
+			if err != nil {
+				return r.fail(err)
+			}
+			r.pc = in.C
+			return it, true, nil
+
+		case OpAppendCtor:
+			it, err := eng.Emit(p.tpls[in.B].t, r.env)
+			if err != nil {
+				return r.fail(err)
+			}
+			a := &r.accs[in.A]
+			a.seq = append(a.seq, it)
+			r.pc = in.C
+
+		case OpAppendOut:
+			a := &r.accs[in.A]
+			seq, err := eng.AppendEmitted(a.seq, p.exprs[in.B], r.env)
+			if err != nil {
+				return r.fail(err)
+			}
+			a.seq = seq
+			r.pc = in.C
 
 		default:
 			return r.fail(fmt.Errorf("vm: invalid opcode %v at pc %d", in.Op, r.pc))

@@ -117,6 +117,22 @@ func queryBattery() []xmarkq.Query {
 		{ID: "var-return", Text: `FOR $i IN /site/regions/africa/item/name RETURN $i`},
 		{ID: "agg-block", Text: `sum(/site/open_auctions/open_auction/initial)`},
 		{ID: "invariant-inner", Text: `FOR $p IN /site/people/person FOR $e IN /site/regions/europe/item WHERE $p/@id = "person1" RETURN $e/name/text()`},
+		// Emission templates: every kind of piece, escaping, empty content.
+		{ID: "ctor-mixed", Text: `FOR $i IN /site/regions/africa/item RETURN <it id="{$i/@id}" k="a&lt;b {$i/location/text()} &quot;q&quot;">lit &amp; more <n>{$i/name/text()}</n> {count($i/mailbox/mail)} <e/>{$i/payment/text()}</it>`},
+		{ID: "ctor-empty-content", Text: `FOR $p IN /site/people/person RETURN <p>{$p/homepage/text()}</p>`},
+		{ID: "ctor-empty-string", Text: `FOR $p IN /site/people/person[@id = "person1"] RETURN <p a="">{""}</p>`},
+		{ID: "ctor-whitespace", Text: `FOR $p IN /site/people/person[@id = "person2"] RETURN <p>  {$p/name/text()}  </p>`},
+		{ID: "ctor-node-content", Text: `FOR $p IN /site/people/person[@id = "person3"] RETURN <p>{$p/profile}{$p/@id}{$p}</p>`},
+		{ID: "ctor-generic-attr", Text: `FOR $p IN /site/people/person RETURN <p n="{count($p/watches/watch) + 1}" s="{($p/name/text(), "x")}" d="{$p/address}"/>`},
+		{ID: "ctor-generic-content", Text: `FOR $p IN /site/people/person RETURN <p>{if ($p/profile/@income >= 50000) then "rich" else <poor/>}{($p/@id, 1.5, $p/name/text() = "x")}</p>`},
+		{ID: "ctor-var-content", Text: `FOR $p IN /site/people/person LET $n := $p/name/text() LET $w := $p/watches/watch RETURN <p>{$n}{$w}{count($w)}</p>`},
+		{ID: "ctor-orderby", Text: `FOR $i IN /site/regions//item ORDER BY $i/name DESCENDING RETURN <i n="{$i/name/text()}">{$i/quantity/text()}</i>`},
+		{ID: "ctor-top", Text: `<r a="1"><c>{count(/site/people/person)}</c>{/site/regions/africa/item[1]/name}</r>`},
+		{ID: "ctor-top-seq", Text: `(<a/>, <b>{count(/site/regions/asia/item)}</b>, 1)`},
+		{ID: "ctor-nested-flwor", Text: `FOR $p IN /site/people/person[@id = "person0"] RETURN <p>{FOR $w IN $p/watches/watch RETURN <w>{$w/@open_auction}</w>}</p>`},
+		{ID: "ctor-error", Text: `FOR $p IN /site/people/person RETURN <p n="{number($p/name/text())}"/>`},
+		{ID: "let-ctor-emitted", Text: `FOR $p IN /site/people/person LET $a := FOR $t IN /site/closed_auctions/closed_auction WHERE $t/buyer/@person = $p/@id RETURN <t p="{$t/price/text()}"/> RETURN <p n="{count($a)}" e="{exists($a)}">{$a}<x>{$a}</x></p>`},
+		{ID: "let-ctor-atomized", Text: `FOR $p IN /site/people/person LET $a := FOR $t IN /site/closed_auctions/closed_auction WHERE $t/buyer/@person = $p/@id RETURN <t>{$t/price/text()}</t> RETURN <p s="{$a}">{string($a)}</p>`},
 	}
 	qs = append(qs, extra...)
 	return append(qs, xmarkq.NestedLets()...)
@@ -362,6 +378,36 @@ func TestNestedLetListing(t *testing.T) {
 		}
 		if ib := prog.joinIndexBytes(); ib == 0 || prog.SizeBytes() <= ib {
 			t.Fatalf("SizeBytes = %d, join index bytes = %d", prog.SizeBytes(), ib)
+		}
+	}
+}
+
+// TestEmissionListing: RETURN constructors are written through templates
+// (Q8, Q16, Q20), and so are the items of a LET-FLWOR that the RETURN
+// only writes out or counts — Q9's constructors, Q16's text() items —
+// while a LET whose items are atomized keeps building fragments.
+func TestEmissionListing(t *testing.T) {
+	s := store(t)
+	for q, want := range map[string][]string{
+		xmarkq.Q8:  {"EMITCTOR", "APPENDCUR"},
+		xmarkq.Q9:  {"EMITCTOR", "APPENDCTOR"},
+		xmarkq.Q16: {"EMITCTOR", "APPENDOUT"},
+		xmarkq.Q20: {"EMITCTOR m0, next->2"},
+		`FOR $p IN /site/people/person LET $a := FOR $t IN /site/closed_auctions/closed_auction WHERE $t/buyer/@person = $p/@id RETURN <t/> RETURN <p s="{$a}"/>`: {"APPEND   a0", "EMITCTOR"},
+	} {
+		expr, _ := xquery.Parse(q)
+		prog, err := Compile(expr, s, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dis := prog.Disassemble()
+		for _, w := range want {
+			if !strings.Contains(dis, w) {
+				t.Errorf("listing lacks %q:\n%s", w, dis)
+			}
+		}
+		if strings.Contains(dis, "EVAL") {
+			t.Errorf("a constructor is still handed to the engine:\n%s", dis)
 		}
 	}
 }
