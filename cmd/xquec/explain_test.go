@@ -14,9 +14,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden explain listings")
 
-// TestExplainGolden pins what `xquec query -explain` prints for Q8 and
-// Q16: the access plan and the compiled program, whose inner FLWOR is
-// loops between LETOPEN and LETBIND with a join index built at compile.
+// TestExplainGolden pins what `xquec query -explain` prints for Q5, Q8
+// and Q16: the access plan and the compiled program — Q5's count argument
+// a sub-program after the main one, Q8's and Q16's inner FLWOR loops
+// between LETOPEN and LETBIND with a join index built at compile.
 // Regenerate with `go test ./cmd/xquec -run TestExplainGolden -update`.
 func TestExplainGolden(t *testing.T) {
 	dir := t.TempDir()
@@ -32,7 +33,7 @@ func TestExplainGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []xmarkq.Query{{ID: "q8", Text: xmarkq.Q8}, {ID: "q16", Text: xmarkq.Q16}} {
+	for _, q := range []xmarkq.Query{{ID: "q5", Text: xmarkq.Q5}, {ID: "q8", Text: xmarkq.Q8}, {ID: "q16", Text: xmarkq.Q16}} {
 		var got strings.Builder
 		if err := printExplain(&got, db, q.Text); err != nil {
 			t.Fatal(err)

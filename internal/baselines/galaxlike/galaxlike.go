@@ -164,6 +164,9 @@ func (e *Engine) eval(expr xquery.Expr, env *scope) (Seq, error) {
 		return Seq{x.Val}, nil
 	case *xquery.VarRef:
 		if x.Name == "." {
+			if env.ctx == nil {
+				return nil, fmt.Errorf("galaxlike: no context item")
+			}
 			return Seq{env.ctx}, nil
 		}
 		s, ok := env.vars[x.Name]
@@ -224,6 +227,9 @@ func (e *Engine) eval(expr xquery.Expr, env *scope) (Seq, error) {
 		case "div":
 			return Seq{ln / rn}, nil
 		case "mod":
+			if int64(rn) == 0 {
+				return nil, fmt.Errorf("galaxlike: %s mod %s: division by zero", formatNum(ln), formatNum(rn))
+			}
 			return Seq{float64(int64(ln) % int64(rn))}, nil
 		}
 		return nil, fmt.Errorf("galaxlike: bad arithmetic op %s", x.Op)
@@ -338,15 +344,14 @@ func sortedOrder(keys []string, desc bool) []int {
 func (e *Engine) evalPath(p *xquery.PathExpr, env *scope) (Seq, error) {
 	var cur []*xmlparser.Node
 	switch {
+	case p.Var == "" && len(p.Steps) == 0:
+		return nil, nil // the document node is no item of the engine's model
 	case p.Var == "":
 		cur = []*xmlparser.Node{docNode(e.doc)}
 	case p.Var == ".":
 		n, ok := env.ctx.(*xmlparser.Node)
 		if !ok {
-			if len(p.Steps) == 0 {
-				return Seq{env.ctx}, nil
-			}
-			return nil, fmt.Errorf("galaxlike: path over non-node context")
+			return nil, fmt.Errorf("galaxlike: no context item")
 		}
 		cur = []*xmlparser.Node{n}
 	default:
@@ -372,6 +377,10 @@ func (e *Engine) evalPath(p *xquery.PathExpr, env *scope) (Seq, error) {
 			}
 			var out Seq
 			for _, n := range cur {
+				if n.Kind == xmlparser.NodeAttr { // its value, as the engine has it
+					out = append(out, n.Text)
+					continue
+				}
 				var sb strings.Builder
 				has := false
 				for _, c := range n.Children {

@@ -20,15 +20,16 @@ type Engine struct {
 	// joinIdx caches, per comparison, the container join indexes this run
 	// built: those of joins whose summary sets were not static at compile
 	// time (a program builds the others once, and all its runs share
-	// them), and of the nested FLWORs the walker evaluates.
+	// them).
 	joinIdx map[*xquery.Cmp]*JoinIndex
 	// plans holds what the compiler derived once for the whole program;
-	// paths and flwors memoise the same per expression for this run
-	// (everything the program did not cover, plus each path's galloping
-	// positions), so a tuple never re-plans.
-	plans  *Plans
-	paths  map[*xquery.PathExpr]*pathCursor
-	flwors map[*xquery.FLWOR]*FLWORPlan
+	// paths memoises the same per expression for this run (every path the
+	// program did not plan, plus each path's galloping positions), so a
+	// tuple never re-plans.
+	plans Plans
+	paths map[*xquery.PathExpr]*pathCursor
+	// subs runs the sub-program of each FLWOR an expression reaches.
+	subs FLWORRunner
 	// owners caches the container match of each `path op literal`
 	// comparison the same way, so a literal restrict that is reached once
 	// per outer tuple scans its containers once per run.
@@ -70,17 +71,7 @@ type Engine struct {
 // New returns an engine over the store. Evaluation is serial until
 // WithParallelism grants a worker budget.
 func New(s *storage.Store) *Engine {
-	e := &Engine{store: s, par: 1}
-	e.resetRun()
-	return e
-}
-
-// resetRun drops every per-evaluation memo (the FLWOR-only ones are
-// made on first use: a point lookup has no FLWOR).
-func (e *Engine) resetRun() {
-	e.paths = map[*xquery.PathExpr]*pathCursor{}
-	e.owners = map[*xquery.Cmp]*conjunctOwners{}
-	e.joinIdx, e.flwors, e.canceled = nil, nil, nil
+	return &Engine{store: s, par: 1, paths: map[*xquery.PathExpr]*pathCursor{}, owners: map[*xquery.Cmp]*conjunctOwners{}}
 }
 
 // WithContext arms the engine's cancellation checks with ctx and
@@ -108,9 +99,9 @@ func (e *Engine) WithParallelism(n int) *Engine {
 // WithBindHook arms fn as the top-level binding observer (see the
 // bindHook field) and returns the engine. Only a compiled program's run
 // fires the hook, and only for top-level FLWORs and paths; items of an
-// expression evaluated whole (aggregates) have no single origin node and
-// never fire it, and neither does Eval. Under an ORDER BY it fires as
-// the tuples are collected, all before the first item.
+// expression evaluated whole (aggregates, a nested FLWOR) have no single
+// origin node and never fire it. Under an ORDER BY it fires as the tuples
+// are collected, all before the first item.
 func (e *Engine) WithBindHook(fn func(storage.NodeID)) *Engine {
 	e.bindHook = fn
 	return e
@@ -118,33 +109,6 @@ func (e *Engine) WithBindHook(fn func(storage.NodeID)) *Engine {
 
 // Store exposes the underlying repository.
 func (e *Engine) Store() *storage.Store { return e.store }
-
-// Query parses and evaluates a query.
-func (e *Engine) Query(src string) (*Result, error) {
-	expr, err := xquery.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.Eval(expr)
-}
-
-// Eval evaluates a parsed query.
-func (e *Engine) Eval(expr xquery.Expr) (*Result, error) {
-	e.resetRun()
-	if e.ctx != nil {
-		// Check once up front so an already-expired deadline fails
-		// deterministically, before any evaluation work.
-		if err := e.ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	env := newScope()
-	items, err := e.eval(expr, env)
-	if err != nil {
-		return nil, err
-	}
-	return newEagerResult(items, e.store), nil
-}
 
 // checkCancel polls the engine's context. The poll is amortized: the
 // channel receive runs every 64th call, the rest is one branch and an
@@ -179,14 +143,6 @@ type binding struct {
 	item Item            // single non-node FOR item; non-nil replaces seq
 	one  [1]storage.NodeID
 	sums []*storage.SummaryNode
-}
-
-func (b *binding) set(it Item) {
-	if id, isNode := it.(storage.NodeID); isNode {
-		b.setNode(id)
-		return
-	}
-	b.ids, b.item = nil, it
 }
 
 func (b *binding) setNode(id storage.NodeID) {
@@ -225,8 +181,8 @@ func (b *binding) len() int {
 // scope is the evaluation environment: variable bindings, the context
 // node (0 when there is none), and — for the compressed-domain fast
 // paths — the summary nodes each is an instance of. One scope serves a
-// whole evaluation: clauses bind in place and restore what they
-// shadowed on the way out.
+// whole block of a program: clauses bind in place (Env) and restore what
+// they shadowed on the way out.
 type scope struct {
 	vars    map[string]*binding
 	ctx     [1]storage.NodeID
@@ -235,15 +191,7 @@ type scope struct {
 
 func newScope() *scope { return &scope{vars: map[string]*binding{}} }
 
-// bind installs a fresh slot for name and returns it with the one it
-// shadows, which unbind puts back.
-func (v *scope) bind(name string, sums []*storage.SummaryNode) (b, shadowed *binding) {
-	shadowed = v.vars[name]
-	b = &binding{sums: sums}
-	v.vars[name] = b
-	return b, shadowed
-}
-
+// unbind puts back the binding a clause's name shadowed.
 func (v *scope) unbind(name string, shadowed *binding) {
 	if shadowed == nil {
 		delete(v.vars, name)
@@ -318,7 +266,7 @@ func (e *Engine) eval(expr xquery.Expr, env *scope) (Seq, error) {
 	case *xquery.ElementCtor:
 		return e.evalCtor(x, env)
 	case *xquery.FLWOR:
-		return e.evalFLWOR(x, env)
+		return e.appendFLWOR(nil, x, env)
 	}
 	return nil, fmt.Errorf("engine: unsupported expression %T", expr)
 }
@@ -389,6 +337,9 @@ func (e *Engine) evalArith(x *xquery.Arith, env *scope) (Seq, error) {
 	case "div":
 		return Seq{ln / rn}, nil
 	case "mod":
+		if int64(rn) == 0 {
+			return nil, fmt.Errorf("engine: %s mod %s: division by zero", formatNum(ln), formatNum(rn))
+		}
 		return Seq{float64(int64(ln) % int64(rn))}, nil
 	}
 	return nil, fmt.Errorf("engine: unknown arithmetic operator %s", x.Op)
@@ -551,28 +502,27 @@ func splitConjuncts(where xquery.Expr) []xquery.Expr {
 
 // splitVarCmp matches `$var/rel op literal` (either side) for the given
 // variable, returning the relative path (re-rooted at the context), the
-// literal and the effective operator.
+// literal and the effective operator (flipped when the literal is on the
+// left).
 func splitVarCmp(cmp *xquery.Cmp, varName string) (*xquery.PathExpr, string, string, bool) {
-	lit := func(e xquery.Expr) (string, bool) {
-		switch v := e.(type) {
-		case *xquery.StringLit:
-			return v.Val, true
-		case *xquery.NumberLit:
-			return formatNum(v.Val), true
-		}
-		return "", false
-	}
 	try := func(side, other xquery.Expr, op string) (*xquery.PathExpr, string, string, bool) {
 		p, isPath := side.(*xquery.PathExpr)
 		if !isPath || p.Var != varName {
 			return nil, "", "", false
 		}
-		l, isLit := lit(other)
-		if !isLit {
+		var l string
+		switch v := other.(type) {
+		case *xquery.StringLit:
+			l = v.Val
+		case *xquery.NumberLit:
+			l = formatNum(v.Val)
+		default:
 			return nil, "", "", false
 		}
-		rel := &xquery.PathExpr{Var: ".", Steps: p.Steps}
-		return rel, l, op, true
+		if varName != "." {
+			p = &xquery.PathExpr{Var: ".", Steps: p.Steps}
+		}
+		return p, l, op, true
 	}
 	if rel, l, op, ok := try(cmp.Left, cmp.Right, cmp.Op); ok {
 		return rel, l, op, true

@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"strings"
@@ -6,37 +6,60 @@ import (
 
 	"xquec/internal/baselines/galaxlike"
 	"xquec/internal/datagen"
+	"xquec/internal/engine"
 	"xquec/internal/storage"
+	"xquec/internal/vm"
 	"xquec/internal/xmarkq"
+	"xquec/internal/xquery"
 )
 
-const peopleDoc = `<site>
-  <people>
-    <person id="p0"><name>Alice</name><age>30</age><city>Rome</city></person>
-    <person id="p1"><name>Bob</name><age>25</age><city>Paris</city></person>
-    <person id="p2"><name>Carol</name><age>41</age><city>Rome</city></person>
-  </people>
-  <auctions>
-    <auction id="a0"><buyer person="p1"/><price>10.50</price><note>old gold ring</note></auction>
-    <auction id="a1"><buyer person="p0"/><price>55.00</price><note>silver spoon</note></auction>
-    <auction id="a2"><buyer person="p0"/><price>31.25</price><note>gold coin set</note></auction>
-  </auctions>
-</site>`
-
-func newEngine(t *testing.T, doc string) *Engine {
+func newStore(t *testing.T, doc string) *storage.Store {
 	t.Helper()
 	s, err := storage.Load([]byte(doc), storage.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(s)
+	return s
 }
 
-func run(t *testing.T, e *Engine, q string) string {
-	t.Helper()
-	res, err := e.Query(q)
+// query parses q, compiles it against s and runs it serially, returning
+// its serialization.
+func query(s *storage.Store, q string) (string, error) {
+	return queryPar(s, q, 1)
+}
+
+// queryPar is query with a worker budget.
+func queryPar(s *storage.Store, q string, par int) (string, error) {
+	expr, err := xquery.Parse(q)
 	if err != nil {
-		t.Fatalf("Query(%s): %v", q, err)
+		return "", err
+	}
+	prog, err := vm.Compile(expr, s, q)
+	if err != nil {
+		return "", err
+	}
+	res, err := prog.Run(vm.RunOptions{Parallelism: par})
+	if err != nil {
+		return "", err
+	}
+	return res.SerializeXML()
+}
+
+func run(t *testing.T, s *storage.Store, q string) string {
+	t.Helper()
+	out, err := query(s, q)
+	if err != nil {
+		t.Fatalf("query(%s): %v", q, err)
+	}
+	return out
+}
+
+// reference evaluates q with the DOM reference evaluator.
+func reference(t *testing.T, doc []byte, q string) string {
+	t.Helper()
+	res, err := galaxlike.New(doc).Query(q)
+	if err != nil {
+		t.Fatalf("reference: %s: %v", q, err)
 	}
 	out, err := res.SerializeXML()
 	if err != nil {
@@ -46,71 +69,72 @@ func run(t *testing.T, e *Engine, q string) string {
 }
 
 func TestSimplePaths(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	if got := run(t, e, `document("d")/site/people/person/name/text()`); got != "Alice\nBob\nCarol" {
+	s := newStore(t, engine.PeopleDoc)
+	if got := run(t, s, `document("d")/site/people/person/name/text()`); got != "Alice\nBob\nCarol" {
 		t.Fatalf("names = %q", got)
 	}
-	if got := run(t, e, `/site/people/person/@id`); !strings.Contains(got, `id="p1"`) {
+	if got := run(t, s, `/site/people/person/@id`); !strings.Contains(got, `id="p1"`) {
 		t.Fatalf("ids = %q", got)
 	}
-	if got := run(t, e, `count(/site//person)`); got != "3" {
+	if got := run(t, s, `count(/site//person)`); got != "3" {
 		t.Fatalf("count = %q", got)
 	}
-	if got := run(t, e, `/site/*/auction/@id`); !strings.Contains(got, "a2") {
+	if got := run(t, s, `/site/*/auction/@id`); !strings.Contains(got, "a2") {
 		t.Fatalf("wildcard = %q", got)
 	}
 }
 
 func TestAttributePredicateFastPath(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	got := run(t, e, `FOR $b IN /site/people/person[@id = "p1"] RETURN $b/name/text()`)
+	s := newStore(t, engine.PeopleDoc)
+	got := run(t, s, `FOR $b IN /site/people/person[@id = "p1"] RETURN $b/name/text()`)
 	if got != "Bob" {
 		t.Fatalf("got %q", got)
 	}
-	if got := run(t, e, `FOR $b IN /site/people/person[@id = "nope"] RETURN $b`); got != "" {
+	if got := run(t, s, `FOR $b IN /site/people/person[@id = "nope"] RETURN $b`); got != "" {
 		t.Fatalf("ghost person: %q", got)
 	}
 }
 
 func TestRangePredicateOnTypedContainer(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	got := run(t, e, `FOR $p IN /site/people/person WHERE $p/age >= 30 RETURN $p/name/text()`)
+	s := newStore(t, engine.PeopleDoc)
+	got := run(t, s, `FOR $p IN /site/people/person WHERE $p/age >= 30 RETURN $p/name/text()`)
 	if got != "Alice\nCarol" {
 		t.Fatalf("ages >= 30: %q", got)
 	}
-	got = run(t, e, `count(FOR $a IN /site/auctions/auction WHERE $a/price >= 31 RETURN $a)`)
+	got = run(t, s, `count(FOR $a IN /site/auctions/auction WHERE $a/price >= 31 RETURN $a)`)
 	if got != "2" {
 		t.Fatalf("prices >= 31: %q", got)
 	}
 	// decimal literal against decimal container
-	got = run(t, e, `count(FOR $a IN /site/auctions/auction WHERE $a/price = 10.5 RETURN $a)`)
+	got = run(t, s, `count(FOR $a IN /site/auctions/auction WHERE $a/price = 10.5 RETURN $a)`)
 	if got != "1" {
 		t.Fatalf("price = 10.5: %q", got)
 	}
 }
 
 func TestPositionalPredicates(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	got := run(t, e, `/site/people/person[1]/name/text()`)
+	s := newStore(t, engine.PeopleDoc)
+	got := run(t, s, `/site/people/person[1]/name/text()`)
 	if got != "Alice" {
 		t.Fatalf("[1] = %q", got)
 	}
-	got = run(t, e, `/site/people/person[last()]/name/text()`)
+	got = run(t, s, `/site/people/person[last()]/name/text()`)
 	if got != "Carol" {
 		t.Fatalf("[last()] = %q", got)
 	}
-	got = run(t, e, `/site/people/person[7]/name/text()`)
+	got = run(t, s, `/site/people/person[7]/name/text()`)
 	if got != "" {
 		t.Fatalf("[7] = %q", got)
 	}
 }
 
 func TestJoinThroughIndex(t *testing.T) {
-	e := newEngine(t, peopleDoc)
+	s := newStore(t, engine.PeopleDoc)
 	q := `FOR $p IN /site/people/person
 	      LET $a := FOR $t IN /site/auctions/auction WHERE $t/buyer/@person = $p/@id RETURN $t
 	      RETURN <bought name="{$p/name/text()}">{count($a)}</bought>`
-	got := run(t, e, q)
+	before := engine.JoinIndexBuilds()
+	got := run(t, s, q)
 	want := `<bought name="Alice">2</bought>
 <bought name="Bob">1</bought>
 <bought name="Carol">0</bought>`
@@ -118,26 +142,26 @@ func TestJoinThroughIndex(t *testing.T) {
 		t.Fatalf("join result:\n%s\nwant:\n%s", got, want)
 	}
 	// The join index must have been built (and only once).
-	if len(e.joinIdx) != 1 {
-		t.Fatalf("join index cache size = %d, want 1", len(e.joinIdx))
+	if n := engine.JoinIndexBuilds() - before; n != 1 {
+		t.Fatalf("join indexes built = %d, want 1", n)
 	}
 }
 
 func TestConstructorsAndSequences(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	got := run(t, e, `<wrap n="{count(/site/people/person)}"><inner/>text</wrap>`)
+	s := newStore(t, engine.PeopleDoc)
+	got := run(t, s, `<wrap n="{count(/site/people/person)}"><inner/>text</wrap>`)
 	if got != `<wrap n="3"><inner/>text</wrap>` {
 		t.Fatalf("ctor = %q", got)
 	}
-	got = run(t, e, `("a", 1 + 1, "b")`)
+	got = run(t, s, `("a", 1 + 1, "b")`)
 	if got != "a\n2\nb" {
 		t.Fatalf("seq = %q", got)
 	}
 }
 
 func TestSubtreeSerialization(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	got := run(t, e, `FOR $p IN /site/people/person[@id = "p0"] RETURN $p`)
+	s := newStore(t, engine.PeopleDoc)
+	got := run(t, s, `FOR $p IN /site/people/person[@id = "p0"] RETURN $p`)
 	want := `<person id="p0"><name>Alice</name><age>30</age><city>Rome</city></person>`
 	if got != want {
 		t.Fatalf("subtree = %q", got)
@@ -145,53 +169,53 @@ func TestSubtreeSerialization(t *testing.T) {
 }
 
 func TestContainsAndFunctions(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	got := run(t, e, `FOR $a IN /site/auctions/auction WHERE contains($a/note, "gold") RETURN $a/@id`)
+	s := newStore(t, engine.PeopleDoc)
+	got := run(t, s, `FOR $a IN /site/auctions/auction WHERE contains($a/note, "gold") RETURN $a/@id`)
 	if !strings.Contains(got, "a0") || !strings.Contains(got, "a2") || strings.Contains(got, "a1") {
 		t.Fatalf("contains: %q", got)
 	}
-	if got := run(t, e, `sum(/site/auctions/auction/price)`); got != "96.75" {
+	if got := run(t, s, `sum(/site/auctions/auction/price)`); got != "96.75" {
 		t.Fatalf("sum = %q", got)
 	}
-	if got := run(t, e, `avg(/site/people/person/age)`); got != "32" {
+	if got := run(t, s, `avg(/site/people/person/age)`); got != "32" {
 		t.Fatalf("avg = %q", got)
 	}
-	if got := run(t, e, `min(/site/people/person/age)`); got != "25" {
+	if got := run(t, s, `min(/site/people/person/age)`); got != "25" {
 		t.Fatalf("min = %q", got)
 	}
-	if got := run(t, e, `string-join(distinct-values(/site/people/person/city/text()), "|")`); got != "Rome|Paris" {
+	if got := run(t, s, `string-join(distinct-values(/site/people/person/city/text()), "|")`); got != "Rome|Paris" {
 		t.Fatalf("distinct = %q", got)
 	}
-	if got := run(t, e, `starts-with(/site/people/person[1]/name/text(), "Al")`); got != "true" {
+	if got := run(t, s, `starts-with(/site/people/person[1]/name/text(), "Al")`); got != "true" {
 		t.Fatalf("starts-with = %q", got)
 	}
-	if got := run(t, e, `if (count(/site/people/person) > 2) then "many" else "few"`); got != "many" {
+	if got := run(t, s, `if (count(/site/people/person) > 2) then "many" else "few"`); got != "many" {
 		t.Fatalf("if = %q", got)
 	}
 }
 
 func TestOrderBy(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	got := run(t, e, `FOR $p IN /site/people/person ORDER BY $p/age RETURN $p/name/text()`)
+	s := newStore(t, engine.PeopleDoc)
+	got := run(t, s, `FOR $p IN /site/people/person ORDER BY $p/age RETURN $p/name/text()`)
 	if got != "Bob\nAlice\nCarol" {
 		t.Fatalf("order by age = %q", got)
 	}
 	// Names sort Alice, Bob, Carol -> ages 30, 25, 41.
-	got = run(t, e, `FOR $p IN /site/people/person ORDER BY $p/name RETURN $p/age/text()`)
+	got = run(t, s, `FOR $p IN /site/people/person ORDER BY $p/name RETURN $p/age/text()`)
 	if got != "30\n25\n41" {
 		t.Fatalf("order by name = %q", got)
 	}
 }
 
 func TestErrors(t *testing.T) {
-	e := newEngine(t, peopleDoc)
+	s := newStore(t, engine.PeopleDoc)
 	for _, q := range []string{
 		`$undefined`,
 		`unknownfn(1)`,
 		`sum(/site/people/person/name)`, // non-numeric aggregate
 		`1 + /site/people/person`,       // arithmetic over sequence
 	} {
-		if _, err := e.Query(q); err == nil {
+		if _, err := query(s, q); err == nil {
 			t.Fatalf("no error for %q", q)
 		}
 	}
@@ -206,30 +230,12 @@ func TestDifferentialXMark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compressed := New(s)
-	reference := galaxlike.New(doc)
 	for _, q := range xmarkq.Queries() {
 		q := q
 		t.Run(q.ID, func(t *testing.T) {
-			got, err := compressed.Query(q.Text)
-			if err != nil {
-				t.Fatalf("engine: %v", err)
-			}
-			want, err := reference.Query(q.Text)
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
-			gs, err := got.SerializeXML()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ws, err := want.SerializeXML()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gs != ws {
-				t.Fatalf("results differ\nengine (%d items):\n%.600s\nreference (%d items):\n%.600s",
-					got.Len(), gs, want.Len(), ws)
+			gs := run(t, s, q.Text)
+			if ws := reference(t, doc, q.Text); gs != ws {
+				t.Fatalf("results differ\nengine:\n%.600s\nreference:\n%.600s", gs, ws)
 			}
 		})
 	}
@@ -240,7 +246,6 @@ func TestDifferentialXMark(t *testing.T) {
 // chosen algorithms.
 func TestDifferentialWithPlans(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.04, Seed: 22})
-	reference := galaxlike.New(doc)
 	plans := map[string]*storage.CompressionPlan{
 		"huffman":  {DefaultAlgorithm: storage.AlgHuffman},
 		"hutucker": {DefaultAlgorithm: storage.AlgHuTucker},
@@ -262,19 +267,8 @@ func TestDifferentialWithPlans(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := New(s)
 			for _, q := range []string{xmarkq.Q1, xmarkq.Q5, xmarkq.Q8, xmarkq.Q14, xmarkq.Q16} {
-				got, err := e.Query(q)
-				if err != nil {
-					t.Fatalf("engine: %v", err)
-				}
-				want, err := reference.Query(q)
-				if err != nil {
-					t.Fatalf("reference: %v", err)
-				}
-				gs, _ := got.SerializeXML()
-				ws, _ := want.SerializeXML()
-				if gs != ws {
+				if gs, ws := run(t, s, q), reference(t, doc, q); gs != ws {
 					t.Fatalf("plan %s: results differ for %.60q", name, q)
 				}
 			}
@@ -293,8 +287,8 @@ func TestQueryAfterReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := run(t, New(s), xmarkq.Q1)
-	b := run(t, New(s2), xmarkq.Q1)
+	a := run(t, s, xmarkq.Q1)
+	b := run(t, s2, xmarkq.Q1)
 	if a != b {
 		t.Fatalf("reloaded store answers differently: %q vs %q", a, b)
 	}
@@ -308,49 +302,37 @@ func TestDifferentialXMarkExtended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compressed := New(s)
-	reference := galaxlike.New(doc)
 	for _, q := range xmarkq.ExtendedQueries() {
 		q := q
 		t.Run(q.ID, func(t *testing.T) {
-			got, err := compressed.Query(q.Text)
-			if err != nil {
-				t.Fatalf("engine: %v", err)
-			}
-			want, err := reference.Query(q.Text)
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
-			gs, _ := got.SerializeXML()
-			ws, _ := want.SerializeXML()
-			if gs != ws {
-				t.Fatalf("results differ\nengine (%d items):\n%.400s\nreference (%d items):\n%.400s",
-					got.Len(), gs, want.Len(), ws)
+			gs := run(t, s, q.Text)
+			if ws := reference(t, doc, q.Text); gs != ws {
+				t.Fatalf("results differ\nengine:\n%.400s\nreference:\n%.400s", gs, ws)
 			}
 		})
 	}
 }
 
 func TestOrderByDescending(t *testing.T) {
-	e := newEngine(t, peopleDoc)
-	got := run(t, e, `FOR $p IN /site/people/person ORDER BY $p/age DESCENDING RETURN $p/name/text()`)
+	s := newStore(t, engine.PeopleDoc)
+	got := run(t, s, `FOR $p IN /site/people/person ORDER BY $p/age DESCENDING RETURN $p/name/text()`)
 	if got != "Carol\nAlice\nBob" {
 		t.Fatalf("descending = %q", got)
 	}
-	got = run(t, e, `FOR $p IN /site/people/person ORDER BY $p/age ASCENDING RETURN $p/name/text()`)
+	got = run(t, s, `FOR $p IN /site/people/person ORDER BY $p/age ASCENDING RETURN $p/name/text()`)
 	if got != "Bob\nAlice\nCarol" {
 		t.Fatalf("ascending = %q", got)
 	}
 }
 
 func TestForPreservesBoundSequenceOrder(t *testing.T) {
-	e := newEngine(t, peopleDoc)
+	s := newStore(t, engine.PeopleDoc)
 	// $a carries an ORDER BY arrangement; iterating it with FOR must not
 	// silently restore document order.
 	q := `LET $a := (FOR $p IN /site/people/person ORDER BY $p/age DESCENDING RETURN $p)
 	      FOR $x IN $a
 	      RETURN $x/name/text()`
-	if got := run(t, e, q); got != "Carol\nAlice\nBob" {
+	if got := run(t, s, q); got != "Carol\nAlice\nBob" {
 		t.Fatalf("order lost through FOR over LET: %q", got)
 	}
 }
@@ -365,8 +347,7 @@ func TestFastPathSoundness(t *testing.T) {
 	  <rec><name/><v>3</v></rec>
 	  <rec><name>Ali<b/>ce</name><v>4</v></rec>
 	</root>`
-	eng := newEngine(t, doc)
-	ref := galaxlike.New([]byte(doc))
+	s := newStore(t, doc)
 	queries := []string{
 		`FOR $r IN /root/rec WHERE $r/name = "Alice" RETURN $r/v/text()`,
 		`FOR $r IN /root/rec WHERE $r/name != "Bob" RETURN $r/v/text()`,
@@ -377,17 +358,7 @@ func TestFastPathSoundness(t *testing.T) {
 		`/root/rec[name != "x"]/v/text()`,
 	}
 	for _, q := range queries {
-		got, err := eng.Query(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		want, err := ref.Query(q)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", q, err)
-		}
-		gs, _ := got.SerializeXML()
-		ws, _ := want.SerializeXML()
-		if gs != ws {
+		if gs, ws := run(t, s, q), reference(t, []byte(doc), q); gs != ws {
 			t.Errorf("%s\nengine:    %q\nreference: %q", q, gs, ws)
 		}
 	}
@@ -401,24 +372,13 @@ func TestFastPathOptionalValues(t *testing.T) {
 	  <p></p>
 	  <p><phone>456</phone></p>
 	</root>`
-	eng := newEngine(t, doc)
-	ref := galaxlike.New([]byte(doc))
+	s := newStore(t, doc)
 	for _, q := range []string{
 		`count(FOR $p IN /root/p WHERE $p/phone = 123 RETURN $p)`,
 		`count(FOR $p IN /root/p WHERE $p/phone != 123 RETURN $p)`,
 		`count(FOR $p IN /root/p WHERE $p/phone < 400 RETURN $p)`,
 	} {
-		got, err := eng.Query(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		want, err := ref.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs, _ := got.SerializeXML()
-		ws, _ := want.SerializeXML()
-		if gs != ws {
+		if gs, ws := run(t, s, q), reference(t, []byte(doc), q); gs != ws {
 			t.Errorf("%s: engine %q vs reference %q", q, gs, ws)
 		}
 	}

@@ -71,11 +71,7 @@ func (e *Engine) explain(sb *strings.Builder, expr xquery.Expr, varSums map[stri
 }
 
 func (e *Engine) explainFLWOR(sb *strings.Builder, x *xquery.FLWOR, varSums map[string][]*storage.SummaryNode, depth int) {
-	plan := PlanFLWOR(x)
-	local := map[string][]*storage.SummaryNode{}
-	for k, v := range varSums {
-		local[k] = v
-	}
+	plan, local := PlanFLWOR(x), cloneVars(varSums)
 	indent(sb, depth)
 	sb.WriteString("FLWOR\n")
 	for ci, cl := range x.Clauses {

@@ -8,8 +8,17 @@ import (
 	"xquec/internal/xmarkq"
 )
 
+func newEngine(t *testing.T, doc string) *Engine {
+	t.Helper()
+	s, err := storage.Load([]byte(doc), storage.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(s)
+}
+
 func TestExplainSummaryAccess(t *testing.T) {
-	e := newEngine(t, peopleDoc)
+	e := newEngine(t, PeopleDoc)
 	out, err := e.Explain(`/site/people/person/name`)
 	if err != nil {
 		t.Fatal(err)
@@ -20,7 +29,7 @@ func TestExplainSummaryAccess(t *testing.T) {
 }
 
 func TestExplainLitPushdown(t *testing.T) {
-	e := newEngine(t, peopleDoc)
+	e := newEngine(t, PeopleDoc)
 	out, err := e.Explain(`FOR $p IN /site/people/person WHERE $p/age >= 30 RETURN $p/name/text()`)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +44,7 @@ func TestExplainJoinStrategies(t *testing.T) {
 	      LET $a := FOR $t IN /site/auctions/auction WHERE $t/buyer/@person = $p/@id RETURN $t
 	      RETURN count($a)`
 	// Default plan: separate models -> hash join.
-	e := newEngine(t, peopleDoc)
+	e := newEngine(t, PeopleDoc)
 	out, err := e.Explain(q)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +59,7 @@ func TestExplainJoinStrategies(t *testing.T) {
 		},
 		Algorithms: map[string]string{"refs": storage.AlgALM},
 	}
-	s, err := storage.Load([]byte(peopleDoc), storage.LoadOptions{Plan: plan})
+	s, err := storage.Load([]byte(PeopleDoc), storage.LoadOptions{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +73,7 @@ func TestExplainJoinStrategies(t *testing.T) {
 }
 
 func TestExplainResidualAndCtor(t *testing.T) {
-	e := newEngine(t, peopleDoc)
+	e := newEngine(t, PeopleDoc)
 	out, err := e.Explain(`FOR $a IN /site/auctions/auction
 	                       WHERE contains($a/note, "gold")
 	                       RETURN <hit id="{$a/@id}"/>`)
@@ -77,7 +86,7 @@ func TestExplainResidualAndCtor(t *testing.T) {
 }
 
 func TestExplainStaticallyEmpty(t *testing.T) {
-	e := newEngine(t, peopleDoc)
+	e := newEngine(t, PeopleDoc)
 	out, err := e.Explain(`/site/nowhere/nothing`)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +97,7 @@ func TestExplainStaticallyEmpty(t *testing.T) {
 }
 
 func TestExplainBenchmarkQueriesDoNotError(t *testing.T) {
-	e := newEngine(t, peopleDoc) // schema mismatch is fine: explain is static
+	e := newEngine(t, PeopleDoc) // schema mismatch is fine: explain is static
 	for _, q := range xmarkq.Queries() {
 		if _, err := e.Explain(q.Text); err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
@@ -97,7 +106,7 @@ func TestExplainBenchmarkQueriesDoNotError(t *testing.T) {
 }
 
 func TestExplainParseError(t *testing.T) {
-	e := newEngine(t, peopleDoc)
+	e := newEngine(t, PeopleDoc)
 	if _, err := e.Explain(`for $x in`); err == nil {
 		t.Fatal("bad query accepted")
 	}

@@ -43,8 +43,7 @@ type FLWORPlan struct {
 }
 
 // PlanFLWOR assigns WHERE conjuncts to FOR clauses; the VM compiler
-// lowers a top-level FLWOR from the same assignment flworEach evaluates
-// a nested one with.
+// lowers every FLWOR's loops from it.
 func PlanFLWOR(x *xquery.FLWOR) *FLWORPlan {
 	plan := &FLWORPlan{Pushdowns: map[int][]Pushdown{}}
 	if x.OrderBy != nil {
@@ -109,42 +108,36 @@ func PlanFLWOR(x *xquery.FLWOR) *FLWORPlan {
 }
 
 // Plans is what is derivable once per query and not per run: the
-// pushdown plan of each FLWOR and the resolved plan of each path whose
-// origin summary set is static. The compiler fills one per program;
-// runs only read it, so any number of them share it.
-type Plans struct {
-	flwors map[*xquery.FLWOR]*FLWORPlan
-	paths  map[*xquery.PathExpr]*PathPlan
-}
-
-// NewPlans returns an empty plan set for a compiler to fill.
-func NewPlans() *Plans {
-	return &Plans{paths: map[*xquery.PathExpr]*PathPlan{}}
-}
+// resolved plan of each path whose origin summary set is static. The
+// compiler fills one per program; runs only read it, so any number of
+// them share it.
+type Plans map[*xquery.PathExpr]*PathPlan
 
 // SizeBytes estimates the resident size of the plans, for the plan
 // cache's byte accounting: a few slices of summary-node pointers each.
-func (pl *Plans) SizeBytes() int { return 128*len(pl.flwors) + 192*len(pl.paths) }
+func (pl Plans) SizeBytes() int { return 192 * len(pl) }
 
-// PlanExpr records in pl the plan of every FLWOR and every path under
-// x, and returns the summary set of x's value when that is static (a
-// path without a text() tail, a variable). vars gives the summary sets
-// of the variables in scope, "." for the context; a set that turns out
-// different at run time only costs that path a re-resolution, so an
-// unknown variable may simply be absent.
-func (e *Engine) PlanExpr(pl *Plans, x xquery.Expr, vars map[string][]*storage.SummaryNode) []*storage.SummaryNode {
+// PlanExpr records in pl the plan of every path under x, and returns the
+// summary set of x's value when that is static (a path without a text()
+// tail, a variable). vars gives the summary sets of the variables in
+// scope, "." for the context; a set that turns out different at run time
+// only costs that path a re-resolution, so an unknown variable may simply
+// be absent. A FLWOR under x is not entered: it is handed to nested with
+// the summary sets in scope where it stands (a map of its own), for the
+// compiler to make a sub-program of.
+func (e *Engine) PlanExpr(pl Plans, x xquery.Expr, vars map[string][]*storage.SummaryNode, nested func(*xquery.FLWOR, map[string][]*storage.SummaryNode)) []*storage.SummaryNode {
 	switch x := x.(type) {
 	case *xquery.VarRef:
 		return vars[x.Name]
 	case *xquery.PathExpr:
 		plan := e.resolvePath(x, vars[x.Var])
-		pl.paths[x] = plan
+		pl[x] = plan
 		for i, step := range x.Steps {
 			if len(step.Preds) > 0 && i < len(plan.targets) {
 				inner := cloneVars(vars)
 				inner["."] = plan.targets[i]
 				for _, pred := range step.Preds {
-					e.PlanExpr(pl, pred, inner)
+					e.PlanExpr(pl, pred, inner, nested)
 				}
 			}
 		}
@@ -153,21 +146,11 @@ func (e *Engine) PlanExpr(pl *Plans, x xquery.Expr, vars map[string][]*storage.S
 		}
 		return plan.Sums()
 	case *xquery.FLWOR:
-		if pl.flwors == nil {
-			pl.flwors = map[*xquery.FLWOR]*FLWORPlan{}
-		}
-		pl.flwors[x] = PlanFLWOR(x)
-		vars = cloneVars(vars)
-		for _, cl := range x.Clauses {
-			vars[cl.Var] = e.PlanExpr(pl, cl.Seq, vars)
-		}
-		for _, sub := range []xquery.Expr{x.Where, x.OrderBy, x.Return} {
-			e.PlanExpr(pl, sub, vars) // a nil part has no children
-		}
+		nested(x, cloneVars(vars))
 		return nil
 	}
 	for _, sub := range xquery.Children(x) {
-		e.PlanExpr(pl, sub, vars)
+		e.PlanExpr(pl, sub, vars, nested)
 	}
 	return nil
 }
@@ -176,174 +159,6 @@ func cloneVars(vars map[string][]*storage.SummaryNode) map[string][]*storage.Sum
 	out := make(map[string][]*storage.SummaryNode, len(vars)+1)
 	maps.Copy(out, vars)
 	return out
-}
-
-// flworPlanFor returns the pushdown plan of x: the program's, else this
-// run's memo.
-func (e *Engine) flworPlanFor(x *xquery.FLWOR) *FLWORPlan {
-	if e.plans != nil {
-		if plan := e.plans.flwors[x]; plan != nil {
-			return plan
-		}
-	}
-	plan := e.flwors[x]
-	if plan == nil {
-		if e.flwors == nil {
-			e.flwors = map[*xquery.FLWOR]*FLWORPlan{}
-		}
-		plan = PlanFLWOR(x)
-		e.flwors[x] = plan
-	}
-	return plan
-}
-
-// evalFLWOR evaluates for/let/where/return eagerly, collecting every
-// RETURN chunk into one sequence.
-func (e *Engine) evalFLWOR(x *xquery.FLWOR, env *scope) (Seq, error) {
-	var out Seq
-	err := e.flworEach(x, env, func(v Seq) { out = append(out, v...) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// flworEach runs for/let/where/return with the §4 optimizations —
-// WHERE conjuncts of the form path-op-literal become compressed-domain
-// container matches restricting the FOR domain, and equality joins
-// between variables are answered by a container join index built once
-// (the compressed merge join of the Q9 plan when the sides share a
-// source model) instead of rescanning per outer binding — handing each
-// RETURN chunk to emit as soon as its bindings are settled. With an
-// ORDER BY the walk only collects the tuples (TupleSort); the RETURN of
-// each runs after the sort, one tuple at a time.
-//
-// Every clause binds its variable into env in place — one slot per
-// clause evaluation, rewritten per tuple — and restores what it
-// shadowed when its domain is exhausted.
-func (e *Engine) flworEach(x *xquery.FLWOR, env *scope, emit func(Seq)) error {
-	plan := e.flworPlanFor(x)
-	var ts *TupleSort
-	var fors []*binding // by clause: the FOR bindings a collected tuple records
-	if x.OrderBy != nil {
-		ts = NewTupleSort(x, plan, nil)
-		fors = make([]*binding, len(x.Clauses))
-	}
-
-	var walk func(ci int) error
-	// each walks the remaining clauses for the FOR item just bound.
-	each := func(ci int, filters []xquery.Expr) error {
-		if ok, err := e.passAll(filters, env); err != nil || !ok {
-			return err
-		}
-		return walk(ci + 1)
-	}
-	walk = func(ci int) error {
-		if ci == len(x.Clauses) {
-			if ok, err := e.passAll(plan.Residual, env); err != nil || !ok {
-				return err
-			}
-			if ts == nil {
-				v, err := e.eval(x.Return, env)
-				if err != nil {
-					return err
-				}
-				emit(v)
-				return nil
-			}
-			for _, b := range fors {
-				if b != nil {
-					var id storage.NodeID
-					if b.ids != nil {
-						id = b.ids[0]
-					}
-					ts.Add(id, b.item, b.sums)
-				}
-			}
-			return e.collectKey(ts, env)
-		}
-		cl := x.Clauses[ci]
-		if cl.Let && ts != nil && !plan.Collect[ci] {
-			return walk(ci + 1) // only the RETURN needs it, if anything does
-		}
-		seq, ids, sums, err := e.evalBindingSeq(cl.Seq, env)
-		if err != nil {
-			return err
-		}
-		b, shadowed := env.bind(cl.Var, sums)
-		defer env.unbind(cl.Var, shadowed)
-		if cl.Let {
-			b.seq, b.ids = seq, ids
-			return walk(ci + 1)
-		}
-		if ts != nil {
-			fors[ci] = b
-		}
-		pds := plan.Pushdowns[ci]
-		if ids == nil {
-			var fallbackFilters []xquery.Expr
-			for _, pd := range pds {
-				fallbackFilters = append(fallbackFilters, pd.Conj)
-			}
-			for _, it := range seq {
-				b.set(it)
-				if err := each(ci, fallbackFilters); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		cur := ids
-		var perTuple []xquery.Expr
-		for _, pd := range pds {
-			// A literal pushdown keeps the nodes whose value matches, a join
-			// pushdown the partners of the other variable's current binding.
-			var restricted algebra.NodeSet
-			var handled bool
-			if pd.IsLit {
-				restricted, handled, err = e.applyLit(pd, cur, sums)
-			} else {
-				restricted, handled, err = e.applyJoin(pd, nil, false, cur, sums, env)
-			}
-			if err != nil {
-				return err
-			}
-			if handled {
-				cur = restricted
-				continue
-			}
-			perTuple = append(perTuple, pd.Conj)
-		}
-		for _, id := range cur {
-			b.setNode(id)
-			if err := each(ci, perTuple); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(0); err != nil || ts == nil {
-		return err
-	}
-	if err := e.SortTuples(ts); err != nil {
-		return err
-	}
-	// Replay rebinds the clauses' variables: put back what they shadow.
-	for ci, cl := range x.Clauses {
-		ts.outer[ci] = env.vars[cl.Var]
-		defer env.unbind(cl.Var, ts.outer[ci])
-	}
-	for {
-		ok, err := e.replay(ts, env)
-		if err != nil || !ok {
-			return err
-		}
-		v, err := e.eval(x.Return, env)
-		if err != nil {
-			return err
-		}
-		emit(v)
-	}
 }
 
 // sortedOrder returns the stable ORDER BY permutation of keys. The
@@ -371,19 +186,6 @@ func sortedOrder(keys []string, desc bool) []int {
 		return keys[order[a]] < keys[order[b]]
 	})
 	return order
-}
-
-func (e *Engine) passAll(filters []xquery.Expr, env *scope) (bool, error) {
-	for _, f := range filters {
-		ok, err := e.evalBool(f, env)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // JoinIndex maps nodes of the "other" side of an equality join to their

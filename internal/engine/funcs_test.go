@@ -1,13 +1,15 @@
-package engine
+package engine_test
 
 import (
 	"strings"
 	"testing"
+
+	"xquec/internal/engine"
 )
 
 // TestFunctionLibrary covers every function of the engine's library.
 func TestFunctionLibrary(t *testing.T) {
-	e := newEngine(t, peopleDoc)
+	s := newStore(t, engine.PeopleDoc)
 	cases := []struct {
 		q, want string
 	}{
@@ -40,25 +42,28 @@ func TestFunctionLibrary(t *testing.T) {
 		{`data(/site/people/person[1]/age/text())`, "30"},
 		{`1 div 4`, "0.25"},
 		{`7 mod 3`, "1"},
+		{`-7 mod 3`, "-1"},
 		{`-(3)`, "-3"},
 		{`2 * 3 + 4`, "10"},
 		{`2 + 3 * 4`, "14"},
 	}
 	for _, c := range cases {
-		if got := run(t, e, c.q); got != c.want {
+		if got := run(t, s, c.q); got != c.want {
 			t.Errorf("%s = %q, want %q", c.q, got, c.want)
 		}
 	}
 }
 
 func TestFunctionErrors(t *testing.T) {
-	e := newEngine(t, peopleDoc)
+	s := newStore(t, engine.PeopleDoc)
 	for _, q := range []string{
 		`count()`,
 		`number("abc")`,
+		`1 mod 0`,
+		`5 mod 0.5`,
 		`min(())`, // empty aggregate over min yields empty; evaluate but serialize must be ""
 	} {
-		_, err := e.Query(q)
+		_, err := query(s, q)
 		switch q {
 		case `min(())`:
 			if err != nil {
@@ -73,7 +78,7 @@ func TestFunctionErrors(t *testing.T) {
 }
 
 func TestEffectiveBooleanValues(t *testing.T) {
-	e := newEngine(t, peopleDoc)
+	s := newStore(t, engine.PeopleDoc)
 	cases := []struct {
 		q, want string
 	}{
@@ -85,14 +90,14 @@ func TestEffectiveBooleanValues(t *testing.T) {
 		{`if (/site/people) then 1 else 0`, "1"},
 	}
 	for _, c := range cases {
-		if got := run(t, e, c.q); got != c.want {
+		if got := run(t, s, c.q); got != c.want {
 			t.Errorf("%s = %q, want %q", c.q, got, c.want)
 		}
 	}
 }
 
 func TestComparisonSemantics(t *testing.T) {
-	e := newEngine(t, peopleDoc)
+	s := newStore(t, engine.PeopleDoc)
 	cases := []struct {
 		q, want string
 	}{
@@ -107,25 +112,25 @@ func TestComparisonSemantics(t *testing.T) {
 		{`/site/people/person/age != 25`, "true"}, // some age differs
 	}
 	for _, c := range cases {
-		if got := run(t, e, c.q); got != c.want {
+		if got := run(t, s, c.q); got != c.want {
 			t.Errorf("%s = %q, want %q", c.q, got, c.want)
 		}
 	}
 }
 
 func TestDeepTextAtomization(t *testing.T) {
-	e := newEngine(t, `<a><b>one <c>two</c> three</b></a>`)
-	if got := run(t, e, `string(/a/b)`); got != "one two three" {
+	s := newStore(t, `<a><b>one <c>two</c> three</b></a>`)
+	if got := run(t, s, `string(/a/b)`); got != "one two three" {
 		t.Fatalf("deep text = %q", got)
 	}
-	if got := run(t, e, `contains(/a/b, "two th")`); got != "true" {
+	if got := run(t, s, `contains(/a/b, "two th")`); got != "true" {
 		t.Fatalf("contains over mixed content = %q", got)
 	}
 }
 
 func TestSerializeEscaping(t *testing.T) {
-	e := newEngine(t, `<a note="5 &lt; 6">x &amp; y</a>`)
-	got := run(t, e, `/a`)
+	s := newStore(t, `<a note="5 &lt; 6">x &amp; y</a>`)
+	got := run(t, s, `/a`)
 	if !strings.Contains(got, `note="5 &lt; 6"`) || !strings.Contains(got, "x &amp; y") {
 		t.Fatalf("escaping lost: %q", got)
 	}

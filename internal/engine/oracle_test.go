@@ -14,21 +14,13 @@ import (
 	"xquec/internal/xquery"
 )
 
-// evaluators are the compiled program — the way a query runs — and the
-// engine's eager evaluator, the oracle of the VM's own tests. Both must
-// agree with the DOM reference, which shares no code (and so no
-// mistake) with either. A query that parses must compile.
+// evaluators is the compiled program — the way a query runs — which
+// must agree with the DOM reference, sharing no code (and so no mistake)
+// with it. A query that parses must compile.
 var evaluators = []struct {
 	name string
 	run  func(*testing.T, *storage.Store, string) (string, error)
 }{
-	{"eager", func(_ *testing.T, s *storage.Store, q string) (string, error) {
-		res, err := engine.New(s).Query(q)
-		if err != nil {
-			return "", err
-		}
-		return res.SerializeXML()
-	}},
 	{"vm", func(t *testing.T, s *storage.Store, q string) (string, error) {
 		expr, err := xquery.Parse(q)
 		if err != nil {
@@ -69,7 +61,7 @@ func agree(t *testing.T, doc []byte, s *storage.Store, q string) {
 	}
 }
 
-// TestRandomDifferential compares both evaluators against the DOM
+// TestRandomDifferential compares the compiled program against the DOM
 // reference on random documents — recursive, with mixed content — for
 // every query in the battery under every compression plan.
 func TestRandomDifferential(t *testing.T) {
@@ -147,8 +139,8 @@ func TestNestedBindings(t *testing.T) {
 // "1a" < "2" as strings — a comparison chosen per pair is a cycle, and a
 // stable sort over it returns an arrangement that depends on its merge
 // schedule. Chosen once per sort (here: strings, since "1a" is no
-// number), every input permutation sorts the same way, under both
-// evaluators and the reference.
+// number), every input permutation sorts the same way, in the compiled
+// program and the reference.
 func TestOrderByMixedKeys(t *testing.T) {
 	keys := []string{"2", "10", "1a"}
 	perms := [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
@@ -187,7 +179,7 @@ func TestOrderByMixedKeys(t *testing.T) {
 	}
 }
 
-// TestOrderByBattery holds both evaluators to the reference on the
+// TestOrderByBattery holds the compiled program to the reference on the
 // documents where ORDER BY keys are awkward, under every compression
 // plan: a missing key, an element with no text, a key of two text leaves
 // (which leaves the compiled program's rank table for the decoded keys),

@@ -9,11 +9,11 @@ import (
 	"xquec/internal/xquery"
 )
 
-// TupleSort is the ORDER BY of one evaluation of a FLWOR, shared by both
-// evaluators: collection adds a tuple per binding that passes the WHERE —
-// each FOR clause's item and summary set, and the key — the sort orders
-// them, replay binds them back one at a time for the RETURN. Tuples live
-// in flat slices, so collecting one allocates nothing.
+// TupleSort is the ORDER BY of a FLWOR in one run of its program:
+// collection adds a tuple per binding that passes the WHERE — each FOR
+// clause's item and summary set, and the key — the sort orders them,
+// replay binds them back one at a time for the RETURN. Tuples live in
+// flat slices, so collecting one allocates nothing.
 type TupleSort struct {
 	x     *xquery.FLWOR
 	plan  *FLWORPlan
@@ -64,6 +64,24 @@ func (t *TupleSort) Add(id storage.NodeID, it Item, sums []*storage.SummaryNode)
 	t.ids, t.set = append(t.ids, id), append(t.set, t.last[f])
 	if t.items != nil {
 		t.items = append(t.items, it)
+	}
+}
+
+// Open starts an evaluation of the sorter's FLWOR under env: the tuples
+// of the previous one go, and what the clauses' names are bound to
+// outside the FLWOR is recorded, for replay and Close to put back.
+func (t *TupleSort) Open(env *Env) {
+	*t = *NewTupleSort(t.x, t.plan, t.ranks)
+	for ci, cl := range t.x.Clauses {
+		t.outer[ci] = env.s.vars[cl.Var]
+	}
+}
+
+// Close ends an evaluation Open started: the clauses' names are bound to
+// what they were outside the FLWOR again.
+func (t *TupleSort) Close(env *Env) {
+	for ci, cl := range t.x.Clauses {
+		env.s.unbind(cl.Var, t.outer[ci])
 	}
 }
 

@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"math/rand"
@@ -7,12 +7,13 @@ import (
 
 	"xquec/internal/algebra"
 	"xquec/internal/datagen"
+	"xquec/internal/engine"
 	"xquec/internal/storage"
 )
 
 // TestParallelDifferential runs the whole query battery on random
 // documents at several worker budgets and requires byte-identical
-// output (and identical error outcomes) against the serial engine.
+// output (and identical error outcomes) against the serial run.
 // The partition floor is dropped so the small random documents
 // genuinely split.
 func TestParallelDifferential(t *testing.T) {
@@ -36,27 +37,16 @@ func TestParallelDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		serial := New(s)
-		for qi, q := range queryBattery {
-			want, werr := serial.Query(q)
-			var ws string
-			if werr == nil {
-				if ws, err = want.SerializeXML(); err != nil {
-					t.Fatal(err)
-				}
-			}
+		for qi, q := range engine.QueryBattery {
+			ws, werr := query(s, q)
 			for _, par := range pars {
-				got, gerr := New(s).WithParallelism(par).Query(q)
+				gs, gerr := queryPar(s, q, par)
 				if (gerr == nil) != (werr == nil) {
 					t.Fatalf("trial %d query %d par %d error mismatch: parallel=%v serial=%v\nquery: %s",
 						trial, qi, par, gerr, werr, q)
 				}
 				if gerr != nil {
 					continue
-				}
-				gs, err := got.SerializeXML()
-				if err != nil {
-					t.Fatal(err)
 				}
 				if gs != ws {
 					t.Fatalf("trial %d query %d par %d differs\nquery: %s\nparallel: %q\nserial:   %q\ndoc: %s",

@@ -164,10 +164,7 @@ func (e *Engine) cursorFor(p *xquery.PathExpr, sums []*storage.SummaryNode) *pat
 	if pc != nil && slices.Equal(pc.plan.origin, sums) {
 		return pc
 	}
-	var pl *PathPlan
-	if e.plans != nil {
-		pl = e.plans.paths[p]
-	}
+	pl := e.plans[p]
 	if pl == nil || !slices.Equal(pl.origin, sums) {
 		pl = e.resolvePath(p, sums)
 	}
@@ -468,9 +465,13 @@ func (e *Engine) predStep(st pathState, steps []xquery.Step, i int, env *scope, 
 		next = e.moveRun(st, i, i+1, pc)
 		next.nodes, err = e.applyPreds(next.nodes, next.exact, preds, env, targets)
 		next.exact = false
-	case i == 0 && st.exact:
+	case i == 0 && st.exact && steps[i].Axis == xquery.AxisChild:
 		// The document node has one child, the root: position among it.
 		next.nodes, err = e.applyPreds(algebra.NodeSet{1}, false, preds, env, nil)
+	case i == 0 && st.exact:
+		// The document node is the one origin: position among all the
+		// descendants the step matches.
+		next.nodes, err = e.applyPreds(algebra.SummaryAccess(targets), false, preds, env, targets)
 	default:
 		parents := st.allNodes()
 		var out []storage.NodeID
@@ -634,7 +635,7 @@ func (e *Engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.S
 		}
 		if co := e.owners[cmp]; co != nil && slices.Equal(co.sums, sums) {
 			out[i] = co
-		} else if rel, lit, op, ok := splitCmp(cmp); ok {
+		} else if rel, lit, op, ok := splitVarCmp(cmp, "."); ok {
 			jobs = append(jobs, job{idx: i, cmp: cmp, rel: rel, op: op, lit: lit})
 		}
 	}
@@ -665,12 +666,21 @@ func (e *Engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.S
 	return out
 }
 
-// splitPredConjuncts flattens an AND tree inside a step predicate.
+// splitPredConjuncts flattens an AND tree inside a step predicate. A
+// number or last() in the tree is a boolean there, not a position, so a
+// tree holding one stays whole.
 func splitPredConjuncts(pred xquery.Expr) []xquery.Expr {
-	if l, isLogic := pred.(*xquery.Logic); isLogic && l.Op == "and" {
-		return append(splitPredConjuncts(l.Left), splitPredConjuncts(l.Right)...)
+	l, isLogic := pred.(*xquery.Logic)
+	if !isLogic || l.Op != "and" {
+		return []xquery.Expr{pred}
 	}
-	return []xquery.Expr{pred}
+	out := append(splitPredConjuncts(l.Left), splitPredConjuncts(l.Right)...)
+	for _, c := range out {
+		if _, is := pickPositional(nil, c); is {
+			return []xquery.Expr{pred}
+		}
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------
@@ -754,37 +764,11 @@ func (e *Engine) predOwners(sums []*storage.SummaryNode, pred xquery.Expr) (*con
 	if !okShape || len(sums) == 0 {
 		return noOwners, nil
 	}
-	rel, lit, op, ok := splitCmp(cmp)
+	rel, lit, op, ok := splitVarCmp(cmp, ".")
 	if !ok {
 		return noOwners, nil
 	}
 	return e.matchOwners(cmp, sums, rel, op, lit)
-}
-
-// splitCmp normalizes a comparison into (relative path, literal,
-// effective operator). Comparisons with the literal on the left flip
-// the operator.
-func splitCmp(cmp *xquery.Cmp) (*xquery.PathExpr, string, string, bool) {
-	lit := func(e xquery.Expr) (string, bool) {
-		switch v := e.(type) {
-		case *xquery.StringLit:
-			return v.Val, true
-		case *xquery.NumberLit:
-			return formatNum(v.Val), true
-		}
-		return "", false
-	}
-	if p, isPath := cmp.Left.(*xquery.PathExpr); isPath && p.Var == "." {
-		if l, isLit := lit(cmp.Right); isLit {
-			return p, l, cmp.Op, true
-		}
-	}
-	if p, isPath := cmp.Right.(*xquery.PathExpr); isPath && p.Var == "." {
-		if l, isLit := lit(cmp.Left); isLit {
-			return p, l, flipOp(cmp.Op), true
-		}
-	}
-	return nil, "", "", false
 }
 
 func flipOp(op string) string {

@@ -44,31 +44,25 @@ type FragAttr struct {
 type Seq []Item
 
 // Result is the outcome of a query: a pull-based cursor over the
-// result sequence. Results built by Eval arrive fully materialized;
-// results a compiled program's run drives (NewPullResult) compute items
-// on demand, so a consumer that serializes one item at a time holds
-// O(1 item) of decompressed data, and one that stops after N items (or
-// cancels its context) stops evaluation-side decoding too.
+// result sequence. A compiled program's run drives it (NewPullResult),
+// computing items on demand, so a consumer that serializes one item at a
+// time holds O(1 item) of decompressed data, and one that stops after N
+// items (or cancels its context) stops evaluation-side decoding too.
 type Result struct {
 	store *storage.Store
 	ctx   context.Context // non-nil when the evaluation is cancellable
 
-	// queue holds materialized items not yet handed out; qpos is its
-	// read cursor. Eager results start with queue fully populated.
+	// queue holds materialized items (Prime, Len) not yet handed out;
+	// qpos is its read cursor.
 	queue Seq
 	qpos  int
-	// pull/stop drive the lazy source (the program's run loop); nil for
-	// eager results and after exhaustion.
+	// pull/stop drive the lazy source (the program's run loop); nil
+	// after exhaustion.
 	pull func() (Item, error, bool)
 	stop func()
 
 	served int   // items already handed out
 	err    error // sticky: first evaluation or cancellation error
-}
-
-// newEagerResult wraps an already-evaluated sequence.
-func newEagerResult(items Seq, store *storage.Store) *Result {
-	return &Result{store: store, queue: items}
 }
 
 // Next returns the next result item. ok is false when the sequence is

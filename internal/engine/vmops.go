@@ -5,8 +5,9 @@ package engine
 // and predicate containers at compile time and its run loop drives
 // binding iteration directly; every set-at-a-time operation — path
 // navigation, compressed-domain container matches, join indexes,
-// per-tuple expression evaluation — runs through the engine code here,
-// the same code the eager Eval (the oracle of the VM's tests) runs.
+// per-tuple expression evaluation — runs through the engine code here.
+// A FLWOR an expression reaches runs as a sub-program of the same
+// program (FLWORRunner), so the engine evaluates no loop of its own.
 
 import (
 	"xquec/internal/algebra"
@@ -20,12 +21,12 @@ import (
 // there first unbinds every deeper clause, restoring what each shadowed:
 // a clause source evaluated after its enclosing FOR clause rebinds sees
 // exactly the clauses before it in the current tuple — never its own or
-// a later clause's binding from the previous tuple, which flworEach's
-// scoping has already dropped. A LET whose source the program runs as
-// loops of its own reserves its depth (Open) and its inner clauses bind
-// deeper; binding the LET drops them. The engine binds nested FLWOR
-// variables into the same scope and restores what they shadowed, so the
-// VM's bindings survive every call.
+// a later clause's binding from the previous tuple. A LET whose source
+// the program runs as loops of its own reserves its depth (Open) and its
+// inner clauses bind deeper; binding the LET drops them. A sub-program
+// binds through an Env of its own over the caller's scope, from depth 0,
+// and what it shadowed is restored when it returns, so the caller's
+// bindings survive every call.
 type Env struct {
 	s      *scope
 	frames []frame // the clauses, by depth; a slot outlives its frame
@@ -116,23 +117,46 @@ func (v *Env) BindNode(depth int, name string, id storage.NodeID, sums []*storag
 }
 
 // WithPlans hands the engine the plans its program was compiled with.
-func (e *Engine) WithPlans(pl *Plans) *Engine {
+func (e *Engine) WithPlans(pl Plans) *Engine {
 	e.plans = pl
 	return e
 }
 
+// FLWORRunner runs the sub-program a compiled program holds for a FLWOR
+// it does not inline, binding its clauses through env and appending its
+// items to dst.
+type FLWORRunner interface {
+	RunFLWOR(x *xquery.FLWOR, env *Env, dst Seq) (Seq, error)
+}
+
+// WithFLWORRunner arms the runner of the program's sub-programs.
+func (e *Engine) WithFLWORRunner(r FLWORRunner) { e.subs = r }
+
+// appendFLWOR runs the sub-program of x through a frame stack of its own
+// over env, unbound when it returns — on error too — which puts back what
+// its clauses shadowed.
+func (e *Engine) appendFLWOR(dst Seq, x *xquery.FLWOR, env *scope) (Seq, error) {
+	sub := &Env{s: env}
+	dst, err := e.subs.RunFLWOR(x, sub, dst)
+	sub.truncate(0)
+	return dst, err
+}
+
 // EvalExpr evaluates an arbitrary expression under env — how the VM
-// runs the shapes it does not compile into instructions (nested
-// FLWORs, constructors, aggregates).
+// runs the shapes it does not compile into instructions (aggregates,
+// constructors whose value is looked into, sequences).
 func (e *Engine) EvalExpr(x xquery.Expr, env *Env) (Seq, error) {
 	return e.eval(x, env.s)
 }
 
-// AppendExpr appends the items of an expression to dst (a path's go
-// straight from the store).
+// AppendExpr appends the items of an expression to dst: a path's go
+// straight from the store, a FLWOR's from its sub-program.
 func (e *Engine) AppendExpr(dst Seq, x xquery.Expr, env *Env) (Seq, error) {
-	if p, isPath := x.(*xquery.PathExpr); isPath {
-		return e.appendPath(dst, p, env.s)
+	switch x := x.(type) {
+	case *xquery.PathExpr:
+		return e.appendPath(dst, x, env.s)
+	case *xquery.FLWOR:
+		return e.appendFLWOR(dst, x, env.s)
 	}
 	v, err := e.eval(x, env.s)
 	return append(dst, v...), err
@@ -196,7 +220,7 @@ func (e *Engine) Replay(t *TupleSort, env *Env) (bool, error) { return e.replay(
 func (e *Engine) CheckCancel() error { return e.checkCancel() }
 
 // ContextErr reports the armed context's error, nil when none is armed
-// (the up-front deadline check a run performs, as Eval does).
+// (the up-front deadline check a run performs).
 func (e *Engine) ContextErr() error {
 	if e.ctx == nil {
 		return nil

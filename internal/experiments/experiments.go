@@ -18,8 +18,10 @@ import (
 	"xquec/internal/datagen"
 	"xquec/internal/engine"
 	"xquec/internal/storage"
+	"xquec/internal/vm"
 	"xquec/internal/xmarkq"
 	"xquec/internal/xmlparser"
+	"xquec/internal/xquery"
 )
 
 // Row is one line of an experiment's output.
@@ -150,10 +152,23 @@ func Figure6Right(scales []float64) ([]Row, error) {
 	return rows, nil
 }
 
+// runQuery parses, compiles and starts one serial run of q, as a query runs.
+func runQuery(store *storage.Store, q string) (*engine.Result, error) {
+	expr, err := xquery.Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := vm.Compile(expr, store, q)
+	if err != nil {
+		return nil, err
+	}
+	return prog.Run(vm.RunOptions{Parallelism: 1})
+}
+
 // Figure7 runs the benchmark queries on the compressed engine and the
 // Galax-like baseline, reporting wall-clock times. XQueC's time
-// includes decompressing the query result (as in the paper);
-// the baseline's includes its full document parse.
+// includes parsing, compiling and decompressing the query result (as
+// in the paper); the baseline's includes its full document parse.
 func Figure7(scale float64, repeat int) ([]Row, error) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: scale, Seed: Seed})
 	store, err := storage.Load(doc, storage.LoadOptions{})
@@ -165,13 +180,12 @@ func Figure7(scale float64, repeat int) ([]Row, error) {
 	}
 	var rows []Row
 	for _, q := range xmarkq.Queries() {
-		// XQueC: fresh engine per run (no join-index reuse across runs).
+		// XQueC: compiled per run (no join-index reuse across runs).
 		var xqDur time.Duration
 		var xqItems int
 		for i := 0; i < repeat; i++ {
-			e := engine.New(store)
 			start := time.Now()
-			res, err := e.Query(q.Text)
+			res, err := runQuery(store, q.Text)
 			if err != nil {
 				return nil, fmt.Errorf("xquec %s: %w", q.ID, err)
 			}
@@ -308,8 +322,7 @@ func Figure4Q14(scale float64) ([]Row, error) {
 		return nil, err
 	}
 	startQ := time.Now()
-	e := engine.New(store)
-	res, err := e.Query(xmarkq.Q14)
+	res, err := runQuery(store, xmarkq.Q14)
 	if err != nil {
 		return nil, err
 	}

@@ -9,8 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"xquec/internal/baselines/galaxlike"
 	"xquec/internal/datagen"
-	"xquec/internal/engine"
 	"xquec/internal/storage"
 	"xquec/internal/xmarkq"
 	"xquec/internal/xquery"
@@ -30,29 +30,30 @@ func mustLoad(t *testing.T, doc string, dict []string) *storage.Store {
 	return st
 }
 
-// storeXML evaluates the query on one store with the engine's eager
-// evaluator, which shares no per-part or merge code with a set.
+// storeXML evaluates the query on the document one store holds with the
+// DOM reference evaluator, which shares no per-part or merge code — and
+// no engine code — with a set.
 func storeXML(t *testing.T, st *storage.Store, query string) string {
 	t.Helper()
-	expr, err := xquery.Parse(query)
+	doc, err := st.Serialize(nil, 1)
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		t.Fatalf("serialize: %v", err)
 	}
-	res, err := engine.New(st).Eval(expr)
+	return unshardedXML(t, doc, query)
+}
+
+// unshardedXML evaluates the query on the whole corpus.
+func unshardedXML(t *testing.T, src []byte, query string) string {
+	t.Helper()
+	res, err := galaxlike.New(src).Query(query)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
-	var sb strings.Builder
-	if _, err := res.WriteXML(&sb); err != nil {
+	out, err := res.SerializeXML()
+	if err != nil {
 		t.Fatalf("serialize: %v", err)
 	}
-	return sb.String()
-}
-
-// unshardedXML evaluates the query on a single whole-corpus store.
-func unshardedXML(t *testing.T, src []byte, query string) string {
-	t.Helper()
-	return storeXML(t, mustLoad(t, string(src), nil), query)
+	return out
 }
 
 // evalXML runs a scatter-approved query through Set.Eval — the fan-out

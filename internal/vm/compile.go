@@ -15,15 +15,15 @@ import (
 // Compile lowers a parsed query into a Program bound to store. The
 // compiler resolves every path's summary targets (into the program's
 // plan pool, which all runs share) and predicate value containers
-// against the repository's structure summary, lowers a LET bound to a
-// FLWOR into loops of the program, plans every other nested FLWOR,
-// folds constant arithmetic, and orders each clause's literal pushdowns
-// cheapest-container-first using the cost model's measured decode
-// costs; an ORDER BY key whose values live in known containers gets a
-// rank table, and a join whose sides' summary sets are static its join
-// index, both built here once. A constructor whose element only goes to
-// the output becomes an emission template. Shapes it does not specialize
-// (aggregates, the other nested FLWORs, constructors whose value is
+// against the repository's structure summary, lowers every FLWOR into
+// cursor loops — of its block when it is top-level or a LET's source,
+// else of a sub-program — folds constant arithmetic, and orders each
+// clause's literal pushdowns cheapest-container-first using the cost
+// model's measured decode costs; an ORDER BY key whose values live in
+// known containers gets a rank table, and a join whose sides' summary
+// sets are static its join index, both built here once. A constructor
+// whose element only goes to the output becomes an emission template.
+// Shapes it does not specialize (aggregates, constructors whose value is
 // looked into) lower to instructions that hand the expression to the
 // engine, so compilation succeeds on every parseable query; the error
 // return reports a compiler bug (a recovered panic) instead of crashing
@@ -35,11 +35,17 @@ func Compile(expr xquery.Expr, store *storage.Store, src string) (prog *Program,
 		}
 	}()
 	c := &compiler{
-		p:   &Program{src: src, store: store, plans: engine.NewPlans()},
+		p:   &Program{src: src, store: store, plans: engine.Plans{}, subOf: map[*xquery.FLWOR]int32{}},
 		eng: engine.New(store),
 	}
 	c.top(expr)
 	c.emit(Instr{Op: OpHalt})
+	// Sub-programs follow the main one; compiling one may queue more.
+	for k := 0; k < len(c.p.subs); k++ {
+		c.p.subs[k].entry, c.p.subs[k].acc = int32(len(c.p.instrs)), int32(len(c.p.reuse))
+		c.p.reuse = append(c.p.reuse, false)
+		c.flwor(c.p.subs[k].x, c.subVars[k], k)
+	}
 	c.p.ncur = int(c.ncur)
 	c.p.sizeEst = c.estimateSize()
 	return c.p, nil
@@ -49,6 +55,21 @@ type compiler struct {
 	p    *Program
 	eng  *engine.Engine // compile-time summary/container resolution only
 	ncur int32
+	// subVars: per queued sub-program, the summary sets in scope there.
+	subVars []map[string][]*storage.SummaryNode
+}
+
+// plan plans x's paths under the variables in scope (engine.PlanExpr)
+// and queues a sub-program, once, for each FLWOR the engine will meet
+// in x.
+func (c *compiler) plan(x xquery.Expr, varSums map[string][]*storage.SummaryNode) []*storage.SummaryNode {
+	return c.eng.PlanExpr(c.p.plans, x, varSums, func(f *xquery.FLWOR, vars map[string][]*storage.SummaryNode) {
+		if _, ok := c.p.subOf[f]; !ok {
+			c.p.subOf[f] = int32(len(c.p.subs))
+			c.p.subs = append(c.p.subs, subSpec{x: f, sort: -1})
+			c.subVars = append(c.subVars, vars)
+		}
+	})
 }
 
 func (c *compiler) emit(in Instr) int {
@@ -68,9 +89,9 @@ func (c *compiler) addVar(name string, depth int32) int32 {
 }
 
 // addExpr pools an expression the engine will evaluate, planning its
-// paths and nested FLWORs under the variables in scope.
+// paths and queueing its FLWORs under the variables in scope.
 func (c *compiler) addExpr(x xquery.Expr, varSums map[string][]*storage.SummaryNode) int32 {
-	c.eng.PlanExpr(c.p.plans, x, varSums)
+	c.plan(x, varSums)
 	c.p.exprs = append(c.p.exprs, x)
 	return int32(len(c.p.exprs) - 1)
 }
@@ -93,7 +114,8 @@ func (c *compiler) top(x xquery.Expr) {
 	c.emit(Instr{Op: OpReset})
 	switch e := x.(type) {
 	case *xquery.FLWOR:
-		c.flwor(e)
+		// Folded: every expression of it the engine meets is one planned.
+		c.flwor(foldExpr(e).(*xquery.FLWOR), map[string][]*storage.SummaryNode{}, -1)
 	case *xquery.PathExpr:
 		c.topPath(e)
 	default:
@@ -123,7 +145,7 @@ func (c *compiler) emitReturn(x xquery.Expr, varSums map[string][]*storage.Summa
 // addTemplate pools the emission template of a constructor, planning the
 // paths it reads under the variables in scope.
 func (c *compiler) addTemplate(x *xquery.ElementCtor, varSums map[string][]*storage.SummaryNode) int32 {
-	c.eng.PlanExpr(c.p.plans, x, varSums)
+	c.plan(x, varSums)
 	t := engine.CompileTemplate(x)
 	lit, dyn := t.Shape()
 	desc := fmt.Sprintf("%s ; %d literal bytes, %d dynamic", trunc(x.String(), 40), lit, dyn)
@@ -144,23 +166,43 @@ func (c *compiler) topPath(p *xquery.PathExpr) {
 	c.p.instrs[i].C = int32(i + 1)
 }
 
-// flwor compiles a FLWOR into nested cursor loops. With an ORDER BY the
-// loops end in OpCollect, and OpSort, OpReplay and the RETURN follow.
-func (c *compiler) flwor(x *xquery.FLWOR) {
+// flwor compiles x into nested cursor loops binding from depth 0: a
+// top-level FLWOR (sub < 0), whose RETURN emits, or sub-program sub,
+// whose RETURN appends to its accumulator and which ends in OpRet. With
+// an ORDER BY the loops end in OpCollect, and OpSort, OpReplay and the
+// RETURN follow. varSums are the summary sets of the variables in scope;
+// one counts as known when it is not empty, the rule note keeps.
+func (c *compiler) flwor(x *xquery.FLWOR, varSums map[string][]*storage.SummaryNode, sub int) {
+	known := map[string]bool{}
+	for name, sums := range varSums {
+		known[name] = len(sums) > 0
+	}
 	plan := engine.PlanFLWOR(x)
-	n := c.loops(x, plan, 0, map[string][]*storage.SummaryNode{}, map[string]bool{}, true)
+	n := c.loops(x, plan, 0, varSums, known, sub < 0)
 	ret := foldExpr(x.Return)
+	body := func() int { // the RETURN, whose C the caller points at the next tuple
+		if sub < 0 {
+			return c.emitReturn(ret, n.varSums)
+		}
+		return c.emit(Instr{Op: OpAppend, A: c.p.subs[sub].acc, B: c.addExpr(ret, n.varSums)})
+	}
 	end := 0 // where the loops exit to
 	if x.OrderBy == nil {
-		n.loop(c.emitReturn(ret, n.varSums))
+		n.loop(body())
 		end = len(c.p.instrs)
 	} else {
 		si := c.addSort(x, plan, n.fors, n.varSums, n.known)
 		n.loop(c.emit(Instr{Op: OpCollect, A: si}))
 		end = c.emit(Instr{Op: OpSort, A: si})
 		replay := c.emit(Instr{Op: OpReplay, A: si})
-		c.p.instrs[c.emitReturn(ret, n.varSums)].C = int32(replay)
+		c.p.instrs[body()].C = int32(replay)
 		c.p.instrs[replay].C = int32(len(c.p.instrs))
+		if sub >= 0 {
+			c.p.subs[sub].sort = si
+		}
+	}
+	if sub >= 0 {
+		c.emit(Instr{Op: OpRet, A: int32(sub)})
 	}
 	n.exit(end)
 }
@@ -229,7 +271,7 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *engine.FLWORPlan, depth int32, v
 		var lits, joins []int32
 		for slot, pd := range pds {
 			ps := predSpec{pd: pd, slot: int32(slot)}
-			c.eng.PlanExpr(c.p.plans, pd.Conj, varSums) // evaluated per tuple if deferred
+			c.plan(pd.Conj, varSums) // evaluated per tuple if deferred
 			switch {
 			case pd.IsLit && spec.static:
 				ps.resolved = true
@@ -286,7 +328,7 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *engine.FLWORPlan, depth int32, v
 		}
 		if top && ci == 0 {
 			// The bind hook observes clause-0 FOR bindings only, after
-			// the deferred filters pass (flworEach contract).
+			// the deferred filters pass.
 			c.emit(Instr{Op: OpHook, A: cu})
 		}
 		n.innermost = int32(iter)
@@ -447,7 +489,7 @@ func (c *compiler) bareFor(x *xquery.FLWOR, in *nest) (int32, *domainSpec) {
 // is an eligible path from a variable of known summary set (KeyRanks).
 func (c *compiler) addSort(x *xquery.FLWOR, plan *engine.FLWORPlan, fors []int32, varSums map[string][]*storage.SummaryNode, known map[string]bool) int32 {
 	ss := sortSpec{flwor: x, plan: plan, fors: fors}
-	c.eng.PlanExpr(c.p.plans, x.OrderBy, varSums)
+	c.plan(x.OrderBy, varSums)
 	if p, isPath := x.OrderBy.(*xquery.PathExpr); isPath && known[p.Var] {
 		ss.ranks = c.eng.KeyRanks(p, varSums[p.Var])
 	}
@@ -474,7 +516,7 @@ func (c *compiler) domainFor(x xquery.Expr, varSums map[string][]*storage.Summar
 	folded := foldExpr(x)
 	spec := domainSpec{expr: folded}
 	spec.invariant = len(engine.FreeVars(folded)) == 0
-	sums := c.eng.PlanExpr(c.p.plans, folded, varSums)
+	sums := c.plan(folded, varSums)
 	switch e := folded.(type) {
 	case *xquery.PathExpr:
 		spec.path = e

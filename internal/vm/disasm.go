@@ -8,12 +8,21 @@ import (
 // Disassemble renders the program as one instruction per line —
 // opcode, operands (cursor/pool indexes, jump targets), and the
 // compile-time resolution notes (summary paths, containers, costs) —
-// so plan changes are diffable in explain output.
+// so plan changes are diffable in explain output. Each sub-program
+// starts with a header naming its FLWOR.
 func (p *Program) Disassemble() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "program: %d instrs, %d cursors, %d domains, %d preds (size≈%dB)\n",
-		len(p.instrs), p.ncur, len(p.doms), len(p.preds), p.sizeEst)
+	fmt.Fprintf(&b, "program: %d instrs, %d cursors, %d domains, %d preds", len(p.instrs), p.ncur, len(p.doms), len(p.preds))
+	if len(p.subs) > 0 {
+		fmt.Fprintf(&b, ", %d subs", len(p.subs))
+	}
+	fmt.Fprintf(&b, " (size≈%dB)\n", p.sizeEst)
+	sub := 0
 	for pc, in := range p.instrs {
+		if sub < len(p.subs) && p.subs[sub].entry == int32(pc) {
+			fmt.Fprintf(&b, "sub s%d: %s\n", sub, trunc(p.subs[sub].x.String(), 72))
+			sub++
+		}
 		fmt.Fprintf(&b, "%3d  %-8s", pc, in.Op)
 		switch in.Op {
 		case OpScan:
@@ -52,6 +61,8 @@ func (p *Program) Disassemble() string {
 			fmt.Fprintf(&b, " m%d, next->%d    ; %s", in.A, in.C, p.tpls[in.A].desc)
 		case OpAppendCtor:
 			fmt.Fprintf(&b, " a%d, m%d, next->%d ; %s", in.A, in.B, in.C, p.tpls[in.B].desc)
+		case OpRet:
+			fmt.Fprintf(&b, " s%d -> a%d", in.A, p.subs[in.A].acc)
 		case OpLetBind:
 			fmt.Fprintf(&b, " $%s <- a%d", p.vars[in.A].name, in.B)
 			if in.C >= 0 {

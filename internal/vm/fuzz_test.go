@@ -9,11 +9,15 @@ import (
 
 // FuzzCompile feeds arbitrary query text through the full
 // parse→compile→run pipeline and cross-checks the compiled program
-// against the eager evaluator: any input that parses must compile — a
+// against the DOM reference: any input that parses must compile — a
 // compile error is a query the user cannot run — and produce
-// byte-identical output, or fail with the same error. The seed corpus is
-// the unit battery, so `go test` alone replays every compiled construct
-// through the differential check.
+// byte-identical output, failing only where the reference fails. The
+// reference may fail where the program does not: it evaluates every
+// WHERE conjunct and LET of every tuple in order, while the program may
+// first drop the tuple on a restrict, or skip a LET nothing reads, which
+// XQuery allows (errors and optimization). The seed corpus is the unit
+// battery, so `go test` alone replays every compiled construct through
+// the differential check.
 func FuzzCompile(f *testing.F) {
 	for _, q := range queryBattery() {
 		f.Add(q.Text)
@@ -40,21 +44,24 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%q: %v", query, err)
 		}
+		if len(engine.FreeVars(expr)) > 0 {
+			// A variable (or the context item) that nothing binds is a
+			// static error; whether a run meets it depends on the order of
+			// evaluation, which the compiler chooses.
+			return
+		}
 		got, vErr := func() (string, error) {
 			res, err := prog.Run(RunOptions{})
 			if err != nil {
 				return "", err
 			}
 			defer res.Close()
-			return drain(s, res.Next)
+			return res.SerializeXML()
 		}()
-		want, wErr := func() (string, error) {
-			res, err := engine.New(s).Eval(expr)
-			if err != nil {
-				return "", err
-			}
-			return drain(s, res.Next)
-		}()
+		want, wErr := evalRef(t, query)
+		if wErr != nil && vErr == nil {
+			return
+		}
 		if err := differ(want, wErr, got, vErr); err != "" {
 			t.Fatalf("%q: %s", query, err)
 		}

@@ -3,26 +3,26 @@
 //
 // The compiler (compile.go) lowers the AST into a flat []Instr program:
 // container and summary-node operands are resolved against the
-// repository's structure summary at compile time, FLWOR clauses — those
-// of a FLWOR a LET is bound to too — become cursor loops, and the §4
-// predicate fast paths (compressed-domain container matches, join
-// indexes built at compile time, summary-pruned steps) are dedicated
-// opcodes. An ORDER BY collects its tuples, sorts them — on container
-// ranks when it can — and evaluates one RETURN per replayed tuple, per
-// Next. A RETURN that is an element constructor is an emission template:
-// its item is written straight into the run's output buffer, no
-// fragment built. The VM's run loop IS the streaming cursor: Run.Next
-// executes instructions until one emits an item, then suspends at the
-// program counter — no per-item goroutine or coroutine handoff.
+// repository's structure summary at compile time, every FLWOR's clauses
+// become cursor loops — a nested FLWOR's, unless a LET is bound to it, in
+// a sub-program the engine calls where it stands — and the §4 predicate
+// fast paths (compressed-domain container matches, join indexes built at
+// compile time, summary-pruned steps) are dedicated opcodes. An ORDER BY
+// collects its tuples, sorts them — on container ranks when it can — and
+// evaluates one RETURN per replayed tuple. A RETURN that is an element
+// constructor is an emission template: its item is written straight into
+// the run's output buffer, no fragment built. The VM's run loop IS the
+// streaming cursor: Run.Next executes instructions until one emits an
+// item, then suspends at the program counter — no per-item goroutine or
+// coroutine handoff.
 //
 // A compiled program is the only way a query runs. Everything
 // set-at-a-time — path navigation, container scans, join indexes,
 // template emission, the expressions a program hands over whole
-// (aggregates, the nested FLWORs it does not lower) — delegates to
-// internal/engine, the VM's operand library. Its eager evaluator
-// (Engine.Eval) is the differential oracle of this package's tests; the
-// DOM evaluator of internal/baselines/galaxlike, which shares no code
-// with either, is the oracle of the end-to-end ones.
+// (aggregates, constructors whose value is looked into) — delegates to
+// internal/engine, the VM's operand library. The DOM evaluator of
+// internal/baselines/galaxlike, which shares no code with them, is the
+// oracle of this package's tests and of the end-to-end ones.
 package vm
 
 import (
@@ -117,6 +117,8 @@ const (
 	// accumulator A each written as element content (such a LET's other
 	// RETURNs); jump to C.
 	OpAppendOut
+	// OpRet A=sub: end sub-program A; its accumulator holds its items.
+	OpRet
 )
 
 var opNames = [...]string{
@@ -128,6 +130,7 @@ var opNames = [...]string{
 	OpCollect: "COLLECT", OpSort: "SORT", OpReplay: "REPLAY",
 	OpLetOpen: "LETOPEN", OpAppend: "APPEND", OpAppendCur: "APPENDCUR",
 	OpLetBind: "LETBIND", OpEmitCtor: "EMITCTOR", OpAppendCtor: "APPENDCTOR", OpAppendOut: "APPENDOUT",
+	OpRet: "RET",
 }
 
 func (o Op) String() string {
@@ -195,7 +198,7 @@ type varSpec struct {
 	depth int32
 }
 
-// sortSpec is one top-level FLWOR's ORDER BY, what each run builds its
+// sortSpec is one FLWOR's ORDER BY, what each run builds its
 // engine.TupleSort from.
 type sortSpec struct {
 	flwor *xquery.FLWOR
@@ -203,6 +206,13 @@ type sortSpec struct {
 	fors  []int32       // the FOR clauses' cursors, in clause order
 	ranks *engine.Ranks // the key's rank table; nil: keys are decoded
 	desc  string
+}
+
+// subSpec is the sub-program of a FLWOR: its code from entry to its OpRet,
+// the accumulator its RETURN appends to, and its sorter (-1: none).
+type subSpec struct {
+	x                *xquery.FLWOR
+	entry, acc, sort int32
 }
 
 // tplSpec is a constructor compiled into an emission template.
@@ -223,13 +233,17 @@ type Program struct {
 	exprs  []xquery.Expr
 	sorts  []sortSpec
 	tpls   []tplSpec
-	// reuse has one entry per accumulator, one per LET run as loops: true
-	// when nothing keeps the LET's value past its tuple (its items are only
-	// written out or counted), so each LETOPEN refills the same storage.
+	// reuse has one entry per accumulator, one per LET run as loops and
+	// one per sub-program: true when nothing keeps the LET's value past its
+	// tuple (its items are only written out or counted), so each LETOPEN
+	// refills the same storage.
 	reuse []bool
+	// subs are the sub-programs; subOf finds the one of a FLWOR.
+	subs  []subSpec
+	subOf map[*xquery.FLWOR]int32
 	// plans is the pool of resolved paths and planned FLWORs: every
 	// expression a run hands to the engine finds its plan here.
-	plans   *engine.Plans
+	plans   engine.Plans
 	vars    []varSpec
 	ncur    int
 	store   *storage.Store
@@ -362,10 +376,33 @@ func (p *Program) NewRun(opts RunOptions) (*Run, error) {
 		cursors: make([]cursor, p.ncur),
 		accs:    make([]accum, len(p.reuse)),
 	}
+	eng.WithFLWORRunner(r)
 	for _, ss := range p.sorts {
 		r.sorts = append(r.sorts, engine.NewTupleSort(ss.flwor, ss.plan, ss.ranks))
 	}
 	return r, nil
+}
+
+// RunFLWOR runs the sub-program of x to its OpRet (engine.FLWORRunner) in
+// env, its accumulator starting as dst; a sorter puts back the outer
+// bindings of its clauses' names on the way out (TupleSort.Open, Close).
+func (r *Run) RunFLWOR(x *xquery.FLWOR, env *engine.Env, dst engine.Seq) (engine.Seq, error) {
+	k, ok := r.prog.subOf[x]
+	if !ok {
+		return nil, fmt.Errorf("vm: run: internal error: no sub-program for %s", trunc(x.String(), 48))
+	}
+	s := &r.prog.subs[k]
+	if s.sort >= 0 {
+		r.sorts[s.sort].Open(env)
+		defer r.sorts[s.sort].Close(env)
+	}
+	a := &r.accs[s.acc]
+	outer, pc := r.env, r.pc
+	a.seq, r.env, r.pc = dst, env, s.entry
+	_, _, err := r.dispatch()
+	r.env, r.pc = outer, pc
+	dst, a.seq = a.seq, nil
+	return dst, err
 }
 
 // Next yields the next result item. ok=false ends the stream; a
@@ -461,8 +498,7 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			c.ids, c.seq, c.sums = res.ids, res.seq, res.sums
 			c.seqMode = res.ids == nil
 			// Reset the deferred slots. In sequence mode (the domain is
-			// not a node set) every pushdown becomes a per-tuple filter,
-			// as engine.flworEach does for a nested FLWOR.
+			// not a node set) every pushdown becomes a per-tuple filter.
 			if n := len(spec.preds); n > 0 {
 				if cap(c.deferred) < n {
 					c.deferred = make([]xquery.Expr, n)
@@ -739,6 +775,9 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			}
 			a.seq = seq
 			r.pc = in.C
+
+		case OpRet:
+			return nil, false, nil
 
 		default:
 			return r.fail(fmt.Errorf("vm: invalid opcode %v at pc %d", in.Op, r.pc))

@@ -2,10 +2,10 @@ package vm
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
+	"xquec/internal/baselines/galaxlike"
 	"xquec/internal/datagen"
 	"xquec/internal/engine"
 	"xquec/internal/storage"
@@ -13,7 +13,10 @@ import (
 	"xquec/internal/xquery"
 )
 
-var testStore *storage.Store
+var (
+	testStore *storage.Store
+	testRef   *galaxlike.Engine // the DOM reference over the same document
+)
 
 func store(t testing.TB) *storage.Store {
 	t.Helper()
@@ -23,7 +26,8 @@ func store(t testing.TB) *storage.Store {
 		if err != nil {
 			t.Fatal(err)
 		}
-		testStore = s
+		testStore, testRef = s, galaxlike.New(doc)
+		testRef.ParsePerQuery = false
 	}
 	return testStore
 }
@@ -54,22 +58,19 @@ func drain(s *storage.Store, next func() (engine.Item, bool, error)) (string, er
 	}
 }
 
-// evalEager runs the engine's eager evaluator, the oracle.
-func evalEager(t *testing.T, s *storage.Store, q string, par int) (string, error) {
-	t.Helper()
-	expr, err := xquery.Parse(q)
-	if err != nil {
-		t.Fatalf("parse %q: %v", q, err)
-	}
-	res, err := engine.New(s).WithParallelism(par).Eval(expr)
+// evalRef runs the DOM reference evaluator, the oracle, over the
+// document of the test store.
+func evalRef(t testing.TB, q string) (string, error) {
+	store(t)
+	res, err := testRef.Query(q)
 	if err != nil {
 		return "", err
 	}
-	return drain(s, res.Next)
+	return res.SerializeXML()
 }
 
 // evalVM compiles and runs the program.
-func evalVM(t *testing.T, s *storage.Store, q string, par int) (string, error) {
+func evalVM(t testing.TB, s *storage.Store, q string, par int) (string, error) {
 	t.Helper()
 	expr, err := xquery.Parse(q)
 	if err != nil {
@@ -84,14 +85,15 @@ func evalVM(t *testing.T, s *storage.Store, q string, par int) (string, error) {
 		return "", err
 	}
 	defer res.Close()
-	return drain(s, res.Next)
+	return res.SerializeXML()
 }
 
 // queryBattery is the unit-level differential corpus: XMark plus
 // targeted shapes for each compiled construct (restrict reordering,
 // deferred slots, invariant domains, LET propagation, residual WHERE,
-// fallback blocks, text tails, sequences of blocks) and the nested LET
-// shapes the compiler lowers to loops.
+// fallback blocks, text tails, sequences of blocks), the nested LET
+// shapes the compiler lowers to loops and the nested FLWORs it compiles
+// to sub-programs.
 func queryBattery() []xmarkq.Query {
 	qs := append([]xmarkq.Query{}, xmarkq.Queries()...)
 	qs = append(qs, xmarkq.ExtendedQueries()...)
@@ -132,21 +134,29 @@ func queryBattery() []xmarkq.Query {
 		{ID: "ctor-nested-flwor", Text: `FOR $p IN /site/people/person[@id = "person0"] RETURN <p>{FOR $w IN $p/watches/watch RETURN <w>{$w/@open_auction}</w>}</p>`},
 		{ID: "ctor-error", Text: `FOR $p IN /site/people/person RETURN <p n="{number($p/name/text())}"/>`},
 		{ID: "let-ctor-emitted", Text: `FOR $p IN /site/people/person LET $a := FOR $t IN /site/closed_auctions/closed_auction WHERE $t/buyer/@person = $p/@id RETURN <t p="{$t/price/text()}"/> RETURN <p n="{count($a)}" e="{exists($a)}">{$a}<x>{$a}</x></p>`},
+		// Shapes the fuzzer found where the engine and the reference
+		// differed: a descendant step's position from the document, a
+		// number inside an AND predicate, an attribute's text(), a bare
+		// doc(), and a zero divisor.
+		{ID: "desc-position", Text: `(//person[1]/@id, //item[last()]/name/text(), count(//person[2]))`},
+		{ID: "and-number-pred", Text: `count(//person/profile[1 AND @income])`},
+		{ID: "attr-text", Text: `FOR $a IN //closed_auction RETURN <r>{$a//@person/text()}</r>`},
+		{ID: "bare-doc", Text: `(count(doc("")), FOR $d IN doc("x") RETURN 1)`},
+		{ID: "mod-zero", Text: `FOR $p IN /site/people/person RETURN count($p/watches/watch) mod 0`},
 		{ID: "let-ctor-atomized", Text: `FOR $p IN /site/people/person LET $a := FOR $t IN /site/closed_auctions/closed_auction WHERE $t/buyer/@person = $p/@id RETURN <t>{$t/price/text()}</t> RETURN <p s="{$a}">{string($a)}</p>`},
 	}
 	qs = append(qs, extra...)
-	return append(qs, xmarkq.NestedLets()...)
+	return append(qs, xmarkq.NestedFLWORs()...)
 }
 
-// TestDifferentialBattery: VM output must be byte-identical to the
-// eager evaluator for every battery query at parallelism 1 and 4, and
-// fail with the same error where it fails (the VM may have streamed
-// items before a late error; the eager result has none).
+// TestDifferentialBattery: VM output must be byte-identical to the DOM
+// reference for every battery query at parallelism 1 and 4, and fail
+// where the reference fails (the two word their errors differently).
 func TestDifferentialBattery(t *testing.T) {
 	s := store(t)
 	for _, q := range queryBattery() {
+		want, wErr := evalRef(t, q.Text)
 		for _, par := range []int{1, 4} {
-			want, wErr := evalEager(t, s, q.Text, par)
 			got, vErr := evalVM(t, s, q.Text, par)
 			if err := differ(want, wErr, got, vErr); err != "" {
 				t.Fatalf("%s par=%d: %s", q.ID, par, err)
@@ -155,23 +165,23 @@ func TestDifferentialBattery(t *testing.T) {
 	}
 }
 
-// differ compares a VM result with the oracle's: the same error, or no
-// error and the same output. It returns what differs, "" if nothing.
+// differ compares a VM result with the oracle's: both fail, or neither
+// does and the outputs are the same. It returns what differs, "" if
+// nothing.
 func differ(want string, wErr error, got string, vErr error) string {
 	switch {
 	case (wErr == nil) != (vErr == nil):
-		return fmt.Sprintf("eager err=%v, vm err=%v", wErr, vErr)
-	case wErr != nil && wErr.Error() != vErr.Error():
-		return fmt.Sprintf("eager err %q, vm err %q", wErr, vErr)
+		return fmt.Sprintf("reference err=%v, vm err=%v", wErr, vErr)
 	case wErr == nil && got != want:
-		return fmt.Sprintf("output mismatch\n--- eager ---\n%s\n--- vm ---\n%s", want, got)
+		return fmt.Sprintf("output mismatch\n--- reference ---\n%s\n--- vm ---\n%s", want, got)
 	}
 	return ""
 }
 
 // TestBindHookParity: the clause-0 bind hook observes, in order, the
 // top-level path's nodes or the clause-0 bindings that pass their own
-// filters — the nodes the eager evaluator returns for each oracle query.
+// filters — the nodes the DOM reference returns for each origins query,
+// compared by their serialization.
 func TestBindHookParity(t *testing.T) {
 	s := store(t)
 	hooked := []struct{ query, origins string }{
@@ -184,20 +194,9 @@ func TestBindHookParity(t *testing.T) {
 			`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 RETURN $p`},
 	}
 	for _, h := range hooked {
-		res, err := engine.New(s).Query(h.origins)
+		want, err := evalRef(t, h.origins)
 		if err != nil {
 			t.Fatal(err)
-		}
-		var want []storage.NodeID
-		for {
-			it, ok, err := res.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			want = append(want, it.(storage.NodeID))
 		}
 
 		expr, err := xquery.Parse(h.query)
@@ -220,8 +219,16 @@ func TestBindHookParity(t *testing.T) {
 		}
 		vres.Close()
 
-		if len(want) == 0 || !slices.Equal(got, want) {
-			t.Fatalf("%s: hooked %d nodes %v, want %d %v", h.query, len(got), got, len(want), want)
+		var hooked []string
+		for _, id := range got {
+			b, err := s.Serialize(nil, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hooked = append(hooked, string(b))
+		}
+		if want == "" || strings.Join(hooked, "\n") != want {
+			t.Fatalf("%s: hooked %d nodes %v, want\n%s", h.query, len(got), got, want)
 		}
 	}
 }
@@ -344,7 +351,7 @@ func TestRunRecoversPanic(t *testing.T) {
 	if items == 0 || r.sc != nil {
 		t.Fatalf("items before the panic = %d, scratch released = %v", items, r.sc == nil)
 	}
-	want, wErr := evalEager(t, s, q, 1)
+	want, wErr := evalRef(t, q)
 	got, vErr := evalVM(t, s, q, 1)
 	if d := differ(want, wErr, got, vErr); d != "" {
 		t.Fatalf("run after the panic: %s", d)
@@ -408,6 +415,47 @@ func TestEmissionListing(t *testing.T) {
 		}
 		if strings.Contains(dis, "EVAL") {
 			t.Errorf("a constructor is still handed to the engine:\n%s", dis)
+		}
+	}
+}
+
+// TestSubProgramRestoresScope: a sub-program binds its clauses into the
+// caller's scope and, when it returns, puts back what they shadowed —
+// also when it fails part-way, while collecting, sorting or replaying.
+func TestSubProgramRestoresScope(t *testing.T) {
+	s := store(t)
+	const inner = `FOR $p IN /site/closed_auctions/closed_auction `
+	for q, fails := range map[string]bool{
+		`FOR $p IN /site/people/person RETURN count(` + inner + `RETURN $p)`:                                                                        false,
+		`FOR $p IN /site/people/person RETURN count(` + inner + `ORDER BY $p/price RETURN $p)`:                                                      false,
+		`FOR $p IN /site/people/person RETURN count(` + inner + `RETURN number($p/price) mod 0)`:                                                    true,
+		`FOR $p IN /site/people/person RETURN count(` + inner + `ORDER BY number($p/price) mod 0 RETURN $p)`:                                        true,
+		`FOR $p IN /site/people/person RETURN count(` + inner + `ORDER BY $p/price RETURN $p/price mod 0)`:                                          true,
+		`FOR $p IN /site/people/person RETURN count(` + inner + `LET $p := $p/price ORDER BY $p RETURN $p)`:                                         false,
+		`FOR $p IN /site/people/person RETURN count(FOR $t IN /site/closed_auctions/closed_auction LET $p := $t/price ORDER BY $t/price RETURN $p)`: false,
+		`FOR $p IN /site/people/person RETURN count(` + inner + `LET $q := $p/price mod 0 ORDER BY 1 RETURN $q)`:                                    true,
+	} {
+		expr, err := xquery.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := Compile(expr, s, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := prog.NewRun(RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := r.Next(); (err != nil) != fails {
+			t.Fatalf("%s: err = %v, want failure %v", q, err, fails)
+		}
+		got, err := r.eng.EvalExpr(&xquery.VarRef{Name: "p"}, r.env)
+		if err != nil {
+			t.Fatalf("%s: $p after the sub-program: %v", q, err)
+		}
+		if len(got) != 1 || got[0] != r.cursors[0].ids[0] {
+			t.Fatalf("%s: $p after the sub-program is %v, want the first person %d", q, got, r.cursors[0].ids[0])
 		}
 	}
 }

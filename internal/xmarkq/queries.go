@@ -129,19 +129,19 @@ LET $k := $b/name/text()
 ORDER BY $b/location
 RETURN <item name="{$k}">{$b/location/text()}</item>`
 
-// NestedLets returns the shapes a LET bound to a FLWOR takes beyond Q8,
-// Q9, Q11 and Q16 — the differential corpus of the compiled nested
-// loops: shadowing, an inner ORDER BY, several inner joins on the outer
-// variable, a literal restrict beside the join, an inner RETURN of the
-// outer variable, sequences, a LET-FLWOR read by a later one, an outer
-// ORDER BY and WHERE over one, paths from a node-set LET, a LET-FLWOR
-// inside another's inner FLWOR, one with no enclosing FOR, and empty
-// inner results.
-func NestedLets() []Query {
+// NestedFLWORs returns the shapes a nested FLWOR takes beyond Q5, Q8, Q9,
+// Q11 and Q16: bound to a LET ("let-", loops of the program; with
+// shadowing, inner and outer ORDER BY, joins, restricts, chains, empty
+// results) and anywhere else ("flwor-", a sub-program: a RETURN body,
+// count/exists/sum with a literal restrict, a predicate, a sequence item,
+// a WHERE, constructor attributes and content, a LET-FLWOR under an ORDER
+// BY read before or after the sort, shadowing, and a part-way failure).
+func NestedFLWORs() []Query {
 	const (
 		persons = `/site/people/person`
 		closed  = `/site/closed_auctions/closed_auction`
 		open    = `/site/open_auctions/open_auction`
+		bought  = `FOR $t IN ` + closed + ` WHERE $t/buyer/@person = $p/@id RETURN $t`
 	)
 	return []Query{
 		{"let-shadow", `FOR $p IN ` + persons + ` LET $a := FOR $a IN ` + closed + ` WHERE $a/buyer/@person = $p/@id RETURN $a RETURN <n id="{$p/@id}">{count($a)}</n>`},
@@ -160,5 +160,20 @@ func NestedLets() []Query {
 		{"let-nested", `FOR $p IN ` + persons + ` LET $a := FOR $t IN ` + closed + ` LET $b := FOR $o IN ` + open + ` WHERE $o/seller/@person = $t/seller/@person RETURN $o WHERE $t/buyer/@person = $p/@id RETURN count($b) RETURN <p>{$a}</p>`},
 		{"let-top", `LET $a := FOR $t IN ` + closed + ` WHERE $t/price >= 40 RETURN $t RETURN count($a)`},
 		{"let-empty-join", `FOR $p IN ` + persons + ` LET $a := FOR $t IN ` + closed + ` WHERE $t/buyer/@person = "nobody" RETURN $t RETURN <p>{$a}</p>`},
+		{"flwor-return-body", `FOR $p IN ` + persons + ` RETURN FOR $t IN ` + closed + ` WHERE $t/buyer/@person = $p/@id RETURN $t/price/text()`},
+		{"flwor-count-lit", `count(FOR $i IN ` + closed + ` WHERE $i/price >= 40 RETURN $i/price)`},
+		{"flwor-exists-sum-lit", `(exists(FOR $i IN ` + closed + ` WHERE $i/price >= 400 RETURN $i), sum(FOR $i IN ` + closed + ` WHERE $i/price >= 40 RETURN $i/price))`},
+		{"flwor-predicate", persons + `[count(FOR $w IN ./watches/watch RETURN $w) > 1]`},
+		{"flwor-predicate-join", persons + `[count(FOR $t IN ` + closed + ` WHERE $t/buyer/@person = ./@id RETURN $t) > 0]/name/text()`},
+		{"flwor-seq-item", `FOR $p IN ` + persons + ` RETURN ($p/name/text(), FOR $t IN ` + closed + ` WHERE $t/buyer/@person = $p/@id RETURN $t/price/text(), "|")`},
+		{"flwor-where", `FOR $p IN ` + persons + ` WHERE count(` + bought + `) > 0 RETURN $p/name/text()`},
+		{"flwor-ctor-attr", `FOR $p IN ` + persons + ` RETURN <p n="{count(` + bought + `)}" s="{FOR $t IN ` + closed + ` WHERE $t/seller/@person = $p/@id RETURN $t/price/text()}"/>`},
+		{"flwor-let-orderby", `FOR $p IN ` + persons + ` LET $a := FOR $t IN ` + closed + ` WHERE $t/buyer/@person = $p/@id ORDER BY $t/price DESCENDING RETURN <t>{$t/price/text()}</t> RETURN <p n="{count($a)}">{$a}</p>`},
+		{"flwor-let-collected", `FOR $p IN ` + persons + ` LET $a := ` + bought + ` WHERE count($a) > 0 ORDER BY $p/name RETURN $p/name/text()`},
+		{"flwor-let-replayed", `FOR $p IN ` + persons + ` LET $a := ` + bought + ` ORDER BY $p/name DESCENDING RETURN <p>{$a/price/text()}</p>`},
+		{"flwor-let-both", `FOR $p IN ` + persons + ` LET $a := ` + bought + ` ORDER BY count($a) RETURN <p n="{count($a)}">{$p/name/text()}</p>`},
+		{"flwor-shadow", `FOR $p IN ` + persons + ` RETURN <p>{FOR $p IN ` + closed + ` WHERE $p/price >= 40 RETURN $p/price/text()}{$p/name/text()}</p>`},
+		{"flwor-shadow-orderby", `FOR $t IN ` + closed + ` RETURN (count(FOR $t IN $t/annotation ORDER BY $t RETURN $t), $t/price/text())`},
+		{"flwor-fails", `FOR $p IN ` + persons + ` RETURN (count(FOR $t IN ` + closed + ` WHERE $t/buyer/@person = $p/@id RETURN number($t/price) mod 0), $p/name/text())`},
 	}
 }

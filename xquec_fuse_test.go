@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"xquec/internal/datagen"
-	"xquec/internal/engine"
 	"xquec/internal/partition"
 	"xquec/internal/storage"
 	"xquec/internal/xmarkq"
@@ -143,9 +142,8 @@ func BenchmarkFuse(b *testing.B) {
 	for _, q := range []xmarkq.Query{{ID: "q8", Text: xmarkq.Q8}, {ID: "q19", Text: xmarkq.Q19}} {
 		for _, name := range []string{"spliced", "reingested"} {
 			b.Run(q.ID+"/"+name, func(b *testing.B) {
-				e := engine.New(stores[name])
 				for i := 0; i < b.N; i++ {
-					res, err := e.Query(q.Text)
+					res, err := runOnStore(stores[name], q.Text)
 					if err != nil {
 						b.Fatal(err)
 					}
