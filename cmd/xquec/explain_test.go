@@ -14,10 +14,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden explain listings")
 
-// TestExplainGolden pins what `xquec query -explain` prints for Q5, Q8
-// and Q16: the access plan and the compiled program — Q5's count argument
-// a sub-program after the main one, Q8's and Q16's inner FLWOR loops
-// between LETOPEN and LETBIND with a join index built at compile.
+// TestExplainGolden pins what `xquec query -explain` prints for Q3, Q5,
+// Q8, Q14 and Q16: the access plan and the compiled program — Q3's
+// residual WHEREs, Q5's count argument a sub-program after the main one,
+// Q8's and Q16's inner FLWOR loops between LETOPEN and LETBIND with a
+// join index built at compile, Q14's contains() a LITREST over the
+// description text containers.
 // Regenerate with `go test ./cmd/xquec -run TestExplainGolden -update`.
 func TestExplainGolden(t *testing.T) {
 	dir := t.TempDir()
@@ -33,7 +35,7 @@ func TestExplainGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []xmarkq.Query{{ID: "q5", Text: xmarkq.Q5}, {ID: "q8", Text: xmarkq.Q8}, {ID: "q16", Text: xmarkq.Q16}} {
+	for _, q := range []xmarkq.Query{{ID: "q3", Text: xmarkq.Q3}, {ID: "q5", Text: xmarkq.Q5}, {ID: "q8", Text: xmarkq.Q8}, {ID: "q14", Text: xmarkq.Q14}, {ID: "q16", Text: xmarkq.Q16}} {
 		var got strings.Builder
 		if err := printExplain(&got, db, q.Text); err != nil {
 			t.Fatal(err)

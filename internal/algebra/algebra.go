@@ -13,6 +13,7 @@ package algebra
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 
 	"xquec/internal/storage"
@@ -119,7 +120,7 @@ func SortUnique(ids []storage.NodeID) NodeSet {
 	if ordered {
 		return ids
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := ids[:0]
 	var prev storage.NodeID
 	for _, id := range ids {
@@ -235,6 +236,21 @@ func AncestorsIn(sums []*storage.SummaryNode, inner NodeSet) NodeSet {
 		}
 	}
 	return out
+}
+
+// DistinctParents reports that no two of kids, the instances of a summary
+// node, have the same parent among parents, the instances of its summary
+// parent: that an instance of the parent lies between any two
+// consecutive kids. (Instances of one summary node never nest, so the
+// parent of a kid is the greatest parent instance before it.)
+func DistinctParents(kids, parents NodeSet) bool {
+	j := 0
+	for i := 1; i < len(kids); i++ {
+		if j = gallop(parents, j, kids[i-1]+1); j == len(parents) || parents[j] > kids[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // SemiJoinIn is AncestorsIn restricted to outer, a set of instances of

@@ -570,12 +570,16 @@ func (e *Engine) evalCmp(x *xquery.Cmp, env *scope) (bool, error) {
 	return false, nil
 }
 
+// compareAtoms compares numerically when both atoms parse as numbers, as
+// strings otherwise. NaN is unordered: against it only != holds.
 func compareAtoms(op, a, b string) bool {
 	fa, ea := strconv.ParseFloat(strings.TrimSpace(a), 64)
 	fb, eb := strconv.ParseFloat(strings.TrimSpace(b), 64)
 	var cmp int
 	if ea == nil && eb == nil {
 		switch {
+		case fa != fa || fb != fb:
+			return op == "!="
 		case fa < fb:
 			cmp = -1
 		case fa > fb:

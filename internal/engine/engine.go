@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -21,7 +22,7 @@ type Engine struct {
 	// built: those of joins whose summary sets were not static at compile
 	// time (a program builds the others once, and all its runs share
 	// them).
-	joinIdx map[*xquery.Cmp]*JoinIndex
+	joinIdx map[xquery.Expr]*JoinIndex
 	// plans holds what the compiler derived once for the whole program;
 	// paths memoises the same per expression for this run (every path the
 	// program did not plan, plus each path's galloping positions), so a
@@ -30,10 +31,10 @@ type Engine struct {
 	paths map[*xquery.PathExpr]*pathCursor
 	// subs runs the sub-program of each FLWOR an expression reaches.
 	subs FLWORRunner
-	// owners caches the container match of each `path op literal`
-	// comparison the same way, so a literal restrict that is reached once
-	// per outer tuple scans its containers once per run.
-	owners map[*xquery.Cmp]*conjunctOwners
+	// owners caches the container match of each literal restrict the same
+	// way, so one that is reached once per outer tuple scans its
+	// containers once per run.
+	owners map[xquery.Expr]*conjunctOwners
 	// ctx, when non-nil, is polled in the evaluation loop so timeouts
 	// and client disconnects abort long evaluations mid-stream.
 	ctx      context.Context
@@ -42,9 +43,10 @@ type Engine struct {
 	// sbuf is the reusable decode buffer for stringValue: one evaluation
 	// atomizes many nodes, and the engine is single-goroutine, so one
 	// buffer serves them all without per-call allocation. abuf is its
-	// twin for the attribute value a constructor is assembling. Both are
-	// valid until the next decode; whatever is emitted is copied out.
-	sbuf, abuf []byte
+	// twin for the attribute value a constructor is assembling, and tbuf
+	// for the second argument of a string function. All are valid until
+	// the next decode; whatever is emitted is copied out.
+	sbuf, abuf, tbuf []byte
 	// out and xmls are what emitted items are cut from (Emit): the bytes
 	// and the *XML headers, appended to and never overwritten, so every
 	// item handed out stays valid.
@@ -71,7 +73,7 @@ type Engine struct {
 // New returns an engine over the store. Evaluation is serial until
 // WithParallelism grants a worker budget.
 func New(s *storage.Store) *Engine {
-	return &Engine{store: s, par: 1, paths: map[*xquery.PathExpr]*pathCursor{}, owners: map[*xquery.Cmp]*conjunctOwners{}}
+	return &Engine{store: s, par: 1, paths: map[*xquery.PathExpr]*pathCursor{}, owners: map[xquery.Expr]*conjunctOwners{}}
 }
 
 // WithContext arms the engine's cancellation checks with ctx and
@@ -260,7 +262,11 @@ func (e *Engine) eval(expr xquery.Expr, env *scope) (Seq, error) {
 		}
 		return Seq{rb}, nil
 	case *xquery.Arith:
-		return e.evalArith(x, env)
+		f, err := e.evalArith(x, env)
+		if err != nil {
+			return nil, err
+		}
+		return Seq{f}, nil
 	case *xquery.Call:
 		return e.evalCall(x, env)
 	case *xquery.ElementCtor:
@@ -272,15 +278,22 @@ func (e *Engine) eval(expr xquery.Expr, env *scope) (Seq, error) {
 }
 
 func (e *Engine) evalBool(expr xquery.Expr, env *scope) (bool, error) {
-	// The per-tuple filters of the XMark queries are comparisons and
-	// emptiness tests: answer those without a one-item sequence.
+	// The per-tuple filters of the XMark queries are comparisons,
+	// emptiness and string tests: answer those without a one-item
+	// sequence.
 	switch x := expr.(type) {
 	case *xquery.Cmp:
 		return e.evalCmp(x, env)
 	case *xquery.Call:
-		if x.Name == "empty" || x.Name == "exists" {
+		switch {
+		case x.Name == "empty" || x.Name == "exists":
 			n, err := e.argLen(x, env)
 			return (n == 0) == (x.Name == "empty"), err
+		case stringFunc(x.Name) != nil:
+			return e.stringTest(x, env)
+		case x.Name == "not" && len(x.Args) > 0:
+			b, err := e.evalBool(x.Args[0], env)
+			return !b, err
 		}
 	}
 	v, err := e.eval(expr, env)
@@ -290,8 +303,21 @@ func (e *Engine) evalBool(expr xquery.Expr, env *scope) (bool, error) {
 	return e.effectiveBool(v)
 }
 
-// evalCmp implements general (existential) comparisons.
+// evalCmp implements general (existential) comparisons. Two sides that
+// are each one number compare as numbers, with no sequence or string
+// made.
 func (e *Engine) evalCmp(x *xquery.Cmp, env *scope) (bool, error) {
+	if numeric(x.Left) && numeric(x.Right) {
+		l, err := e.evalNum(x.Left, env)
+		if err != nil {
+			return false, err
+		}
+		r, err := e.evalNum(x.Right, env)
+		if err != nil {
+			return false, err
+		}
+		return compareNums(x.Op, l, r), nil
+	}
 	lv, err := e.eval(x.Left, env)
 	if err != nil {
 		return false, err
@@ -318,34 +344,66 @@ func (e *Engine) evalCmp(x *xquery.Cmp, env *scope) (bool, error) {
 	return false, nil
 }
 
-func (e *Engine) evalArith(x *xquery.Arith, env *scope) (Seq, error) {
+func (e *Engine) evalArith(x *xquery.Arith, env *scope) (float64, error) {
 	ln, err := e.evalNum(x.Left, env)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	rn, err := e.evalNum(x.Right, env)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	switch x.Op {
 	case "+":
-		return Seq{ln + rn}, nil
+		return ln + rn, nil
 	case "-":
-		return Seq{ln - rn}, nil
+		return ln - rn, nil
 	case "*":
-		return Seq{ln * rn}, nil
+		return ln * rn, nil
 	case "div":
-		return Seq{ln / rn}, nil
+		return ln / rn, nil
 	case "mod":
 		if int64(rn) == 0 {
-			return nil, fmt.Errorf("engine: %s mod %s: division by zero", formatNum(ln), formatNum(rn))
+			return 0, fmt.Errorf("engine: %s mod %s: division by zero", formatNum(ln), formatNum(rn))
 		}
-		return Seq{float64(int64(ln) % int64(rn))}, nil
+		return float64(int64(ln) % int64(rn)), nil
 	}
-	return nil, fmt.Errorf("engine: unknown arithmetic operator %s", x.Op)
+	return 0, fmt.Errorf("engine: unknown arithmetic operator %s", x.Op)
 }
 
+// numeric reports that x's value is always one number, unless its
+// evaluation fails: the shapes evalNum evaluates with no sequence made.
+func numeric(x xquery.Expr) bool {
+	switch x := x.(type) {
+	case *xquery.NumberLit, *xquery.Arith:
+		return true
+	case *xquery.Call:
+		return x.Name == "count" || x.Name == "number" || x.Name == "string-length"
+	}
+	return false
+}
+
+// evalNum evaluates an operand of arithmetic: a number, arithmetic,
+// count(), number() and string-length() straight to a float64, anything
+// else through its one item's string value.
 func (e *Engine) evalNum(expr xquery.Expr, env *scope) (float64, error) {
+	switch x := expr.(type) {
+	case *xquery.NumberLit:
+		return x.Val, nil
+	case *xquery.Arith:
+		return e.evalArith(x, env)
+	case *xquery.Call:
+		switch x.Name {
+		case "count":
+			n, err := e.argLen(x, env)
+			return float64(n), err
+		case "number":
+			return e.number(x, env)
+		case "string-length":
+			b, err := e.argBytes(x, 0, env)
+			return float64(len(b)), err
+		}
+	}
 	v, err := e.eval(expr, env)
 	if err != nil {
 		return 0, err
@@ -500,32 +558,66 @@ func splitConjuncts(where xquery.Expr) []xquery.Expr {
 	return []xquery.Expr{where}
 }
 
-// splitVarCmp matches `$var/rel op literal` (either side) for the given
-// variable, returning the relative path (re-rooted at the context), the
-// literal and the effective operator (flipped when the literal is on the
-// left).
-func splitVarCmp(cmp *xquery.Cmp, varName string) (*xquery.PathExpr, string, string, bool) {
-	try := func(side, other xquery.Expr, op string) (*xquery.PathExpr, string, string, bool) {
-		p, isPath := side.(*xquery.PathExpr)
+// splitVarPred matches a literal restrict on the given variable: `$var/rel
+// op literal` (either side), returning the effective operator (flipped
+// when the literal is on the left), or `fn($var/rel, "literal")` with fn
+// a string function (stringFunc) and the literal not empty, returning fn
+// as the operator. rel is re-rooted at the context.
+func splitVarPred(conj xquery.Expr, varName string) (*xquery.PathExpr, string, string, bool) {
+	rooted := func(x xquery.Expr) (*xquery.PathExpr, bool) {
+		p, isPath := x.(*xquery.PathExpr)
 		if !isPath || p.Var != varName {
-			return nil, "", "", false
-		}
-		var l string
-		switch v := other.(type) {
-		case *xquery.StringLit:
-			l = v.Val
-		case *xquery.NumberLit:
-			l = formatNum(v.Val)
-		default:
-			return nil, "", "", false
+			return nil, false
 		}
 		if varName != "." {
 			p = &xquery.PathExpr{Var: ".", Steps: p.Steps}
 		}
-		return p, l, op, true
+		return p, true
 	}
-	if rel, l, op, ok := try(cmp.Left, cmp.Right, cmp.Op); ok {
-		return rel, l, op, true
+	switch c := conj.(type) {
+	case *xquery.Call:
+		if stringFunc(c.Name) == nil || len(c.Args) != 2 {
+			return nil, "", "", false
+		}
+		rel, ok := rooted(c.Args[0])
+		lit, isLit := c.Args[1].(*xquery.StringLit)
+		if !ok || !isLit || lit.Val == "" {
+			return nil, "", "", false
+		}
+		return rel, lit.Val, c.Name, true
+	case *xquery.Cmp:
+		try := func(side, other xquery.Expr, op string) (*xquery.PathExpr, string, string, bool) {
+			p, ok := rooted(side)
+			if !ok {
+				return nil, "", "", false
+			}
+			switch v := other.(type) {
+			case *xquery.StringLit:
+				return p, v.Val, op, true
+			case *xquery.NumberLit:
+				return p, formatNum(v.Val), op, true
+			}
+			return nil, "", "", false
+		}
+		if rel, l, op, ok := try(c.Left, c.Right, c.Op); ok {
+			return rel, l, op, true
+		}
+		return try(c.Right, c.Left, flipOp(c.Op))
 	}
-	return try(cmp.Right, cmp.Left, flipOp(cmp.Op))
+	return nil, "", "", false
+}
+
+// stringFunc returns the test on bytes of fn when it is a string
+// function a literal restrict can be — one that tests a string value
+// against another — and nil otherwise.
+func stringFunc(fn string) func(s, sub []byte) bool {
+	switch fn {
+	case "contains":
+		return bytes.Contains
+	case "starts-with":
+		return bytes.HasPrefix
+	case "ends-with":
+		return bytes.HasSuffix
+	}
+	return nil
 }

@@ -102,7 +102,11 @@ func (e *Engine) explainFLWOR(sb *strings.Builder, x *xquery.FLWOR, varSums map[
 	}
 	for _, c := range plan.Residual {
 		indent(sb, depth+1)
-		fmt.Fprintf(sb, "WHERE (residual, tuple-at-a-time): %s\n", c)
+		kind := "residual, tuple-at-a-time"
+		if cmp, isCmp := c.(*xquery.Cmp); isCmp && numeric(cmp.Left) && numeric(cmp.Right) {
+			kind += ", as numbers"
+		}
+		fmt.Fprintf(sb, "WHERE (%s): %s\n", kind, c)
 	}
 	indent(sb, depth+1)
 	sb.WriteString("RETURN\n")
@@ -134,15 +138,20 @@ func describeAccess(sums []*storage.SummaryNode, exact bool) string {
 }
 
 func (e *Engine) describeLitPushdown(sums []*storage.SummaryNode, pd Pushdown) string {
-	conts, _, ok := e.relValueTarget(sums, pd.Rel)
-	if !ok || len(conts) == 0 {
-		return fmt.Sprintf("pushdown %s: no container resolved, tuple-at-a-time fallback", pd.Conj)
+	conts, _, why := e.litTargets(sums, pd.Rel, pd.Op, pd.Lit)
+	switch {
+	case why != "":
+		return fmt.Sprintf("pushdown %s: tuple-at-a-time, %s", pd.Conj, why)
+	case len(conts) == 0:
+		return fmt.Sprintf("pushdown %s: no container holds a value, no candidate passes", pd.Conj)
 	}
 	var parts []string
 	for _, c := range conts {
 		props := c.Codec().Props()
 		mode := "decompressing ContScan"
 		switch {
+		case stringFunc(pd.Op) != nil:
+			mode = fmt.Sprintf("decompressing ContScan, %s on each record", pd.Op)
 		case pd.Op == "=" && props.Eq:
 			mode = "ContAccess eq on compressed bytes"
 		case pd.Op != "=" && pd.Op != "!=" && props.OrderPreserving:

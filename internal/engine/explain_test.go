@@ -72,16 +72,26 @@ func TestExplainJoinStrategies(t *testing.T) {
 	}
 }
 
+// TestExplainResidualAndCtor: contains() with a literal is a container
+// scan of the note texts; string-length() stays a per-tuple residual,
+// compared as a number.
 func TestExplainResidualAndCtor(t *testing.T) {
 	e := newEngine(t, PeopleDoc)
 	out, err := e.Explain(`FOR $a IN /site/auctions/auction
-	                       WHERE contains($a/note, "gold")
+	                       WHERE contains($a/note, "gold") AND string-length($a/note) > 3
 	                       RETURN <hit id="{$a/@id}"/>`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "residual") || !strings.Contains(out, "Construct <hit>") {
-		t.Fatalf("explain = %s", out)
+	for _, want := range []string{
+		`pushdown contains($a/note, "gold") -> /site/auctions/auction/note/#text`,
+		"contains on each record",
+		"residual, tuple-at-a-time, as numbers): (string-length($a/note) > 3)",
+		"Construct <hit>",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("explain lacks %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -147,6 +147,21 @@ var QueryBattery = []string{
 	// A zero divisor, and one that truncates to zero, fail the query.
 	`FOR $e IN //entry RETURN $e/num mod 0`,
 	`count(//entry) mod 0.5`,
+	// String-function restricts: a leaf's text scanned from a FOR clause
+	// and a step predicate, a negation and a nested FLWOR; paths that
+	// repeat (nested), reach text at several paths (entry) or start from
+	// bindings that nest (//entry) stay per tuple.
+	`FOR $e IN //group/entry WHERE contains($e/label, "ph") RETURN $e/@key`,
+	`//group/entry[starts-with(label, "g")]/num/text()`,
+	`FOR $e IN //group/entry WHERE ends-with($e/nested/label, "x") AND $e/num >= 10 RETURN $e/@key`,
+	`FOR $e IN //group/entry WHERE contains($e/entry, "memo") RETURN $e/@key`,
+	`FOR $g IN //group RETURN <g>{FOR $e IN $g/entry WHERE not(contains($e/label, "a")) RETURN $e/@key}</g>`,
+	`count(//entry[contains(label, "l")])`,
+	// Numbers compared as numbers: number(), string-length(), count()
+	// and arithmetic; number() of a label fails; NaN equals nothing.
+	`FOR $e IN //group/entry WHERE number($e/num) * 2 >= string-length($e/label) * 10 + count($e/nested) RETURN $e/num/text()`,
+	`FOR $e IN //group/entry WHERE number($e/label) > 1 RETURN 1`,
+	`(0 div 0 = 1, 0 div 0 >= 1, 0 div 0 = 0 div 0, 0 div 0 != 0 div 0, 0 div 0 < count(//entry), "NaN" = "NaN")`,
 }
 
 // JoinIndexBuilds returns how many join indexes were built so far.

@@ -18,8 +18,9 @@ import (
 // compressed-domain shape does not materialize (e.g. untracked summary
 // nodes).
 type Pushdown struct {
-	Conj *xquery.Cmp
-	// literal comparison: $v/rel op literal
+	Conj xquery.Expr
+	// literal restrict: `$v/rel op literal`, or `fn($v/rel, literal)` with
+	// Op the function's name (contains, starts-with, ends-with)
 	IsLit bool
 	Rel   *xquery.PathExpr
 	Op    string
@@ -56,23 +57,22 @@ func PlanFLWOR(x *xquery.FLWOR) *FLWORPlan {
 		}
 	}
 	for _, conj := range splitConjuncts(x.Where) {
-		cmp, isCmp := conj.(*xquery.Cmp)
-		if !isCmp {
-			plan.Residual = append(plan.Residual, conj)
-			continue
-		}
 		assigned := false
-		// literal comparison on a FOR variable of this FLWOR
+		// literal restrict on a FOR variable of this FLWOR
 		for v, ci := range clauseOf {
-			if rel, lit, op, ok := splitVarCmp(cmp, v); ok {
+			if rel, lit, op, ok := splitVarPred(conj, v); ok {
 				plan.Pushdowns[ci] = append(plan.Pushdowns[ci], Pushdown{
-					Conj: cmp, IsLit: true, Rel: rel, Op: op, Lit: lit,
+					Conj: conj, IsLit: true, Rel: rel, Op: op, Lit: lit,
 				})
 				assigned = true
 				break
 			}
 		}
-		if assigned {
+		cmp, isCmp := conj.(*xquery.Cmp)
+		if assigned || !isCmp {
+			if !assigned {
+				plan.Residual = append(plan.Residual, conj)
+			}
 			continue
 		}
 		// equality join between two variables' paths
@@ -242,7 +242,7 @@ func (e *Engine) applyLit(pd Pushdown, cur algebra.NodeSet, sums []*storage.Summ
 	if len(sums) == 0 {
 		return nil, false, nil
 	}
-	co, err := e.matchOwners(pd.Conj, sums, pd.Rel, pd.Op, pd.Lit)
+	co, err := e.matchOwners(pd.Conj, sums, pd.Rel, pd.Op, pd.Lit, len(cur))
 	if err != nil || !co.ok {
 		return nil, false, err
 	}
@@ -350,7 +350,7 @@ func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNod
 	}
 	idx.start[n] = w
 	if e.joinIdx == nil {
-		e.joinIdx = map[*xquery.Cmp]*JoinIndex{}
+		e.joinIdx = map[xquery.Expr]*JoinIndex{}
 	}
 	e.joinIdx[pd.Conj] = idx
 	return idx, true, nil

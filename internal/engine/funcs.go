@@ -51,22 +51,11 @@ func (e *Engine) evalCall(x *xquery.Call, env *scope) (Seq, error) {
 		}
 		return Seq{agg}, nil
 	case "contains", "starts-with", "ends-with":
-		a, err := e.argString(x, 0, env)
+		b, err := e.stringTest(x, env)
 		if err != nil {
 			return nil, err
 		}
-		b, err := e.argString(x, 1, env)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Name {
-		case "contains":
-			return Seq{strings.Contains(a, b)}, nil
-		case "starts-with":
-			return Seq{strings.HasPrefix(a, b)}, nil
-		default:
-			return Seq{strings.HasSuffix(a, b)}, nil
-		}
+		return Seq{b}, nil
 	case "not":
 		b, err := e.argBool(x, 0, env)
 		if err != nil {
@@ -82,22 +71,12 @@ func (e *Engine) evalCall(x *xquery.Call, env *scope) (Seq, error) {
 			return nil, err
 		}
 		return Seq{s}, nil
-	case "number":
-		s, err := e.argString(x, 0, env)
+	case "number", "string-length":
+		f, err := e.evalNum(x, env)
 		if err != nil {
 			return nil, err
-		}
-		f, ok := parseNum(s)
-		if !ok {
-			return nil, fmt.Errorf("engine: number(%q) is not numeric", s)
 		}
 		return Seq{f}, nil
-	case "string-length":
-		s, err := e.argString(x, 0, env)
-		if err != nil {
-			return nil, err
-		}
-		return Seq{float64(len(s))}, nil
 	case "concat":
 		var sb strings.Builder
 		for i := range x.Args {
@@ -200,29 +179,78 @@ func leafOnly(sums []*storage.SummaryNode) bool {
 }
 
 func (e *Engine) argString(x *xquery.Call, i int, env *scope) (string, error) {
-	if i >= len(x.Args) {
-		return "", fmt.Errorf("engine: %s() needs at least %d arguments", x.Name, i+1)
-	}
-	return e.firstString(x.Args[i], env)
+	b, err := e.argBytes(x, i, env)
+	return string(b), err
 }
 
-// firstString returns the string value of the first item of x's value,
-// "" when it is empty (XPath 1.0 style, which is what the paper-era
-// queries assume). Only that item is decoded.
-func (e *Engine) firstString(x xquery.Expr, env *scope) (string, error) {
-	if p, isPath := x.(*xquery.PathExpr); isPath {
-		st, textTail, err := e.evalPathNodes(p, env)
+// argBytes decodes the string value of the first item of argument i into
+// sbuf ("" when the value is empty, XPath 1.0 style, which is what the
+// paper-era queries assume); the bytes are valid until the next decode.
+// Only that item is decoded.
+func (e *Engine) argBytes(x *xquery.Call, i int, env *scope) ([]byte, error) {
+	if i >= len(x.Args) {
+		return nil, fmt.Errorf("engine: %s() needs at least %d arguments", x.Name, i+1)
+	}
+	buf := e.sbuf[:0]
+	e.sbuf = nil // detached: an argument that decodes too takes a buffer of its own
+	buf, err := e.appendFirst(buf, x.Args[i], env)
+	e.sbuf = buf
+	return buf, err
+}
+
+// appendFirst appends the string value of the first item of x's value
+// to dst, nothing when the value is empty.
+func (e *Engine) appendFirst(dst []byte, x xquery.Expr, env *scope) ([]byte, error) {
+	switch x := x.(type) {
+	case *xquery.PathExpr:
+		st, textTail, err := e.evalPathNodes(x, env)
 		if err != nil || len(st.nodes) == 0 {
-			return "", err
+			return dst, err
 		}
-		e.sbuf, err = e.appendNodeValue(e.sbuf[:0], st.nodes[0], textTail || leafOnly(st.sums))
-		return string(e.sbuf), err
+		return e.appendNodeValue(dst, st.nodes[0], textTail || leafOnly(st.sums))
+	case *xquery.StringLit:
+		return append(dst, x.Val...), nil
 	}
 	v, err := e.eval(x, env)
 	if err != nil || len(v) == 0 {
-		return "", err
+		return dst, err
 	}
-	return e.stringValue(v[0])
+	if id, isNode := v[0].(storage.NodeID); isNode {
+		return e.appendNodeValue(dst, id, false)
+	}
+	a, err := e.stringValue(v[0])
+	return append(dst, a...), err
+}
+
+// stringTest evaluates contains, starts-with or ends-with on the string
+// values of its arguments' first items, decoded into sbuf and tbuf.
+func (e *Engine) stringTest(x *xquery.Call, env *scope) (bool, error) {
+	a, err := e.argBytes(x, 0, env)
+	if err != nil {
+		return false, err
+	}
+	// a's buffer is held here alone while argument 1 decodes into tbuf's.
+	e.sbuf, e.tbuf = e.tbuf, nil
+	b, err := e.argBytes(x, 1, env)
+	e.sbuf, e.tbuf = a, b
+	if err != nil {
+		return false, err
+	}
+	return stringFunc(x.Name)(a, b), nil
+}
+
+// number is number(): the string value of its argument's first item,
+// decoded into sbuf, as a number.
+func (e *Engine) number(x *xquery.Call, env *scope) (float64, error) {
+	b, err := e.argBytes(x, 0, env)
+	if err != nil {
+		return 0, err
+	}
+	f, ok := parseNumBytes(b)
+	if !ok {
+		return 0, fmt.Errorf("engine: number(%q) is not numeric", b)
+	}
+	return f, nil
 }
 
 func (e *Engine) argBool(x *xquery.Call, i int, env *scope) (bool, error) {

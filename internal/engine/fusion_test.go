@@ -95,8 +95,7 @@ func shardSet(t *testing.T, doc []byte, n, shift int) *partition.Set {
 // reopened from its bytes — to an ingest of corpus: the same
 // serialization, which is also FuseXML's, the same answer from every
 // accessor of the structure, the same summary, the same containers
-// record by record, and the same result for every query under both
-// evaluators. The oracle is a Load product, so agreeing with it on every
+// record by record, and the same result for every query. The oracle is a Load product, so agreeing with it on every
 // accessor is also passing storage's Validate.
 func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []string, reopen bool) {
 	t.Helper()
@@ -196,12 +195,10 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 	}
 
 	for _, q := range queries {
-		for _, ev := range evaluators {
-			gr, gerr := ev.run(t, got, q)
-			wr, werr := ev.run(t, want, q)
-			if (gerr == nil) != (werr == nil) || gr != wr {
-				t.Fatalf("%s: %s\nfused:      %q (%v)\nre-ingested: %q (%v)\ncorpus: %s", ev.name, q, gr, gerr, wr, werr, xml)
-			}
+		gr, gerr := runVM(t, got, q)
+		wr, werr := runVM(t, want, q)
+		if (gerr == nil) != (werr == nil) || gr != wr {
+			t.Fatalf("%s\nfused:      %q (%v)\nre-ingested: %q (%v)\ncorpus: %s", q, gr, gerr, wr, werr, xml)
 		}
 	}
 
@@ -347,10 +344,8 @@ func TestFusedKeepsJunctionTextApart(t *testing.T) {
 	if out, err := st.Serialize(nil, 1); err != nil || !bytes.Equal(out, xml) || string(xml) != `<site><a>x</a>tailhead<a>y</a></site>` {
 		t.Fatalf("fused store serializes to %s (%v), FuseXML is %s", out, err, xml)
 	}
-	for _, ev := range evaluators {
-		if got, err := ev.run(t, st, `/site/text()`); err != nil || got != "tailhead" {
-			t.Fatalf("%s: /site/text() = %q (%v), want tailhead", ev.name, got, err)
-		}
+	if got, err := runVM(t, st, `/site/text()`); err != nil || got != "tailhead" {
+		t.Fatalf("/site/text() = %q (%v), want tailhead", got, err)
 	}
 	c, ok := st.ContainerByPath("/site/#text")
 	if !ok || c.Len() != 2 || c.Owner(0) != 1 || c.Owner(1) != 1 {

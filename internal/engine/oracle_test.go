@@ -14,32 +14,32 @@ import (
 	"xquec/internal/xquery"
 )
 
-// evaluators is the compiled program — the way a query runs — which
-// must agree with the DOM reference, sharing no code (and so no mistake)
-// with it. A query that parses must compile.
-var evaluators = []struct {
-	name string
-	run  func(*testing.T, *storage.Store, string) (string, error)
-}{
-	{"vm", func(t *testing.T, s *storage.Store, q string) (string, error) {
-		expr, err := xquery.Parse(q)
-		if err != nil {
-			return "", err
-		}
-		prog, err := vm.Compile(expr, s, q)
-		if err != nil {
-			t.Fatalf("compile %s: %v", q, err)
-		}
-		res, err := prog.Run(vm.RunOptions{Parallelism: 1})
-		if err != nil {
-			return "", err
-		}
-		return res.SerializeXML()
-	}},
+// runVM compiles and runs q serially: the way a query runs, which must
+// agree with the DOM reference, sharing no code (and so no mistake) with
+// it. A query that parses must compile.
+func runVM(t *testing.T, s *storage.Store, q string) (string, error) {
+	return runVMPar(t, s, q, 1)
 }
 
-// agree runs q on doc under every evaluator and requires the
-// reference's answer (or the reference's failure).
+// runVMPar is runVM with a worker budget of par.
+func runVMPar(t *testing.T, s *storage.Store, q string, par int) (string, error) {
+	expr, err := xquery.Parse(q)
+	if err != nil {
+		return "", err
+	}
+	prog, err := vm.Compile(expr, s, q)
+	if err != nil {
+		t.Fatalf("compile %s: %v", q, err)
+	}
+	res, err := prog.Run(vm.RunOptions{Parallelism: par})
+	if err != nil {
+		return "", err
+	}
+	return res.SerializeXML()
+}
+
+// agree runs q on doc and requires the reference's answer (or the
+// reference's failure).
 func agree(t *testing.T, doc []byte, s *storage.Store, q string) {
 	t.Helper()
 	want, werr := galaxlike.New(doc).Query(q)
@@ -50,14 +50,12 @@ func agree(t *testing.T, doc []byte, s *storage.Store, q string) {
 			t.Fatal(err)
 		}
 	}
-	for _, ev := range evaluators {
-		gs, gerr := ev.run(t, s, q)
-		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("%s: error mismatch: got %v, reference %v\nquery: %s\ndoc: %s", ev.name, gerr, werr, q, doc)
-		}
-		if gerr == nil && gs != ws {
-			t.Fatalf("%s differs\nquery: %s\ngot:       %q\nreference: %q\ndoc: %s", ev.name, q, gs, ws, doc)
-		}
+	gs, gerr := runVM(t, s, q)
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("error mismatch: got %v, reference %v\nquery: %s\ndoc: %s", gerr, werr, q, doc)
+	}
+	if gerr == nil && gs != ws {
+		t.Fatalf("differs\nquery: %s\ngot:       %q\nreference: %q\ndoc: %s", q, gs, ws, doc)
 	}
 }
 
@@ -162,7 +160,7 @@ func TestOrderByMixedKeys(t *testing.T) {
 				t.Fatal(err)
 			}
 			agree(t, doc, s, q)
-			got, err := evaluators[0].run(t, s, q)
+			got, err := runVM(t, s, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,24 +317,139 @@ func TestLiteralRestrictScansOncePerRun(t *testing.T) {
 		`FOR $g IN /r/g, $e IN $g/e WHERE $e/v = 7 RETURN $e/@k`,
 		`FOR $g IN /r/g RETURN count($g/e[v = 7])`,
 	} {
-		for _, ev := range evaluators {
-			var deltas []int64
-			for _, groups := range []int{2, 20} {
-				d := doc(groups)
-				s, err := storage.Load(d, storage.LoadOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				agree(t, d, s, q)
-				before := storage.DecodeOps()
-				if _, err := ev.run(t, s, q); err != nil {
-					t.Fatal(err)
-				}
-				deltas = append(deltas, storage.DecodeOps()-before)
+		var deltas []int64
+		for _, groups := range []int{2, 20} {
+			d := doc(groups)
+			s, err := storage.Load(d, storage.LoadOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if deltas[0] != deltas[1] || deltas[0] < entries || deltas[0] > entries+hits {
-				t.Errorf("%s: %s decodes %d values over 2 groups and %d over 20, want one scan of %d (and the %d hits' keys) both times", ev.name, q, deltas[0], deltas[1], entries, hits)
+			agree(t, d, s, q)
+			before := storage.DecodeOps()
+			if _, err := runVM(t, s, q); err != nil {
+				t.Fatal(err)
 			}
+			deltas = append(deltas, storage.DecodeOps()-before)
+		}
+		if deltas[0] != deltas[1] || deltas[0] < entries || deltas[0] > entries+hits {
+			t.Errorf("%s decodes %d values over 2 groups and %d over 20, want one scan of %d (and the %d hits' keys) both times", q, deltas[0], deltas[1], entries, hits)
+		}
+	}
+}
+
+// TestStringRestricts holds the string-function restricts to the
+// reference on XMark-shaped documents, under every compression plan. On
+// the first every item has at most one description of one text record,
+// so the containers answer contains/starts-with/ends-with; each other one
+// adds an item that breaks one condition of the scan — a value split over
+// two text nodes ("a go" + "ld bar" is "a gold bar"), two descriptions
+// (the per-tuple evaluation reads the first), text under a child element
+// or a parlist, two text records under one node — and the conjunct stays
+// per tuple, which the program's listing says. A worker budget of 4, which
+// scans the two restricts of one step predicate at once, answers the same.
+func TestStringRestricts(t *testing.T) {
+	const base = `<item id="i0"><name>n0</name><description><text>a gold bar</text></description></item>` +
+		`<item id="i1"><name>n1</name></item>` +
+		`<item id="i2"><name>n2</name><description><text/></description></item>` +
+		`<item id="i3"><name>n3</name><description><text>silver</text></description></item>`
+	const asia = `<asia><item id="i4"><name>n4</name><description><text>golden</text></description></item>` +
+		`<item id="i5"><name>n5</name><description><text>gol</text></description></item></asia>`
+	docs := []struct{ extra, why string }{
+		{"", ""},
+		{`<description><text>a go</text><text>ld bar</text></description>`, "/site/regions/africa/item/description/text repeats under one parent"},
+		{`<description><text>silver</text></description><description><text>gold</text></description>`, "/site/regions/africa/item/description repeats under one parent"},
+		{`<description><text>go<bold>ld</bold></text></description>`, "/site/regions/africa/item/description has text at several paths"},
+		{`<description><parlist><listitem><text>gold</text></listitem></parlist></description>`, "/site/regions/africa/item/description has text at several paths"},
+		{`<description><text>go<!--c-->ld</text></description>`, "/site/regions/africa/item/description/text has several text records under one node"},
+	}
+	queries := []string{
+		`FOR $i IN /site//item WHERE contains($i/description, "gold") RETURN $i/name/text()`,
+		`FOR $i IN /site//item WHERE starts-with($i/description, "a g") RETURN $i/@id`,
+		`FOR $i IN /site//item WHERE ends-with($i/description, "ld") RETURN $i/@id`,
+		`/site//item[contains(description, "gold")]/@id`,
+		`/site//item[contains(description, "l") and starts-with(name, "n")]/@id`,
+		`count(/site/regions/*/item[ends-with(description, "bar")])`,
+		`FOR $i IN /site//item WHERE not(contains($i/description, "gold")) RETURN $i/@id`,
+		`FOR $i IN /site//item WHERE contains($i/description, "") RETURN $i/@id`,
+		`FOR $i IN /site//item WHERE contains($i/description/text/text(), "gold") RETURN $i/@id`,
+		`FOR $i IN /site//item WHERE contains($i/@id, "1") AND starts-with($i/name, "n") RETURN $i/name/text()`,
+		`FOR $r IN /site/regions/* RETURN <r>{FOR $i IN $r/item WHERE contains($i/description, "gold") RETURN $i/@id}</r>`,
+		`count(FOR $i IN /site//item WHERE contains($i/description, "gold") RETURN $i)`,
+		`FOR $i IN /site//item WHERE contains($i/description, "gold") AND number($i/name) > 0 RETURN 1`,
+		`FOR $i IN /site//item RETURN number($i/name)`,
+	}
+	for _, d := range docs {
+		extra := ""
+		if d.extra != "" {
+			extra = `<item id="i6"><name>n6</name>` + d.extra + `</item>`
+		}
+		doc := []byte(`<site><regions><africa>` + base + extra + `</africa>` + asia + `</regions></site>`)
+		for _, plan := range []*storage.CompressionPlan{nil, {DefaultAlgorithm: storage.AlgHuffman}, {DefaultAlgorithm: storage.AlgHuTucker}} {
+			s, err := storage.Load(doc, storage.LoadOptions{Plan: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range queries {
+				agree(t, doc, s, q)
+				serial, serr := runVM(t, s, q)
+				if got, err := runVMPar(t, s, q, 4); got != serial || (err == nil) != (serr == nil) {
+					t.Fatalf("%s: %q (%v) at parallelism 4, %q (%v) serially\ndoc: %s", q, got, err, serial, serr, doc)
+				}
+			}
+			expr, err := xquery.Parse(queries[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := vm.Compile(expr, s, queries[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			dis := prog.Disassemble()
+			want := "; deferred: " + d.why
+			if d.why == "" {
+				want = "/site/regions/asia/item/description/text/#text"
+			}
+			if !strings.Contains(dis, want) {
+				t.Fatalf("doc with %q: the listing lacks %q:\n%s", d.extra, want, dis)
+			}
+		}
+	}
+}
+
+// TestStringRestrictScansOncePerRun: a string-function restrict whose
+// domain is every item decodes each description record once per run, also
+// when a sub-program reaches it once per outer tuple — three times here —
+// and one over a one-item domain decodes that item's description alone.
+func TestStringRestrictScansOncePerRun(t *testing.T) {
+	const items, every = 60, 20
+	var sb strings.Builder
+	sb.WriteString("<site><regions><africa>")
+	for i := 0; i < items; i++ {
+		word := "silver"
+		if i%every == 0 {
+			word = "gold"
+		}
+		fmt.Fprintf(&sb, `<item><name>n%d</name><description><text>a %s ring</text></description></item>`, i, word)
+	}
+	sb.WriteString("</africa></regions></site>")
+	doc := []byte(sb.String())
+	s, err := storage.Load(doc, storage.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]int64{
+		`FOR $i IN /site//item WHERE contains($i/description, "gold") RETURN $i/name/text()`:                               items + items/every,
+		`FOR $k IN (1, 2, 3) RETURN count(FOR $i IN /site//item WHERE contains($i/description, "gold") RETURN $i)`:         items,
+		`FOR $r IN /site/regions/africa, $i IN $r/item[1] WHERE contains($i/description, "gold") RETURN $i/name/text()`:    2,
+		`FOR $k IN (1, 2, 3) RETURN count(FOR $i IN /site//item[1] WHERE contains($i/description, "gold") RETURN $i/name)`: 3,
+	} {
+		agree(t, doc, s, q)
+		before := storage.DecodeOps()
+		if _, err := runVM(t, s, q); err != nil {
+			t.Fatal(err)
+		}
+		if got := storage.DecodeOps() - before; got != want {
+			t.Errorf("%s decodes %d values, want %d", q, got, want)
 		}
 	}
 }

@@ -86,12 +86,14 @@ func (t *TupleSort) Close(env *Env) {
 }
 
 // collectKey completes the tuple just added with its key: the first node
-// of the key path when the key is ranked, else the key decoded the way
-// firstString has it. Key errors therefore arrive in tuple order.
+// of the key path when the key is ranked, else the string value of the
+// key's first item (appendFirst). Key errors therefore arrive in tuple
+// order.
 func (e *Engine) collectKey(t *TupleSort, env *scope) error {
 	if t.ranks == nil {
-		key, err := e.firstString(t.x.OrderBy, env)
-		t.keys = append(t.keys, key)
+		var err error
+		e.sbuf, err = e.appendFirst(e.sbuf[:0], t.x.OrderBy, env)
+		t.keys = append(t.keys, string(e.sbuf))
 		return err
 	}
 	st, _, err := e.evalPathNodes(t.x.OrderBy.(*xquery.PathExpr), env)

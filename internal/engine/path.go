@@ -535,10 +535,17 @@ func (e *Engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr
 		flat = append(flat, splitPredConjuncts(pred)...)
 	}
 	preds = flat
+	domain := len(nodes)
+	if all {
+		domain = 0
+		for _, sn := range sums {
+			domain += len(sn.Extent)
+		}
+	}
 	// The owner sets of the conjunct fast paths depend only on the
 	// containers (never on cur), so independent conjuncts can be
 	// evaluated concurrently and consumed in predicate order.
-	pre := e.precomputeConjunctOwners(preds, sums)
+	pre := e.precomputeConjunctOwners(preds, sums, domain)
 	for i, pred := range preds {
 		// Value predicate: container fast path, else per-node. A
 		// precomputed conjunct replays its (owners, ok, err) in predicate
@@ -546,7 +553,7 @@ func (e *Engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr
 		co := pre[i]
 		if co == nil {
 			var err error
-			if co, err = e.predOwners(sums, pred); err != nil {
+			if co, err = e.predOwners(sums, pred, domain); err != nil {
 				return nil, err
 			}
 		}
@@ -555,13 +562,14 @@ func (e *Engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr
 		}
 		if co.ok {
 			// The owners are values below sums, whose instances never nest
-			// (relValueTarget resolves nothing else): extent order alone
+			// (litTargets resolves nothing else): extent order alone
 			// places each under its instance.
 			if all {
 				cur, all = algebra.AncestorsIn(sums, co.owners), false
 			} else {
 				cur = algebra.SemiJoinIn(sums, cur, co.owners)
 			}
+			domain = len(cur)
 			continue
 		}
 		if all {
@@ -569,6 +577,7 @@ func (e *Engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr
 		}
 		if sel, is := pickPositional(cur, pred); is {
 			cur = sel
+			domain = len(cur)
 			continue
 		}
 		// The context is set in place and restored: the scope is shared
@@ -588,6 +597,7 @@ func (e *Engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr
 		}
 		env.ctx[0], env.ctxSums = ctx, ctxSums
 		cur = out
+		domain = len(cur)
 	}
 	if all {
 		cur = algebra.SummaryAccess(sums)
@@ -595,48 +605,79 @@ func (e *Engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr
 	return cur, nil
 }
 
-// conjunctOwners is one container fast-path result: the matched owner
-// set under the summary set it was resolved for, whether the fast path
-// applies, and any container error. The engine keeps one per comparison
-// and run (Engine.owners), so a literal restrict inside a nested FLWOR,
-// a non-first clause or a step predicate of a relative path scans its
-// container once per run, not once per outer tuple.
+// conjunctOwners is one literal restrict resolved under a summary set:
+// the containers that answer it (litTargets) and, once they are scanned,
+// the owners of the matching values. The engine keeps one per restrict
+// and run (Engine.owners), so a literal restrict inside a nested FLWOR, a
+// non-first clause or a step predicate of a relative path resolves and
+// scans its containers once per run, not once per outer tuple.
 type conjunctOwners struct {
-	sums   []*storage.SummaryNode
-	owners algebra.NodeSet
-	ok     bool
-	err    error
+	sums    []*storage.SummaryNode
+	conts   []*storage.Container
+	fast    bool // the containers answer the restrict
+	records int  // the containers' records: what a decoding scan decodes
+	owners  algebra.NodeSet
+	ok      bool // owners is the restrict's answer
+	err     error
 }
 
 var noOwners = &conjunctOwners{}
 
+// restrictFor returns this run's resolution of the literal restrict conj,
+// `rel op literal` under sums, resolving it when conj was not yet asked
+// under that summary set.
+func (e *Engine) restrictFor(conj xquery.Expr, sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string) *conjunctOwners {
+	if co := e.owners[conj]; co != nil && slices.Equal(co.sums, sums) {
+		return co
+	}
+	co := &conjunctOwners{sums: sums}
+	var why string
+	co.conts, _, why = e.litTargets(sums, rel, op, literal)
+	co.fast = why == ""
+	for _, c := range co.conts {
+		co.records += c.Len()
+	}
+	e.owners[conj] = co
+	return co
+}
+
+// worthScanning reports that a scan of co's containers answers the
+// restrict over a domain of that many candidates without decoding more
+// than evaluating it per candidate would: a string function decodes every
+// record, so it is scanned only when there are no more records than
+// candidates. A comparison's scan searches the compressed domain, or
+// decodes once per run what every outer tuple would decode again.
+func (co *conjunctOwners) worthScanning(op string, domain int) bool {
+	return co.fast && !co.ok && (stringFunc(op) == nil || co.records <= domain)
+}
+
 // precomputeConjunctOwners fans the container fast paths of independent
-// `relPath op literal` conjuncts out across the worker pool. It returns
-// a sparse slice aligned with preds (nil = not eligible, evaluate as
-// before). Only pure container/summary reads run on the workers; every
-// result is replayed in predicate order by the caller, so evaluation
-// order, error selection and fallback decisions are serial-identical.
-func (e *Engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.SummaryNode) []*conjunctOwners {
+// literal restricts out across the worker pool. It returns a sparse slice
+// aligned with preds (nil = not eligible, evaluate as before). Only pure
+// container/summary reads run on the workers; every result is replayed
+// in predicate order by the caller, so evaluation order, error selection
+// and fallback decisions are serial-identical.
+func (e *Engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.SummaryNode, domain int) []*conjunctOwners {
 	out := make([]*conjunctOwners, len(preds))
 	if e.par <= 1 || len(sums) == 0 || len(preds) < 2 {
 		return out
 	}
 	type job struct {
 		idx     int
-		cmp     *xquery.Cmp
-		rel     *xquery.PathExpr
+		co      *conjunctOwners
 		op, lit string
 	}
 	var jobs []job
 	for i, pred := range preds {
-		cmp, isCmp := pred.(*xquery.Cmp)
-		if !isCmp {
+		rel, lit, op, ok := splitVarPred(pred, ".")
+		if !ok {
 			continue
 		}
-		if co := e.owners[cmp]; co != nil && slices.Equal(co.sums, sums) {
+		switch co := e.restrictFor(pred, sums, rel, op, lit); {
+		case co.ok:
 			out[i] = co
-		} else if rel, lit, op, ok := splitVarCmp(cmp, "."); ok {
-			jobs = append(jobs, job{idx: i, cmp: cmp, rel: rel, op: op, lit: lit})
+		case co.worthScanning(op, domain):
+			jobs = append(jobs, job{idx: i, co: co, op: op, lit: lit})
 		}
 	}
 	if len(jobs) < 2 {
@@ -651,16 +692,17 @@ func (e *Engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.S
 		workers = len(jobs)
 	}
 	xpar.NoteScan(len(jobs))
+	results := make([]conjunctOwners, len(jobs))
 	_ = xpar.ForEach(workers, len(jobs), func(k int) error {
-		j := jobs[k]
-		co := &conjunctOwners{sums: sums}
-		co.owners, co.ok, co.err = e.scanOwners(sums, j.rel, j.op, j.lit, inner)
-		out[j.idx] = co
+		j, r := jobs[k], &results[k]
+		r.owners, r.ok, r.err = e.scanTargets(j.co.conts, j.op, j.lit, inner)
 		return nil
 	})
-	for _, j := range jobs {
-		if out[j.idx].err == nil {
-			e.owners[j.cmp] = out[j.idx]
+	for k, j := range jobs {
+		out[j.idx] = &results[k]
+		if r := &results[k]; r.err == nil && r.ok {
+			j.co.owners, j.co.ok = r.owners, true
+			out[j.idx] = j.co
 		}
 	}
 	return out
@@ -755,20 +797,145 @@ func (e *Engine) relValueTarget(sums []*storage.SummaryNode, p *xquery.PathExpr)
 	return conts, complete, true
 }
 
-// predOwners evaluates a predicate of the form  relPath op literal
-// (either side) against the containers, in the compressed domain when
-// the codec supports the comparison. Its ok is false when the predicate
-// does not have that shape.
-func (e *Engine) predOwners(sums []*storage.SummaryNode, pred xquery.Expr) (*conjunctOwners, error) {
-	cmp, okShape := pred.(*xquery.Cmp)
-	if !okShape || len(sums) == 0 {
+// litTargets resolves the literal restrict `rel op literal` — op a
+// comparison operator or a string function — under sums to the
+// containers whose scan answers it. why, when not empty, says why no scan
+// does, and the restrict is evaluated per candidate. complete is false
+// when some instance has no value in the containers, which only
+// equality against a non-empty literal allows.
+func (e *Engine) litTargets(sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string) (conts []*storage.Container, complete bool, why string) {
+	if len(sums) == 0 {
+		return nil, false, "no summary set"
+	}
+	if stringFunc(op) != nil {
+		conts, why = e.stringTargets(sums, rel)
+		return conts, true, why
+	}
+	conts, complete, ok := e.relValueTarget(sums, rel)
+	switch {
+	case !ok:
+		return nil, false, "the value is not one container's: element content, a predicate or nesting bindings"
+	case op == "=" && literal == "":
+		// "" never appears in the containers (empty text nodes are not
+		// recorded).
+		return nil, complete, `"" is in no container`
+	case !complete && op != "=":
+		// An instance without a text value still atomizes to the string
+		// "" (an empty element's string value), which matches != and
+		// <-style comparisons — but has no container record.
+		return nil, complete, "some instances have no value, which only = answers"
+	}
+	return conts, complete, ""
+}
+
+// stringTargets resolves the path of a string-function restrict under
+// sums to the containers holding the string value of each instance's rel
+// node, when that value is at most one record — so a scan that tests each
+// record once tests every instance's value. It checks, on the summary and
+// the extents, that each instance has at most one rel node (the per-tuple
+// evaluation reads the first), and that the string value of that node is
+// at most one record: a single #text below it in the summary, at most one
+// child per parent along the chain down to it, and one record per owner.
+// A rel node without text has the value "", which no non-empty literal
+// matches. why says which condition fails.
+func (e *Engine) stringTargets(sums []*storage.SummaryNode, rel *xquery.PathExpr) ([]*storage.Container, string) {
+	if !antichain(sums) {
+		return nil, "the bindings nest"
+	}
+	cur, textTail := sums, false
+	for i, step := range rel.Steps {
+		switch {
+		case len(step.Preds) > 0:
+			return nil, "a step has a predicate"
+		case step.Axis != xquery.AxisChild:
+			return nil, "a step is not a child step"
+		case step.Test == xquery.TestText && i < len(rel.Steps)-1:
+			return nil, "text() is not the last step"
+		case step.Test == xquery.TestText:
+			textTail = true
+			continue
+		}
+		next := e.summaryTargets(cur, false, step)
+		for k, sn := range next {
+			if k > 0 && next[k-1].Parent == sn.Parent {
+				return nil, "a step matches several paths"
+			}
+			if !isAttr(sn) && !algebra.DistinctParents(sn.Extent, sn.Parent.Extent) {
+				return nil, sn.Path() + " repeats under one parent"
+			}
+		}
+		cur = next
+	}
+	var conts []*storage.Container
+	for _, sn := range cur {
+		txt := sn
+		if !isAttr(sn) {
+			var why string
+			if txt, why = soleText(sn, textTail); why != "" {
+				return nil, why
+			}
+		}
+		if txt == nil || txt.Container < 0 {
+			continue // every value is ""
+		}
+		c := e.store.Container(txt.Container)
+		if !isAttr(txt) && c.Len() > txt.Parent.TextCount {
+			return nil, txt.Parent.Path() + " has several text records under one node"
+		}
+		conts = append(conts, c)
+	}
+	return conts, ""
+}
+
+// soleText returns the summary node of the text that is the string value
+// of an instance of sn — its immediate text when immediate — nil when no
+// instance has any. why says that the value may be several text nodes:
+// text below sn at two paths, or an element on the way down to it that
+// repeats under its parent.
+func soleText(sn *storage.SummaryNode, immediate bool) (txt *storage.SummaryNode, why string) {
+	var walk func(n *storage.SummaryNode) bool
+	walk = func(n *storage.SummaryNode) bool {
+		for _, c := range n.Children {
+			switch {
+			case c.Tag == "#text" && txt != nil:
+				return false
+			case c.Tag == "#text":
+				txt = c
+			case !immediate && !isAttr(c) && !walk(c):
+				return false
+			}
+		}
+		return true
+	}
+	if !walk(sn) {
+		return nil, sn.Path() + " has text at several paths"
+	}
+	if txt == nil {
+		return nil, ""
+	}
+	for p := txt.Parent; p != sn; p = p.Parent {
+		if !algebra.DistinctParents(p.Extent, p.Parent.Extent) {
+			return nil, p.Path() + " repeats under one parent"
+		}
+	}
+	return txt, ""
+}
+
+func isAttr(sn *storage.SummaryNode) bool { return strings.HasPrefix(sn.Tag, "@") }
+
+// predOwners evaluates a step predicate that is a literal restrict
+// (splitVarPred on the context) against the containers, over a domain of
+// that many candidates. Its ok is false when the predicate has another
+// shape, or the containers do not answer it.
+func (e *Engine) predOwners(sums []*storage.SummaryNode, pred xquery.Expr, domain int) (*conjunctOwners, error) {
+	if len(sums) == 0 {
 		return noOwners, nil
 	}
-	rel, lit, op, ok := splitVarCmp(cmp, ".")
+	rel, lit, op, ok := splitVarPred(pred, ".")
 	if !ok {
 		return noOwners, nil
 	}
-	return e.matchOwners(cmp, sums, rel, op, lit)
+	return e.matchOwners(pred, sums, rel, op, lit, domain)
 }
 
 func flipOp(op string) string {
@@ -786,45 +953,35 @@ func flipOp(op string) string {
 }
 
 // matchOwners returns the owner nodes (value parents) matching the
-// comparison conj, `relPath op literal`, under the given summary nodes:
-// this run's earlier answer when conj was asked under the same summary
-// set before, else a scan of the containers (scanOwners).
-func (e *Engine) matchOwners(conj *xquery.Cmp, sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string) (*conjunctOwners, error) {
-	if co := e.owners[conj]; co != nil && slices.Equal(co.sums, sums) {
+// literal restrict conj, `rel op literal`, under the given summary nodes
+// over a domain of that many candidates: this run's earlier answer when
+// conj was scanned under the same summary set before, else a scan of its
+// containers when it is worth one (worthScanning). ok is false when
+// there is no answer, and conj is evaluated per candidate.
+func (e *Engine) matchOwners(conj xquery.Expr, sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string, domain int) (*conjunctOwners, error) {
+	co := e.restrictFor(conj, sums, rel, op, literal)
+	if co.ok {
 		return co, nil
 	}
-	co := &conjunctOwners{sums: sums}
-	var err error
-	if co.owners, co.ok, err = e.scanOwners(sums, rel, op, literal, e.par); err != nil {
+	if !co.worthScanning(op, domain) {
+		return noOwners, nil
+	}
+	owners, ok, err := e.scanTargets(co.conts, op, literal, e.par)
+	if err != nil {
 		return nil, err
 	}
-	e.owners[conj] = co
+	if !ok {
+		return noOwners, nil
+	}
+	co.owners, co.ok = owners, true
 	return co, nil
 }
 
-// scanOwners resolves `relPath op literal` under the given summary nodes
-// to its containers and matches them, spending up to par workers: one
-// summary path can map to many containers, so the per-container matches
-// fan out across the pool, each container scan splitting its leftover
-// worker share internally.
-func (e *Engine) scanOwners(sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string, par int) (algebra.NodeSet, bool, error) {
-	conts, complete, ok := e.relValueTarget(sums, rel)
-	if !ok {
-		return nil, false, nil
-	}
-	// An instance without a text value still atomizes to the string ""
-	// (an empty element's string value), which matches != and <-style
-	// comparisons — but has no container record. When such instances
-	// exist (complete == false), only equality against a non-empty
-	// literal is sound on the containers alone.
-	if !complete && !(op == "=" && literal != "") {
-		return nil, false, nil
-	}
-	if op == "=" && literal == "" {
-		// "" never appears in the containers (empty text nodes are not
-		// recorded); fall back to per-node evaluation.
-		return nil, false, nil
-	}
+// scanTargets matches the containers of a literal restrict, spending up
+// to par workers: one summary path can map to many containers, so the
+// per-container matches fan out across the pool, each container scan
+// splitting its leftover worker share internally.
+func (e *Engine) scanTargets(conts []*storage.Container, op, literal string, par int) (algebra.NodeSet, bool, error) {
 	if par > 1 && len(conts) > 1 {
 		results := make([]conjunctOwners, len(conts))
 		inner := par / len(conts)
@@ -873,6 +1030,11 @@ func (e *Engine) scanOwners(sums []*storage.SummaryNode, rel *xquery.PathExpr, o
 // preferring the compressed domain; the decoding-scan fallbacks split
 // the record range across up to par workers.
 func (e *Engine) containerMatch(c *storage.Container, op, literal string, par int) (algebra.NodeSet, bool, error) {
+	if test := stringFunc(op); test != nil {
+		lit := []byte(literal)
+		owners, err := algebra.ContFilterPar(c, par, func(plain []byte) bool { return test(plain, lit) })
+		return owners, err == nil, err
+	}
 	_, litIsNum := parseNum(literal)
 	// String containers compared against numeric literals follow
 	// numeric semantics per value ("40.0" = 40): fall back to a
@@ -921,6 +1083,13 @@ func (e *Engine) containerMatch(c *storage.Container, op, literal string, par in
 
 func parseNum(s string) (float64, bool) {
 	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	return f, err == nil
+}
+
+// parseNumBytes is parseNum on bytes. The string conversion does not
+// escape, so a number of up to 32 bytes is parsed without allocating.
+func parseNumBytes(b []byte) (float64, bool) {
+	f, err := strconv.ParseFloat(string(bytes.TrimSpace(b)), 64)
 	return f, err == nil
 }
 

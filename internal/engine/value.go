@@ -11,7 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -387,21 +387,15 @@ func (e *Engine) effectiveBool(s Seq) (bool, error) {
 }
 
 // compareAtoms applies a general-comparison operator to two atoms:
-// numerically when both parse as numbers, as strings otherwise.
+// numerically when both parse as numbers (compareNums), as strings
+// otherwise.
 func compareAtoms(op, a, b string) bool {
 	fa, ea := strconv.ParseFloat(strings.TrimSpace(a), 64)
 	fb, eb := strconv.ParseFloat(strings.TrimSpace(b), 64)
-	var cmp int
 	if ea == nil && eb == nil {
-		switch {
-		case fa < fb:
-			cmp = -1
-		case fa > fb:
-			cmp = 1
-		}
-	} else {
-		cmp = strings.Compare(a, b)
+		return compareNums(op, fa, fb)
 	}
+	cmp := strings.Compare(a, b)
 	switch op {
 	case "=":
 		return cmp == 0
@@ -419,6 +413,27 @@ func compareAtoms(op, a, b string) bool {
 	return false
 }
 
+// compareNums applies a comparison operator to two numbers. Every
+// comparison with NaN is false but !=, which is true — as Go's float
+// operators have it.
+func compareNums(op string, a, b float64) bool {
+	switch op {
+	case "=":
+		return a == b
+	case "!=":
+		return a != b
+	case "<":
+		return a < b
+	case "<=":
+		return a <= b
+	case ">":
+		return a > b
+	case ">=":
+		return a >= b
+	}
+	return false
+}
+
 // nodeSeq extracts the NodeIDs of a sequence in document order; ok is
 // false if the sequence holds non-node items.
 func nodeSeq(s Seq) ([]storage.NodeID, bool) {
@@ -430,6 +445,6 @@ func nodeSeq(s Seq) ([]storage.NodeID, bool) {
 		}
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, true
 }

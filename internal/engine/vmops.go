@@ -180,10 +180,11 @@ func (e *Engine) PathNodes(p *xquery.PathExpr, env *Env) (algebra.NodeSet, []*st
 	return st.nodes, st.sums, textTail, err
 }
 
-// RelValueTarget resolves a context-relative predicate path to its
-// value containers (see relValueTarget).
-func (e *Engine) RelValueTarget(sums []*storage.SummaryNode, p *xquery.PathExpr) ([]*storage.Container, bool, bool) {
-	return e.relValueTarget(sums, p)
+// LitTargets resolves a literal pushdown under the summary set of its
+// clause to the containers whose scan answers it; why, when not empty,
+// says why none does (litTargets).
+func (e *Engine) LitTargets(pd Pushdown, sums []*storage.SummaryNode) (conts []*storage.Container, complete bool, why string) {
+	return e.litTargets(sums, pd.Rel, pd.Op, pd.Lit)
 }
 
 // ApplyLitPushdown restricts cur, instances of sums, to the nodes that

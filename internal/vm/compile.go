@@ -275,7 +275,8 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *engine.FLWORPlan, depth int32, v
 			switch {
 			case pd.IsLit && spec.static:
 				ps.resolved = true
-				ps.conts, ps.complete, ps.fastOK = c.eng.RelValueTarget(spec.sums, pd.Rel)
+				ps.conts, ps.complete, ps.why = c.eng.LitTargets(pd, spec.sums)
+				ps.fastOK = ps.why == ""
 				for _, ct := range ps.conts {
 					ps.cost += float64(ct.Len()) * decodeCost(ct.Codec().Name())
 				}
@@ -757,8 +758,10 @@ func predDesc(ps *predSpec) string {
 		if !ps.complete {
 			b.WriteString(" incomplete")
 		}
+	case ps.resolved && ps.fastOK:
+		b.WriteString(" ; no container holds a value, no candidate passes")
 	case ps.resolved:
-		b.WriteString(" ; no container fast path, deferred")
+		fmt.Fprintf(&b, " ; deferred: %s", ps.why)
 	case ps.idx != nil:
 		fmt.Fprintf(&b, " ; index built at compile, %d partners", ps.idx.Partners())
 		if ps.whole {

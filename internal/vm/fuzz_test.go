@@ -10,14 +10,16 @@ import (
 // FuzzCompile feeds arbitrary query text through the full
 // parse→compile→run pipeline and cross-checks the compiled program
 // against the DOM reference: any input that parses must compile — a
-// compile error is a query the user cannot run — and produce
-// byte-identical output, failing only where the reference fails. The
-// reference may fail where the program does not: it evaluates every
-// WHERE conjunct and LET of every tuple in order, while the program may
-// first drop the tuple on a restrict, or skip a LET nothing reads, which
-// XQuery allows (errors and optimization). The seed corpus is the unit
-// battery, so `go test` alone replays every compiled construct through
-// the differential check.
+// compile error is a query the user cannot run — and, whenever both
+// sides run, produce byte-identical output. A failure only one side hits
+// is accepted in two cases. A variable (or the context item) that nothing
+// binds is a static error, and whether a run meets it depends on the
+// order of evaluation, which the compiler chooses. And the reference,
+// which evaluates every WHERE conjunct and LET of every tuple in order,
+// may fail where the program does not when the program may first drop
+// the tuple on a restrict (reorders) — XQuery allows either. The seed
+// corpus is the unit battery, so `go test` alone replays every compiled
+// construct through the differential check.
 func FuzzCompile(f *testing.F) {
 	for _, q := range queryBattery() {
 		f.Add(q.Text)
@@ -44,12 +46,6 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%q: %v", query, err)
 		}
-		if len(engine.FreeVars(expr)) > 0 {
-			// A variable (or the context item) that nothing binds is a
-			// static error; whether a run meets it depends on the order of
-			// evaluation, which the compiler chooses.
-			return
-		}
 		got, vErr := func() (string, error) {
 			res, err := prog.Run(RunOptions{})
 			if err != nil {
@@ -59,11 +55,44 @@ func FuzzCompile(f *testing.F) {
 			return res.SerializeXML()
 		}()
 		want, wErr := evalRef(t, query)
-		if wErr != nil && vErr == nil {
+		switch {
+		case vErr == nil && wErr == nil:
+		case len(engine.FreeVars(expr)) > 0:
+			return
+		case wErr != nil && vErr == nil && reorders(expr):
 			return
 		}
 		if err := differ(want, wErr, got, vErr); err != "" {
 			t.Fatalf("%q: %s", query, err)
 		}
 	})
+}
+
+// reorders reports that the program may skip work the reference does in
+// some FLWOR of x: a WHERE conjunct PlanFLWOR pushes into a clause's
+// domain while another conjunct stands beside it, which the program may
+// then never evaluate for a tuple the pushdown dropped, or a LET nothing
+// after it reads.
+func reorders(x xquery.Expr) bool {
+	found := false
+	xquery.Walk(x, func(sub xquery.Expr) {
+		f, isFLWOR := sub.(*xquery.FLWOR)
+		if !isFLWOR || found {
+			return
+		}
+		plan, pushed := engine.PlanFLWOR(f), 0
+		for _, pds := range plan.Pushdowns {
+			pushed += len(pds)
+		}
+		if pushed > 0 && pushed+len(plan.Residual) > 1 {
+			found = true
+		}
+		for ci, cl := range f.Clauses {
+			rest := &xquery.FLWOR{Clauses: f.Clauses[ci+1:], Where: f.Where, OrderBy: f.OrderBy, Return: f.Return}
+			if cl.Let && !engine.FreeVars(rest)[cl.Var] {
+				found = true
+			}
+		}
+	})
+	return found
 }

@@ -179,8 +179,9 @@ type predSpec struct {
 	// path; a run matches them through the engine, once (ApplyLitPushdown).
 	conts    []*storage.Container
 	complete bool
-	fastOK   bool // relValueTarget ok (false: always deferred)
-	resolved bool // conts/complete/fastOK are valid
+	fastOK   bool   // the containers answer it (false: always deferred)
+	why      string // why they do not
+	resolved bool   // conts/complete/fastOK/why are valid
 	cost     float64
 	// idx is a join pushdown's index, built at compile time when both
 	// sides' summary sets are static; whole says the cursor holds every

@@ -92,8 +92,8 @@ func evalVM(t testing.TB, s *storage.Store, q string, par int) (string, error) {
 // targeted shapes for each compiled construct (restrict reordering,
 // deferred slots, invariant domains, LET propagation, residual WHERE,
 // fallback blocks, text tails, sequences of blocks), the nested LET
-// shapes the compiler lowers to loops and the nested FLWORs it compiles
-// to sub-programs.
+// shapes the compiler lowers to loops, the nested FLWORs it compiles to
+// sub-programs and the string-function restricts.
 func queryBattery() []xmarkq.Query {
 	qs := append([]xmarkq.Query{}, xmarkq.Queries()...)
 	qs = append(qs, xmarkq.ExtendedQueries()...)
@@ -146,6 +146,7 @@ func queryBattery() []xmarkq.Query {
 		{ID: "let-ctor-atomized", Text: `FOR $p IN /site/people/person LET $a := FOR $t IN /site/closed_auctions/closed_auction WHERE $t/buyer/@person = $p/@id RETURN <t>{$t/price/text()}</t> RETURN <p s="{$a}">{string($a)}</p>`},
 	}
 	qs = append(qs, extra...)
+	qs = append(qs, xmarkq.StringRestricts()...)
 	return append(qs, xmarkq.NestedFLWORs()...)
 }
 

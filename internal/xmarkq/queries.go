@@ -177,3 +177,35 @@ func NestedFLWORs() []Query {
 		{"flwor-fails", `FOR $p IN ` + persons + ` RETURN (count(FOR $t IN ` + closed + ` WHERE $t/buyer/@person = $p/@id RETURN number($t/price) mod 0), $p/name/text())`},
 	}
 }
+
+// StringRestricts returns the shapes of a string-function restrict —
+// contains, starts-with or ends-with of a path and a literal, the Q14
+// conjunct — beyond Q14 itself: scans of the containers for a FOR clause,
+// a step predicate, an attribute, a text() path, two restricts at once
+// and a nested FLWOR; conjuncts that stay per tuple (an empty literal, a
+// path that repeats, a negation, a domain smaller than the containers);
+// a number() error beside a restrict; and comparisons of numbers, NaN
+// among them.
+func StringRestricts() []Query {
+	const (
+		items   = `/site//item`
+		persons = `/site/people/person`
+	)
+	return []Query{
+		{"str-starts", `FOR $i IN ` + items + ` WHERE starts-with($i/name, "t") RETURN $i/name/text()`},
+		{"str-ends", `FOR $p IN ` + persons + ` WHERE ends-with($p/name, "n") RETURN $p/@id`},
+		{"str-step-pred", items + `[contains(description, "gold")]/name/text()`},
+		{"str-count-pred", `count(/site/regions/*/item[starts-with(location, "U")])`},
+		{"str-attr", `FOR $p IN ` + persons + ` WHERE contains($p/@id, "7") RETURN $p/name/text()`},
+		{"str-text-tail", `FOR $i IN ` + items + ` WHERE contains($i/description/text/text(), "gold") RETURN $i/@id`},
+		{"str-two", `FOR $i IN ` + items + ` WHERE contains($i/description, "gold") AND starts-with($i/location, "U") RETURN $i/name/text()`},
+		{"str-nested", `count(FOR $i IN ` + items + ` WHERE contains($i/description, "gold") RETURN $i)`},
+		{"str-not", `FOR $i IN ` + items + ` WHERE not(contains($i/description, "gold")) RETURN $i/@id`},
+		{"str-empty-literal", `FOR $i IN ` + items + ` WHERE contains($i/description, "") RETURN $i/@id`},
+		{"str-repeating", `FOR $o IN /site/open_auctions/open_auction WHERE ends-with($o/bidder/increase, "5") RETURN $o/@id`},
+		{"str-let-per-region", `FOR $r IN /site/regions/* LET $g := FOR $i IN $r/item WHERE contains($i/description, "gold") RETURN $i RETURN <r n="{count($g)}">{$g/name/text()}</r>`},
+		{"str-number-error", `FOR $i IN ` + items + ` WHERE contains($i/description, "gold") AND number($i/name) > 0 RETURN $i/@id`},
+		{"num-compare", `FOR $o IN /site/open_auctions/open_auction WHERE string-length($o/initial) > 4 AND count($o/bidder) * 2 >= number($o/initial) div 10 RETURN $o/@id`},
+		{"num-nan", `(0 div 0 = 1, 0 div 0 >= 1, 0 div 0 = 0 div 0, 0 div 0 != 0 div 0, 0 div 0 < 1, count(` + persons + `) div 0 > 1)`},
+	}
+}

@@ -14,12 +14,14 @@ import (
 // XMark queries whose cost is all per-tuple work — a predicate plus a
 // constructor (Q17), a LET, an ORDER BY key and a constructor (Q19), a
 // positional path (Q2), a LET-bound join counted (Q8), one whose
-// constructors are written out (Q9), one of text() items (Q16) — so
-// per-tuple maps, scope clones, boxed one-item sequences and iterator
-// closures cannot creep back. A RETURN constructor is written through its
-// emission template into buffers the run shares, and so are the items of
-// a LET that is only written out or counted: neither allocates per item.
-// What is left is Q19's replayed LET, a decoded string per tuple.
+// constructors are written out (Q9), one of text() items (Q16), a
+// residual comparing numbers (Q3), a string-function restrict (Q14) — so
+// per-tuple maps, scope clones, boxed one-item sequences and numbers and
+// iterator closures cannot creep back. A RETURN constructor is written
+// through its emission template into buffers the run shares, and so are
+// the items of a LET that is only written out or counted: neither
+// allocates per item. What is left is Q19's replayed LET and Q14's text()
+// RETURN, a decoded string per item.
 func TestPerTupleAllocationBudget(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.5, Seed: 1})
 	db, err := Compress(doc, Options{})
@@ -36,6 +38,10 @@ func TestPerTupleAllocationBudget(t *testing.T) {
 		{"q8", xmarkq.Q8, 1},
 		{"q9", xmarkq.Q9, 1},
 		{"q16", xmarkq.Q16, 1},
+		// Few auctions pass Q3's WHERE: a run's fixed allocations come to
+		// about 2 per item, and one per auction would be over 20.
+		{"q3", xmarkq.Q3, 3},
+		{"q14", xmarkq.Q14, 5},
 	} {
 		prep, err := db.Prepare(tc.text)
 		if err != nil {

@@ -113,9 +113,10 @@ func TestEvalEngineSwitch(t *testing.T) {
 // TestNestedLetDifferential pins the nested FLWORs — the LETs bound to
 // one, which the compiler lowers to loops of the program, and the rest,
 // which it compiles to sub-programs: Q8, Q9 and Q16 at two scales and two
-// seeds, and every shape of xmarkq.NestedFLWORs, at shard counts {1, 4}
-// and parallelism {1, 4}, against the DOM reference (a query the
-// reference fails must fail).
+// seeds, and every shape of xmarkq.NestedFLWORs — and the string-function
+// restricts, Q14 and xmarkq.StringRestricts, at shard counts {1, 4} and
+// parallelism {1, 4}, against the DOM reference (a query the reference
+// fails must fail).
 func TestNestedLetDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is slow under -short")
@@ -127,6 +128,8 @@ func TestNestedLetDifferential(t *testing.T) {
 		queries []xmarkq.Query
 	}
 	nested := append(joins, xmarkq.NestedFLWORs()...)
+	nested = append(nested, xmarkq.Query{ID: "q14", Text: xmarkq.Q14})
+	nested = append(nested, xmarkq.StringRestricts()...)
 	corpora := []corpus{
 		{0.03, 5, nested},
 		{0.03, 17, joins},
