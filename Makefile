@@ -41,13 +41,24 @@ race:
 
 # Size of the thing, tracked next to ns/op (ROADMAP): non-test Go lines
 # under internal/ and in the root package, the exported-symbol count of
-# package xquec, and the environment reads in non-test internal/ code —
-# which must be none, so `check` fails on the first one: behaviour is
-# chosen by options, never by the environment of the process.
+# package xquec, the user-settable values (not gated) — command-line
+# flags of xquec and xquecd, exported fields of xquec.Options,
+# xquec.QueryOptions and server.Config, and the optional per-request
+# overrides of server.QueryRequest — and the environment reads in
+# non-test internal/ code, which must be none, so `check` fails on the
+# first one: behaviour is chosen by options, never by the environment
+# of the process.
+FLAG_DEFS = '\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var|[A-Z][a-z0-9]*Var)\('
 loc:
 	@echo "internal/ non-test Go lines: $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "root package non-test Go lines: $$(ls *.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
 	@echo "package xquec exported symbols: $$($(GO) doc -short . | wc -l)"
+	@f=$$(ls cmd/xquec/*.go cmd/xquecd/*.go | grep -v '_test\.go$$' | xargs cat | grep -cE $(FLAG_DEFS)); \
+	o=$$($(GO) doc . Options | grep -c '^	[A-Z]'); \
+	q=$$($(GO) doc . QueryOptions | grep -c '^	[A-Z]'); \
+	c=$$($(GO) doc ./internal/server Config | grep -c '^	[A-Z]'); \
+	r=$$($(GO) doc ./internal/server QueryRequest | grep -c omitempty); \
+	echo "user-settable values: $$((f + o + q + c + r)) ($$f flags, $$o Options, $$q QueryOptions, $$c server.Config, $$r request overrides)"
 	@n=$$(find internal -name '*.go' ! -name '*_test.go' | xargs grep -o 'os\.Getenv(' | wc -l); \
 	echo "internal/ non-test os.Getenv calls: $$n"; \
 	test $$n -eq 0 || { echo "loc: non-test code under internal/ calls os.Getenv"; exit 1; }

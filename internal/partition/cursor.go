@@ -9,42 +9,23 @@ import (
 	"xquec/internal/engine"
 	"xquec/internal/storage"
 	"xquec/internal/vm"
-	"xquec/internal/xquery"
 )
 
-// Request is one per-part evaluation request. Query and Parallelism are
-// plain data, so the same request can cross an RPC boundary unchanged.
-// Expr and ProgramFor ride along as in-process optimizations (parse
-// once, compile each part once, evaluate N times); a remote worker
-// simply re-parses and compiles the text.
+// Request is one per-part evaluation request.
 type Request struct {
-	// Query is the query text.
-	Query string
 	// Parallelism is the part-local intra-query worker budget
 	// (engine.WithParallelism semantics; 0 = GOMAXPROCS).
 	Parallelism int
-	// Expr is the parsed form of Query; nil forces a parse per part.
-	Expr xquery.Expr
-	// ProgramFor, when non-nil, supplies the compiled program for a part
-	// store — a prepared statement passes its per-store lookup here, so
-	// every part compiles once per statement and the programs die with
-	// it. When nil, parts compile on the spot.
+	// ProgramFor supplies the compiled program for a part store — a
+	// prepared statement passes its per-store lookup, so every part
+	// compiles once per statement and the programs die with it.
 	ProgramFor func(*storage.Store) (*vm.Program, error)
 }
 
-// program resolves the compiled program for st.
-func (r *Request) program(expr xquery.Expr, st *storage.Store) (*vm.Program, error) {
-	if r.ProgramFor != nil {
-		return r.ProgramFor(st)
-	}
-	return vm.Compile(expr, st, r.Query)
-}
-
 // Item is one part's result item: its global document-order rank and
-// its serialized XML/text. Serialization happens part-side — failure
-// isolation demands that a corrupt part fail inside its own stream,
-// not during the merge — and bytes are what an RPC worker would ship
-// anyway.
+// its serialized XML/text. The part's stream serializes its items
+// because under the fan-out that stream runs on the part's goroutine,
+// where the work runs in parallel; the merge only moves bytes.
 type Item struct {
 	Rank uint64
 	XML  []byte
@@ -69,20 +50,12 @@ func closeStreams(streams []Stream) {
 // openPart starts the evaluation of req on one part. Evaluation is
 // lazy: the program only advances inside the stream's Next.
 func (s *Set) openPart(ctx context.Context, part int, req Request) (Stream, error) {
-	expr := req.Expr
-	if expr == nil {
-		var err error
-		if expr, err = xquery.Parse(req.Query); err != nil {
-			return nil, err
-		}
-	}
-	store := s.Stores[part]
 	ps := &partStream{set: s, part: part}
 	var hook func(storage.NodeID)
 	if s.Layout.Interleaved {
 		hook = func(id storage.NodeID) { ps.origin = id }
 	}
-	prog, err := req.program(expr, store)
+	prog, err := req.ProgramFor(s.Stores[part])
 	if err != nil {
 		return nil, err
 	}
@@ -153,26 +126,22 @@ type srcItem struct {
 type Cursor struct {
 	streams []Stream
 
-	// Set by the fan-out only; an inline cursor is fail-fast with no
-	// context of its own (its streams poll the caller's).
-	cancel  context.CancelFunc
-	partial bool    // partial-results policy (vs fail-fast)
-	root    rootErr // fan-out failure, set before the sweep-close
+	// Set by the fan-out only; an inline cursor has no context of its
+	// own (its streams poll the caller's).
+	cancel context.CancelFunc
+	root   rootErr // fan-out failure, set before the cancellation
 
-	primed     bool
-	err        error // sticky terminal error
-	heap       algebra.KWayHeap[srcItem]
-	served     int
-	wasPartial bool
-	counted    bool
-	buf        [][]byte // Len-materialized remainder
-	bufPos     int
+	primed bool
+	err    error // sticky terminal error
+	heap   algebra.KWayHeap[srcItem]
+	served int
+	buf    [][]byte // Len-materialized remainder
+	bufPos int
 }
 
 // Prime forces the first item of every part (or its clean end), so
-// eager failures — a parse error on a worker, an expired deadline, a
-// corrupt part under fail-fast — surface at call time rather than on
-// the first Next.
+// eager failures — an expired deadline, a corrupt part — surface at call
+// time rather than on the first Next.
 func (c *Cursor) Prime() error {
 	if c.primed {
 		return c.err
@@ -193,18 +162,13 @@ func (c *Cursor) Prime() error {
 }
 
 // advance pulls the next item from stream i. ok=false means that part
-// is exhausted — cleanly, or absorbed under the partial-results policy
-// (which never absorbs context expiry, and never outruns a recorded
-// fan-out failure).
+// is exhausted. An error is the recorded fan-out failure when there is
+// one, rather than the cancellation derived from it.
 func (c *Cursor) advance(i int) (uint64, srcItem, bool, error) {
 	it, ok, err := c.streams[i].Next()
 	if err != nil {
 		if re := c.root.get(); re != nil {
-			return 0, srcItem{}, false, re
-		}
-		if c.partial && !isCtxErr(err) {
-			c.wasPartial = true
-			return 0, srcItem{}, false, nil
+			err = re
 		}
 		return 0, srcItem{}, false, err
 	}
@@ -231,7 +195,7 @@ func (c *Cursor) Next() ([]byte, bool, error) {
 			c.served++
 			return x, true, nil
 		}
-		c.finish()
+		c.Close()
 		return nil, false, nil
 	}
 	x, ok, err := c.step()
@@ -240,7 +204,7 @@ func (c *Cursor) Next() ([]byte, bool, error) {
 		return nil, false, c.err
 	}
 	if !ok {
-		c.finish()
+		c.Close()
 		return nil, false, nil
 	}
 	c.served++
@@ -270,28 +234,12 @@ func (c *Cursor) step() ([]byte, bool, error) {
 	return top.xml, true, nil
 }
 
-// finish runs at clean exhaustion: account the partial outcome and
-// release the evaluation.
-func (c *Cursor) finish() {
-	if c.wasPartial && !c.counted {
-		c.counted = true
-		counters.partialResults.Add(1)
-	}
-	c.Close()
-}
-
 func (c *Cursor) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
 	c.Close()
 }
-
-// Partial reports whether any part's results were dropped under the
-// partial-results policy. It is definitive only once the cursor is
-// exhausted (ok=false from Next) — a still-healthy part can fail later
-// in the stream.
-func (c *Cursor) Partial() bool { return c.wasPartial }
 
 // Len returns the total number of result items, forcing the remaining
 // merge (items are buffered for later consumption, mirroring
@@ -346,8 +294,7 @@ func (c *Cursor) WriteXML(w io.Writer) (int, error) {
 }
 
 // Close releases every part's evaluation and discards unconsumed items.
-// Idempotent. Under the fan-out a Close mid-stream surfaces as
-// context.Canceled on the workers, which is terminal, never partial.
+// Idempotent. Under the fan-out a Close mid-stream cancels the workers.
 func (c *Cursor) Close() error {
 	if c.cancel != nil {
 		c.cancel()

@@ -7,11 +7,12 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"xquec/internal/storage"
+	"xquec/internal/vm"
+	"xquec/internal/xquery"
 )
 
 // faultQuery is scatterable and returns enough items that every shard
@@ -27,9 +28,22 @@ func buildSet(t *testing.T, src []byte, shards int) *Set {
 	return set
 }
 
-func scatterXML(t *testing.T, workers []Worker, ctx context.Context, query string, opts Options) (string, *Cursor) {
+// compiled is the request a prepared statement would pass: query parsed
+// once and compiled on each part's store.
+func compiled(t *testing.T, query string) Request {
 	t.Helper()
-	cur := FanOut(ctx, workers, Request{Query: query}, opts)
+	expr, err := xquery.Parse(query)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	return Request{ProgramFor: func(st *storage.Store) (*vm.Program, error) {
+		return vm.Compile(expr, st, query)
+	}}
+}
+
+func scatterXML(t *testing.T, workers []Worker, query string) (string, *Cursor) {
+	t.Helper()
+	cur := FanOut(context.Background(), workers, compiled(t, query), 0)
 	var sb strings.Builder
 	if _, err := cur.WriteXML(&sb); err != nil {
 		cur.Close()
@@ -104,70 +118,6 @@ func (s *truncStream) Next() (Item, bool, error) {
 
 func (s *truncStream) Close() error { return s.inner.Close() }
 
-// prefixWorker delivers its first `n` items then ends cleanly; with
-// n=0 it models an absent shard. Used to compute the expected merge
-// when a shard fails after delivering a prefix (the partial-results
-// policy keeps delivered items and drops only the remainder).
-type prefixWorker struct {
-	Worker
-	n int
-}
-
-func (w *prefixWorker) Query(ctx context.Context, req Request) (Stream, error) {
-	if w.n == 0 {
-		return emptyStream{}, nil
-	}
-	st, err := w.Worker.Query(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return &prefixStream{inner: st, left: w.n}, nil
-}
-
-type prefixStream struct {
-	inner Stream
-	left  int
-}
-
-func (s *prefixStream) Next() (Item, bool, error) {
-	if s.left == 0 {
-		return Item{}, false, nil
-	}
-	s.left--
-	return s.inner.Next()
-}
-
-func (s *prefixStream) Close() error { return s.inner.Close() }
-
-type emptyStream struct{}
-
-func (emptyStream) Next() (Item, bool, error) { return Item{}, false, nil }
-func (emptyStream) Close() error              { return nil }
-
-// stallWorker blocks its first dispatch until cancelled; every later
-// dispatch (the hedge) evaluates normally. This is the straggler the
-// hedging policy exists for.
-type stallWorker struct {
-	Worker
-	calls atomic.Int32
-}
-
-func (w *stallWorker) Query(ctx context.Context, req Request) (Stream, error) {
-	if w.calls.Add(1) == 1 {
-		return &stallStream{ctx: ctx}, nil
-	}
-	return w.Worker.Query(ctx, req)
-}
-
-type stallStream struct{ ctx context.Context }
-
-func (s *stallStream) Next() (Item, bool, error) {
-	<-s.ctx.Done()
-	return Item{}, false, s.ctx.Err()
-}
-
-func (s *stallStream) Close() error { return nil }
-
 // slowWorker sleeps before every item, long enough that a short
 // per-request deadline expires mid-stream.
 type slowWorker struct {
@@ -217,7 +167,7 @@ func TestScatterRandomizedScheduling(t *testing.T) {
 			for i := range base {
 				workers[i] = &jitterWorker{Worker: base[i], seed: int64(shards*100 + round*10 + i)}
 			}
-			got, cur := scatterXML(t, workers, context.Background(), faultQuery, Options{})
+			got, cur := scatterXML(t, workers, faultQuery)
 			cur.Close()
 			if got != want {
 				t.Fatalf("shards=%d round=%d: jittered scatter diverged", shards, round)
@@ -226,112 +176,38 @@ func TestScatterRandomizedScheduling(t *testing.T) {
 	}
 }
 
-// expectedWithPrefix computes the merge where shard `skip` delivers
-// only its first `n` items then vanishes — what the partial-results
-// policy should return when that shard fails after n items.
-func expectedWithPrefix(t *testing.T, set *Set, skip, n int) string {
-	t.Helper()
+// TestScatterFailFast injects a per-shard failure, at dispatch and
+// mid-stream, into a different shard each time: the injected error must
+// reach the caller, at every fan-out bound. At bound 1 with the failure
+// in shard 2, shard 3 never starts, and only the fan-out's cancellation
+// ends the merge waiting on it.
+func TestScatterFailFast(t *testing.T) {
+	set := buildSet(t, xmarkDoc(t), 4)
 	base := set.workers
-	workers := make([]Worker, len(base))
-	copy(workers, base)
-	workers[skip] = &prefixWorker{Worker: base[skip], n: n}
-	got, cur := scatterXML(t, workers, context.Background(), faultQuery, Options{})
-	cur.Close()
-	return got
-}
+	req := compiled(t, faultQuery)
 
-// TestScatterPartialPolicy injects a per-shard failure (dispatch-time
-// and mid-stream) and asserts both sides of the policy: fail-fast
-// surfaces the shard's error; partial returns exactly the healthy
-// shards' merge and flags the cursor.
-func TestScatterPartialPolicy(t *testing.T) {
-	src := xmarkDoc(t)
-	set := buildSet(t, src, 4)
-	base := set.workers
-
-	inject := func(name string, delivered int, mk func(i int) Worker) {
-		for _, failShard := range []int{0, 2} {
+	inject := func(name string, mk func(i int) Worker) {
+		for _, run := range []struct{ failShard, fanout int }{{0, 0}, {2, 0}, {2, 1}, {2, 2}} {
 			workers := make([]Worker, len(base))
 			copy(workers, base)
-			workers[failShard] = mk(failShard)
+			workers[run.failShard] = mk(run.failShard)
 
-			// Fail-fast: the injected error must reach the caller.
-			cur := FanOut(context.Background(), workers, Request{Query: faultQuery}, Options{})
+			cur := FanOut(context.Background(), workers, req, run.fanout)
 			_, err := cur.WriteXML(io.Discard)
 			cur.Close()
 			if err == nil || !strings.Contains(err.Error(), "injected") {
-				t.Fatalf("%s shard=%d fail-fast: err=%v, want injected failure", name, failShard, err)
-			}
-
-			// Partial: healthy shards only, cursor flagged.
-			before := counters.partialResults.Load()
-			got, cur2 := scatterXML(t, workers, context.Background(), faultQuery, Options{Partial: true})
-			if !cur2.Partial() {
-				t.Fatalf("%s shard=%d: partial cursor not flagged", name, failShard)
-			}
-			cur2.Close()
-			if want := expectedWithPrefix(t, set, failShard, delivered); got != want {
-				t.Fatalf("%s shard=%d partial: got %d bytes, want %d (healthy-shard merge)",
-					name, failShard, len(got), len(want))
-			}
-			if after := counters.partialResults.Load(); after != before+1 {
-				t.Fatalf("%s shard=%d: partialResults counter %d -> %d, want +1", name, failShard, before, after)
+				t.Fatalf("%s shard=%d fanout=%d: err=%v, want injected failure", name, run.failShard, run.fanout, err)
 			}
 		}
 	}
 
-	inject("dispatch", 0, func(int) Worker { return &downWorker{} })
-	inject("midstream", 1, func(i int) Worker { return &truncWorker{Worker: base[i], after: 1} })
-}
-
-// TestScatterHedging stalls one shard's first dispatch forever: with
-// hedging off the query hangs (bounded here by a deadline); with a
-// short HedgeAfter the re-dispatched stream answers and the output is
-// still byte-identical to the unsharded evaluation.
-func TestScatterHedging(t *testing.T) {
-	src := xmarkDoc(t)
-	want := unshardedXML(t, src, faultQuery)
-	set := buildSet(t, src, 4)
-	base := set.workers
-	workers := make([]Worker, len(base))
-	copy(workers, base)
-	stalled := &stallWorker{Worker: base[1]}
-	workers[1] = stalled
-
-	launched, wins := counters.hedgesLaunched.Load(), counters.hedgeWins.Load()
-	got, cur := scatterXML(t, workers, context.Background(), faultQuery, Options{HedgeAfter: 5 * time.Millisecond})
-	cur.Close()
-	if got != want {
-		t.Fatalf("hedged scatter diverged from unsharded result")
-	}
-	if n := counters.hedgesLaunched.Load(); n <= launched {
-		t.Fatalf("hedgesLaunched did not advance (%d -> %d)", launched, n)
-	}
-	if n := counters.hedgeWins.Load(); n <= wins {
-		t.Fatalf("hedgeWins did not advance (%d -> %d)", wins, n)
-	}
-	if n := stalled.calls.Load(); n < 2 {
-		t.Fatalf("stalled worker dispatched %d times, want >= 2 (primary + hedge)", n)
-	}
-
-	// Without hedging the stalled shard pins the query until the
-	// deadline: this is the failure mode hedging removes, and it must
-	// surface as the context error under either policy.
-	stalled.calls.Store(1) // already past first call; keep stalling off
-	workers[1] = &stallWorker{Worker: base[1]}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	cur2 := FanOut(ctx, workers, Request{Query: faultQuery}, Options{Partial: true})
-	_, err := cur2.WriteXML(io.Discard)
-	cur2.Close()
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("unhedged stall: err=%v, want DeadlineExceeded", err)
-	}
+	inject("dispatch", func(int) Worker { return &downWorker{} })
+	inject("midstream", func(i int) Worker { return &truncWorker{Worker: base[i], after: 1} })
 }
 
 // TestScatterDeadlineMidStream expires the request deadline while
 // every shard is mid-stream: the cursor must fail with the context
-// error under both policies (a deadline is never a partial result).
+// error.
 func TestScatterDeadlineMidStream(t *testing.T) {
 	src := xmarkDoc(t)
 	set := buildSet(t, src, 4)
@@ -340,15 +216,13 @@ func TestScatterDeadlineMidStream(t *testing.T) {
 	for i := range base {
 		workers[i] = &slowWorker{Worker: base[i], delay: 20 * time.Millisecond}
 	}
-	for _, partial := range []bool{false, true} {
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		cur := FanOut(ctx, workers, Request{Query: faultQuery}, Options{Partial: partial})
-		_, err := cur.WriteXML(io.Discard)
-		cur.Close()
-		cancel()
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("partial=%v: err=%v, want DeadlineExceeded", partial, err)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	cur := FanOut(ctx, workers, compiled(t, faultQuery), 0)
+	_, err := cur.WriteXML(io.Discard)
+	cur.Close()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err=%v, want DeadlineExceeded", err)
 	}
 }
 
@@ -363,8 +237,9 @@ func TestScatterRankOrder(t *testing.T) {
 	// Collect each shard's rank sequence through the raw worker API.
 	var all []uint64
 	perShard := make([][]uint64, len(base))
+	req := compiled(t, faultQuery)
 	for i, w := range base {
-		st, err := w.Query(context.Background(), Request{Query: faultQuery})
+		st, err := w.Query(context.Background(), req)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}

@@ -11,9 +11,6 @@ var counters struct {
 	fallbackQueries atomic.Int64
 	shardStreams    atomic.Int64
 	shardFailures   atomic.Int64
-	hedgesLaunched  atomic.Int64
-	hedgeWins       atomic.Int64
-	partialResults  atomic.Int64
 	mergedItems     atomic.Int64
 	fusions         atomic.Int64
 	fusionNanos     atomic.Int64
@@ -26,17 +23,10 @@ type Stats struct {
 	// the analyzer declined to scatter them.
 	ScatterQueries  int64
 	FallbackQueries int64
-	// ShardStreams counts per-shard evaluations dispatched (hedges
-	// included); ShardFailures counts those that ended in error.
+	// ShardStreams counts per-shard evaluations dispatched;
+	// ShardFailures counts those that ended in error.
 	ShardStreams  int64
 	ShardFailures int64
-	// HedgesLaunched counts straggler re-dispatches; HedgeWins counts
-	// hedges that delivered their first item before the primary.
-	HedgesLaunched int64
-	HedgeWins      int64
-	// PartialResults counts cursors that completed with at least one
-	// shard dropped under the partial-results policy.
-	PartialResults int64
 	// MergedItems is the total number of items the merge emitted.
 	MergedItems int64
 	// Fused stores built (either layout) and their time: did an append or
@@ -52,9 +42,6 @@ func Snapshot() Stats {
 		FallbackQueries: counters.fallbackQueries.Load(),
 		ShardStreams:    counters.shardStreams.Load(),
 		ShardFailures:   counters.shardFailures.Load(),
-		HedgesLaunched:  counters.hedgesLaunched.Load(),
-		HedgeWins:       counters.hedgeWins.Load(),
-		PartialResults:  counters.partialResults.Load(),
 		MergedItems:     counters.mergedItems.Load(),
 		Fusions:         counters.fusions.Load(),
 		FusionNanos:     counters.fusionNanos.Load(),

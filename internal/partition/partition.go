@@ -285,10 +285,11 @@ func (s *Set) Decide(expr xquery.Expr) Decision {
 
 // Eval evaluates a query Decide approved over every part and returns
 // the merged cursor. Interleaved parts evaluate concurrently through
-// the fan-out (where opts applies); contiguous parts are pulled inline.
-func (s *Set) Eval(ctx context.Context, req Request, opts Options) (*Cursor, error) {
+// the fan-out, at most fanout at a time; contiguous parts are pulled
+// inline.
+func (s *Set) Eval(ctx context.Context, req Request, fanout int) (*Cursor, error) {
 	if s.Layout.Interleaved {
-		return FanOut(ctx, s.workers, req, opts), nil
+		return FanOut(ctx, s.workers, req, fanout), nil
 	}
 	streams := make([]Stream, len(s.Stores))
 	for i := range s.Stores {

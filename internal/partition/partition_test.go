@@ -60,7 +60,7 @@ func unshardedXML(t *testing.T, src []byte, query string) string {
 // for a shard set, the inline pull for a segment set.
 func evalXML(t *testing.T, set *Set, query string) string {
 	t.Helper()
-	cur, err := set.Eval(context.Background(), Request{Query: query}, Options{})
+	cur, err := set.Eval(context.Background(), compiled(t, query), 0)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -605,7 +605,7 @@ func TestCursorStickyErrorBothSources(t *testing.T) {
 			for i, s := range ss {
 				workers[i] = scriptWorker{s}
 			}
-			return FanOut(context.Background(), workers, Request{}, Options{})
+			return FanOut(context.Background(), workers, Request{}, 0)
 		},
 	}
 	const whole = "a0 a1 a2 b0 b1 c0"

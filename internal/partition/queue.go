@@ -3,7 +3,6 @@ package partition
 import (
 	"context"
 	"sync"
-	"time"
 )
 
 // queue is the unbounded SPSC buffer between one shard's puller
@@ -31,25 +30,15 @@ func newQueue() *queue {
 
 func (q *queue) push(it Item) {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
 	q.items = append(q.items, it)
 	q.mu.Unlock()
 	q.wake()
 }
 
-// closeWith marks the stream finished (err == nil: clean end). The
-// first close wins; later calls are no-ops, so the coordinator can
-// sweep-close every queue after a fan-out failure without clobbering
-// the root cause recorded by the shard that actually failed.
+// closeWith marks the stream finished (err == nil: clean end).
 func (q *queue) closeWith(err error) {
 	q.mu.Lock()
-	if !q.closed {
-		q.closed = true
-		q.err = err
-	}
+	q.closed, q.err = true, err
 	q.mu.Unlock()
 	q.wake()
 }
@@ -61,49 +50,32 @@ func (q *queue) wake() {
 	}
 }
 
-// tryPop returns the next item without blocking. done reports a closed
-// and drained queue (with its close error).
-func (q *queue) tryPop() (it Item, ok, done bool, err error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head < len(q.items) {
-		it = q.items[q.head]
-		q.items[q.head] = Item{}
-		q.head++
-		if q.head == len(q.items) {
-			q.items = q.items[:0]
-			q.head = 0
-		}
-		return it, true, false, nil
-	}
-	if q.closed {
-		return Item{}, false, true, q.err
-	}
-	return Item{}, false, false, nil
-}
-
 // pop blocks until an item, the close, or ctx expiry. A non-nil err is
 // the close error or the context's error; ok=false with err=nil is a
 // clean end of stream.
 func (q *queue) pop(ctx context.Context) (Item, bool, error) {
-	it, ok, _, err := q.popTimeout(ctx, nil)
-	return it, ok, err
-}
-
-// popTimeout is pop with an optional deadline channel (the hedging
-// timer): timedOut=true means the timer fired before an item or close.
-func (q *queue) popTimeout(ctx context.Context, timeout <-chan time.Time) (it Item, ok bool, timedOut bool, err error) {
 	for {
-		it, ok, done, err := q.tryPop()
-		if ok || done {
-			return it, ok, false, err
+		q.mu.Lock()
+		if q.head < len(q.items) {
+			it := q.items[q.head]
+			q.items[q.head] = Item{}
+			q.head++
+			if q.head == len(q.items) {
+				q.items = q.items[:0]
+				q.head = 0
+			}
+			q.mu.Unlock()
+			return it, true, nil
+		}
+		closed, err := q.closed, q.err
+		q.mu.Unlock()
+		if closed {
+			return Item{}, false, err
 		}
 		select {
 		case <-q.signal:
-		case <-timeout:
-			return Item{}, false, true, nil
 		case <-ctx.Done():
-			return Item{}, false, false, ctx.Err()
+			return Item{}, false, ctx.Err()
 		}
 	}
 }

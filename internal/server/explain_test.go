@@ -68,11 +68,11 @@ func TestServerExplain(t *testing.T) {
 	}
 }
 
-// TestServerEngineLabeledPlanMetrics: /metrics counts plan-cache hits
+// TestServerPlanMetrics: /metrics counts plan-cache hits
 // and misses without an engine label — every plan is a compiled
 // program — sizes the cache in compiled-program bytes, and observes
 // program lengths at compile time.
-func TestServerEngineLabeledPlanMetrics(t *testing.T) {
+func TestServerPlanMetrics(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	q := QueryRequest{Repo: "numbers", Query: `count(/data/v)`}
 	for i := 0; i < 3; i++ {

@@ -188,15 +188,11 @@ type Snapshot struct {
 
 	// Scatter-gather tier activity (process-wide, from internal/partition):
 	// queries scattered vs run on the fused fallback, shard streams
-	// dispatched/failed, straggler hedges launched/won, cursors that
-	// completed partial, and total merged items.
+	// dispatched/failed, and total merged items.
 	ShardScatterQueries  int64 `json:"shard_scatter_queries"`
 	ShardFallbackQueries int64 `json:"shard_fallback_queries"`
 	ShardStreams         int64 `json:"shard_streams"`
 	ShardFailures        int64 `json:"shard_failures"`
-	ShardHedgesLaunched  int64 `json:"shard_hedges_launched"`
-	ShardHedgeWins       int64 `json:"shard_hedge_wins"`
-	ShardPartialResults  int64 `json:"shard_partial_results"`
 	ShardMergedItems     int64 `json:"shard_merged_items"`
 }
 
@@ -259,9 +255,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.ShardFallbackQueries = ss.FallbackQueries
 	s.ShardStreams = ss.ShardStreams
 	s.ShardFailures = ss.ShardFailures
-	s.ShardHedgesLaunched = ss.HedgesLaunched
-	s.ShardHedgeWins = ss.HedgeWins
-	s.ShardPartialResults = ss.PartialResults
 	s.ShardMergedItems = ss.MergedItems
 	return s
 }
@@ -367,11 +360,8 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	ss := partition.Snapshot()
 	counter("xquecd_shard_scatter_queries_total", "Queries scattered across shard workers.", ss.ScatterQueries)
 	counter("xquecd_shard_fallback_queries_total", "Sharded-repository queries evaluated on the fused store.", ss.FallbackQueries)
-	counter("xquecd_shard_streams_total", "Per-shard evaluation streams dispatched (hedges included).", ss.ShardStreams)
+	counter("xquecd_shard_streams_total", "Per-shard evaluation streams dispatched by scattered queries.", ss.ShardStreams)
 	counter("xquecd_shard_failures_total", "Per-shard evaluation streams that failed.", ss.ShardFailures)
-	counter("xquecd_shard_hedges_launched_total", "Straggler hedge re-dispatches launched.", ss.HedgesLaunched)
-	counter("xquecd_shard_hedge_wins_total", "Hedge streams that beat their primary.", ss.HedgeWins)
-	counter("xquecd_shard_partial_results_total", "Scattered queries completed with a shard dropped.", ss.PartialResults)
 	counter("xquecd_shard_merged_items_total", "Items emitted by the scatter-gather merge.", ss.MergedItems)
 	counter("xquecd_fusions_total", "Fused fallback stores built (first non-scatterable query on a set after an open, append or swap).", ss.Fusions)
 	fmt.Fprintf(w, "# HELP xquecd_fusion_seconds_total Time spent building fused fallback stores.\n# TYPE xquecd_fusion_seconds_total counter\nxquecd_fusion_seconds_total %g\n", float64(ss.FusionNanos)/1e9)

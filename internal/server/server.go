@@ -44,17 +44,6 @@ type Config struct {
 	// ones. Requests may override it with "parallelism" (capped at
 	// GOMAXPROCS). Results are identical at every setting.
 	QueryParallelism int
-	// PartialResults is the default partial-results policy for sharded
-	// repositories: when true, a scattered query keeps serving the
-	// healthy shards if one fails, flagging the response (the "partial"
-	// JSON field / X-Xquec-Partial trailer). Default false (fail-fast).
-	// Requests may override it with "partial_results".
-	PartialResults bool
-	// HedgeAfter, when positive, re-dispatches a shard whose stream has
-	// been silent this long on scattered queries (straggler hedging).
-	// Requests may override it with "hedge_ms". Results are identical
-	// with or without hedging. Default 0 (disabled).
-	HedgeAfter time.Duration
 	// ShardFanout bounds how many shards a scattered query evaluates
 	// concurrently. Default 0 (all shards at once).
 	ShardFanout int
@@ -195,13 +184,6 @@ type QueryRequest struct {
 	// budget for this request (capped at GOMAXPROCS; 0 keeps the server
 	// default). Results are identical at every setting.
 	Parallelism int `json:"parallelism,omitempty"`
-	// PartialResults optionally overrides the server's partial-results
-	// policy for this request (sharded repositories only).
-	PartialResults *bool `json:"partial_results,omitempty"`
-	// HedgeMs optionally overrides the server's straggler-hedging
-	// threshold in milliseconds for this request: >0 sets it, <0
-	// disables hedging, 0 keeps the server default.
-	HedgeMs int `json:"hedge_ms,omitempty"`
 }
 
 // QueryResponse is the /query response body.
@@ -212,9 +194,6 @@ type QueryResponse struct {
 	ElapsedMs  float64 `json:"elapsed_ms"`
 	PlanCached bool    `json:"plan_cached"`
 	RepoCached bool    `json:"repo_cached"`
-	// Partial is true when a sharded repository answered under the
-	// partial-results policy with at least one shard dropped.
-	Partial bool `json:"partial,omitempty"`
 }
 
 type errorResponse struct {
@@ -413,21 +392,10 @@ func (s *Server) resolve(ctx context.Context, req QueryRequest) (res *xquec.Resu
 
 // queryOptions merges the server defaults with the request's overrides.
 func (s *Server) queryOptions(req QueryRequest) xquec.QueryOptions {
-	opts := xquec.QueryOptions{
-		Parallelism:    s.parallelismFor(req),
-		PartialResults: s.cfg.PartialResults,
-		HedgeAfter:     s.cfg.HedgeAfter,
-		ShardFanout:    s.cfg.ShardFanout,
+	return xquec.QueryOptions{
+		Parallelism: s.parallelismFor(req),
+		ShardFanout: s.cfg.ShardFanout,
 	}
-	if req.PartialResults != nil {
-		opts.PartialResults = *req.PartialResults
-	}
-	if req.HedgeMs > 0 {
-		opts.HedgeAfter = time.Duration(req.HedgeMs) * time.Millisecond
-	} else if req.HedgeMs < 0 {
-		opts.HedgeAfter = 0
-	}
-	return opts
 }
 
 // parallelismFor is the effective per-query worker budget: the request
@@ -465,7 +433,6 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest) (*QueryResponse
 		Result:     out,
 		PlanCached: planCached,
 		RepoCached: repoCached,
-		Partial:    res.Partial(),
 	}, http.StatusOK, nil
 }
 

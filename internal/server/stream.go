@@ -62,7 +62,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-Xquec-Repo", req.Repo)
 	h.Set("X-Xquec-Plan-Cached", strconv.FormatBool(planCached))
 	h.Set("X-Xquec-Repo-Cached", strconv.FormatBool(repoCached))
-	h.Set("Trailer", "X-Xquec-Count, X-Xquec-Error, X-Xquec-Partial")
+	h.Set("Trailer", "X-Xquec-Count, X-Xquec-Error")
 
 	flusher, canFlush := w.(http.Flusher)
 	var (
@@ -124,8 +124,4 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		h.Set("X-Xquec-Error", streamErr.Error())
 	}
 	h.Set("X-Xquec-Count", strconv.FormatInt(count, 10))
-	// Definitive only at exhaustion, which is why it is a trailer: a
-	// shard can fail (and be dropped under the partial-results policy)
-	// at any point of the merge.
-	h.Set("X-Xquec-Partial", strconv.FormatBool(res.Partial()))
 }

@@ -32,8 +32,8 @@ import (
 // On a sharded or segmented database a scattered query is backed by
 // the partitioned set's merging cursor (over pre-serialized items)
 // instead of a single engine evaluation; the API and the item sequence
-// are identical, and Partial reports whether any shard was dropped
-// under the partial-results policy.
+// are identical, and a query that fails on the single repository fails
+// here too.
 type Results struct {
 	res *engine.Result
 	cur *partition.Cursor // non-nil for a scattered query
@@ -124,9 +124,3 @@ func (r *Results) Len() int {
 	}
 	return r.res.Len()
 }
-
-// Partial reports whether any shard's results were dropped under the
-// partial-results policy (QueryOptions.PartialResults on a sharded
-// database). It is definitive once the cursor is exhausted; false for
-// every non-scattered query (segment merges are always fail-fast).
-func (r *Results) Partial() bool { return r.cur != nil && r.cur.Partial() }

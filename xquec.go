@@ -47,7 +47,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"time"
 
 	"xquec/internal/costmodel"
 	"xquec/internal/engine"
@@ -355,19 +354,6 @@ type QueryOptions struct {
 	// fan-out overhead.
 	Parallelism int
 
-	// PartialResults, on a sharded database, keeps a scattered query
-	// alive when individual shards fail: the failed shard's items are
-	// dropped, the rest merge normally, and Results.Partial reports
-	// true. The default (false) is fail-fast — any shard failure fails
-	// the query. Context expiry always fails the query under either
-	// policy. Ignored for single-repository databases and for queries
-	// that fall back to the fused store.
-	PartialResults bool
-	// HedgeAfter, on a sharded database, re-dispatches a shard whose
-	// stream has produced nothing for this long (straggler hedging);
-	// the first evaluation to deliver wins and the other is cancelled.
-	// Results are identical with or without hedging. 0 disables.
-	HedgeAfter time.Duration
 	// ShardFanout bounds how many shards evaluate concurrently on a
 	// sharded database. 0 means all shards at once.
 	ShardFanout int
@@ -392,15 +378,9 @@ func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error)
 	if set := db.set; set != nil {
 		if p.scatter {
 			cur, err := set.Eval(ctx, partition.Request{
-				Query:       p.text,
 				Parallelism: opts.Parallelism,
-				Expr:        p.expr,
 				ProgramFor:  p.program,
-			}, partition.Options{
-				Partial:    opts.PartialResults,
-				HedgeAfter: opts.HedgeAfter,
-				Fanout:     opts.ShardFanout,
-			})
+			}, opts.ShardFanout)
 			if err != nil {
 				return nil, tagErr(ErrEval, err)
 			}

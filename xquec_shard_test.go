@@ -3,6 +3,7 @@ package xquec_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -57,9 +58,6 @@ func TestShardedResultsIdentical(t *testing.T) {
 			if got != want[q.ID] {
 				t.Errorf("shards=%d %s: sharded result differs\n got: %.200q\nwant: %.200q",
 					shards, q.ID, got, want[q.ID])
-			}
-			if res.Partial() {
-				t.Errorf("shards=%d %s: healthy query reported partial", shards, q.ID)
 			}
 		}
 	}
@@ -200,7 +198,7 @@ func TestShardedDecompress(t *testing.T) {
 
 // TestShardedDeadline proves per-request deadlines cut through a
 // scattered evaluation: an already-expired context fails the query with
-// the context's error even under the partial-results policy.
+// the context's error.
 func TestShardedDeadline(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 45})
 	db, err := xquec.Compress(doc, xquec.Options{Shards: 4})
@@ -210,7 +208,7 @@ func TestShardedDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	const q = `FOR $p IN document("auction.xml")/site/people/person RETURN $p/name/text()`
-	res, err := db.Execute(ctx, q, xquec.QueryOptions{PartialResults: true})
+	res, err := db.Execute(ctx, q, xquec.QueryOptions{})
 	if err == nil {
 		// The deadline may surface on the first Next instead of at
 		// prime time depending on scheduling; drain to find it.
@@ -220,6 +218,83 @@ func TestShardedDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
+}
+
+// TestFailureParityAcrossLayouts: a query that fails on one person of
+// the corpus fails identically — ErrEval, the same message — on the
+// single repository, on 4 shards at every fan-out bound, and on 4
+// append segments. No layout answers with the other persons' items.
+func TestFailureParityAcrossLayouts(t *testing.T) {
+	const q = `FOR $p IN /site/people/person RETURN 10 mod number($p/q)`
+	person := func(i int) string {
+		d := i + 1
+		if i == 25 {
+			d = 0
+		}
+		return fmt.Sprintf(`<person id="person%d"><q>%d</q></person>`, i, d)
+	}
+	people := func(from, to int) string {
+		var sb strings.Builder
+		for i := from; i < to; i++ {
+			sb.WriteString(person(i))
+		}
+		return "<site><people>" + sb.String() + "</people></site>"
+	}
+	run := func(db *xquec.Database, opts xquec.QueryOptions) error {
+		res, err := db.Execute(context.Background(), q, opts)
+		if err != nil {
+			return err
+		}
+		defer res.Close()
+		_, err = xquec.ResultXML(res)
+		return err
+	}
+
+	single, err := xquec.Compress([]byte(people(0, 40)), xquec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(single, xquec.QueryOptions{})
+	if !errors.Is(want, xquec.ErrEval) || !strings.Contains(want.Error(), "mod") {
+		t.Fatalf("single repository: err = %v, want an ErrEval on 10 mod 0", want)
+	}
+	check := func(layout string, db *xquec.Database, opts xquec.QueryOptions) {
+		t.Helper()
+		if plan, err := db.Explain(q); err != nil || !strings.HasPrefix(plan, "scatter across 4 ") {
+			t.Fatalf("%s: the query does not scatter (err %v):\n%s", layout, err, plan)
+		}
+		got := run(db, opts)
+		if !errors.Is(got, xquec.ErrEval) || got.Error() != want.Error() {
+			t.Fatalf("%s: err = %v, want %v", layout, got, want)
+		}
+	}
+
+	shards, err := xquec.Compress([]byte(people(0, 40)), xquec.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fanout := range []int{0, 1, 2} {
+		check(fmt.Sprintf("4 shards, fan-out %d", fanout), shards, xquec.QueryOptions{ShardFanout: fanout})
+	}
+
+	base, err := xquec.Compress([]byte(people(0, 10)), xquec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := xquec.NewWriter(base, xquec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for from := 10; from < 40; from += 10 {
+		if err := w.Append([]byte(people(from, from+10))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segments, err := w.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("4 segments", segments, xquec.QueryOptions{})
 }
 
 // TestOneShardSetEvaluatesDirectly opens a one-shard ".xqcs" (only
