@@ -3,10 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench bench-query bench-par bench-codec bench-succinct bench-smoke bench-diff bench-paper fuzz-smoke
+.PHONY: check build test race vet vet-unsafeptr bench-build loc bench-serve bench-smoke bench-paper fuzz-smoke
 
-# Measurement is not part of the gate: bench/ (BENCHMARK.json) owns it,
-# and the `bench` target below appends to tracked BENCH_*.json files.
+# Measurement is not part of the gate: bench/ (BENCHMARK.json) owns it.
 check: vet vet-unsafeptr build loc bench-build race bench-smoke ## tier-1: vet + build + no env reads under internal/ + race-clean tests + bench smoke
 
 vet:
@@ -67,48 +66,6 @@ loc:
 bench-serve:
 	$(GO) test ./internal/server/ -run xxx -bench BenchmarkServerQuery -benchtime 2s
 
-# Ingestion + decode + serving benchmarks with allocation counts; each
-# run appends one JSON record to BENCH_ingest.json for cross-commit
-# comparison.
-bench: bench-query bench-par bench-codec bench-succinct
-	@$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	($(GO) test -run '^$$' -bench 'BenchmarkCompressXMark|BenchmarkDecodeScratch' -benchmem . && \
-	 $(GO) test -run '^$$' -bench BenchmarkServerQuery -benchmem ./internal/server/) \
-	| /tmp/benchjson -o BENCH_ingest.json -label ingest+decode+serve
-
-# Streaming result-path benchmark: time-to-first-item at 10×-apart
-# cardinalities (must stay flat). Appends to BENCH_query.json.
-bench-query:
-	@$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkFirstResult' -benchmem . \
-	| /tmp/benchjson -o BENCH_query.json -label query-streaming
-
-# Intra-query parallelism benchmarks: the partitioned container scan
-# and the multi-container predicate fan-out at worker budgets 1/2/4.
-# Appends to BENCH_query_par.json. Speedups over p=1 require a
-# multi-core host; see EXPERIMENTS.md for the calibration notes.
-bench-par:
-	@$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkParQuery' -benchmem . \
-	| /tmp/benchjson -o BENCH_query_par.json -label query-parallel
-
-# Codec kernel microbenchmarks: per-codec encode/decode MB/s over the
-# XMark description container. Appends to BENCH_codec.json; the
-# DecodeCost constants in internal/costmodel are derived from these
-# records (see EXPERIMENTS.md).
-bench-codec:
-	@$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkCodec(Encode|Decode)' -benchmem . \
-	| /tmp/benchjson -o BENCH_codec.json -label codec-kernels
-
-# Succinct-structure benchmarks: structure density (bits per tree
-# node) and resident bytes, Descendants/Parent operator throughput, and
-# end-to-end query latency. Appends to BENCH_succinct.json.
-bench-succinct:
-	@$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct' -benchmem . \
-	| /tmp/benchjson -o BENCH_succinct.json -label succinct-structure
-
 # One iteration of each in-process benchmark an issue's criterion cites,
 # for `make check`: proves they still compile and run, records nothing.
 # BenchmarkSuccinct* (structure density, operators, queries);
@@ -122,18 +79,6 @@ bench-succinct:
 # document at each worker count).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct|BenchmarkXMarkMix|BenchmarkFuse|BenchmarkStreamLarge|BenchmarkPointLookup|BenchmarkCompressXMark' -benchtime 1x . >/dev/null
-
-# Compare the latest two records of every benchmark log (`make bench`
-# appends a fresh record per log), benchmark by benchmark. bench-diff
-# fails on regressions past the threshold; single-run noise on a shared
-# machine is well above a real gate threshold, so it gates nothing.
-BENCH_DIFF_THRESHOLD ?= 10
-bench-diff:
-	@$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	@fail=0; for f in BENCH_*.json; do \
-		echo "== $$f"; \
-		/tmp/benchjson -diff -threshold $(BENCH_DIFF_THRESHOLD) $$f $$f || fail=1; \
-	done; exit $$fail
 
 # Short fuzzing pass over the codec fuzz targets (roundtrip, order
 # preservation, decode-vs-reference), the navigation kernels, the
@@ -158,6 +103,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzALMLoadModel -fuzztime 5s ./internal/compress/alm/
 	$(GO) test -run '^$$' -fuzz FuzzSAX -fuzztime 5s ./internal/storage/
 
-# Full paper benchmark suite (scaled-down in-test versions).
+# The paper's eight artifacts (paper_test.go) at the paper's sizes, once
+# each, rows logged; EXPERIMENTS.md records them. Takes minutes: Figure 7
+# runs the Galax-like baseline on XMark11. `go test .` runs the same eight
+# at quick sizes in TestPaperQuick.
+PAPER_BENCH = 'Benchmark(Table1Datasets|ValueShare|Figure6LeftCompressionFactors|Figure6RightXMarkCF|Section22StorageFootprint|Section33PartitioningExample|Figure4Q14Access|Figure7QueryTimes)$$'
 bench-paper:
-	$(GO) test -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench $(PAPER_BENCH) -benchtime 1x -timeout 60m -v .

@@ -1,9 +1,9 @@
 // Codec kernel microbenchmarks: raw encode/decode MB/s per string
 // codec, measured directly at the compress.Codec level on a realistic
-// XMark prose container. `make bench-codec` appends the results to
-// BENCH_codec.json; the measured decode ratios are the provenance of
-// the DecodeCost constants in internal/costmodel (see EXPERIMENTS.md
-// "Codec kernel throughput").
+// XMark prose container. The measured decode ratios are the provenance
+// of the DecodeCost constants in internal/costmodel (EXPERIMENTS.md
+// "Re-derived DecodeCost constants"); regenerate them with
+// `go test -run '^$' -bench 'BenchmarkCodecDecode' -benchmem .`.
 package xquec
 
 import (
@@ -16,7 +16,6 @@ import (
 	"xquec/internal/compress/huffman"
 	"xquec/internal/compress/hutucker"
 	"xquec/internal/datagen"
-	"xquec/internal/experiments"
 	"xquec/internal/storage"
 )
 
@@ -24,7 +23,7 @@ import (
 // description container once per test binary: a prose-heavy corpus
 // representative of what the entropy coders see during ingestion.
 var codecBenchValues = sync.OnceValue(func() [][]byte {
-	doc := datagen.XMark(datagen.XMarkConfig{Scale: benchScale, Seed: experiments.Seed})
+	doc := datagen.XMark(datagen.XMarkConfig{Scale: benchScale, Seed: corpusSeed})
 	s, err := storage.Load(doc, storage.LoadOptions{
 		Plan: &storage.CompressionPlan{DefaultAlgorithm: storage.AlgBlob},
 	})

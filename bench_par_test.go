@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"xquec/internal/datagen"
-	"xquec/internal/experiments"
 )
 
 // parBenchDB lazily builds one XMark repository shared by all the
@@ -22,7 +21,7 @@ var parBenchDB = struct {
 func parBenchRepo(b *testing.B) *Database {
 	b.Helper()
 	parBenchDB.once.Do(func() {
-		doc := datagen.XMark(datagen.XMarkConfig{Scale: 4 * benchScale, Seed: experiments.Seed})
+		doc := datagen.XMark(datagen.XMarkConfig{Scale: 4 * benchScale, Seed: corpusSeed})
 		parBenchDB.db, parBenchDB.err = Compress(doc, Options{})
 	})
 	if parBenchDB.err != nil {

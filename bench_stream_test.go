@@ -8,8 +8,7 @@
 //     workload — serialization throughput (MB/s) and allocations per
 //     request class, without the socket.
 //
-// `make bench` appends BenchmarkFirstResult to BENCH_query.json via
-// cmd/benchjson.
+// Both run under `go test -run '^$' -bench 'BenchmarkFirstResult|BenchmarkStreamLarge' -benchmem .`.
 package xquec
 
 import (

@@ -1,13 +1,6 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§5) and the numeric claims in its text. Each benchmark
-// logs the reproduced rows (run with -v) and exercises the same code
-// paths as cmd/benchrun; see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for recorded paper-vs-measured numbers.
-//
-// The benchmark corpus sizes are scaled down from the paper's (which
-// used up to 46 MB documents and an 11.3 MB XMark instance) so the
-// whole suite runs in seconds; cmd/benchrun reproduces the full-size
-// runs.
+// Ablation benchmarks for the design choices DESIGN.md calls out, and
+// the ingest, open and decode benchmarks over the same XMark corpus. The
+// paper's own tables and figures are in paper_test.go.
 package xquec
 
 import (
@@ -19,7 +12,6 @@ import (
 
 	"xquec/internal/datagen"
 	"xquec/internal/engine"
-	"xquec/internal/experiments"
 	"xquec/internal/storage"
 	"xquec/internal/vm"
 	"xquec/internal/xmarkq"
@@ -27,6 +19,9 @@ import (
 )
 
 const benchScale = 1.0 // ≈1 MB XMark documents for the in-test runs
+
+// corpusSeed fixes every generated corpus of the root tests and benchmarks.
+const corpusSeed = 2004
 
 // runOnStore parses q, compiles it against s and starts one serial run
 // of the program: the whole way a query goes, for a timed region to hold.
@@ -42,120 +37,6 @@ func runOnStore(s *storage.Store, q string) (*engine.Result, error) {
 	return prog.Run(vm.RunOptions{Parallelism: 1})
 }
 
-// BenchmarkTable1Datasets regenerates Table 1: the characteristics of
-// the experimental corpora.
-func BenchmarkTable1Datasets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logRows(b, rows)
-		}
-	}
-}
-
-// BenchmarkFigure6LeftCompressionFactors regenerates Figure 6 (left):
-// average CF over the real-life corpus substitutes for XMill, XGrind,
-// XPRESS and XQueC.
-func BenchmarkFigure6LeftCompressionFactors(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure6Left()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logRows(b, rows)
-		}
-	}
-}
-
-// BenchmarkFigure6RightXMarkCF regenerates Figure 6 (right): CF across
-// XMark document sizes.
-func BenchmarkFigure6RightXMarkCF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure6Right([]float64{0.5, benchScale, 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logRows(b, rows)
-		}
-	}
-}
-
-// BenchmarkFigure7QueryTimes regenerates Figure 7 (plus the Q8/Q9
-// numbers quoted in the text): query execution times of XQueC vs the
-// Galax-like baseline.
-func BenchmarkFigure7QueryTimes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure7(benchScale, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logRows(b, rows)
-		}
-	}
-}
-
-// BenchmarkFigure4Q14Access regenerates the §2.3/Figure 4 contrast:
-// bytes visited answering Q14 on each system.
-func BenchmarkFigure4Q14Access(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure4Q14(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logRows(b, rows)
-		}
-	}
-}
-
-// BenchmarkSection22StorageFootprint regenerates the §2.2 numbers:
-// overall CF, summary share of the document, access-structure overhead.
-func BenchmarkSection22StorageFootprint(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Section22([]float64{benchScale})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logRows(b, rows)
-		}
-	}
-}
-
-// BenchmarkSection33PartitioningExample regenerates the §3.3 example:
-// NaiveConf (one shared ALM model) vs the greedy search's GoodConf.
-func BenchmarkSection33PartitioningExample(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Section33(1500)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logRows(b, rows)
-		}
-	}
-}
-
-// BenchmarkValueShare regenerates the §1 claim that values make up
-// 70–80% of XML documents.
-func BenchmarkValueShare(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ValueShare()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			logRows(b, rows)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
 // Ablation benchmarks for the design choices DESIGN.md calls out.
 // ---------------------------------------------------------------------
@@ -164,7 +45,7 @@ func BenchmarkValueShare(b *testing.B) {
 // container: compression ratio is logged, decode speed is the measured
 // metric (§2.1: ALM decompresses faster than the entropy coders).
 func BenchmarkAblationCodecs(b *testing.B) {
-	doc := datagen.XMark(datagen.XMarkConfig{Scale: benchScale, Seed: experiments.Seed})
+	doc := datagen.XMark(datagen.XMarkConfig{Scale: benchScale, Seed: corpusSeed})
 	for _, alg := range []string{storage.AlgALM, storage.AlgHuffman, storage.AlgHuTucker} {
 		alg := alg
 		b.Run(alg, func(b *testing.B) {
@@ -207,7 +88,7 @@ func BenchmarkAblationCodecs(b *testing.B) {
 // without a shared source model: shared models enable the compressed
 // merge join, separate models force the decompressing hash join.
 func BenchmarkAblationJoinStrategy(b *testing.B) {
-	doc := datagen.XMark(datagen.XMarkConfig{Scale: benchScale, Seed: experiments.Seed})
+	doc := datagen.XMark(datagen.XMarkConfig{Scale: benchScale, Seed: corpusSeed})
 	shared := &storage.CompressionPlan{
 		Groups: map[string][]string{
 			"refs": {
@@ -245,7 +126,7 @@ func BenchmarkAblationJoinStrategy(b *testing.B) {
 // via the structure summary's extents (XQueC's strategy) against
 // navigating the structure tree from the root.
 func BenchmarkAblationSummaryAccess(b *testing.B) {
-	doc := datagen.XMark(datagen.XMarkConfig{Scale: benchScale, Seed: experiments.Seed})
+	doc := datagen.XMark(datagen.XMarkConfig{Scale: benchScale, Seed: corpusSeed})
 	s, err := storage.Load(doc, storage.LoadOptions{})
 	if err != nil {
 		b.Fatal(err)
@@ -280,7 +161,7 @@ func BenchmarkAblationSummaryAccess(b *testing.B) {
 // several worker counts; p=1 is the serial baseline the pipeline's
 // speedup is judged against.
 func BenchmarkCompressXMark(b *testing.B) {
-	doc := datagen.XMark(datagen.XMarkConfig{Scale: benchScale, Seed: experiments.Seed})
+	doc := datagen.XMark(datagen.XMarkConfig{Scale: benchScale, Seed: corpusSeed})
 	for _, par := range []int{1, 2, 4} {
 		par := par
 		b.Run(fmt.Sprintf("p=%d", par), func(b *testing.B) {
@@ -301,7 +182,7 @@ func BenchmarkCompressXMark(b *testing.B) {
 func BenchmarkOpen(b *testing.B) {
 	for _, scale := range []float64{2, 8} {
 		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
-			doc := datagen.XMark(datagen.XMarkConfig{Scale: scale, Seed: experiments.Seed})
+			doc := datagen.XMark(datagen.XMarkConfig{Scale: scale, Seed: corpusSeed})
 			db, err := Compress(doc, Options{})
 			if err != nil {
 				b.Fatal(err)
@@ -330,7 +211,7 @@ func BenchmarkOpen(b *testing.B) {
 // the pooled scratch API; with -benchmem the expected allocation count
 // is zero for every codec.
 func BenchmarkDecodeScratch(b *testing.B) {
-	doc := datagen.XMark(datagen.XMarkConfig{Scale: benchScale, Seed: experiments.Seed})
+	doc := datagen.XMark(datagen.XMarkConfig{Scale: benchScale, Seed: corpusSeed})
 	for _, alg := range []string{storage.AlgALM, storage.AlgHuffman, storage.AlgHuTucker} {
 		alg := alg
 		b.Run(alg, func(b *testing.B) {
@@ -364,12 +245,5 @@ func BenchmarkDecodeScratch(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func logRows(b *testing.B, rows []experiments.Row) {
-	b.Helper()
-	for _, r := range rows {
-		b.Log(r.String())
 	}
 }

@@ -395,8 +395,9 @@ func (c *Codec) ModelSize() int { return len(c.model) }
 
 // DecodeCost implements compress.Codec. ALM emits multi-byte tokens per
 // dictionary step, so it decompresses faster than bit-level entropy
-// coders (the property §2.1 highlights). Measured vs huffman = 1.0 in
-// the BENCH_codec.json run (529.23 vs 154.20 MB/s).
+// coders (the property §2.1 highlights). Measured vs huffman = 1.0:
+// 529.23 vs 154.20 MB/s (EXPERIMENTS.md "Re-derived DecodeCost constants",
+// `go test -run '^$' -bench 'BenchmarkCodecDecode' -benchmem .`).
 func (c *Codec) DecodeCost() float64 { return 0.291 }
 
 // Encode implements compress.Codec. The encoded form is the fixed-width

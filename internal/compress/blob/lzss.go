@@ -53,7 +53,8 @@ func (Codec) ModelSize() int { return 0 }
 
 // DecodeCost implements compress.Codec: byte-copy decoding is fast, but
 // the whole value must be reconstructed for any predicate. Measured vs
-// huffman = 1.0 in the BENCH_codec.json run (532.30 vs 154.20 MB/s).
+// huffman = 1.0: 532.30 vs 154.20 MB/s (EXPERIMENTS.md "Re-derived
+// DecodeCost constants", `go test -run '^$' -bench 'BenchmarkCodecDecode' -benchmem .`).
 func (Codec) DecodeCost() float64 { return 0.29 }
 
 // Encode implements compress.Codec.

@@ -240,9 +240,9 @@ func (c *Codec) Props() compress.Properties {
 func (c *Codec) ModelSize() int { return c.modelBytes }
 
 // DecodeCost implements compress.Codec. Huffman is the normalization
-// baseline (1.0) for the measured costs in BENCH_codec.json; even
-// table-driven, entropy decode is slower than dictionary coders that
-// emit whole tokens.
+// baseline (1.0) of the measured costs (EXPERIMENTS.md "Re-derived
+// DecodeCost constants", `go test -run '^$' -bench 'BenchmarkCodecDecode' -benchmem .`);
+// even table-driven, entropy decode is slower than whole-token coders.
 func (c *Codec) DecodeCost() float64 { return 1.0 }
 
 // Encode implements compress.Codec. The encoded form is the bit

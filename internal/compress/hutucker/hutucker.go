@@ -232,8 +232,9 @@ func (c *Codec) ModelSize() int { return numSymbols }
 
 // DecodeCost implements compress.Codec: slightly worse than Huffman
 // because alphabetic codes are a bit longer on average and deep codes
-// fall back to a tree walk. Measured vs huffman = 1.0 in the
-// BENCH_codec.json run (119.27 vs 154.20 MB/s).
+// fall back to a tree walk. Measured vs huffman = 1.0: 119.27 vs 154.20
+// MB/s (EXPERIMENTS.md "Re-derived DecodeCost constants",
+// `go test -run '^$' -bench 'BenchmarkCodecDecode' -benchmem .`).
 func (c *Codec) DecodeCost() float64 { return 1.293 }
 
 // Encode implements compress.Codec.

@@ -41,11 +41,11 @@ type AlgorithmTraits struct {
 // tie-breaking.
 //
 // DecodeCost is measured, not guessed: it is the reciprocal decode
-// throughput of each codec normalized to huffman = 1.0, from the
-// `make bench-codec` run recorded in BENCH_codec.json
-// (BenchmarkCodecDecode, XMark description container: alm 529.23 MB/s,
-// huffman 154.20 MB/s, hutucker 119.27 MB/s, blob 532.30 MB/s).
-// Re-derive after kernel changes: cost = huffman MB/s ÷ codec MB/s.
+// throughput of each codec normalized to huffman = 1.0 (EXPERIMENTS.md
+// "Re-derived DecodeCost constants": BenchmarkCodecDecode on the XMark
+// description container, alm 529.23, huffman 154.20, hutucker 119.27,
+// blob 532.30 MB/s). Re-derive after kernel changes with
+// `go test -run '^$' -bench 'BenchmarkCodecDecode' -benchmem .`: cost = huffman MB/s ÷ codec MB/s.
 var Algorithms = []AlgorithmTraits{
 	{Name: "alm", DecodeCost: 0.291, Eq: true, Ineq: true, Wild: false},
 	{Name: "huffman", DecodeCost: 1.0, Eq: true, Ineq: false, Wild: true},

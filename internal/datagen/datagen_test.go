@@ -156,7 +156,7 @@ func TestRealLifeCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus generation is sizeable")
 	}
-	sets := RealLifeCorpus(9)
+	sets := RealLifeCorpus(9, 1)
 	if len(sets) != 3 {
 		t.Fatalf("got %d datasets", len(sets))
 	}

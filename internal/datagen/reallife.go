@@ -180,13 +180,13 @@ type Dataset struct {
 	Data []byte
 }
 
-// RealLifeCorpus returns the three Figure-6-left substitutes at their
-// default sizes (matching the rough magnitudes of the originals:
-// Shakespeare ≈ 7.5 MB, Washington-Course ≈ 2.9 MB, Baseball ≈ 0.65 MB).
-func RealLifeCorpus(seed int64) []Dataset {
+// RealLifeCorpus returns the three Figure-6-left substitutes, at scale 1
+// matching the rough magnitudes of the originals (Shakespeare ≈ 7.5 MB,
+// Washington-Course ≈ 2.9 MB, Baseball ≈ 0.65 MB); scale multiplies each.
+func RealLifeCorpus(seed int64, scale float64) []Dataset {
 	return []Dataset{
-		{Name: "Shakespeare", Data: Shakespeare(7_500_000, seed)},
-		{Name: "WashingtonCourse", Data: WashingtonCourse(2_900_000, seed+1)},
-		{Name: "Baseball", Data: Baseball(650_000, seed+2)},
+		{Name: "Shakespeare", Data: Shakespeare(int(7_500_000*scale), seed)},
+		{Name: "WashingtonCourse", Data: WashingtonCourse(int(2_900_000*scale), seed+1)},
+		{Name: "Baseball", Data: Baseball(int(650_000*scale), seed+2)},
 	}
 }
