@@ -1,6 +1,7 @@
 package xquec
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -69,6 +70,7 @@ func goldenCases() []goldenCase {
 	}
 	small := xmark(0.25, 11)
 	cases := []goldenCase{
+		plain("xmark-0.05-seed1", xmark(0.05, 1)),
 		plain("xmark-0.25-seed11", small),
 		plain("xmark-1-seed11", xmark(1, 11)),
 		plain("xmark-1-seed12", xmark(1, 12)),
@@ -152,10 +154,12 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-// TestIngestGolden pins the bytes of every kind of ingest — recorded at
-// the commit before the loader stopped building a record tree — at every
-// worker count: a change to the parser, the loader, the trainers or the
-// container build that moves one bit of a repository fails here.
+// TestIngestGolden pins the bytes of every kind of ingest at every
+// worker count: a change to the parser, the loader, the trainers, the
+// container build or the file format that moves one bit of a repository
+// fails here. Every blob must also reopen and re-save byte for byte, so
+// the format has one pin: nothing the writer emits is lost or rewritten
+// by the reader.
 func TestIngestGolden(t *testing.T) {
 	const path = "testdata/ingest_golden.json"
 	golden := map[string]string{}
@@ -180,9 +184,16 @@ func TestIngestGolden(t *testing.T) {
 				t.Fatalf("%s (p=%d): %v", c.name, par, err)
 			}
 			h := sha256.New()
-			for _, b := range blobs {
+			for i, b := range blobs {
 				fmt.Fprintf(h, "%d:", len(b))
 				h.Write(b)
+				st, err := storage.LoadBinary(b)
+				if err != nil {
+					t.Fatalf("%s (p=%d) blob %d: reopen: %v", c.name, par, i, err)
+				}
+				if !bytes.Equal(st.AppendBinary(nil), b) {
+					t.Errorf("%s (p=%d) blob %d: reopened repository re-saves to different bytes", c.name, par, i)
+				}
 			}
 			got := hex.EncodeToString(h.Sum(nil))
 			if want, ok := golden[c.name]; !ok {

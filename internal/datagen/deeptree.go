@@ -6,9 +6,9 @@ import "math/rand"
 // whose element nesting is a long recursive spine rather than the
 // shallow, bushy shape XMark produces. Succinct-structure navigation
 // degrades (or breaks) in different places on the two shapes — deep
-// spines stress the excess arithmetic and the block-boundary ancestor
-// directories, bushy levels stress sibling scans — so property tests
-// run over both.
+// spines stress the excess arithmetic and the backward excess search
+// for ancestors many rmM blocks back, bushy levels stress sibling
+// scans — so property tests run over both.
 type DeepTreeConfig struct {
 	Depth  int // length of the recursive spine (default 512)
 	Fanout int // max leaf children attached per spine level (default 3)

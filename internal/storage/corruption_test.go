@@ -318,3 +318,55 @@ func FuzzLoadBinary(f *testing.F) {
 		checkHostile(t, frame(pre, tree), "fuzz input")
 	})
 }
+
+// TestVersion3Refused: v3 files appended per-block shortcut directories
+// to the structure section. Such a file does not open, and neither does
+// a v4 header over a v3 structure section: the magic refuses the first,
+// the structure section's trailing-bytes check the second.
+func TestVersion3Refused(t *testing.T) {
+	for _, repo := range hostileSeeds(t) {
+		s, err := LoadBinary(repo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre, tree, _ := unframe(t, repo)
+		a := s.succ.arrays()
+		v3tree := append(append([]byte(nil), tree...), v3Directories(a.parens, a.nParens)...)
+		v3pre := append([]byte("XQCR3\n"), pre[len(magic):]...)
+		for _, c := range []struct {
+			what, want string
+			data       []byte
+		}{
+			{"v3 file", "bad magic", frame(v3pre, v3tree)},
+			{"v4 header, v3 structure section", "trailing bytes in structure section", frame(pre, v3tree)},
+		} {
+			if _, err := LoadBinary(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: LoadBinary err = %v, want %q", c.what, err, c.want)
+			}
+		}
+	}
+}
+
+// v3Directories encodes the section v3 appended to the structure: per
+// 1024-bit block, the excess entering it and 1 + the position of the
+// innermost paren still open there (0 at depth zero).
+func v3Directories(words []uint64, nBits int) []byte {
+	out := compress.AppendUvarint(nil, uint64((nBits+1023)/1024))
+	var stack []int
+	for p := 0; p < nBits; p++ {
+		if p%1024 == 0 {
+			top := 0
+			if len(stack) > 0 {
+				top = stack[len(stack)-1] + 1
+			}
+			out = compress.AppendUvarint(out, uint64(len(stack)))
+			out = compress.AppendUvarint(out, uint64(top))
+		}
+		if words[p>>6]>>(uint(p)&63)&1 == 1 {
+			stack = append(stack, p)
+		} else {
+			stack = stack[:len(stack)-1]
+		}
+	}
+	return out
+}

@@ -12,10 +12,10 @@ import (
 	"xquec/internal/compress/blob"
 )
 
-// Repository file magic. Version 3 stores the structure section in the
-// succinct encoding (paren bits + node marks); it is the only version
-// read or written.
-var magic = []byte("XQCR3\n")
+// Repository file magic. Version 4 stores the structure section in the
+// succinct encoding (paren bits + node marks) and nothing derived from
+// it; it is the only version read or written.
+var magic = []byte("XQCR4\n")
 
 // AppendBinary serializes the repository. Everything derivable is
 // rebuilt by LoadBinary instead of being stored: the rank/select and
@@ -80,14 +80,6 @@ func (s *Store) AppendBinary(dst []byte) []byte {
 	}
 	for _, vi := range a.valIdx {
 		tree = compress.AppendUvarint(tree, uint64(vi))
-	}
-	// Shortcut directories (trailing, so files written before they
-	// existed still load — the reader rebuilds when the section is
-	// absent). They are a pure function of the paren bits.
-	tree = compress.AppendUvarint(tree, uint64(len(a.excBase)))
-	for i := range a.excBase {
-		tree = compress.AppendUvarint(tree, uint64(a.excBase[i]))
-		tree = compress.AppendUvarint(tree, uint64(a.anc[i]+1))
 	}
 	dst = compress.AppendBytes(dst, blob.Compress(nil, tree))
 	// Whole-file checksum: cheap end-to-end corruption detection for the
@@ -361,31 +353,6 @@ func (s *Store) loadTree(r *reader) error {
 		}
 		a.valCont[i] = -1 // resolved by deriveFromSuccinct
 		a.valIdx[i] = int32(v)
-	}
-	// Optional shortcut-directory section (absent in files written
-	// before it existed; build() then re-derives the directories).
-	if r.pos < len(r.data) {
-		nBlocks, err := r.count("directory block", 2)
-		if err != nil {
-			return err
-		}
-		a.excBase = make([]int32, nBlocks)
-		a.anc = make([]int32, nBlocks)
-		for i := range a.excBase {
-			e, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			p, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			if e > uint64(nOpens) || p > nParens {
-				return fmt.Errorf("storage: implausible directory entry (%d, %d)", e, p)
-			}
-			a.excBase[i] = int32(e)
-			a.anc[i] = int32(p) - 1
-		}
 	}
 	t := a.build()
 	if t.isNode.Ones() != int(nNodes) || t.pv.Ones() != int(nOpens) {

@@ -20,8 +20,8 @@ import "xquec/internal/succinct"
 // before the parent's close paren and one level below it belongs to
 // that same parent, because the parent is the unique depth-ep node
 // whose paren pair spans its subtree. Only a parent change pays for an
-// ancestor search, which the BP shortcut directories bound to about
-// one block scan, plus one FindClose for the new containment bound.
+// ancestor search — the first-child test, else a backward excess search
+// over the rmM tree — plus one FindClose for the new containment bound.
 // (A running min-excess fold over the skipped parens was measured here
 // too; its per-word table work costs more than the occasional
 // FindClose on a parent change.)

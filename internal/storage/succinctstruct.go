@@ -41,25 +41,13 @@ type succinctArrays struct {
 	tags    []uint16
 	valCont []int32
 	valIdx  []int32
-
-	// Optional shortcut directories (see succinct.BuildDirs). Nil means
-	// derive at build time; persisted blobs carry them so opening a
-	// repository skips the sequential pass.
-	excBase []int32
-	anc     []int32
 }
 
 // build freezes the arrays into a navigable structure.
 func (a *succinctArrays) build() *SuccinctStructure {
 	pv := succinct.NewBitvector(a.parens, a.nParens)
-	var bp *succinct.BP
-	if a.excBase != nil {
-		bp = succinct.NewBPWithDirs(pv, a.excBase, a.anc)
-	} else {
-		bp = succinct.NewBP(pv)
-	}
 	return &SuccinctStructure{
-		bp:      bp,
+		bp:      succinct.NewBP(pv),
 		pv:      pv,
 		isNode:  succinct.NewBitvector(a.marks, a.nOpens),
 		tags:    a.tags,
@@ -70,7 +58,6 @@ func (a *succinctArrays) build() *SuccinctStructure {
 
 // arrays returns the raw encoding (shared backing, do not mutate).
 func (t *SuccinctStructure) arrays() *succinctArrays {
-	excBase, anc := t.bp.Directories()
 	return &succinctArrays{
 		parens:  t.pv.Words(),
 		nParens: t.pv.Len(),
@@ -79,8 +66,6 @@ func (t *SuccinctStructure) arrays() *succinctArrays {
 		tags:    t.tags,
 		valCont: t.valCont,
 		valIdx:  t.valIdx,
-		excBase: excBase,
-		anc:     anc,
 	}
 }
 
@@ -310,7 +295,7 @@ func (t *SuccinctStructure) scanNodes(fn func(id NodeID, level uint16)) {
 	}
 }
 
-// footprintBytes returns (bp+directories, marks, tags+valrefs) resident
+// footprintBytes returns (bp+rmM tree, marks, tags+valrefs) resident
 // sizes — the split Footprint reports.
 func (t *SuccinctStructure) footprintBytes() (bp, marks, refs int) {
 	bp = t.bp.FootprintBytes()
@@ -345,8 +330,8 @@ func (t *SuccinctStructure) footprintBytes() (bp, marks, refs int) {
 //     consumed exactly.
 //
 // Navigation (Parent, SubtreeEnd, Text) then agrees with this walk
-// because its directories are rebuilt from, or checked against, the
-// same paren bits (see succinct.NewBPWithDirs).
+// because its rank/select and rmM directories are rebuilt from the same
+// paren bits at open; none of them is read from the file.
 func (s *Store) deriveFromSuccinct() error {
 	t := s.succ
 	sum := &Summary{}

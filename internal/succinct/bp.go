@@ -15,17 +15,6 @@ type BP struct {
 	minEx    []int32
 	maxEx    []int32
 	leafBase int
-	nBlocks  int
-
-	// Shortcut directories, one entry per 1024-bit block: excBase[b] is
-	// the excess entering block b (= Excess(b*1024-1)), and anc[b] the
-	// open position of the innermost paren still open at the block
-	// boundary (-1 when none). Together they bound a backward ancestor
-	// search to at most one in-block scan per block-chain jump, and each
-	// jump lands strictly before the current block. Cost: 64 bits per
-	// 1024 parens ≈ 0.06 bits per paren.
-	excBase []int32
-	anc     []int32
 }
 
 const rmmBlockBits = 1024
@@ -59,14 +48,6 @@ func init() {
 
 // NewBP builds the navigation structure over a paren bitvector.
 func NewBP(bv *Bitvector) *BP {
-	b := newBPCore(bv)
-	b.buildDirs()
-	return b
-}
-
-// newBPCore builds the rmM tree but leaves the shortcut directories to
-// the caller (buildDirs or a validated persisted blob).
-func newBPCore(bv *Bitvector) *BP {
 	n := bv.Len()
 	nBlocks := (n + rmmBlockBits - 1) / rmmBlockBits
 	leafBase := 1
@@ -84,7 +65,6 @@ func newBPCore(bv *Bitvector) *BP {
 		minEx:    make([]int32, heapLen),
 		maxEx:    make([]int32, heapLen),
 		leafBase: leafBase,
-		nBlocks:  nBlocks,
 	}
 	const inf = int32(1) << 30
 	for i := range b.minEx {
@@ -145,99 +125,6 @@ func newBPCore(bv *Bitvector) *BP {
 		}
 	}
 	return b
-}
-
-// NewBPWithDirs builds the navigation structure reusing persisted
-// shortcut directories instead of re-deriving them. Each entry is
-// checked against the paren bits (the blob is untrusted input); any
-// mismatch falls back to a full rebuild, so a stale or corrupt blob can
-// cost load time but never navigation results.
-func NewBPWithDirs(bv *Bitvector, excBase, anc []int32) *BP {
-	b := newBPCore(bv)
-	if !b.validDirs(excBase, anc) {
-		b.buildDirs()
-		return b
-	}
-	b.excBase, b.anc = excBase, anc
-	return b
-}
-
-// validDirs reports whether the candidate directories are consistent
-// with the paren bits: the entering excess must match the rank-derived
-// value, and each sampled ancestor must be an open paren of that exact
-// depth still unmatched at the block boundary.
-func (b *BP) validDirs(excBase, anc []int32) bool {
-	if len(excBase) != b.nBlocks || len(anc) != b.nBlocks {
-		return false
-	}
-	for blk := 0; blk < b.nBlocks; blk++ {
-		lo := blk * rmmBlockBits
-		d := int(excBase[blk])
-		if d != b.Excess(lo-1) {
-			return false
-		}
-		a := int(anc[blk])
-		if d == 0 {
-			if a != -1 {
-				return false
-			}
-			continue
-		}
-		if a < 0 || a >= lo || !b.bv.Get(a) || b.Excess(a) != d {
-			return false
-		}
-		// Excess alone does not pin "still open at lo": the paren at a
-		// could have closed with the excess later returning to d.
-		if b.FindClose(a) < lo {
-			return false
-		}
-	}
-	return true
-}
-
-// buildDirs fills excBase/anc with one sequential pass, tracking the
-// stack of currently-open parens and sampling it at block boundaries.
-func (b *BP) buildDirs() {
-	b.excBase, b.anc = BuildDirs(b.bv.words, b.bv.Len())
-}
-
-// BuildDirs derives the shortcut directories from raw paren words: for
-// each rmM block, the excess entering it and the position of the
-// innermost paren still open at its boundary (-1 at depth zero). The
-// output is a pure function of the bits.
-func BuildDirs(words []uint64, nBits int) (excBase, anc []int32) {
-	nBlocks := (nBits + rmmBlockBits - 1) / rmmBlockBits
-	excBase = make([]int32, nBlocks)
-	anc = make([]int32, nBlocks)
-	stack := make([]int32, 0, 64)
-	for blk := 0; blk < nBlocks; blk++ {
-		excBase[blk] = int32(len(stack))
-		if len(stack) > 0 {
-			anc[blk] = stack[len(stack)-1]
-		} else {
-			anc[blk] = -1
-		}
-		lo := blk * rmmBlockBits
-		hi := lo + rmmBlockBits
-		if hi > nBits {
-			hi = nBits
-		}
-		for w := lo >> 6; w < (hi+63)>>6; w++ {
-			word := words[w]
-			end := hi - w<<6
-			if end > 64 {
-				end = 64
-			}
-			for j := 0; j < end; j++ {
-				if word>>uint(j)&1 == 1 {
-					stack = append(stack, int32(w<<6+j))
-				} else if len(stack) > 0 {
-					stack = stack[:len(stack)-1]
-				}
-			}
-		}
-	}
-	return excBase, anc
 }
 
 // heapMin/heapMax read an rmM node, treating truncated (padding-only)
@@ -328,55 +215,11 @@ func (b *BP) EncloseAt(i, excess int) int {
 	if b.bv.Get(i - 1) {
 		return i - 1
 	}
-	if b.anc != nil {
-		return b.ancestorAtDepth(i, excess, excess-1)
-	}
 	j := b.bwdSearch(i, excess-2)
 	if j == -2 {
 		return -1
 	}
 	return j + 1
-}
-
-// ancestorAtDepth returns the open position of the depth-t ancestor of
-// the node whose open paren sits at i with Excess(i) == e; 1 <= t < e
-// is required (so the ancestor exists). Equivalent to
-// bwdSearch(i, t-1)+1 but bounded by the shortcut directories: one
-// in-block backward scan, then chain jumps through the sampled
-// innermost-open positions, each landing in a strictly earlier block.
-func (b *BP) ancestorAtDepth(i, e, t int) int {
-	for {
-		blk := i / rmmBlockBits
-		// The ancestor opens at the position after the rightmost j < i
-		// with Excess(j) == t-1; try the current block first.
-		if b.qualifies(b.leafBase+blk, t-1) {
-			if j, ok := b.scanBwd(blk*rmmBlockBits, i, e-1, t-1); ok {
-				return j + 1
-			}
-		}
-		if blk == 0 {
-			// Only the virtual position -1 (excess 0) is left: t == 1 and
-			// the ancestor is the root opening at 0.
-			return 0
-		}
-		// The ancestor opens at or before the block boundary, so it is on
-		// the chain of parens still open there. That chain has depths
-		// exactly 1..D with the sampled innermost at depth D.
-		lo := blk * rmmBlockBits
-		d := int(b.excBase[blk])
-		switch {
-		case d == t-1:
-			return lo // the ancestor opens exactly at the boundary
-		case d == t:
-			return int(b.anc[blk])
-		default:
-			// d > t: the depth-t ancestor also encloses the sampled open;
-			// restart the search from there (anc[blk] < lo, so this makes
-			// progress — typically a whole block per jump).
-			i = int(b.anc[blk])
-			e = d
-		}
-	}
 }
 
 // fwdSearch returns the smallest j > i with Excess(j) == target, or
@@ -556,15 +399,8 @@ func (b *BP) scanBwd(lo, i, e, target int) (int, bool) {
 	return 0, false
 }
 
-// Directories exposes the shortcut directories (shared backing, do not
-// mutate) for persistence.
-func (b *BP) Directories() (excBase, anc []int32) {
-	return b.excBase, b.anc
-}
-
 // FootprintBytes returns the resident size of the BP including the
-// paren bitvector, the rmM tree and the shortcut directories.
+// paren bitvector and the rmM tree.
 func (b *BP) FootprintBytes() int {
-	return b.bv.FootprintBytes() + 4*len(b.minEx) + 4*len(b.maxEx) +
-		4*len(b.excBase) + 4*len(b.anc)
+	return b.bv.FootprintBytes() + 4*len(b.minEx) + 4*len(b.maxEx)
 }

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// shapes returns paren sequences that stress the directories: random
+// shapes returns paren sequences that stress the rmM searches: random
 // trees spanning several 1024-bit blocks, a fully nested chain deeper
 // than a block, a flat forest, and a comb (nested spine with leaf
-// teeth) whose ancestors sit many blocks back.
+// teeth) whose ancestors sit many blocks back — bwdSearch's worst case.
 func shapes(rng *rand.Rand) map[string][]bool {
 	out := map[string][]bool{}
 	for _, n := range []int{5, 300, 5000, 40000} {
@@ -82,73 +82,25 @@ func TestSelectScanner(t *testing.T) {
 	}
 }
 
-func TestAncestorAtDepth(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for name, parens := range shapes(rng) {
-		bp := NewBP(buildFromBools(parens))
-		o := newBPOracle(parens)
-		// ancestors[d] = open position of the depth-d ancestor.
-		var ancestors []int
-		for i, open := range parens {
-			if !open {
-				ancestors = ancestors[:len(ancestors)-1]
-				continue
-			}
-			ancestors = append(ancestors, i)
-			e := o.excess[i]
-			if e < 2 {
-				continue
-			}
-			ts := []int{1, e - 1, 1 + rng.Intn(e-1)}
-			for _, d := range ts {
-				if got, want := bp.ancestorAtDepth(i, e, d), ancestors[d-1]; got != want {
-					t.Fatalf("%s: ancestorAtDepth(%d,%d,%d)=%d want %d", name, i, e, d, got, want)
-				}
-			}
-		}
-	}
-}
-
+// TestBPWithDirs keeps the name it had while the BP carried shortcut
+// ancestor directories, so its ID stays stable. Those are gone and
+// Enclose runs on the rmM tree alone; it checks FindClose and Enclose at
+// every open against the oracle on the multi-block shapes that stressed
+// the directories — the comb is bwdSearch's worst case.
 func TestBPWithDirs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for name, parens := range shapes(rng) {
-		fresh := NewBP(buildFromBools(parens))
-		excBase, anc := fresh.Directories()
+		bp := NewBP(buildFromBools(parens))
 		o := newBPOracle(parens)
-		check := func(bp *BP, label string) {
-			t.Helper()
-			for i, open := range parens {
-				if !open {
-					continue
-				}
-				if got := bp.Enclose(i); got != o.enclose[i] {
-					t.Fatalf("%s/%s: Enclose(%d)=%d want %d", name, label, i, got, o.enclose[i])
-				}
+		for i, open := range parens {
+			if !open {
+				continue
 			}
-		}
-		// A valid persisted blob must be adopted as-is.
-		reused := NewBPWithDirs(buildFromBools(parens), excBase, anc)
-		if len(excBase) > 0 && (&reused.excBase[0] != &excBase[0] || &reused.anc[0] != &anc[0]) {
-			t.Fatalf("%s: valid directories were rebuilt instead of adopted", name)
-		}
-		check(reused, "reused")
-		// Corrupt blobs must be rejected and rebuilt, not trusted.
-		if len(anc) > 1 {
-			for _, corrupt := range [][2][]int32{
-				{append([]int32{}, excBase...), func() []int32 {
-					c := append([]int32{}, anc...)
-					c[len(c)-1]++
-					return c
-				}()},
-				{func() []int32 {
-					c := append([]int32{}, excBase...)
-					c[len(c)-1] += 3
-					return c
-				}(), append([]int32{}, anc...)},
-				{excBase[:len(excBase)-1], anc[:len(anc)-1]},
-			} {
-				rebuilt := NewBPWithDirs(buildFromBools(parens), corrupt[0], corrupt[1])
-				check(rebuilt, "rebuilt")
+			if got, want := bp.FindClose(i), o.match[i]; got != want {
+				t.Fatalf("%s: FindClose(%d)=%d want %d", name, i, got, want)
+			}
+			if got, want := bp.Enclose(i), o.enclose[i]; got != want {
+				t.Fatalf("%s: Enclose(%d)=%d want %d", name, i, got, want)
 			}
 		}
 	}

@@ -192,16 +192,16 @@ func TestBPDeepAndFlat(t *testing.T) {
 		deep[i] = true
 		flat[2*i] = true
 	}
-	for _, parens := range [][]bool{deep, flat} {
+	for name, parens := range map[string][]bool{"deep3000": deep, "flat3000": flat} {
 		bp := NewBP(buildFromBools(parens))
 		o := newBPOracle(parens)
 		for i := range parens {
 			if parens[i] {
 				if got, want := bp.FindClose(i), o.match[i]; got != want {
-					t.Fatalf("FindClose(%d)=%d want %d", i, got, want)
+					t.Fatalf("%s: FindClose(%d)=%d want %d", name, i, got, want)
 				}
 				if got, want := bp.Enclose(i), o.enclose[i]; got != want {
-					t.Fatalf("Enclose(%d)=%d want %d", i, got, want)
+					t.Fatalf("%s: Enclose(%d)=%d want %d", name, i, got, want)
 				}
 			}
 		}

@@ -634,7 +634,7 @@ func (db *Database) Footprint() storage.Footprint {
 func (db *Database) ResidentBytes() int { return db.Footprint().Total() }
 
 // StructureBitsPerNode reports the density of the succinct structure
-// encoding — paren bits, rank/select and shortcut directories, and
+// encoding — paren bits, rank/select directories, the rmM tree, and
 // node marks — aggregated over all member repositories, in bits per
 // tree node (elements + attributes + text values).
 func (db *Database) StructureBitsPerNode() float64 {

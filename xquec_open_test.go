@@ -1,13 +1,18 @@
 package xquec_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"xquec"
@@ -15,26 +20,46 @@ import (
 	"xquec/internal/xmarkq"
 )
 
-// TestRepositoryFormatGolden pins the bytes of one repository: the
-// SHA-256 below was computed at the commit before the open path became a
-// single pass, so a change to it means the file format moved.
+// TestRepositoryFormatGolden checks the file format through the public
+// API: the scale-0.05 repository that Compress writes hashes to the
+// "xmark-0.05-seed1" entry of testdata/ingest_golden.json — the one
+// format pin, recorded by TestIngestGolden, which hashes each blob as
+// "<len>:" then its bytes — and OpenBytes then Bytes re-saves it byte
+// for byte.
 func TestRepositoryFormatGolden(t *testing.T) {
-	const want = "aa2b3984d35f36c332489d8575995eef7ffe578f6d0639d988bff3108f4accfa"
+	data, err := os.ReadFile("testdata/ingest_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	want, ok := golden["xmark-0.05-seed1"]
+	if !ok {
+		t.Fatal("no golden hash recorded for xmark-0.05-seed1")
+	}
+	hash := func(b []byte) string {
+		h := sha256.New()
+		fmt.Fprintf(h, "%d:", len(b))
+		h.Write(b)
+		return hex.EncodeToString(h.Sum(nil))
+	}
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 1})
 	db, err := xquec.Compress(doc, xquec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	saved := db.Bytes()
-	if got := fmt.Sprintf("%x", sha256.Sum256(saved)); got != want {
-		t.Fatalf("repository SHA-256 = %s (%d bytes), want %s", got, len(saved), want)
+	if got := hash(saved); got != want {
+		t.Fatalf("repository hash = %s (%d bytes), golden %s", got, len(saved), want)
 	}
 	re, err := xquec.OpenBytes(saved)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(re.Bytes())); got != want {
-		t.Fatalf("re-saved repository SHA-256 = %s, want %s", got, want)
+	if !bytes.Equal(re.Bytes(), saved) {
+		t.Fatal("reopened repository re-saves to different bytes")
 	}
 }
 
@@ -131,20 +156,33 @@ func TestOpenAllocationBudget(t *testing.T) {
 // be bounded before they size an allocation, and the refusal must be the
 // typed error. Both inputs once panicked with "makeslice: len/cap out of
 // range" — the source-model count in LoadBinary, and the token count
-// inside an ALM model.
+// inside an ALM model. The header carries the magic this build writes,
+// and each error must name its guard, so a case cannot pass by stopping
+// at an earlier check.
 func TestHostileCountsAreCorruptRepository(t *testing.T) {
-	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f} // uvarint 2^56-1
-	head := []byte("XQCR3\n\x00\x00")                              // original size 0, no names
-	cases := map[string][]byte{
-		"source models": append(append([]byte(nil), head...), huge...),
-		"alm tokens": append(append(append([]byte(nil), head...),
-			1, 1, 'g', 3, 'a', 'l', 'm', byte(len(huge))), huge...),
+	db, err := xquec.Compress([]byte("<a/>"), xquec.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, body := range cases {
-		data := binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	saved := db.Bytes()
+	magic := saved[:bytes.IndexByte(saved, '\n')+1]
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f} // uvarint 2^56-1
+	head := append(append([]byte(nil), magic...), 0, 0)            // original size 0, no names
+	cases := []struct {
+		name, guard string
+		body        []byte
+	}{
+		{"source models", "source model count", append(append([]byte(nil), head...), huge...)},
+		{"alm tokens", "cannot hold", append(append(append([]byte(nil), head...),
+			1, 1, 'g', 3, 'a', 'l', 'm', byte(len(huge))), huge...)},
+	}
+	for _, c := range cases {
+		data := binary.BigEndian.AppendUint32(c.body, crc32.ChecksumIEEE(c.body))
 		_, err := xquec.OpenBytes(data)
 		if !errors.Is(err, xquec.ErrCorruptRepository) {
-			t.Errorf("%s: OpenBytes err = %v, want ErrCorruptRepository", name, err)
+			t.Errorf("%s: OpenBytes err = %v, want ErrCorruptRepository", c.name, err)
+		} else if !strings.Contains(err.Error(), c.guard) {
+			t.Errorf("%s: OpenBytes err = %v, want the %q guard", c.name, err, c.guard)
 		}
 	}
 }

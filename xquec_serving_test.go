@@ -2,8 +2,10 @@ package xquec
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -194,6 +196,15 @@ func TestOpenFailurePaths(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "bad magic") {
 			t.Fatalf("unhelpful error: %v", err)
+		}
+	})
+	t.Run("v3 magic", func(t *testing.T) {
+		// v4 keeps no reader for v3 files: an intact v3 header is a
+		// corrupt repository, not an open and not a panic.
+		body := append([]byte("XQCR3\n"), data[len("XQCR3\n"):len(data)-4]...)
+		_, err := OpenBytes(binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
+		if !errors.Is(err, ErrCorruptRepository) || !strings.Contains(err.Error(), "bad magic") {
+			t.Fatalf("OpenBytes(v3) err = %v, want ErrCorruptRepository for its magic", err)
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
