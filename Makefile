@@ -76,12 +76,15 @@ bench-serve:
 # (bench/'s two point_literal texts for the first, middle and last person
 # and item at scale 8 — TestPointLookupFlat is the gate, this is the
 # number); BenchmarkCompressXMark (one storage.Load of the scale-1
-# document at each worker count).
+# document at each worker count); BenchmarkStoreText (immediate-text
+# lookups at scale 8, through a run's cursor and cold, sole-text and
+# walked).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct|BenchmarkXMarkMix|BenchmarkFuse|BenchmarkStreamLarge|BenchmarkPointLookup|BenchmarkCompressXMark' -benchtime 1x . >/dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct|BenchmarkXMarkMix|BenchmarkFuse|BenchmarkStreamLarge|BenchmarkPointLookup|BenchmarkCompressXMark|BenchmarkStoreText' -benchtime 1x . >/dev/null
 
 # Short fuzzing pass over the codec fuzz targets (roundtrip, order
-# preservation, decode-vs-reference), the navigation kernels, the
+# preservation, decode-vs-reference), the navigation kernels and the
+# select scanner behind the text cursor, the
 # repository loader (hostile bytes behind a repaired checksum), the ALM
 # model loader (what it accepts must build on first use) and the XML
 # scanner under the ingest loader (hostile documents). Not part of
@@ -98,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime 5s ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzBitvectorRankSelect -fuzztime 5s ./internal/succinct/
 	$(GO) test -run '^$$' -fuzz FuzzBPNavigation -fuzztime 5s ./internal/succinct/
+	$(GO) test -run '^$$' -fuzz FuzzSelectScannerSeek -fuzztime 5s ./internal/succinct/
 	$(GO) test -run '^$$' -fuzz FuzzBulkNavigation -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzLoadBinary -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzALMLoadModel -fuzztime 5s ./internal/compress/alm/

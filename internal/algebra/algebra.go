@@ -154,32 +154,37 @@ func Descendants(s *storage.Store, in NodeSet, extent NodeSet) NodeSet {
 
 // Within is the single-interval form of Descendants: extent ∩ [lo, hi]
 // as a sub-slice of extent (no copy). pos, when non-nil, holds where the
-// previous lookup over the same extent started; as long as intervals
-// ascend — FOR bindings do — the search gallops forward from there
-// instead of bisecting the whole extent, and any other interval falls
-// back to a search from the front.
+// previous lookup over the same extent started; the search gallops from
+// there, forward as long as intervals ascend — FOR bindings do — and
+// backward when one does not, so a move of either direction costs the
+// logarithm of its distance, not of the extent.
 func Within(extent NodeSet, lo, hi storage.NodeID, pos *int) NodeSet {
 	start := seek(extent, pos, lo)
 	return extent[start:gallop(extent, start, hi+1)]
 }
 
-// seek returns the first index i with extent[i] >= v: galloping from the
-// hint *pos when everything before it is smaller, from the front
-// otherwise. A non-nil pos is left at the answer.
+// seek returns the first index i with extent[i] >= v, galloping from the
+// hint *pos: forward when everything before it is smaller, backward
+// otherwise. A hint out of range is clamped into it. A non-nil pos is left
+// at the answer.
 func seek(extent NodeSet, pos *int, v storage.NodeID) int {
 	if pos == nil {
 		return gallop(extent, 0, v)
 	}
-	if *pos > len(extent) || (*pos > 0 && extent[*pos-1] >= v) {
-		*pos = 0
+	p := max(0, min(*pos, len(extent)))
+	if p > 0 && extent[p-1] >= v {
+		p = gallopBack(extent, p-1, v)
+	} else {
+		p = gallop(extent, p, v)
 	}
-	*pos = gallop(extent, *pos, v)
-	return *pos
+	*pos = p
+	return p
 }
 
 // gallop returns the first index i >= from with extent[i] >= v, given
 // that everything before from is smaller: doubling steps bracket the
-// answer, a binary search inside the bracket pins it.
+// answer, a bisection inside the bracket pins it. An answer at from costs
+// one comparison.
 func gallop(extent NodeSet, from int, v storage.NodeID) int {
 	lo, hi, step := from, from, 1
 	for hi < len(extent) && extent[hi] < v {
@@ -187,10 +192,35 @@ func gallop(extent NodeSet, from int, v storage.NodeID) int {
 		hi += step
 		step <<= 1
 	}
-	if hi > len(extent) {
-		hi = len(extent)
+	return bisect(extent, lo, min(hi, len(extent)), v)
+}
+
+// gallopBack returns the first index i with extent[i] >= v, given that
+// extent[to] >= v: doubling steps back from to bracket the answer, a
+// bisection inside the bracket pins it.
+func gallopBack(extent NodeSet, to int, v storage.NodeID) int {
+	lo, hi, step := to, to, 1
+	for lo > 0 && extent[lo-1] >= v {
+		hi = lo - 1
+		lo = max(0, lo-step)
+		step <<= 1
 	}
-	return lo + sort.Search(hi-lo, func(k int) bool { return extent[lo+k] >= v })
+	return bisect(extent, lo, hi, v)
+}
+
+// bisect returns the first index i in [lo, hi] with extent[i] >= v, given
+// that the answer lies there: everything before lo is smaller, and
+// extent[hi] >= v or hi == len(extent).
+func bisect(extent NodeSet, lo, hi int, v storage.NodeID) int {
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if extent[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Nearest returns, over the extents of sums, the greatest instance that

@@ -262,7 +262,7 @@ func TestTextContent(t *testing.T) {
 	defer sc.Release()
 	var texts []string
 	for _, id := range names {
-		buf, err := s.TextScratch(sc, id)
+		buf, err := s.TextScratch(sc, nil, id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -156,3 +156,34 @@ func TestParentChildInverse(t *testing.T) {
 		}
 	}
 }
+
+// TestSeekFromAnyHint: seek from any hint equals the answer found from
+// the front — a bisection of the whole extent — and leaves the hint
+// there. Hints sit before, at and after the answer, far on either side
+// of it, at both ends and out of range on both sides; extents are empty,
+// one long, and of every length up to a few hundred with gaps of every
+// width, and v runs from below the first ID to past the last.
+func TestSeekFromAnyHint(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n < 300; n += 1 + n/8 {
+		extent := make(NodeSet, n)
+		next := storage.NodeID(1 + rng.Intn(3))
+		for i := range extent {
+			extent[i] = next
+			next += storage.NodeID(1 + rng.Intn(1+i%9))
+		}
+		for v := storage.NodeID(0); v <= next+1; v++ {
+			want, _ := slices.BinarySearch(extent, v)
+			hints := []int{-5, -1, 0, 1, want - 9, want - 2, want - 1, want, want + 1, want + 2, want + 17, n - 1, n, n + 1, n + 40, rng.Intn(n + 1)}
+			for _, h := range hints {
+				pos := h
+				if got := seek(extent, &pos, v); got != want || pos != want {
+					t.Fatalf("len %d: seek(v=%d) from hint %d = %d, hint left at %d; from the front %d", n, v, h, got, pos, want)
+				}
+			}
+			if got := seek(extent, nil, v); got != want {
+				t.Fatalf("len %d: seek(v=%d) without a hint = %d, want %d", n, v, got, want)
+			}
+		}
+	}
+}

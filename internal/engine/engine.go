@@ -23,6 +23,9 @@ type Engine struct {
 	// time (a program builds the others once, and all its runs share
 	// them).
 	joinIdx map[xquery.Expr]*JoinIndex
+	// partnerPos holds the run's galloping hints into the other side of
+	// each join index it probed (partnerHints).
+	partnerPos []joinHints
 	// plans holds what the compiler derived once for the whole program;
 	// paths memoises the same per expression for this run (every path the
 	// program did not plan, plus each path's galloping positions), so a
@@ -47,6 +50,11 @@ type Engine struct {
 	// for the second argument of a string function. All are valid until
 	// the next decode; whatever is emitted is copied out.
 	sbuf, abuf, tbuf []byte
+	// cur is the run's text cursor, held by value next to sbuf: the
+	// immediate-text lookups of a run mostly ascend — a FOR's bindings, a
+	// text() step's owners — and each picks up where the previous one left
+	// off (storage.TextCursor).
+	cur storage.TextCursor
 	// out and xmls are what emitted items are cut from (Emit): the bytes
 	// and the *XML headers, appended to and never overwritten, so every
 	// item handed out stays valid.
@@ -185,20 +193,63 @@ func (b *binding) len() int {
 // paths — the summary nodes each is an instance of. One scope serves a
 // whole block of a program: clauses bind in place (Env) and restore what
 // they shadowed on the way out.
+//
+// The bindings are a short list, one entry per bound name in the order
+// the names were first bound, searched from the end: the innermost
+// clauses, which the per-tuple lookups mostly ask for, come first, and no
+// string is hashed. The first few entries live in the scope itself.
 type scope struct {
-	vars    map[string]*binding
+	vars    []named
+	fixed   [4]named
 	ctx     [1]storage.NodeID
 	ctxSums []*storage.SummaryNode
 }
 
-func newScope() *scope { return &scope{vars: map[string]*binding{}} }
+// named is one variable of a scope and its binding.
+type named struct {
+	name string
+	b    *binding
+}
+
+func newScope() *scope {
+	s := &scope{}
+	s.vars = s.fixed[:0]
+	return s
+}
+
+// find returns the index of name's entry, -1 when it is unbound.
+func (v *scope) find(name string) int {
+	for i := len(v.vars) - 1; i >= 0; i-- {
+		if v.vars[i].name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// lookup returns the binding of name, nil when it is unbound.
+func (v *scope) lookup(name string) *binding {
+	if i := v.find(name); i >= 0 {
+		return v.vars[i].b
+	}
+	return nil
+}
+
+// bind binds name to b, in place of what it was bound to.
+func (v *scope) bind(name string, b *binding) {
+	if i := v.find(name); i >= 0 {
+		v.vars[i].b = b
+	} else {
+		v.vars = append(v.vars, named{name, b})
+	}
+}
 
 // unbind puts back the binding a clause's name shadowed.
 func (v *scope) unbind(name string, shadowed *binding) {
-	if shadowed == nil {
-		delete(v.vars, name)
-	} else {
-		v.vars[name] = shadowed
+	if shadowed != nil {
+		v.bind(name, shadowed)
+	} else if i := v.find(name); i >= 0 {
+		v.vars = append(v.vars[:i], v.vars[i+1:]...)
 	}
 }
 
@@ -225,8 +276,8 @@ func (e *Engine) eval(expr xquery.Expr, env *scope) (Seq, error) {
 		if x.Name == "." {
 			return env.ctxValue(), nil
 		}
-		b, ok := env.vars[x.Name]
-		if !ok {
+		b := env.lookup(x.Name)
+		if b == nil {
 			return nil, fmt.Errorf("engine: unbound variable $%s", x.Name)
 		}
 		return b.value(), nil
@@ -471,12 +522,12 @@ func (e *Engine) evalCtor(x *xquery.ElementCtor, env *scope) (Seq, error) {
 func (e *Engine) appendAtoms(dst []byte, x xquery.Expr, env *scope) ([]byte, error) {
 	if p, isPath := x.(*xquery.PathExpr); isPath {
 		st, textTail, err := e.evalPathNodes(p, env)
-		textTail = textTail || leafOnly(st.sums)
+		how := readOf(st.sums, textTail)
 		for i := 0; err == nil && i < len(st.nodes); i++ {
 			if i > 0 {
 				dst = append(dst, ' ')
 			}
-			dst, err = e.appendNodeValue(dst, st.nodes[i], textTail)
+			dst, err = e.appendNodeValue(dst, st.nodes[i], how)
 		}
 		return dst, err
 	}
@@ -504,7 +555,7 @@ func (e *Engine) evalBindingSeq(expr xquery.Expr, env *scope) (Seq, algebra.Node
 			return nil, nil, nil, err
 		}
 		if textTail {
-			seq, err := e.appendTexts(nil, st.nodes)
+			seq, err := e.appendTexts(nil, st.nodes, st.sums)
 			return seq, nil, nil, err
 		}
 		if st.nodes == nil {
@@ -516,7 +567,7 @@ func (e *Engine) evalBindingSeq(expr xquery.Expr, env *scope) (Seq, algebra.Node
 		// The node-set fast path applies only when the sequence is already
 		// in document order: FOR must preserve the bound sequence's order
 		// (it may carry a deliberate ORDER BY arrangement).
-		if b := env.vars[x.Name]; b != nil {
+		if b := env.lookup(x.Name); b != nil {
 			ids := b.ids
 			if ids == nil {
 				ids, _ = docOrderedNodeSeq(b.seq)

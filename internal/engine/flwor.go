@@ -205,6 +205,12 @@ type JoinIndex struct {
 	merged          bool // true when the compressed merge join was used
 }
 
+// joinHints is one run's galloping hints into a join index's otherSums.
+type joinHints struct {
+	idx *JoinIndex
+	pos []int
+}
+
 // joinIndexBuilds counts the join indexes built, for the tests that
 // prove a program builds its static ones once.
 var joinIndexBuilds atomic.Int64
@@ -223,8 +229,9 @@ func (idx *JoinIndex) covers(sums, otherSums []*storage.SummaryNode) bool {
 
 // partnersOf returns the partners of one binding of the other variable,
 // a read-only window of the index (capped, so appending to it copies).
-func (idx *JoinIndex) partnersOf(other storage.NodeID) algebra.NodeSet {
-	k, i := algebra.Nearest(idx.otherSums, nil, other)
+// pos holds a galloping hint per member of otherSums (algebra.Nearest).
+func (idx *JoinIndex) partnersOf(other storage.NodeID, pos []int) algebra.NodeSet {
+	k, i := algebra.Nearest(idx.otherSums, pos, other)
 	if k < 0 || idx.otherSums[k].Extent[i] != other {
 		return nil
 	}
@@ -255,7 +262,7 @@ func (e *Engine) applyLit(pd Pushdown, cur algebra.NodeSet, sums []*storage.Summ
 // otherwise. whole says cur is every instance of sums, so the partners
 // are the restriction as they stand.
 func (e *Engine) applyJoin(pd Pushdown, idx *JoinIndex, whole bool, cur algebra.NodeSet, sums []*storage.SummaryNode, env *scope) (algebra.NodeSet, bool, error) {
-	other := env.vars[pd.OtherVar]
+	other := env.lookup(pd.OtherVar)
 	if other == nil || len(other.ids) != 1 || len(other.sums) == 0 || len(sums) == 0 {
 		return nil, false, nil
 	}
@@ -267,20 +274,36 @@ func (e *Engine) applyJoin(pd Pushdown, idx *JoinIndex, whole bool, cur algebra.
 		}
 		whole = false
 	}
-	partners := idx.partnersOf(other.ids[0])
+	partners := idx.partnersOf(other.ids[0], e.partnerHints(idx))
 	if whole {
 		return partners, true, nil
 	}
 	// The partners are usually a tiny subset of the clause domain: probe
-	// them into cur by binary search instead of a full linear merge.
+	// them into cur by galloping instead of a full linear merge.
 	var out algebra.NodeSet
+	pos := 0
 	for _, m := range partners {
-		i := sort.Search(len(cur), func(k int) bool { return cur[k] >= m })
-		if i < len(cur) && cur[i] == m {
+		if len(algebra.Within(cur, m, m, &pos)) > 0 {
 			out = append(out, m)
 		}
 	}
 	return out, true, nil
+}
+
+// partnerHints returns the galloping hints this run keeps for probing idx
+// (partnersOf): the other variable's bindings mostly ascend — an outer
+// FOR's do — so each probe gallops from where the previous one ended
+// instead of bisecting the other side's extents. A run probes an index or
+// two, so they are found by comparing pointers.
+func (e *Engine) partnerHints(idx *JoinIndex) []int {
+	for _, h := range e.partnerPos {
+		if h.idx == idx {
+			return h.pos
+		}
+	}
+	pos := make([]int, len(idx.otherSums))
+	e.partnerPos = append(e.partnerPos, joinHints{idx, pos})
+	return pos
 }
 
 // joinIndexFor builds (or reuses) the join index for a comparison. Both

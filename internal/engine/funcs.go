@@ -153,7 +153,7 @@ func (e *Engine) argLen(x *xquery.Call, env *scope) (int, error) {
 			st, _, err := e.evalPathNodes(a, env)
 			return len(st.nodes), err
 		case *xquery.VarRef:
-			if b := env.vars[a.Name]; b != nil {
+			if b := env.lookup(a.Name); b != nil {
 				return b.len(), nil
 			}
 		}
@@ -207,7 +207,7 @@ func (e *Engine) appendFirst(dst []byte, x xquery.Expr, env *scope) ([]byte, err
 		if err != nil || len(st.nodes) == 0 {
 			return dst, err
 		}
-		return e.appendNodeValue(dst, st.nodes[0], textTail || leafOnly(st.sums))
+		return e.appendNodeValue(dst, st.nodes[0], readOf(st.sums, textTail))
 	case *xquery.StringLit:
 		return append(dst, x.Val...), nil
 	}
@@ -216,7 +216,7 @@ func (e *Engine) appendFirst(dst []byte, x xquery.Expr, env *scope) ([]byte, err
 		return dst, err
 	}
 	if id, isNode := v[0].(storage.NodeID); isNode {
-		return e.appendNodeValue(dst, id, false)
+		return e.appendNodeValue(dst, id, deepValue)
 	}
 	a, err := e.stringValue(v[0])
 	return append(dst, a...), err

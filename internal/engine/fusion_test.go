@@ -142,12 +142,12 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 	}
 	for id := storage.NodeID(1); int(id) <= want.NumNodes(); id++ {
 		if got.Parent(id) != want.Parent(id) || got.SubtreeEnd(id) != want.SubtreeEnd(id) ||
-			got.LevelOf(id) != want.LevelOf(id) || got.TagOf(id) != want.TagOf(id) || got.HasText(id) != want.HasText(id) {
+			got.LevelOf(id) != want.LevelOf(id) || got.TagOf(id) != want.TagOf(id) || got.HasText(nil, id) != want.HasText(nil, id) {
 			t.Fatalf("node %d: parent/end/level/tag/text %d %d %d %s %v, want %d %d %d %s %v\ncorpus: %s", id,
-				got.Parent(id), got.SubtreeEnd(id), got.LevelOf(id), got.TagOf(id), got.HasText(id),
-				want.Parent(id), want.SubtreeEnd(id), want.LevelOf(id), want.TagOf(id), want.HasText(id), xml)
+				got.Parent(id), got.SubtreeEnd(id), got.LevelOf(id), got.TagOf(id), got.HasText(nil, id),
+				want.Parent(id), want.SubtreeEnd(id), want.LevelOf(id), want.TagOf(id), want.HasText(nil, id), xml)
 		}
-		gr, wr := got.TextRefs(nil, id), want.TextRefs(nil, id)
+		gr, wr := got.TextRefs(nil, nil, id), want.TextRefs(nil, nil, id)
 		same := len(gr) == len(wr)
 		for i := 0; same && i < len(gr); i++ {
 			// Containers are compared by path: the fused store lists them

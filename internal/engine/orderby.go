@@ -73,7 +73,7 @@ func (t *TupleSort) Add(id storage.NodeID, it Item, sums []*storage.SummaryNode)
 func (t *TupleSort) Open(env *Env) {
 	*t = *NewTupleSort(t.x, t.plan, t.ranks)
 	for ci, cl := range t.x.Clauses {
-		t.outer[ci] = env.s.vars[cl.Var]
+		t.outer[ci] = env.s.lookup(cl.Var)
 	}
 }
 
@@ -110,13 +110,13 @@ func (e *Engine) collectKey(t *TupleSort, env *scope) error {
 // key's string value is its node's immediate text — with sortedOrder.
 func (e *Engine) SortTuples(t *TupleSort) error {
 	if t.ranks != nil {
-		if t.order = t.ranks.order(e.store, t.keyNodes, t.x.OrderDesc); t.order != nil {
+		if t.order = t.ranks.order(e.store, &e.cur, t.keyNodes, t.x.OrderDesc); t.order != nil {
 			return nil
 		}
 		for _, id := range t.keyNodes {
 			var err error
 			if e.sbuf = e.sbuf[:0]; id != 0 {
-				if e.sbuf, err = e.store.Text(e.sbuf, id); err != nil {
+				if e.sbuf, err = e.store.Text(&e.cur, e.sbuf, id); err != nil {
 					return err
 				}
 			}
@@ -164,7 +164,7 @@ func (e *Engine) replay(t *TupleSort, env *scope) (bool, error) {
 		default:
 			continue
 		}
-		env.vars[cl.Var] = b
+		env.bind(cl.Var, b)
 	}
 	return true, nil
 }
@@ -366,7 +366,7 @@ func (r *Ranks) Records() int { return r.records }
 // when descending) above its index, so ties keep tuple order in both
 // directions, as in sortedOrder; the sort costs O(k log k) in the k
 // tuples, whatever the number of distinct values.
-func (r *Ranks) order(s *storage.Store, nodes []storage.NodeID, desc bool) []int {
+func (r *Ranks) order(s *storage.Store, c *storage.TextCursor, nodes []storage.NodeID, desc bool) []int {
 	str, num := make([]int32, len(nodes)), make([]int32, len(nodes))
 	numeric := true
 	var buf [2]storage.ValueRef
@@ -374,7 +374,7 @@ func (r *Ranks) order(s *storage.Store, nodes []storage.NodeID, desc bool) []int
 		str[i], num[i] = r.empty, -1
 		refs := buf[:0]
 		if id != 0 {
-			refs = s.TextRefs(refs, id)
+			refs = s.TextRefs(c, refs, id)
 		}
 		if len(refs) > 1 {
 			return nil // the key is the concatenation of several values

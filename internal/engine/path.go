@@ -185,7 +185,7 @@ func (e *Engine) appendPath(dst Seq, p *xquery.PathExpr, env *scope) (Seq, error
 		return nil, err
 	}
 	if textTail {
-		return e.appendTexts(dst, st.nodes)
+		return e.appendTexts(dst, st.nodes, st.sums)
 	}
 	if dst == nil {
 		dst = make(Seq, 0, len(st.nodes))
@@ -251,12 +251,12 @@ func (e *Engine) withText(nodes algebra.NodeSet, sums []*storage.SummaryNode) al
 		return nodes
 	}
 	for i, id := range nodes {
-		if e.store.HasText(id) {
+		if e.store.HasText(&e.cur, id) {
 			continue
 		}
 		out := append(make(algebra.NodeSet, 0, len(nodes)-1), nodes[:i]...)
 		for _, id := range nodes[i+1:] {
-			if e.store.HasText(id) {
+			if e.store.HasText(&e.cur, id) {
 				out = append(out, id)
 			}
 		}
@@ -278,11 +278,12 @@ func (e *Engine) pathOrigin(p *xquery.PathExpr, env *scope) (pathState, error) {
 		}
 		ids, sums = env.ctx[:], env.ctxSums
 	} else {
-		b, ok := env.vars[p.Var]
-		if !ok {
+		b := env.lookup(p.Var)
+		if b == nil {
 			return pathState{}, fmt.Errorf("engine: unbound variable $%s", p.Var)
 		}
 		if ids, sums = b.ids, b.sums; ids == nil {
+			var ok bool
 			if ids, ok = nodeSeq(b.value()); !ok {
 				return pathState{}, errNonNodePath
 			}

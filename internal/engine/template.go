@@ -117,9 +117,10 @@ func (e *Engine) AppendEmitted(dst Seq, x xquery.Expr, env *Env) (Seq, error) {
 	var out []byte
 	if p, isPath := x.(*xquery.PathExpr); isPath {
 		st, textTail, err := e.evalPathNodes(p, env.s)
+		how := contentRead(st.sums, textTail)
 		for i := 0; err == nil && i < len(st.nodes); i++ {
 			start := e.room()
-			if out, err = e.appendContentNode(e.out, st.nodes[i], textTail); err == nil {
+			if out, err = e.appendContentNode(e.out, st.nodes[i], how); err == nil {
 				dst = append(dst, e.cut(out, start))
 			}
 		}
@@ -201,15 +202,16 @@ func (e *Engine) appendContent(dst []byte, x xquery.Expr, env *scope) ([]byte, i
 	switch x := x.(type) {
 	case *xquery.PathExpr:
 		st, textTail, err := e.evalPathNodes(x, env)
+		how := contentRead(st.sums, textTail)
 		for i := 0; err == nil && i < len(st.nodes); i++ {
-			dst, err = e.appendContentNode(dst, st.nodes[i], textTail)
+			dst, err = e.appendContentNode(dst, st.nodes[i], how)
 		}
 		return dst, len(st.nodes), err
 	case *xquery.VarRef:
-		if b := env.vars[x.Name]; b != nil && b.ids != nil {
+		if b := env.lookup(x.Name); b != nil && b.ids != nil {
 			var err error
 			for i := 0; err == nil && i < len(b.ids); i++ {
-				dst, err = e.appendContentNode(dst, b.ids[i], false)
+				dst, err = e.appendContentNode(dst, b.ids[i], deepValue)
 			}
 			return dst, len(b.ids), err
 		}
@@ -226,14 +228,24 @@ func (e *Engine) appendContent(dst []byte, x xquery.Expr, env *scope) ([]byte, i
 	return dst, len(v), err
 }
 
-// appendContentNode writes a node as element content: its subtree, or
-// the escaped text a text() step selects.
-func (e *Engine) appendContentNode(dst []byte, id storage.NodeID, text bool) ([]byte, error) {
-	if !text {
+// contentRead returns how the nodes of a path, instances of sums, are
+// written as content: their subtrees (deepValue), or — after a text()
+// step — the text it selects.
+func contentRead(sums []*storage.SummaryNode, textTail bool) valueRead {
+	if !textTail {
+		return deepValue
+	}
+	return readOf(sums, true)
+}
+
+// appendContentNode writes a node as element content: its subtree when
+// how is deepValue, else the escaped text a text() step selects.
+func (e *Engine) appendContentNode(dst []byte, id storage.NodeID, how valueRead) ([]byte, error) {
+	if how == deepValue {
 		return e.store.Serialize(dst, id)
 	}
 	mark := len(dst)
-	dst, err := e.store.Text(dst, id)
+	dst, err := e.text(dst, id, how)
 	return xmlparser.EscapeTextFrom(dst, mark), err
 }
 

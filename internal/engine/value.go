@@ -300,25 +300,60 @@ func formatNum(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// appendNodeValue appends a stored node's decompressed value to dst: its
-// immediate text (an attribute's value, or what a text() step selects),
-// else the string value of the element.
-func (e *Engine) appendNodeValue(dst []byte, id storage.NodeID, immediate bool) ([]byte, error) {
-	if immediate || e.store.IsAttr(id) {
-		return e.store.Text(dst, id)
+// valueRead is how a stored node's value is read: as the string value of
+// its subtree, as its immediate text, or as the one text leaf of an
+// instance of sole-text summary nodes (storage.AllSoleText).
+type valueRead uint8
+
+const (
+	deepValue valueRead = iota
+	immediateValue
+	soleValue
+)
+
+// readOf returns how the nodes of a path, instances of sums, are read:
+// as their one text leaf when every member of sums is sole-text, else as
+// their immediate text when they are the owners a text() step leaves
+// (textTail) or leafOnly holds of sums, else as their string value.
+func readOf(sums []*storage.SummaryNode, textTail bool) valueRead {
+	switch {
+	case storage.AllSoleText(sums):
+		return soleValue
+	case textTail || leafOnly(sums):
+		return immediateValue
+	}
+	return deepValue
+}
+
+// text appends the immediate text of id to dst through the run's cursor:
+// with no walk over its children when how is soleValue.
+func (e *Engine) text(dst []byte, id storage.NodeID, how valueRead) ([]byte, error) {
+	if how == soleValue {
+		return e.store.SoleText(&e.cur, dst, id)
+	}
+	return e.store.Text(&e.cur, dst, id)
+}
+
+// appendNodeValue appends a stored node's decompressed value, read as how
+// says, to dst; an attribute's is its immediate text whatever how says.
+func (e *Engine) appendNodeValue(dst []byte, id storage.NodeID, how valueRead) ([]byte, error) {
+	if how != deepValue || e.store.IsAttr(id) {
+		return e.text(dst, id, how)
 	}
 	return e.store.DeepText(dst, id)
 }
 
-// appendTexts appends the immediate text of each owner to dst, decoded
-// through sbuf: the item string is the only copy made.
-func (e *Engine) appendTexts(dst Seq, owners algebra.NodeSet) (Seq, error) {
+// appendTexts appends the immediate text of each owner, an instance of
+// sums, to dst, decoded through sbuf: the item string is the only copy
+// made.
+func (e *Engine) appendTexts(dst Seq, owners algebra.NodeSet, sums []*storage.SummaryNode) (Seq, error) {
 	if dst == nil {
 		dst = make(Seq, 0, len(owners))
 	}
+	how := readOf(sums, true)
 	for _, id := range owners {
 		var err error
-		if e.sbuf, err = e.store.Text(e.sbuf[:0], id); err != nil {
+		if e.sbuf, err = e.text(e.sbuf[:0], id, how); err != nil {
 			return nil, err
 		}
 		dst = append(dst, string(e.sbuf))
@@ -332,7 +367,7 @@ func (e *Engine) stringValue(it Item) (string, error) {
 	switch v := it.(type) {
 	case storage.NodeID:
 		var err error
-		e.sbuf, err = e.appendNodeValue(e.sbuf[:0], v, false)
+		e.sbuf, err = e.appendNodeValue(e.sbuf[:0], v, deepValue)
 		return string(e.sbuf), err
 	case string:
 		return v, nil

@@ -96,8 +96,8 @@ func (v *Env) slot(depth int, name string, sums []*storage.SummaryNode) *binding
 	}
 	f := &v.frames[depth]
 	if !f.live {
-		f.name, f.shadowed, f.live = name, v.s.vars[name], true
-		v.s.vars[name] = f.b
+		f.name, f.shadowed, f.live = name, v.s.lookup(name), true
+		v.s.bind(name, f.b)
 	}
 	f.b.sums = sums
 	return f.b
@@ -115,6 +115,10 @@ func (v *Env) Bind(depth int, name string, seq Seq, ids algebra.NodeSet, sums []
 func (v *Env) BindNode(depth int, name string, id storage.NodeID, sums []*storage.SummaryNode) {
 	v.slot(depth, name, sums).setNode(id)
 }
+
+// TextCursor returns the run's text cursor, for the VM's own text()
+// lookups (storage.TextCursor).
+func (e *Engine) TextCursor() *storage.TextCursor { return &e.cur }
 
 // WithPlans hands the engine the plans its program was compiled with.
 func (e *Engine) WithPlans(pl Plans) *Engine {

@@ -86,13 +86,7 @@ func Load(src []byte, opts LoadOptions) (*Store, error) {
 	a.parens, a.nParens = in.pb.Words(), in.pb.Len()
 	a.marks, a.nOpens = in.mb.Words(), in.mb.Len()
 	s.succ = a.build()
-	// Statistics.
-	for _, sn := range s.Sum.Nodes() {
-		sn.Count = len(sn.Extent)
-		if sn.Count > 0 {
-			sn.AvgFan = float64(in.sums[sn.ID].fan) / float64(sn.Count)
-		}
-	}
+	s.Sum.deriveStats(func(sn *SummaryNode) int { return in.sums[sn.ID].fan }, s.Containers)
 	s.Build.Index = time.Since(phase)
 	addBuildTotals(s.Build)
 	return s, nil

@@ -179,15 +179,15 @@ func checkRecords(t testing.TB, s *Store, sweepAt iter.Seq[NodeID]) {
 	for i := range recs {
 		id, r := NodeID(i+1), &recs[i]
 		if s.Parent(id) != r.parent || s.SubtreeEnd(id) != r.end || s.LevelOf(id) != r.level ||
-			s.TagCodeOf(id) != r.tag || s.HasText(id) != r.hasText() {
+			s.TagCodeOf(id) != r.tag || s.HasText(nil, id) != r.hasText() {
 			t.Fatalf("node %d: parent/end/level/tag/text %d %d %d %d %v, records %d %d %d %d %v", id,
-				s.Parent(id), s.SubtreeEnd(id), s.LevelOf(id), s.TagCodeOf(id), s.HasText(id),
+				s.Parent(id), s.SubtreeEnd(id), s.LevelOf(id), s.TagCodeOf(id), s.HasText(nil, id),
 				r.parent, r.end, r.level, r.tag, r.hasText())
 		}
-		if refs := s.TextRefs(nil, id); !slices.Equal(refs, r.textRefs()) {
+		if refs := s.TextRefs(nil, nil, id); !slices.Equal(refs, r.textRefs()) {
 			t.Fatalf("TextRefs(%d) = %v, records %v", id, refs, r.textRefs())
 		}
-		got, gerr = s.Text(got[:0], id)
+		got, gerr = s.Text(nil, got[:0], id)
 		want, werr = r.text(s, want[:0])
 		if !same(got, want, gerr, werr) {
 			t.Fatalf("Text(%d) = %q (%v), records %q (%v)", id, got, gerr, want, werr)

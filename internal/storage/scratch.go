@@ -70,8 +70,8 @@ func DecodeOps() int64 { return decodeOps.Load() }
 
 // TextScratch is Text decoding into a scratch buffer (see DecodeScratch
 // for the aliasing rules).
-func (st *Store) TextScratch(s *Scratch, id NodeID) ([]byte, error) {
+func (st *Store) TextScratch(s *Scratch, c *TextCursor, id NodeID) ([]byte, error) {
 	var err error
-	s.buf, err = st.Text(s.buf[:0], id)
+	s.buf, err = st.Text(c, s.buf[:0], id)
 	return s.buf, err
 }

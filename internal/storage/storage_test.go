@@ -160,7 +160,7 @@ func TestTextAndDeepText(t *testing.T) {
 	if s.Parent(attrID) != p0 {
 		t.Fatalf("@id %d is not an attribute of person %d", attrID, p0)
 	}
-	atxt, err := s.Text(nil, attrID)
+	atxt, err := s.Text(nil, nil, attrID)
 	if err != nil || string(atxt) != "p0" {
 		t.Fatalf("attr text = %q (%v)", atxt, err)
 	}

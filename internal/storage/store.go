@@ -145,8 +145,9 @@ func (s *Store) TagOf(id NodeID) string { return s.Names[s.TagCodeOf(id)] }
 func (s *Store) IsAttr(id NodeID) bool { return isAttrName(s.TagOf(id)) }
 
 // HasText reports whether the node has at least one immediate text
-// value (for attribute nodes: the attribute value).
-func (s *Store) HasText(id NodeID) bool { return s.succ.hasText(id) }
+// value (for attribute nodes: the attribute value). c, when not nil, is
+// the caller's cursor (TextCursor), as for Text.
+func (s *Store) HasText(c *TextCursor, id NodeID) bool { return s.succ.hasText(c, id) }
 
 // ScanNodes calls fn for every node in pre-order (= ID order) with its
 // depth — the bulk structural sweep behind shard tables and spine
@@ -168,15 +169,28 @@ func (s *Store) ContainerByPath(path string) (*Container, bool) {
 }
 
 // Text appends the decompressed concatenation of the node's immediate
-// text values (for attribute nodes, the attribute value).
-func (s *Store) Text(dst []byte, id NodeID) ([]byte, error) {
-	return s.succ.text(s.Containers, dst, id)
+// text values (for attribute nodes, the attribute value). c, when not
+// nil, is the caller's cursor: a run that looks nodes up in document
+// order passes the same one every time, and each lookup picks up where
+// the previous one left off (TextCursor). Without one the lookup starts
+// cold. The answer is the same either way.
+func (s *Store) Text(c *TextCursor, dst []byte, id NodeID) ([]byte, error) {
+	return s.succ.text(c, s.Containers, dst, id)
+}
+
+// SoleText is Text for an instance of a summary node whose SoleText flag
+// is set: its one value, found with no walk over its children. The
+// answer for any other node is undefined.
+func (s *Store) SoleText(c *TextCursor, dst []byte, id NodeID) ([]byte, error) {
+	return s.succ.soleText(c, s.Containers, dst, id)
 }
 
 // TextRefs appends the references of the values Text would decode, in
 // document order, without decoding them: none when the node has no
-// immediate text, one for an attribute.
-func (s *Store) TextRefs(dst []ValueRef, id NodeID) []ValueRef { return s.succ.textRefs(dst, id) }
+// immediate text, one for an attribute. c is as for Text.
+func (s *Store) TextRefs(c *TextCursor, dst []ValueRef, id NodeID) []ValueRef {
+	return s.succ.textRefs(c, dst, id)
+}
 
 // DeepText appends the decompressed concatenation of every text value in
 // the subtree of id (document order) — the string value of an element.

@@ -112,25 +112,68 @@ func (t *SuccinctStructure) levelOf(id NodeID) uint16 {
 	return uint16(2*(k+1) - (q + 1))
 }
 
+// TextCursor carries one run's position in the structure from one
+// immediate-text lookup to the next (Store.Text, TextRefs, HasText,
+// SoleText): a select scanner over the node marks, one over the parens,
+// and the last node found — its NodeID, open ordinal k and, once asked
+// for, paren position q. A lookup at or a little after the previous one in
+// document order — the next binding of a FOR, the next owner of a text()
+// step — walks forward from there for a popcount or two; any other
+// re-seeds with Select1, as a lookup without a cursor does. The zero value
+// is ready. A cursor is tied to the structure it was last used on and
+// starts over on any other; it must not be shared between goroutines.
+type TextCursor struct {
+	t             *SuccinctStructure
+	marks, parens succinct.SelectScanner
+	id            NodeID // the last node found, 0 for none
+	k, q          int    // its open ordinal and open paren, q < 0 until asked for
+}
+
+// ordinal returns the open ordinal of id: through c when c is not nil,
+// else with a cold Select1.
+func (t *SuccinctStructure) ordinal(c *TextCursor, id NodeID) int {
+	if c == nil {
+		return t.isNode.Select1(int(id) - 1)
+	}
+	if c.t != t {
+		*c = TextCursor{t: t, marks: succinct.NewSelectScanner(t.isNode), parens: succinct.NewSelectScanner(t.pv)}
+	}
+	if c.id != id {
+		c.id, c.k, c.q = id, c.marks.Seek(int(id)-1), -1
+	}
+	return c.k
+}
+
 // leafWalk is a walk over one node's children that stops at its
 // immediate text leaves: the paren position and open ordinal of the next
-// child.
-type leafWalk struct{ q, ord int }
+// child, and the node marks before that ordinal when known (-1 when not).
+type leafWalk struct{ q, ord, nodes int }
 
-// leaves starts a leafWalk at the first child of id.
-func (t *SuccinctStructure) leaves(id NodeID) leafWalk {
-	k := t.isNode.Select1(int(id) - 1)
-	return leafWalk{q: t.pv.Select1(k) + 1, ord: k + 1}
+// leaves starts a leafWalk at the first child of id. The marks before it
+// are id's own and those before id: id of them.
+func (t *SuccinctStructure) leaves(c *TextCursor, id NodeID) leafWalk {
+	k := t.ordinal(c, id)
+	if c == nil {
+		return leafWalk{q: t.pv.Select1(k) + 1, ord: k + 1, nodes: int(id)}
+	}
+	if c.q < 0 {
+		c.q = c.parens.Seek(k)
+	}
+	return leafWalk{q: c.q + 1, ord: k + 1, nodes: int(id)}
 }
 
 // nextLeaf returns the value-ref index of the node's next immediate text
-// leaf, or -1 at its close. An element or attribute child is skipped
-// whole: its subtree spanning parens [q, c] holds exactly (c-q+1)/2
-// opens.
+// leaf — its open ordinal less the node marks before it — or -1 at its
+// close. An element or attribute child is skipped whole: its subtree
+// spanning parens [q, c] holds exactly (c-q+1)/2 opens, and how many of
+// them are marks is ranked for again only at the next leaf.
 func (t *SuccinctStructure) nextLeaf(w *leafWalk) int {
 	for t.pv.Get(w.q) {
 		if !t.isNode.Get(w.ord) {
-			v := w.ord - t.isNode.Rank1(w.ord)
+			if w.nodes < 0 {
+				w.nodes = t.isNode.Rank1(w.ord)
+			}
+			v := w.ord - w.nodes
 			w.ord++
 			w.q += 2 // a text leaf is always "()"
 			return v
@@ -138,20 +181,21 @@ func (t *SuccinctStructure) nextLeaf(w *leafWalk) int {
 		c := t.bp.FindCloseAt(w.q, 2*(w.ord+1)-(w.q+1))
 		w.ord += (c - w.q + 1) / 2
 		w.q = c + 1
+		w.nodes = -1
 	}
 	return -1
 }
 
 // hasText reports whether the node has at least one immediate text
 // value (for attribute nodes: the attribute value).
-func (t *SuccinctStructure) hasText(id NodeID) bool {
-	w := t.leaves(id)
+func (t *SuccinctStructure) hasText(c *TextCursor, id NodeID) bool {
+	w := t.leaves(c, id)
 	return t.nextLeaf(&w) >= 0
 }
 
 // text appends the node's immediate text values, decoded.
-func (t *SuccinctStructure) text(conts []*Container, dst []byte, id NodeID) ([]byte, error) {
-	w := t.leaves(id)
+func (t *SuccinctStructure) text(c *TextCursor, conts []*Container, dst []byte, id NodeID) ([]byte, error) {
+	w := t.leaves(c, id)
 	for v := t.nextLeaf(&w); v >= 0; v = t.nextLeaf(&w) {
 		var err error
 		if dst, err = conts[t.valCont[v]].Decode(dst, int(t.valIdx[v])); err != nil {
@@ -161,10 +205,19 @@ func (t *SuccinctStructure) text(conts []*Container, dst []byte, id NodeID) ([]b
 	return dst, nil
 }
 
+// soleText appends the one value of id, an instance of a summary node
+// whose SoleText holds. Its only child is the text leaf at the next open
+// ordinal, k+1, with the id marks of id and before it ahead of that: the
+// value ref is k+1-id, found with the node-mark select alone.
+func (t *SuccinctStructure) soleText(c *TextCursor, conts []*Container, dst []byte, id NodeID) ([]byte, error) {
+	v := t.ordinal(c, id) + 1 - int(id)
+	return conts[t.valCont[v]].Decode(dst, int(t.valIdx[v]))
+}
+
 // textRefs appends the references of the node's immediate text values —
 // what text decodes — to dst.
-func (t *SuccinctStructure) textRefs(dst []ValueRef, id NodeID) []ValueRef {
-	w := t.leaves(id)
+func (t *SuccinctStructure) textRefs(c *TextCursor, dst []ValueRef, id NodeID) []ValueRef {
+	w := t.leaves(c, id)
 	for v := t.nextLeaf(&w); v >= 0; v = t.nextLeaf(&w) {
 		dst = append(dst, ValueRef{Container: t.valCont[v], Index: t.valIdx[v]})
 	}
@@ -473,11 +526,6 @@ func (s *Store) deriveFromSuccinct() error {
 		return fmt.Errorf("storage: %d of %d container records belong to no node", records-owned, records)
 	}
 
-	for _, sn := range sum.Nodes() {
-		sn.Count = len(sn.Extent)
-		if sn.Count > 0 {
-			sn.AvgFan = float64(info(sn).fan) / float64(sn.Count)
-		}
-	}
+	sum.deriveStats(func(sn *SummaryNode) int { return info(sn).fan }, s.Containers)
 	return nil
 }

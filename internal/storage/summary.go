@@ -26,6 +26,23 @@ type SummaryNode struct {
 	// text() step over this path keeps every instance. Derived by the same
 	// sweeps that derive Extent, never persisted.
 	TextCount int
+	// SoleText says that every instance's only child is one text leaf:
+	// for an attribute, that its container holds Count records; for an
+	// element, that its only summary child is #text, TextCount == Count
+	// and that container holds Count records. Store.SoleText then finds
+	// an instance's value with no walk over its children. Derived with
+	// TextCount, never persisted.
+	SoleText bool
+}
+
+// AllSoleText reports that sums is known and SoleText holds of each.
+func AllSoleText(sums []*SummaryNode) bool {
+	for _, sn := range sums {
+		if !sn.SoleText {
+			return false
+		}
+	}
+	return len(sums) > 0
 }
 
 // Path returns the full path of the node, e.g. /site/people/person/@id.
@@ -102,6 +119,32 @@ func (ix *childIndex) child(sum *Summary, parent *SummaryNode, code uint16, tag 
 func (ix *childIndex) addText(sum *Summary, parent *SummaryNode) *SummaryNode {
 	ix.code = append(ix.code, -1)
 	return sum.add(parent, "#text")
+}
+
+// deriveStats sets each node's Count, AvgFan — from fan, the element
+// children over all its instances — and SoleText, once the sweep that
+// filed the document has left Extent, TextCount and the containers of
+// the value paths in place.
+func (s *Summary) deriveStats(fan func(*SummaryNode) int, conts []*Container) {
+	records := func(sn *SummaryNode) int {
+		if sn.Container < 0 {
+			return 0
+		}
+		return conts[sn.Container].Len()
+	}
+	for _, sn := range s.nodes {
+		sn.Count = len(sn.Extent)
+		if sn.Count > 0 {
+			sn.AvgFan = float64(fan(sn)) / float64(sn.Count)
+		}
+		switch {
+		case isAttrName(sn.Tag):
+			sn.SoleText = records(sn) == sn.Count
+		case sn.Tag != "#text":
+			sn.SoleText = len(sn.Children) == 1 && sn.Children[0].Tag == "#text" &&
+				sn.TextCount == sn.Count && records(sn.Children[0]) == sn.Count
+		}
+	}
 }
 
 // Nodes returns all summary nodes in creation (pre-order) order.

@@ -55,7 +55,7 @@ func TestTextCountIsDerivedAlike(t *testing.T) {
 				}
 				with := 0
 				for _, id := range sn.Extent {
-					if s.HasText(id) {
+					if s.HasText(nil, id) {
 						with++
 					}
 				}

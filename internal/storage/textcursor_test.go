@@ -1,0 +1,160 @@
+package storage
+
+import (
+	"bytes"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"xquec/internal/datagen"
+)
+
+// cursorStores returns the stores the cursor is held to: the ingested,
+// opened and fused XMark stores, the ingested, opened and fused store of
+// each real-life corpus, and the shard stores of an XMark document.
+func cursorStores(t *testing.T) map[string]*Store {
+	t.Helper()
+	out := map[string]*Store{}
+	add := func(name string, doc, other []byte) {
+		for kind, s := range oracleStores(t, doc, other) {
+			out[name+"/"+kind] = s
+		}
+	}
+	add("xmark", datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 7}), datagen.XMark(datagen.XMarkConfig{Scale: 0.01, Seed: 8}))
+	for _, ds := range datagen.RealLifeCorpus(3, 0.01) {
+		add(ds.Name, ds.Data, ds.Data)
+	}
+	shards, _, err := LoadSharded(datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 9}), 3, LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range shards {
+		out["shard"+string(rune('0'+i))] = s
+	}
+	return out
+}
+
+// TestTextCursorMatchesColdLookups holds Text, TextRefs, HasText and —
+// at the instances of sole-text summary nodes — SoleText through one
+// cursor to the same lookups without one, at every node, visited in
+// ascending, descending and random order, with each node asked twice in
+// a row now and then (the cursor's remembered node).
+func TestTextCursorMatchesColdLookups(t *testing.T) {
+	for name, s := range cursorStores(t) {
+		sole := make([]bool, s.NumNodes()+1)
+		for _, sn := range s.Sum.Nodes() {
+			for _, id := range sn.Extent {
+				sole[id] = sn.SoleText
+			}
+		}
+		ids := slices.Collect(everyNode(s))
+		desc := slices.Clone(ids)
+		slices.Reverse(desc)
+		random := slices.Clone(ids)
+		rand.New(rand.NewSource(5)).Shuffle(len(random), func(i, j int) { random[i], random[j] = random[j], random[i] })
+		for order, ids := range map[string][]NodeID{"ascending": ids, "descending": desc, "random": random} {
+			var c TextCursor
+			var got, want []byte
+			for i, id := range ids {
+				asks := 1
+				if i%3 == 2 {
+					asks = 2 // the node the cursor remembers
+				}
+				for range asks {
+					if s.HasText(&c, id) != s.HasText(nil, id) {
+						t.Fatalf("%s %s: HasText(%d) through the cursor = %v", name, order, id, !s.HasText(nil, id))
+					}
+					if g, w := s.TextRefs(&c, nil, id), s.TextRefs(nil, nil, id); !slices.Equal(g, w) {
+						t.Fatalf("%s %s: TextRefs(%d) through the cursor = %v, cold %v", name, order, id, g, w)
+					}
+					var gerr, werr error
+					got, gerr = s.Text(&c, got[:0], id)
+					want, werr = s.Text(nil, want[:0], id)
+					if gerr != nil || werr != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s %s: Text(%d) through the cursor = %q (%v), cold %q (%v)", name, order, id, got, gerr, want, werr)
+					}
+					if !sole[id] {
+						continue
+					}
+					if got, gerr = s.SoleText(&c, got[:0], id); gerr != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s %s: SoleText(%d) through the cursor = %q (%v), Text %q", name, order, id, got, gerr, want)
+					}
+					if got, gerr = s.SoleText(nil, got[:0], id); gerr != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s %s: SoleText(%d) = %q (%v), Text %q", name, order, id, got, gerr, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTextCursorIsTiedToItsStore: a cursor moved through one store and
+// then used on another must answer for the other — never from where it
+// stood in the first. The two stores have different shapes, so a node ID
+// means different paren positions in each.
+func TestTextCursorIsTiedToItsStore(t *testing.T) {
+	a, err := Load(datagen.XMark(datagen.XMarkConfig{Scale: 0.01, Seed: 1}), LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Load(datagen.XMark(datagen.XMarkConfig{Scale: 0.01, Seed: 2}), LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c TextCursor
+	var got, want []byte
+	n := min(a.NumNodes(), b.NumNodes())
+	for id := NodeID(1); int(id) <= n; id++ {
+		for _, s := range []*Store{a, b} {
+			got, _ = s.Text(&c, got[:0], id)
+			want, _ = s.Text(nil, want[:0], id)
+			if !bytes.Equal(got, want) || s.HasText(&c, id) != s.HasText(nil, id) ||
+				!slices.Equal(s.TextRefs(&c, nil, id), s.TextRefs(nil, nil, id)) {
+				t.Fatalf("node %d: the cursor answered %q, the store holds %q", id, got, want)
+			}
+		}
+	}
+}
+
+// TestSoleTextEdges pins the SoleText flag at the shapes that decide it,
+// on the ingested, opened and fused store, and holds SoleText to the leaf
+// walk (Text) at every instance of a flagged summary node:
+//
+//   - /r/a: text split by a comment is two text leaves, so no;
+//   - /r/b: an empty <b/> among text-bearing siblings, so no;
+//   - /r/c: an attribute before the text, so no — and /r/c/@k yes;
+//   - /r/d/@v: an empty attribute value is still one record, so yes;
+//   - /r/e: one text leaf in every instance, so yes.
+func TestSoleTextEdges(t *testing.T) {
+	doc := []byte(`<r><a>x<!-- c -->y</a><a>z</a><b>p</b><b/><b>q</b>` +
+		`<c k="1">s</c><c k="2">t</c><d v=""/><d v="w"/><e>u</e><e>v</e></r>`)
+	want := map[string]bool{
+		"/r": false, "/r/a": false, "/r/b": false, "/r/c": false, "/r/c/@k": true,
+		"/r/d": false, "/r/d/@v": true, "/r/e": true,
+	}
+	for kind, s := range oracleStores(t, doc, doc) {
+		for path, w := range want {
+			sn := s.Sum.Lookup(path)
+			if sn == nil {
+				t.Fatalf("%s: no summary node %s", kind, path)
+			}
+			if sn.SoleText != w {
+				t.Errorf("%s: %s SoleText = %v, want %v", kind, path, sn.SoleText, w)
+			}
+			if !sn.SoleText {
+				continue
+			}
+			for _, id := range sn.Extent {
+				got, err := s.SoleText(nil, nil, id)
+				walk, werr := s.Text(nil, nil, id)
+				if err != nil || werr != nil || !bytes.Equal(got, walk) {
+					t.Fatalf("%s: %s node %d: SoleText %q (%v), Text %q (%v)", kind, path, id, got, err, walk, werr)
+				}
+			}
+		}
+		if AllSoleText(nil) || !AllSoleText([]*SummaryNode{s.Sum.Lookup("/r/e"), s.Sum.Lookup("/r/c/@k")}) ||
+			AllSoleText([]*SummaryNode{s.Sum.Lookup("/r/e"), s.Sum.Lookup("/r/b")}) {
+			t.Fatalf("%s: AllSoleText disagrees with the flags", kind)
+		}
+	}
+}

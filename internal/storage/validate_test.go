@@ -30,7 +30,7 @@ func (s *Store) Validate() error {
 				return fmt.Errorf("storage: node %d (subtree end %d) escapes parent %d ending at %d", id, e, p, pe)
 			}
 		}
-		for _, vr := range s.TextRefs(nil, id) {
+		for _, vr := range s.TextRefs(nil, nil, id) {
 			if int(vr.Container) >= len(s.Containers) || vr.Container < 0 {
 				return fmt.Errorf("storage: node %d references container %d", id, vr.Container)
 			}

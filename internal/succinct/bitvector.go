@@ -179,6 +179,9 @@ func (v *Bitvector) rankAtBlock(blk int) int {
 // Select1 returns the position of the k-th set bit (0-based). k must be
 // in [0, Ones()); out-of-range k returns -1.
 func (v *Bitvector) Select1(k int) int {
+	if countSelect1 {
+		select1Calls++
+	}
 	if k < 0 || k >= v.ones {
 		return -1
 	}
@@ -209,6 +212,13 @@ func (v *Bitvector) Select1(k int) int {
 		w++
 	}
 }
+
+// countSelect1 and select1Calls let a test count the Select1 calls a
+// code path makes (export_test.go); nothing else sets countSelect1.
+var (
+	countSelect1 bool
+	select1Calls int
+)
 
 // selByte[b][r] is the position of the r-th (0-based) set bit of byte
 // b (8 when b has fewer than r+1 set bits).

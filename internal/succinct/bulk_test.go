@@ -105,3 +105,57 @@ func TestBPWithDirs(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSelectScannerSeek holds SelectScanner.Seek to Select1 over queries
+// in any order. The shape byte picks the vector: the pattern bytes
+// repeated, sparse (one bit in 97), dense (all but one in 13) or all
+// ones; each move byte picks the next k — a step back, the same k again,
+// a short step forward, a jump past the re-seed gap, one of the last
+// ones (the last word), or anywhere.
+func FuzzSelectScannerSeek(f *testing.F) {
+	f.Add(uint8(0), uint16(3000), []byte{0xa5, 0x3c}, []byte{5, 0, 200, 200, 7, 1, 3, 9, 4, 10, 6})
+	f.Add(uint8(1), uint16(60000), []byte{0x01}, []byte{17, 3, 9, 0, 0, 1, 2, 22, 250, 5, 4, 6})
+	f.Add(uint8(2), uint16(20000), []byte{}, []byte{3, 3, 3, 0, 1, 8, 9, 4, 10, 11, 5, 2})
+	f.Add(uint8(3), uint16(64*70), []byte{}, []byte{9, 15, 21, 0, 6, 4, 1, 250, 249, 3, 10})
+	f.Fuzz(func(t *testing.T, shape uint8, nBits uint16, pattern, moves []byte) {
+		bitset := make([]bool, int(nBits))
+		for i := range bitset {
+			switch shape % 4 {
+			case 0:
+				bitset[i] = len(pattern) > 0 && pattern[i/8%len(pattern)]>>(uint(i)%8)&1 == 1
+			case 1:
+				bitset[i] = i%97 == 0
+			case 2:
+				bitset[i] = i%13 != 0
+			case 3:
+				bitset[i] = true
+			}
+		}
+		v := buildFromBools(bitset)
+		ones := v.Ones()
+		if ones == 0 {
+			return
+		}
+		sc := NewSelectScanner(v)
+		k := 0
+		for _, m := range moves {
+			d := int(m / 6)
+			switch m % 6 {
+			case 0:
+				k -= d + 1
+			case 2:
+				k += d
+			case 3:
+				k += selReseedGap + d
+			case 4:
+				k = ones - 1 - d%64
+			case 5:
+				k = int(m) * ones / 256
+			}
+			k = max(0, min(k, ones-1))
+			if got, want := sc.Seek(k), v.Select1(k); got != want {
+				t.Fatalf("Seek(%d)=%d, Select1 %d", k, got, want)
+			}
+		}
+	})
+}

@@ -672,7 +672,7 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 				if r.sc == nil {
 					r.sc = storage.NewScratch()
 				}
-				buf, err := p.store.TextScratch(r.sc, id)
+				buf, err := p.store.TextScratch(r.sc, eng.TextCursor(), id)
 				if err != nil {
 					return r.fail(err)
 				}
