@@ -43,7 +43,9 @@ race:
 # package xquec, the user-settable values (not gated) — command-line
 # flags of xquec and xquecd, exported fields of xquec.Options,
 # xquec.QueryOptions and server.Config, and the optional per-request
-# overrides of server.QueryRequest — and the environment reads in
+# overrides of server.QueryRequest — the number of xquecd_ metric
+# families /metrics exports (each name is one string literal in
+# internal/server), and the environment reads in
 # non-test internal/ code, which must be none, so `check` fails on the
 # first one: behaviour is chosen by options, never by the environment
 # of the process.
@@ -58,6 +60,7 @@ loc:
 	c=$$($(GO) doc ./internal/server Config | grep -c '^	[A-Z]'); \
 	r=$$($(GO) doc ./internal/server QueryRequest | grep -c omitempty); \
 	echo "user-settable values: $$((f + o + q + c + r)) ($$f flags, $$o Options, $$q QueryOptions, $$c server.Config, $$r request overrides)"
+	@echo "xquecd metric families: $$(ls internal/server/*.go | grep -v '_test\.go$$' | xargs grep -ho '"xquecd_[a-z_]*"' | sort -u | wc -l)"
 	@n=$$(find internal -name '*.go' ! -name '*_test.go' | xargs grep -o 'os\.Getenv(' | wc -l); \
 	echo "internal/ non-test os.Getenv calls: $$n"; \
 	test $$n -eq 0 || { echo "loc: non-test code under internal/ calls os.Getenv"; exit 1; }

@@ -32,7 +32,6 @@
 //	                    flushed every -flush-items items
 //	POST /append        {"repo":"auction","doc":"<site>...</site>","compact":false}
 //	GET  /repos         available and resident repositories
-//	GET  /stats         JSON counters, pool and plan-cache statistics
 //	GET  /healthz       liveness probe
 //	GET  /metrics       Prometheus text format
 package main

@@ -69,7 +69,6 @@ func ContFilterPar(c *storage.Container, par int, pred func(plain []byte) bool) 
 	if parts <= 1 {
 		return ContFilter(c, pred)
 	}
-	xpar.NoteScan(parts)
 	chunks := make([]NodeSet, parts)
 	err := xpar.ForEach(parts, parts, func(p int) error {
 		lo, hi := n*p/parts, n*(p+1)/parts

@@ -692,7 +692,6 @@ func (e *Engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.S
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	xpar.NoteScan(len(jobs))
 	results := make([]conjunctOwners, len(jobs))
 	_ = xpar.ForEach(workers, len(jobs), func(k int) error {
 		j, r := jobs[k], &results[k]
@@ -993,7 +992,6 @@ func (e *Engine) scanTargets(conts []*storage.Container, op, literal string, par
 		if workers > len(conts) {
 			workers = len(conts)
 		}
-		xpar.NoteScan(len(conts))
 		// Workers never return an error: the reduction below walks the
 		// results in container order, so the error and not-handled
 		// decisions are the ones the serial loop would have made.

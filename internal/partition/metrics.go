@@ -2,10 +2,9 @@ package partition
 
 import "sync/atomic"
 
-// Process-wide scatter-gather counters, exported by xquecd as
-// xquecd_shard_* metrics (the same pattern as xpar.Snapshot and
-// storage.LoadBuildTotals: package-global monotonic counters, snapshot
-// on scrape).
+// Process-wide scatter-gather and fusion counters, exported by xquecd
+// as the xquecd_shard_* and xquecd_fusion* metrics: package-global
+// monotonic counters, read on every scrape.
 var counters struct {
 	scatterQueries  atomic.Int64
 	fallbackQueries atomic.Int64

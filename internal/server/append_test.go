@@ -88,30 +88,22 @@ func TestAppendGrowsRepository(t *testing.T) {
 		t.Fatalf("repo listing = %v", names)
 	}
 
-	m := srv.Metrics().Snapshot()
-	if m.AppendsTotal != 1 || m.AppendBytes == 0 {
-		t.Fatalf("append metrics = %+v", m)
+	m := scrape(t, ts.URL)
+	if m["xquecd_appends_total"] != 1 || m["xquecd_append_bytes_total"] == 0 {
+		t.Fatalf("append metrics: %v appends, %v bytes", m["xquecd_appends_total"], m["xquecd_append_bytes_total"])
 	}
-	if m.RepoSegments["numbers"] != 2 {
-		t.Fatalf("repo segments = %v", m.RepoSegments)
+	if n := m["xquecd_repo_segments"]; n != 2 {
+		t.Fatalf("repo segments = %v", n)
 	}
 	// The count after the append could not scatter: it paid for one
 	// fusion of the two segments, and the metrics say so.
-	if now := partition.Snapshot(); now.Fusions <= fusions || now.FusionNanos == 0 {
-		t.Fatalf("fusions = %d (was %d), %d ns", now.Fusions, fusions, now.FusionNanos)
-	}
-	var prom bytes.Buffer
-	srv.Metrics().WritePrometheus(&prom)
-	for _, series := range []string{"\nxquecd_fusions_total ", "\nxquecd_fusion_seconds_total "} {
-		i := strings.Index(prom.String(), series)
-		if i < 0 || strings.HasPrefix(prom.String()[i+len(series):], "0\n") {
-			t.Fatalf("/metrics lacks a non-zero %q", series)
-		}
+	if m["xquecd_fusions_total"] <= float64(fusions) || m["xquecd_fusion_seconds_total"] == 0 {
+		t.Fatalf("fusions = %v (was %d), %v s", m["xquecd_fusions_total"], fusions, m["xquecd_fusion_seconds_total"])
 	}
 }
 
 func TestAppendSynchronousCompact(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	if res, _ := postAppend(t, ts.URL, AppendRequest{Repo: "numbers", Doc: `<data><v>5</v></data>`}); res == nil || res.Segments != 2 {
 		t.Fatalf("first append = %+v", res)
 	}
@@ -127,14 +119,13 @@ func TestAppendSynchronousCompact(t *testing.T) {
 	if out == nil || out.Result != "6" {
 		t.Fatalf("after compact = %+v", out)
 	}
-	m := srv.Metrics().Snapshot()
-	if m.CompactionsTotal != 1 {
-		t.Fatalf("compactions = %d", m.CompactionsTotal)
+	if n := scrape(t, ts.URL)["xquecd_compactions_total"]; n != 1 {
+		t.Fatalf("compactions = %v", n)
 	}
 }
 
 func TestAppendBackgroundCompaction(t *testing.T) {
-	srv, ts := newTestServer(t, Config{CompactAfter: 3})
+	_, ts := newTestServer(t, Config{CompactAfter: 3})
 	for i := 0; i < 2; i++ {
 		res, resp := postAppend(t, ts.URL, AppendRequest{Repo: "numbers", Doc: `<data><v>9</v></data>`})
 		if res == nil {
@@ -147,15 +138,15 @@ func TestAppendBackgroundCompaction(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		m := srv.Metrics().Snapshot()
-		if m.CompactionsTotal >= 1 {
-			if m.RepoSegments["numbers"] != 1 {
-				t.Fatalf("post-compaction segments = %v", m.RepoSegments)
+		m := scrape(t, ts.URL)
+		if m["xquecd_compactions_total"] >= 1 {
+			if n := m["xquecd_repo_segments"]; n != 1 {
+				t.Fatalf("post-compaction segments = %v", n)
 			}
 			break
 		}
-		if m.CompactionErrors > 0 {
-			t.Fatalf("background compaction failed: %+v", m)
+		if m["xquecd_compaction_errors_total"] > 0 {
+			t.Fatal("background compaction failed")
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("background compaction never finished: %+v", m)

@@ -63,9 +63,8 @@ func (c *PlanCache) Get(repo, topo, query string) *xquec.Prepared {
 // Put inserts a plan, evicting the least recently used entry when the
 // cache is full. Each entry is charged its Prepared.CostBytes — the
 // compiled programs' estimated resident size, so the cache accounts for
-// what it actually pins in memory, not just entry count. Put returns the
-// cache's resident bytes after the insertion.
-func (c *PlanCache) Put(repo, topo, query string, prep *xquec.Prepared) (sizeBytes int64) {
+// what it actually pins in memory, not just entry count.
+func (c *PlanCache) Put(repo, topo, query string, prep *xquec.Prepared) {
 	k := planKey{repo, topo, query}
 	cost := int64(prep.CostBytes())
 	c.mu.Lock()
@@ -75,7 +74,7 @@ func (c *PlanCache) Put(repo, topo, query string, prep *xquec.Prepared) (sizeByt
 		e := el.Value.(*planEntry)
 		c.bytes += cost - e.cost
 		e.prep, e.cost = prep, cost
-		return c.bytes
+		return
 	}
 	c.entries[k] = c.lru.PushFront(&planEntry{key: k, prep: prep, cost: cost})
 	c.bytes += cost
@@ -87,31 +86,15 @@ func (c *PlanCache) Put(repo, topo, query string, prep *xquec.Prepared) (sizeByt
 		c.bytes -= e.cost
 		c.evictions++
 	}
-	return c.bytes
-}
-
-// Invalidate drops every plan cached for repo (used when a repository
-// handle is replaced).
-func (c *PlanCache) Invalidate(repo string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, el := range c.entries {
-		if k.repo == repo {
-			c.bytes -= el.Value.(*planEntry).cost
-			c.lru.Remove(el)
-			delete(c.entries, k)
-		}
-	}
 }
 
 // PlanCacheStats is a snapshot of the cache's counters.
 type PlanCacheStats struct {
-	Capacity  int   `json:"capacity"`
-	Entries   int   `json:"entries"`
-	SizeBytes int64 `json:"size_bytes"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
+	Entries   int
+	SizeBytes int64 // sum of resident entry costs (CostBytes)
+	Hits      int64
+	Misses    int64
+	Evictions int64
 }
 
 // Stats snapshots the cache.
@@ -119,7 +102,7 @@ func (c *PlanCache) Stats() PlanCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return PlanCacheStats{
-		Capacity: c.cap, Entries: c.lru.Len(), SizeBytes: c.bytes,
+		Entries: c.lru.Len(), SizeBytes: c.bytes,
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"xquec"
 )
@@ -30,11 +31,16 @@ type Pool struct {
 	// open is the loader, swappable in tests.
 	open func(path string) (*xquec.Database, error)
 
-	mu      sync.Mutex
-	entries map[string]*poolEntry
-	lru     *list.List // front = most recent; values are *poolEntry
+	mu        sync.Mutex
+	entries   map[string]*poolEntry
+	lru       *list.List // front = most recent; values are *poolEntry
+	misses    int64      // loads started, failed ones included
+	evictions int64
 
-	hits, misses, evictions int64
+	// hits counts handles served from residence. It advances after the
+	// wait on an in-flight load, outside the lock, so a request that
+	// joins a load which then fails is no hit.
+	hits atomic.Int64
 }
 
 type poolEntry struct {
@@ -92,12 +98,12 @@ func (p *Pool) Get(name string) (db *xquec.Database, cached bool, err error) {
 	p.mu.Lock()
 	if e, ok := p.entries[name]; ok {
 		p.lru.MoveToFront(e.elem)
-		p.hits++
 		p.mu.Unlock()
 		<-e.ready
 		if e.err != nil {
 			return nil, false, e.err
 		}
+		p.hits.Add(1)
 		return e.db, true, nil
 	}
 	p.misses++
@@ -231,46 +237,14 @@ func (p *Pool) Available() ([]string, error) {
 	return names, nil
 }
 
-// RepoStructure describes the structure tree of one resident
-// repository: how dense its paren encoding is.
-type RepoStructure struct {
-	BitsPerNode float64 `json:"bits_per_node,omitempty"`
-}
-
 // PoolStats is a snapshot of the pool's counters.
 type PoolStats struct {
-	Capacity   int                      `json:"capacity"`
-	Resident   []string                 `json:"resident"`
-	Hits       int64                    `json:"hits"`
-	Misses     int64                    `json:"misses"`
-	Evictions  int64                    `json:"evictions"`
-	Structures map[string]RepoStructure `json:"structures,omitempty"`
+	Hits, Misses, Evictions int64
 }
 
-// Stats snapshots the pool. Structure details cover repositories whose
-// load has completed; in-flight loads are skipped so a stats request
-// never blocks on repository I/O.
+// Stats snapshots the pool's counters.
 func (p *Pool) Stats() PoolStats {
-	st := PoolStats{Resident: p.Resident()}
 	p.mu.Lock()
-	st.Capacity, st.Hits, st.Misses, st.Evictions = p.cap, p.hits, p.misses, p.evictions
-	ready := make([]*poolEntry, 0, p.lru.Len())
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*poolEntry)
-		select {
-		case <-e.ready:
-			if e.err == nil && e.db != nil {
-				ready = append(ready, e)
-			}
-		default:
-		}
-	}
-	p.mu.Unlock()
-	if len(ready) > 0 {
-		st.Structures = make(map[string]RepoStructure, len(ready))
-		for _, e := range ready {
-			st.Structures[e.name] = RepoStructure{BitsPerNode: e.db.StructureBitsPerNode()}
-		}
-	}
-	return st
+	defer p.mu.Unlock()
+	return PoolStats{Hits: p.hits.Load(), Misses: p.misses, Evictions: p.evictions}
 }

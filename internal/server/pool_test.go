@@ -2,12 +2,15 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"xquec"
 )
@@ -51,8 +54,8 @@ func TestPoolLoadHitEvict(t *testing.T) {
 	if st.Evictions < 1 || st.Hits < 2 || st.Misses < 3 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if len(st.Resident) != 2 {
-		t.Fatalf("resident = %v", st.Resident)
+	if r := p.Resident(); len(r) != 2 {
+		t.Fatalf("resident = %v", r)
 	}
 }
 
@@ -112,6 +115,62 @@ func TestPoolConcurrentGetSharesOneLoad(t *testing.T) {
 			t.Fatal("goroutines got different handles")
 		}
 	}
+	// Every Get that joined the one load was served a handle: a hit.
+	if st := p.Stats(); st.Hits != int64(len(dbs)-1) || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want %d hits and 1 miss", st, len(dbs)-1)
+	}
+}
+
+// TestPoolFailedLoadIsNoHit: Gets that join an in-flight load of a
+// corrupt repository are served no handle, so none of them is a hit —
+// the exported xquecd_repo_cache_hits_total counts handles served.
+func TestPoolFailedLoadIsNoHit(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "bad.xqc"), []byte("not a repository"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(dir, 2)
+	loading, release := make(chan struct{}), make(chan struct{})
+	var loads atomic.Int64
+	inner := p.open
+	p.open = func(path string) (*xquec.Database, error) {
+		if loads.Add(1) == 1 {
+			close(loading)
+			<-release
+		}
+		return inner(path)
+	}
+	const n = 16
+	errs := make(chan error, n)
+	go func() {
+		_, _, err := p.Get("bad")
+		errs <- err
+	}()
+	<-loading // the first Get's entry is in the pool: the others join it
+	for i := 1; i < n; i++ {
+		go func() {
+			_, _, err := p.Get("bad")
+			errs <- err
+		}()
+	}
+	// Give the others time to reach the pool while the load is held. The
+	// check below does not depend on it: a Get that arrives after the
+	// failure starts a load of its own, which is a miss, not a hit.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	for i := 0; i < n; i++ {
+		if err := <-errs; !errors.Is(err, xquec.ErrCorruptRepository) {
+			t.Fatalf("Get %d: err = %v, want a corrupt-repository error", i, err)
+		}
+	}
+	st := p.Stats()
+	if st.Hits != 0 {
+		t.Fatalf("hits = %d after %d failed Gets (%d loads), want 0", st.Hits, n, loads.Load())
+	}
+	if st.Misses != loads.Load() {
+		t.Fatalf("misses = %d, loads = %d", st.Misses, loads.Load())
+	}
+	t.Logf("%d of %d Gets joined the first load", n-int(loads.Load()), n)
 }
 
 func TestPoolAvailable(t *testing.T) {

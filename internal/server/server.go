@@ -101,7 +101,6 @@ type Server struct {
 	plans   *PlanCache
 	metrics *Metrics
 	sem     chan struct{}
-	start   time.Time
 
 	// The write path: one Writer per appended-to repository (created on
 	// first /append, bound to the repository's segment-set manifest) and
@@ -128,17 +127,11 @@ func New(cfg Config) (*Server, error) {
 		plans:      NewPlanCache(cfg.PlanCacheSize),
 		metrics:    &Metrics{},
 		sem:        make(chan struct{}, cfg.MaxConcurrent),
-		start:      time.Now(),
 		writers:    map[string]*xquec.Writer{},
 		compacting: map[string]bool{},
 	}
-	s.metrics.segments = s.segmentCounts
-	s.metrics.resident = s.pool.ResidentBytes
 	return s, nil
 }
-
-// Metrics exposes the server's metrics (for tests and embedding).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Pool exposes the repository pool.
 func (s *Server) Pool() *Pool { return s.pool }
@@ -152,7 +145,6 @@ func (s *Server) PlanCache() *PlanCache { return s.plans }
 //	POST /query/stream  same body; newline-separated items, chunked
 //	POST /append        {"repo": name, "doc": xml, "compact": bool?}
 //	GET  /repos         available + resident repositories
-//	GET  /stats         JSON counters and cache statistics
 //	GET  /healthz       liveness probe
 //	GET  /metrics       Prometheus text format
 func (s *Server) Handler() http.Handler {
@@ -161,14 +153,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/query/stream", s.handleQueryStream)
 	mux.HandleFunc("/append", s.handleAppend)
 	mux.HandleFunc("/repos", s.handleRepos)
-	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.metrics.WritePrometheus(w)
+		s.writeMetrics(w)
 	})
 	return mux
 }
@@ -359,11 +350,6 @@ func (s *Server) resolve(ctx context.Context, req QueryRequest) (res *xquec.Resu
 		}
 		return nil, false, false, statusFor(err), err
 	}
-	if repoCached {
-		s.metrics.RepoHits.Add(1)
-	} else {
-		s.metrics.RepoMisses.Add(1)
-	}
 
 	// The topology key pins cached plans to this repository instance:
 	// after an eviction + reload (or a swap to a re-sharded layout) the
@@ -371,16 +357,12 @@ func (s *Server) resolve(ctx context.Context, req QueryRequest) (res *xquec.Resu
 	topo := db.TopologyKey()
 	prep := s.plans.Get(req.Repo, topo, req.Query)
 	planCached = prep != nil
-	if planCached {
-		s.metrics.PlanHits.Add(1)
-	} else {
-		s.metrics.PlanMisses.Add(1)
+	if !planCached {
 		prep, err = db.Prepare(req.Query)
 		if err != nil {
 			return nil, planCached, repoCached, statusFor(err), err
 		}
-		s.metrics.ObserveProgramLen(prep.ProgramLen())
-		s.metrics.PlanCacheBytes.Store(s.plans.Put(req.Repo, topo, req.Query, prep))
+		s.plans.Put(req.Repo, topo, req.Query, prep)
 	}
 
 	res, err = prep.Execute(ctx, s.queryOptions(req))
@@ -461,29 +443,4 @@ func (s *Server) handleRepos(w http.ResponseWriter, r *http.Request) {
 		out = append(out, RepoInfo{Name: n, Resident: resident[n]})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"repos": out})
-}
-
-// StatsResponse is the /stats body.
-type StatsResponse struct {
-	UptimeSeconds float64        `json:"uptime_seconds"`
-	MaxConcurrent int            `json:"max_concurrent"`
-	QueryTimeout  string         `json:"query_timeout"`
-	Counters      Snapshot       `json:"counters"`
-	Pool          PoolStats      `json:"pool"`
-	PlanCache     PlanCacheStats `json:"plan_cache"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
-		return
-	}
-	writeJSON(w, http.StatusOK, StatsResponse{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		MaxConcurrent: s.cfg.MaxConcurrent,
-		QueryTimeout:  s.cfg.QueryTimeout.String(),
-		Counters:      s.metrics.Snapshot(),
-		Pool:          s.pool.Stats(),
-		PlanCache:     s.plans.Stats(),
-	})
 }

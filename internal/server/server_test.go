@@ -73,7 +73,7 @@ func TestServerQueryBasics(t *testing.T) {
 }
 
 func TestServerPlanCacheHitOnRepeat(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	q := QueryRequest{Repo: "numbers", Query: `count(/data/v)`}
 	first, _ := postQuery(t, ts.URL, q)
 	if first == nil || first.Result != "4" {
@@ -83,18 +83,15 @@ func TestServerPlanCacheHitOnRepeat(t *testing.T) {
 	if second == nil || !second.PlanCached || !second.RepoCached {
 		t.Fatalf("repeat should hit both caches: %+v", second)
 	}
-	m := srv.Metrics().Snapshot()
-	if m.PlanHits < 1 || m.PlanMisses < 1 {
-		t.Fatalf("plan cache counters = %+v", m)
-	}
-	// Measured hit ratio must be positive on a repeated workload.
-	if ratio := float64(m.PlanHits) / float64(m.PlanHits+m.PlanMisses); ratio <= 0 {
-		t.Fatalf("hit ratio = %v", ratio)
+	m := scrape(t, ts.URL)
+	hits, misses := m["xquecd_plan_cache_hits_total"], m["xquecd_plan_cache_misses_total"]
+	if hits < 1 || misses < 1 {
+		t.Fatalf("plan cache counters: %v hits, %v misses", hits, misses)
 	}
 }
 
 func TestServerConcurrentQueriesTwoRepos(t *testing.T) {
-	srv, ts := newTestServer(t, Config{MaxConcurrent: 4})
+	_, ts := newTestServer(t, Config{MaxConcurrent: 4})
 	type tc struct {
 		req  QueryRequest
 		want string
@@ -131,15 +128,15 @@ func TestServerConcurrentQueriesTwoRepos(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	m := srv.Metrics().Snapshot()
-	if m.QueriesTotal != 160 {
-		t.Fatalf("queries_total = %d", m.QueriesTotal)
+	m := scrape(t, ts.URL)
+	if n := m["xquecd_queries_total"]; n != 160 {
+		t.Fatalf("queries_total = %v", n)
 	}
-	if m.PlanHits == 0 || m.RepoHits == 0 {
-		t.Fatalf("caches never hit under repetition: %+v", m)
+	if m["xquecd_plan_cache_hits_total"] == 0 || m["xquecd_repo_cache_hits_total"] == 0 {
+		t.Fatalf("caches never hit under repetition: %v", m)
 	}
-	if m.InFlight != 0 {
-		t.Fatalf("in-flight gauge leaked: %d", m.InFlight)
+	if n := m["xquecd_in_flight_queries"]; n != 0 {
+		t.Fatalf("in-flight gauge leaked: %v", n)
 	}
 }
 
@@ -170,7 +167,7 @@ func slowServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 const slowQuery = `count(FOR $a IN /d/i, $b IN /d/i WHERE number($a/v) + number($b/v) < 0 RETURN 1)`
 
 func TestServerQueryTimeoutCancelsEvaluation(t *testing.T) {
-	srv, ts := slowServer(t, Config{QueryTimeout: 50 * time.Millisecond})
+	_, ts := slowServer(t, Config{QueryTimeout: 50 * time.Millisecond})
 	started := time.Now()
 	res, resp := postQuery(t, ts.URL, QueryRequest{Repo: "big", Query: slowQuery})
 	elapsed := time.Since(started)
@@ -186,8 +183,8 @@ func TestServerQueryTimeoutCancelsEvaluation(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
-	if m := srv.Metrics().Snapshot(); m.Timeouts != 1 {
-		t.Fatalf("timeouts = %d", m.Timeouts)
+	if n := scrape(t, ts.URL)["xquecd_query_timeouts_total"]; n != 1 {
+		t.Fatalf("timeouts = %v", n)
 	}
 }
 
@@ -272,19 +269,14 @@ func TestServerReposStatsHealthMetrics(t *testing.T) {
 		t.Fatalf("people not resident after queries: %+v", repos)
 	}
 
-	var stats StatsResponse
-	if err := json.Unmarshal([]byte(get("/stats")), &stats); err != nil {
+	// The counters go out once, on /metrics: there is no JSON copy.
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Counters.QueriesTotal != 2 || stats.PlanCache.Hits != 1 || stats.Pool.Hits != 1 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	ps, ok := stats.Pool.Structures["people"]
-	if !ok {
-		t.Fatalf("stats missing structure info for resident repo: %+v", stats.Pool)
-	}
-	if ps.BitsPerNode <= 0 || ps.BitsPerNode > 64 {
-		t.Fatalf("bits/node = %v", ps.BitsPerNode)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats = %d, want 404", resp.StatusCode)
 	}
 
 	metrics := get("/metrics")

@@ -77,11 +77,13 @@ func TestStreamChunksBeforeCompletion(t *testing.T) {
 	if e := rec.header.Get("X-Xquec-Error"); e != "" {
 		t.Fatalf("unexpected stream error %q", e)
 	}
-	snap := srv.Metrics().Snapshot()
-	if snap.StreamQueries != 1 {
-		t.Fatalf("StreamQueries = %d", snap.StreamQueries)
+	var prom strings.Builder
+	srv.writeMetrics(&prom)
+	m := parseMetrics(prom.String())
+	if n := m["xquecd_stream_queries_total"]; n != 1 {
+		t.Fatalf("xquecd_stream_queries_total = %v", n)
 	}
-	if snap.FirstByteMeanMs <= 0 {
+	if m["xquecd_first_byte_seconds_count"] != 1 || m["xquecd_first_byte_seconds_sum"] <= 0 {
 		t.Fatal("first-byte latency not observed")
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -56,23 +55,7 @@ func TestBenchmarkSurface(t *testing.T) {
 		t.Fatalf("failing stream: body %q, trailers %v", out, tr)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	samples := map[string]float64{}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		name, val, ok := strings.Cut(sc.Text(), " ")
-		if !ok || strings.HasPrefix(name, "#") {
-			continue
-		}
-		if v, err := strconv.ParseFloat(val, 64); err == nil {
-			name, _, _ = strings.Cut(name, "{")
-			samples[name] = v
-		}
-	}
+	samples := scrape(t, ts.URL)
 	for name, min := range map[string]float64{
 		"xquecd_plan_cache_hits_total": 1,
 		"xquecd_repo_cache_hits_total": 1,
@@ -85,4 +68,43 @@ func TestBenchmarkSurface(t *testing.T) {
 	if v := samples["xquecd_repo_segments"]; v != 2 {
 		t.Errorf("/metrics: xquecd_repo_segments = %v, want 2 after one append", v)
 	}
+}
+
+// exposition is the body of GET /metrics.
+func exposition(t testing.TB, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// scrape reads GET /metrics the way bench/ does (parseMetrics).
+func scrape(t testing.TB, url string) map[string]float64 {
+	t.Helper()
+	return parseMetrics(exposition(t, url))
+}
+
+// parseMetrics parses an exposition as the load generator under bench/
+// parses it: one value per sample name with its labels cut off, so of a
+// labeled family the last sample wins.
+func parseMetrics(text string) map[string]float64 {
+	samples := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(name, "#") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(val, 64); err == nil {
+			name, _, _ = strings.Cut(name, "{")
+			samples[name] = v
+		}
+	}
+	return samples
 }

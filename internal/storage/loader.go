@@ -10,6 +10,7 @@ import (
 	"xquec/internal/compress/numeric"
 	"xquec/internal/succinct"
 	"xquec/internal/xmlparser"
+	"xquec/internal/xpar"
 )
 
 // LoadOptions configures the loader/compressor.
@@ -34,6 +35,28 @@ type LoadOptions struct {
 	// Names encountered during the parse that are already pre-seeded keep
 	// their seeded code; new names append after the seed.
 	Dictionary []string
+}
+
+// BuildStats records the wall-clock time Load spent in each phase of the
+// two-phase ingestion pipeline. Parse is the serial SAX pass, which writes
+// the structure arrays; Classify, Train and Encode are the parallel
+// fan-out (type inference, source-model training, value encoding +
+// container sorting + value-ref resolution); Index is the serial freeze of
+// the succinct structure (rank/select and navigation directories) and the
+// summary statistics. Not persisted: repositories opened from disk report
+// a zero BuildStats.
+type BuildStats struct {
+	Parallelism int
+	Parse       time.Duration
+	Classify    time.Duration
+	Train       time.Duration
+	Encode      time.Duration
+	Index       time.Duration
+}
+
+// Total returns the summed phase time.
+func (b BuildStats) Total() time.Duration {
+	return b.Parse + b.Classify + b.Train + b.Encode + b.Index
 }
 
 // Load parses an XML document and builds the compressed repository.
@@ -88,7 +111,6 @@ func Load(src []byte, opts LoadOptions) (*Store, error) {
 	s.succ = a.build()
 	s.Sum.deriveStats(func(sn *SummaryNode) int { return in.sums[sn.ID].fan }, s.Containers)
 	s.Build.Index = time.Since(phase)
-	addBuildTotals(s.Build)
 	return s, nil
 }
 
@@ -265,7 +287,7 @@ func (s *Store) buildContainers(in *ingest, plan *CompressionPlan, par int) erro
 		group string         // plan group, "" if unplanned
 	}
 	cls := make([]classified, len(sumIDs))
-	err := forEachIndex(par, len(sumIDs), func(i int) error {
+	err := xpar.ForEach(par, len(sumIDs), func(i int) error {
 		id := sumIDs[i]
 		path := sum.NodeByID(id).Path()
 		cls[i] = classified{path: path, kind: KindString}
@@ -316,7 +338,7 @@ func (s *Store) buildContainers(in *ingest, plan *CompressionPlan, par int) erro
 	// value lists are only read.
 	phase = time.Now()
 	groupCodecs := make([]compress.Codec, len(groupNames))
-	err = forEachIndex(par, len(groupNames), func(gi int) error {
+	err = xpar.ForEach(par, len(groupNames), func(gi int) error {
 		g := groupNames[gi]
 		alg := groupAlg[g]
 		if alg == "" {
@@ -372,7 +394,7 @@ func (s *Store) buildContainers(in *ingest, plan *CompressionPlan, par int) erro
 	}
 	conts := make([]*Container, len(sumIDs))
 	mappingByIdx := make([][]int32, len(sumIDs))
-	err = forEachIndex(par, len(sumIDs), func(i int) error {
+	err = xpar.ForEach(par, len(sumIDs), func(i int) error {
 		vl := &in.sums[sumIDs[i]]
 		cont, mapping, err := buildContainer(cls[i].path, cls[i].kind, contGroup[i], contCodec[i], vl.plains, vl.owners)
 		if err != nil {

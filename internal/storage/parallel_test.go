@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xquec/internal/datagen"
+	"xquec/internal/xpar"
 )
 
 // TestParallelLoadDeterministic is the pipeline's core contract: any
@@ -41,14 +42,14 @@ func TestParallelLoadDeterministic(t *testing.T) {
 	}
 }
 
-// TestForEachIndexCoversAll checks that every index runs exactly once
-// for serial and parallel worker counts.
+// TestForEachIndexCoversAll checks, at the worker counts the loader's
+// fan-outs use, that xpar.ForEach runs every index exactly once.
 func TestForEachIndexCoversAll(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 1000
 		var hits [n]int32
 		var mu sync.Mutex
-		err := forEachIndex(workers, n, func(i int) error {
+		err := xpar.ForEach(workers, n, func(i int) error {
 			mu.Lock()
 			hits[i]++
 			mu.Unlock()
@@ -65,13 +66,13 @@ func TestForEachIndexCoversAll(t *testing.T) {
 	}
 }
 
-// TestForEachIndexFirstError checks that an error cancels the remaining
-// work and is the one returned.
+// TestForEachIndexFirstError checks that an error in a loader fan-out
+// cancels the remaining work and is the one xpar.ForEach returns.
 func TestForEachIndexFirstError(t *testing.T) {
 	boom := fmt.Errorf("boom")
 	for _, workers := range []int{1, 4} {
 		var ran atomicCounter
-		err := forEachIndex(workers, 10_000, func(i int) error {
+		err := xpar.ForEach(workers, 10_000, func(i int) error {
 			ran.add(1)
 			if i == 37 {
 				return boom

@@ -15,19 +15,13 @@ type Scratch struct {
 	buf []byte
 }
 
-var (
-	scratchPool = sync.Pool{New: func() any {
-		scratchAllocs.Add(1)
-		return &Scratch{buf: make([]byte, 0, 512)}
-	}}
-	scratchGets   atomic.Int64
-	scratchAllocs atomic.Int64
-)
+var scratchPool = sync.Pool{New: func() any {
+	return &Scratch{buf: make([]byte, 0, 512)}
+}}
 
 // NewScratch returns a pooled scratch buffer. Callers should Release it
 // when done so steady-state decoding allocates nothing.
 func NewScratch() *Scratch {
-	scratchGets.Add(1)
 	return scratchPool.Get().(*Scratch)
 }
 
@@ -38,14 +32,6 @@ func (s *Scratch) Release() {
 	if s != nil {
 		scratchPool.Put(s)
 	}
-}
-
-// ScratchStats reports how many scratch buffers were handed out and how
-// many had to be freshly allocated (pool misses). The gap between the
-// two is the number of allocation-free reuses; the server exports both
-// as decode-alloc counters.
-func ScratchStats() (gets, allocs int64) {
-	return scratchGets.Load(), scratchAllocs.Load()
 }
 
 // DecodeScratch decodes the i-th value into the scratch buffer and

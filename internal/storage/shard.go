@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xquec/internal/xmlparser"
+	"xquec/internal/xpar"
 )
 
 // Shard-aware ingestion: split one XML corpus into N shard documents at
@@ -229,7 +230,7 @@ func LoadSharded(src []byte, shards int, opts LoadOptions) ([]*Store, *ShardSpli
 	shardOpts.Parallelism = 1
 	stores := make([]*Store, shards)
 	par := opts.Parallelism
-	err = forEachIndex(par, shards, func(i int) error {
+	err = xpar.ForEach(par, shards, func(i int) error {
 		st, err := Load(sp.Docs[i], shardOpts)
 		if err != nil {
 			return fmt.Errorf("storage: building shard %d: %w", i, err)

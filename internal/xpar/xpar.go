@@ -1,9 +1,7 @@
 // Package xpar is the process-wide intra-task worker pool shared by the
 // ingestion pipeline (storage.Load) and the query evaluator (algebra's
 // partitioned operators, engine fan-outs). It provides one primitive —
-// ForEach, an index-space fan-out with first-error cancellation — plus
-// lightweight instrumentation (scan counter, partitions-per-scan
-// histogram, worker-busy gauge) that xquecd exports as metrics.
+// ForEach, an index-space fan-out with first-error cancellation.
 //
 // Determinism contract: ForEach assigns work by index, and callers
 // place results by index (one slice cell per work unit), so the output
@@ -51,8 +49,6 @@ func ForEach(workers, n int, fn func(i int) error) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			busy.Add(1)
-			defer busy.Add(-1)
 			for !stop.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -68,57 +64,4 @@ func ForEach(workers, n int, fn func(i int) error) error {
 	}
 	wg.Wait()
 	return first
-}
-
-// partitionBounds are the histogram bucket upper bounds for the
-// partitions-per-scan distribution exported by xquecd.
-var partitionBounds = []int64{2, 4, 8, 16, 32, 64}
-
-var (
-	busy       atomic.Int64 // workers currently running inside ForEach
-	scans      atomic.Int64 // parallel scans recorded via NoteScan
-	partitions atomic.Int64 // total partitions across recorded scans
-	buckets    [7]atomic.Int64
-)
-
-// NoteScan records one partitioned evaluation (a ContFilter chunk scan,
-// a structural-join split, a container fan-out) of `parts` partitions
-// in the process-wide counters. Callers only report genuinely parallel
-// work (parts > 1); serial fallbacks are free of even the atomic add.
-func NoteScan(parts int) {
-	scans.Add(1)
-	partitions.Add(int64(parts))
-	for i, b := range partitionBounds {
-		if int64(parts) <= b {
-			buckets[i].Add(1)
-			return
-		}
-	}
-	buckets[len(partitionBounds)].Add(1)
-}
-
-// Stats is a snapshot of the pool counters for metrics export.
-type Stats struct {
-	Scans      int64 // partitioned scans since process start
-	Partitions int64 // summed partition count over those scans
-	Busy       int64 // workers currently executing (gauge)
-	// Buckets[i] counts scans with partitions <= PartitionBounds()[i];
-	// the final cell is the +Inf overflow bucket.
-	Buckets [7]int64
-}
-
-// PartitionBounds returns the histogram bucket upper bounds matching
-// Stats.Buckets (the last bucket is +Inf).
-func PartitionBounds() []int64 { return partitionBounds }
-
-// Snapshot returns the current pool counters.
-func Snapshot() Stats {
-	var s Stats
-	s.Scans = scans.Load()
-	s.Partitions = partitions.Load()
-	s.Busy = busy.Load()
-	for i := range s.Buckets {
-		s.Buckets[i] = buckets[i].Load()
-	}
-	return s
 }

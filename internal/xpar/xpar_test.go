@@ -64,39 +64,3 @@ func TestForEachSerialErrorStopsImmediately(t *testing.T) {
 		t.Fatalf("err=%v ran=%d, want boom after 6", err, ran)
 	}
 }
-
-func TestBusyGaugeReturnsToRest(t *testing.T) {
-	before := Snapshot().Busy
-	if err := ForEach(4, 64, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if after := Snapshot().Busy; after != before {
-		t.Fatalf("busy gauge %d after ForEach, want %d", after, before)
-	}
-}
-
-func TestNoteScanBuckets(t *testing.T) {
-	before := Snapshot()
-	NoteScan(2)   // bucket le=2
-	NoteScan(5)   // bucket le=8
-	NoteScan(999) // +Inf bucket
-	after := Snapshot()
-	if got := after.Scans - before.Scans; got != 3 {
-		t.Fatalf("scans delta = %d, want 3", got)
-	}
-	if got := after.Partitions - before.Partitions; got != 2+5+999 {
-		t.Fatalf("partitions delta = %d, want %d", got, 2+5+999)
-	}
-	if d := after.Buckets[0] - before.Buckets[0]; d != 1 {
-		t.Fatalf("le=2 bucket delta = %d, want 1", d)
-	}
-	if d := after.Buckets[2] - before.Buckets[2]; d != 1 {
-		t.Fatalf("le=8 bucket delta = %d, want 1", d)
-	}
-	if d := after.Buckets[6] - before.Buckets[6]; d != 1 {
-		t.Fatalf("+Inf bucket delta = %d, want 1", d)
-	}
-	if len(PartitionBounds()) != len(after.Buckets)-1 {
-		t.Fatalf("bounds/buckets mismatch: %d vs %d", len(PartitionBounds()), len(after.Buckets))
-	}
-}

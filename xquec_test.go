@@ -70,6 +70,36 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStructureBitsPerNode: the structure's density is a real number of
+// bits per node, and it is a property of the repository, not of how the
+// handle was made — Compress and Open of the saved file report the same.
+func TestStructureBitsPerNode(t *testing.T) {
+	for name, doc := range map[string][]byte{
+		"api":   []byte(apiDoc),
+		"xmark": datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 3}),
+	} {
+		db, err := Compress(doc, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := t.TempDir() + "/db.xqc"
+		if err := db.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits := db.StructureBitsPerNode()
+		if bits <= 0 || bits > 64 {
+			t.Errorf("%s: %v bits/node after Compress, want in (0, 64]", name, bits)
+		}
+		if again := reopened.StructureBitsPerNode(); again != bits {
+			t.Errorf("%s: %v bits/node after Open, %v after Compress", name, again, bits)
+		}
+	}
+}
+
 func TestWorkloadDrivenCompression(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 41})
 	var w Workload
