@@ -15,6 +15,12 @@
 // repository; -compact folds the set back into a single freshly
 // partitioned segment afterwards.
 //
+// query -explain prints the query's plan instead of evaluating it: on a
+// shard or segment set the dispatch decision, then the listing of the
+// compiled program that would run — its instructions, each path's
+// summary access, each restrict's container access and each join's
+// strategy.
+//
 // Query results stream to stdout as they are produced: the first item
 // prints before the full evaluation finishes, and -n stops both the
 // output and the evaluation after that many items. -p grants the
@@ -74,8 +80,6 @@ func main() {
 		err = cmdQuery(os.Args[2:])
 	case "stats":
 		err = cmdStats(os.Args[2:])
-	case "explain":
-		err = cmdExplain(os.Args[2:])
 	case "decompress":
 		err = cmdDecompress(os.Args[2:])
 	default:
@@ -94,7 +98,6 @@ func usage() {
   xquec append   [-compact] [-p workers] repo.xqc|set.xqcg doc.xml...
   xquec query    [-q query | -f query.xq] [-timeout 30s] [-n max] [-p workers] [-cpuprofile file] [-explain] repo.xqc|set.xqcs|set.xqcg
   xquec stats    repo.xqc|set.xqcs|set.xqcg
-  xquec explain  -q query repo.xqc|set.xqcs|set.xqcg
   xquec decompress repo.xqc|set.xqcs|set.xqcg`)
 	os.Exit(2)
 }
@@ -204,7 +207,7 @@ func cmdQuery(args []string) error {
 	maxItems := fs.Int("n", 0, "stop after this many result items (0 = all); stops evaluation too")
 	par := fs.Int("p", 0, "intra-query worker count (0 = GOMAXPROCS, 1 = serial; results are identical)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the evaluation to this file")
-	explain := fs.Bool("explain", false, "print the access plan and compiled program instead of evaluating")
+	explain := fs.Bool("explain", false, "print the plan, the compiled program's listing, instead of evaluating")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -226,7 +229,11 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	if *explain {
-		return printExplain(os.Stdout, db, *q)
+		plan, err := db.Explain(*q)
+		if err == nil {
+			_, err = io.WriteString(os.Stdout, plan)
+		}
+		return err
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -288,38 +295,6 @@ func cmdQuery(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "-- %d items\n", count)
 	return nil
-}
-
-func cmdExplain(args []string) error {
-	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	q := fs.String("q", "", "query text")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 || *q == "" {
-		return fmt.Errorf("explain needs -q and one repository file")
-	}
-	db, err := xquec.Open(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	return printExplain(os.Stdout, db, *q)
-}
-
-// printExplain writes the access plan followed by the compiled stack-VM
-// program — the pair `xquec query -explain` and `xquec explain` both
-// print.
-func printExplain(w io.Writer, db *xquec.Database, q string) error {
-	plan, err := db.Explain(q)
-	if err != nil {
-		return err
-	}
-	prog, err := db.ExplainProgram(q)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "%s\ncompiled program:\n%s", plan, prog)
-	return err
 }
 
 func cmdStats(args []string) error {

@@ -36,7 +36,7 @@ func TestCompressQueryStats(t *testing.T) {
 	if err := cmdStats([]string{repo}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdExplain([]string{"-q", `/site/people/person/name`, repo}); err != nil {
+	if err := cmdQuery([]string{"-explain", "-q", `/site/people/person/name`, repo}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmdDecompress([]string{repo}); err != nil {

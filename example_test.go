@@ -86,8 +86,9 @@ func ExampleDatabase_MustQuery() {
 	// <summary books="3" total="115.5"/>
 }
 
-// Explain shows the plan without running the query: which accesses hit
-// the structure summary and which predicates stay compressed.
+// Explain shows the plan without running the query, the listing of its
+// compiled program: which accesses hit the structure summary and which
+// predicates stay compressed.
 func ExampleDatabase_Explain() {
 	db, err := xquec.Compress([]byte(catalog), xquec.Options{})
 	if err != nil {
@@ -97,13 +98,18 @@ func ExampleDatabase_Explain() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(plan)
+	fmt.Print(plan)
 	// Output:
-	// FLWOR
-	//   FOR $b IN /catalog/book: StructureSummaryAccess /catalog/book (3 nodes)
-	//     pushdown ($b/price >= 40) -> /catalog/book/price/#text [decimal, ContAccess range on compressed bytes]
-	//   RETURN
-	//     Path $b/title/text(): summary-guided navigation /catalog/book/title (3 nodes)
+	// program: 9 instrs, 1 cursors, 1 domains, 1 preds (size≈1080B)
+	//   0  RESET
+	//   1  SCAN     c0 <- d0        ; /catalog/book ; StructureSummaryAccess /catalog/book (3 nodes), invariant
+	//   2  LITREST  c0, p0          ; ($b/price >= 40) ; conts /catalog/book/price/#text[decimal](3 recs) ContAccess range on compressed bytes ; cost=3.0
+	//   3  ITER     c0 -> $b, done->8
+	//   4  DEFERRED c0, fail->3
+	//   5  HOOK     c0
+	//   6  EVAL     e0              ; $b/title/text() ; summary-guided navigation /catalog/book/title (3 nodes)
+	//   7  EMITSEQ  done->3
+	//   8  HALT
 }
 
 // ExampleDatabase_Containers inspects the per-path containers and the

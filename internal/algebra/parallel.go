@@ -15,8 +15,6 @@
 package algebra
 
 import (
-	"bytes"
-
 	"xquec/internal/storage"
 	"xquec/internal/xpar"
 )
@@ -93,14 +91,4 @@ func ContFilterPar(c *storage.Container, par int, pred func(plain []byte) bool) 
 	// Chunk p holds the owners of records [lo,hi) in record order, so
 	// the concatenation equals the serial scan's pre-SortUnique list.
 	return SortUnique(concat(chunks)), nil
-}
-
-// ContEqPar is ContEq with the decompressing-scan fallback partitioned;
-// the compressed-domain fast path is already a binary search and stays
-// serial.
-func ContEqPar(c *storage.Container, probe []byte, par int) (NodeSet, error) {
-	if c.Codec().Props().Eq {
-		return ContEq(c, probe)
-	}
-	return ContFilterPar(c, par, func(plain []byte) bool { return bytes.Equal(plain, probe) })
 }

@@ -67,20 +67,6 @@ func TestContFilterParMatchesSerial(t *testing.T) {
 				t.Fatalf("%s par=%d: got %v, want %v", alg, par, got, want)
 			}
 		}
-		probe := []byte("word3 tail1")
-		wantEq, err := ContEq(c, probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{2, 4} {
-			got, err := ContEqPar(c, probe, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalSets(got, wantEq) {
-				t.Fatalf("%s ContEqPar par=%d: got %v, want %v", alg, par, got, wantEq)
-			}
-		}
 	}
 }
 

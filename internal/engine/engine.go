@@ -355,10 +355,10 @@ func (e *Engine) evalBool(expr xquery.Expr, env *scope) (bool, error) {
 }
 
 // evalCmp implements general (existential) comparisons. Two sides that
-// are each one number compare as numbers, with no sequence or string
-// made.
+// are each one number compare as numbers (NumericCmp), with no sequence
+// or string made.
 func (e *Engine) evalCmp(x *xquery.Cmp, env *scope) (bool, error) {
-	if numeric(x.Left) && numeric(x.Right) {
+	if NumericCmp(x) {
 		l, err := e.evalNum(x.Left, env)
 		if err != nil {
 			return false, err
@@ -422,9 +422,13 @@ func (e *Engine) evalArith(x *xquery.Arith, env *scope) (float64, error) {
 	return 0, fmt.Errorf("engine: unknown arithmetic operator %s", x.Op)
 }
 
-// numeric reports that x's value is always one number, unless its
+// NumericCmp reports that evalCmp compares x's sides as numbers: each is
+// always one number.
+func NumericCmp(x *xquery.Cmp) bool { return oneNumber(x.Left) && oneNumber(x.Right) }
+
+// oneNumber reports that x's value is always one number, unless its
 // evaluation fails: the shapes evalNum evaluates with no sequence made.
-func numeric(x xquery.Expr) bool {
+func oneNumber(x xquery.Expr) bool {
 	switch x := x.(type) {
 	case *xquery.NumberLit, *xquery.Arith:
 		return true

@@ -1,151 +1,199 @@
-package engine
+package engine_test
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
+	"xquec/internal/engine"
 	"xquec/internal/storage"
+	"xquec/internal/vm"
 	"xquec/internal/xmarkq"
+	"xquec/internal/xquery"
 )
 
-func newEngine(t *testing.T, doc string) *Engine {
+// The plan of a query is its compiled program's listing: these tests
+// assert on it the decisions the executor makes.
+
+func loadPlan(t *testing.T, doc string, plan *storage.CompressionPlan) *storage.Store {
 	t.Helper()
-	s, err := storage.Load([]byte(doc), storage.LoadOptions{})
+	s, err := storage.Load([]byte(doc), storage.LoadOptions{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(s)
+	return s
 }
 
+// explain parses q and compiles it against s, returning its listing.
+func explain(s *storage.Store, q string) (string, error) {
+	expr, err := xquery.Parse(q)
+	if err != nil {
+		return "", err
+	}
+	prog, err := vm.Compile(expr, s, q)
+	if err != nil {
+		return "", err
+	}
+	return prog.Disassemble(), nil
+}
+
+// listing is explain that fails the test on an error or on a listing
+// that lacks one of want.
+func listing(t *testing.T, s *storage.Store, q string, want ...string) string {
+	t.Helper()
+	dis, err := explain(s, q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	for _, w := range want {
+		if !strings.Contains(dis, w) {
+			t.Errorf("%s: listing lacks %q:\n%s", q, w, dis)
+		}
+	}
+	return dis
+}
+
+// items runs q and counts its items.
+func items(t *testing.T, s *storage.Store, q string) int {
+	t.Helper()
+	expr, err := xquery.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := vm.Compile(expr, s, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prog.Run(vm.RunOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for {
+		_, ok, err := res.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return n
+		}
+		n++
+	}
+}
+
+// TestExplainSummaryAccess: a path is read off the summary, with the
+// number of nodes its extents hold. A text() tail lists the owners of
+// its text, and returns their texts; a relative path names the
+// navigation its bindings make.
 func TestExplainSummaryAccess(t *testing.T) {
-	e := newEngine(t, PeopleDoc)
-	out, err := e.Explain(`/site/people/person/name`)
-	if err != nil {
-		t.Fatal(err)
+	s := loadPlan(t, engine.PeopleDoc, nil)
+	listing(t, s, `/site/people/person/name`, "SCAN", "StructureSummaryAccess /site/people/person/name (3 nodes)")
+	dis := listing(t, s, `/site/people/person/name/text()`, "StructureSummaryAccess /site/people/person/name (3 nodes), text()")
+	if strings.Contains(dis, "statically empty") {
+		t.Errorf("a text() tail with owners is listed statically empty:\n%s", dis)
 	}
-	if !strings.Contains(out, "StructureSummaryAccess") || !strings.Contains(out, "(3 nodes)") {
-		t.Fatalf("explain = %s", out)
+	if n := items(t, s, `/site/people/person/name/text()`); n != 3 {
+		t.Errorf("name/text() returns %d items, want 3", n)
 	}
+	listing(t, s, `FOR $p IN /site/people/person RETURN $p/name/text()`,
+		"EVAL", "summary-guided navigation /site/people/person/name (3 nodes)")
 }
 
-func TestExplainLitPushdown(t *testing.T) {
-	e := newEngine(t, PeopleDoc)
-	out, err := e.Explain(`FOR $p IN /site/people/person WHERE $p/age >= 30 RETURN $p/name/text()`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "pushdown") || !strings.Contains(out, "ContAccess range on compressed bytes") {
-		t.Fatalf("explain = %s", out)
-	}
-}
-
-func TestExplainJoinStrategies(t *testing.T) {
-	q := `FOR $p IN /site/people/person
-	      LET $a := FOR $t IN /site/auctions/auction WHERE $t/buyer/@person = $p/@id RETURN $t
-	      RETURN count($a)`
-	// Default plan: separate models -> hash join.
-	e := newEngine(t, PeopleDoc)
-	out, err := e.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "HashJoin") {
-		t.Fatalf("explain = %s", out)
-	}
-	// Shared model -> merge join.
-	plan := &storage.CompressionPlan{
-		Groups: map[string][]string{
-			"refs": {"/site/people/person/@id", "/site/auctions/auction/buyer/@person"},
-		},
-		Algorithms: map[string]string{"refs": storage.AlgALM},
-	}
-	s, err := storage.Load([]byte(PeopleDoc), storage.LoadOptions{Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out2, err := New(s).Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out2, "MergeJoin on compressed bytes") {
-		t.Fatalf("explain = %s", out2)
-	}
-}
-
-// TestExplainResidualAndCtor: contains() with a literal is a container
-// scan of the note texts; string-length() stays a per-tuple residual,
-// compared as a number.
-func TestExplainResidualAndCtor(t *testing.T) {
-	e := newEngine(t, PeopleDoc)
-	out, err := e.Explain(`FOR $a IN /site/auctions/auction
-	                       WHERE contains($a/note, "gold") AND string-length($a/note) > 3
-	                       RETURN <hit id="{$a/@id}"/>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`pushdown contains($a/note, "gold") -> /site/auctions/auction/note/#text`,
-		"contains on each record",
-		"residual, tuple-at-a-time, as numbers): (string-length($a/note) > 3)",
-		"Construct <hit>",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("explain lacks %q:\n%s", want, out)
+// TestExplainStaticallyEmpty: a path that reaches no summary node is
+// statically empty, with or without a text() tail, and returns nothing.
+func TestExplainStaticallyEmpty(t *testing.T) {
+	s := loadPlan(t, engine.PeopleDoc, nil)
+	for _, q := range []string{`/site/nowhere/nothing`, `/site/nowhere/text()`} {
+		listing(t, s, q, "statically empty")
+		if n := items(t, s, q); n != 0 {
+			t.Errorf("%s returns %d items, want 0", q, n)
 		}
 	}
 }
 
-func TestExplainStaticallyEmpty(t *testing.T) {
-	e := newEngine(t, PeopleDoc)
-	out, err := e.Explain(`/site/nowhere/nothing`)
-	if err != nil {
-		t.Fatal(err)
+// TestExplainLitPushdown: a range on a decimal container is answered on
+// the compressed bytes.
+func TestExplainLitPushdown(t *testing.T) {
+	s := loadPlan(t, engine.PeopleDoc, nil)
+	listing(t, s, `FOR $a IN /site/auctions/auction WHERE $a/price >= 30 RETURN $a/note/text()`,
+		"LITREST", "/site/auctions/auction/price/#text[decimal](3 recs) ContAccess range on compressed bytes")
+}
+
+// TestExplainJoinStrategies: a join index over separate models is a hash
+// join; over a shared model, a merge join on the compressed bytes.
+func TestExplainJoinStrategies(t *testing.T) {
+	q := `FOR $p IN /site/people/person
+	      LET $a := FOR $t IN /site/auctions/auction WHERE $t/buyer/@person = $p/@id RETURN $t
+	      RETURN count($a)`
+	listing(t, loadPlan(t, engine.PeopleDoc, nil), q, "JOINREST", "index built at compile",
+		"HashJoin (decompress both sides): /site/auctions/auction/buyer/@person ⋈ /site/people/person/@id")
+	shared := &storage.CompressionPlan{
+		Groups:     map[string][]string{"refs": {"/site/people/person/@id", "/site/auctions/auction/buyer/@person"}},
+		Algorithms: map[string]string{"refs": storage.AlgALM},
 	}
-	if !strings.Contains(out, "statically empty") {
-		t.Fatalf("explain = %s", out)
+	listing(t, loadPlan(t, engine.PeopleDoc, shared), q,
+		"MergeJoin on compressed bytes (shared source model): /site/auctions/auction/buyer/@person ⋈ /site/people/person/@id")
+}
+
+// TestExplainResidualAndCtor: contains() with a literal is a container
+// scan of the note texts, decoding each record; string-length() stays a
+// per-tuple WHERE, compared as numbers; the RETURN constructor is an
+// emission template.
+func TestExplainResidualAndCtor(t *testing.T) {
+	s := loadPlan(t, engine.PeopleDoc, nil)
+	dis := listing(t, s, `FOR $a IN /site/auctions/auction
+	                      WHERE contains($a/note, "gold") AND string-length($a/note) > 3
+	                      RETURN <hit id="{$a/@id}"/>`,
+		`LITREST  c0, p0          ; contains($a/note, "gold") ; conts /site/auctions/auction/note/#text[`,
+		"ContScan decoding every record",
+		"EMITCTOR", `<hit id={...}>`)
+	where := regexp.MustCompile(`(?m)^.*WHERE .*$`).FindString(dis)
+	for _, w := range []string{"(string-length($a/note) > 3)", "as numbers", "summary-guided navigation /site/auctions/auction/note (3 nodes)"} {
+		if !strings.Contains(where, w) {
+			t.Errorf("WHERE line lacks %q:\n%s", w, dis)
+		}
+	}
+	// A comparison with a path is not made as numbers.
+	dis = listing(t, s, `FOR $p IN /site/people/person WHERE count($p/name) = $p/age RETURN 1`, "WHERE")
+	if strings.Contains(dis, "as numbers") {
+		t.Errorf("a string comparison is listed as numbers:\n%s", dis)
 	}
 }
 
+// TestExplainBenchmarkQueriesDoNotError: every benchmark query compiles
+// and lists, also against a document of another schema.
 func TestExplainBenchmarkQueriesDoNotError(t *testing.T) {
-	e := newEngine(t, PeopleDoc) // schema mismatch is fine: explain is static
+	s := loadPlan(t, engine.PeopleDoc, nil)
 	for _, q := range xmarkq.Queries() {
-		if _, err := e.Explain(q.Text); err != nil {
+		dis, err := explain(s, q.Text)
+		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
+		}
+		if !strings.Contains(dis, "HALT") {
+			t.Errorf("%s: listing without HALT:\n%s", q.ID, dis)
 		}
 	}
 }
 
 func TestExplainParseError(t *testing.T) {
-	e := newEngine(t, PeopleDoc)
-	if _, err := e.Explain(`for $x in`); err == nil {
+	s := loadPlan(t, engine.PeopleDoc, nil)
+	if _, err := explain(s, `for $x in`); err == nil {
 		t.Fatal("bad query accepted")
 	}
 }
 
 // TestExplainJoinStrategyPerPair: a join whose side spans two containers
-// runs one strategy per container pair (JoinContainers), and explain
-// reports each pair's when they differ.
+// runs one strategy per container pair, and the listing names each
+// pair's when they differ.
 func TestExplainJoinStrategyPerPair(t *testing.T) {
 	doc := `<r><a><x ref="p1"/></a><b><x ref="p2"/></b><p id="p1"/><p id="p2"/></r>`
-	plan := &storage.CompressionPlan{
+	half := &storage.CompressionPlan{
 		Groups:     map[string][]string{"refs": {"/r/a/x/@ref", "/r/p/@id"}},
 		Algorithms: map[string]string{"refs": storage.AlgALM},
 	}
-	s, err := storage.Load([]byte(doc), storage.LoadOptions{Plan: plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := New(s).Explain(`FOR $p IN /r/p LET $a := FOR $t IN /r//x WHERE $t/@ref = $p/@id RETURN $t RETURN count($a)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"-> mixed: ",
+	listing(t, loadPlan(t, doc, half),
+		`FOR $p IN /r/p LET $a := FOR $t IN /r//x WHERE $t/@ref = $p/@id RETURN $t RETURN count($a)`,
+		"; mixed: ",
 		"MergeJoin on compressed bytes (shared source model): /r/a/x/@ref ⋈ /r/p/@id",
-		"HashJoin (decompress both sides): /r/b/x/@ref ⋈ /r/p/@id",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("explain lacks %q:\n%s", want, out)
-		}
-	}
+		"HashJoin (decompress both sides): /r/b/x/@ref ⋈ /r/p/@id")
 }

@@ -202,7 +202,15 @@ type JoinIndex struct {
 	first           []int
 	start           []int32
 	partners        algebra.NodeSet
-	merged          bool // true when the compressed merge join was used
+	joins           []ContainerJoin // what JoinContainers did, per pair
+}
+
+// ContainerJoin records how one pair of containers of a join index was
+// joined: by the compressed merge join, or by decoding both into a hash
+// join (algebra.JoinContainers).
+type ContainerJoin struct {
+	This, Other *storage.Container
+	Merged      bool
 }
 
 // joinHints is one run's galloping hints into a join index's otherSums.
@@ -218,9 +226,14 @@ var joinIndexBuilds atomic.Int64
 // Partners returns the number of (binding, partner) links the index holds.
 func (idx *JoinIndex) Partners() int { return len(idx.partners) }
 
-// SizeBytes is the index's resident size: a 4-byte node per partner and
-// a 4-byte start per ordinal.
-func (idx *JoinIndex) SizeBytes() int { return 4*len(idx.partners) + 4*len(idx.start) }
+// Joins returns how each pair of containers was joined.
+func (idx *JoinIndex) Joins() []ContainerJoin { return idx.joins }
+
+// SizeBytes is the index's resident size: a 4-byte node per partner, a
+// 4-byte start per ordinal and a record per pair of containers.
+func (idx *JoinIndex) SizeBytes() int {
+	return 4*len(idx.partners) + 4*len(idx.start) + 24*len(idx.joins)
+}
 
 // covers reports that the index was built for these summary sets.
 func (idx *JoinIndex) covers(sums, otherSums []*storage.SummaryNode) bool {
@@ -340,7 +353,7 @@ func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNod
 			if err != nil {
 				return nil, false, err
 			}
-			idx.merged = idx.merged || merged
+			idx.joins = append(idx.joins, ContainerJoin{tc, oc, merged})
 			for _, p := range pairs {
 				tk, ti := algebra.Nearest(sums, nil, p.A)
 				ok, oi := algebra.Nearest(otherSums, nil, p.B)

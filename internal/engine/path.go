@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"xquec/internal/algebra"
+	"xquec/internal/compress/numeric"
 	"xquec/internal/storage"
 	"xquec/internal/xpar"
 	"xquec/internal/xquery"
@@ -83,6 +84,15 @@ func (pl *PathPlan) Sums() []*storage.SummaryNode {
 	}
 	return pl.targets[len(pl.targets)-1]
 }
+
+// Exact reports that the path is absolute and predicate-free: its nodes
+// are the union of Sums' extents, read off the summary alone.
+func (pl *PathPlan) Exact() bool { return pl.plain }
+
+// Origin returns the summary set the path was resolved from: its
+// variable's, nil for an absolute path or a variable whose set was not
+// known.
+func (pl *PathPlan) Origin() []*storage.SummaryNode { return pl.origin }
 
 // pathCursor is one run's state for one path expression: the plan, the
 // galloping positions inside the extents its runs read, and — for plain
@@ -1025,59 +1035,91 @@ func (e *Engine) scanTargets(conts []*storage.Container, op, literal string, par
 	return algebra.MergeUnion(all...), true, nil
 }
 
-// containerMatch evaluates `value op literal` over one container,
-// preferring the compressed domain; the decoding-scan fallbacks split
-// the record range across up to par workers.
-func (e *Engine) containerMatch(c *storage.Container, op, literal string, par int) (algebra.NodeSet, bool, error) {
-	if test := stringFunc(op); test != nil {
-		lit := []byte(literal)
-		owners, err := algebra.ContFilterPar(c, par, func(plain []byte) bool { return test(plain, lit) })
-		return owners, err == nil, err
+// Access is how a literal restrict reads one container: the paper's
+// ContAccess on compressed bytes (equality, or an interval of the value
+// order), a binary search that decodes O(log n) records where the codec
+// does not preserve order but the records are in value order, or a
+// ContScan that decodes every record.
+type Access uint8
+
+const (
+	AccessScan Access = iota
+	AccessEq
+	AccessRange
+	AccessSearch
+)
+
+func (a Access) String() string {
+	switch a {
+	case AccessEq:
+		return "ContAccess eq on compressed bytes"
+	case AccessRange:
+		return "ContAccess range on compressed bytes"
+	case AccessSearch:
+		return "ContAccess range by binary search decoding"
 	}
-	_, litIsNum := parseNum(literal)
-	// String containers compared against numeric literals follow
-	// numeric semantics per value ("40.0" = 40): fall back to a
-	// decoding scan.
-	if c.Kind == storage.KindString && litIsNum {
-		owners, err := algebra.ContFilterPar(c, par, func(plain []byte) bool {
-			return compareAtoms(op, string(plain), literal)
-		})
-		return owners, err == nil, err
+	return "ContScan decoding every record"
+}
+
+// AccessFor decides how containerMatch answers `value op literal` over
+// c, and returns the probe it compares with: the literal in c's
+// canonical value text, nil when the literal has none and a scan
+// compares atoms. String containers compared against numeric literals
+// follow numeric semantics per value ("40.0" = 40), which no probe
+// answers.
+func AccessFor(c *storage.Container, op, literal string) (Access, []byte) {
+	if stringFunc(op) != nil {
+		return AccessScan, nil
+	}
+	if _, litIsNum := parseNum(literal); c.Kind == storage.KindString && litIsNum {
+		return AccessScan, nil
 	}
 	probe, exact := canonicalProbe(c, literal)
-	if !exact {
-		// The literal is not representable in the container's value
-		// space exactly (e.g. "40" against a scale-2 decimal container
-		// would be, but "abc" against an int container is not):
-		// fall back to the decoding scan with general semantics.
-		owners, err := algebra.ContFilterPar(c, par, func(plain []byte) bool {
+	props := c.Codec().Props()
+	switch {
+	case !exact:
+		return AccessScan, nil
+	case op == "=" && props.Eq:
+		return AccessEq, probe
+	case op == "=" || op == "!=":
+		return AccessScan, probe
+	case props.OrderPreserving:
+		return AccessRange, probe
+	}
+	return AccessSearch, probe
+}
+
+// containerMatch evaluates `value op literal` over one container the way
+// AccessFor decides; the decoding scan splits the record range across up
+// to par workers.
+func (e *Engine) containerMatch(c *storage.Container, op, literal string, par int) (algebra.NodeSet, bool, error) {
+	var owners algebra.NodeSet
+	var err error
+	switch access, probe := AccessFor(c, op, literal); {
+	case access == AccessEq:
+		owners, err = algebra.ContEq(c, probe)
+	case access != AccessScan:
+		// <, <=, > or >=: ContRange searches the compressed bytes, or
+		// decodes its way through a binary search when the codec does
+		// not keep order.
+		lo, hi := probe, probe
+		if op[0] == '<' {
+			lo = nil
+		} else {
+			hi = nil
+		}
+		owners, err = algebra.ContRange(c, lo, op == ">=", hi, op == "<=")
+	case stringFunc(op) != nil:
+		test, lit := stringFunc(op), []byte(literal)
+		owners, err = algebra.ContFilterPar(c, par, func(plain []byte) bool { return test(plain, lit) })
+	case op == "=" && probe != nil:
+		owners, err = algebra.ContFilterPar(c, par, func(plain []byte) bool { return bytes.Equal(plain, probe) })
+	default:
+		owners, err = algebra.ContFilterPar(c, par, func(plain []byte) bool {
 			return compareAtoms(op, string(plain), literal)
 		})
-		return owners, err == nil, err
 	}
-	switch op {
-	case "=":
-		owners, err := algebra.ContEqPar(c, probe, par)
-		return owners, err == nil, err
-	case "!=":
-		owners, err := algebra.ContFilterPar(c, par, func(plain []byte) bool {
-			return compareAtoms("!=", string(plain), literal)
-		})
-		return owners, err == nil, err
-	case "<":
-		owners, err := algebra.ContRange(c, nil, true, probe, false)
-		return owners, err == nil, err
-	case "<=":
-		owners, err := algebra.ContRange(c, nil, true, probe, true)
-		return owners, err == nil, err
-	case ">":
-		owners, err := algebra.ContRange(c, probe, false, nil, true)
-		return owners, err == nil, err
-	case ">=":
-		owners, err := algebra.ContRange(c, probe, true, nil, true)
-		return owners, err == nil, err
-	}
-	return nil, false, nil
+	return owners, err == nil, err
 }
 
 func parseNum(s string) (float64, bool) {
@@ -1110,22 +1152,12 @@ func canonicalProbe(c *storage.Container, literal string) ([]byte, bool) {
 		if !ok {
 			return nil, false
 		}
-		// Infer the scale from an existing record: decode one value.
-		if c.Len() == 0 {
+		// The codec holds the scale every value of the container shares.
+		dc, isDecimal := c.Codec().(numeric.DecimalCodec)
+		if !isDecimal {
 			return nil, false
 		}
-		sc := storage.NewScratch()
-		defer sc.Release()
-		v, err := c.DecodeScratch(sc, 0)
-		if err != nil {
-			return nil, false
-		}
-		dot := bytes.IndexByte(v, '.')
-		if dot < 0 {
-			return nil, false
-		}
-		scale := len(v) - dot - 1
-		s := strconv.FormatFloat(f, 'f', scale, 64)
+		s := strconv.FormatFloat(f, 'f', dc.Scale, 64)
 		if got, _ := parseNum(s); got != f {
 			return nil, false // literal has more precision than the scale
 		}

@@ -32,23 +32,25 @@ func postExplain(t *testing.T, url string, req QueryRequest) (*ExplainResponse, 
 }
 
 // TestServerExplain: ?explain=1 plans without evaluating and returns
-// both the access plan and the compiled program disassembly.
+// Database.Explain's listing of the compiled program.
 func TestServerExplain(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	out, resp := postExplain(t, ts.URL, QueryRequest{
-		Repo:  "people",
-		Query: `FOR $p IN /site/people/person WHERE $p/age >= 28 RETURN $p/name/text()`,
-	})
+	srv, ts := newTestServer(t, Config{})
+	q := `FOR $p IN /site/people/person WHERE $p/age >= 28 RETURN $p/name/text()`
+	out, resp := postExplain(t, ts.URL, QueryRequest{Repo: "people", Query: q})
 	if out == nil {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("explain failed: %d %s", resp.StatusCode, b)
 	}
-	if out.Plan == "" {
-		t.Fatal("empty access plan")
+	db, _, err := srv.pool.Get("people")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"SCAN", "ITER", "EMITSEQ"} {
-		if !strings.Contains(out.Program, want) {
-			t.Fatalf("program missing %q:\n%s", want, out.Program)
+	if want, err := db.Explain(q); err != nil || out.Plan != want {
+		t.Fatalf("plan = %q, want Database.Explain's %q (%v)", out.Plan, want, err)
+	}
+	for _, want := range []string{"SCAN", "LITREST", "ITER", "EMITSEQ"} {
+		if !strings.Contains(out.Plan, want) {
+			t.Fatalf("plan missing %q:\n%s", want, out.Plan)
 		}
 	}
 	// Explain never evaluates: no query counted, no items returned.

@@ -302,14 +302,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// ExplainResponse is the /query?explain=1 response body: the access
-// plan plus the stack-VM program disassembly the server would actually
-// execute.
+// ExplainResponse is the /query?explain=1 response body: the plan is
+// Database.Explain's, the listing of the program the server would run.
 type ExplainResponse struct {
-	Repo    string `json:"repo"`
-	Query   string `json:"query"`
-	Plan    string `json:"plan"`
-	Program string `json:"program"`
+	Repo  string `json:"repo"`
+	Query string `json:"query"`
+	Plan  string `json:"plan"`
 }
 
 // handleExplain answers POST /query?explain=1: it plans the query but
@@ -329,14 +327,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, req QueryRequest) {
 		writeJSON(w, statusFor(err), errorResponse{err.Error()})
 		return
 	}
-	program, err := db.ExplainProgram(req.Query)
-	if err != nil {
-		writeJSON(w, statusFor(err), errorResponse{err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, ExplainResponse{
-		Repo: req.Repo, Query: req.Query, Plan: plan, Program: program,
-	})
+	writeJSON(w, http.StatusOK, ExplainResponse{Repo: req.Repo, Query: req.Query, Plan: plan})
 }
 
 // resolve turns a request into a running result cursor via the

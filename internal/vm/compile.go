@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"sort"
-	"strings"
 
 	"xquec/internal/costmodel"
 	"xquec/internal/engine"
@@ -146,10 +145,7 @@ func (c *compiler) emitReturn(x xquery.Expr, varSums map[string][]*storage.Summa
 // paths it reads under the variables in scope.
 func (c *compiler) addTemplate(x *xquery.ElementCtor, varSums map[string][]*storage.SummaryNode) int32 {
 	c.plan(x, varSums)
-	t := engine.CompileTemplate(x)
-	lit, dyn := t.Shape()
-	desc := fmt.Sprintf("%s ; %d literal bytes, %d dynamic", trunc(x.String(), 40), lit, dyn)
-	c.p.tpls = append(c.p.tpls, tplSpec{t: t, desc: desc})
+	c.p.tpls = append(c.p.tpls, tplSpec{t: engine.CompileTemplate(x), x: x})
 	return int32(len(c.p.tpls) - 1)
 }
 
@@ -313,11 +309,9 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *engine.FLWORPlan, depth int32, v
 		n.fors, n.forDoms = append(n.fors, cu), append(n.forDoms, di)
 		c.emit(Instr{Op: OpScan, A: cu, B: di})
 		for _, pi := range lits {
-			c.p.preds[pi].desc = predDesc(&c.p.preds[pi])
 			c.emit(Instr{Op: OpLitRestrict, A: cu, B: pi})
 		}
 		for _, pi := range joins {
-			c.p.preds[pi].desc = predDesc(&c.p.preds[pi])
 			c.emit(Instr{Op: OpJoinRestrict, A: cu, B: pi})
 		}
 		vi := c.addVar(cl.Var, n.depth)
@@ -494,7 +488,6 @@ func (c *compiler) addSort(x *xquery.FLWOR, plan *engine.FLWORPlan, fors []int32
 	if p, isPath := x.OrderBy.(*xquery.PathExpr); isPath && known[p.Var] {
 		ss.ranks = c.eng.KeyRanks(p, varSums[p.Var])
 	}
-	ss.desc = sortDesc(&ss)
 	c.p.sorts = append(c.p.sorts, ss)
 	return int32(len(c.p.sorts) - 1)
 }
@@ -537,7 +530,6 @@ func (c *compiler) domainFor(x xquery.Expr, varSums map[string][]*storage.Summar
 		// nil summary provenance, which is itself static knowledge.
 		spec.static = true
 	}
-	spec.desc = domDesc(&spec)
 	return spec
 }
 
@@ -694,85 +686,6 @@ func foldList(xs []xquery.Expr) ([]xquery.Expr, bool) {
 	return out, true
 }
 
-// ---- disassembly annotations ----
-
-func trunc(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n-1] + "…"
-}
-
-func sumsDesc(sums []*storage.SummaryNode) string {
-	if len(sums) == 0 {
-		return "statically empty"
-	}
-	total := 0
-	parts := make([]string, 0, len(sums))
-	for _, sn := range sums {
-		total += len(sn.Extent)
-		parts = append(parts, sn.Path())
-	}
-	return fmt.Sprintf("%s (%d nodes)", strings.Join(parts, " ∪ "), total)
-}
-
-func domDesc(spec *domainSpec) string {
-	var b strings.Builder
-	b.WriteString(trunc(spec.expr.String(), 48))
-	if spec.static && spec.path != nil {
-		b.WriteString(" ; summary ")
-		b.WriteString(sumsDesc(spec.sums))
-		if spec.textTail {
-			b.WriteString(", text()")
-		}
-	} else if !spec.static {
-		b.WriteString(" ; runtime navigation")
-	}
-	if spec.invariant {
-		b.WriteString(", invariant")
-	}
-	return b.String()
-}
-
-func sortDesc(ss *sortSpec) string {
-	desc := trunc(ss.flwor.OrderBy.String(), 40)
-	if ss.flwor.OrderDesc {
-		desc += " descending"
-	}
-	if ss.ranks == nil {
-		return desc + " ; keys decoded"
-	}
-	return fmt.Sprintf("%s ; ranks over %d records", desc, ss.ranks.Records())
-}
-
-func predDesc(ps *predSpec) string {
-	var b strings.Builder
-	b.WriteString(trunc(ps.pd.Conj.String(), 40))
-	switch {
-	case ps.resolved && ps.fastOK && len(ps.conts) > 0:
-		parts := make([]string, 0, len(ps.conts))
-		for _, ct := range ps.conts {
-			parts = append(parts, fmt.Sprintf("%s[%s](%d recs)", ct.Path, ct.Codec().Name(), ct.Len()))
-		}
-		fmt.Fprintf(&b, " ; conts %s cost=%.1f", strings.Join(parts, " "), ps.cost)
-		if !ps.complete {
-			b.WriteString(" incomplete")
-		}
-	case ps.resolved && ps.fastOK:
-		b.WriteString(" ; no container holds a value, no candidate passes")
-	case ps.resolved:
-		fmt.Fprintf(&b, " ; deferred: %s", ps.why)
-	case ps.idx != nil:
-		fmt.Fprintf(&b, " ; index built at compile, %d partners", ps.idx.Partners())
-		if ps.whole {
-			b.WriteString(", whole domain")
-		}
-	default:
-		b.WriteString(" ; runtime container resolution")
-	}
-	return b.String()
-}
-
 // estimateSize approximates the program's resident bytes (instructions
 // plus operand pools; the AST nodes the expr pool points at are shared
 // with the parse tree and counted as pointer slots only). The plan
@@ -780,27 +693,24 @@ func predDesc(ps *predSpec) string {
 func (c *compiler) estimateSize() int {
 	p := c.p
 	sz := len(p.src) + len(p.instrs)*16
-	for i := range p.doms {
-		d := &p.doms[i]
-		sz += 112 + len(d.desc) + len(d.preds)*4
+	for _, d := range p.doms {
+		sz += 112 + len(d.preds)*4
 	}
-	for i := range p.preds {
-		ps := &p.preds[i]
-		sz += 128 + len(ps.desc) + len(ps.conts)*8
+	for _, ps := range p.preds {
+		sz += 128 + len(ps.conts)*8
 		if ps.idx != nil {
 			sz += ps.idx.SizeBytes()
 		}
 	}
-	for i := range p.sorts {
-		ss := &p.sorts[i]
-		sz += 64 + len(ss.desc) + len(ss.fors)*4
+	for _, ss := range p.sorts {
+		sz += 64 + len(ss.fors)*4
 		if ss.ranks != nil {
 			sz += 8 * ss.ranks.Records()
 		}
 	}
 	for _, ts := range p.tpls {
 		lit, dyn := ts.t.Shape()
-		sz += 64 + len(ts.desc) + lit + 32*dyn
+		sz += 64 + lit + 32*dyn
 	}
 	sz += p.plans.SizeBytes()
 	sz += len(p.exprs)*16 + len(p.vars)*24

@@ -2,14 +2,19 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+
+	"xquec/internal/engine"
+	"xquec/internal/xquery"
 )
 
-// Disassemble renders the program as one instruction per line —
-// opcode, operands (cursor/pool indexes, jump targets), and the
-// compile-time resolution notes (summary paths, containers, costs) —
-// so plan changes are diffable in explain output. Each sub-program
-// starts with a header naming its FLWOR.
+// Disassemble renders the program as one instruction per line — opcode,
+// operands (cursor/pool indexes, jump targets), and notes on what the
+// compiler decided: the summary access of each path, the access each
+// literal restrict makes on each container, how each join's container
+// pairs were joined, the emission templates. It is the query's plan, the
+// one that runs. Each sub-program starts with a header naming its FLWOR.
 func (p *Program) Disassemble() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "program: %d instrs, %d cursors, %d domains, %d preds", len(p.instrs), p.ncur, len(p.doms), len(p.preds))
@@ -23,12 +28,16 @@ func (p *Program) Disassemble() string {
 			fmt.Fprintf(&b, "sub s%d: %s\n", sub, trunc(p.subs[sub].x.String(), 72))
 			sub++
 		}
+		if in.Op == OpHalt || in.Op == OpReset { // no operands
+			fmt.Fprintf(&b, "%3d  %s\n", pc, in.Op)
+			continue
+		}
 		fmt.Fprintf(&b, "%3d  %-8s", pc, in.Op)
 		switch in.Op {
 		case OpScan:
-			fmt.Fprintf(&b, " c%d <- d%d        ; %s", in.A, in.B, p.doms[in.B].desc)
+			fmt.Fprintf(&b, " c%d <- d%d        ; %s", in.A, in.B, p.domDesc(&p.doms[in.B]))
 		case OpLitRestrict, OpJoinRestrict:
-			fmt.Fprintf(&b, " c%d, p%d          ; %s", in.A, in.B, p.preds[in.B].desc)
+			fmt.Fprintf(&b, " c%d, p%d          ; %s", in.A, in.B, predDesc(&p.preds[in.B]))
 		case OpIter:
 			fmt.Fprintf(&b, " c%d -> $%s, done->%d", in.A, p.vars[in.B].name, in.C)
 		case OpDeferred:
@@ -36,11 +45,11 @@ func (p *Program) Disassemble() string {
 		case OpHook:
 			fmt.Fprintf(&b, " c%d", in.A)
 		case OpLet:
-			fmt.Fprintf(&b, " $%s <- d%d       ; %s", p.vars[in.A].name, in.B, p.doms[in.B].desc)
+			fmt.Fprintf(&b, " $%s <- d%d       ; %s", p.vars[in.A].name, in.B, p.domDesc(&p.doms[in.B]))
 		case OpWhere:
-			fmt.Fprintf(&b, " e%d, fail->%d     ; %s", in.A, in.C, trunc(p.exprs[in.A].String(), 48))
+			fmt.Fprintf(&b, " e%d, fail->%d     ; %s", in.A, in.C, p.exprDesc(p.exprs[in.A]))
 		case OpEvalPush:
-			fmt.Fprintf(&b, " e%d              ; %s", in.A, trunc(p.exprs[in.A].String(), 48))
+			fmt.Fprintf(&b, " e%d              ; %s", in.A, p.exprDesc(p.exprs[in.A]))
 		case OpEmitSeq:
 			fmt.Fprintf(&b, " done->%d", in.C)
 		case OpIterEmit:
@@ -48,19 +57,19 @@ func (p *Program) Disassemble() string {
 		case OpCollect:
 			fmt.Fprintf(&b, " t%d, next->%d", in.A, in.C)
 		case OpSort:
-			fmt.Fprintf(&b, " t%d              ; %s", in.A, p.sorts[in.A].desc)
+			fmt.Fprintf(&b, " t%d              ; %s", in.A, sortDesc(&p.sorts[in.A]))
 		case OpReplay:
 			fmt.Fprintf(&b, " t%d, done->%d", in.A, in.C)
 		case OpLetOpen:
 			fmt.Fprintf(&b, " a%d, depth %d", in.A, in.B)
 		case OpAppend, OpAppendOut:
-			fmt.Fprintf(&b, " a%d, e%d, next->%d ; %s", in.A, in.B, in.C, trunc(p.exprs[in.B].String(), 48))
+			fmt.Fprintf(&b, " a%d, e%d, next->%d ; %s", in.A, in.B, in.C, p.exprDesc(p.exprs[in.B]))
 		case OpAppendCur:
 			fmt.Fprintf(&b, " a%d, c%d, next->%d", in.A, in.B, in.C)
 		case OpEmitCtor:
-			fmt.Fprintf(&b, " m%d, next->%d    ; %s", in.A, in.C, p.tpls[in.A].desc)
+			fmt.Fprintf(&b, " m%d, next->%d    ; %s", in.A, in.C, tplDesc(&p.tpls[in.A]))
 		case OpAppendCtor:
-			fmt.Fprintf(&b, " a%d, m%d, next->%d ; %s", in.A, in.B, in.C, p.tpls[in.B].desc)
+			fmt.Fprintf(&b, " a%d, m%d, next->%d ; %s", in.A, in.B, in.C, tplDesc(&p.tpls[in.B]))
 		case OpRet:
 			fmt.Fprintf(&b, " s%d -> a%d", in.A, p.subs[in.A].acc)
 		case OpLetBind:
@@ -72,4 +81,154 @@ func (p *Program) Disassemble() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+func trunc(s string, n int) string {
+	if len(s) <= n {
+		return s
+	}
+	return s[:n-1] + "…"
+}
+
+// pathDesc names how a run reads the nodes of path x, from its plan in
+// the pool: StructureSummaryAccess when x is absolute and predicate-free
+// (its nodes are the extents listed), summary-guided navigation when
+// predicates or a variable's bindings select among those extents, and
+// runtime navigation when x's variable had no summary set at compile
+// time. A text() tail lists the owners of its text.
+func (p *Program) pathDesc(x *xquery.PathExpr) string {
+	pl := p.plans[x]
+	if pl == nil || x.Var != "" && len(pl.Origin()) == 0 {
+		return "runtime navigation"
+	}
+	sums := pl.Sums()
+	if len(sums) == 0 {
+		return "statically empty"
+	}
+	op := "summary-guided navigation"
+	if pl.Exact() {
+		op = "StructureSummaryAccess"
+	}
+	total := 0
+	paths := make([]string, 0, len(sums))
+	for _, sn := range sums {
+		total += len(sn.Extent)
+		paths = append(paths, sn.Path())
+	}
+	return fmt.Sprintf("%s %s (%d nodes)", op, strings.Join(paths, " ∪ "), total)
+}
+
+func (p *Program) domDesc(spec *domainSpec) string {
+	var b strings.Builder
+	b.WriteString(trunc(spec.expr.String(), 48))
+	switch {
+	case !spec.static:
+		b.WriteString(" ; runtime navigation")
+	case spec.path != nil:
+		b.WriteString(" ; ")
+		b.WriteString(p.pathDesc(spec.path))
+		if spec.textTail {
+			b.WriteString(", text()")
+		}
+	}
+	if spec.invariant {
+		b.WriteString(", invariant")
+	}
+	return b.String()
+}
+
+// exprDesc notes an expression the engine evaluates: that a comparison
+// is made between numbers, and the summary access of each path it reads
+// (a FLWOR in it is a sub-program, listed on its own).
+func (p *Program) exprDesc(x xquery.Expr) string {
+	notes := []string{trunc(x.String(), 48)}
+	if c, isCmp := x.(*xquery.Cmp); isCmp && engine.NumericCmp(c) {
+		notes = append(notes, "as numbers")
+	}
+	var walk func(xquery.Expr)
+	walk = func(x xquery.Expr) {
+		switch x := x.(type) {
+		case *xquery.PathExpr:
+			if d := p.pathDesc(x); !slices.Contains(notes, d) {
+				notes = append(notes, d)
+			}
+			return
+		case *xquery.FLWOR:
+			return
+		}
+		for _, sub := range xquery.Children(x) {
+			walk(sub)
+		}
+	}
+	walk(x)
+	return strings.Join(notes, " ; ")
+}
+
+func sortDesc(ss *sortSpec) string {
+	desc := trunc(ss.flwor.OrderBy.String(), 40)
+	if ss.flwor.OrderDesc {
+		desc += " descending"
+	}
+	if ss.ranks == nil {
+		return desc + " ; keys decoded"
+	}
+	return fmt.Sprintf("%s ; ranks over %d records", desc, ss.ranks.Records())
+}
+
+func tplDesc(ts *tplSpec) string {
+	lit, dyn := ts.t.Shape()
+	return fmt.Sprintf("%s ; %d literal bytes, %d dynamic", trunc(ts.x.String(), 40), lit, dyn)
+}
+
+// predDesc notes a restrict: per container, the access a literal
+// restrict makes on it (engine.AccessFor), or how a join index built at
+// compile time joined each pair of containers.
+func predDesc(ps *predSpec) string {
+	var b strings.Builder
+	b.WriteString(trunc(ps.pd.Conj.String(), 40))
+	switch {
+	case ps.resolved && ps.fastOK && len(ps.conts) > 0:
+		parts := make([]string, 0, len(ps.conts))
+		for _, ct := range ps.conts {
+			access, _ := engine.AccessFor(ct, ps.pd.Op, ps.pd.Lit)
+			parts = append(parts, fmt.Sprintf("%s[%s](%d recs) %s", ct.Path, ct.Codec().Name(), ct.Len(), access))
+		}
+		fmt.Fprintf(&b, " ; conts %s ; cost=%.1f", strings.Join(parts, ", "), ps.cost)
+		if !ps.complete {
+			b.WriteString(" incomplete")
+		}
+	case ps.resolved && ps.fastOK:
+		b.WriteString(" ; no container holds a value, no candidate passes")
+	case ps.resolved:
+		fmt.Fprintf(&b, " ; deferred: %s", ps.why)
+	case ps.idx != nil:
+		fmt.Fprintf(&b, " ; index built at compile, %d partners", ps.idx.Partners())
+		if ps.whole {
+			b.WriteString(", whole domain")
+		}
+		b.WriteString(" ; ")
+		b.WriteString(joinsDesc(ps.idx.Joins()))
+	default:
+		b.WriteString(" ; runtime container resolution")
+	}
+	return b.String()
+}
+
+// joinsDesc names how a join index joined each pair of its containers,
+// leading with "mixed" when the pairs were not all joined alike.
+func joinsDesc(joins []engine.ContainerJoin) string {
+	parts := make([]string, len(joins))
+	mixed := false
+	for i, j := range joins {
+		parts[i] = "HashJoin (decompress both sides): "
+		if j.Merged {
+			parts[i] = "MergeJoin on compressed bytes (shared source model): "
+		}
+		parts[i] += j.This.Path + " ⋈ " + j.Other.Path
+		mixed = mixed || j.Merged != joins[0].Merged
+	}
+	if mixed {
+		return "mixed: " + strings.Join(parts, "; ")
+	}
+	return strings.Join(parts, "; ")
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"strings"
 	"testing"
 
 	"xquec/internal/engine"
@@ -17,9 +18,11 @@ import (
 // order of evaluation, which the compiler chooses. And the reference,
 // which evaluates every WHERE conjunct and LET of every tuple in order,
 // may fail where the program does not when the program may first drop
-// the tuple on a restrict (reorders) — XQuery allows either. The seed
-// corpus is the unit battery, so `go test` alone replays every compiled
-// construct through the differential check.
+// the tuple on a restrict (reorders) — XQuery allows either. Every
+// program's listing is rendered too, and a lone path it lists statically
+// empty must return nothing. The seed corpus is the unit battery, so `go
+// test` alone replays every compiled construct through the differential
+// check.
 func FuzzCompile(f *testing.F) {
 	for _, q := range queryBattery() {
 		f.Add(q.Text)
@@ -54,6 +57,10 @@ func FuzzCompile(f *testing.F) {
 			defer res.Close()
 			return res.SerializeXML()
 		}()
+		dis := prog.Disassemble()
+		if _, isPath := expr.(*xquery.PathExpr); isPath && strings.Contains(dis, "statically empty") && got != "" {
+			t.Fatalf("%q returns %q, but its listing says statically empty:\n%s", query, got, dis)
+		}
 		want, wErr := evalRef(t, query)
 		switch {
 		case vErr == nil && wErr == nil:

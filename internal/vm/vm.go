@@ -166,7 +166,6 @@ type domainSpec struct {
 	// preds are the clause's pushdown predicate indexes in original
 	// plan order — the cursor's deferred slot layout.
 	preds []int32
-	desc  string // disassembly annotation
 }
 
 // predSpec is one WHERE pushdown assigned to a clause.
@@ -189,7 +188,6 @@ type predSpec struct {
 	// are the restriction.
 	idx   *engine.JoinIndex
 	whole bool
-	desc  string
 }
 
 // varSpec is the variable one FLWOR clause binds, and its depth: the
@@ -206,7 +204,6 @@ type sortSpec struct {
 	plan  *engine.FLWORPlan
 	fors  []int32       // the FOR clauses' cursors, in clause order
 	ranks *engine.Ranks // the key's rank table; nil: keys are decoded
-	desc  string
 }
 
 // subSpec is the sub-program of a FLWOR: its code from entry to its OpRet,
@@ -218,8 +215,8 @@ type subSpec struct {
 
 // tplSpec is a constructor compiled into an emission template.
 type tplSpec struct {
-	t    *engine.Template
-	desc string
+	t *engine.Template
+	x *xquery.ElementCtor
 }
 
 // Program is a compiled query plan: a flat instruction slice plus the

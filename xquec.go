@@ -49,7 +49,6 @@ import (
 	"sync"
 
 	"xquec/internal/costmodel"
-	"xquec/internal/engine"
 	"xquec/internal/partition"
 	"xquec/internal/storage"
 	"xquec/internal/vm"
@@ -376,7 +375,7 @@ func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error)
 	db := p.db
 	st := db.store
 	if set := db.set; set != nil {
-		if p.scatter {
+		if p.dec.Scatter {
 			cur, err := set.Eval(ctx, partition.Request{
 				Parallelism: opts.Parallelism,
 				ProgramFor:  p.program,
@@ -441,12 +440,18 @@ func (db *Database) Prepare(q string) (*Prepared, error) {
 	if err != nil {
 		return nil, tagErr(ErrParse, err)
 	}
-	p := &Prepared{db: db, expr: expr, text: q}
-	p.scatter = db.set != nil && db.set.Decide(expr).Scatter
+	p := &Prepared{db: db, expr: expr, text: q, listed: db.store}
+	if set := db.set; set != nil {
+		if p.dec = set.Decide(expr); p.dec.Scatter {
+			p.listed = set.Stores[0]
+		} else if p.listed, err = db.fused(); err != nil {
+			return nil, err
+		}
+	}
 	// A scattered query compiles one program per part, here and only
-	// here; anything else compiles against the plan store.
-	stores := []*storage.Store{p.planStore()}
-	if p.scatter {
+	// here; anything else compiles against the store it runs on.
+	stores := []*storage.Store{p.listed}
+	if p.dec.Scatter {
 		stores = db.set.Stores
 	}
 	for _, st := range stores {
@@ -463,23 +468,17 @@ type Prepared struct {
 	db   *Database
 	expr xquery.Expr
 	text string
-	// scatter is the set's dispatch decision for this query — a pure
-	// function of the parsed form and the (immutable) set, so it is
-	// taken once, not per execution. Always false for a plain database.
-	scatter bool
+	// dec is the set's dispatch decision for this query — a pure function
+	// of the parsed form and the (immutable) set, so it is taken once, not
+	// per execution. Never a scatter on a plain database.
+	dec partition.Decision
+	// listed is the store of the program that represents the query: the
+	// store it runs on, or part 0 of the parts a scattered query runs on
+	// (they share one summary shape).
+	listed *storage.Store
 
 	mu    sync.Mutex
 	progs map[*storage.Store]*vm.Program
-}
-
-// planStore is the store whose compiled program represents this query
-// for reporting: the store itself, or part 0 of a set (the parts share
-// one summary shape).
-func (p *Prepared) planStore() *storage.Store {
-	if p.db.set != nil {
-		return p.db.set.Stores[0]
-	}
-	return p.db.store
 }
 
 // program returns the compiled program for st, compiling on first use.
@@ -504,15 +503,15 @@ func (p *Prepared) program(st *storage.Store) (*vm.Program, error) {
 // Text returns the original query text.
 func (p *Prepared) Text() string { return p.text }
 
-// reported is the program compiled against the plan store, which
+// listing is the program compiled against the listed store, which
 // Prepare compiled: the lookup cannot fail.
-func (p *Prepared) reported() *vm.Program {
-	prog, _ := p.program(p.planStore())
+func (p *Prepared) listing() *vm.Program {
+	prog, _ := p.program(p.listed)
 	return prog
 }
 
 // ProgramLen returns the compiled program's instruction count.
-func (p *Prepared) ProgramLen() int { return p.reported().Len() }
+func (p *Prepared) ProgramLen() int { return p.listing().Len() }
 
 // CostBytes estimates the prepared statement's resident size for
 // byte-based plan-cache accounting: the bytes of every program compiled
@@ -528,8 +527,11 @@ func (p *Prepared) CostBytes() int {
 	return n
 }
 
-// Disassemble returns the compiled program's instruction listing.
-func (p *Prepared) Disassemble() string { return p.reported().Disassemble() }
+// Disassemble returns the listing of the compiled program that runs the
+// query (part 0's for a query scattered over a set's parts): its
+// instructions, and the summary accesses, container accesses, joins and
+// templates the compiler chose.
+func (p *Prepared) Disassemble() string { return p.listing().Disassemble() }
 
 // Execute evaluates the prepared query under ctx with per-call options
 // — the single prepared-statement entry point. See Database.Execute for
@@ -538,53 +540,28 @@ func (p *Prepared) Execute(ctx context.Context, opts QueryOptions) (*Results, er
 	return p.run(ctx, opts)
 }
 
-// Explain renders the evaluation strategy for a query without running
-// it: summary accesses, compressed-domain predicate pushdowns, and the
-// join strategies (compressed merge join vs decompressing hash join).
-// On a sharded database the scatter decision leads, followed by the
-// per-shard plan (shard repositories share one summary shape, so shard
-// 0's plan is every shard's plan).
+// Explain returns the query's plan without running it: on a set, the
+// dispatch decision, and then the listing of the program that runs
+// (Prepared.Disassemble). A query that does not parse is an error tagged
+// ErrParse, one that does not compile ErrEval.
 func (db *Database) Explain(q string) (string, error) {
-	if db.set == nil {
-		return engine.New(db.store).Explain(q)
-	}
-	expr, err := xquery.Parse(q)
-	if err != nil {
-		return "", tagErr(ErrParse, err)
-	}
-	parts, noun := len(db.set.Stores), db.set.Layout.Noun
-	var head string
-	switch dec := db.set.Decide(expr); {
-	case dec.Scatter:
-		head = fmt.Sprintf("scatter across %d %ss, merge by document order\n", parts, noun)
-	case parts == 1:
-		head = fmt.Sprintf("single %s; evaluate directly\n", noun)
-	default:
-		head = fmt.Sprintf("no scatter (%s); evaluate on fused store\n", dec.Reason)
-	}
-	plan, err := engine.New(db.memberStores()[0]).Explain(q)
+	p, err := db.Prepare(q)
 	if err != nil {
 		return "", err
 	}
-	return head + plan, nil
-}
-
-// ExplainProgram returns the compiled bytecode program's disassembly
-// for a query — opcodes, operands, and the containers and summary
-// paths resolved at compile time — the companion to Explain's
-// tree-level plan. On a sharded database the program shown is shard
-// 0's (shard repositories share one summary shape). A query that does
-// not compile is an error tagged ErrEval.
-func (db *Database) ExplainProgram(q string) (string, error) {
-	expr, err := xquery.Parse(q)
-	if err != nil {
-		return "", tagErr(ErrParse, err)
+	var head string
+	if set := db.set; set != nil {
+		parts, noun := len(set.Stores), set.Layout.Noun
+		switch {
+		case p.dec.Scatter:
+			head = fmt.Sprintf("scatter across %d %ss, merge by document order\n", parts, noun)
+		case parts == 1:
+			head = fmt.Sprintf("single %s; evaluate directly\n", noun)
+		default:
+			head = fmt.Sprintf("no scatter (%s); evaluate on fused store\n", p.dec.Reason)
+		}
 	}
-	prog, err := vm.Compile(expr, db.memberStores()[0], q)
-	if err != nil {
-		return "", tagErr(ErrEval, err)
-	}
-	return prog.Disassemble(), nil
+	return head + p.Disassemble(), nil
 }
 
 // MustQuery is Execute for examples and tests; it panics on error.
