@@ -3,6 +3,7 @@ package xquec_test
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"xquec/internal/datagen"
@@ -22,18 +23,30 @@ func BenchmarkStoreText(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	extent := func(pattern string) []storage.NodeID {
+	// summary lists the summary nodes whose path starts with prefix and
+	// ends with suffix (prefix//suffix, or one exact path twice).
+	summary := func(prefix, suffix string) []*storage.SummaryNode {
+		var out []*storage.SummaryNode
+		for _, sn := range s.Sum.Nodes() {
+			if p := sn.Path(); strings.HasPrefix(p, prefix) && strings.HasSuffix(p, suffix) {
+				out = append(out, sn)
+			}
+		}
+		return out
+	}
+	extent := func(sns []*storage.SummaryNode) []storage.NodeID {
 		var ids []storage.NodeID
-		for _, sn := range s.Sum.Match(storage.ParsePathPattern(pattern)) {
+		for _, sn := range sns {
 			ids = append(ids, sn.Extent...)
 		}
 		slices.Sort(ids)
 		return ids
 	}
-	names := extent("/site/people/person/name")
-	texts := extent("/site/regions//item/description/text")
-	descs := extent("/site/regions//item/description")
-	if len(names) == 0 || len(texts) == 0 || !storage.AllSoleText(s.Sum.Match(storage.ParsePathPattern("/site/regions//item/description/text"))) {
+	names := extent(summary("/site/people/person/name", "/site/people/person/name"))
+	textNodes := summary("/site/regions/", "/item/description/text")
+	texts := extent(textNodes)
+	descs := extent(summary("/site/regions/", "/item/description"))
+	if len(names) == 0 || len(texts) == 0 || !storage.AllSoleText(textNodes) {
 		b.Fatal("want person names and sole-text description texts")
 	}
 	shuffled := slices.Clone(names)

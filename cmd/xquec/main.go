@@ -16,8 +16,8 @@
 // partitioned segment afterwards.
 //
 // query -explain prints the query's plan instead of evaluating it: on a
-// shard or segment set the dispatch decision, then the listing of the
-// compiled program that would run — its instructions, each path's
+// shard or segment set a line naming the store it runs on, then the
+// listing of the compiled program that would run — its instructions, each path's
 // summary access, each restrict's container access and each join's
 // strategy.
 //

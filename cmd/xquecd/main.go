@@ -7,17 +7,17 @@
 //
 //	xquecd -repos ./repos [-addr :8090] [-pool 8] [-plans 256]
 //	       [-timeout 30s] [-max-concurrent 16] [-flush-items 32]
-//	       [-query-parallelism 1] [-shard-fanout 0] [-compact-after 0]
+//	       [-query-parallelism 1] [-compact-after 0]
 //	       [-max-append-bytes 64MiB] [-append-parallelism 0]
 //	       [-pprof localhost:6060]
 //
 // The repository directory may hold single repositories (name.xqc),
 // shard-set manifests (name.xqcs, from `xquec compress -shards N`) and
 // segment-set manifests (name.xqcg, from appends); all are addressed by
-// bare name, with the segment manifest taking precedence. Scattered
-// queries over shard sets evaluate up to -shard-fanout shards at once
-// and export xquecd_shard_* metrics; a failing shard fails the query,
-// exactly as the same failure does on a single repository.
+// bare name, with the segment manifest taking precedence. A query over
+// a shard or segment set runs on the set's fused store, built once per
+// open, append or swap (xquecd_fusions_total); a failure anywhere in the
+// corpus fails the query, exactly as it does on a single repository.
 //
 // POST /append grows a repository without rebuilding it: the document
 // becomes a new append segment, the set is persisted and atomically
@@ -61,7 +61,6 @@ func main() {
 	maxConc := flag.Int("max-concurrent", 0, "max concurrently evaluating queries (0 = 2×GOMAXPROCS)")
 	flushItems := flag.Int("flush-items", 32, "flush /query/stream responses every N items (first item always flushes)")
 	queryPar := flag.Int("query-parallelism", 1, "intra-query worker budget per query (1 = serial; requests may override with \"parallelism\")")
-	shardFanout := flag.Int("shard-fanout", 0, "max shards evaluating concurrently per scattered query (0 = all)")
 	compactAfter := flag.Int("compact-after", 0, "background-compact a repository once an append leaves it with this many segments (0 = only on request)")
 	maxAppend := flag.Int64("max-append-bytes", 0, "max /append request body size in bytes (0 = 64 MiB)")
 	appendPar := flag.Int("append-parallelism", 0, "ingestion worker budget for appends and compactions (0 = GOMAXPROCS)")
@@ -81,7 +80,6 @@ func main() {
 		QueryTimeout:      *timeout,
 		FlushEvery:        *flushItems,
 		QueryParallelism:  *queryPar,
-		ShardFanout:       *shardFanout,
 		CompactAfter:      *compactAfter,
 		MaxAppendBytes:    *maxAppend,
 		AppendParallelism: *appendPar,

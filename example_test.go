@@ -100,16 +100,15 @@ func ExampleDatabase_Explain() {
 	}
 	fmt.Print(plan)
 	// Output:
-	// program: 9 instrs, 1 cursors, 1 domains, 1 preds (size≈1080B)
+	// program: 8 instrs, 1 cursors, 1 domains, 1 preds (size≈1064B)
 	//   0  RESET
 	//   1  SCAN     c0 <- d0        ; /catalog/book ; StructureSummaryAccess /catalog/book (3 nodes), invariant
 	//   2  LITREST  c0, p0          ; ($b/price >= 40) ; conts /catalog/book/price/#text[decimal](3 recs) ContAccess range on compressed bytes ; cost=3.0
-	//   3  ITER     c0 -> $b, done->8
+	//   3  ITER     c0 -> $b, done->7
 	//   4  DEFERRED c0, fail->3
-	//   5  HOOK     c0
-	//   6  EVAL     e0              ; $b/title/text() ; summary-guided navigation /catalog/book/title (3 nodes)
-	//   7  EMITSEQ  done->3
-	//   8  HALT
+	//   5  EVAL     e0              ; $b/title/text() ; summary-guided navigation /catalog/book/title (3 nodes)
+	//   6  EMITSEQ  done->3
+	//   7  HALT
 }
 
 // ExampleDatabase_Containers inspects the per-path containers and the

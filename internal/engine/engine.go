@@ -66,16 +66,6 @@ type Engine struct {
 	// mutable state (joinIdx, sbuf, ctxTick) stays on the calling
 	// goroutine, so results are byte-identical at every setting.
 	par int
-	// bindHook, when armed, observes the top-level binding node each
-	// streamed item originates from: the clause-0 FOR binding of a
-	// top-level FLWOR, or the matched node of a top-level path. The
-	// compiled program fires it (Hook) on the evaluation goroutine
-	// strictly before the items derived from that binding are emitted,
-	// so a cursor consumer reading the last hooked node after Next sees
-	// the current item's origin. The shard coordinator uses this to
-	// assign each item a global document-order rank without touching
-	// serialization.
-	bindHook func(storage.NodeID)
 }
 
 // New returns an engine over the store. Evaluation is serial until
@@ -103,17 +93,6 @@ func (e *Engine) WithParallelism(n int) *Engine {
 		n = runtime.GOMAXPROCS(0)
 	}
 	e.par = n
-	return e
-}
-
-// WithBindHook arms fn as the top-level binding observer (see the
-// bindHook field) and returns the engine. Only a compiled program's run
-// fires the hook, and only for top-level FLWORs and paths; items of an
-// expression evaluated whole (aggregates, a nested FLWOR) have no single
-// origin node and never fire it. Under an ORDER BY it fires as the tuples
-// are collected, all before the first item.
-func (e *Engine) WithBindHook(fn func(storage.NodeID)) *Engine {
-	e.bindHook = fn
 	return e
 }
 

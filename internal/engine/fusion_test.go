@@ -1,6 +1,6 @@
 package engine_test
 
-// The differential suite of the fused fallback store (partition.Set.Fused,
+// The differential suite of the fused store (partition.Set.Fused,
 // storage.Fusion). It lives here because it runs on this package's
 // random documents and query battery, which only this package's tests
 // can see. The oracle is a plain ingest of the corpus as text — the
@@ -330,8 +330,7 @@ func fusedDirected(t *testing.T, reopen bool) {
 // TestFusedKeepsJunctionTextApart pins the one place the spliced store
 // and a re-ingest differ by design: text that ends one segment's root
 // content and text that begins the next's stay two values of the root —
-// as they are for the per-segment evaluation of a scattered query, and as
-// text on both sides of a comment is in a single store — where parsing
+// as text on both sides of a comment is in a single store — where parsing
 // the concatenated text would run them together into one. The corpus
 // text, and the root's text(), are the same.
 func TestFusedKeepsJunctionTextApart(t *testing.T) {

@@ -233,12 +233,6 @@ func (e *Engine) ContextErr() error {
 	return e.ctx.Err()
 }
 
-// Hook returns the armed bind hook (nil when none); the VM fires it for
-// clause-0 FOR bindings and top-level path nodes, strictly before the
-// items derived from the binding are emitted — the WithBindHook
-// contract the shard workers' rank stamping relies on.
-func (e *Engine) Hook() func(storage.NodeID) { return e.bindHook }
-
 // NewPullResult wraps a pull function as this engine's streaming
 // Result — the adapter that lets the VM's run loop BE the cursor, with
 // no coroutine in between.

@@ -15,18 +15,13 @@
 //     Append and Compact return a NEW set sharing the unchanged stores —
 //     so a reader keeps a consistent snapshot under concurrent writes.
 //
-// Everything else is written once for both: the scatterability proof
-// (Analyze), the rank-keyed k-way merge cursor, the dictionary hash and
-// manifest plumbing, and the lazily fused whole-corpus store that
-// answers the queries the proof declines. A query over a set either
-// scatters — per-part evaluation merged in document order,
-// byte-identical to evaluating on the unpartitioned corpus by
-// construction — or runs on the fused store; a set with a single part
-// is just that part.
+// The package is the manifests of both layouts and their fusion: every
+// query over a set runs on Fused, the one store of the whole corpus,
+// spliced from the parts in the compressed domain and built at most once
+// per Set value. A set with a single part is that part.
 package partition
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -36,7 +31,6 @@ import (
 	"time"
 
 	"xquec/internal/storage"
-	"xquec/internal/xquery"
 )
 
 // Layout is what distinguishes the two ways a corpus is cut into parts,
@@ -50,16 +44,12 @@ type Layout struct {
 	// (every segment contributes a run of root children).
 	Level int
 	// Interleaved is true for round-robin routing: consecutive subtrees
-	// at Level go to different parts, so the merge rank is k·N+part (read
-	// off the subtree table) and the spine above Level is replicated into
-	// every part. False means each part is one contiguous run of the
-	// corpus (merge rank = part index) sharing only the root element,
-	// whose attributes the base part alone carries.
-	//
-	// It also selects the execution source: interleaved parts all hold a
-	// piece of every answer, so they evaluate concurrently through the
-	// fan-out; contiguous parts merge as a concatenation, so they are
-	// pulled inline, lazily, in order.
+	// at Level go to different parts, so the document-order rank of the
+	// k-th subtree of part p is k·N+p (read off the subtree table) and the
+	// spine above Level is replicated into every part. False means each
+	// part is one contiguous run of the corpus sharing only the root
+	// element, whose attributes the base part alone carries. It selects
+	// the splice that fuses the parts.
 	Interleaved bool
 }
 
@@ -76,7 +66,7 @@ type Set struct {
 
 	// tables holds, per shard, the partitioned subtree roots in document
 	// order (shard sets only).
-	tables [][]span
+	tables [][]storage.NodeID
 
 	// seqs are the per-segment naming sequence numbers (Sequence values
 	// claimed at segment creation); savedAs remembers where each segment
@@ -85,15 +75,11 @@ type Set struct {
 	seqs    []int
 	savedAs []string
 
-	// fused is the lazily reconstructed single-store view, used for
-	// queries the scatter analyzer declines (aggregates over the whole
-	// corpus, multi-document joins, ORDER BY). Built at most once per
-	// Set value.
+	// fused is the lazily reconstructed single store every query runs
+	// on. Built at most once per Set value.
 	fuseOnce sync.Once
 	fused    *storage.Store
 	fuseErr  error
-
-	workers []Worker // in-process, one per shard (the fan-out's default)
 }
 
 // ShardManifestFormat and SegmentManifestFormat identify the two
@@ -229,14 +215,12 @@ func (s *Set) FuseXML() ([]byte, error) {
 	return st.Serialize(nil, 1)
 }
 
-// Fused returns the single-store view of the set, built on first use.
-// Queries the analyzer cannot scatter (whole-corpus aggregates,
-// multi-document joins, ORDER BY over the full result) run here, so every
-// query over a set has an answer — scatter is the fast path, not the only
-// path. A set with a single part IS the corpus. Otherwise the layout names
-// the pieces of the parts' structures in document order and storage.Fusion
-// copies them, merges the containers and proves the result: compressed
-// domain throughout, nothing serialized or parsed.
+// Fused returns the single store of the whole corpus, built on first use:
+// every query over the set runs on it. A set with a single part IS the
+// corpus. Otherwise the layout names the pieces of the parts' structures
+// in document order and storage.Fusion copies them, merges the containers
+// and proves the result: compressed domain throughout, nothing serialized
+// or parsed.
 func (s *Set) Fused() (*storage.Store, error) {
 	s.fuseOnce.Do(func() {
 		if len(s.Stores) == 1 {
@@ -262,43 +246,4 @@ func (s *Set) Fused() (*storage.Store, error) {
 		counters.fusionNanos.Add(int64(time.Since(start)))
 	})
 	return s.fused, s.fuseErr
-}
-
-// Fallback is Fused for the query path: it also counts the declined query
-// (the counter is exported as a shard-tier metric and counts shard sets only).
-func (s *Set) Fallback() (*storage.Store, error) {
-	if s.Layout.Interleaved {
-		counters.fallbackQueries.Add(1)
-	}
-	return s.Fused()
-}
-
-// Decide is the set's dispatch for one query: scatter over the parts
-// (Eval) when there is more than one and Analyze proves it equivalent,
-// otherwise evaluate on Fallback's store.
-func (s *Set) Decide(expr xquery.Expr) Decision {
-	if len(s.Stores) == 1 {
-		return Decision{Reason: "the set has a single " + s.Layout.Noun}
-	}
-	return Analyze(expr, s)
-}
-
-// Eval evaluates a query Decide approved over every part and returns
-// the merged cursor. Interleaved parts evaluate concurrently through
-// the fan-out, at most fanout at a time; contiguous parts are pulled
-// inline.
-func (s *Set) Eval(ctx context.Context, req Request, fanout int) (*Cursor, error) {
-	if s.Layout.Interleaved {
-		return FanOut(ctx, s.workers, req, fanout), nil
-	}
-	streams := make([]Stream, len(s.Stores))
-	for i := range s.Stores {
-		st, err := s.openPart(ctx, i, req)
-		if err != nil {
-			closeStreams(streams[:i])
-			return nil, err
-		}
-		streams[i] = st
-	}
-	return &Cursor{streams: streams}, nil
 }

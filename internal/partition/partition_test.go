@@ -1,9 +1,7 @@
 package partition
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +11,6 @@ import (
 	"xquec/internal/datagen"
 	"xquec/internal/storage"
 	"xquec/internal/xmarkq"
-	"xquec/internal/xquery"
 )
 
 func xmarkDoc(t *testing.T) []byte {
@@ -54,22 +51,6 @@ func unshardedXML(t *testing.T, src []byte, query string) string {
 		t.Fatalf("serialize: %v", err)
 	}
 	return out
-}
-
-// evalXML runs a scatter-approved query through Set.Eval — the fan-out
-// for a shard set, the inline pull for a segment set.
-func evalXML(t *testing.T, set *Set, query string) string {
-	t.Helper()
-	cur, err := set.Eval(context.Background(), compiled(t, query), 0)
-	if err != nil {
-		t.Fatalf("eval: %v", err)
-	}
-	defer cur.Close()
-	var sb strings.Builder
-	if _, err := cur.WriteXML(&sb); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	return sb.String()
 }
 
 // segmentSet builds a segment set with one segment per document.
@@ -127,38 +108,9 @@ func TestSplitRoundTrip(t *testing.T) {
 	}
 }
 
-func TestScatterMatchesUnsharded(t *testing.T) {
-	src := xmarkDoc(t)
-	queries := append(xmarkq.Queries(), xmarkq.ExtendedQueries()...)
-	want := map[string]string{}
-	for _, q := range queries {
-		want[q.ID] = unshardedXML(t, src, q.Text)
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		set, err := Build(src, shards, storage.LoadOptions{})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		for _, q := range queries {
-			expr, err := xquery.Parse(q.Text)
-			if err != nil {
-				t.Fatalf("%s: %v", q.ID, err)
-			}
-			if dec := Analyze(expr, set); !dec.Scatter {
-				t.Logf("shards=%d %s: fallback (%s)", shards, q.ID, dec.Reason)
-				continue
-			}
-			if got := evalXML(t, set, q.Text); got != want[q.ID] {
-				t.Errorf("shards=%d %s: scattered result differs from unsharded\n got: %.200q\nwant: %.200q",
-					shards, q.ID, got, want[q.ID])
-			}
-		}
-	}
-}
-
 // TestSinglePartEvaluatesDirectly pins the one-part short-circuit for
-// both layouts: no query scatters, and the fallback store is the part
-// itself rather than a re-ingested copy of the corpus.
+// both layouts: the fused store is the part itself rather than a copy of
+// the corpus, and no fusion is counted.
 func TestSinglePartEvaluatesDirectly(t *testing.T) {
 	src := xmarkDoc(t)
 	shard, err := Build(src, 1, storage.LoadOptions{})
@@ -167,21 +119,18 @@ func TestSinglePartEvaluatesDirectly(t *testing.T) {
 	}
 	for _, set := range []*Set{shard, segmentSet(t, string(src))} {
 		noun := set.Layout.Noun
+		fusions := Snapshot().Fusions
+		st, err := set.Fused()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != set.Stores[0] {
+			t.Fatalf("one-%s set: fused store is not the part", noun)
+		}
+		if n := Snapshot().Fusions - fusions; n != 0 {
+			t.Fatalf("one-%s set counted %d fusions", noun, n)
+		}
 		for _, q := range []string{xmarkq.Q2, xmarkq.Q8} {
-			expr, err := xquery.Parse(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if set.Decide(expr).Scatter {
-				t.Fatalf("one-%s set scatters %.40q", noun, q)
-			}
-			st, err := set.Fallback()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st != set.Stores[0] {
-				t.Fatalf("one-%s set: fallback store is not the part", noun)
-			}
 			if got, want := storeXML(t, st, q), unshardedXML(t, src, q); got != want {
 				t.Fatalf("one-%s set answers %.40q differently", noun, q)
 			}
@@ -454,215 +403,5 @@ func TestShardSaveOpen(t *testing.T) {
 	}
 	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "dictionary hash") {
 		t.Fatalf("mixed build err = %v", err)
-	}
-}
-
-// TestAnalyze runs one query list under both layouts. Two corpora: a
-// flat one that both layouts split at level 2 (the same logical
-// document, sharded round-robin and appended segment by segment), and
-// XMark, which shards split at level 3 and segments at level 2. The
-// verdicts agree everywhere except the two deliberate asymmetries:
-// level-depth attributes (repeated on a replicated spine, owned by the
-// base segment alone), and the split level itself.
-func TestAnalyze(t *testing.T) {
-	flatShards, err := Build([]byte(`<site lang="en"><a id="1">1</a><a id="2">2</a><b id="3">3</b></site>`), 2, storage.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flatShards.Layout.Level != 2 {
-		t.Fatalf("flat corpus shards at level %d, want 2", flatShards.Layout.Level)
-	}
-	flatSegments := segmentSet(t,
-		`<site lang="en"><a id="1">1</a></site>`, `<site><a id="2">2</a></site>`, `<site><b id="3">3</b></site>`)
-	doc := xmarkDoc(t)
-	xmarkShards, err := Build(doc, 2, storage.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xmarkShards.Layout.Level != 3 {
-		t.Fatalf("XMark shards at level %d, want 3", xmarkShards.Layout.Level)
-	}
-	xmarkSegments := segmentSet(t, string(doc), string(datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 42})))
-
-	const both, neither = "", "-"
-	cases := []struct {
-		xmark bool
-		q     string
-		// scatter names who scatters: both, neither, or one layout's noun.
-		scatter string
-		reason  string // substring of every declining layout's reason
-	}{
-		{q: `/site/a`},
-		{q: `//a`},
-		{q: `/site/a/text()`},
-		{q: `/site/a/@id`},
-		{q: `FOR $x IN /site/a RETURN $x/text()`},
-		{q: `FOR $x IN /site/a WHERE $x/@id > 1 RETURN $x`},
-		{q: `/site`, scatter: neither, reason: "above the split level"},
-		{q: `/site[a]`, scatter: neither, reason: "above the split level"},
-		{q: `/site/a[2]`, scatter: neither, reason: "positional"},
-		{q: `/site/a[position() = last()]`, scatter: neither, reason: "positional"},
-		{q: `FOR $x IN /site/a ORDER BY $x RETURN $x`, scatter: neither, reason: "ORDER BY"},
-		{q: `LET $y := /site/b FOR $x IN /site/a RETURN $x`, scatter: neither, reason: "FOR"},
-		{q: `FOR $x IN /site/a RETURN /site/b`, scatter: neither, reason: "more than one root path"},
-		// Asymmetry 1: attributes at the split level.
-		{q: `/site/@lang`, scatter: "segment", reason: "split-level attributes"},
-		// Positional predicates strictly below the split level count
-		// within one subtree and scatter under both layouts.
-		{xmark: true, q: `/site/people/person/name[1]`},
-		{xmark: true, q: `/site/people/person[1]`, scatter: "segment", reason: "positional"},
-		// Asymmetry 2: depth-2 nodes are spine for level-3 shards,
-		// private content for segments.
-		{xmark: true, q: `/site/regions`, scatter: "segment", reason: "above the split level"},
-		{xmark: true, q: `/site/people[person]/person`, scatter: "segment", reason: "above the split level"},
-	}
-	for _, tc := range cases {
-		sets := []*Set{flatShards, flatSegments}
-		if tc.xmark {
-			sets = []*Set{xmarkShards, xmarkSegments}
-		}
-		expr, err := xquery.Parse(tc.q)
-		if err != nil {
-			t.Fatalf("parse %q: %v", tc.q, err)
-		}
-		for _, set := range sets {
-			noun := set.Layout.Noun
-			want := tc.scatter == both || tc.scatter == noun
-			d := Analyze(expr, set)
-			switch {
-			case d.Scatter != want:
-				t.Errorf("%s %q: scatter = %v (%s), want %v", noun, tc.q, d.Scatter, d.Reason, want)
-			case !want && !strings.Contains(d.Reason, tc.reason):
-				t.Errorf("%s %q: reason = %q, want mention of %q", noun, tc.q, d.Reason, tc.reason)
-			case want && evalXML(t, set, tc.q) != storeXML(t, mustFused(t, set), tc.q):
-				t.Errorf("%s %q: scattered result differs from the fused corpus", noun, tc.q)
-			}
-		}
-	}
-}
-
-func mustFused(t *testing.T, set *Set) *storage.Store {
-	t.Helper()
-	st, err := set.Fused()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
-// scriptStream yields items of one constant rank — the segment layout's
-// rank shape — and fails with an injected error once `failAt` items
-// have been delivered (failAt < 0: never).
-type scriptStream struct {
-	rank   uint64
-	items  []string
-	failAt int
-	pos    int
-	closed int
-}
-
-func (s *scriptStream) Next() (Item, bool, error) {
-	if s.pos == s.failAt {
-		return Item{}, false, errors.New("injected: mid-stream failure")
-	}
-	if s.pos == len(s.items) {
-		return Item{}, false, nil
-	}
-	s.pos++
-	return Item{Rank: s.rank, XML: []byte(s.items[s.pos-1])}, true, nil
-}
-
-func (s *scriptStream) Close() error { s.closed++; return nil }
-
-type scriptWorker struct{ st *scriptStream }
-
-func (w scriptWorker) Query(context.Context, Request) (Stream, error) { return w.st, nil }
-
-// TestCursorStickyErrorBothSources drives the shared merge with
-// constant-per-stream ranks through both item sources — streams pulled
-// inline, and the same streams behind the fan-out's queues — and pins
-// the cursor contract around a mid-stream failure: the delivered items
-// are a prefix of the rank-ordered concatenation, the injected error is
-// sticky, and Close is idempotent and reaches every stream.
-func TestCursorStickyErrorBothSources(t *testing.T) {
-	script := func(failAt int) []*scriptStream {
-		return []*scriptStream{
-			{rank: 0, items: []string{"a0", "a1", "a2"}, failAt: -1},
-			{rank: 1, items: []string{"b0", "b1"}, failAt: failAt},
-			{rank: 2, items: []string{"c0"}, failAt: -1},
-		}
-	}
-	open := map[string]func([]*scriptStream) *Cursor{
-		"inline": func(ss []*scriptStream) *Cursor {
-			streams := make([]Stream, len(ss))
-			for i, s := range ss {
-				streams[i] = s
-			}
-			return &Cursor{streams: streams}
-		},
-		"fanout": func(ss []*scriptStream) *Cursor {
-			workers := make([]Worker, len(ss))
-			for i, s := range ss {
-				workers[i] = scriptWorker{s}
-			}
-			return FanOut(context.Background(), workers, Request{}, 0)
-		},
-	}
-	const whole = "a0 a1 a2 b0 b1 c0"
-	for name, mk := range open {
-		// Healthy streams merge to the concatenation in rank order.
-		ss := script(-1)
-		cur := mk(ss)
-		var sb strings.Builder
-		if _, err := cur.WriteXML(&sb); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := strings.ReplaceAll(sb.String(), "\n", " "); got != whole {
-			t.Fatalf("%s: merged %q, want %q", name, got, whole)
-		}
-
-		ss = script(1)
-		cur = mk(ss)
-		var got []string
-		var failure error
-		for failure == nil {
-			x, ok, err := cur.Next()
-			if err != nil {
-				failure = err
-			} else if !ok {
-				t.Fatalf("%s: stream ended cleanly after %v, want the injected failure", name, got)
-			} else {
-				got = append(got, string(x))
-			}
-		}
-		if !strings.Contains(failure.Error(), "injected") {
-			t.Fatalf("%s: err = %v, want the injected failure", name, failure)
-		}
-		if delivered := strings.Join(got, " "); !strings.HasPrefix(whole, delivered) {
-			t.Fatalf("%s: delivered %q is not a prefix of %q", name, delivered, whole)
-		}
-		if name == "inline" && len(got) != 3 {
-			// Inline pulls are lazy: everything before the failing item's
-			// turn in the merge is delivered (b0 was primed, b1 never is).
-			t.Fatalf("inline: delivered %v before the failure, want a0 a1 a2", got)
-		}
-		for i := 0; i < 2; i++ {
-			if _, ok, err := cur.Next(); ok || err != failure {
-				t.Fatalf("%s: Next after failure = ok %v err %v, want the same error", name, ok, err)
-			}
-			if err := cur.Close(); err != nil {
-				t.Fatalf("%s: Close #%d: %v", name, i+1, err)
-			}
-		}
-		if cur.Len() != len(got) {
-			t.Fatalf("%s: Len after failure = %d, want %d", name, cur.Len(), len(got))
-		}
-		if name == "inline" { // the fan-out's pullers close theirs, on their own goroutines
-			for i, s := range ss {
-				if s.closed == 0 {
-					t.Fatalf("inline: stream %d never closed", i)
-				}
-			}
-		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 //
 // The routing map is implicit in the "roundrobin" policy: the k-th
 // partitioned subtree (document order) of shard s has global rank
-// k*len(Shards)+s, so merge order needs no per-subtree table.
+// k*len(Shards)+s, so the fusion needs no per-subtree table.
 type ShardManifest struct {
 	Format string `json:"format"` // ShardManifestFormat
 	// Shards are the shard repository file names, in shard order,
@@ -57,14 +57,6 @@ func (m *ShardManifest) check() error {
 		return fmt.Errorf("partition: partition level %d < 2", m.PartitionLevel)
 	}
 	return nil
-}
-
-// span is one partitioned subtree in a shard store: the pre-order ID of
-// its root and the largest ID in its subtree. Spans are in document
-// order (ascending, disjoint), so a binding node maps to its subtree by
-// binary search.
-type span struct {
-	start, end storage.NodeID
 }
 
 // Build splits src into `shards` shard repositories (shard-aware
@@ -124,14 +116,12 @@ func openParts(dir string, names []string, noun string) ([]*storage.Store, []str
 
 func newShardSet(man *ShardManifest, stores []*storage.Store) (*Set, error) {
 	s := &Set{
-		Layout:  Layout{Noun: "shard", Level: man.PartitionLevel, Interleaved: true},
-		Stores:  stores,
-		Shards:  man,
-		tables:  make([][]span, len(stores)),
-		workers: make([]Worker, len(stores)),
+		Layout: Layout{Noun: "shard", Level: man.PartitionLevel, Interleaved: true},
+		Stores: stores,
+		Shards: man,
+		tables: make([][]storage.NodeID, len(stores)),
 	}
 	for i, st := range stores {
-		s.workers[i] = &inprocWorker{set: s, part: i}
 		if got := DictionaryHash(st.Names); got != man.DictHash {
 			return nil, fmt.Errorf("partition: shard %d dictionary hash %.12s does not match manifest %.12s (mixed shard builds?)", i, got, man.DictHash)
 		}
@@ -147,43 +137,14 @@ func newShardSet(man *ShardManifest, stores []*storage.Store) (*Set, error) {
 // store: elements (not attributes — attributes of spine elements also
 // sit at the partition level) whose level equals the partition level,
 // in document order.
-func subtreeTable(st *storage.Store, level int) []span {
+func subtreeTable(st *storage.Store, level int) []storage.NodeID {
 	var roots []storage.NodeID
 	st.ScanNodes(func(id storage.NodeID, lvl uint16) {
-		if int(lvl) != level || st.IsAttr(id) {
-			return
+		if int(lvl) == level && !st.IsAttr(id) {
+			roots = append(roots, id)
 		}
-		roots = append(roots, id)
 	})
-	ends := make([]storage.NodeID, len(roots))
-	st.SubtreeEndBulk(roots, ends)
-	out := make([]span, len(roots))
-	for i, id := range roots {
-		out[i] = span{start: id, end: ends[i]}
-	}
-	return out
-}
-
-// rankOf maps a node of one shard store to the global document-order
-// rank of the partitioned subtree containing it. ok is false for spine
-// nodes (nodes outside every partitioned subtree) — a scatter-safe
-// query never binds those.
-func (s *Set) rankOf(shard int, id storage.NodeID) (uint64, bool) {
-	table := s.tables[shard]
-	lo, hi := 0, len(table)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if table[mid].start <= id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	k := lo - 1
-	if k < 0 || id > table[k].end {
-		return 0, false
-	}
-	return uint64(k)*uint64(len(s.Stores)) + uint64(shard), true
+	return roots
 }
 
 // saveShards writes the shard repositories next to the manifest at path
@@ -226,12 +187,12 @@ func (s *Set) subtreesInOrder() (subs []subtree, spine0 []storage.NodeID, err er
 		if si == 0 {
 			spine0 = spine
 		}
-		for k, sp := range s.tables[si] {
-			ord, ok := slices.BinarySearch(spine, st.Parent(sp.start))
+		for k, root := range s.tables[si] {
+			ord, ok := slices.BinarySearch(spine, st.Parent(root))
 			if !ok || ord >= len(spine0) {
 				return nil, nil, fmt.Errorf("partition: subtree %d of shard %d has non-spine parent", k, si)
 			}
-			subs = append(subs, subtree{uint64(k)*uint64(len(s.Stores)) + uint64(si), si, sp.start, ord})
+			subs = append(subs, subtree{uint64(k)*uint64(len(s.Stores)) + uint64(si), si, root, ord})
 		}
 	}
 	slices.SortFunc(subs, func(a, b subtree) int { return cmp.Compare(a.rank, b.rank) })

@@ -10,7 +10,7 @@ import (
 // segment's root-element content in segment order, then the root close
 // tag. Everything below the root is spliced verbatim, so a full
 // re-ingest of Concat(docs...) parses to exactly the node sequence the
-// per-segment evaluation merges — that equivalence is what the
+// fused store of the segments holds — that equivalence is what the
 // differential suite pins down.
 
 // docParts is one document split around its root element.

@@ -6,7 +6,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -114,5 +116,62 @@ func TestFusedIsTextFree(t *testing.T) {
 		if !seen[must] {
 			t.Errorf("the walk did not reach %s: it no longer follows the code", must)
 		}
+	}
+}
+
+// TestNoScatterPath guards against the scatter path growing back. The
+// package is manifests plus fusion, so its non-test files import no query
+// layer, and no non-test identifier of the module names a scatter, a
+// fan-out or a bind hook: every query over a set runs on Set.Fused.
+func TestNoScatterPath(t *testing.T) {
+	fset := token.NewFileSet()
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	banned := []string{"xquec/internal/vm", "xquec/internal/engine", "xquec/internal/xquery", "xquec/internal/algebra"}
+	files := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if rel, _ := filepath.Rel(root, path); rel == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files++
+		if filepath.Dir(path) == filepath.Join(root, "internal", "partition") {
+			for _, imp := range file.Imports {
+				if p := strings.Trim(imp.Path.Value, `"`); slices.Contains(banned, p) {
+					t.Errorf("%s imports %s", filepath.Base(path), p)
+				}
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				for _, word := range []string{"Scatter", "FanOut", "BindHook", "OpHook"} {
+					if strings.Contains(id.Name, word) {
+						t.Errorf("%s: identifier %s", fset.Position(id.Pos()), id.Name)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 50 {
+		t.Fatalf("walked %d files under %s: not the module", files, root)
 	}
 }

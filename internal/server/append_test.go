@@ -95,8 +95,8 @@ func TestAppendGrowsRepository(t *testing.T) {
 	if n := m["xquecd_repo_segments"]; n != 2 {
 		t.Fatalf("repo segments = %v", n)
 	}
-	// The count after the append could not scatter: it paid for one
-	// fusion of the two segments, and the metrics say so.
+	// The count after the append paid for one fusion of the two
+	// segments, and the metrics say so.
 	if m["xquecd_fusions_total"] <= float64(fusions) || m["xquecd_fusion_seconds_total"] == 0 {
 		t.Fatalf("fusions = %v (was %d), %v s", m["xquecd_fusions_total"], fusions, m["xquecd_fusion_seconds_total"])
 	}
@@ -201,5 +201,34 @@ func TestAppendDepthBomb(t *testing.T) {
 	}
 	if out, _ := postQuery(t, ts.URL, QueryRequest{Repo: "numbers", Query: `count(/data/v)`}); out == nil || out.Result != "5" {
 		t.Fatalf("query after the next append = %+v", out)
+	}
+}
+
+// TestAppendFusesOnce: after one /append, a burst of reads of every
+// shape — a path, an aggregate and a point lookup, each repeated — builds
+// the new set's fused store exactly once, on the first read, and each
+// read sees the appended person.
+func TestAppendFusesOnce(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	if res, resp := postAppend(t, ts.URL, AppendRequest{Repo: "people",
+		Doc: `<site><people><person id="p2"><name>Carol</name><age>40</age></person></people></site>`}); res == nil {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("append failed: %d %s", resp.StatusCode, b)
+	}
+	before := scrape(t, ts.URL)["xquecd_fusions_total"]
+	burst := map[string]string{
+		`/site/people/person/name/text()`:                                 "Alice\nBob\nCarol",
+		`count(/site/people/person)`:                                      "3",
+		`FOR $b IN /site/people/person[@id = "p2"] RETURN $b/name/text()`: "Carol",
+	}
+	for round := 0; round < 4; round++ {
+		for q, want := range burst {
+			if out, resp := postQuery(t, ts.URL, QueryRequest{Repo: "people", Query: q}); out == nil || out.Result != want {
+				t.Fatalf("round %d, %s = %+v (status %d), want %q", round, q, out, resp.StatusCode, want)
+			}
+		}
+	}
+	if n := scrape(t, ts.URL)["xquecd_fusions_total"] - before; n != 1 {
+		t.Fatalf("12 reads after one append built %v fused stores, want 1", n)
 	}
 }

@@ -75,8 +75,8 @@ func (m *Metrics) ObserveCompaction(d time.Duration) { m.compaction.observe(d) }
 // writeMetrics writes GET /metrics in Prometheus text exposition format
 // (version 0.0.4). Each number has one owner and is read from it here:
 // the pool and the plan cache count their own hits, misses and resident
-// bytes, the Writers their segments, internal/partition its scatter and
-// fusion counters, internal/storage its value decodes, and Metrics what
+// bytes, the Writers their segments, internal/partition its fusion
+// counters, internal/storage its value decodes, and Metrics what
 // the handlers served. README's "series | question it answers" table has
 // a row for every family written here (TestMetricsDocumented).
 func (s *Server) writeMetrics(w io.Writer) {
@@ -147,12 +147,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	histo("xquecd_compaction_seconds", "Compaction wall-clock duration.", &m.compaction)
 	perRepo("xquecd_repo_segments", "Segment count per appended-to repository.", s.segmentCounts())
 
-	counter("xquecd_fusions_total", "Fused fallback stores built (first non-scatterable query on a set after an open, append or swap).", part.Fusions)
-	family("xquecd_fusion_seconds_total", "counter", "Time spent building fused fallback stores.")
+	counter("xquecd_fusions_total", "Fused stores built: the first query on a set after an open, append or swap.", part.Fusions)
+	family("xquecd_fusion_seconds_total", "counter", "Time spent building fused stores.")
 	fmt.Fprintf(w, "xquecd_fusion_seconds_total %g\n", float64(part.FusionNanos)/1e9)
-	counter("xquecd_shard_scatter_queries_total", "Queries scattered across shard workers.", part.ScatterQueries)
-	counter("xquecd_shard_fallback_queries_total", "Sharded-repository queries evaluated on the fused store.", part.FallbackQueries)
-	counter("xquecd_shard_streams_total", "Per-shard evaluation streams dispatched by scattered queries.", part.ShardStreams)
-	counter("xquecd_shard_failures_total", "Per-shard evaluation streams that failed.", part.ShardFailures)
-	counter("xquecd_shard_merged_items_total", "Items emitted by the scatter-gather merge.", part.MergedItems)
 }

@@ -44,9 +44,6 @@ type Config struct {
 	// ones. Requests may override it with "parallelism" (capped at
 	// GOMAXPROCS). Results are identical at every setting.
 	QueryParallelism int
-	// ShardFanout bounds how many shards a scattered query evaluates
-	// concurrently. Default 0 (all shards at once).
-	ShardFanout int
 	// MaxAppendBytes caps the /append request body (default 64 MiB —
 	// appended documents are whole XML documents, so the /query body cap
 	// would be far too small).
@@ -367,7 +364,6 @@ func (s *Server) resolve(ctx context.Context, req QueryRequest) (res *xquec.Resu
 func (s *Server) queryOptions(req QueryRequest) xquec.QueryOptions {
 	return xquec.QueryOptions{
 		Parallelism: s.parallelismFor(req),
-		ShardFanout: s.cfg.ShardFanout,
 	}
 }
 

@@ -303,3 +303,22 @@ func TestServerConfigValidation(t *testing.T) {
 		t.Fatal("missing dir accepted")
 	}
 }
+
+// TestServerDeepQueryIsBadRequest posts a query nesting 450 000
+// parentheses — 900 KB, under the 1 MiB body cap — which once overflowed
+// the parser's goroutine stack and killed the daemon: it is a 400 parse
+// error, and the daemon answers the next query.
+func TestServerDeepQueryIsBadRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	deep := strings.Repeat("(", 450000) + "1" + strings.Repeat(")", 450000)
+	out, resp := postQuery(t, ts.URL, QueryRequest{Repo: "people", Query: deep})
+	if out != nil || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("deep query: status %d, want 400", resp.StatusCode)
+	}
+	if body, _ := io.ReadAll(resp.Body); !strings.Contains(string(body), "nests deeper") {
+		t.Fatalf("deep query answered %.200s", body)
+	}
+	if out, _ := postQuery(t, ts.URL, QueryRequest{Repo: "people", Query: `count(/site/people/person)`}); out == nil || out.Result != "2" {
+		t.Fatalf("query after the deep one = %+v", out)
+	}
+}

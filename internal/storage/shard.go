@@ -26,7 +26,7 @@ import (
 //
 // Round-robin routing makes the routing map implicit: shard s's k-th
 // partitioned subtree (in that shard's document order) has global rank
-// k*N + s, so a scatter-gather merge can restore document order from
+// k*N + s, so the fusion of the shards restores document order from
 // (shard, ordinal) alone, with no per-subtree routing table. The
 // manifest only needs the shard count, the partition level and the
 // per-shard subtree counts.

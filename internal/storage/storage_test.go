@@ -174,27 +174,6 @@ func TestSummaryLookupAndMatch(t *testing.T) {
 	if s.Sum.Lookup("/site/nonexistent") != nil {
 		t.Fatal("Lookup invented a path")
 	}
-	// // axis
-	hits := s.Sum.Match(ParsePathPattern("/site//name"))
-	if len(hits) != 1 || hits[0].Path() != "/site/people/person/name" {
-		t.Fatalf("Match //name = %v", pathsOfSummary(hits))
-	}
-	hits = s.Sum.Match(ParsePathPattern("//person"))
-	if len(hits) != 1 {
-		t.Fatalf("Match //person = %v", pathsOfSummary(hits))
-	}
-	hits = s.Sum.Match(ParsePathPattern("/site/*/person"))
-	if len(hits) != 1 {
-		t.Fatalf("Match wildcard = %v", pathsOfSummary(hits))
-	}
-}
-
-func pathsOfSummary(ns []*SummaryNode) []string {
-	var out []string
-	for _, n := range ns {
-		out = append(out, n.Path())
-	}
-	return out
 }
 
 func TestSummaryExtentsPartitionElements(t *testing.T) {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"sort"
 	"strings"
 )
 
@@ -193,93 +192,6 @@ func (s *Summary) Lookup(path string) *SummaryNode {
 		}
 	}
 	return cur
-}
-
-// Match returns, in pre-order, every summary node whose path matches the
-// given step pattern. Steps are element names, "@attr", "#text", or "*";
-// a step may be preceded by a descendant flag (the // axis).
-func (s *Summary) Match(steps []PathStep) []*SummaryNode {
-	if s.Root == nil {
-		return nil
-	}
-	var out []*SummaryNode
-	var walk func(n *SummaryNode, i int)
-	seen := map[[2]int32]bool{} // (node, step) visited, for // recursion
-	walk = func(n *SummaryNode, i int) {
-		key := [2]int32{n.ID, int32(i)}
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		if i == len(steps) {
-			return
-		}
-		st := steps[i]
-		if st.Descendant {
-			// the step may match this node or any descendant
-			for _, c := range n.Children {
-				walk(c, i)
-			}
-		}
-		if st.Name == "*" && !strings.HasPrefix(n.Tag, "@") && n.Tag != "#text" || st.Name == n.Tag {
-			if i == len(steps)-1 {
-				out = append(out, n)
-			} else {
-				for _, c := range n.Children {
-					walk(c, i+1)
-				}
-			}
-		}
-	}
-	// First step matches the root (or any node for //).
-	walk(s.Root, 0)
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return dedupSummary(out)
-}
-
-func dedupSummary(in []*SummaryNode) []*SummaryNode {
-	out := in[:0]
-	var prev *SummaryNode
-	for _, n := range in {
-		if n != prev {
-			out = append(out, n)
-		}
-		prev = n
-	}
-	return out
-}
-
-// PathStep is one step of an absolute path pattern.
-type PathStep struct {
-	Name       string // element name, @attr, #text, or *
-	Descendant bool   // true if reached via //
-}
-
-// ParsePathPattern parses strings like /site//item/name or
-// /site/people/person/@id into steps.
-func ParsePathPattern(path string) []PathStep {
-	var steps []PathStep
-	i := 0
-	for i < len(path) {
-		if path[i] != '/' {
-			break
-		}
-		desc := false
-		i++
-		if i < len(path) && path[i] == '/' {
-			desc = true
-			i++
-		}
-		j := i
-		for j < len(path) && path[j] != '/' {
-			j++
-		}
-		if j > i {
-			steps = append(steps, PathStep{Name: path[i:j], Descendant: desc})
-		}
-		i = j
-	}
-	return steps
 }
 
 func splitPath(path string) []string {

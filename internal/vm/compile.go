@@ -236,8 +236,8 @@ func (n *nest) exit(end int) {
 // loops lowers the clauses and residual WHERE of x, binding its variables
 // from depth on, into nested cursor loops; the caller emits the body and
 // closes them. varSums and known describe the variables in scope and
-// learn x's. top marks a top-level FLWOR, whose clause-0 FOR bindings the
-// bind hook observes.
+// learn x's. top marks a top-level FLWOR, whose LETs read only by its
+// RETURN's emission template may bind bytes (emittedOnly).
 func (c *compiler) loops(x *xquery.FLWOR, plan *engine.FLWORPlan, depth int32, varSums map[string][]*storage.SummaryNode, known map[string]bool, top bool) *nest {
 	n := &nest{c: c, innermost: -1, depth: depth, varSums: varSums, known: known}
 	for ci, cl := range x.Clauses {
@@ -320,11 +320,6 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *engine.FLWORPlan, depth int32, v
 		n.loop(iter)
 		if len(pds) > 0 {
 			c.emit(Instr{Op: OpDeferred, A: cu, C: int32(iter)})
-		}
-		if top && ci == 0 {
-			// The bind hook observes clause-0 FOR bindings only, after
-			// the deferred filters pass.
-			c.emit(Instr{Op: OpHook, A: cu})
 		}
 		n.innermost = int32(iter)
 	}

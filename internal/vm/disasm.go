@@ -42,8 +42,6 @@ func (p *Program) Disassemble() string {
 			fmt.Fprintf(&b, " c%d -> $%s, done->%d", in.A, p.vars[in.B].name, in.C)
 		case OpDeferred:
 			fmt.Fprintf(&b, " c%d, fail->%d", in.A, in.C)
-		case OpHook:
-			fmt.Fprintf(&b, " c%d", in.A)
 		case OpLet:
 			fmt.Fprintf(&b, " $%s <- d%d       ; %s", p.vars[in.A].name, in.B, p.domDesc(&p.doms[in.B]))
 		case OpWhere:

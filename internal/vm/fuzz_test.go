@@ -22,7 +22,8 @@ import (
 // program's listing is rendered too, and a lone path it lists statically
 // empty must return nothing. The seed corpus is the unit battery, so `go
 // test` alone replays every compiled construct through the differential
-// check.
+// check, plus deep nestings: any text parses to an error or a tree the
+// compiler and both evaluators take, never to a stack overflow.
 func FuzzCompile(f *testing.F) {
 	for _, q := range queryBattery() {
 		f.Add(q.Text)
@@ -36,14 +37,16 @@ func FuzzCompile(f *testing.F) {
 	f.Add(`FOR $p IN /site/people/person LET $a := $p/profile/age WHERE $a >= 30 ORDER BY $p/name RETURN <p a="{$a}"/>`)
 	f.Add(`FOR $o IN /site/open_auctions/open_auction ORDER BY $o/initial RETURN number($o/reserve)`)
 	f.Add(`FOR $p IN /site/people/person, $w IN $p/watches/watch ORDER BY $p DESCENDING RETURN $w/@open_auction`)
+	// Deep nesting: past the parser's depth limit, and inside both it and
+	// the length bound.
+	f.Add(strings.Repeat("(", 5000) + "1" + strings.Repeat(")", 5000))
+	f.Add(strings.Repeat("-", 990) + "1")
+	f.Add(strings.Repeat("<e>{", 100) + "/site/people/person[1]/name" + strings.Repeat("}</e>", 100))
 	s := store(f)
 	f.Fuzz(func(t *testing.T, query string) {
-		if len(query) > 1024 {
-			return // keep eval cost bounded; long inputs add no coverage
-		}
 		expr, err := xquery.Parse(query)
-		if err != nil {
-			return
+		if err != nil || len(query) > 1024 {
+			return // long inputs only parse: they keep eval cost bounded and add no coverage
 		}
 		prog, err := Compile(expr, s, query)
 		if err != nil {

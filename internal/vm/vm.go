@@ -64,9 +64,6 @@ const (
 	// conjuncts (original plan order) against the fresh binding; jump
 	// back to C (the cursor's OpIter) when one fails.
 	OpDeferred
-	// OpHook A=cursor: fire the engine bind hook with the cursor's
-	// current node (clause-0 bindings only; no-op when unarmed).
-	OpHook
 	// OpLet A=var B=domain: evaluate a LET source and bind it.
 	OpLet
 	// OpWhere A=expr C=jump: residual WHERE conjunct; jump back to C
@@ -124,7 +121,7 @@ const (
 var opNames = [...]string{
 	OpHalt: "HALT", OpReset: "RESET", OpScan: "SCAN",
 	OpLitRestrict: "LITREST", OpJoinRestrict: "JOINREST",
-	OpIter: "ITER", OpDeferred: "DEFERRED", OpHook: "HOOK",
+	OpIter: "ITER", OpDeferred: "DEFERRED",
 	OpLet: "LET", OpWhere: "WHERE", OpEvalPush: "EVAL",
 	OpEmitSeq: "EMITSEQ", OpIterEmit: "ITEREMIT",
 	OpCollect: "COLLECT", OpSort: "SORT", OpReplay: "REPLAY",
@@ -267,10 +264,6 @@ type RunOptions struct {
 	Ctx context.Context
 	// Parallelism is the intra-query worker budget (0 = GOMAXPROCS).
 	Parallelism int
-	// BindHook observes clause-0 binding nodes before their derived
-	// items emit (engine.WithBindHook contract; the shard workers' rank
-	// stamping plugs in here).
-	BindHook func(storage.NodeID)
 }
 
 // emitFrame is one sequence being drained by OpEmitSeq.
@@ -290,7 +283,7 @@ type cursor struct {
 	deferred []xquery.Expr
 	pos      int
 	textTail bool
-	// current binding (for OpDeferred jumps and OpHook)
+	// current binding (for OpDeferred jumps)
 	curNode   storage.NodeID
 	curIsNode bool
 }
@@ -361,9 +354,6 @@ func (p *Program) NewRun(opts RunOptions) (*Run, error) {
 		eng.WithContext(opts.Ctx)
 	}
 	eng.WithParallelism(opts.Parallelism)
-	if opts.BindHook != nil {
-		eng.WithBindHook(opts.BindHook)
-	}
 	if err := eng.ContextErr(); err != nil {
 		return nil, err
 	}
@@ -602,14 +592,6 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			}
 			r.pc++
 
-		case OpHook:
-			if hook := eng.Hook(); hook != nil {
-				if c := &r.cursors[in.A]; c.curIsNode {
-					hook(c.curNode)
-				}
-			}
-			r.pc++
-
 		case OpLet:
 			spec := &p.doms[in.B]
 			seq, ids, sums, err := eng.BindingSeq(spec.expr, r.env)
@@ -662,9 +644,6 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			}
 			id := c.ids[c.pos]
 			c.pos++
-			if hook := eng.Hook(); hook != nil {
-				hook(id)
-			}
 			if c.textTail {
 				if r.sc == nil {
 					r.sc = storage.NewScratch()

@@ -179,61 +179,6 @@ func differ(want string, wErr error, got string, vErr error) string {
 	return ""
 }
 
-// TestBindHookParity: the clause-0 bind hook observes, in order, the
-// top-level path's nodes or the clause-0 bindings that pass their own
-// filters — the nodes the DOM reference returns for each origins query,
-// compared by their serialization.
-func TestBindHookParity(t *testing.T) {
-	s := store(t)
-	hooked := []struct{ query, origins string }{
-		{`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 RETURN $p/name/text()`,
-			`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 RETURN $p`},
-		{`/site/regions/africa/item/name/text()`, `/site/regions/africa/item/name`},
-		{`FOR $a IN /site/closed_auctions/closed_auction FOR $p IN /site/people/person WHERE $p/@id = $a/buyer/@person RETURN $p/name/text()`,
-			`/site/closed_auctions/closed_auction`},
-		{`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 ORDER BY $p/name DESCENDING RETURN $p/name/text()`,
-			`FOR $p IN /site/people/person WHERE $p/profile/@income >= 30000 RETURN $p`},
-	}
-	for _, h := range hooked {
-		want, err := evalRef(t, h.origins)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		expr, err := xquery.Parse(h.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := Compile(expr, s, h.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []storage.NodeID
-		vres, err := prog.Run(RunOptions{BindHook: func(id storage.NodeID) {
-			got = append(got, id)
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := drain(s, vres.Next); err != nil {
-			t.Fatal(err)
-		}
-		vres.Close()
-
-		var hooked []string
-		for _, id := range got {
-			b, err := s.Serialize(nil, id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hooked = append(hooked, string(b))
-		}
-		if want == "" || strings.Join(hooked, "\n") != want {
-			t.Fatalf("%s: hooked %d nodes %v, want\n%s", h.query, len(got), got, want)
-		}
-	}
-}
-
 // TestEarlyStop: closing the result mid-stream must not leak or fault,
 // and resuming a fresh run must still produce full output.
 func TestEarlyStop(t *testing.T) {

@@ -24,7 +24,28 @@ func Parse(src string) (Expr, error) {
 type parser struct {
 	lex *lexer
 	tok token
+	// depth counts the nested parseExprSingle, unary-minus and
+	// constructor calls in progress, so a deeply nested query is a
+	// ParseError rather than a goroutine stack overflow.
+	depth int
 }
+
+// maxDepth bounds the nesting a query may use. Each level costs the
+// recursive-descent chain a handful of stack frames, and the compiler and
+// evaluator recurse on the tree the parser builds.
+const maxDepth = 1000
+
+// enter descends one nesting level, failing past maxDepth; the caller
+// defers leave once enter succeeds.
+func (p *parser) enter() error {
+	if p.depth >= maxDepth {
+		return p.errf("query nests deeper than %d levels", maxDepth)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) errf(format string, args ...interface{}) error {
 	return &ParseError{Pos: p.tok.pos, Msg: fmt.Sprintf(format, args...)}
@@ -57,6 +78,10 @@ func (p *parser) isKeyword(k string) bool {
 
 // parseExprSingle parses a FLWOR or an operator expression.
 func (p *parser) parseExprSingle() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if p.isKeyword("for") || p.isKeyword("let") {
 		return p.parseFLWOR()
 	}
@@ -310,6 +335,10 @@ func (p *parser) parseMul() (Expr, error) {
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.isSymbol("-") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -590,6 +619,10 @@ func (p *parser) parseElementCtor() (Expr, error) {
 // scanCtor consumes a constructor from the raw source, leaving the
 // lexer position after its closing tag.
 func (p *parser) scanCtor() (*ElementCtor, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	l := p.lex
 	if l.src[l.pos] != '<' {
 		return nil, l.errf(l.pos, "expected '<'")
@@ -741,7 +774,7 @@ func (p *parser) scanTemplate(stop func() bool) ([]Expr, error) {
 func (p *parser) scanEmbedded() (Expr, error) {
 	l := p.lex
 	l.pos++ // consume '{'
-	sub := &parser{lex: l}
+	sub := &parser{lex: l, depth: p.depth}
 	if err := sub.advance(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package xquery
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -267,5 +268,35 @@ func TestEscapedQuotes(t *testing.T) {
 	e := mustParse(t, `"she said ""hi"""`)
 	if s := e.(*StringLit); s.Val != `she said "hi"` {
 		t.Fatalf("%q", s.Val)
+	}
+}
+
+// TestParseDepthLimit: every way a query nests — parentheses, a unary
+// minus chain, predicates, FLWORs, constructors and their enclosed
+// expressions — is a ParseError past maxDepth levels, however deep the
+// input, and parses below it.
+func TestParseDepthLimit(t *testing.T) {
+	nest := func(n int, open, mid, close string) string {
+		return strings.Repeat(open, n) + mid + strings.Repeat(close, n)
+	}
+	shapes := map[string]func(n int) string{
+		"parens":      func(n int) string { return nest(n, "(", "1", ")") },
+		"unary minus": func(n int) string { return strings.Repeat("-", n) + "1" },
+		"predicates":  func(n int) string { return "/a" + nest(n, "[b", "", "]") },
+		"flwors":      func(n int) string { return strings.Repeat("for $x in /a return ", n) + "$x" },
+		"ctors":       func(n int) string { return nest(n, "<e>", "", "</e>") },
+		"enclosed":    func(n int) string { return nest(n, "<e>{", "1", "}</e>") },
+	}
+	for name, shape := range shapes {
+		if _, err := Parse(shape(maxDepth / 4)); err != nil {
+			t.Errorf("%s at depth %d: %v", name, maxDepth/4, err)
+		}
+		for _, n := range []int{maxDepth + 1, 400000} {
+			_, err := Parse(shape(n))
+			var pe *ParseError
+			if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "nests deeper") {
+				t.Errorf("%s at depth %d: err = %v, want the nesting ParseError", name, n, err)
+			}
+		}
 	}
 }

@@ -1,9 +1,8 @@
 package xquery
 
 // Walk visits every node of the AST in pre-order — clauses, step
-// predicates, constructor attribute values and nested content included.
-// It is the shared traversal under the scatter analyzers (shard and
-// segment) and any other static inspection of a parsed query.
+// predicates, constructor attribute values and nested content included:
+// a static inspection of a parsed query that needs no scope.
 func Walk(expr Expr, fn func(Expr)) {
 	if expr == nil {
 		return

@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"xquec/internal/engine"
-	"xquec/internal/partition"
 )
 
 // Results is a query result sequence, consumed as a pull-based cursor:
@@ -28,33 +27,20 @@ import (
 //
 // A Results is a single-consumer cursor. The Database it came from may
 // serve any number of concurrent queries, each with its own Results.
-//
-// On a sharded or segmented database a scattered query is backed by
-// the partitioned set's merging cursor (over pre-serialized items)
-// instead of a single engine evaluation; the API and the item sequence
-// are identical, and a query that fails on the single repository fails
-// here too.
 type Results struct {
 	res *engine.Result
-	cur *partition.Cursor // non-nil for a scattered query
 }
 
 // Item is one result item. It is a lightweight handle — a stored node
 // reference, atom, or constructed fragment — whose value bytes are
-// decompressed only when XML/AppendXML is called. Items from a
-// scattered query arrive serialized (shards decompress on their side);
-// XML/AppendXML then just copy bytes.
+// decompressed only when XML/AppendXML is called.
 type Item struct {
 	res *engine.Result
 	it  engine.Item
-	xml []byte
 }
 
 // XML renders the item as XML/text.
 func (it Item) XML() (string, error) {
-	if it.res == nil {
-		return string(it.xml), nil
-	}
 	b, err := it.res.AppendItemXML(nil, it.it)
 	if err != nil {
 		return "", tagErr(ErrEval, err)
@@ -66,9 +52,6 @@ func (it Item) XML() (string, error) {
 // the extended slice — the allocation-free form of XML for consumers
 // reusing one buffer across items.
 func (it Item) AppendXML(dst []byte) ([]byte, error) {
-	if it.res == nil {
-		return append(dst, it.xml...), nil
-	}
 	b, err := it.res.AppendItemXML(dst, it.it)
 	return b, tagErr(ErrEval, err)
 }
@@ -78,13 +61,6 @@ func (it Item) AppendXML(dst []byte) ([]byte, error) {
 // context's error after cancellation) are sticky: every later call
 // returns the same error.
 func (r *Results) Next() (Item, bool, error) {
-	if r.cur != nil {
-		xml, ok, err := r.cur.Next()
-		if err != nil {
-			return Item{}, false, tagErr(ErrEval, err)
-		}
-		return Item{xml: xml}, ok, nil
-	}
 	it, ok, err := r.res.Next()
 	if err != nil {
 		return Item{}, false, tagErr(ErrEval, err)
@@ -97,10 +73,6 @@ func (r *Results) Next() (Item, bool, error) {
 // state is a single item regardless of result cardinality. It returns
 // the number of bytes written and drains the cursor.
 func (r *Results) WriteXML(w io.Writer) (int, error) {
-	if r.cur != nil {
-		n, err := r.cur.WriteXML(w)
-		return n, tagErr(ErrEval, err)
-	}
 	n, err := r.res.WriteXML(w)
 	return n, tagErr(ErrEval, err)
 }
@@ -108,9 +80,6 @@ func (r *Results) WriteXML(w io.Writer) (int, error) {
 // Close stops the evaluation and releases pooled buffers. Items not
 // yet consumed are discarded. Close is idempotent.
 func (r *Results) Close() error {
-	if r.cur != nil {
-		return r.cur.Close()
-	}
 	return r.res.Close()
 }
 
@@ -119,8 +88,5 @@ func (r *Results) Close() error {
 // buffered, not lost); when streaming large results, prefer counting
 // Next calls instead.
 func (r *Results) Len() int {
-	if r.cur != nil {
-		return r.cur.Len()
-	}
 	return r.res.Len()
 }

@@ -46,7 +46,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 
 	"xquec/internal/costmodel"
 	"xquec/internal/partition"
@@ -87,15 +86,13 @@ type Options struct {
 	// GOMAXPROCS, 1 forces the serial path; any setting produces a
 	// byte-identical repository.
 	Parallelism int
-	// Shards, when 2 or more, targets the scatter-gather serving tier:
-	// the document splits into that many shard repositories at a subtree
-	// boundary (round-robin over the partition-level subtrees), all
-	// sharing one name dictionary, opened together as one logical
-	// Database. Queries over it behave exactly like queries over a
-	// single repository — scatterable ones fan out across the shards,
-	// the rest run on a fused view — and return identical results.
-	// Workload-driven compression choices apply per shard. 0 or 1 builds
-	// a single repository.
+	// Shards, when 2 or more, builds a shard set: the document splits
+	// into that many shard repositories at a subtree boundary
+	// (round-robin over the partition-level subtrees), all sharing one
+	// name dictionary, opened together as one logical Database. Queries
+	// over it run on the shards' fused store and return results identical
+	// to a single repository's. Workload-driven compression choices apply
+	// per shard. 0 or 1 builds a single repository.
 	Shards int
 }
 
@@ -115,9 +112,8 @@ type Database struct {
 	// corpus — a shard set (Options.Shards ≥ 2 / Open on a shard-set
 	// manifest) or a segment set (a Writer's Commit / Open on a
 	// segment-set manifest): several repositories sharing one name
-	// dictionary, over which scatterable queries evaluate per part and
-	// merge in document order while everything else runs on the lazily
-	// fused single store (db.fused).
+	// dictionary, whose queries all run on the lazily fused single store
+	// (db.fused).
 	store *storage.Store
 	set   *partition.Set
 }
@@ -353,52 +349,20 @@ type QueryOptions struct {
 	// fan-out overhead.
 	Parallelism int
 
-	// ShardFanout bounds how many shards evaluate concurrently on a
-	// sharded database. 0 means all shards at once.
+	// ShardFanout is ignored: every query over a shard set runs on its
+	// fused store, so nothing fans out. It remains only for callers that
+	// still set it.
 	ShardFanout int
 }
 
-// run is the single evaluation entry point behind Execute: build the
-// streaming cursor and prime its first item so errors that occur before
+// run is the single evaluation entry point behind Execute: run the
+// compiled program and prime its first item so errors that occur before
 // any output — an expired deadline, an unbound variable, a failing
 // aggregate — surface here rather than on the first Next. Each call
-// gets its own evaluation state; the compiled program's VM loop feeds
-// the cursor directly.
-//
-// On a partitioned database the set decides the path: provably
-// decomposable queries evaluate per part (each on this statement's
-// program for that part) and merge in global document order; the rest —
-// and every query over a single-part set — run on one store, the fused
-// view or the part itself. All paths return byte-identical results to
-// a single-repository database over the same corpus.
+// gets its own evaluation state; the program's VM loop feeds the cursor
+// directly.
 func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error) {
-	db := p.db
-	st := db.store
-	if set := db.set; set != nil {
-		if p.dec.Scatter {
-			cur, err := set.Eval(ctx, partition.Request{
-				Parallelism: opts.Parallelism,
-				ProgramFor:  p.program,
-			}, opts.ShardFanout)
-			if err != nil {
-				return nil, tagErr(ErrEval, err)
-			}
-			if err := cur.Prime(); err != nil {
-				cur.Close()
-				return nil, tagErr(ErrEval, err)
-			}
-			return &Results{cur: cur}, nil
-		}
-		var err error
-		if st, err = set.Fallback(); err != nil {
-			return nil, tagErr(ErrCorruptRepository, err)
-		}
-	}
-	prog, err := p.program(st)
-	if err != nil {
-		return nil, tagErr(ErrEval, err)
-	}
-	res, err := prog.Run(vm.RunOptions{Ctx: ctx, Parallelism: opts.Parallelism})
+	res, err := p.prog.Run(vm.RunOptions{Ctx: ctx, Parallelism: opts.Parallelism})
 	if err != nil {
 		return nil, tagErr(ErrEval, err)
 	}
@@ -431,107 +395,48 @@ func (db *Database) Execute(ctx context.Context, q string, opts QueryOptions) (*
 // skipping the parser and compiler on every subsequent run: the unit a
 // serving plan cache stores. Compilation is eager here so the cache can
 // account the compiled program's bytes at admission time, and so a
-// query that does not compile fails here, tagged ErrEval. The prepared
-// query is bound to this Database and is safe for concurrent Execute
-// calls: the parsed form and the compiled programs are never mutated
-// and every execution gets fresh run state.
+// query that does not compile fails here, tagged ErrEval. On a shard or
+// segment set the program compiles against the set's fused store, which
+// the first Prepare on the set builds. The prepared query is bound to
+// this Database and is safe for concurrent Execute calls: the compiled
+// program is never mutated and every execution gets fresh run state.
 func (db *Database) Prepare(q string) (*Prepared, error) {
 	expr, err := xquery.Parse(q)
 	if err != nil {
 		return nil, tagErr(ErrParse, err)
 	}
-	p := &Prepared{db: db, expr: expr, text: q, listed: db.store}
-	if set := db.set; set != nil {
-		if p.dec = set.Decide(expr); p.dec.Scatter {
-			p.listed = set.Stores[0]
-		} else if p.listed, err = db.fused(); err != nil {
-			return nil, err
-		}
-	}
-	// A scattered query compiles one program per part, here and only
-	// here; anything else compiles against the store it runs on.
-	stores := []*storage.Store{p.listed}
-	if p.dec.Scatter {
-		stores = db.set.Stores
-	}
-	for _, st := range stores {
-		if _, err := p.program(st); err != nil {
-			return nil, tagErr(ErrEval, err)
-		}
-	}
-	return p, nil
-}
-
-// Prepared is a parsed query bound to a Database, plus its lazily
-// compiled per-store bytecode programs.
-type Prepared struct {
-	db   *Database
-	expr xquery.Expr
-	text string
-	// dec is the set's dispatch decision for this query — a pure function
-	// of the parsed form and the (immutable) set, so it is taken once, not
-	// per execution. Never a scatter on a plain database.
-	dec partition.Decision
-	// listed is the store of the program that represents the query: the
-	// store it runs on, or part 0 of the parts a scattered query runs on
-	// (they share one summary shape).
-	listed *storage.Store
-
-	mu    sync.Mutex
-	progs map[*storage.Store]*vm.Program
-}
-
-// program returns the compiled program for st, compiling on first use.
-// A failed compilation is not cached: it is an error every time.
-func (p *Prepared) program(st *storage.Store) (*vm.Program, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if prog, ok := p.progs[st]; ok {
-		return prog, nil
-	}
-	prog, err := vm.Compile(p.expr, st, p.text)
+	st, err := db.fused()
 	if err != nil {
 		return nil, err
 	}
-	if p.progs == nil {
-		p.progs = map[*storage.Store]*vm.Program{}
+	prog, err := vm.Compile(expr, st, q)
+	if err != nil {
+		return nil, tagErr(ErrEval, err)
 	}
-	p.progs[st] = prog
-	return prog, nil
+	return &Prepared{text: q, prog: prog}, nil
+}
+
+// Prepared is a query compiled against the store it runs on: the
+// Database's repository or its set's fused store.
+type Prepared struct {
+	text string
+	prog *vm.Program
 }
 
 // Text returns the original query text.
 func (p *Prepared) Text() string { return p.text }
 
-// listing is the program compiled against the listed store, which
-// Prepare compiled: the lookup cannot fail.
-func (p *Prepared) listing() *vm.Program {
-	prog, _ := p.program(p.listed)
-	return prog
-}
-
 // ProgramLen returns the compiled program's instruction count.
-func (p *Prepared) ProgramLen() int { return p.listing().Len() }
+func (p *Prepared) ProgramLen() int { return p.prog.Len() }
 
 // CostBytes estimates the prepared statement's resident size for
-// byte-based plan-cache accounting: the bytes of every program compiled
-// so far (one per part for a scattered query — they all die with the
-// statement).
-func (p *Prepared) CostBytes() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, prog := range p.progs {
-		n += prog.SizeBytes()
-	}
-	return n
-}
+// byte-based plan-cache accounting: the compiled program's bytes.
+func (p *Prepared) CostBytes() int { return p.prog.SizeBytes() }
 
 // Disassemble returns the listing of the compiled program that runs the
-// query (part 0's for a query scattered over a set's parts): its
-// instructions, and the summary accesses, container accesses, joins and
-// templates the compiler chose.
-func (p *Prepared) Disassemble() string { return p.listing().Disassemble() }
+// query: its instructions, and the summary accesses, container accesses,
+// joins and templates the compiler chose.
+func (p *Prepared) Disassemble() string { return p.prog.Disassemble() }
 
 // Execute evaluates the prepared query under ctx with per-call options
 // — the single prepared-statement entry point. See Database.Execute for
@@ -540,8 +445,8 @@ func (p *Prepared) Execute(ctx context.Context, opts QueryOptions) (*Results, er
 	return p.run(ctx, opts)
 }
 
-// Explain returns the query's plan without running it: on a set, the
-// dispatch decision, and then the listing of the program that runs
+// Explain returns the query's plan without running it: on a set, which
+// store evaluates it, and then the listing of the program that runs
 // (Prepared.Disassemble). A query that does not parse is an error tagged
 // ErrParse, one that does not compile ErrEval.
 func (db *Database) Explain(q string) (string, error) {
@@ -551,14 +456,10 @@ func (db *Database) Explain(q string) (string, error) {
 	}
 	var head string
 	if set := db.set; set != nil {
-		parts, noun := len(set.Stores), set.Layout.Noun
-		switch {
-		case p.dec.Scatter:
-			head = fmt.Sprintf("scatter across %d %ss, merge by document order\n", parts, noun)
-		case parts == 1:
+		if parts, noun := len(set.Stores), set.Layout.Noun; parts == 1 {
 			head = fmt.Sprintf("single %s; evaluate directly\n", noun)
-		default:
-			head = fmt.Sprintf("no scatter (%s); evaluate on fused store\n", p.dec.Reason)
+		} else {
+			head = fmt.Sprintf("evaluate on the fused store of %d %ss\n", parts, noun)
 		}
 	}
 	return head + p.Disassemble(), nil

@@ -79,7 +79,7 @@ func TestPointLookupPlanLength(t *testing.T) {
 	}
 	for text, want := range map[string]int{
 		`/site/people/person[@id="person0"]/name/text()`:                       4, // RESET SCAN ITEREMIT HALT
-		`FOR $b IN /site/people/person[@id = "person0"] RETURN $b/name/text()`: 7, // RESET SCAN ITER HOOK EVAL EMITSEQ HALT
+		`FOR $b IN /site/people/person[@id = "person0"] RETURN $b/name/text()`: 6, // RESET SCAN ITER EVAL EMITSEQ HALT
 	} {
 		prep, err := db.Prepare(text)
 		if err != nil {

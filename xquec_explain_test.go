@@ -8,10 +8,9 @@ import (
 	"xquec"
 )
 
-// TestExplainListsTheProgramThatRuns: on a set, a query that does not
-// scatter runs on the fused store, so its listing is the fused store's
-// program: two segments of two and one persons list three, not part 0's
-// two.
+// TestExplainListsTheProgramThatRuns: on a set, a query runs on the
+// fused store, so its listing is the fused store's program: two segments
+// of two and one persons list three, not part 0's two.
 func TestExplainListsTheProgramThatRuns(t *testing.T) {
 	base, err := xquec.Compress([]byte(`<site><people><person id="p0"/><person id="p1"/></people></site>`), xquec.Options{})
 	if err != nil {
@@ -34,7 +33,7 @@ func TestExplainListsTheProgramThatRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	head, listing, _ := strings.Cut(plan, "\n")
-	if !strings.HasPrefix(head, "no scatter (") || !strings.Contains(listing, "StructureSummaryAccess /site/people/person (3 nodes)") {
+	if head != "evaluate on the fused store of 2 segments" || !strings.Contains(listing, "StructureSummaryAccess /site/people/person (3 nodes)") {
 		t.Fatalf("2 segments of 2 + 1 persons:\n%s", plan)
 	}
 	prep, err := db.Prepare(q)

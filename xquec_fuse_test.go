@@ -75,9 +75,8 @@ func reingest(tb testing.TB, set *partition.Set) *storage.Store {
 	return st
 }
 
-// BenchmarkFuse measures building a set's fused fallback store — what
-// the first non-scatterable query after an append, a swap or an open
-// pays: ns/op, allocs/op and B/op of Set.Fused on a set not fused
+// BenchmarkFuse measures building a set's fused store — what the first
+// query on a set after an append, a swap or an open pays: ns/op, allocs/op and B/op of Set.Fused on a set not fused
 // before, for a scale-2 base with 1–3 appended fragments and for four
 // shards of scale 8, each next to the re-ingest it replaced; then Q8 and
 // Q19 on both stores of the shard set.

@@ -55,10 +55,10 @@ func segmentedDB(t *testing.T, docs [][]byte) *xquec.Database {
 }
 
 // TestAppendResultsIdentical is the tier-1 guarantee of the mutable
-// repository: for EVERY benchmark query — scattered or fallback — a
-// database grown by appends returns byte-identical results to a full
-// re-ingest of the concatenated corpus, across segment counts {1,2,4}
-// × baseline shard counts {1,2} × parallelism {1,4}.
+// repository: for EVERY benchmark query a database grown by appends
+// returns byte-identical results to a full re-ingest of the concatenated
+// corpus, across segment counts {1,2,4} × baseline shard counts {1,2} ×
+// parallelism {1,4}.
 func TestAppendResultsIdentical(t *testing.T) {
 	all := segDocs(t, 4, 0.02)
 	queries := append(xmarkq.Queries(), xmarkq.ExtendedQueries()...)

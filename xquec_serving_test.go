@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"xquec/internal/datagen"
-	"xquec/internal/xquery"
+	"xquec/internal/vm"
 )
 
 // slowDoc and slowQuery build an evaluation long enough that the
@@ -239,15 +239,11 @@ func TestOpenFailurePaths(t *testing.T) {
 // TestPreparedOwnsPartPrograms pins where a partitioned database keeps
 // per-query state: in the Prepared, nowhere else. Literal-varying
 // traffic against a sharded database must leave nothing behind once the
-// statements are dropped (the shard workers used to cache one plan per
-// distinct query text forever), and a statement's CostBytes must cover
-// every part's program, since evicting it frees them all.
+// statements are dropped, and a statement on the parts owns exactly one
+// program, compiled against their fused store, which its CostBytes
+// covers.
 func TestPreparedOwnsPartPrograms(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 71})
-	single, err := Compress(doc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	text := func(i int) string {
 		return fmt.Sprintf(`FOR $p IN /site/people/person WHERE $p/@id != "nobody%d" RETURN $p/name/text()`, i)
 	}
@@ -270,9 +266,7 @@ func TestPreparedOwnsPartPrograms(t *testing.T) {
 		if _, err := ResultXML(res); err != nil {
 			t.Fatal(err)
 		}
-		// The parsed query travels with every per-shard request; anything
-		// that remembered the request would keep it alive.
-		runtime.SetFinalizer(prep.expr.(*xquery.FLWOR), func(*xquery.FLWOR) { freed.Add(1) })
+		runtime.SetFinalizer(prep.prog, func(*vm.Program) { freed.Add(1) })
 	}
 	for i := 0; i < 50 && freed.Load() < n; i++ {
 		runtime.GC()
@@ -287,27 +281,18 @@ func TestPreparedOwnsPartPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := single.Prepare(text(0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	parts, err := four.Prepare(text(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parts.CostBytes() <= one.CostBytes() {
-		t.Fatalf("CostBytes on 4 parts = %d, single store = %d: the per-part programs are unaccounted",
-			parts.CostBytes(), one.CostBytes())
-	}
-	if len(parts.progs) != 4 {
-		t.Fatalf("Prepare compiled %d programs for 4 parts", len(parts.progs))
-	}
-	res, err := parts.Execute(context.Background(), QueryOptions{})
+	fused, err := four.set.Fused()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Close()
-	if len(parts.progs) != 4 {
-		t.Fatalf("executing compiled again: %d programs for 4 parts", len(parts.progs))
+	if parts.prog.Store() != fused {
+		t.Fatal("the statement on 4 shards is not compiled against their fused store")
+	}
+	if parts.CostBytes() != parts.prog.SizeBytes() {
+		t.Fatalf("CostBytes = %d, the program is %d bytes", parts.CostBytes(), parts.prog.SizeBytes())
 	}
 }

@@ -16,11 +16,10 @@ import (
 	"xquec/internal/xmarkq"
 )
 
-// TestShardedResultsIdentical is the tier-1 guarantee of the
-// scatter-gather tier: for EVERY benchmark query — scattered or
-// fallback — a sharded database returns byte-identical results to the
-// single-repository database over the same corpus, at every shard
-// count.
+// TestShardedResultsIdentical is the tier-1 guarantee of the shard
+// layout: for EVERY benchmark query a sharded database returns
+// byte-identical results to the single-repository database over the
+// same corpus, at every shard count.
 func TestShardedResultsIdentical(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 41})
 	single, err := xquec.Compress(doc, xquec.Options{})
@@ -64,7 +63,7 @@ func TestShardedResultsIdentical(t *testing.T) {
 }
 
 // TestShardedItemCursor exercises the Next/Item path (not just
-// WriteXML) against a scattered query, including early Close.
+// WriteXML) against a query on a shard set, including early Close.
 func TestShardedItemCursor(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 42})
 	db, err := xquec.Compress(doc, xquec.Options{Shards: 4})
@@ -196,9 +195,9 @@ func TestShardedDecompress(t *testing.T) {
 	}
 }
 
-// TestShardedDeadline proves per-request deadlines cut through a
-// scattered evaluation: an already-expired context fails the query with
-// the context's error.
+// TestShardedDeadline proves per-request deadlines cut through an
+// evaluation on a shard set: an already-expired context fails the query
+// with the context's error.
 func TestShardedDeadline(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 45})
 	db, err := xquec.Compress(doc, xquec.Options{Shards: 4})
@@ -222,8 +221,9 @@ func TestShardedDeadline(t *testing.T) {
 
 // TestFailureParityAcrossLayouts: a query that fails on one person of
 // the corpus fails identically — ErrEval, the same message — on the
-// single repository, on 4 shards at every fan-out bound, and on 4
-// append segments. No layout answers with the other persons' items.
+// single repository, on 4 shards and on 4 append segments, both of which
+// run it on their fused store. No layout answers with the other persons'
+// items.
 func TestFailureParityAcrossLayouts(t *testing.T) {
 	const q = `FOR $p IN /site/people/person RETURN 10 mod number($p/q)`
 	person := func(i int) string {
@@ -258,12 +258,12 @@ func TestFailureParityAcrossLayouts(t *testing.T) {
 	if !errors.Is(want, xquec.ErrEval) || !strings.Contains(want.Error(), "mod") {
 		t.Fatalf("single repository: err = %v, want an ErrEval on 10 mod 0", want)
 	}
-	check := func(layout string, db *xquec.Database, opts xquec.QueryOptions) {
+	check := func(layout string, db *xquec.Database) {
 		t.Helper()
-		if plan, err := db.Explain(q); err != nil || !strings.HasPrefix(plan, "scatter across 4 ") {
-			t.Fatalf("%s: the query does not scatter (err %v):\n%s", layout, err, plan)
+		if plan, err := db.Explain(q); err != nil || !strings.HasPrefix(plan, "evaluate on the fused store of 4 ") {
+			t.Fatalf("%s: the query does not run fused (err %v):\n%s", layout, err, plan)
 		}
-		got := run(db, opts)
+		got := run(db, xquec.QueryOptions{})
 		if !errors.Is(got, xquec.ErrEval) || got.Error() != want.Error() {
 			t.Fatalf("%s: err = %v, want %v", layout, got, want)
 		}
@@ -273,9 +273,7 @@ func TestFailureParityAcrossLayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fanout := range []int{0, 1, 2} {
-		check(fmt.Sprintf("4 shards, fan-out %d", fanout), shards, xquec.QueryOptions{ShardFanout: fanout})
-	}
+	check("4 shards", shards)
 
 	base, err := xquec.Compress([]byte(people(0, 10)), xquec.Options{})
 	if err != nil {
@@ -294,14 +292,14 @@ func TestFailureParityAcrossLayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("4 segments", segments, xquec.QueryOptions{})
+	check("4 segments", segments)
 }
 
 // TestOneShardSetEvaluatesDirectly opens a one-shard ".xqcs" (only
 // reachable from disk: Compress builds a plain repository for Shards
-// 1) and asserts a scatterable and a fallback query answer
-// byte-identically to the single repository — on the shard itself,
-// with no fan-out and no second resident copy of the corpus.
+// 1) and asserts a path query and a join answer byte-identically to the
+// single repository — on the shard itself, with no second resident copy
+// of the corpus.
 func TestOneShardSetEvaluatesDirectly(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 46})
 	single, err := xquec.Compress(doc, xquec.Options{})
@@ -331,5 +329,37 @@ func TestOneShardSetEvaluatesDirectly(t *testing.T) {
 		if err != nil || !strings.HasPrefix(plan, "single shard; evaluate directly\n") {
 			t.Errorf("Explain = %.60q, %v", plan, err)
 		}
+	}
+}
+
+// TestSetCancelMidDrain cancels the context of a query on a 4-shard and
+// a 4-segment set after its first items: the next Next, and every call
+// after it, ends with the context's error.
+func TestSetCancelMidDrain(t *testing.T) {
+	docs := segDocs(t, 4, 0.02)
+	shards, err := xquec.Compress(docs[0], xquec.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `FOR $p IN /site/people/person RETURN $p/name/text()`
+	for layout, db := range map[string]*xquec.Database{"4 shards": shards, "4 segments": segmentedDB(t, docs)} {
+		ctx, cancel := context.WithCancel(context.Background())
+		res, err := db.Execute(ctx, q, xquec.QueryOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", layout, err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, ok, err := res.Next(); !ok || err != nil {
+				t.Fatalf("%s: item %d: ok=%v err=%v", layout, i, ok, err)
+			}
+		}
+		cancel()
+		if _, ok, err := res.Next(); ok || !errors.Is(err, ctx.Err()) {
+			t.Fatalf("%s: Next after cancel = ok=%v err=%v, want %v", layout, ok, err, ctx.Err())
+		}
+		if _, err := xquec.ResultXML(res); !errors.Is(err, ctx.Err()) {
+			t.Fatalf("%s: drain after cancel = %v, want %v", layout, err, ctx.Err())
+		}
+		res.Close()
 	}
 }

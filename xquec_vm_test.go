@@ -46,8 +46,7 @@ func refXML(doc []byte, q string) (string, error) {
 // compiled-plan engine: every benchmark query, at every shard count in
 // {1, 2, 4, 8} and intra-query parallelism in {1, 4}, must produce
 // output byte-identical to the DOM reference over the uncompressed
-// document. Sharded databases exercise the worker-side per-shard
-// programs and the fused fallback, whichever the analyzer picks.
+// document. Sharded databases run every query on their fused store.
 func TestVMDifferentialMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is slow under -short")
