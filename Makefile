@@ -86,7 +86,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct|BenchmarkXMarkMix|BenchmarkFuse|BenchmarkStreamLarge|BenchmarkPointLookup|BenchmarkCompressXMark|BenchmarkStoreText' -benchtime 1x . >/dev/null
 
 # Short fuzzing pass over the codec fuzz targets (roundtrip, order
-# preservation, decode-vs-reference), the navigation kernels and the
+# preservation, decode-vs-reference, ALM's code automaton against decode
+# plus bytes.Contains/HasSuffix), the navigation kernels and the
 # select scanner behind the text cursor, the
 # repository loader (hostile bytes behind a repaired checksum), the ALM
 # model loader (what it accepts must build on first use) and the XML
@@ -101,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzALMRoundtrip -fuzztime 5s ./internal/compress/alm/
 	$(GO) test -run '^$$' -fuzz FuzzALMOrder -fuzztime 5s ./internal/compress/alm/
 	$(GO) test -run '^$$' -fuzz FuzzALMDecodeGarbage -fuzztime 5s ./internal/compress/alm/
+	$(GO) test -run '^$$' -fuzz FuzzALMMatch -fuzztime 5s ./internal/compress/alm/
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime 5s ./internal/vm/
 	$(GO) test -run '^$$' -fuzz FuzzBitvectorRankSelect -fuzztime 5s ./internal/succinct/
 	$(GO) test -run '^$$' -fuzz FuzzBPNavigation -fuzztime 5s ./internal/succinct/

@@ -18,8 +18,9 @@ var update = flag.Bool("update", false, "rewrite the golden explain listings")
 // WHEREs compared as numbers, Q5's count argument a sub-program after the
 // main one, Q8's and Q16's inner FLWOR loops between LETOPEN and LETBIND
 // with a join index built at compile and the strategy of its container
-// join, Q14's contains() a LITREST scanning the description text
-// containers.
+// join, Q14's contains() a LITREST over the description text containers,
+// matching on the compressed bytes of those larger than its code
+// automaton and decoding the others, each with the reason.
 // Regenerate with `go test ./cmd/xquec -run TestExplainGolden -update`.
 func TestExplainGolden(t *testing.T) {
 	dir := t.TempDir()

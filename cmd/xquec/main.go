@@ -86,10 +86,15 @@ func main() {
 		usage()
 	}
 	if err != nil {
-		// Library errors already carry the "xquec: " package prefix.
-		fmt.Fprintln(os.Stderr, "xquec:", strings.TrimPrefix(err.Error(), "xquec: "))
-		os.Exit(exitCode(err))
+		os.Exit(report(os.Stderr, err))
 	}
+}
+
+// report writes err to w and returns the exit code it calls for.
+func report(w io.Writer, err error) int {
+	// Library errors already carry the "xquec: " package prefix.
+	fmt.Fprintln(w, "xquec:", strings.TrimPrefix(err.Error(), "xquec: "))
+	return exitCode(err)
 }
 
 func usage() {

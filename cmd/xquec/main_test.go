@@ -92,3 +92,22 @@ func TestErrors(t *testing.T) {
 		t.Fatal("bad query accepted")
 	}
 }
+
+// TestQueryParseErrorLineColumn: a query that fails to parse on its third
+// line is reported on stderr with that line and column, and exits with
+// the parse-error code.
+func TestQueryParseErrorLineColumn(t *testing.T) {
+	_, repo := setup(t)
+	q := "for $p in /site/people/person\nwhere $p/age > 26\nreturn $p/name )"
+	err := cmdQuery([]string{"-q", q, repo})
+	if err == nil {
+		t.Fatal("no error")
+	}
+	var stderr strings.Builder
+	if code := report(&stderr, err); code != exitParse {
+		t.Errorf("exit code %d, want %d", code, exitParse)
+	}
+	if want := "parse error at line 3, column 16 (byte 63): unexpected ) after query"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr %q lacks %q", stderr.String(), want)
+	}
+}

@@ -399,19 +399,7 @@ func ContRange(c *storage.Container, lo []byte, loInc bool, hi []byte, hiInc boo
 // owners whose plaintext satisfies pred. This is the fallback the cost
 // model charges for (cases i–iii).
 func ContFilter(c *storage.Container, pred func(plain []byte) bool) (NodeSet, error) {
-	var ids []storage.NodeID
-	sc := storage.NewScratch()
-	defer sc.Release()
-	for i := 0; i < c.Len(); i++ {
-		buf, err := c.DecodeScratch(sc, i)
-		if err != nil {
-			return nil, err
-		}
-		if pred(buf) {
-			ids = append(ids, c.Owner(i))
-		}
-	}
-	return SortUnique(ids), nil
+	return ContFilterPar(c, 1, pred)
 }
 
 // SameModel reports whether two containers share a source model, the

@@ -62,33 +62,65 @@ func concat(chunks []NodeSet) NodeSet {
 // are plain closures over the comparison literal). Results are
 // byte-identical to ContFilter at every par.
 func ContFilterPar(c *storage.Container, par int, pred func(plain []byte) bool) (NodeSet, error) {
-	n := c.Len()
-	parts := partitionCount(par, n, MinRecordsPerPartition)
-	if parts <= 1 {
-		return ContFilter(c, pred)
-	}
-	chunks := make([]NodeSet, parts)
-	err := xpar.ForEach(parts, parts, func(p int) error {
-		lo, hi := n*p/parts, n*(p+1)/parts
+	return scanPar(c, par, func(lo, hi int) (NodeSet, error) {
 		sc := storage.NewScratch()
 		defer sc.Release()
 		var ids []storage.NodeID
 		for i := lo; i < hi; i++ {
 			buf, err := c.DecodeScratch(sc, i)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if pred(buf) {
 				ids = append(ids, c.Owner(i))
 			}
 		}
-		chunks[p] = ids
-		return nil
+		return ids, nil
+	})
+}
+
+// ContMatchPar is the ContScan operator on compressed bytes: it keeps the
+// owners of the records whose encoded value match accepts, decoding none,
+// the record range split across up to par workers as ContFilterPar's is.
+// match must be safe for concurrent calls; its error ends the scan.
+func ContMatchPar(c *storage.Container, par int, match func(enc []byte) (bool, error)) (NodeSet, error) {
+	return scanPar(c, par, func(lo, hi int) (NodeSet, error) {
+		var ids []storage.NodeID
+		for i := lo; i < hi; i++ {
+			ok, err := match(c.Value(i))
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				ids = append(ids, c.Owner(i))
+			}
+		}
+		return ids, nil
+	})
+}
+
+// scanPar runs scan over c's record range, in chunks across up to par
+// workers above the partitioning floor, and returns the sorted owners.
+// Chunk p holds the owners of records [lo,hi) in record order, so the
+// concatenation equals the serial scan's list before SortUnique.
+func scanPar(c *storage.Container, par int, scan func(lo, hi int) (NodeSet, error)) (NodeSet, error) {
+	n := c.Len()
+	parts := partitionCount(par, n, MinRecordsPerPartition)
+	if parts <= 1 {
+		ids, err := scan(0, n)
+		if err != nil {
+			return nil, err
+		}
+		return SortUnique(ids), nil
+	}
+	chunks := make([]NodeSet, parts)
+	err := xpar.ForEach(parts, parts, func(p int) error {
+		var err error
+		chunks[p], err = scan(n*p/parts, n*(p+1)/parts)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Chunk p holds the owners of records [lo,hi) in record order, so
-	// the concatenation equals the serial scan's pre-SortUnique list.
 	return SortUnique(concat(chunks)), nil
 }

@@ -130,3 +130,56 @@ func FuzzALMDecodeGarbage(f *testing.F) {
 		}
 	})
 }
+
+// narrowCodec has the 256 single-byte tokens alone: one-byte codes.
+var narrowCodec = sync.OnceValues(func() (*Codec, error) { return Train(nil, DefaultMaxTokens) })
+
+// FuzzALMMatch compares Match with Decode followed by bytes.Contains or
+// bytes.HasSuffix: on the encoding of value, and on enc as a code stream
+// of its own, where Match must fail exactly where Decode fails. narrow
+// picks the codec of one-byte codes.
+func FuzzALMMatch(f *testing.F) {
+	f.Add([]byte("there is a tide in the affairs of men"), []byte("e is a t"), []byte{}, false, false) // spans tokens
+	f.Add([]byte("their hearts and their minds"), []byte("the"), []byte{0x01, 0x02}, true, false)      // at a token edge
+	f.Add([]byte("aaab"), []byte("aab"), []byte{0x00}, false, false)                                   // a repeated prefix
+	f.Add([]byte("aaab"), []byte("aab"), []byte{0x61, 0x61, 0x62}, true, true)
+	f.Add([]byte{0x00, 0x01, 0xfe, 0xff}, []byte{0xfe, 0xff}, []byte{0xff, 0xff, 0xff}, true, false) // bytes ≥ 0x80
+	f.Add([]byte("ththeth"), []byte("th"), []byte{0xff, 0xff}, false, true)
+	f.Fuzz(func(t *testing.T, value, lit, enc []byte, suffix, narrow bool) {
+		c, err := fuzzCodec()
+		if narrow {
+			c, err = narrowCodec()
+		}
+		if err != nil {
+			t.Fatalf("train: %v", err)
+		}
+		m, err := c.Matcher(lit, suffix)
+		if len(lit) == 0 || len(lit) > MaxMatchLiteral {
+			if err == nil {
+				t.Fatalf("a matcher of %d bytes", len(lit))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.tab) != c.MatcherBytes(len(lit)) {
+			t.Fatalf("table of %d bytes, MatcherBytes %d", len(m.tab), c.MatcherBytes(len(lit)))
+		}
+		test := bytes.Contains
+		if suffix {
+			test = bytes.HasSuffix
+		}
+		own, err := c.Encode(nil, value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range [][]byte{own, enc} {
+			got, errGot := m.Match(e)
+			dec, errDec := c.Decode(nil, e)
+			if !sameError(errGot, errDec) || (errDec == nil && got != test(dec, lit)) {
+				t.Fatalf("%x (%q) for %q, suffix %v: Match %v (%v), Decode %v", e, dec, lit, suffix, got, errGot, errDec)
+			}
+		}
+	})
+}

@@ -166,3 +166,6 @@ var QueryBattery = []string{
 
 // JoinIndexBuilds returns how many join indexes were built so far.
 func JoinIndexBuilds() int64 { return joinIndexBuilds.Load() }
+
+// PrefixEnd is succ(P) of a starts-with range (prefixEnd).
+var PrefixEnd = prefixEnd

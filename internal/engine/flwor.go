@@ -254,15 +254,16 @@ func (idx *JoinIndex) partnersOf(other storage.NodeID, pos []int) algebra.NodeSe
 
 // applyLit restricts cur (the domain of this clause's variable, instances
 // of sums) to the nodes whose value under the pushdown's path matches its
-// literal, by one container match per run; handled is false when the
+// literal, by one container match per run — through ms, the program's
+// code automata, when they fit the containers; handled is false when the
 // comparison has no container fast path — among them nodes without a
 // summary set (bound from a nested FLWOR), which an empty set must not
 // prove empty.
-func (e *Engine) applyLit(pd Pushdown, cur algebra.NodeSet, sums []*storage.SummaryNode) (algebra.NodeSet, bool, error) {
+func (e *Engine) applyLit(pd Pushdown, ms *Matchers, cur algebra.NodeSet, sums []*storage.SummaryNode) (algebra.NodeSet, bool, error) {
 	if len(sums) == 0 {
 		return nil, false, nil
 	}
-	co, err := e.matchOwners(pd.Conj, sums, pd.Rel, pd.Op, pd.Lit, len(cur))
+	co, err := e.matchOwners(pd.Conj, sums, pd.Rel, pd.Op, pd.Lit, len(cur), ms)
 	if err != nil || !co.ok {
 		return nil, false, err
 	}

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -133,5 +134,30 @@ func TestSerializeEscaping(t *testing.T) {
 	got := run(t, s, `/a`)
 	if !strings.Contains(got, `note="5 &lt; 6"`) || !strings.Contains(got, "x &amp; y") {
 		t.Fatalf("escaping lost: %q", got)
+	}
+}
+
+// TestPrefixEnd: succ(P), the upper bound of the starts-with range, is P
+// without its trailing 0xFF bytes with the last byte left incremented,
+// and no bound when every byte is 0xFF.
+func TestPrefixEnd(t *testing.T) {
+	for _, c := range []struct{ p, want []byte }{
+		{[]byte("gold"), []byte("gole")},
+		{[]byte("a"), []byte("b")},
+		{[]byte{'a', 0xff}, []byte("b")},
+		{[]byte{'a', 0xfe, 0xff, 0xff}, []byte{'a', 0xff}},
+		{[]byte{0x80}, []byte{0x81}},
+		{[]byte{0xc3, 0xa9}, []byte{0xc3, 0xaa}}, // é
+		{[]byte{0xff}, nil},
+		{[]byte{0xff, 0xff, 0xff}, nil},
+	} {
+		p := bytes.Clone(c.p)
+		got := engine.PrefixEnd(p)
+		if !bytes.Equal(got, c.want) || (got == nil) != (c.want == nil) {
+			t.Errorf("succ(%x) = %x, want %x", c.p, got, c.want)
+		}
+		if !bytes.Equal(p, c.p) {
+			t.Errorf("succ(%x) changed its argument to %x", c.p, p)
+		}
 	}
 }

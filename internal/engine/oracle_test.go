@@ -420,36 +420,114 @@ func TestStringRestricts(t *testing.T) {
 // domain is every item decodes each description record once per run, also
 // when a sub-program reaches it once per outer tuple — three times here —
 // and one over a one-item domain decodes that item's description alone.
+// That is on Huffman, which decodes to test; on ALM, whose code automaton
+// tests the compressed bytes, the scans decode no description at all — on
+// a corpus large enough for the automaton to be smaller than the
+// container — and the one-item domains still decode one each.
 func TestStringRestrictScansOncePerRun(t *testing.T) {
-	const items, every = 60, 20
-	var sb strings.Builder
-	sb.WriteString("<site><regions><africa>")
-	for i := 0; i < items; i++ {
-		word := "silver"
-		if i%every == 0 {
-			word = "gold"
+	const every = 20
+	doc := func(items int) []byte {
+		var sb strings.Builder
+		sb.WriteString("<site><regions><africa>")
+		for i := 0; i < items; i++ {
+			word := "silver"
+			if i%every == 0 {
+				word = "gold"
+			}
+			fmt.Fprintf(&sb, `<item><name>n%d</name><description><text>a %s ring</text></description></item>`, i, word)
 		}
-		fmt.Fprintf(&sb, `<item><name>n%d</name><description><text>a %s ring</text></description></item>`, i, word)
+		sb.WriteString("</africa></regions></site>")
+		return []byte(sb.String())
 	}
-	sb.WriteString("</africa></regions></site>")
-	doc := []byte(sb.String())
+	queries := []string{
+		`FOR $i IN /site//item WHERE contains($i/description, "gold") RETURN $i/name/text()`,
+		`FOR $k IN (1, 2, 3) RETURN count(FOR $i IN /site//item WHERE contains($i/description, "gold") RETURN $i)`,
+		`FOR $r IN /site/regions/africa, $i IN $r/item[1] WHERE contains($i/description, "gold") RETURN $i/name/text()`,
+		`FOR $k IN (1, 2, 3) RETURN count(FOR $i IN /site//item[1] WHERE contains($i/description, "gold") RETURN $i/name)`,
+	}
+	const huffman, alm = 60, 1000
+	for _, run := range []struct {
+		items int
+		alg   string
+		want  []int64 // decodes per query
+	}{
+		{huffman, storage.AlgHuffman, []int64{huffman + huffman/every, huffman, 2, 3}},
+		{alm, storage.AlgALM, []int64{alm / every, 0, 2, 3}},
+	} {
+		doc := doc(run.items)
+		s, err := storage.Load(doc, storage.LoadOptions{Plan: &storage.CompressionPlan{DefaultAlgorithm: run.alg}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			agree(t, doc, s, q)
+			before := storage.DecodeOps()
+			if _, err := runVM(t, s, q); err != nil {
+				t.Fatal(err)
+			}
+			if got := storage.DecodeOps() - before; got != run.want[i] {
+				t.Errorf("%s: %s decodes %d values, want %d", run.alg, q, got, run.want[i])
+			}
+		}
+	}
+}
+
+// TestStringRestrictsOnCodes: contains and ends-with run on ALM codes and
+// starts-with as a range over XMark's item descriptions, where the listing
+// says every description container is read on its compressed bytes, and
+// each literal — one byte, whole words, spans of several words and
+// punctuation, a literal no value holds — answers as the reference does,
+// serially and across four workers.
+func TestStringRestrictsOnCodes(t *testing.T) {
+	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.5, Seed: 3})
 	s, err := storage.Load(doc, storage.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for q, want := range map[string]int64{
-		`FOR $i IN /site//item WHERE contains($i/description, "gold") RETURN $i/name/text()`:                               items + items/every,
-		`FOR $k IN (1, 2, 3) RETURN count(FOR $i IN /site//item WHERE contains($i/description, "gold") RETURN $i)`:         items,
-		`FOR $r IN /site/regions/africa, $i IN $r/item[1] WHERE contains($i/description, "gold") RETURN $i/name/text()`:    2,
-		`FOR $k IN (1, 2, 3) RETURN count(FOR $i IN /site//item[1] WHERE contains($i/description, "gold") RETURN $i/name)`: 3,
-	} {
-		agree(t, doc, s, q)
-		before := storage.DecodeOps()
-		if _, err := runVM(t, s, q); err != nil {
+	for _, fn := range []string{"contains", "ends-with", "starts-with"} {
+		for _, lit := range []string{"e", "gold", "the ", "e t", "s.", ".", "zzqx"} {
+			q := fmt.Sprintf(`FOR $i IN /site//item WHERE %s($i/description, %q) RETURN $i/name/text()`, fn, lit)
+			expr, err := xquery.Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := vm.Compile(expr, s, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dis := prog.Disassemble()
+			if n := strings.Count(dis, "on compressed bytes"); n != 6 {
+				t.Errorf("%s: %d containers read on compressed bytes, want the 6 regions':\n%s", q, n, dis)
+			}
+			agree(t, doc, s, q)
+			serial, serr := runVM(t, s, q)
+			if got, err := runVMPar(t, s, q, 4); got != serial || err != nil || serr != nil {
+				t.Fatalf("%s: %q (%v) at parallelism 4, %q (%v) serially", q, got, err, serial, serr)
+			}
+		}
+	}
+}
+
+// TestStartsWithRange: starts-with as the interval [P, succ(P)) of the
+// record order answers as the reference does on each string codec, for
+// prefixes of multi-byte characters and values equal to the prefix, on
+// element text and on attributes.
+func TestStartsWithRange(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<r>")
+	for i, v := range []string{"é", "éa", "éÿ", "ê", "e", "ez", "z", "ÿÿ", "ÿ", "dÿ", "f"} {
+		fmt.Fprintf(&sb, `<e k="%s"><s>%s</s><n>%d</n></e>`, v, v, i)
+	}
+	sb.WriteString("</r>")
+	doc := []byte(sb.String())
+	for _, alg := range []string{storage.AlgALM, storage.AlgHuffman, storage.AlgHuTucker} {
+		s, err := storage.Load(doc, storage.LoadOptions{Plan: &storage.CompressionPlan{DefaultAlgorithm: alg}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := storage.DecodeOps() - before; got != want {
-			t.Errorf("%s decodes %d values, want %d", q, got, want)
+		for _, p := range []string{"é", "e", "ÿ", "ÿÿ", "d", "z", "a"} {
+			agree(t, doc, s, fmt.Sprintf(`FOR $e IN /r/e WHERE starts-with($e/s, %q) RETURN $e/n/text()`, p))
+			agree(t, doc, s, fmt.Sprintf(`/r/e[starts-with(@k, %q)]/n/text()`, p))
 		}
 	}
 }

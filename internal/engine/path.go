@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"xquec/internal/algebra"
+	"xquec/internal/compress/alm"
 	"xquec/internal/compress/numeric"
 	"xquec/internal/storage"
 	"xquec/internal/xpar"
@@ -627,9 +628,12 @@ type conjunctOwners struct {
 	conts   []*storage.Container
 	fast    bool // the containers answer the restrict
 	records int  // the containers' records: what a decoding scan decodes
-	owners  algebra.NodeSet
-	ok      bool // owners is the restrict's answer
-	err     error
+	// ms are the code automata the scan runs (Matchers), aligned with
+	// conts; built before the first scan.
+	ms     []*alm.Matcher
+	owners algebra.NodeSet
+	ok     bool // owners is the restrict's answer
+	err    error
 }
 
 var noOwners = &conjunctOwners{}
@@ -653,13 +657,26 @@ func (e *Engine) restrictFor(conj xquery.Expr, sums []*storage.SummaryNode, rel 
 }
 
 // worthScanning reports that a scan of co's containers answers the
-// restrict over a domain of that many candidates without decoding more
-// than evaluating it per candidate would: a string function decodes every
-// record, so it is scanned only when there are no more records than
-// candidates. A comparison's scan searches the compressed domain, or
+// restrict over a domain of that many candidates without reading more
+// than evaluating it per candidate would: a string function reads every
+// record — decoding it, or running its code automaton over it — so it is
+// scanned only when there are no more records than candidates. A
+// comparison's scan searches the compressed domain, or
 // decodes once per run what every outer tuple would decode again.
 func (co *conjunctOwners) worthScanning(op string, domain int) bool {
 	return co.fast && !co.ok && (stringFunc(op) == nil || co.records <= domain)
+}
+
+// matchers makes sure co holds the code automata its scan runs: pre's,
+// the program's, when they were built for co's containers, else this
+// run's own, built once.
+func (co *conjunctOwners) matchers(op, literal string, pre *Matchers) {
+	if co.ms != nil || stringFunc(op) == nil {
+		return
+	}
+	if co.ms = pre.tables(co.conts); co.ms == nil {
+		co.ms = buildMatchers(co.conts, op, literal).tables(co.conts)
+	}
 }
 
 // precomputeConjunctOwners fans the container fast paths of independent
@@ -705,7 +722,8 @@ func (e *Engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.S
 	results := make([]conjunctOwners, len(jobs))
 	_ = xpar.ForEach(workers, len(jobs), func(k int) error {
 		j, r := jobs[k], &results[k]
-		r.owners, r.ok, r.err = e.scanTargets(j.co.conts, j.op, j.lit, inner)
+		j.co.matchers(j.op, j.lit, nil)
+		r.owners, r.ok, r.err = e.scanTargets(j.co.conts, j.co.ms, j.op, j.lit, inner)
 		return nil
 	})
 	for k, j := range jobs {
@@ -945,7 +963,7 @@ func (e *Engine) predOwners(sums []*storage.SummaryNode, pred xquery.Expr, domai
 	if !ok {
 		return noOwners, nil
 	}
-	return e.matchOwners(pred, sums, rel, op, lit, domain)
+	return e.matchOwners(pred, sums, rel, op, lit, domain, nil)
 }
 
 func flipOp(op string) string {
@@ -968,7 +986,7 @@ func flipOp(op string) string {
 // conj was scanned under the same summary set before, else a scan of its
 // containers when it is worth one (worthScanning). ok is false when
 // there is no answer, and conj is evaluated per candidate.
-func (e *Engine) matchOwners(conj xquery.Expr, sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string, domain int) (*conjunctOwners, error) {
+func (e *Engine) matchOwners(conj xquery.Expr, sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string, domain int, pre *Matchers) (*conjunctOwners, error) {
 	co := e.restrictFor(conj, sums, rel, op, literal)
 	if co.ok {
 		return co, nil
@@ -976,7 +994,8 @@ func (e *Engine) matchOwners(conj xquery.Expr, sums []*storage.SummaryNode, rel 
 	if !co.worthScanning(op, domain) {
 		return noOwners, nil
 	}
-	owners, ok, err := e.scanTargets(co.conts, op, literal, e.par)
+	co.matchers(op, literal, pre)
+	owners, ok, err := e.scanTargets(co.conts, co.ms, op, literal, e.par)
 	if err != nil {
 		return nil, err
 	}
@@ -991,7 +1010,13 @@ func (e *Engine) matchOwners(conj xquery.Expr, sums []*storage.SummaryNode, rel 
 // to par workers: one summary path can map to many containers, so the
 // per-container matches fan out across the pool, each container scan
 // splitting its leftover worker share internally.
-func (e *Engine) scanTargets(conts []*storage.Container, op, literal string, par int) (algebra.NodeSet, bool, error) {
+func (e *Engine) scanTargets(conts []*storage.Container, ms []*alm.Matcher, op, literal string, par int) (algebra.NodeSet, bool, error) {
+	matcher := func(i int) *alm.Matcher {
+		if ms == nil {
+			return nil
+		}
+		return ms[i]
+	}
 	if par > 1 && len(conts) > 1 {
 		results := make([]conjunctOwners, len(conts))
 		inner := par / len(conts)
@@ -1006,7 +1031,7 @@ func (e *Engine) scanTargets(conts []*storage.Container, op, literal string, par
 		// results in container order, so the error and not-handled
 		// decisions are the ones the serial loop would have made.
 		_ = xpar.ForEach(workers, len(conts), func(i int) error {
-			results[i].owners, results[i].ok, results[i].err = e.containerMatch(conts[i], op, literal, inner)
+			results[i].owners, results[i].ok, results[i].err = e.containerMatch(conts[i], op, literal, matcher(i), inner)
 			return nil
 		})
 		all := make([]algebra.NodeSet, 0, len(conts))
@@ -1022,8 +1047,8 @@ func (e *Engine) scanTargets(conts []*storage.Container, op, literal string, par
 		return algebra.MergeUnion(all...), true, nil
 	}
 	var all []algebra.NodeSet
-	for _, c := range conts {
-		owners, ok, err := e.containerMatch(c, op, literal, par)
+	for i, c := range conts {
+		owners, ok, err := e.containerMatch(c, op, literal, matcher(i), par)
 		if err != nil {
 			return nil, false, err
 		}
@@ -1038,7 +1063,8 @@ func (e *Engine) scanTargets(conts []*storage.Container, op, literal string, par
 // Access is how a literal restrict reads one container: the paper's
 // ContAccess on compressed bytes (equality, or an interval of the value
 // order), a binary search that decodes O(log n) records where the codec
-// does not preserve order but the records are in value order, or a
+// does not preserve order but the records are in value order, a ContScan
+// that runs a code automaton over each record's compressed bytes, or a
 // ContScan that decodes every record.
 type Access uint8
 
@@ -1047,6 +1073,7 @@ const (
 	AccessEq
 	AccessRange
 	AccessSearch
+	AccessMatch
 )
 
 func (a Access) String() string {
@@ -1057,6 +1084,8 @@ func (a Access) String() string {
 		return "ContAccess range on compressed bytes"
 	case AccessSearch:
 		return "ContAccess range by binary search decoding"
+	case AccessMatch:
+		return "ContScan matching on compressed bytes"
 	}
 	return "ContScan decoding every record"
 }
@@ -1066,49 +1095,99 @@ func (a Access) String() string {
 // canonical value text, nil when the literal has none and a scan
 // compares atoms. String containers compared against numeric literals
 // follow numeric semantics per value ("40.0" = 40), which no probe
-// answers.
-func AccessFor(c *storage.Container, op, literal string) (Access, []byte) {
-	if stringFunc(op) != nil {
-		return AccessScan, nil
+// answers. why, for a decoding scan of contains or ends-with, says why no
+// code automaton reads the compressed bytes instead.
+func AccessFor(c *storage.Container, op, literal string) (access Access, probe []byte, why string) {
+	switch op {
+	case "contains", "ends-with":
+		return matchAccess(c, literal)
+	case "starts-with":
+		// The values with prefix P are the interval [P, succ(P)) of the
+		// byte order, which is a string container's record order.
+		if c.Kind != storage.KindString {
+			return AccessScan, nil, ""
+		}
+		if c.Codec().Props().OrderPreserving {
+			return AccessRange, []byte(literal), ""
+		}
+		return AccessSearch, []byte(literal), ""
 	}
 	if _, litIsNum := parseNum(literal); c.Kind == storage.KindString && litIsNum {
-		return AccessScan, nil
+		return AccessScan, nil, ""
 	}
 	probe, exact := canonicalProbe(c, literal)
 	props := c.Codec().Props()
 	switch {
 	case !exact:
-		return AccessScan, nil
+		return AccessScan, nil, ""
 	case op == "=" && props.Eq:
-		return AccessEq, probe
+		return AccessEq, probe, ""
 	case op == "=" || op == "!=":
-		return AccessScan, probe
+		return AccessScan, probe, ""
 	case props.OrderPreserving:
-		return AccessRange, probe
+		return AccessRange, probe, ""
 	}
-	return AccessSearch, probe
+	return AccessSearch, probe, ""
+}
+
+// matchAccess is AccessFor of contains and ends-with: a code automaton
+// where the codec has one, the literal fits it and its table is no larger
+// than the container it scans.
+func matchAccess(c *storage.Container, literal string) (Access, []byte, string) {
+	codec, isALM := c.Codec().(*alm.Codec)
+	switch {
+	case !isALM:
+		return AccessScan, nil, c.Codec().Name() + " has no code automaton"
+	case len(literal) > alm.MaxMatchLiteral:
+		return AccessScan, nil, fmt.Sprintf("the literal is longer than %d bytes", alm.MaxMatchLiteral)
+	}
+	if tab, size := codec.MatcherBytes(len(literal)), c.CompressedBytes(); tab > size {
+		return AccessScan, nil, fmt.Sprintf("a %d B automaton exceeds the %d B container", tab, size)
+	}
+	return AccessMatch, nil, ""
+}
+
+// prefixEnd returns succ(p), the least byte string above every string
+// with prefix p: p without its trailing 0xFF bytes, the last byte left
+// incremented. nil, when every byte of p is 0xFF, is no upper bound.
+func prefixEnd(p []byte) []byte {
+	for i := len(p) - 1; i >= 0; i-- {
+		if p[i] != 0xff {
+			end := slices.Clone(p[:i+1])
+			end[i]++
+			return end
+		}
+	}
+	return nil
 }
 
 // containerMatch evaluates `value op literal` over one container the way
-// AccessFor decides; the decoding scan splits the record range across up
-// to par workers.
-func (e *Engine) containerMatch(c *storage.Container, op, literal string, par int) (algebra.NodeSet, bool, error) {
+// AccessFor decides; the scans split the record range across up to par
+// workers. m is the container's code automaton of the literal where
+// AccessFor reads it by AccessMatch (buildMatchers), else nil.
+func (e *Engine) containerMatch(c *storage.Container, op, literal string, m *alm.Matcher, par int) (algebra.NodeSet, bool, error) {
+	if m != nil {
+		owners, err := algebra.ContMatchPar(c, par, m.Match)
+		return owners, err == nil, err
+	}
 	var owners algebra.NodeSet
 	var err error
-	switch access, probe := AccessFor(c, op, literal); {
+	switch access, probe, _ := AccessFor(c, op, literal); {
 	case access == AccessEq:
 		owners, err = algebra.ContEq(c, probe)
-	case access != AccessScan:
-		// <, <=, > or >=: ContRange searches the compressed bytes, or
-		// decodes its way through a binary search when the codec does
-		// not keep order.
+	case access == AccessRange || access == AccessSearch:
+		// ContRange searches the compressed bytes, or decodes its way
+		// through a binary search when the codec does not keep order.
 		lo, hi := probe, probe
-		if op[0] == '<' {
+		switch {
+		case op == "starts-with":
+			hi = prefixEnd(probe)
+		case op[0] == '<':
 			lo = nil
-		} else {
+		default:
 			hi = nil
 		}
-		owners, err = algebra.ContRange(c, lo, op == ">=", hi, op == "<=")
+		owners, err = algebra.ContRange(c, lo, op == ">=" || op == "starts-with", hi, op == "<=")
 	case stringFunc(op) != nil:
 		test, lit := stringFunc(op), []byte(literal)
 		owners, err = algebra.ContFilterPar(c, par, func(plain []byte) bool { return test(plain, lit) })
@@ -1120,6 +1199,62 @@ func (e *Engine) containerMatch(c *storage.Container, op, literal string, par in
 		})
 	}
 	return owners, err == nil, err
+}
+
+// Matchers are the code automata of one literal restrict over its
+// containers, aligned with them: one for each container AccessFor reads
+// by AccessMatch, nil for the others. A compiled program builds them once
+// for its static summary sets and shares them across its runs; a run
+// whose restrict resolves to other containers builds its own.
+type Matchers struct {
+	conts []*storage.Container
+	ms    []*alm.Matcher
+	size  int
+}
+
+// buildMatchers builds the matchers of `rel op literal` over conts, nil
+// when no container is read by AccessMatch. Containers sharing a codec
+// share one matcher.
+func buildMatchers(conts []*storage.Container, op, literal string) *Matchers {
+	var out *Matchers
+	for i, c := range conts {
+		if access, _, _ := AccessFor(c, op, literal); access != AccessMatch {
+			continue
+		}
+		if out == nil {
+			out = &Matchers{conts: conts, ms: make([]*alm.Matcher, len(conts))}
+		}
+		for j := range i {
+			if out.ms[j] != nil && conts[j].Codec() == c.Codec() {
+				out.ms[i] = out.ms[j]
+				break
+			}
+		}
+		if out.ms[i] != nil {
+			continue
+		}
+		// AccessMatch admits the literals Matcher takes.
+		m, _ := c.Codec().(*alm.Codec).Matcher([]byte(literal), op == "ends-with")
+		out.ms[i], out.size = m, out.size+m.SizeBytes()
+	}
+	return out
+}
+
+// tables returns the matchers when they were built for conts, nil
+// otherwise.
+func (m *Matchers) tables(conts []*storage.Container) []*alm.Matcher {
+	if m == nil || !slices.Equal(m.conts, conts) {
+		return nil
+	}
+	return m.ms
+}
+
+// SizeBytes is the size of the matchers' tables, for the plan cache.
+func (m *Matchers) SizeBytes() int {
+	if m == nil {
+		return 0
+	}
+	return m.size
 }
 
 func parseNum(s string) (float64, bool) {

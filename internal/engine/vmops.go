@@ -191,10 +191,21 @@ func (e *Engine) LitTargets(pd Pushdown, sums []*storage.SummaryNode) (conts []*
 	return e.litTargets(sums, pd.Rel, pd.Op, pd.Lit)
 }
 
+// BuildMatchers builds the code automata of a string-function pushdown
+// over the containers LitTargets resolved it to, for a program to share
+// across its runs; nil when no container is read by AccessMatch.
+func (e *Engine) BuildMatchers(pd Pushdown, conts []*storage.Container) *Matchers {
+	if stringFunc(pd.Op) == nil {
+		return nil
+	}
+	return buildMatchers(conts, pd.Op, pd.Lit)
+}
+
 // ApplyLitPushdown restricts cur, instances of sums, to the nodes that
-// satisfy a literal pushdown (applyLit).
-func (e *Engine) ApplyLitPushdown(pd Pushdown, cur algebra.NodeSet, sums []*storage.SummaryNode) (algebra.NodeSet, bool, error) {
-	return e.applyLit(pd, cur, sums)
+// satisfy a literal pushdown (applyLit), running ms, the program's code
+// automata, when they were built for the containers the run resolves.
+func (e *Engine) ApplyLitPushdown(pd Pushdown, ms *Matchers, cur algebra.NodeSet, sums []*storage.SummaryNode) (algebra.NodeSet, bool, error) {
+	return e.applyLit(pd, ms, cur, sums)
 }
 
 // BuildJoinIndex builds the join index of a pushdown for static summary

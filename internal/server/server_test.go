@@ -304,6 +304,21 @@ func TestServerConfigValidation(t *testing.T) {
 	}
 }
 
+// TestServerParseErrorLineColumn: a query that fails to parse on its
+// third line is a 400 whose body names that line and column.
+func TestServerParseErrorLineColumn(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	q := "for $p in /site/people/person\nwhere $p/age > 26\nreturn $p/name )"
+	out, resp := postQuery(t, ts.URL, QueryRequest{Repo: "people", Query: q})
+	if out != nil || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	if want := "parse error at line 3, column 16 (byte 63): unexpected ) after query"; !strings.Contains(string(body), want) {
+		t.Fatalf("body %s lacks %q", body, want)
+	}
+}
+
 // TestServerDeepQueryIsBadRequest posts a query nesting 450 000
 // parentheses — 900 KB, under the 1 MiB body cap — which once overflowed
 // the parser's goroutine stack and killed the daemon: it is a 400 parse

@@ -276,6 +276,9 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *engine.FLWORPlan, depth int32, v
 				for _, ct := range ps.conts {
 					ps.cost += float64(ct.Len()) * decodeCost(ct.Codec().Name())
 				}
+				if ps.fastOK {
+					ps.ms = c.eng.BuildMatchers(pd, ps.conts)
+				}
 			case !pd.IsLit && spec.static && len(spec.sums) > 0 && known[pd.OtherVar]:
 				// Both sides static: the index is built here, once. An
 				// error is left for a run to meet.
@@ -692,7 +695,7 @@ func (c *compiler) estimateSize() int {
 		sz += 112 + len(d.preds)*4
 	}
 	for _, ps := range p.preds {
-		sz += 128 + len(ps.conts)*8
+		sz += 128 + len(ps.conts)*8 + ps.ms.SizeBytes()
 		if ps.idx != nil {
 			sz += ps.idx.SizeBytes()
 		}

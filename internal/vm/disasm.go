@@ -179,8 +179,9 @@ func tplDesc(ts *tplSpec) string {
 }
 
 // predDesc notes a restrict: per container, the access a literal
-// restrict makes on it (engine.AccessFor), or how a join index built at
-// compile time joined each pair of containers.
+// restrict makes on it (engine.AccessFor) — with, for a decoding scan of
+// a string function, why no code automaton reads it — or how a join
+// index built at compile time joined each pair of containers.
 func predDesc(ps *predSpec) string {
 	var b strings.Builder
 	b.WriteString(trunc(ps.pd.Conj.String(), 40))
@@ -188,8 +189,12 @@ func predDesc(ps *predSpec) string {
 	case ps.resolved && ps.fastOK && len(ps.conts) > 0:
 		parts := make([]string, 0, len(ps.conts))
 		for _, ct := range ps.conts {
-			access, _ := engine.AccessFor(ct, ps.pd.Op, ps.pd.Lit)
-			parts = append(parts, fmt.Sprintf("%s[%s](%d recs) %s", ct.Path, ct.Codec().Name(), ct.Len(), access))
+			access, _, why := engine.AccessFor(ct, ps.pd.Op, ps.pd.Lit)
+			part := fmt.Sprintf("%s[%s](%d recs) %s", ct.Path, ct.Codec().Name(), ct.Len(), access)
+			if why != "" {
+				part += " (" + why + ")"
+			}
+			parts = append(parts, part)
 		}
 		fmt.Fprintf(&b, " ; conts %s ; cost=%.1f", strings.Join(parts, ", "), ps.cost)
 		if !ps.complete {

@@ -179,6 +179,10 @@ type predSpec struct {
 	why      string // why they do not
 	resolved bool   // conts/complete/fastOK/why are valid
 	cost     float64
+	// ms are a string function's code automata over conts, built at
+	// compile and shared by every run (engine.Matchers); nil when no
+	// container is read on its compressed bytes.
+	ms *engine.Matchers
 	// idx is a join pushdown's index, built at compile time when both
 	// sides' summary sets are static; whole says the cursor holds every
 	// instance of its set when the join restricts it, so the partners
@@ -517,7 +521,7 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 				r.pc++
 				continue
 			}
-			restricted, handled, err := eng.ApplyLitPushdown(ps.pd, c.ids, c.sums)
+			restricted, handled, err := eng.ApplyLitPushdown(ps.pd, ps.ms, c.ids, c.sums)
 			if err != nil {
 				return r.fail(err)
 			}

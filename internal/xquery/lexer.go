@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // tokenKind discriminates lexer tokens.
@@ -46,14 +47,30 @@ type lexer struct {
 	pos int
 }
 
-// ParseError reports a parse failure with its byte offset.
+// ParseError reports a parse failure at a byte offset of the query, and
+// at the line and column (both from 1, the column in characters) that
+// offset falls on.
 type ParseError struct {
-	Pos int
-	Msg string
+	Pos       int
+	Line, Col int
+	Msg       string
 }
 
 func (e *ParseError) Error() string {
-	return fmt.Sprintf("xquery: parse error at byte %d: %s", e.Pos, e.Msg)
+	return fmt.Sprintf("xquery: parse error at line %d, column %d (byte %d): %s", e.Line, e.Col, e.Pos, e.Msg)
+}
+
+// locate sets Line and Col from Pos: lineNum counts the newlines before
+// Pos and lineStart is the offset just past the last of them.
+func (e *ParseError) locate(src string) {
+	pos := min(max(e.Pos, 0), len(src))
+	lineNum, lineStart := 1, 0
+	for i := 0; i < pos; i++ {
+		if src[i] == '\n' {
+			lineNum, lineStart = lineNum+1, i+1
+		}
+	}
+	e.Line, e.Col = lineNum, utf8.RuneCountInString(src[lineStart:pos])+1
 }
 
 func (l *lexer) errf(pos int, format string, args ...interface{}) error {

@@ -6,7 +6,12 @@ import (
 )
 
 // Parse parses a complete query.
-func Parse(src string) (Expr, error) {
+func Parse(src string) (_ Expr, err error) {
+	defer func() {
+		if pe, ok := err.(*ParseError); ok {
+			pe.locate(src)
+		}
+	}()
 	p := &parser{lex: &lexer{src: []byte(src)}}
 	if err := p.advance(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package xquery
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -238,6 +239,33 @@ func TestParseErrors(t *testing.T) {
 			t.Fatalf("no error for %q", src)
 		} else if _, ok := err.(*ParseError); !ok {
 			t.Fatalf("error type %T for %q", err, src)
+		}
+	}
+}
+
+// TestParseErrorLineColumn: a parse error names the line and column its
+// byte offset falls on, the column counted in characters.
+func TestParseErrorLineColumn(t *testing.T) {
+	for _, c := range []struct {
+		src             string
+		line, col, byte int
+	}{
+		{"for $p in /site/people/person\nwhere $p/age > 30\nreturn $p/name )", 3, 16, 63},
+		{"for $p in /site/people/person\r\nwhere $p/name = \"e\"\r\nreturn \"é\" )", 3, 12, 64},
+		{"count(/a)\n\n  ((", 3, 3, 13},
+		{"$x ++ 3", 1, 5, 4},
+	} {
+		_, err := Parse(c.src)
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Fatalf("%q: error %v is not a ParseError", c.src, err)
+		}
+		if pe.Line != c.line || pe.Col != c.col || pe.Pos != c.byte {
+			t.Errorf("%q: at line %d, column %d, byte %d; want %d, %d, %d", c.src, pe.Line, pe.Col, pe.Pos, c.line, c.col, c.byte)
+		}
+		want := fmt.Sprintf("xquery: parse error at line %d, column %d (byte %d): ", c.line, c.col, c.byte)
+		if !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%q: %q does not start %q", c.src, err, want)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"xquec/internal/algebra"
+	"xquec/internal/datagen"
 )
 
 // parDB builds a repository large enough to exercise the partitioned
@@ -157,5 +158,61 @@ func TestPreparedRunWithParallelism(t *testing.T) {
 	}
 	if !bytes.Equal(outs[0], outs[1]) {
 		t.Fatalf("prepared parallel output differs: %q vs %q", outs[0], outs[1])
+	}
+}
+
+// TestPreparedCodeAutomataShared: one prepared statement whose contains
+// and ends-with run on ALM codes — the automata built at Prepare and
+// shared — executed from many goroutines at once, at several worker
+// counts with the record range split, streams what a serial execution
+// does.
+func TestPreparedCodeAutomataShared(t *testing.T) {
+	lowParFloors(t)
+	db, err := Compress(datagen.XMark(datagen.XMarkConfig{Scale: 0.5, Seed: 2}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `FOR $i IN /site//item WHERE contains($i/description, "the") AND ends-with($i/description, ".") RETURN $i/name/text()`
+	prep, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dis := prep.Disassemble(); strings.Count(dis, "matching on compressed bytes") != 12 {
+		t.Fatalf("the two restricts do not read the six description containers on their codes:\n%s", dis)
+	}
+	run := func(par int) ([]byte, error) {
+		res, err := prep.Execute(context.Background(), QueryOptions{Parallelism: par})
+		if err != nil {
+			return nil, err
+		}
+		defer res.Close()
+		var buf bytes.Buffer
+		_, err = res.WriteXML(&buf)
+		return buf.Bytes(), err
+	}
+	want, err := run(1)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("serial: %q, %v", want, err)
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				par := 1 + (g+i)%4
+				if got, err := run(par); err != nil || !bytes.Equal(got, want) {
+					errc <- fmt.Errorf("par=%d: %v, output differs from serial: %v", par, err, !bytes.Equal(got, want))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
 	}
 }
