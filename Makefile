@@ -40,20 +40,22 @@ race:
 
 # Size of the thing, tracked next to ns/op (ROADMAP): non-test Go lines
 # under internal/ and in the root package, the exported-symbol count of
-# package xquec, the user-settable values (not gated) — command-line
-# flags of xquec and xquecd, exported fields of xquec.Options,
-# xquec.QueryOptions and server.Config, and the optional per-request
-# overrides of server.QueryRequest — the number of xquecd_ metric
-# families /metrics exports (each name is one string literal in
-# internal/server), and the environment reads in
-# non-test internal/ code, which must be none, so `check` fails on the
-# first one: behaviour is chosen by options, never by the environment
-# of the process.
+# package xquec, the exported funcs, methods and types of the internal/
+# packages (their `go doc -all` entries), the user-settable values (not
+# gated) — command-line flags of xquec and xquecd, exported fields of
+# xquec.Options, xquec.QueryOptions and server.Config, and the optional
+# per-request overrides of server.QueryRequest — the number of xquecd_
+# metric families /metrics exports (each name is one string literal in
+# internal/server), and the environment reads in non-test internal/
+# code, which must be none, so `check` fails on the first one: behaviour
+# is chosen by options, never by the environment of the process.
 FLAG_DEFS = '\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var|[A-Z][a-z0-9]*Var)\('
 loc:
 	@echo "internal/ non-test Go lines: $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "root package non-test Go lines: $$(ls *.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
 	@echo "package xquec exported symbols: $$($(GO) doc -short . | wc -l)"
+	@n=0; for p in $$($(GO) list ./internal/...); do n=$$((n + $$($(GO) doc -all $$p 2>/dev/null | grep -cE '^(func|type) '))); done; \
+	echo "internal/ exported funcs, methods and types: $$n"
 	@f=$$(ls cmd/xquec/*.go cmd/xquecd/*.go | grep -v '_test\.go$$' | xargs cat | grep -cE $(FLAG_DEFS)); \
 	o=$$($(GO) doc . Options | grep -c '^	[A-Z]'); \
 	q=$$($(GO) doc . QueryOptions | grep -c '^	[A-Z]'); \

@@ -13,7 +13,6 @@ import (
 	"xquec/internal/datagen"
 	"xquec/internal/engine"
 	"xquec/internal/storage"
-	"xquec/internal/vm"
 	"xquec/internal/xmarkq"
 	"xquec/internal/xquery"
 )
@@ -30,11 +29,11 @@ func runOnStore(s *storage.Store, q string) (*engine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := vm.Compile(expr, s, q)
+	prog, err := engine.Compile(expr, s, q)
 	if err != nil {
 		return nil, err
 	}
-	return prog.Run(vm.RunOptions{Parallelism: 1})
+	return prog.Run(engine.RunOptions{Parallelism: 1})
 }
 
 // ---------------------------------------------------------------------

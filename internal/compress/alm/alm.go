@@ -387,7 +387,7 @@ func (c *Codec) Name() string { return "alm" }
 // Props implements compress.Codec. Per the paper: eq and ineq in the
 // compressed domain, no wildcard (prefix) matching.
 func (c *Codec) Props() compress.Properties {
-	return compress.Properties{Eq: true, Ineq: true, Wild: false, OrderPreserving: true}
+	return compress.Properties{Eq: true, Wild: false, OrderPreserving: true}
 }
 
 // ModelSize implements compress.Codec.

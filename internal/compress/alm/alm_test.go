@@ -382,7 +382,7 @@ func TestDecodeRejectsBadCodes(t *testing.T) {
 func TestProps(t *testing.T) {
 	c := train(t, proseSample)
 	p := c.Props()
-	if !p.Eq || !p.Ineq || p.Wild || !p.OrderPreserving {
+	if !p.Eq || p.Wild || !p.OrderPreserving {
 		t.Fatalf("unexpected properties %+v", p)
 	}
 	if c.ModelSize() <= 0 {

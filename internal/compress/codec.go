@@ -3,7 +3,8 @@
 // a sample of the container's values (its "source model", §2.1 of the
 // paper). Codecs advertise which predicates they support directly in the
 // compressed domain via Properties — the ⟨eq, ineq, wild⟩ triple of the
-// paper's cost model — and estimated decompression and storage costs.
+// paper's cost model, ineq read as order preservation — and estimated
+// decompression and storage costs.
 package compress
 
 import (
@@ -16,12 +17,10 @@ import (
 type Properties struct {
 	// Eq: equality predicates (no prefix matching) evaluate on encoded bytes.
 	Eq bool
-	// Ineq: inequality predicates (<, <=, >, >=) evaluate on encoded bytes.
-	Ineq bool
 	// Wild: prefix-matching equality (starts-with) evaluates on encoded bytes.
 	Wild bool
-	// OrderPreserving: bytes.Compare(Encode(x), Encode(y)) == cmp(x, y).
-	// Implies Ineq.
+	// OrderPreserving: bytes.Compare(Encode(x), Encode(y)) == cmp(x, y),
+	// so inequality predicates (<, <=, >, >=) evaluate on encoded bytes.
 	OrderPreserving bool
 }
 

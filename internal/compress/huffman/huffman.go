@@ -233,7 +233,7 @@ func (c *Codec) Name() string { return "huffman" }
 
 // Props implements compress.Codec.
 func (c *Codec) Props() compress.Properties {
-	return compress.Properties{Eq: true, Ineq: false, Wild: true, OrderPreserving: false}
+	return compress.Properties{Eq: true, Wild: true, OrderPreserving: false}
 }
 
 // ModelSize implements compress.Codec.

@@ -205,7 +205,7 @@ func TestQuickInjective(t *testing.T) {
 func TestProps(t *testing.T) {
 	c := train(t, sampleProse)
 	p := c.Props()
-	if !p.Eq || p.Ineq || !p.Wild || p.OrderPreserving {
+	if !p.Eq || !p.Wild || p.OrderPreserving {
 		t.Fatalf("unexpected properties %+v", p)
 	}
 	if c.Name() != "huffman" {

@@ -224,7 +224,7 @@ func (c *Codec) Name() string { return "hutucker" }
 // order-preserving, so equality, inequality and prefix matching all work
 // on encoded bytes.
 func (c *Codec) Props() compress.Properties {
-	return compress.Properties{Eq: true, Ineq: true, Wild: true, OrderPreserving: true}
+	return compress.Properties{Eq: true, Wild: true, OrderPreserving: true}
 }
 
 // ModelSize implements compress.Codec.

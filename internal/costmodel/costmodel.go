@@ -28,13 +28,13 @@ type ContainerInfo struct {
 	Sample     [][]byte
 }
 
-// AlgorithmTraits is the paper's algorithm tuple
-// ⟨d_c, c_s(F), c_a(F), eq, ineq, wild⟩, with the F-dependent terms
-// realised as measured per-container ratios (see measure).
+// AlgorithmTraits is the d_c term of the paper's algorithm tuple
+// ⟨d_c, c_s(F), c_a(F), eq, ineq, wild⟩. The F-dependent terms are
+// measured per container, and eq, ineq and wild are the Props of the
+// codec trained there (see measure).
 type AlgorithmTraits struct {
-	Name           string
-	DecodeCost     float64
-	Eq, Ineq, Wild bool
+	Name       string
+	DecodeCost float64
 }
 
 // Algorithms is the candidate set A. Order matters for deterministic
@@ -47,43 +47,49 @@ type AlgorithmTraits struct {
 // blob 532.30 MB/s). Re-derive after kernel changes with
 // `go test -run '^$' -bench 'BenchmarkCodecDecode' -benchmem .`: cost = huffman MB/s ÷ codec MB/s.
 var Algorithms = []AlgorithmTraits{
-	{Name: "alm", DecodeCost: 0.291, Eq: true, Ineq: true, Wild: false},
-	{Name: "huffman", DecodeCost: 1.0, Eq: true, Ineq: false, Wild: true},
-	{Name: "hutucker", DecodeCost: 1.293, Eq: true, Ineq: true, Wild: true},
-	{Name: "blob", DecodeCost: 0.29, Eq: false, Ineq: false, Wild: false},
+	{Name: "alm", DecodeCost: 0.291},
+	{Name: "huffman", DecodeCost: 1.0},
+	{Name: "hutucker", DecodeCost: 1.293},
+	{Name: "blob", DecodeCost: 0.29},
 }
 
-func traits(name string) AlgorithmTraits {
+// DecodeCost returns the measured per-record decode cost of the codec
+// family name, 1 (huffman's) for a family outside Algorithms.
+func DecodeCost(name string) float64 {
 	for _, a := range Algorithms {
 		if a.Name == name {
-			return a
+			return a.DecodeCost
 		}
 	}
-	return AlgorithmTraits{Name: name}
+	return 1
+}
+
+// supports reports that the algorithm name answers a predicate of kind
+// on compressed bytes: eq, ineq (order preservation) or wild in the
+// Props of the codec measure trained.
+func (m *Model) supports(name string, k workload.PredKind) bool {
+	p := m.props[name]
+	switch k {
+	case workload.Eq:
+		return p.Eq
+	case workload.Ineq:
+		return p.OrderPreserving
+	case workload.Wild:
+		return p.Wild
+	}
+	return false
 }
 
 // propCount is the "number of algorithmic properties holding true" the
 // greedy move maximizes.
-func (a AlgorithmTraits) propCount() int {
+func (m *Model) propCount(name string) int {
 	n := 0
-	for _, b := range []bool{a.Eq, a.Ineq, a.Wild} {
-		if b {
+	for _, k := range []workload.PredKind{workload.Eq, workload.Ineq, workload.Wild} {
+		if m.supports(name, k) {
 			n++
 		}
 	}
 	return n
-}
-
-func (a AlgorithmTraits) supports(k workload.PredKind) bool {
-	switch k {
-	case workload.Eq:
-		return a.Eq
-	case workload.Ineq:
-		return a.Ineq
-	case workload.Wild:
-		return a.Wild
-	}
-	return false
 }
 
 // Config is one point of the search space: a partition P of the
@@ -142,6 +148,8 @@ type Model struct {
 	// source-model bytes (on the sample, scaled to TotalBytes).
 	ratio     map[string][]float64
 	modelCost map[string][]float64
+	// props are the capabilities of each algorithm's trained codec.
+	props map[string]compress.Properties
 
 	// Weights of the cost terms.
 	StorageWeight    float64
@@ -285,6 +293,7 @@ func (m *Model) buildSimilarity() {
 func (m *Model) measure(override map[string]compress.Trainer) {
 	m.ratio = map[string][]float64{}
 	m.modelCost = map[string][]float64{}
+	m.props = map[string]compress.Properties{}
 	train := map[string]compress.Trainer{
 		"alm":      alm.Trainer{},
 		"huffman":  huffman.Trainer{},
@@ -306,6 +315,7 @@ func (m *Model) measure(override map[string]compress.Trainer) {
 				models[i] = 0
 				continue
 			}
+			m.props[a.Name] = codec.Props()
 			plain, comp := 0, 0
 			var enc []byte
 			for _, v := range c.Sample {
@@ -415,18 +425,16 @@ func (m *Model) pairCost(c Config, i, j int, kind workload.PredKind) float64 {
 		if ci == n {
 			ci = j
 		}
-		si := c.setOf(ci)
-		a := traits(c.Sets[si].Algorithm)
-		if a.supports(kind) {
+		a := c.Sets[c.setOf(ci)].Algorithm
+		if m.supports(a, kind) {
 			return 0
 		}
-		return m.SizeOf(ci) * a.DecodeCost
+		return m.SizeOf(ci) * DecodeCost(a)
 	}
 	si, sj := c.setOf(i), c.setOf(j)
-	ai := traits(c.Sets[si].Algorithm)
-	aj := traits(c.Sets[sj].Algorithm)
+	ai, aj := c.Sets[si].Algorithm, c.Sets[sj].Algorithm
 	if si == sj {
-		if ai.supports(kind) {
+		if m.supports(ai, kind) {
 			return 0 // same model, capable algorithm
 		}
 		// case (iii): same source model, incapable algorithm
@@ -434,10 +442,10 @@ func (m *Model) pairCost(c Config, i, j int, kind workload.PredKind) float64 {
 		if i == j {
 			size = m.SizeOf(i)
 		}
-		return size * ai.DecodeCost
+		return size * DecodeCost(ai)
 	}
 	// cases (i)/(ii): different algorithms or different source models
-	return m.SizeOf(i)*ai.DecodeCost + m.SizeOf(j)*aj.DecodeCost
+	return m.SizeOf(i)*DecodeCost(ai) + m.SizeOf(j)*DecodeCost(aj)
 }
 
 // Cost is the weighted total cost of a configuration.
@@ -456,16 +464,16 @@ func (m *Model) Initial() Config {
 	return c
 }
 
-// bestAlgorithmFor returns the candidate algorithms that enable kind,
+// bestAlgorithmsFor returns the candidate algorithms that enable kind,
 // ordered by property count (desc) then by the order of Algorithms.
-func bestAlgorithmsFor(kind workload.PredKind) []AlgorithmTraits {
-	var out []AlgorithmTraits
+func (m *Model) bestAlgorithmsFor(kind workload.PredKind) []string {
+	var out []string
 	for _, a := range Algorithms {
-		if a.supports(kind) {
-			out = append(out, a)
+		if m.supports(a.Name, kind) {
+			out = append(out, a.Name)
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].propCount() > out[j].propCount() })
+	sort.SliceStable(out, func(i, j int) bool { return m.propCount(out[i]) > m.propCount(out[j]) })
 	return out
 }
 
@@ -501,25 +509,25 @@ func (m *Model) Search(seed int64) (Config, float64) {
 		si, sj := cur.setOf(i), cur.setOf(j)
 		var candidates []Config
 		if si == sj {
-			for _, a := range bestAlgorithmsFor(p.Kind) {
+			for _, a := range m.bestAlgorithmsFor(p.Kind) {
 				cand := cur.Clone()
-				cand.Sets[si].Algorithm = a.Name
+				cand.Sets[si].Algorithm = a
 				candidates = append(candidates, cand)
 			}
 		} else {
-			for _, a := range bestAlgorithmsFor(p.Kind) {
+			for _, a := range m.bestAlgorithmsFor(p.Kind) {
 				// s': extract {i, j} into a fresh set.
 				cand := cur.Clone()
 				cand.removeMember(si, i)
 				cand.removeMember(sj, j)
-				cand.Sets = append(cand.Sets, ConfigSet{Members: sortedPair(i, j), Algorithm: a.Name})
+				cand.Sets = append(cand.Sets, ConfigSet{Members: sortedPair(i, j), Algorithm: a})
 				cand.compact()
 				candidates = append(candidates, cand)
 				// s'': merge the two sets.
 				cand2 := cur.Clone()
 				merged := append(append([]int{}, cand2.Sets[si].Members...), cand2.Sets[sj].Members...)
 				sort.Ints(merged)
-				cand2.Sets[si] = ConfigSet{Members: merged, Algorithm: a.Name}
+				cand2.Sets[si] = ConfigSet{Members: merged, Algorithm: a}
 				cand2.Sets = append(cand2.Sets[:sj], cand2.Sets[sj+1:]...)
 				candidates = append(candidates, cand2)
 			}

@@ -193,7 +193,7 @@ func TestSearchPicksCapableAlgorithms(t *testing.T) {
 	}
 	// prose1's set must support inequality now.
 	si := cfg.setOf(0)
-	if a := traits(cfg.Sets[si].Algorithm); !a.Ineq {
+	if a := cfg.Sets[si].Algorithm; !m.supports(a, workload.Ineq) {
 		t.Fatalf("prose1 compressed with %s, which cannot do ineq", cfg.Sets[si].Algorithm)
 	}
 	// The join partners should end up sharing a source model (zero

@@ -1,4 +1,4 @@
-package vm
+package engine
 
 import (
 	"fmt"
@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"xquec/internal/costmodel"
-	"xquec/internal/engine"
 	"xquec/internal/storage"
 	"xquec/internal/xquery"
 )
@@ -34,11 +33,11 @@ func Compile(expr xquery.Expr, store *storage.Store, src string) (prog *Program,
 		}
 	}()
 	c := &compiler{
-		p:   &Program{src: src, store: store, plans: engine.Plans{}, subOf: map[*xquery.FLWOR]int32{}},
-		eng: engine.New(store),
+		p:   &Program{src: src, store: store, plans: pathPlans{}, subOf: map[*xquery.FLWOR]int32{}},
+		eng: newEngine(store),
 	}
 	c.top(expr)
-	c.emit(Instr{Op: OpHalt})
+	c.emit(instr{Op: opHalt})
 	// Sub-programs follow the main one; compiling one may queue more.
 	for k := 0; k < len(c.p.subs); k++ {
 		c.p.subs[k].entry, c.p.subs[k].acc = int32(len(c.p.instrs)), int32(len(c.p.reuse))
@@ -52,17 +51,17 @@ func Compile(expr xquery.Expr, store *storage.Store, src string) (prog *Program,
 
 type compiler struct {
 	p    *Program
-	eng  *engine.Engine // compile-time summary/container resolution only
+	eng  *engine // compile-time summary/container resolution only
 	ncur int32
 	// subVars: per queued sub-program, the summary sets in scope there.
 	subVars []map[string][]*storage.SummaryNode
 }
 
-// plan plans x's paths under the variables in scope (engine.PlanExpr)
+// plan plans x's paths under the variables in scope (planExpr)
 // and queues a sub-program, once, for each FLWOR the engine will meet
 // in x.
 func (c *compiler) plan(x xquery.Expr, varSums map[string][]*storage.SummaryNode) []*storage.SummaryNode {
-	return c.eng.PlanExpr(c.p.plans, x, varSums, func(f *xquery.FLWOR, vars map[string][]*storage.SummaryNode) {
+	return c.eng.planExpr(c.p.plans, x, varSums, func(f *xquery.FLWOR, vars map[string][]*storage.SummaryNode) {
 		if _, ok := c.p.subOf[f]; !ok {
 			c.p.subOf[f] = int32(len(c.p.subs))
 			c.p.subs = append(c.p.subs, subSpec{x: f, sort: -1})
@@ -71,7 +70,7 @@ func (c *compiler) plan(x xquery.Expr, varSums map[string][]*storage.SummaryNode
 	})
 }
 
-func (c *compiler) emit(in Instr) int {
+func (c *compiler) emit(in instr) int {
 	c.p.instrs = append(c.p.instrs, in)
 	return len(c.p.instrs) - 1
 }
@@ -101,7 +100,7 @@ func (c *compiler) addDom(spec domainSpec) int32 {
 }
 
 // top compiles one top-level block per sequence item. Each block gets a
-// fresh environment (OpReset): sibling blocks must not see each other's
+// fresh environment (opReset): sibling blocks must not see each other's
 // variables.
 func (c *compiler) top(x xquery.Expr) {
 	if seq, ok := x.(*xquery.Sequence); ok {
@@ -110,7 +109,7 @@ func (c *compiler) top(x xquery.Expr) {
 		}
 		return
 	}
-	c.emit(Instr{Op: OpReset})
+	c.emit(instr{Op: opReset})
 	switch e := x.(type) {
 	case *xquery.FLWOR:
 		// Folded: every expression of it the engine meets is one planned.
@@ -135,17 +134,17 @@ func (c *compiler) fallback(x xquery.Expr) {
 // points where the next pull resumes.
 func (c *compiler) emitReturn(x xquery.Expr, varSums map[string][]*storage.SummaryNode) int {
 	if ctor, isCtor := x.(*xquery.ElementCtor); isCtor {
-		return c.emit(Instr{Op: OpEmitCtor, A: c.addTemplate(ctor, varSums)})
+		return c.emit(instr{Op: opEmitCtor, A: c.addTemplate(ctor, varSums)})
 	}
-	c.emit(Instr{Op: OpEvalPush, A: c.addExpr(x, varSums)})
-	return c.emit(Instr{Op: OpEmitSeq})
+	c.emit(instr{Op: opEvalPush, A: c.addExpr(x, varSums)})
+	return c.emit(instr{Op: opEmitSeq})
 }
 
 // addTemplate pools the emission template of a constructor, planning the
 // paths it reads under the variables in scope.
 func (c *compiler) addTemplate(x *xquery.ElementCtor, varSums map[string][]*storage.SummaryNode) int32 {
 	c.plan(x, varSums)
-	c.p.tpls = append(c.p.tpls, tplSpec{t: engine.CompileTemplate(x), x: x})
+	c.p.tpls = append(c.p.tpls, tplSpec{t: compileTemplate(x), x: x})
 	return int32(len(c.p.tpls) - 1)
 }
 
@@ -157,15 +156,15 @@ func (c *compiler) topPath(p *xquery.PathExpr) {
 	spec.topPath = true
 	di := c.addDom(spec)
 	cu := c.newCursor()
-	c.emit(Instr{Op: OpScan, A: cu, B: di})
-	i := c.emit(Instr{Op: OpIterEmit, A: cu})
+	c.emit(instr{Op: opScan, A: cu, B: di})
+	i := c.emit(instr{Op: opIterEmit, A: cu})
 	c.p.instrs[i].C = int32(i + 1)
 }
 
 // flwor compiles x into nested cursor loops binding from depth 0: a
 // top-level FLWOR (sub < 0), whose RETURN emits, or sub-program sub,
-// whose RETURN appends to its accumulator and which ends in OpRet. With
-// an ORDER BY the loops end in OpCollect, and OpSort, OpReplay and the
+// whose RETURN appends to its accumulator and which ends in opRet. With
+// an ORDER BY the loops end in opCollect, and opSort, opReplay and the
 // RETURN follow. varSums are the summary sets of the variables in scope;
 // one counts as known when it is not empty, the rule note keeps.
 func (c *compiler) flwor(x *xquery.FLWOR, varSums map[string][]*storage.SummaryNode, sub int) {
@@ -173,14 +172,14 @@ func (c *compiler) flwor(x *xquery.FLWOR, varSums map[string][]*storage.SummaryN
 	for name, sums := range varSums {
 		known[name] = len(sums) > 0
 	}
-	plan := engine.PlanFLWOR(x)
+	plan := planFLWOR(x)
 	n := c.loops(x, plan, 0, varSums, known, sub < 0)
 	ret := foldExpr(x.Return)
 	body := func() int { // the RETURN, whose C the caller points at the next tuple
 		if sub < 0 {
 			return c.emitReturn(ret, n.varSums)
 		}
-		return c.emit(Instr{Op: OpAppend, A: c.p.subs[sub].acc, B: c.addExpr(ret, n.varSums)})
+		return c.emit(instr{Op: opAppend, A: c.p.subs[sub].acc, B: c.addExpr(ret, n.varSums)})
 	}
 	end := 0 // where the loops exit to
 	if x.OrderBy == nil {
@@ -188,9 +187,9 @@ func (c *compiler) flwor(x *xquery.FLWOR, varSums map[string][]*storage.SummaryN
 		end = len(c.p.instrs)
 	} else {
 		si := c.addSort(x, plan, n.fors, n.varSums, n.known)
-		n.loop(c.emit(Instr{Op: OpCollect, A: si}))
-		end = c.emit(Instr{Op: OpSort, A: si})
-		replay := c.emit(Instr{Op: OpReplay, A: si})
+		n.loop(c.emit(instr{Op: opCollect, A: si}))
+		end = c.emit(instr{Op: opSort, A: si})
+		replay := c.emit(instr{Op: opReplay, A: si})
 		c.p.instrs[body()].C = int32(replay)
 		c.p.instrs[replay].C = int32(len(c.p.instrs))
 		if sub >= 0 {
@@ -198,7 +197,7 @@ func (c *compiler) flwor(x *xquery.FLWOR, varSums map[string][]*storage.SummaryN
 		}
 	}
 	if sub >= 0 {
-		c.emit(Instr{Op: OpRet, A: int32(sub)})
+		c.emit(instr{Op: opRet, A: int32(sub)})
 	}
 	n.exit(end)
 }
@@ -208,7 +207,7 @@ func (c *compiler) flwor(x *xquery.FLWOR, varSums map[string][]*storage.SummaryN
 type nest struct {
 	c         *compiler
 	endPatch  []int   // instructions whose C is the loops' end
-	innermost int32   // pc of the innermost OpIter so far; -1: none
+	innermost int32   // pc of the innermost opIter so far; -1: none
 	fors      []int32 // the FOR clauses' cursors
 	forDoms   []int32 // and the domains they scan
 	depth     int32   // the depth the next clause binds at
@@ -216,7 +215,7 @@ type nest struct {
 	known     map[string]bool
 }
 
-// loop makes instruction i jump back to the innermost OpIter, or past
+// loop makes instruction i jump back to the innermost opIter, or past
 // the loops when there is none.
 func (n *nest) loop(i int) {
 	if n.innermost >= 0 {
@@ -238,7 +237,7 @@ func (n *nest) exit(end int) {
 // closes them. varSums and known describe the variables in scope and
 // learn x's. top marks a top-level FLWOR, whose LETs read only by its
 // RETURN's emission template may bind bytes (emittedOnly).
-func (c *compiler) loops(x *xquery.FLWOR, plan *engine.FLWORPlan, depth int32, varSums map[string][]*storage.SummaryNode, known map[string]bool, top bool) *nest {
+func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, varSums map[string][]*storage.SummaryNode, known map[string]bool, top bool) *nest {
 	n := &nest{c: c, innermost: -1, depth: depth, varSums: varSums, known: known}
 	for ci, cl := range x.Clauses {
 		if cl.Let {
@@ -249,7 +248,7 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *engine.FLWORPlan, depth int32, v
 			spec := c.domainFor(cl.Seq, varSums, known)
 			c.note(cl.Var, spec, varSums, known)
 			if plan.Collect == nil || plan.Collect[ci] {
-				c.emit(Instr{Op: OpLet, A: c.addVar(cl.Var, n.depth), B: c.addDom(spec)})
+				c.emit(instr{Op: opLet, A: c.addVar(cl.Var, n.depth), B: c.addDom(spec)})
 				n.depth++
 			}
 			continue
@@ -271,18 +270,18 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *engine.FLWORPlan, depth int32, v
 			switch {
 			case pd.IsLit && spec.static:
 				ps.resolved = true
-				ps.conts, ps.complete, ps.why = c.eng.LitTargets(pd, spec.sums)
+				ps.conts, ps.complete, ps.why = c.eng.litTargets(spec.sums, pd.Rel, pd.Op, pd.Lit)
 				ps.fastOK = ps.why == ""
 				for _, ct := range ps.conts {
-					ps.cost += float64(ct.Len()) * decodeCost(ct.Codec().Name())
+					ps.cost += float64(ct.Len()) * costmodel.DecodeCost(ct.Codec().Name())
 				}
-				if ps.fastOK {
-					ps.ms = c.eng.BuildMatchers(pd, ps.conts)
+				if ps.fastOK && stringFunc(pd.Op) != nil {
+					ps.ms = buildMatchers(ps.conts, pd.Op, pd.Lit)
 				}
 			case !pd.IsLit && spec.static && len(spec.sums) > 0 && known[pd.OtherVar]:
 				// Both sides static: the index is built here, once. An
 				// error is left for a run to meet.
-				if idx, ok, err := c.eng.BuildJoinIndex(pd, spec.sums, varSums[pd.OtherVar]); ok && err == nil {
+				if idx, ok, err := c.eng.joinIndexFor(pd, spec.sums, varSums[pd.OtherVar]); ok && err == nil {
 					ps.idx = idx
 				}
 			}
@@ -310,25 +309,25 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *engine.FLWORPlan, depth int32, v
 		di := c.addDom(spec)
 		cu := c.newCursor()
 		n.fors, n.forDoms = append(n.fors, cu), append(n.forDoms, di)
-		c.emit(Instr{Op: OpScan, A: cu, B: di})
+		c.emit(instr{Op: opScan, A: cu, B: di})
 		for _, pi := range lits {
-			c.emit(Instr{Op: OpLitRestrict, A: cu, B: pi})
+			c.emit(instr{Op: opLitRestrict, A: cu, B: pi})
 		}
 		for _, pi := range joins {
-			c.emit(Instr{Op: OpJoinRestrict, A: cu, B: pi})
+			c.emit(instr{Op: opJoinRestrict, A: cu, B: pi})
 		}
 		vi := c.addVar(cl.Var, n.depth)
 		n.depth++
-		iter := c.emit(Instr{Op: OpIter, A: cu, B: vi})
+		iter := c.emit(instr{Op: opIter, A: cu, B: vi})
 		n.loop(iter)
 		if len(pds) > 0 {
-			c.emit(Instr{Op: OpDeferred, A: cu, C: int32(iter)})
+			c.emit(instr{Op: opDeferred, A: cu, C: int32(iter)})
 		}
 		n.innermost = int32(iter)
 	}
 
 	for _, conj := range plan.Residual {
-		n.loop(c.emit(Instr{Op: OpWhere, A: c.addExpr(foldExpr(conj), varSums)}))
+		n.loop(c.emit(instr{Op: opWhere, A: c.addExpr(foldExpr(conj), varSums)}))
 	}
 	return n
 }
@@ -361,24 +360,24 @@ func (c *compiler) letFLWOR(name string, inner *xquery.FLWOR, n *nest, emitted b
 	depth := n.depth
 	ai := int32(len(c.p.reuse))
 	c.p.reuse = append(c.p.reuse, emitted)
-	c.emit(Instr{Op: OpLetOpen, A: ai, B: depth})
-	in := c.loops(inner, engine.PlanFLWOR(inner), depth+1, maps.Clone(n.varSums), maps.Clone(n.known), false)
+	c.emit(instr{Op: opLetOpen, A: ai, B: depth})
+	in := c.loops(inner, planFLWOR(inner), depth+1, maps.Clone(n.varSums), maps.Clone(n.known), false)
 	cu, spec := c.bareFor(inner, in)
 	ret := foldExpr(inner.Return)
 	ctor, isCtor := ret.(*xquery.ElementCtor)
 	n.varSums[name], n.known[name] = nil, false
 	switch {
 	case cu >= 0:
-		in.loop(c.emit(Instr{Op: OpAppendCur, A: ai, B: cu}))
+		in.loop(c.emit(instr{Op: opAppendCur, A: ai, B: cu}))
 		n.varSums[name], n.known[name] = spec.sums, len(spec.sums) > 0
 	case isCtor && emitted:
-		in.loop(c.emit(Instr{Op: OpAppendCtor, A: ai, B: c.addTemplate(ctor, in.varSums)}))
+		in.loop(c.emit(instr{Op: opAppendCtor, A: ai, B: c.addTemplate(ctor, in.varSums)}))
 	case emitted:
-		in.loop(c.emit(Instr{Op: OpAppendOut, A: ai, B: c.addExpr(ret, in.varSums)}))
+		in.loop(c.emit(instr{Op: opAppendOut, A: ai, B: c.addExpr(ret, in.varSums)}))
 	default:
-		in.loop(c.emit(Instr{Op: OpAppend, A: ai, B: c.addExpr(ret, in.varSums)}))
+		in.loop(c.emit(instr{Op: opAppend, A: ai, B: c.addExpr(ret, in.varSums)}))
 	}
-	in.exit(c.emit(Instr{Op: OpLetBind, A: c.addVar(name, depth), B: ai, C: cu}))
+	in.exit(c.emit(instr{Op: opLetBind, A: c.addVar(name, depth), B: ai, C: cu}))
 	n.depth++
 }
 
@@ -387,7 +386,7 @@ func (c *compiler) letFLWOR(name string, inner *xquery.FLWOR, n *nest, emitted b
 // they are or counted: as an enclosed `{$name}` of x's RETURN
 // constructor — an emission template — or of an element nested in it, or
 // as the argument of count, exists or empty. Nothing then atomizes or
-// navigates its items, so they can be bytes (engine.XML), not fragments.
+// navigates its items, so they can be bytes (xml), not fragments.
 func emittedOnly(name string, x *xquery.FLWOR, ci int) bool {
 	ret, isCtor := x.Return.(*xquery.ElementCtor)
 	if !isCtor {
@@ -479,12 +478,12 @@ func (c *compiler) bareFor(x *xquery.FLWOR, in *nest) (int32, *domainSpec) {
 }
 
 // addSort pools the ORDER BY of x, with its key's rank table when the key
-// is an eligible path from a variable of known summary set (KeyRanks).
-func (c *compiler) addSort(x *xquery.FLWOR, plan *engine.FLWORPlan, fors []int32, varSums map[string][]*storage.SummaryNode, known map[string]bool) int32 {
+// is an eligible path from a variable of known summary set (keyRanks).
+func (c *compiler) addSort(x *xquery.FLWOR, plan *flworPlan, fors []int32, varSums map[string][]*storage.SummaryNode, known map[string]bool) int32 {
 	ss := sortSpec{flwor: x, plan: plan, fors: fors}
 	c.plan(x.OrderBy, varSums)
 	if p, isPath := x.OrderBy.(*xquery.PathExpr); isPath && known[p.Var] {
-		ss.ranks = c.eng.KeyRanks(p, varSums[p.Var])
+		ss.ranks = c.eng.keyRanks(p, varSums[p.Var])
 	}
 	c.p.sorts = append(c.p.sorts, ss)
 	return int32(len(c.p.sorts) - 1)
@@ -507,14 +506,14 @@ func (c *compiler) note(name string, spec domainSpec, varSums map[string][]*stor
 func (c *compiler) domainFor(x xquery.Expr, varSums map[string][]*storage.SummaryNode, known map[string]bool) domainSpec {
 	folded := foldExpr(x)
 	spec := domainSpec{expr: folded}
-	spec.invariant = len(engine.FreeVars(folded)) == 0
+	spec.invariant = len(xquery.FreeVars(folded)) == 0
 	sums := c.plan(folded, varSums)
 	switch e := folded.(type) {
 	case *xquery.PathExpr:
 		spec.path = e
 		if e.Var == "" || known[e.Var] {
 			// Text-tail domains bind decoded strings; the runtime reports
-			// no summary provenance for them, and PlanExpr none either.
+			// no summary provenance for them, and planExpr none either.
 			n := len(e.Steps)
 			spec.static, spec.sums = true, sums
 			spec.textTail = n > 0 && e.Steps[n-1].Test == xquery.TestText
@@ -539,17 +538,6 @@ func restrictCost(ps *predSpec) float64 {
 		return ps.cost
 	}
 	return 1e300
-}
-
-// decodeCost returns the cost model's measured per-record decode cost
-// for a codec (§3's cost constants, calibrated in the codec kernels).
-func decodeCost(name string) float64 {
-	for _, a := range costmodel.Algorithms {
-		if a.Name == name {
-			return a.DecodeCost
-		}
-	}
-	return 1
 }
 
 // ---- constant folding ----
@@ -695,22 +683,22 @@ func (c *compiler) estimateSize() int {
 		sz += 112 + len(d.preds)*4
 	}
 	for _, ps := range p.preds {
-		sz += 128 + len(ps.conts)*8 + ps.ms.SizeBytes()
+		sz += 128 + len(ps.conts)*8 + ps.ms.sizeBytes()
 		if ps.idx != nil {
-			sz += ps.idx.SizeBytes()
+			sz += ps.idx.sizeBytes()
 		}
 	}
 	for _, ss := range p.sorts {
 		sz += 64 + len(ss.fors)*4
 		if ss.ranks != nil {
-			sz += 8 * ss.ranks.Records()
+			sz += 8 * ss.ranks.records
 		}
 	}
 	for _, ts := range p.tpls {
-		lit, dyn := ts.t.Shape()
+		lit, dyn := ts.t.shape()
 		sz += 64 + lit + 32*dyn
 	}
-	sz += p.plans.SizeBytes()
+	sz += p.plans.sizeBytes()
 	sz += len(p.exprs)*16 + len(p.vars)*24
 	for _, v := range p.vars {
 		sz += len(v.name)

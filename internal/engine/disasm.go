@@ -1,11 +1,10 @@
-package vm
+package engine
 
 import (
 	"fmt"
 	"slices"
 	"strings"
 
-	"xquec/internal/engine"
 	"xquec/internal/xquery"
 )
 
@@ -28,49 +27,49 @@ func (p *Program) Disassemble() string {
 			fmt.Fprintf(&b, "sub s%d: %s\n", sub, trunc(p.subs[sub].x.String(), 72))
 			sub++
 		}
-		if in.Op == OpHalt || in.Op == OpReset { // no operands
+		if in.Op == opHalt || in.Op == opReset { // no operands
 			fmt.Fprintf(&b, "%3d  %s\n", pc, in.Op)
 			continue
 		}
 		fmt.Fprintf(&b, "%3d  %-8s", pc, in.Op)
 		switch in.Op {
-		case OpScan:
+		case opScan:
 			fmt.Fprintf(&b, " c%d <- d%d        ; %s", in.A, in.B, p.domDesc(&p.doms[in.B]))
-		case OpLitRestrict, OpJoinRestrict:
+		case opLitRestrict, opJoinRestrict:
 			fmt.Fprintf(&b, " c%d, p%d          ; %s", in.A, in.B, predDesc(&p.preds[in.B]))
-		case OpIter:
+		case opIter:
 			fmt.Fprintf(&b, " c%d -> $%s, done->%d", in.A, p.vars[in.B].name, in.C)
-		case OpDeferred:
+		case opDeferred:
 			fmt.Fprintf(&b, " c%d, fail->%d", in.A, in.C)
-		case OpLet:
+		case opLet:
 			fmt.Fprintf(&b, " $%s <- d%d       ; %s", p.vars[in.A].name, in.B, p.domDesc(&p.doms[in.B]))
-		case OpWhere:
+		case opWhere:
 			fmt.Fprintf(&b, " e%d, fail->%d     ; %s", in.A, in.C, p.exprDesc(p.exprs[in.A]))
-		case OpEvalPush:
+		case opEvalPush:
 			fmt.Fprintf(&b, " e%d              ; %s", in.A, p.exprDesc(p.exprs[in.A]))
-		case OpEmitSeq:
+		case opEmitSeq:
 			fmt.Fprintf(&b, " done->%d", in.C)
-		case OpIterEmit:
+		case opIterEmit:
 			fmt.Fprintf(&b, " c%d, done->%d", in.A, in.C)
-		case OpCollect:
+		case opCollect:
 			fmt.Fprintf(&b, " t%d, next->%d", in.A, in.C)
-		case OpSort:
+		case opSort:
 			fmt.Fprintf(&b, " t%d              ; %s", in.A, sortDesc(&p.sorts[in.A]))
-		case OpReplay:
+		case opReplay:
 			fmt.Fprintf(&b, " t%d, done->%d", in.A, in.C)
-		case OpLetOpen:
+		case opLetOpen:
 			fmt.Fprintf(&b, " a%d, depth %d", in.A, in.B)
-		case OpAppend, OpAppendOut:
+		case opAppend, opAppendOut:
 			fmt.Fprintf(&b, " a%d, e%d, next->%d ; %s", in.A, in.B, in.C, p.exprDesc(p.exprs[in.B]))
-		case OpAppendCur:
+		case opAppendCur:
 			fmt.Fprintf(&b, " a%d, c%d, next->%d", in.A, in.B, in.C)
-		case OpEmitCtor:
+		case opEmitCtor:
 			fmt.Fprintf(&b, " m%d, next->%d    ; %s", in.A, in.C, tplDesc(&p.tpls[in.A]))
-		case OpAppendCtor:
+		case opAppendCtor:
 			fmt.Fprintf(&b, " a%d, m%d, next->%d ; %s", in.A, in.B, in.C, tplDesc(&p.tpls[in.B]))
-		case OpRet:
+		case opRet:
 			fmt.Fprintf(&b, " s%d -> a%d", in.A, p.subs[in.A].acc)
-		case OpLetBind:
+		case opLetBind:
 			fmt.Fprintf(&b, " $%s <- a%d", p.vars[in.A].name, in.B)
 			if in.C >= 0 {
 				fmt.Fprintf(&b, " ; nodes of c%d", in.C)
@@ -96,15 +95,15 @@ func trunc(s string, n int) string {
 // time. A text() tail lists the owners of its text.
 func (p *Program) pathDesc(x *xquery.PathExpr) string {
 	pl := p.plans[x]
-	if pl == nil || x.Var != "" && len(pl.Origin()) == 0 {
+	if pl == nil || x.Var != "" && len(pl.origin) == 0 {
 		return "runtime navigation"
 	}
-	sums := pl.Sums()
+	sums := pl.sums()
 	if len(sums) == 0 {
 		return "statically empty"
 	}
 	op := "summary-guided navigation"
-	if pl.Exact() {
+	if pl.plain {
 		op = "StructureSummaryAccess"
 	}
 	total := 0
@@ -140,7 +139,7 @@ func (p *Program) domDesc(spec *domainSpec) string {
 // (a FLWOR in it is a sub-program, listed on its own).
 func (p *Program) exprDesc(x xquery.Expr) string {
 	notes := []string{trunc(x.String(), 48)}
-	if c, isCmp := x.(*xquery.Cmp); isCmp && engine.NumericCmp(c) {
+	if c, isCmp := x.(*xquery.Cmp); isCmp && numericCmp(c) {
 		notes = append(notes, "as numbers")
 	}
 	var walk func(xquery.Expr)
@@ -170,16 +169,16 @@ func sortDesc(ss *sortSpec) string {
 	if ss.ranks == nil {
 		return desc + " ; keys decoded"
 	}
-	return fmt.Sprintf("%s ; ranks over %d records", desc, ss.ranks.Records())
+	return fmt.Sprintf("%s ; ranks over %d records", desc, ss.ranks.records)
 }
 
 func tplDesc(ts *tplSpec) string {
-	lit, dyn := ts.t.Shape()
+	lit, dyn := ts.t.shape()
 	return fmt.Sprintf("%s ; %d literal bytes, %d dynamic", trunc(ts.x.String(), 40), lit, dyn)
 }
 
 // predDesc notes a restrict: per container, the access a literal
-// restrict makes on it (engine.AccessFor) — with, for a decoding scan of
+// restrict makes on it (accessFor) — with, for a decoding scan of
 // a string function, why no code automaton reads it — or how a join
 // index built at compile time joined each pair of containers.
 func predDesc(ps *predSpec) string {
@@ -189,7 +188,7 @@ func predDesc(ps *predSpec) string {
 	case ps.resolved && ps.fastOK && len(ps.conts) > 0:
 		parts := make([]string, 0, len(ps.conts))
 		for _, ct := range ps.conts {
-			access, _, why := engine.AccessFor(ct, ps.pd.Op, ps.pd.Lit)
+			access, _, why := accessFor(ct, ps.pd.Op, ps.pd.Lit)
 			part := fmt.Sprintf("%s[%s](%d recs) %s", ct.Path, ct.Codec().Name(), ct.Len(), access)
 			if why != "" {
 				part += " (" + why + ")"
@@ -205,12 +204,12 @@ func predDesc(ps *predSpec) string {
 	case ps.resolved:
 		fmt.Fprintf(&b, " ; deferred: %s", ps.why)
 	case ps.idx != nil:
-		fmt.Fprintf(&b, " ; index built at compile, %d partners", ps.idx.Partners())
+		fmt.Fprintf(&b, " ; index built at compile, %d partners", len(ps.idx.partners))
 		if ps.whole {
 			b.WriteString(", whole domain")
 		}
 		b.WriteString(" ; ")
-		b.WriteString(joinsDesc(ps.idx.Joins()))
+		b.WriteString(joinsDesc(ps.idx.joins))
 	default:
 		b.WriteString(" ; runtime container resolution")
 	}
@@ -219,7 +218,7 @@ func predDesc(ps *predSpec) string {
 
 // joinsDesc names how a join index joined each pair of its containers,
 // leading with "mixed" when the pairs were not all joined alike.
-func joinsDesc(joins []engine.ContainerJoin) string {
+func joinsDesc(joins []containerJoin) string {
 	parts := make([]string, len(joins))
 	mixed := false
 	for i, j := range joins {

@@ -1,4 +1,4 @@
-package vm
+package engine
 
 import (
 	"fmt"
@@ -104,12 +104,12 @@ func TestListedAccessIsTheAccessMade(t *testing.T) {
 				continue
 			}
 			before := storage.DecodeOps()
-			r, err := prog.NewRun(RunOptions{Parallelism: 1})
+			r, err := prog.newRun(RunOptions{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for {
-				_, ok, err := r.Next()
+				_, ok, err := r.next()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -12,17 +12,17 @@ import (
 	"xquec/internal/xquery"
 )
 
-// Engine evaluates XQuery over a compressed repository. An Engine holds
+// engine evaluates XQuery over a compressed repository. An engine holds
 // per-query state and must not be shared between goroutines; the store
-// it reads is immutable, so any number of Engines may run over one
+// it reads is immutable, so any number of engines may run over one
 // Store concurrently.
-type Engine struct {
+type engine struct {
 	store *storage.Store
 	// joinIdx caches, per comparison, the container join indexes this run
 	// built: those of joins whose summary sets were not static at compile
 	// time (a program builds the others once, and all its runs share
 	// them).
-	joinIdx map[xquery.Expr]*JoinIndex
+	joinIdx map[xquery.Expr]*joinIndex
 	// partnerPos holds the run's galloping hints into the other side of
 	// each join index it probed (partnerHints).
 	partnerPos []joinHints
@@ -30,10 +30,11 @@ type Engine struct {
 	// paths memoises the same per expression for this run (every path the
 	// program did not plan, plus each path's galloping positions), so a
 	// tuple never re-plans.
-	plans Plans
+	plans pathPlans
 	paths map[*xquery.PathExpr]*pathCursor
-	// subs runs the sub-program of each FLWOR an expression reaches.
-	subs FLWORRunner
+	// run is the run of the program the engine evaluates for: its
+	// dispatch runs the sub-program of each FLWOR an expression reaches.
+	run *run
 	// owners caches the container match of each literal restrict the same
 	// way, so one that is reached once per outer tuple scans its
 	// containers once per run.
@@ -55,11 +56,11 @@ type Engine struct {
 	// text() step's owners — and each picks up where the previous one left
 	// off (storage.TextCursor).
 	cur storage.TextCursor
-	// out and xmls are what emitted items are cut from (Emit): the bytes
-	// and the *XML headers, appended to and never overwritten, so every
+	// out and xmls are what emitted items are cut from (emit): the bytes
+	// and the *xml headers, appended to and never overwritten, so every
 	// item handed out stays valid.
 	out  []byte
-	xmls []XML
+	xmls []xml
 	// par is the intra-query worker budget for the partitioned operators
 	// (decoding scans, structural joins, container fan-outs). 1 = serial.
 	// Only pure container/summary reads run on workers; the engine's own
@@ -68,27 +69,27 @@ type Engine struct {
 	par int
 }
 
-// New returns an engine over the store. Evaluation is serial until
-// WithParallelism grants a worker budget.
-func New(s *storage.Store) *Engine {
-	return &Engine{store: s, par: 1, paths: map[*xquery.PathExpr]*pathCursor{}, owners: map[xquery.Expr]*conjunctOwners{}}
+// newEngine returns an engine over the store. Evaluation is serial until
+// withParallelism grants a worker budget.
+func newEngine(s *storage.Store) *engine {
+	return &engine{store: s, par: 1, paths: map[*xquery.PathExpr]*pathCursor{}, owners: map[xquery.Expr]*conjunctOwners{}}
 }
 
-// WithContext arms the engine's cancellation checks with ctx and
+// withContext arms the engine's cancellation checks with ctx and
 // returns the engine.
-func (e *Engine) WithContext(ctx context.Context) *Engine {
+func (e *engine) withContext(ctx context.Context) *engine {
 	if ctx != nil && ctx != context.Background() {
 		e.ctx = ctx
 	}
 	return e
 }
 
-// WithParallelism sets the intra-query worker budget and returns the
+// withParallelism sets the intra-query worker budget and returns the
 // engine. n <= 0 means GOMAXPROCS (mirroring storage.LoadOptions);
 // 1 keeps the serial path. Results are identical at every setting —
 // partitioned operators only engage above their work floors, so small
 // queries never pay fan-out overhead.
-func (e *Engine) WithParallelism(n int) *Engine {
+func (e *engine) withParallelism(n int) *engine {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -96,13 +97,10 @@ func (e *Engine) WithParallelism(n int) *Engine {
 	return e
 }
 
-// Store exposes the underlying repository.
-func (e *Engine) Store() *storage.Store { return e.store }
-
 // checkCancel polls the engine's context. The poll is amortized: the
 // channel receive runs every 64th call, the rest is one branch and an
 // increment, cheap enough for the per-expression hot path.
-func (e *Engine) checkCancel() error {
+func (e *engine) checkCancel() error {
 	if e.ctx == nil {
 		return nil
 	}
@@ -125,9 +123,9 @@ func (e *Engine) checkCancel() error {
 // binding is one variable's slot in a scope. A FOR clause creates it once
 // and rewrites it per tuple, so binding a tuple allocates nothing: node
 // values stay unboxed (ids, backed by one for a single FOR item), and a
-// value is boxed into a Seq only where an expression asks for it.
+// value is boxed into a seq only where an expression asks for it.
 type binding struct {
-	seq  Seq             // generic value (LET over atoms or fragments)
+	seq  seq             // generic value (LET over atoms or fragments)
 	ids  algebra.NodeSet // document-ordered node value; non-nil replaces seq
 	item Item            // single non-node FOR item; non-nil replaces seq
 	one  [1]storage.NodeID
@@ -142,16 +140,16 @@ func (b *binding) setNode(id storage.NodeID) {
 // value boxes the binding. The result is a fresh sequence unless the
 // binding holds an immutable LET value, so callers may keep it across
 // tuples.
-func (b *binding) value() Seq {
+func (b *binding) value() seq {
 	switch {
 	case b.ids != nil:
-		out := make(Seq, len(b.ids))
+		out := make(seq, len(b.ids))
 		for i, id := range b.ids {
 			out[i] = id
 		}
 		return out
 	case b.item != nil:
-		return Seq{b.item}
+		return seq{b.item}
 	}
 	return b.seq
 }
@@ -170,8 +168,8 @@ func (b *binding) len() int {
 // scope is the evaluation environment: variable bindings, the context
 // node (0 when there is none), and — for the compressed-domain fast
 // paths — the summary nodes each is an instance of. One scope serves a
-// whole block of a program: clauses bind in place (Env) and restore what
-// they shadowed on the way out.
+// whole block of a program: clauses bind in place (clauseEnv) and
+// restore what they shadowed on the way out.
 //
 // The bindings are a short list, one entry per bound name in the order
 // the names were first bound, searched from the end: the innermost
@@ -234,23 +232,23 @@ func (v *scope) unbind(name string, shadowed *binding) {
 
 // ctxValue boxes the context item (a nil item when there is none, which
 // every consumer rejects as a non-node).
-func (v *scope) ctxValue() Seq {
+func (v *scope) ctxValue() seq {
 	if v.ctx[0] == 0 {
-		return Seq{nil}
+		return seq{nil}
 	}
-	return Seq{v.ctx[0]}
+	return seq{v.ctx[0]}
 }
 
 // eval dispatches on the AST.
-func (e *Engine) eval(expr xquery.Expr, env *scope) (Seq, error) {
+func (e *engine) eval(expr xquery.Expr, env *scope) (seq, error) {
 	if err := e.checkCancel(); err != nil {
 		return nil, err
 	}
 	switch x := expr.(type) {
 	case *xquery.StringLit:
-		return Seq{x.Val}, nil
+		return seq{x.Val}, nil
 	case *xquery.NumberLit:
-		return Seq{x.Val}, nil
+		return seq{x.Val}, nil
 	case *xquery.VarRef:
 		if x.Name == "." {
 			return env.ctxValue(), nil
@@ -261,7 +259,7 @@ func (e *Engine) eval(expr xquery.Expr, env *scope) (Seq, error) {
 		}
 		return b.value(), nil
 	case *xquery.Sequence:
-		var out Seq
+		var out seq
 		for _, item := range x.Items {
 			v, err := e.eval(item, env)
 			if err != nil {
@@ -274,40 +272,53 @@ func (e *Engine) eval(expr xquery.Expr, env *scope) (Seq, error) {
 		return e.evalPath(x, env)
 	case *xquery.Cmp:
 		b, err := e.evalBool(x, env)
-		return Seq{b}, err
+		return seq{b}, err
 	case *xquery.Logic:
 		lb, err := e.evalBool(x.Left, env)
 		if err != nil {
 			return nil, err
 		}
 		if x.Op == "and" && !lb {
-			return Seq{false}, nil
+			return seq{false}, nil
 		}
 		if x.Op == "or" && lb {
-			return Seq{true}, nil
+			return seq{true}, nil
 		}
 		rb, err := e.evalBool(x.Right, env)
 		if err != nil {
 			return nil, err
 		}
-		return Seq{rb}, nil
+		return seq{rb}, nil
 	case *xquery.Arith:
 		f, err := e.evalArith(x, env)
 		if err != nil {
 			return nil, err
 		}
-		return Seq{f}, nil
+		return seq{f}, nil
 	case *xquery.Call:
 		return e.evalCall(x, env)
 	case *xquery.ElementCtor:
 		return e.evalCtor(x, env)
 	case *xquery.FLWOR:
-		return e.appendFLWOR(nil, x, env)
+		return e.run.appendFLWOR(nil, x, env)
 	}
 	return nil, fmt.Errorf("engine: unsupported expression %T", expr)
 }
 
-func (e *Engine) evalBool(expr xquery.Expr, env *scope) (bool, error) {
+// appendExpr appends the items of an expression to dst: a path's go
+// straight from the store, a FLWOR's from its sub-program.
+func (e *engine) appendExpr(dst seq, x xquery.Expr, env *scope) (seq, error) {
+	switch x := x.(type) {
+	case *xquery.PathExpr:
+		return e.appendPath(dst, x, env)
+	case *xquery.FLWOR:
+		return e.run.appendFLWOR(dst, x, env)
+	}
+	v, err := e.eval(x, env)
+	return append(dst, v...), err
+}
+
+func (e *engine) evalBool(expr xquery.Expr, env *scope) (bool, error) {
 	// The per-tuple filters of the XMark queries are comparisons,
 	// emptiness and string tests: answer those without a one-item
 	// sequence.
@@ -334,10 +345,10 @@ func (e *Engine) evalBool(expr xquery.Expr, env *scope) (bool, error) {
 }
 
 // evalCmp implements general (existential) comparisons. Two sides that
-// are each one number compare as numbers (NumericCmp), with no sequence
+// are each one number compare as numbers (numericCmp), with no sequence
 // or string made.
-func (e *Engine) evalCmp(x *xquery.Cmp, env *scope) (bool, error) {
-	if NumericCmp(x) {
+func (e *engine) evalCmp(x *xquery.Cmp, env *scope) (bool, error) {
+	if numericCmp(x) {
 		l, err := e.evalNum(x.Left, env)
 		if err != nil {
 			return false, err
@@ -374,7 +385,7 @@ func (e *Engine) evalCmp(x *xquery.Cmp, env *scope) (bool, error) {
 	return false, nil
 }
 
-func (e *Engine) evalArith(x *xquery.Arith, env *scope) (float64, error) {
+func (e *engine) evalArith(x *xquery.Arith, env *scope) (float64, error) {
 	ln, err := e.evalNum(x.Left, env)
 	if err != nil {
 		return 0, err
@@ -401,9 +412,9 @@ func (e *Engine) evalArith(x *xquery.Arith, env *scope) (float64, error) {
 	return 0, fmt.Errorf("engine: unknown arithmetic operator %s", x.Op)
 }
 
-// NumericCmp reports that evalCmp compares x's sides as numbers: each is
+// numericCmp reports that evalCmp compares x's sides as numbers: each is
 // always one number.
-func NumericCmp(x *xquery.Cmp) bool { return oneNumber(x.Left) && oneNumber(x.Right) }
+func numericCmp(x *xquery.Cmp) bool { return oneNumber(x.Left) && oneNumber(x.Right) }
 
 // oneNumber reports that x's value is always one number, unless its
 // evaluation fails: the shapes evalNum evaluates with no sequence made.
@@ -420,7 +431,7 @@ func oneNumber(x xquery.Expr) bool {
 // evalNum evaluates an operand of arithmetic: a number, arithmetic,
 // count(), number() and string-length() straight to a float64, anything
 // else through its one item's string value.
-func (e *Engine) evalNum(expr xquery.Expr, env *scope) (float64, error) {
+func (e *engine) evalNum(expr xquery.Expr, env *scope) (float64, error) {
 	switch x := expr.(type) {
 	case *xquery.NumberLit:
 		return x.Val, nil
@@ -456,13 +467,13 @@ func (e *Engine) evalNum(expr xquery.Expr, env *scope) (float64, error) {
 	return f, nil
 }
 
-// evalCtor builds a Fragment. Attribute values are assembled in abuf
+// evalCtor builds a fragment. Attribute values are assembled in abuf
 // (detached while in use, so a nested constructor cannot clobber it) and
 // path-valued content goes straight into the fragment.
-func (e *Engine) evalCtor(x *xquery.ElementCtor, env *scope) (Seq, error) {
-	frag := &Fragment{Name: x.Name}
+func (e *engine) evalCtor(x *xquery.ElementCtor, env *scope) (seq, error) {
+	frag := &fragment{Name: x.Name}
 	if len(x.Attrs) > 0 {
-		frag.Attrs = make([]FragAttr, 0, len(x.Attrs))
+		frag.Attrs = make([]fragAttr, 0, len(x.Attrs))
 		buf := e.abuf
 		e.abuf = nil
 		for _, a := range x.Attrs {
@@ -473,7 +484,7 @@ func (e *Engine) evalCtor(x *xquery.ElementCtor, env *scope) (Seq, error) {
 					return nil, err
 				}
 			}
-			frag.Attrs = append(frag.Attrs, FragAttr{Name: a.Name, Value: string(buf)})
+			frag.Attrs = append(frag.Attrs, fragAttr{Name: a.Name, Value: string(buf)})
 		}
 		e.abuf = buf
 	}
@@ -489,7 +500,7 @@ func (e *Engine) evalCtor(x *xquery.ElementCtor, env *scope) (Seq, error) {
 		case *xquery.PathExpr:
 			frag.Content, err = e.appendPath(frag.Content, c, env)
 		default:
-			var v Seq
+			var v seq
 			v, err = e.eval(c, env)
 			frag.Content = append(frag.Content, v...)
 		}
@@ -497,12 +508,12 @@ func (e *Engine) evalCtor(x *xquery.ElementCtor, env *scope) (Seq, error) {
 			return nil, err
 		}
 	}
-	return Seq{frag}, nil
+	return seq{frag}, nil
 }
 
 // appendAtoms appends the space-joined string values of x's items to
 // dst; path results are decoded straight from the store.
-func (e *Engine) appendAtoms(dst []byte, x xquery.Expr, env *scope) ([]byte, error) {
+func (e *engine) appendAtoms(dst []byte, x xquery.Expr, env *scope) ([]byte, error) {
 	if p, isPath := x.(*xquery.PathExpr); isPath {
 		st, textTail, err := e.evalPathNodes(p, env)
 		how := readOf(st.sums, textTail)
@@ -530,7 +541,7 @@ func (e *Engine) appendAtoms(dst []byte, x xquery.Expr, env *scope) ([]byte, err
 // path, the node set is returned directly (ids non-nil) so FOR loops
 // avoid boxing and re-sorting the domain; otherwise the generic
 // sequence is returned.
-func (e *Engine) evalBindingSeq(expr xquery.Expr, env *scope) (Seq, algebra.NodeSet, []*storage.SummaryNode, error) {
+func (e *engine) evalBindingSeq(expr xquery.Expr, env *scope) (seq, algebra.NodeSet, []*storage.SummaryNode, error) {
 	switch x := expr.(type) {
 	case *xquery.PathExpr:
 		st, textTail, err := e.evalPathNodes(x, env)
@@ -567,7 +578,7 @@ func (e *Engine) evalBindingSeq(expr xquery.Expr, env *scope) (Seq, algebra.Node
 
 // docOrderedNodeSeq extracts the node IDs of a sequence only if they
 // are already strictly ascending (document order).
-func docOrderedNodeSeq(s Seq) (algebra.NodeSet, bool) {
+func docOrderedNodeSeq(s seq) (algebra.NodeSet, bool) {
 	out := make(algebra.NodeSet, 0, len(s))
 	var prev storage.NodeID
 	for _, it := range s {

@@ -8,7 +8,6 @@ import (
 	"xquec/internal/datagen"
 	"xquec/internal/engine"
 	"xquec/internal/storage"
-	"xquec/internal/vm"
 	"xquec/internal/xmarkq"
 	"xquec/internal/xquery"
 )
@@ -34,11 +33,11 @@ func queryPar(s *storage.Store, q string, par int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	prog, err := vm.Compile(expr, s, q)
+	prog, err := engine.Compile(expr, s, q)
 	if err != nil {
 		return "", err
 	}
-	res, err := prog.Run(vm.RunOptions{Parallelism: par})
+	res, err := prog.Run(engine.RunOptions{Parallelism: par})
 	if err != nil {
 		return "", err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"xquec/internal/engine"
 	"xquec/internal/storage"
-	"xquec/internal/vm"
 	"xquec/internal/xmarkq"
 	"xquec/internal/xquery"
 )
@@ -30,7 +29,7 @@ func explain(s *storage.Store, q string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	prog, err := vm.Compile(expr, s, q)
+	prog, err := engine.Compile(expr, s, q)
 	if err != nil {
 		return "", err
 	}
@@ -60,11 +59,11 @@ func items(t *testing.T, s *storage.Store, q string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := vm.Compile(expr, s, q)
+	prog, err := engine.Compile(expr, s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Run(vm.RunOptions{Parallelism: 1})
+	res, err := prog.Run(engine.RunOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,13 @@
 package engine
 
-import "xquec/internal/datagen"
+import (
+	"strings"
+
+	"xquec/internal/datagen"
+)
 
 // The random-document generator, the query battery and the directed
-// documents, for the external test package (which may import
-// internal/vm; this package's own tests may not).
+// documents, for the external test package.
 var RandomDoc = datagen.RandomRecords
 
 const NestedLists = nestedLists
@@ -169,3 +172,33 @@ func JoinIndexBuilds() int64 { return joinIndexBuilds.Load() }
 
 // PrefixEnd is succ(P) of a starts-with range (prefixEnd).
 var PrefixEnd = prefixEnd
+
+// withPanic returns a copy of p whose instruction at pc reads past its
+// operand pool: running it panics inside the dispatch loop.
+func withPanic(p *Program, pc int) *Program {
+	q := *p
+	q.instrs = append([]instr(nil), p.instrs...)
+	q.instrs[pc] = instr{Op: opEvalPush, A: int32(len(p.exprs))}
+	return &q
+}
+
+// joinIndexBytes sums the join indexes p built at compile time.
+func (p *Program) joinIndexBytes() int {
+	n := 0
+	for i := range p.preds {
+		if idx := p.preds[i].idx; idx != nil {
+			n += idx.sizeBytes()
+		}
+	}
+	return n
+}
+
+// SerializeXML renders the remaining items as XML/text, one item per
+// line.
+func (r *Result) SerializeXML() (string, error) {
+	var sb strings.Builder
+	if _, err := r.WriteXML(&sb); err != nil {
+		return "", err
+	}
+	return sb.String(), nil
+}

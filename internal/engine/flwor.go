@@ -11,13 +11,13 @@ import (
 	"xquec/internal/xquery"
 )
 
-// Pushdown is a WHERE conjunct statically assigned to a FOR clause: it
+// pushdown is a WHERE conjunct statically assigned to a FOR clause: it
 // is applied while computing the clause's domain instead of as a
 // per-tuple filter. Each pushdown keeps the original conjunct so the
 // runtime can fall back to tuple-at-a-time evaluation when the
 // compressed-domain shape does not materialize (e.g. untracked summary
 // nodes).
-type Pushdown struct {
+type pushdown struct {
 	Conj xquery.Expr
 	// literal restrict: `$v/rel op literal`, or `fn($v/rel, literal)` with
 	// Op the function's name (contains, starts-with, ends-with)
@@ -31,9 +31,9 @@ type Pushdown struct {
 	RelOther *xquery.PathExpr
 }
 
-// FLWORPlan is the static evaluation plan of one FLWOR.
-type FLWORPlan struct {
-	Pushdowns map[int][]Pushdown // clause index -> pushdowns, in plan order
+// flworPlan is the static evaluation plan of one FLWOR.
+type flworPlan struct {
+	Pushdowns map[int][]pushdown // clause index -> pushdowns, in plan order
 	Residual  []xquery.Expr      // conjuncts evaluated per tuple
 	// Collect and Replay say, per clause, whether a LET of a FLWOR with
 	// ORDER BY is evaluated while the tuples are collected and after the
@@ -43,10 +43,10 @@ type FLWORPlan struct {
 	hides           bool
 }
 
-// PlanFLWOR assigns WHERE conjuncts to FOR clauses; the VM compiler
+// planFLWOR assigns WHERE conjuncts to FOR clauses; the VM compiler
 // lowers every FLWOR's loops from it.
-func PlanFLWOR(x *xquery.FLWOR) *FLWORPlan {
-	plan := &FLWORPlan{Pushdowns: map[int][]Pushdown{}}
+func planFLWOR(x *xquery.FLWOR) *flworPlan {
+	plan := &flworPlan{Pushdowns: map[int][]pushdown{}}
 	if x.OrderBy != nil {
 		plan.Collect, plan.Replay, plan.hides = orderPhases(x)
 	}
@@ -61,7 +61,7 @@ func PlanFLWOR(x *xquery.FLWOR) *FLWORPlan {
 		// literal restrict on a FOR variable of this FLWOR
 		for v, ci := range clauseOf {
 			if rel, lit, op, ok := splitVarPred(conj, v); ok {
-				plan.Pushdowns[ci] = append(plan.Pushdowns[ci], Pushdown{
+				plan.Pushdowns[ci] = append(plan.Pushdowns[ci], pushdown{
 					Conj: conj, IsLit: true, Rel: rel, Op: op, Lit: lit,
 				})
 				assigned = true
@@ -84,14 +84,14 @@ func PlanFLWOR(x *xquery.FLWOR) *FLWORPlan {
 				ri, rIn := clauseOf[rp.Var]
 				switch {
 				case lIn && (!rIn || li >= ri):
-					plan.Pushdowns[li] = append(plan.Pushdowns[li], Pushdown{
+					plan.Pushdowns[li] = append(plan.Pushdowns[li], pushdown{
 						Conj: cmp, OtherVar: rp.Var,
 						RelThis:  &xquery.PathExpr{Var: ".", Steps: lp.Steps},
 						RelOther: &xquery.PathExpr{Var: ".", Steps: rp.Steps},
 					})
 					assigned = true
 				case rIn:
-					plan.Pushdowns[ri] = append(plan.Pushdowns[ri], Pushdown{
+					plan.Pushdowns[ri] = append(plan.Pushdowns[ri], pushdown{
 						Conj: cmp, OtherVar: lp.Var,
 						RelThis:  &xquery.PathExpr{Var: ".", Steps: rp.Steps},
 						RelOther: &xquery.PathExpr{Var: ".", Steps: lp.Steps},
@@ -107,17 +107,17 @@ func PlanFLWOR(x *xquery.FLWOR) *FLWORPlan {
 	return plan
 }
 
-// Plans is what is derivable once per query and not per run: the
+// pathPlans is what is derivable once per query and not per run: the
 // resolved plan of each path whose origin summary set is static. The
 // compiler fills one per program; runs only read it, so any number of
 // them share it.
-type Plans map[*xquery.PathExpr]*PathPlan
+type pathPlans map[*xquery.PathExpr]*pathPlan
 
-// SizeBytes estimates the resident size of the plans, for the plan
+// sizeBytes estimates the resident size of the plans, for the plan
 // cache's byte accounting: a few slices of summary-node pointers each.
-func (pl Plans) SizeBytes() int { return 192 * len(pl) }
+func (pl pathPlans) sizeBytes() int { return 192 * len(pl) }
 
-// PlanExpr records in pl the plan of every path under x, and returns the
+// planExpr records in pl the plan of every path under x, and returns the
 // summary set of x's value when that is static (a path without a text()
 // tail, a variable). vars gives the summary sets of the variables in
 // scope, "." for the context; a set that turns out different at run time
@@ -125,7 +125,7 @@ func (pl Plans) SizeBytes() int { return 192 * len(pl) }
 // be absent. A FLWOR under x is not entered: it is handed to nested with
 // the summary sets in scope where it stands (a map of its own), for the
 // compiler to make a sub-program of.
-func (e *Engine) PlanExpr(pl Plans, x xquery.Expr, vars map[string][]*storage.SummaryNode, nested func(*xquery.FLWOR, map[string][]*storage.SummaryNode)) []*storage.SummaryNode {
+func (e *engine) planExpr(pl pathPlans, x xquery.Expr, vars map[string][]*storage.SummaryNode, nested func(*xquery.FLWOR, map[string][]*storage.SummaryNode)) []*storage.SummaryNode {
 	switch x := x.(type) {
 	case *xquery.VarRef:
 		return vars[x.Name]
@@ -137,20 +137,20 @@ func (e *Engine) PlanExpr(pl Plans, x xquery.Expr, vars map[string][]*storage.Su
 				inner := cloneVars(vars)
 				inner["."] = plan.targets[i]
 				for _, pred := range step.Preds {
-					e.PlanExpr(pl, pred, inner, nested)
+					e.planExpr(pl, pred, inner, nested)
 				}
 			}
 		}
 		if len(plan.targets) < len(x.Steps) {
 			return nil // text() tail: the value is strings
 		}
-		return plan.Sums()
+		return plan.sums()
 	case *xquery.FLWOR:
 		nested(x, cloneVars(vars))
 		return nil
 	}
 	for _, sub := range xquery.Children(x) {
-		e.PlanExpr(pl, sub, vars, nested)
+		e.planExpr(pl, sub, vars, nested)
 	}
 	return nil
 }
@@ -188,7 +188,7 @@ func sortedOrder(keys []string, desc bool) []int {
 	return order
 }
 
-// JoinIndex maps nodes of the "other" side of an equality join to their
+// joinIndex maps nodes of the "other" side of an equality join to their
 // partner nodes on "this" side. Built once per comparison and pair of
 // summary sets — by the compiler when both sets are static, else once
 // per run — it is what turns the Q8/Q9 correlated nested loops into a
@@ -197,25 +197,25 @@ func sortedOrder(keys []string, desc bool) []int {
 // and the partners of the instance numbered o are
 // partners[start[o]:start[o+1]], in document order. It is read-only once
 // built, so any number of runs share it.
-type JoinIndex struct {
+type joinIndex struct {
 	sums, otherSums []*storage.SummaryNode
 	first           []int
 	start           []int32
 	partners        algebra.NodeSet
-	joins           []ContainerJoin // what JoinContainers did, per pair
+	joins           []containerJoin // what JoinContainers did, per pair
 }
 
-// ContainerJoin records how one pair of containers of a join index was
+// containerJoin records how one pair of containers of a join index was
 // joined: by the compressed merge join, or by decoding both into a hash
 // join (algebra.JoinContainers).
-type ContainerJoin struct {
+type containerJoin struct {
 	This, Other *storage.Container
 	Merged      bool
 }
 
 // joinHints is one run's galloping hints into a join index's otherSums.
 type joinHints struct {
-	idx *JoinIndex
+	idx *joinIndex
 	pos []int
 }
 
@@ -223,27 +223,21 @@ type joinHints struct {
 // prove a program builds its static ones once.
 var joinIndexBuilds atomic.Int64
 
-// Partners returns the number of (binding, partner) links the index holds.
-func (idx *JoinIndex) Partners() int { return len(idx.partners) }
-
-// Joins returns how each pair of containers was joined.
-func (idx *JoinIndex) Joins() []ContainerJoin { return idx.joins }
-
-// SizeBytes is the index's resident size: a 4-byte node per partner, a
+// sizeBytes is the index's resident size: a 4-byte node per partner, a
 // 4-byte start per ordinal and a record per pair of containers.
-func (idx *JoinIndex) SizeBytes() int {
+func (idx *joinIndex) sizeBytes() int {
 	return 4*len(idx.partners) + 4*len(idx.start) + 24*len(idx.joins)
 }
 
 // covers reports that the index was built for these summary sets.
-func (idx *JoinIndex) covers(sums, otherSums []*storage.SummaryNode) bool {
+func (idx *joinIndex) covers(sums, otherSums []*storage.SummaryNode) bool {
 	return slices.Equal(idx.sums, sums) && slices.Equal(idx.otherSums, otherSums)
 }
 
 // partnersOf returns the partners of one binding of the other variable,
 // a read-only window of the index (capped, so appending to it copies).
 // pos holds a galloping hint per member of otherSums (algebra.Nearest).
-func (idx *JoinIndex) partnersOf(other storage.NodeID, pos []int) algebra.NodeSet {
+func (idx *joinIndex) partnersOf(other storage.NodeID, pos []int) algebra.NodeSet {
 	k, i := algebra.Nearest(idx.otherSums, pos, other)
 	if k < 0 || idx.otherSums[k].Extent[i] != other {
 		return nil
@@ -259,7 +253,7 @@ func (idx *JoinIndex) partnersOf(other storage.NodeID, pos []int) algebra.NodeSe
 // comparison has no container fast path — among them nodes without a
 // summary set (bound from a nested FLWOR), which an empty set must not
 // prove empty.
-func (e *Engine) applyLit(pd Pushdown, ms *Matchers, cur algebra.NodeSet, sums []*storage.SummaryNode) (algebra.NodeSet, bool, error) {
+func (e *engine) applyLit(pd pushdown, ms *matchers, cur algebra.NodeSet, sums []*storage.SummaryNode) (algebra.NodeSet, bool, error) {
 	if len(sums) == 0 {
 		return nil, false, nil
 	}
@@ -275,7 +269,7 @@ func (e *Engine) applyLit(pd Pushdown, ms *Matchers, cur algebra.NodeSet, sums [
 // when it was built for these summary sets and the run's own index
 // otherwise. whole says cur is every instance of sums, so the partners
 // are the restriction as they stand.
-func (e *Engine) applyJoin(pd Pushdown, idx *JoinIndex, whole bool, cur algebra.NodeSet, sums []*storage.SummaryNode, env *scope) (algebra.NodeSet, bool, error) {
+func (e *engine) applyJoin(pd pushdown, idx *joinIndex, whole bool, cur algebra.NodeSet, sums []*storage.SummaryNode, env *scope) (algebra.NodeSet, bool, error) {
 	other := env.lookup(pd.OtherVar)
 	if other == nil || len(other.ids) != 1 || len(other.sums) == 0 || len(sums) == 0 {
 		return nil, false, nil
@@ -309,7 +303,7 @@ func (e *Engine) applyJoin(pd Pushdown, idx *JoinIndex, whole bool, cur algebra.
 // FOR's do — so each probe gallops from where the previous one ended
 // instead of bisecting the other side's extents. A run probes an index or
 // two, so they are found by comparing pointers.
-func (e *Engine) partnerHints(idx *JoinIndex) []int {
+func (e *engine) partnerHints(idx *joinIndex) []int {
 	for _, h := range e.partnerPos {
 		if h.idx == idx {
 			return h.pos
@@ -324,7 +318,7 @@ func (e *Engine) partnerHints(idx *JoinIndex) []int {
 // sides' value owners are placed under their bindings by extent order
 // (algebra.Nearest: relValueTarget resolves containers only under summary
 // sets whose instances never nest).
-func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNode) (*JoinIndex, bool, error) {
+func (e *engine) joinIndexFor(pd pushdown, sums, otherSums []*storage.SummaryNode) (*joinIndex, bool, error) {
 	if idx, ok := e.joinIdx[pd.Conj]; ok && idx.covers(sums, otherSums) {
 		return idx, true, nil
 	}
@@ -334,7 +328,7 @@ func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNod
 		return nil, false, nil
 	}
 	joinIndexBuilds.Add(1)
-	idx := &JoinIndex{sums: sums, otherSums: otherSums, first: make([]int, len(otherSums))}
+	idx := &joinIndex{sums: sums, otherSums: otherSums, first: make([]int, len(otherSums))}
 	n := 0
 	for k, sn := range otherSums {
 		idx.first[k] = n
@@ -354,7 +348,7 @@ func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNod
 			if err != nil {
 				return nil, false, err
 			}
-			idx.joins = append(idx.joins, ContainerJoin{tc, oc, merged})
+			idx.joins = append(idx.joins, containerJoin{tc, oc, merged})
 			for _, p := range pairs {
 				tk, ti := algebra.Nearest(sums, nil, p.A)
 				ok, oi := algebra.Nearest(otherSums, nil, p.B)
@@ -387,7 +381,7 @@ func (e *Engine) joinIndexFor(pd Pushdown, sums, otherSums []*storage.SummaryNod
 	}
 	idx.start[n] = w
 	if e.joinIdx == nil {
-		e.joinIdx = map[xquery.Expr]*JoinIndex{}
+		e.joinIdx = map[xquery.Expr]*joinIndex{}
 	}
 	e.joinIdx[pd.Conj] = idx
 	return idx, true, nil

@@ -9,11 +9,11 @@ import (
 )
 
 // evalCall implements the function library the XMark workload needs.
-func (e *Engine) evalCall(x *xquery.Call, env *scope) (Seq, error) {
+func (e *engine) evalCall(x *xquery.Call, env *scope) (seq, error) {
 	switch x.Name {
 	case "count":
 		n, err := e.argLen(x, env)
-		return Seq{float64(n)}, err
+		return seq{float64(n)}, err
 	case "sum", "avg", "min", "max":
 		v, err := e.evalArg(x, 0, env)
 		if err != nil {
@@ -25,7 +25,7 @@ func (e *Engine) evalCall(x *xquery.Call, env *scope) (Seq, error) {
 		}
 		if len(atoms) == 0 {
 			if x.Name == "sum" {
-				return Seq{0.0}, nil
+				return seq{0.0}, nil
 			}
 			return nil, nil // empty sequence
 		}
@@ -49,34 +49,34 @@ func (e *Engine) evalCall(x *xquery.Call, env *scope) (Seq, error) {
 		if x.Name == "avg" {
 			agg /= float64(len(atoms))
 		}
-		return Seq{agg}, nil
+		return seq{agg}, nil
 	case "contains", "starts-with", "ends-with":
 		b, err := e.stringTest(x, env)
 		if err != nil {
 			return nil, err
 		}
-		return Seq{b}, nil
+		return seq{b}, nil
 	case "not":
 		b, err := e.argBool(x, 0, env)
 		if err != nil {
 			return nil, err
 		}
-		return Seq{!b}, nil
+		return seq{!b}, nil
 	case "empty", "exists":
 		b, err := e.evalBool(x, env)
-		return Seq{b}, err
+		return seq{b}, err
 	case "string":
 		s, err := e.argString(x, 0, env)
 		if err != nil {
 			return nil, err
 		}
-		return Seq{s}, nil
+		return seq{s}, nil
 	case "number", "string-length":
 		f, err := e.evalNum(x, env)
 		if err != nil {
 			return nil, err
 		}
-		return Seq{f}, nil
+		return seq{f}, nil
 	case "concat":
 		var sb strings.Builder
 		for i := range x.Args {
@@ -86,7 +86,7 @@ func (e *Engine) evalCall(x *xquery.Call, env *scope) (Seq, error) {
 			}
 			sb.WriteString(s)
 		}
-		return Seq{sb.String()}, nil
+		return seq{sb.String()}, nil
 	case "string-join":
 		v, err := e.evalArg(x, 0, env)
 		if err != nil {
@@ -100,7 +100,7 @@ func (e *Engine) evalCall(x *xquery.Call, env *scope) (Seq, error) {
 		if err != nil {
 			return nil, err
 		}
-		return Seq{strings.Join(atoms, sep)}, nil
+		return seq{strings.Join(atoms, sep)}, nil
 	case "distinct-values":
 		v, err := e.evalArg(x, 0, env)
 		if err != nil {
@@ -111,7 +111,7 @@ func (e *Engine) evalCall(x *xquery.Call, env *scope) (Seq, error) {
 			return nil, err
 		}
 		seen := map[string]bool{}
-		var out Seq
+		var out seq
 		for _, a := range atoms {
 			if !seen[a] {
 				seen[a] = true
@@ -136,7 +136,7 @@ func (e *Engine) evalCall(x *xquery.Call, env *scope) (Seq, error) {
 	return nil, fmt.Errorf("engine: unknown function %s()", x.Name)
 }
 
-func (e *Engine) evalArg(x *xquery.Call, i int, env *scope) (Seq, error) {
+func (e *engine) evalArg(x *xquery.Call, i int, env *scope) (seq, error) {
 	if i >= len(x.Args) {
 		return nil, fmt.Errorf("engine: %s() needs at least %d arguments", x.Name, i+1)
 	}
@@ -146,7 +146,7 @@ func (e *Engine) evalArg(x *xquery.Call, i int, env *scope) (Seq, error) {
 // argLen returns the length of the first argument's value; a path is
 // counted on its node set and a variable on its binding, with no item
 // ever boxed.
-func (e *Engine) argLen(x *xquery.Call, env *scope) (int, error) {
+func (e *engine) argLen(x *xquery.Call, env *scope) (int, error) {
 	if len(x.Args) > 0 {
 		switch a := x.Args[0].(type) {
 		case *xquery.PathExpr:
@@ -178,7 +178,7 @@ func leafOnly(sums []*storage.SummaryNode) bool {
 	return true
 }
 
-func (e *Engine) argString(x *xquery.Call, i int, env *scope) (string, error) {
+func (e *engine) argString(x *xquery.Call, i int, env *scope) (string, error) {
 	b, err := e.argBytes(x, i, env)
 	return string(b), err
 }
@@ -187,7 +187,7 @@ func (e *Engine) argString(x *xquery.Call, i int, env *scope) (string, error) {
 // sbuf ("" when the value is empty, XPath 1.0 style, which is what the
 // paper-era queries assume); the bytes are valid until the next decode.
 // Only that item is decoded.
-func (e *Engine) argBytes(x *xquery.Call, i int, env *scope) ([]byte, error) {
+func (e *engine) argBytes(x *xquery.Call, i int, env *scope) ([]byte, error) {
 	if i >= len(x.Args) {
 		return nil, fmt.Errorf("engine: %s() needs at least %d arguments", x.Name, i+1)
 	}
@@ -200,7 +200,7 @@ func (e *Engine) argBytes(x *xquery.Call, i int, env *scope) ([]byte, error) {
 
 // appendFirst appends the string value of the first item of x's value
 // to dst, nothing when the value is empty.
-func (e *Engine) appendFirst(dst []byte, x xquery.Expr, env *scope) ([]byte, error) {
+func (e *engine) appendFirst(dst []byte, x xquery.Expr, env *scope) ([]byte, error) {
 	switch x := x.(type) {
 	case *xquery.PathExpr:
 		st, textTail, err := e.evalPathNodes(x, env)
@@ -224,7 +224,7 @@ func (e *Engine) appendFirst(dst []byte, x xquery.Expr, env *scope) ([]byte, err
 
 // stringTest evaluates contains, starts-with or ends-with on the string
 // values of its arguments' first items, decoded into sbuf and tbuf.
-func (e *Engine) stringTest(x *xquery.Call, env *scope) (bool, error) {
+func (e *engine) stringTest(x *xquery.Call, env *scope) (bool, error) {
 	a, err := e.argBytes(x, 0, env)
 	if err != nil {
 		return false, err
@@ -241,7 +241,7 @@ func (e *Engine) stringTest(x *xquery.Call, env *scope) (bool, error) {
 
 // number is number(): the string value of its argument's first item,
 // decoded into sbuf, as a number.
-func (e *Engine) number(x *xquery.Call, env *scope) (float64, error) {
+func (e *engine) number(x *xquery.Call, env *scope) (float64, error) {
 	b, err := e.argBytes(x, 0, env)
 	if err != nil {
 		return 0, err
@@ -253,7 +253,7 @@ func (e *Engine) number(x *xquery.Call, env *scope) (float64, error) {
 	return f, nil
 }
 
-func (e *Engine) argBool(x *xquery.Call, i int, env *scope) (bool, error) {
+func (e *engine) argBool(x *xquery.Call, i int, env *scope) (bool, error) {
 	v, err := e.evalArg(x, i, env)
 	if err != nil {
 		return false, err

@@ -6,7 +6,6 @@ import (
 	"xquec/internal/datagen"
 	"xquec/internal/engine"
 	"xquec/internal/storage"
-	"xquec/internal/vm"
 	"xquec/internal/xmarkq"
 	"xquec/internal/xquery"
 )
@@ -23,7 +22,7 @@ func TestStaticJoinIndexBuiltOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := engine.JoinIndexBuilds()
-	prog, err := vm.Compile(expr, s, xmarkq.Q8)
+	prog, err := engine.Compile(expr, s, xmarkq.Q8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +31,7 @@ func TestStaticJoinIndexBuiltOnce(t *testing.T) {
 	}
 	var first string
 	for i := 0; i < 4; i++ {
-		res, err := prog.Run(vm.RunOptions{Parallelism: 1})
+		res, err := prog.Run(engine.RunOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

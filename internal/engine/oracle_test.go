@@ -10,7 +10,6 @@ import (
 	"xquec/internal/datagen"
 	"xquec/internal/engine"
 	"xquec/internal/storage"
-	"xquec/internal/vm"
 	"xquec/internal/xquery"
 )
 
@@ -27,11 +26,11 @@ func runVMPar(t *testing.T, s *storage.Store, q string, par int) (string, error)
 	if err != nil {
 		return "", err
 	}
-	prog, err := vm.Compile(expr, s, q)
+	prog, err := engine.Compile(expr, s, q)
 	if err != nil {
 		t.Fatalf("compile %s: %v", q, err)
 	}
-	res, err := prog.Run(vm.RunOptions{Parallelism: par})
+	res, err := prog.Run(engine.RunOptions{Parallelism: par})
 	if err != nil {
 		return "", err
 	}
@@ -240,7 +239,7 @@ func TestOrderByBattery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := vm.Compile(expr, s, q)
+		prog, err := engine.Compile(expr, s, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +274,7 @@ func TestTemplateEscaping(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := vm.Compile(expr, s, q)
+			prog, err := engine.Compile(expr, s, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -400,7 +399,7 @@ func TestStringRestricts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := vm.Compile(expr, s, queries[0])
+			prog, err := engine.Compile(expr, s, queries[0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -491,7 +490,7 @@ func TestStringRestrictsOnCodes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog, err := vm.Compile(expr, s, q)
+			prog, err := engine.Compile(expr, s, q)
 			if err != nil {
 				t.Fatal(err)
 			}

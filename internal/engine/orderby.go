@@ -9,16 +9,16 @@ import (
 	"xquec/internal/xquery"
 )
 
-// TupleSort is the ORDER BY of a FLWOR in one run of its program:
+// tupleSort is the ORDER BY of a FLWOR in one run of its program:
 // collection adds a tuple per binding that passes the WHERE — each FOR
 // clause's item and summary set, and the key — the sort orders them,
 // replay binds them back one at a time for the RETURN. Tuples live in
 // flat slices, so collecting one allocates nothing.
-type TupleSort struct {
+type tupleSort struct {
 	x     *xquery.FLWOR
-	plan  *FLWORPlan
-	ranks *Ranks // nil: keys are decoded as they are collected
-	width int    // FOR clauses per tuple
+	plan  *flworPlan
+	ranks *rankTable // nil: keys are decoded as they are collected
+	width int        // FOR clauses per tuple
 
 	ids   []storage.NodeID // per tuple and FOR clause; 0 where the item is not a node
 	items []Item           // the item where it is not a node; nil until one is not
@@ -35,11 +35,11 @@ type TupleSort struct {
 	outer []*binding // per clause, its name's binding outside the FLWOR
 }
 
-// NewTupleSort returns the sorter of one evaluation of x under plan;
-// ranks, when not nil, ranks its key (KeyRanks).
-func NewTupleSort(x *xquery.FLWOR, plan *FLWORPlan, ranks *Ranks) *TupleSort {
+// newTupleSort returns the sorter of one evaluation of x under plan;
+// ranks, when not nil, ranks its key (keyRanks).
+func newTupleSort(x *xquery.FLWOR, plan *flworPlan, ranks *rankTable) *tupleSort {
 	n := len(x.Clauses)
-	t := &TupleSort{x: x, plan: plan, ranks: ranks, sets: make([][]*storage.SummaryNode, 1),
+	t := &tupleSort{x: x, plan: plan, ranks: ranks, sets: make([][]*storage.SummaryNode, 1),
 		slots: make([]binding, n), outer: make([]*binding, n)}
 	for _, cl := range x.Clauses {
 		if !cl.Let {
@@ -50,9 +50,9 @@ func NewTupleSort(x *xquery.FLWOR, plan *FLWORPlan, ranks *Ranks) *TupleSort {
 	return t
 }
 
-// Add records the next FOR clause's binding of the tuple being
+// add records the next FOR clause's binding of the tuple being
 // collected: a node, or (id 0) any other item.
-func (t *TupleSort) Add(id storage.NodeID, it Item, sums []*storage.SummaryNode) {
+func (t *tupleSort) add(id storage.NodeID, it Item, sums []*storage.SummaryNode) {
 	f := len(t.ids) % t.width
 	if last := t.sets[t.last[f]]; len(last) != len(sums) || len(sums) > 0 && &last[0] != &sums[0] {
 		t.last[f] = int32(len(t.sets))
@@ -67,19 +67,19 @@ func (t *TupleSort) Add(id storage.NodeID, it Item, sums []*storage.SummaryNode)
 	}
 }
 
-// Open starts an evaluation of the sorter's FLWOR under env: the tuples
+// open starts an evaluation of the sorter's FLWOR under env: the tuples
 // of the previous one go, and what the clauses' names are bound to
-// outside the FLWOR is recorded, for replay and Close to put back.
-func (t *TupleSort) Open(env *Env) {
-	*t = *NewTupleSort(t.x, t.plan, t.ranks)
+// outside the FLWOR is recorded, for replay and close to put back.
+func (t *tupleSort) open(env *clauseEnv) {
+	*t = *newTupleSort(t.x, t.plan, t.ranks)
 	for ci, cl := range t.x.Clauses {
 		t.outer[ci] = env.s.lookup(cl.Var)
 	}
 }
 
-// Close ends an evaluation Open started: the clauses' names are bound to
+// close ends an evaluation open started: the clauses' names are bound to
 // what they were outside the FLWOR again.
-func (t *TupleSort) Close(env *Env) {
+func (t *tupleSort) close(env *clauseEnv) {
 	for ci, cl := range t.x.Clauses {
 		env.s.unbind(cl.Var, t.outer[ci])
 	}
@@ -89,7 +89,7 @@ func (t *TupleSort) Close(env *Env) {
 // of the key path when the key is ranked, else the string value of the
 // key's first item (appendFirst). Key errors therefore arrive in tuple
 // order.
-func (e *Engine) collectKey(t *TupleSort, env *scope) error {
+func (e *engine) collectKey(t *tupleSort, env *scope) error {
 	if t.ranks == nil {
 		var err error
 		e.sbuf, err = e.appendFirst(e.sbuf[:0], t.x.OrderBy, env)
@@ -105,10 +105,10 @@ func (e *Engine) collectKey(t *TupleSort, env *scope) error {
 	return err
 }
 
-// SortTuples orders the collected tuples: by their ranks when each key
+// sortTuples orders the collected tuples: by their ranks when each key
 // is one ranked record or none, else by the keys decoded — an eligible
 // key's string value is its node's immediate text — with sortedOrder.
-func (e *Engine) SortTuples(t *TupleSort) error {
+func (e *engine) sortTuples(t *tupleSort) error {
 	if t.ranks != nil {
 		if t.order = t.ranks.order(e.store, &e.cur, t.keyNodes, t.x.OrderDesc); t.order != nil {
 			return nil
@@ -131,7 +131,7 @@ func (e *Engine) SortTuples(t *TupleSort) error {
 // whether there was one: each FOR variable to the item it was collected
 // with and — in clause order, so each sees what it saw during
 // collection — each LET the RETURN needs.
-func (e *Engine) replay(t *TupleSort, env *scope) (bool, error) {
+func (e *engine) replay(t *tupleSort, env *scope) (bool, error) {
 	if t.next == len(t.order) {
 		return false, nil
 	}
@@ -190,7 +190,7 @@ func orderPhases(x *xquery.FLWOR) (collect, replay []bool, hides bool) {
 	// `before`), and for the LETs those refer to.
 	var mark func(need []bool, sub xquery.Expr, before int)
 	mark = func(need []bool, sub xquery.Expr, before int) {
-		for name := range FreeVars(sub) {
+		for name := range xquery.FreeVars(sub) {
 			if j := binder(name, before); j >= 0 && x.Clauses[j].Let && !need[j] {
 				need[j] = true
 				mark(need, x.Clauses[j].Seq, j)
@@ -206,92 +206,35 @@ func orderPhases(x *xquery.FLWOR) (collect, replay []bool, hides bool) {
 	mark(collect, x.OrderBy, n)
 	mark(replay, x.Return, n)
 	for j, cl := range x.Clauses {
-		for name := range FreeVars(cl.Seq) {
+		for name := range xquery.FreeVars(cl.Seq) {
 			hides = hides || replay[j] && binder(name, j) < 0 && binder(name, n) >= 0
 		}
 	}
 	return collect, replay, hides
 }
 
-// FreeVars returns the variables x refers to without binding them (the
-// context item counts as the pseudo-variable "."). Step predicates bind
-// "." locally; FLWOR clauses bind their variables for later clauses and
-// the tail.
-func FreeVars(x xquery.Expr) map[string]bool {
-	free := map[string]bool{}
-	addFree(x, nil, free)
-	return free
-}
-
-func addFree(x xquery.Expr, bound map[string]bool, free map[string]bool) {
-	switch e := x.(type) {
-	case nil:
-		return
-	case *xquery.VarRef:
-		if !bound[e.Name] {
-			free[e.Name] = true
-		}
-	case *xquery.PathExpr:
-		if e.Var != "" && !bound[e.Var] {
-			free[e.Var] = true
-		}
-		var pb map[string]bool
-		for _, st := range e.Steps {
-			if len(st.Preds) == 0 {
-				continue
-			}
-			if pb == nil {
-				pb = withBound(bound, ".")
-			}
-			for _, pr := range st.Preds {
-				addFree(pr, pb, free)
-			}
-		}
-	case *xquery.FLWOR:
-		b := bound
-		for _, cl := range e.Clauses {
-			addFree(cl.Seq, b, free)
-			b = withBound(b, cl.Var)
-		}
-		addFree(e.Where, b, free)
-		addFree(e.OrderBy, b, free)
-		addFree(e.Return, b, free)
-	default:
-		for _, sub := range xquery.Children(x) {
-			addFree(sub, bound, free)
-		}
-	}
-}
-
-func withBound(bound map[string]bool, name string) map[string]bool {
-	out := make(map[string]bool, len(bound)+1)
-	for k := range bound {
-		out[k] = true
-	}
-	out[name] = true
-	return out
-}
-
-// Ranks is the rank table of an ORDER BY key whose values live in known
-// containers (KeyRanks): each record decoded once, at compile time, and
+// rankTable is the rank table of an ORDER BY key whose values live in known
+// containers (keyRanks): each record decoded once, at compile time, and
 // ranked as sortedOrder compares keys — densely in byte order, and in
 // parseNum order (-1: no number, or NaN) — so a run sorts integers.
-type Ranks struct {
+type rankTable struct {
 	conts    []*storage.Container // the ranked containers
 	str, num [][]int32            // per ranked container and record
 	// empty is the string rank of "", the key of a tuple whose key path
 	// finds no node or no text: it ties with a stored "" (an empty
 	// attribute), as the strings do.
-	empty   int32
+	empty int32
+	// records counts the ranked records; the table holds two int32
+	// ranks for each.
 	records int
 }
 
-// KeyRanks returns the rank table of an ORDER BY key that is a path from
+// keyRanks returns the rank table of an ORDER BY key that is a path from
 // a variable bound under sums, or nil when the key is not eligible: its
 // values must live in the containers a WHERE comparison on the path
 // would match (relValueTarget) — attributes, and elements whose children
 // are text and attributes only, so a string value is immediate text.
-func (e *Engine) KeyRanks(p *xquery.PathExpr, sums []*storage.SummaryNode) *Ranks {
+func (e *engine) keyRanks(p *xquery.PathExpr, sums []*storage.SummaryNode) *rankTable {
 	conts, _, ok := e.relValueTarget(sums, p)
 	if !ok {
 		return nil
@@ -313,7 +256,7 @@ func (e *Engine) KeyRanks(p *xquery.PathExpr, sums []*storage.SummaryNode) *Rank
 		vals[j] = all[ends[j]:ends[j+1]]
 	}
 	str, num, nums := make([]int32, len(vals)), make([]int32, len(vals)), make([]float64, len(vals))
-	r := &Ranks{conts: conts, records: len(vals) - 1}
+	r := &rankTable{conts: conts, records: len(vals) - 1}
 	denseRanks(str, func(int) bool { return true }, func(a, b int) int { return strings.Compare(vals[a], vals[b]) })
 	denseRanks(num, func(j int) bool {
 		// strconv.ParseFloat accepts nothing that starts otherwise, and
@@ -354,10 +297,6 @@ func denseRanks(ranks []int32, keep func(j int) bool, cmp func(a, b int) int) {
 	}
 }
 
-// Records returns the number of ranked records; the table holds two
-// int32 ranks for each.
-func (r *Ranks) Records() int { return r.records }
-
 // order returns the ORDER BY permutation of tuples whose keys are the
 // immediate text of nodes (0: none, the empty key), or nil when a key is
 // not one record of a ranked container. The keys compare numerically
@@ -366,7 +305,7 @@ func (r *Ranks) Records() int { return r.records }
 // when descending) above its index, so ties keep tuple order in both
 // directions, as in sortedOrder; the sort costs O(k log k) in the k
 // tuples, whatever the number of distinct values.
-func (r *Ranks) order(s *storage.Store, c *storage.TextCursor, nodes []storage.NodeID, desc bool) []int {
+func (r *rankTable) order(s *storage.Store, c *storage.TextCursor, nodes []storage.NodeID, desc bool) []int {
 	str, num := make([]int32, len(nodes)), make([]int32, len(nodes))
 	numeric := true
 	var buf [2]storage.ValueRef

@@ -36,12 +36,12 @@ func (st *pathState) allNodes() algebra.NodeSet {
 	return st.nodes
 }
 
-// PathPlan is the structural part of one path expression resolved
+// pathPlan is the structural part of one path expression resolved
 // against the structure summary for one origin summary set. A summary
 // node is a full root path, so the plan answers "which extents can hold
 // the result" once, and evaluation only intersects them with the
 // stretch of document order that belongs to each binding.
-type PathPlan struct {
+type pathPlan struct {
 	origin  []*storage.SummaryNode   // the variable's (or context's) summary set; nil for absolute paths
 	targets [][]*storage.SummaryNode // targets[i]: the summary nodes steps[:i+1] reach
 	// runs[i] resolves the steps [i, runEnd(i)) — what evaluation moves
@@ -78,28 +78,19 @@ func runEnd(steps []xquery.Step, i int) int {
 	return j
 }
 
-// Sums returns the summary nodes the structural steps end on.
-func (pl *PathPlan) Sums() []*storage.SummaryNode {
+// sums returns the summary nodes the structural steps end on.
+func (pl *pathPlan) sums() []*storage.SummaryNode {
 	if len(pl.targets) == 0 {
 		return pl.origin
 	}
 	return pl.targets[len(pl.targets)-1]
 }
 
-// Exact reports that the path is absolute and predicate-free: its nodes
-// are the union of Sums' extents, read off the summary alone.
-func (pl *PathPlan) Exact() bool { return pl.plain }
-
-// Origin returns the summary set the path was resolved from: its
-// variable's, nil for an absolute path or a variable whose set was not
-// known.
-func (pl *PathPlan) Origin() []*storage.SummaryNode { return pl.origin }
-
 // pathCursor is one run's state for one path expression: the plan, the
 // galloping positions inside the extents its runs read, and — for plain
 // paths — the result.
 type pathCursor struct {
-	plan     *PathPlan
+	plan     *pathPlan
 	pos      []int
 	done     bool
 	st       pathState
@@ -107,8 +98,8 @@ type pathCursor struct {
 }
 
 // resolvePath builds the plan of p for an origin summary set.
-func (e *Engine) resolvePath(p *xquery.PathExpr, sums []*storage.SummaryNode) *PathPlan {
-	pl := &PathPlan{origin: sums, plain: p.Var == "", targets: make([][]*storage.SummaryNode, 0, len(p.Steps))}
+func (e *engine) resolvePath(p *xquery.PathExpr, sums []*storage.SummaryNode) *pathPlan {
+	pl := &pathPlan{origin: sums, plain: p.Var == "", targets: make([][]*storage.SummaryNode, 0, len(p.Steps))}
 	cur := sums
 	for i, step := range p.Steps {
 		if step.Test == xquery.TestText {
@@ -170,7 +161,7 @@ func nestedIn(sn *storage.SummaryNode, sums []*storage.SummaryNode) bool {
 // taking the plan from the program when it resolved this origin and
 // resolving it here otherwise. A path whose origin set changes between
 // evaluations (a variable without summary knowledge) re-resolves.
-func (e *Engine) cursorFor(p *xquery.PathExpr, sums []*storage.SummaryNode) *pathCursor {
+func (e *engine) cursorFor(p *xquery.PathExpr, sums []*storage.SummaryNode) *pathCursor {
 	pc := e.paths[p]
 	if pc != nil && slices.Equal(pc.plan.origin, sums) {
 		return pc
@@ -185,12 +176,12 @@ func (e *Engine) cursorFor(p *xquery.PathExpr, sums []*storage.SummaryNode) *pat
 }
 
 // evalPath evaluates a path expression to a sequence.
-func (e *Engine) evalPath(p *xquery.PathExpr, env *scope) (Seq, error) {
+func (e *engine) evalPath(p *xquery.PathExpr, env *scope) (seq, error) {
 	return e.appendPath(nil, p, env)
 }
 
 // appendPath appends the items of a path expression to dst.
-func (e *Engine) appendPath(dst Seq, p *xquery.PathExpr, env *scope) (Seq, error) {
+func (e *engine) appendPath(dst seq, p *xquery.PathExpr, env *scope) (seq, error) {
 	st, textTail, err := e.evalPathNodes(p, env)
 	if err != nil {
 		return nil, err
@@ -199,7 +190,7 @@ func (e *Engine) appendPath(dst Seq, p *xquery.PathExpr, env *scope) (Seq, error
 		return e.appendTexts(dst, st.nodes, st.sums)
 	}
 	if dst == nil {
-		dst = make(Seq, 0, len(st.nodes))
+		dst = make(seq, 0, len(st.nodes))
 	}
 	for _, id := range st.nodes {
 		dst = append(dst, id)
@@ -211,7 +202,7 @@ func (e *Engine) appendPath(dst Seq, p *xquery.PathExpr, env *scope) (Seq, error
 // step is text(), textTail is true and the returned nodes are the text
 // owners. The nodes may alias a summary extent or a binding: they are
 // read-only, and valid until the variable is rebound.
-func (e *Engine) evalPathNodes(p *xquery.PathExpr, env *scope) (pathState, bool, error) {
+func (e *engine) evalPathNodes(p *xquery.PathExpr, env *scope) (pathState, bool, error) {
 	st, err := e.pathOrigin(p, env)
 	if err != nil {
 		return pathState{}, false, err
@@ -253,7 +244,7 @@ func (e *Engine) evalPathNodes(p *xquery.PathExpr, env *scope) (pathState, bool,
 // immediate text. Where the summary says every instance has some — the
 // rule for a path one asks text() of — that is all of them, and the tree
 // is not asked; otherwise only a node without text is copied around.
-func (e *Engine) withText(nodes algebra.NodeSet, sums []*storage.SummaryNode) algebra.NodeSet {
+func (e *engine) withText(nodes algebra.NodeSet, sums []*storage.SummaryNode) algebra.NodeSet {
 	all := len(sums) > 0
 	for _, sn := range sums {
 		all = all && sn.TextCount == sn.Count
@@ -277,7 +268,7 @@ func (e *Engine) withText(nodes algebra.NodeSet, sums []*storage.SummaryNode) al
 }
 
 // pathOrigin resolves the origin of a path.
-func (e *Engine) pathOrigin(p *xquery.PathExpr, env *scope) (pathState, error) {
+func (e *engine) pathOrigin(p *xquery.PathExpr, env *scope) (pathState, error) {
 	if p.Var == "" { // absolute: the (single) document
 		return pathState{exact: true}, nil
 	}
@@ -311,7 +302,7 @@ func (e *Engine) pathOrigin(p *xquery.PathExpr, env *scope) (pathState, error) {
 
 // summariesOf returns the distinct summary nodes the given nodes are
 // instances of.
-func (e *Engine) summariesOf(ids algebra.NodeSet) []*storage.SummaryNode {
+func (e *engine) summariesOf(ids algebra.NodeSet) []*storage.SummaryNode {
 	seen := map[int32]bool{}
 	var out []*storage.SummaryNode
 	for _, id := range ids {
@@ -325,7 +316,7 @@ func (e *Engine) summariesOf(ids algebra.NodeSet) []*storage.SummaryNode {
 }
 
 // summaryOf resolves one node's summary node by its tag path.
-func (e *Engine) summaryOf(id storage.NodeID) *storage.SummaryNode {
+func (e *engine) summaryOf(id storage.NodeID) *storage.SummaryNode {
 	var tags []string
 	for cur := id; cur != 0; cur = e.store.Parent(cur) {
 		tags = append(tags, e.store.TagOf(cur))
@@ -356,7 +347,7 @@ var errNonNodePath = fmt.Errorf("engine: path step over non-node sequence")
 // the step (child axis), or all matching descendants for the descendant
 // axis. fromDocument starts from the virtual document node, whose one
 // child is the root.
-func (e *Engine) summaryTargets(sums []*storage.SummaryNode, fromDocument bool, step xquery.Step) []*storage.SummaryNode {
+func (e *engine) summaryTargets(sums []*storage.SummaryNode, fromDocument bool, step xquery.Step) []*storage.SummaryNode {
 	name := step.Name
 	if step.Test == xquery.TestAttr {
 		name = "@" + step.Name
@@ -399,7 +390,7 @@ const lastID = ^storage.NodeID(0)
 // exact state the targets' extents themselves, from a node set what
 // within finds — no intermediate step is evaluated, no child visited and
 // no subtree end asked for.
-func (e *Engine) moveRun(st pathState, i, j int, pc *pathCursor) pathState {
+func (e *engine) moveRun(st pathState, i, j int, pc *pathCursor) pathState {
 	next := pathState{sums: pc.plan.targets[j-1], exact: st.exact}
 	if !st.exact {
 		next.nodes = e.within(st.nodes, &pc.plan.runs[i], pc.pos)
@@ -416,7 +407,7 @@ func (e *Engine) moveRun(st pathState, i, j int, pc *pathCursor) pathState {
 // depth). The cursors that place b advance with ascending bindings. One
 // node and one non-empty extent range yield a sub-slice of that extent;
 // anything else is copied.
-func (e *Engine) within(nodes algebra.NodeSet, run *runPlan, pos []int) algebra.NodeSet {
+func (e *engine) within(nodes algebra.NodeSet, run *runPlan, pos []int) algebra.NodeSet {
 	var one, out algebra.NodeSet
 	sorted := true
 	for _, b := range nodes {
@@ -459,7 +450,7 @@ func (e *Engine) within(nodes algebra.NodeSet, run *runPlan, pos []int) algebra.
 // predStep applies step i, which carries predicates. Positional ones
 // select per parent, so the parent set is walked node by node; the
 // rest filter the moved set as a whole.
-func (e *Engine) predStep(st pathState, steps []xquery.Step, i int, env *scope, pc *pathCursor) (pathState, error) {
+func (e *engine) predStep(st pathState, steps []xquery.Step, i int, env *scope, pc *pathCursor) (pathState, error) {
 	preds, targets := steps[i].Preds, pc.plan.targets[i]
 	next := pathState{sums: targets}
 	if len(targets) == 0 {
@@ -528,7 +519,7 @@ func pickPositional(cur algebra.NodeSet, pred xquery.Expr) (sel algebra.NodeSet,
 // of sums and that nodes, nil, does not spell them out: a container match
 // then goes from the matching values to their instances directly, and the
 // candidates are materialized only if some predicate has to see them.
-func (e *Engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr, env *scope, sums []*storage.SummaryNode) (algebra.NodeSet, error) {
+func (e *engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr, env *scope, sums []*storage.SummaryNode) (algebra.NodeSet, error) {
 	if len(preds) == 1 && !all {
 		// The lone [1] or [last()] of Q2/Q3: nothing to flatten.
 		if sel, is := pickPositional(nodes, preds[0]); is {
@@ -620,7 +611,7 @@ func (e *Engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr
 // conjunctOwners is one literal restrict resolved under a summary set:
 // the containers that answer it (litTargets) and, once they are scanned,
 // the owners of the matching values. The engine keeps one per restrict
-// and run (Engine.owners), so a literal restrict inside a nested FLWOR, a
+// and run (engine.owners), so a literal restrict inside a nested FLWOR, a
 // non-first clause or a step predicate of a relative path resolves and
 // scans its containers once per run, not once per outer tuple.
 type conjunctOwners struct {
@@ -628,7 +619,7 @@ type conjunctOwners struct {
 	conts   []*storage.Container
 	fast    bool // the containers answer the restrict
 	records int  // the containers' records: what a decoding scan decodes
-	// ms are the code automata the scan runs (Matchers), aligned with
+	// ms are the code automata the scan runs (matchers), aligned with
 	// conts; built before the first scan.
 	ms     []*alm.Matcher
 	owners algebra.NodeSet
@@ -641,7 +632,7 @@ var noOwners = &conjunctOwners{}
 // restrictFor returns this run's resolution of the literal restrict conj,
 // `rel op literal` under sums, resolving it when conj was not yet asked
 // under that summary set.
-func (e *Engine) restrictFor(conj xquery.Expr, sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string) *conjunctOwners {
+func (e *engine) restrictFor(conj xquery.Expr, sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string) *conjunctOwners {
 	if co := e.owners[conj]; co != nil && slices.Equal(co.sums, sums) {
 		return co
 	}
@@ -670,7 +661,7 @@ func (co *conjunctOwners) worthScanning(op string, domain int) bool {
 // matchers makes sure co holds the code automata its scan runs: pre's,
 // the program's, when they were built for co's containers, else this
 // run's own, built once.
-func (co *conjunctOwners) matchers(op, literal string, pre *Matchers) {
+func (co *conjunctOwners) matchers(op, literal string, pre *matchers) {
 	if co.ms != nil || stringFunc(op) == nil {
 		return
 	}
@@ -685,7 +676,7 @@ func (co *conjunctOwners) matchers(op, literal string, pre *Matchers) {
 // container/summary reads run on the workers; every result is replayed
 // in predicate order by the caller, so evaluation order, error selection
 // and fallback decisions are serial-identical.
-func (e *Engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.SummaryNode, domain int) []*conjunctOwners {
+func (e *engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.SummaryNode, domain int) []*conjunctOwners {
 	out := make([]*conjunctOwners, len(preds))
 	if e.par <= 1 || len(sums) == 0 || len(preds) < 2 {
 		return out
@@ -763,7 +754,7 @@ func splitPredConjuncts(pred xquery.Expr) []xquery.Expr {
 // then evaluates row-at-a-time). complete reports that every instance of
 // the path has a value in the containers — when false, only existential
 // equality against a non-empty literal is sound on the containers alone.
-func (e *Engine) relValueTarget(sums []*storage.SummaryNode, p *xquery.PathExpr) (conts []*storage.Container, complete bool, ok bool) {
+func (e *engine) relValueTarget(sums []*storage.SummaryNode, p *xquery.PathExpr) (conts []*storage.Container, complete bool, ok bool) {
 	if p.Var == "" {
 		return nil, false, false // absolute paths are not context-relative
 	}
@@ -831,7 +822,7 @@ func (e *Engine) relValueTarget(sums []*storage.SummaryNode, p *xquery.PathExpr)
 // does, and the restrict is evaluated per candidate. complete is false
 // when some instance has no value in the containers, which only
 // equality against a non-empty literal allows.
-func (e *Engine) litTargets(sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string) (conts []*storage.Container, complete bool, why string) {
+func (e *engine) litTargets(sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string) (conts []*storage.Container, complete bool, why string) {
 	if len(sums) == 0 {
 		return nil, false, "no summary set"
 	}
@@ -866,7 +857,7 @@ func (e *Engine) litTargets(sums []*storage.SummaryNode, rel *xquery.PathExpr, o
 // child per parent along the chain down to it, and one record per owner.
 // A rel node without text has the value "", which no non-empty literal
 // matches. why says which condition fails.
-func (e *Engine) stringTargets(sums []*storage.SummaryNode, rel *xquery.PathExpr) ([]*storage.Container, string) {
+func (e *engine) stringTargets(sums []*storage.SummaryNode, rel *xquery.PathExpr) ([]*storage.Container, string) {
 	if !antichain(sums) {
 		return nil, "the bindings nest"
 	}
@@ -955,7 +946,7 @@ func isAttr(sn *storage.SummaryNode) bool { return strings.HasPrefix(sn.Tag, "@"
 // (splitVarPred on the context) against the containers, over a domain of
 // that many candidates. Its ok is false when the predicate has another
 // shape, or the containers do not answer it.
-func (e *Engine) predOwners(sums []*storage.SummaryNode, pred xquery.Expr, domain int) (*conjunctOwners, error) {
+func (e *engine) predOwners(sums []*storage.SummaryNode, pred xquery.Expr, domain int) (*conjunctOwners, error) {
 	if len(sums) == 0 {
 		return noOwners, nil
 	}
@@ -986,7 +977,7 @@ func flipOp(op string) string {
 // conj was scanned under the same summary set before, else a scan of its
 // containers when it is worth one (worthScanning). ok is false when
 // there is no answer, and conj is evaluated per candidate.
-func (e *Engine) matchOwners(conj xquery.Expr, sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string, domain int, pre *Matchers) (*conjunctOwners, error) {
+func (e *engine) matchOwners(conj xquery.Expr, sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string, domain int, pre *matchers) (*conjunctOwners, error) {
 	co := e.restrictFor(conj, sums, rel, op, literal)
 	if co.ok {
 		return co, nil
@@ -1010,7 +1001,7 @@ func (e *Engine) matchOwners(conj xquery.Expr, sums []*storage.SummaryNode, rel 
 // to par workers: one summary path can map to many containers, so the
 // per-container matches fan out across the pool, each container scan
 // splitting its leftover worker share internally.
-func (e *Engine) scanTargets(conts []*storage.Container, ms []*alm.Matcher, op, literal string, par int) (algebra.NodeSet, bool, error) {
+func (e *engine) scanTargets(conts []*storage.Container, ms []*alm.Matcher, op, literal string, par int) (algebra.NodeSet, bool, error) {
 	matcher := func(i int) *alm.Matcher {
 		if ms == nil {
 			return nil
@@ -1060,44 +1051,44 @@ func (e *Engine) scanTargets(conts []*storage.Container, ms []*alm.Matcher, op, 
 	return algebra.MergeUnion(all...), true, nil
 }
 
-// Access is how a literal restrict reads one container: the paper's
+// access is how a literal restrict reads one container: the paper's
 // ContAccess on compressed bytes (equality, or an interval of the value
 // order), a binary search that decodes O(log n) records where the codec
 // does not preserve order but the records are in value order, a ContScan
 // that runs a code automaton over each record's compressed bytes, or a
 // ContScan that decodes every record.
-type Access uint8
+type access uint8
 
 const (
-	AccessScan Access = iota
-	AccessEq
-	AccessRange
-	AccessSearch
-	AccessMatch
+	accessScan access = iota
+	accessEq
+	accessRange
+	accessSearch
+	accessMatch
 )
 
-func (a Access) String() string {
+func (a access) String() string {
 	switch a {
-	case AccessEq:
+	case accessEq:
 		return "ContAccess eq on compressed bytes"
-	case AccessRange:
+	case accessRange:
 		return "ContAccess range on compressed bytes"
-	case AccessSearch:
+	case accessSearch:
 		return "ContAccess range by binary search decoding"
-	case AccessMatch:
+	case accessMatch:
 		return "ContScan matching on compressed bytes"
 	}
 	return "ContScan decoding every record"
 }
 
-// AccessFor decides how containerMatch answers `value op literal` over
+// accessFor decides how containerMatch answers `value op literal` over
 // c, and returns the probe it compares with: the literal in c's
 // canonical value text, nil when the literal has none and a scan
 // compares atoms. String containers compared against numeric literals
 // follow numeric semantics per value ("40.0" = 40), which no probe
 // answers. why, for a decoding scan of contains or ends-with, says why no
 // code automaton reads the compressed bytes instead.
-func AccessFor(c *storage.Container, op, literal string) (access Access, probe []byte, why string) {
+func accessFor(c *storage.Container, op, literal string) (access access, probe []byte, why string) {
 	switch op {
 	case "contains", "ends-with":
 		return matchAccess(c, literal)
@@ -1105,46 +1096,46 @@ func AccessFor(c *storage.Container, op, literal string) (access Access, probe [
 		// The values with prefix P are the interval [P, succ(P)) of the
 		// byte order, which is a string container's record order.
 		if c.Kind != storage.KindString {
-			return AccessScan, nil, ""
+			return accessScan, nil, ""
 		}
 		if c.Codec().Props().OrderPreserving {
-			return AccessRange, []byte(literal), ""
+			return accessRange, []byte(literal), ""
 		}
-		return AccessSearch, []byte(literal), ""
+		return accessSearch, []byte(literal), ""
 	}
 	if _, litIsNum := parseNum(literal); c.Kind == storage.KindString && litIsNum {
-		return AccessScan, nil, ""
+		return accessScan, nil, ""
 	}
 	probe, exact := canonicalProbe(c, literal)
 	props := c.Codec().Props()
 	switch {
 	case !exact:
-		return AccessScan, nil, ""
+		return accessScan, nil, ""
 	case op == "=" && props.Eq:
-		return AccessEq, probe, ""
+		return accessEq, probe, ""
 	case op == "=" || op == "!=":
-		return AccessScan, probe, ""
+		return accessScan, probe, ""
 	case props.OrderPreserving:
-		return AccessRange, probe, ""
+		return accessRange, probe, ""
 	}
-	return AccessSearch, probe, ""
+	return accessSearch, probe, ""
 }
 
-// matchAccess is AccessFor of contains and ends-with: a code automaton
+// matchAccess is accessFor of contains and ends-with: a code automaton
 // where the codec has one, the literal fits it and its table is no larger
 // than the container it scans.
-func matchAccess(c *storage.Container, literal string) (Access, []byte, string) {
+func matchAccess(c *storage.Container, literal string) (access, []byte, string) {
 	codec, isALM := c.Codec().(*alm.Codec)
 	switch {
 	case !isALM:
-		return AccessScan, nil, c.Codec().Name() + " has no code automaton"
+		return accessScan, nil, c.Codec().Name() + " has no code automaton"
 	case len(literal) > alm.MaxMatchLiteral:
-		return AccessScan, nil, fmt.Sprintf("the literal is longer than %d bytes", alm.MaxMatchLiteral)
+		return accessScan, nil, fmt.Sprintf("the literal is longer than %d bytes", alm.MaxMatchLiteral)
 	}
 	if tab, size := codec.MatcherBytes(len(literal)), c.CompressedBytes(); tab > size {
-		return AccessScan, nil, fmt.Sprintf("a %d B automaton exceeds the %d B container", tab, size)
+		return accessScan, nil, fmt.Sprintf("a %d B automaton exceeds the %d B container", tab, size)
 	}
-	return AccessMatch, nil, ""
+	return accessMatch, nil, ""
 }
 
 // prefixEnd returns succ(p), the least byte string above every string
@@ -1162,20 +1153,20 @@ func prefixEnd(p []byte) []byte {
 }
 
 // containerMatch evaluates `value op literal` over one container the way
-// AccessFor decides; the scans split the record range across up to par
+// accessFor decides; the scans split the record range across up to par
 // workers. m is the container's code automaton of the literal where
-// AccessFor reads it by AccessMatch (buildMatchers), else nil.
-func (e *Engine) containerMatch(c *storage.Container, op, literal string, m *alm.Matcher, par int) (algebra.NodeSet, bool, error) {
+// accessFor reads it by accessMatch (buildMatchers), else nil.
+func (e *engine) containerMatch(c *storage.Container, op, literal string, m *alm.Matcher, par int) (algebra.NodeSet, bool, error) {
 	if m != nil {
 		owners, err := algebra.ContMatchPar(c, par, m.Match)
 		return owners, err == nil, err
 	}
 	var owners algebra.NodeSet
 	var err error
-	switch access, probe, _ := AccessFor(c, op, literal); {
-	case access == AccessEq:
+	switch access, probe, _ := accessFor(c, op, literal); {
+	case access == accessEq:
 		owners, err = algebra.ContEq(c, probe)
-	case access == AccessRange || access == AccessSearch:
+	case access == accessRange || access == accessSearch:
 		// ContRange searches the compressed bytes, or decodes its way
 		// through a binary search when the codec does not keep order.
 		lo, hi := probe, probe
@@ -1201,28 +1192,28 @@ func (e *Engine) containerMatch(c *storage.Container, op, literal string, m *alm
 	return owners, err == nil, err
 }
 
-// Matchers are the code automata of one literal restrict over its
-// containers, aligned with them: one for each container AccessFor reads
-// by AccessMatch, nil for the others. A compiled program builds them once
+// matchers are the code automata of one literal restrict over its
+// containers, aligned with them: one for each container accessFor reads
+// by accessMatch, nil for the others. A compiled program builds them once
 // for its static summary sets and shares them across its runs; a run
 // whose restrict resolves to other containers builds its own.
-type Matchers struct {
+type matchers struct {
 	conts []*storage.Container
 	ms    []*alm.Matcher
 	size  int
 }
 
 // buildMatchers builds the matchers of `rel op literal` over conts, nil
-// when no container is read by AccessMatch. Containers sharing a codec
+// when no container is read by accessMatch. Containers sharing a codec
 // share one matcher.
-func buildMatchers(conts []*storage.Container, op, literal string) *Matchers {
-	var out *Matchers
+func buildMatchers(conts []*storage.Container, op, literal string) *matchers {
+	var out *matchers
 	for i, c := range conts {
-		if access, _, _ := AccessFor(c, op, literal); access != AccessMatch {
+		if access, _, _ := accessFor(c, op, literal); access != accessMatch {
 			continue
 		}
 		if out == nil {
-			out = &Matchers{conts: conts, ms: make([]*alm.Matcher, len(conts))}
+			out = &matchers{conts: conts, ms: make([]*alm.Matcher, len(conts))}
 		}
 		for j := range i {
 			if out.ms[j] != nil && conts[j].Codec() == c.Codec() {
@@ -1233,7 +1224,7 @@ func buildMatchers(conts []*storage.Container, op, literal string) *Matchers {
 		if out.ms[i] != nil {
 			continue
 		}
-		// AccessMatch admits the literals Matcher takes.
+		// accessMatch admits the literals Matcher takes.
 		m, _ := c.Codec().(*alm.Codec).Matcher([]byte(literal), op == "ends-with")
 		out.ms[i], out.size = m, out.size+m.SizeBytes()
 	}
@@ -1242,15 +1233,15 @@ func buildMatchers(conts []*storage.Container, op, literal string) *Matchers {
 
 // tables returns the matchers when they were built for conts, nil
 // otherwise.
-func (m *Matchers) tables(conts []*storage.Container) []*alm.Matcher {
+func (m *matchers) tables(conts []*storage.Container) []*alm.Matcher {
 	if m == nil || !slices.Equal(m.conts, conts) {
 		return nil
 	}
 	return m.ms
 }
 
-// SizeBytes is the size of the matchers' tables, for the plan cache.
-func (m *Matchers) SizeBytes() int {
+// sizeBytes is the size of the matchers' tables, for the plan cache.
+func (m *matchers) sizeBytes() int {
 	if m == nil {
 		return 0
 	}

@@ -93,7 +93,7 @@ func TestRunsAgainstNavigation(t *testing.T) {
 			paths = rels[""]
 		}
 		for _, s := range []*storage.Store{loaded, opened} {
-			e := New(s)
+			e := newEngine(s)
 			byTag := map[string][]*storage.SummaryNode{}
 			var origins [][]*storage.SummaryNode
 			for _, sn := range s.Sum.Nodes() {
@@ -193,9 +193,9 @@ const nestedLists = `<site><regions><asia>
 // of several origins reads the extents under that origin only, and a
 // nested origin set is resolved like any other.
 func TestRunsResolvePerOrigin(t *testing.T) {
-	plan := func(s *storage.Store, origin, rel string) *PathPlan {
+	plan := func(s *storage.Store, origin, rel string) *pathPlan {
 		t.Helper()
-		e := New(s)
+		e := newEngine(s)
 		expr, err := xquery.Parse("FOR $v IN " + origin + " RETURN $v" + rel)
 		if err != nil {
 			t.Fatal(err)
@@ -212,8 +212,8 @@ func TestRunsResolvePerOrigin(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := plan(xmark, "/site/regions//item", "/location")
-	if run := pl.runs[0]; len(run.from) != 6 || len(pl.Sums()) != 6 {
-		t.Fatalf("$i/location under //item: %d origins, %d targets in all, want 6 and 6", len(run.from), len(pl.Sums()))
+	if run := pl.runs[0]; len(run.from) != 6 || len(pl.sums()) != 6 {
+		t.Fatalf("$i/location under //item: %d origins, %d targets in all, want 6 and 6", len(run.from), len(pl.sums()))
 	} else {
 		for o, targets := range run.targets {
 			if len(targets) != 1 || targets[0].Parent != run.from[o] {

@@ -9,7 +9,6 @@ import (
 	"xquec/internal/baselines/galaxlike"
 	"xquec/internal/engine"
 	"xquec/internal/storage"
-	"xquec/internal/vm"
 	"xquec/internal/xquery"
 )
 
@@ -48,11 +47,11 @@ func stream(t *testing.T, ctx context.Context, s *storage.Store, q string) *engi
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := vm.Compile(expr, s, q)
+	prog, err := engine.Compile(expr, s, q)
 	if err != nil {
 		t.Fatalf("Compile(%s): %v", q, err)
 	}
-	res, err := prog.Run(vm.RunOptions{Ctx: ctx, Parallelism: 1})
+	res, err := prog.Run(engine.RunOptions{Ctx: ctx, Parallelism: 1})
 	if err != nil {
 		t.Fatalf("Run(%s): %v", q, err)
 	}

@@ -9,22 +9,22 @@ import (
 	"xquec/internal/xquery"
 )
 
-// XML is an item that is already its serialization: the bytes an
+// xml is an item that is already its serialization: the bytes an
 // emission template wrote for a constructed element whose value only goes
 // to the output, or an item of a LET that is only written out as element
-// content (AppendEmitted). It has no string value, and no path navigates
-// into it; a constructor whose value might be looked into is a *Fragment.
-type XML struct{ Data []byte }
+// content (appendEmitted). It has no string value, and no path navigates
+// into it; a constructor whose value might be looked into is a *fragment.
+type xml struct{ Data []byte }
 
-// Template is a direct element constructor compiled into the bytes it
+// template is a direct element constructor compiled into the bytes it
 // writes: literal markup, attribute text and literal content escaped once,
 // at compile time, between the pieces only a binding can supply —
 // attribute value templates, and content read from the store by
 // Serialize/Text straight into the output buffer. Emitting one builds no
-// *Fragment and boxes no content item; the bytes are those of the
-// Fragment evalCtor would build, serialized. A Template is immutable and
+// *fragment and boxes no content item; the bytes are those of the
+// fragment evalCtor would build, serialized. A template is immutable and
 // shared by every run of its program.
-type Template struct {
+type template struct {
 	// open writes `<name` and the attributes: literal runs between the
 	// attribute value templates, whose atoms are escaped as they land.
 	open []tplPiece
@@ -39,12 +39,12 @@ type Template struct {
 type tplPiece struct {
 	lit  []byte
 	x    xquery.Expr
-	elem *Template
+	elem *template
 }
 
-// CompileTemplate compiles a constructor into its emission template.
-func CompileTemplate(x *xquery.ElementCtor) *Template {
-	t := &Template{close: []byte("</" + x.Name + ">")}
+// compileTemplate compiles a constructor into its emission template.
+func compileTemplate(x *xquery.ElementCtor) *template {
+	t := &template{close: []byte("</" + x.Name + ">")}
 	lit := []byte("<" + x.Name)
 	for _, a := range x.Attrs {
 		lit = append(append(append(lit, ' '), a.Name...), '=', '"')
@@ -67,7 +67,7 @@ func CompileTemplate(x *xquery.ElementCtor) *Template {
 				t.content = append(t.content, tplPiece{lit: xmlparser.EscapeText(nil, c.Val)})
 			}
 		case *xquery.ElementCtor:
-			t.content = append(t.content, tplPiece{elem: CompileTemplate(c)})
+			t.content = append(t.content, tplPiece{elem: compileTemplate(c)})
 		default:
 			t.content = append(t.content, tplPiece{x: c})
 		}
@@ -75,9 +75,9 @@ func CompileTemplate(x *xquery.ElementCtor) *Template {
 	return t
 }
 
-// Shape reports the template's literal bytes and its dynamic pieces,
+// shape reports the template's literal bytes and its dynamic pieces,
 // nested elements included.
-func (t *Template) Shape() (literal, dynamic int) {
+func (t *template) shape() (literal, dynamic int) {
 	literal = len(t.close)
 	for _, ps := range [][]tplPiece{t.open, t.content} {
 		for _, p := range ps {
@@ -86,7 +86,7 @@ func (t *Template) Shape() (literal, dynamic int) {
 			case p.x != nil:
 				dynamic++
 			case p.elem != nil:
-				l, d := p.elem.Shape()
+				l, d := p.elem.shape()
 				literal, dynamic = literal+l, dynamic+d
 			}
 		}
@@ -97,26 +97,26 @@ func (t *Template) Shape() (literal, dynamic int) {
 // emitChunk caps the size of the buffers emitted items are cut from.
 const emitChunk = 16 << 10
 
-// Emit writes one item of t under env and returns it as an *XML. Items
+// emit writes one item of t under env and returns it as an *xml. Items
 // are cut from buffers the run shares (out, and xmls for their headers),
 // so an item costs no allocation of its own and stays valid after the
 // next one: a buffer is never written below what it has handed out.
-func (e *Engine) Emit(t *Template, env *Env) (Item, error) {
+func (e *engine) emit(t *template, env *scope) (Item, error) {
 	start := e.room()
-	out, err := e.emitElem(e.out, t, env.s)
+	out, err := e.emitElem(e.out, t, env)
 	if err != nil {
 		return nil, err
 	}
 	return e.cut(out, start), nil
 }
 
-// AppendEmitted appends the items of x to dst, each written as element
-// content into an *XML of its own: the value of a LET whose items are
+// appendEmitted appends the items of x to dst, each written as element
+// content into an *xml of its own: the value of a LET whose items are
 // only ever written out as content or counted.
-func (e *Engine) AppendEmitted(dst Seq, x xquery.Expr, env *Env) (Seq, error) {
+func (e *engine) appendEmitted(dst seq, x xquery.Expr, env *scope) (seq, error) {
 	var out []byte
 	if p, isPath := x.(*xquery.PathExpr); isPath {
-		st, textTail, err := e.evalPathNodes(p, env.s)
+		st, textTail, err := e.evalPathNodes(p, env)
 		how := contentRead(st.sums, textTail)
 		for i := 0; err == nil && i < len(st.nodes); i++ {
 			start := e.room()
@@ -126,7 +126,7 @@ func (e *Engine) AppendEmitted(dst Seq, x xquery.Expr, env *Env) (Seq, error) {
 		}
 		return dst, err
 	}
-	v, err := e.eval(x, env.s)
+	v, err := e.eval(x, env)
 	for i := 0; err == nil && i < len(v); i++ {
 		start := e.room()
 		if out, err = e.appendContentItem(e.out, v[i]); err == nil {
@@ -140,7 +140,7 @@ func (e *Engine) AppendEmitted(dst Seq, x xquery.Expr, env *Env) (Seq, error) {
 // of its size left — the first of 1 KB, each next one twice the last up
 // to emitChunk, so a small result stays small — and returns where the
 // next item starts.
-func (e *Engine) room() int {
+func (e *engine) room() int {
 	if c := cap(e.out); c == 0 || c-len(e.out) < c/8 {
 		e.out = make([]byte, 0, min(max(2*c, 1<<10), emitChunk))
 	}
@@ -149,16 +149,16 @@ func (e *Engine) room() int {
 
 // cut hands out out[start:] as an item; out, which may have grown into a
 // new array, is the buffer from now on.
-func (e *Engine) cut(out []byte, start int) Item {
+func (e *engine) cut(out []byte, start int) Item {
 	e.out = out
 	if len(e.xmls) == cap(e.xmls) {
-		e.xmls = make([]XML, 0, 64)
+		e.xmls = make([]xml, 0, 64)
 	}
-	e.xmls = append(e.xmls, XML{Data: out[start:len(out):len(out)]})
+	e.xmls = append(e.xmls, xml{Data: out[start:len(out):len(out)]})
 	return &e.xmls[len(e.xmls)-1]
 }
 
-func (e *Engine) emitElem(dst []byte, t *Template, env *scope) ([]byte, error) {
+func (e *engine) emitElem(dst []byte, t *template, env *scope) ([]byte, error) {
 	var err error
 	for _, p := range t.open {
 		if p.x == nil {
@@ -195,10 +195,10 @@ func (e *Engine) emitElem(dst []byte, t *Template, env *scope) ([]byte, error) {
 }
 
 // appendContent writes the items of x as element content — nodes
-// serialized, strings escaped, as a Fragment's content serializes — and
+// serialized, strings escaped, as a fragment's content serializes — and
 // returns how many items there were. Paths, node-valued variables and
 // count() write without boxing an item.
-func (e *Engine) appendContent(dst []byte, x xquery.Expr, env *scope) ([]byte, int, error) {
+func (e *engine) appendContent(dst []byte, x xquery.Expr, env *scope) ([]byte, int, error) {
 	switch x := x.(type) {
 	case *xquery.PathExpr:
 		st, textTail, err := e.evalPathNodes(x, env)
@@ -240,7 +240,7 @@ func contentRead(sums []*storage.SummaryNode, textTail bool) valueRead {
 
 // appendContentNode writes a node as element content: its subtree when
 // how is deepValue, else the escaped text a text() step selects.
-func (e *Engine) appendContentNode(dst []byte, id storage.NodeID, how valueRead) ([]byte, error) {
+func (e *engine) appendContentNode(dst []byte, id storage.NodeID, how valueRead) ([]byte, error) {
 	if how == deepValue {
 		return e.store.Serialize(dst, id)
 	}
@@ -250,7 +250,7 @@ func (e *Engine) appendContentNode(dst []byte, id storage.NodeID, how valueRead)
 }
 
 // appendContentItem writes an item as element content.
-func (e *Engine) appendContentItem(dst []byte, it Item) ([]byte, error) {
+func (e *engine) appendContentItem(dst []byte, it Item) ([]byte, error) {
 	if s, isStr := it.(string); isStr {
 		return xmlparser.EscapeText(dst, s), nil
 	}

@@ -5,10 +5,33 @@
 // allows, equality joins run as compressed merge joins when the join
 // sides share a source model, and decompression happens only in final
 // result construction (§4).
+//
+// A query runs as its compiled program, on a register-light stack VM.
+// The compiler (compile.go) lowers the AST into a flat []instr program:
+// container and summary-node operands are resolved against the
+// repository's structure summary at compile time, every FLWOR's clauses
+// become cursor loops — a nested FLWOR's, unless a LET is bound to it, in
+// a sub-program the engine calls where it stands — and the §4 predicate
+// fast paths (compressed-domain container matches, join indexes built at
+// compile time, summary-pruned steps) are dedicated opcodes. An ORDER BY
+// collects its tuples, sorts them — on container ranks when it can — and
+// evaluates one RETURN per replayed tuple. A RETURN that is an element
+// constructor is an emission template: its item is written straight into
+// the run's output buffer, no fragment built. The run loop (vm.go) IS the
+// streaming cursor: Result.Next executes instructions until one emits an
+// item, then suspends at the program counter — no per-item goroutine or
+// coroutine handoff.
+//
+// Everything set-at-a-time — path navigation, container scans, join
+// indexes, template emission, the expressions a program hands over whole
+// (aggregates, constructors whose value is looked into) — is the run's
+// engine's, which runs each FLWOR it reaches through the run's dispatch
+// loop. The DOM evaluator of internal/baselines/galaxlike, which shares
+// no code with this package, is the oracle of its tests and of the
+// end-to-end ones.
 package engine
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"slices"
@@ -22,44 +45,42 @@ import (
 
 // Item is one item of an XQuery sequence: a stored node (storage.NodeID),
 // an atomic value (string, float64, bool), or a constructed element —
-// a *Fragment, or the *XML an emission template wrote.
+// a *fragment, or the *xml an emission template wrote.
 type Item interface{}
 
-// Fragment is an element built by a constructor; its content may mix
+// fragment is an element built by a constructor; its content may mix
 // atoms, stored nodes (copied at serialization time) and nested
 // fragments.
-type Fragment struct {
+type fragment struct {
 	Name    string
-	Attrs   []FragAttr
+	Attrs   []fragAttr
 	Content []Item
 }
 
-// FragAttr is a constructed attribute.
-type FragAttr struct {
+// fragAttr is a constructed attribute.
+type fragAttr struct {
 	Name  string
 	Value string
 }
 
-// Seq is an XQuery sequence.
-type Seq []Item
+// seq is an XQuery sequence.
+type seq []Item
 
 // Result is the outcome of a query: a pull-based cursor over the
-// result sequence. A compiled program's run drives it (NewPullResult),
-// computing items on demand, so a consumer that serializes one item at a
-// time holds O(1 item) of decompressed data, and one that stops after N
-// items (or cancels its context) stops evaluation-side decoding too.
+// result sequence. A compiled program's run drives it, computing items
+// on demand, so a consumer that serializes one item at a time holds
+// O(1 item) of decompressed data, and one that stops after N items (or
+// cancels its context) stops evaluation-side decoding too.
 type Result struct {
 	store *storage.Store
-	ctx   context.Context // non-nil when the evaluation is cancellable
 
 	// queue holds materialized items (Prime, Len) not yet handed out;
 	// qpos is its read cursor.
-	queue Seq
+	queue seq
 	qpos  int
-	// pull/stop drive the lazy source (the program's run loop); nil
-	// after exhaustion.
-	pull func() (Item, error, bool)
-	stop func()
+	// run is the lazy source, the program's run loop; nil after
+	// exhaustion.
+	run *run
 
 	served int   // items already handed out
 	err    error // sticky: first evaluation or cancellation error
@@ -67,39 +88,46 @@ type Result struct {
 
 // Next returns the next result item. ok is false when the sequence is
 // exhausted (or the cursor closed); a non-nil error is sticky and is
-// returned again by every later call. Item serialization — and with it
+// returned again by every later call, once the items evaluated before
+// it (Prime, Len) are handed out. Item serialization — and with it
 // value decompression — is the caller's move (AppendItemXML), so
 // pulling an item is cheap until its value bytes are actually needed.
 func (r *Result) Next() (Item, bool, error) {
-	if r.err != nil {
-		return nil, false, r.err
-	}
 	if r.qpos < len(r.queue) {
 		it := r.queue[r.qpos]
 		r.qpos++
 		r.served++
 		return it, true, nil
 	}
-	if r.pull == nil {
-		return nil, false, nil
-	}
-	if r.ctx != nil {
-		if err := r.ctx.Err(); err != nil {
-			r.fail(err)
-			return nil, false, err
-		}
-	}
-	it, err, ok := r.pull()
+	it, ok := r.pull()
 	if !ok {
-		r.release()
-		return nil, false, nil
-	}
-	if err != nil {
-		r.fail(err)
-		return nil, false, err
+		return nil, false, r.err
 	}
 	r.served++
 	return it, true, nil
+}
+
+// pull runs the program to its next item. ok is false when there is
+// none: the run is over, or it failed, and then r.err says why.
+func (r *Result) pull() (Item, bool) {
+	if r.err != nil || r.run == nil {
+		return nil, false
+	}
+	if ctx := r.run.eng.ctx; ctx != nil {
+		if err := ctx.Err(); err != nil {
+			r.fail(err)
+			return nil, false
+		}
+	}
+	it, ok, err := r.run.next()
+	if err != nil {
+		r.fail(err)
+		return nil, false
+	}
+	if !ok {
+		r.release()
+	}
+	return it, ok
 }
 
 // Close stops the evaluation and releases pooled buffers. It is
@@ -118,10 +146,9 @@ func (r *Result) fail(err error) {
 
 // release stops the lazy source.
 func (r *Result) release() {
-	if r.stop != nil {
-		r.stop()
-		r.stop = nil
-		r.pull = nil
+	if r.run != nil {
+		r.run.stop()
+		r.run = nil
 	}
 }
 
@@ -130,49 +157,21 @@ func (r *Result) release() {
 // expired deadline, an unbound variable, a full aggregate evaluation —
 // at call time rather than on the first Next.
 func (r *Result) Prime() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.qpos < len(r.queue) || r.pull == nil {
-		return nil
-	}
-	if r.ctx != nil {
-		if err := r.ctx.Err(); err != nil {
-			r.fail(err)
-			return err
+	if r.qpos == len(r.queue) {
+		if it, ok := r.pull(); ok {
+			r.queue = append(r.queue, it)
 		}
 	}
-	it, err, ok := r.pull()
-	if !ok {
-		r.release()
-		return nil
-	}
-	if err != nil {
-		r.fail(err)
-		return err
-	}
-	r.queue = append(r.queue, it)
-	return nil
+	return r.err
 }
 
 // materialize drains the lazy source into the queue without consuming
 // it, so Len can report a total while Next/WriteXML still see every
 // item.
 func (r *Result) materialize() {
-	for r.err == nil && r.pull != nil {
-		if r.ctx != nil {
-			if err := r.ctx.Err(); err != nil {
-				r.fail(err)
-				return
-			}
-		}
-		it, err, ok := r.pull()
+	for {
+		it, ok := r.pull()
 		if !ok {
-			r.release()
-			return
-		}
-		if err != nil {
-			r.fail(err)
 			return
 		}
 		r.queue = append(r.queue, it)
@@ -227,19 +226,6 @@ func (r *Result) WriteXML(w io.Writer) (int, error) {
 	}
 }
 
-// SerializeXML renders the remaining items as XML/text, one item per
-// line — the only point where values are decompressed.
-//
-// Deprecated-by-doc: it materializes the whole rendering in memory;
-// prefer WriteXML (or Next + AppendItemXML) for large results.
-func (r *Result) SerializeXML() (string, error) {
-	var sb strings.Builder
-	if _, err := r.WriteXML(&sb); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
-}
-
 // AppendItemXML appends the XML/text rendering of one item (as handed
 // out by Next) to dst. Values are decoded straight into dst, so a
 // consumer reusing one buffer serializes without allocating.
@@ -257,9 +243,9 @@ func serializeItem(dst []byte, s *storage.Store, it Item) ([]byte, error) {
 		return append(dst, formatNum(v)...), nil
 	case bool:
 		return strconv.AppendBool(dst, v), nil
-	case *XML:
+	case *xml:
 		return append(dst, v.Data...), nil
-	case *Fragment:
+	case *fragment:
 		dst = append(dst, '<')
 		dst = append(dst, v.Name...)
 		for _, a := range v.Attrs {
@@ -327,7 +313,7 @@ func readOf(sums []*storage.SummaryNode, textTail bool) valueRead {
 
 // text appends the immediate text of id to dst through the run's cursor:
 // with no walk over its children when how is soleValue.
-func (e *Engine) text(dst []byte, id storage.NodeID, how valueRead) ([]byte, error) {
+func (e *engine) text(dst []byte, id storage.NodeID, how valueRead) ([]byte, error) {
 	if how == soleValue {
 		return e.store.SoleText(&e.cur, dst, id)
 	}
@@ -336,7 +322,7 @@ func (e *Engine) text(dst []byte, id storage.NodeID, how valueRead) ([]byte, err
 
 // appendNodeValue appends a stored node's decompressed value, read as how
 // says, to dst; an attribute's is its immediate text whatever how says.
-func (e *Engine) appendNodeValue(dst []byte, id storage.NodeID, how valueRead) ([]byte, error) {
+func (e *engine) appendNodeValue(dst []byte, id storage.NodeID, how valueRead) ([]byte, error) {
 	if how != deepValue || e.store.IsAttr(id) {
 		return e.text(dst, id, how)
 	}
@@ -346,9 +332,9 @@ func (e *Engine) appendNodeValue(dst []byte, id storage.NodeID, how valueRead) (
 // appendTexts appends the immediate text of each owner, an instance of
 // sums, to dst, decoded through sbuf: the item string is the only copy
 // made.
-func (e *Engine) appendTexts(dst Seq, owners algebra.NodeSet, sums []*storage.SummaryNode) (Seq, error) {
+func (e *engine) appendTexts(dst seq, owners algebra.NodeSet, sums []*storage.SummaryNode) (seq, error) {
 	if dst == nil {
-		dst = make(Seq, 0, len(owners))
+		dst = make(seq, 0, len(owners))
 	}
 	how := readOf(sums, true)
 	for _, id := range owners {
@@ -363,7 +349,7 @@ func (e *Engine) appendTexts(dst Seq, owners algebra.NodeSet, sums []*storage.Su
 
 // stringValue atomizes one item to its string value, decompressing
 // stored node content as needed.
-func (e *Engine) stringValue(it Item) (string, error) {
+func (e *engine) stringValue(it Item) (string, error) {
 	switch v := it.(type) {
 	case storage.NodeID:
 		var err error
@@ -375,7 +361,7 @@ func (e *Engine) stringValue(it Item) (string, error) {
 		return formatNum(v), nil
 	case bool:
 		return strconv.FormatBool(v), nil
-	case *Fragment:
+	case *fragment:
 		var sb strings.Builder
 		for _, c := range v.Content {
 			s, err := e.stringValue(c)
@@ -390,7 +376,7 @@ func (e *Engine) stringValue(it Item) (string, error) {
 }
 
 // atomize flattens a sequence into string atoms.
-func (e *Engine) atomize(s Seq) ([]string, error) {
+func (e *engine) atomize(s seq) ([]string, error) {
 	out := make([]string, 0, len(s))
 	for _, it := range s {
 		a, err := e.stringValue(it)
@@ -403,7 +389,7 @@ func (e *Engine) atomize(s Seq) ([]string, error) {
 }
 
 // effectiveBool implements the XPath effective boolean value.
-func (e *Engine) effectiveBool(s Seq) (bool, error) {
+func (e *engine) effectiveBool(s seq) (bool, error) {
 	if len(s) == 0 {
 		return false, nil
 	}
@@ -471,7 +457,7 @@ func compareNums(op string, a, b float64) bool {
 
 // nodeSeq extracts the NodeIDs of a sequence in document order; ok is
 // false if the sequence holds non-node items.
-func nodeSeq(s Seq) ([]storage.NodeID, bool) {
+func nodeSeq(s seq) ([]storage.NodeID, bool) {
 	out := make([]storage.NodeID, 0, len(s))
 	for _, it := range s {
 		id, isNode := it.(storage.NodeID)

@@ -1,146 +1,120 @@
-// Package vm compiles parsed XQuery plans to bytecode and evaluates
-// them on a register-light stack VM.
-//
-// The compiler (compile.go) lowers the AST into a flat []Instr program:
-// container and summary-node operands are resolved against the
-// repository's structure summary at compile time, every FLWOR's clauses
-// become cursor loops — a nested FLWOR's, unless a LET is bound to it, in
-// a sub-program the engine calls where it stands — and the §4 predicate
-// fast paths (compressed-domain container matches, join indexes built at
-// compile time, summary-pruned steps) are dedicated opcodes. An ORDER BY
-// collects its tuples, sorts them — on container ranks when it can — and
-// evaluates one RETURN per replayed tuple. A RETURN that is an element
-// constructor is an emission template: its item is written straight into
-// the run's output buffer, no fragment built. The VM's run loop IS the
-// streaming cursor: Run.Next executes instructions until one emits an
-// item, then suspends at the program counter — no per-item goroutine or
-// coroutine handoff.
-//
-// A compiled program is the only way a query runs. Everything
-// set-at-a-time — path navigation, container scans, join indexes,
-// template emission, the expressions a program hands over whole
-// (aggregates, constructors whose value is looked into) — delegates to
-// internal/engine, the VM's operand library. The DOM evaluator of
-// internal/baselines/galaxlike, which shares no code with them, is the
-// oracle of this package's tests and of the end-to-end ones.
-package vm
+package engine
 
 import (
 	"context"
 	"fmt"
 
 	"xquec/internal/algebra"
-	"xquec/internal/engine"
 	"xquec/internal/storage"
 	"xquec/internal/xquery"
 )
 
-// Op is a VM opcode.
-type Op uint8
+// opcode is a VM opcode.
+type opcode uint8
 
 const (
-	// OpHalt ends the program.
-	OpHalt Op = iota
-	// OpReset installs a fresh variable environment (emitted at each
+	// opHalt ends the program.
+	opHalt opcode = iota
+	// opReset installs a fresh variable environment (emitted at each
 	// top-level block boundary so sibling blocks cannot observe each
 	// other's bindings).
-	OpReset
-	// OpScan A=cursor B=domain: evaluate a FOR domain (or top-level
+	opReset
+	// opScan A=cursor B=domain: evaluate a FOR domain (or top-level
 	// path) into cursor A. Invariant domains are computed once per run.
-	OpScan
-	// OpLitRestrict A=cursor B=pred: compressed-domain semijoin of a
+	opScan
+	// opLitRestrict A=cursor B=pred: compressed-domain semijoin of a
 	// literal WHERE pushdown against cursor A's node set; predicates the
 	// containers cannot answer fall into the cursor's deferred slots.
-	OpLitRestrict
-	// OpJoinRestrict A=cursor B=pred: equality-join pushdown restrict
+	opLitRestrict
+	// opJoinRestrict A=cursor B=pred: equality-join pushdown restrict
 	// via the engine's per-comparison join index, else deferred.
-	OpJoinRestrict
-	// OpIter A=cursor B=var C=jump: advance cursor A and bind its
+	opJoinRestrict
+	// opIter A=cursor B=var C=jump: advance cursor A and bind its
 	// current item to var, unbinding the clauses after it; jump to C
-	// when exhausted (the enclosing clause's OpIter, or the block end for
+	// when exhausted (the enclosing clause's opIter, or the block end for
 	// clause 0).
-	OpIter
-	// OpDeferred A=cursor C=jump: evaluate the cursor's deferred
+	opIter
+	// opDeferred A=cursor C=jump: evaluate the cursor's deferred
 	// conjuncts (original plan order) against the fresh binding; jump
-	// back to C (the cursor's OpIter) when one fails.
-	OpDeferred
-	// OpLet A=var B=domain: evaluate a LET source and bind it.
-	OpLet
-	// OpWhere A=expr C=jump: residual WHERE conjunct; jump back to C
-	// (the innermost OpIter) when false.
-	OpWhere
-	// OpEvalPush A=expr: evaluate an expression through the engine and
+	// back to C (the cursor's opIter) when one fails.
+	opDeferred
+	// opLet A=var B=domain: evaluate a LET source and bind it.
+	opLet
+	// opWhere A=expr C=jump: residual WHERE conjunct; jump back to C
+	// (the innermost opIter) when false.
+	opWhere
+	// opEvalPush A=expr: evaluate an expression through the engine and
 	// push the sequence onto the emit stack (RETURN bodies the compiler
 	// does not specialize, eager blocks).
-	OpEvalPush
-	// OpEmitSeq C=jump: emit the top-of-stack sequence one item per
+	opEvalPush
+	// opEmitSeq C=jump: emit the top-of-stack sequence one item per
 	// Next; pop and jump to C when drained.
-	OpEmitSeq
-	// OpIterEmit A=cursor C=jump: top-level path streaming — advance
+	opEmitSeq
+	// opIterEmit A=cursor C=jump: top-level path streaming — advance
 	// cursor A and emit its node (or its decoded text for text() tails)
 	// directly; jump to C when exhausted.
-	OpIterEmit
-	// OpCollect A=sort C=jump: add the FOR cursors' bindings and the key
-	// as a tuple of sorter A; jump back to C (the innermost OpIter).
-	OpCollect
-	// OpSort A=sort: order sorter A's tuples (on ranks when it can).
-	OpSort
-	// OpReplay A=sort C=jump: bind sorter A's next tuple and the LETs the
+	opIterEmit
+	// opCollect A=sort C=jump: add the FOR cursors' bindings and the key
+	// as a tuple of sorter A; jump back to C (the innermost opIter).
+	opCollect
+	// opSort A=sort: order sorter A's tuples (on ranks when it can).
+	opSort
+	// opReplay A=sort C=jump: bind sorter A's next tuple and the LETs the
 	// RETURN needs; jump to C when none is left.
-	OpReplay
-	// OpLetOpen A=acc B=depth: start a LET whose source FLWOR the program
+	opReplay
+	// opLetOpen A=acc B=depth: start a LET whose source FLWOR the program
 	// runs as loops: empty accumulator A and reserve the LET's depth, so
 	// the inner clauses bind after it.
-	OpLetOpen
-	// OpAppend A=acc B=expr C=jump: append the inner RETURN's items to
-	// accumulator A; jump back to C (the inner innermost OpIter).
-	OpAppend
-	// OpAppendCur A=acc B=cursor C=jump: append cursor B's current node
+	opLetOpen
+	// opAppend A=acc B=expr C=jump: append the inner RETURN's items to
+	// accumulator A; jump back to C (the inner innermost opIter).
+	opAppend
+	// opAppendCur A=acc B=cursor C=jump: append cursor B's current node
 	// to accumulator A (an inner RETURN that is its only FOR's variable);
 	// jump back to C.
-	OpAppendCur
-	// OpLetBind A=var B=acc C=cursor: bind the LET to accumulator B's
-	// items — when C ≥ 0, the nodes OpAppendCur appended, with cursor C's
+	opAppendCur
+	// opLetBind A=var B=acc C=cursor: bind the LET to accumulator B's
+	// items — when C ≥ 0, the nodes opAppendCur appended, with cursor C's
 	// summary set — which unbinds the inner clauses.
-	OpLetBind
-	// OpEmitCtor A=template C=jump: write a RETURN's constructed element
+	opLetBind
+	// opEmitCtor A=template C=jump: write a RETURN's constructed element
 	// through emission template A and emit it; the next pull resumes at C.
-	OpEmitCtor
-	// OpAppendCtor A=acc B=template C=jump: write an inner RETURN's
+	opEmitCtor
+	// opAppendCtor A=acc B=template C=jump: write an inner RETURN's
 	// constructed element through template B and append it to accumulator
 	// A (a LET whose items are only written out or counted); jump to C.
-	OpAppendCtor
-	// OpAppendOut A=acc B=expr C=jump: append the inner RETURN's items to
+	opAppendCtor
+	// opAppendOut A=acc B=expr C=jump: append the inner RETURN's items to
 	// accumulator A each written as element content (such a LET's other
 	// RETURNs); jump to C.
-	OpAppendOut
-	// OpRet A=sub: end sub-program A; its accumulator holds its items.
-	OpRet
+	opAppendOut
+	// opRet A=sub: end sub-program A; its accumulator holds its items.
+	opRet
 )
 
 var opNames = [...]string{
-	OpHalt: "HALT", OpReset: "RESET", OpScan: "SCAN",
-	OpLitRestrict: "LITREST", OpJoinRestrict: "JOINREST",
-	OpIter: "ITER", OpDeferred: "DEFERRED",
-	OpLet: "LET", OpWhere: "WHERE", OpEvalPush: "EVAL",
-	OpEmitSeq: "EMITSEQ", OpIterEmit: "ITEREMIT",
-	OpCollect: "COLLECT", OpSort: "SORT", OpReplay: "REPLAY",
-	OpLetOpen: "LETOPEN", OpAppend: "APPEND", OpAppendCur: "APPENDCUR",
-	OpLetBind: "LETBIND", OpEmitCtor: "EMITCTOR", OpAppendCtor: "APPENDCTOR", OpAppendOut: "APPENDOUT",
-	OpRet: "RET",
+	opHalt: "HALT", opReset: "RESET", opScan: "SCAN",
+	opLitRestrict: "LITREST", opJoinRestrict: "JOINREST",
+	opIter: "ITER", opDeferred: "DEFERRED",
+	opLet: "LET", opWhere: "WHERE", opEvalPush: "EVAL",
+	opEmitSeq: "EMITSEQ", opIterEmit: "ITEREMIT",
+	opCollect: "COLLECT", opSort: "SORT", opReplay: "REPLAY",
+	opLetOpen: "LETOPEN", opAppend: "APPEND", opAppendCur: "APPENDCUR",
+	opLetBind: "LETBIND", opEmitCtor: "EMITCTOR", opAppendCtor: "APPENDCTOR", opAppendOut: "APPENDOUT",
+	opRet: "RET",
 }
 
-func (o Op) String() string {
+func (o opcode) String() string {
 	if int(o) < len(opNames) {
 		return opNames[o]
 	}
 	return fmt.Sprintf("OP(%d)", uint8(o))
 }
 
-// Instr is one instruction: an opcode and up to three operands, whose
+// instr is one instruction: an opcode and up to three operands, whose
 // meaning depends on the opcode (cursor/pool indexes and jump targets).
-type Instr struct {
-	Op      Op
+type instr struct {
+	Op      opcode
 	A, B, C int32
 }
 
@@ -167,12 +141,12 @@ type domainSpec struct {
 
 // predSpec is one WHERE pushdown assigned to a clause.
 type predSpec struct {
-	pd   engine.Pushdown
+	pd   pushdown
 	slot int32 // original position among the clause's pushdowns
 	// Literal pushdowns with a statically known clause summary resolve
 	// their containers at compile time, for the cost that orders the
 	// restricts, the disassembly, and to defer at once what has no fast
-	// path; a run matches them through the engine, once (ApplyLitPushdown).
+	// path; a run matches them through the engine, once (applyLit).
 	conts    []*storage.Container
 	complete bool
 	fastOK   bool   // the containers answer it (false: always deferred)
@@ -180,14 +154,14 @@ type predSpec struct {
 	resolved bool   // conts/complete/fastOK/why are valid
 	cost     float64
 	// ms are a string function's code automata over conts, built at
-	// compile and shared by every run (engine.Matchers); nil when no
+	// compile and shared by every run (matchers); nil when no
 	// container is read on its compressed bytes.
-	ms *engine.Matchers
+	ms *matchers
 	// idx is a join pushdown's index, built at compile time when both
 	// sides' summary sets are static; whole says the cursor holds every
 	// instance of its set when the join restricts it, so the partners
 	// are the restriction.
-	idx   *engine.JoinIndex
+	idx   *joinIndex
 	whole bool
 }
 
@@ -199,15 +173,15 @@ type varSpec struct {
 }
 
 // sortSpec is one FLWOR's ORDER BY, what each run builds its
-// engine.TupleSort from.
+// tupleSort from.
 type sortSpec struct {
 	flwor *xquery.FLWOR
-	plan  *engine.FLWORPlan
-	fors  []int32       // the FOR clauses' cursors, in clause order
-	ranks *engine.Ranks // the key's rank table; nil: keys are decoded
+	plan  *flworPlan
+	fors  []int32    // the FOR clauses' cursors, in clause order
+	ranks *rankTable // the key's rank table; nil: keys are decoded
 }
 
-// subSpec is the sub-program of a FLWOR: its code from entry to its OpRet,
+// subSpec is the sub-program of a FLWOR: its code from entry to its opRet,
 // the accumulator its RETURN appends to, and its sorter (-1: none).
 type subSpec struct {
 	x                *xquery.FLWOR
@@ -216,7 +190,7 @@ type subSpec struct {
 
 // tplSpec is a constructor compiled into an emission template.
 type tplSpec struct {
-	t *engine.Template
+	t *template
 	x *xquery.ElementCtor
 }
 
@@ -226,7 +200,7 @@ type tplSpec struct {
 // cache shares one Program across requests.
 type Program struct {
 	src    string
-	instrs []Instr
+	instrs []instr
 	doms   []domainSpec
 	preds  []predSpec
 	exprs  []xquery.Expr
@@ -242,7 +216,7 @@ type Program struct {
 	subOf map[*xquery.FLWOR]int32
 	// plans is the pool of resolved paths and planned FLWORs: every
 	// expression a run hands to the engine finds its plan here.
-	plans   engine.Plans
+	plans   pathPlans
 	vars    []varSpec
 	ncur    int
 	store   *storage.Store
@@ -256,30 +230,25 @@ func (p *Program) Len() int { return len(p.instrs) }
 // operand pools — for byte-based plan-cache accounting.
 func (p *Program) SizeBytes() int { return p.sizeEst }
 
-// Store returns the repository the program was compiled against.
-// Programs resolve container and summary operands at compile time, so
-// they are only valid on this store.
-func (p *Program) Store() *storage.Store { return p.store }
-
 // RunOptions configures one execution of a Program.
 type RunOptions struct {
-	// Ctx, when non-nil, is polled during evaluation (engine.WithContext
+	// Ctx, when non-nil, is polled during evaluation (withContext
 	// semantics: context.Background disables polling).
 	Ctx context.Context
 	// Parallelism is the intra-query worker budget (0 = GOMAXPROCS).
 	Parallelism int
 }
 
-// emitFrame is one sequence being drained by OpEmitSeq.
+// emitFrame is one sequence being drained by opEmitSeq.
 type emitFrame struct {
-	seq engine.Seq
+	seq seq
 	pos int
 }
 
 // cursor is one FOR clause's (or top-level path's) iteration state.
 type cursor struct {
 	ids     algebra.NodeSet
-	seq     engine.Seq
+	seq     seq
 	seqMode bool
 	sums    []*storage.SummaryNode
 	// deferred holds per-tuple conjuncts in original plan order (slot
@@ -287,41 +256,40 @@ type cursor struct {
 	deferred []xquery.Expr
 	pos      int
 	textTail bool
-	// current binding (for OpDeferred jumps)
+	// current binding (for opDeferred jumps)
 	curNode   storage.NodeID
 	curIsNode bool
 }
 
 // accum is one LET's value while its inner loops run: nodes for an
-// OpAppendCur accumulator, items otherwise. OpLetBind hands it to the
-// binding, so each OpLetOpen starts a fresh one — unless the program
+// opAppendCur accumulator, items otherwise. opLetBind hands it to the
+// binding, so each opLetOpen starts a fresh one — unless the program
 // reuses it (Program.reuse), when the binding dies with its tuple.
 type accum struct {
 	ids algebra.NodeSet
-	seq engine.Seq
+	seq seq
 }
 
 // domResult is a cached invariant-domain scan.
 type domResult struct {
-	seq      engine.Seq
-	ids      algebra.NodeSet
-	sums     []*storage.SummaryNode
-	textTail bool
+	seq  seq
+	ids  algebra.NodeSet
+	sums []*storage.SummaryNode
 }
 
-// Run is one execution of a Program: the program counter, cursors,
-// emit stack and variable environment. A Run is single-goroutine, like
+// run is one execution of a Program: the program counter, cursors,
+// emit stack and variable environment. A run is single-goroutine, like
 // the engine it drives.
-type Run struct {
+type run struct {
 	prog *Program
-	eng  *engine.Engine
-	env  *engine.Env
+	eng  *engine
+	env  *clauseEnv
 
 	pc      int32
 	cursors []cursor
 	stack   []emitFrame
 	doms    map[int32]*domResult
-	sorts   []*engine.TupleSort
+	sorts   []*tupleSort
 	accs    []accum
 
 	sc   *storage.Scratch
@@ -329,92 +297,87 @@ type Run struct {
 	done bool
 }
 
-// Run starts one execution and returns it wrapped as a streaming
-// engine.Result: the VM loop is the cursor behind Result.Next. An
-// already-expired deadline fails here, before any evaluation work.
-func (p *Program) Run(opts RunOptions) (*engine.Result, error) {
-	r, err := p.NewRun(opts)
+// Run starts one execution and returns it as a streaming Result: the
+// VM loop is the cursor behind Result.Next. An already-expired deadline
+// fails here, before any evaluation work.
+func (p *Program) Run(opts RunOptions) (*Result, error) {
+	r, err := p.newRun(opts)
 	if err != nil {
 		return nil, err
 	}
-	return r.eng.NewPullResult(r.pull, r.stop), nil
+	return &Result{store: p.store, run: r}, nil
 }
 
-// pull adapts next to the Result pull contract (item, err, ok: errors
-// arrive with ok=true).
-func (r *Run) pull() (engine.Item, error, bool) {
-	it, ok, err := r.next()
-	if err != nil {
-		return nil, err, true
-	}
-	return it, nil, ok
-}
-
-// NewRun builds the execution state without wrapping it in a Result
-// (tests drive Next directly).
-func (p *Program) NewRun(opts RunOptions) (*Run, error) {
-	eng := engine.New(p.store).WithPlans(p.plans)
+// newRun builds the execution state without wrapping it in a Result
+// (tests drive next directly).
+func (p *Program) newRun(opts RunOptions) (*run, error) {
+	eng := newEngine(p.store)
+	eng.plans = p.plans
 	if opts.Ctx != nil {
-		eng.WithContext(opts.Ctx)
+		eng.withContext(opts.Ctx)
 	}
-	eng.WithParallelism(opts.Parallelism)
-	if err := eng.ContextErr(); err != nil {
-		return nil, err
+	eng.withParallelism(opts.Parallelism)
+	if eng.ctx != nil {
+		if err := eng.ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
-	r := &Run{
+	r := &run{
 		prog:    p,
 		eng:     eng,
-		env:     eng.NewEnv(),
+		env:     &clauseEnv{s: newScope()},
 		cursors: make([]cursor, p.ncur),
 		accs:    make([]accum, len(p.reuse)),
 	}
-	eng.WithFLWORRunner(r)
+	eng.run = r
 	for _, ss := range p.sorts {
-		r.sorts = append(r.sorts, engine.NewTupleSort(ss.flwor, ss.plan, ss.ranks))
+		r.sorts = append(r.sorts, newTupleSort(ss.flwor, ss.plan, ss.ranks))
 	}
 	return r, nil
 }
 
-// RunFLWOR runs the sub-program of x to its OpRet (engine.FLWORRunner) in
-// env, its accumulator starting as dst; a sorter puts back the outer
-// bindings of its clauses' names on the way out (TupleSort.Open, Close).
-func (r *Run) RunFLWOR(x *xquery.FLWOR, env *engine.Env, dst engine.Seq) (engine.Seq, error) {
+// appendFLWOR runs the sub-program of x to its opRet through a frame
+// stack of its own over env, its accumulator starting as dst. The frames
+// are unbound when it returns — on error too — which puts back what its
+// clauses shadowed, and a sorter puts back the outer bindings of its
+// clauses' names on the way out (tupleSort.open, close).
+func (r *run) appendFLWOR(dst seq, x *xquery.FLWOR, env *scope) (seq, error) {
 	k, ok := r.prog.subOf[x]
 	if !ok {
 		return nil, fmt.Errorf("vm: run: internal error: no sub-program for %s", trunc(x.String(), 48))
 	}
 	s := &r.prog.subs[k]
+	sub := &clauseEnv{s: env}
 	if s.sort >= 0 {
-		r.sorts[s.sort].Open(env)
-		defer r.sorts[s.sort].Close(env)
+		r.sorts[s.sort].open(sub)
 	}
 	a := &r.accs[s.acc]
 	outer, pc := r.env, r.pc
-	a.seq, r.env, r.pc = dst, env, s.entry
+	a.seq, r.env, r.pc = dst, sub, s.entry
 	_, _, err := r.dispatch()
 	r.env, r.pc = outer, pc
 	dst, a.seq = a.seq, nil
+	if s.sort >= 0 {
+		r.sorts[s.sort].close(sub)
+	}
+	sub.truncate(0)
 	return dst, err
 }
 
-// Next yields the next result item. ok=false ends the stream; a
-// non-nil error is sticky.
-func (r *Run) Next() (engine.Item, bool, error) { return r.next() }
-
-func (r *Run) fail(err error) (engine.Item, bool, error) {
+func (r *run) fail(err error) (Item, bool, error) {
 	r.err = err
 	r.releaseScratch()
 	return nil, false, err
 }
 
-func (r *Run) releaseScratch() {
+func (r *run) releaseScratch() {
 	if r.sc != nil {
 		r.sc.Release()
 		r.sc = nil
 	}
 }
 
-func (r *Run) stop() {
+func (r *run) stop() {
 	r.done = true
 	r.releaseScratch()
 }
@@ -423,7 +386,7 @@ func (r *Run) stop() {
 // with an error, as one in Compile does, and the error is sticky. (The
 // loop is a function of its own: with its many returns a deferred call
 // there could not be open-coded, and would cost every item.)
-func (r *Run) next() (it engine.Item, ok bool, err error) {
+func (r *run) next() (it Item, ok bool, err error) {
 	if r.err != nil {
 		return nil, false, r.err
 	}
@@ -441,30 +404,30 @@ func (r *Run) next() (it engine.Item, ok bool, err error) {
 // dispatch executes instructions until one emits an item (returning with
 // the program counter parked so the next call resumes), the program
 // halts, or evaluation fails.
-func (r *Run) dispatch() (engine.Item, bool, error) {
+func (r *run) dispatch() (Item, bool, error) {
 	p := r.prog
 	eng := r.eng
 	for {
 		in := p.instrs[r.pc]
 		switch in.Op {
-		case OpHalt:
+		case opHalt:
 			r.stop()
 			return nil, false, nil
 
-		case OpReset:
-			r.env.Reset()
+		case opReset:
+			r.env.reset()
 			r.pc++
 
-		case OpScan:
+		case opScan:
 			spec := &p.doms[in.B]
 			c := &r.cursors[in.A]
 			c.pos = 0
 			if spec.topPath {
-				nodes, sums, textTail, err := eng.PathNodes(spec.path, r.env)
+				st, textTail, err := eng.evalPathNodes(spec.path, r.env.s)
 				if err != nil {
 					return r.fail(err)
 				}
-				c.ids, c.sums, c.textTail, c.seqMode = nodes, sums, textTail, false
+				c.ids, c.sums, c.textTail, c.seqMode = st.nodes, st.sums, textTail, false
 				r.pc++
 				continue
 			}
@@ -475,7 +438,7 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 				}
 			}
 			if res == nil {
-				seq, ids, sums, err := eng.BindingSeq(spec.expr, r.env)
+				seq, ids, sums, err := eng.evalBindingSeq(spec.expr, r.env.s)
 				if err != nil {
 					return r.fail(err)
 				}
@@ -509,7 +472,7 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			}
 			r.pc++
 
-		case OpLitRestrict:
+		case opLitRestrict:
 			c := &r.cursors[in.A]
 			if c.seqMode {
 				r.pc++
@@ -521,7 +484,7 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 				r.pc++
 				continue
 			}
-			restricted, handled, err := eng.ApplyLitPushdown(ps.pd, ps.ms, c.ids, c.sums)
+			restricted, handled, err := eng.applyLit(ps.pd, ps.ms, c.ids, c.sums)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -532,14 +495,14 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			}
 			r.pc++
 
-		case OpJoinRestrict:
+		case opJoinRestrict:
 			c := &r.cursors[in.A]
 			if c.seqMode {
 				r.pc++
 				continue
 			}
 			ps := &p.preds[in.B]
-			restricted, handled, err := eng.ApplyJoinPushdown(ps.pd, ps.idx, ps.whole, c.ids, c.sums, r.env)
+			restricted, handled, err := eng.applyJoin(ps.pd, ps.idx, ps.whole, c.ids, c.sums, r.env.s)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -550,8 +513,8 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			}
 			r.pc++
 
-		case OpIter:
-			if err := eng.CheckCancel(); err != nil {
+		case opIter:
+			if err := eng.checkCancel(); err != nil {
 				return r.fail(err)
 			}
 			c := &r.cursors[in.A]
@@ -566,22 +529,22 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			v := &p.vars[in.B]
 			if c.seqMode {
 				c.curNode, c.curIsNode = c.seq[c.pos].(storage.NodeID)
-				r.env.Bind(int(v.depth), v.name, c.seq[c.pos:c.pos+1], nil, c.sums)
+				r.env.bind(int(v.depth), v.name, c.seq[c.pos:c.pos+1], nil, c.sums)
 			} else {
 				c.curNode, c.curIsNode = c.ids[c.pos], true
-				r.env.BindNode(int(v.depth), v.name, c.curNode, c.sums)
+				r.env.bindNode(int(v.depth), v.name, c.curNode, c.sums)
 			}
 			c.pos++
 			r.pc++
 
-		case OpDeferred:
+		case opDeferred:
 			c := &r.cursors[in.A]
 			pass := true
 			for _, conj := range c.deferred {
 				if conj == nil {
 					continue
 				}
-				ok, err := eng.EvalBoolExpr(conj, r.env)
+				ok, err := eng.evalBool(conj, r.env.s)
 				if err != nil {
 					return r.fail(err)
 				}
@@ -596,18 +559,18 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			}
 			r.pc++
 
-		case OpLet:
+		case opLet:
 			spec := &p.doms[in.B]
-			seq, ids, sums, err := eng.BindingSeq(spec.expr, r.env)
+			seq, ids, sums, err := eng.evalBindingSeq(spec.expr, r.env.s)
 			if err != nil {
 				return r.fail(err)
 			}
 			v := &p.vars[in.A]
-			r.env.Bind(int(v.depth), v.name, seq, ids, sums)
+			r.env.bind(int(v.depth), v.name, seq, ids, sums)
 			r.pc++
 
-		case OpWhere:
-			ok, err := eng.EvalBoolExpr(p.exprs[in.A], r.env)
+		case opWhere:
+			ok, err := eng.evalBool(p.exprs[in.A], r.env.s)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -617,15 +580,15 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			}
 			r.pc++
 
-		case OpEvalPush:
-			v, err := eng.EvalExpr(p.exprs[in.A], r.env)
+		case opEvalPush:
+			v, err := eng.eval(p.exprs[in.A], r.env.s)
 			if err != nil {
 				return r.fail(err)
 			}
 			r.stack = append(r.stack, emitFrame{seq: v})
 			r.pc++
 
-		case OpEmitSeq:
+		case opEmitSeq:
 			f := &r.stack[len(r.stack)-1]
 			if f.pos < len(f.seq) {
 				it := f.seq[f.pos]
@@ -637,8 +600,8 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			r.stack = r.stack[:len(r.stack)-1]
 			r.pc = in.C
 
-		case OpIterEmit:
-			if err := eng.CheckCancel(); err != nil {
+		case opIterEmit:
+			if err := eng.checkCancel(); err != nil {
 				return r.fail(err)
 			}
 			c := &r.cursors[in.A]
@@ -652,7 +615,7 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 				if r.sc == nil {
 					r.sc = storage.NewScratch()
 				}
-				buf, err := p.store.TextScratch(r.sc, eng.TextCursor(), id)
+				buf, err := p.store.TextScratch(r.sc, &eng.cur, id)
 				if err != nil {
 					return r.fail(err)
 				}
@@ -661,28 +624,28 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			}
 			return id, true, nil
 
-		case OpCollect:
+		case opCollect:
 			ts := r.sorts[in.A]
 			for _, cu := range p.sorts[in.A].fors {
 				if c := &r.cursors[cu]; c.curIsNode {
-					ts.Add(c.curNode, nil, c.sums)
+					ts.add(c.curNode, nil, c.sums)
 				} else {
-					ts.Add(0, c.seq[c.pos-1], c.sums)
+					ts.add(0, c.seq[c.pos-1], c.sums)
 				}
 			}
-			if err := eng.CollectKey(ts, r.env); err != nil {
+			if err := eng.collectKey(ts, r.env.s); err != nil {
 				return r.fail(err)
 			}
 			r.pc = in.C
 
-		case OpSort:
-			if err := eng.SortTuples(r.sorts[in.A]); err != nil {
+		case opSort:
+			if err := eng.sortTuples(r.sorts[in.A]); err != nil {
 				return r.fail(err)
 			}
 			r.pc++
 
-		case OpReplay:
-			ok, err := eng.Replay(r.sorts[in.A], r.env)
+		case opReplay:
+			ok, err := eng.replay(r.sorts[in.A], r.env.s)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -692,55 +655,55 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			}
 			r.pc++
 
-		case OpLetOpen:
+		case opLetOpen:
 			if a := &r.accs[in.A]; p.reuse[in.A] {
 				a.ids, a.seq = a.ids[:0], a.seq[:0]
 			} else {
 				*a = accum{}
 			}
-			r.env.Open(int(in.B))
+			r.env.open(int(in.B))
 			r.pc++
 
-		case OpAppend:
+		case opAppend:
 			a := &r.accs[in.A]
-			seq, err := eng.AppendExpr(a.seq, p.exprs[in.B], r.env)
+			seq, err := eng.appendExpr(a.seq, p.exprs[in.B], r.env.s)
 			if err != nil {
 				return r.fail(err)
 			}
 			a.seq = seq
 			r.pc = in.C
 
-		case OpAppendCur:
+		case opAppendCur:
 			a := &r.accs[in.A]
 			a.ids = append(a.ids, r.cursors[in.B].curNode)
 			r.pc = in.C
 
-		case OpLetBind:
+		case opLetBind:
 			a, v := &r.accs[in.B], &p.vars[in.A]
 			if in.C >= 0 {
 				ids := a.ids
 				if ids == nil {
 					ids = algebra.NodeSet{}
 				}
-				r.env.Bind(int(v.depth), v.name, nil, ids, r.cursors[in.C].sums)
+				r.env.bind(int(v.depth), v.name, nil, ids, r.cursors[in.C].sums)
 			} else {
-				r.env.Bind(int(v.depth), v.name, a.seq, nil, nil)
+				r.env.bind(int(v.depth), v.name, a.seq, nil, nil)
 			}
 			if !p.reuse[in.B] {
 				*a = accum{} // the binding owns the items now
 			}
 			r.pc++
 
-		case OpEmitCtor:
-			it, err := eng.Emit(p.tpls[in.A].t, r.env)
+		case opEmitCtor:
+			it, err := eng.emit(p.tpls[in.A].t, r.env.s)
 			if err != nil {
 				return r.fail(err)
 			}
 			r.pc = in.C
 			return it, true, nil
 
-		case OpAppendCtor:
-			it, err := eng.Emit(p.tpls[in.B].t, r.env)
+		case opAppendCtor:
+			it, err := eng.emit(p.tpls[in.B].t, r.env.s)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -748,16 +711,16 @@ func (r *Run) dispatch() (engine.Item, bool, error) {
 			a.seq = append(a.seq, it)
 			r.pc = in.C
 
-		case OpAppendOut:
+		case opAppendOut:
 			a := &r.accs[in.A]
-			seq, err := eng.AppendEmitted(a.seq, p.exprs[in.B], r.env)
+			seq, err := eng.appendEmitted(a.seq, p.exprs[in.B], r.env.s)
 			if err != nil {
 				return r.fail(err)
 			}
 			a.seq = seq
 			r.pc = in.C
 
-		case OpRet:
+		case opRet:
 			return nil, false, nil
 
 		default:

@@ -48,17 +48,17 @@ func FuzzCompile(f *testing.F) {
 		if err != nil || len(query) > 1024 {
 			return // long inputs only parse: they keep eval cost bounded and add no coverage
 		}
-		prog, err := Compile(expr, s, query)
+		prog, err := engine.Compile(expr, s, query)
 		if err != nil {
 			t.Fatalf("%q: %v", query, err)
 		}
 		got, vErr := func() (string, error) {
-			res, err := prog.Run(RunOptions{})
+			res, err := prog.Run(engine.RunOptions{})
 			if err != nil {
 				return "", err
 			}
 			defer res.Close()
-			return res.SerializeXML()
+			return serialize(res)
 		}()
 		dis := prog.Disassemble()
 		if _, isPath := expr.(*xquery.PathExpr); isPath && strings.Contains(dis, "statically empty") && got != "" {
@@ -67,7 +67,7 @@ func FuzzCompile(f *testing.F) {
 		want, wErr := evalRef(t, query)
 		switch {
 		case vErr == nil && wErr == nil:
-		case len(engine.FreeVars(expr)) > 0:
+		case len(xquery.FreeVars(expr)) > 0:
 			return
 		case wErr != nil && vErr == nil && reorders(expr):
 			return
@@ -79,10 +79,10 @@ func FuzzCompile(f *testing.F) {
 }
 
 // reorders reports that the program may skip work the reference does in
-// some FLWOR of x: a WHERE conjunct PlanFLWOR pushes into a clause's
-// domain while another conjunct stands beside it, which the program may
-// then never evaluate for a tuple the pushdown dropped, or a LET nothing
-// after it reads.
+// some FLWOR of x: a WHERE conjunct the planner pushes into a clause's
+// domain (pushable) while another conjunct stands beside it, which the
+// program may then never evaluate for a tuple the pushdown dropped, or a
+// LET nothing after it reads.
 func reorders(x xquery.Expr) bool {
 	found := false
 	xquery.Walk(x, func(sub xquery.Expr) {
@@ -90,19 +90,72 @@ func reorders(x xquery.Expr) bool {
 		if !isFLWOR || found {
 			return
 		}
-		plan, pushed := engine.PlanFLWOR(f), 0
-		for _, pds := range plan.Pushdowns {
-			pushed += len(pds)
+		forVars := map[string]bool{}
+		for _, cl := range f.Clauses {
+			if !cl.Let {
+				forVars[cl.Var] = true
+			}
 		}
-		if pushed > 0 && pushed+len(plan.Residual) > 1 {
-			found = true
+		conjs := conjuncts(f.Where)
+		for _, c := range conjs {
+			if len(conjs) > 1 && pushable(c, forVars) {
+				found = true
+			}
 		}
 		for ci, cl := range f.Clauses {
 			rest := &xquery.FLWOR{Clauses: f.Clauses[ci+1:], Where: f.Where, OrderBy: f.OrderBy, Return: f.Return}
-			if cl.Let && !engine.FreeVars(rest)[cl.Var] {
+			if cl.Let && !xquery.FreeVars(rest)[cl.Var] {
 				found = true
 			}
 		}
 	})
 	return found
+}
+
+// conjuncts flattens a WHERE tree of ANDs.
+func conjuncts(where xquery.Expr) []xquery.Expr {
+	if where == nil {
+		return nil
+	}
+	if l, isLogic := where.(*xquery.Logic); isLogic && l.Op == "and" {
+		return append(conjuncts(l.Left), conjuncts(l.Right)...)
+	}
+	return []xquery.Expr{where}
+}
+
+// pushable reports whether the FLWOR planner assigns conj to a FOR
+// clause of forVars rather than leaving it a per-tuple filter: a literal
+// restrict (`$v/rel op literal` either way round, or contains,
+// starts-with or ends-with of `$v/rel` and a non-empty string) or an
+// equality join of two variables' paths, one of them in forVars.
+func pushable(conj xquery.Expr, forVars map[string]bool) bool {
+	onFor := func(x xquery.Expr) bool {
+		p, isPath := x.(*xquery.PathExpr)
+		return isPath && forVars[p.Var]
+	}
+	isLit := func(x xquery.Expr) bool {
+		switch x.(type) {
+		case *xquery.StringLit, *xquery.NumberLit:
+			return true
+		}
+		return false
+	}
+	switch c := conj.(type) {
+	case *xquery.Call:
+		fn := c.Name == "contains" || c.Name == "starts-with" || c.Name == "ends-with"
+		if !fn || len(c.Args) != 2 {
+			return false
+		}
+		s, isStr := c.Args[1].(*xquery.StringLit)
+		return isStr && s.Val != "" && onFor(c.Args[0])
+	case *xquery.Cmp:
+		if onFor(c.Left) && isLit(c.Right) || onFor(c.Right) && isLit(c.Left) {
+			return true
+		}
+		lp, lok := c.Left.(*xquery.PathExpr)
+		rp, rok := c.Right.(*xquery.PathExpr)
+		return c.Op == "=" && lok && rok && lp.Var != "" && rp.Var != "" &&
+			lp.Var != "." && rp.Var != "." && (forVars[lp.Var] || forVars[rp.Var])
+	}
+	return false
 }

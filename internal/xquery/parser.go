@@ -93,7 +93,7 @@ func (p *parser) parseExprSingle() (Expr, error) {
 	if p.isKeyword("if") {
 		return p.parseIf()
 	}
-	return p.parseOr()
+	return p.parseOperators(bpOr)
 }
 
 func (p *parser) parseFLWOR() (Expr, error) {
@@ -226,134 +226,110 @@ func (p *parser) parseIf() (Expr, error) {
 	return &Call{Name: "if", Args: []Expr{cond, thenE, elseE}}, nil
 }
 
-func (p *parser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.isKeyword("or") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &Logic{Op: "or", Left: left, Right: right}
-	}
-	return left, nil
+// Binding powers of the operators, loosest first.
+const (
+	bpOr = iota + 1
+	bpAnd
+	bpCmp
+	bpAdd
+	bpMul
+	bpUnary
+)
+
+// infixOp is an infix operator: the Op of the node it builds, and how
+// tightly it binds. Or and and build a Logic, comparisons a Cmp, the
+// others an Arith.
+type infixOp struct {
+	op string
+	bp int
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	left, err := p.parseCmp()
-	if err != nil {
-		return nil, err
+// symbolOps and keywordOps are the infix operators by token; a keyword
+// matches in any case (isKeyword).
+var (
+	symbolOps = map[string]infixOp{
+		"=": {"=", bpCmp}, "!=": {"!=", bpCmp}, "<=": {"<=", bpCmp}, ">=": {">=", bpCmp}, "<": {"<", bpCmp}, ">": {">", bpCmp},
+		"+": {"+", bpAdd}, "-": {"-", bpAdd}, "*": {"*", bpMul},
 	}
-	for p.isKeyword("and") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		left = &Logic{Op: "and", Left: left, Right: right}
+	keywordOps = []struct {
+		kw string
+		infixOp
+	}{
+		{"or", infixOp{"or", bpOr}}, {"and", infixOp{"and", bpAnd}},
+		{"eq", infixOp{"=", bpCmp}}, {"ne", infixOp{"!=", bpCmp}}, {"lt", infixOp{"<", bpCmp}},
+		{"le", infixOp{"<=", bpCmp}}, {"gt", infixOp{">", bpCmp}}, {"ge", infixOp{">=", bpCmp}},
+		{"div", infixOp{"div", bpMul}}, {"mod", infixOp{"mod", bpMul}},
 	}
-	return left, nil
-}
+)
 
-func (p *parser) parseCmp() (Expr, error) {
-	left, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	ops := []string{"=", "!=", "<=", ">=", "<", ">"}
-	for _, op := range ops {
-		if p.isSymbol(op) {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			right, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			return &Cmp{Op: op, Left: left, Right: right}, nil
-		}
-	}
-	// keyword comparisons eq/ne/lt/le/gt/ge
-	kw := map[string]string{"eq": "=", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
-	if p.tok.kind == tokName {
-		if op, ok := kw[strings.ToLower(p.tok.text)]; ok {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			right, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			return &Cmp{Op: op, Left: left, Right: right}, nil
-		}
-	}
-	return left, nil
-}
-
-func (p *parser) parseAdd() (Expr, error) {
-	left, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.isSymbol("+") || p.isSymbol("-") {
-		op := p.tok.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		left = &Arith{Op: op, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseMul() (Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.isSymbol("*") || p.isKeyword("div") || p.isKeyword("mod") {
-		op := p.tok.text
-		if p.isSymbol("*") {
-			op = "*"
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &Arith{Op: strings.ToLower(op), Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseUnary() (Expr, error) {
+// parseOperators parses an operator expression whose infix operators
+// bind at least as tightly as minBP: a prefix — a unary minus, which
+// binds tighter than every infix operator, or a path — and then each
+// infix operator with its right operand parsed one level tighter, so
+// operators of a level associate to the left. A comparison does not
+// chain: `a = b = c` is an error.
+func (p *parser) parseOperators(minBP int) (Expr, error) {
+	var left Expr
 	if p.isSymbol("-") {
 		if err := p.enter(); err != nil {
 			return nil, err
 		}
-		defer p.leave()
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		e, err := p.parseUnary()
+		e, err := p.parseOperators(bpUnary)
 		if err != nil {
 			return nil, err
 		}
-		return &Arith{Op: "-", Left: &NumberLit{Val: 0}, Right: e}, nil
+		p.leave()
+		left = &Arith{Op: "-", Left: &NumberLit{Val: 0}, Right: e}
+	} else {
+		e, err := p.parsePostfix()
+		if err != nil {
+			return nil, err
+		}
+		left = e
 	}
-	return p.parsePostfix()
+	ceil := bpUnary
+	for {
+		var o infixOp
+		var ok bool
+		switch p.tok.kind {
+		case tokSymbol:
+			o, ok = symbolOps[p.tok.text]
+		case tokName:
+			for _, k := range keywordOps {
+				if ok = p.isKeyword(k.kw); ok {
+					o = k.infixOp
+					break
+				}
+			}
+		}
+		if !ok || o.bp < minBP || o.bp >= ceil {
+			return left, nil
+		}
+		if err := p.advance(); err != nil {
+			return nil, err
+		}
+		right, err := p.parseOperators(o.bp + 1)
+		if err != nil {
+			return nil, err
+		}
+		switch o.bp {
+		case bpOr, bpAnd:
+			left = &Logic{Op: o.op, Left: left, Right: right}
+		case bpCmp:
+			left = &Cmp{Op: o.op, Left: left, Right: right}
+		default:
+			left = &Arith{Op: o.op, Left: left, Right: right}
+		}
+		// A tighter operator after right was one right could not take:
+		// a second comparison, which left takes no more than right did.
+		ceil = o.bp + 1
+		if o.bp == bpCmp {
+			ceil = bpCmp
+		}
+	}
 }
 
 // parsePostfix parses a primary expression followed by path steps.

@@ -51,3 +51,62 @@ func Children(expr Expr) []Expr {
 	}
 	return out
 }
+
+// FreeVars returns the variables x refers to without binding them (the
+// context item counts as the pseudo-variable "."). Step predicates bind
+// "." locally; FLWOR clauses bind their variables for later clauses and
+// the tail.
+func FreeVars(x Expr) map[string]bool {
+	free := map[string]bool{}
+	addFree(x, nil, free)
+	return free
+}
+
+func addFree(x Expr, bound map[string]bool, free map[string]bool) {
+	switch e := x.(type) {
+	case nil:
+		return
+	case *VarRef:
+		if !bound[e.Name] {
+			free[e.Name] = true
+		}
+	case *PathExpr:
+		if e.Var != "" && !bound[e.Var] {
+			free[e.Var] = true
+		}
+		var pb map[string]bool
+		for _, st := range e.Steps {
+			if len(st.Preds) == 0 {
+				continue
+			}
+			if pb == nil {
+				pb = withBound(bound, ".")
+			}
+			for _, pr := range st.Preds {
+				addFree(pr, pb, free)
+			}
+		}
+	case *FLWOR:
+		b := bound
+		for _, cl := range e.Clauses {
+			addFree(cl.Seq, b, free)
+			b = withBound(b, cl.Var)
+		}
+		addFree(e.Where, b, free)
+		addFree(e.OrderBy, b, free)
+		addFree(e.Return, b, free)
+	default:
+		for _, sub := range Children(x) {
+			addFree(sub, bound, free)
+		}
+	}
+}
+
+func withBound(bound map[string]bool, name string) map[string]bool {
+	out := make(map[string]bool, len(bound)+1)
+	for k := range bound {
+		out[k] = true
+	}
+	out[name] = true
+	return out
+}

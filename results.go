@@ -86,7 +86,8 @@ func (r *Results) Close() error {
 // Len returns the total number of result items. On a not-yet-consumed
 // streaming result this forces the remaining evaluation (items are
 // buffered, not lost); when streaming large results, prefer counting
-// Next calls instead.
+// Next calls instead. If the evaluation fails, Len counts the items
+// before the failure, and Next returns the error after handing them out.
 func (r *Results) Len() int {
 	return r.res.Len()
 }

@@ -48,9 +48,9 @@ import (
 	"strings"
 
 	"xquec/internal/costmodel"
+	"xquec/internal/engine"
 	"xquec/internal/partition"
 	"xquec/internal/storage"
-	"xquec/internal/vm"
 	"xquec/internal/workload"
 	"xquec/internal/xquery"
 )
@@ -362,7 +362,7 @@ type QueryOptions struct {
 // gets its own evaluation state; the program's VM loop feeds the cursor
 // directly.
 func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error) {
-	res, err := p.prog.Run(vm.RunOptions{Ctx: ctx, Parallelism: opts.Parallelism})
+	res, err := p.prog.Run(engine.RunOptions{Ctx: ctx, Parallelism: opts.Parallelism})
 	if err != nil {
 		return nil, tagErr(ErrEval, err)
 	}
@@ -409,7 +409,7 @@ func (db *Database) Prepare(q string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := vm.Compile(expr, st, q)
+	prog, err := engine.Compile(expr, st, q)
 	if err != nil {
 		return nil, tagErr(ErrEval, err)
 	}
@@ -420,7 +420,7 @@ func (db *Database) Prepare(q string) (*Prepared, error) {
 // Database's repository or its set's fused store.
 type Prepared struct {
 	text string
-	prog *vm.Program
+	prog *engine.Program
 }
 
 // Text returns the original query text.

@@ -146,7 +146,7 @@ func BenchmarkFuse(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := res.SerializeXML(); err != nil {
+					if _, err := res.WriteXML(io.Discard); err != nil {
 						b.Fatal(err)
 					}
 				}

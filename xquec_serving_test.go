@@ -16,7 +16,8 @@ import (
 	"time"
 
 	"xquec/internal/datagen"
-	"xquec/internal/vm"
+	"xquec/internal/engine"
+	"xquec/internal/xquery"
 )
 
 // slowDoc and slowQuery build an evaluation long enough that the
@@ -266,7 +267,7 @@ func TestPreparedOwnsPartPrograms(t *testing.T) {
 		if _, err := ResultXML(res); err != nil {
 			t.Fatal(err)
 		}
-		runtime.SetFinalizer(prep.prog, func(*vm.Program) { freed.Add(1) })
+		runtime.SetFinalizer(prep.prog, func(*engine.Program) { freed.Add(1) })
 	}
 	for i := 0; i < 50 && freed.Load() < n; i++ {
 		runtime.GC()
@@ -289,7 +290,17 @@ func TestPreparedOwnsPartPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parts.prog.Store() != fused {
+	// A program lists its stores' node and record counts: compiled
+	// against the fused store, it lists what one compiled there lists.
+	expr, err := xquery.Parse(text(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onFused, err := engine.Compile(expr, fused, text(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts.Disassemble() != onFused.Disassemble() {
 		t.Fatal("the statement on 4 shards is not compiled against their fused store")
 	}
 	if parts.CostBytes() != parts.prog.SizeBytes() {

@@ -68,6 +68,37 @@ func TestResultsNextIteration(t *testing.T) {
 	}
 }
 
+// TestLenKeepsItemsBeforeAnError: Len buffers the items evaluated
+// before a mid-stream error, and Next hands them out before the error.
+func TestLenKeepsItemsBeforeAnError(t *testing.T) {
+	doc := `<site><people><person><name>Alice</name></person><person><name>Bob</name></person></people></site>`
+	db, err := Compress([]byte(doc), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := `for $p in /site/people/person return if ($p/name = "Bob") then 1 mod 0 else 1`
+	res, err := db.Execute(context.Background(), q, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	if n := res.Len(); n != 1 {
+		t.Fatalf("Len = %d, want the 1 item before the error", n)
+	}
+	item, ok, err := res.Next()
+	if err != nil || !ok {
+		t.Fatalf("first Next after Len = %v, %v; want the buffered item", ok, err)
+	}
+	if xml, err := item.XML(); err != nil || xml != "1" {
+		t.Fatalf("first item = %q, %v", xml, err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok, err := res.Next(); ok || !errors.Is(err, ErrEval) {
+			t.Fatalf("Next after the buffered item = %v, %v; want the sticky ErrEval", ok, err)
+		}
+	}
+}
+
 // TestWriteXMLMatchesItems checks the streamed rendering against the
 // item-at-a-time one: the same items, newline-separated.
 func TestWriteXMLMatchesItems(t *testing.T) {
