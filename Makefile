@@ -83,9 +83,10 @@ bench-serve:
 # number); BenchmarkCompressXMark (one storage.Load of the scale-1
 # document at each worker count); BenchmarkStoreText (immediate-text
 # lookups at scale 8, through a run's cursor and cold, sole-text and
-# walked).
+# walked); BenchmarkCompact (one Writer.Compact of a scale-2 base and
+# four fragments, from the fused store).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct|BenchmarkXMarkMix|BenchmarkFuse|BenchmarkStreamLarge|BenchmarkPointLookup|BenchmarkCompressXMark|BenchmarkStoreText' -benchtime 1x . >/dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct|BenchmarkXMarkMix|BenchmarkFuse|BenchmarkStreamLarge|BenchmarkPointLookup|BenchmarkCompressXMark|BenchmarkStoreText|BenchmarkCompact$$' -benchtime 1x . >/dev/null
 
 # Short fuzzing pass over the codec fuzz targets (roundtrip, order
 # preservation, decode-vs-reference, ALM's code automaton against decode

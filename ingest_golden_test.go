@@ -59,6 +59,40 @@ func setBytes(db *Database) [][]byte {
 	return append(out, db.Bytes())
 }
 
+// appendFrags are the documents the append cases append to the
+// XMark 0.25 corpus: two XMark fragments and one whose values carry
+// entity references.
+func appendFrags() [][]byte {
+	return [][]byte{
+		datagen.XMark(datagen.XMarkConfig{Scale: 0.016, Seed: 21}),
+		datagen.XMark(datagen.XMarkConfig{Scale: 0.016, Seed: 22}),
+		[]byte(`<site><people><person id="p&amp;q"><name>N &lt; M</name></person></people></site>`),
+	}
+}
+
+// appendCompact compresses base under opts, appends every fragment in
+// one commit and compacts: the grown database and the compacted one.
+func appendCompact(base []byte, frags [][]byte, opts Options) (grown, compacted *Database, err error) {
+	db, err := Compress(base, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	w, err := NewWriter(db, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, f := range frags {
+		if err := w.Append(f); err != nil {
+			return nil, nil, err
+		}
+	}
+	if grown, err = w.Commit(); err != nil {
+		return nil, nil, err
+	}
+	compacted, err = w.Compact(context.Background())
+	return grown, compacted, err
+}
+
 func goldenCases() []goldenCase {
 	xmark := func(scale float64, seed int64) []byte {
 		return datagen.XMark(datagen.XMarkConfig{Scale: scale, Seed: seed})
@@ -126,29 +160,18 @@ func goldenCases() []goldenCase {
 			return setBytes(db), nil
 		}},
 		goldenCase{"append-compact", func(par int) ([][]byte, error) {
-			db, err := Compress(small, Options{Parallelism: par})
+			grown, compacted, err := appendCompact(small, appendFrags(), Options{Parallelism: par})
 			if err != nil {
 				return nil, err
 			}
-			w, err := NewWriter(db, Options{Parallelism: par})
+			return append(setBytes(grown), compacted.Bytes()), nil
+		}},
+		goldenCase{"append-compact-workload", func(par int) ([][]byte, error) {
+			grown, compacted, err := appendCompact(small, appendFrags(), Options{Parallelism: par, WorkloadQueries: texts})
 			if err != nil {
 				return nil, err
 			}
-			for _, f := range [][]byte{frag, xmark(0.016, 22), []byte(`<site><people><person id="p&amp;q"><name>N &lt; M</name></person></people></site>`)} {
-				if err := w.Append(f); err != nil {
-					return nil, err
-				}
-			}
-			grown, err := w.Commit()
-			if err != nil {
-				return nil, err
-			}
-			out := setBytes(grown)
-			compacted, err := w.Compact(context.Background())
-			if err != nil {
-				return nil, err
-			}
-			return append(out, compacted.Bytes()), nil
+			return append(setBytes(grown), compacted.Bytes()), nil
 		}},
 	)
 	return cases

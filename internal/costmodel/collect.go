@@ -12,32 +12,24 @@ import (
 // algorithm behaviour and similarity.
 const MaxSampleValues = 512
 
-// CollectContainers parses an XML document and gathers the ContainerInfo
-// of every *textual* value path (typed containers — ints, dates,
-// decimals, floats — are excluded: the loader always uses the typed
-// order-preserving codecs for them, so they are outside the §3 search,
-// which the paper likewise restricts to "the set of non-numerical
-// (textual) containers").
+// CollectContainers parses an XML document and gathers the
+// ContainerInfo of every textual value path (Infos).
 func CollectContainers(src []byte) ([]ContainerInfo, error) {
-	type acc struct {
-		info  ContainerInfo
-		order int
-	}
-	accs := map[string]*acc{}
+	var paths []string
+	var values [][][]byte
+	index := map[string]int{}
 	var path []string
-	order := 0
-	record := func(p string, value []byte) {
-		a := accs[p]
-		if a == nil {
-			a = &acc{info: ContainerInfo{Path: p}, order: order}
-			order++
-			accs[p] = a
+	record := func(p string, value []byte, decoded bool) {
+		i, ok := index[p]
+		if !ok {
+			i = len(paths)
+			index[p] = i
+			paths, values = append(paths, p), append(values, nil)
 		}
-		a.info.Count++
-		a.info.TotalBytes += len(value)
-		if len(a.info.Sample) < MaxSampleValues {
-			a.info.Sample = append(a.info.Sample, bytes.Clone(value))
+		if decoded {
+			value = bytes.Clone(value) // the parser's buffer is overwritten by the next event
 		}
+		values[i] = append(values[i], value)
 	}
 	parser := xmlparser.NewParser(src)
 	err := parser.Parse(func(ev *xmlparser.Event) error {
@@ -45,36 +37,44 @@ func CollectContainers(src []byte) ([]ContainerInfo, error) {
 		case xmlparser.EventStartElement:
 			path = append(path, string(ev.Name))
 			for _, attr := range ev.Attrs {
-				record("/"+strings.Join(path, "/")+"/@"+string(attr.Name), attr.Value)
+				record("/"+strings.Join(path, "/")+"/@"+string(attr.Name), attr.Value, attr.Decoded)
 			}
 		case xmlparser.EventEndElement:
 			path = path[:len(path)-1]
 		case xmlparser.EventText:
-			record("/"+strings.Join(path, "/")+"/#text", ev.Text)
+			record("/"+strings.Join(path, "/")+"/#text", ev.Text, ev.Decoded)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	infos := make([]ContainerInfo, 0, len(accs))
-	ordered := make([]*acc, 0, len(accs))
-	for _, a := range accs {
-		ordered = append(ordered, a)
-	}
-	// Restore first-appearance order for determinism.
-	for i := 1; i < len(ordered); i++ {
-		for j := i; j > 0 && ordered[j].order < ordered[j-1].order; j-- {
-			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
+	return Infos(paths, values), nil
+}
+
+// Infos builds the ContainerInfo of every *textual* value path from its
+// values in document order, the paths in the order their first values
+// appear — whether the values come from parsing a document or from a
+// store's containers (a compaction's search runs on those). Typed
+// containers — ints, dates, decimals, floats — are left out: the loader
+// always uses the typed order-preserving codecs for them, so they are
+// outside the §3 search, which the paper likewise restricts to "the set
+// of non-numerical (textual) containers". The samples are views of
+// values.
+func Infos(paths []string, values [][][]byte) []ContainerInfo {
+	var infos []ContainerInfo
+	for i, p := range paths {
+		vals := values[i]
+		n := min(len(vals), MaxSampleValues)
+		info := ContainerInfo{Path: p, Count: len(vals), Sample: vals[:n:n]}
+		for _, v := range vals {
+			info.TotalBytes += len(v)
+		}
+		if !isTyped(info.Sample) {
+			infos = append(infos, info)
 		}
 	}
-	for _, a := range ordered {
-		if isTyped(a.info.Sample) {
-			continue
-		}
-		infos = append(infos, a.info)
-	}
-	return infos, nil
+	return infos
 }
 
 // isTyped mirrors the loader's type inference: containers whose values

@@ -11,6 +11,7 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -123,12 +124,26 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 	if out, err := got.Serialize(nil, 1); err != nil || !bytes.Equal(out, xml) || !bytes.Equal(fx, xml) {
 		t.Fatalf("fused store serializes to\n%s (%v), FuseXML is\n%s, the corpus\n%s", out, err, fx, xml)
 	}
-	// What FuseXML writes is what compaction re-ingests: it must read
-	// back as the same document, white space included.
-	if re, err := storage.Load(fx, storage.LoadOptions{}); err != nil {
+	// What FuseXML writes is what Decompress returns: it must read back
+	// as the same document, white space included.
+	re, err := storage.Load(fx, storage.LoadOptions{})
+	if err != nil {
 		t.Fatalf("Load(FuseXML): %v\n%s", err, fx)
 	} else if out, err := re.Serialize(nil, 1); err != nil || !bytes.Equal(out, fx) {
 		t.Fatalf("FuseXML\n%s\nre-ingested serializes to\n%s (%v)", fx, out, err)
+	}
+	// A segment set compacts from its fused store, not from FuseXML, to
+	// the repository the re-ingest of FuseXML is, byte for byte — but for
+	// the original size, which stays the bytes ingested.
+	if set.Segments != nil {
+		compacted, err := set.Compact(context.Background(), 0, nil)
+		if err != nil {
+			t.Fatalf("Compact: %v\ncorpus: %s", err, fx)
+		}
+		re.OriginalSize = set.OriginalSize()
+		if !bytes.Equal(compacted.Stores[0].AppendBinary(nil), re.AppendBinary(nil)) {
+			t.Fatalf("the compacted repository differs from the re-ingest of\n%s", fx)
+		}
 	}
 
 	contPath := func(s *storage.Store, i int32) string {
@@ -349,5 +364,14 @@ func TestFusedKeepsJunctionTextApart(t *testing.T) {
 	c, ok := st.ContainerByPath("/site/#text")
 	if !ok || c.Len() != 2 || c.Owner(0) != 1 || c.Owner(1) != 1 {
 		t.Fatalf("/site/#text = %v, want the two values of node 1", c)
+	}
+	// Compaction re-encodes the values of the fused structure: the two
+	// stay two, where a re-ingest of FuseXML would join them.
+	compacted, err := set.Compact(context.Background(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := compacted.Stores[0].ContainerByPath("/site/#text"); !ok || c.Len() != 2 || c.Owner(0) != 1 || c.Owner(1) != 1 {
+		t.Fatalf("compacted /site/#text = %v, want the two values of node 1", c)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -127,13 +128,36 @@ func parseManifest(data []byte, m manifest) error {
 
 // writeManifest encodes m as indented JSON (manifests are meant to be
 // human-inspectable) at path. Callers write it after the part files, so
-// a readable manifest implies readable parts.
+// a readable manifest implies readable parts. The new manifest is
+// written and synced under a temporary name in the same directory, then
+// renamed over path: a reader opening path sees the old manifest or the
+// new one, never a truncated or half-written file.
 func writeManifest(path string, m manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(append(data, '\n'))
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // SniffManifest classifies raw bytes as a set manifest by the JSON
@@ -206,7 +230,7 @@ func (s *Set) Save(path string) error {
 }
 
 // FuseXML serializes the fused store: the whole corpus as one document, for
-// decompression to return and compaction to re-train on. No query needs it.
+// decompression to return. No query and no compaction needs it.
 func (s *Set) FuseXML() ([]byte, error) {
 	st, err := s.Fused()
 	if err != nil {

@@ -1,10 +1,13 @@
 package partition
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"xquec/internal/baselines/galaxlike"
@@ -304,7 +307,7 @@ func TestSetFuseAndCompact(t *testing.T) {
 	if string(xml) != want {
 		t.Fatalf("FuseXML = %s, want %s", xml, want)
 	}
-	compacted, err := set.Compact(nil, storage.LoadOptions{})
+	compacted, err := set.Compact(context.Background(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +346,7 @@ func TestSetSaveOpenValidateGC(t *testing.T) {
 	}
 
 	// Compaction + save drops the superseded segment files.
-	compacted, err := set.Compact(nil, storage.LoadOptions{})
+	compacted, err := set.Compact(context.Background(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,5 +406,71 @@ func TestShardSaveOpen(t *testing.T) {
 	}
 	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "dictionary hash") {
 		t.Fatalf("mixed build err = %v", err)
+	}
+}
+
+// TestManifestNeverTorn: a reader opening the manifest while a writer
+// rewrites it — a serving pool's miss during an append — sees the old
+// manifest or the new one, never a truncated or half-written file.
+func TestManifestNeverTorn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus"+SegmentManifestExt)
+	man := &SegmentManifest{Format: SegmentManifestFormat, RootTag: "site"}
+	grow := func(gen int) {
+		man.Segments = append(man.Segments, fmt.Sprintf("corpus.seg-%06d.xqc", gen))
+		man.DictHashes = append(man.DictHashes, DictionaryHash([]string{"site", fmt.Sprint(gen)}))
+		man.OriginalSizes = append(man.OriginalSizes, gen)
+		man.Generation, man.Sequence = gen, gen+1
+	}
+	grow(0)
+	if err := writeManifest(path, man); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var reads, torn int
+	var firstErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			data, err := os.ReadFile(path)
+			if err == nil {
+				err = parseManifest(data, &SegmentManifest{})
+			}
+			reads++
+			if err != nil {
+				if torn++; firstErr == nil {
+					firstErr = err
+				}
+			}
+		}
+	}()
+	for gen := 1; gen <= 1000; gen++ {
+		if gen%50 == 0 {
+			man.Segments, man.DictHashes, man.OriginalSizes = man.Segments[:1], man.DictHashes[:1], man.OriginalSizes[:1]
+		}
+		grow(gen)
+		if err := writeManifest(path, man); err != nil {
+			close(done)
+			wg.Wait()
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if torn > 0 {
+		t.Fatalf("%d of %d concurrent reads saw an invalid manifest; the first: %v", torn, reads, firstErr)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("the rewrites left %d files behind, want the manifest alone", len(entries))
 	}
 }

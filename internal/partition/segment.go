@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -148,27 +149,49 @@ func (s *Set) CheckAppend(doc []byte) error {
 	return nil
 }
 
-// Compact re-ingests the concatenated corpus as a single fresh base
-// segment and returns the compacted one-segment set (generation moves
-// forward, the naming sequence is not reused, so the compacted file can
-// never collide with the files it replaces). xml, when non-nil, is a
-// caller-supplied FuseXML result (callers re-running the cost-model
-// search over the union already hold it); nil fuses here. opts usually
-// carries the re-derived compression plan.
-func (s *Set) Compact(xml []byte, opts storage.LoadOptions) (*Set, error) {
-	if xml == nil {
-		var err error
-		if xml, err = s.FuseXML(); err != nil {
-			return nil, err
-		}
+// Compact folds the set into a single fresh base segment and returns the
+// compacted one-segment set (generation moves forward, the naming
+// sequence is not reused, so the compacted file can never collide with
+// the files it replaces). The new base is built from the fused store, not
+// from its XML: its values are decoded once (storage.DecodeValues), plan
+// — when non-nil — chooses the compression plan from them (the §3 search
+// re-run over the union), and they are retrained and re-encoded in record
+// order (Values.Store) under the fused structure. The result is the
+// repository a re-ingest of the serialized corpus would build, byte for
+// byte, except that the original size stays the bytes ingested. ctx is
+// checked before the fuse and between the fuse, the plan search and the
+// rebuild.
+func (s *Set) Compact(ctx context.Context, par int, plan func(*storage.Values) (*storage.CompressionPlan, error)) (*Set, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	opts.Dictionary = nil
-	store, err := storage.Load(xml, opts)
+	fused, err := s.Fused()
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	vals, err := storage.DecodeValues(fused, par)
+	if err != nil {
+		return nil, err
+	}
+	var p *storage.CompressionPlan
+	if plan != nil {
+		if p, err = plan(vals); err != nil {
+			return nil, err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	store, err := vals.Store(p, par)
+	if err != nil {
+		return nil, err
+	}
+	store.OriginalSize = s.OriginalSize()
 	old := s.Segments
-	return singleSegment(old.RootTag, store, len(xml), old.Generation+1, old.Sequence), nil
+	return singleSegment(old.RootTag, store, store.OriginalSize, old.Generation+1, old.Sequence), nil
 }
 
 // openSegments loads a segment set from its manifest bytes and verifies

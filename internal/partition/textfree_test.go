@@ -13,13 +13,16 @@ import (
 	"testing"
 )
 
-// TestFusedIsTextFree walks the static call graph below Set.Fused
-// through this package and storage — type-checked, so a call is the
-// function it names — and fails if it reaches storage.Load, the XML
-// parser, or any package of the module that sits above storage: fusion
-// is text-free because no path leads to text, not because a comment
-// says so. Calls through an interface (a codec's Encode) end in the
-// compress packages, which import none of those.
+// TestFusedIsTextFree walks the static call graph below Set.Fused and
+// below Set.Compact through this package and storage — type-checked, so
+// a call is the function it names — and fails if it reaches
+// storage.Load, the XML parser, or any package of the module that sits
+// above storage: fusion and compaction are text-free because no path
+// leads to text, not because a comment says so. Calls through an
+// interface (a codec's Encode) end in the compress packages, and the
+// worker pool (xpar) imports only the standard library. Compaction's
+// plan search is its caller's function value, which the walk does not
+// follow: the caller builds it from the decoded values (Values.Lists).
 func TestFusedIsTextFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks two packages from source")
@@ -71,50 +74,62 @@ func TestFusedIsTextFree(t *testing.T) {
 	for o, fd := range bodies {
 		byKey[key(o)] = fd
 	}
-	const start = "(*xquec/internal/partition.Set).Fused"
-	seen := map[string]bool{start: true}
-	queue := []string{start}
-	for len(queue) > 0 {
-		at := queue[0]
-		queue = queue[1:]
-		fd := byKey[at]
-		if fd == nil {
-			t.Fatalf("no body for %s", at)
+	walk := func(start string) map[string]bool {
+		seen := map[string]bool{start: true}
+		queue := []string{start}
+		for len(queue) > 0 {
+			at := queue[0]
+			queue = queue[1:]
+			fd := byKey[at]
+			if fd == nil {
+				t.Fatalf("no body for %s", at)
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				o := info.Uses[id]
+				if o == nil || o.Pkg() == nil || !strings.HasPrefix(o.Pkg().Path(), "xquec/") {
+					return true
+				}
+				switch path := o.Pkg().Path(); {
+				case path == "xquec/internal/storage" || path == "xquec/internal/partition":
+					k := key(o)
+					if k == "xquec/internal/storage.Load" || k == "xquec/internal/storage.LoadSharded" {
+						t.Errorf("%s uses %s: %s reaches the loader", at, k, start)
+					}
+					if byKey[k] != nil && !seen[k] {
+						seen[k] = true
+						queue = append(queue, k)
+					}
+				case path == "xquec/internal/succinct" || path == "xquec/internal/xpar" || strings.HasPrefix(path, "xquec/internal/compress"):
+					// below storage: no way up to the loader or the parser
+				default:
+					t.Errorf("%s uses %s.%s: %s reaches %s", at, o.Pkg().Name(), o.Name(), start, path)
+				}
+				return true
+			})
 		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			o := info.Uses[id]
-			if o == nil || o.Pkg() == nil || !strings.HasPrefix(o.Pkg().Path(), "xquec/") {
-				return true
-			}
-			switch path := o.Pkg().Path(); {
-			case path == "xquec/internal/storage" || path == "xquec/internal/partition":
-				k := key(o)
-				if k == "xquec/internal/storage.Load" || k == "xquec/internal/storage.LoadSharded" {
-					t.Errorf("%s uses %s: Set.Fused reaches the loader", at, k)
-				}
-				if byKey[k] != nil && !seen[k] {
-					seen[k] = true
-					queue = append(queue, k)
-				}
-			case path == "xquec/internal/succinct" || strings.HasPrefix(path, "xquec/internal/compress"):
-				// below storage: no way up to the loader or the parser
-			default:
-				t.Errorf("%s uses %s.%s: Set.Fused reaches %s", at, o.Pkg().Name(), o.Name(), path)
-			}
-			return true
-		})
+		return seen
 	}
-	for _, must := range []string{
-		"(*xquec/internal/partition.Set).spliceShards", "(*xquec/internal/partition.Set).spliceSegments",
-		"(*xquec/internal/storage.Fusion).merge", "(*xquec/internal/storage.Fusion).rebuild",
-		"(*xquec/internal/storage.Store).deriveFromSuccinct", "xquec/internal/storage.buildContainer",
+	for start, musts := range map[string][]string{
+		"(*xquec/internal/partition.Set).Fused": {
+			"(*xquec/internal/partition.Set).spliceShards", "(*xquec/internal/partition.Set).spliceSegments",
+			"(*xquec/internal/storage.Fusion).merge", "(*xquec/internal/storage.Fusion).rebuild",
+			"(*xquec/internal/storage.Store).deriveFromSuccinct", "xquec/internal/storage.buildContainer",
+		},
+		"(*xquec/internal/partition.Set).Compact": {
+			"(*xquec/internal/partition.Set).Fused", "xquec/internal/storage.DecodeValues", "(*xquec/internal/storage.Values).Store",
+			"(*xquec/internal/storage.Store).buildContainers", "xquec/internal/storage.buildContainer",
+			"(*xquec/internal/storage.Store).deriveFromSuccinct",
+		},
 	} {
-		if !seen[must] {
-			t.Errorf("the walk did not reach %s: it no longer follows the code", must)
+		seen := walk(start)
+		for _, must := range musts {
+			if !seen[must] {
+				t.Errorf("the walk from %s did not reach %s: it no longer follows the code", start, must)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -213,40 +214,74 @@ func (c *Container) FindRangeDecoding(loPlain []byte, loInclusive bool, hiPlain 
 	return lo, hi, nil
 }
 
-// buildContainer compresses plaintext values into a sorted container.
-// The values arrive as (plaintext, owner) pairs in document order; the
-// returned mapping m gives, for document-order position j, the record
-// index after sorting — the loader uses it to fill node ValueRefs.
-func buildContainer(path string, kind ValueKind, group string, codec compress.Codec, plains [][]byte, owners []NodeID) (*Container, []int32, error) {
-	n := len(plains)
-	// Duplicate values (enumerations, flags, repeated names) are common;
-	// encode each distinct plaintext once. The container needs a
-	// value-order sort anyway: a stable sort by plaintext groups
-	// duplicates into runs, the run head is encoded once and the encoding
-	// shared across the run.
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
+// valueList is one container's worth of values on the way into it: the
+// plaintexts and their owners in document order, and the plaintext order.
+type valueList struct {
+	path   string
+	plains [][]byte
+	owners []NodeID // nil: the sweep that proves the store writes them
+	// order lists the document positions in plaintext order, equal
+	// plaintexts in document order; sortPlain settles it.
+	order []int32
+}
+
+// sortPlain settles the plaintext order. An order the list arrives with
+// (a store's record order, when its values are re-encoded) is checked,
+// not trusted, and sorted only where the check fails; none means
+// document order.
+func (l *valueList) sortPlain() {
+	if l.order == nil {
+		l.order = make([]int32, len(l.plains))
+		for i := range l.order {
+			l.order[i] = int32(i)
+		}
 	}
-	slices.SortStableFunc(order, func(a, b int32) int { return bytes.Compare(plains[a], plains[b]) })
-	// All encodings go into one slab, cut to size once they are known;
-	// span[k] is where the encoding of order[k] lies in it.
+	byPlain := func(a, b int32) int {
+		if c := bytes.Compare(l.plains[a], l.plains[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	if !slices.IsSortedFunc(l.order, byPlain) {
+		slices.SortFunc(l.order, byPlain)
+	}
+}
+
+// appendSorted appends the plaintexts in plaintext order to dst.
+func (l *valueList) appendSorted(dst [][]byte) [][]byte {
+	for _, pos := range l.order {
+		dst = append(dst, l.plains[pos])
+	}
+	return dst
+}
+
+// buildContainer compresses a value list, its plaintext order settled
+// (sortPlain), into a container. The returned mapping m gives, for
+// document-order position j, the record index — what the builders turn
+// value refs into. It takes over l.order.
+func buildContainer(l *valueList, kind ValueKind, group string, codec compress.Codec) (*Container, []int32, error) {
+	n, order := len(l.plains), l.order
+	// Duplicate values (enumerations, flags, repeated names) are common;
+	// in plaintext order they form runs, and each run's head is encoded
+	// once and the encoding shared across the run. All encodings go into
+	// one slab, cut to size once they are known; span[k] is where the
+	// encoding of order[k] lies in it.
 	var slab []byte
 	span := make([][2]int, n)
 	for k, pos := range order {
-		if k > 0 && bytes.Equal(plains[pos], plains[order[k-1]]) {
+		if k > 0 && bytes.Equal(l.plains[pos], l.plains[order[k-1]]) {
 			span[k] = span[k-1]
 			continue
 		}
 		from := len(slab)
 		var err error
-		if slab, err = codec.Encode(slab, plains[pos]); err != nil {
-			return nil, nil, fmt.Errorf("container %s: encode %q: %w", path, plains[pos], err)
+		if slab, err = codec.Encode(slab, l.plains[pos]); err != nil {
+			return nil, nil, fmt.Errorf("container %s: encode %q: %w", l.path, l.plains[pos], err)
 		}
 		span[k] = [2]int{from, len(slab)}
 	}
 	slab = slices.Clone(slab)
-	c := &Container{Path: path, Kind: kind, Group: group, codec: codec}
+	c := &Container{Path: l.path, Kind: kind, Group: group, codec: codec}
 	c.vals = make([][]byte, n)
 	for k := range order {
 		from, to := span[k][0], span[k][1]
@@ -257,9 +292,10 @@ func buildContainer(path string, kind ValueKind, group string, codec compress.Co
 	// for a string codec that is the plaintext order again, but typed
 	// codecs preserve value-domain order (e.g. 9 < 10 as integers, but
 	// "10" < "9" as bytes), so the records must be re-sorted. Encodings
-	// are injective, so equal encodings mean equal plaintexts, and
-	// stacking the two stable sorts leaves ties in document order — the
-	// same result as one stable sort of document order by the final key.
+	// are injective, so equal encodings mean equal plaintexts, and a
+	// stable sort of the plaintext order leaves ties in document order —
+	// the same result as one stable sort of document order by the final
+	// key.
 	if codec.Props().OrderPreserving && !slices.IsSortedFunc(c.vals, bytes.Compare) {
 		// Sort the document positions by their encodings.
 		enc := make([][]byte, n)
@@ -272,8 +308,10 @@ func buildContainer(path string, kind ValueKind, group string, codec compress.Co
 		}
 	}
 	c.owners = make([]NodeID, n)
-	for k, pos := range order {
-		c.owners[k] = owners[pos]
+	if l.owners != nil {
+		for k, pos := range order {
+			c.owners[k] = l.owners[pos]
+		}
 	}
 	mapping := make([]int32, n)
 	for k, pos := range order {

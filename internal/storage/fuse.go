@@ -307,7 +307,9 @@ func (f *Fusion) rebuild(s *Store, runs []run, n int, as *Container) (*Container
 			s.Models[as.Group] = GroupModel{Algorithm: AlgALM, Codec: as.codec}
 		}
 	}
-	c, mapping, err := buildContainer(as.Path, as.Kind, as.Group, as.codec, plains, make([]NodeID, n))
+	l := &valueList{path: as.Path, plains: plains}
+	l.sortPlain()
+	c, mapping, err := buildContainer(l, as.Kind, as.Group, as.codec)
 	for i := range mapping {
 		*leaves[i].at = mapping[i]
 	}

@@ -100,12 +100,37 @@ func Load(src []byte, opts LoadOptions) (*Store, error) {
 	s.Names, s.nameIdx = in.dict.names, in.dict.idx
 	s.Build.Parse = time.Since(phase)
 
-	if err := s.buildContainers(in, opts.Plan, par); err != nil {
+	// The value paths in summary-ID order — the order their first values
+	// appear in — become the containers, in that order.
+	var sumIDs []int32
+	var lists []valueList
+	for id := range in.sums {
+		if st := &in.sums[id]; len(st.plains) > 0 {
+			sumIDs = append(sumIDs, int32(id))
+			lists = append(lists, valueList{path: s.Sum.NodeByID(int32(id)).Path(), plains: st.plains, owners: st.owners})
+		}
+	}
+	mappings, err := s.buildContainers(lists, opts.Plan, par)
+	if err != nil {
 		return nil, err
 	}
-
+	// Turn every ref's (summary ID, document position) into (container,
+	// record).
 	phase = time.Now()
 	a := &in.arr
+	contOf := make([]int32, len(in.sums))
+	byID := make([][]int32, len(in.sums))
+	for i, id := range sumIDs {
+		contOf[id], byID[id] = int32(i), mappings[i]
+		s.Sum.NodeByID(id).Container = int32(i)
+	}
+	for v, sumID := range a.valCont {
+		a.valCont[v] = contOf[sumID]
+		a.valIdx[v] = byID[sumID][a.valIdx[v]]
+	}
+	s.Build.Encode += time.Since(phase)
+
+	phase = time.Now()
 	a.parens, a.nParens = in.pb.Words(), in.pb.Len()
 	a.marks, a.nOpens = in.mb.Words(), in.mb.Len()
 	s.succ = a.build()
@@ -121,9 +146,9 @@ type ingest struct {
 	dict   *dictionary
 	sum    *Summary
 	pb, mb *succinct.BitBuilder // paren bits; node marks over the opens
-	// arr collects tags and value refs. Until buildContainers resolves
-	// them, a ref's valCont is the summary ID of its value path and its
-	// valIdx the value's position in that path's list.
+	// arr collects tags and value refs. Until Load resolves them, a
+	// ref's valCont is the summary ID of its value path and its valIdx
+	// the value's position in that path's list.
 	arr   succinctArrays
 	sums  []sumState // by summary ID
 	kids  childIndex
@@ -230,33 +255,30 @@ func (in *ingest) value(sn *SummaryNode, owner NodeID, plain []byte, decoded boo
 }
 
 // buildContainers infers container types, resolves the compression plan
-// into source-model groups, trains codecs, builds sorted containers and
-// resolves the structure arrays' value refs against them.
+// into source-model groups, trains codecs and builds the sorted
+// containers of lists, appending them to s.Containers in list order. It
+// returns, per list, the mapping from document position to record index
+// (buildContainer's); turning value refs into records is the caller's.
+// Load and a store's re-encoding (Values.Store) share it: the two differ
+// only in where the plaintexts come from and the order they arrive in.
 //
 // This is the fan-out phase of the pipeline. Three stages run on the
 // worker pool, each over independent units:
 //
-//  1. classify: per container, typed-codec round-trip inference
-//     (numeric trainers validate on the container's own values only);
+//  1. classify: per container, the plaintext order (sortPlain) and
+//     typed-codec round-trip inference (numeric trainers validate on
+//     the container's own values only);
 //  2. train: per source-model group, codec training on the union of the
-//     group members' values (training is confined to one goroutine per
-//     group — see DESIGN.md, "codec concurrency contract");
+//     group members' values in plaintext order (training is confined to
+//     one goroutine per group — see DESIGN.md, "codec concurrency
+//     contract");
 //  3. encode: per container, value encoding + record sorting.
 //
 // Between stages the grouping and model registration run serially in
-// summary-ID order, and every parallel stage writes results into a
-// slice cell keyed by its input index, so the container order, group
-// order and all persisted bytes are identical for any worker count.
-func (s *Store) buildContainers(in *ingest, plan *CompressionPlan, par int) error {
-	sum := in.sum
-	var sumIDs []int32 // the value paths, ascending
-	for id := range in.sums {
-		if len(in.sums[id].plains) > 0 {
-			sumIDs = append(sumIDs, int32(id))
-		}
-	}
-	plains := func(sumID int32) [][]byte { return in.sums[sumID].plains }
-
+// list order, and every parallel stage writes results into a slice cell
+// keyed by its input index, so the container order, group order and all
+// persisted bytes are identical for any worker count.
+func (s *Store) buildContainers(lists []valueList, plan *CompressionPlan, par int) ([][]int32, error) {
 	defaultAlg := AlgALM
 	pathGroup := map[string]string{} // path -> group name
 	groupAlg := map[string]string{}
@@ -276,54 +298,50 @@ func (s *Store) buildContainers(in *ingest, plan *CompressionPlan, par int) erro
 		}
 	}
 
-	// Stage 1 (parallel): classification. For each container, decide
-	// planned / typed / default-string. Type inference trains typed
-	// codecs on the container's values — pure work on private inputs.
+	// Stage 1 (parallel): plaintext order and classification. For each
+	// container, decide planned / typed / default-string. Type inference
+	// trains typed codecs on the container's values — pure work on
+	// private inputs.
 	phase := time.Now()
 	type classified struct {
-		path  string
 		kind  ValueKind
 		typed compress.Codec // non-nil when a typed codec round-trips
 		group string         // plan group, "" if unplanned
 	}
-	cls := make([]classified, len(sumIDs))
-	err := xpar.ForEach(par, len(sumIDs), func(i int) error {
-		id := sumIDs[i]
-		path := sum.NodeByID(id).Path()
-		cls[i] = classified{path: path, kind: KindString}
-		if g, planned := pathGroup[path]; planned {
+	cls := make([]classified, len(lists))
+	err := xpar.ForEach(par, len(lists), func(i int) error {
+		l := &lists[i]
+		l.sortPlain()
+		cls[i] = classified{kind: KindString}
+		if g, planned := pathGroup[l.path]; planned {
 			// The plan owns this container: treat as string.
 			cls[i].group = g
 			return nil
 		}
-		if kind, codec := inferTyped(plains(id)); codec != nil {
+		if kind, codec := inferTyped(l.plains); codec != nil {
 			cls[i].kind = kind
 			cls[i].typed = codec
 		}
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s.Build.Classify = time.Since(phase)
 
-	// Serial: assemble groups in summary-ID order (member order decides
-	// the training sample order, so it must not depend on scheduling).
-	type member struct {
-		sumID int32
-		path  string
-	}
-	groups := map[string][]member{}
-	for i, id := range sumIDs {
+	// Serial: assemble groups in list order (member order decides the
+	// training sample order, so it must not depend on scheduling).
+	groups := map[string][]int{}
+	for i := range lists {
 		c := &cls[i]
 		switch {
 		case c.group != "":
-			groups[c.group] = append(groups[c.group], member{id, c.path})
+			groups[c.group] = append(groups[c.group], i)
 		case c.typed != nil:
 			// typed containers bypass group training
 		default:
-			g := "path:" + c.path
-			groups[g] = append(groups[g], member{id, c.path})
+			g := "path:" + lists[i].path
+			groups[g] = append(groups[g], i)
 			groupAlg[g] = defaultAlg
 		}
 	}
@@ -334,8 +352,8 @@ func (s *Store) buildContainers(in *ingest, plan *CompressionPlan, par int) erro
 	sort.Strings(groupNames)
 
 	// Stage 2 (parallel): train one codec per group on the union of the
-	// members' values. Each training run owns its group exclusively; the
-	// value lists are only read.
+	// members' values, each member's in plaintext order. Each training
+	// run owns its group exclusively; the value lists are only read.
 	phase = time.Now()
 	groupCodecs := make([]compress.Codec, len(groupNames))
 	err = xpar.ForEach(par, len(groupNames), func(gi int) error {
@@ -348,12 +366,13 @@ func (s *Store) buildContainers(in *ingest, plan *CompressionPlan, par int) erro
 		if err != nil {
 			return err
 		}
-		union := plains(groups[g][0].sumID)
-		if len(groups[g]) > 1 {
-			union = nil
-			for _, m := range groups[g] {
-				union = append(union, plains(m.sumID)...)
-			}
+		n := 0
+		for _, i := range groups[g] {
+			n += len(lists[i].plains)
+		}
+		union := make([][]byte, 0, n)
+		for _, i := range groups[g] {
+			union = lists[i].appendSorted(union)
 		}
 		codec, err := tr.Train(union)
 		if err != nil {
@@ -363,7 +382,7 @@ func (s *Store) buildContainers(in *ingest, plan *CompressionPlan, par int) erro
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	groupCodec := map[string]compress.Codec{}
 	for gi, g := range groupNames {
@@ -380,51 +399,31 @@ func (s *Store) buildContainers(in *ingest, plan *CompressionPlan, par int) erro
 	// group per container are resolved serially first, including the
 	// typed-model registration (a shared-map write).
 	phase = time.Now()
-	contCodec := make([]compress.Codec, len(sumIDs))
-	contGroup := make([]string, len(sumIDs))
-	for i := range sumIDs {
+	contCodec := make([]compress.Codec, len(lists))
+	contGroup := make([]string, len(lists))
+	for i := range lists {
 		c := &cls[i]
 		if c.typed != nil {
 			contCodec[i] = c.typed
 			contGroup[i] = typedGroup(s.Models, c.typed)
 			continue
 		}
-		contGroup[i] = pathGroupName(pathGroup, c.path)
+		contGroup[i] = pathGroupName(pathGroup, lists[i].path)
 		contCodec[i] = groupCodec[contGroup[i]]
 	}
-	conts := make([]*Container, len(sumIDs))
-	mappingByIdx := make([][]int32, len(sumIDs))
-	err = xpar.ForEach(par, len(sumIDs), func(i int) error {
-		vl := &in.sums[sumIDs[i]]
-		cont, mapping, err := buildContainer(cls[i].path, cls[i].kind, contGroup[i], contCodec[i], vl.plains, vl.owners)
-		if err != nil {
-			return err
-		}
-		conts[i] = cont
-		mappingByIdx[i] = mapping
-		return nil
+	conts := make([]*Container, len(lists))
+	mappings := make([][]int32, len(lists))
+	err = xpar.ForEach(par, len(lists), func(i int) error {
+		var err error
+		conts[i], mappings[i], err = buildContainer(&lists[i], cls[i].kind, contGroup[i], contCodec[i])
+		return err
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	// Serial: append containers in summary-ID order, then turn every
-	// ref's (summary ID, document position) into (container, record).
-	contOf := make([]int32, len(in.sums))
-	mappings := make([][]int32, len(in.sums))
-	for i, id := range sumIDs {
-		contOf[id] = int32(len(s.Containers))
-		mappings[id] = mappingByIdx[i]
-		sum.NodeByID(id).Container = contOf[id]
-		s.Containers = append(s.Containers, conts[i])
-	}
-	a := &in.arr
-	for v, sumID := range a.valCont {
-		a.valCont[v] = contOf[sumID]
-		a.valIdx[v] = mappings[sumID][a.valIdx[v]]
-	}
+	s.Containers = append(s.Containers, conts...)
 	s.Build.Encode = time.Since(phase)
-	return nil
+	return mappings, nil
 }
 
 // typedGroup returns the model group of a typed codec, registering it on

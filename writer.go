@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"xquec/internal/costmodel"
 	"xquec/internal/partition"
 	"xquec/internal/storage"
 )
@@ -130,7 +131,7 @@ func (w *Writer) commitLocked() (*Database, error) {
 	}
 	segs := w.db.set
 	for i, doc := range w.pending {
-		plan, err := resolvePlan(doc, w.opts)
+		plan, err := resolvePlan(w.opts, docContainers(doc))
 		if err == nil {
 			segs, err = segs.Append([][]byte{doc}, storage.LoadOptions{Plan: plan, Parallelism: w.opts.Parallelism})
 		}
@@ -143,12 +144,16 @@ func (w *Writer) commitLocked() (*Database, error) {
 }
 
 // Compact commits any staged documents, then folds the whole set into
-// a single fresh base segment: the concatenated corpus is re-ingested
-// with the cost-model partitioner re-run over the union (under the
-// Writer's Options), and the compacted Database is published. Readers
-// of previously returned handles are unaffected — their segment set is
-// immutable. ctx is checked between the fuse, plan-search and
-// re-ingest phases.
+// a single fresh base segment and publishes the compacted Database. The
+// new base is built from the set's fused store without writing or
+// parsing XML: its values are decoded once, the cost-model search is
+// re-run over them when the Writer's Options carry a workload, and they
+// are retrained and re-encoded under the fused structure — the
+// repository Compress would build from the decompressed corpus under
+// the Writer's Options, with the original size still the bytes
+// ingested. Readers of previously returned handles are unaffected —
+// their segment set is immutable. ctx is checked between the fuse, the
+// plan search and the rebuild.
 func (w *Writer) Compact(ctx context.Context) (*Database, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -159,24 +164,11 @@ func (w *Writer) Compact(ctx context.Context) (*Database, error) {
 	if len(segs.Stores) == 1 {
 		return w.db, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	xml, err := segs.FuseXML()
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	plan, err := resolvePlan(xml, w.opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	compacted, err := segs.Compact(xml, storage.LoadOptions{Plan: plan, Parallelism: w.opts.Parallelism})
+	compacted, err := segs.Compact(ctx, w.opts.Parallelism, func(vals *storage.Values) (*CompressionPlan, error) {
+		return resolvePlan(w.opts, func() ([]costmodel.ContainerInfo, error) {
+			return costmodel.Infos(vals.Lists()), nil
+		})
+	})
 	if err != nil {
 		return nil, err
 	}

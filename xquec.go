@@ -122,7 +122,7 @@ type Database struct {
 // Options.Shards ≥ 2 the repository is built sharded (see the field
 // doc); otherwise it is a single repository.
 func Compress(doc []byte, opts Options) (*Database, error) {
-	plan, err := resolvePlan(doc, opts)
+	plan, err := resolvePlan(opts, docContainers(doc))
 	if err != nil {
 		return nil, err
 	}
@@ -143,8 +143,9 @@ func Compress(doc []byte, opts Options) (*Database, error) {
 
 // resolvePlan turns Options into a compression plan (nil = per-type
 // defaults): explicit Plan wins, otherwise the workload-driven
-// cost-model search runs.
-func resolvePlan(doc []byte, opts Options) (*CompressionPlan, error) {
+// cost-model search runs over the containers collect gathers — called
+// only then.
+func resolvePlan(opts Options, collect func() ([]costmodel.ContainerInfo, error)) (*CompressionPlan, error) {
 	plan := opts.Plan
 	w := opts.Workload
 	if len(opts.WorkloadQueries) > 0 {
@@ -158,25 +159,35 @@ func resolvePlan(doc []byte, opts Options) (*CompressionPlan, error) {
 		w = extracted
 	}
 	if plan == nil && w != nil && len(w.Predicates) > 0 {
-		p, err := PlanFromWorkload(doc, w, opts.SearchSeed)
+		infos, err := collect()
 		if err != nil {
 			return nil, err
 		}
-		plan = p
+		return searchPlan(infos, w, opts.SearchSeed)
 	}
 	return plan, nil
+}
+
+// docContainers is resolvePlan's collect for a document to be ingested.
+func docContainers(doc []byte) func() ([]costmodel.ContainerInfo, error) {
+	return func() ([]costmodel.ContainerInfo, error) { return costmodel.CollectContainers(doc) }
 }
 
 // PlanFromWorkload runs the cost-model search (similarity matrix,
 // E/I/D predicate matrices, greedy configuration moves) and returns the
 // resulting compression plan.
 func PlanFromWorkload(doc []byte, w *Workload, seed int64) (*CompressionPlan, error) {
-	if seed == 0 {
-		seed = 20040314 // fixed default: reproducible choices
-	}
 	infos, err := costmodel.CollectContainers(doc)
 	if err != nil {
 		return nil, err
+	}
+	return searchPlan(infos, w, seed)
+}
+
+// searchPlan is PlanFromWorkload over containers already gathered.
+func searchPlan(infos []costmodel.ContainerInfo, w *Workload, seed int64) (*CompressionPlan, error) {
+	if seed == 0 {
+		seed = 20040314 // fixed default: reproducible choices
 	}
 	infos = costmodel.Restrict(infos, w.Paths())
 	if len(infos) == 0 {
