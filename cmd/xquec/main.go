@@ -6,17 +6,18 @@
 //	xquec compress [-o out.xqc] [-alg alm|huffman|hutucker|blob] doc.xml
 //	xquec append   [-compact] [-p workers] repo.xqc|set.xqcg doc.xml...
 //	xquec query    [-q query | -f query.xq] [-timeout 30s] [-n max]
-//	               [-p workers] [-cpuprofile out.pprof] [-explain] repo.xqc
-//	xquec stats    repo.xqc
-//	xquec decompress repo.xqc        # reconstruct the XML
+//	               [-p workers] [-cpuprofile out.pprof] [-explain] repo.xqc|set.xqcg
+//	xquec stats    repo.xqc|set.xqcg
+//	xquec decompress repo.xqc|set.xqcg   # reconstruct the XML
 //
 // append ingests each document as a new append segment of the
 // repository's segment set, persisting a .xqcg manifest next to the
 // repository; -compact folds the set back into a single freshly
-// partitioned segment afterwards.
+// partitioned segment afterwards. query, stats and decompress open a
+// single repository or a segment-set manifest alike.
 //
 // query -explain prints the query's plan instead of evaluating it: on a
-// shard or segment set a line naming the store it runs on, then the
+// segment set a line naming the store it runs on, then the
 // listing of the compiled program that would run — its instructions, each path's
 // summary access, each restrict's container access and each join's
 // strategy.
@@ -99,20 +100,19 @@ func report(w io.Writer, err error) int {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  xquec compress [-o out.xqc] [-alg alm|huffman|hutucker|blob] [-p workers] [-shards n] [-v] doc.xml
+  xquec compress [-o out.xqc] [-alg alm|huffman|hutucker|blob] [-p workers] [-v] doc.xml
   xquec append   [-compact] [-p workers] repo.xqc|set.xqcg doc.xml...
-  xquec query    [-q query | -f query.xq] [-timeout 30s] [-n max] [-p workers] [-cpuprofile file] [-explain] repo.xqc|set.xqcs|set.xqcg
-  xquec stats    repo.xqc|set.xqcs|set.xqcg
-  xquec decompress repo.xqc|set.xqcs|set.xqcg`)
+  xquec query    [-q query | -f query.xq] [-timeout 30s] [-n max] [-p workers] [-cpuprofile file] [-explain] repo.xqc|set.xqcg
+  xquec stats    repo.xqc|set.xqcg
+  xquec decompress repo.xqc|set.xqcg`)
 	os.Exit(2)
 }
 
 func cmdCompress(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
-	out := fs.String("o", "", "output repository file (default: input + .xqc, or + .xqcs with -shards)")
+	out := fs.String("o", "", "output repository file (default: input + .xqc)")
 	alg := fs.String("alg", "", "default string algorithm (alm, huffman, hutucker, blob)")
 	par := fs.Int("p", 0, "compressor worker count (0 = GOMAXPROCS, 1 = serial; output is identical)")
-	shards := fs.Int("shards", 0, "split into this many shard repositories with a shared dictionary (<2 = single repository)")
 	verbose := fs.Bool("v", false, "print per-phase build timings")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -125,7 +125,7 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := xquec.Options{Parallelism: *par, Shards: *shards}
+	opts := xquec.Options{Parallelism: *par}
 	if *alg != "" {
 		opts.Plan = &xquec.CompressionPlan{DefaultAlgorithm: *alg}
 	}
@@ -135,11 +135,7 @@ func cmdCompress(args []string) error {
 	}
 	dst := *out
 	if dst == "" {
-		if *shards >= 2 {
-			dst = in + ".xqcs"
-		} else {
-			dst = in + ".xqc"
-		}
+		dst = in + ".xqc"
 	}
 	if err := db.SaveFile(dst); err != nil {
 		return err
@@ -316,22 +312,15 @@ func cmdStats(args []string) error {
 	if bits := db.StructureBitsPerNode(); bits > 0 {
 		fmt.Printf("structure density: %.2f bits/node\n", bits)
 	}
-	if db.Sharded() {
-		fmt.Printf("shards: %d\n", db.Shards())
-	}
 	if db.Segmented() {
 		fmt.Printf("segments: %d\n", db.Segments())
 	}
 	fmt.Println("containers:")
 	for _, c := range db.Containers() {
-		switch {
-		case db.Sharded():
-			fmt.Printf("  [%03d] %-54s %-8s %-9s recs=%-7d %dB\n",
-				c.Shard, c.Path, c.Kind, c.Algorithm, c.Records, c.Bytes)
-		case db.Segmented():
+		if db.Segmented() {
 			fmt.Printf("  [%03d] %-54s %-8s %-9s recs=%-7d %dB\n",
 				c.Segment, c.Path, c.Kind, c.Algorithm, c.Records, c.Bytes)
-		default:
+		} else {
 			fmt.Printf("  %-60s %-8s %-9s recs=%-7d %dB\n",
 				c.Path, c.Kind, c.Algorithm, c.Records, c.Bytes)
 		}

@@ -11,13 +11,14 @@
 //	       [-max-append-bytes 64MiB] [-append-parallelism 0]
 //	       [-pprof localhost:6060]
 //
-// The repository directory may hold single repositories (name.xqc),
-// shard-set manifests (name.xqcs, from `xquec compress -shards N`) and
-// segment-set manifests (name.xqcg, from appends); all are addressed by
-// bare name, with the segment manifest taking precedence. A query over
-// a shard or segment set runs on the set's fused store, built once per
-// open, append or swap (xquecd_fusions_total); a failure anywhere in the
-// corpus fails the query, exactly as it does on a single repository.
+// The repository directory may hold single repositories (name.xqc) and
+// segment-set manifests (name.xqcg, from appends; name.xqcs, from
+// SaveFile of a database compressed with Options.Shards); all are
+// addressed by bare name, with name.xqcg taking precedence. A query over
+// a segment set runs on the set's fused store, built once per open,
+// append or swap (xquecd_fusions_total); a failure anywhere in the corpus
+// fails the query, exactly as it does on a single repository. Appending
+// to any of them writes name.xqcg.
 //
 // POST /append grows a repository without rebuilding it: the document
 // becomes a new append segment, the set is persisted and atomically

@@ -4,7 +4,7 @@ package engine_test
 // storage.Fusion). It lives here because it runs on this package's
 // random documents and query battery, which only this package's tests
 // can see. The oracle is a plain ingest of the corpus as text — the
-// document a shard set was split from, the textual concatenation
+// document a set was cut from (partition.Cut), the textual concatenation
 // (partition.Concat) of the documents a segment set was fed — which is
 // what Fused used to do with the text it reconstructed, and shares no
 // step, and no mistake, with the splice.
@@ -14,8 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -54,42 +52,15 @@ func segmentSet(t *testing.T, docs [][]byte, shift int) *partition.Set {
 	return set
 }
 
-// shardSet splits doc into n shards, shard i compressed under
-// fusePlans[(shift+i)%3]: one build per plan, saved, and a set opened
-// over shard files picked from the three (the split, and so the
-// manifest and the dictionary, do not depend on the plan).
-func shardSet(t *testing.T, doc []byte, n, shift int) *partition.Set {
+// cutSet cuts doc into n parts (partition.Cut) and builds them as a
+// segment set, part i under fusePlans[(shift+i)%3].
+func cutSet(t *testing.T, doc []byte, n, shift int) *partition.Set {
 	t.Helper()
-	dir := t.TempDir()
-	for p, plan := range fusePlans {
-		set, err := partition.Build(doc, n, storage.LoadOptions{Plan: plan})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Mkdir(filepath.Join(dir, fmt.Sprint(p)), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := set.Save(filepath.Join(dir, fmt.Sprint(p), "c.xqcs")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("c.shard-%03d.xqc", i)
-		if p := (shift + i) % 3; p != 0 {
-			data, err := os.ReadFile(filepath.Join(dir, fmt.Sprint(p), name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, "0", name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	set, err := partition.Open(filepath.Join(dir, "0", "c.xqcs"))
+	parts, err := partition.Cut(doc, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return set
+	return segmentSet(t, parts, shift)
 }
 
 // checkFused holds the spliced store of set — or, with reopen, that store
@@ -132,18 +103,16 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 	} else if out, err := re.Serialize(nil, 1); err != nil || !bytes.Equal(out, fx) {
 		t.Fatalf("FuseXML\n%s\nre-ingested serializes to\n%s (%v)", fx, out, err)
 	}
-	// A segment set compacts from its fused store, not from FuseXML, to
-	// the repository the re-ingest of FuseXML is, byte for byte — but for
-	// the original size, which stays the bytes ingested.
-	if set.Segments != nil {
-		compacted, err := set.Compact(context.Background(), 0, nil)
-		if err != nil {
-			t.Fatalf("Compact: %v\ncorpus: %s", err, fx)
-		}
-		re.OriginalSize = set.OriginalSize()
-		if !bytes.Equal(compacted.Stores[0].AppendBinary(nil), re.AppendBinary(nil)) {
-			t.Fatalf("the compacted repository differs from the re-ingest of\n%s", fx)
-		}
+	// A set compacts from its fused store, not from FuseXML, to the
+	// repository the re-ingest of FuseXML is, byte for byte — but for the
+	// original size, which stays the bytes ingested.
+	compacted, err := set.Compact(context.Background(), 0, nil)
+	if err != nil {
+		t.Fatalf("Compact: %v\ncorpus: %s", err, fx)
+	}
+	re.OriginalSize = set.OriginalSize()
+	if !bytes.Equal(compacted.Stores[0].AppendBinary(nil), re.AppendBinary(nil)) {
+		t.Fatalf("the compacted repository differs from the re-ingest of\n%s", fx)
 	}
 
 	contPath := func(s *storage.Store, i int32) string {
@@ -237,8 +206,8 @@ func xmarkTexts() []string {
 }
 
 // TestFusedRandomDifferential: random documents — recursive, mixed
-// content, attributes on three levels — as 2–5 segments and as 2–4
-// shards, every part under its own plan.
+// content, attributes on three levels — as 2–5 appended segments and
+// cut into 2–4 parts, every part under its own plan.
 func TestFusedRandomDifferential(t *testing.T) {
 	queries := append(slices.Clone(engine.QueryBattery), xmarkTexts()...)
 	trials := 25
@@ -256,10 +225,7 @@ func TestFusedRandomDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkFused(t, segmentSet(t, docs, trial), corpus, queries, false)
-		if !bytes.Contains(corpus, []byte("<entry")) {
-			continue // nothing below the groups to route
-		}
-		checkFused(t, shardSet(t, corpus, 2+rng.Intn(3), trial), corpus, queries, false)
+		checkFused(t, cutSet(t, corpus, 2+rng.Intn(3), trial), corpus, queries, false)
 	}
 }
 
@@ -311,18 +277,19 @@ func fusedDirected(t *testing.T, reopen bool) {
 		}
 	}
 
-	shards := map[string]string{
-		// <regions> has one subtree and <empty> none: most shards lack them.
+	// Documents cut into 2–4 parts: root-level text and attributes, and
+	// root children that are leaves, text-only, repeated or nested.
+	cuts := map[string]string{
 		"a part that lacks a spine child": `<site v="1">lead<regions r="x"><item>1</item></regions><people><person><name>a</name></person>` +
 			`<person><name>b</name></person><person><name>c</name></person><person><name>a</name></person></people><empty/>tail</site>`,
 		"spine text and leaf spine elements": `<site><info>about</info><people><person k="1">p</person><person k="2">q</person>` +
 			`<person k="3">p</person></people><note>n1</note><note>n2</note></site>`,
 		"split at the root's children": `<site><a>1</a><a>2</a><b>x</b><a>3</a><b>y</b></site>`,
 	}
-	for name, doc := range shards {
+	for name, doc := range cuts {
 		for n := 2; n <= 4; n++ {
 			t.Run(fmt.Sprintf("%s/%d", name, n), func(t *testing.T) {
-				checkFused(t, shardSet(t, []byte(doc), n, n), []byte(doc), queries, reopen)
+				checkFused(t, cutSet(t, []byte(doc), n, n), []byte(doc), queries, reopen)
 			})
 		}
 	}
@@ -338,7 +305,7 @@ func fusedDirected(t *testing.T, reopen bool) {
 			t.Fatal(err)
 		}
 		checkFused(t, segmentSet(t, docs, 1), corpus, xmarkTexts(), reopen)
-		checkFused(t, shardSet(t, docs[0], 3, 2), docs[0], xmarkTexts(), reopen)
+		checkFused(t, cutSet(t, docs[0], 3, 2), docs[0], xmarkTexts(), reopen)
 	})
 }
 

@@ -1,11 +1,14 @@
 package partition
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +17,7 @@ import (
 	"xquec/internal/datagen"
 	"xquec/internal/storage"
 	"xquec/internal/xmarkq"
+	"xquec/internal/xmlparser"
 )
 
 func xmarkDoc(t *testing.T) []byte {
@@ -39,11 +43,11 @@ func storeXML(t *testing.T, st *storage.Store, query string) string {
 	if err != nil {
 		t.Fatalf("serialize: %v", err)
 	}
-	return unshardedXML(t, doc, query)
+	return corpusXML(t, doc, query)
 }
 
-// unshardedXML evaluates the query on the whole corpus.
-func unshardedXML(t *testing.T, src []byte, query string) string {
+// corpusXML evaluates the query on the whole corpus.
+func corpusXML(t *testing.T, src []byte, query string) string {
 	t.Helper()
 	res, err := galaxlike.New(src).Query(query)
 	if err != nil {
@@ -90,14 +94,17 @@ func TestSplitRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		set, err := Build(src, shards, storage.LoadOptions{})
+	for _, n := range []int{1, 2, 4, 8} {
+		set, err := Build(src, n, storage.LoadOptions{})
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if set.OriginalSize() != len(src) {
+			t.Fatalf("n=%d: original size %d, the document has %d bytes", n, set.OriginalSize(), len(src))
 		}
 		fusedXML, err := set.FuseXML()
 		if err != nil {
-			t.Fatalf("shards=%d fuse: %v", shards, err)
+			t.Fatalf("n=%d fuse: %v", n, err)
 		}
 		// The fused XML must re-ingest into a store equivalent to the
 		// original: compare canonical serializations.
@@ -106,36 +113,36 @@ func TestSplitRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(got) != string(want) {
-			t.Fatalf("shards=%d: fused corpus differs from original (%d vs %d bytes)", shards, len(got), len(want))
+			t.Fatalf("n=%d: fused corpus differs from original (%d vs %d bytes)", n, len(got), len(want))
 		}
 	}
 }
 
-// TestSinglePartEvaluatesDirectly pins the one-part short-circuit for
-// both layouts: the fused store is the part itself rather than a copy of
-// the corpus, and no fusion is counted.
+// TestSinglePartEvaluatesDirectly pins the one-part short-circuit, for a
+// set cut into one part and for a base with nothing appended: the fused
+// store is the part itself rather than a copy of the corpus, and no
+// fusion is counted.
 func TestSinglePartEvaluatesDirectly(t *testing.T) {
 	src := xmarkDoc(t)
-	shard, err := Build(src, 1, storage.LoadOptions{})
+	one, err := Build(src, 1, storage.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, set := range []*Set{shard, segmentSet(t, string(src))} {
-		noun := set.Layout.Noun
+	for noun, set := range map[string]*Set{"cut": one, "base": segmentSet(t, string(src))} {
 		fusions := Snapshot().Fusions
 		st, err := set.Fused()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st != set.Stores[0] {
-			t.Fatalf("one-%s set: fused store is not the part", noun)
+			t.Fatalf("%s: fused store is not the part", noun)
 		}
 		if n := Snapshot().Fusions - fusions; n != 0 {
-			t.Fatalf("one-%s set counted %d fusions", noun, n)
+			t.Fatalf("%s: counted %d fusions", noun, n)
 		}
 		for _, q := range []string{xmarkq.Q2, xmarkq.Q8} {
-			if got, want := storeXML(t, st, q), unshardedXML(t, src, q); got != want {
-				t.Fatalf("one-%s set answers %.40q differently", noun, q)
+			if got, want := storeXML(t, st, q), corpusXML(t, src, q); got != want {
+				t.Fatalf("%s: answers %.40q differently", noun, q)
 			}
 		}
 	}
@@ -213,6 +220,80 @@ func TestConcat(t *testing.T) {
 	}
 }
 
+// TestCut: for every document and n, the parts concatenate to a corpus
+// that ingests to the document's store; there are min(n, root children)
+// of them, each with a child, cut at the same bytes every time, and the
+// bytes they cover sum to the document's.
+func TestCut(t *testing.T) {
+	docs := map[string][]byte{
+		"xmark":               xmarkDoc(t),
+		"attributed root":     []byte(`<?xml version="1.0"?><site k="v" j='a>b'><a x="1">1</a><b/><a>2</a><c><a>3</a></c></site>`),
+		"root-level text":     []byte(`<site>lead<a>1</a>mid<b>2</b><!-- c -->between<a>3</a>tail</site>` + "\n"),
+		"one child":           []byte(`<site><people><person>p</person><person>q</person></people></site>`),
+		"no children":         []byte(`<site>just text</site>`),
+		"self-closing root":   []byte(`<site k="1"/>`),
+		"children of one tag": []byte(`<r><n/><n/><n/><n/><n/><n/><n/><n/><n/></r>`),
+	}
+	for _, ds := range datagen.RealLifeCorpus(3, 0.01) {
+		docs[ds.Name] = ds.Data
+	}
+	for name, doc := range docs {
+		want, err := mustLoad(t, string(doc), nil).Serialize(nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		children := rootChildren(mustLoad(t, string(doc), nil))
+		for _, n := range []int{1, 2, 3, 4, 8, 1000} {
+			parts, sizes, err := cut(doc, n)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", name, n, err)
+			}
+			if wantParts := max(1, min(n, children)); len(parts) != wantParts {
+				t.Fatalf("%s n=%d: %d parts, want %d", name, n, len(parts), wantParts)
+			}
+			total := 0
+			for i, part := range parts {
+				total += sizes[i]
+				if children > 0 && rootChildren(mustLoad(t, string(part), nil)) == 0 {
+					t.Fatalf("%s n=%d: part %d has no child: %s", name, n, i, part)
+				}
+			}
+			if total != len(doc) {
+				t.Fatalf("%s n=%d: parts cover %d bytes of %d", name, n, total, len(doc))
+			}
+			again, err := Cut(doc, n)
+			if err != nil || !slices.EqualFunc(again, parts, bytes.Equal) {
+				t.Fatalf("%s n=%d: a second cut differs (%v)", name, n, err)
+			}
+			corpus, err := Concat(parts...)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", name, n, err)
+			}
+			if got, err := mustLoad(t, string(corpus), nil).Serialize(nil, 1); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s n=%d: the parts concatenate to\n%.300s\nwant\n%.300s", name, n, got, want)
+			}
+		}
+	}
+
+	var se *xmlparser.SyntaxError
+	for _, bad := range []string{``, `<site><a></site>`, `<site><a/>`, strings.Repeat("<a>", 70_000)} {
+		if _, err := Cut([]byte(bad), 2); !errors.As(err, &se) {
+			t.Errorf("Cut(%.20q): %v, want a syntax error", bad, err)
+		}
+	}
+}
+
+// rootChildren counts the element children of st's root.
+func rootChildren(st *storage.Store) int {
+	n := 0
+	st.ScanNodes(func(id storage.NodeID, level uint16) {
+		if level == 2 && !st.IsAttr(id) {
+			n++
+		}
+	})
+	return n
+}
+
 func TestManifestRoundTripAndValidation(t *testing.T) {
 	m := &SegmentManifest{
 		Format:        SegmentManifestFormat,
@@ -234,29 +315,22 @@ func TestManifestRoundTripAndValidation(t *testing.T) {
 	if got.RootTag != m.RootTag || got.Generation != 2 || len(got.Segments) != 2 {
 		t.Fatalf("round trip = %+v", got)
 	}
-	if SniffManifest(data) != "segment" || SniffManifest([]byte(`{"format":"xqcs1"}`)) != "shard" ||
-		SniffManifest([]byte(`{"format":"other"}`)) != "" || SniffManifest([]byte("XQCR")) != "" {
-		t.Fatal("SniffManifest misclassifies")
+	if !IsManifest(data) || IsManifest([]byte(`{"format":"xqcs1"}`)) ||
+		IsManifest([]byte(`{"format":"other"}`)) || IsManifest([]byte("XQCR")) {
+		t.Fatal("IsManifest misclassifies")
 	}
 
-	bad := []struct {
-		name, json, want string
-		m                manifest
-	}{
-		{"not json", `{`, "not valid JSON", &SegmentManifest{}},
-		{"wrong format", `{"format":"xqcs1","root_tag":"r","segments":["s"],"dict_hashes":["h"],"original_sizes":[1]}`, "manifest format", &SegmentManifest{}},
-		{"no segments", `{"format":"xqcg1","root_tag":"r","segments":[],"dict_hashes":[],"original_sizes":[]}`, "no segments", &SegmentManifest{}},
-		{"no root", `{"format":"xqcg1","segments":["s"],"dict_hashes":["h"],"original_sizes":[1]}`, "no root tag", &SegmentManifest{}},
-		{"hash mismatch", `{"format":"xqcg1","root_tag":"r","segments":["s"],"dict_hashes":[],"original_sizes":[1]}`, "dictionary hashes", &SegmentManifest{}},
-		{"size mismatch", `{"format":"xqcg1","root_tag":"r","segments":["s"],"dict_hashes":["h"],"original_sizes":[]}`, "original sizes", &SegmentManifest{}},
-		{"shard wrong format", `{"format":"xqcg1","shards":["s"],"routing":"roundrobin","subtree_counts":[1],"partition_level":2}`, "manifest format", &ShardManifest{}},
-		{"no shards", `{"format":"xqcs1","shards":[],"routing":"roundrobin","subtree_counts":[],"partition_level":2}`, "no shards", &ShardManifest{}},
-		{"routing", `{"format":"xqcs1","shards":["s"],"routing":"hash","subtree_counts":[1],"partition_level":2}`, "routing policy", &ShardManifest{}},
-		{"count mismatch", `{"format":"xqcs1","shards":["s"],"routing":"roundrobin","subtree_counts":[],"partition_level":2}`, "subtree counts", &ShardManifest{}},
-		{"root level", `{"format":"xqcs1","shards":["s"],"routing":"roundrobin","subtree_counts":[1],"partition_level":1}`, "partition level", &ShardManifest{}},
+	bad := []struct{ name, json, want string }{
+		{"not json", `{`, "not valid JSON"},
+		{"wrong format", `{"format":"other","root_tag":"r","segments":["s"],"dict_hashes":["h"],"original_sizes":[1]}`, "manifest format"},
+		{"retired shard set", `{"format":"xqcs1","shards":["s"],"routing":"roundrobin","subtree_counts":[1],"partition_level":2}`, "retired round-robin shard set"},
+		{"no segments", `{"format":"xqcg1","root_tag":"r","segments":[],"dict_hashes":[],"original_sizes":[]}`, "no segments"},
+		{"no root", `{"format":"xqcg1","segments":["s"],"dict_hashes":["h"],"original_sizes":[1]}`, "no root tag"},
+		{"hash mismatch", `{"format":"xqcg1","root_tag":"r","segments":["s"],"dict_hashes":[],"original_sizes":[1]}`, "dictionary hashes"},
+		{"size mismatch", `{"format":"xqcg1","root_tag":"r","segments":["s"],"dict_hashes":["h"],"original_sizes":[]}`, "original sizes"},
 	}
 	for _, tc := range bad {
-		if err := parseManifest([]byte(tc.json), tc.m); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := parseManifest([]byte(tc.json), &SegmentManifest{}); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
@@ -381,12 +455,16 @@ func TestSetSaveOpenValidateGC(t *testing.T) {
 	}
 }
 
-// TestShardSaveOpen round-trips a shard set through its manifest and
-// rejects a shard swapped in from another build.
+// TestShardSaveOpen round-trips a set cut from one document through a
+// manifest named the way Options.Shards databases are saved (".xqcs"):
+// the segment files take the manifest's base name, the sizes and the
+// topology survive, and a segment swapped in from another build is
+// rejected.
 func TestShardSaveOpen(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "corpus"+ShardManifestExt)
-	set, err := Build(xmarkDoc(t), 2, storage.LoadOptions{})
+	path := filepath.Join(dir, "corpus.xqcs")
+	src := xmarkDoc(t)
+	set, err := Build(src, 2, storage.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,11 +475,15 @@ func TestShardSaveOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opened.Layout.Interleaved || opened.Layout != set.Layout || opened.TopologyKey() != set.TopologyKey() {
-		t.Fatalf("opened layout %+v key %s, want %+v key %s", opened.Layout, opened.TopologyKey(), set.Layout, set.TopologyKey())
+	if len(opened.Stores) != 2 || opened.TopologyKey() != set.TopologyKey() || opened.OriginalSize() != len(src) {
+		t.Fatalf("opened %d segments of %d bytes, key %s; want 2 of %d, key %s",
+			len(opened.Stores), opened.OriginalSize(), opened.TopologyKey(), len(src), set.TopologyKey())
+	}
+	if name := opened.Segments.Segments[1]; name != "corpus.seg-000001.xqc" {
+		t.Fatalf("segment file %q", name)
 	}
 	foreign := mustLoad(t, `<site><z/></site>`, nil)
-	if err := foreign.SaveFile(filepath.Join(dir, opened.Shards.Shards[1])); err != nil {
+	if err := foreign.SaveFile(filepath.Join(dir, opened.Segments.Segments[1])); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "dictionary hash") {

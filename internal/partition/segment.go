@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"xquec/internal/storage"
+	"xquec/internal/xpar"
 )
 
 // SegmentManifest is the persisted description of a segment set: the
@@ -40,6 +41,9 @@ type SegmentManifest struct {
 }
 
 func (m *SegmentManifest) check() error {
+	if m.Format == retiredShardFormat {
+		return fmt.Errorf("partition: manifest format %q is the retired round-robin shard set, which is no longer read; rebuild the repository from its document", m.Format)
+	}
 	if m.Format != SegmentManifestFormat {
 		return fmt.Errorf("partition: manifest format %q, want %q", m.Format, SegmentManifestFormat)
 	}
@@ -58,13 +62,12 @@ func (m *SegmentManifest) check() error {
 	return nil
 }
 
-// newSegmentSet assembles a segment set. Its layout is fixed: the corpus
-// root is depth 1 and every segment contributes a contiguous run of its
-// children (depth 2), so a binding strictly below the root lives
-// entirely inside one segment.
+// newSegmentSet assembles a segment set: the corpus root is depth 1 and
+// every segment contributes a contiguous run of its children (depth 2),
+// so a binding strictly below the root lives entirely inside one
+// segment.
 func newSegmentSet(man *SegmentManifest, stores []*storage.Store, seqs []int, savedAs []string) *Set {
-	layout := Layout{Noun: "segment", Level: 2}
-	return &Set{Layout: layout, Stores: stores, Segments: man, seqs: seqs, savedAs: savedAs}
+	return &Set{Stores: stores, Segments: man, seqs: seqs, savedAs: savedAs}
 }
 
 // singleSegment assembles a one-segment set around store, claiming
@@ -89,6 +92,33 @@ func NewBase(store *storage.Store) (*Set, error) {
 		return nil, fmt.Errorf("partition: store has no element root")
 	}
 	return singleSegment(root, store, store.OriginalSize, 1, 0), nil
+}
+
+// Build cuts doc into at most n parts (Cut) and ingests them through the
+// write path: the first part is the base, the others are appended. Each
+// segment is charged the bytes of doc it covers, so the original sizes
+// sum to len(doc).
+func Build(doc []byte, n int, opts storage.LoadOptions) (*Set, error) {
+	parts, sizes, err := cut(doc, n)
+	if err != nil {
+		return nil, err
+	}
+	base, err := storage.Load(parts[0], opts)
+	if err != nil {
+		return nil, err
+	}
+	set, err := NewBase(base)
+	if err == nil && len(parts) > 1 {
+		set, err = set.Append(parts[1:], opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i, st := range set.Stores {
+		st.OriginalSize = sizes[i]
+		set.Segments.OriginalSizes[i] = sizes[i]
+	}
+	return set, nil
 }
 
 // Append ingests each doc as its own append segment and returns the
@@ -194,14 +224,29 @@ func (s *Set) Compact(ctx context.Context, par int, plan func(*storage.Values) (
 	return singleSegment(old.RootTag, store, store.OriginalSize, old.Generation+1, old.Sequence), nil
 }
 
-// openSegments loads a segment set from its manifest bytes and verifies
-// the segments against the manifest's dictionary chain.
-func openSegments(path string, data []byte) (*Set, error) {
+// Open loads a set from its manifest file. The segment repositories load
+// in parallel and are verified against the manifest's dictionary chain.
+func Open(path string) (*Set, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
 	man := &SegmentManifest{}
 	if err := parseManifest(data, man); err != nil {
 		return nil, err
 	}
-	stores, savedAs, err := openParts(filepath.Dir(path), man.Segments, "segment")
+	dir := filepath.Dir(path)
+	stores := make([]*storage.Store, len(man.Segments))
+	savedAs := make([]string, len(man.Segments))
+	err = xpar.ForEach(len(stores), len(stores), func(i int) error {
+		savedAs[i] = filepath.Join(dir, man.Segments[i])
+		st, err := storage.OpenFile(savedAs[i])
+		if err != nil {
+			return fmt.Errorf("partition: opening segment %d (%s): %w", i, man.Segments[i], err)
+		}
+		stores[i] = st
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -261,13 +306,14 @@ func (s *Set) spliceSegments(f *storage.Fusion) error {
 	return nil
 }
 
-// saveSegments writes the set next to the manifest at path (which
-// should end in SegmentManifestExt). Only segments not already on disk
-// at their target are written; stale segment files from superseded sets
-// are removed after the manifest is in place.
-func (s *Set) saveSegments(path string) error {
+// Save writes the set next to the manifest at path (conventionally
+// ending in SegmentManifestExt): the segment files first, named after the
+// manifest's base name, the manifest last. Only segments not already on
+// disk at their target are written; stale segment files from superseded
+// sets are removed after the manifest is in place.
+func (s *Set) Save(path string) error {
 	dir := filepath.Dir(path)
-	base := strings.TrimSuffix(filepath.Base(path), SegmentManifestExt)
+	base := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	man := s.Segments
 	for i, st := range s.Stores {
 		name := man.Segments[i]

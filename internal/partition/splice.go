@@ -3,6 +3,9 @@ package partition
 import (
 	"bytes"
 	"fmt"
+	"slices"
+
+	"xquec/internal/xmlparser"
 )
 
 // The concatenated corpus of a segment set is defined textually: the
@@ -11,7 +14,8 @@ import (
 // tag. Everything below the root is spliced verbatim, so a full
 // re-ingest of Concat(docs...) parses to exactly the node sequence the
 // fused store of the segments holds — that equivalence is what the
-// differential suite pins down.
+// differential suite pins down. Cut is the inverse: it splits one
+// document into documents whose concatenation it is.
 
 // docParts is one document split around its root element.
 type docParts struct {
@@ -196,4 +200,76 @@ func totalLen(docs [][]byte) int {
 		n += len(d)
 	}
 	return n
+}
+
+// Cut splits doc into min(n, root's element children) documents — at
+// least one — that Concat joins back into doc (modulo what follows the
+// root's close tag): contiguous, non-empty runs of the root's children,
+// each under the root tag. Part 0 keeps what precedes its first cut, the
+// prolog and the root's attributes with it. Part k starts at the first
+// root child that begins at or past k·len(doc)/parts bytes, moved only as
+// far as every part needs to keep a child, so the cut is deterministic
+// and parts are about equal in bytes where the children allow. Root-level
+// text stays with the child it follows, so no two parts meet inside a
+// text run. doc is parsed once: a malformed document is the parser's
+// error.
+func Cut(doc []byte, n int) ([][]byte, error) {
+	parts, _, err := cut(doc, n)
+	return parts, err
+}
+
+// cut is Cut, also returning the bytes of doc each part covers; they sum
+// to len(doc).
+func cut(doc []byte, n int) (parts [][]byte, sizes []int, err error) {
+	var (
+		p      = xmlparser.NewParser(doc)
+		root   string
+		depth  int
+		starts []int // where the root's element children begin
+		end    int   // where the root's end tag begins
+	)
+	err = p.Parse(func(ev *xmlparser.Event) error {
+		switch ev.Kind {
+		case xmlparser.EventStartElement:
+			if depth++; depth == 1 {
+				root = string(ev.Name)
+			} else if depth == 2 {
+				// A tag holds no '<' past its first byte: not even an
+				// attribute value may.
+				starts = append(starts, bytes.LastIndexByte(doc[:p.Offset()], '<'))
+			}
+		case xmlparser.EventEndElement:
+			if depth--; depth == 0 {
+				end = bytes.LastIndexByte(doc[:p.Offset()], '<')
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	m := min(n, len(starts))
+	if m < 2 {
+		return [][]byte{doc}, []int{len(doc)}, nil
+	}
+	cuts := make([]int, 0, m)
+	for k, i := 1, 0; k < m; k++ {
+		j, _ := slices.BinarySearch(starts, k*len(doc)/m)
+		i = min(max(j, i+1), len(starts)-(m-k))
+		cuts = append(cuts, starts[i])
+	}
+	cuts = append(cuts, end)
+	from := 0
+	for i, to := range cuts {
+		part := make([]byte, 0, to-from+2*len(root)+5)
+		if i > 0 {
+			part = append(append(append(part, '<'), root...), '>')
+		}
+		part = append(append(part, doc[from:to]...), "</"...)
+		parts = append(parts, append(append(part, root...), '>'))
+		sizes = append(sizes, to-from)
+		from = to
+	}
+	sizes[len(sizes)-1] += len(doc) - end
+	return parts, sizes, nil
 }

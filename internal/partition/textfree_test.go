@@ -96,7 +96,7 @@ func TestFusedIsTextFree(t *testing.T) {
 				switch path := o.Pkg().Path(); {
 				case path == "xquec/internal/storage" || path == "xquec/internal/partition":
 					k := key(o)
-					if k == "xquec/internal/storage.Load" || k == "xquec/internal/storage.LoadSharded" {
+					if k == "xquec/internal/storage.Load" {
 						t.Errorf("%s uses %s: %s reaches the loader", at, k, start)
 					}
 					if byKey[k] != nil && !seen[k] {
@@ -115,7 +115,7 @@ func TestFusedIsTextFree(t *testing.T) {
 	}
 	for start, musts := range map[string][]string{
 		"(*xquec/internal/partition.Set).Fused": {
-			"(*xquec/internal/partition.Set).spliceShards", "(*xquec/internal/partition.Set).spliceSegments",
+			"(*xquec/internal/partition.Set).spliceSegments",
 			"(*xquec/internal/storage.Fusion).merge", "(*xquec/internal/storage.Fusion).rebuild",
 			"(*xquec/internal/storage.Store).deriveFromSuccinct", "xquec/internal/storage.buildContainer",
 		},

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"xquec"
 	"xquec/internal/partition"
 )
 
@@ -230,5 +231,35 @@ func TestAppendFusesOnce(t *testing.T) {
 	}
 	if n := scrape(t, ts.URL)["xquecd_fusions_total"] - before; n != 1 {
 		t.Fatalf("12 reads after one append built %v fused stores, want 1", n)
+	}
+}
+
+// TestAppendToCutRepository: a repository compressed with
+// Options.Shards and saved as name.xqcs is a segment set like any other,
+// so POST /append grows it, and the grown set persists as name.xqcg,
+// which the pool resolves first from then on.
+func TestAppendToCutRepository(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	db, err := xquec.Compress([]byte(`<data><v>1</v><v>2</v><v>3</v><v>4</v></data>`), xquec.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SaveFile(filepath.Join(srv.cfg.RepoDir, "cut.xqcs")); err != nil {
+		t.Fatal(err)
+	}
+	res, resp := postAppend(t, ts.URL, AppendRequest{Repo: "cut", Doc: `<data><v>5</v></data>`})
+	if res == nil {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("append failed: %d %s", resp.StatusCode, b)
+	}
+	if res.Segments != 3 {
+		t.Fatalf("segments = %d, want 3", res.Segments)
+	}
+	out, _ := postQuery(t, ts.URL, QueryRequest{Repo: "cut", Query: `FOR $v IN /data/v RETURN $v/text()`})
+	if out == nil || out.Result != "1\n2\n3\n4\n5" {
+		t.Fatalf("after the append = %+v", out)
+	}
+	if path, err := srv.Pool().repoPath("cut"); err != nil || filepath.Base(path) != "cut.xqcg" {
+		t.Fatalf("cut resolves to %s (%v), want cut.xqcg", path, err)
 	}
 }

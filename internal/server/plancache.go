@@ -15,8 +15,8 @@ import (
 // concurrent requests.
 //
 // The topology component is the database's TopologyKey — it pins the
-// plan to the repository *instance* (and, for shard sets, the shard
-// layout), so a plan prepared against an evicted-and-reloaded or
+// plan to the repository *instance* (and, for segment sets, the
+// segment topology), so a plan prepared against an evicted-and-reloaded or
 // swapped repository can never be served against its successor: the
 // key misses and the query re-prepares against the new handle.
 type PlanCache struct {

@@ -69,12 +69,12 @@ func NewPool(dir string, capacity int) *Pool {
 }
 
 // repoPath maps a repository name to its file, rejecting names that
-// escape the directory. A name resolves to its segment-set manifest
+// escape the directory. A name resolves to its appended-to manifest
 // (name.xqcg) when that exists — a repository that has been appended
-// to is addressed through its manifest, never through a stale single
-// file — else to its single-repository file (name.xqc), else to its
-// shard-set manifest (name.xqcs): one namespace serves all three
-// layouts.
+// to is addressed through it, never through a stale single file or
+// manifest — else to its single-repository file (name.xqc), else to
+// name.xqcs, the manifest of a database compressed with Options.Shards:
+// one namespace serves all.
 func (p *Pool) repoPath(name string) (string, error) {
 	if name == "" || strings.ContainsAny(name, "/\\") || strings.Contains(name, "..") {
 		return "", fmt.Errorf("server: invalid repository name %q", name)
@@ -199,10 +199,9 @@ func (p *Pool) ResidentBytes() map[string]int64 {
 }
 
 // Available lists the repository names present in the pool's directory
-// — .xqc repositories, .xqcs shard-set manifests and .xqcg segment-set
-// manifests (per-shard *.shard-NNN.xqc and per-segment *.seg-NNNNNN.xqc
-// files belong to their manifest and are not listed separately), sorted
-// and deduplicated.
+// — .xqc repositories and .xqcg and .xqcs segment-set manifests (the
+// per-segment *.seg-NNNNNN.xqc files belong to their manifest and are
+// not listed separately), sorted and deduplicated.
 func (p *Pool) Available() ([]string, error) {
 	des, err := os.ReadDir(p.dir)
 	if err != nil {
@@ -227,8 +226,8 @@ func (p *Pool) Available() ([]string, error) {
 			add(strings.TrimSuffix(de.Name(), ".xqcg"))
 		case strings.HasSuffix(de.Name(), ".xqc"):
 			base := strings.TrimSuffix(de.Name(), ".xqc")
-			if strings.LastIndex(base, ".shard-") >= 0 || strings.LastIndex(base, ".seg-") >= 0 {
-				continue // a manifest's shard/segment file, addressed via the manifest
+			if strings.Contains(base, ".seg-") {
+				continue // a manifest's segment file, addressed via the manifest
 			}
 			add(base)
 		}

@@ -301,3 +301,18 @@ func TestPlanCacheTopologyKeyPreventsStalePlans(t *testing.T) {
 		t.Fatal("original plan lost")
 	}
 }
+
+// TestPoolRefusesRetiredShardSet: a manifest of the retired
+// round-robin shard layout (format xqcs1) is a corrupt repository, and
+// the error names the format.
+func TestPoolRefusesRetiredShardSet(t *testing.T) {
+	dir := t.TempDir()
+	manifest := `{"format":"xqcs1","shards":["old.shard-000.xqc"],"partition_level":3,"routing":"roundrobin","subtrees":1,"subtree_counts":[1],"dict_hash":"00","original_size":10}`
+	if err := os.WriteFile(filepath.Join(dir, "old.xqcs"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := NewPool(dir, 2).Get("old")
+	if !errors.Is(err, xquec.ErrCorruptRepository) || !strings.Contains(err.Error(), "xqcs1") || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("Get = %v, want an ErrCorruptRepository naming the retired format", err)
+	}
+}

@@ -340,7 +340,7 @@ func (s *Server) resolve(ctx context.Context, req QueryRequest) (res *xquec.Resu
 	}
 
 	// The topology key pins cached plans to this repository instance:
-	// after an eviction + reload (or a swap to a re-sharded layout) the
+	// after an eviction + reload (or a swap to a grown or compacted set) the
 	// key changes and the stale plan can never be served.
 	topo := db.TopologyKey()
 	prep := s.plans.Get(req.Repo, topo, req.Query)

@@ -50,9 +50,8 @@ func (f *Fusion) Store() (*Store, error) {
 	s := &Store{Models: map[string]GroupModel{}}
 	// at[p][c][i] is, for record i of container c of part p, the fused
 	// ordinal of the text leaf that refers to it — its place in document
-	// order — or -1 when no piece holds that leaf (every shard has the
-	// spine's attributes, one is spliced); the merge overwrites it with
-	// the record's fused index.
+	// order — or -1 when no piece holds that leaf; the merge overwrites it
+	// with the record's fused index.
 	at := make([][][]int32, len(f.parts))
 	nParens := 0
 	for p, part := range f.parts {

@@ -63,9 +63,6 @@ func TestTooManyNames(t *testing.T) {
 	if _, err := Load([]byte("<r/>"), LoadOptions{Dictionary: append(s.Names[:maxNames:maxNames], "one-more")}); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Load with %d pre-seeded names: %v", maxNames+1, err)
 	}
-	if _, err := SplitXML(over, 2, 0); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("SplitXML of %d names: %v", maxNames+1, err)
-	}
 }
 
 // TestAttributeLevelOverflow: an attribute sits one level below its

@@ -29,9 +29,10 @@ type LoadOptions struct {
 	// inputs and results are placed by index, not completion order.
 	Parallelism int
 	// Dictionary pre-seeds the name dictionary before the SAX pass, in
-	// the given order. Shard-set ingestion uses this to give every shard
-	// repository one shared dictionary (identical name codes for the same
-	// tag across shards) even when a shard never sees some of the tags.
+	// the given order. A segment set's append uses this to give every
+	// segment the previous segment's dictionary (identical name codes for
+	// the same tag across segments) even when a segment never sees some of
+	// the tags.
 	// Names encountered during the parse that are already pre-seeded keep
 	// their seeded code; new names append after the seed.
 	Dictionary []string

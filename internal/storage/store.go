@@ -51,8 +51,8 @@ func (s *Store) Code(name string) (uint16, bool) {
 func (s *Store) Name(code uint16) string { return s.Names[code] }
 
 // dictionary builds a name dictionary: codes in first-seen order, which
-// is the order every builder of one has to agree on (Load, SplitXML's
-// shared dictionary, the names of a file). Tag codes are 16-bit, so the
+// is the order every builder of one has to agree on (Load, a pre-seeded
+// dictionary, the names of a file). Tag codes are 16-bit, so the
 // 65 537th name is an error, not a wrapped code.
 type dictionary struct {
 	names []string
@@ -150,8 +150,7 @@ func (s *Store) IsAttr(id NodeID) bool { return isAttrName(s.TagOf(id)) }
 func (s *Store) HasText(c *TextCursor, id NodeID) bool { return s.succ.hasText(c, id) }
 
 // ScanNodes calls fn for every node in pre-order (= ID order) with its
-// depth — the bulk structural sweep behind shard tables and spine
-// indexes, cheaper than per-ID LevelOf.
+// depth — a bulk structural sweep, cheaper than per-ID LevelOf.
 func (s *Store) ScanNodes(fn func(id NodeID, level uint16)) { s.succ.scanNodes(fn) }
 
 // Container returns the i-th container.

@@ -11,7 +11,9 @@ import (
 
 // cursorStores returns the stores the cursor is held to: the ingested,
 // opened and fused XMark stores, the ingested, opened and fused store of
-// each real-life corpus, and the shard stores of an XMark document.
+// each real-life corpus, and the segment stores of an XMark document cut
+// at its root children, the way a partitioned build cuts one: each part
+// under the root tag, its dictionary seeded with the previous part's.
 func cursorStores(t *testing.T) map[string]*Store {
 	t.Helper()
 	out := map[string]*Store{}
@@ -24,12 +26,20 @@ func cursorStores(t *testing.T) map[string]*Store {
 	for _, ds := range datagen.RealLifeCorpus(3, 0.01) {
 		add(ds.Name, ds.Data, ds.Data)
 	}
-	shards, _, err := LoadSharded(datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 9}), 3, LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range shards {
-		out["shard"+string(rune('0'+i))] = s
+	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 9})
+	var names []string
+	for i, run := range [][2]string{{"<site>", "<categories>"}, {"<categories>", "<open_auctions>"}, {"<open_auctions>", "</site>"}} {
+		from, to := bytes.Index(doc, []byte(run[0])), bytes.Index(doc, []byte(run[1]))
+		if from < 0 || to < from {
+			t.Fatalf("no %s…%s run in the document", run[0], run[1])
+		}
+		part := append(append([]byte("<site>"), bytes.TrimPrefix(doc[from:to], []byte("<site>"))...), "</site>"...)
+		s, err := Load(part, LoadOptions{Dictionary: names})
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = s.Names
+		out["segment"+string(rune('0'+i))] = s
 	}
 	return out
 }

@@ -116,6 +116,10 @@ func (p *Parser) Parse(h Handler) error {
 	return nil
 }
 
+// Offset is the byte offset the parser has reached: inside a handler,
+// just past the markup of the event being reported.
+func (p *Parser) Offset() int { return p.pos }
+
 func (p *Parser) errf(format string, args ...interface{}) error {
 	return &SyntaxError{Offset: p.pos, Msg: fmt.Sprintf(format, args...)}
 }

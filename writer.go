@@ -2,7 +2,6 @@ package xquec
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync"
 
@@ -42,15 +41,10 @@ type Writer struct {
 // NewWriter opens the write path over db. A plain single-repository
 // database is adopted as the base segment of a fresh single-segment
 // set (queries over the returned Writer's handle behave identically);
-// a database opened from a segment-set manifest continues its set.
-// Sharded databases are not appendable. opts drives the compression of
-// future appends and compactions — Options.Shards is ignored (segments
-// are the write-path partitioning; a compacted set can be re-sharded
-// by re-compressing the decompressed corpus).
+// a segmented database — cut by Options.Shards or opened from a
+// segment-set manifest — continues its set. opts drives the compression
+// of future appends and compactions; Options.Shards is ignored.
 func NewWriter(db *Database, opts Options) (*Writer, error) {
-	if db.Sharded() {
-		return nil, fmt.Errorf("xquec: a sharded database is not appendable; compact to a single repository first")
-	}
 	if db.set == nil {
 		segs, err := partition.NewBase(db.store)
 		if err != nil {

@@ -45,7 +45,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"strings"
 
 	"xquec/internal/costmodel"
 	"xquec/internal/engine"
@@ -86,13 +85,13 @@ type Options struct {
 	// GOMAXPROCS, 1 forces the serial path; any setting produces a
 	// byte-identical repository.
 	Parallelism int
-	// Shards, when 2 or more, builds a shard set: the document splits
-	// into that many shard repositories at a subtree boundary
-	// (round-robin over the partition-level subtrees), all sharing one
-	// name dictionary, opened together as one logical Database. Queries
-	// over it run on the shards' fused store and return results identical
-	// to a single repository's. Workload-driven compression choices apply
-	// per shard. 0 or 1 builds a single repository.
+	// Shards, when 2 or more, cuts the document into min(Shards, root
+	// element children) contiguous runs of its root's children and
+	// builds them as a segment set, as a Writer appending the runs to the
+	// first would: one repository per run, all sharing one name
+	// dictionary, opened together as one logical Database whose queries
+	// run on the runs' fused store and return results identical to a
+	// single repository's. 0 or 1 builds a single repository.
 	Shards int
 }
 
@@ -108,19 +107,17 @@ type Options struct {
 // builds a new Database value and readers of the old one keep their
 // snapshot.
 type Database struct {
-	// Exactly one of store and set is non-nil. set holds a partitioned
-	// corpus — a shard set (Options.Shards ≥ 2 / Open on a shard-set
-	// manifest) or a segment set (a Writer's Commit / Open on a
-	// segment-set manifest): several repositories sharing one name
-	// dictionary, whose queries all run on the lazily fused single store
-	// (db.fused).
+	// Exactly one of store and set is non-nil. set holds a segment set
+	// (Options.Shards ≥ 2, a Writer's Commit, Open on a manifest): several
+	// repositories sharing one name dictionary, whose queries all run on
+	// the lazily fused single store (db.fused).
 	store *storage.Store
 	set   *partition.Set
 }
 
 // Compress parses and compresses an XML document into a Database. With
-// Options.Shards ≥ 2 the repository is built sharded (see the field
-// doc); otherwise it is a single repository.
+// Options.Shards ≥ 2 the document is cut into a segment set (see the
+// field doc); otherwise it is a single repository.
 func Compress(doc []byte, opts Options) (*Database, error) {
 	plan, err := resolvePlan(opts, docContainers(doc))
 	if err != nil {
@@ -210,9 +207,8 @@ func WorkloadFromQueries(queries ...string) (*Workload, error) {
 }
 
 // Open loads a Database previously saved with SaveFile — a single
-// repository, a shard-set manifest, or a segment-set manifest (all
-// detected by content, so a serving pool can open every kind through
-// one call).
+// repository or a segment-set manifest (told apart by content, so a
+// serving pool can open both through one call).
 func Open(path string) (*Database, error) {
 	manifest, err := isManifest(path)
 	if err != nil {
@@ -232,14 +228,11 @@ func Open(path string) (*Database, error) {
 	return &Database{store: s}, nil
 }
 
-// isManifest sniffs whether path is a set manifest: by extension first,
-// then by content (manifests are JSON objects, repositories start with
-// the XQCR magic). A JSON object with an unknown format still counts,
-// so the manifest parser's error names the expected format.
+// isManifest sniffs whether path is a set manifest by its content:
+// manifests are JSON objects, repositories start with the XQCR magic. A
+// JSON object of another format still counts, so the manifest parser's
+// error names the format it found.
 func isManifest(path string) (bool, error) {
-	if strings.HasSuffix(path, partition.ShardManifestExt) || strings.HasSuffix(path, partition.SegmentManifestExt) {
-		return true, nil
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return false, err
@@ -250,19 +243,18 @@ func isManifest(path string) (bool, error) {
 	return err == nil && b[0] == '{', err
 }
 
-// OpenBytes loads a Database from serialized repository bytes. Manifest
-// bytes are detected the same way Open detects manifest files — but a
-// manifest only references its shard/segment files, it does not contain
-// them, so OpenBytes rejects one with a typed ErrCorruptRepository
+// OpenBytes loads a Database from serialized repository bytes. A
+// manifest only references its segment files, it does not contain them,
+// so OpenBytes rejects manifest bytes with a typed ErrCorruptRepository
 // explaining the mismatch instead of failing on the magic check.
 //
 // The Database does not retain data: the store keeps its record values
 // as sub-slices of the buffer it loads from, so OpenBytes loads from a
 // copy (Open reads the file into a buffer of its own and needs none).
 func OpenBytes(data []byte) (*Database, error) {
-	if noun := partition.SniffManifest(data); noun != "" {
+	if partition.IsManifest(data) {
 		return nil, tagErr(ErrCorruptRepository, fmt.Errorf(
-			"xquec: load repository: data is a %s-set manifest, which references external %s files rather than containing them; open it from its path with Open", noun, noun))
+			"xquec: load repository: data is a segment-set manifest, which references external segment files rather than containing them; open it from its path with Open"))
 	}
 	s, err := storage.LoadBinary(bytes.Clone(data))
 	if err != nil {
@@ -271,20 +263,10 @@ func OpenBytes(data []byte) (*Database, error) {
 	return &Database{store: s}, nil
 }
 
-// Sharded reports whether the database is a shard set.
-func (db *Database) Sharded() bool { return db.set != nil && db.set.Layout.Interleaved }
-
-// Shards returns the shard count (1 for a single repository).
-func (db *Database) Shards() int {
-	if db.Sharded() {
-		return len(db.set.Stores)
-	}
-	return 1
-}
-
-// Segmented reports whether the database is a segment set (opened from
-// a segment-set manifest or produced by a Writer).
-func (db *Database) Segmented() bool { return db.set != nil && !db.set.Layout.Interleaved }
+// Segmented reports whether the database is a segment set (cut by
+// Options.Shards, opened from a segment-set manifest or produced by a
+// Writer).
+func (db *Database) Segmented() bool { return db.set != nil }
 
 // Segments returns the segment count (1 for an unsegmented database).
 func (db *Database) Segments() int {
@@ -294,7 +276,7 @@ func (db *Database) Segments() int {
 	return 1
 }
 
-// TopologyKey identifies the repository instance and its shard/segment
+// TopologyKey identifies the repository instance and its segment
 // topology for cache keying: plan caches must include it so prepared
 // statements never outlive a swap to a repository with a different
 // store or layout. A Writer's Commit/Compact produces a Database with
@@ -308,7 +290,7 @@ func (db *Database) TopologyKey() string {
 }
 
 // fused returns the single-store view: the store itself, or the
-// shard/segment set's lazily reconstructed fusion.
+// segment set's lazily reconstructed fusion.
 func (db *Database) fused() (*storage.Store, error) {
 	if db.set != nil {
 		s, err := db.set.Fused()
@@ -318,8 +300,8 @@ func (db *Database) fused() (*storage.Store, error) {
 }
 
 // SaveFile persists the database: one repository file, or — for a
-// sharded or segmented database — the manifest at path plus one
-// repository file per shard/segment next to it.
+// segmented database — the manifest at path plus one repository file per
+// segment next to it, named after the manifest's base name.
 func (db *Database) SaveFile(path string) error {
 	if db.set != nil {
 		return db.set.Save(path)
@@ -327,8 +309,8 @@ func (db *Database) SaveFile(path string) error {
 	return db.store.SaveFile(path)
 }
 
-// Bytes serializes the database. For a sharded database this is the
-// fused single-repository serialization (shard sets are a multi-file
+// Bytes serializes the database. For a segmented database this is the
+// fused single-repository serialization (segment sets are a multi-file
 // layout; use SaveFile to persist one); nil if fusion fails.
 func (db *Database) Bytes() []byte {
 	s, err := db.fused()
@@ -340,8 +322,7 @@ func (db *Database) Bytes() []byte {
 
 // Decompress reconstructs the original XML document (modulo
 // insignificant whitespace) from the compressed repository — for a
-// sharded database, by re-interleaving the partitioned subtrees in
-// global document order.
+// segmented database, the corpus its segments concatenate to.
 func (db *Database) Decompress() ([]byte, error) {
 	if db.set != nil {
 		return db.set.FuseXML()
@@ -360,7 +341,7 @@ type QueryOptions struct {
 	// fan-out overhead.
 	Parallelism int
 
-	// ShardFanout is ignored: every query over a shard set runs on its
+	// ShardFanout is ignored: every query over a segment set runs on its
 	// fused store, so nothing fans out. It remains only for callers that
 	// still set it.
 	ShardFanout int
@@ -406,8 +387,8 @@ func (db *Database) Execute(ctx context.Context, q string, opts QueryOptions) (*
 // skipping the parser and compiler on every subsequent run: the unit a
 // serving plan cache stores. Compilation is eager here so the cache can
 // account the compiled program's bytes at admission time, and so a
-// query that does not compile fails here, tagged ErrEval. On a shard or
-// segment set the program compiles against the set's fused store, which
+// query that does not compile fails here, tagged ErrEval. On a segment
+// set the program compiles against the set's fused store, which
 // the first Prepare on the set builds. The prepared query is bound to
 // this Database and is safe for concurrent Execute calls: the compiled
 // program is never mutated and every execution gets fresh run state.
@@ -467,10 +448,10 @@ func (db *Database) Explain(q string) (string, error) {
 	}
 	var head string
 	if set := db.set; set != nil {
-		if parts, noun := len(set.Stores), set.Layout.Noun; parts == 1 {
-			head = fmt.Sprintf("single %s; evaluate directly\n", noun)
+		if parts := len(set.Stores); parts == 1 {
+			head = "single segment; evaluate directly\n"
 		} else {
-			head = fmt.Sprintf("evaluate on the fused store of %d %ss\n", parts, noun)
+			head = fmt.Sprintf("evaluate on the fused store of %d segments\n", parts)
 		}
 	}
 	return head + p.Disassemble(), nil
@@ -486,8 +467,8 @@ func (db *Database) MustQuery(q string) *Results {
 }
 
 // CompressionFactor is the paper's CF metric: 1 − compressed/original
-// for the serialized repository (summed over the shards/segments when
-// sharded or segmented).
+// for the serialized repository (summed over the segments when
+// segmented).
 func (db *Database) CompressionFactor() float64 {
 	s := db.Stats()
 	if s.OriginalBytes == 0 {
@@ -497,7 +478,7 @@ func (db *Database) CompressionFactor() float64 {
 }
 
 // memberStores lists every physical store of the database: the single
-// repository, or all shard/segment members.
+// repository, or all segments.
 func (db *Database) memberStores() []*storage.Store {
 	if db.set != nil {
 		return db.set.Stores
@@ -506,7 +487,7 @@ func (db *Database) memberStores() []*storage.Store {
 }
 
 // Footprint aggregates the in-memory component sizes over every member
-// repository (base store plus shard or segment members), so
+// repository (the base store and every later segment), so
 // AccessOverheadFactor reflects the whole database rather than just
 // the base store.
 func (db *Database) Footprint() storage.Footprint {
@@ -539,11 +520,9 @@ func (db *Database) StructureBitsPerNode() float64 {
 	return float64(bits) / float64(nodes)
 }
 
-// Stats summarizes the database; for a sharded or segmented database
-// the sizes and counts aggregate over all member repositories (spine
-// duplication means a shard set carries slightly more nodes than the
-// single repository; a segment set duplicates only the root element
-// per segment).
+// Stats summarizes the database; for a segmented database the sizes and
+// counts aggregate over all member repositories (a segment set
+// duplicates the root element per segment).
 func (db *Database) Stats() Stats {
 	var agg Stats
 	if db.set != nil {
@@ -565,9 +544,8 @@ func (db *Database) Stats() Stats {
 }
 
 // IngestStats reports the compressor pipeline's phase timings and
-// worker count for this database (shard 0's pipeline when sharded —
-// shards ingest concurrently, so one shard's wall time is
-// representative). Zero for databases opened from disk — the timings
+// worker count for this database (the base segment's pipeline when
+// segmented). Zero for databases opened from disk — the timings
 // describe a Compress run, not the repository itself.
 func (db *Database) IngestStats() storage.BuildStats { return db.memberStores()[0].Build }
 
@@ -598,32 +576,26 @@ type ContainerInfo struct {
 	Group     string
 	Records   int
 	Bytes     int // compressed payload
-	Shard     int // owning shard (0 for unsharded databases)
 	Segment   int // owning segment (0 for unsegmented databases)
 }
 
-// Containers lists the database's value containers. For a sharded or
-// segmented database the listing concatenates every member's
-// containers (Shard/Segment identifies the owner; the same path
-// appears once per member holding values for it).
+// Containers lists the database's value containers. For a segmented
+// database the listing concatenates every segment's containers (Segment
+// identifies the owner; the same path appears once per segment holding
+// values for it).
 func (db *Database) Containers() []ContainerInfo {
 	var out []ContainerInfo
 	for i, st := range db.memberStores() {
 		for _, c := range st.Containers {
-			ci := ContainerInfo{
+			out = append(out, ContainerInfo{
 				Path:      c.Path,
 				Kind:      c.Kind.String(),
 				Algorithm: c.Codec().Name(),
 				Group:     c.Group,
 				Records:   c.Len(),
 				Bytes:     c.CompressedBytes(),
-			}
-			if db.Sharded() {
-				ci.Shard = i
-			} else {
-				ci.Segment = i
-			}
-			out = append(out, ci)
+				Segment:   i,
+			})
 		}
 	}
 	return out

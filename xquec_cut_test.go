@@ -12,15 +12,14 @@ import (
 	"xquec"
 	"xquec/internal/datagen"
 	"xquec/internal/partition"
-	"xquec/internal/storage"
 	"xquec/internal/xmarkq"
 )
 
-// TestShardedResultsIdentical is the tier-1 guarantee of the shard
-// layout: for EVERY benchmark query a sharded database returns
+// TestCutResultsIdentical is the tier-1 guarantee of Options.Shards: for
+// EVERY benchmark query a database cut into a segment set returns
 // byte-identical results to the single-repository database over the
-// same corpus, at every shard count.
-func TestShardedResultsIdentical(t *testing.T) {
+// same corpus, at every part count.
+func TestCutResultsIdentical(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 41})
 	single, err := xquec.Compress(doc, xquec.Options{})
 	if err != nil {
@@ -39,31 +38,133 @@ func TestShardedResultsIdentical(t *testing.T) {
 			t.Fatalf("%s: %v", q.ID, err)
 		}
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		db, err := xquec.Compress(doc, xquec.Options{Shards: shards})
+	for _, n := range []int{1, 2, 4, 8} {
+		db, err := xquec.Compress(doc, xquec.Options{Shards: n})
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("shards=%d: %v", n, err)
 		}
 		for _, q := range queries {
 			res, err := db.Execute(context.Background(), q.Text, xquec.QueryOptions{})
 			if err != nil {
-				t.Fatalf("shards=%d %s: %v", shards, q.ID, err)
+				t.Fatalf("shards=%d %s: %v", n, q.ID, err)
 			}
 			got, err := xquec.ResultXML(res)
 			res.Close()
 			if err != nil {
-				t.Fatalf("shards=%d %s: %v", shards, q.ID, err)
+				t.Fatalf("shards=%d %s: %v", n, q.ID, err)
 			}
 			if got != want[q.ID] {
-				t.Errorf("shards=%d %s: sharded result differs\n got: %.200q\nwant: %.200q",
-					shards, q.ID, got, want[q.ID])
+				t.Errorf("shards=%d %s: result on the cut differs\n got: %.200q\nwant: %.200q",
+					n, q.ID, got, want[q.ID])
 			}
 		}
 	}
 }
 
+// TestCutSegments: Options.Shards cuts a segment set of min(n, root
+// children) segments, whatever the shape of the root's content, and the
+// segments' original sizes sum to the document's.
+func TestCutSegments(t *testing.T) {
+	docs := []struct {
+		name     string
+		doc      []byte
+		children int
+	}{
+		{"xmark", datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 47}), 5},
+		{"flat", []byte(`<r><n>1</n><n>2</n><n>3</n><n>4</n><n>5</n></r>`), 5},
+		{"attributes and text", []byte(`<r k="v">lead<a/>mid<b x="1">t</b>tail</r>`), 2},
+		{"one child", []byte(`<r><a><b/><b/><b/></a></r>`), 1},
+	}
+	for _, d := range docs {
+		for _, n := range []int{2, 3, 4, 8} {
+			db, err := xquec.Compress(d.doc, xquec.Options{Shards: n})
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", d.name, n, err)
+			}
+			if got, want := db.Segments(), min(n, d.children); got != want || !db.Segmented() {
+				t.Errorf("%s n=%d: %d segments, want %d", d.name, n, got, want)
+			}
+			if got := db.Stats().OriginalBytes; got != len(d.doc) {
+				t.Errorf("%s n=%d: %d original bytes, want %d", d.name, n, got, len(d.doc))
+			}
+		}
+	}
+}
+
+// TestCutIsAppendable: a database cut by Options.Shards is a segment set
+// like any other — NewWriter accepts it, and what Append, Commit and
+// Compact publish answers every benchmark query and decompresses as the
+// re-ingest of the concatenated corpus does.
+func TestCutIsAppendable(t *testing.T) {
+	docs := segDocs(t, 3, 0.02)
+	concat, err := partition.Concat(docs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := xquec.Compress(concat, xquec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, err := xquec.Compress(docs[0], xquec.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := xquec.NewWriter(cut, xquec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range docs[1:] {
+		if err := w.Append(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown, err := w.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compacted, err := w.Compact(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown.Segments() != 6 || compacted.Segments() != 1 {
+		t.Fatalf("%d segments grown, %d compacted; want 6 and 1", grown.Segments(), compacted.Segments())
+	}
+	want, err := single.Decompress()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for layout, db := range map[string]*xquec.Database{"grown": grown, "compacted": compacted} {
+		if got := db.Stats().OriginalBytes; got != len(docs[0])+len(docs[1])+len(docs[2]) {
+			t.Errorf("%s: %d original bytes, want the %d ingested", layout, got, len(docs[0])+len(docs[1])+len(docs[2]))
+		}
+		if got, err := db.Decompress(); err != nil || string(got) != string(want) {
+			t.Errorf("%s: decompresses to %d bytes (%v), the re-ingest to %d", layout, len(got), err, len(want))
+		}
+		for _, q := range append(xmarkq.Queries(), xmarkq.ExtendedQueries()...) {
+			if got, want := execXML(t, db, q.Text, xquec.QueryOptions{}), execXML(t, single, q.Text, xquec.QueryOptions{}); got != want {
+				t.Errorf("%s %s: differs from the re-ingest\n got: %.200q\nwant: %.200q", layout, q.ID, got, want)
+			}
+		}
+	}
+}
+
+// TestOpenRefusesRetiredShardSet: a manifest of the retired
+// round-robin shard layout (format xqcs1), written by hand, is a corrupt
+// repository to Open, and the error names the format.
+func TestOpenRefusesRetiredShardSet(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.xqcs")
+	manifest := `{"format":"xqcs1","shards":["old.shard-000.xqc","old.shard-001.xqc"],"partition_level":3,` +
+		`"routing":"roundrobin","subtrees":2,"subtree_counts":[1,1],"dict_hash":"00","original_size":10}`
+	writeFileT(t, path, []byte(manifest))
+	_, err := xquec.Open(path)
+	if !errors.Is(err, xquec.ErrCorruptRepository) || !strings.Contains(err.Error(), `"xqcs1"`) || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("Open = %v, want an ErrCorruptRepository naming the retired format", err)
+	}
+}
+
 // TestShardedItemCursor exercises the Next/Item path (not just
-// WriteXML) against a query on a shard set, including early Close.
+// WriteXML) against a query on a database cut by Options.Shards,
+// including early Close.
 func TestShardedItemCursor(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 42})
 	db, err := xquec.Compress(doc, xquec.Options{Shards: 4})
@@ -122,8 +223,9 @@ func TestShardedItemCursor(t *testing.T) {
 	}
 }
 
-// TestShardedSaveOpenRoundTrip persists a shard set and re-opens it
-// through the sniffing Open, asserting results survive the round trip.
+// TestShardedSaveOpenRoundTrip persists a database cut by Options.Shards
+// under the ".xqcs" name and re-opens it through the sniffing Open,
+// asserting results, segments and sizes survive the round trip.
 func TestShardedSaveOpenRoundTrip(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 43})
 	db, err := xquec.Compress(doc, xquec.Options{Shards: 3})
@@ -142,8 +244,8 @@ func TestShardedSaveOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !re.Sharded() || re.Shards() != 3 {
-		t.Fatalf("reopened: sharded=%v shards=%d", re.Sharded(), re.Shards())
+	if !re.Segmented() || re.Segments() != 3 || re.Stats().OriginalBytes != len(doc) {
+		t.Fatalf("reopened: %d segments of %d bytes, want 3 of %d", re.Segments(), re.Stats().OriginalBytes, len(doc))
 	}
 	if got := execXML(t, re, q, xquec.QueryOptions{}); got != want {
 		t.Fatalf("round trip changed results:\n got %.200q\nwant %.200q", got, want)
@@ -159,7 +261,7 @@ func TestShardedSaveOpenRoundTrip(t *testing.T) {
 }
 
 // TestShardedDecompress asserts the fused reconstruction round-trips
-// through the sharded layout.
+// through a database cut by Options.Shards.
 func TestShardedDecompress(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 44})
 	single, err := xquec.Compress(doc, xquec.Options{})
@@ -196,8 +298,8 @@ func TestShardedDecompress(t *testing.T) {
 }
 
 // TestShardedDeadline proves per-request deadlines cut through an
-// evaluation on a shard set: an already-expired context fails the query
-// with the context's error.
+// evaluation on a database cut by Options.Shards: an already-expired
+// context fails the query with the context's error.
 func TestShardedDeadline(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 45})
 	db, err := xquec.Compress(doc, xquec.Options{Shards: 4})
@@ -221,9 +323,8 @@ func TestShardedDeadline(t *testing.T) {
 
 // TestFailureParityAcrossLayouts: a query that fails on one person of
 // the corpus fails identically — ErrEval, the same message — on the
-// single repository, on 4 shards and on 4 append segments, both of which
-// run it on their fused store. No layout answers with the other persons'
-// items.
+// single repository and on 4 append segments, which run it on their
+// fused store. No layout answers with the other persons' items.
 func TestFailureParityAcrossLayouts(t *testing.T) {
 	const q = `FOR $p IN /site/people/person RETURN 10 mod number($p/q)`
 	person := func(i int) string {
@@ -269,12 +370,6 @@ func TestFailureParityAcrossLayouts(t *testing.T) {
 		}
 	}
 
-	shards, err := xquec.Compress([]byte(people(0, 40)), xquec.Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("4 shards", shards)
-
 	base, err := xquec.Compress([]byte(people(0, 10)), xquec.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -295,71 +390,28 @@ func TestFailureParityAcrossLayouts(t *testing.T) {
 	check("4 segments", segments)
 }
 
-// TestOneShardSetEvaluatesDirectly opens a one-shard ".xqcs" (only
-// reachable from disk: Compress builds a plain repository for Shards
-// 1) and asserts a path query and a join answer byte-identically to the
-// single repository — on the shard itself, with no second resident copy
-// of the corpus.
-func TestOneShardSetEvaluatesDirectly(t *testing.T) {
-	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 46})
-	single, err := xquec.Compress(doc, xquec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := partition.Build(doc, 1, storage.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "one.xqcs")
-	if err := set.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	db, err := xquec.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !db.Sharded() || db.Shards() != 1 {
-		t.Fatalf("opened: sharded=%v shards=%d", db.Sharded(), db.Shards())
-	}
-	for _, q := range []string{xmarkq.Q2, xmarkq.Q8} {
-		if got, want := execXML(t, db, q, xquec.QueryOptions{}), execXML(t, single, q, xquec.QueryOptions{}); got != want {
-			t.Errorf("one-shard result differs\n got: %.200q\nwant: %.200q", got, want)
-		}
-		plan, err := db.Explain(q)
-		if err != nil || !strings.HasPrefix(plan, "single shard; evaluate directly\n") {
-			t.Errorf("Explain = %.60q, %v", plan, err)
-		}
-	}
-}
-
-// TestSetCancelMidDrain cancels the context of a query on a 4-shard and
-// a 4-segment set after its first items: the next Next, and every call
-// after it, ends with the context's error.
+// TestSetCancelMidDrain cancels the context of a query on a 4-segment
+// set after its first items: the next Next, and every call after it,
+// ends with the context's error.
 func TestSetCancelMidDrain(t *testing.T) {
 	docs := segDocs(t, 4, 0.02)
-	shards, err := xquec.Compress(docs[0], xquec.Options{Shards: 4})
+	const q = `FOR $p IN /site/people/person RETURN $p/name/text()`
+	ctx, cancel := context.WithCancel(context.Background())
+	res, err := segmentedDB(t, docs).Execute(ctx, q, xquec.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const q = `FOR $p IN /site/people/person RETURN $p/name/text()`
-	for layout, db := range map[string]*xquec.Database{"4 shards": shards, "4 segments": segmentedDB(t, docs)} {
-		ctx, cancel := context.WithCancel(context.Background())
-		res, err := db.Execute(ctx, q, xquec.QueryOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", layout, err)
+	defer res.Close()
+	for i := 0; i < 3; i++ {
+		if _, ok, err := res.Next(); !ok || err != nil {
+			t.Fatalf("item %d: ok=%v err=%v", i, ok, err)
 		}
-		for i := 0; i < 3; i++ {
-			if _, ok, err := res.Next(); !ok || err != nil {
-				t.Fatalf("%s: item %d: ok=%v err=%v", layout, i, ok, err)
-			}
-		}
-		cancel()
-		if _, ok, err := res.Next(); ok || !errors.Is(err, ctx.Err()) {
-			t.Fatalf("%s: Next after cancel = ok=%v err=%v, want %v", layout, ok, err, ctx.Err())
-		}
-		if _, err := xquec.ResultXML(res); !errors.Is(err, ctx.Err()) {
-			t.Fatalf("%s: drain after cancel = %v, want %v", layout, err, ctx.Err())
-		}
-		res.Close()
+	}
+	cancel()
+	if _, ok, err := res.Next(); ok || !errors.Is(err, ctx.Err()) {
+		t.Fatalf("Next after cancel = ok=%v err=%v, want %v", ok, err, ctx.Err())
+	}
+	if _, err := xquec.ResultXML(res); !errors.Is(err, ctx.Err()) {
+		t.Fatalf("drain after cancel = %v, want %v", err, ctx.Err())
 	}
 }

@@ -56,7 +56,7 @@ func TestExplainTagsParseErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := xquec.Compress(doc, xquec.Options{Shards: 2})
+	cut, err := xquec.Compress(doc, xquec.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExplainTagsParseErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for layout, db := range map[string]*xquec.Database{"plain": plain, "shards": shards, "segments": segments} {
+	for layout, db := range map[string]*xquec.Database{"plain": plain, "cut": cut, "segments": segments} {
 		if _, err := db.Explain(`for $x in`); !errors.Is(err, xquec.ErrParse) {
 			t.Errorf("%s: Explain error %v is not ErrParse", layout, err)
 		}

@@ -77,9 +77,9 @@ func reingest(tb testing.TB, set *partition.Set) *storage.Store {
 
 // BenchmarkFuse measures building a set's fused store — what the first
 // query on a set after an append, a swap or an open pays: ns/op, allocs/op and B/op of Set.Fused on a set not fused
-// before, for a scale-2 base with 1–3 appended fragments and for four
-// shards of scale 8, each next to the re-ingest it replaced; then Q8 and
-// Q19 on both stores of the shard set.
+// before, for a scale-2 base with 1–3 appended fragments and for the
+// scale-8 document cut into four parts (Options.Shards), each next to the
+// re-ingest it replaced; then Q8 and Q19 on both stores of the cut set.
 func BenchmarkFuse(b *testing.B) {
 	sets, docs := segmentSets(b, 2, 3)
 	for k := 1; k <= 3; k++ {
@@ -105,15 +105,15 @@ func BenchmarkFuse(b *testing.B) {
 		}
 	})
 
-	sharded, err := Compress(datagen.XMark(datagen.XMarkConfig{Scale: 8, Seed: 1}), Options{Shards: 4})
+	cut, err := Compress(datagen.XMark(datagen.XMarkConfig{Scale: 8, Seed: 1}), Options{Shards: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
 	path := filepath.Join(b.TempDir(), "auction.xqcs")
-	if err := sharded.SaveFile(path); err != nil {
+	if err := cut.SaveFile(path); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("shards=4", func(b *testing.B) {
+	b.Run("cut=4", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -127,17 +127,17 @@ func BenchmarkFuse(b *testing.B) {
 			}
 		}
 	})
-	spliced, err := sharded.set.Fused()
+	spliced, err := cut.set.Fused()
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("shards=4/reingest", func(b *testing.B) { // serialize (the splice is done), parse, train, encode
+	b.Run("cut=4/reingest", func(b *testing.B) { // serialize (the splice is done), parse, train, encode
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			reingest(b, sharded.set)
+			reingest(b, cut.set)
 		}
 	})
-	stores := map[string]*storage.Store{"spliced": spliced, "reingested": reingest(b, sharded.set)}
+	stores := map[string]*storage.Store{"spliced": spliced, "reingested": reingest(b, cut.set)}
 	for _, q := range []xmarkq.Query{{ID: "q8", Text: xmarkq.Q8}, {ID: "q19", Text: xmarkq.Q19}} {
 		for _, name := range []string{"spliced", "reingested"} {
 			b.Run(q.ID+"/"+name, func(b *testing.B) {

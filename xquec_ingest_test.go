@@ -31,7 +31,7 @@ func TestCompressDepthBomb(t *testing.T) {
 		t.Fatalf("rejecting the bomb allocated %d MB", grew>>20)
 	}
 	if _, err := Compress(bomb, Options{Shards: 2}); !errors.As(err, &se) {
-		t.Fatalf("sharded Compress of a nesting bomb: %v", err)
+		t.Fatalf("Compress of a nesting bomb into parts: %v", err)
 	}
 }
 

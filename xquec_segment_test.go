@@ -57,8 +57,8 @@ func segmentedDB(t *testing.T, docs [][]byte) *xquec.Database {
 // TestAppendResultsIdentical is the tier-1 guarantee of the mutable
 // repository: for EVERY benchmark query a database grown by appends
 // returns byte-identical results to a full re-ingest of the concatenated
-// corpus, across segment counts {1,2,4} × baseline shard counts {1,2} ×
-// parallelism {1,4}.
+// corpus, across segment counts {1,2,4} × the baseline built whole and
+// cut in two (Options.Shards {1,2}) × parallelism {1,4}.
 func TestAppendResultsIdentical(t *testing.T) {
 	all := segDocs(t, 4, 0.02)
 	queries := append(xmarkq.Queries(), xmarkq.ExtendedQueries()...)
@@ -276,28 +276,28 @@ func TestWriterSaveOpenRoundTrip(t *testing.T) {
 }
 
 // TestOpenBytesManifestSniff covers the OpenBytes counterpart of Open's
-// path sniffing: shard- and segment-set manifest bytes are recognized
-// and rejected with the typed ErrCorruptRepository (a manifest
-// references external files, it does not contain them), while real
-// repository bytes keep loading.
+// content sniffing: segment-set manifest bytes — of a set cut by
+// Options.Shards or grown by appends — are recognized and rejected with
+// the typed ErrCorruptRepository (a manifest references external files,
+// it does not contain them), while real repository bytes keep loading.
 func TestOpenBytesManifestSniff(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.01, Seed: 60})
 	dir := t.TempDir()
 
-	// Shard-set manifest bytes.
-	sharded, err := xquec.Compress(doc, xquec.Options{Shards: 2})
+	// The manifest of a set cut by Options.Shards.
+	cut, err := xquec.Compress(doc, xquec.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardPath := filepath.Join(dir, "s.xqcs")
-	if err := sharded.SaveFile(shardPath); err != nil {
+	cutPath := filepath.Join(dir, "s.xqcs")
+	if err := cut.SaveFile(cutPath); err != nil {
 		t.Fatal(err)
 	}
-	_, err = xquec.OpenBytes(readFileT(t, shardPath))
+	_, err = xquec.OpenBytes(readFileT(t, cutPath))
 	if !errors.Is(err, xquec.ErrCorruptRepository) {
-		t.Fatalf("OpenBytes(shard manifest) err = %v, want ErrCorruptRepository", err)
+		t.Fatalf("OpenBytes(cut manifest) err = %v, want ErrCorruptRepository", err)
 	}
-	if !strings.Contains(fmt.Sprint(err), "shard-set manifest") {
+	if !strings.Contains(fmt.Sprint(err), "segment-set manifest") {
 		t.Fatalf("error does not explain the mismatch: %v", err)
 	}
 
@@ -331,13 +331,14 @@ func TestOpenBytesManifestSniff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.Segmented() || re.Sharded() {
+	if re.Segmented() {
 		t.Fatal("plain repository misclassified")
 	}
 }
 
 // TestWriterValidation exercises the write-path guard rails: mismatched
-// root tags, attribute-carrying appended roots, and sharded databases.
+// root tags, attribute-carrying appended roots and documents that are
+// not XML.
 func TestWriterValidation(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.01, Seed: 62})
 	db, err := xquec.Compress(doc, xquec.Options{})
@@ -359,14 +360,6 @@ func TestWriterValidation(t *testing.T) {
 	}
 	if w.Pending() != 0 {
 		t.Fatalf("rejected documents staged: pending=%d", w.Pending())
-	}
-
-	sharded, err := xquec.Compress(doc, xquec.Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := xquec.NewWriter(sharded, xquec.Options{}); err == nil {
-		t.Fatal("writer over a sharded database accepted")
 	}
 }
 

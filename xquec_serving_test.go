@@ -239,7 +239,7 @@ func TestOpenFailurePaths(t *testing.T) {
 
 // TestPreparedOwnsPartPrograms pins where a partitioned database keeps
 // per-query state: in the Prepared, nowhere else. Literal-varying
-// traffic against a sharded database must leave nothing behind once the
+// traffic against a database cut into parts must leave nothing behind once the
 // statements are dropped, and a statement on the parts owns exactly one
 // program, compiled against their fused store, which its CostBytes
 // covers.
@@ -249,14 +249,14 @@ func TestPreparedOwnsPartPrograms(t *testing.T) {
 		return fmt.Sprintf(`FOR $p IN /site/people/person WHERE $p/@id != "nobody%d" RETURN $p/name/text()`, i)
 	}
 
-	sharded, err := Compress(doc, Options{Shards: 2})
+	cut, err := Compress(doc, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 20
 	var freed atomic.Int32
 	for i := 0; i < n; i++ {
-		prep, err := sharded.Prepare(text(i))
+		prep, err := cut.Prepare(text(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestPreparedOwnsPartPrograms(t *testing.T) {
 	if got := freed.Load(); got != n {
 		t.Fatalf("%d of %d dropped statements are still reachable from the database", n-got, n)
 	}
-	runtime.KeepAlive(sharded)
+	runtime.KeepAlive(cut)
 
 	four, err := Compress(doc, Options{Shards: 4})
 	if err != nil {
@@ -301,7 +301,7 @@ func TestPreparedOwnsPartPrograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	if parts.Disassemble() != onFused.Disassemble() {
-		t.Fatal("the statement on 4 shards is not compiled against their fused store")
+		t.Fatal("the statement on 4 parts is not compiled against their fused store")
 	}
 	if parts.CostBytes() != parts.prog.SizeBytes() {
 		t.Fatalf("CostBytes = %d, the program is %d bytes", parts.CostBytes(), parts.prog.SizeBytes())

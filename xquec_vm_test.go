@@ -43,10 +43,11 @@ func refXML(doc []byte, q string) (string, error) {
 }
 
 // TestVMDifferentialMatrix is the top-level correctness gate for the
-// compiled-plan engine: every benchmark query, at every shard count in
-// {1, 2, 4, 8} and intra-query parallelism in {1, 4}, must produce
-// output byte-identical to the DOM reference over the uncompressed
-// document. Sharded databases run every query on their fused store.
+// compiled-plan engine: every benchmark query, with the document cut
+// into Options.Shards ∈ {1, 2, 4, 8} parts and at intra-query
+// parallelism in {1, 4}, must produce output byte-identical to the DOM
+// reference over the uncompressed document. A cut database runs every
+// query on its fused store.
 func TestVMDifferentialMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is slow under -short")
@@ -113,7 +114,7 @@ func TestEvalEngineSwitch(t *testing.T) {
 // one, which the compiler lowers to loops of the program, and the rest,
 // which it compiles to sub-programs: Q8, Q9 and Q16 at two scales and two
 // seeds, and every shape of xmarkq.NestedFLWORs — and the string-function
-// restricts, Q14 and xmarkq.StringRestricts, at shard counts {1, 4} and
+// restricts, Q14 and xmarkq.StringRestricts, cut into {1, 4} parts and at
 // parallelism {1, 4}, against the DOM reference (a query the reference
 // fails must fail).
 func TestNestedLetDifferential(t *testing.T) {
