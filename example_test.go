@@ -106,7 +106,7 @@ func ExampleDatabase_Explain() {
 	//   2  LITREST  c0, p0          ; ($b/price >= 40) ; conts /catalog/book/price/#text[decimal](3 recs) ContAccess range on compressed bytes ; cost=3.0
 	//   3  ITER     c0 -> $b, done->7
 	//   4  DEFERRED c0, fail->3
-	//   5  EVAL     e0              ; $b/title/text() ; summary-guided navigation /catalog/book/title (3 nodes)
+	//   5  EVAL     e0              ; $b/title/text() ; summary-guided navigation /catalog/book/title (3 nodes), reads /title one per parent
 	//   6  EMITSEQ  done->3
 	//   7  HALT
 }

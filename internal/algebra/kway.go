@@ -1,11 +1,12 @@
 package algebra
 
 // KWayHeap is the generic kernel of the k-way ordered merge: a binary
-// min-heap of (key, payload) entries, extracted from MergeUnion so the
-// same machinery serves both the set-at-a-time node-ID union and the
-// shard coordinator's streaming rank merge. Keys are uint64 so the
-// compare is one branch with no indirection — NodeIDs and shard ranks
-// both widen losslessly.
+// min-heap of (key, payload) entries. MergeUnion, the set-at-a-time
+// node-ID union, is its one caller in the query path (the shard
+// coordinator's streaming rank merge it also served is gone with the
+// shard layout); the per-layer benchmark probes it directly. Keys are
+// uint64 so the compare is one branch with no indirection — a NodeID
+// widens losslessly.
 //
 // The replace-min shape matters for merges: advancing a stream is
 // ReplaceMin (one sift), not Pop+Push (two), which is what keeps a

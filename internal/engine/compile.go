@@ -698,7 +698,7 @@ func (c *compiler) estimateSize() int {
 		lit, dyn := ts.t.shape()
 		sz += 64 + lit + 32*dyn
 	}
-	sz += p.plans.sizeBytes()
+	sz += p.plans.sizeBytes() + c.eng.offBytes
 	sz += len(p.exprs)*16 + len(p.vars)*24
 	for _, v := range p.vars {
 		sz += len(v.name)

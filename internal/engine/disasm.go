@@ -54,7 +54,7 @@ func (p *Program) Disassemble() string {
 		case opCollect:
 			fmt.Fprintf(&b, " t%d, next->%d", in.A, in.C)
 		case opSort:
-			fmt.Fprintf(&b, " t%d              ; %s", in.A, sortDesc(&p.sorts[in.A]))
+			fmt.Fprintf(&b, " t%d              ; %s", in.A, p.sortDesc(&p.sorts[in.A]))
 		case opReplay:
 			fmt.Fprintf(&b, " t%d, done->%d", in.A, in.C)
 		case opLetOpen:
@@ -92,7 +92,9 @@ func trunc(s string, n int) string {
 // (its nodes are the extents listed), summary-guided navigation when
 // predicates or a variable's bindings select among those extents, and
 // runtime navigation when x's variable had no summary set at compile
-// time. A text() tail lists the owners of its text.
+// time. A text() tail lists the owners of its text. Then come the runs
+// from a node set, each with how it reads what one node reaches
+// (readDesc).
 func (p *Program) pathDesc(x *xquery.PathExpr) string {
 	pl := p.plans[x]
 	if pl == nil || x.Var != "" && len(pl.origin) == 0 {
@@ -112,7 +114,44 @@ func (p *Program) pathDesc(x *xquery.PathExpr) string {
 		total += len(sn.Extent)
 		paths = append(paths, sn.Path())
 	}
-	return fmt.Sprintf("%s %s (%d nodes)", op, strings.Join(paths, " ∪ "), total)
+	desc := fmt.Sprintf("%s %s (%d nodes)", op, strings.Join(paths, " ∪ "), total)
+	var reads []string
+	for i := range pl.runs {
+		if run := &pl.runs[i]; run.from != nil {
+			steps := &xquery.PathExpr{Steps: x.Steps[i:runEnd(x.Steps, i)]}
+			reads = append(reads, steps.String()+" "+readDesc(run))
+		}
+	}
+	if len(reads) > 0 {
+		desc += ", reads " + strings.Join(reads, ", ")
+	}
+	return desc
+}
+
+// readDesc names how a run reads the instances it reaches from one node:
+// "one per parent" when each is the node's extent index in its target's
+// extent, "by extent offsets (N B)" when offset arrays of N bytes in all
+// bound them, and both when the run's targets differ.
+func readDesc(run *runPlan) string {
+	ones, offs, size := 0, 0, 0
+	for _, reads := range run.reads {
+		for _, rd := range reads {
+			if rd.one {
+				ones++
+			} else {
+				offs, size = offs+1, size+4*len(rd.off)
+			}
+		}
+	}
+	switch {
+	case offs == 0 && ones == 0:
+		return "reaching nothing"
+	case offs == 0:
+		return "one per parent"
+	case ones == 0:
+		return fmt.Sprintf("by extent offsets (%d B)", size)
+	}
+	return fmt.Sprintf("one per parent or by extent offsets (%d B)", size)
 }
 
 func (p *Program) domDesc(spec *domainSpec) string {
@@ -161,7 +200,9 @@ func (p *Program) exprDesc(x xquery.Expr) string {
 	return strings.Join(notes, " ; ")
 }
 
-func sortDesc(ss *sortSpec) string {
+// sortDesc notes an ORDER BY: its key, whether the sort orders ranks or
+// decoded keys, and how a ranked key's path is read.
+func (p *Program) sortDesc(ss *sortSpec) string {
 	desc := trunc(ss.flwor.OrderBy.String(), 40)
 	if ss.flwor.OrderDesc {
 		desc += " descending"
@@ -169,7 +210,7 @@ func sortDesc(ss *sortSpec) string {
 	if ss.ranks == nil {
 		return desc + " ; keys decoded"
 	}
-	return fmt.Sprintf("%s ; ranks over %d records", desc, ss.ranks.records)
+	return fmt.Sprintf("%s ; ranks over %d records ; %s", desc, ss.ranks.records, p.pathDesc(ss.flwor.OrderBy.(*xquery.PathExpr)))
 }
 
 func tplDesc(ts *tplSpec) string {

@@ -3,10 +3,13 @@ package engine
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
+	"xquec/internal/datagen"
 	"xquec/internal/storage"
+	"xquec/internal/xmarkq"
 	"xquec/internal/xquery"
 )
 
@@ -126,6 +129,45 @@ func TestListedAccessIsTheAccessMade(t *testing.T) {
 				t.Errorf("%s %s: listed %s, but the run decoded %d of %d records", alg, c.where, mode, decodes, n)
 			}
 		}
+	}
+	// A step from a bound node lists how it reads what the node reaches:
+	// Q3's bidder[1] by the offsets of one array over the open auctions,
+	// which every bidder run of the program shares, and Q19's location one
+	// per parent in each region — the reads the runs make (reach).
+	s := loadDoc(t, string(datagen.XMark(datagen.XMarkConfig{Scale: 0.1, Seed: 1})), nil)
+	var auctions int
+	for _, sn := range s.Sum.Nodes() {
+		if sn.Path() == "/site/open_auctions/open_auction" {
+			auctions = len(sn.Extent)
+		}
+	}
+	q3 := compile(t, s, xmarkq.Q3)
+	offsets := fmt.Sprintf("by extent offsets (%d B)", 4*(auctions+1))
+	for _, step := range []string{"/bidder[1] ", "/bidder[last()] ", "/bidder "} {
+		if dis := q3.Disassemble(); !strings.Contains(dis, step+offsets) || !strings.Contains(dis, "/increase one per parent") {
+			t.Errorf("Q3 does not list %q%s:\n%s", step, offsets, dis)
+		}
+	}
+	var arrays [][]uint32
+	for _, pl := range q3.plans {
+		for _, run := range pl.runs {
+			for _, reads := range run.reads {
+				for _, rd := range reads {
+					if !rd.one && !slices.ContainsFunc(arrays, func(a []uint32) bool { return &a[0] == &rd.off[0] }) {
+						arrays = append(arrays, rd.off)
+					}
+				}
+			}
+		}
+	}
+	if len(arrays) != 1 || len(arrays[0]) != auctions+1 {
+		t.Errorf("Q3 reads bidders by %d offset arrays, want one of %d entries", len(arrays), auctions+1)
+	}
+	if size := q3.SizeBytes(); size < 4*(auctions+1) {
+		t.Errorf("Q3's size %d B does not count its %d B of offsets", size, 4*(auctions+1))
+	}
+	if dis := compile(t, s, xmarkq.Q19).Disassemble(); !strings.Contains(dis, "reads /location one per parent") {
+		t.Errorf("Q19 does not list $b/location one per parent:\n%s", dis)
 	}
 }
 

@@ -23,15 +23,16 @@ type engine struct {
 	// time (a program builds the others once, and all its runs share
 	// them).
 	joinIdx map[xquery.Expr]*joinIndex
-	// partnerPos holds the run's galloping hints into the other side of
-	// each join index it probed (partnerHints).
-	partnerPos []joinHints
 	// plans holds what the compiler derived once for the whole program;
 	// paths memoises the same per expression for this run (every path the
 	// program did not plan, plus each path's galloping positions), so a
 	// tuple never re-plans.
 	plans pathPlans
 	paths map[*xquery.PathExpr]*pathCursor
+	// offsets are the extent offsets of the pairs of summary nodes the
+	// paths this engine resolved read by them (reach), offBytes their size.
+	offsets  map[[2]*storage.SummaryNode][]uint32
+	offBytes int
 	// run is the run of the program the engine evaluates for: its
 	// dispatch runs the sub-program of each FLWOR an expression reaches.
 	run *run
@@ -130,11 +131,38 @@ type binding struct {
 	item Item            // single non-node FOR item; non-nil replaces seq
 	one  [1]storage.NodeID
 	sums []*storage.SummaryNode
+	// at is the place of a one-node value among the extents of sums, once
+	// placed: the FOR cursor's, or found on first use (place), galloping
+	// from where the clause's previous binding was found (hints).
+	at     place
+	placed bool
+	hints  []int
 }
 
-func (b *binding) setNode(id storage.NodeID) {
+// setNode binds one node. at is its place among the extents of b.sums,
+// which the caller has set, when the caller knows it; place finds it
+// otherwise.
+func (b *binding) setNode(id storage.NodeID, at place) {
 	b.one[0] = id
-	b.ids, b.item = b.one[:], nil
+	b.ids, b.item, b.at, b.placed = b.one[:], nil, at, at.ok
+}
+
+// set binds a value: a node set when ids is non-nil, else seq or item.
+func (b *binding) set(seq seq, ids algebra.NodeSet, item Item, sums []*storage.SummaryNode) {
+	b.seq, b.ids, b.item, b.sums, b.at, b.placed = seq, ids, item, sums, place{}, false
+}
+
+// place returns the place of the binding's one node among the extents of
+// its sums, finding it once per binding: every relative path from a
+// binding its cursor did not place shares the one search.
+func (b *binding) place() place {
+	if !b.placed {
+		if cap(b.hints) < len(b.sums) {
+			b.hints = make([]int, len(b.sums))
+		}
+		b.at, b.placed = placeOf(b.sums, b.hints[:len(b.sums)], b.ids[0]), true
+	}
+	return b.at
 }
 
 // value boxes the binding. The result is a fresh sequence unless the
@@ -515,13 +543,13 @@ func (e *engine) evalCtor(x *xquery.ElementCtor, env *scope) (seq, error) {
 // dst; path results are decoded straight from the store.
 func (e *engine) appendAtoms(dst []byte, x xquery.Expr, env *scope) ([]byte, error) {
 	if p, isPath := x.(*xquery.PathExpr); isPath {
-		st, textTail, err := e.evalPathNodes(p, env)
-		how := readOf(st.sums, textTail)
-		for i := 0; err == nil && i < len(st.nodes); i++ {
+		nodes, sums, textTail, err := e.evalPathNodes(p, env)
+		how := readOf(sums, textTail)
+		for i := 0; err == nil && i < len(nodes); i++ {
 			if i > 0 {
 				dst = append(dst, ' ')
 			}
-			dst, err = e.appendNodeValue(dst, st.nodes[i], how)
+			dst, err = e.appendNodeValue(dst, nodes[i], how)
 		}
 		return dst, err
 	}
@@ -544,18 +572,18 @@ func (e *engine) appendAtoms(dst []byte, x xquery.Expr, env *scope) ([]byte, err
 func (e *engine) evalBindingSeq(expr xquery.Expr, env *scope) (seq, algebra.NodeSet, []*storage.SummaryNode, error) {
 	switch x := expr.(type) {
 	case *xquery.PathExpr:
-		st, textTail, err := e.evalPathNodes(x, env)
+		nodes, sums, textTail, err := e.evalPathNodes(x, env)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		if textTail {
-			seq, err := e.appendTexts(nil, st.nodes, st.sums)
+			seq, err := e.appendTexts(nil, nodes, sums)
 			return seq, nil, nil, err
 		}
-		if st.nodes == nil {
-			st.nodes = algebra.NodeSet{}
+		if nodes == nil {
+			nodes = algebra.NodeSet{}
 		}
-		return nil, st.nodes, st.sums, nil
+		return nil, nodes, sums, nil
 	case *xquery.VarRef:
 		// Propagate summary knowledge through plain variable references.
 		// The node-set fast path applies only when the sequence is already

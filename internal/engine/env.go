@@ -94,11 +94,11 @@ func (v *clauseEnv) slot(depth int, name string, sums []*storage.SummaryNode) *b
 // set when ids is non-nil, else a generic sequence the caller no longer
 // writes to — and its summary provenance.
 func (v *clauseEnv) bind(depth int, name string, seq seq, ids algebra.NodeSet, sums []*storage.SummaryNode) {
-	b := v.slot(depth, name, sums)
-	b.seq, b.ids, b.item = seq, ids, nil
+	v.slot(depth, name, sums).set(seq, ids, nil, sums)
 }
 
-// bindNode binds the FOR clause at depth to one node.
-func (v *clauseEnv) bindNode(depth int, name string, id storage.NodeID, sums []*storage.SummaryNode) {
-	v.slot(depth, name, sums).setNode(id)
+// bindNode binds the FOR clause at depth to one node, at its place among
+// the extents of sums when the cursor knows it.
+func (v *clauseEnv) bindNode(depth int, name string, id storage.NodeID, sums []*storage.SummaryNode, at place) {
+	v.slot(depth, name, sums).setNode(id, at)
 }

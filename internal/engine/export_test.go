@@ -170,6 +170,9 @@ var QueryBattery = []string{
 // JoinIndexBuilds returns how many join indexes were built so far.
 func JoinIndexBuilds() int64 { return joinIndexBuilds.Load() }
 
+// OffsetBuilds returns how many extent offset arrays were built so far.
+func OffsetBuilds() int64 { return offsetBuilds.Load() }
+
 // PrefixEnd is succ(P) of a starts-with range (prefixEnd).
 var PrefixEnd = prefixEnd
 

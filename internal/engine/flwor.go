@@ -213,12 +213,6 @@ type containerJoin struct {
 	Merged      bool
 }
 
-// joinHints is one run's galloping hints into a join index's otherSums.
-type joinHints struct {
-	idx *joinIndex
-	pos []int
-}
-
 // joinIndexBuilds counts the join indexes built, for the tests that
 // prove a program builds its static ones once.
 var joinIndexBuilds atomic.Int64
@@ -235,14 +229,13 @@ func (idx *joinIndex) covers(sums, otherSums []*storage.SummaryNode) bool {
 }
 
 // partnersOf returns the partners of one binding of the other variable,
-// a read-only window of the index (capped, so appending to it copies).
-// pos holds a galloping hint per member of otherSums (algebra.Nearest).
-func (idx *joinIndex) partnersOf(other storage.NodeID, pos []int) algebra.NodeSet {
-	k, i := algebra.Nearest(idx.otherSums, pos, other)
-	if k < 0 || idx.otherSums[k].Extent[i] != other {
+// at its place among the extents of otherSums: a read-only window of the
+// index (capped, so appending to it copies).
+func (idx *joinIndex) partnersOf(at place) algebra.NodeSet {
+	if !at.ok {
 		return nil
 	}
-	o := idx.first[k] + i
+	o := idx.first[at.o] + int(at.i)
 	return idx.partners[idx.start[o]:idx.start[o+1]:idx.start[o+1]]
 }
 
@@ -282,7 +275,9 @@ func (e *engine) applyJoin(pd pushdown, idx *joinIndex, whole bool, cur algebra.
 		}
 		whole = false
 	}
-	partners := idx.partnersOf(other.ids[0], e.partnerHints(idx))
+	// The binding's place is the one its relative paths read at, found
+	// once per binding where its cursor did not know it.
+	partners := idx.partnersOf(other.place())
 	if whole {
 		return partners, true, nil
 	}
@@ -296,22 +291,6 @@ func (e *engine) applyJoin(pd pushdown, idx *joinIndex, whole bool, cur algebra.
 		}
 	}
 	return out, true, nil
-}
-
-// partnerHints returns the galloping hints this run keeps for probing idx
-// (partnersOf): the other variable's bindings mostly ascend — an outer
-// FOR's do — so each probe gallops from where the previous one ended
-// instead of bisecting the other side's extents. A run probes an index or
-// two, so they are found by comparing pointers.
-func (e *engine) partnerHints(idx *joinIndex) []int {
-	for _, h := range e.partnerPos {
-		if h.idx == idx {
-			return h.pos
-		}
-	}
-	pos := make([]int, len(idx.otherSums))
-	e.partnerPos = append(e.partnerPos, joinHints{idx, pos})
-	return pos
 }
 
 // joinIndexFor builds (or reuses) the join index for a comparison. Both

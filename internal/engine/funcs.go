@@ -150,8 +150,8 @@ func (e *engine) argLen(x *xquery.Call, env *scope) (int, error) {
 	if len(x.Args) > 0 {
 		switch a := x.Args[0].(type) {
 		case *xquery.PathExpr:
-			st, _, err := e.evalPathNodes(a, env)
-			return len(st.nodes), err
+			nodes, _, _, err := e.evalPathNodes(a, env)
+			return len(nodes), err
 		case *xquery.VarRef:
 			if b := env.lookup(a.Name); b != nil {
 				return b.len(), nil
@@ -203,11 +203,11 @@ func (e *engine) argBytes(x *xquery.Call, i int, env *scope) ([]byte, error) {
 func (e *engine) appendFirst(dst []byte, x xquery.Expr, env *scope) ([]byte, error) {
 	switch x := x.(type) {
 	case *xquery.PathExpr:
-		st, textTail, err := e.evalPathNodes(x, env)
-		if err != nil || len(st.nodes) == 0 {
+		nodes, sums, textTail, err := e.evalPathNodes(x, env)
+		if err != nil || len(nodes) == 0 {
 			return dst, err
 		}
-		return e.appendNodeValue(dst, st.nodes[0], readOf(st.sums, textTail))
+		return e.appendNodeValue(dst, nodes[0], readOf(sums, textTail))
 	case *xquery.StringLit:
 		return append(dst, x.Val...), nil
 	}

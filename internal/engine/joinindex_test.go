@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"xquec/internal/datagen"
@@ -47,5 +49,70 @@ func TestStaticJoinIndexBuiltOnce(t *testing.T) {
 	}
 	if n := engine.JoinIndexBuilds() - before; n != 1 {
 		t.Fatalf("compile and 4 runs built %d join indexes, want 1", n)
+	}
+}
+
+// TestProgramOffsetsBuiltOnce: the extent offsets of Q3's bidder runs and
+// Q17's are built by the compiler — one array per pair of summary nodes,
+// however many paths read it — and no run builds another: eight
+// goroutines running one program each, at parallelism 1 to 4, return the
+// serial output byte for byte (run under -race by make check). A Program
+// is what xquec.Prepared holds and the plan cache shares.
+func TestProgramOffsetsBuiltOnce(t *testing.T) {
+	s, err := storage.Load(datagen.XMark(datagen.XMarkConfig{Scale: 0.25, Seed: 5}), storage.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		id, text string
+		arrays   int64
+	}{{"q3", xmarkq.Q3, 1}, {"q17", xmarkq.Q17, 0}} {
+		expr, err := xquery.Parse(q.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := engine.OffsetBuilds()
+		prog, err := engine.Compile(expr, s, q.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := engine.OffsetBuilds() - before; n != q.arrays {
+			t.Fatalf("%s: compile built %d offset arrays, want %d:\n%s", q.id, n, q.arrays, prog.Disassemble())
+		}
+		run := func(par int) (string, error) {
+			res, err := prog.Run(engine.RunOptions{Parallelism: par})
+			if err != nil {
+				return "", err
+			}
+			return res.SerializeXML()
+		}
+		want, err := run(1)
+		if err != nil || want == "" {
+			t.Fatalf("%s serial: %q, %v", q.id, want, err)
+		}
+		const goroutines = 8
+		var wg sync.WaitGroup
+		errc := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 4; i++ {
+					par := 1 + (g+i)%4
+					if got, err := run(par); err != nil || got != want {
+						errc <- fmt.Errorf("%s par=%d: %v, output differs from serial: %v", q.id, par, err, got != want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Error(err)
+		}
+		if n := engine.OffsetBuilds() - before; n != q.arrays {
+			t.Fatalf("%s: compile and 33 runs built %d offset arrays, want %d", q.id, n, q.arrays)
+		}
 	}
 }

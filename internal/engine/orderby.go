@@ -21,6 +21,7 @@ type tupleSort struct {
 	width int        // FOR clauses per tuple
 
 	ids   []storage.NodeID // per tuple and FOR clause; 0 where the item is not a node
+	ats   []place          // and the node's place among its set's extents, when known
 	items []Item           // the item where it is not a node; nil until one is not
 	set   []int32          // per tuple and FOR clause: the summary set, in sets
 	// sets[0] is the empty set; last[f] is FOR clause f's latest set.
@@ -51,8 +52,9 @@ func newTupleSort(x *xquery.FLWOR, plan *flworPlan, ranks *rankTable) *tupleSort
 }
 
 // add records the next FOR clause's binding of the tuple being
-// collected: a node, or (id 0) any other item.
-func (t *tupleSort) add(id storage.NodeID, it Item, sums []*storage.SummaryNode) {
+// collected: a node, at its place among the extents of sums when the
+// cursor knew it, or (id 0) any other item.
+func (t *tupleSort) add(id storage.NodeID, at place, it Item, sums []*storage.SummaryNode) {
 	f := len(t.ids) % t.width
 	if last := t.sets[t.last[f]]; len(last) != len(sums) || len(sums) > 0 && &last[0] != &sums[0] {
 		t.last[f] = int32(len(t.sets))
@@ -61,7 +63,7 @@ func (t *tupleSort) add(id storage.NodeID, it Item, sums []*storage.SummaryNode)
 	if id == 0 && t.items == nil {
 		t.items = make([]Item, len(t.ids), cap(t.ids))
 	}
-	t.ids, t.set = append(t.ids, id), append(t.set, t.last[f])
+	t.ids, t.ats, t.set = append(t.ids, id), append(t.ats, at), append(t.set, t.last[f])
 	if t.items != nil {
 		t.items = append(t.items, it)
 	}
@@ -96,10 +98,10 @@ func (e *engine) collectKey(t *tupleSort, env *scope) error {
 		t.keys = append(t.keys, string(e.sbuf))
 		return err
 	}
-	st, _, err := e.evalPathNodes(t.x.OrderBy.(*xquery.PathExpr), env)
+	nodes, _, _, err := e.evalPathNodes(t.x.OrderBy.(*xquery.PathExpr), env)
 	var id storage.NodeID
-	if len(st.nodes) > 0 {
-		id = st.nodes[0]
+	if len(nodes) > 0 {
+		id = nodes[0]
 	}
 	t.keyNodes = append(t.keyNodes, id)
 	return err
@@ -148,19 +150,19 @@ func (e *engine) replay(t *tupleSort, env *scope) (bool, error) {
 		b := &t.slots[ci]
 		switch {
 		case !cl.Let:
-			if t.ids[k] != 0 {
-				b.setNode(t.ids[k])
-			} else {
-				b.ids, b.item = nil, t.items[k]
-			}
 			b.sums = t.sets[t.set[k]]
+			if t.ids[k] != 0 {
+				b.setNode(t.ids[k], t.ats[k])
+			} else {
+				b.set(nil, nil, t.items[k], b.sums)
+			}
 			k++
 		case t.plan.Replay[ci]:
 			seq, ids, sums, err := e.evalBindingSeq(cl.Seq, env)
 			if err != nil {
 				return false, err
 			}
-			b.seq, b.ids, b.item, b.sums = seq, ids, nil, sums
+			b.set(seq, ids, nil, sums)
 		default:
 			continue
 		}

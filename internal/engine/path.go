@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"xquec/internal/algebra"
 	"xquec/internal/compress/alm"
@@ -26,6 +27,26 @@ type pathState struct {
 	nodes algebra.NodeSet
 	sums  []*storage.SummaryNode
 	exact bool
+	// at, when known, says that nodes is one stretch of one extent:
+	// nodes[k] is sums[at.o].Extent[at.i+k].
+	at place
+}
+
+// place is where a node stands among the extents of a summary set: it
+// is sums[o].Extent[i]. The zero place is not known.
+type place struct {
+	o, i int32
+	ok   bool
+}
+
+// placeOf finds the place of id among the extents of sums by galloping
+// (algebra.Nearest); it is not known when id is no instance of sums.
+func placeOf(sums []*storage.SummaryNode, pos []int, id storage.NodeID) place {
+	k, i := algebra.Nearest(sums, pos, id)
+	if k < 0 || sums[k].Extent[i] != id {
+		return place{}
+	}
+	return place{int32(k), int32(i), true}
 }
 
 // allNodes materializes an exact state.
@@ -57,14 +78,76 @@ type pathPlan struct {
 // runPlan is one run of steps resolved per origin: targets[o] are the
 // summary nodes the run reaches from an instance of from[o], and only
 // those — `$b/location` under `//item` looks in the one location extent
-// of $b's own region, not in six.
+// of $b's own region, not in six. reads[o][t] is how the instances of
+// targets[o][t] under one instance of from[o] are read, with no search.
 type runPlan struct {
 	from    []*storage.SummaryNode
 	targets [][]*storage.SummaryNode
-	// Slots of the cursor: len(from) for the from extents starting at
-	// slot, then one per target of from[o] starting at tslot[o].
-	slot  int
-	tslot []int
+	reads   [][]reach
+	// slot is where the cursor's galloping positions in the from extents
+	// start, one per member, for nodes whose place is not known.
+	slot int
+}
+
+// reach is how a run reads the instances of a target T under the k-th
+// instance of an origin S (DESIGN.md, "Containment is extent order"):
+// T.Extent[k] when every instance of S has exactly one T along the
+// summary chain (one), else T.Extent[off[k]:off[k+1]].
+type reach struct {
+	one bool
+	off []uint32 // |S.Extent|+1 entries; nil when one
+	at  int32    // T's index in the summary set the run ends on
+}
+
+// span returns the stretch of T.Extent under the k-th instance of S.
+func (r *reach) span(k int32) (lo, hi int32) {
+	if r.one {
+		return k, k + 1
+	}
+	return int32(r.off[k]), int32(r.off[k+1])
+}
+
+// offsetBuilds counts the offset arrays built, for the tests that prove
+// a program builds each once.
+var offsetBuilds atomic.Int64
+
+// reach derives how a run reads t under s: one per parent when every
+// summary node on the chain from t up to s is (OnePerParent, memoized per
+// store), else through offsets — one merge of the two extents: off[k] is
+// the number of t-instances before the k-th s-instance. Every t-instance
+// has exactly one ancestor among the s-instances, which never nest, and
+// it is the nearest one before it, so the t-instances under s.Extent[k]
+// are those between it and s.Extent[k+1]. The paths the engine resolves
+// share the offsets of one pair of summary nodes: the compiler's, every
+// run of its program; a run's own, the paths it re-resolves.
+func (e *engine) reach(s, t *storage.SummaryNode, at int) reach {
+	r := reach{one: true, at: int32(at)}
+	for c := t; c != s && r.one; c = c.Parent {
+		r.one = c.OnePerParent()
+	}
+	if r.one {
+		return r
+	}
+	key := [2]*storage.SummaryNode{s, t}
+	if r.off = e.offsets[key]; r.off != nil {
+		return r
+	}
+	offsetBuilds.Add(1)
+	r.off = make([]uint32, len(s.Extent)+1)
+	j := 0
+	for k, id := range s.Extent {
+		for j < len(t.Extent) && t.Extent[j] < id {
+			j++
+		}
+		r.off[k] = uint32(j)
+	}
+	r.off[len(s.Extent)] = uint32(len(t.Extent))
+	if e.offsets == nil {
+		e.offsets = map[[2]*storage.SummaryNode][]uint32{}
+	}
+	e.offsets[key] = r.off
+	e.offBytes += 4 * len(r.off)
+	return r
 }
 
 // runEnd returns the end of the run of steps that starts at step i: the
@@ -124,13 +207,15 @@ func (e *engine) resolvePath(p *xquery.PathExpr, sums []*storage.SummaryNode) *p
 		run.from, run.slot = from, pl.slots
 		pl.slots += len(from)
 		for o := range from {
-			reach := from[o : o+1]
+			targets := from[o : o+1]
 			for k := i; k < j; k++ {
-				reach = e.summaryTargets(reach, false, p.Steps[k])
+				targets = e.summaryTargets(targets, false, p.Steps[k])
 			}
-			run.targets = append(run.targets, reach)
-			run.tslot = append(run.tslot, pl.slots)
-			pl.slots += len(reach)
+			reads := make([]reach, len(targets))
+			for t, sn := range targets {
+				reads[t] = e.reach(from[o], sn, slices.Index(pl.targets[j-1], sn))
+			}
+			run.targets, run.reads = append(run.targets, targets), append(run.reads, reads)
 		}
 	}
 	return pl
@@ -182,54 +267,54 @@ func (e *engine) evalPath(p *xquery.PathExpr, env *scope) (seq, error) {
 
 // appendPath appends the items of a path expression to dst.
 func (e *engine) appendPath(dst seq, p *xquery.PathExpr, env *scope) (seq, error) {
-	st, textTail, err := e.evalPathNodes(p, env)
+	nodes, sums, textTail, err := e.evalPathNodes(p, env)
 	if err != nil {
 		return nil, err
 	}
 	if textTail {
-		return e.appendTexts(dst, st.nodes, st.sums)
+		return e.appendTexts(dst, nodes, sums)
 	}
 	if dst == nil {
-		dst = make(seq, 0, len(st.nodes))
+		dst = make(seq, 0, len(nodes))
 	}
-	for _, id := range st.nodes {
+	for _, id := range nodes {
 		dst = append(dst, id)
 	}
 	return dst, nil
 }
 
-// evalPathNodes evaluates the structural part of a path; if the final
-// step is text(), textTail is true and the returned nodes are the text
-// owners. The nodes may alias a summary extent or a binding: they are
-// read-only, and valid until the variable is rebound.
-func (e *engine) evalPathNodes(p *xquery.PathExpr, env *scope) (pathState, bool, error) {
-	st, err := e.pathOrigin(p, env)
-	if err != nil {
-		return pathState{}, false, err
+// evalPathNodes evaluates the structural part of a path to nodes,
+// instances of sums; if the final step is text(), textTail is true and
+// the nodes are the text owners. The nodes may alias a summary extent or
+// a binding: they are read-only, and valid until the variable is
+// rebound.
+func (e *engine) evalPathNodes(p *xquery.PathExpr, env *scope) (nodes algebra.NodeSet, sums []*storage.SummaryNode, textTail bool, err error) {
+	var st pathState
+	if err = e.pathOrigin(p, env, &st); err != nil {
+		return nil, nil, false, err
 	}
 	pc := e.cursorFor(p, st.sums)
 	if pc.done {
-		return pc.st, pc.textTail, nil
+		return pc.st.nodes, pc.st.sums, pc.textTail, nil
 	}
-	textTail := false
 	steps := p.Steps
 	for i := 0; i < len(steps); {
-		step := steps[i]
+		step := &steps[i]
 		if step.Test == xquery.TestText {
 			if i != len(steps)-1 {
-				return pathState{}, false, fmt.Errorf("engine: text() must be the final step")
+				return nil, nil, false, fmt.Errorf("engine: text() must be the final step")
 			}
 			if len(step.Preds) > 0 {
-				return pathState{}, false, fmt.Errorf("engine: predicates on text() are not supported")
+				return nil, nil, false, fmt.Errorf("engine: predicates on text() are not supported")
 			}
-			st.nodes, st.exact, textTail = e.withText(st.allNodes(), st.sums), false, true
+			st.nodes, st.exact, st.at, textTail = e.withText(st.allNodes(), st.sums), false, place{}, true
 			break
 		}
 		j := runEnd(steps, i)
 		if len(step.Preds) == 0 {
-			st = e.moveRun(st, i, j, pc)
-		} else if st, err = e.predStep(st, steps, i, env, pc); err != nil {
-			return pathState{}, false, err
+			e.moveRun(&st, i, j, pc)
+		} else if err = e.predStep(&st, steps, i, env, pc); err != nil {
+			return nil, nil, false, err
 		}
 		i = j
 	}
@@ -237,7 +322,7 @@ func (e *engine) evalPathNodes(p *xquery.PathExpr, env *scope) (pathState, bool,
 	if pc.plan.plain {
 		pc.done, pc.st, pc.textTail = true, st, textTail
 	}
-	return st, textTail, nil
+	return st.nodes, st.sums, textTail, nil
 }
 
 // withText restricts nodes, instances of sums, to those that have
@@ -267,37 +352,40 @@ func (e *engine) withText(nodes algebra.NodeSet, sums []*storage.SummaryNode) al
 	return nodes
 }
 
-// pathOrigin resolves the origin of a path.
-func (e *engine) pathOrigin(p *xquery.PathExpr, env *scope) (pathState, error) {
+// pathOrigin resolves the origin of a path: for a variable bound to one
+// node, with its place among the extents of its summary set (the FOR
+// cursor's, or found once per binding).
+func (e *engine) pathOrigin(p *xquery.PathExpr, env *scope, st *pathState) error {
 	if p.Var == "" { // absolute: the (single) document
-		return pathState{exact: true}, nil
+		st.exact = true
+		return nil
 	}
-	var ids algebra.NodeSet
-	var sums []*storage.SummaryNode
 	if p.Var == "." {
 		if env.ctx[0] == 0 {
-			return pathState{}, errNonNodePath
+			return errNonNodePath
 		}
-		ids, sums = env.ctx[:], env.ctxSums
+		st.nodes, st.sums = env.ctx[:], env.ctxSums
 	} else {
 		b := env.lookup(p.Var)
 		if b == nil {
-			return pathState{}, fmt.Errorf("engine: unbound variable $%s", p.Var)
+			return fmt.Errorf("engine: unbound variable $%s", p.Var)
 		}
-		if ids, sums = b.ids, b.sums; ids == nil {
+		if st.nodes, st.sums = b.ids, b.sums; st.nodes == nil {
 			var ok bool
-			if ids, ok = nodeSeq(b.value()); !ok {
-				return pathState{}, errNonNodePath
+			if st.nodes, ok = nodeSeq(b.value()); !ok {
+				return errNonNodePath
 			}
+		} else if len(st.nodes) == 1 && len(st.sums) > 0 {
+			st.at = b.place()
 		}
 	}
-	if len(sums) == 0 && len(ids) > 0 && len(p.Steps) > 0 {
+	if len(st.sums) == 0 && len(st.nodes) > 0 && len(p.Steps) > 0 {
 		// The variable was bound from a non-path source (e.g. a nested
 		// FLWOR): recover the summary nodes by walking each node's tag
 		// path upward.
-		sums = e.summariesOf(ids)
+		st.sums = e.summariesOf(st.nodes)
 	}
-	return pathState{nodes: ids, sums: sums}, nil
+	return nil
 }
 
 // summariesOf returns the distinct summary nodes the given nodes are
@@ -382,51 +470,59 @@ func appendTargets(out []*storage.SummaryNode, sn *storage.SummaryNode, name str
 	return out
 }
 
-// lastID stands in for "the next instance" after the last one of an
-// extent: no node has it.
-const lastID = ^storage.NodeID(0)
-
 // moveRun applies the steps [i, j), a run of the plan, to st: from an
 // exact state the targets' extents themselves, from a node set what
-// within finds — no intermediate step is evaluated, no child visited and
+// within reads — no intermediate step is evaluated, no child visited and
 // no subtree end asked for.
-func (e *engine) moveRun(st pathState, i, j int, pc *pathCursor) pathState {
-	next := pathState{sums: pc.plan.targets[j-1], exact: st.exact}
-	if !st.exact {
-		next.nodes = e.within(st.nodes, &pc.plan.runs[i], pc.pos)
+func (e *engine) moveRun(st *pathState, i, j int, pc *pathCursor) {
+	if st.exact {
+		st.nodes = nil
+	} else {
+		st.nodes, st.at = e.within(st.nodes, st.at, &pc.plan.runs[i], pc.pos)
 	}
-	return next
+	st.sums = pc.plan.targets[j-1]
 }
 
-// within returns what a run reaches from nodes, instances of run.from:
-// for b = S.Extent[i] and a summary node T the run reaches from S, the
-// part of T.Extent between b and S.Extent[i+1] — every instance of T has
-// exactly one ancestor among the instances of S, which never nest, so it
-// is the nearest one before it (DESIGN.md, "Containment is extent order";
-// recursion changes nothing, T is a summary node of its own at every
-// depth). The cursors that place b advance with ascending bindings. One
-// node and one non-empty extent range yield a sub-slice of that extent;
+// within returns what a run reaches from nodes, instances of run.from,
+// and its place when that is one stretch of one extent. For b =
+// S.Extent[k] and a summary node T the run reaches from S, that is the
+// T-instances under b, which the run reads at once (reach.span). k is
+// at's when nodes is a stretch of an extent whose place is known — a FOR
+// binding's, the pick of a positional step — and is found by galloping
+// otherwise: the cursors that place b advance with ascending nodes. One
+// node and one non-empty stretch yield a sub-slice of that extent;
 // anything else is copied.
-func (e *engine) within(nodes algebra.NodeSet, run *runPlan, pos []int) algebra.NodeSet {
-	var one, out algebra.NodeSet
-	sorted := true
-	for _, b := range nodes {
-		o, i := algebra.Nearest(run.from, pos[run.slot:run.slot+len(run.from)], b)
-		if o < 0 || run.from[o].Extent[i] != b {
-			continue // not an instance of the origin set: reaches nothing
+func (e *engine) within(nodes algebra.NodeSet, at place, run *runPlan, pos []int) (algebra.NodeSet, place) {
+	if len(nodes) == 1 && at.ok && len(run.targets[at.o]) == 1 {
+		// A bound node and one target, the common case: one read.
+		rd := &run.reads[at.o][0]
+		if lo, hi := rd.span(at.i); lo < hi {
+			return run.targets[at.o][0].Extent[lo:hi], place{rd.at, lo, rd.at >= 0}
 		}
-		next := lastID
-		if ext := run.from[o].Extent; i+1 < len(ext) {
-			next = ext[i+1]
+		return nil, place{}
+	}
+	var one, out algebra.NodeSet
+	var oneAt place
+	sorted := true
+	for n, b := range nodes {
+		o, k := at.o, at.i+int32(n)
+		if !at.ok {
+			bp := placeOf(run.from, pos[run.slot:run.slot+len(run.from)], b)
+			if !bp.ok {
+				continue // not an instance of the origin set: reaches nothing
+			}
+			o, k = bp.o, bp.i
 		}
 		mark, pieces := len(out), 0
 		for t, sn := range run.targets[o] {
-			r := algebra.Within(sn.Extent, b+1, next-1, &pos[run.tslot[o]+t])
-			if len(r) == 0 {
+			rd := &run.reads[o][t]
+			lo, hi := rd.span(k)
+			if lo == hi {
 				continue
 			}
+			r := algebra.NodeSet(sn.Extent[lo:hi])
 			if pieces++; len(nodes) == 1 && pieces == 1 {
-				one = r
+				one, oneAt = r, place{rd.at, lo, rd.at >= 0}
 				continue
 			}
 			out = append(append(out, one...), r...)
@@ -439,22 +535,22 @@ func (e *engine) within(nodes algebra.NodeSet, run *runPlan, pos []int) algebra.
 		sorted = sorted && (mark == 0 || mark == len(out) || out[mark-1] < out[mark])
 	}
 	if out == nil {
-		return one
+		return one, oneAt
 	}
 	if !sorted {
-		return algebra.SortUnique(out)
+		return algebra.SortUnique(out), place{}
 	}
-	return out
+	return out, place{}
 }
 
-// predStep applies step i, which carries predicates. Positional ones
-// select per parent, so the parent set is walked node by node; the
+// predStep applies step i, which carries predicates, to st. Positional
+// ones select per parent, so the parent set is walked node by node; the
 // rest filter the moved set as a whole.
-func (e *engine) predStep(st pathState, steps []xquery.Step, i int, env *scope, pc *pathCursor) (pathState, error) {
+func (e *engine) predStep(st *pathState, steps []xquery.Step, i int, env *scope, pc *pathCursor) error {
 	preds, targets := steps[i].Preds, pc.plan.targets[i]
-	next := pathState{sums: targets}
 	if len(targets) == 0 {
-		return next, nil
+		*st = pathState{sums: targets}
+		return nil
 	}
 	positional := false
 	for _, pred := range preds {
@@ -462,24 +558,37 @@ func (e *engine) predStep(st pathState, steps []xquery.Step, i int, env *scope, 
 			positional = true
 		}
 	}
+	var nodes algebra.NodeSet
 	var err error
 	switch {
 	case !positional:
-		next = e.moveRun(st, i, i+1, pc)
-		next.nodes, err = e.applyPreds(next.nodes, next.exact, preds, env, targets)
-		next.exact = false
+		e.moveRun(st, i, i+1, pc)
+		nodes, err = e.applyPreds(st.nodes, st.exact, preds, env, targets)
 	case i == 0 && st.exact && steps[i].Axis == xquery.AxisChild:
 		// The document node has one child, the root: position among it.
-		next.nodes, err = e.applyPreds(algebra.NodeSet{1}, false, preds, env, nil)
+		nodes, err = e.applyPreds(algebra.NodeSet{1}, false, preds, env, nil)
 	case i == 0 && st.exact:
 		// The document node is the one origin: position among all the
 		// descendants the step matches.
-		next.nodes, err = e.applyPreds(algebra.SummaryAccess(targets), false, preds, env, targets)
+		nodes, err = e.applyPreds(algebra.SummaryAccess(targets), false, preds, env, targets)
+	case len(preds) == 1 && len(st.allNodes()) == 1:
+		// One parent and one position, Q2's and Q3's bidder[1] and
+		// bidder[last()]: an index into the stretch the parent reaches,
+		// which keeps its place.
+		kids, at := e.within(st.nodes, st.at, &pc.plan.runs[i], pc.pos)
+		k, _ := position(len(kids), preds[0])
+		*st = pathState{sums: targets}
+		if k >= 0 {
+			st.nodes, st.at = kids[k:k+1], place{at.o, at.i + int32(k), at.ok}
+		}
+		return nil
 	default:
 		parents := st.allNodes()
 		var out []storage.NodeID
 		for k := range parents {
-			kids := e.within(parents[k:k+1], &pc.plan.runs[i], pc.pos)
+			at := st.at
+			at.i += int32(k)
+			kids, _ := e.within(parents[k:k+1], at, &pc.plan.runs[i], pc.pos)
 			if kids, err = e.applyPreds(kids, false, preds, env, targets); err != nil {
 				break
 			}
@@ -489,29 +598,41 @@ func (e *engine) predStep(st pathState, steps []xquery.Step, i int, env *scope, 
 			}
 			out = append(out, kids...)
 		}
-		next.nodes = algebra.SortUnique(out)
+		nodes = algebra.SortUnique(out)
 	}
-	return next, err
+	*st = pathState{nodes: nodes, sums: targets}
+	return err
+}
+
+// position returns the index among n candidates that a positional
+// predicate (an integer literal or last()) picks, -1 for none; is
+// reports whether pred is one.
+func position(n int, pred xquery.Expr) (k int, is bool) {
+	switch p := pred.(type) {
+	case *xquery.NumberLit:
+		if idx := int(p.Val); idx >= 1 && idx <= n {
+			return idx - 1, true
+		}
+		return -1, true
+	case *xquery.Call:
+		if p.Name == "last" {
+			return n - 1, true
+		}
+	}
+	return -1, false
 }
 
 // pickPositional applies a positional predicate (an integer literal or
 // last()) to cur; is reports whether pred is one.
 func pickPositional(cur algebra.NodeSet, pred xquery.Expr) (sel algebra.NodeSet, is bool) {
-	switch p := pred.(type) {
-	case *xquery.NumberLit:
-		if idx := int(p.Val); idx >= 1 && idx <= len(cur) {
-			return cur[idx-1 : idx], true
-		}
+	k, is := position(len(cur), pred)
+	switch {
+	case !is:
+		return cur, false
+	case k < 0:
 		return nil, true
-	case *xquery.Call:
-		if p.Name == "last" {
-			if len(cur) > 0 {
-				cur = cur[len(cur)-1:]
-			}
-			return cur, true
-		}
 	}
-	return cur, false
+	return cur[k : k+1], true
 }
 
 // applyPreds filters candidate nodes, instances of sums, by the step

@@ -124,16 +124,24 @@ func TestRunsAgainstNavigation(t *testing.T) {
 					pos := make([]int, pl.slots)
 					for rep := 0; rep < 2; rep++ {
 						bindings := subset(algebra.SummaryAccess(sums))
-						got, want := e.within(bindings, &pl.runs[0], pos), navigate(s, bindings, steps)
-						if (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
+						got, _ := e.within(bindings, place{}, &pl.runs[0], pos)
+						if want := navigate(s, bindings, steps); (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s: %s from %v under %d origins: got %v, navigation %v", name, rel, bindings, len(sums), got, want)
 						}
-						// One binding at a time, in random order: the cursors
-						// are hints, never constraints.
+						// One binding at a time, in random order, found by
+						// galloping and at its known place: the cursors are
+						// hints, never constraints, and a place that comes
+						// back says where the result lies.
 						for _, k := range rng.Perm(len(bindings)) {
-							got, want := e.within(bindings[k:k+1], &pl.runs[0], pos), navigate(s, bindings[k:k+1], steps)
-							if (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s: %s from %d: got %v, navigation %v", name, rel, bindings[k], got, want)
+							want := navigate(s, bindings[k:k+1], steps)
+							for _, at := range []place{{}, placeOf(sums, nil, bindings[k])} {
+								got, gotAt := e.within(bindings[k:k+1], at, &pl.runs[0], pos)
+								if (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
+									t.Fatalf("%s: %s from %d at %v: got %v, navigation %v", name, rel, bindings[k], at, got, want)
+								}
+								if ext := pl.sums(); gotAt.ok && !reflect.DeepEqual(got, algebra.NodeSet(ext[gotAt.o].Extent[gotAt.i:int(gotAt.i)+len(got)])) {
+									t.Fatalf("%s: %s from %d: got %v, placed at %v", name, rel, bindings[k], got, gotAt)
+								}
 							}
 						}
 						compared++

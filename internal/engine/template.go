@@ -116,11 +116,11 @@ func (e *engine) emit(t *template, env *scope) (Item, error) {
 func (e *engine) appendEmitted(dst seq, x xquery.Expr, env *scope) (seq, error) {
 	var out []byte
 	if p, isPath := x.(*xquery.PathExpr); isPath {
-		st, textTail, err := e.evalPathNodes(p, env)
-		how := contentRead(st.sums, textTail)
-		for i := 0; err == nil && i < len(st.nodes); i++ {
+		nodes, sums, textTail, err := e.evalPathNodes(p, env)
+		how := contentRead(sums, textTail)
+		for i := 0; err == nil && i < len(nodes); i++ {
 			start := e.room()
-			if out, err = e.appendContentNode(e.out, st.nodes[i], how); err == nil {
+			if out, err = e.appendContentNode(e.out, nodes[i], how); err == nil {
 				dst = append(dst, e.cut(out, start))
 			}
 		}
@@ -201,12 +201,12 @@ func (e *engine) emitElem(dst []byte, t *template, env *scope) ([]byte, error) {
 func (e *engine) appendContent(dst []byte, x xquery.Expr, env *scope) ([]byte, int, error) {
 	switch x := x.(type) {
 	case *xquery.PathExpr:
-		st, textTail, err := e.evalPathNodes(x, env)
-		how := contentRead(st.sums, textTail)
-		for i := 0; err == nil && i < len(st.nodes); i++ {
-			dst, err = e.appendContentNode(dst, st.nodes[i], how)
+		nodes, sums, textTail, err := e.evalPathNodes(x, env)
+		how := contentRead(sums, textTail)
+		for i := 0; err == nil && i < len(nodes); i++ {
+			dst, err = e.appendContentNode(dst, nodes[i], how)
 		}
-		return dst, len(st.nodes), err
+		return dst, len(nodes), err
 	case *xquery.VarRef:
 		if b := env.lookup(x.Name); b != nil && b.ids != nil {
 			var err error

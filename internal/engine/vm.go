@@ -256,9 +256,56 @@ type cursor struct {
 	deferred []xquery.Expr
 	pos      int
 	textTail bool
-	// current binding (for opDeferred jumps)
+	// whole says ids is every instance of sums, the union of their
+	// extents, so each binding's place is the next unread instance of one
+	// of them: next[s] is sums[s]'s, and last the extent the previous
+	// binding came from.
+	whole bool
+	next  []int32
+	last  int
+	// current binding (for opDeferred jumps and opCollect)
 	curNode   storage.NodeID
+	curAt     place
 	curIsNode bool
+}
+
+// scanned sets what the cursor holds after a scan: whole when ids are as
+// many as the instances of sums — of which they are some.
+func (c *cursor) scanned() {
+	n := 0
+	for _, sn := range c.sums {
+		n += len(sn.Extent)
+	}
+	c.whole, c.last = !c.seqMode && n > 0 && len(c.ids) == n, 0
+	if c.whole && len(c.sums) > 1 {
+		c.next = append(c.next[:0], make([]int32, len(c.sums))...)
+	}
+}
+
+// placeNext returns the place of id, the node at the cursor's position,
+// among the extents of its sums: known when the cursor is whole, by one
+// comparison against the extent the previous binding came from, else by
+// one against each of the others.
+func (c *cursor) placeNext(id storage.NodeID) place {
+	switch {
+	case !c.whole:
+		return place{}
+	case len(c.sums) == 1:
+		if c.sums[0].Extent[c.pos] == id {
+			return place{0, int32(c.pos), true}
+		}
+		return place{}
+	}
+	for range c.sums {
+		if k := c.next[c.last]; int(k) < len(c.sums[c.last].Extent) && c.sums[c.last].Extent[k] == id {
+			c.next[c.last]++
+			return place{int32(c.last), k, true}
+		}
+		if c.last++; c.last == len(c.sums) {
+			c.last = 0
+		}
+	}
+	return place{}
 }
 
 // accum is one LET's value while its inner loops run: nodes for an
@@ -423,11 +470,11 @@ func (r *run) dispatch() (Item, bool, error) {
 			c := &r.cursors[in.A]
 			c.pos = 0
 			if spec.topPath {
-				st, textTail, err := eng.evalPathNodes(spec.path, r.env.s)
+				nodes, sums, textTail, err := eng.evalPathNodes(spec.path, r.env.s)
 				if err != nil {
 					return r.fail(err)
 				}
-				c.ids, c.sums, c.textTail, c.seqMode = st.nodes, st.sums, textTail, false
+				c.ids, c.sums, c.textTail, c.seqMode = nodes, sums, textTail, false
 				r.pc++
 				continue
 			}
@@ -452,6 +499,7 @@ func (r *run) dispatch() (Item, bool, error) {
 			}
 			c.ids, c.seq, c.sums = res.ids, res.seq, res.sums
 			c.seqMode = res.ids == nil
+			c.scanned()
 			// Reset the deferred slots. In sequence mode (the domain is
 			// not a node set) every pushdown becomes a per-tuple filter.
 			if n := len(spec.preds); n > 0 {
@@ -489,7 +537,7 @@ func (r *run) dispatch() (Item, bool, error) {
 				return r.fail(err)
 			}
 			if handled {
-				c.ids = restricted
+				c.ids, c.whole = restricted, false
 			} else {
 				c.deferred[ps.slot] = ps.pd.Conj
 			}
@@ -507,7 +555,7 @@ func (r *run) dispatch() (Item, bool, error) {
 				return r.fail(err)
 			}
 			if handled {
-				c.ids = restricted
+				c.ids, c.whole = restricted, false
 			} else {
 				c.deferred[ps.slot] = ps.pd.Conj
 			}
@@ -529,10 +577,12 @@ func (r *run) dispatch() (Item, bool, error) {
 			v := &p.vars[in.B]
 			if c.seqMode {
 				c.curNode, c.curIsNode = c.seq[c.pos].(storage.NodeID)
+				c.curAt = place{}
 				r.env.bind(int(v.depth), v.name, c.seq[c.pos:c.pos+1], nil, c.sums)
 			} else {
 				c.curNode, c.curIsNode = c.ids[c.pos], true
-				r.env.bindNode(int(v.depth), v.name, c.curNode, c.sums)
+				c.curAt = c.placeNext(c.curNode)
+				r.env.bindNode(int(v.depth), v.name, c.curNode, c.sums, c.curAt)
 			}
 			c.pos++
 			r.pc++
@@ -628,9 +678,9 @@ func (r *run) dispatch() (Item, bool, error) {
 			ts := r.sorts[in.A]
 			for _, cu := range p.sorts[in.A].fors {
 				if c := &r.cursors[cu]; c.curIsNode {
-					ts.add(c.curNode, nil, c.sums)
+					ts.add(c.curNode, c.curAt, nil, c.sums)
 				} else {
-					ts.add(0, c.seq[c.pos-1], c.sums)
+					ts.add(0, place{}, c.seq[c.pos-1], c.sums)
 				}
 			}
 			if err := eng.collectKey(ts, r.env.s); err != nil {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"strings"
+	"sync/atomic"
 )
 
 // SummaryNode is one node of the structure summary (§2.2): a distinct
@@ -32,6 +33,8 @@ type SummaryNode struct {
 	// an instance's value with no walk over its children. Derived with
 	// TextCount, never persisted.
 	SoleText bool
+	// onePer memoizes OnePerParent: 0 until derived, then 1 (true) or 2.
+	onePer atomic.Uint32
 }
 
 // AllSoleText reports that sums is known and SoleText holds of each.
@@ -42,6 +45,32 @@ func AllSoleText(sums []*SummaryNode) bool {
 		}
 	}
 	return len(sums) > 0
+}
+
+// OnePerParent reports that every instance of the summary parent has
+// exactly one instance of s among its children: as many instances as the
+// parent has, the k-th under the k-th. (Instances of one summary node
+// never nest, so an instance's parent is the greatest parent instance
+// before it.) The root has no summary parent and is not. Derived from the
+// extents on first use and memoized, never persisted — opening a store
+// costs nothing for it; concurrent first uses derive the same answer.
+func (s *SummaryNode) OnePerParent() bool {
+	switch s.onePer.Load() {
+	case 1:
+		return true
+	case 2:
+		return false
+	}
+	one := s.Parent != nil && len(s.Extent) == len(s.Parent.Extent)
+	for k := 0; one && k < len(s.Extent); k++ {
+		one = s.Parent.Extent[k] < s.Extent[k] && (k+1 == len(s.Extent) || s.Extent[k] < s.Parent.Extent[k+1])
+	}
+	if one {
+		s.onePer.Store(1)
+	} else {
+		s.onePer.Store(2)
+	}
+	return one
 }
 
 // Path returns the full path of the node, e.g. /site/people/person/@id.
