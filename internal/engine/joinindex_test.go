@@ -57,7 +57,8 @@ func TestStaticJoinIndexBuiltOnce(t *testing.T) {
 // however many paths read it — and no run builds another: eight
 // goroutines running one program each, at parallelism 1 to 4, return the
 // serial output byte for byte (run under -race by make check). A Program
-// is what xquec.Prepared holds and the plan cache shares.
+// is what xquec.Prepared holds and the plan cache shares. A point
+// lookup's predicate step is entered exact and builds none.
 func TestProgramOffsetsBuiltOnce(t *testing.T) {
 	s, err := storage.Load(datagen.XMark(datagen.XMarkConfig{Scale: 0.25, Seed: 5}), storage.LoadOptions{})
 	if err != nil {
@@ -66,7 +67,7 @@ func TestProgramOffsetsBuiltOnce(t *testing.T) {
 	for _, q := range []struct {
 		id, text string
 		arrays   int64
-	}{{"q3", xmarkq.Q3, 1}, {"q17", xmarkq.Q17, 0}} {
+	}{{"q3", xmarkq.Q3, 1}, {"q17", xmarkq.Q17, 0}, {"lookup", `/site/people/person[@id = "person3"]/name/text()`, 0}} {
 		expr, err := xquery.Parse(q.text)
 		if err != nil {
 			t.Fatal(err)

@@ -192,13 +192,21 @@ func (e *engine) resolvePath(p *xquery.PathExpr, sums []*storage.SummaryNode) *p
 		cur = e.summaryTargets(cur, i == 0 && p.Var == "", step)
 		pl.targets = append(pl.targets, cur)
 	}
+	exact := p.Var == "" // the state a run is entered with is every instance of its origins
 	for i, j := 0, 0; i < len(pl.targets); i = j {
 		j = runEnd(p.Steps, i)
+		// An absolute path's state stays exact up to its first predicate
+		// step. A run entered exact starts from the document, or moves the
+		// extents as a whole (moveRun) unless a positional predicate picks
+		// per parent (predStep): only a run from a node set reads.
+		entered := exact
+		exact = exact && len(p.Steps[i].Preds) == 0
+		if entered && (i == 0 || !slices.ContainsFunc(p.Steps[i].Preds, isPositional)) {
+			continue
+		}
 		from := sums
 		if i > 0 {
 			from = pl.targets[i-1]
-		} else if p.Var == "" {
-			continue
 		}
 		if pl.runs == nil {
 			pl.runs = make([]runPlan, len(pl.targets))
@@ -206,16 +214,22 @@ func (e *engine) resolvePath(p *xquery.PathExpr, sums []*storage.SummaryNode) *p
 		run := &pl.runs[i]
 		run.from, run.slot = from, pl.slots
 		pl.slots += len(from)
+		run.targets = make([][]*storage.SummaryNode, len(from))
+		n := 0
 		for o := range from {
 			targets := from[o : o+1]
 			for k := i; k < j; k++ {
 				targets = e.summaryTargets(targets, false, p.Steps[k])
 			}
-			reads := make([]reach, len(targets))
-			for t, sn := range targets {
-				reads[t] = e.reach(from[o], sn, slices.Index(pl.targets[j-1], sn))
+			run.targets[o], n = targets, n+len(targets)
+		}
+		reads := make([]reach, 0, n)
+		run.reads = make([][]reach, len(from))
+		for o, targets := range run.targets {
+			for _, sn := range targets {
+				reads = append(reads, e.reach(from[o], sn, slices.Index(pl.targets[j-1], sn)))
 			}
-			run.targets, run.reads = append(run.targets, targets), append(run.reads, reads)
+			run.reads[o] = reads[len(reads)-len(targets):]
 		}
 	}
 	return pl
@@ -552,12 +566,7 @@ func (e *engine) predStep(st *pathState, steps []xquery.Step, i int, env *scope,
 		*st = pathState{sums: targets}
 		return nil
 	}
-	positional := false
-	for _, pred := range preds {
-		if _, is := pickPositional(nil, pred); is {
-			positional = true
-		}
-	}
+	positional := slices.ContainsFunc(preds, isPositional)
 	var nodes algebra.NodeSet
 	var err error
 	switch {
@@ -620,6 +629,12 @@ func position(n int, pred xquery.Expr) (k int, is bool) {
 		}
 	}
 	return -1, false
+}
+
+// isPositional reports that pred is a positional predicate.
+func isPositional(pred xquery.Expr) bool {
+	_, is := position(0, pred)
+	return is
 }
 
 // pickPositional applies a positional predicate (an integer literal or
