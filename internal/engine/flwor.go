@@ -50,11 +50,22 @@ func planFLWOR(x *xquery.FLWOR) *flworPlan {
 	if x.OrderBy != nil {
 		plan.Collect, plan.Replay, plan.hides = orderPhases(x)
 	}
-	clauseOf := map[string]int{}
+	// clauseOf: the FOR clause binding each name last; boundAt: the
+	// clause, FOR or LET, binding it last. A join pushed onto a clause
+	// runs when that clause binds, so its other variable must be bound by
+	// an earlier clause or outside the FLWOR — not by the clause itself
+	// or a later one, which would leave it unbound, or bound to what it
+	// shadows.
+	clauseOf, boundAt := map[string]int{}, map[string]int{}
 	for i, c := range x.Clauses {
 		if !c.Let {
 			clauseOf[c.Var] = i
 		}
+		boundAt[c.Var] = i
+	}
+	before := func(name string, ci int) bool {
+		bi, bound := boundAt[name]
+		return !bound || bi < ci
 	}
 	for _, conj := range splitConjuncts(x.Where) {
 		assigned := false
@@ -83,14 +94,14 @@ func planFLWOR(x *xquery.FLWOR) *flworPlan {
 				li, lIn := clauseOf[lp.Var]
 				ri, rIn := clauseOf[rp.Var]
 				switch {
-				case lIn && (!rIn || li >= ri):
+				case lIn && (!rIn || li >= ri) && before(rp.Var, li):
 					plan.Pushdowns[li] = append(plan.Pushdowns[li], pushdown{
 						Conj: cmp, OtherVar: rp.Var,
 						RelThis:  &xquery.PathExpr{Var: ".", Steps: lp.Steps},
 						RelOther: &xquery.PathExpr{Var: ".", Steps: rp.Steps},
 					})
 					assigned = true
-				case rIn:
+				case rIn && before(lp.Var, ri):
 					plan.Pushdowns[ri] = append(plan.Pushdowns[ri], pushdown{
 						Conj: cmp, OtherVar: lp.Var,
 						RelThis:  &xquery.PathExpr{Var: ".", Steps: rp.Steps},

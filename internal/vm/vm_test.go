@@ -131,6 +131,12 @@ func queryBattery() []xmarkq.Query {
 		{ID: "attr-text", Text: `FOR $a IN //closed_auction RETURN <r>{$a//@person/text()}</r>`},
 		{ID: "bare-doc", Text: `(count(doc("")), FOR $d IN doc("x") RETURN 1)`},
 		{ID: "mod-zero", Text: `FOR $p IN /site/people/person RETURN count($p/watches/watch) mod 0`},
+		// A join whose other side is a LET of the same FLWOR bound after
+		// the FOR: the comparison must wait for the LET, also when the
+		// LET shadows an outer variable of the same name.
+		{ID: "join-later-let", Text: `FOR $t IN /site/closed_auctions/closed_auction LET $a := $t/seller WHERE $t/buyer/@person = $a/@person RETURN $t/price/text()`},
+		{ID: "join-later-let-shadow", Text: `FOR $a IN /site/people/person RETURN count(FOR $t IN /site/closed_auctions/closed_auction LET $a := $t/buyer WHERE $t/buyer/@person = $a/@person RETURN $t)`},
+		{ID: "join-self", Text: `FOR $a IN /site/people/person RETURN count(FOR $a IN /site/closed_auctions/closed_auction WHERE $a/buyer/@person = $a/buyer/@person RETURN $a)`},
 		{ID: "let-ctor-atomized", Text: `FOR $p IN /site/people/person LET $a := FOR $t IN /site/closed_auctions/closed_auction WHERE $t/buyer/@person = $p/@id RETURN <t>{$t/price/text()}</t> RETURN <p s="{$a}">{string($a)}</p>`},
 	}
 	qs = append(qs, extra...)
