@@ -317,13 +317,7 @@ func cmdStats(args []string) error {
 	}
 	fmt.Println("containers:")
 	for _, c := range db.Containers() {
-		if db.Segmented() {
-			fmt.Printf("  [%03d] %-54s %-8s %-9s recs=%-7d %dB\n",
-				c.Segment, c.Path, c.Kind, c.Algorithm, c.Records, c.Bytes)
-		} else {
-			fmt.Printf("  %-60s %-8s %-9s recs=%-7d %dB\n",
-				c.Path, c.Kind, c.Algorithm, c.Records, c.Bytes)
-		}
+		fmt.Printf("  %-60s %-8s %-9s recs=%-7d %dB\n", c.Path, c.Kind, c.Algorithm, c.Records, c.Bytes)
 	}
 	return nil
 }

@@ -15,8 +15,8 @@
 // segment-set manifests (name.xqcg, from appends; name.xqcs, from
 // SaveFile of a database compressed with Options.Shards); all are
 // addressed by bare name, with name.xqcg taking precedence. A query over
-// a segment set runs on the set's fused store, built once per open,
-// append or swap (xquecd_fusions_total); a failure anywhere in the corpus
+// a segment set runs on the set's fused store, its one resident store,
+// built once per open or append (xquecd_fusions_total); a failure anywhere in the corpus
 // fails the query, exactly as it does on a single repository. Appending
 // to any of them writes name.xqcg.
 //

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"xquec/internal/datagen"
@@ -49,14 +50,26 @@ func compressBytes(doc []byte, opts Options) ([][]byte, error) {
 	return [][]byte{db.Bytes()}, nil
 }
 
-// setBytes serializes a partitioned database: every member repository,
-// then the fused view.
-func setBytes(db *Database) [][]byte {
-	var out [][]byte
-	for _, st := range db.memberStores() {
-		out = append(out, st.AppendBinary(nil))
+// setBytes serializes a partitioned database: every segment file, as
+// SaveFile writes it, then the fused view.
+func setBytes(db *Database) ([][]byte, error) {
+	dir, err := os.MkdirTemp("", "golden-set-")
+	if err != nil {
+		return nil, err
 	}
-	return append(out, db.Bytes())
+	defer os.RemoveAll(dir)
+	if err := db.SaveFile(filepath.Join(dir, "set.xqcg")); err != nil {
+		return nil, err
+	}
+	var out [][]byte
+	for _, name := range db.set.Segments.Segments {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, data)
+	}
+	return append(out, db.Bytes()), nil
 }
 
 // appendFrags are the documents the append cases append to the
@@ -157,21 +170,23 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				return nil, err
 			}
-			return setBytes(db), nil
+			return setBytes(db)
 		}},
 		goldenCase{"append-compact", func(par int) ([][]byte, error) {
 			grown, compacted, err := appendCompact(small, appendFrags(), Options{Parallelism: par})
 			if err != nil {
 				return nil, err
 			}
-			return append(setBytes(grown), compacted.Bytes()), nil
+			blobs, err := setBytes(grown)
+			return append(blobs, compacted.Bytes()), err
 		}},
 		goldenCase{"append-compact-workload", func(par int) ([][]byte, error) {
 			grown, compacted, err := appendCompact(small, appendFrags(), Options{Parallelism: par, WorkloadQueries: texts})
 			if err != nil {
 				return nil, err
 			}
-			return append(setBytes(grown), compacted.Bytes()), nil
+			blobs, err := setBytes(grown)
+			return append(blobs, compacted.Bytes()), err
 		}},
 	)
 	return cases

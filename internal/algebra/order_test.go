@@ -37,15 +37,11 @@ func provenances(t *testing.T, docs ...[]byte) map[string]*storage.Store {
 		t.Fatal(err)
 	}
 	for _, doc := range docs[1:] {
-		if set, err = set.Append([][]byte{doc}, storage.LoadOptions{}); err != nil {
+		if set, _, err = set.Append([][]byte{doc}, func(int) (storage.LoadOptions, error) { return storage.LoadOptions{}, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fused, err := set.Fused()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*storage.Store{"ingested": loaded, "opened": opened, "fused": fused}
+	return map[string]*storage.Store{"ingested": loaded, "opened": opened, "fused": set.Store()}
 }
 
 // antichains returns summary sets whose instances never nest: every

@@ -1,12 +1,12 @@
 package engine_test
 
-// The differential suite of the fused store (partition.Set.Fused,
+// The differential suite of the fused store (partition.Set.Store,
 // storage.Fusion). It lives here because it runs on this package's
 // random documents and query battery, which only this package's tests
 // can see. The oracle is a plain ingest of the corpus as text — the
 // document a set was cut from (partition.Cut), the textual concatenation
 // (partition.Concat) of the documents a segment set was fed — which is
-// what Fused used to do with the text it reconstructed, and shares no
+// what fusion used to do with the text it reconstructed, and shares no
 // step, and no mistake, with the splice.
 
 import (
@@ -45,7 +45,8 @@ func segmentSet(t *testing.T, docs [][]byte, shift int) *partition.Set {
 		t.Fatal(err)
 	}
 	for i, doc := range docs[1:] {
-		if set, err = set.Append([][]byte{doc}, storage.LoadOptions{Plan: fusePlans[(shift+i+1)%3]}); err != nil {
+		plan := fusePlans[(shift+i+1)%3]
+		if set, _, err = set.Append([][]byte{doc}, func(int) (storage.LoadOptions, error) { return storage.LoadOptions{Plan: plan}, nil }); err != nil {
 			t.Fatalf("append %d: %v", i+1, err)
 		}
 	}
@@ -65,13 +66,13 @@ func cutSet(t *testing.T, doc []byte, n, shift int) *partition.Set {
 
 // checkFused holds the spliced store of set — or, with reopen, that store
 // reopened from its bytes — to an ingest of corpus: the same
-// serialization, which is also FuseXML's, the same answer from every
+// serialization, which is also Decompress's, the same answer from every
 // accessor of the structure, the same summary, the same containers
 // record by record, and the same result for every query. The oracle is a Load product, so agreeing with it on every
 // accessor is also passing storage's Validate.
 func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []string, reopen bool) {
 	t.Helper()
-	fx, err := set.FuseXML()
+	fx, err := set.Store().Serialize(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,35 +84,32 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := set.Fused()
-	if err != nil {
-		t.Fatalf("Fused: %v\ncorpus: %s", err, xml)
-	}
+	got := set.Store()
 	if reopen {
 		if got, err = storage.LoadBinary(got.AppendBinary(nil)); err != nil {
 			t.Fatalf("reopening the fused store: %v", err)
 		}
 	}
 	if out, err := got.Serialize(nil, 1); err != nil || !bytes.Equal(out, xml) || !bytes.Equal(fx, xml) {
-		t.Fatalf("fused store serializes to\n%s (%v), FuseXML is\n%s, the corpus\n%s", out, err, fx, xml)
+		t.Fatalf("fused store serializes to\n%s (%v), the set's store to\n%s, the corpus\n%s", out, err, fx, xml)
 	}
-	// What FuseXML writes is what Decompress returns: it must read back
-	// as the same document, white space included.
+	// What Decompress returns must read back as the same document, white
+	// space included.
 	re, err := storage.Load(fx, storage.LoadOptions{})
 	if err != nil {
-		t.Fatalf("Load(FuseXML): %v\n%s", err, fx)
+		t.Fatalf("Load(Decompress): %v\n%s", err, fx)
 	} else if out, err := re.Serialize(nil, 1); err != nil || !bytes.Equal(out, fx) {
-		t.Fatalf("FuseXML\n%s\nre-ingested serializes to\n%s (%v)", fx, out, err)
+		t.Fatalf("Decompress\n%s\nre-ingested serializes to\n%s (%v)", fx, out, err)
 	}
-	// A set compacts from its fused store, not from FuseXML, to the
-	// repository the re-ingest of FuseXML is, byte for byte — but for the
+	// A set compacts from its fused store, not from its XML, to the
+	// repository the re-ingest of its XML is, byte for byte — but for the
 	// original size, which stays the bytes ingested.
 	compacted, err := set.Compact(context.Background(), 0, nil)
 	if err != nil {
 		t.Fatalf("Compact: %v\ncorpus: %s", err, fx)
 	}
 	re.OriginalSize = set.OriginalSize()
-	if !bytes.Equal(compacted.Stores[0].AppendBinary(nil), re.AppendBinary(nil)) {
+	if !bytes.Equal(compacted.Store().AppendBinary(nil), re.AppendBinary(nil)) {
 		t.Fatalf("the compacted repository differs from the re-ingest of\n%s", fx)
 	}
 
@@ -317,13 +315,9 @@ func fusedDirected(t *testing.T, reopen bool) {
 // text, and the root's text(), are the same.
 func TestFusedKeepsJunctionTextApart(t *testing.T) {
 	set := segmentSet(t, [][]byte{[]byte(`<site><a>x</a>tail</site>`), []byte(`<site>head<a>y</a></site>`)}, 0)
-	st, err := set.Fused()
-	if err != nil {
-		t.Fatal(err)
-	}
-	xml, _ := set.FuseXML()
-	if out, err := st.Serialize(nil, 1); err != nil || !bytes.Equal(out, xml) || string(xml) != `<site><a>x</a>tailhead<a>y</a></site>` {
-		t.Fatalf("fused store serializes to %s (%v), FuseXML is %s", out, err, xml)
+	st := set.Store()
+	if xml, err := st.Serialize(nil, 1); err != nil || string(xml) != `<site><a>x</a>tailhead<a>y</a></site>` {
+		t.Fatalf("fused store serializes to %s (%v)", xml, err)
 	}
 	if got, err := runVM(t, st, `/site/text()`); err != nil || got != "tailhead" {
 		t.Fatalf("/site/text() = %q (%v), want tailhead", got, err)
@@ -333,12 +327,12 @@ func TestFusedKeepsJunctionTextApart(t *testing.T) {
 		t.Fatalf("/site/#text = %v, want the two values of node 1", c)
 	}
 	// Compaction re-encodes the values of the fused structure: the two
-	// stay two, where a re-ingest of FuseXML would join them.
+	// stay two, where a re-ingest of the corpus text would join them.
 	compacted, err := set.Compact(context.Background(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := compacted.Stores[0].ContainerByPath("/site/#text"); !ok || c.Len() != 2 || c.Owner(0) != 1 || c.Owner(1) != 1 {
+	if c, ok := compacted.Store().ContainerByPath("/site/#text"); !ok || c.Len() != 2 || c.Owner(0) != 1 || c.Owner(1) != 1 {
 		t.Fatalf("compacted /site/#text = %v, want the two values of node 1", c)
 	}
 }

@@ -50,17 +50,12 @@ func checkReach(t *testing.T, name string, rd reach, s, tn *storage.SummaryNode)
 // and, over those and DeepTree (recursive same-tag nesting) and the
 // real-life substitutes, for every summary node and each of its
 // descendants.
+func defaultLoad(int) (storage.LoadOptions, error) { return storage.LoadOptions{}, nil }
+
 func TestOffsetsAgreeWithGalloping(t *testing.T) {
 	xmark := datagen.XMark(datagen.XMarkConfig{Scale: 0.25, Seed: 2})
 	load := func(doc []byte) *storage.Store {
 		s, err := storage.Load(doc, storage.LoadOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	fused := func(set *partition.Set) *storage.Store {
-		s, err := set.Fused()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +69,7 @@ func TestOffsetsAgreeWithGalloping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cut, err = cut.Append(parts[1:], storage.LoadOptions{}); err != nil {
+	if cut, _, err = cut.Append(parts[1:], defaultLoad); err != nil {
 		t.Fatal(err)
 	}
 	appended, err := partition.NewBase(load(xmark))
@@ -83,14 +78,14 @@ func TestOffsetsAgreeWithGalloping(t *testing.T) {
 	}
 	for seed := int64(3); seed < 5; seed++ {
 		more := datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: seed})
-		if appended, err = appended.Append([][]byte{more}, storage.LoadOptions{}); err != nil {
+		if appended, _, err = appended.Append([][]byte{more}, defaultLoad); err != nil {
 			t.Fatal(err)
 		}
 	}
 	xmarkStores := map[string]*storage.Store{
 		"xmark":        load(xmark),
-		"cut 4 fused":  fused(cut),
-		"append fused": fused(appended),
+		"cut 4 fused":  cut.Store(),
+		"append fused": appended.Store(),
 	}
 	var queries []xmarkq.Query
 	queries = append(queries, xmarkq.Queries()...)

@@ -6,14 +6,14 @@
 // segment order (splice.go). A set grows by appends (an immutable base
 // plus one segment per appended document), or is cut from one document
 // (Cut, Build: contiguous runs of the root's children). Sets are
-// immutable values — Append and Compact return a NEW set sharing the
-// unchanged stores — so a reader keeps a consistent snapshot under
-// concurrent writes.
+// immutable values — Append and Compact return a NEW set — so a reader
+// keeps a consistent snapshot under concurrent writes.
 //
-// The package is the manifest and the fusion: every query over a set
-// runs on Fused, the one store of the whole corpus, spliced from the
-// segments in the compressed domain and built at most once per Set
-// value. A set with a single segment is that segment.
+// The segments are files; the fused store is the database. Open, Build,
+// Append and Compact each build the one store of the whole corpus
+// (Store), spliced from the segments in the compressed domain, and then
+// hold no segment's store: a set keeps of each segment only what
+// persisting it needs. A set with a single segment is that segment.
 package partition
 
 import (
@@ -23,29 +23,33 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"xquec/internal/storage"
 )
 
 // Set is a partitioned corpus opened as one logical repository: its
-// manifest and the per-segment stores in segment order.
+// manifest, its one store, and what persisting each segment needs.
 type Set struct {
-	Stores   []*storage.Store
 	Segments *SegmentManifest
 
-	// seqs are the per-segment naming sequence numbers (Sequence values
-	// claimed at segment creation); savedAs remembers where each segment
-	// was last written so Save only touches new segments.
-	seqs    []int
-	savedAs []string
+	store *storage.Store
+	segs  []segment
+}
 
-	// fused is the lazily reconstructed single store every query runs
-	// on. Built at most once per Set value.
-	fuseOnce sync.Once
-	fused    *storage.Store
-	fuseErr  error
+// segment is what a set keeps of a fused segment: its naming sequence
+// number, compressed size, last saved path, and bytes until it is saved.
+type segment struct {
+	seq     int
+	size    int
+	savedAs string
+	data    []byte
+}
+
+// newSegment serializes a segment's store, which the set then drops.
+func newSegment(st *storage.Store, seq int) segment {
+	data := st.AppendBinary(nil)
+	return segment{seq: seq, size: len(data), data: data}
 }
 
 // SegmentManifestFormat identifies a manifest file; SegmentManifestExt
@@ -137,50 +141,40 @@ func (s *Set) OriginalSize() int {
 	return n
 }
 
+// CompressedSize is the bytes of the set's segment files, saved or not.
+func (s *Set) CompressedSize() int {
+	n := 0
+	for _, g := range s.segs {
+		n += g.size
+	}
+	return n
+}
+
 // TopologyKey describes the set's topology for cache keying: two sets
 // answer queries identically only if their topology keys match. The
 // generation is included so a compaction (same logical corpus, new
 // stores) still rolls the key.
 func (s *Set) TopologyKey() string {
-	return fmt.Sprintf("segments=%d;gen=%d;dict=%.12s",
-		len(s.Stores), s.Segments.Generation, s.Segments.DictHashes[len(s.Stores)-1])
+	return fmt.Sprintf("segments=%d;gen=%d;dict=%.12s", len(s.segs), s.Segments.Generation, s.Segments.DictHashes[len(s.segs)-1])
 }
 
-// FuseXML serializes the fused store: the whole corpus as one document, for
-// decompression to return. No query and no compaction needs it.
-func (s *Set) FuseXML() ([]byte, error) {
-	st, err := s.Fused()
-	if err != nil {
-		return nil, err
+// Store returns the one store of the corpus, which every query runs on.
+func (s *Set) Store() *storage.Store { return s.store }
+
+// fuse builds the single store of parts, in segment order: one part IS
+// the corpus, more are spliced (spliceSegments) into a store of the
+// corpus's original size.
+func fuse(parts []*storage.Store, originalSize int) (*storage.Store, error) {
+	if len(parts) == 1 {
+		return parts[0], nil
 	}
-	return st.Serialize(nil, 1)
-}
-
-// Fused returns the single store of the whole corpus, built on first use:
-// every query over the set runs on it. A set with a single segment IS the
-// corpus. Otherwise spliceSegments names the pieces of the segments'
-// structures in document order and storage.Fusion copies them, merges the
-// containers and proves the result: compressed domain throughout, nothing
-// serialized or parsed.
-func (s *Set) Fused() (*storage.Store, error) {
-	s.fuseOnce.Do(func() {
-		if len(s.Stores) == 1 {
-			s.fused = s.Stores[0]
-			return
-		}
-		start := time.Now()
-		f := storage.NewFusion(s.Stores)
-		err := s.spliceSegments(f)
-		if err == nil {
-			s.fused, err = f.Store()
-		}
-		if err != nil {
-			s.fuseErr = fmt.Errorf("partition: fusing segments: %w", err)
-			return
-		}
-		s.fused.OriginalSize = s.OriginalSize()
-		counters.fusions.Add(1)
-		counters.fusionNanos.Add(int64(time.Since(start)))
-	})
-	return s.fused, s.fuseErr
+	start := time.Now()
+	st, err := spliceSegments(parts)
+	if err != nil {
+		return nil, fmt.Errorf("partition: fusing segments: %w", err)
+	}
+	st.OriginalSize = originalSize
+	counters.fusions.Add(1)
+	counters.fusionNanos.Add(int64(time.Since(start)))
+	return st, nil
 }

@@ -60,6 +60,9 @@ func corpusXML(t *testing.T, src []byte, query string) string {
 	return out
 }
 
+// defaultLoad loads every appended document under the default options.
+func defaultLoad(int) (storage.LoadOptions, error) { return storage.LoadOptions{}, nil }
+
 // segmentSet builds a segment set with one segment per document.
 func segmentSet(t *testing.T, docs ...string) *Set {
 	t.Helper()
@@ -74,7 +77,7 @@ func segmentSet(t *testing.T, docs ...string) *Set {
 	for i, d := range docs[1:] {
 		more[i] = []byte(d)
 	}
-	if set, err = set.Append(more, storage.LoadOptions{}); err != nil {
+	if set, _, err = set.Append(more, defaultLoad); err != nil {
 		t.Fatal(err)
 	}
 	return set
@@ -102,7 +105,7 @@ func TestSplitRoundTrip(t *testing.T) {
 		if set.OriginalSize() != len(src) {
 			t.Fatalf("n=%d: original size %d, the document has %d bytes", n, set.OriginalSize(), len(src))
 		}
-		fusedXML, err := set.FuseXML()
+		fusedXML, err := set.Store().Serialize(nil, 1)
 		if err != nil {
 			t.Fatalf("n=%d fuse: %v", n, err)
 		}
@@ -119,29 +122,30 @@ func TestSplitRoundTrip(t *testing.T) {
 }
 
 // TestSinglePartEvaluatesDirectly pins the one-part short-circuit, for a
-// set cut into one part and for a base with nothing appended: the fused
+// set cut into one part and for a base with nothing appended: the set's
 // store is the part itself rather than a copy of the corpus, and no
 // fusion is counted.
 func TestSinglePartEvaluatesDirectly(t *testing.T) {
 	src := xmarkDoc(t)
+	fusions := Snapshot().Fusions
 	one, err := Build(src, 1, storage.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for noun, set := range map[string]*Set{"cut": one, "base": segmentSet(t, string(src))} {
-		fusions := Snapshot().Fusions
-		st, err := set.Fused()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st != set.Stores[0] {
-			t.Fatalf("%s: fused store is not the part", noun)
-		}
-		if n := Snapshot().Fusions - fusions; n != 0 {
-			t.Fatalf("%s: counted %d fusions", noun, n)
-		}
+	part := mustLoad(t, string(src), nil)
+	base, err := NewBase(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := Snapshot().Fusions - fusions; n != 0 {
+		t.Fatalf("counted %d fusions", n)
+	}
+	if base.Store() != part {
+		t.Fatal("base: the set's store is not the part")
+	}
+	for noun, set := range map[string]*Set{"cut": one, "base": base} {
 		for _, q := range []string{xmarkq.Q2, xmarkq.Q8} {
-			if got, want := storeXML(t, st, q), corpusXML(t, src, q); got != want {
+			if got, want := storeXML(t, set.Store(), q), corpusXML(t, src, q); got != want {
 				t.Fatalf("%s: answers %.40q differently", noun, q)
 			}
 		}
@@ -338,14 +342,22 @@ func TestManifestRoundTripAndValidation(t *testing.T) {
 
 func TestSetAppendSharesDictionaryChain(t *testing.T) {
 	set := testSet(t)
-	if len(set.Stores) != 3 {
-		t.Fatalf("segments = %d", len(set.Stores))
+	if len(set.segs) != 3 {
+		t.Fatalf("segments = %d", len(set.segs))
 	}
 	if set.Segments.Generation != 2 || set.Segments.Sequence != 3 {
 		t.Fatalf("manifest = %+v", set.Segments)
 	}
-	for i := 1; i < len(set.Stores); i++ {
-		prev, cur := set.Stores[i-1].Names, set.Stores[i].Names
+	parts := make([]*storage.Store, len(set.segs))
+	for i, g := range set.segs {
+		st, err := storage.LoadBinary(g.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = st
+	}
+	for i := 1; i < len(parts); i++ {
+		prev, cur := parts[i-1].Names, parts[i].Names
 		if len(cur) < len(prev) {
 			t.Fatalf("segment %d dictionary shrinks", i)
 		}
@@ -355,43 +367,43 @@ func TestSetAppendSharesDictionaryChain(t *testing.T) {
 			}
 		}
 	}
-	if err := set.validateSegments(); err != nil {
+	if err := validateSegments(set.Segments, parts); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
 
 	// Append validation failures leave no trace.
-	if _, err := set.Append([][]byte{[]byte(`<other/>`)}, storage.LoadOptions{}); err == nil {
-		t.Fatal("root mismatch should fail")
+	if _, failed, err := set.Append([][]byte{[]byte(`<other/>`)}, defaultLoad); err == nil || failed != 0 {
+		t.Fatalf("root mismatch: failed %d, %v", failed, err)
 	}
-	if _, err := set.Append(nil, storage.LoadOptions{}); err == nil {
+	if _, _, err := set.Append(nil, defaultLoad); err == nil {
 		t.Fatal("empty append should fail")
 	}
-	if len(set.Stores) != 3 {
-		t.Fatalf("receiver mutated: %d segments", len(set.Stores))
+	if len(set.segs) != 3 {
+		t.Fatalf("receiver mutated: %d segments", len(set.segs))
 	}
 }
 
 func TestSetFuseAndCompact(t *testing.T) {
 	set := testSet(t)
-	xml, err := set.FuseXML()
+	xml, err := set.Store().Serialize(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := `<site><a><n>1</n></a><a><n>2</n></a><b><n>3</n></b></site>`
 	if string(xml) != want {
-		t.Fatalf("FuseXML = %s, want %s", xml, want)
+		t.Fatalf("fused corpus = %s, want %s", xml, want)
 	}
 	compacted, err := set.Compact(context.Background(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(compacted.Stores) != 1 || compacted.Segments.Generation != set.Segments.Generation+1 {
+	if len(compacted.segs) != 1 || compacted.Segments.Generation != set.Segments.Generation+1 {
 		t.Fatalf("compacted = %+v", compacted.Segments)
 	}
 	if compacted.TopologyKey() == set.TopologyKey() {
 		t.Fatal("compaction must roll the topology key")
 	}
-	cxml, err := compacted.FuseXML()
+	cxml, err := compacted.Store().Serialize(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,8 +411,8 @@ func TestSetFuseAndCompact(t *testing.T) {
 		t.Fatalf("compacted corpus = %s, want %s", cxml, want)
 	}
 	// The old set is untouched.
-	if len(set.Stores) != 3 {
-		t.Fatalf("receiver mutated: %d segments", len(set.Stores))
+	if len(set.segs) != 3 {
+		t.Fatalf("receiver mutated: %d segments", len(set.segs))
 	}
 }
 
@@ -415,8 +427,8 @@ func TestSetSaveOpenValidateGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(opened.Stores) != 3 || opened.TopologyKey() != set.TopologyKey() {
-		t.Fatalf("opened = %d segments, key %s vs %s", len(opened.Stores), opened.TopologyKey(), set.TopologyKey())
+	if len(opened.segs) != 3 || opened.TopologyKey() != set.TopologyKey() {
+		t.Fatalf("opened = %d segments, key %s vs %s", len(opened.segs), opened.TopologyKey(), set.TopologyKey())
 	}
 
 	// Compaction + save drops the superseded segment files.
@@ -475,9 +487,9 @@ func TestShardSaveOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(opened.Stores) != 2 || opened.TopologyKey() != set.TopologyKey() || opened.OriginalSize() != len(src) {
+	if len(opened.segs) != 2 || opened.TopologyKey() != set.TopologyKey() || opened.OriginalSize() != len(src) {
 		t.Fatalf("opened %d segments of %d bytes, key %s; want 2 of %d, key %s",
-			len(opened.Stores), opened.OriginalSize(), opened.TopologyKey(), len(src), set.TopologyKey())
+			len(opened.segs), opened.OriginalSize(), opened.TopologyKey(), len(src), set.TopologyKey())
 	}
 	if name := opened.Segments.Segments[1]; name != "corpus.seg-000001.xqc" {
 		t.Fatalf("segment file %q", name)

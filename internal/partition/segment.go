@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 
 	"xquec/internal/storage"
@@ -59,30 +61,20 @@ func (m *SegmentManifest) check() error {
 	if len(m.OriginalSizes) != len(m.Segments) {
 		return fmt.Errorf("partition: %d original sizes for %d segments", len(m.OriginalSizes), len(m.Segments))
 	}
-	return nil
-}
-
-// newSegmentSet assembles a segment set: the corpus root is depth 1 and
-// every segment contributes a contiguous run of its children (depth 2),
-// so a binding strictly below the root lives entirely inside one
-// segment.
-func newSegmentSet(man *SegmentManifest, stores []*storage.Store, seqs []int, savedAs []string) *Set {
-	return &Set{Stores: stores, Segments: man, seqs: seqs, savedAs: savedAs}
-}
-
-// singleSegment assembles a one-segment set around store, claiming
-// naming sequence number seq for it.
-func singleSegment(root string, store *storage.Store, size, generation, seq int) *Set {
-	man := &SegmentManifest{
-		Format:        SegmentManifestFormat,
-		RootTag:       root,
-		Segments:      []string{""},
-		DictHashes:    []string{DictionaryHash(store.Names)},
-		OriginalSizes: []int{size},
-		Generation:    generation,
-		Sequence:      seq + 1,
+	seen := make(map[string]bool, len(m.Segments))
+	for i, name := range m.Segments {
+		if name == "." || name == ".." || filepath.Base(name) != name {
+			return fmt.Errorf("partition: segment %d name %q is not a file name in the manifest's directory", i, name)
+		}
+		if seen[name] {
+			return fmt.Errorf("partition: segment %d name %q is listed twice", i, name)
+		}
+		seen[name] = true
+		if m.OriginalSizes[i] < 0 {
+			return fmt.Errorf("partition: segment %d has negative original size %d", i, m.OriginalSizes[i])
+		}
 	}
-	return newSegmentSet(man, []*storage.Store{store}, []int{seq}, []string{""})
+	return nil
 }
 
 // NewBase wraps a freshly ingested store as a single-segment set.
@@ -91,7 +83,7 @@ func NewBase(store *storage.Store) (*Set, error) {
 	if root == "" || strings.HasPrefix(root, "@") {
 		return nil, fmt.Errorf("partition: store has no element root")
 	}
-	return singleSegment(root, store, store.OriginalSize, 1, 0), nil
+	return (&Set{Segments: &SegmentManifest{RootTag: root}}).grow([]*storage.Store{store})
 }
 
 // Build cuts doc into at most n parts (Cut) and ingests them through the
@@ -103,62 +95,83 @@ func Build(doc []byte, n int, opts storage.LoadOptions) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := storage.Load(parts[0], opts)
-	if err != nil {
-		return nil, err
+	stores := make([]*storage.Store, len(parts))
+	for i, part := range parts {
+		if i > 0 {
+			opts.Dictionary = stores[i-1].Names
+		}
+		if stores[i], err = storage.Load(part, opts); err != nil {
+			return nil, err
+		}
+		stores[i].OriginalSize = sizes[i]
 	}
-	set, err := NewBase(base)
+	set, err := NewBase(stores[0])
 	if err == nil && len(parts) > 1 {
-		set, err = set.Append(parts[1:], opts)
+		set, err = set.grow(stores[1:])
 	}
-	if err != nil {
-		return nil, err
-	}
-	for i, st := range set.Stores {
-		st.OriginalSize = sizes[i]
-		set.Segments.OriginalSizes[i] = sizes[i]
-	}
-	return set, nil
+	return set, err
 }
 
-// Append ingests each doc as its own append segment and returns the
-// grown set. The receiver is untouched. Every doc must pass
-// CheckAppend. Each new segment's name dictionary is pre-seeded with
-// the previous segment's full dictionary, keeping name codes identical
-// across the whole chain.
-func (s *Set) Append(docs [][]byte, opts storage.LoadOptions) (*Set, error) {
+// Append ingests each doc, which must pass CheckAppend, as its own
+// append segment under opts(i) and the chain's name dictionary, and
+// returns the grown set; the receiver is untouched. When docs[i] does
+// not ingest, failed is i; otherwise -1.
+func (s *Set) Append(docs [][]byte, opts func(i int) (storage.LoadOptions, error)) (grown *Set, failed int, err error) {
 	if len(docs) == 0 {
-		return nil, fmt.Errorf("partition: nothing to append")
+		return nil, -1, fmt.Errorf("partition: nothing to append")
 	}
-	old := s.Segments
-	n := len(s.Stores)
-	stores := append(s.Stores[:n:n], make([]*storage.Store, len(docs))...)
+	stores := make([]*storage.Store, len(docs))
+	dict := s.store.Names
+	for i, doc := range docs {
+		o, err := opts(i)
+		if err == nil {
+			err = s.CheckAppend(doc)
+		}
+		if err == nil {
+			o.Dictionary = dict
+			stores[i], err = storage.Load(doc, o)
+		}
+		if err != nil {
+			return nil, i, err
+		}
+		dict = stores[i].Names
+	}
+	grown, err = s.grow(stores)
+	return grown, -1, err
+}
+
+// grow adds stores, ingested on the set's dictionary chain, as segments:
+// the grown set's store is one fusion of the receiver's store, already
+// that of its segments, with theirs. Every set is grown from one of no
+// segments, whose manifest carries only the root tag, the generation
+// and the naming sequence.
+func (s *Set) grow(stores []*storage.Store) (*Set, error) {
+	old, n := s.Segments, len(s.segs)
 	man := &SegmentManifest{
 		Format:        SegmentManifestFormat,
 		RootTag:       old.RootTag,
-		Segments:      append(old.Segments[:n:n], make([]string, len(docs))...),
-		DictHashes:    append(old.DictHashes[:n:n], make([]string, len(docs))...),
-		OriginalSizes: append(old.OriginalSizes[:n:n], make([]int, len(docs))...),
+		Segments:      append(old.Segments[:n:n], make([]string, len(stores))...),
+		DictHashes:    append(old.DictHashes[:n:n], make([]string, len(stores))...),
+		OriginalSizes: append(old.OriginalSizes[:n:n], make([]int, len(stores))...),
 		Generation:    old.Generation + 1,
-		Sequence:      old.Sequence + len(docs),
+		Sequence:      old.Sequence + len(stores),
 	}
-	seqs := append(s.seqs[:n:n], make([]int, len(docs))...)
-	savedAs := append(s.savedAs[:n:n], make([]string, len(docs))...)
-	for i, doc := range docs {
-		if err := s.CheckAppend(doc); err != nil {
-			return nil, err
-		}
-		opts.Dictionary = stores[n+i-1].Names
-		st, err := storage.Load(doc, opts)
-		if err != nil {
-			return nil, err
-		}
-		stores[n+i] = st
+	segs := append(s.segs[:n:n], make([]segment, len(stores))...)
+	for i, st := range stores {
 		man.DictHashes[n+i] = DictionaryHash(st.Names)
-		man.OriginalSizes[n+i] = len(doc)
-		seqs[n+i] = old.Sequence + i
+		man.OriginalSizes[n+i] = st.OriginalSize
+		segs[n+i] = newSegment(st, old.Sequence+i)
 	}
-	return newSegmentSet(man, stores, seqs, savedAs), nil
+	parts := stores
+	if s.store != nil {
+		parts = append([]*storage.Store{s.store}, stores...)
+	}
+	set := &Set{Segments: man, segs: segs}
+	var err error
+	if set.store, err = fuse(parts, set.OriginalSize()); err != nil {
+		return nil, err
+	}
+	return set, nil
 }
 
 // CheckAppend validates doc as an append candidate without ingesting
@@ -189,20 +202,13 @@ func (s *Set) CheckAppend(doc []byte) error {
 // order (Values.Store) under the fused structure. The result is the
 // repository a re-ingest of the serialized corpus would build, byte for
 // byte, except that the original size stays the bytes ingested. ctx is
-// checked before the fuse and between the fuse, the plan search and the
-// rebuild.
+// checked before the decode and between the decode, the plan search and
+// the rebuild.
 func (s *Set) Compact(ctx context.Context, par int, plan func(*storage.Values) (*storage.CompressionPlan, error)) (*Set, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	fused, err := s.Fused()
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	vals, err := storage.DecodeValues(fused, par)
+	vals, err := storage.DecodeValues(s.store, par)
 	if err != nil {
 		return nil, err
 	}
@@ -221,11 +227,13 @@ func (s *Set) Compact(ctx context.Context, par int, plan func(*storage.Values) (
 	}
 	store.OriginalSize = s.OriginalSize()
 	old := s.Segments
-	return singleSegment(old.RootTag, store, store.OriginalSize, old.Generation+1, old.Sequence), nil
+	return (&Set{Segments: &SegmentManifest{RootTag: old.RootTag, Generation: old.Generation, Sequence: old.Sequence}}).grow([]*storage.Store{store})
 }
 
-// Open loads a set from its manifest file. The segment repositories load
-// in parallel and are verified against the manifest's dictionary chain.
+// Open loads a set from its manifest file: the segment files are read
+// and loaded in parallel, on at most GOMAXPROCS workers, verified against
+// the manifest's dictionary chain and fused, after which the set holds
+// only their fusion.
 func Open(path string) (*Set, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -236,26 +244,28 @@ func Open(path string) (*Set, error) {
 		return nil, err
 	}
 	dir := filepath.Dir(path)
-	stores := make([]*storage.Store, len(man.Segments))
-	savedAs := make([]string, len(man.Segments))
-	err = xpar.ForEach(len(stores), len(stores), func(i int) error {
-		savedAs[i] = filepath.Join(dir, man.Segments[i])
-		st, err := storage.OpenFile(savedAs[i])
+	parts := make([]*storage.Store, len(man.Segments))
+	segs := make([]segment, len(man.Segments))
+	err = xpar.ForEach(runtime.GOMAXPROCS(0), len(parts), func(i int) error {
+		full := filepath.Join(dir, man.Segments[i])
+		data, err := os.ReadFile(full)
+		if err == nil {
+			parts[i], err = storage.LoadBinary(data)
+		}
 		if err != nil {
 			return fmt.Errorf("partition: opening segment %d (%s): %w", i, man.Segments[i], err)
 		}
-		stores[i] = st
+		segs[i] = segment{size: len(data), savedAs: full}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	seqs := make([]int, len(stores))
-	for i := range seqs {
-		seqs[i] = i
+	if err := validateSegments(man, parts); err != nil {
+		return nil, err
 	}
-	set := newSegmentSet(man, stores, seqs, savedAs)
-	if err := set.validateSegments(); err != nil {
+	set := &Set{Segments: man, segs: segs}
+	if set.store, err = fuse(parts, set.OriginalSize()); err != nil {
 		return nil, err
 	}
 	return set, nil
@@ -264,74 +274,78 @@ func Open(path string) (*Set, error) {
 // validateSegments checks the opened stores against the manifest:
 // per-segment dictionary hashes, the prefix-extension chain (segment
 // i+1's dictionary must extend segment i's), and the shared root tag.
-func (s *Set) validateSegments() error {
-	man := s.Segments
-	for i, st := range s.Stores {
+func validateSegments(man *SegmentManifest, parts []*storage.Store) error {
+	for i, st := range parts {
 		if got := DictionaryHash(st.Names); got != man.DictHashes[i] {
 			return fmt.Errorf("partition: segment %d dictionary hash %.12s does not match manifest %.12s (mixed segment builds?)", i, got, man.DictHashes[i])
 		}
 		if tag := st.TagOf(1); tag != man.RootTag {
 			return fmt.Errorf("partition: segment %d root <%s> does not match manifest root <%s>", i, tag, man.RootTag)
 		}
-		if i == 0 {
-			continue
-		}
-		prev := s.Stores[i-1].Names
-		if len(st.Names) < len(prev) {
-			return fmt.Errorf("partition: segment %d dictionary shrinks the chain", i)
-		}
-		for j, name := range prev {
-			if st.Names[j] != name {
-				return fmt.Errorf("partition: segment %d dictionary diverges from segment %d at name %d (%q vs %q)", i, i-1, j, st.Names[j], name)
-			}
+		if prev := parts[max(i-1, 0)].Names; len(st.Names) < len(prev) || !slices.Equal(st.Names[:len(prev)], prev) {
+			return fmt.Errorf("partition: segment %d dictionary does not extend segment %d's", i, i-1)
 		}
 	}
 	return nil
 }
 
-// spliceSegments names the pieces of the concatenated corpus: the base's
-// structure up to its root's close, every later segment's root content,
-// and the close.
-func (s *Set) spliceSegments(f *storage.Fusion) error {
+// spliceSegments builds the store of the concatenated corpus of parts:
+// storage.Fusion copies the pieces it names — the base's structure up to
+// its root's close, every later part's root content, and the close —
+// merges the containers and proves the result, in the compressed domain
+// throughout: nothing is serialized or parsed.
+func spliceSegments(parts []*storage.Store) (*storage.Store, error) {
+	f := storage.NewFusion(parts)
 	_, end := f.Span(0, 1)
 	f.Add(0, 0, end)
-	for i, st := range s.Stores[1:] {
+	for i, st := range parts[1:] {
 		if st.NumNodes() > 1 && st.IsAttr(2) {
-			return fmt.Errorf("segment %d root <%s> carries attributes (unsupported in a concatenation)", i+1, st.TagOf(1))
+			return nil, fmt.Errorf("segment %d root <%s> carries attributes (unsupported in a concatenation)", i+1, st.TagOf(1))
 		}
 		_, inner := f.Span(i+1, 1)
 		f.Add(i+1, 1, inner)
 	}
 	f.Add(0, end, end+1)
-	return nil
+	return f.Store()
 }
 
 // Save writes the set next to the manifest at path (conventionally
 // ending in SegmentManifestExt): the segment files first, named after the
-// manifest's base name, the manifest last. Only segments not already on
-// disk at their target are written; stale segment files from superseded
-// sets are removed after the manifest is in place.
+// manifest's base name, the manifest last. A segment already on disk at
+// its target is not written; one saved elsewhere is copied from its file
+// byte for byte, and one never saved is written from the bytes the set
+// kept, which it drops once the manifest is in place — so a Save that
+// fails loses nothing. Stale segment files from superseded sets are
+// removed after the manifest is in place.
 func (s *Set) Save(path string) error {
 	dir := filepath.Dir(path)
 	base := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	man := s.Segments
-	for i, st := range s.Stores {
-		name := man.Segments[i]
-		if name == "" {
-			name = fmt.Sprintf("%s.seg-%06d.xqc", base, s.seqs[i])
-			man.Segments[i] = name
+	saved := make([]string, len(s.segs))
+	for i, g := range s.segs {
+		if man.Segments[i] == "" {
+			man.Segments[i] = fmt.Sprintf("%s.seg-%06d.xqc", base, g.seq)
 		}
-		full := filepath.Join(dir, name)
-		if s.savedAs[i] == full {
+		if saved[i] = filepath.Join(dir, man.Segments[i]); saved[i] == g.savedAs {
 			continue
 		}
-		if err := st.SaveFile(full); err != nil {
+		data := g.data
+		var err error
+		if data == nil {
+			data, err = os.ReadFile(g.savedAs)
+		}
+		if err == nil {
+			err = os.WriteFile(saved[i], data, 0o644)
+		}
+		if err != nil {
 			return err
 		}
-		s.savedAs[i] = full
 	}
 	if err := writeManifest(path, man); err != nil {
 		return err
+	}
+	for i := range s.segs {
+		s.segs[i].savedAs, s.segs[i].data = saved[i], nil
 	}
 	s.gcStale(dir, base)
 	return nil

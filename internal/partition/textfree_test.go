@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-// TestFusedIsTextFree walks the static call graph below Set.Fused and
+// TestFusedIsTextFree walks the static call graph below fuse and
 // below Set.Compact through this package and storage — type-checked, so
 // a call is the function it names — and fails if it reaches
 // storage.Load, the XML parser, or any package of the module that sits
@@ -114,13 +114,13 @@ func TestFusedIsTextFree(t *testing.T) {
 		return seen
 	}
 	for start, musts := range map[string][]string{
-		"(*xquec/internal/partition.Set).Fused": {
-			"(*xquec/internal/partition.Set).spliceSegments",
+		"xquec/internal/partition.fuse": {
+			"xquec/internal/partition.spliceSegments", "(*xquec/internal/storage.Fusion).Store",
 			"(*xquec/internal/storage.Fusion).merge", "(*xquec/internal/storage.Fusion).rebuild",
 			"(*xquec/internal/storage.Store).deriveFromSuccinct", "xquec/internal/storage.buildContainer",
 		},
 		"(*xquec/internal/partition.Set).Compact": {
-			"(*xquec/internal/partition.Set).Fused", "xquec/internal/storage.DecodeValues", "(*xquec/internal/storage.Values).Store",
+			"xquec/internal/storage.DecodeValues", "(*xquec/internal/storage.Values).Store",
 			"(*xquec/internal/storage.Store).buildContainers", "xquec/internal/storage.buildContainer",
 			"(*xquec/internal/storage.Store).deriveFromSuccinct",
 		},
@@ -137,7 +137,7 @@ func TestFusedIsTextFree(t *testing.T) {
 // TestNoScatterPath guards against the scatter path growing back. The
 // package is manifests plus fusion, so its non-test files import no query
 // layer, and no non-test identifier of the module names a scatter, a
-// fan-out or a bind hook: every query over a set runs on Set.Fused.
+// fan-out or a bind hook: every query over a set runs on Set.Store.
 func TestNoScatterPath(t *testing.T) {
 	fset := token.NewFileSet()
 	root, err := filepath.Abs("../..")

@@ -147,7 +147,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	histo("xquecd_compaction_seconds", "Compaction wall-clock duration.", &m.compaction)
 	perRepo("xquecd_repo_segments", "Segment count per appended-to repository.", s.segmentCounts())
 
-	counter("xquecd_fusions_total", "Fused stores built: the first query on a set after an open, append or swap.", part.Fusions)
+	counter("xquecd_fusions_total", "Fused stores built: one per open of a segment set, append commit, or cut.", part.Fusions)
 	family("xquecd_fusion_seconds_total", "counter", "Time spent building fused stores.")
 	fmt.Fprintf(w, "xquecd_fusion_seconds_total %g\n", float64(part.FusionNanos)/1e9)
 }

@@ -33,20 +33,6 @@ func (f Footprint) Minimal() int {
 	return f.Dictionary + f.StructureBP + f.StructureTree + f.Containers + f.SourceModels
 }
 
-// Add returns the component-wise sum — the aggregation used for a
-// repository made of several physical stores (base store plus segment
-// sets), so AccessOverheadFactor reflects the whole repository rather
-// than just the base store.
-func (f Footprint) Add(g Footprint) Footprint {
-	f.Dictionary += g.Dictionary
-	f.StructureBP += g.StructureBP
-	f.StructureTree += g.StructureTree
-	f.Summary += g.Summary
-	f.Containers += g.Containers
-	f.SourceModels += g.SourceModels
-	return f
-}
-
 // AccessOverheadFactor returns Total / Minimal.
 func (f Footprint) AccessOverheadFactor() float64 {
 	m := f.Minimal()

@@ -2,6 +2,7 @@ package xquec
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 
@@ -50,7 +51,7 @@ func NewWriter(db *Database, opts Options) (*Writer, error) {
 		if err != nil {
 			return nil, err
 		}
-		db = &Database{set: segs}
+		db = setDB(segs)
 	}
 	return &Writer{db: db, opts: opts}, nil
 }
@@ -106,13 +107,14 @@ func (w *Writer) Pending() int {
 	return len(w.pending)
 }
 
-// Commit ingests every staged document as an append segment and
-// publishes the grown Database (also returned). Each appended
-// document's compression plan is resolved independently under the
-// Writer's Options. With nothing staged, Commit is a no-op returning
-// the current handle. On error nothing is published; the document that
-// failed to ingest — it never will — is dropped from the staging area so
-// that it cannot block later commits, the others remain staged.
+// Commit ingests every staged document as an append segment, fuses them
+// onto the repository's store at once, and publishes the grown Database
+// (also returned). Each appended document's compression plan is
+// resolved independently under the Writer's Options. With nothing
+// staged, Commit is a no-op returning the current handle. On error
+// nothing is published; the document that failed to ingest — it never
+// will — is dropped from the staging area so that it cannot block later
+// commits, the others remain staged.
 func (w *Writer) Commit() (*Database, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -123,16 +125,15 @@ func (w *Writer) commitLocked() (*Database, error) {
 	if len(w.pending) == 0 {
 		return w.db, nil
 	}
-	segs := w.db.set
-	for i, doc := range w.pending {
-		plan, err := resolvePlan(w.opts, docContainers(doc))
-		if err == nil {
-			segs, err = segs.Append([][]byte{doc}, storage.LoadOptions{Plan: plan, Parallelism: w.opts.Parallelism})
-		}
-		if err != nil {
-			w.pending = append(w.pending[:i:i], w.pending[i+1:]...)
-			return nil, err
-		}
+	segs, failed, err := w.db.set.Append(w.pending, func(i int) (storage.LoadOptions, error) {
+		plan, err := resolvePlan(w.opts, docContainers(w.pending[i]))
+		return storage.LoadOptions{Plan: plan, Parallelism: w.opts.Parallelism}, err
+	})
+	if failed >= 0 {
+		w.pending = slices.Delete(w.pending, failed, failed+1)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return w.publishLocked(segs)
 }
@@ -146,8 +147,8 @@ func (w *Writer) commitLocked() (*Database, error) {
 // repository Compress would build from the decompressed corpus under
 // the Writer's Options, with the original size still the bytes
 // ingested. Readers of previously returned handles are unaffected —
-// their segment set is immutable. ctx is checked between the fuse, the
-// plan search and the rebuild.
+// their segment set is immutable. ctx is checked between the decode,
+// the plan search and the rebuild.
 func (w *Writer) Compact(ctx context.Context) (*Database, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -155,7 +156,7 @@ func (w *Writer) Compact(ctx context.Context) (*Database, error) {
 		return nil, err
 	}
 	segs := w.db.set
-	if len(segs.Stores) == 1 {
+	if len(segs.Segments.Segments) == 1 {
 		return w.db, nil
 	}
 	compacted, err := segs.Compact(ctx, w.opts.Parallelism, func(vals *storage.Values) (*CompressionPlan, error) {
@@ -177,7 +178,7 @@ func (w *Writer) publishLocked(segs *partition.Set) (*Database, error) {
 			return nil, err
 		}
 	}
-	db := &Database{set: segs}
+	db := setDB(segs)
 	w.pending = nil
 	w.db = db
 	if w.onSwap != nil {

@@ -107,13 +107,17 @@ type Options struct {
 // builds a new Database value and readers of the old one keep their
 // snapshot.
 type Database struct {
-	// Exactly one of store and set is non-nil. set holds a segment set
-	// (Options.Shards ≥ 2, a Writer's Commit, Open on a manifest): several
-	// repositories sharing one name dictionary, whose queries all run on
-	// the lazily fused single store (db.fused).
+	// store is the one store every query runs on: the repository, or
+	// the fused store of set. set is non-nil for a segment set
+	// (Options.Shards ≥ 2, a Writer's Commit, Open on a manifest): how
+	// the corpus is persisted, as segment files sharing one name
+	// dictionary.
 	store *storage.Store
 	set   *partition.Set
 }
+
+// setDB is the Database of a segment set.
+func setDB(set *partition.Set) *Database { return &Database{store: set.Store(), set: set} }
 
 // Compress parses and compresses an XML document into a Database. With
 // Options.Shards ≥ 2 the document is cut into a segment set (see the
@@ -129,7 +133,7 @@ func Compress(doc []byte, opts Options) (*Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Database{set: set}, nil
+		return setDB(set), nil
 	}
 	s, err := storage.Load(doc, load)
 	if err != nil {
@@ -219,7 +223,7 @@ func Open(path string) (*Database, error) {
 		if err != nil {
 			return nil, openErr(fmt.Errorf("xquec: open repository set %s: %w", path, err))
 		}
-		return &Database{set: set}, nil
+		return setDB(set), nil
 	}
 	s, err := storage.OpenFile(path)
 	if err != nil {
@@ -271,7 +275,7 @@ func (db *Database) Segmented() bool { return db.set != nil }
 // Segments returns the segment count (1 for an unsegmented database).
 func (db *Database) Segments() int {
 	if db.Segmented() {
-		return len(db.set.Stores)
+		return len(db.set.Segments.Segments)
 	}
 	return 1
 }
@@ -289,16 +293,6 @@ func (db *Database) TopologyKey() string {
 	return fmt.Sprintf("store=%p", db.store)
 }
 
-// fused returns the single-store view: the store itself, or the
-// segment set's lazily reconstructed fusion.
-func (db *Database) fused() (*storage.Store, error) {
-	if db.set != nil {
-		s, err := db.set.Fused()
-		return s, tagErr(ErrCorruptRepository, err)
-	}
-	return db.store, nil
-}
-
 // SaveFile persists the database: one repository file, or — for a
 // segmented database — the manifest at path plus one repository file per
 // segment next to it, named after the manifest's base name.
@@ -311,24 +305,13 @@ func (db *Database) SaveFile(path string) error {
 
 // Bytes serializes the database. For a segmented database this is the
 // fused single-repository serialization (segment sets are a multi-file
-// layout; use SaveFile to persist one); nil if fusion fails.
-func (db *Database) Bytes() []byte {
-	s, err := db.fused()
-	if err != nil {
-		return nil
-	}
-	return s.AppendBinary(nil)
-}
+// layout; use SaveFile to persist one).
+func (db *Database) Bytes() []byte { return db.store.AppendBinary(nil) }
 
 // Decompress reconstructs the original XML document (modulo
 // insignificant whitespace) from the compressed repository — for a
 // segmented database, the corpus its segments concatenate to.
-func (db *Database) Decompress() ([]byte, error) {
-	if db.set != nil {
-		return db.set.FuseXML()
-	}
-	return db.store.Serialize(nil, 1)
-}
+func (db *Database) Decompress() ([]byte, error) { return db.store.Serialize(nil, 1) }
 
 // QueryOptions configures one evaluation.
 type QueryOptions struct {
@@ -388,20 +371,16 @@ func (db *Database) Execute(ctx context.Context, q string, opts QueryOptions) (*
 // serving plan cache stores. Compilation is eager here so the cache can
 // account the compiled program's bytes at admission time, and so a
 // query that does not compile fails here, tagged ErrEval. On a segment
-// set the program compiles against the set's fused store, which
-// the first Prepare on the set builds. The prepared query is bound to
-// this Database and is safe for concurrent Execute calls: the compiled
-// program is never mutated and every execution gets fresh run state.
+// set the program compiles against the set's fused store. The prepared
+// query is bound to this Database and is safe for concurrent Execute
+// calls: the compiled program is never mutated and every execution gets
+// fresh run state.
 func (db *Database) Prepare(q string) (*Prepared, error) {
 	expr, err := xquery.Parse(q)
 	if err != nil {
 		return nil, tagErr(ErrParse, err)
 	}
-	st, err := db.fused()
-	if err != nil {
-		return nil, err
-	}
-	prog, err := engine.Compile(expr, st, q)
+	prog, err := engine.Compile(expr, db.store, q)
 	if err != nil {
 		return nil, tagErr(ErrEval, err)
 	}
@@ -448,7 +427,7 @@ func (db *Database) Explain(q string) (string, error) {
 	}
 	var head string
 	if set := db.set; set != nil {
-		if parts := len(set.Stores); parts == 1 {
+		if parts := len(set.Segments.Segments); parts == 1 {
 			head = "single segment; evaluate directly\n"
 		} else {
 			head = fmt.Sprintf("evaluate on the fused store of %d segments\n", parts)
@@ -467,8 +446,7 @@ func (db *Database) MustQuery(q string) *Results {
 }
 
 // CompressionFactor is the paper's CF metric: 1 − compressed/original
-// for the serialized repository (summed over the segments when
-// segmented).
+// for the serialized repository (the segment files when segmented).
 func (db *Database) CompressionFactor() float64 {
 	s := db.Stats()
 	if s.OriginalBytes == 0 {
@@ -477,77 +455,53 @@ func (db *Database) CompressionFactor() float64 {
 	return 1 - float64(s.CompressedBytes)/float64(s.OriginalBytes)
 }
 
-// memberStores lists every physical store of the database: the single
-// repository, or all segments.
-func (db *Database) memberStores() []*storage.Store {
-	if db.set != nil {
-		return db.set.Stores
-	}
-	return []*storage.Store{db.store}
-}
+// Footprint is the in-memory component sizes of the store queries run
+// on: a segment set holds no other.
+func (db *Database) Footprint() storage.Footprint { return db.store.Footprint() }
 
-// Footprint aggregates the in-memory component sizes over every member
-// repository (the base store and every later segment), so
-// AccessOverheadFactor reflects the whole database rather than just
-// the base store.
-func (db *Database) Footprint() storage.Footprint {
-	var f storage.Footprint
-	for _, st := range db.memberStores() {
-		f = f.Add(st.Footprint())
-	}
-	return f
-}
-
-// ResidentBytes is the database's total in-memory size across all
-// member repositories — what the server exports per repository as the
-// xquecd_repo_resident_bytes gauge.
+// ResidentBytes is the database's total in-memory size — what the
+// server exports per repository as the xquecd_repo_resident_bytes gauge.
 func (db *Database) ResidentBytes() int { return db.Footprint().Total() }
 
 // StructureBitsPerNode reports the density of the succinct structure
 // encoding — paren bits, rank/select directories, the rmM tree, and
-// node marks — aggregated over all member repositories, in bits per
-// tree node (elements + attributes + text values).
+// node marks — in bits per tree node (elements + attributes + text
+// values).
 func (db *Database) StructureBitsPerNode() float64 {
-	bits, nodes := 0, 0
-	for _, s := range db.memberStores() {
-		bp, marks, n := s.StructureStats()
-		bits += bp + marks
-		nodes += n
-	}
-	if nodes == 0 {
+	bp, marks, n := db.store.StructureStats()
+	if n == 0 {
 		return 0
 	}
-	return float64(bits) / float64(nodes)
+	return float64(bp+marks) / float64(n)
 }
 
-// Stats summarizes the database; for a segmented database the sizes and
-// counts aggregate over all member repositories (a segment set
-// duplicates the root element per segment).
+// Stats summarizes the database. For a segment set, CompressedBytes is
+// the bytes of its segment files and the rest describes its fused store.
 func (db *Database) Stats() Stats {
-	var agg Stats
+	st := db.store
+	f := st.Footprint()
+	s := Stats{
+		OriginalBytes:   st.OriginalSize,
+		Nodes:           st.NumNodes(),
+		Containers:      len(st.Containers),
+		SourceModels:    len(st.Models),
+		SummaryNodes:    len(st.Sum.Nodes()),
+		InMemoryTotal:   f.Total(),
+		InMemoryMinimal: f.Minimal(),
+	}
 	if db.set != nil {
-		agg.OriginalBytes = db.set.OriginalSize()
+		s.CompressedBytes = db.set.CompressedSize()
 	} else {
-		agg.OriginalBytes = db.store.OriginalSize
+		s.CompressedBytes = len(st.AppendBinary(nil))
 	}
-	for _, st := range db.memberStores() {
-		f := st.Footprint()
-		agg.CompressedBytes += len(st.AppendBinary(nil))
-		agg.Nodes += st.NumNodes()
-		agg.Containers += len(st.Containers)
-		agg.SourceModels += len(st.Models)
-		agg.SummaryNodes += len(st.Sum.Nodes())
-		agg.InMemoryTotal += f.Total()
-		agg.InMemoryMinimal += f.Minimal()
-	}
-	return agg
+	return s
 }
 
 // IngestStats reports the compressor pipeline's phase timings and
-// worker count for this database (the base segment's pipeline when
-// segmented). Zero for databases opened from disk — the timings
-// describe a Compress run, not the repository itself.
-func (db *Database) IngestStats() storage.BuildStats { return db.memberStores()[0].Build }
+// worker count for the store queries run on. Zero for databases opened
+// from disk and for a fused store — the timings describe one ingest, not
+// the repository itself.
+func (db *Database) IngestStats() storage.BuildStats { return db.store.Build }
 
 // Stats is a database summary.
 type Stats struct {
@@ -576,27 +530,21 @@ type ContainerInfo struct {
 	Group     string
 	Records   int
 	Bytes     int // compressed payload
-	Segment   int // owning segment (0 for unsegmented databases)
 }
 
-// Containers lists the database's value containers. For a segmented
-// database the listing concatenates every segment's containers (Segment
-// identifies the owner; the same path appears once per segment holding
-// values for it).
+// Containers lists the value containers of the store queries run on (a
+// segment set's fused store).
 func (db *Database) Containers() []ContainerInfo {
 	var out []ContainerInfo
-	for i, st := range db.memberStores() {
-		for _, c := range st.Containers {
-			out = append(out, ContainerInfo{
-				Path:      c.Path,
-				Kind:      c.Kind.String(),
-				Algorithm: c.Codec().Name(),
-				Group:     c.Group,
-				Records:   c.Len(),
-				Bytes:     c.CompressedBytes(),
-				Segment:   i,
-			})
-		}
+	for _, c := range db.store.Containers {
+		out = append(out, ContainerInfo{
+			Path:      c.Path,
+			Kind:      c.Kind.String(),
+			Algorithm: c.Codec().Name(),
+			Group:     c.Group,
+			Records:   c.Len(),
+			Bytes:     c.CompressedBytes(),
+		})
 	}
 	return out
 }

@@ -39,7 +39,7 @@ func TestCompactEqualsReingest(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				xml, err := grown.set.FuseXML()
+				xml, err := grown.Decompress()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -413,5 +415,62 @@ func TestSetCancelMidDrain(t *testing.T) {
 	}
 	if _, err := xquec.ResultXML(res); !errors.Is(err, ctx.Err()) {
 		t.Fatalf("drain after cancel = %v, want %v", err, ctx.Err())
+	}
+}
+
+// TestCutHeapMatchesSingle: a segment set holds one store, the fusion of
+// its segments, so a 4-part cut opened from disk holds, warm, the heap of
+// the single repository of the same corpus, within 10 %. Heap is
+// HeapAlloc after two collections, before the open and after one pass of
+// the XMark queries.
+func TestCutHeapMatchesSingle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale-1 ingest")
+	}
+	doc := datagen.XMark(datagen.XMarkConfig{Scale: 1, Seed: 1})
+	dir := t.TempDir()
+	single, cut := filepath.Join(dir, "single.xqc"), filepath.Join(dir, "cut.xqcg")
+	for path, opts := range map[string]xquec.Options{single: {}, cut: {Shards: 4}} {
+		db, err := xquec.Compress(doc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heapAlloc := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	warmHeap := func(path string) int64 {
+		before := heapAlloc()
+		db, err := xquec.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range xmarkq.Queries() {
+			res, err := db.Execute(context.Background(), q.Text, xquec.QueryOptions{})
+			if err == nil {
+				_, err = res.WriteXML(io.Discard)
+				res.Close()
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", q.ID, err)
+			}
+		}
+		heap := heapAlloc() - before
+		runtime.KeepAlive(db)
+		return heap
+	}
+	one, four := warmHeap(single), warmHeap(cut)
+	ratio := float64(four) / float64(one)
+	t.Logf("warm heap per document byte: single %.3f, 4-part cut %.3f (ratio %.3f)",
+		float64(one)/float64(len(doc)), float64(four)/float64(len(doc)), ratio)
+	if ratio < 0.9 || ratio > 1.1 {
+		t.Fatalf("a 4-part cut holds %.2f× the warm heap of the single repository, want within 10 %%", ratio)
 	}
 }

@@ -20,8 +20,8 @@ import (
 const fuseFragScale = 0.016
 
 // segmentSets returns segment sets of a scale-`scale` base and 0..frags
-// appended fragments: sets[k] has k fragments. Appending to sets[k-1]
-// again yields a fresh, not yet fused, value of sets[k].
+// appended fragments: sets[k] has k fragments, and its store is the
+// fusion of sets[k-1]'s with fragment k.
 func segmentSets(tb testing.TB, scale float64, frags int) (sets []*partition.Set, docs [][]byte) {
 	tb.Helper()
 	db, err := Compress(datagen.XMark(datagen.XMarkConfig{Scale: scale, Seed: 1}), Options{})
@@ -35,7 +35,7 @@ func segmentSets(tb testing.TB, scale float64, frags int) (sets []*partition.Set
 	sets = append(sets, w.DB().set)
 	for k := 0; k < frags; k++ {
 		docs = append(docs, datagen.XMark(datagen.XMarkConfig{Scale: fuseFragScale, Seed: int64(100 + k)}))
-		set, err := sets[k].Append(docs[k:], storage.LoadOptions{})
+		set, _, err := sets[k].Append(docs[k:], defaultLoad)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -43,6 +43,9 @@ func segmentSets(tb testing.TB, scale float64, frags int) (sets []*partition.Set
 	}
 	return sets, docs
 }
+
+// defaultLoad loads every appended document under the default options.
+func defaultLoad(int) (storage.LoadOptions, error) { return storage.LoadOptions{}, nil }
 
 // answer runs q and returns the whole result as text.
 func answer(t *testing.T, db *Database, q string) string {
@@ -59,12 +62,12 @@ func answer(t *testing.T, db *Database, q string) string {
 	return out
 }
 
-// reingest is what Fused did before it spliced: the corpus as text,
-// loaded again. It is the reference the spliced store is measured and
-// compared against.
+// reingest is what a set's fusion replaced: the corpus as text, loaded
+// again. It is the reference the spliced store is measured and compared
+// against.
 func reingest(tb testing.TB, set *partition.Set) *storage.Store {
 	tb.Helper()
-	xml, err := set.FuseXML()
+	xml, err := set.Store().Serialize(nil, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -75,27 +78,28 @@ func reingest(tb testing.TB, set *partition.Set) *storage.Store {
 	return st
 }
 
-// BenchmarkFuse measures building a set's fused store — what the first
-// query on a set after an append, a swap or an open pays: ns/op, allocs/op and B/op of Set.Fused on a set not fused
-// before, for a scale-2 base with 1–3 appended fragments and for the
-// scale-8 document cut into four parts (Options.Shards), each next to the
-// re-ingest it replaced; then Q8 and Q19 on both stores of the cut set.
+// BenchmarkFuse measures what building a set's fused store costs the
+// operation that builds it: ns/op, allocs/op and B/op of an Append of one
+// fragment onto a scale-2 base with 0–2 fragments (ingest, serialize and
+// fuse), and of an Open of the scale-8 document cut into four parts
+// (Options.Shards; read, load and fuse), each next to the re-ingest a
+// fusion replaces, with fuse-ms the fusion's own share; then Q8 and Q19
+// on both stores of the cut set.
 func BenchmarkFuse(b *testing.B) {
 	sets, docs := segmentSets(b, 2, 3)
+	fuseMS := func(b *testing.B, from partition.Stats) {
+		b.ReportMetric(float64(partition.Snapshot().FusionNanos-from.FusionNanos)/1e6/float64(b.N), "fuse-ms")
+	}
 	for k := 1; k <= 3; k++ {
 		b.Run(fmt.Sprintf("segments/frags=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
+			from := partition.Snapshot()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				set, err := sets[k-1].Append(docs[k-1:k], storage.LoadOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := set.Fused(); err != nil {
+				if _, _, err := sets[k-1].Append(docs[k-1:k], defaultLoad); err != nil {
 					b.Fatal(err)
 				}
 			}
+			fuseMS(b, from)
 		})
 	}
 	b.Run("segments/frags=3/reingest", func(b *testing.B) {
@@ -115,22 +119,15 @@ func BenchmarkFuse(b *testing.B) {
 	}
 	b.Run("cut=4", func(b *testing.B) {
 		b.ReportAllocs()
+		from := partition.Snapshot()
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			set, err := partition.Open(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if _, err := set.Fused(); err != nil {
+			if _, err := partition.Open(path); err != nil {
 				b.Fatal(err)
 			}
 		}
+		fuseMS(b, from)
 	})
-	spliced, err := cut.set.Fused()
-	if err != nil {
-		b.Fatal(err)
-	}
+	spliced := cut.set.Store()
 	b.Run("cut=4/reingest", func(b *testing.B) { // serialize (the splice is done), parse, train, encode
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -155,57 +152,71 @@ func BenchmarkFuse(b *testing.B) {
 	}
 }
 
-// TestFuseBudget keeps per-record allocation out of the fusion: a
-// scale-2 base with three fragments fuses in a number of allocations
-// proportional to its containers (fused container, record array, arena,
-// summary nodes and their extents), not to its values.
+// TestFuseBudget keeps per-record allocation out of the fusion: the
+// allocations of an Append of the third fragment onto a scale-2 base
+// with two, beyond those of ingesting and serializing the fragment alone,
+// are proportional to the containers (fused container, record array,
+// arena, summary nodes and their extents), not to the values.
 func TestFuseBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale-2 ingest")
 	}
 	sets, docs := segmentSets(t, 2, 3)
+	opts := storage.LoadOptions{Parallelism: 1}
+	mallocs := func(f func() error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
 	const runs = 3
 	var allocs uint64
 	var fused *storage.Store
 	for i := 0; i < runs; i++ {
-		set, err := sets[2].Append(docs[2:], storage.LoadOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if fused, err = set.Fused(); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		allocs += after.Mallocs - before.Mallocs
+		appended := mallocs(func() error {
+			set, _, err := sets[2].Append(docs[2:], func(int) (storage.LoadOptions, error) { return opts, nil })
+			if err == nil {
+				fused = set.Store()
+			}
+			return err
+		})
+		ingest := mallocs(func() error {
+			o := opts
+			o.Dictionary = sets[2].Store().Names
+			st, err := storage.Load(docs[2], o)
+			if err == nil {
+				st.AppendBinary(nil)
+			}
+			return err
+		})
+		allocs += appended - min(ingest, appended)
 	}
 	perRun, budget := allocs/runs, uint64(4*len(fused.Containers)+2000)
-	t.Logf("fusing 4 segments: %d allocations, %d containers, budget %d", perRun, len(fused.Containers), budget)
+	t.Logf("fusing a fragment onto 3 segments: %d allocations, %d containers, budget %d", perRun, len(fused.Containers), budget)
 	if perRun > budget {
-		t.Errorf("fusing 4 segments made %d allocations, budget %d", perRun, budget)
+		t.Errorf("fusing a fragment onto 3 segments made %d allocations, budget %d", perRun, budget)
 	}
 }
 
-// TestFuseWhileQuerying: parts are immutable, so a fusion may run while
-// other goroutines stream from the same parts. Under -race this fails on
-// any write to a part (a record's owner, a value ref, a model).
+// TestFuseWhileQuerying: a set's store is immutable, so Append may fuse
+// from it while other goroutines stream from the handle that holds it.
+// Under -race this fails on any write to that store (a record's owner, a
+// value ref, a model).
 func TestFuseWhileQuerying(t *testing.T) {
 	sets, docs := segmentSets(t, 0.1, 2)
-	base := &Database{set: sets[2]}
-	want := answer(t, base, xmarkq.Q2)
+	want := answer(t, setDB(sets[2]), xmarkq.Q2)
+	prev := setDB(sets[1])
+	before := answer(t, prev, xmarkq.Q2)
 	for round := 0; round < 3; round++ {
-		set, err := sets[1].Append(docs[1:], storage.LoadOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db := &Database{set: set}
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, err := db.Execute(context.Background(), xmarkq.Q2, QueryOptions{Parallelism: 1})
+				res, err := prev.Execute(context.Background(), xmarkq.Q2, QueryOptions{Parallelism: 1})
 				if err != nil {
 					t.Error(err)
 					return
@@ -215,12 +226,16 @@ func TestFuseWhileQuerying(t *testing.T) {
 				}
 			}()
 		}
-		if _, err := set.Fused(); err != nil {
+		set, _, err := sets[1].Append(docs[1:2], defaultLoad)
+		wg.Wait()
+		if err != nil {
 			t.Fatal(err)
 		}
-		wg.Wait()
-		if got := answer(t, db, xmarkq.Q2); got != want {
+		if got := answer(t, setDB(set), xmarkq.Q2); got != want {
 			t.Fatalf("round %d: Q2 differs after a concurrent fusion", round)
+		}
+		if got := answer(t, prev, xmarkq.Q2); got != before {
+			t.Fatalf("round %d: Q2 on the previous handle changed", round)
 		}
 	}
 }

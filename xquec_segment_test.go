@@ -1,11 +1,15 @@
 package xquec_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -272,6 +276,178 @@ func TestWriterSaveOpenRoundTrip(t *testing.T) {
 	}
 	if db4.Segments() != 4 {
 		t.Fatalf("reopened+appended Segments() = %d, want 4", db4.Segments())
+	}
+}
+
+// TestHostileManifests: a manifest names segment files; Open refuses,
+// as ErrCorruptRepository and before reading any segment, one that
+// names a file outside the manifest's directory — even one that exists —
+// lists a segment twice, or gives a negative original size.
+func TestHostileManifests(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m", "auction.xqcg")
+	if err := os.Mkdir(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	db, err := xquec.Compress(datagen.XMark(datagen.XMarkConfig{Scale: 0.01, Seed: 63}), xquec.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var valid partition.SegmentManifest
+	if err := json.Unmarshal(readFileT(t, path), &valid); err != nil {
+		t.Fatal(err)
+	}
+	first := valid.Segments[0]
+	cases := []struct {
+		name  string
+		spoil func(m *partition.SegmentManifest)
+	}{
+		{"parent directory", func(m *partition.SegmentManifest) { m.Segments[0] = "../m/" + first }},
+		{"subdirectory", func(m *partition.SegmentManifest) { m.Segments[0] = "./" + first }},
+		{"absolute", func(m *partition.SegmentManifest) { m.Segments[0] = filepath.Join(filepath.Dir(path), first) }},
+		{"dot", func(m *partition.SegmentManifest) { m.Segments[0] = "." }},
+		{"dot dot", func(m *partition.SegmentManifest) { m.Segments[0] = ".." }},
+		{"empty", func(m *partition.SegmentManifest) { m.Segments[0] = "" }},
+		{"negative size", func(m *partition.SegmentManifest) { m.OriginalSizes[1] = -m.OriginalSizes[0] - 1 }},
+		{"duplicate", func(m *partition.SegmentManifest) {
+			m.Segments[1], m.DictHashes[1] = m.Segments[0], m.DictHashes[0]
+		}},
+	}
+	for _, tc := range cases {
+		m := valid
+		m.Segments = slices.Clone(valid.Segments)
+		m.DictHashes = slices.Clone(valid.DictHashes)
+		m.OriginalSizes = slices.Clone(valid.OriginalSizes)
+		tc.spoil(&m)
+		data, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hostile := filepath.Join(filepath.Dir(path), "hostile.xqcg")
+		writeFileT(t, hostile, data)
+		if _, err := xquec.Open(hostile); !errors.Is(err, xquec.ErrCorruptRepository) {
+			t.Errorf("%s: Open = %v, want ErrCorruptRepository", tc.name, err)
+		}
+	}
+}
+
+// TestOpenManyMissingSegments: a manifest naming 64 segments that do not
+// exist fails Open with the file system's typed error. (Open reads the
+// segments on at most GOMAXPROCS workers, not one per listed segment;
+// the test checks the error, not the worker count.)
+func TestOpenManyMissingSegments(t *testing.T) {
+	m := partition.SegmentManifest{Format: partition.SegmentManifestFormat, RootTag: "site", Generation: 1, Sequence: 64}
+	for i := 0; i < 64; i++ {
+		m.Segments = append(m.Segments, fmt.Sprintf("gone.seg-%06d.xqc", i))
+		m.DictHashes = append(m.DictHashes, partition.DictionaryHash([]string{"site"}))
+		m.OriginalSizes = append(m.OriginalSizes, 1)
+	}
+	data, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gone.xqcg")
+	writeFileT(t, path, data)
+	if _, err := xquec.Open(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Open of 64 missing segments = %v, want fs.ErrNotExist", err)
+	}
+}
+
+// TestSaveWithoutParts: a set keeps no segment's store, so SaveFile of
+// an opened set to a new path copies each segment file byte for byte,
+// and an appended segment not yet on disk is written from the bytes the
+// set kept for it. A Save that fails loses none of them — neither one
+// into a directory that cannot exist nor one whose manifest cannot be
+// written after its segments were — and a second Save elsewhere reopens
+// to the same answers.
+func TestSaveWithoutParts(t *testing.T) {
+	docs := segDocs(t, 2, 0.02)
+	dir := t.TempDir()
+	in := func(sub string) string {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return filepath.Join(dir, sub, "auction.xqcg")
+	}
+	segments := func(path string) [][]byte {
+		var m partition.SegmentManifest
+		if err := json.Unmarshal(readFileT(t, path), &m); err != nil {
+			t.Fatal(err)
+		}
+		var out [][]byte
+		for _, name := range m.Segments {
+			out = append(out, readFileT(t, filepath.Join(filepath.Dir(path), name)))
+		}
+		return out
+	}
+	cut, err := xquec.Compress(docs[0], xquec.Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := in("a")
+	if err := cut.SaveFile(first); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := xquec.Open(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := in("b")
+	if err := opened.SaveFile(copied); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(segments(copied), segments(first), bytes.Equal) {
+		t.Fatal("the segment files of a saved copy differ from those it was opened from")
+	}
+
+	w, err := xquec.NewWriter(opened, xquec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(docs[1]); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := w.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `FOR $i IN /site/regions//item RETURN $i/name/text()`
+	want := execXML(t, grown, q, xquec.QueryOptions{})
+	writeFileT(t, filepath.Join(dir, "file"), nil)
+	if err := grown.SaveFile(filepath.Join(dir, "file", "auction.xqcg")); err == nil {
+		t.Fatal("a Save under a regular file succeeded")
+	}
+	blocked := in("c")
+	if err := os.MkdirAll(filepath.Join(blocked, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := grown.SaveFile(blocked); err == nil {
+		t.Fatal("a Save whose manifest path is a directory succeeded")
+	}
+	saved := in("d")
+	if err := grown.SaveFile(saved); err != nil {
+		t.Fatal(err)
+	}
+	re, err := xquec.Open(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := execXML(t, re, q, xquec.QueryOptions{}); re.Segments() != 4 || got != want {
+		t.Fatalf("reopened %d segments answering %.100q, want 4 answering %.100q", re.Segments(), got, want)
+	}
+	files := segments(saved)
+	if !slices.EqualFunc(files[:3], segments(first), bytes.Equal) {
+		t.Fatal("the opened segments were not copied byte for byte")
+	}
+	total := 0
+	for _, f := range files {
+		total += len(f)
+	}
+	if st := re.Stats(); st.CompressedBytes != total || grown.Stats().CompressedBytes != total {
+		t.Fatalf("compressed bytes: reopened %d, saved %d, segment files %d", st.CompressedBytes, grown.Stats().CompressedBytes, total)
 	}
 }
 
