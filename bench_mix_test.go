@@ -41,7 +41,7 @@ func BenchmarkXMarkMix(b *testing.B) {
 		b.Run(q.ID, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := prep.Execute(context.Background(), QueryOptions{Parallelism: 1})
+				res, err := prep.Execute(context.Background(), QueryOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

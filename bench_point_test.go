@@ -69,7 +69,7 @@ func BenchmarkPointLookup(b *testing.B) {
 			b.Run(kind+"/"+where, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := prep.Execute(context.Background(), QueryOptions{Parallelism: 1})
+					res, err := prep.Execute(context.Background(), QueryOptions{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -101,7 +101,7 @@ func TestPointLookupFlat(t *testing.T) {
 				const reps = 200
 				start := time.Now()
 				for i := 0; i < reps; i++ {
-					res, err := prep.Execute(context.Background(), QueryOptions{Parallelism: 1})
+					res, err := prep.Execute(context.Background(), QueryOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -103,7 +103,7 @@ func BenchmarkStreamLarge(b *testing.B) {
 			var first time.Duration
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				res, err := prep.Execute(context.Background(), QueryOptions{Parallelism: 1})
+				res, err := prep.Execute(context.Background(), QueryOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,6 +4,7 @@
 package xquec
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -33,7 +34,7 @@ func runOnStore(s *storage.Store, q string) (*engine.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return prog.Run(engine.RunOptions{Parallelism: 1})
+	return prog.Run(context.Background())
 }
 
 // ---------------------------------------------------------------------

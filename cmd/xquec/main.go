@@ -6,7 +6,7 @@
 //	xquec compress [-o out.xqc] [-alg alm|huffman|hutucker|blob] doc.xml
 //	xquec append   [-compact] [-p workers] repo.xqc|set.xqcg doc.xml...
 //	xquec query    [-q query | -f query.xq] [-timeout 30s] [-n max]
-//	               [-p workers] [-cpuprofile out.pprof] [-explain] repo.xqc|set.xqcg
+//	               [-cpuprofile out.pprof] [-explain] repo.xqc|set.xqcg
 //	xquec stats    repo.xqc|set.xqcg
 //	xquec decompress repo.xqc|set.xqcg   # reconstruct the XML
 //
@@ -24,9 +24,8 @@
 //
 // Query results stream to stdout as they are produced: the first item
 // prints before the full evaluation finishes, and -n stops both the
-// output and the evaluation after that many items. -p grants the
-// evaluator an intra-query worker budget (0 = GOMAXPROCS); results are
-// identical at every setting.
+// output and the evaluation after that many items. A query is evaluated
+// serially, on one goroutine.
 //
 // Exit codes: 0 success, 1 error, 2 usage, 3 query timeout,
 // 4 query parse error, 5 corrupt repository.
@@ -102,7 +101,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   xquec compress [-o out.xqc] [-alg alm|huffman|hutucker|blob] [-p workers] [-v] doc.xml
   xquec append   [-compact] [-p workers] repo.xqc|set.xqcg doc.xml...
-  xquec query    [-q query | -f query.xq] [-timeout 30s] [-n max] [-p workers] [-cpuprofile file] [-explain] repo.xqc|set.xqcg
+  xquec query    [-q query | -f query.xq] [-timeout 30s] [-n max] [-cpuprofile file] [-explain] repo.xqc|set.xqcg
   xquec stats    repo.xqc|set.xqcg
   xquec decompress repo.xqc|set.xqcg`)
 	os.Exit(2)
@@ -206,7 +205,6 @@ func cmdQuery(args []string) error {
 	qf := fs.String("f", "", "file containing the query")
 	timeout := fs.Duration("timeout", 0, "abort evaluation after this long (0 = no limit)")
 	maxItems := fs.Int("n", 0, "stop after this many result items (0 = all); stops evaluation too")
-	par := fs.Int("p", 0, "intra-query worker count (0 = GOMAXPROCS, 1 = serial; results are identical)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the evaluation to this file")
 	explain := fs.Bool("explain", false, "print the plan, the compiled program's listing, instead of evaluating")
 	if err := fs.Parse(args); err != nil {
@@ -253,7 +251,7 @@ func cmdQuery(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	res, err := db.Execute(ctx, *q, xquec.QueryOptions{Parallelism: *par})
+	res, err := db.Execute(ctx, *q, xquec.QueryOptions{})
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			return fmt.Errorf("query exceeded %v: %w", *timeout, err)

@@ -7,9 +7,13 @@
 //
 //	xquecd -repos ./repos [-addr :8090] [-pool 8] [-plans 256]
 //	       [-timeout 30s] [-max-concurrent 16] [-flush-items 32]
-//	       [-query-parallelism 1] [-compact-after 0]
-//	       [-max-append-bytes 64MiB] [-append-parallelism 0]
-//	       [-pprof localhost:6060]
+//	       [-compact-after 0] [-max-append-bytes 64MiB]
+//	       [-append-parallelism 0] [-pprof localhost:6060]
+//
+// Each query is evaluated serially on one goroutine; queries run
+// concurrently with each other, up to -max-concurrent at a time.
+// -query-parallelism is accepted and ignored until the benchmark's load
+// generator stops passing it (ROADMAP item 1(d)).
 //
 // The repository directory may hold single repositories (name.xqc) and
 // segment-set manifests (name.xqcg, from appends; name.xqcs, from
@@ -61,7 +65,7 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-query evaluation deadline")
 	maxConc := flag.Int("max-concurrent", 0, "max concurrently evaluating queries (0 = 2×GOMAXPROCS)")
 	flushItems := flag.Int("flush-items", 32, "flush /query/stream responses every N items (first item always flushes)")
-	queryPar := flag.Int("query-parallelism", 1, "intra-query worker budget per query (1 = serial; requests may override with \"parallelism\")")
+	flag.Int("query-parallelism", 1, "ignored: every query runs serially on one goroutine (accepted until ROADMAP item 1(d) drops it)")
 	compactAfter := flag.Int("compact-after", 0, "background-compact a repository once an append leaves it with this many segments (0 = only on request)")
 	maxAppend := flag.Int64("max-append-bytes", 0, "max /append request body size in bytes (0 = 64 MiB)")
 	appendPar := flag.Int("append-parallelism", 0, "ingestion worker budget for appends and compactions (0 = GOMAXPROCS)")
@@ -80,7 +84,6 @@ func main() {
 		MaxConcurrent:     *maxConc,
 		QueryTimeout:      *timeout,
 		FlushEvery:        *flushItems,
-		QueryParallelism:  *queryPar,
 		CompactAfter:      *compactAfter,
 		MaxAppendBytes:    *maxAppend,
 		AppendParallelism: *appendPar,

@@ -399,7 +399,36 @@ func ContRange(c *storage.Container, lo []byte, loInc bool, hi []byte, hiInc boo
 // owners whose plaintext satisfies pred. This is the fallback the cost
 // model charges for (cases i–iii).
 func ContFilter(c *storage.Container, pred func(plain []byte) bool) (NodeSet, error) {
-	return ContFilterPar(c, 1, pred)
+	sc := storage.NewScratch()
+	defer sc.Release()
+	var ids []storage.NodeID
+	for i := 0; i < c.Len(); i++ {
+		buf, err := c.DecodeScratch(sc, i)
+		if err != nil {
+			return nil, err
+		}
+		if pred(buf) {
+			ids = append(ids, c.Owner(i))
+		}
+	}
+	return SortUnique(ids), nil
+}
+
+// ContMatch is the ContScan operator on compressed bytes: it keeps the
+// owners of the records whose encoded value match accepts, decoding
+// none. match's error ends the scan.
+func ContMatch(c *storage.Container, match func(enc []byte) (bool, error)) (NodeSet, error) {
+	var ids []storage.NodeID
+	for i := 0; i < c.Len(); i++ {
+		ok, err := match(c.Value(i))
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			ids = append(ids, c.Owner(i))
+		}
+	}
+	return SortUnique(ids), nil
 }
 
 // SameModel reports whether two containers share a source model, the

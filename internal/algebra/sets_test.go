@@ -4,20 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 
 	"xquec/internal/storage"
 )
-
-// lowFloors drops the partitioning floors so small test inputs exercise
-// the parallel paths, restoring them afterwards.
-func lowFloors(t *testing.T, recs int) {
-	t.Helper()
-	old := MinRecordsPerPartition
-	MinRecordsPerPartition = recs
-	t.Cleanup(func() { MinRecordsPerPartition = old })
-}
 
 func equalSets(a, b NodeSet) bool {
 	if len(a) != len(b) {
@@ -29,45 +19,6 @@ func equalSets(a, b NodeSet) bool {
 		}
 	}
 	return true
-}
-
-// TestContFilterParMatchesSerial compares the partitioned decoding scan
-// against the serial one at several worker counts, over every codec.
-func TestContFilterParMatchesSerial(t *testing.T) {
-	lowFloors(t, 4)
-	var sb strings.Builder
-	sb.WriteString("<r>")
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 300; i++ {
-		fmt.Fprintf(&sb, "<p><v>word%d tail%d</v></p>", rng.Intn(40), rng.Intn(5))
-	}
-	sb.WriteString("</r>")
-	for _, alg := range []string{storage.AlgALM, storage.AlgHuffman, storage.AlgHuTucker} {
-		s, err := storage.Load([]byte(sb.String()), storage.LoadOptions{
-			Plan: &storage.CompressionPlan{DefaultAlgorithm: alg},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, ok := s.ContainerByPath("/r/p/v/#text")
-		if !ok {
-			t.Fatal("missing container")
-		}
-		pred := func(plain []byte) bool { return strings.Contains(string(plain), "word1") }
-		want, err := ContFilter(c, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{1, 2, 3, 4, 8, 100} {
-			got, err := ContFilterPar(c, par, pred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalSets(got, want) {
-				t.Fatalf("%s par=%d: got %v, want %v", alg, par, got, want)
-			}
-		}
-	}
 }
 
 // sortUniqueReference is the pre-optimization SortUnique: always sort,
@@ -189,5 +140,38 @@ func TestMergeUnionHeapMatchesReference(t *testing.T) {
 		if !equalSets(got, want) {
 			t.Fatalf("trial %d (k=%d): got %v, want %v", trial, k, got, want)
 		}
+	}
+}
+
+// BenchmarkMergeUnion compares the k-way heap merge against the old
+// pairwise linear scan (mergeUnionReference) as the list count grows:
+// the scan is O(n·k) in the head comparison, the heap O(n·log k).
+func BenchmarkMergeUnion(b *testing.B) {
+	rng := rand.New(rand.NewSource(99))
+	build := func(k, per int) []NodeSet {
+		lists := make([]NodeSet, k)
+		for i := range lists {
+			cur := storage.NodeID(1 + rng.Intn(3))
+			for j := 0; j < per; j++ {
+				lists[i] = append(lists[i], cur)
+				cur += storage.NodeID(1 + rng.Intn(8))
+			}
+		}
+		return lists
+	}
+	for _, k := range []int{2, 8, 32} {
+		lists := build(k, 4096)
+		b.Run(fmt.Sprintf("heap/k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MergeUnion(lists...)
+			}
+		})
+		b.Run(fmt.Sprintf("scan/k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mergeUnionReference(lists...)
+			}
+		})
 	}
 }

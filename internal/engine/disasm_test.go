@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"regexp"
 	"slices"
@@ -107,7 +108,7 @@ func TestListedAccessIsTheAccessMade(t *testing.T) {
 				continue
 			}
 			before := storage.DecodeOps()
-			r, err := prog.newRun(RunOptions{Parallelism: 1})
+			r, err := prog.newRun(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"xquec/internal/algebra"
@@ -62,18 +61,13 @@ type engine struct {
 	// item handed out stays valid.
 	out  []byte
 	xmls []xml
-	// par is the intra-query worker budget for the partitioned operators
-	// (decoding scans, structural joins, container fan-outs). 1 = serial.
-	// Only pure container/summary reads run on workers; the engine's own
-	// mutable state (joinIdx, sbuf, ctxTick) stays on the calling
-	// goroutine, so results are byte-identical at every setting.
-	par int
 }
 
-// newEngine returns an engine over the store. Evaluation is serial until
-// withParallelism grants a worker budget.
+// newEngine returns an engine over the store. It runs on its caller's
+// goroutine: a query is evaluated serially, and queries run concurrently
+// only as separate runs, each with an engine of its own.
 func newEngine(s *storage.Store) *engine {
-	return &engine{store: s, par: 1, paths: map[*xquery.PathExpr]*pathCursor{}, owners: map[xquery.Expr]*conjunctOwners{}}
+	return &engine{store: s, paths: map[*xquery.PathExpr]*pathCursor{}, owners: map[xquery.Expr]*conjunctOwners{}}
 }
 
 // withContext arms the engine's cancellation checks with ctx and
@@ -82,19 +76,6 @@ func (e *engine) withContext(ctx context.Context) *engine {
 	if ctx != nil && ctx != context.Background() {
 		e.ctx = ctx
 	}
-	return e
-}
-
-// withParallelism sets the intra-query worker budget and returns the
-// engine. n <= 0 means GOMAXPROCS (mirroring storage.LoadOptions);
-// 1 keeps the serial path. Results are identical at every setting —
-// partitioned operators only engage above their work floors, so small
-// queries never pay fan-out overhead.
-func (e *engine) withParallelism(n int) *engine {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	e.par = n
 	return e
 }
 

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -24,11 +25,6 @@ func newStore(t *testing.T, doc string) *storage.Store {
 // query parses q, compiles it against s and runs it serially, returning
 // its serialization.
 func query(s *storage.Store, q string) (string, error) {
-	return queryPar(s, q, 1)
-}
-
-// queryPar is query with a worker budget.
-func queryPar(s *storage.Store, q string, par int) (string, error) {
 	expr, err := xquery.Parse(q)
 	if err != nil {
 		return "", err
@@ -37,7 +33,7 @@ func queryPar(s *storage.Store, q string, par int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	res, err := prog.Run(engine.RunOptions{Parallelism: par})
+	res, err := prog.Run(context.Background())
 	if err != nil {
 		return "", err
 	}

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"regexp"
 	"strings"
 	"testing"
@@ -63,7 +64,7 @@ func items(t *testing.T, s *storage.Store, q string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Run(engine.RunOptions{Parallelism: 1})
+	res, err := prog.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func TestStaticJoinIndexBuiltOnce(t *testing.T) {
 	}
 	var first string
 	for i := 0; i < 4; i++ {
-		res, err := prog.Run(engine.RunOptions{Parallelism: 1})
+		res, err := prog.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,8 +56,8 @@ func TestStaticJoinIndexBuiltOnce(t *testing.T) {
 // TestProgramOffsetsBuiltOnce: the extent offsets of Q3's bidder runs and
 // Q17's are built by the compiler — one array per pair of summary nodes,
 // however many paths read it — and no run builds another: eight
-// goroutines running one program each, at parallelism 1 to 4, return the
-// serial output byte for byte (run under -race by make check). A Program
+// goroutines running one program at once return the first run's output
+// byte for byte (run under -race by make check). A Program
 // is what xquec.Prepared holds and the plan cache shares. A point
 // lookup's predicate step is entered exact and builds none.
 func TestProgramOffsetsBuiltOnce(t *testing.T) {
@@ -80,16 +81,16 @@ func TestProgramOffsetsBuiltOnce(t *testing.T) {
 		if n := engine.OffsetBuilds() - before; n != q.arrays {
 			t.Fatalf("%s: compile built %d offset arrays, want %d:\n%s", q.id, n, q.arrays, prog.Disassemble())
 		}
-		run := func(par int) (string, error) {
-			res, err := prog.Run(engine.RunOptions{Parallelism: par})
+		run := func() (string, error) {
+			res, err := prog.Run(context.Background())
 			if err != nil {
 				return "", err
 			}
 			return res.SerializeXML()
 		}
-		want, err := run(1)
+		want, err := run()
 		if err != nil || want == "" {
-			t.Fatalf("%s serial: %q, %v", q.id, want, err)
+			t.Fatalf("%s first run: %q, %v", q.id, want, err)
 		}
 		const goroutines = 8
 		var wg sync.WaitGroup
@@ -99,9 +100,8 @@ func TestProgramOffsetsBuiltOnce(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 4; i++ {
-					par := 1 + (g+i)%4
-					if got, err := run(par); err != nil || got != want {
-						errc <- fmt.Errorf("%s par=%d: %v, output differs from serial: %v", q.id, par, err, got != want)
+					if got, err := run(); err != nil || got != want {
+						errc <- fmt.Errorf("%s: %v, output differs from the first run: %v", q.id, err, got != want)
 						return
 					}
 				}

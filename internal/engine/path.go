@@ -12,7 +12,6 @@ import (
 	"xquec/internal/compress/alm"
 	"xquec/internal/compress/numeric"
 	"xquec/internal/storage"
-	"xquec/internal/xpar"
 	"xquec/internal/xquery"
 )
 
@@ -681,23 +680,11 @@ func (e *engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr
 			domain += len(sn.Extent)
 		}
 	}
-	// The owner sets of the conjunct fast paths depend only on the
-	// containers (never on cur), so independent conjuncts can be
-	// evaluated concurrently and consumed in predicate order.
-	pre := e.precomputeConjunctOwners(preds, sums, domain)
-	for i, pred := range preds {
-		// Value predicate: container fast path, else per-node. A
-		// precomputed conjunct replays its (owners, ok, err) in predicate
-		// order, so error and fallback selection match the serial loop.
-		co := pre[i]
-		if co == nil {
-			var err error
-			if co, err = e.predOwners(sums, pred, domain); err != nil {
-				return nil, err
-			}
-		}
-		if co.err != nil {
-			return nil, co.err
+	for _, pred := range preds {
+		// Value predicate: container fast path, else per-node.
+		co, err := e.predOwners(sums, pred, domain)
+		if err != nil {
+			return nil, err
 		}
 		if co.ok {
 			// The owners are values below sums, whose instances never nest
@@ -760,7 +747,6 @@ type conjunctOwners struct {
 	ms     []*alm.Matcher
 	owners algebra.NodeSet
 	ok     bool // owners is the restrict's answer
-	err    error
 }
 
 var noOwners = &conjunctOwners{}
@@ -804,63 +790,6 @@ func (co *conjunctOwners) matchers(op, literal string, pre *matchers) {
 	if co.ms = pre.tables(co.conts); co.ms == nil {
 		co.ms = buildMatchers(co.conts, op, literal).tables(co.conts)
 	}
-}
-
-// precomputeConjunctOwners fans the container fast paths of independent
-// literal restricts out across the worker pool. It returns a sparse slice
-// aligned with preds (nil = not eligible, evaluate as before). Only pure
-// container/summary reads run on the workers; every result is replayed
-// in predicate order by the caller, so evaluation order, error selection
-// and fallback decisions are serial-identical.
-func (e *engine) precomputeConjunctOwners(preds []xquery.Expr, sums []*storage.SummaryNode, domain int) []*conjunctOwners {
-	out := make([]*conjunctOwners, len(preds))
-	if e.par <= 1 || len(sums) == 0 || len(preds) < 2 {
-		return out
-	}
-	type job struct {
-		idx     int
-		co      *conjunctOwners
-		op, lit string
-	}
-	var jobs []job
-	for i, pred := range preds {
-		rel, lit, op, ok := splitVarPred(pred, ".")
-		if !ok {
-			continue
-		}
-		switch co := e.restrictFor(pred, sums, rel, op, lit); {
-		case co.ok:
-			out[i] = co
-		case co.worthScanning(op, domain):
-			jobs = append(jobs, job{idx: i, co: co, op: op, lit: lit})
-		}
-	}
-	if len(jobs) < 2 {
-		return out
-	}
-	inner := e.par / len(jobs)
-	if inner < 1 {
-		inner = 1
-	}
-	workers := e.par
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	results := make([]conjunctOwners, len(jobs))
-	_ = xpar.ForEach(workers, len(jobs), func(k int) error {
-		j, r := jobs[k], &results[k]
-		j.co.matchers(j.op, j.lit, nil)
-		r.owners, r.ok, r.err = e.scanTargets(j.co.conts, j.co.ms, j.op, j.lit, inner)
-		return nil
-	})
-	for k, j := range jobs {
-		out[j.idx] = &results[k]
-		if r := &results[k]; r.err == nil && r.ok {
-			j.co.owners, j.co.ok = r.owners, true
-			out[j.idx] = j.co
-		}
-	}
-	return out
 }
 
 // splitPredConjuncts flattens an AND tree inside a step predicate. A
@@ -1122,7 +1051,7 @@ func (e *engine) matchOwners(conj xquery.Expr, sums []*storage.SummaryNode, rel 
 		return noOwners, nil
 	}
 	co.matchers(op, literal, pre)
-	owners, ok, err := e.scanTargets(co.conts, co.ms, op, literal, e.par)
+	owners, ok, err := e.scanTargets(co.conts, co.ms, op, literal)
 	if err != nil {
 		return nil, err
 	}
@@ -1133,49 +1062,17 @@ func (e *engine) matchOwners(conj xquery.Expr, sums []*storage.SummaryNode, rel 
 	return co, nil
 }
 
-// scanTargets matches the containers of a literal restrict, spending up
-// to par workers: one summary path can map to many containers, so the
-// per-container matches fan out across the pool, each container scan
-// splitting its leftover worker share internally.
-func (e *engine) scanTargets(conts []*storage.Container, ms []*alm.Matcher, op, literal string, par int) (algebra.NodeSet, bool, error) {
-	matcher := func(i int) *alm.Matcher {
-		if ms == nil {
-			return nil
-		}
-		return ms[i]
-	}
-	if par > 1 && len(conts) > 1 {
-		results := make([]conjunctOwners, len(conts))
-		inner := par / len(conts)
-		if inner < 1 {
-			inner = 1
-		}
-		workers := par
-		if workers > len(conts) {
-			workers = len(conts)
-		}
-		// Workers never return an error: the reduction below walks the
-		// results in container order, so the error and not-handled
-		// decisions are the ones the serial loop would have made.
-		_ = xpar.ForEach(workers, len(conts), func(i int) error {
-			results[i].owners, results[i].ok, results[i].err = e.containerMatch(conts[i], op, literal, matcher(i), inner)
-			return nil
-		})
-		all := make([]algebra.NodeSet, 0, len(conts))
-		for _, r := range results {
-			if r.err != nil {
-				return nil, false, r.err
-			}
-			if !r.ok {
-				return nil, false, nil
-			}
-			all = append(all, r.owners)
-		}
-		return algebra.MergeUnion(all...), true, nil
-	}
+// scanTargets matches the containers of a literal restrict, one after
+// the other (one summary path can map to many containers), and unites
+// their owners.
+func (e *engine) scanTargets(conts []*storage.Container, ms []*alm.Matcher, op, literal string) (algebra.NodeSet, bool, error) {
 	var all []algebra.NodeSet
 	for i, c := range conts {
-		owners, ok, err := e.containerMatch(c, op, literal, matcher(i), par)
+		var m *alm.Matcher
+		if ms != nil {
+			m = ms[i]
+		}
+		owners, ok, err := e.containerMatch(c, op, literal, m)
 		if err != nil {
 			return nil, false, err
 		}
@@ -1289,12 +1186,11 @@ func prefixEnd(p []byte) []byte {
 }
 
 // containerMatch evaluates `value op literal` over one container the way
-// accessFor decides; the scans split the record range across up to par
-// workers. m is the container's code automaton of the literal where
-// accessFor reads it by accessMatch (buildMatchers), else nil.
-func (e *engine) containerMatch(c *storage.Container, op, literal string, m *alm.Matcher, par int) (algebra.NodeSet, bool, error) {
+// accessFor decides. m is the container's code automaton of the literal
+// where accessFor reads it by accessMatch (buildMatchers), else nil.
+func (e *engine) containerMatch(c *storage.Container, op, literal string, m *alm.Matcher) (algebra.NodeSet, bool, error) {
 	if m != nil {
-		owners, err := algebra.ContMatchPar(c, par, m.Match)
+		owners, err := algebra.ContMatch(c, m.Match)
 		return owners, err == nil, err
 	}
 	var owners algebra.NodeSet
@@ -1317,11 +1213,11 @@ func (e *engine) containerMatch(c *storage.Container, op, literal string, m *alm
 		owners, err = algebra.ContRange(c, lo, op == ">=" || op == "starts-with", hi, op == "<=")
 	case stringFunc(op) != nil:
 		test, lit := stringFunc(op), []byte(literal)
-		owners, err = algebra.ContFilterPar(c, par, func(plain []byte) bool { return test(plain, lit) })
+		owners, err = algebra.ContFilter(c, func(plain []byte) bool { return test(plain, lit) })
 	case op == "=" && probe != nil:
-		owners, err = algebra.ContFilterPar(c, par, func(plain []byte) bool { return bytes.Equal(plain, probe) })
+		owners, err = algebra.ContFilter(c, func(plain []byte) bool { return bytes.Equal(plain, probe) })
 	default:
-		owners, err = algebra.ContFilterPar(c, par, func(plain []byte) bool {
+		owners, err = algebra.ContFilter(c, func(plain []byte) bool {
 			return compareAtoms(op, string(plain), literal)
 		})
 	}

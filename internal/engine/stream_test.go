@@ -51,7 +51,7 @@ func stream(t *testing.T, ctx context.Context, s *storage.Store, q string) *engi
 	if err != nil {
 		t.Fatalf("Compile(%s): %v", q, err)
 	}
-	res, err := prog.Run(engine.RunOptions{Ctx: ctx, Parallelism: 1})
+	res, err := prog.Run(ctx)
 	if err != nil {
 		t.Fatalf("Run(%s): %v", q, err)
 	}

@@ -230,15 +230,6 @@ func (p *Program) Len() int { return len(p.instrs) }
 // operand pools — for byte-based plan-cache accounting.
 func (p *Program) SizeBytes() int { return p.sizeEst }
 
-// RunOptions configures one execution of a Program.
-type RunOptions struct {
-	// Ctx, when non-nil, is polled during evaluation (withContext
-	// semantics: context.Background disables polling).
-	Ctx context.Context
-	// Parallelism is the intra-query worker budget (0 = GOMAXPROCS).
-	Parallelism int
-}
-
 // emitFrame is one sequence being drained by opEmitSeq.
 type emitFrame struct {
 	seq seq
@@ -346,9 +337,11 @@ type run struct {
 
 // Run starts one execution and returns it as a streaming Result: the
 // VM loop is the cursor behind Result.Next. An already-expired deadline
-// fails here, before any evaluation work.
-func (p *Program) Run(opts RunOptions) (*Result, error) {
-	r, err := p.newRun(opts)
+// fails here, before any evaluation work. ctx, when non-nil, is polled
+// during evaluation (withContext: context.Background disables polling).
+// The run is evaluated on the goroutine that drains the Result.
+func (p *Program) Run(ctx context.Context) (*Result, error) {
+	r, err := p.newRun(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -357,13 +350,9 @@ func (p *Program) Run(opts RunOptions) (*Result, error) {
 
 // newRun builds the execution state without wrapping it in a Result
 // (tests drive next directly).
-func (p *Program) newRun(opts RunOptions) (*run, error) {
-	eng := newEngine(p.store)
+func (p *Program) newRun(ctx context.Context) (*run, error) {
+	eng := newEngine(p.store).withContext(ctx)
 	eng.plans = p.plans
-	if opts.Ctx != nil {
-		eng.withContext(opts.Ctx)
-	}
-	eng.withParallelism(opts.Parallelism)
 	if eng.ctx != nil {
 		if err := eng.ctx.Err(); err != nil {
 			return nil, err

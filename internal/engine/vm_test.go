@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func evalRef(t testing.TB, q string) (string, error) {
 }
 
 // evalVM compiles and runs the program.
-func evalVM(t testing.TB, s *storage.Store, q string, par int) (string, error) {
+func evalVM(t testing.TB, s *storage.Store, q string) (string, error) {
 	t.Helper()
 	expr, err := xquery.Parse(q)
 	if err != nil {
@@ -78,7 +79,7 @@ func evalVM(t testing.TB, s *storage.Store, q string, par int) (string, error) {
 	if err != nil {
 		t.Fatalf("compile %q: %v", q, err)
 	}
-	res, err := prog.Run(RunOptions{Parallelism: par})
+	res, err := prog.Run(context.Background())
 	if err != nil {
 		return "", err
 	}
@@ -109,7 +110,7 @@ func TestEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prog.Run(RunOptions{})
+	res, err := prog.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestEarlyStop(t *testing.T) {
 	}
 	res.Close()
 
-	full, err := evalVM(t, s, q, 1)
+	full, err := evalVM(t, s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestRunRecoversPanic(t *testing.T) {
 	if pc < 0 {
 		t.Fatalf("no EVAL to break:\n%s", prog.Disassemble())
 	}
-	r, err := withPanic(prog, pc).newRun(RunOptions{})
+	r, err := withPanic(prog, pc).newRun(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestRunRecoversPanic(t *testing.T) {
 		t.Fatalf("items before the panic = %d, scratch released = %v", items, r.sc == nil)
 	}
 	want, wErr := evalRef(t, q)
-	got, vErr := evalVM(t, s, q, 1)
+	got, vErr := evalVM(t, s, q)
 	if d := differ(want, wErr, got, vErr); d != "" {
 		t.Fatalf("run after the panic: %s", d)
 	}
@@ -309,7 +310,7 @@ func TestSubProgramRestoresScope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := prog.newRun(RunOptions{})
+		r, err := prog.newRun(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

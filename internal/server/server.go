@@ -25,7 +25,9 @@ type Config struct {
 	// PlanCacheSize caps the number of cached query plans (default 256).
 	PlanCacheSize int
 	// MaxConcurrent bounds simultaneously evaluating queries; excess
-	// requests wait their turn (default 2×GOMAXPROCS).
+	// requests wait their turn (default 2×GOMAXPROCS). Each query is
+	// evaluated serially on its request's goroutine, so this is the
+	// server's whole query parallelism.
 	MaxConcurrent int
 	// QueryTimeout is the per-query evaluation deadline (default 30s).
 	// A request may ask for less via timeout_ms, never for more.
@@ -36,14 +38,6 @@ type Config struct {
 	// /query/stream after the first item (which always flushes, to bound
 	// time-to-first-byte). Default 32.
 	FlushEvery int
-	// QueryParallelism is the intra-query worker budget
-	// (xquec.QueryOptions.Parallelism) applied to every query. The
-	// default is 1 (serial): the daemon already runs MaxConcurrent
-	// queries in parallel, so per-query fan-out only pays off when the
-	// workload is a few heavy analytical queries rather than many small
-	// ones. Requests may override it with "parallelism" (capped at
-	// GOMAXPROCS). Results are identical at every setting.
-	QueryParallelism int
 	// MaxAppendBytes caps the /append request body (default 64 MiB —
 	// appended documents are whole XML documents, so the /query body cap
 	// would be far too small).
@@ -78,9 +72,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.FlushEvery <= 0 {
 		c.FlushEvery = 32
-	}
-	if c.QueryParallelism <= 0 {
-		c.QueryParallelism = 1
 	}
 	if c.MaxAppendBytes <= 0 {
 		c.MaxAppendBytes = 64 << 20
@@ -168,10 +159,6 @@ type QueryRequest struct {
 	// TimeoutMs optionally lowers the server's query timeout for this
 	// request.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
-	// Parallelism optionally overrides the server's per-query worker
-	// budget for this request (capped at GOMAXPROCS; 0 keeps the server
-	// default). Results are identical at every setting.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // QueryResponse is the /query response body.
@@ -353,31 +340,11 @@ func (s *Server) resolve(ctx context.Context, req QueryRequest) (res *xquec.Resu
 		s.plans.Put(req.Repo, topo, req.Query, prep)
 	}
 
-	res, err = prep.Execute(ctx, s.queryOptions(req))
+	res, err = prep.Execute(ctx, xquec.QueryOptions{})
 	if err != nil {
 		return nil, planCached, repoCached, statusFor(err), err
 	}
 	return res, planCached, repoCached, http.StatusOK, nil
-}
-
-// queryOptions merges the server defaults with the request's overrides.
-func (s *Server) queryOptions(req QueryRequest) xquec.QueryOptions {
-	return xquec.QueryOptions{
-		Parallelism: s.parallelismFor(req),
-	}
-}
-
-// parallelismFor is the effective per-query worker budget: the request
-// override when given (capped at GOMAXPROCS), else the server default.
-func (s *Server) parallelismFor(req QueryRequest) int {
-	p := s.cfg.QueryParallelism
-	if req.Parallelism > 0 {
-		p = req.Parallelism
-		if max := runtime.GOMAXPROCS(0); p > max {
-			p = max
-		}
-	}
-	return p
 }
 
 // runQuery resolves and evaluates, streaming the result through the

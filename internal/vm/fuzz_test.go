@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -53,7 +54,7 @@ func FuzzCompile(f *testing.F) {
 			t.Fatalf("%q: %v", query, err)
 		}
 		got, vErr := func() (string, error) {
-			res, err := prog.Run(engine.RunOptions{})
+			res, err := prog.Run(context.Background())
 			if err != nil {
 				return "", err
 			}

@@ -5,6 +5,7 @@
 package vm
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -48,7 +49,7 @@ func evalRef(t testing.TB, q string) (string, error) {
 }
 
 // evalVM compiles and runs the program.
-func evalVM(t testing.TB, s *storage.Store, q string, par int) (string, error) {
+func evalVM(t testing.TB, s *storage.Store, q string) (string, error) {
 	t.Helper()
 	expr, err := xquery.Parse(q)
 	if err != nil {
@@ -58,7 +59,7 @@ func evalVM(t testing.TB, s *storage.Store, q string, par int) (string, error) {
 	if err != nil {
 		t.Fatalf("compile %q: %v", q, err)
 	}
-	res, err := prog.Run(engine.RunOptions{Parallelism: par})
+	res, err := prog.Run(context.Background())
 	if err != nil {
 		return "", err
 	}
@@ -145,17 +146,15 @@ func queryBattery() []xmarkq.Query {
 }
 
 // TestDifferentialBattery: VM output must be byte-identical to the DOM
-// reference for every battery query at parallelism 1 and 4, and fail
-// where the reference fails (the two word their errors differently).
+// reference for every battery query, and fail where the reference fails
+// (the two word their errors differently).
 func TestDifferentialBattery(t *testing.T) {
 	s := store(t)
 	for _, q := range queryBattery() {
 		want, wErr := evalRef(t, q.Text)
-		for _, par := range []int{1, 4} {
-			got, vErr := evalVM(t, s, q.Text, par)
-			if err := differ(want, wErr, got, vErr); err != "" {
-				t.Fatalf("%s par=%d: %s", q.ID, par, err)
-			}
+		got, vErr := evalVM(t, s, q.Text)
+		if err := differ(want, wErr, got, vErr); err != "" {
+			t.Fatalf("%s: %s", q.ID, err)
 		}
 	}
 }

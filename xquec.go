@@ -313,20 +313,18 @@ func (db *Database) Bytes() []byte { return db.store.AppendBinary(nil) }
 // segmented database, the corpus its segments concatenate to.
 func (db *Database) Decompress() ([]byte, error) { return db.store.Serialize(nil, 1) }
 
-// QueryOptions configures one evaluation.
+// QueryOptions configures one evaluation. Every field is ignored: a
+// query runs on its caller's goroutine, serially, and its results are
+// the same whatever a caller sets. The fields remain only for callers
+// that still set them.
 type QueryOptions struct {
-	// Parallelism is the intra-query worker budget: partitioned decoding
-	// scans, structural joins and container fan-outs split their work
-	// across up to this many workers. 0 means GOMAXPROCS, 1 forces the
-	// serial path (mirroring Options.Parallelism on the compressor).
-	// Results are byte-identical at every setting, and partitioning only
-	// engages above per-operator work floors, so small queries never pay
-	// fan-out overhead.
+	// Parallelism is ignored: nothing within a query runs on other
+	// goroutines. Queries run concurrently with each other only, as
+	// concurrent Execute calls.
 	Parallelism int
 
 	// ShardFanout is ignored: every query over a segment set runs on its
-	// fused store, so nothing fans out. It remains only for callers that
-	// still set it.
+	// fused store, so nothing fans out.
 	ShardFanout int
 }
 
@@ -336,8 +334,8 @@ type QueryOptions struct {
 // aggregate — surface here rather than on the first Next. Each call
 // gets its own evaluation state; the program's VM loop feeds the cursor
 // directly.
-func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error) {
-	res, err := p.prog.Run(engine.RunOptions{Ctx: ctx, Parallelism: opts.Parallelism})
+func (p *Prepared) run(ctx context.Context) (*Results, error) {
+	res, err := p.prog.Run(ctx)
 	if err != nil {
 		return nil, tagErr(ErrEval, err)
 	}
@@ -355,15 +353,14 @@ func (p *Prepared) run(ctx context.Context, opts QueryOptions) (*Results, error)
 //
 // The evaluation loop and the result cursor both poll ctx, so a
 // deadline or a client disconnect aborts a long evaluation — or a long
-// result iteration — with ctx.Err(). Queries at different Parallelism
-// settings return identical results; a zero QueryOptions is the
-// default evaluation.
+// result iteration — with ctx.Err(). The query is evaluated on the
+// calling goroutine (and on the one draining Results); opts is ignored.
 func (db *Database) Execute(ctx context.Context, q string, opts QueryOptions) (*Results, error) {
 	prep, err := db.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	return prep.run(ctx, opts)
+	return prep.run(ctx)
 }
 
 // Prepare parses and compiles a query once for repeated execution,
@@ -409,11 +406,11 @@ func (p *Prepared) CostBytes() int { return p.prog.SizeBytes() }
 // joins and templates the compiler chose.
 func (p *Prepared) Disassemble() string { return p.prog.Disassemble() }
 
-// Execute evaluates the prepared query under ctx with per-call options
-// — the single prepared-statement entry point. See Database.Execute for
-// the ctx and options semantics.
+// Execute evaluates the prepared query under ctx — the single
+// prepared-statement entry point. See Database.Execute for the ctx
+// semantics; opts is ignored.
 func (p *Prepared) Execute(ctx context.Context, opts QueryOptions) (*Results, error) {
-	return p.run(ctx, opts)
+	return p.run(ctx)
 }
 
 // Explain returns the query's plan without running it: on a set, which

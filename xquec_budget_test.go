@@ -49,7 +49,7 @@ func TestPerTupleAllocationBudget(t *testing.T) {
 		}
 		items := 0
 		allocs := testing.AllocsPerRun(5, func() {
-			res, err := prep.Execute(context.Background(), QueryOptions{Parallelism: 1})
+			res, err := prep.Execute(context.Background(), QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestOrderByDecodesOnlyBodies(t *testing.T) {
 	}
 	run := func(items int) (n int, decodes int64) {
 		before := storage.DecodeOps()
-		res, err := prep.Execute(context.Background(), QueryOptions{Parallelism: 1})
+		res, err := prep.Execute(context.Background(), QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

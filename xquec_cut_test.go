@@ -143,7 +143,7 @@ func TestCutIsAppendable(t *testing.T) {
 			t.Errorf("%s: decompresses to %d bytes (%v), the re-ingest to %d", layout, len(got), err, len(want))
 		}
 		for _, q := range append(xmarkq.Queries(), xmarkq.ExtendedQueries()...) {
-			if got, want := execXML(t, db, q.Text, xquec.QueryOptions{}), execXML(t, single, q.Text, xquec.QueryOptions{}); got != want {
+			if got, want := execXML(t, db, q.Text), execXML(t, single, q.Text); got != want {
 				t.Errorf("%s %s: differs from the re-ingest\n got: %.200q\nwant: %.200q", layout, q.ID, got, want)
 			}
 		}
@@ -235,7 +235,7 @@ func TestShardedSaveOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = `FOR $i IN document("auction.xml")/site/regions/australia/item RETURN $i/name/text()`
-	want := execXML(t, db, q, xquec.QueryOptions{})
+	want := execXML(t, db, q)
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "auction.xqcs")
@@ -249,7 +249,7 @@ func TestShardedSaveOpenRoundTrip(t *testing.T) {
 	if !re.Segmented() || re.Segments() != 3 || re.Stats().OriginalBytes != len(doc) {
 		t.Fatalf("reopened: %d segments of %d bytes, want 3 of %d", re.Segments(), re.Stats().OriginalBytes, len(doc))
 	}
-	if got := execXML(t, re, q, xquec.QueryOptions{}); got != want {
+	if got := execXML(t, re, q); got != want {
 		t.Fatalf("round trip changed results:\n got %.200q\nwant %.200q", got, want)
 	}
 	if re.TopologyKey() == db.TopologyKey() {

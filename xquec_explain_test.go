@@ -43,7 +43,7 @@ func TestExplainListsTheProgramThatRuns(t *testing.T) {
 	if got := prep.Disassemble(); got != listing {
 		t.Fatalf("Explain lists\n%s\nPrepared.Disassemble\n%s", listing, got)
 	}
-	if got := execXML(t, db, q, xquec.QueryOptions{}); got != "3" {
+	if got := execXML(t, db, q); got != "3" {
 		t.Fatalf("%s = %s, want 3", q, got)
 	}
 }

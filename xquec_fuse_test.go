@@ -50,7 +50,7 @@ func defaultLoad(int) (storage.LoadOptions, error) { return storage.LoadOptions{
 // answer runs q and returns the whole result as text.
 func answer(t *testing.T, db *Database, q string) string {
 	t.Helper()
-	res, err := db.Execute(context.Background(), q, QueryOptions{Parallelism: 1})
+	res, err := db.Execute(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
@@ -216,7 +216,7 @@ func TestFuseWhileQuerying(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, err := prev.Execute(context.Background(), xmarkq.Q2, QueryOptions{Parallelism: 1})
+				res, err := prev.Execute(context.Background(), xmarkq.Q2, QueryOptions{})
 				if err != nil {
 					t.Error(err)
 					return

@@ -62,7 +62,7 @@ func segmentedDB(t *testing.T, docs [][]byte) *xquec.Database {
 // repository: for EVERY benchmark query a database grown by appends
 // returns byte-identical results to a full re-ingest of the concatenated
 // corpus, across segment counts {1,2,4} × the baseline built whole and
-// cut in two (Options.Shards {1,2}) × parallelism {1,4}.
+// cut in two (Options.Shards {1,2}).
 func TestAppendResultsIdentical(t *testing.T) {
 	all := segDocs(t, 4, 0.02)
 	queries := append(xmarkq.Queries(), xmarkq.ExtendedQueries()...)
@@ -78,15 +78,12 @@ func TestAppendResultsIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("segs=%d shards=%d: %v", segs, shards, err)
 			}
-			for _, par := range []int{1, 4} {
-				opts := xquec.QueryOptions{Parallelism: par}
-				for _, q := range queries {
-					want := execXML(t, baseline, q.Text, opts)
-					got := execXML(t, segDB, q.Text, opts)
-					if got != want {
-						t.Errorf("segs=%d shards=%d par=%d %s: appended result differs\n got: %.200q\nwant: %.200q",
-							segs, shards, par, q.ID, got, want)
-					}
+			for _, q := range queries {
+				want := execXML(t, baseline, q.Text)
+				got := execXML(t, segDB, q.Text)
+				if got != want {
+					t.Errorf("segs=%d shards=%d %s: appended result differs\n got: %.200q\nwant: %.200q",
+						segs, shards, q.ID, got, want)
 				}
 			}
 		}
@@ -104,7 +101,7 @@ func TestAppendVMTreeOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range append(xmarkq.Queries(), xmarkq.ExtendedQueries()...) {
-		if got, want := execXML(t, db, q.Text, xquec.QueryOptions{}), domXML(t, concat, q.Text); got != want {
+		if got, want := execXML(t, db, q.Text), domXML(t, concat, q.Text); got != want {
 			t.Errorf("%s: differs from the reference\n      got: %.200q\nreference: %.200q", q.ID, got, want)
 		}
 	}
@@ -136,7 +133,7 @@ func TestCompactionSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = `FOR $p IN document("auction.xml")/site/people/person RETURN $p/name/text()`
-	want := execXML(t, db, q, xquec.QueryOptions{})
+	want := execXML(t, db, q)
 
 	// Open the streaming cursor and consume one item BEFORE compaction.
 	res, err := db.Execute(context.Background(), q, xquec.QueryOptions{})
@@ -186,14 +183,14 @@ func TestCompactionSnapshotIsolation(t *testing.T) {
 		t.Fatalf("mid-compaction stream corrupted:\n got %.200q\nwant %.200q", got, want)
 	}
 	// The old handle keeps answering from its snapshot...
-	if got := execXML(t, db, q, xquec.QueryOptions{}); got != want {
+	if got := execXML(t, db, q); got != want {
 		t.Fatal("old handle's snapshot changed after compaction")
 	}
 	// ...and the compacted handle answers identically with one segment.
 	if compacted.Segments() != 1 {
 		t.Fatalf("compacted Segments() = %d, want 1", compacted.Segments())
 	}
-	if got := execXML(t, compacted, q, xquec.QueryOptions{}); got != want {
+	if got := execXML(t, compacted, q); got != want {
 		t.Fatal("compacted handle differs")
 	}
 	if compacted.TopologyKey() == db.TopologyKey() {
@@ -227,7 +224,7 @@ func TestWriterSaveOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = `FOR $i IN document("auction.xml")/site/regions/australia/item RETURN $i/name/text()`
-	want := execXML(t, db, q, xquec.QueryOptions{})
+	want := execXML(t, db, q)
 
 	re, err := xquec.Open(path)
 	if err != nil {
@@ -236,7 +233,7 @@ func TestWriterSaveOpenRoundTrip(t *testing.T) {
 	if !re.Segmented() || re.Segments() != 3 {
 		t.Fatalf("reopened: segmented=%v segments=%d", re.Segmented(), re.Segments())
 	}
-	if got := execXML(t, re, q, xquec.QueryOptions{}); got != want {
+	if got := execXML(t, re, q); got != want {
 		t.Fatalf("round trip changed results:\n got %.200q\nwant %.200q", got, want)
 	}
 	if re.TopologyKey() == db.TopologyKey() {
@@ -415,7 +412,7 @@ func TestSaveWithoutParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = `FOR $i IN /site/regions//item RETURN $i/name/text()`
-	want := execXML(t, grown, q, xquec.QueryOptions{})
+	want := execXML(t, grown, q)
 	writeFileT(t, filepath.Join(dir, "file"), nil)
 	if err := grown.SaveFile(filepath.Join(dir, "file", "auction.xqcg")); err == nil {
 		t.Fatal("a Save under a regular file succeeded")
@@ -435,7 +432,7 @@ func TestSaveWithoutParts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := execXML(t, re, q, xquec.QueryOptions{}); re.Segments() != 4 || got != want {
+	if got := execXML(t, re, q); re.Segments() != 4 || got != want {
 		t.Fatalf("reopened %d segments answering %.100q, want 4 answering %.100q", re.Segments(), got, want)
 	}
 	files := segments(saved)
@@ -555,9 +552,9 @@ func writeFileT(t *testing.T, path string, data []byte) {
 	}
 }
 
-func execXML(t *testing.T, db *xquec.Database, q string, opts xquec.QueryOptions) string {
+func execXML(t *testing.T, db *xquec.Database, q string) string {
 	t.Helper()
-	res, err := db.Execute(context.Background(), q, opts)
+	res, err := db.Execute(context.Background(), q, xquec.QueryOptions{})
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}

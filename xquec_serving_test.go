@@ -174,6 +174,57 @@ func TestPreparedConcurrentRuns(t *testing.T) {
 	}
 }
 
+// TestPreparedCodeAutomataShared: one prepared statement whose contains
+// and ends-with run on ALM codes — the automata built at Prepare and
+// shared — executed from many goroutines at once, streams what a single
+// execution does.
+func TestPreparedCodeAutomataShared(t *testing.T) {
+	db, err := Compress(datagen.XMark(datagen.XMarkConfig{Scale: 0.5, Seed: 2}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `FOR $i IN /site//item WHERE contains($i/description, "the") AND ends-with($i/description, ".") RETURN $i/name/text()`
+	prep, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dis := prep.Disassemble(); strings.Count(dis, "matching on compressed bytes") != 12 {
+		t.Fatalf("the two restricts do not read the six description containers on their codes:\n%s", dis)
+	}
+	run := func() (string, error) {
+		res, err := prep.Execute(context.Background(), QueryOptions{})
+		if err != nil {
+			return "", err
+		}
+		defer res.Close()
+		return ResultXML(res)
+	}
+	want, err := run()
+	if err != nil || want == "" {
+		t.Fatalf("first run: %q, %v", want, err)
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if got, err := run(); err != nil || got != want {
+					errc <- fmt.Errorf("%v, output differs from the first run: %v", err, got != want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+}
+
 func TestOpenFailurePaths(t *testing.T) {
 	db, err := Compress([]byte(apiDoc), Options{})
 	if err != nil {

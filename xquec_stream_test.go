@@ -241,7 +241,7 @@ func TestStreamedSubtreesAllocatePerItemNotPerNode(t *testing.T) {
 	var buf []byte
 	items := 0
 	drain := func() {
-		res, err := prep.Execute(context.Background(), QueryOptions{Parallelism: 1})
+		res, err := prep.Execute(context.Background(), QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

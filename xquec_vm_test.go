@@ -11,10 +11,9 @@ import (
 	"xquec/internal/xmarkq"
 )
 
-// evalWith runs one query at the given parallelism and returns the
-// serialized result.
-func evalWith(db *xquec.Database, query string, par int) (string, error) {
-	res, err := db.Execute(context.Background(), query, xquec.QueryOptions{Parallelism: par})
+// evalWith runs one query and returns the serialized result.
+func evalWith(db *xquec.Database, query string) (string, error) {
+	res, err := db.Execute(context.Background(), query, xquec.QueryOptions{})
 	if err != nil {
 		return "", err
 	}
@@ -44,9 +43,8 @@ func refXML(doc []byte, q string) (string, error) {
 
 // TestVMDifferentialMatrix is the top-level correctness gate for the
 // compiled-plan engine: every benchmark query, with the document cut
-// into Options.Shards ∈ {1, 2, 4, 8} parts and at intra-query
-// parallelism in {1, 4}, must produce output byte-identical to the DOM
-// reference over the uncompressed document. A cut database runs every
+// into Options.Shards ∈ {1, 2, 4, 8} parts, must produce output
+// byte-identical to the DOM reference over the uncompressed document. A cut database runs every
 // query on its fused store.
 func TestVMDifferentialMatrix(t *testing.T) {
 	if testing.Short() {
@@ -63,16 +61,14 @@ func TestVMDifferentialMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		for _, par := range []int{1, 4} {
-			for _, q := range queries {
-				got, err := evalWith(db, q.Text, par)
-				if err != nil {
-					t.Fatalf("shards=%d par=%d %s: %v", shards, par, q.ID, err)
-				}
-				if got != want[q.ID] {
-					t.Fatalf("shards=%d par=%d %s: output differs from the reference\n--- vm ---\n%.400s\n--- reference ---\n%.400s",
-						shards, par, q.ID, got, want[q.ID])
-				}
+		for _, q := range queries {
+			got, err := evalWith(db, q.Text)
+			if err != nil {
+				t.Fatalf("shards=%d %s: %v", shards, q.ID, err)
+			}
+			if got != want[q.ID] {
+				t.Fatalf("shards=%d %s: output differs from the reference\n--- vm ---\n%.400s\n--- reference ---\n%.400s",
+					shards, q.ID, got, want[q.ID])
 			}
 		}
 	}
@@ -114,9 +110,8 @@ func TestEvalEngineSwitch(t *testing.T) {
 // one, which the compiler lowers to loops of the program, and the rest,
 // which it compiles to sub-programs: Q8, Q9 and Q16 at two scales and two
 // seeds, and every shape of xmarkq.NestedFLWORs — and the string-function
-// restricts, Q14 and xmarkq.StringRestricts, cut into {1, 4} parts and at
-// parallelism {1, 4}, against the DOM reference (a query the reference
-// fails must fail).
+// restricts, Q14 and xmarkq.StringRestricts, cut into {1, 4} parts,
+// against the DOM reference (a query the reference fails must fail).
 func TestNestedLetDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is slow under -short")
@@ -145,15 +140,13 @@ func TestNestedLetDifferential(t *testing.T) {
 			}
 			for _, q := range c.queries {
 				want, wErr := refXML(doc, q.Text)
-				for _, par := range []int{1, 4} {
-					got, err := evalWith(db, q.Text, par)
-					if (err == nil) != (wErr == nil) {
-						t.Fatalf("scale=%v seed=%d shards=%d par=%d %s: error %v, reference error %v", c.scale, c.seed, shards, par, q.ID, err, wErr)
-					}
-					if err == nil && got != want {
-						t.Fatalf("scale=%v seed=%d shards=%d par=%d %s: output differs from the reference\n--- vm ---\n%.400s\n--- reference ---\n%.400s",
-							c.scale, c.seed, shards, par, q.ID, got, want)
-					}
+				got, err := evalWith(db, q.Text)
+				if (err == nil) != (wErr == nil) {
+					t.Fatalf("scale=%v seed=%d shards=%d %s: error %v, reference error %v", c.scale, c.seed, shards, q.ID, err, wErr)
+				}
+				if err == nil && got != want {
+					t.Fatalf("scale=%v seed=%d shards=%d %s: output differs from the reference\n--- vm ---\n%.400s\n--- reference ---\n%.400s",
+						c.scale, c.seed, shards, q.ID, got, want)
 				}
 			}
 		}
@@ -173,7 +166,7 @@ func TestPreparedSharedJoinIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() (string, error) {
-		res, err := prep.Execute(context.Background(), xquec.QueryOptions{Parallelism: 1})
+		res, err := prep.Execute(context.Background(), xquec.QueryOptions{})
 		if err != nil {
 			return "", err
 		}
