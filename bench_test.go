@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"xquec/internal/datagen"
@@ -158,16 +159,16 @@ func BenchmarkAblationSummaryAccess(b *testing.B) {
 }
 
 // BenchmarkCompressXMark measures the loader/compressor throughput at
-// several worker counts; p=1 is the serial baseline the pipeline's
-// speedup is judged against.
+// several worker counts (GOMAXPROCS); p=1 is the serial baseline the
+// pipeline's speedup is judged against.
 func BenchmarkCompressXMark(b *testing.B) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: benchScale, Seed: corpusSeed})
 	for _, par := range []int{1, 2, 4} {
-		par := par
 		b.Run(fmt.Sprintf("p=%d", par), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 			b.SetBytes(int64(len(doc)))
 			for i := 0; i < b.N; i++ {
-				if _, err := storage.Load(doc, storage.LoadOptions{Parallelism: par}); err != nil {
+				if _, err := storage.Load(doc, storage.LoadOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -207,10 +208,10 @@ func BenchmarkOpen(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeScratch measures steady-state per-value decode through
-// the pooled scratch API; with -benchmem the expected allocation count
-// is zero for every codec.
-func BenchmarkDecodeScratch(b *testing.B) {
+// BenchmarkDecode measures steady-state per-value decode into one reused
+// buffer; with -benchmem the expected allocation count is zero for every
+// codec.
+func BenchmarkDecode(b *testing.B) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: benchScale, Seed: corpusSeed})
 	for _, alg := range []string{storage.AlgALM, storage.AlgHuffman, storage.AlgHuTucker} {
 		alg := alg
@@ -225,21 +226,19 @@ func BenchmarkDecodeScratch(b *testing.B) {
 			if !ok {
 				b.Fatal("missing description container")
 			}
-			sc := storage.NewScratch()
-			defer sc.Release()
+			var dst []byte
 			bytes := 0
 			for i := 0; i < c.Len(); i++ {
-				v, err := c.DecodeScratch(sc, i)
-				if err != nil {
+				if dst, err = c.Decode(dst[:0], i); err != nil {
 					b.Fatal(err)
 				}
-				bytes += len(v)
+				bytes += len(dst)
 			}
 			b.SetBytes(int64(bytes))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < c.Len(); j++ {
-					if _, err := c.DecodeScratch(sc, j); err != nil {
+					if dst, err = c.Decode(dst[:0], j); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	xquec compress [-o out.xqc] [-alg alm|huffman|hutucker|blob] doc.xml
-//	xquec append   [-compact] [-p workers] repo.xqc|set.xqcg doc.xml...
+//	xquec append   [-compact] repo.xqc|set.xqcg doc.xml...
 //	xquec query    [-q query | -f query.xq] [-timeout 30s] [-n max]
 //	               [-cpuprofile out.pprof] [-explain] repo.xqc|set.xqcg
 //	xquec stats    repo.xqc|set.xqcg
@@ -13,8 +13,10 @@
 // append ingests each document as a new append segment of the
 // repository's segment set, persisting a .xqcg manifest next to the
 // repository; -compact folds the set back into a single freshly
-// partitioned segment afterwards. query, stats and decompress open a
-// single repository or a segment-set manifest alike.
+// partitioned segment afterwards. compress and append run the
+// compressor on GOMAXPROCS workers; the repository is the same whatever
+// their number. query, stats and decompress open a single repository or
+// a segment-set manifest alike.
 //
 // query -explain prints the query's plan instead of evaluating it: on a
 // segment set a line naming the store it runs on, then the
@@ -99,8 +101,8 @@ func report(w io.Writer, err error) int {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  xquec compress [-o out.xqc] [-alg alm|huffman|hutucker|blob] [-p workers] [-v] doc.xml
-  xquec append   [-compact] [-p workers] repo.xqc|set.xqcg doc.xml...
+  xquec compress [-o out.xqc] [-alg alm|huffman|hutucker|blob] [-v] doc.xml
+  xquec append   [-compact] repo.xqc|set.xqcg doc.xml...
   xquec query    [-q query | -f query.xq] [-timeout 30s] [-n max] [-cpuprofile file] [-explain] repo.xqc|set.xqcg
   xquec stats    repo.xqc|set.xqcg
   xquec decompress repo.xqc|set.xqcg`)
@@ -111,7 +113,6 @@ func cmdCompress(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
 	out := fs.String("o", "", "output repository file (default: input + .xqc)")
 	alg := fs.String("alg", "", "default string algorithm (alm, huffman, hutucker, blob)")
-	par := fs.Int("p", 0, "compressor worker count (0 = GOMAXPROCS, 1 = serial; output is identical)")
 	verbose := fs.Bool("v", false, "print per-phase build timings")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -124,7 +125,7 @@ func cmdCompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := xquec.Options{Parallelism: *par}
+	var opts xquec.Options
 	if *alg != "" {
 		opts.Plan = &xquec.CompressionPlan{DefaultAlgorithm: *alg}
 	}
@@ -143,8 +144,8 @@ func cmdCompress(args []string) error {
 	fmt.Printf("%s -> %s\n%s\n", in, dst, st)
 	if *verbose {
 		b := db.IngestStats()
-		fmt.Printf("build: workers=%d parse=%v classify=%v train=%v encode=%v index=%v total=%v\n",
-			b.Parallelism, b.Parse, b.Classify, b.Train, b.Encode, b.Index, b.Total())
+		fmt.Printf("build: parse=%v classify=%v train=%v encode=%v index=%v total=%v\n",
+			b.Parse, b.Classify, b.Train, b.Encode, b.Index, b.Total())
 	}
 	return nil
 }
@@ -158,7 +159,6 @@ func cmdCompress(args []string) error {
 func cmdAppend(args []string) error {
 	fs := flag.NewFlagSet("append", flag.ExitOnError)
 	compact := fs.Bool("compact", false, "compact to a single freshly partitioned segment after appending")
-	par := fs.Int("p", 0, "compressor worker count (0 = GOMAXPROCS, 1 = serial; output is identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -173,7 +173,7 @@ func cmdAppend(args []string) error {
 	if err != nil {
 		return err
 	}
-	w, err := xquec.NewWriter(db, xquec.Options{Parallelism: *par})
+	w, err := xquec.NewWriter(db, xquec.Options{})
 	if err != nil {
 		return err
 	}

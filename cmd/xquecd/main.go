@@ -8,7 +8,7 @@
 //	xquecd -repos ./repos [-addr :8090] [-pool 8] [-plans 256]
 //	       [-timeout 30s] [-max-concurrent 16] [-flush-items 32]
 //	       [-compact-after 0] [-max-append-bytes 64MiB]
-//	       [-append-parallelism 0] [-pprof localhost:6060]
+//	       [-pprof localhost:6060]
 //
 // Each query is evaluated serially on one goroutine; queries run
 // concurrently with each other, up to -max-concurrent at a time.
@@ -68,7 +68,6 @@ func main() {
 	flag.Int("query-parallelism", 1, "ignored: every query runs serially on one goroutine (accepted until ROADMAP item 1(d) drops it)")
 	compactAfter := flag.Int("compact-after", 0, "background-compact a repository once an append leaves it with this many segments (0 = only on request)")
 	maxAppend := flag.Int64("max-append-bytes", 0, "max /append request body size in bytes (0 = 64 MiB)")
-	appendPar := flag.Int("append-parallelism", 0, "ingestion worker budget for appends and compactions (0 = GOMAXPROCS)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060); empty = off")
 	flag.Parse()
 
@@ -78,15 +77,14 @@ func main() {
 		os.Exit(2)
 	}
 	srv, err := server.New(server.Config{
-		RepoDir:           *repos,
-		PoolSize:          *pool,
-		PlanCacheSize:     *plans,
-		MaxConcurrent:     *maxConc,
-		QueryTimeout:      *timeout,
-		FlushEvery:        *flushItems,
-		CompactAfter:      *compactAfter,
-		MaxAppendBytes:    *maxAppend,
-		AppendParallelism: *appendPar,
+		RepoDir:        *repos,
+		PoolSize:       *pool,
+		PlanCacheSize:  *plans,
+		MaxConcurrent:  *maxConc,
+		QueryTimeout:   *timeout,
+		FlushEvery:     *flushItems,
+		CompactAfter:   *compactAfter,
+		MaxAppendBytes: *maxAppend,
 	})
 	if err != nil {
 		log.Fatalf("xquecd: %v", err)

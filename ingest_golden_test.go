@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"xquec/internal/datagen"
@@ -39,7 +40,7 @@ const entityDoc = `<?xml version="1.0"?>
 // returns one blob per repository it builds.
 type goldenCase struct {
 	name  string
-	build func(par int) ([][]byte, error)
+	build func() ([][]byte, error)
 }
 
 func compressBytes(doc []byte, opts Options) ([][]byte, error) {
@@ -111,8 +112,8 @@ func goldenCases() []goldenCase {
 		return datagen.XMark(datagen.XMarkConfig{Scale: scale, Seed: seed})
 	}
 	plain := func(name string, doc []byte) goldenCase {
-		return goldenCase{name, func(par int) ([][]byte, error) {
-			return compressBytes(doc, Options{Parallelism: par})
+		return goldenCase{name, func() ([][]byte, error) {
+			return compressBytes(doc, Options{})
 		}}
 	}
 	small := xmark(0.25, 11)
@@ -126,11 +127,11 @@ func goldenCases() []goldenCase {
 		plain("baseball", datagen.Baseball(200_000, 5)),
 		plain("deeptree", datagen.DeepTree(datagen.DeepTreeConfig{Depth: 700, Seed: 6})),
 		plain("entities", []byte(entityDoc)),
-		{"random-records", func(par int) ([][]byte, error) {
+		{"random-records", func() ([][]byte, error) {
 			rng := rand.New(rand.NewSource(17))
 			var out [][]byte
 			for i := 0; i < 12; i++ {
-				b, err := compressBytes(datagen.RandomRecords(rng), Options{Parallelism: par})
+				b, err := compressBytes(datagen.RandomRecords(rng), Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -140,8 +141,8 @@ func goldenCases() []goldenCase {
 		}},
 	}
 	for _, alg := range []string{storage.AlgHuffman, storage.AlgHuTucker} {
-		cases = append(cases, goldenCase{"plan-default-" + alg, func(par int) ([][]byte, error) {
-			return compressBytes(small, Options{Parallelism: par, Plan: &CompressionPlan{DefaultAlgorithm: alg}})
+		cases = append(cases, goldenCase{"plan-default-" + alg, func() ([][]byte, error) {
+			return compressBytes(small, Options{Plan: &CompressionPlan{DefaultAlgorithm: alg}})
 		}})
 	}
 	var texts []string
@@ -150,38 +151,38 @@ func goldenCases() []goldenCase {
 	}
 	frag := xmark(0.016, 21)
 	cases = append(cases,
-		goldenCase{"plan-from-workload", func(par int) ([][]byte, error) {
-			return compressBytes(small, Options{Parallelism: par, WorkloadQueries: texts})
+		goldenCase{"plan-from-workload", func() ([][]byte, error) {
+			return compressBytes(small, Options{WorkloadQueries: texts})
 		}},
-		goldenCase{"dictionary-preseed", func(par int) ([][]byte, error) {
-			base, err := storage.Load(small, storage.LoadOptions{Parallelism: par})
+		goldenCase{"dictionary-preseed", func() ([][]byte, error) {
+			base, err := storage.Load(small, storage.LoadOptions{})
 			if err != nil {
 				return nil, err
 			}
 			seeded := append(append([]string(nil), base.Names...), "never-seen", "@nor-this")
-			st, err := storage.Load(frag, storage.LoadOptions{Parallelism: par, Dictionary: seeded})
+			st, err := storage.Load(frag, storage.LoadOptions{Dictionary: seeded})
 			if err != nil {
 				return nil, err
 			}
 			return [][]byte{st.AppendBinary(nil)}, nil
 		}},
-		goldenCase{"shards-4", func(par int) ([][]byte, error) {
-			db, err := Compress(small, Options{Parallelism: par, Shards: 4})
+		goldenCase{"shards-4", func() ([][]byte, error) {
+			db, err := Compress(small, Options{Shards: 4})
 			if err != nil {
 				return nil, err
 			}
 			return setBytes(db)
 		}},
-		goldenCase{"append-compact", func(par int) ([][]byte, error) {
-			grown, compacted, err := appendCompact(small, appendFrags(), Options{Parallelism: par})
+		goldenCase{"append-compact", func() ([][]byte, error) {
+			grown, compacted, err := appendCompact(small, appendFrags(), Options{})
 			if err != nil {
 				return nil, err
 			}
 			blobs, err := setBytes(grown)
 			return append(blobs, compacted.Bytes()), err
 		}},
-		goldenCase{"append-compact-workload", func(par int) ([][]byte, error) {
-			grown, compacted, err := appendCompact(small, appendFrags(), Options{Parallelism: par, WorkloadQueries: texts})
+		goldenCase{"append-compact-workload", func() ([][]byte, error) {
+			grown, compacted, err := appendCompact(small, appendFrags(), Options{WorkloadQueries: texts})
 			if err != nil {
 				return nil, err
 			}
@@ -193,9 +194,9 @@ func goldenCases() []goldenCase {
 }
 
 // TestIngestGolden pins the bytes of every kind of ingest at every
-// worker count: a change to the parser, the loader, the trainers, the
-// container build or the file format that moves one bit of a repository
-// fails here. Every blob must also reopen and re-save byte for byte, so
+// worker count — GOMAXPROCS 1, 2 and 4: a change to the parser, the
+// loader, the trainers, the container build or the file format that
+// moves one bit of a repository fails here. Every blob must also reopen and re-save byte for byte, so
 // the format has one pin: nothing the writer emits is lost or rewritten
 // by the reader.
 func TestIngestGolden(t *testing.T) {
@@ -215,9 +216,11 @@ func TestIngestGolden(t *testing.T) {
 		pars = []int{2}
 	}
 	cases := goldenCases()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, par := range pars {
+		runtime.GOMAXPROCS(par)
 		for _, c := range cases {
-			blobs, err := c.build(par)
+			blobs, err := c.build()
 			if err != nil {
 				t.Fatalf("%s (p=%d): %v", c.name, par, err)
 			}

@@ -399,12 +399,11 @@ func ContRange(c *storage.Container, lo []byte, loInc bool, hi []byte, hiInc boo
 // owners whose plaintext satisfies pred. This is the fallback the cost
 // model charges for (cases i–iii).
 func ContFilter(c *storage.Container, pred func(plain []byte) bool) (NodeSet, error) {
-	sc := storage.NewScratch()
-	defer sc.Release()
+	var buf []byte
 	var ids []storage.NodeID
 	for i := 0; i < c.Len(); i++ {
-		buf, err := c.DecodeScratch(sc, i)
-		if err != nil {
+		var err error
+		if buf, err = c.Decode(buf[:0], i); err != nil {
 			return nil, err
 		}
 		if pred(buf) {
@@ -489,19 +488,18 @@ func HashJoinContainers(a, b *storage.Container) ([]Pair, error) {
 		swapped = true
 	}
 	table := make(map[string][]storage.NodeID, a.Len())
-	sc := storage.NewScratch()
-	defer sc.Release()
+	var buf []byte
 	for i := 0; i < a.Len(); i++ {
-		buf, err := a.DecodeScratch(sc, i)
-		if err != nil {
+		var err error
+		if buf, err = a.Decode(buf[:0], i); err != nil {
 			return nil, err
 		}
 		table[string(buf)] = append(table[string(buf)], a.Owner(i))
 	}
 	var out []Pair
 	for j := 0; j < b.Len(); j++ {
-		buf, err := b.DecodeScratch(sc, j)
-		if err != nil {
+		var err error
+		if buf, err = b.Decode(buf[:0], j); err != nil {
 			return nil, err
 		}
 		for _, owner := range table[string(buf)] {

@@ -254,16 +254,15 @@ func TestJoinDuplicates(t *testing.T) {
 }
 
 // TestTextContent: a text() tail decodes each owner's immediate text,
-// one value at a time through one scratch buffer.
+// one value at a time into one reused buffer.
 func TestTextContent(t *testing.T) {
 	s := load(t, nil)
 	names := extent(t, s, "/site/people/person/name")
-	sc := storage.NewScratch()
-	defer sc.Release()
+	var buf []byte
 	var texts []string
 	for _, id := range names {
-		buf, err := s.TextScratch(sc, nil, id)
-		if err != nil {
+		var err error
+		if buf, err = s.Text(nil, buf[:0], id); err != nil {
 			t.Fatal(err)
 		}
 		texts = append(texts, string(buf))

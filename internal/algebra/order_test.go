@@ -37,7 +37,7 @@ func provenances(t *testing.T, docs ...[]byte) map[string]*storage.Store {
 		t.Fatal(err)
 	}
 	for _, doc := range docs[1:] {
-		if set, _, err = set.Append([][]byte{doc}, func(int) (storage.LoadOptions, error) { return storage.LoadOptions{}, nil }); err != nil {
+		if set, _, err = set.Append([][]byte{doc}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

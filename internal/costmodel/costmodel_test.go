@@ -1,10 +1,12 @@
 package costmodel
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"xquec/internal/storage"
 	"xquec/internal/workload"
 )
 
@@ -249,43 +251,57 @@ func TestPlanGroups(t *testing.T) {
 	}
 }
 
-func TestCollectContainers(t *testing.T) {
-	doc := []byte(`<site>
+// TestInfos: the cost model's containers are the loader's lists of the
+// workload's paths — storage.Parse's, restricted (Values.Textual) — in
+// the order their first values appear, with their counts, bytes and
+// capped samples; a path is typed only when every value is, as the
+// loader decides it, not on a sample.
+func TestInfos(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString(`<site>
 		<person id="p0"><name>Alice</name><age>30</age></person>
 		<person id="p1"><name>Bob</name><age>31</age></person>
-		<auction><price>10.50</price><note>fine old piece</note></auction>
-	</site>`)
-	infos, err := CollectContainers(doc)
+		<auction><price>10.50</price><note>fine old piece</note></auction>`)
+	for i := 0; i < MaxSampleValues+88; i++ {
+		fmt.Fprintf(&doc, "<n>%d</n>", i)
+	}
+	doc.WriteString("<n>n/a</n></site>")
+	vals, err := storage.Parse([]byte(doc.String()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byPath := map[string]ContainerInfo{}
-	for _, ci := range infos {
-		byPath[ci.Path] = ci
+	infos := Infos(vals.Textual([]string{
+		"/site/n/#text", "/site/auction/note/#text", "/site/person/age/#text",
+		"/site/auction/price/#text", "/site/person/name/#text", "/site/person/@id", "/site/nowhere/#text",
+	}))
+	// The int ages and decimal prices are typed, so left out; the
+	// integers under n are followed by n/a, so they are not.
+	want := []struct {
+		path         string
+		count, bytes int
+		sample       []string
+	}{
+		{"/site/person/@id", 2, 4, []string{"p0", "p1"}},
+		{"/site/person/name/#text", 2, 8, []string{"Alice", "Bob"}},
+		{"/site/auction/note/#text", 1, 14, []string{"fine old piece"}},
 	}
-	if _, ok := byPath["/site/person/name/#text"]; !ok {
-		t.Fatalf("missing name container: %v", infos)
+	if len(infos) != len(want)+1 {
+		t.Fatalf("%d containers, want %d: %v", len(infos), len(want)+1, infos)
 	}
-	if _, ok := byPath["/site/person/@id"]; !ok {
-		t.Fatal("missing @id container")
+	for i, w := range want {
+		ci := infos[i]
+		if ci.Path != w.path || ci.Count != w.count || ci.TotalBytes != w.bytes || len(ci.Sample) != len(w.sample) {
+			t.Fatalf("container %d = %s count %d bytes %d sample %q, want %+v", i, ci.Path, ci.Count, ci.TotalBytes, ci.Sample, w)
+		}
+		for k, v := range w.sample {
+			if string(ci.Sample[k]) != v {
+				t.Fatalf("%s sample %q, want %q", ci.Path, ci.Sample, w.sample)
+			}
+		}
 	}
-	// Typed containers are excluded from the textual search.
-	if _, ok := byPath["/site/person/age/#text"]; ok {
-		t.Fatal("int container should be excluded")
-	}
-	if _, ok := byPath["/site/auction/price/#text"]; ok {
-		t.Fatal("decimal container should be excluded")
-	}
-	if ci := byPath["/site/person/name/#text"]; ci.Count != 2 || ci.TotalBytes != 8 {
-		t.Fatalf("name container stats: %+v", ci)
-	}
-}
-
-func TestRestrict(t *testing.T) {
-	infos := []ContainerInfo{{Path: "/a"}, {Path: "/b"}, {Path: "/c"}}
-	got := Restrict(infos, []string{"/c", "/a"})
-	if len(got) != 2 || got[0].Path != "/a" || got[1].Path != "/c" {
-		t.Fatalf("Restrict = %v", got)
+	n := infos[len(want)]
+	if n.Path != "/site/n/#text" || n.Count != MaxSampleValues+89 || len(n.Sample) != MaxSampleValues || string(n.Sample[7]) != "7" {
+		t.Fatalf("n container: %s count %d sample of %d", n.Path, n.Count, len(n.Sample))
 	}
 }
 

@@ -46,7 +46,7 @@ func segmentSet(t *testing.T, docs [][]byte, shift int) *partition.Set {
 	}
 	for i, doc := range docs[1:] {
 		plan := fusePlans[(shift+i+1)%3]
-		if set, _, err = set.Append([][]byte{doc}, func(int) (storage.LoadOptions, error) { return storage.LoadOptions{Plan: plan}, nil }); err != nil {
+		if set, _, err = set.Append([][]byte{doc}, func(*storage.Values) (*storage.CompressionPlan, error) { return plan, nil }); err != nil {
 			t.Fatalf("append %d: %v", i+1, err)
 		}
 	}
@@ -104,7 +104,7 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 	// A set compacts from its fused store, not from its XML, to the
 	// repository the re-ingest of its XML is, byte for byte — but for the
 	// original size, which stays the bytes ingested.
-	compacted, err := set.Compact(context.Background(), 0, nil)
+	compacted, err := set.Compact(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("Compact: %v\ncorpus: %s", err, fx)
 	}
@@ -328,7 +328,7 @@ func TestFusedKeepsJunctionTextApart(t *testing.T) {
 	}
 	// Compaction re-encodes the values of the fused structure: the two
 	// stay two, where a re-ingest of the corpus text would join them.
-	compacted, err := set.Compact(context.Background(), 0, nil)
+	compacted, err := set.Compact(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

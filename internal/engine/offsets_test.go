@@ -50,7 +50,6 @@ func checkReach(t *testing.T, name string, rd reach, s, tn *storage.SummaryNode)
 // and, over those and DeepTree (recursive same-tag nesting) and the
 // real-life substitutes, for every summary node and each of its
 // descendants.
-func defaultLoad(int) (storage.LoadOptions, error) { return storage.LoadOptions{}, nil }
 
 func TestOffsetsAgreeWithGalloping(t *testing.T) {
 	xmark := datagen.XMark(datagen.XMarkConfig{Scale: 0.25, Seed: 2})
@@ -69,7 +68,7 @@ func TestOffsetsAgreeWithGalloping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cut, _, err = cut.Append(parts[1:], defaultLoad); err != nil {
+	if cut, _, err = cut.Append(parts[1:], nil); err != nil {
 		t.Fatal(err)
 	}
 	appended, err := partition.NewBase(load(xmark))
@@ -78,7 +77,7 @@ func TestOffsetsAgreeWithGalloping(t *testing.T) {
 	}
 	for seed := int64(3); seed < 5; seed++ {
 		more := datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: seed})
-		if appended, _, err = appended.Append([][]byte{more}, defaultLoad); err != nil {
+		if appended, _, err = appended.Append([][]byte{more}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

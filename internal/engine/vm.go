@@ -330,7 +330,6 @@ type run struct {
 	sorts   []*tupleSort
 	accs    []accum
 
-	sc   *storage.Scratch
 	err  error
 	done bool
 }
@@ -402,21 +401,10 @@ func (r *run) appendFLWOR(dst seq, x *xquery.FLWOR, env *scope) (seq, error) {
 
 func (r *run) fail(err error) (Item, bool, error) {
 	r.err = err
-	r.releaseScratch()
 	return nil, false, err
 }
 
-func (r *run) releaseScratch() {
-	if r.sc != nil {
-		r.sc.Release()
-		r.sc = nil
-	}
-}
-
-func (r *run) stop() {
-	r.done = true
-	r.releaseScratch()
-}
+func (r *run) stop() { r.done = true }
 
 // next runs the dispatch loop. A panic in an instruction fails the run
 // with an error, as one in Compile does, and the error is sticky. (The
@@ -651,15 +639,12 @@ func (r *run) dispatch() (Item, bool, error) {
 			id := c.ids[c.pos]
 			c.pos++
 			if c.textTail {
-				if r.sc == nil {
-					r.sc = storage.NewScratch()
-				}
-				buf, err := p.store.TextScratch(r.sc, &eng.cur, id)
-				if err != nil {
+				var err error
+				if eng.sbuf, err = p.store.Text(&eng.cur, eng.sbuf[:0], id); err != nil {
 					return r.fail(err)
 				}
 				// pc parked: the next pull advances the cursor.
-				return string(buf), true, nil
+				return string(eng.sbuf), true, nil
 			}
 			return id, true, nil
 

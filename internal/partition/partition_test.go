@@ -60,9 +60,6 @@ func corpusXML(t *testing.T, src []byte, query string) string {
 	return out
 }
 
-// defaultLoad loads every appended document under the default options.
-func defaultLoad(int) (storage.LoadOptions, error) { return storage.LoadOptions{}, nil }
-
 // segmentSet builds a segment set with one segment per document.
 func segmentSet(t *testing.T, docs ...string) *Set {
 	t.Helper()
@@ -77,7 +74,7 @@ func segmentSet(t *testing.T, docs ...string) *Set {
 	for i, d := range docs[1:] {
 		more[i] = []byte(d)
 	}
-	if set, _, err = set.Append(more, defaultLoad); err != nil {
+	if set, _, err = set.Append(more, nil); err != nil {
 		t.Fatal(err)
 	}
 	return set
@@ -98,7 +95,7 @@ func TestSplitRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2, 4, 8} {
-		set, err := Build(src, n, storage.LoadOptions{})
+		set, err := Build(src, n, nil)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -128,7 +125,7 @@ func TestSplitRoundTrip(t *testing.T) {
 func TestSinglePartEvaluatesDirectly(t *testing.T) {
 	src := xmarkDoc(t)
 	fusions := Snapshot().Fusions
-	one, err := Build(src, 1, storage.LoadOptions{})
+	one, err := Build(src, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,10 +369,10 @@ func TestSetAppendSharesDictionaryChain(t *testing.T) {
 	}
 
 	// Append validation failures leave no trace.
-	if _, failed, err := set.Append([][]byte{[]byte(`<other/>`)}, defaultLoad); err == nil || failed != 0 {
+	if _, failed, err := set.Append([][]byte{[]byte(`<other/>`)}, nil); err == nil || failed != 0 {
 		t.Fatalf("root mismatch: failed %d, %v", failed, err)
 	}
-	if _, _, err := set.Append(nil, defaultLoad); err == nil {
+	if _, _, err := set.Append(nil, nil); err == nil {
 		t.Fatal("empty append should fail")
 	}
 	if len(set.segs) != 3 {
@@ -393,7 +390,7 @@ func TestSetFuseAndCompact(t *testing.T) {
 	if string(xml) != want {
 		t.Fatalf("fused corpus = %s, want %s", xml, want)
 	}
-	compacted, err := set.Compact(context.Background(), 0, nil)
+	compacted, err := set.Compact(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +429,7 @@ func TestSetSaveOpenValidateGC(t *testing.T) {
 	}
 
 	// Compaction + save drops the superseded segment files.
-	compacted, err := set.Compact(context.Background(), 0, nil)
+	compacted, err := set.Compact(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +473,7 @@ func TestShardSaveOpen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "corpus.xqcs")
 	src := xmarkDoc(t)
-	set, err := Build(src, 2, storage.LoadOptions{})
+	set, err := Build(src, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,12 +60,12 @@ func TestSetHoldsOneStore(t *testing.T) {
 			t.Fatalf("after %s a set of %d segments holds %d stores, want its one store", op, len(set.segs), len(found))
 		}
 	}
-	built, err := Build(xmarkDoc(t), 4, storage.LoadOptions{})
+	built, err := Build(xmarkDoc(t), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("Build", built)
-	appended, _, err := built.Append([][]byte{datagen.XMark(datagen.XMarkConfig{Scale: 0.01, Seed: 7})}, defaultLoad)
+	appended, _, err := built.Append([][]byte{datagen.XMark(datagen.XMarkConfig{Scale: 0.01, Seed: 7})}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSetHoldsOneStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Open", opened)
-	compacted, err := opened.Compact(context.Background(), 0, nil)
+	compacted, err := opened.Compact(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestIncrementalFusionEqualsWhole(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, part := range parts[1:] {
-			if set, _, err = set.Append([][]byte{part}, defaultLoad); err != nil {
+			if set, _, err = set.Append([][]byte{part}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -151,7 +151,7 @@ func TestIncrementalFusionEqualsWhole(t *testing.T) {
 		if k == 20 {
 			frag = []byte(`<site><people><person id="p&amp;q"><name>N &lt; M</name></person></people></site>`)
 		}
-		if set, _, err = set.Append([][]byte{frag}, defaultLoad); err != nil {
+		if set, _, err = set.Append([][]byte{frag}, nil); err != nil {
 			t.Fatal(err)
 		}
 		checkIncremental(t, fmt.Sprintf("chain of %d appends", k), set)

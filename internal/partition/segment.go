@@ -87,23 +87,22 @@ func NewBase(store *storage.Store) (*Set, error) {
 }
 
 // Build cuts doc into at most n parts (Cut) and ingests them through the
-// write path: the first part is the base, the others are appended. Each
-// segment is charged the bytes of doc it covers, so the original sizes
-// sum to len(doc).
-func Build(doc []byte, n int, opts storage.LoadOptions) (*Set, error) {
+// write path under plan: the first part is the base, the others are
+// appended. Each segment is charged the bytes of doc it covers, so the
+// original sizes sum to len(doc).
+func Build(doc []byte, n int, plan *storage.CompressionPlan) (*Set, error) {
 	parts, sizes, err := cut(doc, n)
 	if err != nil {
 		return nil, err
 	}
 	stores := make([]*storage.Store, len(parts))
+	var dict []string
 	for i, part := range parts {
-		if i > 0 {
-			opts.Dictionary = stores[i-1].Names
-		}
-		if stores[i], err = storage.Load(part, opts); err != nil {
+		if stores[i], err = storage.Load(part, storage.LoadOptions{Plan: plan, Dictionary: dict}); err != nil {
 			return nil, err
 		}
 		stores[i].OriginalSize = sizes[i]
+		dict = stores[i].Names
 	}
 	set, err := NewBase(stores[0])
 	if err == nil && len(parts) > 1 {
@@ -113,31 +112,43 @@ func Build(doc []byte, n int, opts storage.LoadOptions) (*Set, error) {
 }
 
 // Append ingests each doc, which must pass CheckAppend, as its own
-// append segment under opts(i) and the chain's name dictionary, and
-// returns the grown set; the receiver is untouched. When docs[i] does
-// not ingest, failed is i; otherwise -1.
-func (s *Set) Append(docs [][]byte, opts func(i int) (storage.LoadOptions, error)) (grown *Set, failed int, err error) {
+// append segment on the chain's name dictionary, and returns the grown
+// set; the receiver is untouched. Each doc is parsed (storage.Parse),
+// plan — when non-nil — chooses its compression plan from its values,
+// and they are stored under it (Values.Store). When docs[i] does not
+// ingest, failed is i; otherwise -1.
+func (s *Set) Append(docs [][]byte, plan func(*storage.Values) (*storage.CompressionPlan, error)) (grown *Set, failed int, err error) {
 	if len(docs) == 0 {
 		return nil, -1, fmt.Errorf("partition: nothing to append")
 	}
 	stores := make([]*storage.Store, len(docs))
 	dict := s.store.Names
 	for i, doc := range docs {
-		o, err := opts(i)
-		if err == nil {
-			err = s.CheckAppend(doc)
-		}
-		if err == nil {
-			o.Dictionary = dict
-			stores[i], err = storage.Load(doc, o)
-		}
-		if err != nil {
+		if stores[i], err = s.ingest(doc, dict, plan); err != nil {
 			return nil, i, err
 		}
 		dict = stores[i].Names
 	}
 	grown, err = s.grow(stores)
 	return grown, -1, err
+}
+
+// ingest is Append's write of one doc on dictionary dict.
+func (s *Set) ingest(doc []byte, dict []string, plan func(*storage.Values) (*storage.CompressionPlan, error)) (*storage.Store, error) {
+	if err := s.CheckAppend(doc); err != nil {
+		return nil, err
+	}
+	vals, err := storage.Parse(doc, dict)
+	if err != nil {
+		return nil, err
+	}
+	var p *storage.CompressionPlan
+	if plan != nil {
+		if p, err = plan(vals); err != nil {
+			return nil, err
+		}
+	}
+	return vals.Store(p)
 }
 
 // grow adds stores, ingested on the set's dictionary chain, as segments:
@@ -204,11 +215,11 @@ func (s *Set) CheckAppend(doc []byte) error {
 // byte, except that the original size stays the bytes ingested. ctx is
 // checked before the decode and between the decode, the plan search and
 // the rebuild.
-func (s *Set) Compact(ctx context.Context, par int, plan func(*storage.Values) (*storage.CompressionPlan, error)) (*Set, error) {
+func (s *Set) Compact(ctx context.Context, plan func(*storage.Values) (*storage.CompressionPlan, error)) (*Set, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	vals, err := storage.DecodeValues(s.store, par)
+	vals, err := storage.DecodeValues(s.store)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +232,7 @@ func (s *Set) Compact(ctx context.Context, par int, plan func(*storage.Values) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	store, err := vals.Store(p, par)
+	store, err := vals.Store(p)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ import (
 // interface (a codec's Encode) end in the compress packages, and the
 // worker pool (xpar) imports only the standard library. Compaction's
 // plan search is its caller's function value, which the walk does not
-// follow: the caller builds it from the decoded values (Values.Lists).
+// follow: the caller builds it from the decoded values (Values.Textual).
 func TestFusedIsTextFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks two packages from source")

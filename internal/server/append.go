@@ -54,7 +54,7 @@ func (s *Server) writerFor(name string) (*xquec.Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := xquec.NewWriter(db, xquec.Options{Parallelism: s.cfg.AppendParallelism})
+	w, err := xquec.NewWriter(db, xquec.Options{})
 	if err != nil {
 		return nil, err
 	}

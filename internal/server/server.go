@@ -48,10 +48,6 @@ type Config struct {
 	// compaction keep their snapshot and are never blocked. Default 0
 	// (compact only on request).
 	CompactAfter int
-	// AppendParallelism is the ingestion worker budget for /append
-	// commits and compactions (default GOMAXPROCS — ingestion is a
-	// foreground cost the client is waiting on).
-	AppendParallelism int
 }
 
 func (c *Config) fillDefaults() {
@@ -75,9 +71,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxAppendBytes <= 0 {
 		c.MaxAppendBytes = 64 << 20
-	}
-	if c.AppendParallelism <= 0 {
-		c.AppendParallelism = runtime.GOMAXPROCS(0)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"xquec/internal/compress"
 	"xquec/internal/compress/alm"
@@ -62,11 +63,22 @@ func (c *Container) Value(i int) []byte { return c.vals[i] }
 // Owner returns the node the i-th record in value order belongs to.
 func (c *Container) Owner(i int) NodeID { return c.owners[i] }
 
-// Decode appends the decompressed i-th value to dst.
+// Decode appends the decompressed i-th value to dst. A caller that
+// decodes many values keeps one buffer and passes dst[:0]: once the
+// buffer has grown to the largest value, decoding allocates nothing.
 func (c *Container) Decode(dst []byte, i int) ([]byte, error) {
 	decodeOps.Add(1)
 	return c.codec.Decode(dst, c.vals[i])
 }
+
+// decodeOps counts every value decompression in the process. It is the
+// observable the streaming-result contract is tested against: stopping a
+// result cursor after N items must stop the decode counter too.
+var decodeOps atomic.Int64
+
+// DecodeOps returns the process-wide number of value decodes performed
+// so far. Monotonic; diff two readings to charge a code region.
+func DecodeOps() int64 { return decodeOps.Load() }
 
 // Encode compresses a probe value with the container's codec.
 func (c *Container) Encode(dst, plain []byte) ([]byte, error) {
@@ -175,19 +187,18 @@ var ErrNeedsDecompression = fmt.Errorf("storage: predicate requires decompressio
 // the bounds — the case-(iii) decompression the cost model charges,
 // but logarithmic instead of a full container scan.
 func (c *Container) FindRangeDecoding(loPlain []byte, loInclusive bool, hiPlain []byte, hiInclusive bool) (int, int, error) {
-	sc := NewScratch()
-	defer sc.Release()
+	var buf []byte
 	var decodeErr error
 	decodeAt := func(i int) []byte {
 		if decodeErr != nil {
 			return nil
 		}
-		v, err := c.DecodeScratch(sc, i)
-		if err != nil {
+		var err error
+		if buf, err = c.Decode(buf[:0], i); err != nil {
 			decodeErr = err
 			return nil
 		}
-		return v
+		return buf
 	}
 	lo := 0
 	if loPlain != nil {

@@ -3,6 +3,11 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,12 +18,13 @@ import (
 // TestLoadAllocationCeiling holds Load to a tenth of what it allocated
 // while it built a NodeRecord tree with per-node child and value slices,
 // parsed into string events and mined ALM tokens through string-keyed
-// maps: 108 677 allocations for this document, serially.
+// maps: 108 677 allocations for this document, serially (GOMAXPROCS 1).
 func TestLoadAllocationCeiling(t *testing.T) {
 	const before = 108_677
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.25, Seed: 7})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := Load(doc, LoadOptions{Parallelism: 1}); err != nil {
+		if _, err := Load(doc, LoadOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -109,7 +115,7 @@ func FuzzSAX(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		src := bytes.Clone(doc)
 		dom, domErr := xmlparser.BuildDOM(src)
-		s, err := Load(src, LoadOptions{Parallelism: 1})
+		s, err := Load(src, LoadOptions{})
 		if (err == nil) != (domErr == nil) {
 			t.Fatalf("Load: %v, BuildDOM: %v", err, domErr)
 		}
@@ -144,4 +150,49 @@ func FuzzSAX(f *testing.F) {
 			t.Fatalf("repository does not reopen: %v", err)
 		}
 	})
+}
+
+// TestOneStorePath: every write — a parse's values or a store's decoded
+// ones — reaches buildContainers through Values.Store, its one caller,
+// so there is one place where value lists become containers and value
+// refs become records.
+func TestOneStorePath(t *testing.T) {
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var callers []string
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			name := fd.Name.Name
+			if fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				name = recv.(*ast.Ident).Name + "." + name
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "buildContainers" {
+					callers = append(callers, name)
+				}
+				return true
+			})
+		}
+	}
+	if len(callers) != 1 || callers[0] != "Values.Store" {
+		t.Fatalf("buildContainers is called from %v, want only Values.Store", callers)
+	}
 }

@@ -13,46 +13,31 @@ import (
 	"xquec/internal/xpar"
 )
 
-// LoadOptions configures the loader/compressor.
+// LoadOptions configures Load.
 type LoadOptions struct {
 	// Plan is the compression configuration (usually produced by the
 	// cost-model search, §3). Nil means: typed codecs where values
 	// round-trip, otherwise one ALM source model per container — the
 	// paper's default when no workload is available.
 	Plan *CompressionPlan
-	// Parallelism is the worker count for the fan-out phase of the
-	// pipeline: per-container type inference, source-model training
-	// (ALM partition mining, Huffman/Hu-Tucker tree building), value
-	// encoding and record sorting. 0 means GOMAXPROCS; 1 forces the
-	// serial path. Serial and parallel builds produce byte-identical
-	// repositories: every unit of fan-out work is a pure function of its
-	// inputs and results are placed by index, not completion order.
-	Parallelism int
-	// Dictionary pre-seeds the name dictionary before the SAX pass, in
-	// the given order. A segment set's append uses this to give every
-	// segment the previous segment's dictionary (identical name codes for
-	// the same tag across segments) even when a segment never sees some of
-	// the tags.
-	// Names encountered during the parse that are already pre-seeded keep
-	// their seeded code; new names append after the seed.
+	// Dictionary pre-seeds the name dictionary (Parse).
 	Dictionary []string
 }
 
-// BuildStats records the wall-clock time Load spent in each phase of the
-// two-phase ingestion pipeline. Parse is the serial SAX pass, which writes
-// the structure arrays; Classify, Train and Encode are the parallel
-// fan-out (type inference, source-model training, value encoding +
-// container sorting + value-ref resolution); Index is the serial freeze of
-// the succinct structure (rank/select and navigation directories) and the
-// summary statistics. Not persisted: repositories opened from disk report
-// a zero BuildStats.
+// BuildStats records the wall-clock time an ingest spent in each phase
+// of the pipeline. Parse is the serial SAX pass, which writes the
+// structure arrays; Classify, Train and Encode are the fan-out of Store
+// (type inference, source-model training, value encoding + container
+// sorting + value-ref resolution); Index is the serial freeze of the
+// succinct structure (rank/select and navigation directories) and the
+// summary statistics. Not persisted: repositories opened from disk
+// report a zero BuildStats.
 type BuildStats struct {
-	Parallelism int
-	Parse       time.Duration
-	Classify    time.Duration
-	Train       time.Duration
-	Encode      time.Duration
-	Index       time.Duration
+	Parse    time.Duration
+	Classify time.Duration
+	Train    time.Duration
+	Encode   time.Duration
+	Index    time.Duration
 }
 
 // Total returns the summed phase time.
@@ -60,97 +45,74 @@ func (b BuildStats) Total() time.Duration {
 	return b.Parse + b.Classify + b.Train + b.Encode + b.Index
 }
 
-// Load parses an XML document and builds the compressed repository.
-//
-// Ingestion is a two-phase pipeline. Phase one is the serial SAX pass:
-// it writes the structure tree as it will be stored — paren bits, node
-// marks, tag codes and one value ref per text leaf — and assembles the
-// structure summary and the per-container plaintext value lists in
-// document order (§2.2 makes each root-to-leaf path an independent
-// compression unit, but document order itself is inherently sequential).
-// Phase two fans out over those independent units on a worker pool — see
-// buildContainers — and the arrays are frozen the way an opened file's
-// and a fusion's are (succinctArrays.build).
+// Load parses an XML document and builds the compressed repository
+// under opts.Plan: Parse, then Values.Store.
 func Load(src []byte, opts LoadOptions) (*Store, error) {
-	par := opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	v, err := Parse(src, opts.Dictionary)
+	if err != nil {
+		return nil, err
 	}
-	s := &Store{
-		Models:       map[string]GroupModel{},
-		OriginalSize: len(src),
-		Sum:          &Summary{},
-	}
-	s.Build.Parallelism = par
+	return v.Store(opts.Plan)
+}
+
+// Parse is phase one of ingestion, the serial SAX pass. It writes the
+// structure tree as it will be stored — paren bits, node marks, tag
+// codes and one value ref per text leaf — and assembles the structure
+// summary and the per-path plaintext value lists in document order
+// (§2.2 makes each root-to-leaf path an independent compression unit,
+// but document order itself is inherently sequential). Phase two is
+// Values.Store, which fans out over those units.
+//
+// dictionary pre-seeds the name dictionary, in the given order. A
+// segment set's append uses this to give every segment the previous
+// segment's dictionary (identical name codes for the same tag across
+// segments) even when a segment never sees some of the tags. Names
+// encountered during the parse that are already pre-seeded keep their
+// seeded code; new names append after the seed.
+func Parse(src []byte, dictionary []string) (*Values, error) {
 	in := &ingest{
 		dict: newDictionary(),
-		sum:  s.Sum,
+		sum:  &Summary{},
 		pb:   succinct.NewBitBuilder(len(src) / 8),
 		mb:   succinct.NewBitBuilder(len(src) / 16),
 	}
-	for _, name := range opts.Dictionary {
+	for _, name := range dictionary {
 		if _, err := in.dict.add(name); err != nil {
 			return nil, err
 		}
 	}
-
 	phase := time.Now()
 	if err := xmlparser.NewParser(src).Parse(in.event); err != nil {
 		return nil, err
 	}
-	s.Names, s.nameIdx = in.dict.names, in.dict.idx
-	s.Build.Parse = time.Since(phase)
-
-	// The value paths in summary-ID order — the order their first values
-	// appear in — become the containers, in that order.
-	var sumIDs []int32
-	var lists []valueList
-	for id := range in.sums {
-		if st := &in.sums[id]; len(st.plains) > 0 {
-			sumIDs = append(sumIDs, int32(id))
-			lists = append(lists, valueList{path: s.Sum.NodeByID(int32(id)).Path(), plains: st.plains, owners: st.owners})
-		}
-	}
-	mappings, err := s.buildContainers(lists, opts.Plan, par)
-	if err != nil {
-		return nil, err
-	}
-	// Turn every ref's (summary ID, document position) into (container,
-	// record).
-	phase = time.Now()
 	a := &in.arr
-	contOf := make([]int32, len(in.sums))
-	byID := make([][]int32, len(in.sums))
-	for i, id := range sumIDs {
-		contOf[id], byID[id] = int32(i), mappings[i]
-		s.Sum.NodeByID(id).Container = int32(i)
-	}
-	for v, sumID := range a.valCont {
-		a.valCont[v] = contOf[sumID]
-		a.valIdx[v] = byID[sumID][a.valIdx[v]]
-	}
-	s.Build.Encode += time.Since(phase)
-
-	phase = time.Now()
 	a.parens, a.nParens = in.pb.Words(), in.pb.Len()
 	a.marks, a.nOpens = in.mb.Words(), in.mb.Len()
-	s.succ = a.build()
-	s.Sum.deriveStats(func(sn *SummaryNode) int { return in.sums[sn.ID].fan }, s.Containers)
-	s.Build.Index = time.Since(phase)
-	return s, nil
+	v := &Values{
+		lists: in.lists, list: a.valCont, pos: a.valIdx,
+		names: in.dict.names, nameIdx: in.dict.idx, size: len(src), in: in,
+	}
+	v.parse = time.Since(phase)
+	return v, nil
 }
 
-// ingest is the state of Load's SAX pass: the structure arrays under
+// ingest is the state of Parse's SAX pass: the structure arrays under
 // construction and, per summary node, what the pass needs to find its
 // way without comparing strings.
 type ingest struct {
 	dict   *dictionary
 	sum    *Summary
 	pb, mb *succinct.BitBuilder // paren bits; node marks over the opens
-	// arr collects tags and value refs. Until Load resolves them, a
-	// ref's valCont is the summary ID of its value path and its valIdx
-	// the value's position in that path's list.
-	arr   succinctArrays
+	// arr collects tags and value refs. Until Values.Store resolves
+	// them, a ref's valCont is its value path's list — the container it
+	// becomes — and its valIdx the value's position in that list.
+	arr succinctArrays
+	// lists are the value paths' (attribute or #text) values in document
+	// order, one container's worth each, in the order their first values
+	// appear; a value path's summary node names its list (Container).
+	// The plaintexts are views of the document, or of slab when the
+	// document spells them with references or CDATA.
+	lists []valueList
 	sums  []sumState // by summary ID
 	kids  childIndex
 	stack []openElem
@@ -160,11 +122,6 @@ type ingest struct {
 type sumState struct {
 	fan  int          // element children over all instances
 	text *SummaryNode // the #text child, once an instance had text
-	// A value path's (attribute or #text) values in document order, one
-	// container's worth. The plaintexts are views of the document, or of
-	// ingest.slab when the document spells them with references or CDATA.
-	plains [][]byte
-	owners []NodeID
 }
 
 type openElem struct {
@@ -237,7 +194,8 @@ func (in *ingest) open(parent *SummaryNode, code uint16) (NodeID, *SummaryNode) 
 }
 
 // value writes a text leaf — "()", unmarked — owned by node owner and
-// appends its plaintext to the list of the value path sn.
+// appends its plaintext to the list of the value path sn, which its
+// first value opens.
 func (in *ingest) value(sn *SummaryNode, owner NodeID, plain []byte, decoded bool) {
 	in.pb.Append(true)
 	in.pb.Append(false)
@@ -248,23 +206,26 @@ func (in *ingest) value(sn *SummaryNode, owner NodeID, plain []byte, decoded boo
 		in.slab = append(in.slab, plain...)
 		plain = in.slab[k:len(in.slab):len(in.slab)]
 	}
-	st := &in.sums[sn.ID]
-	in.arr.valCont = append(in.arr.valCont, sn.ID)
-	in.arr.valIdx = append(in.arr.valIdx, int32(len(st.plains)))
-	st.plains = append(st.plains, plain)
-	st.owners = append(st.owners, owner)
+	if sn.Container < 0 {
+		sn.Container = int32(len(in.lists))
+		in.lists = append(in.lists, valueList{path: sn.Path()})
+	}
+	l := &in.lists[sn.Container]
+	in.arr.valCont = append(in.arr.valCont, sn.Container)
+	in.arr.valIdx = append(in.arr.valIdx, int32(len(l.plains)))
+	l.plains = append(l.plains, plain)
+	l.owners = append(l.owners, owner)
 }
 
 // buildContainers infers container types, resolves the compression plan
 // into source-model groups, trains codecs and builds the sorted
 // containers of lists, appending them to s.Containers in list order. It
 // returns, per list, the mapping from document position to record index
-// (buildContainer's); turning value refs into records is the caller's.
-// Load and a store's re-encoding (Values.Store) share it: the two differ
-// only in where the plaintexts come from and the order they arrive in.
+// (buildContainer's); turning value refs into records is the caller's,
+// Values.Store, its one caller.
 //
-// This is the fan-out phase of the pipeline. Three stages run on the
-// worker pool, each over independent units:
+// This is the fan-out phase of the pipeline. Three stages run on
+// GOMAXPROCS workers, each over independent units:
 //
 //  1. classify: per container, the plaintext order (sortPlain) and
 //     typed-codec round-trip inference (numeric trainers validate on
@@ -279,7 +240,8 @@ func (in *ingest) value(sn *SummaryNode, owner NodeID, plain []byte, decoded boo
 // list order, and every parallel stage writes results into a slice cell
 // keyed by its input index, so the container order, group order and all
 // persisted bytes are identical for any worker count.
-func (s *Store) buildContainers(lists []valueList, plan *CompressionPlan, par int) ([][]int32, error) {
+func (s *Store) buildContainers(lists []valueList, plan *CompressionPlan) ([][]int32, error) {
+	par := runtime.GOMAXPROCS(0)
 	defaultAlg := AlgALM
 	pathGroup := map[string]string{} // path -> group name
 	groupAlg := map[string]string{}

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -11,8 +12,10 @@ import (
 )
 
 // TestParallelLoadDeterministic is the pipeline's core contract: any
-// worker count produces a byte-identical persisted repository.
+// worker count (GOMAXPROCS) produces a byte-identical persisted
+// repository.
 func TestParallelLoadDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	plans := map[string]*CompressionPlan{
 		"default":  nil,
 		"huffman":  {DefaultAlgorithm: AlgHuffman},
@@ -22,13 +25,15 @@ func TestParallelLoadDeterministic(t *testing.T) {
 		doc := datagen.XMark(datagen.XMarkConfig{Scale: scale, Seed: 1234})
 		for name, plan := range plans {
 			t.Run(fmt.Sprintf("scale=%g/%s", scale, name), func(t *testing.T) {
-				serial, err := Load(doc, LoadOptions{Plan: plan, Parallelism: 1})
+				runtime.GOMAXPROCS(1)
+				serial, err := Load(doc, LoadOptions{Plan: plan})
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := serial.AppendBinary(nil)
 				for _, par := range []int{2, 4, 8} {
-					s, err := Load(doc, LoadOptions{Plan: plan, Parallelism: par})
+					runtime.GOMAXPROCS(par)
+					s, err := Load(doc, LoadOptions{Plan: plan})
 					if err != nil {
 						t.Fatalf("p=%d: %v", par, err)
 					}
@@ -111,9 +116,7 @@ func TestConcurrentContainerReads(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sc := NewScratch()
-			defer sc.Release()
-			var buf []byte
+			var buf, dst []byte
 			for _, c := range s.Containers {
 				n := c.Len()
 				if n == 0 {
@@ -126,9 +129,9 @@ func TestConcurrentContainerReads(t *testing.T) {
 						t.Errorf("Decode(%s, %d): %v", c.Path, i, err)
 						return
 					}
-					v, err := c.DecodeScratch(sc, i)
-					if err != nil || !bytes.Equal(v, buf) {
-						t.Errorf("DecodeScratch(%s, %d) = %q, %v; want %q", c.Path, i, v, err, buf)
+					dst, err = c.Decode(dst[:0], i)
+					if err != nil || !bytes.Equal(dst, buf) {
+						t.Errorf("Decode(%s, %d) into a reused buffer = %q, %v; want %q", c.Path, i, dst, err, buf)
 						return
 					}
 					plain := append([]byte(nil), buf...)
@@ -154,9 +157,10 @@ func TestConcurrentContainerReads(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDecodeScratchZeroAlloc asserts the tentpole's read-path claim:
-// once a Scratch is warm, decoding through it allocates nothing.
-func TestDecodeScratchZeroAlloc(t *testing.T) {
+// TestDecodeZeroAlloc asserts the read path's claim: once a reused
+// buffer has grown to a container's largest value, decoding into it
+// allocates nothing.
+func TestDecodeZeroAlloc(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 7})
 	for name, plan := range map[string]*CompressionPlan{
 		"alm":      nil,
@@ -171,17 +175,16 @@ func TestDecodeScratchZeroAlloc(t *testing.T) {
 			if c.Len() == 0 {
 				continue
 			}
-			c := c
-			sc := NewScratch()
+			var dst []byte
 			// Warm the buffer to the container's largest value.
 			for i := 0; i < c.Len(); i++ {
-				if _, err := c.DecodeScratch(sc, i); err != nil {
+				if dst, err = c.Decode(dst[:0], i); err != nil {
 					t.Fatalf("%s/%s: %v", name, c.Path, err)
 				}
 			}
 			allocs := testing.AllocsPerRun(50, func() {
 				for i := 0; i < c.Len(); i++ {
-					if _, err := c.DecodeScratch(sc, i); err != nil {
+					if dst, err = c.Decode(dst[:0], i); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -190,7 +193,6 @@ func TestDecodeScratchZeroAlloc(t *testing.T) {
 				t.Errorf("%s: container %s (%s): %.1f allocs per decode sweep, want 0",
 					name, c.Path, c.Codec().Name(), allocs)
 			}
-			sc.Release()
 		}
 	}
 }

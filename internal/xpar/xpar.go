@@ -1,13 +1,16 @@
-// Package xpar is the process-wide intra-task worker pool shared by the
-// ingestion pipeline (storage.Load) and the query evaluator (algebra's
-// partitioned operators, engine fan-outs). It provides one primitive —
-// ForEach, an index-space fan-out with first-error cancellation.
+// Package xpar is the worker pool of the write path: the fan-out of
+// every write (storage.Values.Store's classify, train and encode
+// stages, storage.DecodeValues' per-container decode) and the loading
+// of a segment set's files (partition.Open), each on GOMAXPROCS
+// workers. Queries use none: each runs on its caller's goroutine. It
+// provides one primitive — ForEach, an index-space fan-out with
+// first-error cancellation.
 //
 // Determinism contract: ForEach assigns work by index, and callers
 // place results by index (one slice cell per work unit), so the output
 // order is the index order regardless of worker count or scheduling.
-// Every parallel operator built on it must therefore produce output
-// byte-identical to its serial form.
+// Every fan-out built on it must therefore produce output byte-identical
+// to its serial form.
 package xpar
 
 import (

@@ -6,19 +6,19 @@ import (
 	"strings"
 	"sync"
 
-	"xquec/internal/costmodel"
 	"xquec/internal/partition"
-	"xquec/internal/storage"
 )
 
 // Writer is the repository write path: Append stages documents, Commit
 // ingests each staged document as its own append segment (sharing the
 // repository's interned name dictionary) and publishes a new Database
 // handle, Compact folds every segment back into a single freshly
-// partitioned base segment. The underlying databases stay immutable —
-// each Commit/Compact builds a new segment set and swaps the Writer's
-// current handle, so readers holding an older handle keep a fully
-// consistent snapshot for as long as they like.
+// partitioned base segment, both on Compress's pipeline over values
+// parsed from a staged document or decoded from the set. The underlying
+// databases stay immutable — each Commit/Compact builds a new segment
+// set and swaps the Writer's current handle, so readers holding an
+// older handle keep a fully consistent snapshot for as long as they
+// like.
 //
 // A Writer serializes its own operations (Append, Commit and Compact
 // may be called from any goroutine) but there must be only one Writer
@@ -109,8 +109,8 @@ func (w *Writer) Pending() int {
 
 // Commit ingests every staged document as an append segment, fuses them
 // onto the repository's store at once, and publishes the grown Database
-// (also returned). Each appended document's compression plan is
-// resolved independently under the Writer's Options. With nothing
+// (also returned). Each appended document is parsed once and its plan
+// chosen from its values under the Writer's Options. With nothing
 // staged, Commit is a no-op returning the current handle. On error
 // nothing is published; the document that failed to ingest — it never
 // will — is dropped from the staging area so that it cannot block later
@@ -125,10 +125,7 @@ func (w *Writer) commitLocked() (*Database, error) {
 	if len(w.pending) == 0 {
 		return w.db, nil
 	}
-	segs, failed, err := w.db.set.Append(w.pending, func(i int) (storage.LoadOptions, error) {
-		plan, err := resolvePlan(w.opts, docContainers(w.pending[i]))
-		return storage.LoadOptions{Plan: plan, Parallelism: w.opts.Parallelism}, err
-	})
+	segs, failed, err := w.db.set.Append(w.pending, w.opts.plan)
 	if failed >= 0 {
 		w.pending = slices.Delete(w.pending, failed, failed+1)
 	}
@@ -159,11 +156,7 @@ func (w *Writer) Compact(ctx context.Context) (*Database, error) {
 	if len(segs.Segments.Segments) == 1 {
 		return w.db, nil
 	}
-	compacted, err := segs.Compact(ctx, w.opts.Parallelism, func(vals *storage.Values) (*CompressionPlan, error) {
-		return resolvePlan(w.opts, func() ([]costmodel.ContainerInfo, error) {
-			return costmodel.Infos(vals.Lists()), nil
-		})
-	})
+	compacted, err := segs.Compact(ctx, w.opts.plan)
 	if err != nil {
 		return nil, err
 	}

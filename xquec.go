@@ -80,18 +80,15 @@ type Options struct {
 	SearchSeed int64
 	// Plan overrides the cost model entirely.
 	Plan *CompressionPlan
-	// Parallelism is the worker count for the compressor's fan-out phase
-	// (codec training, value encoding, container sorting). 0 means
-	// GOMAXPROCS, 1 forces the serial path; any setting produces a
-	// byte-identical repository.
-	Parallelism int
 	// Shards, when 2 or more, cuts the document into min(Shards, root
 	// element children) contiguous runs of its root's children and
 	// builds them as a segment set, as a Writer appending the runs to the
 	// first would: one repository per run, all sharing one name
 	// dictionary, opened together as one logical Database whose queries
 	// run on the runs' fused store and return results identical to a
-	// single repository's. 0 or 1 builds a single repository.
+	// single repository's. All runs share one plan, with a workload the
+	// one searched over the whole document, which that parses once more.
+	// 0 or 1 builds a single repository.
 	Shards int
 }
 
@@ -121,76 +118,53 @@ func setDB(set *partition.Set) *Database { return &Database{store: set.Store(), 
 
 // Compress parses and compresses an XML document into a Database. With
 // Options.Shards ≥ 2 the document is cut into a segment set (see the
-// field doc); otherwise it is a single repository.
+// field doc); otherwise it is a single repository. The compressor's
+// fan-out runs on GOMAXPROCS workers; the repository is the same
+// whatever their number.
 func Compress(doc []byte, opts Options) (*Database, error) {
-	plan, err := resolvePlan(opts, docContainers(doc))
-	if err != nil {
-		return nil, err
-	}
-	load := storage.LoadOptions{Plan: plan, Parallelism: opts.Parallelism}
 	if opts.Shards >= 2 {
-		set, err := partition.Build(doc, opts.Shards, load)
+		plan := opts.Plan
+		w, err := opts.workload()
+		if err == nil && w != nil {
+			plan, err = PlanFromWorkload(doc, w, opts.SearchSeed)
+		}
+		if err != nil {
+			return nil, err
+		}
+		set, err := partition.Build(doc, opts.Shards, plan)
 		if err != nil {
 			return nil, err
 		}
 		return setDB(set), nil
 	}
-	s, err := storage.Load(doc, load)
+	vals, err := storage.Parse(doc, nil)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := opts.plan(vals)
+	if err != nil {
+		return nil, err
+	}
+	s, err := vals.Store(plan)
 	if err != nil {
 		return nil, err
 	}
 	return &Database{store: s}, nil
 }
 
-// resolvePlan turns Options into a compression plan (nil = per-type
-// defaults): explicit Plan wins, otherwise the workload-driven
-// cost-model search runs over the containers collect gathers — called
-// only then.
-func resolvePlan(opts Options, collect func() ([]costmodel.ContainerInfo, error)) (*CompressionPlan, error) {
-	plan := opts.Plan
-	w := opts.Workload
-	if len(opts.WorkloadQueries) > 0 {
-		extracted, err := WorkloadFromQueries(opts.WorkloadQueries...)
-		if err != nil {
-			return nil, err
-		}
-		if w != nil {
-			extracted.Predicates = append(extracted.Predicates, w.Predicates...)
-		}
-		w = extracted
+// plan chooses the compression plan of a write's values under o (nil =
+// per-type defaults): an explicit Plan wins, otherwise a workload runs
+// the cost-model search over the textual lists of its paths.
+func (o Options) plan(vals *storage.Values) (*CompressionPlan, error) {
+	w, err := o.workload()
+	if err != nil || w == nil {
+		return o.Plan, err
 	}
-	if plan == nil && w != nil && len(w.Predicates) > 0 {
-		infos, err := collect()
-		if err != nil {
-			return nil, err
-		}
-		return searchPlan(infos, w, opts.SearchSeed)
-	}
-	return plan, nil
-}
-
-// docContainers is resolvePlan's collect for a document to be ingested.
-func docContainers(doc []byte) func() ([]costmodel.ContainerInfo, error) {
-	return func() ([]costmodel.ContainerInfo, error) { return costmodel.CollectContainers(doc) }
-}
-
-// PlanFromWorkload runs the cost-model search (similarity matrix,
-// E/I/D predicate matrices, greedy configuration moves) and returns the
-// resulting compression plan.
-func PlanFromWorkload(doc []byte, w *Workload, seed int64) (*CompressionPlan, error) {
-	infos, err := costmodel.CollectContainers(doc)
-	if err != nil {
-		return nil, err
-	}
-	return searchPlan(infos, w, seed)
-}
-
-// searchPlan is PlanFromWorkload over containers already gathered.
-func searchPlan(infos []costmodel.ContainerInfo, w *Workload, seed int64) (*CompressionPlan, error) {
+	seed := o.SearchSeed
 	if seed == 0 {
 		seed = 20040314 // fixed default: reproducible choices
 	}
-	infos = costmodel.Restrict(infos, w.Paths())
+	infos := costmodel.Infos(vals.Textual(w.Paths()))
 	if len(infos) == 0 {
 		return &CompressionPlan{}, nil
 	}
@@ -201,6 +175,38 @@ func searchPlan(infos []costmodel.ContainerInfo, w *Workload, seed int64) (*Comp
 	cfg, _ := model.Search(seed)
 	groups, algs := model.PlanGroups(cfg)
 	return &CompressionPlan{Groups: groups, Algorithms: algs}, nil
+}
+
+// workload returns the workload of o — Workload and the one
+// WorkloadQueries derive, merged — or nil when there is none to search
+// with or Plan pins the plan.
+func (o Options) workload() (*Workload, error) {
+	w := o.Workload
+	if len(o.WorkloadQueries) > 0 {
+		extracted, err := WorkloadFromQueries(o.WorkloadQueries...)
+		if err != nil {
+			return nil, err
+		}
+		if w != nil {
+			extracted.Predicates = append(extracted.Predicates, w.Predicates...)
+		}
+		w = extracted
+	}
+	if o.Plan != nil || w == nil || len(w.Predicates) == 0 {
+		return nil, nil
+	}
+	return w, nil
+}
+
+// PlanFromWorkload runs the cost-model search (similarity matrix,
+// E/I/D predicate matrices, greedy configuration moves) over the values
+// Compress parses from doc and returns the resulting compression plan.
+func PlanFromWorkload(doc []byte, w *Workload, seed int64) (*CompressionPlan, error) {
+	vals, err := storage.Parse(doc, nil)
+	if err != nil {
+		return nil, err
+	}
+	return Options{Workload: w, SearchSeed: seed}.plan(vals)
 }
 
 // WorkloadFromQueries derives a workload from XQuery texts by statically
@@ -494,10 +500,10 @@ func (db *Database) Stats() Stats {
 	return s
 }
 
-// IngestStats reports the compressor pipeline's phase timings and
-// worker count for the store queries run on. Zero for databases opened
-// from disk and for a fused store — the timings describe one ingest, not
-// the repository itself.
+// IngestStats reports the compressor pipeline's phase timings for the
+// store queries run on. Zero for databases opened from disk and for a
+// fused store — the timings describe one ingest, not the repository
+// itself.
 func (db *Database) IngestStats() storage.BuildStats { return db.store.Build }
 
 // Stats is a database summary.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"xquec/internal/datagen"
@@ -15,7 +16,8 @@ import (
 // the repository a re-ingest of the serialized corpus builds under the
 // Writer's Options — plan search included — byte for byte, the stored
 // original size aside (it stays the bytes ingested), for the default
-// options, a workload and an explicit plan, at one and two workers.
+// options, a workload and an explicit plan, at one and two workers
+// (GOMAXPROCS).
 func TestCompactEqualsReingest(t *testing.T) {
 	var texts []string
 	for _, q := range xmarkq.Queries() {
@@ -33,8 +35,8 @@ func TestCompactEqualsReingest(t *testing.T) {
 	for _, cell := range grid {
 		for _, par := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/p=%d", cell.name, par), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 				opts := cell.opts
-				opts.Parallelism = par
 				grown, compacted, err := appendCompact(base, appendFrags(), opts)
 				if err != nil {
 					t.Fatal(err)
@@ -43,11 +45,15 @@ func TestCompactEqualsReingest(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				plan, err := resolvePlan(opts, docContainers(xml))
+				vals, err := storage.Parse(xml, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := storage.Load(xml, storage.LoadOptions{Plan: plan, Parallelism: par})
+				plan, err := opts.plan(vals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := vals.Store(plan)
 				if err != nil {
 					t.Fatal(err)
 				}

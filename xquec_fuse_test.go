@@ -35,7 +35,7 @@ func segmentSets(tb testing.TB, scale float64, frags int) (sets []*partition.Set
 	sets = append(sets, w.DB().set)
 	for k := 0; k < frags; k++ {
 		docs = append(docs, datagen.XMark(datagen.XMarkConfig{Scale: fuseFragScale, Seed: int64(100 + k)}))
-		set, _, err := sets[k].Append(docs[k:], defaultLoad)
+		set, _, err := sets[k].Append(docs[k:], nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -43,9 +43,6 @@ func segmentSets(tb testing.TB, scale float64, frags int) (sets []*partition.Set
 	}
 	return sets, docs
 }
-
-// defaultLoad loads every appended document under the default options.
-func defaultLoad(int) (storage.LoadOptions, error) { return storage.LoadOptions{}, nil }
 
 // answer runs q and returns the whole result as text.
 func answer(t *testing.T, db *Database, q string) string {
@@ -95,7 +92,7 @@ func BenchmarkFuse(b *testing.B) {
 			b.ReportAllocs()
 			from := partition.Snapshot()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sets[k-1].Append(docs[k-1:k], defaultLoad); err != nil {
+				if _, _, err := sets[k-1].Append(docs[k-1:k], nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -162,7 +159,7 @@ func TestFuseBudget(t *testing.T) {
 		t.Skip("scale-2 ingest")
 	}
 	sets, docs := segmentSets(t, 2, 3)
-	opts := storage.LoadOptions{Parallelism: 1}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	mallocs := func(f func() error) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -177,16 +174,14 @@ func TestFuseBudget(t *testing.T) {
 	var fused *storage.Store
 	for i := 0; i < runs; i++ {
 		appended := mallocs(func() error {
-			set, _, err := sets[2].Append(docs[2:], func(int) (storage.LoadOptions, error) { return opts, nil })
+			set, _, err := sets[2].Append(docs[2:], nil)
 			if err == nil {
 				fused = set.Store()
 			}
 			return err
 		})
 		ingest := mallocs(func() error {
-			o := opts
-			o.Dictionary = sets[2].Store().Names
-			st, err := storage.Load(docs[2], o)
+			st, err := storage.Load(docs[2], storage.LoadOptions{Dictionary: sets[2].Store().Names})
 			if err == nil {
 				st.AppendBinary(nil)
 			}
@@ -226,7 +221,7 @@ func TestFuseWhileQuerying(t *testing.T) {
 				}
 			}()
 		}
-		set, _, err := sets[1].Append(docs[1:2], defaultLoad)
+		set, _, err := sets[1].Append(docs[1:2], nil)
 		wg.Wait()
 		if err != nil {
 			t.Fatal(err)

@@ -82,3 +82,33 @@ func TestCompressTooManyNames(t *testing.T) {
 		t.Fatalf("count(/r/*) = %q, %v", got, err)
 	}
 }
+
+// TestWorkloadTypesLikeTheLoader: the search and the loader classify a
+// value path with one rule, over every value. The first 600 values of
+// /r/x are integers and a later one is n/a, so the loader stores the
+// path as strings, and the search must partition it: a workload naming
+// it gives its container a searched group (set…), as it does its
+// all-string neighbour, not the default path:/r/x/#text. The search once
+// judged types on a 512-value sample and left /r/x out as typed.
+func TestWorkloadTypesLikeTheLoader(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString("<r>")
+	for i := 0; i < 600; i++ {
+		fmt.Fprintf(&doc, "<x>%d</x><y>word%d</y>", i, i%7)
+	}
+	doc.WriteString("<x>n/a</x></r>")
+	var w Workload
+	w.IneqConst("/r/x/#text")
+	w.EqConst("/r/y/#text")
+	for _, opts := range []Options{{Workload: &w}, {Workload: &w, Shards: 2}} {
+		db, err := Compress([]byte(doc.String()), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range db.Containers() {
+			if c.Kind != "string" || !strings.HasPrefix(c.Group, "set") {
+				t.Errorf("shards %d: %s is %s in group %q, want a string in a searched group", opts.Shards, c.Path, c.Kind, c.Group)
+			}
+		}
+	}
+}
