@@ -305,6 +305,24 @@ func TestInfos(t *testing.T) {
 	}
 }
 
+// TestRestrict: the search sees only the workload's paths, in the order
+// their first values appear in the document whatever order the workload
+// names them in; a path the workload names but the document lacks adds
+// nothing.
+func TestRestrict(t *testing.T) {
+	vals, err := storage.Parse([]byte("<r><a>x</a><b>y</b><c>z</c><a>w</a></r>"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Infos(vals.Textual([]string{"/r/c/#text", "/r/zz/#text", "/r/a/#text"}))
+	if len(got) != 2 || got[0].Path != "/r/a/#text" || got[0].Count != 2 || got[1].Path != "/r/c/#text" || got[1].Count != 1 {
+		t.Fatalf("restricted infos = %v", got)
+	}
+	if got := Infos(vals.Textual(nil)); len(got) != 0 {
+		t.Fatalf("empty workload kept %v", got)
+	}
+}
+
 func TestNewModelErrors(t *testing.T) {
 	if _, err := NewModel(nil, &workload.Workload{}); err == nil {
 		t.Fatal("empty container set accepted")

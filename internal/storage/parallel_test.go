@@ -157,10 +157,10 @@ func TestConcurrentContainerReads(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDecodeZeroAlloc asserts the read path's claim: once a reused
-// buffer has grown to a container's largest value, decoding into it
-// allocates nothing.
-func TestDecodeZeroAlloc(t *testing.T) {
+// TestDecodeScratchZeroAlloc asserts the read path's claim: once a
+// reused scratch buffer has grown to a container's largest value,
+// decoding into it allocates nothing.
+func TestDecodeScratchZeroAlloc(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 7})
 	for name, plan := range map[string]*CompressionPlan{
 		"alm":      nil,
