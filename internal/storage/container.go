@@ -234,6 +234,20 @@ type valueList struct {
 	// order lists the document positions in plaintext order, equal
 	// plaintexts in document order; sortPlain settles it.
 	order []int32
+	// typed is inferTyped's result once classified is set, so a list
+	// the plan step has typed is not typed again when it is stored.
+	kind       ValueKind
+	typed      compress.Codec
+	classified bool
+}
+
+// classify runs inferTyped over the plaintexts once.
+func (l *valueList) classify() (ValueKind, compress.Codec) {
+	if !l.classified {
+		l.kind, l.typed = inferTyped(l.plains)
+		l.classified = true
+	}
+	return l.kind, l.typed
 }
 
 // sortPlain settles the plaintext order. An order the list arrives with

@@ -281,10 +281,7 @@ func (s *Store) buildContainers(lists []valueList, plan *CompressionPlan) ([][]i
 			cls[i].group = g
 			return nil
 		}
-		if kind, codec := inferTyped(l.plains); codec != nil {
-			cls[i].kind = kind
-			cls[i].typed = codec
-		}
+		cls[i].kind, cls[i].typed = l.classify()
 		return nil
 	})
 	if err != nil {

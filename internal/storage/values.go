@@ -128,7 +128,7 @@ func (v *Values) Textual(paths []string) (names []string, plains [][][]byte) {
 		if !want[l.path] {
 			continue
 		}
-		if _, typed := inferTyped(l.plains); typed == nil {
+		if _, typed := l.classify(); typed == nil {
 			names = append(names, l.path)
 			plains = append(plains, l.plains)
 		}
