@@ -15,10 +15,12 @@ var update = flag.Bool("update", false, "rewrite the golden explain listings")
 
 // TestExplainGolden pins what `xquec query -explain` prints for Q3, Q5,
 // Q8, Q14 and Q16, the listing of the compiled program: Q3's residual
-// WHEREs compared as numbers, Q5's count argument a sub-program after the
-// main one, Q8's and Q16's inner FLWOR loops between LETOPEN and LETBIND
-// with a join index built at compile and the strategy of its container
-// join, Q14's contains() a LITREST over the description text containers,
+// WHEREs compared as numbers, its count($b/bidder) read from reach spans,
+// Q5's count of a FOR answered from a container's record span with no
+// sub-program, Q8's and Q16's inner FLWOR loops between LETOPEN and
+// LETBIND with a join index built at compile and the strategy of its
+// container join — Q8's LET bound at once by LETCUR — Q14's contains() a
+// LITREST over the description text containers,
 // matching on the compressed bytes of those larger than its code
 // automaton and decoding the others, each with the reason.
 // Regenerate with `go test ./cmd/xquec -run TestExplainGolden -update`.

@@ -2,7 +2,7 @@
 // processor (§4): data-access operators over the compressed repository
 // (ContScan, ContAccess, StructureSummaryAccess, Parent, TextContent and
 // structural navigation, where a Child step is an extent range, Within),
-// data-combination operators (merge join, hash join, structural
+// data-combination operators (merge joins, structural
 // semi-joins) and the compression-aware operators (compressed-domain
 // predicate evaluation, explicit Decompress). Operators are
 // set-at-a-time: node sequences are kept in
@@ -365,30 +365,53 @@ func ContEq(c *storage.Container, probe []byte) (NodeSet, error) {
 	return ContFilter(c, func(plain []byte) bool { return bytes.Equal(plain, probe) })
 }
 
-// ContRange is ContAccess with an interval criterion. For
-// order-preserving codecs it is a binary search plus a slice of the
-// sorted records (zero decompression); otherwise it decompresses and
-// scans.
-func ContRange(c *storage.Container, lo []byte, loInc bool, hi []byte, hiInc bool) (NodeSet, error) {
+// Span is a stretch [Lo, Hi) of a container's records in value order:
+// the records an equality or interval criterion selects, whose length is
+// how many values match, with no owner read.
+type Span struct{ Lo, Hi int }
+
+// Len is the number of records in the span.
+func (s Span) Len() int { return max(0, s.Hi-s.Lo) }
+
+// Intersect returns the records in both spans: those two criteria on the
+// same container both select.
+func (s Span) Intersect(t Span) Span { return Span{max(s.Lo, t.Lo), min(s.Hi, t.Hi)} }
+
+// EqSpan is ContEq without the owners: the records whose value equals
+// probe, found on the compressed bytes. Equal values lie together in
+// value order, and an order-agnostic codec's equality permutation lists
+// them by record index, so the first match starts the span. A probe the
+// codec cannot encode occurs in no record.
+func EqSpan(c *storage.Container, probe []byte) Span {
+	m, err := c.FindEq(probe)
+	if err != nil || m.Count() == 0 {
+		return Span{}
+	}
+	return Span{m.At(0), m.At(0) + m.Count()}
+}
+
+// RangeSpan is ContAccess with an interval criterion, without the owners.
+// For order-preserving codecs it is a binary search of the compressed
+// records (zero decompression); an order-agnostic codec's records are in
+// plaintext order, so a binary search decoding O(log n) probes finds the
+// bounds instead of a full container scan.
+func RangeSpan(c *storage.Container, lo []byte, loInc bool, hi []byte, hiInc bool) (Span, error) {
 	l, h, err := c.FindRange(lo, loInc, hi, hiInc)
-	if err == nil {
-		ids := make([]storage.NodeID, 0, h-l)
-		for i := l; i < h; i++ {
-			ids = append(ids, c.Owner(i))
-		}
-		return SortUnique(ids), nil
+	if err == storage.ErrNeedsDecompression {
+		l, h, err = c.FindRangeDecoding(lo, loInc, hi, hiInc)
 	}
-	if err != storage.ErrNeedsDecompression {
-		return nil, err
-	}
-	// Order-agnostic codec: records are plaintext-sorted, so a binary
-	// search decoding O(log n) probes replaces a full container scan.
-	l, h, err = c.FindRangeDecoding(lo, loInc, hi, hiInc)
+	return Span{l, h}, err
+}
+
+// ContRange is ContAccess with an interval criterion: the owners of the
+// records RangeSpan selects, in document order.
+func ContRange(c *storage.Container, lo []byte, loInc bool, hi []byte, hiInc bool) (NodeSet, error) {
+	s, err := RangeSpan(c, lo, loInc, hi, hiInc)
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]storage.NodeID, 0, h-l)
-	for i := l; i < h; i++ {
+	ids := make([]storage.NodeID, 0, s.Len())
+	for i := s.Lo; i < s.Hi; i++ {
 		ids = append(ids, c.Owner(i))
 	}
 	return SortUnique(ids), nil
@@ -477,49 +500,96 @@ func MergeJoinContainers(a, b *storage.Container) ([]Pair, error) {
 	return out, nil
 }
 
-// HashJoinContainers joins two containers on value equality when their
-// compressed forms are not directly comparable: the smaller side is
-// decompressed into a hash table, the larger side probes it (decoding
-// as it scans).
-func HashJoinContainers(a, b *storage.Container) ([]Pair, error) {
-	swapped := false
-	if b.Len() < a.Len() {
-		a, b = b, a
-		swapped = true
+// DecodedMergeJoin joins two containers on value equality when their
+// compressed forms are not directly comparable: each side is decoded
+// once, in record order, and the two decoded sequences are merged. A
+// string container's records are in plaintext byte order already (it is
+// built so); a typed one's are in value order, which is not byte order
+// (9 < 10, but "10" < "9"), so its decoded values are first sorted by
+// their bytes.
+func DecodedMergeJoin(a, b *storage.Container) ([]Pair, error) {
+	da, err := decodeSorted(a)
+	if err != nil {
+		return nil, err
 	}
-	table := make(map[string][]storage.NodeID, a.Len())
-	var buf []byte
-	for i := 0; i < a.Len(); i++ {
-		var err error
-		if buf, err = a.Decode(buf[:0], i); err != nil {
-			return nil, err
-		}
-		table[string(buf)] = append(table[string(buf)], a.Owner(i))
+	db, err := decodeSorted(b)
+	if err != nil {
+		return nil, err
 	}
 	var out []Pair
-	for j := 0; j < b.Len(); j++ {
-		var err error
-		if buf, err = b.Decode(buf[:0], j); err != nil {
-			return nil, err
-		}
-		for _, owner := range table[string(buf)] {
-			if swapped {
-				out = append(out, Pair{A: b.Owner(j), B: owner})
-			} else {
-				out = append(out, Pair{A: owner, B: b.Owner(j)})
+	i, j := 0, 0
+	for i < len(da.order) && j < len(db.order) {
+		v := da.at(i)
+		switch c := bytes.Compare(v, db.at(j)); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			iEnd, jEnd := i+1, j+1
+			for iEnd < len(da.order) && bytes.Equal(da.at(iEnd), v) {
+				iEnd++
 			}
+			for jEnd < len(db.order) && bytes.Equal(db.at(jEnd), v) {
+				jEnd++
+			}
+			for x := i; x < iEnd; x++ {
+				for y := j; y < jEnd; y++ {
+					out = append(out, Pair{A: a.Owner(int(da.order[x])), B: b.Owner(int(db.order[y]))})
+				}
+			}
+			i, j = iEnd, jEnd
 		}
 	}
 	return out, nil
 }
 
-// JoinContainers picks the merge join when the compressed domain allows
-// it and falls back to the hash join otherwise — the alternative the
-// optimizer weighs in Fig. 5-style plans.
+// decoded is one container's values decoded into one slab, value k at
+// slab[end[k-1]:end[k]], and its records in the byte order of those
+// values.
+type decoded struct {
+	slab  []byte
+	end   []int32
+	order []int32
+}
+
+// value returns the decoded value of record k.
+func (d *decoded) value(k int32) []byte {
+	var from int32
+	if k > 0 {
+		from = d.end[k-1]
+	}
+	return d.slab[from:d.end[k]]
+}
+
+// at returns the i-th value in byte order.
+func (d *decoded) at(i int) []byte { return d.value(d.order[i]) }
+
+// decodeSorted decodes every record of c and orders them by their bytes:
+// a string container's record order is that order already, a typed one's
+// is sorted.
+func decodeSorted(c *storage.Container) (*decoded, error) {
+	d := &decoded{slab: make([]byte, 0, 2*c.CompressedBytes()), end: make([]int32, c.Len()), order: make([]int32, c.Len())}
+	for i := range d.end {
+		var err error
+		if d.slab, err = c.Decode(d.slab, i); err != nil {
+			return nil, err
+		}
+		d.end[i], d.order[i] = int32(len(d.slab)), int32(i)
+	}
+	if c.Kind != storage.KindString {
+		slices.SortStableFunc(d.order, func(x, y int32) int { return bytes.Compare(d.value(x), d.value(y)) })
+	}
+	return d, nil
+}
+
+// JoinContainers picks the merge join on compressed bytes when the
+// compressed domain allows it and the merge of decoded values otherwise —
+// the alternative the optimizer weighs in Fig. 5-style plans.
 func JoinContainers(a, b *storage.Container) ([]Pair, bool, error) {
 	if pairs, err := MergeJoinContainers(a, b); err == nil {
 		return pairs, true, nil
 	}
-	pairs, err := HashJoinContainers(a, b)
+	pairs, err := DecodedMergeJoin(a, b)
 	return pairs, false, err
 }

@@ -55,3 +55,39 @@ func parents(s *storage.Store, in NodeSet) NodeSet {
 	s.ParentBulk(in, ids)
 	return SortUnique(slices.DeleteFunc(ids, func(p storage.NodeID) bool { return p == 0 }))
 }
+
+// HashJoinContainers joins two containers on value equality through a
+// hash table of the smaller side's decoded values, probed with the larger
+// side's. It is the container join the join index used before
+// DecodedMergeJoin, kept as the oracle that one is held to.
+func HashJoinContainers(a, b *storage.Container) ([]Pair, error) {
+	swapped := false
+	if b.Len() < a.Len() {
+		a, b = b, a
+		swapped = true
+	}
+	table := make(map[string][]storage.NodeID, a.Len())
+	var buf []byte
+	for i := 0; i < a.Len(); i++ {
+		var err error
+		if buf, err = a.Decode(buf[:0], i); err != nil {
+			return nil, err
+		}
+		table[string(buf)] = append(table[string(buf)], a.Owner(i))
+	}
+	var out []Pair
+	for j := 0; j < b.Len(); j++ {
+		var err error
+		if buf, err = b.Decode(buf[:0], j); err != nil {
+			return nil, err
+		}
+		for _, owner := range table[string(buf)] {
+			if swapped {
+				out = append(out, Pair{A: b.Owner(j), B: owner})
+			} else {
+				out = append(out, Pair{A: owner, B: b.Owner(j)})
+			}
+		}
+	}
+	return out, nil
+}

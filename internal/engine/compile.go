@@ -26,7 +26,14 @@ import (
 // engine, so compilation succeeds on every parseable query; the error
 // return reports a compiler bug (a recovered panic) instead of crashing
 // the caller.
-func Compile(expr xquery.Expr, store *storage.Store, src string) (prog *Program, err error) {
+func Compile(expr xquery.Expr, store *storage.Store, src string) (*Program, error) {
+	return compileProgram(expr, store, src, true)
+}
+
+// compileProgram is Compile; without cards it chooses no cardinality rule
+// (cardRule), so every count, empty and exists materializes its
+// argument — what the rules are held to.
+func compileProgram(expr xquery.Expr, store *storage.Store, src string, cards bool) (prog *Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			prog, err = nil, fmt.Errorf("vm: compile: internal error: %v", r)
@@ -35,6 +42,9 @@ func Compile(expr xquery.Expr, store *storage.Store, src string) (prog *Program,
 	c := &compiler{
 		p:   &Program{src: src, store: store, plans: pathPlans{}, subOf: map[*xquery.FLWOR]int32{}},
 		eng: newEngine(store),
+	}
+	if cards {
+		c.p.cards = map[*xquery.Call]*cardRule{}
 	}
 	c.top(expr)
 	c.emit(instr{Op: opHalt})
@@ -61,7 +71,7 @@ type compiler struct {
 // and queues a sub-program, once, for each FLWOR the engine will meet
 // in x.
 func (c *compiler) plan(x xquery.Expr, varSums map[string][]*storage.SummaryNode) []*storage.SummaryNode {
-	return c.eng.planExpr(c.p.plans, x, varSums, func(f *xquery.FLWOR, vars map[string][]*storage.SummaryNode) {
+	return c.eng.planExpr(c.p.plans, c.p.cards, x, varSums, func(f *xquery.FLWOR, vars map[string][]*storage.SummaryNode) {
 		if _, ok := c.p.subOf[f]; !ok {
 			c.p.subOf[f] = int32(len(c.p.subs))
 			c.p.subs = append(c.p.subs, subSpec{x: f, sort: -1})
@@ -173,7 +183,7 @@ func (c *compiler) flwor(x *xquery.FLWOR, varSums map[string][]*storage.SummaryN
 		known[name] = len(sums) > 0
 	}
 	plan := planFLWOR(x)
-	n := c.loops(x, plan, 0, varSums, known, sub < 0)
+	n := c.loops(x, plan, 0, varSums, known, sub < 0, -1)
 	ret := foldExpr(x.Return)
 	body := func() int { // the RETURN, whose C the caller points at the next tuple
 		if sub < 0 {
@@ -211,6 +221,7 @@ type nest struct {
 	fors      []int32 // the FOR clauses' cursors
 	forDoms   []int32 // and the domains they scan
 	depth     int32   // the depth the next clause binds at
+	letCur    int     // the opLetCur binding the LET around the loops at once; -1: none
 	varSums   map[string][]*storage.SummaryNode
 	known     map[string]bool
 }
@@ -236,9 +247,13 @@ func (n *nest) exit(end int) {
 // from depth on, into nested cursor loops; the caller emits the body and
 // closes them. varSums and known describe the variables in scope and
 // learn x's. top marks a top-level FLWOR, whose LETs read only by its
-// RETURN's emission template may bind bytes (emittedOnly).
-func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, varSums map[string][]*storage.SummaryNode, known map[string]bool, top bool) *nest {
-	n := &nest{c: c, innermost: -1, depth: depth, varSums: varSums, known: known}
+// RETURN's emission template may bind bytes (emittedOnly). letVar, when
+// not -1, is the variable of the LET whose source x is, which the FOR
+// cursor's restricted nodes bind at once (atOnce) when its domain is a
+// node path of static summary set: an opLetCur after the restricts, whose
+// jump past the loops the caller sets.
+func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, varSums map[string][]*storage.SummaryNode, known map[string]bool, top bool, letVar int32) *nest {
+	n := &nest{c: c, innermost: -1, depth: depth, letCur: -1, varSums: varSums, known: known}
 	for ci, cl := range x.Clauses {
 		if cl.Let {
 			if inner, isFLWOR := foldExpr(cl.Seq).(*xquery.FLWOR); isFLWOR && inner.OrderBy == nil && x.OrderBy == nil {
@@ -316,6 +331,9 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, varSums 
 		for _, pi := range joins {
 			c.emit(instr{Op: opJoinRestrict, A: cu, B: pi})
 		}
+		if letVar >= 0 && spec.path != nil && spec.static && !spec.textTail {
+			n.letCur = c.emit(instr{Op: opLetCur, A: cu, B: letVar})
+		}
 		vi := c.addVar(cl.Var, n.depth)
 		n.depth++
 		iter := c.emit(instr{Op: opIter, A: cu, B: vi})
@@ -327,7 +345,14 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, varSums 
 	}
 
 	for _, conj := range plan.Residual {
-		n.loop(c.emit(instr{Op: opWhere, A: c.addExpr(foldExpr(conj), varSums)}))
+		conj = foldExpr(conj)
+		c.plan(conj, varSums)
+		if c.p.alwaysTrue(conj) {
+			c.p.dropped = append(c.p.dropped, conj)
+			continue
+		}
+		c.p.exprs = append(c.p.exprs, conj)
+		n.loop(c.emit(instr{Op: opWhere, A: int32(len(c.p.exprs) - 1)}))
 	}
 	return n
 }
@@ -361,7 +386,11 @@ func (c *compiler) letFLWOR(name string, inner *xquery.FLWOR, n *nest, emitted b
 	ai := int32(len(c.p.reuse))
 	c.p.reuse = append(c.p.reuse, emitted)
 	c.emit(instr{Op: opLetOpen, A: ai, B: depth})
-	in := c.loops(inner, planFLWOR(inner), depth+1, maps.Clone(n.varSums), maps.Clone(n.known), false)
+	plan, vi, letVar := planFLWOR(inner), c.addVar(name, depth), int32(-1)
+	if c.p.cards != nil && atOnce(inner, plan) {
+		letVar = vi
+	}
+	in := c.loops(inner, plan, depth+1, maps.Clone(n.varSums), maps.Clone(n.known), false, letVar)
 	cu, spec := c.bareFor(inner, in)
 	ret := foldExpr(inner.Return)
 	ctor, isCtor := ret.(*xquery.ElementCtor)
@@ -377,8 +406,23 @@ func (c *compiler) letFLWOR(name string, inner *xquery.FLWOR, n *nest, emitted b
 	default:
 		in.loop(c.emit(instr{Op: opAppend, A: ai, B: c.addExpr(ret, in.varSums)}))
 	}
-	in.exit(c.emit(instr{Op: opLetBind, A: c.addVar(name, depth), B: ai, C: cu}))
+	in.exit(c.emit(instr{Op: opLetBind, A: vi, B: ai, C: cu}))
+	if in.letCur >= 0 {
+		c.p.instrs[in.letCur].C = int32(len(c.p.instrs))
+	}
 	n.depth++
+}
+
+// atOnce reports that the LET whose source is x binds the node set of
+// x's one FOR cursor as its restricts leave it (DESIGN.md "Cardinalities
+// without tuples"): x is that FOR alone, returns its variable, has no
+// ORDER BY, and its whole WHERE is pushed down onto the cursor — no
+// conjunct is left to test per tuple. A run still loops when one of the
+// pushdowns is deferred (opLetCur).
+func atOnce(x *xquery.FLWOR, plan *flworPlan) bool {
+	ret, isVar := x.Return.(*xquery.VarRef)
+	return isVar && len(x.Clauses) == 1 && !x.Clauses[0].Let && ret.Name == x.Clauses[0].Var &&
+		x.OrderBy == nil && len(plan.Residual) == 0
 }
 
 // emittedOnly reports that the LET variable name, bound by clause ci of
@@ -698,7 +742,7 @@ func (c *compiler) estimateSize() int {
 		lit, dyn := ts.t.shape()
 		sz += 64 + lit + 32*dyn
 	}
-	sz += p.plans.sizeBytes() + c.eng.offBytes
+	sz += p.plans.sizeBytes() + c.eng.offBytes + 64*len(p.cards)
 	sz += len(p.exprs)*16 + len(p.vars)*24
 	for _, v := range p.vars {
 		sz += len(v.name)

@@ -21,6 +21,9 @@ func (p *Program) Disassemble() string {
 		fmt.Fprintf(&b, ", %d subs", len(p.subs))
 	}
 	fmt.Fprintf(&b, " (size≈%dB)\n", p.sizeEst)
+	for _, x := range p.dropped {
+		fmt.Fprintf(&b, "     WHERE    dropped ; %s\n", p.exprDesc(x))
+	}
 	sub := 0
 	for pc, in := range p.instrs {
 		if sub < len(p.subs) && p.subs[sub].entry == int32(pc) {
@@ -69,6 +72,8 @@ func (p *Program) Disassemble() string {
 			fmt.Fprintf(&b, " a%d, m%d, next->%d ; %s", in.A, in.B, in.C, tplDesc(&p.tpls[in.B]))
 		case opRet:
 			fmt.Fprintf(&b, " s%d -> a%d", in.A, p.subs[in.A].acc)
+		case opLetCur:
+			fmt.Fprintf(&b, " c%d -> $%s, done->%d ; the restricted nodes at once, unless a conjunct is deferred", in.A, p.vars[in.B].name, in.C)
 		case opLetBind:
 			fmt.Fprintf(&b, " $%s <- a%d", p.vars[in.A].name, in.B)
 			if in.C >= 0 {
@@ -184,6 +189,10 @@ func (p *Program) exprDesc(x xquery.Expr) string {
 	var walk func(xquery.Expr)
 	walk = func(x xquery.Expr) {
 		switch x := x.(type) {
+		case *xquery.Call:
+			if r := p.cards[x]; r != nil {
+				notes = append(notes, cardDesc(x.Name, r))
+			}
 		case *xquery.PathExpr:
 			if d := p.pathDesc(x); !slices.Contains(notes, d) {
 				notes = append(notes, d)
@@ -263,7 +272,7 @@ func joinsDesc(joins []containerJoin) string {
 	parts := make([]string, len(joins))
 	mixed := false
 	for i, j := range joins {
-		parts[i] = "HashJoin (decompress both sides): "
+		parts[i] = "MergeJoin on decoded values: "
 		if j.Merged {
 			parts[i] = "MergeJoin on compressed bytes (shared source model): "
 		}

@@ -40,8 +40,9 @@ func compile(t *testing.T, s *storage.Store, q string) *Program {
 // container is the one the run makes, by the decodes it costs — none on
 // the compressed bytes, fewer than the records for a binary search, one
 // per record for a scan — over int, decimal and string containers, with
-// order-preserving and order-agnostic codecs. The containers hold enough
-// records that ALM's code automata are smaller than they are.
+// order-preserving and order-agnostic codecs; and so is the access each
+// cardinality rule lists. The containers hold enough records that ALM's
+// code automata are smaller than they are.
 func TestListedAccessIsTheAccessMade(t *testing.T) {
 	const n = 512
 	var doc strings.Builder
@@ -131,6 +132,52 @@ func TestListedAccessIsTheAccessMade(t *testing.T) {
 			}
 		}
 	}
+	// Each cardinality rule lists the access it makes: none of them
+	// decodes a value but the binary search of an order-agnostic codec,
+	// which decodes fewer than the records; a LET bound at once holds the
+	// join index's bucket itself.
+	for _, c := range []struct {
+		alg, q, listed string
+		decodes        string // "none" or "some" (fewer than the records)
+	}{
+		{storage.AlgALM, `count(/r/e)`, "count = 512 at compile", "none"},
+		{storage.AlgALM, `count(/r/e/s/text())`, "count = 512 at compile", "none"},
+		{storage.AlgALM, `FOR $e IN /r/e RETURN count($e/i)`, "count from reach spans, one per parent", "none"},
+		{storage.AlgALM, `count(/r/e[i >= 30 AND i < 40])`, "[int](512 recs) ContAccess range on compressed bytes, 2 conjuncts intersected", "none"},
+		{storage.AlgALM, `count(/r/e[s = "v030"])`, "[alm](512 recs) ContAccess eq on compressed bytes", "none"},
+		{storage.AlgHuffman, `count(/r/e[s = "v030"])`, "[huffman](512 recs) ContAccess eq on compressed bytes", "none"},
+		{storage.AlgHuffman, `count(/r/e[s >= "v030"])`, "[huffman](512 recs) ContAccess range by binary search decoding", "some"},
+		{storage.AlgALM, `count(FOR $e IN /r/e WHERE $e/d >= 12.5 RETURN $e/s)`, "count of the FOR's domain from record spans of /r/e/d/#text[decimal](512 recs) ContAccess range on compressed bytes", "none"},
+		{storage.AlgALM, `FOR $x IN /r/e LET $a := FOR $y IN /r/e WHERE $y/i = $x/i RETURN $y RETURN count($a)`, "LETCUR", "none"},
+	} {
+		s := loadDoc(t, doc.String(), &storage.CompressionPlan{DefaultAlgorithm: c.alg})
+		prog := compile(t, s, c.q)
+		if dis := prog.Disassemble(); !strings.Contains(dis, c.listed) {
+			t.Errorf("%s %s: listing lacks %q:\n%s", c.alg, c.q, c.listed, dis)
+			continue
+		}
+		before := storage.DecodeOps()
+		r, err := prog.newRun(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			_, ok, err := r.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if b := r.env.s.lookup("a"); b != nil && !aliases(b.ids, prog.preds[0].idx.partners) {
+				t.Errorf("%s: $a = %v is no window of the join index", c.q, b.ids)
+			}
+		}
+		if decodes := storage.DecodeOps() - before; (decodes == 0) != (c.decodes == "none") || decodes >= n {
+			t.Errorf("%s %s: listed %q, but the run decoded %d of %d records", c.alg, c.q, c.listed, decodes, n)
+		}
+	}
+
 	// A step from a bound node lists how it reads what the node reaches:
 	// Q3's bidder[1] by the offsets of one array over the open auctions,
 	// which every bidder run of the program shares, and Q19's location one
@@ -170,6 +217,19 @@ func TestListedAccessIsTheAccessMade(t *testing.T) {
 	if dis := compile(t, s, xmarkq.Q19).Disassemble(); !strings.Contains(dis, "reads /location one per parent") {
 		t.Errorf("Q19 does not list $b/location one per parent:\n%s", dis)
 	}
+}
+
+// aliases reports that ids is a window of partners, not a copy of one.
+func aliases(ids, partners []storage.NodeID) bool {
+	if len(ids) == 0 {
+		return true
+	}
+	for k := range partners {
+		if &partners[k] == &ids[0] {
+			return true
+		}
+	}
+	return false
 }
 
 // TestAutomatonLargerThanItsContainerScans: a contains restrict over an

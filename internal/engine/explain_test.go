@@ -126,7 +126,7 @@ func TestExplainJoinStrategies(t *testing.T) {
 	      LET $a := FOR $t IN /site/auctions/auction WHERE $t/buyer/@person = $p/@id RETURN $t
 	      RETURN count($a)`
 	listing(t, loadPlan(t, engine.PeopleDoc, nil), q, "JOINREST", "index built at compile",
-		"HashJoin (decompress both sides): /site/auctions/auction/buyer/@person ⋈ /site/people/person/@id")
+		"MergeJoin on decoded values: /site/auctions/auction/buyer/@person ⋈ /site/people/person/@id")
 	shared := &storage.CompressionPlan{
 		Groups:     map[string][]string{"refs": {"/site/people/person/@id", "/site/auctions/auction/buyer/@person"}},
 		Algorithms: map[string]string{"refs": storage.AlgALM},
@@ -195,5 +195,5 @@ func TestExplainJoinStrategyPerPair(t *testing.T) {
 		`FOR $p IN /r/p LET $a := FOR $t IN /r//x WHERE $t/@ref = $p/@id RETURN $t RETURN count($a)`,
 		"; mixed: ",
 		"MergeJoin on compressed bytes (shared source model): /r/a/x/@ref ⋈ /r/p/@id",
-		"HashJoin (decompress both sides): /r/b/x/@ref ⋈ /r/p/@id")
+		"MergeJoin on decoded values: /r/b/x/@ref ⋈ /r/p/@id")
 }

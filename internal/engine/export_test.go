@@ -4,6 +4,8 @@ import (
 	"strings"
 
 	"xquec/internal/datagen"
+	"xquec/internal/storage"
+	"xquec/internal/xquery"
 )
 
 // The random-document generator, the query battery and the directed
@@ -165,6 +167,12 @@ var QueryBattery = []string{
 	`FOR $e IN //group/entry WHERE number($e/num) * 2 >= string-length($e/label) * 10 + count($e/nested) RETURN $e/num/text()`,
 	`FOR $e IN //group/entry WHERE number($e/label) > 1 RETURN 1`,
 	`(0 div 0 = 1, 0 div 0 >= 1, 0 div 0 = 0 div 0, 0 div 0 != 0 div 0, 0 div 0 < count(//entry), "NaN" = "NaN")`,
+}
+
+// CompileMaterialized compiles x choosing no cardinality rule: every
+// count, empty and exists materializes its argument.
+func CompileMaterialized(x xquery.Expr, s *storage.Store, src string) (*Program, error) {
+	return compileProgram(x, s, src, false)
 }
 
 // JoinIndexBuilds returns how many join indexes were built so far.

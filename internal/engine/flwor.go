@@ -128,27 +128,34 @@ type pathPlans map[*xquery.PathExpr]*pathPlan
 // cache's byte accounting: a few slices of summary-node pointers each.
 func (pl pathPlans) sizeBytes() int { return 192 * len(pl) }
 
-// planExpr records in pl the plan of every path under x, and returns the
-// summary set of x's value when that is static (a path without a text()
-// tail, a variable). vars gives the summary sets of the variables in
-// scope, "." for the context; a set that turns out different at run time
-// only costs that path a re-resolution, so an unknown variable may simply
-// be absent. A FLWOR under x is not entered: it is handed to nested with
-// the summary sets in scope where it stands (a map of its own), for the
-// compiler to make a sub-program of.
-func (e *engine) planExpr(pl pathPlans, x xquery.Expr, vars map[string][]*storage.SummaryNode, nested func(*xquery.FLWOR, map[string][]*storage.SummaryNode)) []*storage.SummaryNode {
+// planExpr records in pl the plan of every path under x, each under a
+// cursor slot of its own, and in cards the rule of every count, empty and
+// exists it answers without materializing its argument (cardFor); it
+// returns the summary set of x's value when that is static (a path
+// without a text() tail, a variable). vars gives the summary sets of the
+// variables in scope, "." for the context; a set that turns out
+// different at run time only costs that path a re-resolution, so an
+// unknown variable may simply be absent. A FLWOR under x is not entered:
+// it is handed to nested with the summary sets in scope where it stands
+// (a map of its own), for the compiler to make a sub-program of — unless
+// a rule counts it.
+func (e *engine) planExpr(pl pathPlans, cards map[*xquery.Call]*cardRule, x xquery.Expr, vars map[string][]*storage.SummaryNode, nested func(*xquery.FLWOR, map[string][]*storage.SummaryNode)) []*storage.SummaryNode {
 	switch x := x.(type) {
 	case *xquery.VarRef:
 		return vars[x.Name]
 	case *xquery.PathExpr:
 		plan := e.resolvePath(x, vars[x.Var])
+		plan.slot = len(pl)
+		if old := pl[x]; old != nil {
+			plan.slot = old.slot
+		}
 		pl[x] = plan
 		for i, step := range x.Steps {
 			if len(step.Preds) > 0 && i < len(plan.targets) {
 				inner := cloneVars(vars)
 				inner["."] = plan.targets[i]
 				for _, pred := range step.Preds {
-					e.planExpr(pl, pred, inner, nested)
+					e.planExpr(pl, cards, pred, inner, nested)
 				}
 			}
 		}
@@ -159,9 +166,24 @@ func (e *engine) planExpr(pl pathPlans, x xquery.Expr, vars map[string][]*storag
 	case *xquery.FLWOR:
 		nested(x, cloneVars(vars))
 		return nil
+	case *xquery.Call:
+		if cards == nil {
+			break
+		}
+		if r := e.cardFor(pl, x, vars); r != nil && r.flwor {
+			cards[x] = r
+			return nil // a FLWOR a rule counts is not entered
+		}
+		for _, sub := range x.Args {
+			e.planExpr(pl, cards, sub, vars, nested)
+		}
+		if r := e.cardFor(pl, x, vars); r != nil {
+			cards[x] = r
+		}
+		return nil
 	}
 	for _, sub := range xquery.Children(x) {
-		e.planExpr(pl, sub, vars, nested)
+		e.planExpr(pl, cards, sub, vars, nested)
 	}
 	return nil
 }
@@ -217,8 +239,8 @@ type joinIndex struct {
 }
 
 // containerJoin records how one pair of containers of a join index was
-// joined: by the compressed merge join, or by decoding both into a hash
-// join (algebra.JoinContainers).
+// joined: by the merge join on compressed bytes, or by the merge of both
+// sides' decoded values (algebra.JoinContainers).
 type containerJoin struct {
 	This, Other *storage.Container
 	Merged      bool

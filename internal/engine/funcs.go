@@ -143,10 +143,17 @@ func (e *engine) evalArg(x *xquery.Call, i int, env *scope) (seq, error) {
 	return e.eval(x.Args[i], env)
 }
 
-// argLen returns the length of the first argument's value; a path is
+// argLen returns the length of the first argument's value: by the
+// call's cardinality rule when the compiler chose one and the run's
+// binding is the one it was chosen for (cardinality), else a path is
 // counted on its node set and a variable on its binding, with no item
 // ever boxed.
 func (e *engine) argLen(x *xquery.Call, env *scope) (int, error) {
+	if r := e.cards[x]; r != nil {
+		if n, ok, err := e.cardinality(r, env); ok {
+			return n, err
+		}
+	}
 	if len(x.Args) > 0 {
 		switch a := x.Args[0].(type) {
 		case *xquery.PathExpr:

@@ -70,8 +70,14 @@ type pathPlan struct {
 	// leading run starts from the document and needs none).
 	runs  []runPlan
 	slots int // galloping positions a cursor over the plan needs
+	slot  int // the run's cursor of the path, when the program planned it
 	// plain: absolute and predicate-free, so the result is the same all run.
 	plain bool
+	// one: from a variable, predicate-free, one run, which reaches one
+	// target from each member of the origin set — what a bound node reads
+	// at once (evalPathNodes); textAll, when the path ends in text(), that
+	// every instance of its targets has text.
+	one, textAll bool
 }
 
 // runPlan is one run of steps resolved per origin: targets[o] are the
@@ -231,7 +237,23 @@ func (e *engine) resolvePath(p *xquery.PathExpr, sums []*storage.SummaryNode) *p
 			run.reads[o] = reads[len(reads)-len(targets):]
 		}
 	}
+	n := len(pl.targets)
+	textTail := n == len(p.Steps)-1 && len(p.Steps[n].Preds) == 0 && p.Steps[n].Test == xquery.TestText
+	pl.one = p.Var != "" && n > 0 && (n == len(p.Steps) || textTail) && len(p.Steps[0].Preds) == 0 && runEnd(p.Steps, 0) == n && pl.runs != nil
+	for o := 0; pl.one && o < len(pl.runs[0].targets); o++ {
+		pl.one = len(pl.runs[0].targets[o]) == 1
+	}
+	pl.textAll = textTail && n > 0 && allText(pl.targets[n-1])
 	return pl
+}
+
+// allText reports that every instance of sums has immediate text.
+func allText(sums []*storage.SummaryNode) bool {
+	all := len(sums) > 0
+	for _, sn := range sums {
+		all = all && sn.TextCount == sn.Count
+	}
+	return all
 }
 
 // antichain reports that no member of sums is a summary-ancestor of
@@ -255,22 +277,60 @@ func nestedIn(sn *storage.SummaryNode, sums []*storage.SummaryNode) bool {
 	return false
 }
 
-// cursorFor returns the run's cursor for p over the origin set sums,
-// taking the plan from the program when it resolved this origin and
-// resolving it here otherwise. A path whose origin set changes between
-// evaluations (a variable without summary knowledge) re-resolves.
+// cursorFor returns the run's cursor for p over the origin set sums: the
+// one in the slot the compiler gave p (slotOf), found among the recent
+// paths first, taking the plan from the program when it resolved this
+// origin and resolving it here otherwise. A path whose origin set changes
+// between evaluations (a variable without summary knowledge)
+// re-resolves.
 func (e *engine) cursorFor(p *xquery.PathExpr, sums []*storage.SummaryNode) *pathCursor {
-	pc := e.paths[p]
-	if pc != nil && slices.Equal(pc.plan.origin, sums) {
+	var pc *pathCursor
+	for i := range e.recent {
+		if e.recent[i].p == p {
+			pc = e.recent[i].pc
+			break
+		}
+	}
+	if pc == nil {
+		pc = e.slotOf(p)
+		e.recent[e.nextRecent] = recentPath{p, pc}
+		e.nextRecent = (e.nextRecent + 1) % len(e.recent)
+	}
+	if pc.plan != nil && sameSums(pc.plan.origin, sums) {
 		return pc
 	}
 	pl := e.plans[p]
-	if pl == nil || !slices.Equal(pl.origin, sums) {
+	if pl == nil || !sameSums(pl.origin, sums) {
 		pl = e.resolvePath(p, sums)
 	}
-	pc = &pathCursor{plan: pl, pos: make([]int, pl.slots)}
+	*pc = pathCursor{plan: pl, pos: make([]int, pl.slots)}
+	return pc
+}
+
+// slotOf returns the run's cursor slot of p: the one the compiler gave
+// it, or one of the run's own for a path the program did not plan.
+func (e *engine) slotOf(p *xquery.PathExpr) *pathCursor {
+	if pl := e.plans[p]; pl != nil {
+		return &e.pcs[pl.slot]
+	}
+	if pc := e.paths[p]; pc != nil {
+		return pc
+	}
+	if e.paths == nil {
+		e.paths = map[*xquery.PathExpr]*pathCursor{}
+	}
+	pc := &pathCursor{}
 	e.paths[p] = pc
 	return pc
+}
+
+// sameSums reports that two summary sets are equal: mostly they are the
+// very same slice, which one pointer comparison settles.
+func sameSums(a, b []*storage.SummaryNode) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	return len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b)
 }
 
 // evalPath evaluates a path expression to a sequence.
@@ -310,6 +370,16 @@ func (e *engine) evalPathNodes(p *xquery.PathExpr, env *scope) (nodes algebra.No
 	if pc.done {
 		return pc.st.nodes, pc.st.sums, pc.textTail, nil
 	}
+	if pl := pc.plan; pl.one && st.at.ok && len(st.nodes) == 1 {
+		// A bound node and one target, the common case: one read.
+		run, sums := &pl.runs[0], pl.targets[len(pl.targets)-1]
+		lo, hi := run.reads[st.at.o][0].span(st.at.i)
+		nodes, textTail = run.targets[st.at.o][0].Extent[lo:hi:hi], len(pl.targets) < len(p.Steps)
+		if textTail && !pl.textAll {
+			nodes = e.withText(nodes, sums)
+		}
+		return nodes, sums, textTail, nil
+	}
 	steps := p.Steps
 	for i := 0; i < len(steps); {
 		step := &steps[i]
@@ -343,11 +413,7 @@ func (e *engine) evalPathNodes(p *xquery.PathExpr, env *scope) (nodes algebra.No
 // rule for a path one asks text() of — that is all of them, and the tree
 // is not asked; otherwise only a node without text is copied around.
 func (e *engine) withText(nodes algebra.NodeSet, sums []*storage.SummaryNode) algebra.NodeSet {
-	all := len(sums) > 0
-	for _, sn := range sums {
-		all = all && sn.TextCount == sn.Count
-	}
-	if all {
+	if allText(sums) {
 		return nodes
 	}
 	for i, id := range nodes {
@@ -1201,16 +1267,8 @@ func (e *engine) containerMatch(c *storage.Container, op, literal string, m *alm
 	case access == accessRange || access == accessSearch:
 		// ContRange searches the compressed bytes, or decodes its way
 		// through a binary search when the codec does not keep order.
-		lo, hi := probe, probe
-		switch {
-		case op == "starts-with":
-			hi = prefixEnd(probe)
-		case op[0] == '<':
-			lo = nil
-		default:
-			hi = nil
-		}
-		owners, err = algebra.ContRange(c, lo, op == ">=" || op == "starts-with", hi, op == "<=")
+		lo, loInc, hi, hiInc := rangeBounds(op, probe)
+		owners, err = algebra.ContRange(c, lo, loInc, hi, hiInc)
 	case stringFunc(op) != nil:
 		test, lit := stringFunc(op), []byte(literal)
 		owners, err = algebra.ContFilter(c, func(plain []byte) bool { return test(plain, lit) })
@@ -1222,6 +1280,18 @@ func (e *engine) containerMatch(c *storage.Container, op, literal string, m *alm
 		})
 	}
 	return owners, err == nil, err
+}
+
+// rangeBounds returns the interval of values `value op probe` selects,
+// op an inequality or starts-with; a nil bound is none.
+func rangeBounds(op string, probe []byte) (lo []byte, loInc bool, hi []byte, hiInc bool) {
+	switch {
+	case op == "starts-with":
+		return probe, true, prefixEnd(probe), false
+	case op[0] == '<':
+		return nil, false, probe, op == "<="
+	}
+	return probe, op == ">=", nil, false
 }
 
 // matchers are the code automata of one literal restrict over its

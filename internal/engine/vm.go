@@ -90,6 +90,11 @@ const (
 	opAppendOut
 	// opRet A=sub: end sub-program A; its accumulator holds its items.
 	opRet
+	// opLetCur A=cursor B=var C=jump: bind the LET var to cursor A's nodes
+	// as its restricts left them, and jump past the loops to C — unless
+	// the cursor holds no node set or a pushdown of it was deferred, when
+	// the loops run.
+	opLetCur
 )
 
 var opNames = [...]string{
@@ -101,7 +106,7 @@ var opNames = [...]string{
 	opCollect: "COLLECT", opSort: "SORT", opReplay: "REPLAY",
 	opLetOpen: "LETOPEN", opAppend: "APPEND", opAppendCur: "APPENDCUR",
 	opLetBind: "LETBIND", opEmitCtor: "EMITCTOR", opAppendCtor: "APPENDCTOR", opAppendOut: "APPENDOUT",
-	opRet: "RET",
+	opRet: "RET", opLetCur: "LETCUR",
 }
 
 func (o opcode) String() string {
@@ -215,8 +220,13 @@ type Program struct {
 	subs  []subSpec
 	subOf map[*xquery.FLWOR]int32
 	// plans is the pool of resolved paths and planned FLWORs: every
-	// expression a run hands to the engine finds its plan here.
-	plans   pathPlans
+	// expression a run hands to the engine finds its plan here. cards are
+	// the rules that answer count, empty and exists calls (cardRule).
+	plans pathPlans
+	cards map[*xquery.Call]*cardRule
+	// dropped are the residual WHERE conjuncts a rule answers true at
+	// compile: no instruction tests them.
+	dropped []xquery.Expr
 	vars    []varSpec
 	ncur    int
 	store   *storage.Store
@@ -326,7 +336,7 @@ type run struct {
 	pc      int32
 	cursors []cursor
 	stack   []emitFrame
-	doms    map[int32]*domResult
+	doms    []*domResult // the invariant domains' scans, by domain
 	sorts   []*tupleSort
 	accs    []accum
 
@@ -351,7 +361,7 @@ func (p *Program) Run(ctx context.Context) (*Result, error) {
 // (tests drive next directly).
 func (p *Program) newRun(ctx context.Context) (*run, error) {
 	eng := newEngine(p.store).withContext(ctx)
-	eng.plans = p.plans
+	eng.plans, eng.cards, eng.pcs = p.plans, p.cards, make([]pathCursor, len(p.plans))
 	if eng.ctx != nil {
 		if err := eng.ctx.Err(); err != nil {
 			return nil, err
@@ -362,6 +372,7 @@ func (p *Program) newRun(ctx context.Context) (*run, error) {
 		eng:     eng,
 		env:     &clauseEnv{s: newScope()},
 		cursors: make([]cursor, p.ncur),
+		doms:    make([]*domResult, len(p.doms)),
 		accs:    make([]accum, len(p.reuse)),
 	}
 	eng.run = r
@@ -455,22 +466,14 @@ func (r *run) dispatch() (Item, bool, error) {
 				r.pc++
 				continue
 			}
-			var res *domResult
-			if spec.invariant {
-				if cached, ok := r.doms[in.B]; ok {
-					res = cached
-				}
-			}
-			if res == nil {
+			res := r.doms[in.B]
+			if res == nil || !spec.invariant {
 				seq, ids, sums, err := eng.evalBindingSeq(spec.expr, r.env.s)
 				if err != nil {
 					return r.fail(err)
 				}
 				res = &domResult{seq: seq, ids: ids, sums: sums}
 				if spec.invariant {
-					if r.doms == nil {
-						r.doms = map[int32]*domResult{}
-					}
 					r.doms[in.B] = res
 				}
 			}
@@ -747,8 +750,32 @@ func (r *run) dispatch() (Item, bool, error) {
 		case opRet:
 			return nil, false, nil
 
+		case opLetCur:
+			c := &r.cursors[in.A]
+			if c.seqMode || anyDeferred(c.deferred) {
+				r.pc++
+				continue
+			}
+			ids := c.ids
+			if ids == nil {
+				ids = algebra.NodeSet{}
+			}
+			v := &p.vars[in.B]
+			r.env.bind(int(v.depth), v.name, nil, ids, c.sums)
+			r.pc = in.C
+
 		default:
 			return r.fail(fmt.Errorf("vm: invalid opcode %v at pc %d", in.Op, r.pc))
 		}
 	}
+}
+
+// anyDeferred reports that a cursor has a conjunct to test per tuple.
+func anyDeferred(deferred []xquery.Expr) bool {
+	for _, conj := range deferred {
+		if conj != nil {
+			return true
+		}
+	}
+	return false
 }

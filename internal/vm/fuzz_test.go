@@ -43,7 +43,7 @@ func FuzzCompile(f *testing.F) {
 	f.Add(strings.Repeat("(", 5000) + "1" + strings.Repeat(")", 5000))
 	f.Add(strings.Repeat("-", 990) + "1")
 	f.Add(strings.Repeat("<e>{", 100) + "/site/people/person[1]/name" + strings.Repeat("}</e>", 100))
-	s := store(f)
+	s := Store(f)
 	f.Fuzz(func(t *testing.T, query string) {
 		expr, err := xquery.Parse(query)
 		if err != nil || len(query) > 1024 {
@@ -65,7 +65,7 @@ func FuzzCompile(f *testing.F) {
 		if _, isPath := expr.(*xquery.PathExpr); isPath && strings.Contains(dis, "statically empty") && got != "" {
 			t.Fatalf("%q returns %q, but its listing says statically empty:\n%s", query, got, dis)
 		}
-		want, wErr := evalRef(t, query)
+		want, wErr := EvalRef(t, query)
 		switch {
 		case vErr == nil && wErr == nil:
 		case len(xquery.FreeVars(expr)) > 0:
@@ -73,7 +73,7 @@ func FuzzCompile(f *testing.F) {
 		case wErr != nil && vErr == nil && reorders(expr):
 			return
 		}
-		if err := differ(want, wErr, got, vErr); err != "" {
+		if err := Differ(want, wErr, got, vErr); err != "" {
 			t.Fatalf("%q: %s", query, err)
 		}
 	})

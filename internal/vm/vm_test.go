@@ -1,52 +1,15 @@
-// Package vm tests the compiled evaluator from outside internal/engine,
-// through the surface the rest of the module uses: engine.Compile,
-// Program.Run and Program.Disassemble. The unit battery and the fuzz
-// target check every compiled construct against the DOM reference.
 package vm
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 
-	"xquec/internal/baselines/galaxlike"
-	"xquec/internal/datagen"
 	"xquec/internal/engine"
 	"xquec/internal/storage"
 	"xquec/internal/xmarkq"
 	"xquec/internal/xquery"
 )
-
-var (
-	testStore *storage.Store
-	testRef   *galaxlike.Engine // the DOM reference over the same document
-)
-
-func store(t testing.TB) *storage.Store {
-	t.Helper()
-	if testStore == nil {
-		doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.04, Seed: 7})
-		s, err := storage.Load(doc, storage.LoadOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		testStore, testRef = s, galaxlike.New(doc)
-		testRef.ParsePerQuery = false
-	}
-	return testStore
-}
-
-// evalRef runs the DOM reference evaluator, the oracle, over the
-// document of the test store.
-func evalRef(t testing.TB, q string) (string, error) {
-	store(t)
-	res, err := testRef.Query(q)
-	if err != nil {
-		return "", err
-	}
-	return res.SerializeXML()
-}
 
 // evalVM compiles and runs the program.
 func evalVM(t testing.TB, s *storage.Store, q string) (string, error) {
@@ -149,25 +112,12 @@ func queryBattery() []xmarkq.Query {
 // reference for every battery query, and fail where the reference fails
 // (the two word their errors differently).
 func TestDifferentialBattery(t *testing.T) {
-	s := store(t)
+	s := Store(t)
 	for _, q := range queryBattery() {
-		want, wErr := evalRef(t, q.Text)
+		want, wErr := EvalRef(t, q.Text)
 		got, vErr := evalVM(t, s, q.Text)
-		if err := differ(want, wErr, got, vErr); err != "" {
+		if err := Differ(want, wErr, got, vErr); err != "" {
 			t.Fatalf("%s: %s", q.ID, err)
 		}
 	}
-}
-
-// differ compares a VM result with the oracle's: both fail, or neither
-// does and the outputs are the same. It returns what differs, "" if
-// nothing.
-func differ(want string, wErr error, got string, vErr error) string {
-	switch {
-	case (wErr == nil) != (vErr == nil):
-		return fmt.Sprintf("reference err=%v, vm err=%v", wErr, vErr)
-	case wErr == nil && got != want:
-		return fmt.Sprintf("output mismatch\n--- reference ---\n%s\n--- vm ---\n%s", want, got)
-	}
-	return ""
 }

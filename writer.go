@@ -44,8 +44,13 @@ type Writer struct {
 // set (queries over the returned Writer's handle behave identically);
 // a segmented database — cut by Options.Shards or opened from a
 // segment-set manifest — continues its set. opts drives the compression
-// of future appends and compactions; Options.Shards is ignored.
+// of future appends and compactions; Options.Shards is ignored. A
+// workload query that does not parse fails here, so no Commit can fail
+// for it after documents were staged.
 func NewWriter(db *Database, opts Options) (*Writer, error) {
+	if _, err := opts.workload(); err != nil {
+		return nil, err
+	}
 	if db.set == nil {
 		segs, err := partition.NewBase(db.store)
 		if err != nil {

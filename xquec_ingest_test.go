@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"xquec/internal/xmlparser"
+	"xquec/internal/xquery"
 )
 
 // TestCompressDepthBomb: six million nested elements are a syntax error
@@ -110,5 +111,30 @@ func TestWorkloadTypesLikeTheLoader(t *testing.T) {
 				t.Errorf("shards %d: %s is %s in group %q, want a string in a searched group", opts.Shards, c.Path, c.Kind, c.Group)
 			}
 		}
+	}
+}
+
+// TestWriterBadWorkloadKeepsStaged: a Writer whose workload query does
+// not parse is refused by NewWriter with the parse error, so no staged
+// document can be lost to it; the staging area of a Writer only loses a
+// document that cannot be ingested itself. The Writer was made, and the
+// Commit after an Append returned the parse error with Pending() == 0.
+func TestWriterBadWorkloadKeepsStaged(t *testing.T) {
+	db, err := Compress([]byte("<r><n>1</n></r>"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := Options{WorkloadQueries: []string{"FOR $x IN"}}
+	w, err := NewWriter(db, bad)
+	if err == nil {
+		if err := w.Append([]byte("<r><n>2</n></r>")); err != nil {
+			t.Fatal(err)
+		}
+		_, cerr := w.Commit()
+		t.Fatalf("NewWriter accepted an unparsable workload; Commit: %v, %d document(s) still staged", cerr, w.Pending())
+	}
+	var pe *xquery.ParseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("NewWriter: %v, want the workload's parse error", err)
 	}
 }
