@@ -97,9 +97,25 @@ func (e *engine) cardPath(pl *pathPlan, p *xquery.PathExpr, lits []pushdown, var
 		}
 	}
 	sums := pl.targets[n-1]
-	switch {
-	case len(sums) == 0:
+	if len(sums) == 0 {
 		return &cardRule{how: cardConst} // statically empty: no predicate is asked
+	}
+	if textTail && (p.Var != "" || len(lits) > 0) {
+		// Only the instances with immediate text count, and the rules
+		// read no text: they answer when that is all the instances the
+		// path selects, or none of them.
+		all, none := true, true
+		for _, sn := range sums {
+			all, none = all && sn.TextCount == sn.Count, none && sn.TextCount == 0
+		}
+		switch {
+		case none:
+			return &cardRule{how: cardConst}
+		case !all:
+			return nil // which instances have text is the tree's to say
+		}
+	}
+	switch {
 	case len(lits) > 0 && p.Var == "":
 		return e.cardRanges(sums, lits)
 	case len(lits) > 0:
@@ -114,18 +130,6 @@ func (e *engine) cardPath(pl *pathPlan, p *xquery.PathExpr, lits []pushdown, var
 			}
 		}
 		return r
-	}
-	if textTail {
-		all, none := true, true
-		for _, sn := range sums {
-			all, none = all && sn.TextCount == sn.Count, none && sn.TextCount == 0
-		}
-		switch {
-		case none:
-			return &cardRule{how: cardConst}
-		case !all:
-			return nil // which instances have text is the tree's to say
-		}
 	}
 	if len(pl.runs) == 0 || pl.runs[0].from == nil {
 		return nil

@@ -55,6 +55,12 @@ func compileProgram(expr xquery.Expr, store *storage.Store, src string, cards bo
 		c.flwor(c.p.subs[k].x, c.subVars[k], k)
 	}
 	c.p.ncur = int(c.ncur)
+	c.p.slotPlans = make([]*pathPlan, maxSlot(expr)+1)
+	for x, pl := range c.p.plans {
+		if x.Slot > 0 {
+			c.p.slotPlans[x.Slot] = pl
+		}
+	}
 	c.p.sizeEst = c.estimateSize()
 	return c.p, nil
 }
@@ -107,6 +113,19 @@ func (c *compiler) addExpr(x xquery.Expr, varSums map[string][]*storage.SummaryN
 func (c *compiler) addDom(spec domainSpec) int32 {
 	c.p.doms = append(c.p.doms, spec)
 	return int32(len(c.p.doms) - 1)
+}
+
+// maxSlot returns the largest slot of a path under x: a run keeps its
+// cursors of x's paths by slot.
+func maxSlot(x xquery.Expr) int {
+	n := 0
+	if p, isPath := x.(*xquery.PathExpr); isPath {
+		n = p.Slot
+	}
+	for _, sub := range xquery.Children(x) {
+		n = max(n, maxSlot(sub))
+	}
+	return n
 }
 
 // top compiles one top-level block per sequence item. Each block gets a
@@ -650,7 +669,7 @@ func foldExpr(x xquery.Expr) xquery.Expr {
 			}
 		}
 		if changed {
-			return &xquery.PathExpr{Var: e.Var, Doc: e.Doc, Steps: steps}
+			return &xquery.PathExpr{Var: e.Var, Doc: e.Doc, Steps: steps, Slot: e.Slot}
 		}
 	case *xquery.FLWOR:
 		changed := false

@@ -22,20 +22,13 @@ type engine struct {
 	// time (a program builds the others once, and all its runs share
 	// them).
 	joinIdx map[xquery.Expr]*joinIndex
-	// plans holds what the compiler derived once for the whole program,
-	// cards its cardinality rules; pcs are this run's cursors of the
-	// planned paths, by slot, and paths those of the paths the program did
-	// not plan (each with its galloping positions), so a tuple never
-	// re-plans.
-	plans pathPlans
-	cards map[*xquery.Call]*cardRule
-	pcs   []pathCursor
-	paths map[*xquery.PathExpr]*pathCursor
-	// recent are the paths last asked for and their cursors: a tuple
-	// mostly asks for the few paths the one before it did, which one
-	// pointer comparison each finds (cursorFor).
-	recent     [4]recentPath
-	nextRecent int
+	// slotPlans holds the plans the compiler derived once for the whole
+	// program, by path slot (xquery.PathExpr.Slot), and cards its
+	// cardinality rules; pcs are this run's cursors of the paths, by slot,
+	// each with its galloping positions, so a tuple never re-plans.
+	slotPlans []*pathPlan
+	cards     map[*xquery.Call]*cardRule
+	pcs       []pathCursor
 	// offsets are the extent offsets of the pairs of summary nodes the
 	// paths this engine resolved read by them (reach), offBytes their size.
 	offsets  map[[2]*storage.SummaryNode][]uint32
@@ -69,12 +62,6 @@ type engine struct {
 	// item handed out stays valid.
 	out  []byte
 	xmls []xml
-}
-
-// recentPath is a path and the run's cursor of it.
-type recentPath struct {
-	p  *xquery.PathExpr
-	pc *pathCursor
 }
 
 // newEngine returns an engine over the store. It runs on its caller's

@@ -128,8 +128,7 @@ type pathPlans map[*xquery.PathExpr]*pathPlan
 // cache's byte accounting: a few slices of summary-node pointers each.
 func (pl pathPlans) sizeBytes() int { return 192 * len(pl) }
 
-// planExpr records in pl the plan of every path under x, each under a
-// cursor slot of its own, and in cards the rule of every count, empty and
+// planExpr records in pl the plan of every path under x, and in cards the rule of every count, empty and
 // exists it answers without materializing its argument (cardFor); it
 // returns the summary set of x's value when that is static (a path
 // without a text() tail, a variable). vars gives the summary sets of the
@@ -145,10 +144,6 @@ func (e *engine) planExpr(pl pathPlans, cards map[*xquery.Call]*cardRule, x xque
 		return vars[x.Name]
 	case *xquery.PathExpr:
 		plan := e.resolvePath(x, vars[x.Var])
-		plan.slot = len(pl)
-		if old := pl[x]; old != nil {
-			plan.slot = old.slot
-		}
 		pl[x] = plan
 		for i, step := range x.Steps {
 			if len(step.Preds) > 0 && i < len(plan.targets) {

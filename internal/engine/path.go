@@ -69,8 +69,8 @@ type pathPlan struct {
 	// every i that starts such a run from a node set (an absolute path's
 	// leading run starts from the document and needs none).
 	runs  []runPlan
-	slots int // galloping positions a cursor over the plan needs
-	slot  int // the run's cursor of the path, when the program planned it
+	path  *xquery.PathExpr // the path resolved
+	slots int              // galloping positions a cursor over the plan needs
 	// plain: absolute and predicate-free, so the result is the same all run.
 	plain bool
 	// one: from a variable, predicate-free, one run, which reaches one
@@ -187,7 +187,7 @@ type pathCursor struct {
 
 // resolvePath builds the plan of p for an origin summary set.
 func (e *engine) resolvePath(p *xquery.PathExpr, sums []*storage.SummaryNode) *pathPlan {
-	pl := &pathPlan{origin: sums, plain: p.Var == "", targets: make([][]*storage.SummaryNode, 0, len(p.Steps))}
+	pl := &pathPlan{path: p, origin: sums, plain: p.Var == "", targets: make([][]*storage.SummaryNode, 0, len(p.Steps))}
 	cur := sums
 	for i, step := range p.Steps {
 		if step.Test == xquery.TestText {
@@ -278,50 +278,40 @@ func nestedIn(sn *storage.SummaryNode, sums []*storage.SummaryNode) bool {
 }
 
 // cursorFor returns the run's cursor for p over the origin set sums: the
-// one in the slot the compiler gave p (slotOf), found among the recent
-// paths first, taking the plan from the program when it resolved this
-// origin and resolving it here otherwise. A path whose origin set changes
-// between evaluations (a variable without summary knowledge)
-// re-resolves.
+// one at p's slot, taking the plan from the program when it resolved p
+// for this origin and resolving it here otherwise. A path whose origin
+// set changes between evaluations (a variable without summary knowledge)
+// re-resolves; a path without a slot of its own gets a new cursor each
+// time.
 func (e *engine) cursorFor(p *xquery.PathExpr, sums []*storage.SummaryNode) *pathCursor {
-	var pc *pathCursor
-	for i := range e.recent {
-		if e.recent[i].p == p {
-			pc = e.recent[i].pc
-			break
-		}
+	if p.Slot <= 0 || p.Slot >= len(e.pcs) {
+		pc := e.newCursor(p, sums)
+		return &pc
 	}
-	if pc == nil {
-		pc = e.slotOf(p)
-		e.recent[e.nextRecent] = recentPath{p, pc}
-		e.nextRecent = (e.nextRecent + 1) % len(e.recent)
-	}
-	if pc.plan != nil && sameSums(pc.plan.origin, sums) {
+	pc := &e.pcs[p.Slot]
+	switch {
+	case pc.plan == nil:
+	case pc.plan.path != p: // the slot is another path's
+		pc := e.newCursor(p, sums)
+		return &pc
+	case sameSums(pc.plan.origin, sums):
 		return pc
 	}
-	pl := e.plans[p]
-	if pl == nil || !sameSums(pl.origin, sums) {
-		pl = e.resolvePath(p, sums)
-	}
-	*pc = pathCursor{plan: pl, pos: make([]int, pl.slots)}
+	*pc = e.newCursor(p, sums)
 	return pc
 }
 
-// slotOf returns the run's cursor slot of p: the one the compiler gave
-// it, or one of the run's own for a path the program did not plan.
-func (e *engine) slotOf(p *xquery.PathExpr) *pathCursor {
-	if pl := e.plans[p]; pl != nil {
-		return &e.pcs[pl.slot]
+// newCursor returns a cursor for p over sums, with the program's plan of
+// p when it has one for this origin.
+func (e *engine) newCursor(p *xquery.PathExpr, sums []*storage.SummaryNode) pathCursor {
+	var pl *pathPlan
+	if p.Slot > 0 && p.Slot < len(e.slotPlans) {
+		pl = e.slotPlans[p.Slot]
 	}
-	if pc := e.paths[p]; pc != nil {
-		return pc
+	if pl == nil || pl.path != p || !sameSums(pl.origin, sums) {
+		pl = e.resolvePath(p, sums)
 	}
-	if e.paths == nil {
-		e.paths = map[*xquery.PathExpr]*pathCursor{}
-	}
-	pc := &pathCursor{}
-	e.paths[p] = pc
-	return pc
+	return pathCursor{plan: pl, pos: make([]int, pl.slots)}
 }
 
 // sameSums reports that two summary sets are equal: mostly they are the

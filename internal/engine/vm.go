@@ -220,10 +220,12 @@ type Program struct {
 	subs  []subSpec
 	subOf map[*xquery.FLWOR]int32
 	// plans is the pool of resolved paths and planned FLWORs: every
-	// expression a run hands to the engine finds its plan here. cards are
-	// the rules that answer count, empty and exists calls (cardRule).
-	plans pathPlans
-	cards map[*xquery.Call]*cardRule
+	// expression a run hands to the engine finds its plan here, a path's
+	// also by its slot in slotPlans. cards are the rules that answer
+	// count, empty and exists calls (cardRule).
+	plans     pathPlans
+	slotPlans []*pathPlan
+	cards     map[*xquery.Call]*cardRule
 	// dropped are the residual WHERE conjuncts a rule answers true at
 	// compile: no instruction tests them.
 	dropped []xquery.Expr
@@ -361,7 +363,7 @@ func (p *Program) Run(ctx context.Context) (*Result, error) {
 // (tests drive next directly).
 func (p *Program) newRun(ctx context.Context) (*run, error) {
 	eng := newEngine(p.store).withContext(ctx)
-	eng.plans, eng.cards, eng.pcs = p.plans, p.cards, make([]pathCursor, len(p.plans))
+	eng.slotPlans, eng.cards, eng.pcs = p.slotPlans, p.cards, make([]pathCursor, len(p.slotPlans))
 	if eng.ctx != nil {
 		if err := eng.ctx.Err(); err != nil {
 			return nil, err

@@ -44,6 +44,10 @@ type PathExpr struct {
 	// Doc is the document("...") argument when the path is absolute.
 	Doc   string
 	Steps []Step
+	// Slot numbers the path among its query's: Parse gives each path it
+	// builds its own, from 1, and 0 is a path no parse numbered. An
+	// evaluator keeps what it learns of a path at its slot.
+	Slot int
 }
 
 // Axis is a path step axis.

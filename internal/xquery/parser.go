@@ -33,6 +33,15 @@ type parser struct {
 	// constructor calls in progress, so a deeply nested query is a
 	// ParseError rather than a goroutine stack overflow.
 	depth int
+	// paths counts the paths built so far: the last one's Slot.
+	paths int
+}
+
+// path numbers pe, a path just built, and returns it.
+func (p *parser) path(pe *PathExpr) *PathExpr {
+	p.paths++
+	pe.Slot = p.paths
+	return pe
 }
 
 // maxDepth bounds the nesting a query may use. Each level costs the
@@ -343,7 +352,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 		if !ok {
 			// steps from a non-path origin: wrap variables only
 			if v, isVar := e.(*VarRef); isVar {
-				pe = &PathExpr{Var: v.Name}
+				pe = p.path(&PathExpr{Var: v.Name})
 			} else {
 				return nil, p.errf("path steps are only supported from variables or document()")
 			}
@@ -483,7 +492,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return first, nil
 	case p.isSymbol("/") || p.isSymbol("//"):
 		// absolute path on the (single) context document
-		pe := &PathExpr{}
+		pe := p.path(&PathExpr{})
 		steps, err := p.parseSteps()
 		if err != nil {
 			return nil, err
@@ -500,13 +509,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if p.tok.kind != tokName {
 			return nil, p.errf("expected attribute name after @")
 		}
-		pe := &PathExpr{Var: ".", Steps: []Step{{Test: TestAttr, Name: p.tok.text}}}
+		pe := p.path(&PathExpr{Var: ".", Steps: []Step{{Test: TestAttr, Name: p.tok.text}}})
 		return pe, p.advance()
 	case p.isSymbol("."):
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return &PathExpr{Var: "."}, nil
+		return p.path(&PathExpr{Var: "."}), nil
 	case p.tok.kind == tokName:
 		rawName := p.tok.text
 		name := strings.ToLower(rawName)
@@ -515,7 +524,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		if !p.isSymbol("(") {
 			// context-relative child path step (inside predicates)
-			pe := &PathExpr{Var: ".", Steps: []Step{{Test: TestName, Name: rawName}}}
+			pe := p.path(&PathExpr{Var: ".", Steps: []Step{{Test: TestName, Name: rawName}}})
 			for p.isSymbol("[") {
 				if err := p.advance(); err != nil {
 					return nil, err
@@ -539,7 +548,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err := p.expectSymbol(")"); err != nil {
 				return nil, err
 			}
-			return &PathExpr{Var: ".", Steps: []Step{{Test: TestText}}}, nil
+			return p.path(&PathExpr{Var: ".", Steps: []Step{{Test: TestText}}}), nil
 		}
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -555,7 +564,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			if err := p.expectSymbol(")"); err != nil {
 				return nil, err
 			}
-			return &PathExpr{Doc: doc}, nil
+			return p.path(&PathExpr{Doc: doc}), nil
 		}
 		call := &Call{Name: name}
 		if !p.isSymbol(")") {
@@ -755,7 +764,7 @@ func (p *parser) scanTemplate(stop func() bool) ([]Expr, error) {
 func (p *parser) scanEmbedded() (Expr, error) {
 	l := p.lex
 	l.pos++ // consume '{'
-	sub := &parser{lex: l, depth: p.depth}
+	sub := &parser{lex: l, depth: p.depth, paths: p.paths}
 	if err := sub.advance(); err != nil {
 		return nil, err
 	}
@@ -763,6 +772,7 @@ func (p *parser) scanEmbedded() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.paths = sub.paths
 	if !sub.isSymbol("}") {
 		return nil, l.errf(sub.tok.pos, "expected '}' after embedded expression")
 	}

@@ -328,3 +328,29 @@ func TestParseDepthLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestPathSlotsDistinct pins that Parse numbers every path of a query,
+// those inside constructor braces and predicates too, each differently.
+func TestPathSlotsDistinct(t *testing.T) {
+	src := `for $i in document("a")/site/people/person[@id = "p1" and name]
+	        where count($i/watches/watch) > 0
+	        return <person name="{$i/name/text()}" id="x{$i/@id}">{$i/age/text()}{
+	                 for $w in $i/watches/watch return <w a="{$w/@open_auction}"/>}</person>`
+	seen := map[int]string{}
+	var walk func(x Expr)
+	walk = func(x Expr) {
+		if p, ok := x.(*PathExpr); ok {
+			if p.Slot <= 0 || seen[p.Slot] != "" {
+				t.Errorf("%s has slot %d (already %q)", p, p.Slot, seen[p.Slot])
+			}
+			seen[p.Slot] = p.String()
+		}
+		for _, c := range Children(x) {
+			walk(c)
+		}
+	}
+	walk(mustParse(t, src))
+	if len(seen) != 9 {
+		t.Errorf("%d paths numbered, want 9: %v", len(seen), seen)
+	}
+}
