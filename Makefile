@@ -47,7 +47,12 @@ race:
 	$(GO) test -race ./...
 
 # Size of the thing, tracked next to ns/op (ROADMAP): non-test Go lines
-# under internal/ and in the root package, the exported-symbol count of
+# under internal/ and in the root package, the production lines — the
+# non-test lines of the non-standard packages the two binaries and package
+# xquec build from (`go list -deps`), which the test-only packages
+# (galaxlike, xgrind, xmill, xpress, datagen, xmarkq, vm) must stay out
+# of, so `check` fails when one enters that import graph — the
+# exported-symbol count of
 # package xquec, the exported funcs, methods and types of the internal/
 # packages (their `go doc -all` entries), the user-settable values (not
 # gated) — command-line flags of xquec and xquecd, exported fields of
@@ -58,9 +63,15 @@ race:
 # code, which must be none, so `check` fails on the first one: behaviour
 # is chosen by options, never by the environment of the process.
 FLAG_DEFS = '\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc|TextVar|Var|[A-Z][a-z0-9]*Var)\('
+PROD = ./cmd/xquec ./cmd/xquecd .
+TEST_ONLY = '^xquec/internal/(baselines/(galaxlike|xgrind|xmill|xpress)|datagen|xmarkq|vm)$$'
 loc:
-	@echo "internal/ non-test Go lines: $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@files=$$($(GO) list -deps -f '{{if not .Standard}}{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}{{end}}' $(PROD)); \
+	echo "internal/ non-test Go lines: $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" \
+		"(production: $$(cat $$files | wc -l), $$(ls $$files | grep /internal/ | xargs cat | wc -l) of them under internal/)"
 	@echo "root package non-test Go lines: $$(ls *.go | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@bad=$$($(GO) list -deps $(PROD) | grep -E $(TEST_ONLY)); \
+	test -z "$$bad" || { echo "loc: test-only packages in the production import graph:" $$bad; exit 1; }
 	@echo "package xquec exported symbols: $$($(GO) doc -short . | wc -l)"
 	@n=0; for p in $$($(GO) list ./internal/...); do n=$$((n + $$($(GO) doc -all $$p 2>/dev/null | grep -cE '^(func|type) '))); done; \
 	echo "internal/ exported funcs, methods and types: $$n"

@@ -46,7 +46,11 @@ func BenchmarkStoreText(b *testing.B) {
 	textNodes := summary("/site/regions/", "/item/description/text")
 	texts := extent(textNodes)
 	descs := extent(summary("/site/regions/", "/item/description"))
-	if len(names) == 0 || len(texts) == 0 || !storage.AllSoleText(textNodes) {
+	sole := len(textNodes) > 0
+	for _, sn := range textNodes {
+		sole = sole && sn.Shape().Sole
+	}
+	if len(names) == 0 || len(texts) == 0 || !sole {
 		b.Fatal("want person names and sole-text description texts")
 	}
 	shuffled := slices.Clone(names)

@@ -13,8 +13,10 @@ package algebra
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
 	"sort"
+	"strconv"
 
 	"xquec/internal/storage"
 )
@@ -268,21 +270,6 @@ func AncestorsIn(sums []*storage.SummaryNode, inner NodeSet) NodeSet {
 	return out
 }
 
-// DistinctParents reports that no two of kids, the instances of a summary
-// node, have the same parent among parents, the instances of its summary
-// parent: that an instance of the parent lies between any two
-// consecutive kids. (Instances of one summary node never nest, so the
-// parent of a kid is the greatest parent instance before it.)
-func DistinctParents(kids, parents NodeSet) bool {
-	j := 0
-	for i := 1; i < len(kids); i++ {
-		if j = gallop(parents, j, kids[i-1]+1); j == len(parents) || parents[j] > kids[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // SemiJoinIn is AncestorsIn restricted to outer, a set of instances of
 // sums — SemiJoinAncestor without asking the tree where a subtree ends.
 // Each step places one inner node by Nearest and gallops both sides past
@@ -469,44 +456,21 @@ func MergeJoinContainers(a, b *storage.Container) ([]Pair, error) {
 	if !SameModel(a, b) || !a.Codec().Props().OrderPreserving {
 		return nil, storage.ErrNeedsDecompression
 	}
-	var out []Pair
-	i, j := 0, 0
-	for i < a.Len() && j < b.Len() {
-		cmp := bytes.Compare(a.Value(i), b.Value(j))
-		switch {
-		case cmp < 0:
-			i++
-		case cmp > 0:
-			j++
-		default:
-			// emit the cross product of the two equal runs
-			v := a.Value(i)
-			iEnd := i
-			for iEnd < a.Len() && bytes.Equal(a.Value(iEnd), v) {
-				iEnd++
-			}
-			jEnd := j
-			for jEnd < b.Len() && bytes.Equal(b.Value(jEnd), v) {
-				jEnd++
-			}
-			for x := i; x < iEnd; x++ {
-				for y := j; y < jEnd; y++ {
-					out = append(out, Pair{A: a.Owner(x), B: b.Owner(y)})
-				}
-			}
-			i, j = iEnd, jEnd
+	records := func(c *storage.Container) []int32 {
+		out := make([]int32, c.Len())
+		for i := range out {
+			out[i] = int32(i)
 		}
+		return out
 	}
-	return out, nil
+	return mergeEqual(nil, a, b, records(a), records(b), func(x, y int32) int { return bytes.Compare(a.Value(int(x)), b.Value(int(y))) }), nil
 }
 
-// DecodedMergeJoin joins two containers on value equality when their
-// compressed forms are not directly comparable: each side is decoded
-// once, in record order, and the two decoded sequences are merged. A
-// string container's records are in plaintext byte order already (it is
-// built so); a typed one's are in value order, which is not byte order
-// (9 < 10, but "10" < "9"), so its decoded values are first sorted by
-// their bytes.
+// DecodedMergeJoin joins two containers on JoinContainers' equality by
+// their decoded values: each side is decoded once, in record order, its
+// values split into those that read as numbers (NaN left out: it equals
+// nothing) and the others, and the two sides' numbers are merged in
+// number order, their others in byte order.
 func DecodedMergeJoin(a, b *storage.Container) ([]Pair, error) {
 	da, err := decodeSorted(a)
 	if err != nil {
@@ -516,41 +480,48 @@ func DecodedMergeJoin(a, b *storage.Container) ([]Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Pair
+	out := mergeEqual(nil, a, b, da.text, db.text, func(x, y int32) int { return bytes.Compare(da.value(x), db.value(y)) })
+	return mergeEqual(out, a, b, da.nums, db.nums, func(x, y int32) int { return cmp.Compare(da.num[x], db.num[y]) }), nil
+}
+
+// mergeEqual appends a pair of owners for every record x of xs (in a)
+// and y of ys (in b) that compare equal, both lists sorted by compare.
+func mergeEqual(out []Pair, a, b *storage.Container, xs, ys []int32, compare func(x, y int32) int) []Pair {
 	i, j := 0, 0
-	for i < len(da.order) && j < len(db.order) {
-		v := da.at(i)
-		switch c := bytes.Compare(v, db.at(j)); {
+	for i < len(xs) && j < len(ys) {
+		switch c := compare(xs[i], ys[j]); {
 		case c < 0:
 			i++
 		case c > 0:
 			j++
 		default:
 			iEnd, jEnd := i+1, j+1
-			for iEnd < len(da.order) && bytes.Equal(da.at(iEnd), v) {
+			for iEnd < len(xs) && compare(xs[iEnd], ys[j]) == 0 {
 				iEnd++
 			}
-			for jEnd < len(db.order) && bytes.Equal(db.at(jEnd), v) {
+			for jEnd < len(ys) && compare(xs[i], ys[jEnd]) == 0 {
 				jEnd++
 			}
-			for x := i; x < iEnd; x++ {
-				for y := j; y < jEnd; y++ {
-					out = append(out, Pair{A: a.Owner(int(da.order[x])), B: b.Owner(int(db.order[y]))})
+			for _, x := range xs[i:iEnd] {
+				for _, y := range ys[j:jEnd] {
+					out = append(out, Pair{A: a.Owner(int(x)), B: b.Owner(int(y))})
 				}
 			}
 			i, j = iEnd, jEnd
 		}
 	}
-	return out, nil
+	return out
 }
 
 // decoded is one container's values decoded into one slab, value k at
-// slab[end[k-1]:end[k]], and its records in the byte order of those
-// values.
+// slab[end[k-1]:end[k]], and its records split: text, those whose values
+// read as no number, in byte order; nums, those that read as numbers
+// other than NaN, in number order (num holds each record's number).
 type decoded struct {
-	slab  []byte
-	end   []int32
-	order []int32
+	slab       []byte
+	end        []int32
+	num        []float64
+	text, nums []int32
 }
 
 // value returns the decoded value of record k.
@@ -562,34 +533,90 @@ func (d *decoded) value(k int32) []byte {
 	return d.slab[from:d.end[k]]
 }
 
-// at returns the i-th value in byte order.
-func (d *decoded) at(i int) []byte { return d.value(d.order[i]) }
-
-// decodeSorted decodes every record of c and orders them by their bytes:
-// a string container's record order is that order already, a typed one's
-// is sorted.
+// decodeSorted decodes every record of c and splits and orders them: a
+// string container's record order is byte order already, a typed one's
+// is number order.
 func decodeSorted(c *storage.Container) (*decoded, error) {
-	d := &decoded{slab: make([]byte, 0, 2*c.CompressedBytes()), end: make([]int32, c.Len()), order: make([]int32, c.Len())}
+	d := &decoded{slab: make([]byte, 0, 2*c.CompressedBytes()), end: make([]int32, c.Len()), num: make([]float64, c.Len())}
 	for i := range d.end {
 		var err error
 		if d.slab, err = c.Decode(d.slab, i); err != nil {
 			return nil, err
 		}
-		d.end[i], d.order[i] = int32(len(d.slab)), int32(i)
+		d.end[i] = int32(len(d.slab))
+		f, isNum := number(d.value(int32(i)))
+		switch {
+		case !isNum:
+			d.text = append(d.text, int32(i))
+		case f == f:
+			d.num[i], d.nums = f, append(d.nums, int32(i))
+		}
 	}
 	if c.Kind != storage.KindString {
-		slices.SortStableFunc(d.order, func(x, y int32) int { return bytes.Compare(d.value(x), d.value(y)) })
+		slices.SortStableFunc(d.text, func(x, y int32) int { return bytes.Compare(d.value(x), d.value(y)) })
 	}
+	slices.SortStableFunc(d.nums, func(x, y int32) int { return cmp.Compare(d.num[x], d.num[y]) })
 	return d, nil
 }
 
-// JoinContainers picks the merge join on compressed bytes when the
-// compressed domain allows it and the merge of decoded values otherwise —
-// the alternative the optimizer weighs in Fig. 5-style plans.
-func JoinContainers(a, b *storage.Container) ([]Pair, bool, error) {
-	if pairs, err := MergeJoinContainers(a, b); err == nil {
-		return pairs, true, nil
+// number reads v as general comparison does: strconv.ParseFloat of v
+// with its spaces trimmed. Only a value whose first byte can start a
+// number — a sign, a point, a digit, "inf" or "nan" in any case — reaches
+// ParseFloat, whose error allocates.
+func number(v []byte) (float64, bool) {
+	t := bytes.TrimSpace(v)
+	switch {
+	case len(t) == 0:
+		return 0, false
+	case '0' <= t[0] && t[0] <= '9' || t[0] == '+' || t[0] == '-' || t[0] == '.':
+	case len(t) < 3 || !bytes.EqualFold(t[:3], []byte("inf")) && !bytes.EqualFold(t[:3], []byte("nan")):
+		return 0, false
 	}
-	pairs, err := DecodedMergeJoin(a, b)
+	f, err := strconv.ParseFloat(string(t), 64)
+	return f, err == nil
+}
+
+// JoinContainers joins two containers on the equality of a general
+// comparison: two values that both read as numbers (number) are equal
+// when their numbers are, and NaN equals nothing; any other two when
+// their bytes are. It merges compressed bytes — decoding nothing — where
+// byte equality is that equality (bytewise), and the decoded values
+// otherwise; merged says which.
+func JoinContainers(a, b *storage.Container) (pairs []Pair, merged bool, err error) {
+	if bytewise(a, b) {
+		if pairs, err := MergeJoinContainers(a, b); err == nil {
+			return pairs, true, nil
+		}
+	}
+	pairs, err = DecodedMergeJoin(a, b)
 	return pairs, false, err
+}
+
+// bytewise reports that MergeJoinContainers joins a and b on
+// JoinContainers' equality: they share an order-preserving source model,
+// and either one holds no number (numberFree), or both are typed int or
+// decimal, whose shared codec writes each number one way.
+func bytewise(a, b *storage.Container) bool {
+	if !SameModel(a, b) || !a.Codec().Props().OrderPreserving {
+		return false
+	}
+	return numberFree(a) || numberFree(b) || a.Kind == b.Kind && (a.Kind == storage.KindInt || a.Kind == storage.KindDecimal)
+}
+
+// numberFree reports, from c's compressed bytes alone, that no value of
+// c reads as a number: c is a string container in byte order, and the
+// stretches of that order where a number's text can start hold no record
+// — below ':' (a space, a sign, a point, a digit), "in" and "na" in any
+// case (inf, nan) and from 0x80 (a Unicode space).
+func numberFree(c *storage.Container) bool {
+	if c.Kind != storage.KindString || !c.Codec().Props().OrderPreserving {
+		return false
+	}
+	for _, r := range [][2]string{{"\x00", ":"}, {"\x80", "\xff"}, {"IN", "IO"}, {"In", "Io"}, {"iN", "iO"},
+		{"in", "io"}, {"NA", "NB"}, {"Na", "Nb"}, {"nA", "nB"}, {"na", "nb"}} {
+		if i, j, err := c.FindRange([]byte(r[0]), true, []byte(r[1]), false); err != nil || i < j {
+			return false
+		}
+	}
+	return true
 }

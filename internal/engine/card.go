@@ -139,78 +139,36 @@ func (e *engine) cardPath(pl *pathPlan, p *xquery.PathExpr, lits []pushdown, var
 
 // cardRanges chooses the rule of the literal conjuncts lits on the
 // instances of sums, a whole extent: they must all compare one operand
-// that has one value per instance (onePerInstance) by =, <, <=, > or >=,
-// and every container must answer each of them as one stretch of its
-// records — ContAccess eq or range, or a binary search.
+// by =, <, <=, > or >=, which every instance has exactly one node on,
+// whose value is one record it always has (valueOf) — a record is then an
+// instance, and counting records counts instances — and every container
+// must answer each of them as one stretch of its records: ContAccess eq
+// or range, or a binary search.
 func (e *engine) cardRanges(sums []*storage.SummaryNode, lits []pushdown) *cardRule {
-	r := &cardRule{how: cardRanges, lits: lits}
-	for i, pd := range lits {
-		if !pd.IsLit || stringFunc(pd.Op) != nil || pd.Op == "!=" || pd.Rel.String() != lits[0].Rel.String() {
+	for _, pd := range lits {
+		if !pd.IsLit || stringFunc(pd.Op) != nil || pd.Op == "!=" || pd.Op == "=" && pd.Lit == "" || pd.Rel.String() != lits[0].Rel.String() {
 			return nil
 		}
-		conts, _, why := e.litTargets(sums, pd.Rel, pd.Op, pd.Lit)
-		if why != "" || i == 0 && !e.onePerInstance(sums, pd.Rel) {
-			return nil
-		}
-		r.conts = conts
 	}
-	for _, c := range r.conts {
-		for _, pd := range lits {
+	v := e.valueOf(sums, lits[0].Rel)
+	if v.why != "" || !v.one || !v.all {
+		return nil
+	}
+	for _, pd := range lits {
+		for _, c := range v.conts {
 			if access, _, _ := accessFor(c, pd.Op, pd.Lit); access != accessEq && access != accessRange && access != accessSearch {
 				return nil
 			}
 		}
 	}
-	return r
-}
-
-// onePerInstance reports that rel, a child path, reads exactly one value
-// record under every instance of sums: each step reaches one summary node
-// under each member that every parent instance has one of, and each node
-// it ends on has its value as one record (SoleText: an attribute with a
-// record each, an element whose only content is one text record). A
-// container record is then an instance, and counting records counts
-// instances.
-func (e *engine) onePerInstance(sums []*storage.SummaryNode, rel *xquery.PathExpr) bool {
-	cur := sums
-	for i, st := range rel.Steps {
-		if st.Test == xquery.TestText && i == len(rel.Steps)-1 {
-			break
-		}
-		if st.Axis != xquery.AxisChild || len(st.Preds) > 0 || st.Test == xquery.TestText || !e.onePerEach(&cur, st) {
-			return false
-		}
-	}
-	for _, sn := range cur {
-		if !sn.SoleText {
-			return false
-		}
-	}
-	return len(rel.Steps) > 0
-}
-
-// onePerEach moves cur one child step on when that step reaches one
-// summary node under each member of cur, which every instance of the
-// member has exactly one of (OnePerParent); it reports whether it did.
-func (e *engine) onePerEach(cur *[]*storage.SummaryNode, st xquery.Step) bool {
-	next := e.summaryTargets(*cur, false, st)
-	if len(next) != len(*cur) {
-		return false
-	}
-	for k, sn := range next {
-		if sn.Parent != (*cur)[k] || !sn.OnePerParent() {
-			return false
-		}
-	}
-	*cur = next
-	return true
+	return &cardRule{how: cardRanges, lits: lits, conts: v.conts}
 }
 
 // cardFLWOR chooses the rule of `count(FOR $v IN P WHERE … RETURN r)`:
 // one FOR over an absolute path P, no ORDER BY, a WHERE whose conjuncts
 // are all literal restricts on $v, and a RETURN that yields exactly one
-// item per tuple and cannot fail — $v, or a predicate-free child path
-// from $v every step of which reaches one node per instance. Its count
+// item per tuple and cannot fail — $v, or a path from $v that reaches
+// exactly one node from each binding (valueOf). Its count
 // is then P's count under the restricts (cardPath), which never falls
 // back: the FLWOR needs no sub-program.
 func (e *engine) cardFLWOR(x *xquery.FLWOR) *cardRule {
@@ -237,14 +195,8 @@ func (e *engine) cardFLWOR(x *xquery.FLWOR) *cardRule {
 			return nil
 		}
 	case *xquery.PathExpr:
-		cur := pl.sums()
-		if ret.Var != v || len(ret.Steps) == 0 {
+		if ret.Var != v || len(ret.Steps) == 0 || ret.Steps[len(ret.Steps)-1].Test == xquery.TestText || !e.valueOf(pl.sums(), ret).one {
 			return nil
-		}
-		for _, st := range ret.Steps {
-			if st.Axis != xquery.AxisChild || len(st.Preds) > 0 || st.Test == xquery.TestText || !e.onePerEach(&cur, st) {
-				return nil
-			}
 		}
 	default:
 		return nil

@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"bytes"
+	"math/rand"
+	"regexp"
+	"slices"
 	"strings"
 
 	"xquec/internal/datagen"
@@ -10,7 +14,21 @@ import (
 
 // The random-document generator, the query battery and the directed
 // documents, for the external test package.
-var RandomDoc = datagen.RandomRecords
+
+// RandomDoc is datagen.RandomRecords with about one in eight label and
+// num values split into two text leaves by a comment, so the battery runs
+// every fast path over text whose records are pieces of a value.
+func RandomDoc(rng *rand.Rand) []byte {
+	return splitValue.ReplaceAllFunc(datagen.RandomRecords(rng), func(m []byte) []byte {
+		if rng.Intn(8) != 0 {
+			return m
+		}
+		i := bytes.IndexByte(m, '>') + 2
+		return slices.Concat(m[:i], []byte("<!--c-->"), m[i:])
+	})
+}
+
+var splitValue = regexp.MustCompile(`<(label|num)>[^<]{2,}</`)
 
 const NestedLists = nestedLists
 

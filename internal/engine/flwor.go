@@ -322,18 +322,20 @@ func (e *engine) applyJoin(pd pushdown, idx *joinIndex, whole bool, cur algebra.
 }
 
 // joinIndexFor builds (or reuses) the join index for a comparison. Both
-// sides' value owners are placed under their bindings by extent order
-// (algebra.Nearest: relValueTarget resolves containers only under summary
-// sets whose instances never nest).
+// sides' values must be one record each (valueOf), every node must have
+// its record — a node without one is "", which equals the other side's
+// and is in no container — and both sides' value owners are placed under
+// their bindings by extent order (algebra.Nearest: valueOf resolves
+// values only under summary sets whose instances never nest).
 func (e *engine) joinIndexFor(pd pushdown, sums, otherSums []*storage.SummaryNode) (*joinIndex, bool, error) {
 	if idx, ok := e.joinIdx[pd.Conj]; ok && idx.covers(sums, otherSums) {
 		return idx, true, nil
 	}
-	thisConts, _, ok1 := e.relValueTarget(sums, pd.RelThis)
-	otherConts, _, ok2 := e.relValueTarget(otherSums, pd.RelOther)
-	if !ok1 || !ok2 || len(thisConts) == 0 || len(otherConts) == 0 {
+	this, other := e.valueOf(sums, pd.RelThis), e.valueOf(otherSums, pd.RelOther)
+	if this.why != "" || other.why != "" || !this.all || !other.all || len(this.conts) == 0 || len(other.conts) == 0 {
 		return nil, false, nil
 	}
+	thisConts, otherConts := this.conts, other.conts
 	joinIndexBuilds.Add(1)
 	idx := &joinIndex{sums: sums, otherSums: otherSums, first: make([]int, len(otherSums))}
 	n := 0

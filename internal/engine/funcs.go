@@ -169,22 +169,6 @@ func (e *engine) argLen(x *xquery.Call, env *scope) (int, error) {
 	return len(v), err
 }
 
-// leafOnly reports that sums is known and no instance of it has element
-// children, so an instance's string value is its immediate text.
-func leafOnly(sums []*storage.SummaryNode) bool {
-	if len(sums) == 0 {
-		return false
-	}
-	for _, sn := range sums {
-		for _, c := range sn.Children {
-			if c.Tag != "#text" && !strings.HasPrefix(c.Tag, "@") {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func (e *engine) argString(x *xquery.Call, i int, env *scope) (string, error) {
 	b, err := e.argBytes(x, i, env)
 	return string(b), err

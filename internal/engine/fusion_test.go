@@ -216,7 +216,7 @@ func TestFusedRandomDifferential(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		docs := make([][]byte, 2+rng.Intn(4))
 		for i := range docs {
-			docs[i] = engine.RandomDoc(rng)
+			docs[i] = datagen.RandomRecords(rng)
 		}
 		corpus, err := partition.Concat(docs...)
 		if err != nil {

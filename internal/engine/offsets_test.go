@@ -177,8 +177,8 @@ func TestOffsetsAgreeWithGalloping(t *testing.T) {
 				sn = n
 			}
 		}
-		if sn == nil || sn.OnePerParent() != c.one {
-			t.Fatalf("%s: one per parent %v, want %v", c.path, sn != nil && sn.OnePerParent(), c.one)
+		if sn == nil || (sn.Shape().Each && sn.Shape().Single) != c.one {
+			t.Fatalf("%s: one per parent %v, want %v", c.path, sn != nil && sn.Shape().Each && sn.Shape().Single, c.one)
 		}
 	}
 }

@@ -339,7 +339,8 @@ func TestLiteralRestrictScansOncePerRun(t *testing.T) {
 // adds an item that breaks one condition of the scan — a value split over
 // two text nodes ("a go" + "ld bar" is "a gold bar"), two descriptions
 // (the per-tuple evaluation reads the first), text under a child element
-// or a parlist, two text records under one node — and the conjunct stays
+// or a parlist, or beside it, two text records under one node (text split
+// by a comment or a processing instruction) — and the conjunct stays
 // per tuple, which the program's listing says.
 func TestStringRestricts(t *testing.T) {
 	const base = `<item id="i0"><name>n0</name><description><text>a gold bar</text></description></item>` +
@@ -355,6 +356,8 @@ func TestStringRestricts(t *testing.T) {
 		{`<description><text>go<bold>ld</bold></text></description>`, "/site/regions/africa/item/description has text at several paths"},
 		{`<description><parlist><listitem><text>gold</text></listitem></parlist></description>`, "/site/regions/africa/item/description has text at several paths"},
 		{`<description><text>go<!--c-->ld</text></description>`, "/site/regions/africa/item/description/text has several text records under one node"},
+		{`<description><text>go<?pi x?>ld</text></description>`, "/site/regions/africa/item/description/text has several text records under one node"},
+		{`<description>go<!--c-->ld</description>`, "/site/regions/africa/item/description has text at several paths"},
 	}
 	queries := []string{
 		`FOR $i IN /site//item WHERE contains($i/description, "gold") RETURN $i/name/text()`,

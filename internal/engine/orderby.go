@@ -232,15 +232,18 @@ type rankTable struct {
 }
 
 // keyRanks returns the rank table of an ORDER BY key that is a path from
-// a variable bound under sums, or nil when the key is not eligible: its
-// values must live in the containers a WHERE comparison on the path
-// would match (relValueTarget) — attributes, and elements whose children
-// are text and attributes only, so a string value is immediate text.
+// a variable bound under sums, or nil when the key is not eligible
+// (valueOf): each node's value must be one record of its immediate text —
+// an attribute's, or an element's whose text is all its own — so the rank
+// of the first node's record (collectKey) is the rank of the key. A
+// binding may have several nodes on the path: the key is the first one's
+// value either way.
 func (e *engine) keyRanks(p *xquery.PathExpr, sums []*storage.SummaryNode) *rankTable {
-	conts, _, ok := e.relValueTarget(sums, p)
-	if !ok {
+	v := e.valueOf(sums, p)
+	if v.why != "" || !v.immediate {
 		return nil
 	}
+	conts := v.conts
 	var slab []byte
 	ends := []int{0} // value j is slab[ends[j]:ends[j+1]]
 	for _, c := range conts {

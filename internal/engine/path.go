@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -117,7 +118,7 @@ func (r *reach) span(k int32) (lo, hi int32) {
 var offsetBuilds atomic.Int64
 
 // reach derives how a run reads t under s: one per parent when every
-// summary node on the chain from t up to s is (OnePerParent, memoized per
+// summary node on the chain from t up to s is (its Shape, memoized per
 // store), else through offsets — one merge of the two extents: off[k] is
 // the number of t-instances before the k-th s-instance. Every t-instance
 // has exactly one ancestor among the s-instances, which never nest, and
@@ -128,7 +129,7 @@ var offsetBuilds atomic.Int64
 func (e *engine) reach(s, t *storage.SummaryNode, at int) reach {
 	r := reach{one: true, at: int32(at)}
 	for c := t; c != s && r.one; c = c.Parent {
-		r.one = c.OnePerParent()
+		r.one = c.Shape().Each && c.Shape().Single
 	}
 	if r.one {
 		return r
@@ -243,17 +244,12 @@ func (e *engine) resolvePath(p *xquery.PathExpr, sums []*storage.SummaryNode) *p
 	for o := 0; pl.one && o < len(pl.runs[0].targets); o++ {
 		pl.one = len(pl.runs[0].targets[o]) == 1
 	}
-	pl.textAll = textTail && n > 0 && allText(pl.targets[n-1])
-	return pl
-}
-
-// allText reports that every instance of sums has immediate text.
-func allText(sums []*storage.SummaryNode) bool {
-	all := len(sums) > 0
-	for _, sn := range sums {
-		all = all && sn.TextCount == sn.Count
+	pl.textAll = textTail && len(pl.sums()) > 0
+	for _, sn := range pl.sums() {
+		_, _, all := nodeValue(sn, true)
+		pl.textAll = pl.textAll && all
 	}
-	return all
+	return pl
 }
 
 // antichain reports that no member of sums is a summary-ancestor of
@@ -365,8 +361,8 @@ func (e *engine) evalPathNodes(p *xquery.PathExpr, env *scope) (nodes algebra.No
 		run, sums := &pl.runs[0], pl.targets[len(pl.targets)-1]
 		lo, hi := run.reads[st.at.o][0].span(st.at.i)
 		nodes, textTail = run.targets[st.at.o][0].Extent[lo:hi:hi], len(pl.targets) < len(p.Steps)
-		if textTail && !pl.textAll {
-			nodes = e.withText(nodes, sums)
+		if textTail {
+			nodes = e.withText(nodes, pl.textAll)
 		}
 		return nodes, sums, textTail, nil
 	}
@@ -380,7 +376,7 @@ func (e *engine) evalPathNodes(p *xquery.PathExpr, env *scope) (nodes algebra.No
 			if len(step.Preds) > 0 {
 				return nil, nil, false, fmt.Errorf("engine: predicates on text() are not supported")
 			}
-			st.nodes, st.exact, st.at, textTail = e.withText(st.allNodes(), st.sums), false, place{}, true
+			st.nodes, st.exact, st.at, textTail = e.withText(st.allNodes(), pc.plan.textAll), false, place{}, true
 			break
 		}
 		j := runEnd(steps, i)
@@ -398,12 +394,12 @@ func (e *engine) evalPathNodes(p *xquery.PathExpr, env *scope) (nodes algebra.No
 	return st.nodes, st.sums, textTail, nil
 }
 
-// withText restricts nodes, instances of sums, to those that have
-// immediate text. Where the summary says every instance has some — the
-// rule for a path one asks text() of — that is all of them, and the tree
-// is not asked; otherwise only a node without text is copied around.
-func (e *engine) withText(nodes algebra.NodeSet, sums []*storage.SummaryNode) algebra.NodeSet {
-	if allText(sums) {
+// withText restricts nodes to those that have immediate text. Where the
+// summary says every instance of their summary nodes has some (all, the
+// plan's textAll) that is all of them, and the tree is not asked;
+// otherwise only a node without text is copied around.
+func (e *engine) withText(nodes algebra.NodeSet, all bool) algebra.NodeSet {
+	if all {
 		return nodes
 	}
 	for i, id := range nodes {
@@ -869,72 +865,117 @@ func splitPredConjuncts(pred xquery.Expr) []xquery.Expr {
 // Compressed-domain predicate fast path
 // ---------------------------------------------------------------------
 
-// relValueTarget resolves a context-relative path (inside a predicate or
-// a WHERE clause) to the value containers it denotes under the given
-// summary nodes. ok is false when the shape is unsupported (the caller
-// then evaluates row-at-a-time). complete reports that every instance of
-// the path has a value in the containers — when false, only existential
-// equality against a non-empty literal is sound on the containers alone.
-func (e *engine) relValueTarget(sums []*storage.SummaryNode, p *xquery.PathExpr) (conts []*storage.Container, complete bool, ok bool) {
-	if p.Var == "" {
-		return nil, false, false // absolute paths are not context-relative
+// value is what the summary says of the values a context-relative path
+// reads under a summary set (valueOf): the containers of their records,
+// and the facts a fast path checks before it reads them instead of the
+// nodes — each only those it needs. A string function or an ORDER BY key
+// needs at most one node per binding, a count rule exactly one, a
+// comparison or a join each value to be one record.
+type value struct {
+	conts []*storage.Container
+	// why is empty when each node's value — its string value, or its
+	// immediate text after a text() step — is one record of conts, or ""
+	// where it has none; else it says why not.
+	why string
+	// many is empty when no binding has two nodes on the path, else it
+	// says why one may; one: every binding has exactly one.
+	many string
+	one  bool
+	// all: every node has its record; immediate: the record is every
+	// node's immediate text.
+	all, immediate bool
+}
+
+// valueOf resolves rel, a path from a variable or the context, under
+// sums, the summary nodes of what it starts from, to its values'
+// containers and the facts about them, which the summary nodes' Shapes
+// hold: no instance of the document is read.
+func (e *engine) valueOf(sums []*storage.SummaryNode, rel *xquery.PathExpr) value {
+	switch {
+	case len(sums) == 0:
+		return value{why: "no summary set", many: "no summary set"}
+	case rel.Var == "":
+		return value{why: "the path is absolute", many: "the path is absolute"}
 	}
+	v := value{one: true}
 	if !antichain(sums) {
 		// Instances nest (a recursive schema): a value under an inner
 		// instance also lies inside the outer one's interval, so owners
 		// cannot be mapped back to instances by containment.
-		return nil, false, false
+		v.why = "the bindings nest"
 	}
-	cur := sums
-	for _, step := range p.Steps {
-		if len(step.Preds) > 0 {
-			return nil, false, false
-		}
-		if step.Test == xquery.TestText {
-			break
-		}
-		cur = e.summaryTargets(cur, false, step)
-		if len(cur) == 0 {
-			return nil, true, true // statically empty: no container, no match
-		}
-	}
-	// Terminal: the value container(s). For attribute ends, the summary
-	// node itself holds the container; for element ends, its #text
-	// child — valid only when the element's string value IS its
-	// immediate text, i.e. it has no element children (mixed or nested
-	// content would need deep-text comparison).
-	complete = true
-	seen := map[int32]bool{}
-	for _, sn := range cur {
-		target := sn
-		if !strings.HasPrefix(sn.Tag, "@") {
-			var txt *storage.SummaryNode
-			for _, c := range sn.Children {
-				if c.Tag == "#text" {
-					txt = c
-					continue
-				}
-				if !strings.HasPrefix(c.Tag, "@") {
-					return nil, false, false // element content: deep value
-				}
-			}
-			if txt == nil {
-				// No instance has a text value: their string values are
-				// all "", which the containers cannot answer.
-				return nil, false, false
-			}
-			if sn.TextCount < sn.Count {
-				complete = false // some instances have no text value
-			}
-			target = txt
-		}
-		if target.Container < 0 || seen[target.ID] {
+	cur, textTail := sums, false
+	for i, step := range rel.Steps {
+		var why string
+		switch {
+		case len(step.Preds) > 0:
+			why = "a step has a predicate"
+		case step.Test == xquery.TestText && i < len(rel.Steps)-1:
+			why = "text() is not the last step"
+		case step.Test == xquery.TestText && step.Axis != xquery.AxisChild:
+			why = "a step is not a child step"
+		case step.Test == xquery.TestText:
+			textTail = true
 			continue
 		}
-		seen[target.ID] = true
-		conts = append(conts, e.store.Container(target.Container))
+		if why != "" {
+			return value{why: cmp.Or(v.why, why), many: cmp.Or(v.many, why)}
+		}
+		next := e.summaryTargets(cur, false, step)
+		if step.Axis != xquery.AxisChild && v.many == "" {
+			v.many = "a step is not a child step"
+		}
+		v.one = v.one && v.many == "" && len(next) == len(cur)
+		for k, sn := range next {
+			switch {
+			case v.many != "":
+			case k > 0 && next[k-1].Parent == sn.Parent:
+				v.many = "a step matches several paths"
+			case !sn.Shape().Single:
+				v.many = sn.Path() + " repeats under one parent"
+			}
+			v.one = v.one && v.many == "" && sn.Parent == cur[k] && sn.Shape().Each
+		}
+		cur = next
 	}
-	return conts, complete, true
+	v.all, v.immediate = true, true
+	seen := map[int32]bool{}
+	for _, sn := range cur {
+		rec, why, all := nodeValue(sn, textTail)
+		v.why, v.all = cmp.Or(v.why, why), v.all && all
+		v.immediate = v.immediate && ownText(sn, rec)
+		if rec == nil || rec.Container < 0 || seen[rec.ID] {
+			continue
+		}
+		seen[rec.ID] = true
+		v.conts = append(v.conts, e.store.Container(rec.Container))
+	}
+	return v
+}
+
+// nodeValue returns the record whose container holds the value of each
+// instance of sn — its string value, or its immediate text when
+// textTail — with sn's Shape's facts about it: why no one record is the
+// value, and that every instance has a record (with textTail: has
+// immediate text).
+func nodeValue(sn *storage.SummaryNode, textTail bool) (rec *storage.SummaryNode, why string, all bool) {
+	if sh := sn.Shape(); !textTail || isAttr(sn) {
+		return sh.Value, sh.Why, sh.All
+	}
+	for _, c := range sn.Children {
+		if c.Tag == "#text" {
+			ts := c.Shape()
+			return ts.Value, ts.Why, ts.Each
+		}
+	}
+	return nil, "", false // no instance has text
+}
+
+// ownText reports that rec, the value record of sn's instances, is their
+// immediate text: an attribute's own, or a #text child — or that they
+// have no text at all.
+func ownText(sn, rec *storage.SummaryNode) bool {
+	return rec == nil || rec == sn || rec.Parent == sn
 }
 
 // litTargets resolves the literal restrict `rel op literal` — op a
@@ -942,123 +983,32 @@ func (e *engine) relValueTarget(sums []*storage.SummaryNode, p *xquery.PathExpr)
 // containers whose scan answers it. why, when not empty, says why no scan
 // does, and the restrict is evaluated per candidate. complete is false
 // when some instance has no value in the containers, which only
-// equality against a non-empty literal allows.
+// equality against a non-empty literal allows. A string function reads
+// the first node of rel, so a scan answers it only where a binding has
+// at most one.
 func (e *engine) litTargets(sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string) (conts []*storage.Container, complete bool, why string) {
-	if len(sums) == 0 {
-		return nil, false, "no summary set"
-	}
-	if stringFunc(op) != nil {
-		conts, why = e.stringTargets(sums, rel)
-		return conts, true, why
-	}
-	conts, complete, ok := e.relValueTarget(sums, rel)
+	v := e.valueOf(sums, rel)
 	switch {
-	case !ok:
-		return nil, false, "the value is not one container's: element content, a predicate or nesting bindings"
+	case stringFunc(op) != nil:
+		// A node without a record has the value "", which no non-empty
+		// literal matches.
+		if why := cmp.Or(v.many, v.why); why != "" {
+			return nil, true, why
+		}
+		return v.conts, true, ""
+	case v.why != "":
+		return nil, false, v.why
 	case op == "=" && literal == "":
 		// "" never appears in the containers (empty text nodes are not
 		// recorded).
-		return nil, complete, `"" is in no container`
-	case !complete && op != "=":
+		return nil, v.all, `"" is in no container`
+	case !v.all && op != "=":
 		// An instance without a text value still atomizes to the string
 		// "" (an empty element's string value), which matches != and
 		// <-style comparisons — but has no container record.
-		return nil, complete, "some instances have no value, which only = answers"
+		return nil, false, "some instances have no value, which only = answers"
 	}
-	return conts, complete, ""
-}
-
-// stringTargets resolves the path of a string-function restrict under
-// sums to the containers holding the string value of each instance's rel
-// node, when that value is at most one record — so a scan that tests each
-// record once tests every instance's value. It checks, on the summary and
-// the extents, that each instance has at most one rel node (the per-tuple
-// evaluation reads the first), and that the string value of that node is
-// at most one record: a single #text below it in the summary, at most one
-// child per parent along the chain down to it, and one record per owner.
-// A rel node without text has the value "", which no non-empty literal
-// matches. why says which condition fails.
-func (e *engine) stringTargets(sums []*storage.SummaryNode, rel *xquery.PathExpr) ([]*storage.Container, string) {
-	if !antichain(sums) {
-		return nil, "the bindings nest"
-	}
-	cur, textTail := sums, false
-	for i, step := range rel.Steps {
-		switch {
-		case len(step.Preds) > 0:
-			return nil, "a step has a predicate"
-		case step.Axis != xquery.AxisChild:
-			return nil, "a step is not a child step"
-		case step.Test == xquery.TestText && i < len(rel.Steps)-1:
-			return nil, "text() is not the last step"
-		case step.Test == xquery.TestText:
-			textTail = true
-			continue
-		}
-		next := e.summaryTargets(cur, false, step)
-		for k, sn := range next {
-			if k > 0 && next[k-1].Parent == sn.Parent {
-				return nil, "a step matches several paths"
-			}
-			if !isAttr(sn) && !algebra.DistinctParents(sn.Extent, sn.Parent.Extent) {
-				return nil, sn.Path() + " repeats under one parent"
-			}
-		}
-		cur = next
-	}
-	var conts []*storage.Container
-	for _, sn := range cur {
-		txt := sn
-		if !isAttr(sn) {
-			var why string
-			if txt, why = soleText(sn, textTail); why != "" {
-				return nil, why
-			}
-		}
-		if txt == nil || txt.Container < 0 {
-			continue // every value is ""
-		}
-		c := e.store.Container(txt.Container)
-		if !isAttr(txt) && c.Len() > txt.Parent.TextCount {
-			return nil, txt.Parent.Path() + " has several text records under one node"
-		}
-		conts = append(conts, c)
-	}
-	return conts, ""
-}
-
-// soleText returns the summary node of the text that is the string value
-// of an instance of sn — its immediate text when immediate — nil when no
-// instance has any. why says that the value may be several text nodes:
-// text below sn at two paths, or an element on the way down to it that
-// repeats under its parent.
-func soleText(sn *storage.SummaryNode, immediate bool) (txt *storage.SummaryNode, why string) {
-	var walk func(n *storage.SummaryNode) bool
-	walk = func(n *storage.SummaryNode) bool {
-		for _, c := range n.Children {
-			switch {
-			case c.Tag == "#text" && txt != nil:
-				return false
-			case c.Tag == "#text":
-				txt = c
-			case !immediate && !isAttr(c) && !walk(c):
-				return false
-			}
-		}
-		return true
-	}
-	if !walk(sn) {
-		return nil, sn.Path() + " has text at several paths"
-	}
-	if txt == nil {
-		return nil, ""
-	}
-	for p := txt.Parent; p != sn; p = p.Parent {
-		if !algebra.DistinctParents(p.Extent, p.Parent.Extent) {
-			return nil, p.Path() + " repeats under one parent"
-		}
-	}
-	return txt, ""
+	return v.conts, v.all, ""
 }
 
 func isAttr(sn *storage.SummaryNode) bool { return strings.HasPrefix(sn.Tag, "@") }

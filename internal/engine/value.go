@@ -288,7 +288,7 @@ func formatNum(f float64) string {
 
 // valueRead is how a stored node's value is read: as the string value of
 // its subtree, as its immediate text, or as the one text leaf of an
-// instance of sole-text summary nodes (storage.AllSoleText).
+// instance of summary nodes whose Shape is Sole.
 type valueRead uint8
 
 const (
@@ -297,15 +297,22 @@ const (
 	soleValue
 )
 
-// readOf returns how the nodes of a path, instances of sums, are read:
-// as their one text leaf when every member of sums is sole-text, else as
-// their immediate text when they are the owners a text() step leaves
-// (textTail) or leafOnly holds of sums, else as their string value.
+// readOf returns how the nodes of a path, instances of sums, are read,
+// from the value shapes of sums: as their one text leaf when that record
+// is every instance's only child, else as their immediate text when they
+// are the owners a text() step leaves (textTail) or their value record is
+// their own text, else as their string value.
 func readOf(sums []*storage.SummaryNode, textTail bool) valueRead {
+	sole, immediate := len(sums) > 0, len(sums) > 0
+	for _, sn := range sums {
+		sh := sn.Shape()
+		sole = sole && sh.Sole
+		immediate = immediate && sh.Why == "" && ownText(sn, sh.Value)
+	}
 	switch {
-	case storage.AllSoleText(sums):
+	case sole:
 		return soleValue
-	case textTail || leafOnly(sums):
+	case textTail || immediate:
 		return immediateValue
 	}
 	return deepValue

@@ -177,8 +177,8 @@ func (s *Store) Text(c *TextCursor, dst []byte, id NodeID) ([]byte, error) {
 	return s.succ.text(c, s.Containers, dst, id)
 }
 
-// SoleText is Text for an instance of a summary node whose SoleText flag
-// is set: its one value, found with no walk over its children. The
+// SoleText is Text for an instance of a summary node whose Shape is
+// Sole: its one value, found with no walk over its children. The
 // answer for any other node is undefined.
 func (s *Store) SoleText(c *TextCursor, dst []byte, id NodeID) ([]byte, error) {
 	return s.succ.soleText(c, s.Containers, dst, id)

@@ -206,7 +206,7 @@ func (t *SuccinctStructure) text(c *TextCursor, conts []*Container, dst []byte, 
 }
 
 // soleText appends the one value of id, an instance of a summary node
-// whose SoleText holds. Its only child is the text leaf at the next open
+// whose Shape is Sole. Its only child is the text leaf at the next open
 // ordinal, k+1, with the id marks of id and before it ahead of that: the
 // value ref is k+1-id, found with the node-mark select alone.
 func (t *SuccinctStructure) soleText(c *TextCursor, conts []*Container, dst []byte, id NodeID) ([]byte, error) {

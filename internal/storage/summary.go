@@ -26,51 +26,123 @@ type SummaryNode struct {
 	// text() step over this path keeps every instance. Derived by the same
 	// sweeps that derive Extent, never persisted.
 	TextCount int
-	// SoleText says that every instance's only child is one text leaf:
-	// for an attribute, that its container holds Count records; for an
-	// element, that its only summary child is #text, TextCount == Count
-	// and that container holds Count records. Store.SoleText then finds
-	// an instance's value with no walk over its children. Derived with
-	// TextCount, never persisted.
-	SoleText bool
-	// onePer memoizes OnePerParent: 0 until derived, then 1 (true) or 2.
-	onePer atomic.Uint32
+	// records is how many records the node's container holds, 0 without
+	// one. Derived with TextCount, never persisted.
+	records int
+	// shape memoizes Shape; nil until derived.
+	shape atomic.Pointer[Shape]
 }
 
-// AllSoleText reports that sums is known and SoleText holds of each.
-func AllSoleText(sums []*SummaryNode) bool {
-	for _, sn := range sums {
-		if !sn.SoleText {
-			return false
+// Shape is what the summary says of a summary node's values, for every
+// fast path that reads values off the containers instead of the tree
+// (the paper's ContAccess and ContScan answer a predicate per record only
+// where a record is an instance's value).
+type Shape struct {
+	// Per parent: every instance of the summary parent has one or more
+	// instances (Each), none has two (Single). For a #text node, of text
+	// records.
+	Each, Single bool
+	// Value is the summary node whose one record is each instance's
+	// whole string value, where one is: the node itself for an attribute
+	// or a #text node, else the one #text below the element, reached
+	// through elements that are Single, that holds one record per text
+	// parent. It is nil when no instance has a text value (every string
+	// value is "") or when Why says why no one record is the value.
+	Value *SummaryNode
+	Why   string
+	// All: every instance has a Value record. Sole: that record is every
+	// instance's only child, which Store.SoleText requires.
+	All, Sole bool
+}
+
+// Shape returns s's value shape. It is derived from the extents, the
+// text counts and the record counts on first use and memoized, never
+// persisted — opening a store costs nothing for it; concurrent first uses
+// derive the same answer.
+func (s *SummaryNode) Shape() *Shape {
+	if sh := s.shape.Load(); sh != nil {
+		return sh
+	}
+	sh := s.deriveShape()
+	s.shape.Store(sh)
+	return sh
+}
+
+func (s *SummaryNode) deriveShape() *Shape {
+	sh := &Shape{}
+	switch {
+	case s.Tag == "#text":
+		p := s.Parent
+		sh.Each, sh.Single = p.TextCount == p.Count, s.records == p.TextCount
+		if !sh.Single {
+			sh.Why = p.Path() + " has several text records under one node"
+			return sh
+		}
+		sh.Value, sh.All = s, true
+		return sh
+	case s.Parent != nil:
+		sh.Each, sh.Single = occurs(s.Extent, s.Parent.Extent)
+	}
+	if isAttrName(s.Tag) {
+		sh.Value = s
+		sh.All = s.records == s.Count
+		sh.Sole = sh.All
+		return sh
+	}
+	var txt *SummaryNode
+	var walk func(n *SummaryNode) bool
+	walk = func(n *SummaryNode) bool {
+		for _, c := range n.Children {
+			switch {
+			case c.Tag == "#text" && txt != nil:
+				return false
+			case c.Tag == "#text":
+				txt = c
+			case !isAttrName(c.Tag) && !walk(c):
+				return false
+			}
+		}
+		return true
+	}
+	if !walk(s) {
+		sh.Why = s.Path() + " has text at several paths"
+		return sh
+	}
+	if txt == nil {
+		return sh
+	}
+	for p := txt.Parent; p != s; p = p.Parent {
+		if !p.Shape().Single {
+			sh.Why = p.Path() + " repeats under one parent"
+			return sh
 		}
 	}
-	return len(sums) > 0
+	if ts := txt.Shape(); ts.Value == nil {
+		sh.Why = ts.Why
+		return sh
+	}
+	sh.Value = txt
+	sh.All = txt.records == s.Count
+	sh.Sole = sh.All && txt.Parent == s && len(s.Children) == 1
+	return sh
 }
 
-// OnePerParent reports that every instance of the summary parent has
-// exactly one instance of s among its children: as many instances as the
-// parent has, the k-th under the k-th. (Instances of one summary node
-// never nest, so an instance's parent is the greatest parent instance
-// before it.) The root has no summary parent and is not. Derived from the
-// extents on first use and memoized, never persisted — opening a store
-// costs nothing for it; concurrent first uses derive the same answer.
-func (s *SummaryNode) OnePerParent() bool {
-	switch s.onePer.Load() {
-	case 1:
-		return true
-	case 2:
-		return false
+// occurs merges the extents of a summary node and of its summary parent
+// into Shape's Each and Single. Instances of one summary node never
+// nest, so a kid's parent is the greatest parent instance before it.
+func occurs(kids, parents []NodeID) (each, single bool) {
+	each, single = len(kids) >= len(parents), true
+	j := -1 // the parent instance of the previous kid
+	for _, k := range kids {
+		p := j
+		for p+1 < len(parents) && parents[p+1] < k {
+			p++
+		}
+		single = single && p != j
+		each = each && p <= j+1
+		j = p
 	}
-	one := s.Parent != nil && len(s.Extent) == len(s.Parent.Extent)
-	for k := 0; one && k < len(s.Extent); k++ {
-		one = s.Parent.Extent[k] < s.Extent[k] && (k+1 == len(s.Extent) || s.Extent[k] < s.Parent.Extent[k+1])
-	}
-	if one {
-		s.onePer.Store(1)
-	} else {
-		s.onePer.Store(2)
-	}
-	return one
+	return each && j == len(parents)-1, single
 }
 
 // Path returns the full path of the node, e.g. /site/people/person/@id.
@@ -150,27 +222,17 @@ func (ix *childIndex) addText(sum *Summary, parent *SummaryNode) *SummaryNode {
 }
 
 // deriveStats sets each node's Count, AvgFan — from fan, the element
-// children over all its instances — and SoleText, once the sweep that
-// filed the document has left Extent, TextCount and the containers of
-// the value paths in place.
+// children over all its instances — and its record count, once the sweep
+// that filed the document has left Extent, TextCount and the containers
+// of the value paths in place.
 func (s *Summary) deriveStats(fan func(*SummaryNode) int, conts []*Container) {
-	records := func(sn *SummaryNode) int {
-		if sn.Container < 0 {
-			return 0
-		}
-		return conts[sn.Container].Len()
-	}
 	for _, sn := range s.nodes {
 		sn.Count = len(sn.Extent)
 		if sn.Count > 0 {
 			sn.AvgFan = float64(fan(sn)) / float64(sn.Count)
 		}
-		switch {
-		case isAttrName(sn.Tag):
-			sn.SoleText = records(sn) == sn.Count
-		case sn.Tag != "#text":
-			sn.SoleText = len(sn.Children) == 1 && sn.Children[0].Tag == "#text" &&
-				sn.TextCount == sn.Count && records(sn.Children[0]) == sn.Count
+		if sn.Container >= 0 {
+			sn.records = conts[sn.Container].Len()
 		}
 	}
 }

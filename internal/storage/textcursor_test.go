@@ -45,7 +45,7 @@ func cursorStores(t *testing.T) map[string]*Store {
 }
 
 // TestTextCursorMatchesColdLookups holds Text, TextRefs, HasText and —
-// at the instances of sole-text summary nodes — SoleText through one
+// at the instances of summary nodes whose Shape is Sole — SoleText through one
 // cursor to the same lookups without one, at every node, visited in
 // ascending, descending and random order, with each node asked twice in
 // a row now and then (the cursor's remembered node).
@@ -54,7 +54,7 @@ func TestTextCursorMatchesColdLookups(t *testing.T) {
 		sole := make([]bool, s.NumNodes()+1)
 		for _, sn := range s.Sum.Nodes() {
 			for _, id := range sn.Extent {
-				sole[id] = sn.SoleText
+				sole[id] = sn.Shape().Sole
 			}
 		}
 		ids := slices.Collect(everyNode(s))
@@ -126,21 +126,43 @@ func TestTextCursorIsTiedToItsStore(t *testing.T) {
 	}
 }
 
-// TestSoleTextEdges pins the SoleText flag at the shapes that decide it,
-// on the ingested, opened and fused store, and holds SoleText to the leaf
-// walk (Text) at every instance of a flagged summary node:
+// TestSoleTextEdges pins the shape a summary node's values have — Sole,
+// the record every instance's only child, and Value, the one record of
+// each string value — at the shapes that decide it, on the ingested,
+// opened and fused store, and holds SoleText to the leaf walk (Text) at
+// every instance of a Sole summary node:
 //
-//   - /r/a: text split by a comment is two text leaves, so no;
-//   - /r/b: an empty <b/> among text-bearing siblings, so no;
-//   - /r/c: an attribute before the text, so no — and /r/c/@k yes;
-//   - /r/d/@v: an empty attribute value is still one record, so yes;
-//   - /r/e: one text leaf in every instance, so yes.
+//   - /r/a: text split by a comment is two text leaves, so no record is
+//     the value;
+//   - /r/b: an empty <b/> among text-bearing siblings: one record each
+//     where there is one, but not all, so not Sole;
+//   - /r/c: an attribute before the text, so not Sole, and /r/c/@k is;
+//   - /r/d/@v: an empty attribute value is still one record, so Sole;
+//   - /r/e: one text leaf in every instance, so Sole;
+//   - /r/f: its text one level down, under a g each has one of;
+//   - /r/h: two i under one h, so no record is its value;
+//   - /r/j: text at two paths, so no record is its value.
 func TestSoleTextEdges(t *testing.T) {
 	doc := []byte(`<r><a>x<!-- c -->y</a><a>z</a><b>p</b><b/><b>q</b>` +
-		`<c k="1">s</c><c k="2">t</c><d v=""/><d v="w"/><e>u</e><e>v</e></r>`)
-	want := map[string]bool{
-		"/r": false, "/r/a": false, "/r/b": false, "/r/c": false, "/r/c/@k": true,
-		"/r/d": false, "/r/d/@v": true, "/r/e": true,
+		`<c k="1">s</c><c k="2">t</c><d v=""/><d v="w"/><e>u</e><e>v</e>` +
+		`<f><g>1</g></f><f><g>2</g></f><h><i>1</i><i>2</i></h><j>1<k>2</k></j></r>`)
+	type shape struct {
+		sole  bool
+		value string // the Value node's path, "" for none
+		why   string
+	}
+	want := map[string]shape{
+		"/r":      {why: "/r has text at several paths"},
+		"/r/a":    {why: "/r/a has several text records under one node"},
+		"/r/b":    {value: "/r/b/#text"},
+		"/r/c":    {value: "/r/c/#text"},
+		"/r/c/@k": {sole: true, value: "/r/c/@k"},
+		"/r/d":    {},
+		"/r/d/@v": {sole: true, value: "/r/d/@v"},
+		"/r/e":    {sole: true, value: "/r/e/#text"},
+		"/r/f":    {value: "/r/f/g/#text"},
+		"/r/h":    {why: "/r/h/i repeats under one parent"},
+		"/r/j":    {why: "/r/j has text at several paths"},
 	}
 	for kind, s := range oracleStores(t, doc, doc) {
 		for path, w := range want {
@@ -148,10 +170,15 @@ func TestSoleTextEdges(t *testing.T) {
 			if sn == nil {
 				t.Fatalf("%s: no summary node %s", kind, path)
 			}
-			if sn.SoleText != w {
-				t.Errorf("%s: %s SoleText = %v, want %v", kind, path, sn.SoleText, w)
+			sh := sn.Shape()
+			got := shape{sole: sh.Sole, why: sh.Why}
+			if sh.Value != nil {
+				got.value = sh.Value.Path()
 			}
-			if !sn.SoleText {
+			if got != w {
+				t.Errorf("%s: %s shape %+v, want %+v", kind, path, got, w)
+			}
+			if !sh.Sole {
 				continue
 			}
 			for _, id := range sn.Extent {
@@ -162,9 +189,14 @@ func TestSoleTextEdges(t *testing.T) {
 				}
 			}
 		}
-		if AllSoleText(nil) || !AllSoleText([]*SummaryNode{s.Sum.Lookup("/r/e"), s.Sum.Lookup("/r/c/@k")}) ||
-			AllSoleText([]*SummaryNode{s.Sum.Lookup("/r/e"), s.Sum.Lookup("/r/b")}) {
-			t.Fatalf("%s: AllSoleText disagrees with the flags", kind)
+		if sh := s.Sum.Lookup("/r/f/g").Shape(); !sh.Each || !sh.Single || !sh.All {
+			t.Errorf("%s: /r/f/g each %v, single %v, all %v", kind, sh.Each, sh.Single, sh.All)
+		}
+		if per := s.Sum.Lookup("/r/h/i").Shape(); per.Single || !per.Each {
+			t.Errorf("%s: /r/h/i per parent %+v", kind, per)
+		}
+		if per := s.Sum.Lookup("/r/c").Shape(); per.Single || !per.Each {
+			t.Errorf("%s: /r/c per parent %+v", kind, per)
 		}
 	}
 }

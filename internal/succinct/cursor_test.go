@@ -18,7 +18,7 @@ func TestAscendingTextSweepSelectsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := s.Sum.Lookup("/site/people/person/name")
-	if names == nil || len(names.Extent) < 500 || !names.SoleText {
+	if names == nil || len(names.Extent) < 500 || !names.Shape().Sole {
 		t.Fatal("want a sole-text person/name with hundreds of instances")
 	}
 	var c storage.TextCursor
