@@ -109,8 +109,12 @@ bench-smoke:
 
 # Short fuzzing pass over the codec fuzz targets (roundtrip, order
 # preservation, decode-vs-reference, ALM's code automaton against decode
-# plus bytes.Contains/HasSuffix), the navigation kernels and the
-# select scanner behind the text cursor, the
+# plus bytes.Contains/HasSuffix), the succinct kernels — rank/select
+# against naive counts (FuzzBitvectorRankSelect), the forward FindClose
+# and the excess against a stack oracle on deep, flat and comb shapes
+# (FuzzBPNavigation), the select scanner behind the text cursor against
+# Select1 in any order (FuzzSelectScannerSeek) and the bulk sweeps
+# against the record oracle (FuzzBulkNavigation) — the
 # repository loader (hostile bytes behind a repaired checksum), the ALM
 # model loader (what it accepts must build on first use) and the XML
 # scanner under the ingest loader (hostile documents). Not part of

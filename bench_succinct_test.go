@@ -13,8 +13,8 @@ import (
 )
 
 // The succinct-structure benchmarks over one XMark corpus: resident
-// structure memory (bits per tree node) and the navigation operators the
-// BP self-index answers.
+// structure memory (bits per tree node) and the bulk sweeps the algebra's
+// interval operators read the tree with.
 
 const succinctBenchScale = 0.1
 
@@ -61,8 +61,8 @@ func BenchmarkSuccinctMemory(b *testing.B) {
 }
 
 // BenchmarkSuccinctDescendants measures the descendant interval merge
-// — subtree-boundary (FindClose) lookups — restricting the full item
-// extent to the subtrees of every region.
+// — subtree ends read by one SubtreeEndBulk sweep — restricting the full
+// item extent to the subtrees of every region.
 func BenchmarkSuccinctDescendants(b *testing.B) {
 	s := succinctBenchStore(b)
 	regions := tagExtent(s, "regions")
@@ -78,8 +78,8 @@ func BenchmarkSuccinctDescendants(b *testing.B) {
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mnodes/s")
 }
 
-// BenchmarkSuccinctParent measures the parent step — Enclose, in one
-// forward pass — over the full item extent.
+// BenchmarkSuccinctParent measures the parent step — one ParentBulk
+// sweep — over the full item extent.
 func BenchmarkSuccinctParent(b *testing.B) {
 	s := succinctBenchStore(b)
 	items := tagExtent(s, "item")
@@ -121,7 +121,7 @@ func BenchmarkSuccinctQuery(b *testing.B) {
 
 // TestSuccinctBenchSanity keeps the benchmark inputs honest under plain
 // `go test`: the extents are those of the tags, and the operators answer
-// as the per-node accessors do.
+// as the sweeps over every node do.
 func TestSuccinctBenchSanity(t *testing.T) {
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.01, Seed: 17})
 	s, err := storage.Load(doc, storage.LoadOptions{})
@@ -132,9 +132,16 @@ func TestSuccinctBenchSanity(t *testing.T) {
 	if len(regions) != 1 || len(items) == 0 {
 		t.Fatalf("%d regions, %d items", len(regions), len(items))
 	}
+	all := make([]storage.NodeID, s.NumNodes())
+	for i := range all {
+		all[i] = storage.NodeID(i + 1)
+	}
+	parent, end := make([]storage.NodeID, len(all)), make([]storage.NodeID, len(all))
+	s.ParentBulk(all, parent)
+	s.SubtreeEndBulk(all, end)
 	var under algebra.NodeSet
 	for _, id := range items {
-		if s.IsAncestor(regions[0], id) {
+		if regions[0] <= id && id <= end[regions[0]-1] {
 			under = append(under, id)
 		}
 	}
@@ -144,8 +151,8 @@ func TestSuccinctBenchSanity(t *testing.T) {
 	parents := make([]storage.NodeID, len(items))
 	s.ParentBulk(items, parents)
 	for i, id := range items {
-		if parents[i] != s.Parent(id) {
-			t.Fatalf("ParentBulk gives item %d the parent %d, Parent %d", id, parents[i], s.Parent(id))
+		if parents[i] != parent[id-1] {
+			t.Fatalf("ParentBulk gives item %d the parent %d, over all nodes %d", id, parents[i], parent[id-1])
 		}
 	}
 }

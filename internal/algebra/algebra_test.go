@@ -117,7 +117,7 @@ func TestMapToAncestorIn(t *testing.T) {
 		if s.TagOf(p.A) != "person" || s.TagOf(p.B) != "age" {
 			t.Fatalf("pair tags %s/%s", s.TagOf(p.A), s.TagOf(p.B))
 		}
-		if !s.IsAncestor(p.A, p.B) {
+		if !isAncestor(s, p.A, p.B) {
 			t.Fatal("not an ancestor")
 		}
 	}

@@ -37,15 +37,29 @@ func MapToAncestorIn(s *storage.Store, outer, inner NodeSet) []Pair {
 
 // children is the Child operator by brute force, for the tests that
 // still need one: the children of in, restricted to one tag ("" = every
-// element child, "@x" an attribute).
+// element child, "@x" an attribute), off the parent of every node.
 func children(s *storage.Store, in NodeSet, tag string) NodeSet {
+	ids := make([]storage.NodeID, s.NumNodes())
+	for i := range ids {
+		ids[i] = storage.NodeID(i + 1)
+	}
+	parent := make([]storage.NodeID, len(ids))
+	s.ParentBulk(ids, parent)
 	var out NodeSet
-	for id := storage.NodeID(1); int(id) <= s.NumNodes(); id++ {
-		if p := s.Parent(id); p != 0 && slices.Contains(in, p) && (s.TagOf(id) == tag || tag == "" && !s.IsAttr(id)) {
+	for i, id := range ids {
+		if p := parent[i]; p != 0 && slices.Contains(in, p) && (s.TagOf(id) == tag || tag == "" && !s.IsAttr(id)) {
 			out = append(out, id)
 		}
 	}
 	return out
+}
+
+// isAncestor is the pre/post interval test a <= d <= end(a), the subtree
+// end read by SubtreeEndBulk for a alone.
+func isAncestor(s *storage.Store, a, d storage.NodeID) bool {
+	end := make([]storage.NodeID, 1)
+	s.SubtreeEndBulk([]storage.NodeID{a}, end)
+	return a <= d && d <= end[0]
 }
 
 // parents is the Parent operator over the store's bulk kernel: the

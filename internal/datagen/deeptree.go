@@ -4,11 +4,11 @@ import "math/rand"
 
 // DeepTreeConfig controls the pathological-shape generator: a document
 // whose element nesting is a long recursive spine rather than the
-// shallow, bushy shape XMark produces. Succinct-structure navigation
-// degrades (or breaks) in different places on the two shapes — deep
-// spines stress the excess arithmetic and the backward excess search
-// for ancestors many rmM blocks back, bushy levels stress sibling
-// scans — so property tests run over both.
+// shallow, bushy shape XMark produces. Sweeps over the succinct
+// structure degrade (or break) in different places on the two shapes —
+// deep spines stress the excess arithmetic, the stacks of open nodes and
+// scans for closes many 1024-bit blocks on, bushy levels stress sibling
+// runs — so property tests run over both.
 type DeepTreeConfig struct {
 	Depth  int // length of the recursive spine (default 512)
 	Fanout int // max leaf children attached per spine level (default 3)

@@ -32,6 +32,12 @@ var splitValue = regexp.MustCompile(`<(label|num)>[^<]{2,}</`)
 
 const NestedLists = nestedLists
 
+// TreeOf returns every node's parent, subtree end and level (treeOf).
+func TreeOf(s *storage.Store) (parent, end []storage.NodeID, level []uint16) {
+	tr := treeOf(s)
+	return tr.parent, tr.end, tr.level
+}
+
 // PeopleDoc is the small directed document of the unit tests.
 const PeopleDoc = `<site>
   <people>
@@ -115,6 +121,10 @@ var QueryBattery = []string{
 	`FOR $r IN /root LET $x := $r//nested RETURN $x/nested/label/text()`,
 	`FOR $g IN /root/group LET $e := $g//entry RETURN <g n="{count($e//label)}">{$e/label/text()}</g>`,
 	`FOR $g IN /root/group LET $e := $g//entry RETURN $e/entry/nested[1]/@key`,
+	// A LET bound to a nested FLWOR whose ORDER BY hands the entries back
+	// with no summary set: the path from $x finds each node's summary
+	// node among the several that carry the tag entry.
+	`LET $x := FOR $e IN //entry ORDER BY $e/num RETURN $e RETURN $x/label/text()`,
 	// Literal restricts: from every instance (the owners' ancestors are
 	// read off the extents), from a restricted set, inside a relative
 	// path once per tuple, and over origins that nest (which defer to the

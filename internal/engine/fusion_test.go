@@ -122,12 +122,14 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 	if got.NumNodes() != want.NumNodes() {
 		t.Fatalf("%d nodes, want %d\ncorpus: %s", got.NumNodes(), want.NumNodes(), xml)
 	}
+	gp, ge, gl := engine.TreeOf(got)
+	wp, we, wl := engine.TreeOf(want)
 	for id := storage.NodeID(1); int(id) <= want.NumNodes(); id++ {
-		if got.Parent(id) != want.Parent(id) || got.SubtreeEnd(id) != want.SubtreeEnd(id) ||
-			got.LevelOf(id) != want.LevelOf(id) || got.TagOf(id) != want.TagOf(id) || got.HasText(nil, id) != want.HasText(nil, id) {
+		i := id - 1
+		if gp[i] != wp[i] || ge[i] != we[i] || gl[i] != wl[i] || got.TagOf(id) != want.TagOf(id) || got.HasText(nil, id) != want.HasText(nil, id) {
 			t.Fatalf("node %d: parent/end/level/tag/text %d %d %d %s %v, want %d %d %d %s %v\ncorpus: %s", id,
-				got.Parent(id), got.SubtreeEnd(id), got.LevelOf(id), got.TagOf(id), got.HasText(nil, id),
-				want.Parent(id), want.SubtreeEnd(id), want.LevelOf(id), want.TagOf(id), want.HasText(nil, id), xml)
+				gp[i], ge[i], gl[i], got.TagOf(id), got.HasText(nil, id),
+				wp[i], we[i], wl[i], want.TagOf(id), want.HasText(nil, id), xml)
 		}
 		gr, wr := got.TextRefs(nil, nil, id), want.TextRefs(nil, nil, id)
 		same := len(gr) == len(wr)

@@ -446,52 +446,44 @@ func (e *engine) pathOrigin(p *xquery.PathExpr, env *scope, st *pathState) error
 	}
 	if len(st.sums) == 0 && len(st.nodes) > 0 && len(p.Steps) > 0 {
 		// The variable was bound from a non-path source (e.g. a nested
-		// FLWOR): recover the summary nodes by walking each node's tag
-		// path upward.
+		// FLWOR): recover the summary nodes from the extents of those
+		// that carry each node's tag.
 		st.sums = e.summariesOf(st.nodes)
 	}
 	return nil
 }
 
 // summariesOf returns the distinct summary nodes the given nodes are
-// instances of.
+// instances of. A node lies in the extent of exactly one of the summary
+// nodes that carry its tag: those are gathered in one pass over the
+// summary per distinct tag, and the node is found among their extents by
+// binary search.
 func (e *engine) summariesOf(ids algebra.NodeSet) []*storage.SummaryNode {
+	byTag := map[uint16][]*storage.SummaryNode{}
 	seen := map[int32]bool{}
 	var out []*storage.SummaryNode
 	for _, id := range ids {
-		sn := e.summaryOf(id)
-		if sn != nil && !seen[sn.ID] {
-			seen[sn.ID] = true
-			out = append(out, sn)
+		code := e.store.TagCodeOf(id)
+		cands, ok := byTag[code]
+		if !ok {
+			for _, sn := range e.store.Sum.Nodes() {
+				if sn.Tag == e.store.Names[code] {
+					cands = append(cands, sn)
+				}
+			}
+			byTag[code] = cands
 		}
-	}
-	return out
-}
-
-// summaryOf resolves one node's summary node by its tag path.
-func (e *engine) summaryOf(id storage.NodeID) *storage.SummaryNode {
-	var tags []string
-	for cur := id; cur != 0; cur = e.store.Parent(cur) {
-		tags = append(tags, e.store.TagOf(cur))
-	}
-	sn := e.store.Sum.Root
-	if sn == nil || sn.Tag != tags[len(tags)-1] {
-		return nil
-	}
-	for i := len(tags) - 2; i >= 0; i-- {
-		var next *storage.SummaryNode
-		for _, c := range sn.Children {
-			if c.Tag == tags[i] {
-				next = c
+		for _, sn := range cands {
+			if _, found := slices.BinarySearch(sn.Extent, id); found {
+				if !seen[sn.ID] {
+					seen[sn.ID] = true
+					out = append(out, sn)
+				}
 				break
 			}
 		}
-		if next == nil {
-			return nil
-		}
-		sn = next
 	}
-	return sn
+	return out
 }
 
 var errNonNodePath = fmt.Errorf("engine: path step over non-node sequence")

@@ -12,21 +12,41 @@ import (
 	"xquec/internal/xquery"
 )
 
+// tree is what the tree itself says of every node, id-1 indexing each
+// slice: its parent, the end of its subtree and its level, read once per
+// store by the two bulk sweeps and ScanNodes.
+type tree struct {
+	parent, end []storage.NodeID
+	level       []uint16
+}
+
+func treeOf(s *storage.Store) tree {
+	ids := make([]storage.NodeID, s.NumNodes())
+	for i := range ids {
+		ids[i] = storage.NodeID(i + 1)
+	}
+	tr := tree{make([]storage.NodeID, len(ids)), make([]storage.NodeID, len(ids)), make([]uint16, len(ids))}
+	s.ParentBulk(ids, tr.parent)
+	s.SubtreeEndBulk(ids, tr.end)
+	s.ScanNodes(func(id storage.NodeID, level uint16) { tr.level[id-1] = level })
+	return tr
+}
+
 // navigate is the reference the extent-order run lookup (Engine.within)
 // is held to: the steps applied one at a time the way a tree walk does
 // them, with what the tree itself says — every node between a binding
-// and the end of its subtree (SubtreeEnd) is a descendant, and a child
-// if its parent (Parent) is the binding. It never looks at the summary.
-func navigate(s *storage.Store, nodes algebra.NodeSet, steps []xquery.Step) algebra.NodeSet {
+// and the end of its subtree is a descendant, and a child if its parent
+// is the binding. It never looks at the summary.
+func navigate(s *storage.Store, tr tree, nodes algebra.NodeSet, steps []xquery.Step) algebra.NodeSet {
 	for _, step := range steps {
 		var out []storage.NodeID
 		for _, b := range nodes {
-			for id := b + 1; id <= s.SubtreeEnd(b); id++ {
+			for id := b + 1; id <= tr.end[b-1]; id++ {
 				tag := s.TagOf(id)
 				match := tag == step.Name && step.Test == xquery.TestName ||
 					tag == "@"+step.Name && step.Test == xquery.TestAttr ||
 					step.Name == "*" && step.Test == xquery.TestName && !strings.HasPrefix(tag, "@")
-				if match && (step.Axis != xquery.AxisChild || s.Parent(id) == b) {
+				if match && (step.Axis != xquery.AxisChild || tr.parent[id-1] == b) {
 					out = append(out, id)
 				}
 			}
@@ -94,6 +114,7 @@ func TestRunsAgainstNavigation(t *testing.T) {
 		}
 		for _, s := range []*storage.Store{loaded, opened} {
 			e := newEngine(s)
+			tr := treeOf(s)
 			byTag := map[string][]*storage.SummaryNode{}
 			var origins [][]*storage.SummaryNode
 			for _, sn := range s.Sum.Nodes() {
@@ -125,7 +146,7 @@ func TestRunsAgainstNavigation(t *testing.T) {
 					for rep := 0; rep < 2; rep++ {
 						bindings := subset(algebra.SummaryAccess(sums))
 						got, _ := e.within(bindings, place{}, &pl.runs[0], pos)
-						if want := navigate(s, bindings, steps); (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
+						if want := navigate(s, tr, bindings, steps); (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s: %s from %v under %d origins: got %v, navigation %v", name, rel, bindings, len(sums), got, want)
 						}
 						// One binding at a time, in random order, found by
@@ -133,7 +154,7 @@ func TestRunsAgainstNavigation(t *testing.T) {
 						// hints, never constraints, and a place that comes
 						// back says where the result lies.
 						for _, k := range rng.Perm(len(bindings)) {
-							want := navigate(s, bindings[k:k+1], steps)
+							want := navigate(s, tr, bindings[k:k+1], steps)
 							for _, at := range []place{{}, placeOf(sums, nil, bindings[k])} {
 								got, gotAt := e.within(bindings[k:k+1], at, &pl.runs[0], pos)
 								if (len(got) != 0 || len(want) != 0) && !reflect.DeepEqual(got, want) {

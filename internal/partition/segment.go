@@ -307,13 +307,13 @@ func validateSegments(man *SegmentManifest, parts []*storage.Store) error {
 // throughout: nothing is serialized or parsed.
 func spliceSegments(parts []*storage.Store) (*storage.Store, error) {
 	f := storage.NewFusion(parts)
-	_, end := f.Span(0, 1)
+	_, end := f.Span(0)
 	f.Add(0, 0, end)
 	for i, st := range parts[1:] {
 		if st.NumNodes() > 1 && st.IsAttr(2) {
 			return nil, fmt.Errorf("segment %d root <%s> carries attributes (unsupported in a concatenation)", i+1, st.TagOf(1))
 		}
-		_, inner := f.Span(i+1, 1)
+		_, inner := f.Span(i + 1)
 		f.Add(i+1, 1, inner)
 	}
 	f.Add(0, end, end+1)

@@ -7,13 +7,13 @@ import "fmt"
 // parent pointers ("backward edges"), pre/post/level navigation fields,
 // the B+ index and the structure summary with its extents, which it says
 // can be dropped to shrink the database by a factor of 3–4 at the price
-// of query performance. The paren sequence answers the first three from
-// its rank/select directories, so the summary is the one left to
-// measure. (The on-disk format omits it; LoadBinary re-derives it, so
+// of query performance. The paren sequence holds the first three
+// implicitly — pre-order IDs, and parents, subtree ends and levels swept
+// off its bits — so the summary is the one left to measure. (The on-disk format omits it; LoadBinary re-derives it, so
 // the in-memory view is the right place to measure the trade-off.)
 type Footprint struct {
 	Dictionary    int // name dictionary
-	StructureBP   int // paren bits + rank/select directories + rmM tree + node marks
+	StructureBP   int // paren bits + node marks, each with its rank/select directories
 	StructureTree int // tag codes + value refs
 	Summary       int // structure summary including extents
 	Containers    int // compressed value payloads + owner pointers
@@ -27,8 +27,8 @@ func (f Footprint) Total() int {
 
 // Minimal is the size without the access-support structure (the
 // summary) — the §2.2 ablation. The BP bits count as structure, not
-// access support: they ARE the tree, and navigation falls out of them
-// for free.
+// access support: they ARE the tree, and its shape is read off them by
+// forward sweeps for free.
 func (f Footprint) Minimal() int {
 	return f.Dictionary + f.StructureBP + f.StructureTree + f.Containers + f.SourceModels
 }

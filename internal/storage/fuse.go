@@ -32,11 +32,10 @@ type piece struct{ part, from, to, v0, v1 int }
 // to extension (every dictionary a prefix of the longest).
 func NewFusion(parts []*Store) *Fusion { return &Fusion{parts: parts} }
 
-// Span returns the paren positions of node id's open and close in a part.
-func (f *Fusion) Span(part int, id NodeID) (open, end int) {
-	t := f.parts[part].succ
-	open = t.openPos(id)
-	return open, t.bp.FindClose(open)
+// Span returns the paren positions of a part's root open and close: its
+// first paren and its last.
+func (f *Fusion) Span(part int) (open, end int) {
+	return 0, f.parts[part].succ.pv.Len() - 1
 }
 
 // Add appends the paren range [from, to) of a part to the fused sequence.

@@ -76,8 +76,8 @@ func TestFusionIsProven(t *testing.T) {
 		}
 	}
 	probe := NewFusion(parts)
-	_, endA := probe.Span(0, 1)
-	_, endB := probe.Span(1, 1)
+	_, endA := probe.Span(0)
+	_, endB := probe.Span(1)
 	good := [][3]int{{0, 0, endA}, {1, 1, endB}, {0, endA, endA + 1}}
 	fuse := func(pieces [][3]int) (*Store, error) {
 		f := NewFusion(parts)
@@ -107,7 +107,7 @@ func TestFusionIsProven(t *testing.T) {
 		}
 	}
 
-	mid, _ := probe.Span(1, 3)
+	mid := b.succ.pv.Select1(b.succ.isNode.Select1(2)) // node 3's open
 	for name, pieces := range map[string][][3]int{
 		"a piece twice":            {good[0], good[1], good[1], good[2]},
 		"the close first":          {good[2], good[0], good[1]},

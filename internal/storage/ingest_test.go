@@ -82,8 +82,8 @@ func TestAttributeLevelOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.LevelOf(NodeID(xmlparser.MaxDepth)); got != xmlparser.MaxDepth {
-		t.Fatalf("deepest element at level %d", got)
+	if _, _, level := shape(s); level[xmlparser.MaxDepth-1] != xmlparser.MaxDepth {
+		t.Fatalf("deepest element at level %d", level[xmlparser.MaxDepth-1])
 	}
 	if _, err := Load(deep(`<b k="v"/>`), LoadOptions{}); err == nil || !strings.Contains(err.Error(), "level") {
 		t.Fatalf("attribute below the deepest element: %v", err)

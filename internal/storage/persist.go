@@ -18,8 +18,8 @@ import (
 var magic = []byte("XQCR4\n")
 
 // AppendBinary serializes the repository. Everything derivable is
-// rebuilt by LoadBinary instead of being stored: the rank/select and
-// rmM directories, summary extents, per-container equality
+// rebuilt by LoadBinary instead of being stored: the rank/select
+// directories, summary extents, per-container equality
 // permutations, and the container a value ref points to (it is
 // determined by the owning node's path). What remains on disk is the
 // dictionary, the source models, the compressed container payloads, the

@@ -16,8 +16,8 @@ import (
 // text values interleaved — plus the subtree end and level of the
 // pre/post/level IDs. records rebuilds the array from a loaded store by
 // one forward walk that reads the paren and mark bits one at a time, so
-// it shares no rank, select, FindClose or rmM search with the navigation
-// it checks; serialize is the recursion over the child lists that the
+// it shares no rank, select or FindClose with the accessors it checks;
+// serialize is the recursion over the child lists that the
 // forward sweep replaced. It is what is left of the record backend that
 // used to be selectable in the binary.
 
@@ -154,6 +154,20 @@ func serialize(s *Store, recs []record, dst []byte, id NodeID, markup bool) ([]b
 	return dst, nil
 }
 
+// shape returns every node's parent, subtree end and level as the store
+// reads them: by one call of each bulk sweep over all IDs, and ScanNodes.
+func shape(s *Store) (parent, end []NodeID, level []uint16) {
+	ids := make([]NodeID, s.NumNodes())
+	for i := range ids {
+		ids[i] = NodeID(i + 1)
+	}
+	parent, end, level = make([]NodeID, len(ids)), make([]NodeID, len(ids)), make([]uint16, len(ids))
+	s.ParentBulk(ids, parent)
+	s.SubtreeEndBulk(ids, end)
+	s.ScanNodes(func(id NodeID, l uint16) { level[id-1] = l })
+	return parent, end, level
+}
+
 func everyNode(s *Store) iter.Seq[NodeID] {
 	return func(yield func(NodeID) bool) {
 		for id := NodeID(1); int(id) <= s.NumNodes() && yield(id); id++ {
@@ -161,8 +175,8 @@ func everyNode(s *Store) iter.Seq[NodeID] {
 	}
 }
 
-// checkRecords holds s to its records: Parent, SubtreeEnd, LevelOf,
-// TagCodeOf, HasText, TextRefs and Text at every node, and Serialize and
+// checkRecords holds s to its records: parent, subtree end and level
+// (shape), TagCodeOf, HasText, TextRefs and Text at every node, and Serialize and
 // DeepText at the nodes sweepAt yields. A decode error only has to be
 // met by one on the other side — a hostile store may hold corrupt values.
 func checkRecords(t testing.TB, s *Store, sweepAt iter.Seq[NodeID]) {
@@ -176,12 +190,13 @@ func checkRecords(t testing.TB, s *Store, sweepAt iter.Seq[NodeID]) {
 	}
 	var got, want []byte
 	var gerr, werr error
+	parent, end, level := shape(s)
 	for i := range recs {
 		id, r := NodeID(i+1), &recs[i]
-		if s.Parent(id) != r.parent || s.SubtreeEnd(id) != r.end || s.LevelOf(id) != r.level ||
+		if parent[i] != r.parent || end[i] != r.end || level[i] != r.level ||
 			s.TagCodeOf(id) != r.tag || s.HasText(nil, id) != r.hasText() {
 			t.Fatalf("node %d: parent/end/level/tag/text %d %d %d %d %v, records %d %d %d %d %v", id,
-				s.Parent(id), s.SubtreeEnd(id), s.LevelOf(id), s.TagCodeOf(id), s.HasText(nil, id),
+				parent[i], end[i], level[i], s.TagCodeOf(id), s.HasText(nil, id),
 				r.parent, r.end, r.level, r.tag, r.hasText())
 		}
 		if refs := s.TextRefs(nil, nil, id); !slices.Equal(refs, r.textRefs()) {
@@ -227,8 +242,8 @@ func oracleStores(t *testing.T, doc, other []byte) map[string]*Store {
 		t.Fatal(err)
 	}
 	f := NewFusion([]*Store{a, b})
-	_, endA := f.Span(0, 1)
-	_, endB := f.Span(1, 1)
+	_, endA := f.Span(0)
+	_, endB := f.Span(1)
 	f.Add(0, 0, endA)
 	f.Add(1, 1, endB)
 	f.Add(0, endA, endA+1)

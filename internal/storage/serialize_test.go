@@ -83,8 +83,9 @@ func TestStandaloneAttribute(t *testing.T) {
 		t.Fatal(err)
 	}
 	var attr NodeID
+	parent, _, _ := shape(s)
 	for id := range everyNode(s) {
-		if s.TagOf(id) == "@v" && s.TagOf(s.Parent(id)) == "q" {
+		if s.TagOf(id) == "@v" && s.TagOf(parent[id-1]) == "q" {
 			attr = id
 		}
 	}
@@ -92,14 +93,14 @@ func TestStandaloneAttribute(t *testing.T) {
 	if want := `v="a&quot;b&lt;c&amp;d>e"`; err != nil || string(got) != want {
 		t.Fatalf("Serialize(@v) = %s (%v), want %s", got, err, want)
 	}
-	got, _ = s.Serialize(nil, s.Parent(attr))
+	got, _ = s.Serialize(nil, parent[attr-1])
 	if want := `<q v="a&quot;b&lt;c&amp;d>e"/>`; string(got) != want {
 		t.Fatalf("Serialize(q) = %s, want %s", got, want)
 	}
 	if got, err = s.DeepText(nil, attr); err != nil || string(got) != `a"b<c&d>e` {
 		t.Fatalf("DeepText(@v) = %q (%v)", got, err)
 	}
-	if got, err = s.DeepText(nil, s.Parent(attr)); err != nil || len(got) != 0 {
+	if got, err = s.DeepText(nil, parent[attr-1]); err != nil || len(got) != 0 {
 		t.Fatalf("DeepText(q) = %q (%v), want nothing: attributes are not part of a string value", got, err)
 	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,12 +44,13 @@ func TestLoadBasicShape(t *testing.T) {
 	if s.TagOf(1) != "site" {
 		t.Fatalf("root tag = %q", s.TagOf(1))
 	}
-	if s.Parent(1) != 0 {
+	parent, end, _ := shape(s)
+	if parent[0] != 0 {
 		t.Fatal("root must have no parent")
 	}
 	// Root subtree spans everything.
-	if s.SubtreeEnd(1) != NodeID(s.NumNodes()) {
-		t.Fatalf("root End = %d", s.SubtreeEnd(1))
+	if end[0] != NodeID(s.NumNodes()) {
+		t.Fatalf("root End = %d", end[0])
 	}
 }
 
@@ -157,7 +159,7 @@ func TestTextAndDeepText(t *testing.T) {
 	}
 	// Attribute node text.
 	attrID := s.Sum.Lookup("/site/people/person/@id").Extent[0]
-	if s.Parent(attrID) != p0 {
+	if parent, _, _ := shape(s); parent[attrID-1] != p0 {
 		t.Fatalf("@id %d is not an attribute of person %d", attrID, p0)
 	}
 	atxt, err := s.Text(nil, nil, attrID)
@@ -469,16 +471,25 @@ func TestMixedContent(t *testing.T) {
 	}
 }
 
+// TestIsAncestor: the pre/post interval test a <= d <= end(a), on the
+// subtree ends SubtreeEndBulk reads for just the nodes asked about.
 func TestIsAncestor(t *testing.T) {
 	s := loadTiny(t)
 	people := s.Sum.Lookup("/site/people").Extent[0]
 	person := s.Sum.Lookup("/site/people/person").Extent[0]
 	name := s.Sum.Lookup("/site/people/person/name").Extent[0]
-	if !s.IsAncestor(people, name) || !s.IsAncestor(person, name) || !s.IsAncestor(1, name) {
+	ids := []NodeID{1, people, person, name}
+	ends := make([]NodeID, len(ids))
+	s.SubtreeEndBulk(ids, ends)
+	isAncestor := func(a, d NodeID) bool {
+		i := slices.Index(ids, a)
+		return a <= d && d <= ends[i]
+	}
+	if !isAncestor(people, name) || !isAncestor(person, name) || !isAncestor(1, name) {
 		t.Fatal("ancestor test failed")
 	}
 	auction := s.Sum.Lookup("/site/closed_auctions").Extent[0]
-	if s.IsAncestor(people, auction) || s.IsAncestor(name, person) {
+	if isAncestor(people, auction) || isAncestor(name, person) {
 		t.Fatal("false ancestorship")
 	}
 }

@@ -108,9 +108,10 @@ func errTooManyNames(n int) error {
 }
 
 // StructureStats reports the succinct encoding's resident size in bits:
-// the BP proper (paren bitvector + rank/select directories + rmM tree),
-// the node-mark bitvector, and the tree node count they encode
-// (elements + attributes + immediate text values).
+// the BP proper (the paren bitvector and its rank/select directories —
+// nothing else is built over the parens), the node-mark bitvector, and
+// the tree node count they encode (elements + attributes + immediate
+// text values).
 func (s *Store) StructureStats() (bpBits, markBits, treeNodes int) {
 	bp, marks, _ := s.succ.footprintBytes()
 	return 8 * bp, 8 * marks, s.succ.isNode.Len()
@@ -118,22 +119,6 @@ func (s *Store) StructureStats() (bpBits, markBits, treeNodes int) {
 
 // NumNodes returns the number of element+attribute nodes.
 func (s *Store) NumNodes() int { return s.succ.numNodes() }
-
-// Parent returns the parent of id (0 for the root).
-func (s *Store) Parent(id NodeID) NodeID { return s.succ.parent(id) }
-
-// SubtreeEnd returns the largest ID in the subtree of id.
-func (s *Store) SubtreeEnd(id NodeID) NodeID { return s.succ.subtreeEnd(id) }
-
-// LevelOf returns the depth of id (the root is 1; an attribute sits one
-// below its owner element).
-func (s *Store) LevelOf(id NodeID) uint16 { return s.succ.levelOf(id) }
-
-// IsAncestor reports whether a is an ancestor of (or equal to) d, using
-// the pre/post interval test.
-func (s *Store) IsAncestor(a, d NodeID) bool {
-	return a <= d && d <= s.SubtreeEnd(a)
-}
 
 // TagCodeOf returns the dictionary code of the node's tag.
 func (s *Store) TagCodeOf(id NodeID) uint16 { return s.succ.tags[id-1] }
@@ -150,7 +135,8 @@ func (s *Store) IsAttr(id NodeID) bool { return isAttrName(s.TagOf(id)) }
 func (s *Store) HasText(c *TextCursor, id NodeID) bool { return s.succ.hasText(c, id) }
 
 // ScanNodes calls fn for every node in pre-order (= ID order) with its
-// depth — a bulk structural sweep, cheaper than per-ID LevelOf.
+// depth (the root is 1; an attribute sits one below its owner element)
+// — one forward sweep over the parens.
 func (s *Store) ScanNodes(fn func(id NodeID, level uint16)) { s.succ.scanNodes(fn) }
 
 // Container returns the i-th container.

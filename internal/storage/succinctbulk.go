@@ -2,67 +2,84 @@ package storage
 
 import "xquec/internal/succinct"
 
-// Bulk structural kernels over the paren sequence. All take their
-// inputs in strictly ascending ID order — the NodeSet invariant the
-// algebra maintains everywhere — and exploit it by walking the paren
-// and mark bitvectors forward with cursor scanners instead of issuing
-// an independent Select1 pair per node. The scalar accessors stay the
-// single source of truth for semantics; these must agree with them
-// element-for-element (pinned by the property tests and the record
-// oracle in records_test.go).
+// Bulk structural kernels over the paren sequence. Each is one forward
+// sweep over the paren and mark words with a stack of open nodes — no
+// close is searched for and nothing is read backward. Their inputs are
+// strictly ascending IDs, the NodeSet invariant the algebra keeps
+// everywhere; the record oracle in records_test.go pins them element for
+// element.
 
-// parentBulk fills out[i] with the parent of ids[i] (0 for a root).
-//
-// Two cursors turn the per-node Select1 pair into a forward word walk,
-// and the excess at the k-th open at position q is 2*(k+1)-(q+1), so
-// no rank is ever taken. Sibling runs — the dominant shape of a
-// document-ordered batch — repeat the previous answer: any open
-// before the parent's close paren and one level below it belongs to
-// that same parent, because the parent is the unique depth-ep node
-// whose paren pair spans its subtree. Only a parent change pays for an
-// ancestor search — the first-child test, else a backward excess search
-// over the rmM tree — plus one FindClose for the new containment bound.
-// (A running min-excess fold over the skipped parens was measured here
-// too; its per-word table work costs more than the occasional
-// FindClose on a parent change.)
+// parentBulk fills out[i] with the parent of ids[i] (0 for the root).
+// The sweep starts at the first paren, keeps the IDs of the open nodes
+// on a stack — a node's parent is the top when it opens — and ends at
+// the open of the last input.
 func (t *SuccinctStructure) parentBulk(ids, out []NodeID) {
-	ns := succinct.NewSelectScanner(t.isNode)
-	qs := succinct.NewSelectScanner(t.pv)
-	var lastPar NodeID
-	ep := 0  // depth of lastPar's open paren
-	cp := -1 // position of lastPar's close paren
-	for i, id := range ids {
-		k := ns.Seek(int(id) - 1)
-		q := qs.Seek(k)
-		e := 2*(k+1) - (q + 1)
-		if lastPar != 0 && q < cp && e == ep+1 {
-			out[i] = lastPar
+	words, marks := t.pv.Words(), t.isNode.Words()
+	var fixed [64]NodeID
+	stack := fixed[:0]
+	ord, id, i := 0, NodeID(0), 0
+	for p := 0; i < len(ids); p++ {
+		if words[p>>6]>>(uint(p)&63)&1 == 0 {
+			stack = stack[:len(stack)-1]
 			continue
 		}
-		if e <= 1 {
-			out[i] = 0
-			lastPar = 0
-			continue
+		if marks[ord>>6]>>(uint(ord)&63)&1 == 1 {
+			id++
+			if id == ids[i] {
+				out[i] = 0
+				if len(stack) > 0 {
+					out[i] = stack[len(stack)-1]
+				}
+				i++
+			}
+			stack = append(stack, id)
+		} else {
+			p++ // a text leaf is "()"
 		}
-		qp := t.bp.EncloseAt(q, e)
-		lastPar = t.idAtOpen(qp)
-		ep = e - 1
-		cp = t.bp.FindCloseAt(qp, ep)
-		out[i] = lastPar
+		ord++
 	}
 }
 
 // subtreeEndBulk fills out[i] with the largest ID in the subtree of
-// ids[i], as subtreeEnd but with the two selects amortized across the
-// batch and the close-paren rank derived from the open ordinal.
+// ids[i]. The sweep keeps a stack of the inputs still open, each with
+// the depth before its open, and from each position scans forward for
+// whichever comes first: the close of the top — found by ScanClose, up
+// to the next input's open — or that open, placed by select scanners.
+// The k-th open paren, at position q, has depth 2k-q before it (k opens
+// and q-k closes precede it), and a close at c back to depth e ends a
+// subtree whose last open is the ((c+1+e)/2)-th: its end is the node
+// marks among those opens, one rank per input.
 func (t *SuccinctStructure) subtreeEndBulk(ids, out []NodeID) {
-	ns := succinct.NewSelectScanner(t.isNode)
-	qs := succinct.NewSelectScanner(t.pv)
-	for i, id := range ids {
-		k := ns.Seek(int(id) - 1)
-		q := qs.Seek(k)
-		c := t.bp.FindCloseAt(q, 2*(k+1)-(q+1))
-		out[i] = NodeID(t.isNode.Rank1(k + (c-q+1)/2))
+	ms, ps := succinct.NewSelectScanner(t.isNode), succinct.NewSelectScanner(t.pv)
+	type pending struct{ i, depth int }
+	var fixed [64]pending
+	stack := fixed[:0]
+	n := t.pv.Len()
+	p, dp := 0, 0 // the next position to scan and the depth before it
+	next, k, q := 0, 0, n
+	seek := func() {
+		if next < len(ids) {
+			k = ms.Seek(int(ids[next]) - 1)
+			q = ps.Seek(k)
+		} else {
+			q = n
+		}
+	}
+	seek()
+	for next < len(ids) || len(stack) > 0 {
+		if len(stack) > 0 {
+			top := stack[len(stack)-1]
+			if c := t.pv.ScanClose(p, q, dp-top.depth); c < q {
+				out[top.i] = NodeID(t.isNode.Rank1((c + 1 + top.depth) / 2))
+				stack = stack[:len(stack)-1]
+				p, dp = c+1, top.depth
+				continue
+			}
+		}
+		stack = append(stack, pending{next, 2*k - q})
+		p, dp = q+1, 2*k-q+1
+		next++
+		seek()
 	}
 }
 

@@ -21,8 +21,7 @@ import (
 //	tags:    per node, pre-order     = NodeID order
 //	valCont/valIdx: per text leaf, pre-order
 type SuccinctStructure struct {
-	bp     *succinct.BP
-	pv     *succinct.Bitvector // the paren bitvector (bp's backing)
+	pv     *succinct.Bitvector // the parens
 	isNode *succinct.Bitvector
 
 	tags    []uint16 // tag code per node, tags[id-1]
@@ -32,7 +31,7 @@ type SuccinctStructure struct {
 
 // succinctArrays is the raw (directory-free) form of the encoding: what
 // persists to disk and what the builders produce before rank/select
-// and rmM construction.
+// construction.
 type succinctArrays struct {
 	parens  []uint64
 	nParens int
@@ -47,7 +46,6 @@ type succinctArrays struct {
 func (a *succinctArrays) build() *SuccinctStructure {
 	pv := succinct.NewBitvector(a.parens, a.nParens)
 	return &SuccinctStructure{
-		bp:      succinct.NewBP(pv),
 		pv:      pv,
 		isNode:  succinct.NewBitvector(a.marks, a.nOpens),
 		tags:    a.tags,
@@ -71,46 +69,6 @@ func (t *SuccinctStructure) arrays() *succinctArrays {
 
 // numNodes returns the element+attribute node count.
 func (t *SuccinctStructure) numNodes() int { return t.isNode.Ones() }
-
-// openPos returns the paren position of the node's open paren.
-func (t *SuccinctStructure) openPos(id NodeID) int {
-	return t.pv.Select1(t.isNode.Select1(int(id) - 1))
-}
-
-// idAtOpen returns the NodeID of the element/attribute node whose open
-// paren sits at position p.
-func (t *SuccinctStructure) idAtOpen(p int) NodeID {
-	ord := t.pv.Rank1(p)
-	return NodeID(t.isNode.Rank1(ord) + 1)
-}
-
-// parent returns the parent node (0 for the root).
-func (t *SuccinctStructure) parent(id NodeID) NodeID {
-	q := t.bp.Enclose(t.openPos(id))
-	if q < 0 {
-		return 0
-	}
-	return t.idAtOpen(q)
-}
-
-// subtreeEnd returns the largest NodeID inside the subtree of id: the
-// number of node opens before the matching close paren. The paren rank
-// at the close is derived from the open ordinal k — the subtree
-// [q, c] holds exactly (c-q+1)/2 opens — saving a Rank1.
-func (t *SuccinctStructure) subtreeEnd(id NodeID) NodeID {
-	k := t.isNode.Select1(int(id) - 1)
-	q := t.pv.Select1(k)
-	c := t.bp.FindCloseAt(q, 2*(k+1)-(q+1))
-	return NodeID(t.isNode.Rank1(k + (c-q+1)/2))
-}
-
-// levelOf returns the node's depth (root = 1): the excess at its open,
-// which falls out of the select pair as 2*(k+1) - (q+1).
-func (t *SuccinctStructure) levelOf(id NodeID) uint16 {
-	k := t.isNode.Select1(int(id) - 1)
-	q := t.pv.Select1(k)
-	return uint16(2*(k+1) - (q + 1))
-}
 
 // TextCursor carries one run's position in the structure from one
 // immediate-text lookup to the next (Store.Text, TextRefs, HasText,
@@ -164,9 +122,10 @@ func (t *SuccinctStructure) leaves(c *TextCursor, id NodeID) leafWalk {
 
 // nextLeaf returns the value-ref index of the node's next immediate text
 // leaf — its open ordinal less the node marks before it — or -1 at its
-// close. An element or attribute child is skipped whole: its subtree
-// spanning parens [q, c] holds exactly (c-q+1)/2 opens, and how many of
-// them are marks is ranked for again only at the next leaf.
+// close. An element or attribute child is skipped whole, its close found
+// by the forward scan: its subtree spanning parens [q, c] holds exactly
+// (c-q+1)/2 opens, and how many of them are marks is ranked for again
+// only at the next leaf.
 func (t *SuccinctStructure) nextLeaf(w *leafWalk) int {
 	for t.pv.Get(w.q) {
 		if !t.isNode.Get(w.ord) {
@@ -178,7 +137,7 @@ func (t *SuccinctStructure) nextLeaf(w *leafWalk) int {
 			w.q += 2 // a text leaf is always "()"
 			return v
 		}
-		c := t.bp.FindCloseAt(w.q, 2*(w.ord+1)-(w.q+1))
+		c := t.pv.FindClose(w.q)
 		w.ord += (c - w.q + 1) / 2
 		w.q = c + 1
 		w.nodes = -1
@@ -348,10 +307,11 @@ func (t *SuccinctStructure) scanNodes(fn func(id NodeID, level uint16)) {
 	}
 }
 
-// footprintBytes returns (bp+rmM tree, marks, tags+valrefs) resident
-// sizes — the split Footprint reports.
+// footprintBytes returns (parens, marks, tags+valrefs) resident sizes,
+// each bitvector with its rank/select directories — the split Footprint
+// reports.
 func (t *SuccinctStructure) footprintBytes() (bp, marks, refs int) {
-	bp = t.bp.FootprintBytes()
+	bp = t.pv.FootprintBytes()
 	marks = t.isNode.FootprintBytes()
 	refs = 2*len(t.tags) + 8*len(t.valCont)
 	return
@@ -382,9 +342,11 @@ func (t *SuccinctStructure) footprintBytes() (bp, marks, refs int) {
 //   - the counts agree: opens, node marks, tags and value refs are all
 //     consumed exactly.
 //
-// Navigation (Parent, SubtreeEnd, Text) then agrees with this walk
-// because its rank/select and rmM directories are rebuilt from the same
-// paren bits at open; none of them is read from the file.
+// Every later read — the text lookups, the serializing sweep, the bulk
+// kernels — then agrees with this walk: each reads the same paren and
+// mark bits forward, placed by the rank/select directories rebuilt from
+// them at open. No directory is read from the file, and none but
+// rank/select is built over the parens.
 func (s *Store) deriveFromSuccinct() error {
 	t := s.succ
 	sum := &Summary{}

@@ -37,7 +37,7 @@ func TestTextCountIsDerivedAlike(t *testing.T) {
 		// The fusion of the document with itself under one root.
 		parts := []*Store{loaded, opened}
 		f := NewFusion(parts)
-		_, end := f.Span(0, 1)
+		_, end := f.Span(0)
 		f.Add(0, 0, end)
 		f.Add(1, 1, end)
 		f.Add(0, end, end+1)

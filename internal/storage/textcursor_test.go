@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"xquec/internal/datagen"
@@ -11,9 +12,10 @@ import (
 
 // cursorStores returns the stores the cursor is held to: the ingested,
 // opened and fused XMark stores, the ingested, opened and fused store of
-// each real-life corpus, and the segment stores of an XMark document cut
-// at its root children, the way a partitioned build cuts one: each part
-// under the root tag, its dictionary seeded with the previous part's.
+// each real-life corpus and of each skipDocs document, and the segment
+// stores of an XMark document cut at its root children, the way a
+// partitioned build cuts one: each part under the root tag, its
+// dictionary seeded with the previous part's.
 func cursorStores(t *testing.T) map[string]*Store {
 	t.Helper()
 	out := map[string]*Store{}
@@ -25,6 +27,9 @@ func cursorStores(t *testing.T) map[string]*Store {
 	add("xmark", datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 7}), datagen.XMark(datagen.XMarkConfig{Scale: 0.01, Seed: 8}))
 	for _, ds := range datagen.RealLifeCorpus(3, 0.01) {
 		add(ds.Name, ds.Data, ds.Data)
+	}
+	for name, doc := range skipDocs(t) {
+		add(name, doc, doc)
 	}
 	doc := datagen.XMark(datagen.XMarkConfig{Scale: 0.02, Seed: 9})
 	var names []string
@@ -44,13 +49,75 @@ func cursorStores(t *testing.T) map[string]*Store {
 	return out
 }
 
-// TestTextCursorMatchesColdLookups holds Text, TextRefs, HasText and —
-// at the instances of summary nodes whose Shape is Sole — SoleText through one
-// cursor to the same lookups without one, at every node, visited in
+// skipDocs are the documents on which an immediate-text lookup skips
+// element children by the forward FindClose scan at its limits: "wide"
+// has children spanning three and more 1024-bit blocks before, between
+// and after an element's text leaves; in "boundary" the close paren of
+// one child is the last paren of a block and that of another the first
+// of a block, which the test checks of the ingested store; "deep" is a
+// DeepTree spine.
+func skipDocs(t *testing.T) map[string][]byte {
+	t.Helper()
+	big := "<c>" + strings.Repeat("<x>v</x><y/>", 600) + "</c>" // 3 602 parens
+	wide := "<r><e>" + big + "t1" + big + "t2</e><e>t0" + big + "</e><e>" + big + big + "</e></r>"
+	// <r> is paren 0. An <e> opened at q closes its <c> at q+2+2n over n
+	// <x/> children: 1 + 2 + 2·510 = 1023; the <w> after it shifts the
+	// next <e> to 1028, and 1028 + 2 + 2·509 = 2048.
+	child := func(n int) string { return "<e><c>" + strings.Repeat("<x/>", n) + "</c>t</e>" }
+	boundary := "<r>" + child(510) + "<w>" + child(509) + "</w></r>"
+	s, err := Load([]byte(boundary), LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opens, closes []int
+	code, _ := s.Code("c")
+	for p, ord, id := 0, 0, NodeID(0); p < s.succ.pv.Len(); p++ {
+		if !s.succ.pv.Get(p) {
+			if q := opens[len(opens)-1]; q >= 0 {
+				closes = append(closes, p)
+			}
+			opens = opens[:len(opens)-1]
+			continue
+		}
+		q := -1
+		if s.succ.isNode.Get(ord) {
+			if id++; s.TagCodeOf(id) == code {
+				q = p
+			}
+		}
+		opens = append(opens, q)
+		ord++
+	}
+	if !slices.Equal(closes, []int{1023, 2048}) {
+		t.Fatalf("the <c> children of the boundary document close at %v, want 1023 and 2048", closes)
+	}
+	return map[string][]byte{
+		"wide":     []byte(wide),
+		"boundary": []byte(boundary),
+		"deep":     datagen.DeepTree(datagen.DeepTreeConfig{Depth: 400, Fanout: 3, Seed: 11}),
+	}
+}
+
+// TestTextCursorMatchesColdLookups holds Text, TextRefs and HasText
+// without a cursor to the record oracle, and the same lookups and — at
+// the instances of summary nodes whose Shape is Sole — SoleText through
+// one cursor to the lookups without one, at every node, visited in
 // ascending, descending and random order, with each node asked twice in
 // a row now and then (the cursor's remembered node).
 func TestTextCursorMatchesColdLookups(t *testing.T) {
 	for name, s := range cursorStores(t) {
+		var text []byte
+		for i, r := range records(s) {
+			id := NodeID(i + 1)
+			var err, rerr error
+			text, err = s.Text(nil, text[:0], id)
+			want, rerr := r.text(s, nil)
+			if s.HasText(nil, id) != r.hasText() || !slices.Equal(s.TextRefs(nil, nil, id), r.textRefs()) ||
+				err != nil || rerr != nil || !bytes.Equal(text, want) {
+				t.Fatalf("%s: node %d: HasText %v, TextRefs %v, Text %q (%v); records %v, %v, %q (%v)", name, id,
+					s.HasText(nil, id), s.TextRefs(nil, nil, id), text, err, r.hasText(), r.textRefs(), want, rerr)
+			}
+		}
 		sole := make([]bool, s.NumNodes()+1)
 		for _, sn := range s.Sum.Nodes() {
 			for _, id := range sn.Extent {

@@ -11,22 +11,23 @@ func (s *Store) Validate() error {
 	if nNodes == 0 {
 		return fmt.Errorf("storage: empty structure tree")
 	}
+	parent, end, _ := shape(s)
 	for i := 0; i < nNodes; i++ {
 		id := NodeID(i + 1)
 		if int(s.TagCodeOf(id)) >= len(s.Names) {
 			return fmt.Errorf("storage: node %d has out-of-range tag %d", id, s.TagCodeOf(id))
 		}
-		if p := s.Parent(id); p >= id {
+		p, e := parent[i], end[i]
+		if p >= id {
 			return fmt.Errorf("storage: node %d has non-preceding parent %d", id, p)
 		}
-		e := s.SubtreeEnd(id)
 		if e < id || int(e) > nNodes {
 			return fmt.Errorf("storage: node %d has bad subtree end %d", id, e)
 		}
-		// Parent (Enclose) and SubtreeEnd (FindClose) must agree: a node
-		// and its whole subtree lie inside its parent's subtree.
-		if p := s.Parent(id); p != 0 {
-			if pe := s.SubtreeEnd(p); id > pe || e > pe {
+		// The two sweeps must agree: a node and its whole subtree lie
+		// inside its parent's subtree.
+		if p != 0 {
+			if pe := end[p-1]; id > pe || e > pe {
 				return fmt.Errorf("storage: node %d (subtree end %d) escapes parent %d ending at %d", id, e, p, pe)
 			}
 		}

@@ -164,7 +164,7 @@ func (v *Values) Store(plan *CompressionPlan) (*Store, error) {
 		s.Sum.deriveStats(func(sn *SummaryNode) int { return in.sums[sn.ID].fan }, s.Containers)
 	} else {
 		t := v.succ
-		s.succ = &SuccinctStructure{bp: t.bp, pv: t.pv, isNode: t.isNode, tags: t.tags, valCont: v.list, valIdx: v.pos}
+		s.succ = &SuccinctStructure{pv: t.pv, isNode: t.isNode, tags: t.tags, valCont: v.list, valIdx: v.pos}
 		if err := s.deriveFromSuccinct(); err != nil {
 			return nil, err
 		}

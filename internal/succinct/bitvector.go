@@ -1,12 +1,13 @@
 // Package succinct provides the bit-level building blocks of the
 // succinct structural self-index: a bitvector with constant-time rank
 // and near-constant-time select (two-level directory + math/bits
-// popcount kernels), and a balanced-parentheses tree (bp.go) whose
-// navigation primitives run on a range min-max tree over the paren
-// excess. The encodings follow Arroyuelo et al. ("Fast In-Memory XPath
-// Search over Compressed Text and Tree Indexes") and Maneth &
-// Sebastian ("Fast and Tiny Structural Self-Indexes for XML"): ~2-3
-// bits per tree node with o(n) directories.
+// popcount kernels), forward select scanners over it (bulk.go), and the
+// one forward scan a balanced-parentheses sequence needs (bp.go): the
+// structure tree is swept in order, never searched, so no range min-max
+// tree is built over its excess. The encodings follow Arroyuelo et al.
+// ("Fast In-Memory XPath Search over Compressed Text and Tree Indexes")
+// and Maneth & Sebastian ("Fast and Tiny Structural Self-Indexes for
+// XML"): ~2-3 bits per tree node with o(n) directories.
 package succinct
 
 import "math/bits"

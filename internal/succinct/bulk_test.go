@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// shapes returns paren sequences that stress the rmM searches: random
-// trees spanning several 1024-bit blocks, a fully nested chain deeper
-// than a block, a flat forest, and a comb (nested spine with leaf
-// teeth) whose ancestors sit many blocks back — bwdSearch's worst case.
+// shapes returns paren sequences whose matches lie far from their opens
+// and at every alignment: random trees spanning several 1024-bit blocks,
+// a fully nested chain deeper than a block, a flat forest, and a comb (a
+// nested spine with leaf teeth) whose spine closes sit many blocks on.
 func shapes(rng *rand.Rand) map[string][]bool {
 	out := map[string][]bool{}
 	for _, n := range []int{5, 300, 5000, 40000} {
@@ -82,25 +82,25 @@ func TestSelectScanner(t *testing.T) {
 	}
 }
 
-// TestBPWithDirs keeps the name it had while the BP carried shortcut
-// ancestor directories, so its ID stays stable. Those are gone and
-// Enclose runs on the rmM tree alone; it checks FindClose and Enclose at
-// every open against the oracle on the multi-block shapes that stressed
-// the directories — the comb is bwdSearch's worst case.
+// TestBPWithDirs keeps the name it had while the paren sequence carried
+// shortcut ancestor directories, so its ID stays stable. Those are gone,
+// and so is every search they served; it checks the forward FindClose
+// and the excess at every paren against the oracle on the multi-block
+// shapes that stressed them.
 func TestBPWithDirs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for name, parens := range shapes(rng) {
-		bp := NewBP(buildFromBools(parens))
+		v := buildFromBools(parens)
 		o := newBPOracle(parens)
 		for i, open := range parens {
+			if got, want := excess(v, i), o.excess[i]; got != want {
+				t.Fatalf("%s: Excess(%d)=%d want %d", name, i, got, want)
+			}
 			if !open {
 				continue
 			}
-			if got, want := bp.FindClose(i), o.match[i]; got != want {
+			if got, want := v.FindClose(i), o.match[i]; got != want {
 				t.Fatalf("%s: FindClose(%d)=%d want %d", name, i, got, want)
-			}
-			if got, want := bp.Enclose(i), o.enclose[i]; got != want {
-				t.Fatalf("%s: Enclose(%d)=%d want %d", name, i, got, want)
 			}
 		}
 	}

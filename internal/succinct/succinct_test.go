@@ -121,28 +121,21 @@ func randomParens(rng *rand.Rand, nPairs int) []bool {
 	return out
 }
 
-// bpOracle computes matches and encloses with an explicit stack.
+// bpOracle computes matches and excesses with an explicit stack.
 type bpOracle struct {
-	match   []int // match[i] = matching paren position
-	enclose []int // enclose[i] = enclosing open position (or -1), for opens
-	excess  []int
+	match  []int // match[i] = matching paren position
+	excess []int
 }
 
 func newBPOracle(parens []bool) *bpOracle {
 	o := &bpOracle{
-		match:   make([]int, len(parens)),
-		enclose: make([]int, len(parens)),
-		excess:  make([]int, len(parens)),
+		match:  make([]int, len(parens)),
+		excess: make([]int, len(parens)),
 	}
 	var stack []int
 	e := 0
 	for i, open := range parens {
 		if open {
-			if len(stack) > 0 {
-				o.enclose[i] = stack[len(stack)-1]
-			} else {
-				o.enclose[i] = -1
-			}
 			stack = append(stack, i)
 			e++
 		} else {
@@ -157,26 +150,27 @@ func newBPOracle(parens []bool) *bpOracle {
 	return o
 }
 
+// excess is the excess after position i — the depth of the node opened
+// at i, when i is an open paren — from one rank.
+func excess(v *Bitvector, i int) int { return 2*v.Rank1(i+1) - (i + 1) }
+
 func TestBPNavigation(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, nPairs := range []int{1, 2, 3, 10, 100, 255, 256, 257, 1000, 5000, 40000} {
 		parens := randomParens(rng, nPairs)
-		bp := NewBP(buildFromBools(parens))
+		v := buildFromBools(parens)
 		o := newBPOracle(parens)
-		if bp.Len() != len(parens) {
-			t.Fatalf("Len=%d want %d", bp.Len(), len(parens))
+		if v.Len() != len(parens) {
+			t.Fatalf("Len=%d want %d", v.Len(), len(parens))
 		}
 		step := 1 + len(parens)/512
 		for i := 0; i < len(parens); i += step {
-			if got, want := bp.Excess(i), o.excess[i]; got != want {
+			if got, want := excess(v, i), o.excess[i]; got != want {
 				t.Fatalf("nPairs=%d: Excess(%d)=%d want %d", nPairs, i, got, want)
 			}
 			if parens[i] {
-				if got, want := bp.FindClose(i), o.match[i]; got != want {
+				if got, want := v.FindClose(i), o.match[i]; got != want {
 					t.Fatalf("nPairs=%d: FindClose(%d)=%d want %d", nPairs, i, got, want)
-				}
-				if got, want := bp.Enclose(i), o.enclose[i]; got != want {
-					t.Fatalf("nPairs=%d: Enclose(%d)=%d want %d", nPairs, i, got, want)
 				}
 			}
 		}
@@ -193,15 +187,15 @@ func TestBPDeepAndFlat(t *testing.T) {
 		flat[2*i] = true
 	}
 	for name, parens := range map[string][]bool{"deep3000": deep, "flat3000": flat} {
-		bp := NewBP(buildFromBools(parens))
+		v := buildFromBools(parens)
 		o := newBPOracle(parens)
 		for i := range parens {
+			if got, want := excess(v, i), o.excess[i]; got != want {
+				t.Fatalf("%s: Excess(%d)=%d want %d", name, i, got, want)
+			}
 			if parens[i] {
-				if got, want := bp.FindClose(i), o.match[i]; got != want {
+				if got, want := v.FindClose(i), o.match[i]; got != want {
 					t.Fatalf("%s: FindClose(%d)=%d want %d", name, i, got, want)
-				}
-				if got, want := bp.Enclose(i), o.enclose[i]; got != want {
-					t.Fatalf("%s: Enclose(%d)=%d want %d", name, i, got, want)
 				}
 			}
 		}
@@ -235,44 +229,67 @@ func FuzzBitvectorRankSelect(f *testing.F) {
 	})
 }
 
+// FuzzBPNavigation holds FindClose and the excess to the stack oracle at
+// every paren. The fuzz bytes give a balanced sequence — each bit votes
+// open or close; an illegal close becomes an open and trailing opens are
+// closed — and the shape byte places it: as it is, at the bottom of a
+// chain of nested opens (deep), repeated side by side (flat), or as the
+// tooth of every link of a comb; count, up to 4095, sizes the chain,
+// run or comb, so the scan crosses byte, word and block boundaries at
+// every alignment.
 func FuzzBPNavigation(f *testing.F) {
 	f.Add([]byte{0xaa, 0x55}, int64(1))
 	f.Add([]byte{0x00}, int64(2))
+	f.Add([]byte{0xff, 0x0f}, int64(0x3ff<<2|1))
+	f.Add([]byte{0x35}, int64(300<<2|2))
+	f.Add([]byte{0xc3}, int64(999<<2|3))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
-		// Derive a balanced sequence from the fuzz bytes: each bit votes
-		// open/close; illegal closes become opens, trailing opens get
-		// closed — so every input maps to a valid paren string.
-		var parens []bool
+		var unit []bool
 		open := 0
 		for _, b := range data {
 			for j := 0; j < 8; j++ {
 				if b>>uint(j)&1 == 1 || open == 0 {
-					parens = append(parens, true)
+					unit = append(unit, true)
 					open++
 				} else {
-					parens = append(parens, false)
+					unit = append(unit, false)
 					open--
 				}
 			}
 		}
 		for ; open > 0; open-- {
-			parens = append(parens, false)
+			unit = append(unit, false)
 		}
-		if len(parens) == 0 {
+		if len(unit) == 0 || len(unit) > 1<<12 {
 			return
 		}
-		bp := NewBP(buildFromBools(parens))
+		count := int(seed>>2) & 4095
+		var parens []bool
+		switch seed & 3 {
+		case 0:
+			parens = unit
+		case 1:
+			parens = append(append(slices.Repeat([]bool{true}, count), unit...), slices.Repeat([]bool{false}, count)...)
+		case 2:
+			parens = slices.Repeat(unit, count+1)
+		case 3:
+			for range count {
+				parens = append(append(parens, true), unit...)
+			}
+			parens = append(parens, slices.Repeat([]bool{false}, count)...)
+		}
+		if len(parens) == 0 || len(parens) > 1<<18 {
+			return
+		}
+		v := buildFromBools(parens)
 		o := newBPOracle(parens)
 		for i := range parens {
-			if got, want := bp.Excess(i), o.excess[i]; got != want {
+			if got, want := excess(v, i), o.excess[i]; got != want {
 				t.Fatalf("Excess(%d)=%d want %d", i, got, want)
 			}
 			if parens[i] {
-				if got, want := bp.FindClose(i), o.match[i]; got != want {
+				if got, want := v.FindClose(i), o.match[i]; got != want {
 					t.Fatalf("FindClose(%d)=%d want %d", i, got, want)
-				}
-				if got, want := bp.Enclose(i), o.enclose[i]; got != want {
-					t.Fatalf("Enclose(%d)=%d want %d", i, got, want)
 				}
 			}
 		}

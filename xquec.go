@@ -467,8 +467,8 @@ func (db *Database) Footprint() storage.Footprint { return db.store.Footprint() 
 func (db *Database) ResidentBytes() int { return db.Footprint().Total() }
 
 // StructureBitsPerNode reports the density of the succinct structure
-// encoding — paren bits, rank/select directories, the rmM tree, and
-// node marks — in bits per tree node (elements + attributes + text
+// encoding — paren bits and node marks, each with its rank/select
+// directories — in bits per tree node (elements + attributes + text
 // values).
 func (db *Database) StructureBitsPerNode() float64 {
 	bp, marks, n := db.store.StructureStats()
