@@ -116,8 +116,9 @@ bench-smoke:
 # Select1 in any order (FuzzSelectScannerSeek) and the bulk sweeps
 # against the record oracle (FuzzBulkNavigation) — the
 # repository loader (hostile bytes behind a repaired checksum), the ALM
-# model loader (what it accepts must build on first use) and the XML
-# scanner under the ingest loader (hostile documents). Not part of
+# model loader (what it accepts must build on first use), the XML
+# scanner under the ingest loader (hostile documents) and the output
+# escapers' word skip against a byte-at-a-time oracle (FuzzEscape). Not part of
 # tier-1 `check`; the targets' seed corpora still run under plain
 # `go test`.
 fuzz-smoke:
@@ -137,6 +138,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadBinary -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzALMLoadModel -fuzztime 5s ./internal/compress/alm/
 	$(GO) test -run '^$$' -fuzz FuzzSAX -fuzztime 5s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzEscape -fuzztime 5s ./internal/xmlparser/
 
 # The paper's eight artifacts (paper_test.go) at the paper's sizes, once
 # each, rows logged; EXPERIMENTS.md records them. Takes minutes: Figure 7

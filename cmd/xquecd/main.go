@@ -6,8 +6,8 @@
 // Usage:
 //
 //	xquecd -repos ./repos [-addr :8090] [-pool 8] [-plans 256]
-//	       [-timeout 30s] [-max-concurrent 16] [-flush-items 32]
-//	       [-compact-after 0] [-max-append-bytes 64MiB]
+//	       [-timeout 30s] [-max-concurrent 16] [-compact-after 0]
+//	       [-max-append-bytes 64MiB]
 //	       [-pprof localhost:6060]
 //
 // Each query is evaluated serially on one goroutine; queries run
@@ -34,7 +34,7 @@
 //
 //	POST /query         {"repo":"auction","query":"count(/site//item)","timeout_ms":500}
 //	POST /query/stream  same body; chunked newline-separated items,
-//	                    flushed every -flush-items items
+//	                    the first flushed alone, then 32 KiB blocks
 //	POST /append        {"repo":"auction","doc":"<site>...</site>","compact":false}
 //	GET  /repos         available and resident repositories
 //	GET  /healthz       liveness probe
@@ -64,7 +64,6 @@ func main() {
 	plans := flag.Int("plans", 256, "max cached query plans")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-query evaluation deadline")
 	maxConc := flag.Int("max-concurrent", 0, "max concurrently evaluating queries (0 = 2×GOMAXPROCS)")
-	flushItems := flag.Int("flush-items", 32, "flush /query/stream responses every N items (first item always flushes)")
 	flag.Int("query-parallelism", 1, "ignored: every query runs serially on one goroutine (accepted until ROADMAP item 1(d) drops it)")
 	compactAfter := flag.Int("compact-after", 0, "background-compact a repository once an append leaves it with this many segments (0 = only on request)")
 	maxAppend := flag.Int64("max-append-bytes", 0, "max /append request body size in bytes (0 = 64 MiB)")
@@ -82,7 +81,6 @@ func main() {
 		PlanCacheSize:  *plans,
 		MaxConcurrent:  *maxConc,
 		QueryTimeout:   *timeout,
-		FlushEvery:     *flushItems,
 		CompactAfter:   *compactAfter,
 		MaxAppendBytes: *maxAppend,
 	})

@@ -72,7 +72,7 @@ func cutSet(t *testing.T, doc []byte, n, shift int) *partition.Set {
 // accessor is also passing storage's Validate.
 func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []string, reopen bool) {
 	t.Helper()
-	fx, err := set.Store().Serialize(nil, 1)
+	fx, err := set.Store().Serialize(nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	xml, err := want.Serialize(nil, 1)
+	xml, err := want.Serialize(nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 			t.Fatalf("reopening the fused store: %v", err)
 		}
 	}
-	if out, err := got.Serialize(nil, 1); err != nil || !bytes.Equal(out, xml) || !bytes.Equal(fx, xml) {
+	if out, err := got.Serialize(nil, nil, 1); err != nil || !bytes.Equal(out, xml) || !bytes.Equal(fx, xml) {
 		t.Fatalf("fused store serializes to\n%s (%v), the set's store to\n%s, the corpus\n%s", out, err, fx, xml)
 	}
 	// What Decompress returns must read back as the same document, white
@@ -98,7 +98,7 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 	re, err := storage.Load(fx, storage.LoadOptions{})
 	if err != nil {
 		t.Fatalf("Load(Decompress): %v\n%s", err, fx)
-	} else if out, err := re.Serialize(nil, 1); err != nil || !bytes.Equal(out, fx) {
+	} else if out, err := re.Serialize(nil, nil, 1); err != nil || !bytes.Equal(out, fx) {
 		t.Fatalf("Decompress\n%s\nre-ingested serializes to\n%s (%v)", fx, out, err)
 	}
 	// A set compacts from its fused store, not from its XML, to the
@@ -192,7 +192,7 @@ func checkFused(t *testing.T, set *partition.Set, corpus []byte, queries []strin
 	if err != nil {
 		t.Fatalf("reopening the fused store: %v", err)
 	}
-	if out, err := reopened.Serialize(nil, 1); err != nil || !bytes.Equal(out, xml) {
+	if out, err := reopened.Serialize(nil, nil, 1); err != nil || !bytes.Equal(out, xml) {
 		t.Fatalf("reopened fused store serializes to\n%s (%v), want\n%s", out, err, xml)
 	}
 }
@@ -318,7 +318,7 @@ func fusedDirected(t *testing.T, reopen bool) {
 func TestFusedKeepsJunctionTextApart(t *testing.T) {
 	set := segmentSet(t, [][]byte{[]byte(`<site><a>x</a>tail</site>`), []byte(`<site>head<a>y</a></site>`)}, 0)
 	st := set.Store()
-	if xml, err := st.Serialize(nil, 1); err != nil || string(xml) != `<site><a>x</a>tailhead<a>y</a></site>` {
+	if xml, err := st.Serialize(nil, nil, 1); err != nil || string(xml) != `<site><a>x</a>tailhead<a>y</a></site>` {
 		t.Fatalf("fused store serializes to %s (%v)", xml, err)
 	}
 	if got, err := runVM(t, st, `/site/text()`); err != nil || got != "tailhead" {

@@ -242,7 +242,7 @@ func contentRead(sums []*storage.SummaryNode, textTail bool) valueRead {
 // how is deepValue, else the escaped text a text() step selects.
 func (e *engine) appendContentNode(dst []byte, id storage.NodeID, how valueRead) ([]byte, error) {
 	if how == deepValue {
-		return e.store.Serialize(dst, id)
+		return e.store.Serialize(&e.cur, dst, id)
 	}
 	mark := len(dst)
 	dst, err := e.text(dst, id, how)
@@ -254,5 +254,5 @@ func (e *engine) appendContentItem(dst []byte, it Item) ([]byte, error) {
 	if s, isStr := it.(string); isStr {
 		return xmlparser.EscapeText(dst, s), nil
 	}
-	return serializeItem(dst, e.store, it)
+	return serializeItem(dst, e.store, &e.cur, it)
 }

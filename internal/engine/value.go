@@ -37,6 +37,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"xquec/internal/algebra"
 	"xquec/internal/storage"
@@ -84,7 +85,15 @@ type Result struct {
 
 	served int   // items already handed out
 	err    error // sticky: first evaluation or cancellation error
+
+	// cur is the text cursor stored subtrees are swept through
+	// (AppendItemXML): nil until the first one, cursorBusy while a call
+	// holds it.
+	cur atomic.Pointer[storage.TextCursor]
 }
+
+// cursorBusy marks a Result's cursor as held by an AppendItemXML call.
+var cursorBusy = new(storage.TextCursor)
 
 // Next returns the next result item. ok is false when the sequence is
 // exhausted (or the cursor closed); a non-nil error is sticky and is
@@ -228,15 +237,36 @@ func (r *Result) WriteXML(w io.Writer) (int, error) {
 
 // AppendItemXML appends the XML/text rendering of one item (as handed
 // out by Next) to dst. Values are decoded straight into dst, so a
-// consumer reusing one buffer serializes without allocating.
+// consumer reusing one buffer serializes without allocating. Stored
+// subtrees are swept through the Result's own text cursor, made for the
+// first one: a FOR hands its subtrees out in document order, and each
+// sweep walks forward from the last. Items of one Result may be
+// serialized from several goroutines at once; a call that finds the
+// cursor held by another sweeps without one.
 func (r *Result) AppendItemXML(dst []byte, it Item) ([]byte, error) {
-	return serializeItem(dst, r.store, it)
+	switch it.(type) {
+	case storage.NodeID, *fragment:
+	default:
+		return serializeItem(dst, r.store, nil, it)
+	}
+	c := r.cur.Swap(cursorBusy)
+	switch c {
+	case cursorBusy:
+		return serializeItem(dst, r.store, nil, it)
+	case nil:
+		c = new(storage.TextCursor)
+	}
+	dst, err := serializeItem(dst, r.store, c, it)
+	r.cur.Store(c)
+	return dst, err
 }
 
-func serializeItem(dst []byte, s *storage.Store, it Item) ([]byte, error) {
+// serializeItem appends the rendering of it, sweeping stored subtrees
+// through c (nil: cold).
+func serializeItem(dst []byte, s *storage.Store, c *storage.TextCursor, it Item) ([]byte, error) {
 	switch v := it.(type) {
 	case storage.NodeID:
-		return s.Serialize(dst, v)
+		return s.Serialize(c, dst, v)
 	case string:
 		return append(dst, v...), nil
 	case float64:
@@ -260,12 +290,12 @@ func serializeItem(dst []byte, s *storage.Store, it Item) ([]byte, error) {
 		}
 		dst = append(dst, '>')
 		var err error
-		for _, c := range v.Content {
-			if str, ok := c.(string); ok {
+		for _, ci := range v.Content {
+			if str, ok := ci.(string); ok {
 				dst = xmlparser.EscapeText(dst, str)
 				continue
 			}
-			dst, err = serializeItem(dst, s, c)
+			dst, err = serializeItem(dst, s, c, ci)
 			if err != nil {
 				return dst, err
 			}
@@ -333,7 +363,7 @@ func (e *engine) appendNodeValue(dst []byte, id storage.NodeID, how valueRead) (
 	if how != deepValue || e.store.IsAttr(id) {
 		return e.text(dst, id, how)
 	}
-	return e.store.DeepText(dst, id)
+	return e.store.DeepText(&e.cur, dst, id)
 }
 
 // appendTexts appends the immediate text of each owner, an instance of

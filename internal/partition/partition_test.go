@@ -39,7 +39,7 @@ func mustLoad(t *testing.T, doc string, dict []string) *storage.Store {
 // no engine code — with a set.
 func storeXML(t *testing.T, st *storage.Store, query string) string {
 	t.Helper()
-	doc, err := st.Serialize(nil, 1)
+	doc, err := st.Serialize(nil, nil, 1)
 	if err != nil {
 		t.Fatalf("serialize: %v", err)
 	}
@@ -90,7 +90,7 @@ func testSet(t *testing.T) *Set {
 
 func TestSplitRoundTrip(t *testing.T) {
 	src := xmarkDoc(t)
-	want, err := mustLoad(t, string(src), nil).Serialize(nil, 1)
+	want, err := mustLoad(t, string(src), nil).Serialize(nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +102,13 @@ func TestSplitRoundTrip(t *testing.T) {
 		if set.OriginalSize() != len(src) {
 			t.Fatalf("n=%d: original size %d, the document has %d bytes", n, set.OriginalSize(), len(src))
 		}
-		fusedXML, err := set.Store().Serialize(nil, 1)
+		fusedXML, err := set.Store().Serialize(nil, nil, 1)
 		if err != nil {
 			t.Fatalf("n=%d fuse: %v", n, err)
 		}
 		// The fused XML must re-ingest into a store equivalent to the
 		// original: compare canonical serializations.
-		got, err := mustLoad(t, string(fusedXML), nil).Serialize(nil, 1)
+		got, err := mustLoad(t, string(fusedXML), nil).Serialize(nil, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestCut(t *testing.T) {
 		docs[ds.Name] = ds.Data
 	}
 	for name, doc := range docs {
-		want, err := mustLoad(t, string(doc), nil).Serialize(nil, 1)
+		want, err := mustLoad(t, string(doc), nil).Serialize(nil, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func TestCut(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", name, n, err)
 			}
-			if got, err := mustLoad(t, string(corpus), nil).Serialize(nil, 1); err != nil || !bytes.Equal(got, want) {
+			if got, err := mustLoad(t, string(corpus), nil).Serialize(nil, nil, 1); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("%s n=%d: the parts concatenate to\n%.300s\nwant\n%.300s", name, n, got, want)
 			}
 		}
@@ -382,7 +382,7 @@ func TestSetAppendSharesDictionaryChain(t *testing.T) {
 
 func TestSetFuseAndCompact(t *testing.T) {
 	set := testSet(t)
-	xml, err := set.Store().Serialize(nil, 1)
+	xml, err := set.Store().Serialize(nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestSetFuseAndCompact(t *testing.T) {
 	if compacted.TopologyKey() == set.TopologyKey() {
 		t.Fatal("compaction must roll the topology key")
 	}
-	cxml, err := compacted.Store().Serialize(nil, 1)
+	cxml, err := compacted.Store().Serialize(nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

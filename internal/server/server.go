@@ -34,10 +34,6 @@ type Config struct {
 	QueryTimeout time.Duration
 	// MaxBodyBytes caps the /query request body (default 1 MiB).
 	MaxBodyBytes int64
-	// FlushEvery is the item interval between forced flushes on
-	// /query/stream after the first item (which always flushes, to bound
-	// time-to-first-byte). Default 32.
-	FlushEvery int
 	// MaxAppendBytes caps the /append request body (default 64 MiB —
 	// appended documents are whole XML documents, so the /query body cap
 	// would be far too small).
@@ -65,9 +61,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.FlushEvery <= 0 {
-		c.FlushEvery = 32
 	}
 	if c.MaxAppendBytes <= 0 {
 		c.MaxAppendBytes = 64 << 20

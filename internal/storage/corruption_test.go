@@ -111,8 +111,8 @@ func checkHostile(t testing.TB, data []byte, what string) *Store {
 	runtime.ReadMemStats(&before)
 	var buf []byte
 	for id := range sampledNodes(s) {
-		buf, _ = s.Serialize(buf[:0], id)
-		buf, _ = s.DeepText(buf[:0], id)
+		buf, _ = s.Serialize(nil, buf[:0], id)
+		buf, _ = s.DeepText(nil, buf[:0], id)
 	}
 	for _, c := range s.Containers {
 		for i := 0; i < c.Len(); i++ {

@@ -12,7 +12,7 @@ import "fmt"
 // off its bits — so the summary is the one left to measure. (The on-disk format omits it; LoadBinary re-derives it, so
 // the in-memory view is the right place to measure the trade-off.)
 type Footprint struct {
-	Dictionary    int // name dictionary
+	Dictionary    int // name dictionary and its attribute bits
 	StructureBP   int // paren bits + node marks, each with its rank/select directories
 	StructureTree int // tag codes + value refs
 	Summary       int // structure summary including extents
@@ -53,6 +53,7 @@ func (s *Store) Footprint() Footprint {
 	for _, n := range s.Names {
 		f.Dictionary += len(n) + 16
 	}
+	f.Dictionary += 8 * len(s.attrs)
 	bp, marks, refs := s.succ.footprintBytes()
 	f.StructureBP, f.StructureTree = bp+marks, refs
 	f.Summary = s.Sum.FootprintBytes()

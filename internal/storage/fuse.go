@@ -55,7 +55,7 @@ func (f *Fusion) Store() (*Store, error) {
 	nParens := 0
 	for p, part := range f.parts {
 		if len(part.Names) > len(s.Names) {
-			s.Names, s.nameIdx = part.Names, part.nameIdx
+			s.Names, s.nameIdx, s.attrs = part.Names, part.nameIdx, part.attrs
 		}
 		nParens += part.succ.pv.Len() // an upper bound: the pieces are cut from these
 		n := 0

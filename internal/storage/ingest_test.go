@@ -125,7 +125,7 @@ func FuzzSAX(f *testing.F) {
 		if err != nil {
 			return
 		}
-		xml, err := s.Serialize(nil, 1)
+		xml, err := s.Serialize(nil, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func FuzzSAX(f *testing.F) {
 		for i := range src {
 			src[i] = '<'
 		}
-		if after, err := s.Serialize(nil, 1); err != nil || !bytes.Equal(after, xml) {
+		if after, err := s.Serialize(nil, nil, 1); err != nil || !bytes.Equal(after, xml) {
 			t.Fatalf("store aliases its source: %q became %q (%v)", xml, after, err)
 		}
 		if !bytes.Equal(s.AppendBinary(nil), repo) {

@@ -190,7 +190,7 @@ func LoadBinary(data []byte) (*Store, error) {
 			return nil, err
 		}
 	}
-	s.Names, s.nameIdx = dict.names, dict.idx
+	s.Names, s.nameIdx, s.attrs = dict.names, dict.idx, attrFlags(dict.names)
 
 	nGroups, err := r.count("source model", 3)
 	if err != nil {

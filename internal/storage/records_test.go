@@ -211,9 +211,9 @@ func checkRecords(t testing.TB, s *Store, sweepAt iter.Seq[NodeID]) {
 	for id := range sweepAt {
 		for _, markup := range []bool{true, false} {
 			if markup {
-				got, gerr = s.Serialize(got[:0], id)
+				got, gerr = s.Serialize(nil, got[:0], id)
 			} else {
-				got, gerr = s.DeepText(got[:0], id)
+				got, gerr = s.DeepText(nil, got[:0], id)
 			}
 			want, werr = serialize(s, recs, want[:0], id, markup)
 			if !same(got, want, gerr, werr) {

@@ -89,18 +89,18 @@ func TestStandaloneAttribute(t *testing.T) {
 			attr = id
 		}
 	}
-	got, err := s.Serialize(nil, attr)
+	got, err := s.Serialize(nil, nil, attr)
 	if want := `v="a&quot;b&lt;c&amp;d>e"`; err != nil || string(got) != want {
 		t.Fatalf("Serialize(@v) = %s (%v), want %s", got, err, want)
 	}
-	got, _ = s.Serialize(nil, parent[attr-1])
+	got, _ = s.Serialize(nil, nil, parent[attr-1])
 	if want := `<q v="a&quot;b&lt;c&amp;d>e"/>`; string(got) != want {
 		t.Fatalf("Serialize(q) = %s, want %s", got, want)
 	}
-	if got, err = s.DeepText(nil, attr); err != nil || string(got) != `a"b<c&d>e` {
+	if got, err = s.DeepText(nil, nil, attr); err != nil || string(got) != `a"b<c&d>e` {
 		t.Fatalf("DeepText(@v) = %q (%v)", got, err)
 	}
-	if got, err = s.DeepText(nil, parent[attr-1]); err != nil || len(got) != 0 {
+	if got, err = s.DeepText(nil, nil, parent[attr-1]); err != nil || len(got) != 0 {
 		t.Fatalf("DeepText(q) = %q (%v), want nothing: attributes are not part of a string value", got, err)
 	}
 }
@@ -114,7 +114,7 @@ func TestSerializedWhitespaceSurvivesAParser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Serialize(nil, 1)
+	out, err := s.Serialize(nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSerializedWhitespaceSurvivesAParser(t *testing.T) {
 	}
 	if again, err := Load(out, LoadOptions{}); err != nil {
 		t.Fatal(err)
-	} else if out2, _ := again.Serialize(nil, 1); !bytes.Equal(out, out2) {
+	} else if out2, _ := again.Serialize(nil, nil, 1); !bytes.Equal(out, out2) {
 		t.Fatalf("%s re-ingested serializes to %s", out, out2)
 	}
 }
@@ -169,7 +169,7 @@ func TestSerializeAllocatesNothing(t *testing.T) {
 	var buf []byte
 	for _, id := range persons {
 		before := DecodeOps()
-		if buf, err = s.Serialize(buf[:0], id); err != nil {
+		if buf, err = s.Serialize(nil, buf[:0], id); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := DecodeOps()-before, int64(leaves(id)); got != want {
@@ -181,8 +181,8 @@ func TestSerializeAllocatesNothing(t *testing.T) {
 	}
 	i := 0
 	if allocs := testing.AllocsPerRun(len(persons), func() {
-		buf, _ = s.Serialize(buf[:0], persons[i%len(persons)])
-		buf, _ = s.DeepText(buf[:0], persons[i%len(persons)])
+		buf, _ = s.Serialize(nil, buf[:0], persons[i%len(persons)])
+		buf, _ = s.DeepText(nil, buf[:0], persons[i%len(persons)])
 		i++
 	}); allocs != 0 {
 		t.Fatalf("Serialize + DeepText of a person into a warmed buffer: %v allocations", allocs)

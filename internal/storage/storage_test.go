@@ -150,7 +150,7 @@ func TestTextAndDeepText(t *testing.T) {
 		t.Fatalf("person summary: %+v", sn)
 	}
 	p0 := sn.Extent[0]
-	txt, err := s.DeepText(nil, p0)
+	txt, err := s.DeepText(nil, nil, p0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSummaryExtentsPartitionElements(t *testing.T) {
 func TestSerializeSubtree(t *testing.T) {
 	s := loadTiny(t)
 	sn := s.Sum.Lookup("/site/people/person")
-	out, err := s.Serialize(nil, sn.Extent[1])
+	out, err := s.Serialize(nil, nil, sn.Extent[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSerializeSubtree(t *testing.T) {
 
 func TestSerializeWholeDocumentRoundTrips(t *testing.T) {
 	s := loadTiny(t)
-	out, err := s.Serialize(nil, 1)
+	out, err := s.Serialize(nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +279,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	if s2.NumNodes() != s.NumNodes() || len(s2.Containers) != len(s.Containers) {
 		t.Fatal("shape mismatch after reload")
 	}
-	o1, _ := s.Serialize(nil, 1)
-	o2, err := s2.Serialize(nil, 1)
+	o1, _ := s.Serialize(nil, nil, 1)
+	o2, err := s2.Serialize(nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestXMarkRoundTripThroughStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Serialize(nil, 1)
+	out, err := s.Serialize(nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,14 +458,14 @@ func TestMixedContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Serialize(nil, 1)
+	out, err := s.Serialize(nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(out) != doc {
 		t.Fatalf("mixed content reconstruction = %s", out)
 	}
-	txt, _ := s.DeepText(nil, 1)
+	txt, _ := s.DeepText(nil, nil, 1)
 	if string(txt) != "hello bold world" {
 		t.Fatalf("DeepText = %q", txt)
 	}
@@ -545,7 +545,7 @@ func TestEmptyAttributeValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.Serialize(nil, 1)
+	out, err := s.Serialize(nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ type Store struct {
 	// names are stored with an '@' prefix; "#text" is the value tag.
 	Names   []string
 	nameIdx map[string]uint16
+	attrs   []uint64 // per tag code, one bit: the name is an attribute's (attrFlags)
 
 	succ *SuccinctStructure
 
@@ -49,6 +50,18 @@ func (s *Store) Code(name string) (uint16, bool) {
 
 // Name returns the name for a dictionary code.
 func (s *Store) Name(code uint16) string { return s.Names[code] }
+
+// attrFlags returns the attribute bit of every name, by tag code: what the
+// serializing sweep reads per node instead of the name's first byte.
+func attrFlags(names []string) []uint64 {
+	flags := make([]uint64, (len(names)+63)/64)
+	for code, name := range names {
+		if isAttrName(name) {
+			flags[code/64] |= 1 << (code % 64)
+		}
+	}
+	return flags
+}
 
 // dictionary builds a name dictionary: codes in first-seen order, which
 // is the order every builder of one has to agree on (Load, a pre-seeded
@@ -127,7 +140,10 @@ func (s *Store) TagCodeOf(id NodeID) uint16 { return s.succ.tags[id-1] }
 func (s *Store) TagOf(id NodeID) string { return s.Names[s.TagCodeOf(id)] }
 
 // IsAttr reports whether the node is an attribute node.
-func (s *Store) IsAttr(id NodeID) bool { return isAttrName(s.TagOf(id)) }
+func (s *Store) IsAttr(id NodeID) bool {
+	code := s.TagCodeOf(id)
+	return s.attrs[code>>6]>>(code&63)&1 == 1
+}
 
 // HasText reports whether the node has at least one immediate text
 // value (for attribute nodes: the attribute value). c, when not nil, is
@@ -179,13 +195,19 @@ func (s *Store) TextRefs(c *TextCursor, dst []ValueRef, id NodeID) []ValueRef {
 
 // DeepText appends the decompressed concatenation of every text value in
 // the subtree of id (document order) — the string value of an element.
-func (s *Store) DeepText(dst []byte, id NodeID) ([]byte, error) {
-	return s.succ.sweep(s.Names, s.Containers, dst, id, false)
+// c is as for Text: the sweep's start is located through it.
+func (s *Store) DeepText(c *TextCursor, dst []byte, id NodeID) ([]byte, error) {
+	return s.succ.sweep(c, s.Names, s.attrs, s.Containers, dst, id, false)
 }
 
 // Serialize appends the XML reconstruction of the subtree rooted at id.
 // This is the XMLSerialize operator's core: the only place where whole
-// subtrees are decompressed.
-func (s *Store) Serialize(dst []byte, id NodeID) ([]byte, error) {
-	return s.succ.sweep(s.Names, s.Containers, dst, id, true)
+// subtrees are decompressed. c, when not nil, is the caller's cursor, as
+// for Text: a run that serializes the subtrees a FOR hands out in
+// document order passes the same one every time, and each sweep finds
+// its start by walking forward from the previous one (TextCursor).
+// Without one the sweep is located cold. The bytes are the same either
+// way.
+func (s *Store) Serialize(c *TextCursor, dst []byte, id NodeID) ([]byte, error) {
+	return s.succ.sweep(c, s.Names, s.attrs, s.Containers, dst, id, true)
 }

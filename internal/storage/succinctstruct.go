@@ -71,12 +71,13 @@ func (t *SuccinctStructure) arrays() *succinctArrays {
 func (t *SuccinctStructure) numNodes() int { return t.isNode.Ones() }
 
 // TextCursor carries one run's position in the structure from one
-// immediate-text lookup to the next (Store.Text, TextRefs, HasText,
-// SoleText): a select scanner over the node marks, one over the parens,
-// and the last node found — its NodeID, open ordinal k and, once asked
-// for, paren position q. A lookup at or a little after the previous one in
-// document order — the next binding of a FOR, the next owner of a text()
-// step — walks forward from there for a popcount or two; any other
+// lookup to the next (Store.Text, TextRefs, HasText, SoleText, and the
+// sweeps of Serialize and DeepText): a select scanner over the node
+// marks, one over the parens, and the last node found — its NodeID, open
+// ordinal k and, once asked for, paren position q. A lookup at or a
+// little after the previous one in document order — the next binding of
+// a FOR, the next owner of a text() step, the next subtree a FOR hands
+// out — walks forward from there for a popcount or two; any other
 // re-seeds with Select1, as a lookup without a cursor does. The zero value
 // is ready. A cursor is tied to the structure it was last used on and
 // starts over on any other; it must not be shared between goroutines.
@@ -107,17 +108,24 @@ func (t *SuccinctStructure) ordinal(c *TextCursor, id NodeID) int {
 // child, and the node marks before that ordinal when known (-1 when not).
 type leafWalk struct{ q, ord, nodes int }
 
-// leaves starts a leafWalk at the first child of id. The marks before it
-// are id's own and those before id: id of them.
-func (t *SuccinctStructure) leaves(c *TextCursor, id NodeID) leafWalk {
-	k := t.ordinal(c, id)
+// open returns the open ordinal and open paren of id: through c when c
+// is not nil, else with two cold Select1s.
+func (t *SuccinctStructure) open(c *TextCursor, id NodeID) (k, q int) {
+	k = t.ordinal(c, id)
 	if c == nil {
-		return leafWalk{q: t.pv.Select1(k) + 1, ord: k + 1, nodes: int(id)}
+		return k, t.pv.Select1(k)
 	}
 	if c.q < 0 {
 		c.q = c.parens.Seek(k)
 	}
-	return leafWalk{q: c.q + 1, ord: k + 1, nodes: int(id)}
+	return k, c.q
+}
+
+// leaves starts a leafWalk at the first child of id. The marks before it
+// are id's own and those before id: id of them.
+func (t *SuccinctStructure) leaves(c *TextCursor, id NodeID) leafWalk {
+	k, q := t.open(c, id)
+	return leafWalk{q: q + 1, ord: k + 1, nodes: int(id)}
 }
 
 // nextLeaf returns the value-ref index of the node's next immediate text
@@ -186,21 +194,25 @@ func (t *SuccinctStructure) textRefs(c *TextCursor, dst []ValueRef, id NodeID) [
 // sweep appends the subtree of id to dst in one forward pass over its
 // paren range: as XML when markup is set (Store.Serialize), else as the
 // element's string value — text leaves only, attribute children skipped
-// (Store.DeepText). A subtree is a contiguous range whose node marks, tag
-// codes and value refs are consumed strictly in order, so the pass keeps
-// three running ordinals (pre-order consecutivity: each open is the next
-// tag or the next value ref) and never selects, ranks or finds a close
-// again after locating the open of id: a close paren pops the stack of
-// open tag codes, and the pass ends when that empties. Values are decoded straight into dst and escaped
-// there. The walk trusts that the parens balance, that a text leaf is
-// "()", and that marks, tags, value refs and record indexes are in range
-// — which deriveFromSuccinct proved of every structure that got here.
-func (t *SuccinctStructure) sweep(names []string, conts []*Container, dst []byte, id NodeID, markup bool) ([]byte, error) {
+// (Store.DeepText). The open ordinal and open paren of id are located
+// through the caller's cursor c (TextCursor) — subtrees handed out in
+// document order each walk forward from the last — or, when c is nil,
+// with two cold Select1s. A subtree is a contiguous range whose node
+// marks, tag codes and value refs are consumed strictly in order, so the
+// pass keeps three running ordinals (pre-order consecutivity: each open
+// is the next tag or the next value ref) and never selects, ranks or
+// finds a close again after locating the open of id: a close paren pops
+// the stack of open tag codes, and the pass ends when that empties.
+// Whether a tag is an attribute's is read from attrs, one bit per tag
+// code. Values are decoded straight into dst and escaped there. The walk
+// trusts that the parens balance, that a text leaf is "()", and that
+// marks, tags, value refs and record indexes are in range — which
+// deriveFromSuccinct proved of every structure that got here.
+func (t *SuccinctStructure) sweep(c *TextCursor, names []string, attrs []uint64, conts []*Container, dst []byte, id NodeID, markup bool) ([]byte, error) {
 	words, marks := t.pv.Words(), t.isNode.Words()
-	ord := t.isNode.Select1(int(id) - 1) // ordinal of the next open paren
-	p := t.pv.Select1(ord)               // position of the next paren
-	node := int(id) - 1                  // marked opens before ord: index of the next tag
-	leaf := ord - node                   // unmarked opens before ord: index of the next value ref
+	ord, p := t.open(c, id) // ordinal and position of the next open paren
+	node := int(id) - 1     // marked opens before ord: index of the next tag
+	leaf := ord - node      // unmarked opens before ord: index of the next value ref
 	var fixed [64]uint16
 	stack := fixed[:0] // tag codes of the open nodes
 	// tagOpen: the start tag of the innermost open element still lacks
@@ -236,9 +248,9 @@ func (t *SuccinctStructure) sweep(names []string, conts []*Container, dst []byte
 		if marks[ord>>6]>>(uint(ord)&63)&1 == 1 {
 			code := t.tags[node]
 			node++
-			name := names[code]
-			attr = isAttrName(name)
+			attr = attrs[code>>6]>>(code&63)&1 == 1
 			if markup {
+				name := names[code]
 				if attr {
 					if len(stack) > 0 {
 						dst = append(dst, ' ')
@@ -263,9 +275,9 @@ func (t *SuccinctStructure) sweep(names []string, conts []*Container, dst []byte
 					tagOpen = false
 				}
 				from := len(dst)
-				c := conts[t.valCont[leaf]]
+				cont := conts[t.valCont[leaf]]
 				decoded++
-				if dst, err = c.codec.Decode(dst, c.vals[t.valIdx[leaf]]); err != nil {
+				if dst, err = cont.codec.Decode(dst, cont.vals[t.valIdx[leaf]]); err != nil {
 					break
 				}
 				if markup {

@@ -99,11 +99,14 @@ func skipDocs(t *testing.T) map[string][]byte {
 }
 
 // TestTextCursorMatchesColdLookups holds Text, TextRefs and HasText
-// without a cursor to the record oracle, and the same lookups and — at
-// the instances of summary nodes whose Shape is Sole — SoleText through
-// one cursor to the lookups without one, at every node, visited in
-// ascending, descending and random order, with each node asked twice in
-// a row now and then (the cursor's remembered node).
+// without a cursor to the record oracle, and the same lookups, the
+// Serialize and DeepText sweeps and — at the instances of summary nodes
+// whose Shape is Sole — SoleText through one cursor to the calls without
+// one, at every node, visited in ascending, descending and random order,
+// with each node asked twice in a row now and then (the cursor's
+// remembered node). A sweep comes before the text lookups at one node
+// and after them at the next, so each finds the cursor left where the
+// other left it.
 func TestTextCursorMatchesColdLookups(t *testing.T) {
 	for name, s := range cursorStores(t) {
 		var text []byte
@@ -132,10 +135,29 @@ func TestTextCursorMatchesColdLookups(t *testing.T) {
 		for order, ids := range map[string][]NodeID{"ascending": ids, "descending": desc, "random": random} {
 			var c TextCursor
 			var got, want []byte
+			sweeps := func(i int, id NodeID) {
+				var gerr, werr error
+				for _, markup := range []bool{i%2 == 0, i%2 != 0} {
+					if markup {
+						got, gerr = s.Serialize(&c, got[:0], id)
+						want, werr = s.Serialize(nil, want[:0], id)
+					} else {
+						got, gerr = s.DeepText(&c, got[:0], id)
+						want, werr = s.DeepText(nil, want[:0], id)
+					}
+					if gerr != nil || werr != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s %s: sweep of %d (markup %v) through the cursor = %.200q (%v), cold %.200q (%v)",
+							name, order, id, markup, got, gerr, want, werr)
+					}
+				}
+			}
 			for i, id := range ids {
 				asks := 1
 				if i%3 == 2 {
 					asks = 2 // the node the cursor remembers
+				}
+				if i%2 == 0 {
+					sweeps(i, id)
 				}
 				for range asks {
 					if s.HasText(&c, id) != s.HasText(nil, id) {
@@ -159,6 +181,9 @@ func TestTextCursorMatchesColdLookups(t *testing.T) {
 					if got, gerr = s.SoleText(nil, got[:0], id); gerr != nil || !bytes.Equal(got, want) {
 						t.Fatalf("%s %s: SoleText(%d) = %q (%v), Text %q", name, order, id, got, gerr, want)
 					}
+				}
+				if i%2 != 0 {
+					sweeps(i, id)
 				}
 			}
 		}

@@ -145,7 +145,7 @@ func (v *Values) Textual(paths []string) (names []string, plains [][][]byte) {
 // opened file proves the result and builds its summary. Nothing is
 // serialized. Store uses the values up: call it once.
 func (v *Values) Store(plan *CompressionPlan) (*Store, error) {
-	s := &Store{Names: v.names, nameIdx: v.nameIdx, Models: map[string]GroupModel{}, OriginalSize: v.size}
+	s := &Store{Names: v.names, nameIdx: v.nameIdx, attrs: attrFlags(v.names), Models: map[string]GroupModel{}, OriginalSize: v.size}
 	s.Build.Parse = v.parse
 	mappings, err := s.buildContainers(v.lists, plan)
 	if err != nil {

@@ -9,6 +9,7 @@ package xmlparser
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"unicode/utf8"
@@ -534,10 +535,46 @@ func EscapeAttr[S string | []byte](dst []byte, s S) []byte {
 
 // EscapeTextFrom escapes dst[from:] in place as text content — for a
 // value that was decoded straight into the output buffer.
-func EscapeTextFrom(dst []byte, from int) []byte { return escapeFrom(dst, from, &textEsc) }
+func EscapeTextFrom(dst []byte, from int) []byte {
+	return escapeFrom(dst, cleanText(dst, from), &textEsc)
+}
 
 // EscapeAttrFrom is EscapeTextFrom for a double-quoted attribute value.
-func EscapeAttrFrom(dst []byte, from int) []byte { return escapeFrom(dst, from, &attrEsc) }
+func EscapeAttrFrom(dst []byte, from int) []byte {
+	return escapeFrom(dst, cleanAttr(dst, from), &attrEsc)
+}
+
+// The word skips ahead of escapeFrom: eight bytes at a time, a word goes
+// by when none of its bytes is one the table replaces. A byte equal to c
+// is a zero byte of w^(c*ones), and hasZero is exact as a test for one;
+// OR-ing bit 1 (bit 2) into every byte first folds '<' and '>' ('"' and
+// '&', '\t' and '\r') into one comparison, matching no other byte.
+const ones, highs = 0x0101010101010101, 0x8080808080808080
+
+func hasZero(w uint64) uint64 { return (w - ones) &^ w & highs }
+
+// cleanText returns the offset of the first word of b[i:] that holds a
+// byte textEsc replaces, or of its tail shorter than a word.
+func cleanText(b []byte, i int) int {
+	for ; i+8 <= len(b); i += 8 {
+		w := binary.LittleEndian.Uint64(b[i:])
+		if hasZero((w|2*ones)^'>'*ones)|hasZero(w^'&'*ones)|hasZero(w^'\r'*ones) != 0 {
+			break
+		}
+	}
+	return i
+}
+
+// cleanAttr is cleanText for attrEsc.
+func cleanAttr(b []byte, i int) int {
+	for ; i+8 <= len(b); i += 8 {
+		w := binary.LittleEndian.Uint64(b[i:])
+		if hasZero((w|4*ones)^'&'*ones)|hasZero((w|4*ones)^'\r'*ones)|hasZero(w^'\n'*ones)|hasZero(w^'<'*ones) != 0 {
+			break
+		}
+	}
+	return i
+}
 
 // escapeFrom is the one escaper: a scan of dst[from:] that, for the
 // usual value without a special byte, is all there is; otherwise dst

@@ -33,7 +33,8 @@ type Results struct {
 
 // Item is one result item. It is a lightweight handle — a stored node
 // reference, atom, or constructed fragment — whose value bytes are
-// decompressed only when XML/AppendXML is called.
+// decompressed only when XML/AppendXML is called. The items of one
+// Results may be serialized from several goroutines at once.
 type Item struct {
 	res *engine.Result
 	it  engine.Item

@@ -317,7 +317,7 @@ func (db *Database) Bytes() []byte { return db.store.AppendBinary(nil) }
 // Decompress reconstructs the original XML document (modulo
 // insignificant whitespace) from the compressed repository — for a
 // segmented database, the corpus its segments concatenate to.
-func (db *Database) Decompress() ([]byte, error) { return db.store.Serialize(nil, 1) }
+func (db *Database) Decompress() ([]byte, error) { return db.store.Serialize(nil, nil, 1) }
 
 // QueryOptions configures one evaluation. Every field is ignored: a
 // query runs on its caller's goroutine, serially, and its results are

@@ -64,7 +64,7 @@ func answer(t *testing.T, db *Database, q string) string {
 // against.
 func reingest(tb testing.TB, set *partition.Set) *storage.Store {
 	tb.Helper()
-	xml, err := set.Store().Serialize(nil, 1)
+	xml, err := set.Store().Serialize(nil, nil, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}

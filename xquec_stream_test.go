@@ -325,6 +325,71 @@ func TestConcurrentStreamIterators(t *testing.T) {
 	}
 }
 
+// TestItemsSerializeConcurrently serializes the items of one Results —
+// whole subtrees, swept through the Results' own text cursor — from
+// eight goroutines at once, each in its own order, through XML and
+// AppendXML (meaningful under -race): every rendering must equal the
+// item's cold serialization.
+func TestItemsSerializeConcurrently(t *testing.T) {
+	db, err := Compress(datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 3}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Execute(context.Background(), `FOR $p IN /site/people/person RETURN $p`, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	var items []Item
+	var want []string
+	for {
+		it, ok, err := res.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		cold, err := db.store.Serialize(nil, nil, it.it.(storage.NodeID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		items, want = append(items, it), append(want, string(cold))
+	}
+	if len(items) < 20 {
+		t.Fatalf("%d persons", len(items))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var buf []byte
+			for k := range items {
+				i := (k*(2*w+1) + w) % len(items) // an order of its own per goroutine
+				var got string
+				var err error
+				if w%2 == 0 {
+					got, err = items[i].XML()
+				} else {
+					buf, err = items[i].AppendXML(buf[:0])
+					got = string(buf)
+				}
+				if err != nil || got != want[i] {
+					errs <- fmt.Errorf("goroutine %d: item %d = %.80q (%v), cold %.80q", w, i, got, err, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 func TestErrorSentinels(t *testing.T) {
 	db := streamDB(t, 3)
 
