@@ -115,8 +115,10 @@ bench-smoke:
 # (FuzzBPNavigation), the select scanner behind the text cursor against
 # Select1 in any order (FuzzSelectScannerSeek) and the bulk sweeps
 # against the record oracle (FuzzBulkNavigation) — the
-# repository loader (hostile bytes behind a repaired checksum), the ALM
-# model loader (what it accepts must build on first use), the XML
+# repository loader (hostile bytes behind a repaired checksum), the
+# model loaders — ALM's (what it accepts must build on first use) and
+# Huffman's and Hu-Tucker's (what they accept must round-trip any value
+# as the bit-at-a-time reference code does) — the XML
 # scanner under the ingest loader (hostile documents) and the output
 # escapers' word skip against a byte-at-a-time oracle (FuzzEscape). Not part of
 # tier-1 `check`; the targets' seed corpora still run under plain
@@ -137,6 +139,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBulkNavigation -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzLoadBinary -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzALMLoadModel -fuzztime 5s ./internal/compress/alm/
+	$(GO) test -run '^$$' -fuzz FuzzHuffmanLoadModel -fuzztime 5s ./internal/compress/huffman/
+	$(GO) test -run '^$$' -fuzz FuzzHuTuckerLoadModel -fuzztime 5s ./internal/compress/hutucker/
 	$(GO) test -run '^$$' -fuzz FuzzSAX -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzEscape -fuzztime 5s ./internal/xmlparser/
 

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,6 +93,89 @@ func TestErrors(t *testing.T) {
 	if err := cmdQuery([]string{"-q", "for $x in", repo}); err == nil {
 		t.Fatal("bad query accepted")
 	}
+}
+
+// stdout runs fn with os.Stdout redirected into a pipe and returns what
+// it printed.
+func stdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	err = fn()
+	os.Stdout = saved
+	w.Close()
+	s := <-out
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestAppendCompact appends two documents to a repository, then
+// compacts the set, and checks after each step that queries print what
+// they print over the concatenated document compressed at once.
+func TestAppendCompact(t *testing.T) {
+	doc, repo := setup(t)
+	dir := filepath.Dir(doc)
+	frags := []string{
+		`<site><people><person id="p2"><name>Carol</name><age>41</age></person></people></site>`,
+		`<site><regions><item id="i0"><name>gold watch</name></item></regions></site>`,
+	}
+	args := []string{repo}
+	for i, f := range frags {
+		path := filepath.Join(dir, fmt.Sprintf("frag%d.xml", i))
+		if err := os.WriteFile(path, []byte(f), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args = append(args, path)
+	}
+	whole := filepath.Join(dir, "whole.xml")
+	concat := strings.TrimSuffix(testDoc, "</site>")
+	for _, f := range frags {
+		concat += strings.TrimSuffix(strings.TrimPrefix(f, "<site>"), "</site>")
+	}
+	if err := os.WriteFile(whole, []byte(concat+"</site>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wholeRepo := filepath.Join(dir, "whole.xqc")
+	if err := cmdCompress([]string{"-o", wholeRepo, whole}); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		`count(/site//person)`,
+		`/site/people/person/name/text()`,
+		`for $p in /site/people/person where $p/age > 26 return $p/name`,
+		`/site/regions/item[@id = "i0"]/name`,
+	}
+	check := func(step, set string) {
+		t.Helper()
+		for _, q := range queries {
+			got := stdout(t, func() error { return cmdQuery([]string{"-q", q, set}) })
+			want := stdout(t, func() error { return cmdQuery([]string{"-q", q, wholeRepo}) })
+			if got != want || want == "" {
+				t.Errorf("%s: %s prints %q, want %q", step, q, got, want)
+			}
+		}
+		got := stdout(t, func() error { return cmdDecompress([]string{set}) })
+		if want := stdout(t, func() error { return cmdDecompress([]string{wholeRepo}) }); got != want {
+			t.Errorf("%s: decompress prints %q, want %q", step, got, want)
+		}
+	}
+	stdout(t, func() error { return cmdAppend(args) })
+	set := strings.TrimSuffix(repo, ".xqc") + ".xqcg"
+	check("append", set)
+	stdout(t, func() error { return cmdAppend([]string{"-compact", set}) })
+	check("compact", set)
 }
 
 // TestQueryParseErrorLineColumn: a query that fails to parse on its third

@@ -15,6 +15,9 @@
 // bit-at-a-time entry points (WriteBit/ReadBit) are retained — they
 // interoperate with the word paths and serve as the differential-test
 // reference.
+//
+// PrefixCode, built on both ends, is the one code table, encoder and
+// decoder of the two entropy coders.
 package bitio
 
 import (

@@ -4,25 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"xquec/internal/compress/bitio"
 )
-
-// encodeBitwise is the bit-at-a-time reference encoder: one WriteBit
-// per code bit, the exact loop the word-at-a-time Encode replaced.
-func encodeBitwise(c *Codec, value []byte) []byte {
-	w := bitio.NewWriter(len(value)/2 + 2)
-	emit := func(code uint64, n int) {
-		for i := n - 1; i >= 0; i-- {
-			w.WriteBit(uint(code>>uint(i)) & 1)
-		}
-	}
-	for _, b := range value {
-		emit(c.codes[b], int(c.lengths[b]))
-	}
-	emit(c.codes[eosSymbol], int(c.lengths[eosSymbol]))
-	return append([]byte(nil), w.Bytes()...)
-}
 
 // diffCorpora returns randomized corpora with distinct byte
 // distributions, so the differential tests cover shallow and deep code
@@ -84,45 +66,47 @@ func sameError(a, b error) bool {
 	return a == nil || a.Error() == b.Error()
 }
 
-// TestDifferentialKernels locks the word-at-a-time kernels to the
-// bit-at-a-time references: byte-identical encodes, identical decodes,
-// and identical errors on truncated and bit-flipped input.
+// TestDifferentialKernels locks the shared word-at-a-time kernels of
+// bitio.PrefixCode to the bit-at-a-time canonical reference:
+// byte-identical encodes, identical decodes, and identical errors on
+// truncated and bit-flipped input.
 func TestDifferentialKernels(t *testing.T) {
 	for name, corpus := range diffCorpora(41) {
 		t.Run(name, func(t *testing.T) {
 			c := train(t, corpus)
+			ref := referenceOf(c)
 			rng := rand.New(rand.NewSource(17))
 			for _, v := range corpus {
 				enc, err := c.Encode(nil, v)
 				if err != nil {
 					t.Fatalf("Encode(%q): %v", v, err)
 				}
-				if ref := encodeBitwise(c, v); !bytes.Equal(enc, ref) {
-					t.Fatalf("encode mismatch for %q:\n fast %x\n ref  %x", v, enc, ref)
+				if want := ref.encode(v); !bytes.Equal(enc, want) {
+					t.Fatalf("encode mismatch for %q:\n fast %x\n ref  %x", v, enc, want)
 				}
-				assertSameDecode(t, c, enc)
+				assertSameDecode(t, c, ref, enc)
 				// Truncations at every byte boundary.
 				for cut := 0; cut < len(enc); cut++ {
-					assertSameDecode(t, c, enc[:cut])
+					assertSameDecode(t, c, ref, enc[:cut])
 				}
 				// Bit-flip corruptions.
 				for k := 0; k < 4 && len(enc) > 0; k++ {
 					bad := append([]byte(nil), enc...)
 					bad[rng.Intn(len(bad))] ^= 1 << uint(rng.Intn(8))
-					assertSameDecode(t, c, bad)
+					assertSameDecode(t, c, ref, bad)
 				}
 			}
 		})
 	}
 }
 
-func assertSameDecode(t *testing.T, c *Codec, enc []byte) {
+func assertSameDecode(t *testing.T, c *Codec, ref *reference, enc []byte) {
 	t.Helper()
 	got, errGot := c.Decode(nil, enc)
-	ref, errRef := c.DecodeReference(nil, enc)
-	if !bytes.Equal(got, ref) || !sameError(errGot, errRef) {
+	want, errRef := ref.decode(nil, enc)
+	if !bytes.Equal(got, want) || !sameError(errGot, errRef) {
 		t.Fatalf("decode mismatch on %x:\n fast %q err=%v\n ref  %q err=%v",
-			enc, got, errGot, ref, errRef)
+			enc, got, errGot, want, errRef)
 	}
 }
 
@@ -170,8 +154,9 @@ func TestDecodeTableCoversAllLengths(t *testing.T) {
 		}
 	}
 	c := train(t, values)
+	ref := referenceOf(c)
 	deep := uint8(0)
-	for _, l := range c.lengths {
+	for _, l := range ref.lengths {
 		if l > deep {
 			deep = l
 		}
@@ -187,12 +172,12 @@ func TestDecodeTableCoversAllLengths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref := encodeBitwise(c, v); !bytes.Equal(enc, ref) {
+		if !bytes.Equal(enc, ref.encode(v)) {
 			t.Fatalf("deep-code encode mismatch for %x", v)
 		}
-		assertSameDecode(t, c, enc)
+		assertSameDecode(t, c, ref, enc)
 		for cut := 0; cut < len(enc); cut++ {
-			assertSameDecode(t, c, enc[:cut])
+			assertSameDecode(t, c, ref, enc[:cut])
 		}
 	}
 }

@@ -17,6 +17,15 @@ var fuzzCodec = sync.OnceValues(func() (*Codec, error) {
 	})
 })
 
+// fuzzRef is fuzzCodec's reference code.
+var fuzzRef = sync.OnceValue(func() *reference {
+	c, err := fuzzCodec()
+	if err != nil {
+		panic(err)
+	}
+	return referenceOf(c)
+})
+
 // FuzzHuffmanRoundtrip checks, for arbitrary byte strings, that the
 // word-at-a-time kernels round-trip and agree with the bit-at-a-time
 // references byte for byte. Seeds run under plain `go test`.
@@ -31,22 +40,29 @@ func FuzzHuffmanRoundtrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("train: %v", err)
 		}
-		enc, err := c.Encode(nil, data)
-		if err != nil {
-			t.Fatalf("Encode(%q): %v", data, err)
-		}
-		if ref := encodeBitwise(c, data); !bytes.Equal(enc, ref) {
-			t.Fatalf("encode mismatch: fast %x ref %x", enc, ref)
-		}
-		dec, err := c.Decode(nil, enc)
-		if err != nil || !bytes.Equal(dec, data) {
-			t.Fatalf("round trip %q -> %q (%v)", data, dec, err)
-		}
-		ref, refErr := c.DecodeReference(nil, enc)
-		if refErr != nil || !bytes.Equal(ref, data) {
-			t.Fatalf("reference decode %q -> %q (%v)", data, ref, refErr)
-		}
+		assertRoundTrip(t, c, fuzzRef(), data)
 	})
+}
+
+// assertRoundTrip checks that data encodes as the reference encodes it
+// and that both decoders give it back.
+func assertRoundTrip(t *testing.T, c *Codec, ref *reference, data []byte) {
+	t.Helper()
+	enc, err := c.Encode(nil, data)
+	if err != nil {
+		t.Fatalf("Encode(%q): %v", data, err)
+	}
+	if want := ref.encode(data); !bytes.Equal(enc, want) {
+		t.Fatalf("encode mismatch: fast %x ref %x", enc, want)
+	}
+	dec, err := c.Decode(nil, enc)
+	if err != nil || !bytes.Equal(dec, data) {
+		t.Fatalf("round trip %q -> %q (%v)", data, dec, err)
+	}
+	dec, err = ref.decode(nil, enc)
+	if err != nil || !bytes.Equal(dec, data) {
+		t.Fatalf("reference decode %q -> %q (%v)", data, dec, err)
+	}
 }
 
 // FuzzHuffmanDecodeGarbage feeds arbitrary bytes to both decoders and
@@ -60,11 +76,29 @@ func FuzzHuffmanDecodeGarbage(f *testing.F) {
 		if err != nil {
 			t.Fatalf("train: %v", err)
 		}
-		got, errGot := c.Decode(nil, enc)
-		ref, errRef := c.DecodeReference(nil, enc)
-		if !bytes.Equal(got, ref) || !sameError(errGot, errRef) {
-			t.Fatalf("decode mismatch on %x:\n fast %q err=%v\n ref  %q err=%v",
-				enc, got, errGot, ref, errRef)
+		assertSameDecode(t, c, fuzzRef(), enc)
+	})
+}
+
+// FuzzHuffmanLoadModel feeds arbitrary model bytes to loadModel. Whatever
+// it accepts must write the same model back and round-trip arbitrary
+// values in agreement with the reference code built from it.
+func FuzzHuffmanLoadModel(f *testing.F) {
+	c, err := fuzzCodec()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(c.AppendModel(nil), []byte("gold watch"))
+	f.Add(bytes.Repeat([]byte{8}, numSymbols), []byte{0x00, 0xff}) // 256 codes of 8 bits, one left over
+	f.Add(bytes.Repeat([]byte{9}, numSymbols), []byte("a"))        // an incomplete code
+	f.Fuzz(func(t *testing.T, model, value []byte) {
+		c, err := loadModel(model)
+		if err != nil {
+			return
 		}
+		if out := c.AppendModel(nil); !bytes.Equal(out, model) {
+			t.Fatalf("model %x writes %x", model, out)
+		}
+		assertRoundTrip(t, c, referenceOf(c), value)
 	})
 }

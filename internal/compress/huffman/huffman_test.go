@@ -128,12 +128,19 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 	if _, err := loadModel([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short model accepted")
 	}
-	bad := make([]byte, numSymbols)
-	for i := range bad {
-		bad[i] = 1 // 257 symbols of length 1 violates Kraft
-	}
+	bad := bytes.Repeat([]byte{1}, numSymbols) // 257 codes of length 1 overfill the code space
 	if _, err := loadModel(bad); err == nil {
 		t.Fatal("Kraft-violating model accepted")
+	}
+	// 257 codes of 9 bits fill half the code space; with byte 'a' at
+	// length 0 it would also encode "a" as "".
+	incomplete := bytes.Repeat([]byte{9}, numSymbols)
+	if _, err := loadModel(incomplete); err == nil {
+		t.Fatal("incomplete model accepted")
+	}
+	incomplete['a'] = 0
+	if _, err := loadModel(incomplete); err == nil {
+		t.Fatal("model with a zero length accepted")
 	}
 }
 
@@ -162,9 +169,9 @@ func TestSkewedFrequenciesDepthBound(t *testing.T) {
 		}
 	}
 	c := train(t, values)
-	for s := 0; s < numSymbols; s++ {
-		if c.lengths[s] > maxBits {
-			t.Fatalf("symbol %d has depth %d > %d", s, c.lengths[s], maxBits)
+	for s, l := range c.AppendModel(nil) {
+		if l > maxBits {
+			t.Fatalf("symbol %d has depth %d > %d", s, l, maxBits)
 		}
 	}
 }

@@ -4,25 +4,17 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-
-	"xquec/internal/compress/bitio"
 )
 
-// encodeBitwise is the bit-at-a-time reference encoder the
-// word-at-a-time Encode replaced: one WriteBit per code bit.
-func encodeBitwise(c *Codec, value []byte) []byte {
-	w := bitio.NewWriter(len(value)/2 + 2)
-	emit := func(code uint64, n int) {
-		for i := n - 1; i >= 0; i-- {
-			w.WriteBit(uint(code>>uint(i)) & 1)
-		}
+// mustReference is referenceOf for a codec whose levels must form an
+// alphabetic tree.
+func mustReference(t testing.TB, c *Codec) *reference {
+	t.Helper()
+	ref, err := referenceOf(c)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
 	}
-	for _, b := range value {
-		sym := int(b) + 1
-		emit(c.codes[sym], int(c.lengths[sym]))
-	}
-	emit(c.codes[0], int(c.lengths[0])) // EOS
-	return append([]byte(nil), w.Bytes()...)
+	return ref
 }
 
 func sameError(a, b error) bool {
@@ -32,19 +24,20 @@ func sameError(a, b error) bool {
 	return a == nil || a.Error() == b.Error()
 }
 
-func assertSameDecode(t *testing.T, c *Codec, enc []byte) {
+func assertSameDecode(t *testing.T, c *Codec, ref *reference, enc []byte) {
 	t.Helper()
 	got, errGot := c.Decode(nil, enc)
-	ref, errRef := c.DecodeReference(nil, enc)
-	if !bytes.Equal(got, ref) || !sameError(errGot, errRef) {
+	want, errRef := ref.decode(nil, enc)
+	if !bytes.Equal(got, want) || !sameError(errGot, errRef) {
 		t.Fatalf("decode mismatch on %x:\n fast %q err=%v\n ref  %q err=%v",
-			enc, got, errGot, ref, errRef)
+			enc, got, errGot, want, errRef)
 	}
 }
 
-// TestDifferentialKernels locks the table-driven decode and batched
-// encode to the tree-walk reference: byte-identical encodes, identical
-// decodes, identical errors on truncated and bit-flipped input.
+// TestDifferentialKernels locks bitio.PrefixCode's table-driven decode
+// and batched encode to the tree-walk reference: byte-identical
+// encodes, identical decodes, identical errors on truncated and
+// bit-flipped input.
 func TestDifferentialKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	corpora := map[string][][]byte{}
@@ -70,7 +63,7 @@ func TestDifferentialKernels(t *testing.T) {
 	corpora["uniform"] = uniform
 
 	// Heavy skew forces rare symbols past tableBits, exercising the
-	// long-code subtree resume path.
+	// long-code search.
 	skewed := make([][]byte, 300)
 	for i := range skewed {
 		b := make([]byte, 1+rng.Intn(50))
@@ -88,22 +81,23 @@ func TestDifferentialKernels(t *testing.T) {
 	for name, corpus := range corpora {
 		t.Run(name, func(t *testing.T) {
 			c := train(t, corpus)
+			ref := mustReference(t, c)
 			for _, v := range corpus {
 				enc, err := c.Encode(nil, v)
 				if err != nil {
 					t.Fatalf("Encode(%q): %v", v, err)
 				}
-				if ref := encodeBitwise(c, v); !bytes.Equal(enc, ref) {
-					t.Fatalf("encode mismatch for %q:\n fast %x\n ref  %x", v, enc, ref)
+				if want := ref.encode(v); !bytes.Equal(enc, want) {
+					t.Fatalf("encode mismatch for %q:\n fast %x\n ref  %x", v, enc, want)
 				}
-				assertSameDecode(t, c, enc)
+				assertSameDecode(t, c, ref, enc)
 				for cut := 0; cut < len(enc); cut++ {
-					assertSameDecode(t, c, enc[:cut])
+					assertSameDecode(t, c, ref, enc[:cut])
 				}
 				for k := 0; k < 4 && len(enc) > 0; k++ {
 					bad := append([]byte(nil), enc...)
 					bad[rng.Intn(len(bad))] ^= 1 << uint(rng.Intn(8))
-					assertSameDecode(t, c, bad)
+					assertSameDecode(t, c, ref, bad)
 				}
 			}
 		})
@@ -113,7 +107,7 @@ func TestDifferentialKernels(t *testing.T) {
 // TestLongCodePathExercised trains on an extreme distribution (one
 // dominant symbol, everything else at the frequency floor) so rare
 // codes are pushed past tableBits, then differentially checks the
-// longNodes resume path against the tree-walk reference.
+// long-code search against the tree-walk reference.
 func TestLongCodePathExercised(t *testing.T) {
 	// A doubling frequency ladder on adjacent symbols forces a chain
 	// rather than a balanced subtree, pushing rare codes deep.
@@ -122,17 +116,15 @@ func TestLongCodePathExercised(t *testing.T) {
 		values = append(values, bytes.Repeat([]byte{byte('a' + k)}, 1<<k))
 	}
 	c := train(t, values)
-	deep := uint8(0)
-	for _, l := range c.lengths {
-		if l > deep {
-			deep = l
+	ref := mustReference(t, c)
+	long := 0
+	for _, l := range ref.levels {
+		if l > tableBits {
+			long++
 		}
 	}
-	if deep <= tableBits {
-		t.Fatalf("deepest code %d ≤ tableBits %d; long path untested", deep, tableBits)
-	}
-	if len(c.longNodes) == 0 {
-		t.Fatal("no long-code subtrees recorded")
+	if long < 2 {
+		t.Fatalf("%d codes longer than tableBits %d; long-code search untested", long, tableBits)
 	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {
@@ -148,12 +140,12 @@ func TestLongCodePathExercised(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Encode: %v", err)
 		}
-		if ref := encodeBitwise(c, v); !bytes.Equal(enc, ref) {
+		if !bytes.Equal(enc, ref.encode(v)) {
 			t.Fatalf("deep-code encode mismatch for %x", v)
 		}
-		assertSameDecode(t, c, enc)
+		assertSameDecode(t, c, ref, enc)
 		for cut := 0; cut < len(enc); cut++ {
-			assertSameDecode(t, c, enc[:cut])
+			assertSameDecode(t, c, ref, enc[:cut])
 		}
 	}
 }

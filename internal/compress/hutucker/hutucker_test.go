@@ -100,11 +100,11 @@ func TestKraftEquality(t *testing.T) {
 	c := train(t, sample)
 	// A complete alphabetic tree satisfies the Kraft equality exactly.
 	var sum float64
-	for s := 0; s < numSymbols; s++ {
-		if c.lengths[s] == 0 {
+	for s, l := range c.AppendModel(nil) {
+		if l == 0 {
 			t.Fatalf("symbol %d has no code", s)
 		}
-		sum += 1 / float64(uint64(1)<<c.lengths[s])
+		sum += 1 / float64(uint64(1)<<l)
 	}
 	if sum < 0.999999 || sum > 1.000001 {
 		t.Fatalf("Kraft sum = %v, want 1", sum)
@@ -155,6 +155,13 @@ func TestLoadModelRejectsInvalid(t *testing.T) {
 	if _, err := loadModel(bad); err == nil {
 		t.Fatal("invalid level sequence accepted")
 	}
+	// Kraft-complete levels whose codes, handed out in symbol order,
+	// would not nest: symbol 1's half of the code space would start a
+	// quarter of the way in.
+	misaligned := append([]byte{2, 1, 9}, bytes.Repeat([]byte{10}, numSymbols-3)...)
+	if _, err := loadModel(misaligned); err == nil {
+		t.Fatal("misaligned level sequence accepted")
+	}
 }
 
 func TestProps(t *testing.T) {
@@ -179,9 +186,9 @@ func TestSkewedWeightsDepthBound(t *testing.T) {
 		}
 	}
 	c := train(t, values)
-	for s := 0; s < numSymbols; s++ {
-		if c.lengths[s] > maxBits {
-			t.Fatalf("symbol %d depth %d > %d", s, c.lengths[s], maxBits)
+	for s, l := range c.AppendModel(nil) {
+		if l > maxBits {
+			t.Fatalf("symbol %d depth %d > %d", s, l, maxBits)
 		}
 	}
 }

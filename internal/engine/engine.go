@@ -240,15 +240,6 @@ func (v *scope) unbind(name string, shadowed *binding) {
 	}
 }
 
-// ctxValue boxes the context item (a nil item when there is none, which
-// every consumer rejects as a non-node).
-func (v *scope) ctxValue() seq {
-	if v.ctx[0] == 0 {
-		return seq{nil}
-	}
-	return seq{v.ctx[0]}
-}
-
 // eval dispatches on the AST.
 func (e *engine) eval(expr xquery.Expr, env *scope) (seq, error) {
 	if err := e.checkCancel(); err != nil {
@@ -260,9 +251,6 @@ func (e *engine) eval(expr xquery.Expr, env *scope) (seq, error) {
 	case *xquery.NumberLit:
 		return seq{x.Val}, nil
 	case *xquery.VarRef:
-		if x.Name == "." {
-			return env.ctxValue(), nil
-		}
 		b := env.lookup(x.Name)
 		if b == nil {
 			return nil, fmt.Errorf("engine: unbound variable $%s", x.Name)

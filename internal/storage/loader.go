@@ -113,15 +113,10 @@ type ingest struct {
 	// The plaintexts are views of the document, or of slab when the
 	// document spells them with references or CDATA.
 	lists []valueList
-	sums  []sumState // by summary ID
+	texts []*SummaryNode // by summary ID: its #text child, once an instance had text
 	kids  childIndex
 	stack []openElem
 	slab  []byte // copies of the values the parser decoded into its own buffer
-}
-
-type sumState struct {
-	fan  int          // element children over all instances
-	text *SummaryNode // the #text child, once an instance had text
 }
 
 type openElem struct {
@@ -141,7 +136,6 @@ func (in *ingest) event(ev *xmlparser.Event) error {
 		var parent *SummaryNode
 		if len(in.stack) > 0 {
 			parent = in.stack[len(in.stack)-1].sn
-			in.sums[parent.ID].fan++
 		}
 		id, sn := in.open(parent, code)
 		if len(ev.Attrs) > 0 && len(in.stack)+1 == xmlparser.MaxDepth {
@@ -167,11 +161,11 @@ func (in *ingest) event(ev *xmlparser.Event) error {
 			top.text = true
 			top.sn.TextCount++
 		}
-		tsn := in.sums[top.sn.ID].text
+		tsn := in.texts[top.sn.ID]
 		if tsn == nil {
 			tsn = in.kids.addText(in.sum, top.sn)
-			in.sums = append(in.sums, sumState{})
-			in.sums[top.sn.ID].text = tsn
+			in.texts = append(in.texts, nil)
+			in.texts[top.sn.ID] = tsn
 		}
 		in.value(tsn, top.id, ev.Text, ev.Decoded)
 	}
@@ -186,8 +180,8 @@ func (in *ingest) open(parent *SummaryNode, code uint16) (NodeID, *SummaryNode) 
 	in.arr.tags = append(in.arr.tags, code)
 	id := NodeID(len(in.arr.tags))
 	sn := in.kids.child(in.sum, parent, code, in.dict.names[code])
-	if int(sn.ID) == len(in.sums) { // added just now
-		in.sums = append(in.sums, sumState{})
+	if int(sn.ID) == len(in.texts) { // added just now
+		in.texts = append(in.texts, nil)
 	}
 	sn.Extent = append(sn.Extent, id)
 	return id, sn

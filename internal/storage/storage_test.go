@@ -500,9 +500,6 @@ func TestStatsPopulated(t *testing.T) {
 	if sn.Count != 1 {
 		t.Fatalf("people count = %d", sn.Count)
 	}
-	if sn.AvgFan != 3 { // three person children
-		t.Fatalf("people avg fan = %v", sn.AvgFan)
-	}
 }
 
 func TestValueShareAgainstParser(t *testing.T) {

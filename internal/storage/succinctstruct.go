@@ -368,20 +368,10 @@ func (s *Store) deriveFromSuccinct() error {
 		contByPath[c.Path] = int32(i)
 	}
 	// Summary children are found by tag code (kids), never by name. Per
-	// summary node, by ID: element children seen (the fan-out total) and
-	// the summary node its instances' text values fall under.
+	// summary node, by ID: the summary node its instances' text values
+	// fall under.
 	var kids childIndex
-	type sumInfo struct {
-		fan  int
-		text *SummaryNode
-	}
-	var infos []sumInfo
-	info := func(sn *SummaryNode) *sumInfo {
-		for len(infos) <= int(sn.ID) {
-			infos = append(infos, sumInfo{})
-		}
-		return &infos[sn.ID]
-	}
+	var texts []*SummaryNode
 
 	// textNode resolves, once per summary node, where the values of its
 	// instances live: the node itself for an attribute, its #text child
@@ -439,9 +429,6 @@ func (s *Store) deriveFromSuccinct() error {
 			}
 			sn := kids.child(sum, psn, tagCode, tag)
 			sn.Extent = append(sn.Extent, id)
-			if psn != nil && !isAttrName(tag) {
-				info(psn).fan++
-			}
 			stack = append(stack, sframe{id: id, sn: sn})
 		} else {
 			if len(stack) == 0 {
@@ -455,14 +442,17 @@ func (s *Store) deriveFromSuccinct() error {
 				f.text = true
 				f.sn.TextCount++
 			}
-			fi := info(f.sn)
-			if fi.text == nil {
+			for len(texts) <= int(f.sn.ID) {
+				texts = append(texts, nil)
+			}
+			vsn := texts[f.sn.ID]
+			if vsn == nil {
 				var err error
-				if fi.text, err = textNode(f.sn); err != nil {
+				if vsn, err = textNode(f.sn); err != nil {
 					return err
 				}
+				texts[f.sn.ID] = vsn
 			}
-			vsn := fi.text
 			cont := s.Containers[vsn.Container]
 			idx := int(t.valIdx[vord])
 			if idx >= cont.Len() {
@@ -500,6 +490,6 @@ func (s *Store) deriveFromSuccinct() error {
 		return fmt.Errorf("storage: %d of %d container records belong to no node", records-owned, records)
 	}
 
-	sum.deriveStats(func(sn *SummaryNode) int { return info(sn).fan }, s.Containers)
+	sum.deriveStats(s.Containers)
 	return nil
 }

@@ -17,10 +17,9 @@ type SummaryNode struct {
 	Children  []*SummaryNode
 	Extent    []NodeID // document-order IDs of the instances
 	Container int32    // container of this path's values, -1 if none
-	// Cardinality/fan-out statistics gathered at load time (§2.2,
-	// "other indexes and statistics").
-	Count  int     // == len(Extent)
-	AvgFan float64 // average number of element children per instance
+	// Cardinality statistics gathered at load time (§2.2, "other
+	// indexes and statistics").
+	Count int // == len(Extent)
 	// TextCount is how many instances have at least one immediate text
 	// value (an attribute always has its value): when it equals Count, a
 	// text() step over this path keeps every instance. Derived by the same
@@ -221,16 +220,12 @@ func (ix *childIndex) addText(sum *Summary, parent *SummaryNode) *SummaryNode {
 	return sum.add(parent, "#text")
 }
 
-// deriveStats sets each node's Count, AvgFan — from fan, the element
-// children over all its instances — and its record count, once the sweep
-// that filed the document has left Extent, TextCount and the containers
-// of the value paths in place.
-func (s *Summary) deriveStats(fan func(*SummaryNode) int, conts []*Container) {
+// deriveStats sets each node's Count and its record count, once the
+// sweep that filed the document has left Extent, TextCount and the
+// containers of the value paths in place.
+func (s *Summary) deriveStats(conts []*Container) {
 	for _, sn := range s.nodes {
 		sn.Count = len(sn.Extent)
-		if sn.Count > 0 {
-			sn.AvgFan = float64(fan(sn)) / float64(sn.Count)
-		}
 		if sn.Container >= 0 {
 			sn.records = conts[sn.Container].Len()
 		}
@@ -239,9 +234,6 @@ func (s *Summary) deriveStats(fan func(*SummaryNode) int, conts []*Container) {
 
 // Nodes returns all summary nodes in creation (pre-order) order.
 func (s *Summary) Nodes() []*SummaryNode { return s.nodes }
-
-// NodeByID returns the summary node with the given ID.
-func (s *Summary) NodeByID(id int32) *SummaryNode { return s.nodes[id] }
 
 // child returns the child of parent with the given tag, or nil.
 func (s *Summary) child(parent *SummaryNode, tag string) *SummaryNode {

@@ -161,7 +161,7 @@ func (v *Values) Store(plan *CompressionPlan) (*Store, error) {
 	if in := v.in; in != nil {
 		s.succ = in.arr.build()
 		s.Sum = in.sum
-		s.Sum.deriveStats(func(sn *SummaryNode) int { return in.sums[sn.ID].fan }, s.Containers)
+		s.Sum.deriveStats(s.Containers)
 	} else {
 		t := v.succ
 		s.succ = &SuccinctStructure{pv: t.pv, isNode: t.isNode, tags: t.tags, valCont: v.list, valIdx: v.pos}

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"xquec/internal/partition"
+	"xquec/internal/storage"
 )
 
 // Writer is the repository write path: Append stages documents, Commit
@@ -130,7 +131,7 @@ func (w *Writer) commitLocked() (*Database, error) {
 	if len(w.pending) == 0 {
 		return w.db, nil
 	}
-	segs, failed, err := w.db.set.Append(w.pending, w.opts.plan)
+	segs, failed, err := w.db.set.Append(w.pending, w.plan)
 	if failed >= 0 {
 		w.pending = slices.Delete(w.pending, failed, failed+1)
 	}
@@ -161,11 +162,16 @@ func (w *Writer) Compact(ctx context.Context) (*Database, error) {
 	if len(segs.Segments.Segments) == 1 {
 		return w.db, nil
 	}
-	compacted, err := segs.Compact(ctx, w.opts.plan)
+	compacted, err := segs.Compact(ctx, w.plan)
 	if err != nil {
 		return nil, err
 	}
 	return w.publishLocked(compacted)
+}
+
+// plan chooses the plan of a write's values under the Writer's Options.
+func (w *Writer) plan(vals *storage.Values) (*CompressionPlan, error) {
+	return w.opts.plan(vals, searchSeed)
 }
 
 // publishLocked persists (when bound to a file), swaps the current

@@ -75,9 +75,6 @@ type Options struct {
 	// application's queries (the paper's setting); merged with Workload
 	// if both are set.
 	WorkloadQueries []string
-	// SearchSeed seeds the greedy search (it draws predicates at
-	// random); 0 means a fixed default, keeping runs reproducible.
-	SearchSeed int64
 	// Plan overrides the cost model entirely.
 	Plan *CompressionPlan
 	// Shards, when 2 or more, cuts the document into min(Shards, root
@@ -126,7 +123,7 @@ func Compress(doc []byte, opts Options) (*Database, error) {
 		plan := opts.Plan
 		w, err := opts.workload()
 		if err == nil && w != nil {
-			plan, err = PlanFromWorkload(doc, w, opts.SearchSeed)
+			plan, err = PlanFromWorkload(doc, w, searchSeed)
 		}
 		if err != nil {
 			return nil, err
@@ -141,7 +138,7 @@ func Compress(doc []byte, opts Options) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := opts.plan(vals)
+	plan, err := opts.plan(vals, searchSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -152,17 +149,18 @@ func Compress(doc []byte, opts Options) (*Database, error) {
 	return &Database{store: s}, nil
 }
 
+// searchSeed seeds the greedy search of Compress and Writer (it draws
+// predicates at random): fixed, so their choices are reproducible.
+const searchSeed = 20040314
+
 // plan chooses the compression plan of a write's values under o (nil =
 // per-type defaults): an explicit Plan wins, otherwise a workload runs
-// the cost-model search over the textual lists of its paths.
-func (o Options) plan(vals *storage.Values) (*CompressionPlan, error) {
+// the cost-model search, seeded with seed, over the textual lists of its
+// paths.
+func (o Options) plan(vals *storage.Values, seed int64) (*CompressionPlan, error) {
 	w, err := o.workload()
 	if err != nil || w == nil {
 		return o.Plan, err
-	}
-	seed := o.SearchSeed
-	if seed == 0 {
-		seed = 20040314 // fixed default: reproducible choices
 	}
 	infos := costmodel.Infos(vals.Textual(w.Paths()))
 	if len(infos) == 0 {
@@ -206,7 +204,7 @@ func PlanFromWorkload(doc []byte, w *Workload, seed int64) (*CompressionPlan, er
 	if err != nil {
 		return nil, err
 	}
-	return Options{Workload: w, SearchSeed: seed}.plan(vals)
+	return Options{Workload: w}.plan(vals, seed)
 }
 
 // WorkloadFromQueries derives a workload from XQuery texts by statically

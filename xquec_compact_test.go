@@ -49,7 +49,7 @@ func TestCompactEqualsReingest(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				plan, err := opts.plan(vals)
+				plan, err := opts.plan(vals, searchSeed)
 				if err != nil {
 					t.Fatal(err)
 				}
