@@ -16,7 +16,10 @@
 // partitioned segment afterwards. compress and append run the
 // compressor on GOMAXPROCS workers; the repository is the same whatever
 // their number. query, stats and decompress open a single repository or
-// a segment-set manifest alike.
+// a segment-set manifest alike. Every command given repo.xqc opens
+// repo.xqcg instead when it exists: once appended to, the repository is
+// the set. compress to repo.xqc replaces that set too: it removes
+// repo.xqcg and its segment files.
 //
 // query -explain prints the query's plan instead of evaluating it: on a
 // segment set a line naming the store it runs on, then the
@@ -45,6 +48,7 @@ import (
 	"strings"
 
 	"xquec"
+	"xquec/internal/partition"
 )
 
 // Exit codes beyond the conventional 0/1/2, distinct so scripts can
@@ -140,6 +144,14 @@ func cmdCompress(args []string) error {
 	if err := db.SaveFile(dst); err != nil {
 		return err
 	}
+	// The repository at dst is now this document alone: a segment set
+	// appended to an earlier one at dst would be read in its place.
+	if set := partition.Resolve(dst); set != dst {
+		if err := partition.Remove(set); err != nil {
+			return err
+		}
+		fmt.Printf("removed %s, the segment set appended to the earlier %s\n", set, dst)
+	}
 	st := db.Stats()
 	fmt.Printf("%s -> %s\n%s\n", in, dst, st)
 	if *verbose {
@@ -153,8 +165,8 @@ func cmdCompress(args []string) error {
 // cmdAppend grows a repository in place: each document becomes a new
 // append segment sharing the repository's name dictionary, and the set
 // is persisted as a .xqcg manifest next to the repository (queries then
-// address the manifest — or the bare name via xquecd, which prefers
-// it). -compact folds the grown set back into a single segment with the
+// read the manifest, through its own path or the .xqc one, or through
+// the bare name via xquecd, which prefers it). -compact folds the grown set back into a single segment with the
 // cost-model partitioner re-run over the whole corpus.
 func cmdAppend(args []string) error {
 	fs := flag.NewFlagSet("append", flag.ExitOnError)
@@ -169,7 +181,7 @@ func cmdAppend(args []string) error {
 		return fmt.Errorf("append needs at least one document to append (or -compact)")
 	}
 	repo := fs.Arg(0)
-	db, err := xquec.Open(repo)
+	db, path, err := open(repo)
 	if err != nil {
 		return err
 	}
@@ -177,7 +189,7 @@ func cmdAppend(args []string) error {
 	if err != nil {
 		return err
 	}
-	w.BindFile(strings.TrimSuffix(repo, ".xqc"))
+	w.BindFile(strings.TrimSuffix(path, ".xqc"))
 	for _, in := range fs.Args()[1:] {
 		doc, err := os.ReadFile(in)
 		if err != nil {
@@ -197,6 +209,16 @@ func cmdAppend(args []string) error {
 	}
 	fmt.Printf("%s: %d segments\n%s\n", repo, db.Segments(), db.Stats())
 	return nil
+}
+
+// open opens the repository at path and returns the file it opened,
+// partition.Resolve's: a repository appended to lives in the .xqcg
+// manifest next to its .xqc file, so a .xqc path whose manifest exists
+// opens the manifest, as xquecd does for a bare name.
+func open(path string) (*xquec.Database, string, error) {
+	path = partition.Resolve(path)
+	db, err := xquec.Open(path)
+	return db, path, err
 }
 
 func cmdQuery(args []string) error {
@@ -223,7 +245,7 @@ func cmdQuery(args []string) error {
 		}
 		*q = string(b)
 	}
-	db, err := xquec.Open(fs.Arg(0))
+	db, _, err := open(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -300,7 +322,7 @@ func cmdStats(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("stats needs one repository file")
 	}
-	db, err := xquec.Open(args[0])
+	db, _, err := open(args[0])
 	if err != nil {
 		return err
 	}
@@ -324,7 +346,7 @@ func cmdDecompress(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("decompress needs one repository file")
 	}
-	db, err := xquec.Open(args[0])
+	db, _, err := open(args[0])
 	if err != nil {
 		return err
 	}

@@ -178,6 +178,80 @@ func TestAppendCompact(t *testing.T) {
 	check("compact", set)
 }
 
+// TestAppendTwiceThroughXqc: a repository appended to twice through its
+// .xqc path keeps every document, and a query, stats or decompress
+// through that path reads the appended set, not the .xqc file as it was
+// compressed.
+func TestAppendTwiceThroughXqc(t *testing.T) {
+	doc, repo := setup(t)
+	dir := filepath.Dir(doc)
+	for i, name := range []string{"Carol", "Dave"} {
+		frag := filepath.Join(dir, fmt.Sprintf("frag%d.xml", i))
+		if err := os.WriteFile(frag, []byte(`<site><people><person><name>`+name+`</name></person></people></site>`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if out := stdout(t, func() error { return cmdAppend([]string{repo, frag}) }); !strings.Contains(out, fmt.Sprintf("%d segments", i+2)) {
+			t.Fatalf("append %s: %q, want %d segments", name, out, i+2)
+		}
+	}
+	if got, want := stdout(t, func() error { return cmdQuery([]string{"-q", `/site/people/person/name/text()`, repo}) }), "Alice\nBob\nCarol\nDave\n"; got != want {
+		t.Errorf("query through %s prints %q, want %q", repo, got, want)
+	}
+	set := strings.TrimSuffix(repo, ".xqc") + ".xqcg"
+	if got, want := stdout(t, func() error { return cmdDecompress([]string{repo}) }), stdout(t, func() error { return cmdDecompress([]string{set}) }); got != want {
+		t.Errorf("decompress through %s prints %q, want the set's %q", repo, got, want)
+	}
+	if got := stdout(t, func() error { return cmdStats([]string{repo}) }); !strings.Contains(got, "segments: 3") {
+		t.Errorf("stats through %s lacks \"segments: 3\":\n%s", repo, got)
+	}
+}
+
+// TestRecompressReplacesAppendedSet: compressing a document to a .xqc
+// path that was appended to replaces the whole repository there — the
+// set's manifest and segment files go — so queries through that path
+// read the new document, and a later append grows the new repository.
+func TestRecompressReplacesAppendedSet(t *testing.T) {
+	doc, repo := setup(t)
+	dir := filepath.Dir(doc)
+	write := func(name, xml string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(xml), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	people := func(names ...string) string {
+		return `<site><people><person><name>` + strings.Join(names, `</name></person><person><name>`) + `</name></person></people></site>`
+	}
+	query := func() string {
+		return stdout(t, func() error { return cmdQuery([]string{"-q", `/site/people/person/name/text()`, repo}) })
+	}
+	stdout(t, func() error { return cmdAppend([]string{repo, write("carol.xml", people("Carol"))}) })
+	if got, want := query(), "Alice\nBob\nCarol\n"; got != want {
+		t.Fatalf("after the append: %q, want %q", got, want)
+	}
+	set := strings.TrimSuffix(repo, ".xqc") + ".xqcg"
+	out := stdout(t, func() error { return cmdCompress([]string{"-o", repo, write("doc.xml", people("Eve"))}) })
+	if !strings.Contains(out, "removed "+set) {
+		t.Errorf("recompress does not report removing %s:\n%s", set, out)
+	}
+	if got, want := query(), "Eve\n"; got != want {
+		t.Errorf("after recompressing: %q, want %q", got, want)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "doc.xqcg*")); len(left) > 0 {
+		t.Errorf("the appended set is left: %v", left)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "doc.seg-*")); len(left) > 0 {
+		t.Errorf("the appended set's segments are left: %v", left)
+	}
+	if out := stdout(t, func() error { return cmdAppend([]string{repo, write("frank.xml", people("Frank"))}) }); !strings.Contains(out, "2 segments") {
+		t.Errorf("append after recompressing: %q, want 2 segments", out)
+	}
+	if got, want := query(), "Eve\nFrank\n"; got != want {
+		t.Errorf("after appending to the new repository: %q, want %q", got, want)
+	}
+}
+
 // TestQueryParseErrorLineColumn: a query that fails to parse on its third
 // line is reported on stderr with that line and column, and exits with
 // the parse-error code.

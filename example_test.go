@@ -100,15 +100,14 @@ func ExampleDatabase_Explain() {
 	}
 	fmt.Print(plan)
 	// Output:
-	// program: 8 instrs, 1 cursors, 1 domains, 1 preds (size≈1064B)
-	//   0  RESET
-	//   1  SCAN     c0 <- d0        ; /catalog/book ; StructureSummaryAccess /catalog/book (3 nodes), invariant
-	//   2  LITREST  c0, p0          ; ($b/price >= 40) ; conts /catalog/book/price/#text[decimal](3 recs) ContAccess range on compressed bytes ; cost=3.0
-	//   3  ITER     c0 -> $b, done->7
-	//   4  DEFERRED c0, fail->3
-	//   5  EVAL     e0              ; $b/title/text() ; summary-guided navigation /catalog/book/title (3 nodes), reads /title one per parent
-	//   6  EMITSEQ  done->3
-	//   7  HALT
+	// program: 7 instrs, 1 cursors, 1 domains, 1 preds (size≈1048B)
+	//   0  SCAN     c0 <- d0        ; /catalog/book ; StructureSummaryAccess /catalog/book (3 nodes), invariant
+	//   1  LITREST  c0, p0          ; ($b/price >= 40) ; conts /catalog/book/price/#text[decimal](3 recs) ContAccess range on compressed bytes ; cost=3.0
+	//   2  ITER     c0 -> $b, done->6
+	//   3  DEFERRED c0, fail->2
+	//   4  EVAL     e0              ; $b/title/text() ; summary-guided navigation /catalog/book/title (3 nodes), reads /title one per parent
+	//   5  EMITSEQ  done->2
+	//   6  HALT
 }
 
 // ExampleDatabase_Containers inspects the per-path containers and the

@@ -333,23 +333,20 @@ type Pair struct{ A, B storage.NodeID }
 
 // ContEq is ContAccess with an equality criterion evaluated in the
 // compressed domain: the document-order set of owner nodes whose value
-// equals probe. Works for every codec with eq capability; falls back to
-// a decompressing scan otherwise.
+// equals probe. The container's codec must have eq capability
+// (Props().Eq).
 func ContEq(c *storage.Container, probe []byte) (NodeSet, error) {
-	if c.Codec().Props().Eq {
-		m, err := c.FindEq(probe)
-		if err != nil {
-			// Encoding errors mean the probe value cannot occur in this
-			// container at all.
-			return nil, nil
-		}
-		ids := make([]storage.NodeID, 0, m.Count())
-		for i := 0; i < m.Count(); i++ {
-			ids = append(ids, c.Owner(m.At(i)))
-		}
-		return SortUnique(ids), nil
+	m, err := c.FindEq(probe)
+	if err != nil {
+		// Encoding errors mean the probe value cannot occur in this
+		// container at all.
+		return nil, nil
 	}
-	return ContFilter(c, func(plain []byte) bool { return bytes.Equal(plain, probe) })
+	ids := make([]storage.NodeID, 0, m.Count())
+	for i := 0; i < m.Count(); i++ {
+		ids = append(ids, c.Owner(m.At(i)))
+	}
+	return SortUnique(ids), nil
 }
 
 // Span is a stretch [Lo, Hi) of a container's records in value order:
@@ -377,16 +374,12 @@ func EqSpan(c *storage.Container, probe []byte) Span {
 	return Span{m.At(0), m.At(0) + m.Count()}
 }
 
-// RangeSpan is ContAccess with an interval criterion, without the owners.
-// For order-preserving codecs it is a binary search of the compressed
-// records (zero decompression); an order-agnostic codec's records are in
-// plaintext order, so a binary search decoding O(log n) probes finds the
-// bounds instead of a full container scan.
+// RangeSpan is ContAccess with an interval criterion, without the owners:
+// a binary search of the compressed records when the codec preserves
+// order (zero decompression), else one decoding the O(log n) records it
+// probes (Container.FindRange).
 func RangeSpan(c *storage.Container, lo []byte, loInc bool, hi []byte, hiInc bool) (Span, error) {
 	l, h, err := c.FindRange(lo, loInc, hi, hiInc)
-	if err == storage.ErrNeedsDecompression {
-		l, h, err = c.FindRangeDecoding(lo, loInc, hi, hiInc)
-	}
 	return Span{l, h}, err
 }
 

@@ -52,7 +52,7 @@ type cardRule struct {
 // variables in scope: nil when x is no count, empty or exists of one
 // argument, or the argument has none of the rules' shapes. pl holds the
 // plans of the paths under x.
-func (e *engine) cardFor(pl pathPlans, x *xquery.Call, vars map[string][]*storage.SummaryNode) *cardRule {
+func (e *engine) cardFor(pl pathPlans, x *xquery.Call, vars *staticVars) *cardRule {
 	if len(x.Args) != 1 || x.Name != "count" && x.Name != "empty" && x.Name != "exists" {
 		return nil
 	}
@@ -70,13 +70,13 @@ func (e *engine) cardFor(pl pathPlans, x *xquery.Call, vars map[string][]*storag
 // origin must be statically a node set: the document, or a variable of
 // known summary set — not the context, nor a variable that may hold
 // atoms, which must still fail.
-func (e *engine) cardPath(pl *pathPlan, p *xquery.PathExpr, lits []pushdown, vars map[string][]*storage.SummaryNode) *cardRule {
+func (e *engine) cardPath(pl *pathPlan, p *xquery.PathExpr, lits []pushdown, vars *staticVars) *cardRule {
 	n := len(p.Steps)
 	textTail := n > 0 && p.Steps[n-1].Test == xquery.TestText
 	if textTail {
 		n--
 	}
-	if pl == nil || n == 0 || len(pl.targets) != n || p.Var != "" && (p.Var == "." || len(vars[p.Var]) == 0) {
+	if pl == nil || n == 0 || len(pl.targets) != n || p.Var != "" && (p.Var == "." || len(vars.slots[p.Binder]) == 0) {
 		return nil
 	}
 	for _, st := range p.Steps[:n-1] {
@@ -89,7 +89,7 @@ func (e *engine) cardPath(pl *pathPlan, p *xquery.PathExpr, lits []pushdown, var
 	}
 	for _, pred := range p.Steps[n-1].Preds {
 		for _, conj := range splitPredConjuncts(pred) {
-			rel, lit, op, ok := splitVarPred(conj, ".")
+			rel, lit, op, ok := splitVarPred(conj, 0)
 			if !ok {
 				return nil
 			}
@@ -175,7 +175,7 @@ func (e *engine) cardFLWOR(x *xquery.FLWOR) *cardRule {
 	if len(x.Clauses) != 1 || x.Clauses[0].Let || x.OrderBy != nil {
 		return nil
 	}
-	v := x.Clauses[0].Var
+	v := x.Clauses[0].Binder
 	dom, isPath := x.Clauses[0].Seq.(*xquery.PathExpr)
 	if !isPath || dom.Var != "" || len(dom.Steps) == 0 || dom.Steps[len(dom.Steps)-1].Test == xquery.TestText {
 		return nil // the bindings are strings, which a path from $v fails on
@@ -191,11 +191,11 @@ func (e *engine) cardFLWOR(x *xquery.FLWOR) *cardRule {
 	}
 	switch ret := x.Return.(type) {
 	case *xquery.VarRef:
-		if ret.Name != v {
+		if ret.Binder != v {
 			return nil
 		}
 	case *xquery.PathExpr:
-		if ret.Var != v || len(ret.Steps) == 0 || ret.Steps[len(ret.Steps)-1].Test == xquery.TestText || !e.valueOf(pl.sums(), ret).one {
+		if ret.Binder != v || len(ret.Steps) == 0 || ret.Steps[len(ret.Steps)-1].Test == xquery.TestText || !e.valueOf(pl.sums(), ret).one {
 			return nil
 		}
 	default:
@@ -226,7 +226,7 @@ func (e *engine) cardinality(r *cardRule, env *scope) (n int, ok bool, err error
 		}
 		return n, true, nil
 	}
-	b := env.lookup(r.path.Var)
+	b := env.of(r.path.Binder)
 	if b == nil || len(b.ids) != 1 || !sameSums(b.sums, r.plan.origin) {
 		return 0, false, nil
 	}

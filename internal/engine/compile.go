@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
 	"xquec/internal/costmodel"
@@ -39,9 +38,11 @@ func compileProgram(expr xquery.Expr, store *storage.Store, src string, cards bo
 			prog, err = nil, fmt.Errorf("vm: compile: internal error: %v", r)
 		}
 	}()
+	paths, binders := maxSlots(expr)
 	c := &compiler{
-		p:   &Program{src: src, store: store, plans: pathPlans{}, subOf: map[*xquery.FLWOR]int32{}},
-		eng: newEngine(store),
+		p:    &Program{src: src, store: store, plans: pathPlans{}, subOf: map[*xquery.FLWOR]int32{}, binders: binders},
+		eng:  newEngine(store),
+		vars: staticVars{slots: make([][]*storage.SummaryNode, binders+1)},
 	}
 	if cards {
 		c.p.cards = map[*xquery.Call]*cardRule{}
@@ -52,10 +53,11 @@ func compileProgram(expr xquery.Expr, store *storage.Store, src string, cards bo
 	for k := 0; k < len(c.p.subs); k++ {
 		c.p.subs[k].entry, c.p.subs[k].acc = int32(len(c.p.instrs)), int32(len(c.p.reuse))
 		c.p.reuse = append(c.p.reuse, false)
-		c.flwor(c.p.subs[k].x, c.subVars[k], k)
+		c.vars.ctx = c.subCtx[k]
+		c.flwor(c.p.subs[k].x, k)
 	}
 	c.p.ncur = int(c.ncur)
-	c.p.slotPlans = make([]*pathPlan, maxSlot(expr)+1)
+	c.p.slotPlans = make([]*pathPlan, paths+1)
 	for x, pl := range c.p.plans {
 		if x.Slot > 0 {
 			c.p.slotPlans[x.Slot] = pl
@@ -69,19 +71,22 @@ type compiler struct {
 	p    *Program
 	eng  *engine // compile-time summary/container resolution only
 	ncur int32
-	// subVars: per queued sub-program, the summary sets in scope there.
-	subVars []map[string][]*storage.SummaryNode
+	// vars is what is known of the variables where the compiler stands;
+	// subCtx, per queued sub-program, the context item's summary set
+	// where its FLWOR stands.
+	vars   staticVars
+	subCtx [][]*storage.SummaryNode
 }
 
 // plan plans x's paths under the variables in scope (planExpr)
 // and queues a sub-program, once, for each FLWOR the engine will meet
 // in x.
-func (c *compiler) plan(x xquery.Expr, varSums map[string][]*storage.SummaryNode) []*storage.SummaryNode {
-	return c.eng.planExpr(c.p.plans, c.p.cards, x, varSums, func(f *xquery.FLWOR, vars map[string][]*storage.SummaryNode) {
+func (c *compiler) plan(x xquery.Expr) []*storage.SummaryNode {
+	return c.eng.planExpr(c.p.plans, c.p.cards, x, &c.vars, func(f *xquery.FLWOR, ctx []*storage.SummaryNode) {
 		if _, ok := c.p.subOf[f]; !ok {
 			c.p.subOf[f] = int32(len(c.p.subs))
 			c.p.subs = append(c.p.subs, subSpec{x: f, sort: -1})
-			c.subVars = append(c.subVars, vars)
+			c.subCtx = append(c.subCtx, ctx)
 		}
 	})
 }
@@ -96,16 +101,16 @@ func (c *compiler) newCursor() int32 {
 	return c.ncur - 1
 }
 
-// addVar pools the variable of a clause bound at depth.
-func (c *compiler) addVar(name string, depth int32) int32 {
-	c.p.vars = append(c.p.vars, varSpec{name: name, depth: depth})
+// addVar pools the variable of a clause.
+func (c *compiler) addVar(cl xquery.Clause) int32 {
+	c.p.vars = append(c.p.vars, varSpec{name: cl.Var, slot: int32(cl.Binder)})
 	return int32(len(c.p.vars) - 1)
 }
 
 // addExpr pools an expression the engine will evaluate, planning its
 // paths and queueing its FLWORs under the variables in scope.
-func (c *compiler) addExpr(x xquery.Expr, varSums map[string][]*storage.SummaryNode) int32 {
-	c.plan(x, varSums)
+func (c *compiler) addExpr(x xquery.Expr) int32 {
+	c.plan(x)
 	c.p.exprs = append(c.p.exprs, x)
 	return int32(len(c.p.exprs) - 1)
 }
@@ -115,22 +120,24 @@ func (c *compiler) addDom(spec domainSpec) int32 {
 	return int32(len(c.p.doms) - 1)
 }
 
-// maxSlot returns the largest slot of a path under x: a run keeps its
-// cursors of x's paths by slot.
-func maxSlot(x xquery.Expr) int {
-	n := 0
-	if p, isPath := x.(*xquery.PathExpr); isPath {
-		n = p.Slot
-	}
-	for _, sub := range xquery.Children(x) {
-		n = max(n, maxSlot(sub))
-	}
-	return n
+// maxSlots returns the largest path slot (xquery.PathExpr.Slot) and the
+// largest binder slot (xquery.Clause.Binder) under x: a run keeps its
+// cursors of x's paths and its bindings by slot.
+func maxSlots(x xquery.Expr) (paths, binders int) {
+	xquery.Walk(x, func(sub xquery.Expr) {
+		switch sub := sub.(type) {
+		case *xquery.PathExpr:
+			paths = max(paths, sub.Slot)
+		case *xquery.FLWOR:
+			for _, cl := range sub.Clauses {
+				binders = max(binders, cl.Binder)
+			}
+		}
+	})
+	return paths, binders
 }
 
-// top compiles one top-level block per sequence item. Each block gets a
-// fresh environment (opReset): sibling blocks must not see each other's
-// variables.
+// top compiles one top-level block per sequence item.
 func (c *compiler) top(x xquery.Expr) {
 	if seq, ok := x.(*xquery.Sequence); ok {
 		for _, it := range seq.Items {
@@ -138,11 +145,10 @@ func (c *compiler) top(x xquery.Expr) {
 		}
 		return
 	}
-	c.emit(instr{Op: opReset})
 	switch e := x.(type) {
 	case *xquery.FLWOR:
 		// Folded: every expression of it the engine meets is one planned.
-		c.flwor(foldExpr(e).(*xquery.FLWOR), map[string][]*storage.SummaryNode{}, -1)
+		c.flwor(foldExpr(e).(*xquery.FLWOR), -1)
 	case *xquery.PathExpr:
 		c.topPath(e)
 	default:
@@ -153,7 +159,7 @@ func (c *compiler) top(x xquery.Expr) {
 // fallback lowers a block to its emission: an emission template, or one
 // engine evaluation plus streaming emission of its result sequence.
 func (c *compiler) fallback(x xquery.Expr) {
-	i := c.emitReturn(foldExpr(x), nil)
+	i := c.emitReturn(foldExpr(x))
 	c.p.instrs[i].C = int32(i + 1)
 }
 
@@ -161,18 +167,18 @@ func (c *compiler) fallback(x xquery.Expr) {
 // a constructor to EMITCTOR through its template, anything else to EVAL
 // and EMITSEQ. It returns the emitting instruction, whose C the caller
 // points where the next pull resumes.
-func (c *compiler) emitReturn(x xquery.Expr, varSums map[string][]*storage.SummaryNode) int {
+func (c *compiler) emitReturn(x xquery.Expr) int {
 	if ctor, isCtor := x.(*xquery.ElementCtor); isCtor {
-		return c.emit(instr{Op: opEmitCtor, A: c.addTemplate(ctor, varSums)})
+		return c.emit(instr{Op: opEmitCtor, A: c.addTemplate(ctor)})
 	}
-	c.emit(instr{Op: opEvalPush, A: c.addExpr(x, varSums)})
+	c.emit(instr{Op: opEvalPush, A: c.addExpr(x)})
 	return c.emit(instr{Op: opEmitSeq})
 }
 
 // addTemplate pools the emission template of a constructor, planning the
 // paths it reads under the variables in scope.
-func (c *compiler) addTemplate(x *xquery.ElementCtor, varSums map[string][]*storage.SummaryNode) int32 {
-	c.plan(x, varSums)
+func (c *compiler) addTemplate(x *xquery.ElementCtor) int32 {
+	c.plan(x)
 	c.p.tpls = append(c.p.tpls, tplSpec{t: compileTemplate(x), x: x})
 	return int32(len(c.p.tpls) - 1)
 }
@@ -181,7 +187,7 @@ func (c *compiler) addTemplate(x *xquery.ElementCtor, varSums map[string][]*stor
 // extent once, then emit node by node (decoding text per item for
 // text() tails) with no intermediate sequence.
 func (c *compiler) topPath(p *xquery.PathExpr) {
-	spec := c.domainFor(p, nil, nil)
+	spec := c.domainFor(p)
 	spec.topPath = true
 	di := c.addDom(spec)
 	cu := c.newCursor()
@@ -190,32 +196,26 @@ func (c *compiler) topPath(p *xquery.PathExpr) {
 	c.p.instrs[i].C = int32(i + 1)
 }
 
-// flwor compiles x into nested cursor loops binding from depth 0: a
-// top-level FLWOR (sub < 0), whose RETURN emits, or sub-program sub,
-// whose RETURN appends to its accumulator and which ends in opRet. With
-// an ORDER BY the loops end in opCollect, and opSort, opReplay and the
-// RETURN follow. varSums are the summary sets of the variables in scope;
-// one counts as known when it is not empty, the rule note keeps.
-func (c *compiler) flwor(x *xquery.FLWOR, varSums map[string][]*storage.SummaryNode, sub int) {
-	known := map[string]bool{}
-	for name, sums := range varSums {
-		known[name] = len(sums) > 0
-	}
+// flwor compiles x into nested cursor loops: a top-level FLWOR (sub <
+// 0), whose RETURN emits, or sub-program sub, whose RETURN appends to its
+// accumulator and which ends in opRet. With an ORDER BY the loops end in
+// opCollect, and opSort, opReplay and the RETURN follow.
+func (c *compiler) flwor(x *xquery.FLWOR, sub int) {
 	plan := planFLWOR(x)
-	n := c.loops(x, plan, 0, varSums, known, sub < 0, -1)
+	n := c.loops(x, plan, 0, sub < 0, -1)
 	ret := foldExpr(x.Return)
 	body := func() int { // the RETURN, whose C the caller points at the next tuple
 		if sub < 0 {
-			return c.emitReturn(ret, n.varSums)
+			return c.emitReturn(ret)
 		}
-		return c.emit(instr{Op: opAppend, A: c.p.subs[sub].acc, B: c.addExpr(ret, n.varSums)})
+		return c.emit(instr{Op: opAppend, A: c.p.subs[sub].acc, B: c.addExpr(ret)})
 	}
 	end := 0 // where the loops exit to
 	if x.OrderBy == nil {
 		n.loop(body())
 		end = len(c.p.instrs)
 	} else {
-		si := c.addSort(x, plan, n.fors, n.varSums, n.known)
+		si := c.addSort(x, plan, n.fors)
 		n.loop(c.emit(instr{Op: opCollect, A: si}))
 		end = c.emit(instr{Op: opSort, A: si})
 		replay := c.emit(instr{Op: opReplay, A: si})
@@ -239,10 +239,8 @@ type nest struct {
 	innermost int32   // pc of the innermost opIter so far; -1: none
 	fors      []int32 // the FOR clauses' cursors
 	forDoms   []int32 // and the domains they scan
-	depth     int32   // the depth the next clause binds at
+	depth     int32   // the clauses bound so far, which opLetOpen lists
 	letCur    int     // the opLetCur binding the LET around the loops at once; -1: none
-	varSums   map[string][]*storage.SummaryNode
-	known     map[string]bool
 }
 
 // loop makes instruction i jump back to the innermost opIter, or past
@@ -262,34 +260,33 @@ func (n *nest) exit(end int) {
 	}
 }
 
-// loops lowers the clauses and residual WHERE of x, binding its variables
-// from depth on, into nested cursor loops; the caller emits the body and
-// closes them. varSums and known describe the variables in scope and
-// learn x's. top marks a top-level FLWOR, whose LETs read only by its
-// RETURN's emission template may bind bytes (emittedOnly). letVar, when
-// not -1, is the variable of the LET whose source x is, which the FOR
-// cursor's restricted nodes bind at once (atOnce) when its domain is a
-// node path of static summary set: an opLetCur after the restricts, whose
-// jump past the loops the caller sets.
-func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, varSums map[string][]*storage.SummaryNode, known map[string]bool, top bool, letVar int32) *nest {
-	n := &nest{c: c, innermost: -1, depth: depth, letCur: -1, varSums: varSums, known: known}
+// loops lowers the clauses and residual WHERE of x, depth clauses being
+// bound before them, into nested cursor loops; the caller emits the body
+// and closes them. top marks a top-level FLWOR, whose LETs read only by
+// its RETURN's emission template may bind bytes (emittedOnly). letVar,
+// when not -1, is the variable of the LET whose source x is, which the
+// FOR cursor's restricted nodes bind at once (atOnce) when its domain is
+// a node path of static summary set: an opLetCur after the restricts,
+// whose jump past the loops the caller sets.
+func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, top bool, letVar int32) *nest {
+	n := &nest{c: c, innermost: -1, depth: depth, letCur: -1}
 	for ci, cl := range x.Clauses {
 		if cl.Let {
 			if inner, isFLWOR := foldExpr(cl.Seq).(*xquery.FLWOR); isFLWOR && inner.OrderBy == nil && x.OrderBy == nil {
-				c.letFLWOR(cl.Var, inner, n, top && emittedOnly(cl.Var, x, ci))
+				c.letFLWOR(cl, inner, n, top && emittedOnly(cl.Binder, x, ci))
 				continue
 			}
-			spec := c.domainFor(cl.Seq, varSums, known)
-			c.note(cl.Var, spec, varSums, known)
+			spec := c.domainFor(cl.Seq)
+			c.vars.slots[cl.Binder] = spec.sums
 			if plan.Collect == nil || plan.Collect[ci] {
-				c.emit(instr{Op: opLet, A: c.addVar(cl.Var, n.depth), B: c.addDom(spec)})
+				c.emit(instr{Op: opLet, A: c.addVar(cl), B: c.addDom(spec)})
 				n.depth++
 			}
 			continue
 		}
 		pds := plan.Pushdowns[ci]
-		spec := c.domainFor(cl.Seq, varSums, known)
-		c.note(cl.Var, spec, varSums, known)
+		spec := c.domainFor(cl.Seq)
+		c.vars.slots[cl.Binder] = spec.sums
 
 		// Build the clause's predicate specs. Literal pushdowns whose
 		// clause summary is statically known resolve their containers
@@ -300,7 +297,7 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, varSums 
 		var lits, joins []int32
 		for slot, pd := range pds {
 			ps := predSpec{pd: pd, slot: int32(slot)}
-			c.plan(pd.Conj, varSums) // evaluated per tuple if deferred
+			c.plan(pd.Conj) // evaluated per tuple if deferred
 			switch {
 			case pd.IsLit && spec.static:
 				ps.resolved = true
@@ -312,10 +309,10 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, varSums 
 				if ps.fastOK && stringFunc(pd.Op) != nil {
 					ps.ms = buildMatchers(ps.conts, pd.Op, pd.Lit)
 				}
-			case !pd.IsLit && spec.static && len(spec.sums) > 0 && known[pd.OtherVar]:
+			case !pd.IsLit && spec.static && len(spec.sums) > 0 && len(c.vars.slots[pd.Other]) > 0:
 				// Both sides static: the index is built here, once. An
 				// error is left for a run to meet.
-				if idx, ok, err := c.eng.joinIndexFor(pd, spec.sums, varSums[pd.OtherVar]); ok && err == nil {
+				if idx, ok, err := c.eng.joinIndexFor(pd, spec.sums, c.vars.slots[pd.Other]); ok && err == nil {
 					ps.idx = idx
 				}
 			}
@@ -353,7 +350,7 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, varSums 
 		if letVar >= 0 && spec.path != nil && spec.static && !spec.textTail {
 			n.letCur = c.emit(instr{Op: opLetCur, A: cu, B: letVar})
 		}
-		vi := c.addVar(cl.Var, n.depth)
+		vi := c.addVar(cl)
 		n.depth++
 		iter := c.emit(instr{Op: opIter, A: cu, B: vi})
 		n.loop(iter)
@@ -365,7 +362,7 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, varSums 
 
 	for _, conj := range plan.Residual {
 		conj = foldExpr(conj)
-		c.plan(conj, varSums)
+		c.plan(conj)
 		if c.p.alwaysTrue(conj) {
 			c.p.dropped = append(c.p.dropped, conj)
 			continue
@@ -391,39 +388,37 @@ func wholeDomain(spec *domainSpec) bool {
 	return true
 }
 
-// letFLWOR lowers `LET $name := inner` into the enclosing nest n: the
-// inner clauses become loops of the program that bind after the LET's
-// depth, their RETURN appends to an accumulator, and their exhaustion
-// binds the LET from it. When the inner RETURN is the variable of its
-// only FOR, over a node path, the accumulator is that cursor's
-// (ascending) nodes and the LET keeps its summary set. When the LET's
+// letFLWOR lowers the LET cl, whose source is inner, into the enclosing
+// nest n: the inner clauses become loops of the program, their RETURN
+// appends to an accumulator, and their exhaustion binds the LET from it.
+// When the inner RETURN is the variable of its only FOR, over a node
+// path, the accumulator is that cursor's (ascending) nodes and the LET
+// keeps its summary set. When the LET's
 // items are only ever written out or counted (emitted), each is written
 // as element content when it is appended — a constructor through its
 // emission template — and the accumulator's storage is reused per tuple.
-func (c *compiler) letFLWOR(name string, inner *xquery.FLWOR, n *nest, emitted bool) {
-	depth := n.depth
+func (c *compiler) letFLWOR(cl xquery.Clause, inner *xquery.FLWOR, n *nest, emitted bool) {
 	ai := int32(len(c.p.reuse))
 	c.p.reuse = append(c.p.reuse, emitted)
-	c.emit(instr{Op: opLetOpen, A: ai, B: depth})
-	plan, vi, letVar := planFLWOR(inner), c.addVar(name, depth), int32(-1)
+	c.emit(instr{Op: opLetOpen, A: ai, B: n.depth})
+	plan, vi, letVar := planFLWOR(inner), c.addVar(cl), int32(-1)
 	if c.p.cards != nil && atOnce(inner, plan) {
 		letVar = vi
 	}
-	in := c.loops(inner, plan, depth+1, maps.Clone(n.varSums), maps.Clone(n.known), false, letVar)
+	in := c.loops(inner, plan, n.depth+1, false, letVar)
 	cu, spec := c.bareFor(inner, in)
 	ret := foldExpr(inner.Return)
 	ctor, isCtor := ret.(*xquery.ElementCtor)
-	n.varSums[name], n.known[name] = nil, false
 	switch {
 	case cu >= 0:
 		in.loop(c.emit(instr{Op: opAppendCur, A: ai, B: cu}))
-		n.varSums[name], n.known[name] = spec.sums, len(spec.sums) > 0
+		c.vars.slots[cl.Binder] = spec.sums
 	case isCtor && emitted:
-		in.loop(c.emit(instr{Op: opAppendCtor, A: ai, B: c.addTemplate(ctor, in.varSums)}))
+		in.loop(c.emit(instr{Op: opAppendCtor, A: ai, B: c.addTemplate(ctor)}))
 	case emitted:
-		in.loop(c.emit(instr{Op: opAppendOut, A: ai, B: c.addExpr(ret, in.varSums)}))
+		in.loop(c.emit(instr{Op: opAppendOut, A: ai, B: c.addExpr(ret)}))
 	default:
-		in.loop(c.emit(instr{Op: opAppend, A: ai, B: c.addExpr(ret, in.varSums)}))
+		in.loop(c.emit(instr{Op: opAppend, A: ai, B: c.addExpr(ret)}))
 	}
 	in.exit(c.emit(instr{Op: opLetBind, A: vi, B: ai, C: cu}))
 	if in.letCur >= 0 {
@@ -440,48 +435,48 @@ func (c *compiler) letFLWOR(name string, inner *xquery.FLWOR, n *nest, emitted b
 // pushdowns is deferred (opLetCur).
 func atOnce(x *xquery.FLWOR, plan *flworPlan) bool {
 	ret, isVar := x.Return.(*xquery.VarRef)
-	return isVar && len(x.Clauses) == 1 && !x.Clauses[0].Let && ret.Name == x.Clauses[0].Var &&
+	return isVar && len(x.Clauses) == 1 && !x.Clauses[0].Let && ret.Binder == x.Clauses[0].Binder &&
 		x.OrderBy == nil && len(plan.Residual) == 0
 }
 
-// emittedOnly reports that the LET variable name, bound by clause ci of
-// the top-level FLWOR x, is read only where its items are written out as
-// they are or counted: as an enclosed `{$name}` of x's RETURN
+// emittedOnly reports that the LET variable whose slot is binder, bound
+// by clause ci of the top-level FLWOR x, is read only where its items are
+// written out as they are or counted: as an enclosed `{$v}` of x's RETURN
 // constructor — an emission template — or of an element nested in it, or
 // as the argument of count, exists or empty. Nothing then atomizes or
 // navigates its items, so they can be bytes (xml), not fragments.
-func emittedOnly(name string, x *xquery.FLWOR, ci int) bool {
+func emittedOnly(binder int, x *xquery.FLWOR, ci int) bool {
 	ret, isCtor := x.Return.(*xquery.ElementCtor)
 	if !isCtor {
 		return false
 	}
 	for _, cl := range x.Clauses[ci+1:] {
-		if reads(cl.Seq, name) {
+		if reads(cl.Seq, binder) {
 			return false
 		}
 	}
-	return !reads(x.Where, name) && !reads(x.OrderBy, name) && !readsCtor(ret, name)
+	return !reads(x.Where, binder) && !reads(x.OrderBy, binder) && !readsCtor(ret, binder)
 }
 
-// reads reports that x reads the variable name other than as the
-// argument of count, exists or empty.
-func reads(x xquery.Expr, name string) bool {
+// reads reports that x reads the variable whose slot is binder other than
+// as the argument of count, exists or empty.
+func reads(x xquery.Expr, binder int) bool {
 	switch e := x.(type) {
 	case *xquery.VarRef:
-		return e.Name == name
+		return e.Binder == binder
 	case *xquery.PathExpr:
-		if e.Var == name {
+		if e.Binder == binder {
 			return true
 		}
 	case *xquery.Call:
 		if len(e.Args) == 1 && (e.Name == "count" || e.Name == "exists" || e.Name == "empty") {
-			if v, isVar := e.Args[0].(*xquery.VarRef); isVar && v.Name == name {
+			if v, isVar := e.Args[0].(*xquery.VarRef); isVar && v.Binder == binder {
 				return false
 			}
 		}
 	}
 	for _, sub := range xquery.Children(x) {
-		if reads(sub, name) {
+		if reads(sub, binder) {
 			return true
 		}
 	}
@@ -489,11 +484,11 @@ func reads(x xquery.Expr, name string) bool {
 }
 
 // readsCtor is reads over an emitted constructor, whose content items
-// `{$name}` write the variable's items out.
-func readsCtor(x *xquery.ElementCtor, name string) bool {
+// `{$v}` write the variable's items out.
+func readsCtor(x *xquery.ElementCtor, binder int) bool {
 	for _, a := range x.Attrs {
 		for _, part := range a.Value {
-			if reads(part, name) {
+			if reads(part, binder) {
 				return true
 			}
 		}
@@ -503,11 +498,11 @@ func readsCtor(x *xquery.ElementCtor, name string) bool {
 		case *xquery.VarRef:
 			continue
 		case *xquery.ElementCtor:
-			if readsCtor(item, name) {
+			if readsCtor(item, binder) {
 				return true
 			}
 		default:
-			if reads(item, name) {
+			if reads(item, binder) {
 				return true
 			}
 		}
@@ -523,9 +518,8 @@ func (c *compiler) bareFor(x *xquery.FLWOR, in *nest) (int32, *domainSpec) {
 	if !isVar || len(in.fors) != 1 {
 		return -1, nil
 	}
-	for ci := len(x.Clauses) - 1; ci >= 0; ci-- {
-		cl := x.Clauses[ci]
-		if cl.Var != ret.Name {
+	for _, cl := range x.Clauses {
+		if cl.Binder != ret.Binder {
 			continue
 		}
 		if cl.Let {
@@ -542,23 +536,16 @@ func (c *compiler) bareFor(x *xquery.FLWOR, in *nest) (int32, *domainSpec) {
 
 // addSort pools the ORDER BY of x, with its key's rank table when the key
 // is an eligible path from a variable of known summary set (keyRanks).
-func (c *compiler) addSort(x *xquery.FLWOR, plan *flworPlan, fors []int32, varSums map[string][]*storage.SummaryNode, known map[string]bool) int32 {
+func (c *compiler) addSort(x *xquery.FLWOR, plan *flworPlan, fors []int32) int32 {
 	ss := sortSpec{flwor: x, plan: plan, fors: fors}
-	c.plan(x.OrderBy, varSums)
-	if p, isPath := x.OrderBy.(*xquery.PathExpr); isPath && known[p.Var] {
-		ss.ranks = c.eng.keyRanks(p, varSums[p.Var])
+	c.plan(x.OrderBy)
+	if p, isPath := x.OrderBy.(*xquery.PathExpr); isPath {
+		if sums := c.vars.origin(p); len(sums) > 0 {
+			ss.ranks = c.eng.keyRanks(p, sums)
+		}
 	}
 	c.p.sorts = append(c.p.sorts, ss)
 	return int32(len(c.p.sorts) - 1)
-}
-
-// note records what is statically known about a freshly bound variable.
-// known requires non-empty sums: pathOrigin recovers summaries from the
-// actual nodes when a variable's sums are empty, so an empty static set
-// cannot be trusted as the origin of a later chain.
-func (c *compiler) note(name string, spec domainSpec, varSums map[string][]*storage.SummaryNode, known map[string]bool) {
-	varSums[name] = spec.sums
-	known[name] = spec.static && len(spec.sums) > 0
 }
 
 // domainFor analyzes one FOR/LET source (or top-level path): constant
@@ -566,15 +553,15 @@ func (c *compiler) note(name string, spec domainSpec, varSums map[string][]*stor
 // variables → scan once per run). static requires a known origin:
 // absolute paths, or variables whose (non-empty) summaries were
 // tracked.
-func (c *compiler) domainFor(x xquery.Expr, varSums map[string][]*storage.SummaryNode, known map[string]bool) domainSpec {
+func (c *compiler) domainFor(x xquery.Expr) domainSpec {
 	folded := foldExpr(x)
 	spec := domainSpec{expr: folded}
 	spec.invariant = len(xquery.FreeVars(folded)) == 0
-	sums := c.plan(folded, varSums)
+	sums := c.plan(folded)
 	switch e := folded.(type) {
 	case *xquery.PathExpr:
 		spec.path = e
-		if e.Var == "" || known[e.Var] {
+		if e.Var == "" || len(c.vars.origin(e)) > 0 {
 			// Text-tail domains bind decoded strings; the runtime reports
 			// no summary provenance for them, and planExpr none either.
 			n := len(e.Steps)
@@ -582,7 +569,7 @@ func (c *compiler) domainFor(x xquery.Expr, varSums map[string][]*storage.Summar
 			spec.textTail = n > 0 && e.Steps[n-1].Test == xquery.TestText
 		}
 	case *xquery.VarRef:
-		if known[e.Name] {
+		if len(c.vars.slots[e.Binder]) > 0 {
 			spec.static, spec.sums = true, sums
 		}
 	default:
@@ -669,7 +656,9 @@ func foldExpr(x xquery.Expr) xquery.Expr {
 			}
 		}
 		if changed {
-			return &xquery.PathExpr{Var: e.Var, Doc: e.Doc, Steps: steps, Slot: e.Slot}
+			folded := *e
+			folded.Steps = steps
+			return &folded
 		}
 	case *xquery.FLWOR:
 		changed := false

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"xquec/internal/datagen"
-	"xquec/internal/engine"
 	"xquec/internal/storage"
 )
 
@@ -23,7 +22,7 @@ func TestRandomDifferentialAfterReload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, q := range engine.QueryBattery[:10] {
+		for _, q := range datagen.RecordQueries()[:10] {
 			r1, err1 := query(s, q)
 			r2, err2 := query(s2, q)
 			if (err1 == nil) != (err2 == nil) {

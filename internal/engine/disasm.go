@@ -30,7 +30,7 @@ func (p *Program) Disassemble() string {
 			fmt.Fprintf(&b, "sub s%d: %s\n", sub, trunc(p.subs[sub].x.String(), 72))
 			sub++
 		}
-		if in.Op == opHalt || in.Op == opReset { // no operands
+		if in.Op == opHalt { // no operands
 			fmt.Fprintf(&b, "%3d  %s\n", pc, in.Op)
 			continue
 		}

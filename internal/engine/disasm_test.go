@@ -169,7 +169,7 @@ func TestListedAccessIsTheAccessMade(t *testing.T) {
 			if !ok {
 				break
 			}
-			if b := r.env.s.lookup("a"); b != nil && !aliases(b.ids, prog.preds[0].idx.partners) {
+			if b := r.env.of(bound(prog, "a")); b != nil && !aliases(b.ids, prog.preds[0].idx.partners) {
 				t.Errorf("%s: $a = %v is no window of the join index", c.q, b.ids)
 			}
 		}
@@ -217,6 +217,17 @@ func TestListedAccessIsTheAccessMade(t *testing.T) {
 	if dis := compile(t, s, xmarkq.Q19).Disassemble(); !strings.Contains(dis, "reads /location one per parent") {
 		t.Errorf("Q19 does not list $b/location one per parent:\n%s", dis)
 	}
+}
+
+// bound returns the binder slot of the program's clause of variable
+// name, 0 when it has none.
+func bound(prog *Program, name string) int {
+	for _, v := range prog.vars {
+		if v.name == name {
+			return int(v.slot)
+		}
+	}
+	return 0
 }
 
 // aliases reports that ids is a window of partners, not a copy of one.

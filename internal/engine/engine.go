@@ -103,143 +103,6 @@ func (e *engine) checkCancel() error {
 	}
 }
 
-// binding is one variable's slot in a scope. A FOR clause creates it once
-// and rewrites it per tuple, so binding a tuple allocates nothing: node
-// values stay unboxed (ids, backed by one for a single FOR item), and a
-// value is boxed into a seq only where an expression asks for it.
-type binding struct {
-	seq  seq             // generic value (LET over atoms or fragments)
-	ids  algebra.NodeSet // document-ordered node value; non-nil replaces seq
-	item Item            // single non-node FOR item; non-nil replaces seq
-	one  [1]storage.NodeID
-	sums []*storage.SummaryNode
-	// at is the place of a one-node value among the extents of sums, once
-	// placed: the FOR cursor's, or found on first use (place), galloping
-	// from where the clause's previous binding was found (hints).
-	at     place
-	placed bool
-	hints  []int
-}
-
-// setNode binds one node. at is its place among the extents of b.sums,
-// which the caller has set, when the caller knows it; place finds it
-// otherwise.
-func (b *binding) setNode(id storage.NodeID, at place) {
-	b.one[0] = id
-	b.ids, b.item, b.at, b.placed = b.one[:], nil, at, at.ok
-}
-
-// set binds a value: a node set when ids is non-nil, else seq or item.
-func (b *binding) set(seq seq, ids algebra.NodeSet, item Item, sums []*storage.SummaryNode) {
-	b.seq, b.ids, b.item, b.sums, b.at, b.placed = seq, ids, item, sums, place{}, false
-}
-
-// place returns the place of the binding's one node among the extents of
-// its sums, finding it once per binding: every relative path from a
-// binding its cursor did not place shares the one search.
-func (b *binding) place() place {
-	if !b.placed {
-		if cap(b.hints) < len(b.sums) {
-			b.hints = make([]int, len(b.sums))
-		}
-		b.at, b.placed = placeOf(b.sums, b.hints[:len(b.sums)], b.ids[0]), true
-	}
-	return b.at
-}
-
-// value boxes the binding. The result is a fresh sequence unless the
-// binding holds an immutable LET value, so callers may keep it across
-// tuples.
-func (b *binding) value() seq {
-	switch {
-	case b.ids != nil:
-		out := make(seq, len(b.ids))
-		for i, id := range b.ids {
-			out[i] = id
-		}
-		return out
-	case b.item != nil:
-		return seq{b.item}
-	}
-	return b.seq
-}
-
-// len is the length of the binding's value, without boxing it.
-func (b *binding) len() int {
-	switch {
-	case b.ids != nil:
-		return len(b.ids)
-	case b.item != nil:
-		return 1
-	}
-	return len(b.seq)
-}
-
-// scope is the evaluation environment: variable bindings, the context
-// node (0 when there is none), and — for the compressed-domain fast
-// paths — the summary nodes each is an instance of. One scope serves a
-// whole block of a program: clauses bind in place (clauseEnv) and
-// restore what they shadowed on the way out.
-//
-// The bindings are a short list, one entry per bound name in the order
-// the names were first bound, searched from the end: the innermost
-// clauses, which the per-tuple lookups mostly ask for, come first, and no
-// string is hashed. The first few entries live in the scope itself.
-type scope struct {
-	vars    []named
-	fixed   [4]named
-	ctx     [1]storage.NodeID
-	ctxSums []*storage.SummaryNode
-}
-
-// named is one variable of a scope and its binding.
-type named struct {
-	name string
-	b    *binding
-}
-
-func newScope() *scope {
-	s := &scope{}
-	s.vars = s.fixed[:0]
-	return s
-}
-
-// find returns the index of name's entry, -1 when it is unbound.
-func (v *scope) find(name string) int {
-	for i := len(v.vars) - 1; i >= 0; i-- {
-		if v.vars[i].name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// lookup returns the binding of name, nil when it is unbound.
-func (v *scope) lookup(name string) *binding {
-	if i := v.find(name); i >= 0 {
-		return v.vars[i].b
-	}
-	return nil
-}
-
-// bind binds name to b, in place of what it was bound to.
-func (v *scope) bind(name string, b *binding) {
-	if i := v.find(name); i >= 0 {
-		v.vars[i].b = b
-	} else {
-		v.vars = append(v.vars, named{name, b})
-	}
-}
-
-// unbind puts back the binding a clause's name shadowed.
-func (v *scope) unbind(name string, shadowed *binding) {
-	if shadowed != nil {
-		v.bind(name, shadowed)
-	} else if i := v.find(name); i >= 0 {
-		v.vars = append(v.vars[:i], v.vars[i+1:]...)
-	}
-}
-
 // eval dispatches on the AST.
 func (e *engine) eval(expr xquery.Expr, env *scope) (seq, error) {
 	if err := e.checkCancel(); err != nil {
@@ -251,7 +114,7 @@ func (e *engine) eval(expr xquery.Expr, env *scope) (seq, error) {
 	case *xquery.NumberLit:
 		return seq{x.Val}, nil
 	case *xquery.VarRef:
-		b := env.lookup(x.Name)
+		b := env.of(x.Binder)
 		if b == nil {
 			return nil, fmt.Errorf("engine: unbound variable $%s", x.Name)
 		}
@@ -298,7 +161,7 @@ func (e *engine) eval(expr xquery.Expr, env *scope) (seq, error) {
 	case *xquery.ElementCtor:
 		return e.evalCtor(x, env)
 	case *xquery.FLWOR:
-		return e.run.appendFLWOR(nil, x, env)
+		return e.run.appendFLWOR(nil, x)
 	}
 	return nil, fmt.Errorf("engine: unsupported expression %T", expr)
 }
@@ -310,7 +173,7 @@ func (e *engine) appendExpr(dst seq, x xquery.Expr, env *scope) (seq, error) {
 	case *xquery.PathExpr:
 		return e.appendPath(dst, x, env)
 	case *xquery.FLWOR:
-		return e.run.appendFLWOR(dst, x, env)
+		return e.run.appendFLWOR(dst, x)
 	}
 	v, err := e.eval(x, env)
 	return append(dst, v...), err
@@ -559,7 +422,7 @@ func (e *engine) evalBindingSeq(expr xquery.Expr, env *scope) (seq, algebra.Node
 		// The node-set fast path applies only when the sequence is already
 		// in document order: FOR must preserve the bound sequence's order
 		// (it may carry a deliberate ORDER BY arrangement).
-		if b := env.lookup(x.Name); b != nil {
+		if b := env.of(x.Binder); b != nil {
 			ids := b.ids
 			if ids == nil {
 				ids, _ = docOrderedNodeSeq(b.seq)
@@ -601,18 +464,20 @@ func splitConjuncts(where xquery.Expr) []xquery.Expr {
 	return []xquery.Expr{where}
 }
 
-// splitVarPred matches a literal restrict on the given variable: `$var/rel
-// op literal` (either side), returning the effective operator (flipped
-// when the literal is on the left), or `fn($var/rel, "literal")` with fn
-// a string function (stringFunc) and the literal not empty, returning fn
-// as the operator. rel is re-rooted at the context.
-func splitVarPred(conj xquery.Expr, varName string) (*xquery.PathExpr, string, string, bool) {
+// splitVarPred matches a literal restrict on the variable whose binder
+// slot is binder (xquery.Clause.Binder), or on the context item when
+// binder is 0: `$var/rel op literal` (either side), returning the
+// effective operator (flipped when the literal is on the left), or
+// `fn($var/rel, "literal")` with fn a string function (stringFunc) and the
+// literal not empty, returning fn as the operator. rel is re-rooted at the
+// context.
+func splitVarPred(conj xquery.Expr, binder int) (*xquery.PathExpr, string, string, bool) {
 	rooted := func(x xquery.Expr) (*xquery.PathExpr, bool) {
 		p, isPath := x.(*xquery.PathExpr)
-		if !isPath || p.Var != varName {
+		if !isPath || (binder == 0) != (p.Var == ".") || p.Binder != binder {
 			return nil, false
 		}
-		if varName != "." {
+		if binder != 0 {
 			p = &xquery.PathExpr{Var: ".", Steps: p.Steps}
 		}
 		return p, true

@@ -5,100 +5,103 @@ import (
 	"xquec/internal/storage"
 )
 
-// clauseEnv is the evaluation environment (variable bindings plus their
-// summary-node provenance) for the clauses of a compiled FLWOR. The
-// clause bound k-th binds at depth k, and binding there first unbinds
-// every deeper clause, restoring what each shadowed: a clause source
-// evaluated after its enclosing FOR clause rebinds sees exactly the
-// clauses before it in the current tuple — never its own or a later
-// clause's binding from the previous tuple. A LET whose source the
-// program runs as loops of its own reserves its depth (open) and its
-// inner clauses bind deeper; binding the LET drops them. A sub-program
-// binds through a clauseEnv of its own over the caller's scope, from
-// depth 0, and what it shadowed is restored when it returns, so the
-// caller's bindings survive every call.
-type clauseEnv struct {
-	s      *scope
-	frames []frame // the clauses, by depth; a slot outlives its frame
+// scope is a run's evaluation environment: the bindings of the query's
+// variables, one per binder slot (xquery.Clause.Binder), and the context
+// node (0 when there is none) with — for the compressed-domain fast
+// paths — the summary nodes it is an instance of. A clause writes its own
+// slot; a reference reads the slot the parser resolved it to, the
+// innermost clause of its name. The query has no functions, so no FLWOR
+// runs inside itself: while a reference can read a slot, only its own
+// clause writes it, and nothing is put back when a clause, a loop or a
+// sub-program ends. Slot 0 is never bound: it is every name nothing binds.
+type scope struct {
+	vars    []binding
+	ctx     [1]storage.NodeID
+	ctxSums []*storage.SummaryNode
 }
 
-// frame is one clause: its variable, the slot holding its value, and the
-// binding the slot shadows. A frame is live while its variable is bound;
-// an open (reserved) frame is not yet.
-type frame struct {
-	name        string
-	b, shadowed *binding
-	live        bool
+// newScope returns the environment of one run of a query whose largest
+// binder slot is binders.
+func newScope(binders int) *scope {
+	return &scope{vars: make([]binding, binders+1)}
 }
 
-// reset drops every binding (the VM emits a reset at each top-level
-// block boundary so sibling blocks cannot see each other's variables).
-func (v *clauseEnv) reset() {
-	v.s = newScope()
-	v.frames = v.frames[:0]
+// of returns the binding of the clause whose slot is binder, nil for
+// slot 0: a reference to a name nothing binds.
+func (v *scope) of(binder int) *binding {
+	if binder == 0 {
+		return nil
+	}
+	return &v.vars[binder]
 }
 
-// truncate unbinds the clauses at depth n and deeper.
-func (v *clauseEnv) truncate(n int) {
-	for len(v.frames) > n {
-		f := &v.frames[len(v.frames)-1]
-		if f.live {
-			v.s.unbind(f.name, f.shadowed)
-			f.live = false
+// binding is one variable's slot in a scope. A FOR clause rewrites it per
+// tuple, so binding a tuple allocates nothing: node values stay unboxed
+// (ids, backed by one for a single FOR item), and a value is boxed into a
+// seq only where an expression asks for it.
+type binding struct {
+	seq  seq             // generic value (LET over atoms or fragments)
+	ids  algebra.NodeSet // document-ordered node value; non-nil replaces seq
+	item Item            // single non-node FOR item; non-nil replaces seq
+	one  [1]storage.NodeID
+	sums []*storage.SummaryNode
+	// at is the place of a one-node value among the extents of sums, once
+	// placed: the FOR cursor's, or found on first use (place), galloping
+	// from where the clause's previous binding was found (hints).
+	at     place
+	placed bool
+	hints  []int
+}
+
+// setNode binds one node, an instance of sums. at is its place among
+// their extents when the caller knows it; place finds it otherwise.
+func (b *binding) setNode(id storage.NodeID, sums []*storage.SummaryNode, at place) {
+	b.one[0] = id
+	b.ids, b.item, b.sums, b.at, b.placed = b.one[:], nil, sums, at, at.ok
+}
+
+// set binds a value: a node set when ids is non-nil, else seq or item.
+func (b *binding) set(seq seq, ids algebra.NodeSet, item Item, sums []*storage.SummaryNode) {
+	b.seq, b.ids, b.item, b.sums, b.at, b.placed = seq, ids, item, sums, place{}, false
+}
+
+// place returns the place of the binding's one node among the extents of
+// its sums, finding it once per binding: every relative path from a
+// binding its cursor did not place shares the one search.
+func (b *binding) place() place {
+	if !b.placed {
+		if cap(b.hints) < len(b.sums) {
+			b.hints = make([]int, len(b.sums))
 		}
-		v.frames = v.frames[:len(v.frames)-1]
+		b.at, b.placed = placeOf(b.sums, b.hints[:len(b.sums)], b.ids[0]), true
 	}
+	return b.at
 }
 
-// push adds an open frame at the next depth, reusing its slot.
-func (v *clauseEnv) push() {
-	if len(v.frames) < cap(v.frames) {
-		v.frames = v.frames[:len(v.frames)+1]
-	} else {
-		v.frames = append(v.frames, frame{})
+// value boxes the binding. The result is a fresh sequence unless the
+// binding holds an immutable LET value, so callers may keep it across
+// tuples.
+func (b *binding) value() seq {
+	switch {
+	case b.ids != nil:
+		out := make(seq, len(b.ids))
+		for i, id := range b.ids {
+			out[i] = id
+		}
+		return out
+	case b.item != nil:
+		return seq{b.item}
 	}
-	f := &v.frames[len(v.frames)-1]
-	f.live = false
-	if f.b == nil {
-		f.b = &binding{}
-	}
+	return b.seq
 }
 
-// open reserves depth for a LET whose value the clauses bound after it
-// compute: the clauses at depth and deeper are unbound, and the LET's own
-// variable stays unbound — its source must not see it — until bind.
-func (v *clauseEnv) open(depth int) {
-	v.truncate(depth)
-	v.push()
-}
-
-// slot unbinds the clauses deeper than depth and returns the slot of the
-// clause at depth, installing it under name when that clause is not
-// bound yet — the clauses above it are. A FOR clause's next tuple
-// rebinds the installed slot, allocating nothing.
-func (v *clauseEnv) slot(depth int, name string, sums []*storage.SummaryNode) *binding {
-	v.truncate(depth + 1)
-	if len(v.frames) == depth {
-		v.push()
+// len is the length of the binding's value, without boxing it.
+func (b *binding) len() int {
+	switch {
+	case b.ids != nil:
+		return len(b.ids)
+	case b.item != nil:
+		return 1
 	}
-	f := &v.frames[depth]
-	if !f.live {
-		f.name, f.shadowed, f.live = name, v.s.lookup(name), true
-		v.s.bind(name, f.b)
-	}
-	f.b.sums = sums
-	return f.b
-}
-
-// bind binds the clause at depth to a value — a document-ordered node
-// set when ids is non-nil, else a generic sequence the caller no longer
-// writes to — and its summary provenance.
-func (v *clauseEnv) bind(depth int, name string, seq seq, ids algebra.NodeSet, sums []*storage.SummaryNode) {
-	v.slot(depth, name, sums).set(seq, ids, nil, sums)
-}
-
-// bindNode binds the FOR clause at depth to one node, at its place among
-// the extents of sums when the cursor knows it.
-func (v *clauseEnv) bindNode(depth int, name string, id storage.NodeID, sums []*storage.SummaryNode, at place) {
-	v.slot(depth, name, sums).setNode(id, at)
+	return len(b.seq)
 }

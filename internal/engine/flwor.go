@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"maps"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -25,8 +24,9 @@ type pushdown struct {
 	Rel   *xquery.PathExpr
 	Op    string
 	Lit   string
-	// equality join: $v/relThis = $other/relOther
-	OtherVar string
+	// equality join: $v/relThis = $other/relOther, Other being $other's
+	// binder slot (xquery.Clause.Binder)
+	Other    int
 	RelThis  *xquery.PathExpr
 	RelOther *xquery.PathExpr
 }
@@ -37,10 +37,8 @@ type flworPlan struct {
 	Residual  []xquery.Expr      // conjuncts evaluated per tuple
 	// Collect and Replay say, per clause, whether a LET of a FLWOR with
 	// ORDER BY is evaluated while the tuples are collected and after the
-	// sort (orderPhases); nil without ORDER BY. hides: a replayed LET
-	// refers to a name that only it or a later clause binds.
+	// sort (orderPhases); nil without ORDER BY.
 	Collect, Replay []bool
-	hides           bool
 }
 
 // planFLWOR assigns WHERE conjuncts to FOR clauses; the VM compiler
@@ -48,30 +46,32 @@ type flworPlan struct {
 func planFLWOR(x *xquery.FLWOR) *flworPlan {
 	plan := &flworPlan{Pushdowns: map[int][]pushdown{}}
 	if x.OrderBy != nil {
-		plan.Collect, plan.Replay, plan.hides = orderPhases(x)
+		plan.Collect, plan.Replay = orderPhases(x)
 	}
-	// clauseOf: the FOR clause binding each name last; boundAt: the
-	// clause, FOR or LET, binding it last. A join pushed onto a clause
-	// runs when that clause binds, so its other variable must be bound by
-	// an earlier clause or outside the FLWOR — not by the clause itself
-	// or a later one, which would leave it unbound, or bound to what it
-	// shadows.
-	clauseOf, boundAt := map[string]int{}, map[string]int{}
-	for i, c := range x.Clauses {
-		if !c.Let {
-			clauseOf[c.Var] = i
+	// clause returns the index of the clause of x whose slot is binder, -1
+	// when the binder lies outside x. A join pushed onto a clause runs
+	// when that clause binds, so its other variable's binder must be an
+	// earlier clause or lie outside the FLWOR.
+	clause := func(binder int) int {
+		for i, c := range x.Clauses {
+			if c.Binder == binder {
+				return i
+			}
 		}
-		boundAt[c.Var] = i
+		return -1
 	}
-	before := func(name string, ci int) bool {
-		bi, bound := boundAt[name]
-		return !bound || bi < ci
+	forClause := func(p *xquery.PathExpr) (int, bool) {
+		ci := clause(p.Binder)
+		return ci, ci >= 0 && !x.Clauses[ci].Let
 	}
 	for _, conj := range splitConjuncts(x.Where) {
 		assigned := false
 		// literal restrict on a FOR variable of this FLWOR
-		for v, ci := range clauseOf {
-			if rel, lit, op, ok := splitVarPred(conj, v); ok {
+		for ci, c := range x.Clauses {
+			if c.Let {
+				continue
+			}
+			if rel, lit, op, ok := splitVarPred(conj, c.Binder); ok {
 				plan.Pushdowns[ci] = append(plan.Pushdowns[ci], pushdown{
 					Conj: conj, IsLit: true, Rel: rel, Op: op, Lit: lit,
 				})
@@ -91,19 +91,19 @@ func planFLWOR(x *xquery.FLWOR) *flworPlan {
 			lp, lok := cmp.Left.(*xquery.PathExpr)
 			rp, rok := cmp.Right.(*xquery.PathExpr)
 			if lok && rok && lp.Var != "" && rp.Var != "" && lp.Var != "." && rp.Var != "." {
-				li, lIn := clauseOf[lp.Var]
-				ri, rIn := clauseOf[rp.Var]
+				li, lIn := forClause(lp)
+				ri, rIn := forClause(rp)
 				switch {
-				case lIn && (!rIn || li >= ri) && before(rp.Var, li):
+				case lIn && clause(rp.Binder) < li:
 					plan.Pushdowns[li] = append(plan.Pushdowns[li], pushdown{
-						Conj: cmp, OtherVar: rp.Var,
+						Conj: cmp, Other: rp.Binder,
 						RelThis:  &xquery.PathExpr{Var: ".", Steps: lp.Steps},
 						RelOther: &xquery.PathExpr{Var: ".", Steps: rp.Steps},
 					})
 					assigned = true
-				case rIn && before(lp.Var, ri):
+				case rIn && clause(lp.Binder) < ri:
 					plan.Pushdowns[ri] = append(plan.Pushdowns[ri], pushdown{
-						Conj: cmp, OtherVar: lp.Var,
+						Conj: cmp, Other: lp.Binder,
 						RelThis:  &xquery.PathExpr{Var: ".", Steps: rp.Steps},
 						RelOther: &xquery.PathExpr{Var: ".", Steps: lp.Steps},
 					})
@@ -128,38 +128,60 @@ type pathPlans map[*xquery.PathExpr]*pathPlan
 // cache's byte accounting: a few slices of summary-node pointers each.
 func (pl pathPlans) sizeBytes() int { return 192 * len(pl) }
 
+// staticVars is what the compiler knows of a query's variables: the
+// summary set of each binder's value, by slot (xquery.Clause.Binder) —
+// nil where it is not known, and always at slot 0, a name nothing binds —
+// and ctx, the context item's where the compiler stands. A set is known
+// when it is not empty: pathOrigin recovers summaries from the actual
+// nodes when a binding's are empty, so an empty static set cannot be
+// trusted as the origin of a later chain. A set that turns out different
+// at run time only costs a path a re-resolution. Slots are the query's
+// own, so one staticVars serves the whole compile: a clause writes only
+// its slot, and only the references in its scope read it.
+type staticVars struct {
+	slots [][]*storage.SummaryNode
+	ctx   []*storage.SummaryNode
+}
+
+// origin returns the summary set of p's origin: its variable's, or the
+// context item's; nil for an absolute path.
+func (v *staticVars) origin(p *xquery.PathExpr) []*storage.SummaryNode {
+	if p.Var == "." {
+		return v.ctx
+	}
+	return v.slots[p.Binder]
+}
+
 // planExpr records in pl the plan of every path under x, and in cards the rule of every count, empty and
 // exists it answers without materializing its argument (cardFor); it
 // returns the summary set of x's value when that is static (a path
-// without a text() tail, a variable). vars gives the summary sets of the
-// variables in scope, "." for the context; a set that turns out
-// different at run time only costs that path a re-resolution, so an
-// unknown variable may simply be absent. A FLWOR under x is not entered:
-// it is handed to nested with the summary sets in scope where it stands
-// (a map of its own), for the compiler to make a sub-program of — unless
-// a rule counts it.
-func (e *engine) planExpr(pl pathPlans, cards map[*xquery.Call]*cardRule, x xquery.Expr, vars map[string][]*storage.SummaryNode, nested func(*xquery.FLWOR, map[string][]*storage.SummaryNode)) []*storage.SummaryNode {
+// without a text() tail, a variable). A FLWOR under x is not entered: it
+// is handed to nested with the context item's summary set where it
+// stands, for the compiler to make a sub-program of — unless a rule
+// counts it.
+func (e *engine) planExpr(pl pathPlans, cards map[*xquery.Call]*cardRule, x xquery.Expr, vars *staticVars, nested func(*xquery.FLWOR, []*storage.SummaryNode)) []*storage.SummaryNode {
 	switch x := x.(type) {
 	case *xquery.VarRef:
-		return vars[x.Name]
+		return vars.slots[x.Binder]
 	case *xquery.PathExpr:
-		plan := e.resolvePath(x, vars[x.Var])
+		plan := e.resolvePath(x, vars.origin(x))
 		pl[x] = plan
+		ctx := vars.ctx
 		for i, step := range x.Steps {
 			if len(step.Preds) > 0 && i < len(plan.targets) {
-				inner := cloneVars(vars)
-				inner["."] = plan.targets[i]
+				vars.ctx = plan.targets[i]
 				for _, pred := range step.Preds {
-					e.planExpr(pl, cards, pred, inner, nested)
+					e.planExpr(pl, cards, pred, vars, nested)
 				}
 			}
 		}
+		vars.ctx = ctx
 		if len(plan.targets) < len(x.Steps) {
 			return nil // text() tail: the value is strings
 		}
 		return plan.sums()
 	case *xquery.FLWOR:
-		nested(x, cloneVars(vars))
+		nested(x, vars.ctx)
 		return nil
 	case *xquery.Call:
 		if cards == nil {
@@ -181,12 +203,6 @@ func (e *engine) planExpr(pl pathPlans, cards map[*xquery.Call]*cardRule, x xque
 		e.planExpr(pl, cards, sub, vars, nested)
 	}
 	return nil
-}
-
-func cloneVars(vars map[string][]*storage.SummaryNode) map[string][]*storage.SummaryNode {
-	out := make(map[string][]*storage.SummaryNode, len(vars)+1)
-	maps.Copy(out, vars)
-	return out
 }
 
 // sortedOrder returns the stable ORDER BY permutation of keys. The
@@ -291,7 +307,7 @@ func (e *engine) applyLit(pd pushdown, ms *matchers, cur algebra.NodeSet, sums [
 // otherwise. whole says cur is every instance of sums, so the partners
 // are the restriction as they stand.
 func (e *engine) applyJoin(pd pushdown, idx *joinIndex, whole bool, cur algebra.NodeSet, sums []*storage.SummaryNode, env *scope) (algebra.NodeSet, bool, error) {
-	other := env.lookup(pd.OtherVar)
+	other := env.of(pd.Other)
 	if other == nil || len(other.ids) != 1 || len(other.sums) == 0 || len(sums) == 0 {
 		return nil, false, nil
 	}

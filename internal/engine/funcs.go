@@ -160,7 +160,7 @@ func (e *engine) argLen(x *xquery.Call, env *scope) (int, error) {
 			nodes, _, _, err := e.evalPathNodes(a, env)
 			return len(nodes), err
 		case *xquery.VarRef:
-			if b := env.lookup(a.Name); b != nil {
+			if b := env.of(a.Binder); b != nil {
 				return b.len(), nil
 			}
 		}

@@ -209,7 +209,7 @@ func xmarkTexts() []string {
 // content, attributes on three levels — as 2–5 appended segments and
 // cut into 2–4 parts, every part under its own plan.
 func TestFusedRandomDifferential(t *testing.T) {
-	queries := append(slices.Clone(engine.QueryBattery), xmarkTexts()...)
+	queries := append(datagen.RecordQueries(), xmarkTexts()...)
 	trials := 25
 	if testing.Short() {
 		trials = 5

@@ -75,7 +75,7 @@ func TestRandomDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			for _, q := range engine.QueryBattery {
+			for _, q := range datagen.RecordQueries() {
 				agree(t, doc, s, q)
 			}
 		}

@@ -32,16 +32,12 @@ type tupleSort struct {
 
 	order []int
 	next  int
-	slots []binding  // per clause, what replay binds
-	outer []*binding // per clause, its name's binding outside the FLWOR
 }
 
 // newTupleSort returns the sorter of one evaluation of x under plan;
 // ranks, when not nil, ranks its key (keyRanks).
 func newTupleSort(x *xquery.FLWOR, plan *flworPlan, ranks *rankTable) *tupleSort {
-	n := len(x.Clauses)
-	t := &tupleSort{x: x, plan: plan, ranks: ranks, sets: make([][]*storage.SummaryNode, 1),
-		slots: make([]binding, n), outer: make([]*binding, n)}
+	t := &tupleSort{x: x, plan: plan, ranks: ranks, sets: make([][]*storage.SummaryNode, 1)}
 	for _, cl := range x.Clauses {
 		if !cl.Let {
 			t.width++
@@ -69,23 +65,9 @@ func (t *tupleSort) add(id storage.NodeID, at place, it Item, sums []*storage.Su
 	}
 }
 
-// open starts an evaluation of the sorter's FLWOR under env: the tuples
-// of the previous one go, and what the clauses' names are bound to
-// outside the FLWOR is recorded, for replay and close to put back.
-func (t *tupleSort) open(env *clauseEnv) {
-	*t = *newTupleSort(t.x, t.plan, t.ranks)
-	for ci, cl := range t.x.Clauses {
-		t.outer[ci] = env.s.lookup(cl.Var)
-	}
-}
-
-// close ends an evaluation open started: the clauses' names are bound to
-// what they were outside the FLWOR again.
-func (t *tupleSort) close(env *clauseEnv) {
-	for ci, cl := range t.x.Clauses {
-		env.s.unbind(cl.Var, t.outer[ci])
-	}
-}
+// reset starts another evaluation of the sorter's FLWOR: the tuples of
+// the previous one go.
+func (t *tupleSort) reset() { *t = *newTupleSort(t.x, t.plan, t.ranks) }
 
 // collectKey completes the tuple just added with its key: the first node
 // of the key path when the key is ranked, else the string value of the
@@ -139,22 +121,14 @@ func (e *engine) replay(t *tupleSort, env *scope) (bool, error) {
 	}
 	k := t.order[t.next] * t.width
 	t.next++
-	if t.plan.hides {
-		// No LET may see the previous tuple's binding of a name bound at
-		// or after it.
-		for ci, cl := range t.x.Clauses {
-			env.unbind(cl.Var, t.outer[ci])
-		}
-	}
 	for ci, cl := range t.x.Clauses {
-		b := &t.slots[ci]
+		b := &env.vars[cl.Binder]
 		switch {
 		case !cl.Let:
-			b.sums = t.sets[t.set[k]]
-			if t.ids[k] != 0 {
-				b.setNode(t.ids[k], t.ats[k])
+			if sums := t.sets[t.set[k]]; t.ids[k] != 0 {
+				b.setNode(t.ids[k], sums, t.ats[k])
 			} else {
-				b.set(nil, nil, t.items[k], b.sums)
+				b.set(nil, nil, t.items[k], sums)
 			}
 			k++
 		case t.plan.Replay[ci]:
@@ -163,10 +137,7 @@ func (e *engine) replay(t *tupleSort, env *scope) (bool, error) {
 				return false, err
 			}
 			b.set(seq, ids, nil, sums)
-		default:
-			continue
 		}
-		env.bind(cl.Var, b)
 	}
 	return true, nil
 }
@@ -175,44 +146,32 @@ func (e *engine) replay(t *tupleSort, env *scope) (bool, error) {
 // are evaluated: collected — before the sort — when a later FOR domain, a
 // collected LET, a WHERE conjunct or the key refers to one, replayed —
 // after the sort — when the RETURN needs it (Q19's $k). LETs have no side
-// effects, so evaluating one twice is sound. hides reports a replayed LET
-// that refers to a name no earlier clause binds, but it or a later one.
-func orderPhases(x *xquery.FLWOR) (collect, replay []bool, hides bool) {
+// effects, so evaluating one twice is sound.
+func orderPhases(x *xquery.FLWOR) (collect, replay []bool) {
 	n := len(x.Clauses)
 	collect, replay = make([]bool, n), make([]bool, n)
-	// binder is the last of the first `before` clauses to bind name.
-	binder := func(name string, before int) int {
-		j := before - 1
-		for j >= 0 && x.Clauses[j].Var != name {
-			j--
-		}
-		return j
-	}
-	// mark sets need for each LET sub refers to (sub placed before clause
-	// `before`), and for the LETs those refer to.
-	var mark func(need []bool, sub xquery.Expr, before int)
-	mark = func(need []bool, sub xquery.Expr, before int) {
-		for name := range xquery.FreeVars(sub) {
-			if j := binder(name, before); j >= 0 && x.Clauses[j].Let && !need[j] {
-				need[j] = true
-				mark(need, x.Clauses[j].Seq, j)
+	// mark sets need for each LET of x that sub refers to, and for the
+	// LETs those refer to.
+	var mark func(need []bool, sub xquery.Expr)
+	mark = func(need []bool, sub xquery.Expr) {
+		for binder := range xquery.FreeVars(sub) {
+			for j, cl := range x.Clauses {
+				if cl.Binder == binder && cl.Let && !need[j] {
+					need[j] = true
+					mark(need, cl.Seq)
+				}
 			}
 		}
 	}
-	for ci, cl := range x.Clauses {
+	for _, cl := range x.Clauses {
 		if !cl.Let {
-			mark(collect, cl.Seq, ci)
+			mark(collect, cl.Seq)
 		}
 	}
-	mark(collect, x.Where, n)
-	mark(collect, x.OrderBy, n)
-	mark(replay, x.Return, n)
-	for j, cl := range x.Clauses {
-		for name := range xquery.FreeVars(cl.Seq) {
-			hides = hides || replay[j] && binder(name, j) < 0 && binder(name, n) >= 0
-		}
-	}
-	return collect, replay, hides
+	mark(collect, x.Where)
+	mark(collect, x.OrderBy)
+	mark(replay, x.Return)
+	return collect, replay
 }
 
 // rankTable is the rank table of an ORDER BY key whose values live in known

@@ -431,7 +431,7 @@ func (e *engine) pathOrigin(p *xquery.PathExpr, env *scope, st *pathState) error
 		}
 		st.nodes, st.sums = env.ctx[:], env.ctxSums
 	} else {
-		b := env.lookup(p.Var)
+		b := env.of(p.Binder)
 		if b == nil {
 			return fmt.Errorf("engine: unbound variable $%s", p.Var)
 		}
@@ -1013,7 +1013,7 @@ func (e *engine) predOwners(sums []*storage.SummaryNode, pred xquery.Expr, domai
 	if len(sums) == 0 {
 		return noOwners, nil
 	}
-	rel, lit, op, ok := splitVarPred(pred, ".")
+	rel, lit, op, ok := splitVarPred(pred, 0)
 	if !ok {
 		return noOwners, nil
 	}

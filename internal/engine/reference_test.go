@@ -230,7 +230,7 @@ func TestRunsResolvePerOrigin(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := expr.(*xquery.FLWOR)
-		_, _, sums, err := e.evalBindingSeq(f.Clauses[0].Seq, newScope())
+		_, _, sums, err := e.evalBindingSeq(f.Clauses[0].Seq, newScope(1))
 		if err != nil || len(sums) == 0 {
 			t.Fatalf("%s: sums %v, err %v", origin, sums, err)
 		}

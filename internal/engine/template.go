@@ -208,7 +208,7 @@ func (e *engine) appendContent(dst []byte, x xquery.Expr, env *scope) ([]byte, i
 		}
 		return dst, len(nodes), err
 	case *xquery.VarRef:
-		if b := env.lookup(x.Name); b != nil && b.ids != nil {
+		if b := env.of(x.Binder); b != nil && b.ids != nil {
 			var err error
 			for i := 0; err == nil && i < len(b.ids); i++ {
 				dst, err = e.appendContentNode(dst, b.ids[i], deepValue)

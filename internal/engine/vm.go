@@ -15,10 +15,6 @@ type opcode uint8
 const (
 	// opHalt ends the program.
 	opHalt opcode = iota
-	// opReset installs a fresh variable environment (emitted at each
-	// top-level block boundary so sibling blocks cannot observe each
-	// other's bindings).
-	opReset
 	// opScan A=cursor B=domain: evaluate a FOR domain (or top-level
 	// path) into cursor A. Invariant domains are computed once per run.
 	opScan
@@ -30,9 +26,8 @@ const (
 	// via the engine's per-comparison join index, else deferred.
 	opJoinRestrict
 	// opIter A=cursor B=var C=jump: advance cursor A and bind its
-	// current item to var, unbinding the clauses after it; jump to C
-	// when exhausted (the enclosing clause's opIter, or the block end for
-	// clause 0).
+	// current item to var; jump to C when exhausted (the enclosing
+	// clause's opIter, or the block end for clause 0).
 	opIter
 	// opDeferred A=cursor C=jump: evaluate the cursor's deferred
 	// conjuncts (original plan order) against the fresh binding; jump
@@ -63,8 +58,8 @@ const (
 	// RETURN needs; jump to C when none is left.
 	opReplay
 	// opLetOpen A=acc B=depth: start a LET whose source FLWOR the program
-	// runs as loops: empty accumulator A and reserve the LET's depth, so
-	// the inner clauses bind after it.
+	// runs as loops: empty accumulator A. B, listed only, is the LET's
+	// depth in its loop nest, the number of clauses bound before it.
 	opLetOpen
 	// opAppend A=acc B=expr C=jump: append the inner RETURN's items to
 	// accumulator A; jump back to C (the inner innermost opIter).
@@ -75,7 +70,7 @@ const (
 	opAppendCur
 	// opLetBind A=var B=acc C=cursor: bind the LET to accumulator B's
 	// items — when C ≥ 0, the nodes opAppendCur appended, with cursor C's
-	// summary set — which unbinds the inner clauses.
+	// summary set.
 	opLetBind
 	// opEmitCtor A=template C=jump: write a RETURN's constructed element
 	// through emission template A and emit it; the next pull resumes at C.
@@ -98,7 +93,7 @@ const (
 )
 
 var opNames = [...]string{
-	opHalt: "HALT", opReset: "RESET", opScan: "SCAN",
+	opHalt: "HALT", opScan: "SCAN",
 	opLitRestrict: "LITREST", opJoinRestrict: "JOINREST",
 	opIter: "ITER", opDeferred: "DEFERRED",
 	opLet: "LET", opWhere: "WHERE", opEvalPush: "EVAL",
@@ -170,11 +165,11 @@ type predSpec struct {
 	whole bool
 }
 
-// varSpec is the variable one FLWOR clause binds, and its depth: the
-// number of clauses of the FLWOR the program binds before it.
+// varSpec is the variable one FLWOR clause binds: its name, for the
+// listing, and its binder slot (xquery.Clause.Binder).
 type varSpec struct {
-	name  string
-	depth int32
+	name string
+	slot int32
 }
 
 // sortSpec is one FLWOR's ORDER BY, what each run builds its
@@ -229,7 +224,10 @@ type Program struct {
 	// dropped are the residual WHERE conjuncts a rule answers true at
 	// compile: no instruction tests them.
 	dropped []xquery.Expr
+	// vars are the clauses' variables; binders is the largest binder
+	// slot, so each run has a binding per slot (scope).
 	vars    []varSpec
+	binders int
 	ncur    int
 	store   *storage.Store
 	sizeEst int
@@ -333,7 +331,7 @@ type domResult struct {
 type run struct {
 	prog *Program
 	eng  *engine
-	env  *clauseEnv
+	env  *scope
 
 	pc      int32
 	cursors []cursor
@@ -372,7 +370,7 @@ func (p *Program) newRun(ctx context.Context) (*run, error) {
 	r := &run{
 		prog:    p,
 		eng:     eng,
-		env:     &clauseEnv{s: newScope()},
+		env:     newScope(p.binders),
 		cursors: make([]cursor, p.ncur),
 		doms:    make([]*domResult, len(p.doms)),
 		accs:    make([]accum, len(p.reuse)),
@@ -384,31 +382,24 @@ func (p *Program) newRun(ctx context.Context) (*run, error) {
 	return r, nil
 }
 
-// appendFLWOR runs the sub-program of x to its opRet through a frame
-// stack of its own over env, its accumulator starting as dst. The frames
-// are unbound when it returns — on error too — which puts back what its
-// clauses shadowed, and a sorter puts back the outer bindings of its
-// clauses' names on the way out (tupleSort.open, close).
-func (r *run) appendFLWOR(dst seq, x *xquery.FLWOR, env *scope) (seq, error) {
+// appendFLWOR runs the sub-program of x to its opRet, its accumulator
+// starting as dst. Its clauses bind slots of their own, which no
+// reference outside x reads, so nothing of the caller's is put back.
+func (r *run) appendFLWOR(dst seq, x *xquery.FLWOR) (seq, error) {
 	k, ok := r.prog.subOf[x]
 	if !ok {
 		return nil, fmt.Errorf("vm: run: internal error: no sub-program for %s", trunc(x.String(), 48))
 	}
 	s := &r.prog.subs[k]
-	sub := &clauseEnv{s: env}
 	if s.sort >= 0 {
-		r.sorts[s.sort].open(sub)
+		r.sorts[s.sort].reset()
 	}
 	a := &r.accs[s.acc]
-	outer, pc := r.env, r.pc
-	a.seq, r.env, r.pc = dst, sub, s.entry
+	pc := r.pc
+	a.seq, r.pc = dst, s.entry
 	_, _, err := r.dispatch()
-	r.env, r.pc = outer, pc
+	r.pc = pc
 	dst, a.seq = a.seq, nil
-	if s.sort >= 0 {
-		r.sorts[s.sort].close(sub)
-	}
-	sub.truncate(0)
 	return dst, err
 }
 
@@ -451,16 +442,12 @@ func (r *run) dispatch() (Item, bool, error) {
 			r.stop()
 			return nil, false, nil
 
-		case opReset:
-			r.env.reset()
-			r.pc++
-
 		case opScan:
 			spec := &p.doms[in.B]
 			c := &r.cursors[in.A]
 			c.pos = 0
 			if spec.topPath {
-				nodes, sums, textTail, err := eng.evalPathNodes(spec.path, r.env.s)
+				nodes, sums, textTail, err := eng.evalPathNodes(spec.path, r.env)
 				if err != nil {
 					return r.fail(err)
 				}
@@ -470,7 +457,7 @@ func (r *run) dispatch() (Item, bool, error) {
 			}
 			res := r.doms[in.B]
 			if res == nil || !spec.invariant {
-				seq, ids, sums, err := eng.evalBindingSeq(spec.expr, r.env.s)
+				seq, ids, sums, err := eng.evalBindingSeq(spec.expr, r.env)
 				if err != nil {
 					return r.fail(err)
 				}
@@ -532,7 +519,7 @@ func (r *run) dispatch() (Item, bool, error) {
 				continue
 			}
 			ps := &p.preds[in.B]
-			restricted, handled, err := eng.applyJoin(ps.pd, ps.idx, ps.whole, c.ids, c.sums, r.env.s)
+			restricted, handled, err := eng.applyJoin(ps.pd, ps.idx, ps.whole, c.ids, c.sums, r.env)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -556,15 +543,15 @@ func (r *run) dispatch() (Item, bool, error) {
 				r.pc = in.C
 				continue
 			}
-			v := &p.vars[in.B]
+			b := &r.env.vars[p.vars[in.B].slot]
 			if c.seqMode {
 				c.curNode, c.curIsNode = c.seq[c.pos].(storage.NodeID)
 				c.curAt = place{}
-				r.env.bind(int(v.depth), v.name, c.seq[c.pos:c.pos+1], nil, c.sums)
+				b.set(c.seq[c.pos:c.pos+1], nil, nil, c.sums)
 			} else {
 				c.curNode, c.curIsNode = c.ids[c.pos], true
 				c.curAt = c.placeNext(c.curNode)
-				r.env.bindNode(int(v.depth), v.name, c.curNode, c.sums, c.curAt)
+				b.setNode(c.curNode, c.sums, c.curAt)
 			}
 			c.pos++
 			r.pc++
@@ -576,7 +563,7 @@ func (r *run) dispatch() (Item, bool, error) {
 				if conj == nil {
 					continue
 				}
-				ok, err := eng.evalBool(conj, r.env.s)
+				ok, err := eng.evalBool(conj, r.env)
 				if err != nil {
 					return r.fail(err)
 				}
@@ -593,16 +580,15 @@ func (r *run) dispatch() (Item, bool, error) {
 
 		case opLet:
 			spec := &p.doms[in.B]
-			seq, ids, sums, err := eng.evalBindingSeq(spec.expr, r.env.s)
+			seq, ids, sums, err := eng.evalBindingSeq(spec.expr, r.env)
 			if err != nil {
 				return r.fail(err)
 			}
-			v := &p.vars[in.A]
-			r.env.bind(int(v.depth), v.name, seq, ids, sums)
+			r.env.vars[p.vars[in.A].slot].set(seq, ids, nil, sums)
 			r.pc++
 
 		case opWhere:
-			ok, err := eng.evalBool(p.exprs[in.A], r.env.s)
+			ok, err := eng.evalBool(p.exprs[in.A], r.env)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -613,7 +599,7 @@ func (r *run) dispatch() (Item, bool, error) {
 			r.pc++
 
 		case opEvalPush:
-			v, err := eng.eval(p.exprs[in.A], r.env.s)
+			v, err := eng.eval(p.exprs[in.A], r.env)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -662,7 +648,7 @@ func (r *run) dispatch() (Item, bool, error) {
 					ts.add(0, place{}, c.seq[c.pos-1], c.sums)
 				}
 			}
-			if err := eng.collectKey(ts, r.env.s); err != nil {
+			if err := eng.collectKey(ts, r.env); err != nil {
 				return r.fail(err)
 			}
 			r.pc = in.C
@@ -674,7 +660,7 @@ func (r *run) dispatch() (Item, bool, error) {
 			r.pc++
 
 		case opReplay:
-			ok, err := eng.replay(r.sorts[in.A], r.env.s)
+			ok, err := eng.replay(r.sorts[in.A], r.env)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -690,12 +676,11 @@ func (r *run) dispatch() (Item, bool, error) {
 			} else {
 				*a = accum{}
 			}
-			r.env.open(int(in.B))
 			r.pc++
 
 		case opAppend:
 			a := &r.accs[in.A]
-			seq, err := eng.appendExpr(a.seq, p.exprs[in.B], r.env.s)
+			seq, err := eng.appendExpr(a.seq, p.exprs[in.B], r.env)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -708,15 +693,15 @@ func (r *run) dispatch() (Item, bool, error) {
 			r.pc = in.C
 
 		case opLetBind:
-			a, v := &r.accs[in.B], &p.vars[in.A]
+			a, b := &r.accs[in.B], &r.env.vars[p.vars[in.A].slot]
 			if in.C >= 0 {
 				ids := a.ids
 				if ids == nil {
 					ids = algebra.NodeSet{}
 				}
-				r.env.bind(int(v.depth), v.name, nil, ids, r.cursors[in.C].sums)
+				b.set(nil, ids, nil, r.cursors[in.C].sums)
 			} else {
-				r.env.bind(int(v.depth), v.name, a.seq, nil, nil)
+				b.set(a.seq, nil, nil, nil)
 			}
 			if !p.reuse[in.B] {
 				*a = accum{} // the binding owns the items now
@@ -724,7 +709,7 @@ func (r *run) dispatch() (Item, bool, error) {
 			r.pc++
 
 		case opEmitCtor:
-			it, err := eng.emit(p.tpls[in.A].t, r.env.s)
+			it, err := eng.emit(p.tpls[in.A].t, r.env)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -732,7 +717,7 @@ func (r *run) dispatch() (Item, bool, error) {
 			return it, true, nil
 
 		case opAppendCtor:
-			it, err := eng.emit(p.tpls[in.B].t, r.env.s)
+			it, err := eng.emit(p.tpls[in.B].t, r.env)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -742,7 +727,7 @@ func (r *run) dispatch() (Item, bool, error) {
 
 		case opAppendOut:
 			a := &r.accs[in.A]
-			seq, err := eng.appendEmitted(a.seq, p.exprs[in.B], r.env.s)
+			seq, err := eng.appendEmitted(a.seq, p.exprs[in.B], r.env)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -762,8 +747,7 @@ func (r *run) dispatch() (Item, bool, error) {
 			if ids == nil {
 				ids = algebra.NodeSet{}
 			}
-			v := &p.vars[in.B]
-			r.env.bind(int(v.depth), v.name, nil, ids, c.sums)
+			r.env.vars[p.vars[in.B].slot].set(nil, ids, nil, c.sums)
 			r.pc = in.C
 
 		default:

@@ -370,6 +370,12 @@ func (s *Set) gcStale(dir, base string) {
 	for _, name := range s.Segments.Segments {
 		live[name] = true
 	}
+	removeSegments(dir, base, live)
+}
+
+// removeSegments removes the segment files in dir named after the
+// manifest base name base that live does not hold, best-effort.
+func removeSegments(dir, base string, live map[string]bool) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
@@ -382,4 +388,33 @@ func (s *Set) gcStale(dir, base string) {
 		}
 		os.Remove(filepath.Join(dir, name))
 	}
+}
+
+// Remove deletes the set saved at path: the manifest first, so that no
+// reader opens a set whose segments are going, then every segment file
+// named after it (best-effort, as after a Save).
+func Remove(path string) error {
+	if err := os.Remove(path); err != nil {
+		return err
+	}
+	removeSegments(filepath.Dir(path), strings.TrimSuffix(filepath.Base(path), filepath.Ext(path)), nil)
+	return nil
+}
+
+// Resolve returns the file that holds the repository at path. A
+// repository appended to is its segment set, so a ".xqc" path whose
+// ".xqcg" manifest exists resolves to the manifest; a ".xqc" path that
+// does not exist resolves to its ".xqcs" manifest (a database cut into
+// shards) when that exists. Any other path is the file itself.
+func Resolve(path string) string {
+	base, ok := strings.CutSuffix(path, ".xqc")
+	if !ok {
+		return path
+	}
+	for _, p := range []string{base + SegmentManifestExt, path, base + ".xqcs"} {
+		if _, err := os.Stat(p); err == nil {
+			return p
+		}
+	}
+	return path
 }

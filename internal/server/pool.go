@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"xquec"
+	"xquec/internal/partition"
 )
 
 // Pool is an LRU cache of open repositories keyed by repository name.
@@ -69,23 +70,15 @@ func NewPool(dir string, capacity int) *Pool {
 }
 
 // repoPath maps a repository name to its file, rejecting names that
-// escape the directory. A name resolves to its appended-to manifest
-// (name.xqcg) when that exists — a repository that has been appended
-// to is addressed through it, never through a stale single file or
-// manifest — else to its single-repository file (name.xqc), else to
+// escape the directory: partition.Resolve of name.xqc — the
+// appended-to manifest name.xqcg when that exists, else name.xqc, else
 // name.xqcs, the manifest of a database compressed with Options.Shards:
 // one namespace serves all.
 func (p *Pool) repoPath(name string) (string, error) {
 	if name == "" || strings.ContainsAny(name, "/\\") || strings.Contains(name, "..") {
 		return "", fmt.Errorf("server: invalid repository name %q", name)
 	}
-	for _, ext := range []string{".xqcg", ".xqc", ".xqcs"} {
-		full := filepath.Join(p.dir, name+ext)
-		if _, err := os.Stat(full); err == nil {
-			return full, nil
-		}
-	}
-	return filepath.Join(p.dir, name+".xqc"), nil
+	return partition.Resolve(filepath.Join(p.dir, name+".xqc")), nil
 }
 
 // Get returns the open repository for name, loading it if necessary.

@@ -138,41 +138,49 @@ func (m EqMatch) At(i int) int {
 }
 
 // FindRange returns the half-open range [lo, hi) of record indexes whose
-// value v satisfies loPlain ≤/< v ≤/< hiPlain, evaluated in the
-// compressed domain. It requires an order-preserving codec; otherwise
-// ErrNeedsDecompression is returned and the caller must scan+decode.
+// value v satisfies loPlain ≤/< v ≤/< hiPlain. Records are in plaintext
+// order whatever the codec, so it is one binary search per bound, whose
+// comparison is chosen once: on the compressed bytes when the codec
+// preserves order — no decompression — else on the records decoded, the
+// O(log n) the search probes: the case-(iii) decompression the cost model
+// charges, but logarithmic instead of a full container scan.
 func (c *Container) FindRange(loPlain []byte, loInclusive bool, hiPlain []byte, hiInclusive bool) (int, int, error) {
-	if !c.codec.Props().OrderPreserving {
-		return 0, 0, ErrNeedsDecompression
+	ordered := c.codec.Props().OrderPreserving
+	var buf []byte
+	var err error
+	// record returns record i as a bound is compared with it.
+	record := func(i int) []byte { return c.vals[i] }
+	if !ordered {
+		record = func(i int) []byte {
+			if err == nil {
+				buf, err = c.Decode(buf[:0], i)
+			}
+			return buf
+		}
 	}
-	lo := 0
+	// search returns the first record above the bound, or at it when at
+	// is set.
+	search := func(plain []byte, at bool) int {
+		bound := plain
+		if ordered && err == nil {
+			bound, err = c.codec.Encode(nil, plain)
+		}
+		return sort.Search(len(c.vals), func(i int) bool {
+			d := bytes.Compare(record(i), bound)
+			return d > 0 || at && d == 0
+		})
+	}
+	lo, hi := 0, len(c.vals)
 	if loPlain != nil {
-		enc, err := c.codec.Encode(nil, loPlain)
-		if err != nil {
-			return 0, 0, err
-		}
-		if loInclusive {
-			lo = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(c.vals[i], enc) >= 0 })
-		} else {
-			lo = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(c.vals[i], enc) > 0 })
-		}
+		lo = search(loPlain, loInclusive)
 	}
-	hi := len(c.vals)
 	if hiPlain != nil {
-		enc, err := c.codec.Encode(nil, hiPlain)
-		if err != nil {
-			return 0, 0, err
-		}
-		if hiInclusive {
-			hi = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(c.vals[i], enc) > 0 })
-		} else {
-			hi = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(c.vals[i], enc) >= 0 })
-		}
+		hi = search(hiPlain, !hiInclusive)
 	}
-	if hi < lo {
-		hi = lo
+	if err != nil {
+		return 0, 0, err
 	}
-	return lo, hi, nil
+	return lo, max(lo, hi), nil
 }
 
 // ErrNeedsDecompression reports that a predicate cannot be evaluated in
@@ -180,50 +188,6 @@ func (c *Container) FindRange(loPlain []byte, loInclusive bool, hiPlain []byte, 
 // then inserts an explicit decompress step (case (iii) of the cost
 // model's decompression accounting).
 var ErrNeedsDecompression = fmt.Errorf("storage: predicate requires decompression for this codec")
-
-// FindRangeDecoding answers the same interval query as FindRange for
-// order-agnostic codecs: records are kept in *plaintext* order at build
-// time, so a binary search that decodes O(log n) probe records finds
-// the bounds — the case-(iii) decompression the cost model charges,
-// but logarithmic instead of a full container scan.
-func (c *Container) FindRangeDecoding(loPlain []byte, loInclusive bool, hiPlain []byte, hiInclusive bool) (int, int, error) {
-	var buf []byte
-	var decodeErr error
-	decodeAt := func(i int) []byte {
-		if decodeErr != nil {
-			return nil
-		}
-		var err error
-		if buf, err = c.Decode(buf[:0], i); err != nil {
-			decodeErr = err
-			return nil
-		}
-		return buf
-	}
-	lo := 0
-	if loPlain != nil {
-		if loInclusive {
-			lo = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(decodeAt(i), loPlain) >= 0 })
-		} else {
-			lo = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(decodeAt(i), loPlain) > 0 })
-		}
-	}
-	hi := len(c.vals)
-	if hiPlain != nil {
-		if hiInclusive {
-			hi = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(decodeAt(i), hiPlain) > 0 })
-		} else {
-			hi = sort.Search(len(c.vals), func(i int) bool { return bytes.Compare(decodeAt(i), hiPlain) >= 0 })
-		}
-	}
-	if decodeErr != nil {
-		return 0, 0, decodeErr
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi, nil
-}
 
 // valueList is one container's worth of values on the way into it: the
 // plaintexts and their owners in document order, and the plaintext order.

@@ -144,11 +144,9 @@ func TestConcurrentContainerReads(t *testing.T) {
 						t.Errorf("FindEq(%s, %q) found nothing", c.Path, plain)
 						return
 					}
-					if !c.Codec().Props().OrderPreserving {
-						if _, _, err := c.FindRangeDecoding(plain, true, plain, true); err != nil {
-							t.Errorf("FindRangeDecoding(%s, %q): %v", c.Path, plain, err)
-							return
-						}
+					if lo, hi, err := c.FindRange(plain, true, plain, true); err != nil || lo == hi {
+						t.Errorf("FindRange(%s, %q) = [%d, %d), %v", c.Path, plain, lo, hi, err)
+						return
 					}
 				}
 			}

@@ -249,9 +249,6 @@ func TestPlanGroupsShareModels(t *testing.T) {
 		t.Fatalf("algorithm = %s", c1.Codec().Name())
 	}
 	// Huffman containers must have the eq permutation.
-	if _, _, err := c1.FindRange([]byte("A"), true, nil, true); err != ErrNeedsDecompression {
-		t.Fatalf("expected ErrNeedsDecompression, got %v", err)
-	}
 	m, err := c1.FindEq([]byte("Bob"))
 	if err != nil || m.Count() != 1 {
 		t.Fatalf("huffman FindEq: %d, %v", m.Count(), err)
@@ -558,12 +555,9 @@ func TestFindRangeDecoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := s.ContainerByPath("/site/people/person/name/#text")
-	// Huffman is order-agnostic: FindRange refuses, FindRangeDecoding
-	// answers via the plaintext-sorted records.
-	if _, _, err := c.FindRange([]byte("A"), true, nil, true); err != ErrNeedsDecompression {
-		t.Fatalf("FindRange err = %v", err)
-	}
-	lo, hi, err := c.FindRangeDecoding([]byte("Alice"), true, []byte("Bob"), true)
+	// Huffman is order-agnostic: FindRange answers by decoding its way
+	// through the plaintext-sorted records.
+	lo, hi, err := c.FindRange([]byte("Alice"), true, []byte("Bob"), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,12 +573,12 @@ func TestFindRangeDecoding(t *testing.T) {
 		t.Fatalf("range values = %v", got)
 	}
 	// Unbounded ranges.
-	lo, hi, err = c.FindRangeDecoding(nil, true, nil, true)
+	lo, hi, err = c.FindRange(nil, true, nil, true)
 	if err != nil || hi-lo != c.Len() {
 		t.Fatalf("full range = [%d,%d) of %d (%v)", lo, hi, c.Len(), err)
 	}
 	// Exclusive bounds.
-	lo, hi, err = c.FindRangeDecoding([]byte("Alice"), false, []byte("Carol"), false)
+	lo, hi, err = c.FindRange([]byte("Alice"), false, []byte("Carol"), false)
 	if err != nil || hi-lo != 1 {
 		t.Fatalf("(Alice,Carol) = %d (%v)", hi-lo, err)
 	}

@@ -105,7 +105,7 @@ func reorders(x xquery.Expr) bool {
 		}
 		for ci, cl := range f.Clauses {
 			rest := &xquery.FLWOR{Clauses: f.Clauses[ci+1:], Where: f.Where, OrderBy: f.OrderBy, Return: f.Return}
-			if cl.Let && !xquery.FreeVars(rest)[cl.Var] {
+			if cl.Let && !xquery.FreeVars(rest)[cl.Binder] {
 				found = true
 			}
 		}

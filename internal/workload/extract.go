@@ -20,46 +20,38 @@ func FromQueries(queries ...string) (*Workload, error) {
 		if err != nil {
 			return nil, err
 		}
-		x := extractor{w: w, vars: map[string]string{}}
+		x := extractor{w: w, vars: map[int]string{}}
 		x.walk(expr)
 	}
 	return w, nil
 }
 
 // extractor walks one query, tracking the static absolute path of each
-// variable ("" when unknown).
+// variable, by its binder slot (xquery.Clause.Binder), and of the context
+// item where the walk stands ("" when unknown).
 type extractor struct {
 	w    *Workload
-	vars map[string]string
-}
-
-func (x *extractor) clone() *extractor {
-	nx := &extractor{w: x.w, vars: make(map[string]string, len(x.vars))}
-	for k, v := range x.vars {
-		nx.vars[k] = v
-	}
-	return nx
+	vars map[int]string
+	ctx  string
 }
 
 func (x *extractor) walk(expr xquery.Expr) {
 	switch e := expr.(type) {
 	case *xquery.FLWOR:
-		sub := x.clone()
 		for _, cl := range e.Clauses {
 			if p, isPath := cl.Seq.(*xquery.PathExpr); isPath {
-				sub.vars[cl.Var] = sub.resolve(p, false)
+				x.vars[cl.Binder] = x.resolve(p, false)
 			} else {
-				sub.walk(cl.Seq)
-				sub.vars[cl.Var] = ""
+				x.walk(cl.Seq)
 			}
 		}
 		if e.Where != nil {
-			sub.walk(e.Where)
+			x.walk(e.Where)
 		}
 		if e.OrderBy != nil {
-			sub.walk(e.OrderBy)
+			x.walk(e.OrderBy)
 		}
-		sub.walk(e.Return)
+		x.walk(e.Return)
 	case *xquery.Logic:
 		x.walk(e.Left)
 		x.walk(e.Right)
@@ -91,11 +83,11 @@ func (x *extractor) walk(expr xquery.Expr) {
 				// Step predicates compare relative to the step's node:
 				// re-root relative paths under the (statically known)
 				// prefix of this path.
-				prefix := x.resolvePrefix(e, i)
-				if prefix != "" {
-					sx := x.clone()
-					sx.vars["."] = prefix
-					sx.walk(p)
+				if prefix := x.resolvePrefix(e, i); prefix != "" {
+					ctx := x.ctx
+					x.ctx = prefix
+					x.walk(p)
+					x.ctx = ctx
 				}
 			}
 		}
@@ -170,13 +162,9 @@ func (x *extractor) valuePath(e xquery.Expr) string {
 // resolve turns a path expression into an absolute path string;
 // asValue appends the "#text" leaf for element-ended paths.
 func (x *extractor) resolve(p *xquery.PathExpr, asValue bool) string {
-	base := ""
-	if p.Var != "" {
-		b, ok := x.vars[p.Var]
-		if !ok || b == "" {
-			return ""
-		}
-		base = b
+	base := x.origin(p)
+	if p.Var != "" && base == "" {
+		return ""
 	}
 	var sb strings.Builder
 	sb.WriteString(base)
@@ -214,16 +202,21 @@ func (x *extractor) resolve(p *xquery.PathExpr, asValue bool) string {
 	return out
 }
 
+// origin returns the static absolute path of p's origin: its variable's
+// or the context item's, "" when unknown or p is absolute.
+func (x *extractor) origin(p *xquery.PathExpr) string {
+	if p.Var == "." {
+		return x.ctx
+	}
+	return x.vars[p.Binder]
+}
+
 // resolvePrefix resolves the path up to (and including) step index
 // until, used to scope step-predicate extraction.
 func (x *extractor) resolvePrefix(p *xquery.PathExpr, until int) string {
-	base := ""
-	if p.Var != "" {
-		b, ok := x.vars[p.Var]
-		if !ok || b == "" {
-			return ""
-		}
-		base = b
+	base := x.origin(p)
+	if p.Var != "" && base == "" {
+		return ""
 	}
 	var sb strings.Builder
 	sb.WriteString(base)

@@ -33,14 +33,24 @@ type Clause struct {
 	Var string // without the $
 	Seq Expr
 	Let bool // true for LET (bind whole sequence), false for FOR
+	// Binder numbers the clause among its query's binders: Parse gives
+	// each clause it builds its own, from 1, in the order it builds them.
+	// A reference to the clause's variable records it (VarRef.Binder,
+	// PathExpr.Binder), so an evaluator keeps the variable's value at
+	// this slot and never searches for it by name.
+	Binder int
 }
 
 // PathExpr is a path: an origin (variable, document root, or a
 // parenthesized expression) followed by steps.
 type PathExpr struct {
 	// Var is the origin variable name (without $); empty for absolute
-	// paths rooted at the document.
+	// paths rooted at the document, "." for the context item.
 	Var string
+	// Binder is the slot of the clause binding Var where the path stands
+	// (Clause.Binder): the innermost one of that name. It is 0 for an
+	// absolute path, the context item and a name nothing binds.
+	Binder int
 	// Doc is the document("...") argument when the path is absolute.
 	Doc   string
 	Steps []Step
@@ -107,8 +117,13 @@ type StringLit struct{ Val string }
 // NumberLit is a numeric literal.
 type NumberLit struct{ Val float64 }
 
-// VarRef references a bound variable.
-type VarRef struct{ Name string }
+// VarRef references a variable: Binder is the slot of the innermost
+// clause binding Name where the reference stands (Clause.Binder), 0 when
+// nothing binds it.
+type VarRef struct {
+	Name   string
+	Binder int
+}
 
 // ElementCtor is a direct element constructor. Attribute and content
 // values interleave literal text with embedded expressions.

@@ -35,6 +35,28 @@ type parser struct {
 	depth int
 	// paths counts the paths built so far: the last one's Slot.
 	paths int
+	// binders counts the clauses built so far: the last one's Binder.
+	// scope holds the clauses whose variables are in scope where the
+	// parser stands, innermost last.
+	binders int
+	scope   []scoped
+}
+
+// scoped is a clause in scope: its variable and its Binder.
+type scoped struct {
+	name   string
+	binder int
+}
+
+// resolve returns the Binder of the innermost clause in scope that binds
+// name, 0 when none does.
+func (p *parser) resolve(name string) int {
+	for i := len(p.scope) - 1; i >= 0; i-- {
+		if p.scope[i].name == name {
+			return p.scope[i].binder
+		}
+	}
+	return 0
 }
 
 // path numbers pe, a path just built, and returns it.
@@ -105,8 +127,12 @@ func (p *parser) parseExprSingle() (Expr, error) {
 	return p.parseOperators(bpOr)
 }
 
+// parseFLWOR parses a FLWOR, numbering each clause once its source is
+// parsed — the source does not see the clause's own variable — and
+// keeping the clauses in scope through the RETURN.
 func (p *parser) parseFLWOR() (Expr, error) {
 	f := &FLWOR{}
+	outer := len(p.scope)
 	for p.isKeyword("for") || p.isKeyword("let") {
 		isLet := p.isKeyword("let")
 		if err := p.advance(); err != nil {
@@ -136,7 +162,9 @@ func (p *parser) parseFLWOR() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			f.Clauses = append(f.Clauses, Clause{Var: name, Seq: seq, Let: isLet})
+			p.binders++
+			f.Clauses = append(f.Clauses, Clause{Var: name, Seq: seq, Let: isLet, Binder: p.binders})
+			p.scope = append(p.scope, scoped{name, p.binders})
 			if p.isSymbol(",") {
 				if err := p.advance(); err != nil {
 					return nil, err
@@ -193,6 +221,7 @@ func (p *parser) parseFLWOR() (Expr, error) {
 		return nil, err
 	}
 	f.Return = ret
+	p.scope = p.scope[:outer]
 	return f, nil
 }
 
@@ -352,7 +381,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 		if !ok {
 			// steps from a non-path origin: wrap variables only
 			if v, isVar := e.(*VarRef); isVar {
-				pe = p.path(&PathExpr{Var: v.Name})
+				pe = p.path(&PathExpr{Var: v.Name, Binder: v.Binder})
 			} else {
 				return nil, p.errf("path steps are only supported from variables or document()")
 			}
@@ -442,7 +471,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return &VarRef{Name: name}, nil
+		return &VarRef{Name: name, Binder: p.resolve(name)}, nil
 	case p.tok.kind == tokString:
 		v := p.tok.text
 		if err := p.advance(); err != nil {
@@ -764,7 +793,7 @@ func (p *parser) scanTemplate(stop func() bool) ([]Expr, error) {
 func (p *parser) scanEmbedded() (Expr, error) {
 	l := p.lex
 	l.pos++ // consume '{'
-	sub := &parser{lex: l, depth: p.depth, paths: p.paths}
+	sub := &parser{lex: l, depth: p.depth, paths: p.paths, binders: p.binders, scope: p.scope}
 	if err := sub.advance(); err != nil {
 		return nil, err
 	}
@@ -772,7 +801,7 @@ func (p *parser) scanEmbedded() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.paths = sub.paths
+	p.paths, p.binders = sub.paths, sub.binders
 	if !sub.isSymbol("}") {
 		return nil, l.errf(sub.tok.pos, "expected '}' after embedded expression")
 	}

@@ -52,61 +52,46 @@ func Children(expr Expr) []Expr {
 	return out
 }
 
-// FreeVars returns the variables x refers to without binding them (the
-// context item counts as the pseudo-variable "."). Step predicates bind
-// "." locally; FLWOR clauses bind their variables for later clauses and
-// the tail.
-func FreeVars(x Expr) map[string]bool {
-	free := map[string]bool{}
-	addFree(x, nil, free)
+// FreeVars returns the binders x reads from outside itself, by slot
+// (Clause.Binder). Slot 0 stands for a variable nothing binds and for the
+// context item read outside x's own step predicates, which bind it.
+func FreeVars(x Expr) map[int]bool {
+	bound := map[int]bool{}
+	Walk(x, func(sub Expr) {
+		if f, isFLWOR := sub.(*FLWOR); isFLWOR {
+			for _, cl := range f.Clauses {
+				bound[cl.Binder] = true
+			}
+		}
+	})
+	free := map[int]bool{}
+	addFree(x, false, bound, free)
 	return free
 }
 
-func addFree(x Expr, bound map[string]bool, free map[string]bool) {
+func addFree(x Expr, inPred bool, bound, free map[int]bool) {
 	switch e := x.(type) {
-	case nil:
-		return
 	case *VarRef:
-		if !bound[e.Name] {
-			free[e.Name] = true
+		if !bound[e.Binder] {
+			free[e.Binder] = true
 		}
 	case *PathExpr:
-		if e.Var != "" && !bound[e.Var] {
-			free[e.Var] = true
+		switch {
+		case e.Var == ".":
+			if !inPred {
+				free[0] = true
+			}
+		case e.Var != "" && !bound[e.Binder]:
+			free[e.Binder] = true
 		}
-		var pb map[string]bool
 		for _, st := range e.Steps {
-			if len(st.Preds) == 0 {
-				continue
-			}
-			if pb == nil {
-				pb = withBound(bound, ".")
-			}
 			for _, pr := range st.Preds {
-				addFree(pr, pb, free)
+				addFree(pr, true, bound, free)
 			}
 		}
-	case *FLWOR:
-		b := bound
-		for _, cl := range e.Clauses {
-			addFree(cl.Seq, b, free)
-			b = withBound(b, cl.Var)
-		}
-		addFree(e.Where, b, free)
-		addFree(e.OrderBy, b, free)
-		addFree(e.Return, b, free)
-	default:
-		for _, sub := range Children(x) {
-			addFree(sub, bound, free)
-		}
+		return
 	}
-}
-
-func withBound(bound map[string]bool, name string) map[string]bool {
-	out := make(map[string]bool, len(bound)+1)
-	for k := range bound {
-		out[k] = true
+	for _, sub := range Children(x) {
+		addFree(sub, inPred, bound, free)
 	}
-	out[name] = true
-	return out
 }

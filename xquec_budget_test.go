@@ -78,8 +78,8 @@ func TestPointLookupPlanLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	for text, want := range map[string]int{
-		`/site/people/person[@id="person0"]/name/text()`:                       4, // RESET SCAN ITEREMIT HALT
-		`FOR $b IN /site/people/person[@id = "person0"] RETURN $b/name/text()`: 6, // RESET SCAN ITER EVAL EMITSEQ HALT
+		`/site/people/person[@id="person0"]/name/text()`:                       3, // SCAN ITEREMIT HALT
+		`FOR $b IN /site/people/person[@id = "person0"] RETURN $b/name/text()`: 5, // SCAN ITER EVAL EMITSEQ HALT
 	} {
 		prep, err := db.Prepare(text)
 		if err != nil {
