@@ -103,9 +103,11 @@ bench-serve:
 # document at each worker count); BenchmarkStoreText (immediate-text
 # lookups at scale 8, through a run's cursor and cold, sole-text and
 # walked); BenchmarkCompact (one Writer.Compact of a scale-2 base and
-# four fragments, from the fused store).
+# four fragments, from the fused store); BenchmarkOpen (xquec.Open of a
+# saved scale-2 and scale-8 repository — the in-process twin of
+# cold_ingest_open's pool-miss latency).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct|BenchmarkXMarkMix|BenchmarkFuse|BenchmarkStreamLarge|BenchmarkPointLookup|BenchmarkCompressXMark|BenchmarkStoreText|BenchmarkCompact$$' -benchtime 1x . >/dev/null
+	$(GO) test -run '^$$' -bench 'BenchmarkSuccinct|BenchmarkXMarkMix|BenchmarkFuse|BenchmarkStreamLarge|BenchmarkPointLookup|BenchmarkCompressXMark|BenchmarkStoreText|BenchmarkCompact$$|BenchmarkOpen' -benchtime 1x . >/dev/null
 
 # Short fuzzing pass over the codec fuzz targets (roundtrip, order
 # preservation, decode-vs-reference, ALM's code automaton against decode
@@ -119,8 +121,10 @@ bench-smoke:
 # model loaders — ALM's (what it accepts must build on first use) and
 # Huffman's and Hu-Tucker's (what they accept must round-trip any value
 # as the bit-at-a-time reference code does) — the XML
-# scanner under the ingest loader (hostile documents) and the output
-# escapers' word skip against a byte-at-a-time oracle (FuzzEscape). Not part of
+# scanner under the ingest loader (hostile documents), the output
+# escapers' word skip against a byte-at-a-time oracle (FuzzEscape) and
+# the LZSS coder — round trip, and hostile bytes against the
+# byte-at-a-time decoder (FuzzLZSS). Not part of
 # tier-1 `check`; the targets' seed corpora still run under plain
 # `go test`.
 fuzz-smoke:
@@ -143,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHuTuckerLoadModel -fuzztime 5s ./internal/compress/hutucker/
 	$(GO) test -run '^$$' -fuzz FuzzSAX -fuzztime 5s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzEscape -fuzztime 5s ./internal/xmlparser/
+	$(GO) test -run '^$$' -fuzz FuzzLZSS -fuzztime 5s ./internal/compress/blob/
 
 # The paper's eight artifacts (paper_test.go) at the paper's sizes, once
 # each, rows logged; EXPERIMENTS.md records them. Takes minutes: Figure 7

@@ -440,18 +440,16 @@ func (e *Engine) applyStep(cur []*xmlparser.Node, step xquery.Step, env *scope) 
 				}
 			}
 		} else {
+			// n//x is n/descendant-or-self::node()/x (XPath 1.0 §2.5):
+			// an attribute step reaches n's own attributes too, an
+			// element step only n's descendants.
+			if step.Test == xquery.TestAttr {
+				collect(n)
+			}
 			var walk func(c *xmlparser.Node)
 			walk = func(c *xmlparser.Node) {
 				for _, ch := range c.Children {
 					collect(ch)
-					if step.Test == xquery.TestAttr {
-						// attributes of descendants
-						for _, a := range ch.Attrs {
-							if a.Name == step.Name {
-								cands = append(cands, a)
-							}
-						}
-					}
 					walk(ch)
 				}
 			}

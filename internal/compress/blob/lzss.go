@@ -9,6 +9,8 @@ package blob
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"xquec/internal/compress"
 )
@@ -150,35 +152,78 @@ func Compress(dst, src []byte) []byte {
 	return dst
 }
 
-// Decompress appends the decompressed form of enc to dst.
+// Decompress appends the decompressed form of enc to dst. A first pass
+// over the tokens checks every one and sums the output's length, so dst
+// grows once, and a corrupt enc is refused before anything is appended;
+// the second pass copies a match whose source ends before it starts with
+// one copy, and an overlapping one by doubling the copied prefix of its
+// period.
 func Decompress(dst, enc []byte) ([]byte, error) {
-	base := len(dst)
+	size, err := decodedLen(enc)
+	if err != nil {
+		return dst, err
+	}
+	o := len(dst)
+	dst = slices.Grow(dst, size)[:o+size]
 	i := 0
 	for i < len(enc) {
 		flags := enc[i]
 		i++
+		if flags == 0 && i+8 <= len(enc) { // eight literals
+			o += copy(dst[o:], enc[i:i+8])
+			i += 8
+			continue
+		}
 		for bit := 0; bit < 8 && i < len(enc); bit++ {
 			if flags&(1<<uint(bit)) == 0 {
-				dst = append(dst, enc[i])
+				dst[o] = enc[i]
+				o++
 				i++
 				continue
-			}
-			if i+3 > len(enc) {
-				return dst, fmt.Errorf("blob: truncated match token at %d", i)
 			}
 			dist := int(binary.LittleEndian.Uint16(enc[i:])) + 1
 			length := int(enc[i+2]) + minMatch
 			i += 3
-			start := len(dst) - dist
-			if start < base {
-				return dst, fmt.Errorf("blob: match distance %d before start", dist)
-			}
-			for k := 0; k < length; k++ {
-				dst = append(dst, dst[start+k])
+			from, to := o-dist, o+length
+			for o < to {
+				o += copy(dst[o:to], dst[from:o])
 			}
 		}
 	}
 	return dst, nil
+}
+
+// decodedLen checks enc's tokens — each match whole and reaching back
+// no further than the output before it — and returns the length they
+// decode to.
+func decodedLen(enc []byte) (int, error) {
+	n, i := 0, 0
+	for i < len(enc) {
+		flags := enc[i]
+		i++
+		if flags == 0 && i+8 <= len(enc) {
+			n += 8
+			i += 8
+			continue
+		}
+		for bit := 0; bit < 8 && i < len(enc); bit++ {
+			if flags&(1<<uint(bit)) == 0 {
+				n++
+				i++
+				continue
+			}
+			if i+3 > len(enc) {
+				return 0, fmt.Errorf("blob: truncated match token at %d", i)
+			}
+			dist := int(binary.LittleEndian.Uint16(enc[i:])) + 1
+			if dist > n {
+				return 0, fmt.Errorf("blob: match distance %d before start", dist)
+			}
+			n += int(enc[i+2]) + minMatch
+			i += 3
+		}
+	}
+	return n, nil
 }
 
 func hash4(b []byte) uint32 {
@@ -186,9 +231,17 @@ func hash4(b []byte) uint32 {
 	return (v * 2654435761) >> (32 - hashBits)
 }
 
+// matchLen returns how many bytes, up to maxMatch, the string at j
+// shares with the one at i > j, comparing eight at a time.
 func matchLen(src []byte, j, i int) int {
+	limit := min(len(src)-i, maxMatch)
 	n := 0
-	for i+n < len(src) && n < maxMatch && src[j+n] == src[i+n] {
+	for ; n+8 <= limit; n += 8 {
+		if x := binary.LittleEndian.Uint64(src[i+n:]) ^ binary.LittleEndian.Uint64(src[j+n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for n < limit && src[j+n] == src[i+n] {
 		n++
 	}
 	return n

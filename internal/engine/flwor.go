@@ -42,7 +42,10 @@ type flworPlan struct {
 }
 
 // planFLWOR assigns WHERE conjuncts to FOR clauses; the VM compiler
-// lowers every FLWOR's loops from it.
+// lowers every FLWOR's loops from it. Nothing is pushed onto a FOR whose
+// domain is no node set (noNodes): no container answers for it, so a
+// pushdown would only become a per-tuple test run before the residual
+// conjuncts, out of written order.
 func planFLWOR(x *xquery.FLWOR) *flworPlan {
 	plan := &flworPlan{Pushdowns: map[int][]pushdown{}}
 	if x.OrderBy != nil {
@@ -60,15 +63,16 @@ func planFLWOR(x *xquery.FLWOR) *flworPlan {
 		}
 		return -1
 	}
+	pushable := func(ci int) bool { return !x.Clauses[ci].Let && !noNodes(x.Clauses[ci].Seq) }
 	forClause := func(p *xquery.PathExpr) (int, bool) {
 		ci := clause(p.Binder)
-		return ci, ci >= 0 && !x.Clauses[ci].Let
+		return ci, ci >= 0 && pushable(ci)
 	}
 	for _, conj := range splitConjuncts(x.Where) {
 		assigned := false
 		// literal restrict on a FOR variable of this FLWOR
 		for ci, c := range x.Clauses {
-			if c.Let {
+			if !pushable(ci) {
 				continue
 			}
 			if rel, lit, op, ok := splitVarPred(conj, c.Binder); ok {
@@ -116,6 +120,24 @@ func planFLWOR(x *xquery.FLWOR) *flworPlan {
 		}
 	}
 	return plan
+}
+
+// noNodes reports that x evaluates to no node, whatever the store: a
+// comparison, a logical or arithmetic expression, a literal, or a
+// sequence of them.
+func noNodes(x xquery.Expr) bool {
+	switch x := x.(type) {
+	case *xquery.Cmp, *xquery.Logic, *xquery.Arith, *xquery.StringLit, *xquery.NumberLit:
+		return true
+	case *xquery.Sequence:
+		for _, it := range x.Items {
+			if !noNodes(it) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // pathPlans is what is derivable once per query and not per run: the

@@ -112,6 +112,23 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// uvarint2 is uvarint's fast path for the per-item loops, inlined at
+// the call site: it reads a varint of one byte — every tag code of XMark
+// — or two — a record index under 16 384 — and reports false, reading
+// nothing, for any other, which the loop hands to uvarint.
+func (r *reader) uvarint2() (uint64, bool) {
+	d, p := r.data, r.pos
+	if p < len(d) && d[p] < 0x80 {
+		r.pos = p + 1
+		return uint64(d[p]), true
+	}
+	if p+1 < len(d) && d[p+1] < 0x80 {
+		r.pos = p + 2
+		return uint64(d[p]&0x7f) | uint64(d[p+1])<<7, true
+	}
+	return 0, false
+}
+
 // count reads an element count and rejects one the remaining bytes
 // cannot hold at minBytes apiece, so that no count read from the file
 // sizes an allocation the file has not paid for.
@@ -135,6 +152,20 @@ func (r *reader) bytes() ([]byte, error) {
 	}
 	r.pos += n
 	return b[:len(b):len(b)], nil
+}
+
+// bytes1 is bytes' inlined fast path for the record loop: a string
+// whose length is a one-byte varint and that the input holds whole. It
+// reports false, reading nothing, for any other, which the loop hands to
+// bytes.
+func (r *reader) bytes1() ([]byte, bool) {
+	if p := r.pos; p < len(r.data) {
+		if n := int(r.data[p]); n < 0x80 && n < len(r.data)-p {
+			r.pos = p + 1 + n
+			return r.data[p+1 : r.pos : r.pos], true
+		}
+	}
+	return nil, false
 }
 
 func (r *reader) byte() (byte, error) {
@@ -255,6 +286,10 @@ func LoadBinary(data []byte) (*Store, error) {
 		// Owners are not stored: the structure walk re-derives them from
 		// the tree's value refs.
 		for i := range c.vals {
+			var ok bool
+			if c.vals[i], ok = r.bytes1(); ok {
+				continue
+			}
 			if c.vals[i], err = r.bytes(); err != nil {
 				return nil, err
 			}
@@ -334,9 +369,11 @@ func (s *Store) loadTree(r *reader) error {
 		valIdx:  make([]int32, nLeaves),
 	}
 	for i := range a.tags {
-		t, err := r.uvarint()
-		if err != nil {
-			return err
+		t, ok := r.uvarint2()
+		if !ok {
+			if t, err = r.uvarint(); err != nil {
+				return err
+			}
 		}
 		if t >= uint64(len(s.Names)) {
 			return fmt.Errorf("storage: node %d has unknown tag %d", i+1, t)
@@ -344,9 +381,11 @@ func (s *Store) loadTree(r *reader) error {
 		a.tags[i] = uint16(t)
 	}
 	for i := range a.valIdx {
-		v, err := r.uvarint()
-		if err != nil {
-			return err
+		v, ok := r.uvarint2()
+		if !ok {
+			if v, err = r.uvarint(); err != nil {
+				return err
+			}
 		}
 		if v >= uint64(len(r.data))+uint64(nOpens) {
 			return fmt.Errorf("storage: implausible value index %d", v)
@@ -370,8 +409,13 @@ func (r *reader) packedBits(nBits int) ([]uint64, error) {
 		return nil, fmt.Errorf("storage: truncated bit section")
 	}
 	words := make([]uint64, (nBits+63)/64)
-	for i := 0; i < nBytes; i++ {
-		words[i>>3] |= uint64(r.data[r.pos+i]) << (8 * (uint(i) & 7))
+	src := r.data[r.pos : r.pos+nBytes]
+	full := nBytes / 8
+	for w := range full {
+		words[w] = binary.LittleEndian.Uint64(src[8*w:])
+	}
+	for i := 8 * full; i < nBytes; i++ {
+		words[i>>3] |= uint64(src[i]) << (8 * (uint(i) & 7))
 	}
 	r.pos += nBytes
 	return words, nil

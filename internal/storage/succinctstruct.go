@@ -354,6 +354,17 @@ func (t *SuccinctStructure) footprintBytes() (bp, marks, refs int) {
 //   - the counts agree: opens, node marks, tags and value refs are all
 //     consumed exactly.
 //
+// The walk visits the opens only, reading the set bits of the paren
+// words as scanNodes does: the closes between two opens pop the stack
+// in one step. It holds no pointer: its stack frames name summary nodes
+// by ID, what it learns per summary node — its instances with text, the
+// container and owner slice of their values, which child followed
+// which — sits in one array by summary ID, and each node's summary ID
+// goes into a transient array. A counting pass over that array then cuts
+// every extent from one arena of exactly one NodeID per node, each with
+// its capacity at its length, so an append to one extent copies it
+// instead of overwriting the next.
+//
 // Every later read — the text lookups, the serializing sweep, the bulk
 // kernels — then agrees with this walk: each reads the same paren and
 // mark bits forward, placed by the rank/select directories rebuilt from
@@ -367,70 +378,118 @@ func (s *Store) deriveFromSuccinct() error {
 	for i, c := range s.Containers {
 		contByPath[c.Path] = int32(i)
 	}
-	// Summary children are found by tag code (kids), never by name. Per
-	// summary node, by ID: the summary node its instances' text values
-	// fall under.
+	// Summary children are found by tag code (kids), never by name, and
+	// mostly not even so: a node's summary node is usually its previous
+	// sibling's again, or the one that followed that sibling's last time
+	// (first, next), and kids is asked only when neither carries its tag.
 	var kids childIndex
-	var texts []*SummaryNode
-
-	// textNode resolves, once per summary node, where the values of its
-	// instances live: the node itself for an attribute, its #text child
-	// for an element — and the container that path names.
-	textNode := func(sn *SummaryNode) (*SummaryNode, error) {
+	type perSummary struct {
+		// Guesses, as summary IDs: the element child that came first
+		// under an earlier instance, and the sibling that came after an
+		// earlier instance of this node; -1 for none.
+		first, next int32
+		texts       int32 // instances with a text leaf: TextCount
+		// The container of the instances' text values and its owners,
+		// cont -1 until the first leaf.
+		cont   int32
+		owners []NodeID
+	}
+	var per []perSummary
+	grow := func() {
+		for len(per) < len(sum.nodes) {
+			per = append(per, perSummary{first: -1, next: -1, cont: -1})
+		}
+	}
+	// resolve finds where the text values of sn's instances live: the
+	// container its #text child's path (an attribute's own path) names.
+	resolve := func(sn *SummaryNode) error {
 		vsn := sn
 		if !isAttrName(sn.Tag) {
 			vsn = kids.addText(sum, sn)
+			grow()
 		}
-		if vsn.Container < 0 {
-			ci, ok := contByPath[vsn.Path()]
-			if !ok {
-				return nil, fmt.Errorf("storage: no container for path %s", vsn.Path())
-			}
-			vsn.Container = ci
+		ci, ok := contByPath[vsn.Path()]
+		if !ok {
+			return fmt.Errorf("storage: no container for path %s", vsn.Path())
 		}
-		return vsn, nil
+		vsn.Container = ci
+		per[sn.ID].cont, per[sn.ID].owners = ci, s.Containers[ci].owners
+		return nil
 	}
 
 	type sframe struct {
-		id   NodeID
-		sn   *SummaryNode
-		text bool // a text leaf of this instance has been seen
+		id      NodeID
+		sn, kid int32 // summary IDs: the node's and its last element child's, -1 before one
+		text    bool  // a text leaf of this instance has been seen
 	}
-	var stack []sframe
+	stack := make([]sframe, 0, 64)
+	nNodes := len(t.tags)
+	summaryOf := make([]int32, nNodes) // summary ID per node, by id-1
+	words, marks, nMarks := t.pv.Words(), t.isNode.Words(), t.isNode.Len()
 	ord, id, vord := 0, NodeID(0), 0
 	owned := 0 // records claimed so far
 	n := t.pv.Len()
-	for p := 0; p < n; p++ {
-		if !t.pv.Get(p) {
-			if len(stack) == 0 {
-				return fmt.Errorf("storage: unbalanced structure parens at %d", p)
+	closed := 0 // parens before it are consumed; the rest up to the next open are closes
+walk:
+	for w, word := range words {
+		for word != 0 {
+			p := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if p >= n {
+				break walk
 			}
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		if ord >= t.isNode.Len() {
-			return fmt.Errorf("storage: more opens than node marks")
-		}
-		if t.isNode.Get(ord) {
-			id++
-			if int(id) > len(t.tags) {
-				return fmt.Errorf("storage: more nodes than tags")
+			if k := p - closed; k > 0 {
+				if k > len(stack) {
+					return fmt.Errorf("storage: unbalanced structure parens at %d", closed+len(stack))
+				}
+				stack = stack[:len(stack)-k]
 			}
-			tagCode := t.tags[id-1]
-			if int(tagCode) >= len(s.Names) {
-				return fmt.Errorf("storage: node %d has unknown tag %d", id, tagCode)
+			if ord >= nMarks {
+				return fmt.Errorf("storage: more opens than node marks")
 			}
-			tag := s.Names[tagCode]
-			var psn *SummaryNode
-			if len(stack) > 0 {
-				psn = stack[len(stack)-1].sn
-			} else if id != 1 {
-				return fmt.Errorf("storage: node %d outside the root subtree", id)
+			ord++
+			if marks[(ord-1)>>6]>>(uint(ord-1)&63)&1 == 1 {
+				id++
+				if int(id) > nNodes {
+					return fmt.Errorf("storage: more nodes than tags")
+				}
+				tagCode := t.tags[id-1]
+				if int(tagCode) >= len(s.Names) {
+					return fmt.Errorf("storage: node %d has unknown tag %d", id, tagCode)
+				}
+				var sn int32
+				if len(stack) > 0 {
+					f := &stack[len(stack)-1]
+					guess := f.kid
+					switch {
+					case guess < 0:
+						guess = per[f.sn].first
+					case kids.code[guess] != int32(tagCode):
+						guess = per[guess].next
+					}
+					if guess >= 0 && kids.code[guess] == int32(tagCode) {
+						sn = guess
+					} else {
+						sn = kids.child(sum, sum.nodes[f.sn], tagCode, s.Names[tagCode]).ID
+						grow()
+						if f.kid < 0 {
+							per[f.sn].first = sn
+						} else {
+							per[f.kid].next = sn
+						}
+					}
+					f.kid = sn
+				} else if id != 1 {
+					return fmt.Errorf("storage: node %d outside the root subtree", id)
+				} else {
+					sn = kids.child(sum, nil, tagCode, s.Names[tagCode]).ID
+					grow()
+				}
+				summaryOf[id-1] = sn
+				stack = append(stack, sframe{id: id, sn: sn, kid: -1})
+				closed = p + 1
+				continue
 			}
-			sn := kids.child(sum, psn, tagCode, tag)
-			sn.Extent = append(sn.Extent, id)
-			stack = append(stack, sframe{id: id, sn: sn})
-		} else {
 			if len(stack) == 0 {
 				return fmt.Errorf("storage: text leaf outside the root subtree")
 			}
@@ -438,49 +497,45 @@ func (s *Store) deriveFromSuccinct() error {
 				return fmt.Errorf("storage: more text leaves than value refs")
 			}
 			f := &stack[len(stack)-1]
+			ps := &per[f.sn]
 			if !f.text {
 				f.text = true
-				f.sn.TextCount++
+				ps.texts++
 			}
-			for len(texts) <= int(f.sn.ID) {
-				texts = append(texts, nil)
-			}
-			vsn := texts[f.sn.ID]
-			if vsn == nil {
-				var err error
-				if vsn, err = textNode(f.sn); err != nil {
+			if ps.cont < 0 {
+				if err := resolve(sum.nodes[f.sn]); err != nil {
 					return err
 				}
-				texts[f.sn.ID] = vsn
+				ps = &per[f.sn] // resolve may have grown per
 			}
-			cont := s.Containers[vsn.Container]
 			idx := int(t.valIdx[vord])
-			if idx >= cont.Len() {
-				return fmt.Errorf("storage: node %d value index %d out of range for %s", f.id, idx, cont.Path)
+			if idx >= len(ps.owners) {
+				return fmt.Errorf("storage: node %d value index %d out of range for %s", f.id, idx, s.Containers[ps.cont].Path)
 			}
-			switch owner := cont.owners[idx]; owner {
+			switch owner := ps.owners[idx]; owner {
 			case 0:
-				cont.owners[idx] = f.id
+				ps.owners[idx] = f.id
 				owned++
 			case f.id:
 			default:
-				return fmt.Errorf("storage: record %d of %s claimed by nodes %d and %d", idx, cont.Path, owner, f.id)
+				return fmt.Errorf("storage: record %d of %s claimed by nodes %d and %d", idx, s.Containers[ps.cont].Path, owner, f.id)
 			}
-			t.valCont[vord] = vsn.Container
+			t.valCont[vord] = ps.cont
 			vord++
-			if p+1 >= n || t.pv.Get(p+1) {
+			if q := p + 1; q >= n || words[q>>6]>>(uint(q)&63)&1 == 1 {
 				return fmt.Errorf("storage: malformed text leaf at %d", p)
 			}
-			p++ // consume the leaf's close
+			closed = p + 2 // the leaf's close
 		}
-		ord++
 	}
-	if len(stack) != 0 {
+	if k := n - closed; k > len(stack) {
+		return fmt.Errorf("storage: unbalanced structure parens at %d", closed+len(stack))
+	} else if k < len(stack) {
 		return fmt.Errorf("storage: unbalanced structure parens")
 	}
-	if int(id) != len(t.tags) || vord != len(t.valIdx) || ord != t.isNode.Len() {
+	if int(id) != nNodes || vord != len(t.valIdx) || ord != nMarks {
 		return fmt.Errorf("storage: structure section inconsistent (%d/%d nodes, %d/%d values)",
-			id, len(t.tags), vord, len(t.valIdx))
+			id, nNodes, vord, len(t.valIdx))
 	}
 	records := 0
 	for _, c := range s.Containers {
@@ -488,6 +543,30 @@ func (s *Store) deriveFromSuccinct() error {
 	}
 	if owned != records {
 		return fmt.Errorf("storage: %d of %d container records belong to no node", records-owned, records)
+	}
+
+	// The extents: count each summary node's instances, then place the
+	// IDs, ascending, at the running start of their summary node — which
+	// leaves end[sn] at the end of sn's extent.
+	end := make([]int32, len(sum.nodes)+1)
+	for _, sn := range summaryOf {
+		end[sn+1]++
+	}
+	for i := 1; i < len(end); i++ {
+		end[i] += end[i-1]
+	}
+	arena := make([]NodeID, nNodes)
+	for i, sn := range summaryOf {
+		arena[end[sn]] = NodeID(i + 1)
+		end[sn]++
+	}
+	lo := int32(0)
+	for i, sn := range sum.nodes {
+		if hi := end[i]; hi > lo {
+			sn.Extent = arena[lo:hi:hi]
+			lo = hi
+		}
+		sn.TextCount = int(per[i].texts)
 	}
 
 	sum.deriveStats(s.Containers)

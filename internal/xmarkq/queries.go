@@ -284,5 +284,12 @@ func Shapes() []Query {
 		{ID: "pred-shadowed-outer", Text: `FOR $p IN /site/people/person RETURN <p>{FOR $p IN /site/closed_auctions/closed_auction[buyer/@person = $p/@id] RETURN /site/people/person[@id = $p/seller/@person]/name/text()}</p>`},
 		{ID: "join-self", Text: `FOR $a IN /site/people/person RETURN count(FOR $a IN /site/closed_auctions/closed_auction WHERE $a/buyer/@person = $a/buyer/@person RETURN $a)`},
 		{ID: "let-ctor-atomized", Text: `FOR $p IN /site/people/person LET $a := FOR $t IN /site/closed_auctions/closed_auction WHERE $t/buyer/@person = $p/@id RETURN <t>{$t/price/text()}</t> RETURN <p s="{$a}">{string($a)}</p>`},
+		// n//@a is n/descendant-or-self::node()/@a (XPath 1.0 §2.5): it
+		// holds the buyer's own @person.
+		{ID: "desc-attr-self", Text: `count(FOR $t IN //closed_auction WHERE $t/buyer//@person RETURN 1)`},
+		// Over a domain that is no node set, nothing is pushed down, so
+		// the conjuncts run in written order: $p = 0 drops the tuple
+		// before $p/A would step over a boolean.
+		{ID: "seq-domain-where-order", Text: `FOR $p IN /A = 0 WHERE $p = 0 AND $p/A > 0 RETURN 0`},
 	}
 }

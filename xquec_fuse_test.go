@@ -6,6 +6,7 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -257,5 +258,62 @@ func TestDecimalScalesSurviveReopen(t *testing.T) {
 	}
 	if want := "1.250\n3.125"; answer(t, reopened, `/r/b/text()`) != want {
 		t.Errorf("/r/b/text() = %q, want %q", answer(t, reopened, `/r/b/text()`), want)
+	}
+}
+
+// TestExtentsAreCutFromOneArena: the structure walk that opens a saved
+// repository and proves a fused store cuts every summary extent from
+// one arena with its capacity at its length, so appending to one extent
+// — algebra hands extents out as node sets — copies it and leaves the
+// extent after it in the arena as it was.
+func TestExtentsAreCutFromOneArena(t *testing.T) {
+	db, err := Compress(datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 1}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "a.xqc")
+	if err := db.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWriter(opened, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(datagen.XMark(datagen.XMarkConfig{Scale: fuseFragScale, Seed: 100})); err != nil {
+		t.Fatal(err)
+	}
+	committed, err := w.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, db := range map[string]*Database{"opened": opened, "committed": committed} {
+		nodes := db.store.Sum.Nodes()
+		before := make([][]storage.NodeID, len(nodes))
+		total := 0
+		for i, sn := range nodes {
+			if cap(sn.Extent) != len(sn.Extent) {
+				t.Fatalf("%s: %s: extent of %d has capacity %d", name, sn.Path(), len(sn.Extent), cap(sn.Extent))
+			}
+			before[i] = slices.Clone(sn.Extent)
+			total += len(sn.Extent)
+		}
+		if total != db.store.NumNodes() {
+			t.Fatalf("%s: extents hold %d nodes, the store %d", name, total, db.store.NumNodes())
+		}
+		for i, sn := range nodes {
+			if len(sn.Extent) == 0 {
+				continue
+			}
+			_ = append(sn.Extent, sn.Extent[0])
+			for j, other := range nodes {
+				if j != i && !slices.Equal(other.Extent, before[j]) {
+					t.Fatalf("%s: appending to the extent of %s changed that of %s", name, sn.Path(), other.Path())
+				}
+			}
+		}
 	}
 }

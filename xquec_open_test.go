@@ -12,6 +12,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -123,11 +124,19 @@ func TestReopenedAnswersIdentically(t *testing.T) {
 	}
 }
 
+// openBytesBudget bounds the bytes one xquec.Open of the scale-2
+// repository allocates: 3.24 MB with the extents cut from one arena and
+// the structure section decompressed into one exact-size buffer, 4.04 MB
+// when each extent grew by append and the decompressor by doubling. The
+// bound is 1.1 times the former; under -race the open allocates 3.42 MB.
+const openBytesBudget = 3_550_000
+
 // TestOpenAllocationBudget keeps the open path linear in sections, not
 // in records or nodes: the scale-2 XMark repository (39 k records, 60 k
 // nodes) once cost 326 k allocations to open, one per record plus the
 // re-validation's iterators. A per-record or per-node allocation creeping
-// back in breaks the budget several times over.
+// back in breaks the budget several times over. Growth garbage — an
+// extent or a decode buffer regrown by append — breaks the byte budget.
 func TestOpenAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 2 MB corpus")
@@ -141,14 +150,26 @@ func TestOpenAllocationBudget(t *testing.T) {
 	if err := db.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(3, func() {
+	open := func() {
 		if _, err := xquec.Open(path); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("xquec.Open: %.0f allocations", allocs)
+	}
+	allocs := testing.AllocsPerRun(3, open)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const opens = 3
+	for range opens {
+		open()
+	}
+	runtime.ReadMemStats(&after)
+	perOpen := (after.TotalAlloc - before.TotalAlloc) / opens
+	t.Logf("xquec.Open: %.0f allocations, %d bytes", allocs, perOpen)
 	if allocs > 20_000 {
 		t.Fatalf("xquec.Open made %.0f allocations, budget 20000", allocs)
+	}
+	if perOpen > openBytesBudget {
+		t.Fatalf("xquec.Open allocated %d bytes, budget %d", perOpen, openBytesBudget)
 	}
 }
 
