@@ -117,7 +117,9 @@ bench-smoke:
 # (FuzzBPNavigation), the select scanner behind the text cursor against
 # Select1 in any order (FuzzSelectScannerSeek) and the bulk sweeps
 # against the record oracle (FuzzBulkNavigation) — the
-# repository loader (hostile bytes behind a repaired checksum), the
+# repository loader (hostile bytes behind a repaired checksum; its
+# minimizing is capped at 2 s, or a found input's minimization takes the
+# whole 5 s and the target runs a dozen inputs), the
 # model loaders — ALM's (what it accepts must build on first use) and
 # Huffman's and Hu-Tucker's (what they accept must round-trip any value
 # as the bit-at-a-time reference code does) — the XML
@@ -141,7 +143,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBPNavigation -fuzztime 5s ./internal/succinct/
 	$(GO) test -run '^$$' -fuzz FuzzSelectScannerSeek -fuzztime 5s ./internal/succinct/
 	$(GO) test -run '^$$' -fuzz FuzzBulkNavigation -fuzztime 5s ./internal/storage/
-	$(GO) test -run '^$$' -fuzz FuzzLoadBinary -fuzztime 5s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzLoadBinary -fuzztime 5s -fuzzminimizetime 2s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzALMLoadModel -fuzztime 5s ./internal/compress/alm/
 	$(GO) test -run '^$$' -fuzz FuzzHuffmanLoadModel -fuzztime 5s ./internal/compress/huffman/
 	$(GO) test -run '^$$' -fuzz FuzzHuTuckerLoadModel -fuzztime 5s ./internal/compress/hutucker/

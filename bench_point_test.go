@@ -57,25 +57,42 @@ func pointDB(t testing.TB) *Database {
 	return db
 }
 
+// BenchmarkPointLookup times each lookup text executed from its prepared
+// statement, and — the prepare axis — parsed, compiled and executed, as a
+// request that misses the plan cache pays for it.
 func BenchmarkPointLookup(b *testing.B) {
 	db := pointDB(b)
 	lookups := pointLookups(b, db)
+	execute := func(b *testing.B, prep *Prepared) {
+		res, err := prep.Execute(context.Background(), QueryOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := res.WriteXML(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
 	for _, kind := range []string{"person", "item"} {
 		for _, where := range []string{"first", "mid", "last"} {
-			prep, err := db.Prepare(lookups[kind][where])
+			text := lookups[kind][where]
+			prep, err := db.Prepare(text)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Run(kind+"/"+where, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := prep.Execute(context.Background(), QueryOptions{})
+					execute(b, prep)
+				}
+			})
+			b.Run("prepare/"+kind+"/"+where, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					prep, err := db.Prepare(text)
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := res.WriteXML(io.Discard); err != nil {
-						b.Fatal(err)
-					}
+					execute(b, prep)
 				}
 			})
 		}

@@ -30,15 +30,15 @@ const (
 // from structures that exist — extent lengths, offset spans, container
 // ranges — binding no tuple and building no node set (DESIGN.md
 // "Cardinalities without tuples"). The compiler chooses it per call
-// (cardFor); a run whose binding is not the one it was chosen for counts
-// the argument instead (argLen).
+// (cardCall); a run whose binding is not the one it was chosen for counts
+// the argument instead (cardArg).
 type cardRule struct {
 	how cardHow
 	n   int
-	// path and plan: a cardSpans path and its plan over the variable's
-	// summary set.
-	path *xquery.PathExpr
-	plan *pathPlan
+	// binder and plan: a cardSpans path's variable and its plan over the
+	// variable's summary set.
+	binder int
+	plan   *pathPlan
 	// conts are a cardRanges operand's containers, lits the conjuncts on
 	// it.
 	conts []*storage.Container
@@ -46,23 +46,6 @@ type cardRule struct {
 	// flwor: the argument is `FOR $v IN P WHERE … RETURN r`, counted as
 	// the instances of P that pass.
 	flwor bool
-}
-
-// cardFor chooses the rule of x, a call, under the summary sets of the
-// variables in scope: nil when x is no count, empty or exists of one
-// argument, or the argument has none of the rules' shapes. pl holds the
-// plans of the paths under x.
-func (e *engine) cardFor(pl pathPlans, x *xquery.Call, vars *staticVars) *cardRule {
-	if len(x.Args) != 1 || x.Name != "count" && x.Name != "empty" && x.Name != "exists" {
-		return nil
-	}
-	switch a := x.Args[0].(type) {
-	case *xquery.PathExpr:
-		return e.cardPath(pl[a], a, nil, vars)
-	case *xquery.FLWOR:
-		return e.cardFLWOR(a)
-	}
-	return nil
 }
 
 // cardPath chooses the rule of a path p, whose plan is pl, with lits
@@ -134,7 +117,7 @@ func (e *engine) cardPath(pl *pathPlan, p *xquery.PathExpr, lits []pushdown, var
 	if len(pl.runs) == 0 || pl.runs[0].from == nil {
 		return nil
 	}
-	return &cardRule{how: cardSpans, path: p, plan: pl}
+	return &cardRule{how: cardSpans, binder: p.Binder, plan: pl}
 }
 
 // cardRanges chooses the rule of the literal conjuncts lits on the
@@ -150,7 +133,7 @@ func (e *engine) cardRanges(sums []*storage.SummaryNode, lits []pushdown) *cardR
 			return nil
 		}
 	}
-	v := e.valueOf(sums, lits[0].Rel)
+	v := e.valueOf(sums, stepsOf(lits[0].Rel))
 	if v.why != "" || !v.one || !v.all {
 		return nil
 	}
@@ -184,7 +167,7 @@ func (e *engine) cardFLWOR(x *xquery.FLWOR) *cardRule {
 	if len(plan.Residual) > 0 {
 		return nil
 	}
-	pl := e.resolvePath(dom, nil)
+	pl := e.resolvePath(stepsOf(dom), true, nil)
 	r := e.cardPath(pl, dom, plan.Pushdowns[0], nil)
 	if r == nil || r.how == cardSpans {
 		return nil
@@ -195,7 +178,7 @@ func (e *engine) cardFLWOR(x *xquery.FLWOR) *cardRule {
 			return nil
 		}
 	case *xquery.PathExpr:
-		if ret.Binder != v || len(ret.Steps) == 0 || ret.Steps[len(ret.Steps)-1].Test == xquery.TestText || !e.valueOf(pl.sums(), ret).one {
+		if ret.Binder != v || len(ret.Steps) == 0 || ret.Steps[len(ret.Steps)-1].Test == xquery.TestText || !e.valueOf(pl.sums(), stepsOf(ret)).one {
 			return nil
 		}
 	default:
@@ -208,7 +191,7 @@ func (e *engine) cardFLWOR(x *xquery.FLWOR) *cardRule {
 // cardinality answers a call by its rule. ok is false when the run's
 // binding is not one node of the summary set the rule was chosen for,
 // and the argument is counted instead.
-func (e *engine) cardinality(r *cardRule, env *scope) (n int, ok bool, err error) {
+func (e *engine) cardinality(r *cardRule) (n int, ok bool, err error) {
 	switch r.how {
 	case cardConst:
 		return r.n, true, nil
@@ -226,7 +209,7 @@ func (e *engine) cardinality(r *cardRule, env *scope) (n int, ok bool, err error
 		}
 		return n, true, nil
 	}
-	b := env.of(r.path.Binder)
+	b := e.env.of(r.binder)
 	if b == nil || len(b.ids) != 1 || !sameSums(b.sums, r.plan.origin) {
 		return 0, false, nil
 	}
@@ -254,15 +237,11 @@ func recordSpan(c *storage.Container, op, literal string) (algebra.Span, error) 
 	return algebra.RangeSpan(c, lo, loInc, hi, hiInc)
 }
 
-// alwaysTrue reports that x, a residual WHERE conjunct, is an empty or
+// alwaysTrue reports that n, a residual WHERE conjunct, is an empty or
 // exists whose rule answers it at compile, true.
-func (p *Program) alwaysTrue(x xquery.Expr) bool {
-	call, isCall := x.(*xquery.Call)
-	if !isCall || call.Name == "count" {
-		return false
-	}
-	r := p.cards[call]
-	return r != nil && r.how == cardConst && (r.n == 0) == (call.Name == "empty")
+func alwaysTrue(n node) bool {
+	en, isEmpty := n.(*emptyNode)
+	return isEmpty && en.card != nil && en.card.how == cardConst && (en.card.n == 0) == en.empty
 }
 
 // cardDesc names how a rule answers, for the listing.

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"xquec/internal/costmodel"
 	"xquec/internal/storage"
@@ -10,21 +11,21 @@ import (
 )
 
 // Compile lowers a parsed query into a Program bound to store. The
-// compiler resolves every path's summary targets (into the program's
-// plan pool, which all runs share) and predicate value containers
-// against the repository's structure summary, lowers every FLWOR into
-// cursor loops — of its block when it is top-level or a LET's source,
-// else of a sub-program — folds constant arithmetic, and orders each
-// clause's literal pushdowns cheapest-container-first using the cost
-// model's measured decode costs; an ORDER BY key whose values live in
-// known containers gets a rank table, and a join whose sides' summary
+// compiler lowers every FLWOR into cursor loops — of its block when it is
+// top-level or a LET's source, else of a sub-program — and every other
+// expression a run evaluates into a node (lower) that holds what can be
+// decided before the run: each path resolved against the repository's
+// structure summary, with the slot of a run's cursor of it, each
+// comparison's kind, each call's built-in and cardinality rule. It folds
+// constant arithmetic, resolves predicate value containers and orders
+// each clause's literal pushdowns cheapest-container-first using the
+// cost model's measured decode costs; an ORDER BY key whose values live
+// in known containers gets a rank table, and a join whose sides' summary
 // sets are static its join index, both built here once. A constructor
 // whose element only goes to the output becomes an emission template.
-// Shapes it does not specialize (aggregates, constructors whose value is
-// looked into) lower to instructions that hand the expression to the
-// engine, so compilation succeeds on every parseable query; the error
-// return reports a compiler bug (a recovered panic) instead of crashing
-// the caller.
+// Compilation succeeds on every parseable query — an expression that can
+// only fail does so when a run evaluates it; the error return reports a
+// compiler bug (a recovered panic) instead of crashing the caller.
 func Compile(expr xquery.Expr, store *storage.Store, src string) (*Program, error) {
 	return compileProgram(expr, store, src, true)
 }
@@ -38,57 +39,152 @@ func compileProgram(expr xquery.Expr, store *storage.Store, src string, cards bo
 			prog, err = nil, fmt.Errorf("vm: compile: internal error: %v", r)
 		}
 	}()
-	paths, binders := maxSlots(expr)
+	binders := maxBinder(expr)
 	c := &compiler{
-		p:    &Program{src: src, store: store, plans: pathPlans{}, subOf: map[*xquery.FLWOR]int32{}, binders: binders},
-		eng:  newEngine(store),
-		vars: staticVars{slots: make([][]*storage.SummaryNode, binders+1)},
+		p:     &Program{src: src, store: store, binders: binders},
+		eng:   newEngine(store),
+		cards: cards,
 	}
-	if cards {
-		c.p.cards = map[*xquery.Call]*cardRule{}
-	}
+	c.vars.slots = make([][]*storage.SummaryNode, binders+1)
 	c.top(expr)
 	c.emit(instr{Op: opHalt})
 	// Sub-programs follow the main one; compiling one may queue more.
 	for k := 0; k < len(c.p.subs); k++ {
 		c.p.subs[k].entry, c.p.subs[k].acc = int32(len(c.p.instrs)), int32(len(c.p.reuse))
 		c.p.reuse = append(c.p.reuse, false)
-		c.vars.ctx = c.subCtx[k]
+		c.vars.ctx = c.p.subs[k].ctx
 		c.flwor(c.p.subs[k].x, k)
 	}
 	c.p.ncur = int(c.ncur)
-	c.p.slotPlans = make([]*pathPlan, paths+1)
-	for x, pl := range c.p.plans {
-		if x.Slot > 0 {
-			c.p.slotPlans[x.Slot] = pl
-		}
-	}
 	c.p.sizeEst = c.estimateSize()
 	return c.p, nil
 }
 
 type compiler struct {
-	p    *Program
-	eng  *engine // compile-time summary/container resolution only
-	ncur int32
-	// vars is what is known of the variables where the compiler stands;
-	// subCtx, per queued sub-program, the context item's summary set
-	// where its FLWOR stands.
-	vars   staticVars
-	subCtx [][]*storage.SummaryNode
+	p     *Program
+	eng   *engine // compile-time summary/container resolution only
+	cards bool    // choose cardinality rules
+	// ncards counts the rules chosen, for the size estimate.
+	ncards int
+	ncur   int32
+	// vars is what is known of the variables where the compiler stands.
+	vars staticVars
 }
 
-// plan plans x's paths under the variables in scope (planExpr)
-// and queues a sub-program, once, for each FLWOR the engine will meet
-// in x.
-func (c *compiler) plan(x xquery.Expr) []*storage.SummaryNode {
-	return c.eng.planExpr(c.p.plans, c.p.cards, x, &c.vars, func(f *xquery.FLWOR, ctx []*storage.SummaryNode) {
-		if _, ok := c.p.subOf[f]; !ok {
-			c.p.subOf[f] = int32(len(c.p.subs))
-			c.p.subs = append(c.p.subs, subSpec{x: f, sort: -1})
-			c.subCtx = append(c.subCtx, ctx)
+// lower compiles x, an expression a run evaluates, into its node under
+// the variables in scope: a path is resolved for the summary set of its
+// origin, and the predicates of each step it resolves are lowered with
+// that step's targets as the context's summary set; a FLWOR is queued as
+// a sub-program, with the context's summary set where it stands.
+func (c *compiler) lower(x xquery.Expr) node {
+	switch x := x.(type) {
+	case *xquery.StringLit:
+		return newNode(&strLit{val: x.Val})
+	case *xquery.VarRef:
+		return newNode(&varRef{name: x.Name, binder: x.Binder})
+	case *xquery.Sequence:
+		list := c.lowerAll(x.Items)
+		return newNode(&seqNode{list: list}, list...)
+	case *xquery.PathExpr:
+		return c.path(x)
+	case *xquery.Cmp:
+		l, r := c.lower(x.Left), c.lower(x.Right)
+		return newNode(&cmpNode{l: l, r: r, op: cmpOps[x.Op], numeric: oneNumber(l) && oneNumber(r)}, l, r)
+	case *xquery.Logic:
+		l, r := c.lower(x.Left), c.lower(x.Right)
+		return newNode(&logicNode{l: l, r: r, and: x.Op == "and"}, l, r)
+	case *xquery.NumberLit, *xquery.Arith:
+		if f, isConst := constNum(x); isConst {
+			return newNode(&numLit{val: f})
 		}
-	})
+		a := x.(*xquery.Arith)
+		l, r := c.lower(a.Left), c.lower(a.Right)
+		return newNode(&arithNode{l: l, r: r, op: arithOps[a.Op]}, l, r)
+	case *xquery.Call:
+		return c.call(x)
+	case *xquery.ElementCtor:
+		n := &ctorNode{name: x.Name}
+		var kids []node
+		for _, a := range x.Attrs {
+			n.attrs = append(n.attrs, ctorAttr{name: a.Name, parts: c.lowerAll(a.Value)})
+			kids = append(kids, n.attrs[len(n.attrs)-1].parts...)
+		}
+		for _, item := range x.Content {
+			// Whitespace-only literal chunks between constructor items
+			// are boilerplate, not data.
+			if lit, isLit := item.(*xquery.StringLit); !isLit || strings.TrimSpace(lit.Val) != "" {
+				n.body = append(n.body, c.lower(item))
+			}
+		}
+		return newNode(n, append(kids, n.body...)...)
+	case *xquery.FLWOR:
+		// Queued as a sub-program; no expression is lowered twice.
+		c.p.subs = append(c.p.subs, subSpec{x: x, ctx: c.vars.ctx, sort: -1})
+		return newNode(&flworNode{sub: int32(len(c.p.subs) - 1)})
+	}
+	return newNode(&failNode{err: fmt.Errorf("engine: unsupported expression %T", x)})
+}
+
+func (c *compiler) lowerAll(xs []xquery.Expr) []node {
+	out := make([]node, len(xs))
+	for i, x := range xs {
+		out[i] = c.lower(x)
+	}
+	return out
+}
+
+// path lowers a path: its steps, its plan for the summary set of its
+// origin (none known: the run resolves it for the one it meets), the
+// slot of a run's cursor of it, and the predicates of each step the plan
+// reaches.
+func (c *compiler) path(x *xquery.PathExpr) *pathNode {
+	n := &pathNode{x: x, name: x.Var, binder: x.Binder, steps: stepsOf(x), slot: len(c.p.paths)}
+	k := len(n.steps)
+	n.textTail = k > 0 && n.steps[k-1].test == xquery.TestText
+	n.plan = c.eng.resolvePath(n.steps, n.name == "", c.vars.origin(x))
+	c.p.paths = append(c.p.paths, n)
+	ctx := c.vars.ctx
+	for i, st := range x.Steps {
+		if len(st.Preds) > 0 && i < len(n.plan.targets) {
+			c.vars.ctx = n.plan.targets[i]
+			n.steps[i].conjs = c.preds(st.Preds)
+		}
+	}
+	c.vars.ctx = ctx
+	return newNode(n)
+}
+
+// preds lowers the predicates of a step: positional ones to their pick,
+// the others to their conjuncts (splitPredConjuncts), each a literal
+// restrict on the context where it is one.
+func (c *compiler) preds(preds []xquery.Expr) []predConj {
+	var out []predConj
+	for _, pred := range preds {
+		if cj, is := positionOf(pred); is {
+			out = append(out, cj)
+			continue
+		}
+		for _, conj := range splitPredConjuncts(pred) {
+			cj := predConj{test: c.lower(conj)}
+			if rel, lit, op, ok := splitVarPred(conj, 0); ok {
+				cj.lit = litRestrict{rel: stepsOf(rel), op: op, lit: lit, slot: c.p.nowners}
+				c.p.nowners++
+			}
+			out = append(out, cj)
+		}
+	}
+	return out
+}
+
+// oneNumber reports that n's value is always one number, unless its
+// evaluation fails: the nodes whose num needs no sequence, so a
+// comparison of two of them compares numbers.
+func oneNumber(n node) bool {
+	switch n.(type) {
+	case *numLit, *arithNode, *countNode, *bytesNum:
+		return true
+	}
+	return false
 }
 
 func (c *compiler) emit(in instr) int {
@@ -107,11 +203,10 @@ func (c *compiler) addVar(cl xquery.Clause) int32 {
 	return int32(len(c.p.vars) - 1)
 }
 
-// addExpr pools an expression the engine will evaluate, planning its
-// paths and queueing its FLWORs under the variables in scope.
+// addExpr pools an expression a run evaluates, lowered under the
+// variables in scope.
 func (c *compiler) addExpr(x xquery.Expr) int32 {
-	c.plan(x)
-	c.p.exprs = append(c.p.exprs, x)
+	c.p.exprs = append(c.p.exprs, exprSpec{x: x, n: c.lower(x)})
 	return int32(len(c.p.exprs) - 1)
 }
 
@@ -120,47 +215,35 @@ func (c *compiler) addDom(spec domainSpec) int32 {
 	return int32(len(c.p.doms) - 1)
 }
 
-// maxSlots returns the largest path slot (xquery.PathExpr.Slot) and the
-// largest binder slot (xquery.Clause.Binder) under x: a run keeps its
-// cursors of x's paths and its bindings by slot.
-func maxSlots(x xquery.Expr) (paths, binders int) {
+// maxBinder returns the largest binder slot (xquery.Clause.Binder)
+// under x: a run keeps its bindings by slot.
+func maxBinder(x xquery.Expr) (binders int) {
 	xquery.Walk(x, func(sub xquery.Expr) {
-		switch sub := sub.(type) {
-		case *xquery.PathExpr:
-			paths = max(paths, sub.Slot)
-		case *xquery.FLWOR:
-			for _, cl := range sub.Clauses {
+		if f, isFLWOR := sub.(*xquery.FLWOR); isFLWOR {
+			for _, cl := range f.Clauses {
 				binders = max(binders, cl.Binder)
 			}
 		}
 	})
-	return paths, binders
+	return binders
 }
 
-// top compiles one top-level block per sequence item.
+// top compiles one top-level block per sequence item: a FLWOR into its
+// loops, a path into a streaming cursor, anything else into its emission.
 func (c *compiler) top(x xquery.Expr) {
-	if seq, ok := x.(*xquery.Sequence); ok {
-		for _, it := range seq.Items {
+	switch e := x.(type) {
+	case *xquery.Sequence:
+		for _, it := range e.Items {
 			c.top(it)
 		}
-		return
-	}
-	switch e := x.(type) {
 	case *xquery.FLWOR:
-		// Folded: every expression of it the engine meets is one planned.
-		c.flwor(foldExpr(e).(*xquery.FLWOR), -1)
+		c.flwor(e, -1)
 	case *xquery.PathExpr:
 		c.topPath(e)
 	default:
-		c.fallback(x)
+		i := c.emitReturn(x)
+		c.p.instrs[i].C = int32(i + 1)
 	}
-}
-
-// fallback lowers a block to its emission: an emission template, or one
-// engine evaluation plus streaming emission of its result sequence.
-func (c *compiler) fallback(x xquery.Expr) {
-	i := c.emitReturn(foldExpr(x))
-	c.p.instrs[i].C = int32(i + 1)
 }
 
 // emitReturn lowers an expression whose items are the program's output:
@@ -175,11 +258,10 @@ func (c *compiler) emitReturn(x xquery.Expr) int {
 	return c.emit(instr{Op: opEmitSeq})
 }
 
-// addTemplate pools the emission template of a constructor, planning the
-// paths it reads under the variables in scope.
+// addTemplate pools the emission template of a constructor, lowering
+// the expressions it writes under the variables in scope.
 func (c *compiler) addTemplate(x *xquery.ElementCtor) int32 {
-	c.plan(x)
-	c.p.tpls = append(c.p.tpls, tplSpec{t: compileTemplate(x), x: x})
+	c.p.tpls = append(c.p.tpls, tplSpec{t: c.template(x), x: x})
 	return int32(len(c.p.tpls) - 1)
 }
 
@@ -202,8 +284,8 @@ func (c *compiler) topPath(p *xquery.PathExpr) {
 // opCollect, and opSort, opReplay and the RETURN follow.
 func (c *compiler) flwor(x *xquery.FLWOR, sub int) {
 	plan := planFLWOR(x)
-	n := c.loops(x, plan, 0, sub < 0, -1)
-	ret := foldExpr(x.Return)
+	n := c.loops(x, plan, sub < 0, -1)
+	ret := x.Return
 	body := func() int { // the RETURN, whose C the caller points at the next tuple
 		if sub < 0 {
 			return c.emitReturn(ret)
@@ -215,7 +297,7 @@ func (c *compiler) flwor(x *xquery.FLWOR, sub int) {
 		n.loop(body())
 		end = len(c.p.instrs)
 	} else {
-		si := c.addSort(x, plan, n.fors)
+		si := c.addSort(x, n)
 		n.loop(c.emit(instr{Op: opCollect, A: si}))
 		end = c.emit(instr{Op: opSort, A: si})
 		replay := c.emit(instr{Op: opReplay, A: si})
@@ -239,8 +321,10 @@ type nest struct {
 	innermost int32   // pc of the innermost opIter so far; -1: none
 	fors      []int32 // the FOR clauses' cursors
 	forDoms   []int32 // and the domains they scan
-	depth     int32   // the clauses bound so far, which opLetOpen lists
 	letCur    int     // the opLetCur binding the LET around the loops at once; -1: none
+	// clauses are the FLWOR's clauses as an ORDER BY replays them; nil
+	// without one.
+	clauses []sortClause
 }
 
 // loop makes instruction i jump back to the innermost opIter, or past
@@ -260,19 +344,19 @@ func (n *nest) exit(end int) {
 	}
 }
 
-// loops lowers the clauses and residual WHERE of x, depth clauses being
-// bound before them, into nested cursor loops; the caller emits the body
-// and closes them. top marks a top-level FLWOR, whose LETs read only by
-// its RETURN's emission template may bind bytes (emittedOnly). letVar,
+// loops lowers the clauses and residual WHERE of x into nested cursor
+// loops; the caller emits the body and closes them. top marks a
+// top-level FLWOR, whose LETs read only by its RETURN's emission template
+// may bind bytes (emittedOnly). letVar,
 // when not -1, is the variable of the LET whose source x is, which the
 // FOR cursor's restricted nodes bind at once (atOnce) when its domain is
 // a node path of static summary set: an opLetCur after the restricts,
 // whose jump past the loops the caller sets.
-func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, top bool, letVar int32) *nest {
-	n := &nest{c: c, innermost: -1, depth: depth, letCur: -1}
+func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, top bool, letVar int32) *nest {
+	n := &nest{c: c, innermost: -1, letCur: -1}
 	for ci, cl := range x.Clauses {
 		if cl.Let {
-			if inner, isFLWOR := foldExpr(cl.Seq).(*xquery.FLWOR); isFLWOR && inner.OrderBy == nil && x.OrderBy == nil {
+			if inner, isFLWOR := cl.Seq.(*xquery.FLWOR); isFLWOR && inner.OrderBy == nil && x.OrderBy == nil {
 				c.letFLWOR(cl, inner, n, top && emittedOnly(cl.Binder, x, ci))
 				continue
 			}
@@ -280,9 +364,18 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, top bool
 			c.vars.slots[cl.Binder] = spec.sums
 			if plan.Collect == nil || plan.Collect[ci] {
 				c.emit(instr{Op: opLet, A: c.addVar(cl), B: c.addDom(spec)})
-				n.depth++
+			}
+			if plan.Replay != nil {
+				sc := sortClause{binder: cl.Binder, let: true}
+				if plan.Replay[ci] {
+					sc.dom = spec.dom
+				}
+				n.clauses = append(n.clauses, sc)
 			}
 			continue
+		}
+		if plan.Replay != nil {
+			n.clauses = append(n.clauses, sortClause{binder: cl.Binder})
 		}
 		pds := plan.Pushdowns[ci]
 		spec := c.domainFor(cl.Seq)
@@ -296,12 +389,19 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, top bool
 		// reordered.
 		var lits, joins []int32
 		for slot, pd := range pds {
-			ps := predSpec{pd: pd, slot: int32(slot)}
-			c.plan(pd.Conj) // evaluated per tuple if deferred
+			ps := predSpec{pd: pd, slot: int32(slot), test: c.lower(pd.Conj)} // tested per tuple if deferred
+			if pd.IsLit {
+				ps.lit = litRestrict{rel: stepsOf(pd.Rel), op: pd.Op, lit: pd.Lit, slot: c.p.nowners}
+				c.p.nowners++
+			} else {
+				ps.other, ps.idxSlot = pd.Other, c.p.njoins
+				ps.thisRel, ps.otherRel = stepsOf(pd.RelThis), stepsOf(pd.RelOther)
+				c.p.njoins++
+			}
 			switch {
 			case pd.IsLit && spec.static:
 				ps.resolved = true
-				ps.conts, ps.complete, ps.why = c.eng.litTargets(spec.sums, pd.Rel, pd.Op, pd.Lit)
+				ps.conts, ps.complete, ps.why = c.eng.litTargets(spec.sums, ps.lit.rel, pd.Op, pd.Lit)
 				ps.fastOK = ps.why == ""
 				for _, ct := range ps.conts {
 					ps.cost += float64(ct.Len()) * costmodel.DecodeCost(ct.Codec().Name())
@@ -312,7 +412,7 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, top bool
 			case !pd.IsLit && spec.static && len(spec.sums) > 0 && len(c.vars.slots[pd.Other]) > 0:
 				// Both sides static: the index is built here, once. An
 				// error is left for a run to meet.
-				if idx, ok, err := c.eng.joinIndexFor(pd, spec.sums, c.vars.slots[pd.Other]); ok && err == nil {
+				if idx, ok, err := c.eng.joinIndexFor(ps.thisRel, ps.otherRel, spec.sums, c.vars.slots[pd.Other]); ok && err == nil {
 					ps.idx = idx
 				}
 			}
@@ -351,7 +451,6 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, top bool
 			n.letCur = c.emit(instr{Op: opLetCur, A: cu, B: letVar})
 		}
 		vi := c.addVar(cl)
-		n.depth++
 		iter := c.emit(instr{Op: opIter, A: cu, B: vi})
 		n.loop(iter)
 		if len(pds) > 0 {
@@ -361,14 +460,12 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, top bool
 	}
 
 	for _, conj := range plan.Residual {
-		conj = foldExpr(conj)
-		c.plan(conj)
-		if c.p.alwaysTrue(conj) {
-			c.p.dropped = append(c.p.dropped, conj)
-			continue
+		if cn := c.lower(conj); alwaysTrue(cn) {
+			c.p.dropped = append(c.p.dropped, exprSpec{x: conj, n: cn})
+		} else {
+			c.p.exprs = append(c.p.exprs, exprSpec{x: conj, n: cn})
+			n.loop(c.emit(instr{Op: opWhere, A: int32(len(c.p.exprs) - 1)}))
 		}
-		c.p.exprs = append(c.p.exprs, conj)
-		n.loop(c.emit(instr{Op: opWhere, A: int32(len(c.p.exprs) - 1)}))
 	}
 	return n
 }
@@ -377,11 +474,11 @@ func (c *compiler) loops(x *xquery.FLWOR, plan *flworPlan, depth int32, top bool
 // its static summary set: an absolute path without predicates or a
 // text() tail, which is also invariant.
 func wholeDomain(spec *domainSpec) bool {
-	if spec.path == nil || spec.path.Var != "" || !spec.static || spec.textTail || !spec.invariant {
+	if spec.path == nil || spec.path.name != "" || !spec.static || spec.textTail || !spec.invariant {
 		return false
 	}
-	for _, st := range spec.path.Steps {
-		if len(st.Preds) > 0 {
+	for _, st := range spec.path.steps {
+		if st.predicated {
 			return false
 		}
 	}
@@ -400,14 +497,14 @@ func wholeDomain(spec *domainSpec) bool {
 func (c *compiler) letFLWOR(cl xquery.Clause, inner *xquery.FLWOR, n *nest, emitted bool) {
 	ai := int32(len(c.p.reuse))
 	c.p.reuse = append(c.p.reuse, emitted)
-	c.emit(instr{Op: opLetOpen, A: ai, B: n.depth})
+	c.emit(instr{Op: opLetOpen, A: ai})
 	plan, vi, letVar := planFLWOR(inner), c.addVar(cl), int32(-1)
-	if c.p.cards != nil && atOnce(inner, plan) {
+	if c.cards && atOnce(inner, plan) {
 		letVar = vi
 	}
-	in := c.loops(inner, plan, n.depth+1, false, letVar)
+	in := c.loops(inner, plan, false, letVar)
 	cu, spec := c.bareFor(inner, in)
-	ret := foldExpr(inner.Return)
+	ret := inner.Return
 	ctor, isCtor := ret.(*xquery.ElementCtor)
 	switch {
 	case cu >= 0:
@@ -424,7 +521,6 @@ func (c *compiler) letFLWOR(cl xquery.Clause, inner *xquery.FLWOR, n *nest, emit
 	if in.letCur >= 0 {
 		c.p.instrs[in.letCur].C = int32(len(c.p.instrs))
 	}
-	n.depth++
 }
 
 // atOnce reports that the LET whose source is x binds the node set of
@@ -534,42 +630,42 @@ func (c *compiler) bareFor(x *xquery.FLWOR, in *nest) (int32, *domainSpec) {
 	return -1, nil
 }
 
-// addSort pools the ORDER BY of x, with its key's rank table when the key
-// is an eligible path from a variable of known summary set (keyRanks).
-func (c *compiler) addSort(x *xquery.FLWOR, plan *flworPlan, fors []int32) int32 {
-	ss := sortSpec{flwor: x, plan: plan, fors: fors}
-	c.plan(x.OrderBy)
-	if p, isPath := x.OrderBy.(*xquery.PathExpr); isPath {
-		if sums := c.vars.origin(p); len(sums) > 0 {
-			ss.ranks = c.eng.keyRanks(p, sums)
+// addSort pools the ORDER BY of x, whose loops are n, with its key's
+// rank table when the key is an eligible path from a variable of known
+// summary set (keyRanks).
+func (c *compiler) addSort(x *xquery.FLWOR, n *nest) int32 {
+	ss := sortSpec{x: x, key: c.lower(x.OrderBy), desc: x.OrderDesc, fors: n.fors, clauses: n.clauses}
+	if p, isPath := ss.key.(*pathNode); isPath {
+		if sums := c.vars.origin(p.x); len(sums) > 0 {
+			if ss.ranks = c.eng.keyRanks(p.steps, sums); ss.ranks != nil {
+				ss.keyPath = p
+			}
 		}
 	}
 	c.p.sorts = append(c.p.sorts, ss)
 	return int32(len(c.p.sorts) - 1)
 }
 
-// domainFor analyzes one FOR/LET source (or top-level path): constant
-// folding, static summary resolution, and invariance (no free
-// variables → scan once per run). static requires a known origin:
-// absolute paths, or variables whose (non-empty) summaries were
-// tracked.
+// domainFor analyzes one FOR/LET source (or top-level path): lowering,
+// static summary resolution, and invariance (no free variables → scan
+// once per run). static requires a known origin: absolute paths, or
+// variables whose (non-empty) summaries were tracked.
 func (c *compiler) domainFor(x xquery.Expr) domainSpec {
-	folded := foldExpr(x)
-	spec := domainSpec{expr: folded}
-	spec.invariant = len(xquery.FreeVars(folded)) == 0
-	sums := c.plan(folded)
-	switch e := folded.(type) {
-	case *xquery.PathExpr:
-		spec.path = e
-		if e.Var == "" || len(c.vars.origin(e)) > 0 {
-			// Text-tail domains bind decoded strings; the runtime reports
-			// no summary provenance for them, and planExpr none either.
-			n := len(e.Steps)
-			spec.static, spec.sums = true, sums
-			spec.textTail = n > 0 && e.Steps[n-1].Test == xquery.TestText
+	spec := domainSpec{expr: x, dom: c.lower(x)}
+	spec.invariant = len(xquery.FreeVars(x)) == 0
+	switch n := spec.dom.(type) {
+	case *pathNode:
+		spec.path = n
+		if n.name == "" || len(c.vars.origin(n.x)) > 0 {
+			// Text-tail domains bind decoded strings, with no summary
+			// provenance.
+			spec.static, spec.textTail = true, n.textTail
+			if len(n.plan.targets) == len(n.steps) {
+				spec.sums = n.plan.sums()
+			}
 		}
-	case *xquery.VarRef:
-		if len(c.vars.slots[e.Binder]) > 0 {
+	case *varRef:
+		if sums := c.vars.slots[n.binder]; len(sums) > 0 {
 			spec.static, spec.sums = true, sums
 		}
 	default:
@@ -590,138 +686,23 @@ func restrictCost(ps *predSpec) float64 {
 	return 1e300
 }
 
-// ---- constant folding ----
-
-// foldExpr folds constant arithmetic (+, -, *, div over numeric
-// literals — exactly the operations whose engine evaluation is a pure
-// float64 function, since formatNum/parseNum round-trip float64
-// losslessly). mod is excluded: the engine faults on zero divisors at
-// evaluation time and folding would move that fault to compile time.
-// Folding builds new nodes along changed spines only — the input AST is
-// shared with the prepared statement and with pushdown conjunct
-// identity, and is never mutated.
-func foldExpr(x xquery.Expr) xquery.Expr {
-	switch e := x.(type) {
+// constNum returns the value of x when it is constant arithmetic: a
+// number, or +, -, * or div of two constants — operations whose
+// evaluation is a pure float64 function. mod is not: its zero divisor is
+// a fault met when it is evaluated.
+func constNum(x xquery.Expr) (float64, bool) {
+	switch x := x.(type) {
+	case *xquery.NumberLit:
+		return x.Val, true
 	case *xquery.Arith:
-		l, r := foldExpr(e.Left), foldExpr(e.Right)
-		if ln, okL := l.(*xquery.NumberLit); okL {
-			if rn, okR := r.(*xquery.NumberLit); okR {
-				switch e.Op {
-				case "+":
-					return &xquery.NumberLit{Val: ln.Val + rn.Val}
-				case "-":
-					return &xquery.NumberLit{Val: ln.Val - rn.Val}
-				case "*":
-					return &xquery.NumberLit{Val: ln.Val * rn.Val}
-				case "div":
-					return &xquery.NumberLit{Val: ln.Val / rn.Val}
-				}
-			}
-		}
-		if l != e.Left || r != e.Right {
-			return &xquery.Arith{Op: e.Op, Left: l, Right: r}
-		}
-	case *xquery.Cmp:
-		l, r := foldExpr(e.Left), foldExpr(e.Right)
-		if l != e.Left || r != e.Right {
-			return &xquery.Cmp{Op: e.Op, Left: l, Right: r}
-		}
-	case *xquery.Logic:
-		l, r := foldExpr(e.Left), foldExpr(e.Right)
-		if l != e.Left || r != e.Right {
-			return &xquery.Logic{Op: e.Op, Left: l, Right: r}
-		}
-	case *xquery.Call:
-		args, changed := foldList(e.Args)
-		if changed {
-			return &xquery.Call{Name: e.Name, Args: args}
-		}
-	case *xquery.Sequence:
-		items, changed := foldList(e.Items)
-		if changed {
-			return &xquery.Sequence{Items: items}
-		}
-	case *xquery.PathExpr:
-		changed := false
-		steps := make([]xquery.Step, len(e.Steps))
-		for i, st := range e.Steps {
-			steps[i] = st
-			if len(st.Preds) == 0 {
-				continue
-			}
-			preds, ch := foldList(st.Preds)
-			if ch {
-				steps[i].Preds = preds
-				changed = true
-			}
-		}
-		if changed {
-			folded := *e
-			folded.Steps = steps
-			return &folded
-		}
-	case *xquery.FLWOR:
-		changed := false
-		clauses := make([]xquery.Clause, len(e.Clauses))
-		for i, cl := range e.Clauses {
-			clauses[i] = cl
-			if f := foldExpr(cl.Seq); f != cl.Seq {
-				clauses[i].Seq = f
-				changed = true
-			}
-		}
-		where, ret, order := e.Where, e.Return, e.OrderBy
-		if e.Where != nil {
-			if f := foldExpr(e.Where); f != e.Where {
-				where, changed = f, true
-			}
-		}
-		if e.OrderBy != nil {
-			if f := foldExpr(e.OrderBy); f != e.OrderBy {
-				order, changed = f, true
-			}
-		}
-		if f := foldExpr(e.Return); f != e.Return {
-			ret, changed = f, true
-		}
-		if changed {
-			return &xquery.FLWOR{Clauses: clauses, Where: where, OrderBy: order, OrderDesc: e.OrderDesc, Return: ret}
-		}
-	case *xquery.ElementCtor:
-		changed := false
-		attrs := make([]xquery.CtorAttr, len(e.Attrs))
-		for i, a := range e.Attrs {
-			attrs[i] = a
-			vals, ch := foldList(a.Value)
-			if ch {
-				attrs[i].Value = vals
-				changed = true
-			}
-		}
-		content, ch := foldList(e.Content)
-		if ch {
-			changed = true
-		}
-		if changed {
-			return &xquery.ElementCtor{Name: e.Name, Attrs: attrs, Content: content}
+		l, lok := constNum(x.Left)
+		r, rok := constNum(x.Right)
+		if lok && rok && x.Op != "mod" {
+			f, _ := arithOps[x.Op](l, r)
+			return f, true
 		}
 	}
-	return x
-}
-
-func foldList(xs []xquery.Expr) ([]xquery.Expr, bool) {
-	out := make([]xquery.Expr, len(xs))
-	changed := false
-	for i, x := range xs {
-		out[i] = foldExpr(x)
-		if out[i] != x {
-			changed = true
-		}
-	}
-	if !changed {
-		return xs, false
-	}
-	return out, true
+	return 0, false
 }
 
 // estimateSize approximates the program's resident bytes (instructions
@@ -750,7 +731,7 @@ func (c *compiler) estimateSize() int {
 		lit, dyn := ts.t.shape()
 		sz += 64 + lit + 32*dyn
 	}
-	sz += p.plans.sizeBytes() + c.eng.offBytes + 64*len(p.cards)
+	sz += 192*len(p.paths) + c.eng.offBytes + 64*c.ncards
 	sz += len(p.exprs)*16 + len(p.vars)*24
 	for _, v := range p.vars {
 		sz += len(v.name)

@@ -21,8 +21,8 @@ func (p *Program) Disassemble() string {
 		fmt.Fprintf(&b, ", %d subs", len(p.subs))
 	}
 	fmt.Fprintf(&b, " (size≈%dB)\n", p.sizeEst)
-	for _, x := range p.dropped {
-		fmt.Fprintf(&b, "     WHERE    dropped ; %s\n", p.exprDesc(x))
+	for i := range p.dropped {
+		fmt.Fprintf(&b, "     WHERE    dropped ; %s\n", p.exprDesc(&p.dropped[i]))
 	}
 	sub := 0
 	for pc, in := range p.instrs {
@@ -47,9 +47,9 @@ func (p *Program) Disassemble() string {
 		case opLet:
 			fmt.Fprintf(&b, " $%s <- d%d       ; %s", p.vars[in.A].name, in.B, p.domDesc(&p.doms[in.B]))
 		case opWhere:
-			fmt.Fprintf(&b, " e%d, fail->%d     ; %s", in.A, in.C, p.exprDesc(p.exprs[in.A]))
+			fmt.Fprintf(&b, " e%d, fail->%d     ; %s", in.A, in.C, p.exprDesc(&p.exprs[in.A]))
 		case opEvalPush:
-			fmt.Fprintf(&b, " e%d              ; %s", in.A, p.exprDesc(p.exprs[in.A]))
+			fmt.Fprintf(&b, " e%d              ; %s", in.A, p.exprDesc(&p.exprs[in.A]))
 		case opEmitSeq:
 			fmt.Fprintf(&b, " done->%d", in.C)
 		case opIterEmit:
@@ -61,9 +61,9 @@ func (p *Program) Disassemble() string {
 		case opReplay:
 			fmt.Fprintf(&b, " t%d, done->%d", in.A, in.C)
 		case opLetOpen:
-			fmt.Fprintf(&b, " a%d, depth %d", in.A, in.B)
+			fmt.Fprintf(&b, " a%d", in.A)
 		case opAppend, opAppendOut:
-			fmt.Fprintf(&b, " a%d, e%d, next->%d ; %s", in.A, in.B, in.C, p.exprDesc(p.exprs[in.B]))
+			fmt.Fprintf(&b, " a%d, e%d, next->%d ; %s", in.A, in.B, in.C, p.exprDesc(&p.exprs[in.B]))
 		case opAppendCur:
 			fmt.Fprintf(&b, " a%d, c%d, next->%d", in.A, in.B, in.C)
 		case opEmitCtor:
@@ -92,17 +92,16 @@ func trunc(s string, n int) string {
 	return s[:n-1] + "…"
 }
 
-// pathDesc names how a run reads the nodes of path x, from its plan in
-// the pool: StructureSummaryAccess when x is absolute and predicate-free
-// (its nodes are the extents listed), summary-guided navigation when
-// predicates or a variable's bindings select among those extents, and
-// runtime navigation when x's variable had no summary set at compile
-// time. A text() tail lists the owners of its text. Then come the runs
-// from a node set, each with how it reads what one node reaches
-// (readDesc).
-func (p *Program) pathDesc(x *xquery.PathExpr) string {
-	pl := p.plans[x]
-	if pl == nil || x.Var != "" && len(pl.origin) == 0 {
+// pathDesc names how a run reads the nodes of path n, from its plan:
+// StructureSummaryAccess when n is absolute and predicate-free (its nodes
+// are the extents listed), summary-guided navigation when predicates or a
+// variable's bindings select among those extents, and runtime navigation
+// when n's variable had no summary set at compile time. A text() tail
+// lists the owners of its text. Then come the runs from a node set, each
+// with how it reads what one node reaches (readDesc).
+func (p *Program) pathDesc(n *pathNode) string {
+	pl := n.plan
+	if n.name != "" && len(pl.origin) == 0 {
 		return "runtime navigation"
 	}
 	sums := pl.sums()
@@ -123,7 +122,7 @@ func (p *Program) pathDesc(x *xquery.PathExpr) string {
 	var reads []string
 	for i := range pl.runs {
 		if run := &pl.runs[i]; run.from != nil {
-			steps := &xquery.PathExpr{Steps: x.Steps[i:runEnd(x.Steps, i)]}
+			steps := &xquery.PathExpr{Steps: n.x.Steps[i:runEnd(n.steps, i)]}
 			reads = append(reads, steps.String()+" "+readDesc(run))
 		}
 	}
@@ -178,48 +177,51 @@ func (p *Program) domDesc(spec *domainSpec) string {
 	return b.String()
 }
 
-// exprDesc notes an expression the engine evaluates: that a comparison
-// is made between numbers, and the summary access of each path it reads
-// (a FLWOR in it is a sub-program, listed on its own).
-func (p *Program) exprDesc(x xquery.Expr) string {
-	notes := []string{trunc(x.String(), 48)}
-	if c, isCmp := x.(*xquery.Cmp); isCmp && numericCmp(c) {
+// exprDesc notes an expression a run evaluates from what its nodes
+// hold: that a comparison is made between numbers, the rule of each
+// count, empty and exists that has one, and the summary access of each
+// path it reads (a FLWOR in it is a sub-program, listed on its own).
+func (p *Program) exprDesc(es *exprSpec) string {
+	notes := []string{trunc(es.x.String(), 48)}
+	if c, isCmp := es.n.(*cmpNode); isCmp && c.numeric {
 		notes = append(notes, "as numbers")
 	}
-	var walk func(xquery.Expr)
-	walk = func(x xquery.Expr) {
-		switch x := x.(type) {
-		case *xquery.Call:
-			if r := p.cards[x]; r != nil {
-				notes = append(notes, cardDesc(x.Name, r))
+	var walk func(node)
+	walk = func(n node) {
+		switch n := n.(type) {
+		case *countNode:
+			if n.card != nil {
+				notes = append(notes, cardDesc(n.name, n.card))
 			}
-		case *xquery.PathExpr:
-			if d := p.pathDesc(x); !slices.Contains(notes, d) {
+		case *emptyNode:
+			if n.card != nil {
+				notes = append(notes, cardDesc(n.name, n.card))
+			}
+		case *pathNode:
+			if d := p.pathDesc(n); !slices.Contains(notes, d) {
 				notes = append(notes, d)
 			}
 			return
-		case *xquery.FLWOR:
-			return
 		}
-		for _, sub := range xquery.Children(x) {
-			walk(sub)
+		for _, k := range n.kids() {
+			walk(k)
 		}
 	}
-	walk(x)
+	walk(es.n)
 	return strings.Join(notes, " ; ")
 }
 
 // sortDesc notes an ORDER BY: its key, whether the sort orders ranks or
 // decoded keys, and how a ranked key's path is read.
 func (p *Program) sortDesc(ss *sortSpec) string {
-	desc := trunc(ss.flwor.OrderBy.String(), 40)
-	if ss.flwor.OrderDesc {
+	desc := trunc(ss.x.OrderBy.String(), 40)
+	if ss.desc {
 		desc += " descending"
 	}
 	if ss.ranks == nil {
 		return desc + " ; keys decoded"
 	}
-	return fmt.Sprintf("%s ; ranks over %d records ; %s", desc, ss.ranks.records, p.pathDesc(ss.flwor.OrderBy.(*xquery.PathExpr)))
+	return fmt.Sprintf("%s ; ranks over %d records ; %s", desc, ss.ranks.records, p.pathDesc(ss.keyPath))
 }
 
 func tplDesc(ts *tplSpec) string {

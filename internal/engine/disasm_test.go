@@ -197,8 +197,8 @@ func TestListedAccessIsTheAccessMade(t *testing.T) {
 		}
 	}
 	var arrays [][]uint32
-	for _, pl := range q3.plans {
-		for _, run := range pl.runs {
+	for _, n := range q3.paths {
+		for _, run := range n.plan.runs {
 			for _, reads := range run.reads {
 				for _, rd := range reads {
 					if !rd.one && !slices.ContainsFunc(arrays, func(a []uint32) bool { return &a[0] == &rd.off[0] }) {

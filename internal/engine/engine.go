@@ -3,10 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"strings"
 
-	"xquec/internal/algebra"
 	"xquec/internal/storage"
 	"xquec/internal/xquery"
 )
@@ -17,18 +14,20 @@ import (
 // Store concurrently.
 type engine struct {
 	store *storage.Store
-	// joinIdx caches, per comparison, the container join indexes this run
-	// built: those of joins whose summary sets were not static at compile
-	// time (a program builds the others once, and all its runs share
-	// them).
-	joinIdx map[xquery.Expr]*joinIndex
-	// slotPlans holds the plans the compiler derived once for the whole
-	// program, by path slot (xquery.PathExpr.Slot), and cards its
-	// cardinality rules; pcs are this run's cursors of the paths, by slot,
-	// each with its galloping positions, so a tuple never re-plans.
-	slotPlans []*pathPlan
-	cards     map[*xquery.Call]*cardRule
-	pcs       []pathCursor
+	// env is the run's variables and context item.
+	env *scope
+	// pcs are this run's cursors of the program's paths, by the slot the
+	// compiler gave each (pathNode.slot), each with its plan and
+	// galloping positions, so a tuple never re-plans.
+	pcs []pathCursor
+	// owners are this run's resolutions of the program's literal
+	// restricts, by slot (litRestrict.slot): one reached once per outer
+	// tuple scans its containers once per run. joinIdx are the join
+	// indexes this run built, by slot (predSpec.idxSlot): those of joins
+	// whose summary sets were not static at compile (a program builds the
+	// others once, and all its runs share them).
+	owners  []*conjunctOwners
+	joinIdx []*joinIndex
 	// offsets are the extent offsets of the pairs of summary nodes the
 	// paths this engine resolved read by them (reach), offBytes their size.
 	offsets  map[[2]*storage.SummaryNode][]uint32
@@ -36,10 +35,6 @@ type engine struct {
 	// run is the run of the program the engine evaluates for: its
 	// dispatch runs the sub-program of each FLWOR an expression reaches.
 	run *run
-	// owners caches the container match of each literal restrict the same
-	// way, so one that is reached once per outer tuple scans its
-	// containers once per run.
-	owners map[xquery.Expr]*conjunctOwners
 	// ctx, when non-nil, is polled in the evaluation loop so timeouts
 	// and client disconnects abort long evaluations mid-stream.
 	ctx      context.Context
@@ -68,7 +63,7 @@ type engine struct {
 // goroutine: a query is evaluated serially, and queries run concurrently
 // only as separate runs, each with an engine of its own.
 func newEngine(s *storage.Store) *engine {
-	return &engine{store: s, owners: map[xquery.Expr]*conjunctOwners{}}
+	return &engine{store: s}
 }
 
 // withContext arms the engine's cancellation checks with ctx and
@@ -82,7 +77,7 @@ func (e *engine) withContext(ctx context.Context) *engine {
 
 // checkCancel polls the engine's context. The poll is amortized: the
 // channel receive runs every 64th call, the rest is one branch and an
-// increment, cheap enough for the per-expression hot path.
+// increment, cheap enough for the per-tuple hot path.
 func (e *engine) checkCancel() error {
 	if e.ctx == nil {
 		return nil
@@ -103,356 +98,6 @@ func (e *engine) checkCancel() error {
 	}
 }
 
-// eval dispatches on the AST.
-func (e *engine) eval(expr xquery.Expr, env *scope) (seq, error) {
-	if err := e.checkCancel(); err != nil {
-		return nil, err
-	}
-	switch x := expr.(type) {
-	case *xquery.StringLit:
-		return seq{x.Val}, nil
-	case *xquery.NumberLit:
-		return seq{x.Val}, nil
-	case *xquery.VarRef:
-		b := env.of(x.Binder)
-		if b == nil {
-			return nil, fmt.Errorf("engine: unbound variable $%s", x.Name)
-		}
-		return b.value(), nil
-	case *xquery.Sequence:
-		var out seq
-		for _, item := range x.Items {
-			v, err := e.eval(item, env)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v...)
-		}
-		return out, nil
-	case *xquery.PathExpr:
-		return e.evalPath(x, env)
-	case *xquery.Cmp:
-		b, err := e.evalBool(x, env)
-		return seq{b}, err
-	case *xquery.Logic:
-		lb, err := e.evalBool(x.Left, env)
-		if err != nil {
-			return nil, err
-		}
-		if x.Op == "and" && !lb {
-			return seq{false}, nil
-		}
-		if x.Op == "or" && lb {
-			return seq{true}, nil
-		}
-		rb, err := e.evalBool(x.Right, env)
-		if err != nil {
-			return nil, err
-		}
-		return seq{rb}, nil
-	case *xquery.Arith:
-		f, err := e.evalArith(x, env)
-		if err != nil {
-			return nil, err
-		}
-		return seq{f}, nil
-	case *xquery.Call:
-		return e.evalCall(x, env)
-	case *xquery.ElementCtor:
-		return e.evalCtor(x, env)
-	case *xquery.FLWOR:
-		return e.run.appendFLWOR(nil, x)
-	}
-	return nil, fmt.Errorf("engine: unsupported expression %T", expr)
-}
-
-// appendExpr appends the items of an expression to dst: a path's go
-// straight from the store, a FLWOR's from its sub-program.
-func (e *engine) appendExpr(dst seq, x xquery.Expr, env *scope) (seq, error) {
-	switch x := x.(type) {
-	case *xquery.PathExpr:
-		return e.appendPath(dst, x, env)
-	case *xquery.FLWOR:
-		return e.run.appendFLWOR(dst, x)
-	}
-	v, err := e.eval(x, env)
-	return append(dst, v...), err
-}
-
-func (e *engine) evalBool(expr xquery.Expr, env *scope) (bool, error) {
-	// The per-tuple filters of the XMark queries are comparisons,
-	// emptiness and string tests: answer those without a one-item
-	// sequence.
-	switch x := expr.(type) {
-	case *xquery.Cmp:
-		return e.evalCmp(x, env)
-	case *xquery.Call:
-		switch {
-		case x.Name == "empty" || x.Name == "exists":
-			n, err := e.argLen(x, env)
-			return (n == 0) == (x.Name == "empty"), err
-		case stringFunc(x.Name) != nil:
-			return e.stringTest(x, env)
-		case x.Name == "not" && len(x.Args) > 0:
-			b, err := e.evalBool(x.Args[0], env)
-			return !b, err
-		}
-	}
-	v, err := e.eval(expr, env)
-	if err != nil {
-		return false, err
-	}
-	return e.effectiveBool(v)
-}
-
-// evalCmp implements general (existential) comparisons. Two sides that
-// are each one number compare as numbers (numericCmp), with no sequence
-// or string made.
-func (e *engine) evalCmp(x *xquery.Cmp, env *scope) (bool, error) {
-	if numericCmp(x) {
-		l, err := e.evalNum(x.Left, env)
-		if err != nil {
-			return false, err
-		}
-		r, err := e.evalNum(x.Right, env)
-		if err != nil {
-			return false, err
-		}
-		return compareNums(x.Op, l, r), nil
-	}
-	lv, err := e.eval(x.Left, env)
-	if err != nil {
-		return false, err
-	}
-	rv, err := e.eval(x.Right, env)
-	if err != nil {
-		return false, err
-	}
-	la, err := e.atomize(lv)
-	if err != nil {
-		return false, err
-	}
-	ra, err := e.atomize(rv)
-	if err != nil {
-		return false, err
-	}
-	for _, a := range la {
-		for _, b := range ra {
-			if compareAtoms(x.Op, a, b) {
-				return true, nil
-			}
-		}
-	}
-	return false, nil
-}
-
-func (e *engine) evalArith(x *xquery.Arith, env *scope) (float64, error) {
-	ln, err := e.evalNum(x.Left, env)
-	if err != nil {
-		return 0, err
-	}
-	rn, err := e.evalNum(x.Right, env)
-	if err != nil {
-		return 0, err
-	}
-	switch x.Op {
-	case "+":
-		return ln + rn, nil
-	case "-":
-		return ln - rn, nil
-	case "*":
-		return ln * rn, nil
-	case "div":
-		return ln / rn, nil
-	case "mod":
-		if int64(rn) == 0 {
-			return 0, fmt.Errorf("engine: %s mod %s: division by zero", formatNum(ln), formatNum(rn))
-		}
-		return float64(int64(ln) % int64(rn)), nil
-	}
-	return 0, fmt.Errorf("engine: unknown arithmetic operator %s", x.Op)
-}
-
-// numericCmp reports that evalCmp compares x's sides as numbers: each is
-// always one number.
-func numericCmp(x *xquery.Cmp) bool { return oneNumber(x.Left) && oneNumber(x.Right) }
-
-// oneNumber reports that x's value is always one number, unless its
-// evaluation fails: the shapes evalNum evaluates with no sequence made.
-func oneNumber(x xquery.Expr) bool {
-	switch x := x.(type) {
-	case *xquery.NumberLit, *xquery.Arith:
-		return true
-	case *xquery.Call:
-		return x.Name == "count" || x.Name == "number" || x.Name == "string-length"
-	}
-	return false
-}
-
-// evalNum evaluates an operand of arithmetic: a number, arithmetic,
-// count(), number() and string-length() straight to a float64, anything
-// else through its one item's string value.
-func (e *engine) evalNum(expr xquery.Expr, env *scope) (float64, error) {
-	switch x := expr.(type) {
-	case *xquery.NumberLit:
-		return x.Val, nil
-	case *xquery.Arith:
-		return e.evalArith(x, env)
-	case *xquery.Call:
-		switch x.Name {
-		case "count":
-			n, err := e.argLen(x, env)
-			return float64(n), err
-		case "number":
-			return e.number(x, env)
-		case "string-length":
-			b, err := e.argBytes(x, 0, env)
-			return float64(len(b)), err
-		}
-	}
-	v, err := e.eval(expr, env)
-	if err != nil {
-		return 0, err
-	}
-	if len(v) != 1 {
-		return 0, fmt.Errorf("engine: arithmetic on a sequence of %d items", len(v))
-	}
-	a, err := e.stringValue(v[0])
-	if err != nil {
-		return 0, err
-	}
-	f, ok := parseNum(a)
-	if !ok {
-		return 0, fmt.Errorf("engine: %q is not a number", a)
-	}
-	return f, nil
-}
-
-// evalCtor builds a fragment. Attribute values are assembled in abuf
-// (detached while in use, so a nested constructor cannot clobber it) and
-// path-valued content goes straight into the fragment.
-func (e *engine) evalCtor(x *xquery.ElementCtor, env *scope) (seq, error) {
-	frag := &fragment{Name: x.Name}
-	if len(x.Attrs) > 0 {
-		frag.Attrs = make([]fragAttr, 0, len(x.Attrs))
-		buf := e.abuf
-		e.abuf = nil
-		for _, a := range x.Attrs {
-			buf = buf[:0]
-			for _, part := range a.Value {
-				var err error
-				if buf, err = e.appendAtoms(buf, part, env); err != nil {
-					return nil, err
-				}
-			}
-			frag.Attrs = append(frag.Attrs, fragAttr{Name: a.Name, Value: string(buf)})
-		}
-		e.abuf = buf
-	}
-	for _, c := range x.Content {
-		var err error
-		switch c := c.(type) {
-		case *xquery.StringLit:
-			// Whitespace-only literal chunks between constructor items
-			// are boilerplate, not data.
-			if strings.TrimSpace(c.Val) != "" {
-				frag.Content = append(frag.Content, c.Val)
-			}
-		case *xquery.PathExpr:
-			frag.Content, err = e.appendPath(frag.Content, c, env)
-		default:
-			var v seq
-			v, err = e.eval(c, env)
-			frag.Content = append(frag.Content, v...)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return seq{frag}, nil
-}
-
-// appendAtoms appends the space-joined string values of x's items to
-// dst; path results are decoded straight from the store.
-func (e *engine) appendAtoms(dst []byte, x xquery.Expr, env *scope) ([]byte, error) {
-	if p, isPath := x.(*xquery.PathExpr); isPath {
-		nodes, sums, textTail, err := e.evalPathNodes(p, env)
-		how := readOf(sums, textTail)
-		for i := 0; err == nil && i < len(nodes); i++ {
-			if i > 0 {
-				dst = append(dst, ' ')
-			}
-			dst, err = e.appendNodeValue(dst, nodes[i], how)
-		}
-		return dst, err
-	}
-	v, err := e.eval(x, env)
-	for i := 0; err == nil && i < len(v); i++ {
-		if i > 0 {
-			dst = append(dst, ' ')
-		}
-		var a string
-		a, err = e.stringValue(v[i])
-		dst = append(dst, a...)
-	}
-	return dst, err
-}
-
-// evalBindingSeq evaluates a FOR/LET source. When the source is a node
-// path, the node set is returned directly (ids non-nil) so FOR loops
-// avoid boxing and re-sorting the domain; otherwise the generic
-// sequence is returned.
-func (e *engine) evalBindingSeq(expr xquery.Expr, env *scope) (seq, algebra.NodeSet, []*storage.SummaryNode, error) {
-	switch x := expr.(type) {
-	case *xquery.PathExpr:
-		nodes, sums, textTail, err := e.evalPathNodes(x, env)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if textTail {
-			seq, err := e.appendTexts(nil, nodes, sums)
-			return seq, nil, nil, err
-		}
-		if nodes == nil {
-			nodes = algebra.NodeSet{}
-		}
-		return nil, nodes, sums, nil
-	case *xquery.VarRef:
-		// Propagate summary knowledge through plain variable references.
-		// The node-set fast path applies only when the sequence is already
-		// in document order: FOR must preserve the bound sequence's order
-		// (it may carry a deliberate ORDER BY arrangement).
-		if b := env.of(x.Binder); b != nil {
-			ids := b.ids
-			if ids == nil {
-				ids, _ = docOrderedNodeSeq(b.seq)
-			}
-			if len(ids) > 0 {
-				return nil, ids, b.sums, nil
-			}
-			return b.value(), nil, b.sums, nil
-		}
-	}
-	v, err := e.eval(expr, env)
-	return v, nil, nil, err
-}
-
-// docOrderedNodeSeq extracts the node IDs of a sequence only if they
-// are already strictly ascending (document order).
-func docOrderedNodeSeq(s seq) (algebra.NodeSet, bool) {
-	out := make(algebra.NodeSet, 0, len(s))
-	var prev storage.NodeID
-	for _, it := range s {
-		id, isNode := it.(storage.NodeID)
-		if !isNode || id <= prev {
-			return nil, false
-		}
-		out = append(out, id)
-		prev = id
-	}
-	return out, true
-}
-
 // splitConjuncts flattens a WHERE tree of ANDs.
 func splitConjuncts(where xquery.Expr) []xquery.Expr {
 	if where == nil {
@@ -469,18 +114,12 @@ func splitConjuncts(where xquery.Expr) []xquery.Expr {
 // binder is 0: `$var/rel op literal` (either side), returning the
 // effective operator (flipped when the literal is on the left), or
 // `fn($var/rel, "literal")` with fn a string function (stringFunc) and the
-// literal not empty, returning fn as the operator. rel is re-rooted at the
-// context.
+// literal not empty, returning fn as the operator. The path returned is
+// the conjunct's: only its steps, rel, are read.
 func splitVarPred(conj xquery.Expr, binder int) (*xquery.PathExpr, string, string, bool) {
 	rooted := func(x xquery.Expr) (*xquery.PathExpr, bool) {
 		p, isPath := x.(*xquery.PathExpr)
-		if !isPath || (binder == 0) != (p.Var == ".") || p.Binder != binder {
-			return nil, false
-		}
-		if binder != 0 {
-			p = &xquery.PathExpr{Var: ".", Steps: p.Steps}
-		}
-		return p, true
+		return p, isPath && (binder == 0) == (p.Var == ".") && p.Binder == binder
 	}
 	switch c := conj.(type) {
 	case *xquery.Call:
@@ -499,11 +138,11 @@ func splitVarPred(conj xquery.Expr, binder int) (*xquery.PathExpr, string, strin
 			if !ok {
 				return nil, "", "", false
 			}
-			switch v := other.(type) {
-			case *xquery.StringLit:
-				return p, v.Val, op, true
-			case *xquery.NumberLit:
-				return p, formatNum(v.Val), op, true
+			if lit, isLit := other.(*xquery.StringLit); isLit {
+				return p, lit.Val, op, true
+			}
+			if f, isConst := constNum(other); isConst {
+				return p, formatNum(f), op, true
 			}
 			return nil, "", "", false
 		}

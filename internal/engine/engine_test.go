@@ -396,8 +396,9 @@ func TestForPreservesBoundSequenceOrder(t *testing.T) {
 }
 
 // TestFastPathSoundness pins the predicate fast path's bail-out cases:
-// nested-element content, empty elements, empty-string literals, and text
-// split into two leaves by a comment or a processing instruction — whose
+// nested-element content, empty elements, empty-string literals, text
+// split by a comment or a processing instruction (merged into one leaf at
+// ingest) and text split into two leaves by an empty element — whose
 // records are pieces of a value, not values — must all match the
 // reference semantics, in a step predicate, a WHERE, a join, a count and
 // an ORDER BY.
@@ -433,7 +434,7 @@ func TestFastPathSoundness(t *testing.T) {
 		`FOR $r IN /site/r WHERE contains($r/name, "za") RETURN $r/v/text()`,
 	}
 	docs := map[string][]string{doc: queries}
-	for _, sep := range []string{"<!--c-->", "<?pi x?>"} {
+	for _, sep := range []string{"<!--c-->", "<?pi x?>", "<b/>"} {
 		d := `<site><r><name>z` + sep + `a</name><v>1</v></r><r><name>q</name><v>2</v></r><r><name>zb</name><v>3</v></r>` +
 			`<m><name>z</name><v>4</v></m><m><name>za</name><v>5</v></m></site>`
 		docs[d] = split

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"xquec/internal/algebra"
 	"xquec/internal/storage"
 )
@@ -33,6 +35,14 @@ func (v *scope) of(binder int) *binding {
 		return nil
 	}
 	return &v.vars[binder]
+}
+
+// bound is of, failing where nothing is bound: name is the variable's.
+func (v *scope) bound(binder int, name string) (*binding, error) {
+	if b := v.of(binder); b != nil {
+		return b, nil
+	}
+	return nil, fmt.Errorf("engine: unbound variable $%s", name)
 }
 
 // binding is one variable's slot in a scope. A FOR clause rewrites it per

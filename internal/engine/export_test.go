@@ -16,15 +16,22 @@ import (
 // external test package.
 
 // RandomDoc is datagen.RandomRecords with about one in eight label and
-// num values split into two text leaves by a comment, so the battery runs
-// every fast path over text whose records are pieces of a value.
+// num values split: half of them by a comment, which ingest drops and
+// merges the text around (one record, the value), half by an empty <b/>,
+// which leaves two text leaves (records that are pieces of the value).
+// So the battery runs every fast path over both.
 func RandomDoc(rng *rand.Rand) []byte {
 	return splitValue.ReplaceAllFunc(datagen.RandomRecords(rng), func(m []byte) []byte {
-		if rng.Intn(8) != 0 {
+		k := rng.Intn(16)
+		if k > 1 {
 			return m
 		}
+		sep := "<!--c-->"
+		if k == 0 {
+			sep = "<b/>"
+		}
 		i := bytes.IndexByte(m, '>') + 2
-		return slices.Concat(m[:i], []byte("<!--c-->"), m[i:])
+		return slices.Concat(m[:i], []byte(sep), m[i:])
 	})
 }
 

@@ -12,20 +12,22 @@ import (
 
 // pushdown is a WHERE conjunct statically assigned to a FOR clause: it
 // is applied while computing the clause's domain instead of as a
-// per-tuple filter. Each pushdown keeps the original conjunct so the
-// runtime can fall back to tuple-at-a-time evaluation when the
-// compressed-domain shape does not materialize (e.g. untracked summary
-// nodes).
+// per-tuple filter. Each pushdown keeps the original conjunct, which the
+// compiler also lowers, so a run can fall back to tuple-at-a-time
+// evaluation when the compressed-domain shape does not materialize (e.g.
+// untracked summary nodes).
 type pushdown struct {
 	Conj xquery.Expr
 	// literal restrict: `$v/rel op literal`, or `fn($v/rel, literal)` with
-	// Op the function's name (contains, starts-with, ends-with)
+	// Op the function's name (contains, starts-with, ends-with); Rel is
+	// the conjunct's path, whose steps are rel
 	IsLit bool
 	Rel   *xquery.PathExpr
 	Op    string
 	Lit   string
 	// equality join: $v/relThis = $other/relOther, Other being $other's
-	// binder slot (xquery.Clause.Binder)
+	// binder slot (xquery.Clause.Binder), RelThis and RelOther the sides'
+	// paths
 	Other    int
 	RelThis  *xquery.PathExpr
 	RelOther *xquery.PathExpr
@@ -100,16 +102,12 @@ func planFLWOR(x *xquery.FLWOR) *flworPlan {
 				switch {
 				case lIn && clause(rp.Binder) < li:
 					plan.Pushdowns[li] = append(plan.Pushdowns[li], pushdown{
-						Conj: cmp, Other: rp.Binder,
-						RelThis:  &xquery.PathExpr{Var: ".", Steps: lp.Steps},
-						RelOther: &xquery.PathExpr{Var: ".", Steps: rp.Steps},
+						Conj: cmp, Other: rp.Binder, RelThis: lp, RelOther: rp,
 					})
 					assigned = true
 				case rIn && clause(lp.Binder) < ri:
 					plan.Pushdowns[ri] = append(plan.Pushdowns[ri], pushdown{
-						Conj: cmp, Other: lp.Binder,
-						RelThis:  &xquery.PathExpr{Var: ".", Steps: rp.Steps},
-						RelOther: &xquery.PathExpr{Var: ".", Steps: lp.Steps},
+						Conj: cmp, Other: lp.Binder, RelThis: rp, RelOther: lp,
 					})
 					assigned = true
 				}
@@ -140,16 +138,6 @@ func noNodes(x xquery.Expr) bool {
 	return false
 }
 
-// pathPlans is what is derivable once per query and not per run: the
-// resolved plan of each path whose origin summary set is static. The
-// compiler fills one per program; runs only read it, so any number of
-// them share it.
-type pathPlans map[*xquery.PathExpr]*pathPlan
-
-// sizeBytes estimates the resident size of the plans, for the plan
-// cache's byte accounting: a few slices of summary-node pointers each.
-func (pl pathPlans) sizeBytes() int { return 192 * len(pl) }
-
 // staticVars is what the compiler knows of a query's variables: the
 // summary set of each binder's value, by slot (xquery.Clause.Binder) —
 // nil where it is not known, and always at slot 0, a name nothing binds —
@@ -172,59 +160,6 @@ func (v *staticVars) origin(p *xquery.PathExpr) []*storage.SummaryNode {
 		return v.ctx
 	}
 	return v.slots[p.Binder]
-}
-
-// planExpr records in pl the plan of every path under x, and in cards the rule of every count, empty and
-// exists it answers without materializing its argument (cardFor); it
-// returns the summary set of x's value when that is static (a path
-// without a text() tail, a variable). A FLWOR under x is not entered: it
-// is handed to nested with the context item's summary set where it
-// stands, for the compiler to make a sub-program of — unless a rule
-// counts it.
-func (e *engine) planExpr(pl pathPlans, cards map[*xquery.Call]*cardRule, x xquery.Expr, vars *staticVars, nested func(*xquery.FLWOR, []*storage.SummaryNode)) []*storage.SummaryNode {
-	switch x := x.(type) {
-	case *xquery.VarRef:
-		return vars.slots[x.Binder]
-	case *xquery.PathExpr:
-		plan := e.resolvePath(x, vars.origin(x))
-		pl[x] = plan
-		ctx := vars.ctx
-		for i, step := range x.Steps {
-			if len(step.Preds) > 0 && i < len(plan.targets) {
-				vars.ctx = plan.targets[i]
-				for _, pred := range step.Preds {
-					e.planExpr(pl, cards, pred, vars, nested)
-				}
-			}
-		}
-		vars.ctx = ctx
-		if len(plan.targets) < len(x.Steps) {
-			return nil // text() tail: the value is strings
-		}
-		return plan.sums()
-	case *xquery.FLWOR:
-		nested(x, vars.ctx)
-		return nil
-	case *xquery.Call:
-		if cards == nil {
-			break
-		}
-		if r := e.cardFor(pl, x, vars); r != nil && r.flwor {
-			cards[x] = r
-			return nil // a FLWOR a rule counts is not entered
-		}
-		for _, sub := range x.Args {
-			e.planExpr(pl, cards, sub, vars, nested)
-		}
-		if r := e.cardFor(pl, x, vars); r != nil {
-			cards[x] = r
-		}
-		return nil
-	}
-	for _, sub := range xquery.Children(x) {
-		e.planExpr(pl, cards, sub, vars, nested)
-	}
-	return nil
 }
 
 // sortedOrder returns the stable ORDER BY permutation of keys. The
@@ -255,9 +190,9 @@ func sortedOrder(keys []string, desc bool) []int {
 }
 
 // joinIndex maps nodes of the "other" side of an equality join to their
-// partner nodes on "this" side. Built once per comparison and pair of
-// summary sets — by the compiler when both sets are static, else once
-// per run — it is what turns the Q8/Q9 correlated nested loops into a
+// partner nodes on "this" side. Built once per join and pair of summary
+// sets — by the compiler when both sets are static, else once per run —
+// it is what turns the Q8/Q9 correlated nested loops into a
 // single container join. It is keyed by extent ordinal: the instances
 // of otherSums[k] are numbered first[k], first[k]+1, … in extent order,
 // and the partners of the instance numbered o are
@@ -306,17 +241,17 @@ func (idx *joinIndex) partnersOf(at place) algebra.NodeSet {
 }
 
 // applyLit restricts cur (the domain of this clause's variable, instances
-// of sums) to the nodes whose value under the pushdown's path matches its
+// of sums) to the nodes whose value under the restrict's path matches its
 // literal, by one container match per run — through ms, the program's
 // code automata, when they fit the containers; handled is false when the
 // comparison has no container fast path — among them nodes without a
 // summary set (bound from a nested FLWOR), which an empty set must not
 // prove empty.
-func (e *engine) applyLit(pd pushdown, ms *matchers, cur algebra.NodeSet, sums []*storage.SummaryNode) (algebra.NodeSet, bool, error) {
+func (e *engine) applyLit(r *litRestrict, ms *matchers, cur algebra.NodeSet, sums []*storage.SummaryNode) (algebra.NodeSet, bool, error) {
 	if len(sums) == 0 {
 		return nil, false, nil
 	}
-	co, err := e.matchOwners(pd.Conj, sums, pd.Rel, pd.Op, pd.Lit, len(cur), ms)
+	co, err := e.matchOwners(r, sums, len(cur), ms)
 	if err != nil || !co.ok {
 		return nil, false, err
 	}
@@ -324,22 +259,26 @@ func (e *engine) applyLit(pd pushdown, ms *matchers, cur algebra.NodeSet, sums [
 }
 
 // applyJoin restricts cur (the domain of this clause's variable) to the
-// join partners of the other variable's current binding, through idx
-// when it was built for these summary sets and the run's own index
-// otherwise. whole says cur is every instance of sums, so the partners
-// are the restriction as they stand.
-func (e *engine) applyJoin(pd pushdown, idx *joinIndex, whole bool, cur algebra.NodeSet, sums []*storage.SummaryNode, env *scope) (algebra.NodeSet, bool, error) {
-	other := env.of(pd.Other)
+// join partners of the other variable's current binding, through the
+// program's index when it was built for these summary sets and the run's
+// own otherwise. When the program's index restricts a cursor that holds
+// every instance of sums (ps.whole), the partners are the restriction as
+// they stand.
+func (e *engine) applyJoin(ps *predSpec, cur algebra.NodeSet, sums []*storage.SummaryNode) (algebra.NodeSet, bool, error) {
+	other := e.env.of(ps.other)
 	if other == nil || len(other.ids) != 1 || len(other.sums) == 0 || len(sums) == 0 {
 		return nil, false, nil
 	}
+	idx, whole := ps.idx, ps.whole
 	if idx == nil || !idx.covers(sums, other.sums) {
-		var ok bool
-		var err error
-		if idx, ok, err = e.joinIndexFor(pd, sums, other.sums); err != nil || !ok {
-			return nil, ok, err
+		if idx, whole = e.joinIdx[ps.idxSlot], false; idx == nil || !idx.covers(sums, other.sums) {
+			var ok bool
+			var err error
+			if idx, ok, err = e.joinIndexFor(ps.thisRel, ps.otherRel, sums, other.sums); err != nil || !ok {
+				return nil, ok, err
+			}
+			e.joinIdx[ps.idxSlot] = idx
 		}
-		whole = false
 	}
 	// The binding's place is the one its relative paths read at, found
 	// once per binding where its cursor did not know it.
@@ -359,17 +298,15 @@ func (e *engine) applyJoin(pd pushdown, idx *joinIndex, whole bool, cur algebra.
 	return out, true, nil
 }
 
-// joinIndexFor builds (or reuses) the join index for a comparison. Both
-// sides' values must be one record each (valueOf), every node must have
-// its record — a node without one is "", which equals the other side's
-// and is in no container — and both sides' value owners are placed under
-// their bindings by extent order (algebra.Nearest: valueOf resolves
-// values only under summary sets whose instances never nest).
-func (e *engine) joinIndexFor(pd pushdown, sums, otherSums []*storage.SummaryNode) (*joinIndex, bool, error) {
-	if idx, ok := e.joinIdx[pd.Conj]; ok && idx.covers(sums, otherSums) {
-		return idx, true, nil
-	}
-	this, other := e.valueOf(sums, pd.RelThis), e.valueOf(otherSums, pd.RelOther)
+// joinIndexFor builds the join index of `$this/thisRel = $other/otherRel`
+// for two summary sets. Both sides' values must be one record each
+// (valueOf), every node must have its record — a node without one is "",
+// which equals the other side's and is in no container — and both sides'
+// value owners are placed under their bindings by extent order
+// (algebra.Nearest: valueOf resolves values only under summary sets whose
+// instances never nest).
+func (e *engine) joinIndexFor(thisRel, otherRel []step, sums, otherSums []*storage.SummaryNode) (*joinIndex, bool, error) {
+	this, other := e.valueOf(sums, thisRel), e.valueOf(otherSums, otherRel)
 	if this.why != "" || other.why != "" || !this.all || !other.all || len(this.conts) == 0 || len(other.conts) == 0 {
 		return nil, false, nil
 	}
@@ -427,9 +364,5 @@ func (e *engine) joinIndexFor(pd pushdown, sums, otherSums []*storage.SummaryNod
 		lo = hi
 	}
 	idx.start[n] = w
-	if e.joinIdx == nil {
-		e.joinIdx = map[xquery.Expr]*joinIndex{}
-	}
-	e.joinIdx[pd.Conj] = idx
 	return idx, true, nil
 }

@@ -206,8 +206,9 @@ func xmarkTexts() []string {
 }
 
 // TestFusedRandomDifferential: random documents — recursive, mixed
-// content, attributes on three levels — as 2–5 appended segments and
-// cut into 2–4 parts, every part under its own plan.
+// content, attributes on three levels, values split by a comment
+// (RandomDoc) — as 2–5 appended segments and cut into 2–4 parts, every
+// part under its own plan.
 func TestFusedRandomDifferential(t *testing.T) {
 	queries := append(datagen.RecordQueries(), xmarkTexts()...)
 	trials := 25
@@ -218,7 +219,7 @@ func TestFusedRandomDifferential(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		docs := make([][]byte, 2+rng.Intn(4))
 		for i := range docs {
-			docs[i] = datagen.RandomRecords(rng)
+			docs[i] = engine.RandomDoc(rng)
 		}
 		corpus, err := partition.Concat(docs...)
 		if err != nil {
@@ -311,9 +312,8 @@ func fusedDirected(t *testing.T, reopen bool) {
 
 // TestFusedKeepsJunctionTextApart pins the one place the spliced store
 // and a re-ingest differ by design: text that ends one segment's root
-// content and text that begins the next's stay two values of the root —
-// as text on both sides of a comment is in a single store — where parsing
-// the concatenated text would run them together into one. The corpus
+// content and text that begins the next's stay two values of the root,
+// where parsing the concatenated text would run them together into one. The corpus
 // text, and the root's text(), are the same.
 func TestFusedKeepsJunctionTextApart(t *testing.T) {
 	set := segmentSet(t, [][]byte{[]byte(`<site><a>x</a>tail</site>`), []byte(`<site>head<a>y</a></site>`)}, 0)

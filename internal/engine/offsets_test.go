@@ -102,18 +102,19 @@ func TestOffsetsAgreeWithGalloping(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for x, pl := range prog.plans {
+			for _, x := range prog.paths {
+				pl := x.plan
 				for i := range pl.runs {
 					run := &pl.runs[i]
 					if run.from == nil {
 						continue
 					}
-					ends := pl.targets[runEnd(x.Steps, i)-1]
+					ends := pl.targets[runEnd(x.steps, i)-1]
 					for o, targets := range run.targets {
 						for k, tn := range targets {
 							rd := run.reads[o][k]
 							if rd.at < 0 || ends[rd.at] != tn {
-								t.Fatalf("%s %s: %s: %s is not at %d of the run's ends", name, q.ID, x, tn.Path(), rd.at)
+								t.Fatalf("%s %s: %s: %s is not at %d of the run's ends", name, q.ID, x.x, tn.Path(), rd.at)
 							}
 							checkReach(t, name+" "+q.ID, rd, run.from[o], tn)
 							if rd.one {

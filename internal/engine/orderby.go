@@ -15,10 +15,8 @@ import (
 // replay binds them back one at a time for the RETURN. Tuples live in
 // flat slices, so collecting one allocates nothing.
 type tupleSort struct {
-	x     *xquery.FLWOR
-	plan  *flworPlan
-	ranks *rankTable // nil: keys are decoded as they are collected
-	width int        // FOR clauses per tuple
+	spec  *sortSpec
+	width int // FOR clauses per tuple
 
 	ids   []storage.NodeID // per tuple and FOR clause; 0 where the item is not a node
 	ats   []place          // and the node's place among its set's extents, when known
@@ -34,15 +32,9 @@ type tupleSort struct {
 	next  int
 }
 
-// newTupleSort returns the sorter of one evaluation of x under plan;
-// ranks, when not nil, ranks its key (keyRanks).
-func newTupleSort(x *xquery.FLWOR, plan *flworPlan, ranks *rankTable) *tupleSort {
-	t := &tupleSort{x: x, plan: plan, ranks: ranks, sets: make([][]*storage.SummaryNode, 1)}
-	for _, cl := range x.Clauses {
-		if !cl.Let {
-			t.width++
-		}
-	}
+// newTupleSort returns the sorter of one evaluation of an ORDER BY.
+func newTupleSort(spec *sortSpec) *tupleSort {
+	t := &tupleSort{spec: spec, width: len(spec.fors), sets: make([][]*storage.SummaryNode, 1)}
 	t.last = make([]int32, t.width)
 	return t
 }
@@ -67,20 +59,19 @@ func (t *tupleSort) add(id storage.NodeID, at place, it Item, sums []*storage.Su
 
 // reset starts another evaluation of the sorter's FLWOR: the tuples of
 // the previous one go.
-func (t *tupleSort) reset() { *t = *newTupleSort(t.x, t.plan, t.ranks) }
+func (t *tupleSort) reset() { *t = *newTupleSort(t.spec) }
 
 // collectKey completes the tuple just added with its key: the first node
 // of the key path when the key is ranked, else the string value of the
-// key's first item (appendFirst). Key errors therefore arrive in tuple
-// order.
-func (e *engine) collectKey(t *tupleSort, env *scope) error {
-	if t.ranks == nil {
+// key's first item. Key errors therefore arrive in tuple order.
+func (e *engine) collectKey(t *tupleSort) error {
+	if t.spec.ranks == nil {
 		var err error
-		e.sbuf, err = e.appendFirst(e.sbuf[:0], t.x.OrderBy, env)
+		e.sbuf, err = t.spec.key.first(e, e.sbuf[:0])
 		t.keys = append(t.keys, string(e.sbuf))
 		return err
 	}
-	nodes, _, _, err := e.evalPathNodes(t.x.OrderBy.(*xquery.PathExpr), env)
+	nodes, _, err := e.evalPathNodes(t.spec.keyPath)
 	var id storage.NodeID
 	if len(nodes) > 0 {
 		id = nodes[0]
@@ -93,8 +84,8 @@ func (e *engine) collectKey(t *tupleSort, env *scope) error {
 // is one ranked record or none, else by the keys decoded — an eligible
 // key's string value is its node's immediate text — with sortedOrder.
 func (e *engine) sortTuples(t *tupleSort) error {
-	if t.ranks != nil {
-		if t.order = t.ranks.order(e.store, &e.cur, t.keyNodes, t.x.OrderDesc); t.order != nil {
+	if t.spec.ranks != nil {
+		if t.order = t.spec.ranks.order(e.store, &e.cur, t.keyNodes, t.spec.desc); t.order != nil {
 			return nil
 		}
 		for _, id := range t.keyNodes {
@@ -107,36 +98,36 @@ func (e *engine) sortTuples(t *tupleSort) error {
 			t.keys = append(t.keys, string(e.sbuf))
 		}
 	}
-	t.order = sortedOrder(t.keys, t.x.OrderDesc)
+	t.order = sortedOrder(t.keys, t.spec.desc)
 	return nil
 }
 
-// replay binds the next tuple in sorted order into env, and reports
-// whether there was one: each FOR variable to the item it was collected
-// with and — in clause order, so each sees what it saw during
-// collection — each LET the RETURN needs.
-func (e *engine) replay(t *tupleSort, env *scope) (bool, error) {
+// replay binds the next tuple in sorted order, and reports whether there
+// was one: each FOR variable to the item it was collected with and — in
+// clause order, so each sees what it saw during collection — each LET the
+// RETURN needs.
+func (e *engine) replay(t *tupleSort) (bool, error) {
 	if t.next == len(t.order) {
 		return false, nil
 	}
 	k := t.order[t.next] * t.width
 	t.next++
-	for ci, cl := range t.x.Clauses {
-		b := &env.vars[cl.Binder]
+	for _, cl := range t.spec.clauses {
+		b := &e.env.vars[cl.binder]
 		switch {
-		case !cl.Let:
+		case !cl.let:
 			if sums := t.sets[t.set[k]]; t.ids[k] != 0 {
 				b.setNode(t.ids[k], sums, t.ats[k])
 			} else {
 				b.set(nil, nil, t.items[k], sums)
 			}
 			k++
-		case t.plan.Replay[ci]:
-			seq, ids, sums, err := e.evalBindingSeq(cl.Seq, env)
+		case cl.dom != nil:
+			v, err := cl.dom.bind(e)
 			if err != nil {
 				return false, err
 			}
-			b.set(seq, ids, nil, sums)
+			b.set(v.seq, v.ids, nil, v.sums)
 		}
 	}
 	return true, nil
@@ -197,8 +188,8 @@ type rankTable struct {
 // of the first node's record (collectKey) is the rank of the key. A
 // binding may have several nodes on the path: the key is the first one's
 // value either way.
-func (e *engine) keyRanks(p *xquery.PathExpr, sums []*storage.SummaryNode) *rankTable {
-	v := e.valueOf(sums, p)
+func (e *engine) keyRanks(key []step, sums []*storage.SummaryNode) *rankTable {
+	v := e.valueOf(sums, key)
 	if v.why != "" || !v.immediate {
 		return nil
 	}

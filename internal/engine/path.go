@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -70,8 +71,7 @@ type pathPlan struct {
 	// every i that starts such a run from a node set (an absolute path's
 	// leading run starts from the document and needs none).
 	runs  []runPlan
-	path  *xquery.PathExpr // the path resolved
-	slots int              // galloping positions a cursor over the plan needs
+	slots int // galloping positions a cursor over the plan needs
 	// plain: absolute and predicate-free, so the result is the same all run.
 	plain bool
 	// one: from a variable, predicate-free, one run, which reaches one
@@ -79,6 +79,9 @@ type pathPlan struct {
 	// at once (evalPathNodes); textAll, when the path ends in text(), that
 	// every instance of its targets has text.
 	one, textAll bool
+	// how the nodes the path selects are read (readOf) and written: their
+	// subtrees, or — after a text() step — the text it selects.
+	nodeReads
 }
 
 // runPlan is one run of steps resolved per origin: targets[o] are the
@@ -159,9 +162,9 @@ func (e *engine) reach(s, t *storage.SummaryNode, at int) reach {
 // runEnd returns the end of the run of steps that starts at step i: the
 // step alone when it carries predicates, else up to the next step that
 // does (or the text() tail).
-func runEnd(steps []xquery.Step, i int) int {
+func runEnd(steps []step, i int) int {
 	j := i + 1
-	for len(steps[i].Preds) == 0 && j < len(steps) && steps[j].Test != xquery.TestText && len(steps[j].Preds) == 0 {
+	for !steps[i].predicated && j < len(steps) && steps[j].test != xquery.TestText && !steps[j].predicated {
 		j++
 	}
 	return j
@@ -179,35 +182,35 @@ func (pl *pathPlan) sums() []*storage.SummaryNode {
 // galloping positions inside the extents its runs read, and — for plain
 // paths — the result.
 type pathCursor struct {
-	plan     *pathPlan
-	pos      []int
-	done     bool
-	st       pathState
-	textTail bool
+	plan *pathPlan
+	pos  []int
+	done bool
+	st   pathState
 }
 
-// resolvePath builds the plan of p for an origin summary set.
-func (e *engine) resolvePath(p *xquery.PathExpr, sums []*storage.SummaryNode) *pathPlan {
-	pl := &pathPlan{path: p, origin: sums, plain: p.Var == "", targets: make([][]*storage.SummaryNode, 0, len(p.Steps))}
+// resolvePath builds the plan of a path's steps for an origin summary
+// set; abs says the path starts at the document.
+func (e *engine) resolvePath(steps []step, abs bool, sums []*storage.SummaryNode) *pathPlan {
+	pl := &pathPlan{origin: sums, plain: abs, targets: make([][]*storage.SummaryNode, 0, len(steps))}
 	cur := sums
-	for i, step := range p.Steps {
-		if step.Test == xquery.TestText {
+	for i := range steps {
+		if steps[i].test == xquery.TestText {
 			break
 		}
-		pl.plain = pl.plain && len(step.Preds) == 0
-		cur = e.summaryTargets(cur, i == 0 && p.Var == "", step)
+		pl.plain = pl.plain && !steps[i].predicated
+		cur = e.summaryTargets(cur, i == 0 && abs, &steps[i])
 		pl.targets = append(pl.targets, cur)
 	}
-	exact := p.Var == "" // the state a run is entered with is every instance of its origins
+	exact := abs // the state a run is entered with is every instance of its origins
 	for i, j := 0, 0; i < len(pl.targets); i = j {
-		j = runEnd(p.Steps, i)
+		j = runEnd(steps, i)
 		// An absolute path's state stays exact up to its first predicate
 		// step. A run entered exact starts from the document, or moves the
 		// extents as a whole (moveRun) unless a positional predicate picks
 		// per parent (predStep): only a run from a node set reads.
 		entered := exact
-		exact = exact && len(p.Steps[i].Preds) == 0
-		if entered && (i == 0 || !slices.ContainsFunc(p.Steps[i].Preds, isPositional)) {
+		exact = exact && !steps[i].predicated
+		if entered && (i == 0 || !steps[i].positional) {
 			continue
 		}
 		from := sums
@@ -225,7 +228,7 @@ func (e *engine) resolvePath(p *xquery.PathExpr, sums []*storage.SummaryNode) *p
 		for o := range from {
 			targets := from[o : o+1]
 			for k := i; k < j; k++ {
-				targets = e.summaryTargets(targets, false, p.Steps[k])
+				targets = e.summaryTargets(targets, false, &steps[k])
 			}
 			run.targets[o], n = targets, n+len(targets)
 		}
@@ -239,8 +242,8 @@ func (e *engine) resolvePath(p *xquery.PathExpr, sums []*storage.SummaryNode) *p
 		}
 	}
 	n := len(pl.targets)
-	textTail := n == len(p.Steps)-1 && len(p.Steps[n].Preds) == 0 && p.Steps[n].Test == xquery.TestText
-	pl.one = p.Var != "" && n > 0 && (n == len(p.Steps) || textTail) && len(p.Steps[0].Preds) == 0 && runEnd(p.Steps, 0) == n && pl.runs != nil
+	textTail := n == len(steps)-1 && !steps[n].predicated && steps[n].test == xquery.TestText
+	pl.one = !abs && n > 0 && (n == len(steps) || textTail) && !steps[0].predicated && runEnd(steps, 0) == n && pl.runs != nil
 	for o := 0; pl.one && o < len(pl.runs[0].targets); o++ {
 		pl.one = len(pl.runs[0].targets[o]) == 1
 	}
@@ -248,6 +251,10 @@ func (e *engine) resolvePath(p *xquery.PathExpr, sums []*storage.SummaryNode) *p
 	for _, sn := range pl.sums() {
 		_, _, all := nodeValue(sn, true)
 		pl.textAll = pl.textAll && all
+	}
+	pl.read, pl.content = readOf(pl.sums(), textTail), deepValue
+	if textTail {
+		pl.content = pl.read
 	}
 	return pl
 }
@@ -273,41 +280,20 @@ func nestedIn(sn *storage.SummaryNode, sums []*storage.SummaryNode) bool {
 	return false
 }
 
-// cursorFor returns the run's cursor for p over the origin set sums: the
-// one at p's slot, taking the plan from the program when it resolved p
-// for this origin and resolving it here otherwise. A path whose origin
-// set changes between evaluations (a variable without summary knowledge)
-// re-resolves; a path without a slot of its own gets a new cursor each
-// time.
-func (e *engine) cursorFor(p *xquery.PathExpr, sums []*storage.SummaryNode) *pathCursor {
-	if p.Slot <= 0 || p.Slot >= len(e.pcs) {
-		pc := e.newCursor(p, sums)
-		return &pc
+// cursorFor returns the run's cursor of path n over the origin set sums,
+// at n's slot: with the program's plan of n when it was resolved for this
+// origin, else resolved here. A path whose origin set changes between
+// evaluations (a variable without summary knowledge) re-resolves.
+func (e *engine) cursorFor(n *pathNode, sums []*storage.SummaryNode) *pathCursor {
+	pc := &e.pcs[n.slot]
+	if pc.plan == nil || !sameSums(pc.plan.origin, sums) {
+		pl := n.plan
+		if !sameSums(pl.origin, sums) {
+			pl = e.resolvePath(n.steps, n.name == "", sums)
+		}
+		*pc = pathCursor{plan: pl, pos: make([]int, pl.slots)}
 	}
-	pc := &e.pcs[p.Slot]
-	switch {
-	case pc.plan == nil:
-	case pc.plan.path != p: // the slot is another path's
-		pc := e.newCursor(p, sums)
-		return &pc
-	case sameSums(pc.plan.origin, sums):
-		return pc
-	}
-	*pc = e.newCursor(p, sums)
 	return pc
-}
-
-// newCursor returns a cursor for p over sums, with the program's plan of
-// p when it has one for this origin.
-func (e *engine) newCursor(p *xquery.PathExpr, sums []*storage.SummaryNode) pathCursor {
-	var pl *pathPlan
-	if p.Slot > 0 && p.Slot < len(e.slotPlans) {
-		pl = e.slotPlans[p.Slot]
-	}
-	if pl == nil || pl.path != p || !sameSums(pl.origin, sums) {
-		pl = e.resolvePath(p, sums)
-	}
-	return pathCursor{plan: pl, pos: make([]int, pl.slots)}
 }
 
 // sameSums reports that two summary sets are equal: mostly they are the
@@ -319,79 +305,57 @@ func sameSums(a, b []*storage.SummaryNode) bool {
 	return len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b)
 }
 
-// evalPath evaluates a path expression to a sequence.
-func (e *engine) evalPath(p *xquery.PathExpr, env *scope) (seq, error) {
-	return e.appendPath(nil, p, env)
-}
-
-// appendPath appends the items of a path expression to dst.
-func (e *engine) appendPath(dst seq, p *xquery.PathExpr, env *scope) (seq, error) {
-	nodes, sums, textTail, err := e.evalPathNodes(p, env)
-	if err != nil {
-		return nil, err
-	}
-	if textTail {
-		return e.appendTexts(dst, nodes, sums)
-	}
-	if dst == nil {
-		dst = make(seq, 0, len(nodes))
-	}
-	for _, id := range nodes {
-		dst = append(dst, id)
-	}
-	return dst, nil
-}
-
-// evalPathNodes evaluates the structural part of a path to nodes,
-// instances of sums; if the final step is text(), textTail is true and
-// the nodes are the text owners. The nodes may alias a summary extent or
-// a binding: they are read-only, and valid until the variable is
-// rebound.
-func (e *engine) evalPathNodes(p *xquery.PathExpr, env *scope) (nodes algebra.NodeSet, sums []*storage.SummaryNode, textTail bool, err error) {
+// evalPathNodes evaluates the structural part of path n to nodes, and
+// returns them with the plan that reached them: they are instances of its
+// sums, and after a text() step the owners of the text. The nodes may
+// alias a summary extent or a binding: they are read-only, and valid until
+// the variable is rebound.
+func (e *engine) evalPathNodes(n *pathNode) (algebra.NodeSet, *pathPlan, error) {
 	var st pathState
-	if err = e.pathOrigin(p, env, &st); err != nil {
-		return nil, nil, false, err
+	if err := e.pathOrigin(n, &st); err != nil {
+		return nil, nil, err
 	}
-	pc := e.cursorFor(p, st.sums)
+	pc := e.cursorFor(n, st.sums)
+	pl := pc.plan
 	if pc.done {
-		return pc.st.nodes, pc.st.sums, pc.textTail, nil
+		return pc.st.nodes, pl, nil
 	}
-	if pl := pc.plan; pl.one && st.at.ok && len(st.nodes) == 1 {
+	if pl.one && st.at.ok && len(st.nodes) == 1 {
 		// A bound node and one target, the common case: one read.
-		run, sums := &pl.runs[0], pl.targets[len(pl.targets)-1]
+		run := &pl.runs[0]
 		lo, hi := run.reads[st.at.o][0].span(st.at.i)
-		nodes, textTail = run.targets[st.at.o][0].Extent[lo:hi:hi], len(pl.targets) < len(p.Steps)
-		if textTail {
+		nodes := run.targets[st.at.o][0].Extent[lo:hi:hi]
+		if n.textTail {
 			nodes = e.withText(nodes, pl.textAll)
 		}
-		return nodes, sums, textTail, nil
+		return nodes, pl, nil
 	}
-	steps := p.Steps
+	steps := n.steps
 	for i := 0; i < len(steps); {
 		step := &steps[i]
-		if step.Test == xquery.TestText {
+		if step.test == xquery.TestText {
 			if i != len(steps)-1 {
-				return nil, nil, false, fmt.Errorf("engine: text() must be the final step")
+				return nil, nil, fmt.Errorf("engine: text() must be the final step")
 			}
-			if len(step.Preds) > 0 {
-				return nil, nil, false, fmt.Errorf("engine: predicates on text() are not supported")
+			if step.predicated {
+				return nil, nil, fmt.Errorf("engine: predicates on text() are not supported")
 			}
-			st.nodes, st.exact, st.at, textTail = e.withText(st.allNodes(), pc.plan.textAll), false, place{}, true
+			st.nodes, st.exact, st.at = e.withText(st.allNodes(), pl.textAll), false, place{}
 			break
 		}
 		j := runEnd(steps, i)
-		if len(step.Preds) == 0 {
+		if !step.predicated {
 			e.moveRun(&st, i, j, pc)
-		} else if err = e.predStep(&st, steps, i, env, pc); err != nil {
-			return nil, nil, false, err
+		} else if err := e.predStep(&st, steps, i, pc); err != nil {
+			return nil, nil, err
 		}
 		i = j
 	}
 	st.allNodes()
-	if pc.plan.plain {
-		pc.done, pc.st, pc.textTail = true, st, textTail
+	if pl.plain {
+		pc.done, pc.st = true, st
 	}
-	return st.nodes, st.sums, textTail, nil
+	return st.nodes, pl, nil
 }
 
 // withText restricts nodes to those that have immediate text. Where the
@@ -417,34 +381,34 @@ func (e *engine) withText(nodes algebra.NodeSet, all bool) algebra.NodeSet {
 	return nodes
 }
 
-// pathOrigin resolves the origin of a path: for a variable bound to one
+// pathOrigin resolves the origin of path n: for a variable bound to one
 // node, with its place among the extents of its summary set (the FOR
 // cursor's, or found once per binding).
-func (e *engine) pathOrigin(p *xquery.PathExpr, env *scope, st *pathState) error {
-	if p.Var == "" { // absolute: the (single) document
+func (e *engine) pathOrigin(n *pathNode, st *pathState) error {
+	switch n.name {
+	case "": // the (single) document
 		st.exact = true
 		return nil
-	}
-	if p.Var == "." {
-		if env.ctx[0] == 0 {
+	case ".":
+		if e.env.ctx[0] == 0 {
 			return errNonNodePath
 		}
-		st.nodes, st.sums = env.ctx[:], env.ctxSums
-	} else {
-		b := env.of(p.Binder)
-		if b == nil {
-			return fmt.Errorf("engine: unbound variable $%s", p.Var)
+		st.nodes, st.sums = e.env.ctx[:], e.env.ctxSums
+	default:
+		b, err := e.env.bound(n.binder, n.name)
+		if err != nil {
+			return err
 		}
 		if st.nodes, st.sums = b.ids, b.sums; st.nodes == nil {
 			var ok bool
-			if st.nodes, ok = nodeSeq(b.value()); !ok {
+			if st.nodes, ok, _ = nodeSeq(b.value()); !ok {
 				return errNonNodePath
 			}
 		} else if len(st.nodes) == 1 && len(st.sums) > 0 {
 			st.at = b.place()
 		}
 	}
-	if len(st.sums) == 0 && len(st.nodes) > 0 && len(p.Steps) > 0 {
+	if len(st.sums) == 0 && len(st.nodes) > 0 && len(n.steps) > 0 {
 		// The variable was bound from a non-path source (e.g. a nested
 		// FLWOR): recover the summary nodes from the extents of those
 		// that carry each node's tag.
@@ -492,10 +456,10 @@ var errNonNodePath = fmt.Errorf("engine: path step over non-node sequence")
 // the step (child axis), or all matching descendants for the descendant
 // axis. fromDocument starts from the virtual document node, whose one
 // child is the root.
-func (e *engine) summaryTargets(sums []*storage.SummaryNode, fromDocument bool, step xquery.Step) []*storage.SummaryNode {
-	name := step.Name
-	if step.Test == xquery.TestAttr {
-		name = "@" + step.Name
+func (e *engine) summaryTargets(sums []*storage.SummaryNode, fromDocument bool, step *step) []*storage.SummaryNode {
+	name := step.name
+	if step.test == xquery.TestAttr {
+		name = "@" + step.name
 	}
 	if fromDocument {
 		sums = []*storage.SummaryNode{{Children: []*storage.SummaryNode{e.store.Sum.Root}}}
@@ -504,23 +468,23 @@ func (e *engine) summaryTargets(sums []*storage.SummaryNode, fromDocument bool, 
 	for _, sn := range sums {
 		// Children of distinct summary nodes are distinct; a descendant
 		// walk from an origin nested in another would only repeat it.
-		if step.Axis == xquery.AxisChild || !nestedIn(sn, sums) {
+		if step.axis == xquery.AxisChild || !nestedIn(sn, sums) {
 			out = appendTargets(out, sn, name, step)
 		}
 	}
 	return out
 }
 
-func appendTargets(out []*storage.SummaryNode, sn *storage.SummaryNode, name string, step xquery.Step) []*storage.SummaryNode {
+func appendTargets(out []*storage.SummaryNode, sn *storage.SummaryNode, name string, step *step) []*storage.SummaryNode {
 	for _, c := range sn.Children {
 		match := c.Tag == name
-		if step.Test == xquery.TestName && name == "*" {
+		if step.test == xquery.TestName && name == "*" {
 			match = !strings.HasPrefix(c.Tag, "@") && c.Tag != "#text"
 		}
 		if match {
 			out = append(out, c)
 		}
-		if step.Axis != xquery.AxisChild {
+		if step.axis != xquery.AxisChild {
 			out = appendTargets(out, c, name, step)
 		}
 	}
@@ -603,32 +567,31 @@ func (e *engine) within(nodes algebra.NodeSet, at place, run *runPlan, pos []int
 // predStep applies step i, which carries predicates, to st. Positional
 // ones select per parent, so the parent set is walked node by node; the
 // rest filter the moved set as a whole.
-func (e *engine) predStep(st *pathState, steps []xquery.Step, i int, env *scope, pc *pathCursor) error {
-	preds, targets := steps[i].Preds, pc.plan.targets[i]
+func (e *engine) predStep(st *pathState, steps []step, i int, pc *pathCursor) error {
+	conjs, targets := steps[i].conjs, pc.plan.targets[i]
 	if len(targets) == 0 {
 		*st = pathState{sums: targets}
 		return nil
 	}
-	positional := slices.ContainsFunc(preds, isPositional)
 	var nodes algebra.NodeSet
 	var err error
 	switch {
-	case !positional:
+	case !steps[i].positional:
 		e.moveRun(st, i, i+1, pc)
-		nodes, err = e.applyPreds(st.nodes, st.exact, preds, env, targets)
-	case i == 0 && st.exact && steps[i].Axis == xquery.AxisChild:
+		nodes, err = e.applyPreds(st.nodes, st.exact, conjs, targets)
+	case i == 0 && st.exact && steps[i].axis == xquery.AxisChild:
 		// The document node has one child, the root: position among it.
-		nodes, err = e.applyPreds(algebra.NodeSet{1}, false, preds, env, nil)
+		nodes, err = e.applyPreds(algebra.NodeSet{1}, false, conjs, nil)
 	case i == 0 && st.exact:
 		// The document node is the one origin: position among all the
 		// descendants the step matches.
-		nodes, err = e.applyPreds(algebra.SummaryAccess(targets), false, preds, env, targets)
-	case len(preds) == 1 && len(st.allNodes()) == 1:
+		nodes, err = e.applyPreds(algebra.SummaryAccess(targets), false, conjs, targets)
+	case len(conjs) == 1 && len(st.allNodes()) == 1:
 		// One parent and one position, Q2's and Q3's bidder[1] and
 		// bidder[last()]: an index into the stretch the parent reaches,
 		// which keeps its place.
 		kids, at := e.within(st.nodes, st.at, &pc.plan.runs[i], pc.pos)
-		k, _ := position(len(kids), preds[0])
+		k := conjs[0].position(len(kids))
 		*st = pathState{sums: targets}
 		if k >= 0 {
 			st.nodes, st.at = kids[k:k+1], place{at.o, at.i + int32(k), at.ok}
@@ -641,7 +604,7 @@ func (e *engine) predStep(st *pathState, steps []xquery.Step, i int, env *scope,
 			at := st.at
 			at.i += int32(k)
 			kids, _ := e.within(parents[k:k+1], at, &pc.plan.runs[i], pc.pos)
-			if kids, err = e.applyPreds(kids, false, preds, env, targets); err != nil {
+			if kids, err = e.applyPreds(kids, false, conjs, targets); err != nil {
 				break
 			}
 			if len(parents) == 1 {
@@ -656,67 +619,77 @@ func (e *engine) predStep(st *pathState, steps []xquery.Step, i int, env *scope,
 	return err
 }
 
+// step is a path step as a run reads it: its axis, test and name, whether
+// it has predicates and whether one of them is positional — what a run
+// that resolves the path again reads — and the predicates compiled.
+type step struct {
+	axis       xquery.Axis
+	test       xquery.NodeTest
+	name       string
+	predicated bool
+	positional bool
+	// conjs are the step's predicates in order, each split into its
+	// conjuncts (splitPredConjuncts).
+	conjs []predConj
+}
+
+// stepsOf returns the steps of p, their predicates not compiled.
+func stepsOf(p *xquery.PathExpr) []step {
+	steps := make([]step, len(p.Steps))
+	for i, st := range p.Steps {
+		steps[i] = step{axis: st.Axis, test: st.Test, name: st.Name, predicated: len(st.Preds) > 0}
+		for _, pred := range st.Preds {
+			_, is := positionOf(pred)
+			steps[i].positional = steps[i].positional || is
+		}
+	}
+	return steps
+}
+
+// predConj is one conjunct of a step's predicates: a test evaluated per
+// candidate, with the literal restrict it is when it is one (lit, whose op
+// is empty otherwise), or a positional predicate (test nil) that picks the
+// pos-th candidate (1-based; none when pos is out of range), or the last
+// one.
+type predConj struct {
+	test node
+	lit  litRestrict
+	pos  int
+	last bool
+}
+
+// positionOf returns the positional predicate pred is: a number — which
+// constant arithmetic is (constNum) — or last(); is reports whether it is
+// one.
+func positionOf(pred xquery.Expr) (cj predConj, is bool) {
+	if f, isConst := constNum(pred); isConst {
+		return predConj{pos: int(f)}, true
+	}
+	if call, isCall := pred.(*xquery.Call); isCall && call.Name == "last" {
+		return predConj{last: true}, true
+	}
+	return predConj{}, false
+}
+
 // position returns the index among n candidates that a positional
-// predicate (an integer literal or last()) picks, -1 for none; is
-// reports whether pred is one.
-func position(n int, pred xquery.Expr) (k int, is bool) {
-	switch p := pred.(type) {
-	case *xquery.NumberLit:
-		if idx := int(p.Val); idx >= 1 && idx <= n {
-			return idx - 1, true
-		}
-		return -1, true
-	case *xquery.Call:
-		if p.Name == "last" {
-			return n - 1, true
-		}
-	}
-	return -1, false
-}
-
-// isPositional reports that pred is a positional predicate.
-func isPositional(pred xquery.Expr) bool {
-	_, is := position(0, pred)
-	return is
-}
-
-// pickPositional applies a positional predicate (an integer literal or
-// last()) to cur; is reports whether pred is one.
-func pickPositional(cur algebra.NodeSet, pred xquery.Expr) (sel algebra.NodeSet, is bool) {
-	k, is := position(len(cur), pred)
+// conjunct picks, -1 for none.
+func (cj *predConj) position(n int) int {
 	switch {
-	case !is:
-		return cur, false
-	case k < 0:
-		return nil, true
+	case cj.last:
+		return n - 1
+	case cj.pos >= 1 && cj.pos <= n:
+		return cj.pos - 1
 	}
-	return cur[k : k+1], true
+	return -1
 }
 
-// applyPreds filters candidate nodes, instances of sums, by the step
-// predicates, in order. all says that the candidates are every instance
+// applyPreds filters candidate nodes, instances of sums, by a step's
+// conjuncts, in order. all says that the candidates are every instance
 // of sums and that nodes, nil, does not spell them out: a container match
 // then goes from the matching values to their instances directly, and the
-// candidates are materialized only if some predicate has to see them.
-func (e *engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr, env *scope, sums []*storage.SummaryNode) (algebra.NodeSet, error) {
-	if len(preds) == 1 && !all {
-		// The lone [1] or [last()] of Q2/Q3: nothing to flatten.
-		if sel, is := pickPositional(nodes, preds[0]); is {
-			return sel, nil
-		}
-	}
+// candidates are materialized only if some conjunct has to see them.
+func (e *engine) applyPreds(nodes algebra.NodeSet, all bool, conjs []predConj, sums []*storage.SummaryNode) (algebra.NodeSet, error) {
 	cur := nodes
-	// AND-predicates are split so each conjunct can use the container
-	// fast path independently.
-	var flat []xquery.Expr
-	for _, pred := range preds {
-		if _, is := pickPositional(nil, pred); is {
-			flat = append(flat, pred)
-			continue
-		}
-		flat = append(flat, splitPredConjuncts(pred)...)
-	}
-	preds = flat
 	domain := len(nodes)
 	if all {
 		domain = 0
@@ -724,11 +697,15 @@ func (e *engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr
 			domain += len(sn.Extent)
 		}
 	}
-	for _, pred := range preds {
-		// Value predicate: container fast path, else per-node.
-		co, err := e.predOwners(sums, pred, domain)
-		if err != nil {
-			return nil, err
+	for k := range conjs {
+		cj := &conjs[k]
+		// A literal restrict: container fast path, else per node.
+		co := noOwners
+		if len(sums) > 0 && cj.lit.op != "" {
+			var err error
+			if co, err = e.matchOwners(&cj.lit, sums, domain, nil); err != nil {
+				return nil, err
+			}
 		}
 		if co.ok {
 			// The owners are values below sums, whose instances never nest
@@ -745,19 +722,27 @@ func (e *engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr
 		if all {
 			cur, all = algebra.SummaryAccess(sums), false
 		}
-		if sel, is := pickPositional(cur, pred); is {
-			cur = sel
+		if cj.test == nil { // a position
+			if k := cj.position(len(cur)); k >= 0 {
+				cur = cur[k : k+1]
+			} else {
+				cur = nil
+			}
 			domain = len(cur)
 			continue
 		}
 		// The context is set in place and restored: the scope is shared
 		// with the enclosing expression.
+		env := e.env
 		ctx, ctxSums := env.ctx[0], env.ctxSums
 		env.ctxSums = sums
 		var out algebra.NodeSet
 		for _, id := range cur {
+			if err := e.checkCancel(); err != nil {
+				return nil, err
+			}
 			env.ctx[0] = id
-			b, err := e.evalBool(pred, env)
+			b, err := cj.test.test(e)
 			if err != nil {
 				return nil, err
 			}
@@ -778,7 +763,8 @@ func (e *engine) applyPreds(nodes algebra.NodeSet, all bool, preds []xquery.Expr
 // conjunctOwners is one literal restrict resolved under a summary set:
 // the containers that answer it (litTargets) and, once they are scanned,
 // the owners of the matching values. The engine keeps one per restrict
-// and run (engine.owners), so a literal restrict inside a nested FLWOR, a
+// and run, at the restrict's slot (engine.owners), so a literal restrict
+// inside a nested FLWOR, a
 // non-first clause or a step predicate of a relative path resolves and
 // scans its containers once per run, not once per outer tuple.
 type conjunctOwners struct {
@@ -795,21 +781,30 @@ type conjunctOwners struct {
 
 var noOwners = &conjunctOwners{}
 
-// restrictFor returns this run's resolution of the literal restrict conj,
-// `rel op literal` under sums, resolving it when conj was not yet asked
-// under that summary set.
-func (e *engine) restrictFor(conj xquery.Expr, sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string) *conjunctOwners {
-	if co := e.owners[conj]; co != nil && slices.Equal(co.sums, sums) {
+// litRestrict is a literal restrict, `rel op lit` with op a comparison
+// operator or a string function (splitVarPred) and rel a path from the
+// bound node or the context, as a run resolves it: slot is where the run
+// keeps its resolution (engine.owners).
+type litRestrict struct {
+	rel     []step
+	op, lit string
+	slot    int
+}
+
+// restrictFor returns this run's resolution of r under sums, resolving it
+// when r was not yet asked under that summary set.
+func (e *engine) restrictFor(r *litRestrict, sums []*storage.SummaryNode) *conjunctOwners {
+	if co := e.owners[r.slot]; co != nil && slices.Equal(co.sums, sums) {
 		return co
 	}
 	co := &conjunctOwners{sums: sums}
 	var why string
-	co.conts, _, why = e.litTargets(sums, rel, op, literal)
+	co.conts, _, why = e.litTargets(sums, r.rel, r.op, r.lit)
 	co.fast = why == ""
 	for _, c := range co.conts {
 		co.records += c.Len()
 	}
-	e.owners[conj] = co
+	e.owners[r.slot] = co
 	return co
 }
 
@@ -840,13 +835,9 @@ func (co *conjunctOwners) matchers(op, literal string, pre *matchers) {
 // number or last() in the tree is a boolean there, not a position, so a
 // tree holding one stays whole.
 func splitPredConjuncts(pred xquery.Expr) []xquery.Expr {
-	l, isLogic := pred.(*xquery.Logic)
-	if !isLogic || l.Op != "and" {
-		return []xquery.Expr{pred}
-	}
-	out := append(splitPredConjuncts(l.Left), splitPredConjuncts(l.Right)...)
+	out := splitConjuncts(pred)
 	for _, c := range out {
-		if _, is := pickPositional(nil, c); is {
+		if _, is := positionOf(c); is {
 			return []xquery.Expr{pred}
 		}
 	}
@@ -878,16 +869,13 @@ type value struct {
 	all, immediate bool
 }
 
-// valueOf resolves rel, a path from a variable or the context, under
-// sums, the summary nodes of what it starts from, to its values'
-// containers and the facts about them, which the summary nodes' Shapes
-// hold: no instance of the document is read.
-func (e *engine) valueOf(sums []*storage.SummaryNode, rel *xquery.PathExpr) value {
-	switch {
-	case len(sums) == 0:
+// valueOf resolves rel, the steps of a path from a variable or the
+// context, under sums, the summary nodes of what it starts from, to its
+// values' containers and the facts about them, which the summary nodes'
+// Shapes hold: no instance of the document is read.
+func (e *engine) valueOf(sums []*storage.SummaryNode, rel []step) value {
+	if len(sums) == 0 {
 		return value{why: "no summary set", many: "no summary set"}
-	case rel.Var == "":
-		return value{why: "the path is absolute", many: "the path is absolute"}
 	}
 	v := value{one: true}
 	if !antichain(sums) {
@@ -897,16 +885,17 @@ func (e *engine) valueOf(sums []*storage.SummaryNode, rel *xquery.PathExpr) valu
 		v.why = "the bindings nest"
 	}
 	cur, textTail := sums, false
-	for i, step := range rel.Steps {
+	for i := range rel {
+		step := &rel[i]
 		var why string
 		switch {
-		case len(step.Preds) > 0:
+		case step.predicated:
 			why = "a step has a predicate"
-		case step.Test == xquery.TestText && i < len(rel.Steps)-1:
+		case step.test == xquery.TestText && i < len(rel)-1:
 			why = "text() is not the last step"
-		case step.Test == xquery.TestText && step.Axis != xquery.AxisChild:
+		case step.test == xquery.TestText && step.axis != xquery.AxisChild:
 			why = "a step is not a child step"
-		case step.Test == xquery.TestText:
+		case step.test == xquery.TestText:
 			textTail = true
 			continue
 		}
@@ -914,7 +903,7 @@ func (e *engine) valueOf(sums []*storage.SummaryNode, rel *xquery.PathExpr) valu
 			return value{why: cmp.Or(v.why, why), many: cmp.Or(v.many, why)}
 		}
 		next := e.summaryTargets(cur, false, step)
-		if step.Axis != xquery.AxisChild && v.many == "" {
+		if step.axis != xquery.AxisChild && v.many == "" {
 			v.many = "a step is not a child step"
 		}
 		v.one = v.one && v.many == "" && len(next) == len(cur)
@@ -978,7 +967,7 @@ func ownText(sn, rec *storage.SummaryNode) bool {
 // equality against a non-empty literal allows. A string function reads
 // the first node of rel, so a scan answers it only where a binding has
 // at most one.
-func (e *engine) litTargets(sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string) (conts []*storage.Container, complete bool, why string) {
+func (e *engine) litTargets(sums []*storage.SummaryNode, rel []step, op, literal string) (conts []*storage.Container, complete bool, why string) {
 	v := e.valueOf(sums, rel)
 	switch {
 	case stringFunc(op) != nil:
@@ -1005,21 +994,6 @@ func (e *engine) litTargets(sums []*storage.SummaryNode, rel *xquery.PathExpr, o
 
 func isAttr(sn *storage.SummaryNode) bool { return strings.HasPrefix(sn.Tag, "@") }
 
-// predOwners evaluates a step predicate that is a literal restrict
-// (splitVarPred on the context) against the containers, over a domain of
-// that many candidates. Its ok is false when the predicate has another
-// shape, or the containers do not answer it.
-func (e *engine) predOwners(sums []*storage.SummaryNode, pred xquery.Expr, domain int) (*conjunctOwners, error) {
-	if len(sums) == 0 {
-		return noOwners, nil
-	}
-	rel, lit, op, ok := splitVarPred(pred, 0)
-	if !ok {
-		return noOwners, nil
-	}
-	return e.matchOwners(pred, sums, rel, op, lit, domain, nil)
-}
-
 func flipOp(op string) string {
 	switch op {
 	case "<":
@@ -1035,21 +1009,21 @@ func flipOp(op string) string {
 }
 
 // matchOwners returns the owner nodes (value parents) matching the
-// literal restrict conj, `rel op literal`, under the given summary nodes
-// over a domain of that many candidates: this run's earlier answer when
-// conj was scanned under the same summary set before, else a scan of its
-// containers when it is worth one (worthScanning). ok is false when
-// there is no answer, and conj is evaluated per candidate.
-func (e *engine) matchOwners(conj xquery.Expr, sums []*storage.SummaryNode, rel *xquery.PathExpr, op, literal string, domain int, pre *matchers) (*conjunctOwners, error) {
-	co := e.restrictFor(conj, sums, rel, op, literal)
+// literal restrict r under the given summary nodes over a domain of that
+// many candidates: this run's earlier answer when r was scanned under the
+// same summary set before, else a scan of its containers when it is
+// worth one (worthScanning). ok is false when there is no answer, and the
+// restrict is evaluated per candidate.
+func (e *engine) matchOwners(r *litRestrict, sums []*storage.SummaryNode, domain int, pre *matchers) (*conjunctOwners, error) {
+	co := e.restrictFor(r, sums)
 	if co.ok {
 		return co, nil
 	}
-	if !co.worthScanning(op, domain) {
+	if !co.worthScanning(r.op, domain) {
 		return noOwners, nil
 	}
-	co.matchers(op, literal, pre)
-	owners, ok, err := e.scanTargets(co.conts, co.ms, op, literal)
+	co.matchers(r.op, r.lit, pre)
+	owners, ok, err := e.scanTargets(co.conts, co.ms, r.op, r.lit)
 	if err != nil {
 		return nil, err
 	}
@@ -1207,8 +1181,9 @@ func (e *engine) containerMatch(c *storage.Container, op, literal string, m *alm
 	case op == "=" && probe != nil:
 		owners, err = algebra.ContFilter(c, func(plain []byte) bool { return bytes.Equal(plain, probe) })
 	default:
+		cop := cmpOps[op]
 		owners, err = algebra.ContFilter(c, func(plain []byte) bool {
-			return compareAtoms(op, string(plain), literal)
+			return compareAtoms(cop, string(plain), literal)
 		})
 	}
 	return owners, err == nil, err
@@ -1308,13 +1283,13 @@ func canonicalProbe(c *storage.Container, literal string) ([]byte, bool) {
 		}
 		return []byte(strconv.FormatInt(int64(f), 10)), true
 	case storage.KindDecimal:
+		// The codec holds the scale every value of the container shares,
+		// and each value as an int64 of it times 10^scale. An infinity, a
+		// NaN or a literal too large for that has no probe: a scan
+		// compares it.
 		f, ok := parseNum(literal)
-		if !ok {
-			return nil, false
-		}
-		// The codec holds the scale every value of the container shares.
 		dc, isDecimal := c.Codec().(numeric.DecimalCodec)
-		if !isDecimal {
+		if !ok || !isDecimal || !(math.Abs(f) < 1e18/math.Pow10(dc.Scale)) {
 			return nil, false
 		}
 		s := strconv.FormatFloat(f, 'f', dc.Scale, 64)
@@ -1324,7 +1299,7 @@ func canonicalProbe(c *storage.Container, literal string) ([]byte, bool) {
 		return []byte(s), true
 	case storage.KindFloat:
 		f, ok := parseNum(literal)
-		if !ok {
+		if !ok || math.IsInf(f, 0) || f != f {
 			return nil, false
 		}
 		return []byte(strconv.FormatFloat(f, 'f', -1, 64)), true

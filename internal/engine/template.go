@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strconv"
 	"strings"
 
 	"xquec/internal/storage"
@@ -22,7 +21,7 @@ type xml struct{ Data []byte }
 // attribute value templates, and content read from the store by
 // Serialize/Text straight into the output buffer. Emitting one builds no
 // *fragment and boxes no content item; the bytes are those of the
-// fragment evalCtor would build, serialized. A template is immutable and
+// fragment a ctorNode would build, serialized. A template is immutable and
 // shared by every run of its program.
 type template struct {
 	// open writes `<name` and the attributes: literal runs between the
@@ -38,12 +37,13 @@ type template struct {
 // whose value is written (x), or a nested element (elem).
 type tplPiece struct {
 	lit  []byte
-	x    xquery.Expr
+	x    node
 	elem *template
 }
 
-// compileTemplate compiles a constructor into its emission template.
-func compileTemplate(x *xquery.ElementCtor) *template {
+// template compiles a constructor into its emission template, lowering
+// the expressions it writes under the variables in scope.
+func (c *compiler) template(x *xquery.ElementCtor) *template {
 	t := &template{close: []byte("</" + x.Name + ">")}
 	lit := []byte("<" + x.Name)
 	for _, a := range x.Attrs {
@@ -53,23 +53,23 @@ func compileTemplate(x *xquery.ElementCtor) *template {
 				lit = xmlparser.EscapeAttr(lit, s.Val)
 				continue
 			}
-			t.open = append(t.open, tplPiece{lit: lit}, tplPiece{x: part})
+			t.open = append(t.open, tplPiece{lit: lit}, tplPiece{x: c.lower(part)})
 			lit = nil
 		}
 		lit = append(lit, '"')
 	}
 	t.open = append(t.open, tplPiece{lit: lit})
-	for _, c := range x.Content {
-		switch c := c.(type) {
+	for _, item := range x.Content {
+		switch item := item.(type) {
 		case *xquery.StringLit:
-			// Whitespace-only literal chunks are boilerplate (evalCtor).
-			if strings.TrimSpace(c.Val) != "" {
-				t.content = append(t.content, tplPiece{lit: xmlparser.EscapeText(nil, c.Val)})
+			// Whitespace-only literal chunks are boilerplate (ctorNode).
+			if strings.TrimSpace(item.Val) != "" {
+				t.content = append(t.content, tplPiece{lit: xmlparser.EscapeText(nil, item.Val)})
 			}
 		case *xquery.ElementCtor:
-			t.content = append(t.content, tplPiece{elem: compileTemplate(c)})
+			t.content = append(t.content, tplPiece{elem: c.template(item)})
 		default:
-			t.content = append(t.content, tplPiece{x: c})
+			t.content = append(t.content, tplPiece{x: c.lower(item)})
 		}
 	}
 	return t
@@ -97,43 +97,17 @@ func (t *template) shape() (literal, dynamic int) {
 // emitChunk caps the size of the buffers emitted items are cut from.
 const emitChunk = 16 << 10
 
-// emit writes one item of t under env and returns it as an *xml. Items
-// are cut from buffers the run shares (out, and xmls for their headers),
-// so an item costs no allocation of its own and stays valid after the
-// next one: a buffer is never written below what it has handed out.
-func (e *engine) emit(t *template, env *scope) (Item, error) {
+// emit writes one item of t and returns it as an *xml. Items are cut
+// from buffers the run shares (out, and xmls for their headers), so an
+// item costs no allocation of its own and stays valid after the next one:
+// a buffer is never written below what it has handed out.
+func (e *engine) emit(t *template) (Item, error) {
 	start := e.room()
-	out, err := e.emitElem(e.out, t, env)
+	out, err := e.emitElem(e.out, t)
 	if err != nil {
 		return nil, err
 	}
 	return e.cut(out, start), nil
-}
-
-// appendEmitted appends the items of x to dst, each written as element
-// content into an *xml of its own: the value of a LET whose items are
-// only ever written out as content or counted.
-func (e *engine) appendEmitted(dst seq, x xquery.Expr, env *scope) (seq, error) {
-	var out []byte
-	if p, isPath := x.(*xquery.PathExpr); isPath {
-		nodes, sums, textTail, err := e.evalPathNodes(p, env)
-		how := contentRead(sums, textTail)
-		for i := 0; err == nil && i < len(nodes); i++ {
-			start := e.room()
-			if out, err = e.appendContentNode(e.out, nodes[i], how); err == nil {
-				dst = append(dst, e.cut(out, start))
-			}
-		}
-		return dst, err
-	}
-	v, err := e.eval(x, env)
-	for i := 0; err == nil && i < len(v); i++ {
-		start := e.room()
-		if out, err = e.appendContentItem(e.out, v[i]); err == nil {
-			dst = append(dst, e.cut(out, start))
-		}
-	}
-	return dst, err
 }
 
 // room starts a new buffer when the current one has less than an eighth
@@ -158,7 +132,7 @@ func (e *engine) cut(out []byte, start int) Item {
 	return &e.xmls[len(e.xmls)-1]
 }
 
-func (e *engine) emitElem(dst []byte, t *template, env *scope) ([]byte, error) {
+func (e *engine) emitElem(dst []byte, t *template) ([]byte, error) {
 	var err error
 	for _, p := range t.open {
 		if p.x == nil {
@@ -166,7 +140,7 @@ func (e *engine) emitElem(dst []byte, t *template, env *scope) ([]byte, error) {
 			continue
 		}
 		mark := len(dst)
-		if dst, err = e.appendAtoms(dst, p.x, env); err != nil {
+		if dst, err = e.appendAtoms(dst, p.x); err != nil {
 			return dst, err
 		}
 		dst = xmlparser.EscapeAttrFrom(dst, mark)
@@ -177,9 +151,9 @@ func (e *engine) emitElem(dst []byte, t *template, env *scope) ([]byte, error) {
 		n := 1
 		switch {
 		case p.elem != nil:
-			dst, err = e.emitElem(dst, p.elem, env)
+			dst, err = e.emitElem(dst, p.elem)
 		case p.x != nil:
-			dst, n, err = e.appendContent(dst, p.x, env)
+			dst, n, err = p.x.content(e, dst)
 		default:
 			dst = append(dst, p.lit...)
 		}
@@ -192,50 +166,6 @@ func (e *engine) emitElem(dst []byte, t *template, env *scope) ([]byte, error) {
 		return append(dst[:mark], '/', '>'), nil
 	}
 	return append(dst, t.close...), nil
-}
-
-// appendContent writes the items of x as element content — nodes
-// serialized, strings escaped, as a fragment's content serializes — and
-// returns how many items there were. Paths, node-valued variables and
-// count() write without boxing an item.
-func (e *engine) appendContent(dst []byte, x xquery.Expr, env *scope) ([]byte, int, error) {
-	switch x := x.(type) {
-	case *xquery.PathExpr:
-		nodes, sums, textTail, err := e.evalPathNodes(x, env)
-		how := contentRead(sums, textTail)
-		for i := 0; err == nil && i < len(nodes); i++ {
-			dst, err = e.appendContentNode(dst, nodes[i], how)
-		}
-		return dst, len(nodes), err
-	case *xquery.VarRef:
-		if b := env.of(x.Binder); b != nil && b.ids != nil {
-			var err error
-			for i := 0; err == nil && i < len(b.ids); i++ {
-				dst, err = e.appendContentNode(dst, b.ids[i], deepValue)
-			}
-			return dst, len(b.ids), err
-		}
-	case *xquery.Call:
-		if x.Name == "count" {
-			n, err := e.argLen(x, env)
-			return strconv.AppendInt(dst, int64(n), 10), 1, err
-		}
-	}
-	v, err := e.eval(x, env)
-	for i := 0; err == nil && i < len(v); i++ {
-		dst, err = e.appendContentItem(dst, v[i])
-	}
-	return dst, len(v), err
-}
-
-// contentRead returns how the nodes of a path, instances of sums, are
-// written as content: their subtrees (deepValue), or — after a text()
-// step — the text it selects.
-func contentRead(sums []*storage.SummaryNode, textTail bool) valueRead {
-	if !textTail {
-		return deepValue
-	}
-	return readOf(sums, true)
 }
 
 // appendContentNode writes a node as element content: its subtree when

@@ -22,11 +22,14 @@
 // item, then suspends at the program counter — no per-item goroutine or
 // coroutine handoff.
 //
-// Everything set-at-a-time — path navigation, container scans, join
-// indexes, template emission, the expressions a program hands over whole
-// (aggregates, constructors whose value is looked into) — is the run's
-// engine's, which runs each FLWOR it reaches through the run's dispatch
-// loop. The DOM evaluator of internal/baselines/galaxlike, which shares
+// Every other expression a run evaluates — a residual WHERE, a RETURN
+// body, a template piece, a function argument, a step predicate — is
+// lowered at compile into a node (expr.go) that holds the compiler's
+// choices for it: a path's plan and cursor slot, a comparison's kind, a
+// call's built-in and cardinality rule. Everything set-at-a-time — path
+// navigation, container scans, join indexes, template emission — is the
+// run's engine's, which runs each FLWOR a node reaches through the run's
+// dispatch loop. The DOM evaluator of internal/baselines/galaxlike, which shares
 // no code with this package, is the oracle of its tests and of the
 // end-to-end ones.
 package engine
@@ -327,6 +330,10 @@ const (
 	soleValue
 )
 
+// nodeReads is how stored nodes are read for their values (read) and
+// written as element content (content).
+type nodeReads struct{ read, content valueRead }
+
 // readOf returns how the nodes of a path, instances of sums, are read,
 // from the value shapes of sums: as their one text leaf when that record
 // is every instance's only child, else as their immediate text when they
@@ -366,17 +373,16 @@ func (e *engine) appendNodeValue(dst []byte, id storage.NodeID, how valueRead) (
 	return e.store.DeepText(&e.cur, dst, id)
 }
 
-// appendTexts appends the immediate text of each owner, an instance of
-// sums, to dst, decoded through sbuf: the item string is the only copy
-// made.
-func (e *engine) appendTexts(dst seq, owners algebra.NodeSet, sums []*storage.SummaryNode) (seq, error) {
+// appendTexts appends the immediate text of each owner, a node the text()
+// step of plan pl selects, to dst, decoded through sbuf: the item string
+// is the only copy made.
+func (e *engine) appendTexts(dst seq, owners algebra.NodeSet, pl *pathPlan) (seq, error) {
 	if dst == nil {
 		dst = make(seq, 0, len(owners))
 	}
-	how := readOf(sums, true)
 	for _, id := range owners {
 		var err error
-		if e.sbuf, err = e.text(e.sbuf[:0], id, how); err != nil {
+		if e.sbuf, err = e.text(e.sbuf[:0], id, pl.read); err != nil {
 			return nil, err
 		}
 		dst = append(dst, string(e.sbuf))
@@ -426,83 +432,47 @@ func (e *engine) atomize(s seq) ([]string, error) {
 }
 
 // effectiveBool implements the XPath effective boolean value.
-func (e *engine) effectiveBool(s seq) (bool, error) {
-	if len(s) == 0 {
-		return false, nil
-	}
+func effectiveBool(s seq) bool {
 	if len(s) == 1 {
 		switch v := s[0].(type) {
 		case bool:
-			return v, nil
+			return v
 		case string:
-			return v != "", nil
+			return v != ""
 		case float64:
-			return v != 0, nil
+			return v != 0
 		}
 	}
 	// node (or longer) sequences are true by existence
-	return true, nil
+	return len(s) > 0
 }
 
 // compareAtoms applies a general-comparison operator to two atoms:
-// numerically when both parse as numbers (compareNums), as strings
-// otherwise.
-func compareAtoms(op, a, b string) bool {
+// numerically when both parse as numbers, as strings otherwise.
+func compareAtoms(op cmpOp, a, b string) bool {
 	fa, ea := strconv.ParseFloat(strings.TrimSpace(a), 64)
 	fb, eb := strconv.ParseFloat(strings.TrimSpace(b), 64)
 	if ea == nil && eb == nil {
-		return compareNums(op, fa, fb)
+		return op.nums(fa, fb)
 	}
-	cmp := strings.Compare(a, b)
-	switch op {
-	case "=":
-		return cmp == 0
-	case "!=":
-		return cmp != 0
-	case "<":
-		return cmp < 0
-	case "<=":
-		return cmp <= 0
-	case ">":
-		return cmp > 0
-	case ">=":
-		return cmp >= 0
-	}
-	return false
-}
-
-// compareNums applies a comparison operator to two numbers. Every
-// comparison with NaN is false but !=, which is true — as Go's float
-// operators have it.
-func compareNums(op string, a, b float64) bool {
-	switch op {
-	case "=":
-		return a == b
-	case "!=":
-		return a != b
-	case "<":
-		return a < b
-	case "<=":
-		return a <= b
-	case ">":
-		return a > b
-	case ">=":
-		return a >= b
-	}
-	return false
+	return op.strs(a, b)
 }
 
 // nodeSeq extracts the NodeIDs of a sequence in document order; ok is
-// false if the sequence holds non-node items.
-func nodeSeq(s seq) ([]storage.NodeID, bool) {
-	out := make([]storage.NodeID, 0, len(s))
+// false if the sequence holds non-node items, and ordered says that they
+// stood in document order, strictly ascending, already.
+func nodeSeq(s seq) (ids []storage.NodeID, ok, ordered bool) {
+	ids, ordered = make([]storage.NodeID, 0, len(s)), true
 	for _, it := range s {
 		id, isNode := it.(storage.NodeID)
 		if !isNode {
-			return nil, false
+			return nil, false, false
 		}
-		out = append(out, id)
+		ordered = ordered && (len(ids) == 0 || ids[len(ids)-1] < id)
+		ids = append(ids, id)
 	}
-	slices.Sort(out)
-	return out, true
+	if !ordered {
+		slices.Sort(ids)
+	}
+	return ids, true, ordered
 }

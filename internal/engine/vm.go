@@ -57,9 +57,8 @@ const (
 	// opReplay A=sort C=jump: bind sorter A's next tuple and the LETs the
 	// RETURN needs; jump to C when none is left.
 	opReplay
-	// opLetOpen A=acc B=depth: start a LET whose source FLWOR the program
-	// runs as loops: empty accumulator A. B, listed only, is the LET's
-	// depth in its loop nest, the number of clauses bound before it.
+	// opLetOpen A=acc: start a LET whose source FLWOR the program runs as
+	// loops: empty accumulator A.
 	opLetOpen
 	// opAppend A=acc B=expr C=jump: append the inner RETURN's items to
 	// accumulator A; jump back to C (the inner innermost opIter).
@@ -121,8 +120,9 @@ type instr struct {
 // domainSpec is one FOR/LET source (or top-level path), with whatever
 // the compiler could resolve statically against the structure summary.
 type domainSpec struct {
-	expr xquery.Expr
-	path *xquery.PathExpr // non-nil when the source is a path
+	expr xquery.Expr // the source, for the listing
+	dom  node        // the source compiled
+	path *pathNode   // dom, when the source is a path
 	// sums is the statically resolved result summary set; valid only
 	// when static is true.
 	sums   []*storage.SummaryNode
@@ -139,10 +139,20 @@ type domainSpec struct {
 	preds []int32
 }
 
-// predSpec is one WHERE pushdown assigned to a clause.
+// predSpec is one WHERE pushdown assigned to a clause: the plan's
+// pushdown, for the compiler and the listing, and what a run reads of it —
+// the conjunct compiled (test), which a cursor tests per tuple where the
+// restrict is deferred, and a literal restrict's form (lit) or a join's:
+// the other variable's binder, the paths of both sides and the slot of
+// the run's own index (idxSlot).
 type predSpec struct {
-	pd   pushdown
-	slot int32 // original position among the clause's pushdowns
+	pd                pushdown
+	test              node
+	lit               litRestrict
+	other             int
+	thisRel, otherRel []step
+	idxSlot           int
+	slot              int32 // original position among the clause's pushdowns
 	// Literal pushdowns with a statically known clause summary resolve
 	// their containers at compile time, for the cost that orders the
 	// restricts, the disassembly, and to defer at once what has no fast
@@ -175,17 +185,42 @@ type varSpec struct {
 // sortSpec is one FLWOR's ORDER BY, what each run builds its
 // tupleSort from.
 type sortSpec struct {
-	flwor *xquery.FLWOR
-	plan  *flworPlan
-	fors  []int32    // the FOR clauses' cursors, in clause order
-	ranks *rankTable // the key's rank table; nil: keys are decoded
+	x    *xquery.FLWOR // for the listing
+	key  node
+	desc bool
+	// keyPath is the key when it is ranked (ranks), a path: a tuple
+	// collects its first node.
+	keyPath *pathNode
+	fors    []int32 // the FOR clauses' cursors, in clause order
+	// clauses are the FLWOR's, in order, as replay binds them.
+	clauses []sortClause
+	ranks   *rankTable // the key's rank table; nil: keys are decoded
+}
+
+// sortClause is one clause of a FLWOR with ORDER BY as replay binds it:
+// a FOR from its tuple, a LET the RETURN needs by evaluating dom again
+// (orderPhases), any other LET not at all.
+type sortClause struct {
+	binder int
+	let    bool
+	dom    node
 }
 
 // subSpec is the sub-program of a FLWOR: its code from entry to its opRet,
-// the accumulator its RETURN appends to, and its sorter (-1: none).
+// the accumulator its RETURN appends to, and its sorter (-1: none); ctx
+// is the context item's summary set where the FLWOR stands, which the
+// compiler lowers it under.
 type subSpec struct {
 	x                *xquery.FLWOR
+	ctx              []*storage.SummaryNode
 	entry, acc, sort int32
+}
+
+// exprSpec is an expression the program evaluates: its source, for the
+// listing, and the node it was lowered to.
+type exprSpec struct {
+	x xquery.Expr
+	n node
 }
 
 // tplSpec is a constructor compiled into an emission template.
@@ -203,7 +238,7 @@ type Program struct {
 	instrs []instr
 	doms   []domainSpec
 	preds  []predSpec
-	exprs  []xquery.Expr
+	exprs  []exprSpec
 	sorts  []sortSpec
 	tpls   []tplSpec
 	// reuse has one entry per accumulator, one per LET run as loops and
@@ -211,19 +246,16 @@ type Program struct {
 	// tuple (its items are only written out or counted), so each LETOPEN
 	// refills the same storage.
 	reuse []bool
-	// subs are the sub-programs; subOf finds the one of a FLWOR.
-	subs  []subSpec
-	subOf map[*xquery.FLWOR]int32
-	// plans is the pool of resolved paths and planned FLWORs: every
-	// expression a run hands to the engine finds its plan here, a path's
-	// also by its slot in slotPlans. cards are the rules that answer
-	// count, empty and exists calls (cardRule).
-	plans     pathPlans
-	slotPlans []*pathPlan
-	cards     map[*xquery.Call]*cardRule
+	// subs are the sub-programs, by the index a flworNode holds.
+	subs []subSpec
+	// paths are the program's paths, by the slot of a run's cursor of
+	// each (pathNode.slot); nowners and njoins count the slots of a run's
+	// literal restrict resolutions and join indexes.
+	paths           []*pathNode
+	nowners, njoins int
 	// dropped are the residual WHERE conjuncts a rule answers true at
 	// compile: no instruction tests them.
-	dropped []xquery.Expr
+	dropped []exprSpec
 	// vars are the clauses' variables; binders is the largest binder
 	// slot, so each run has a binding per slot (scope).
 	vars    []varSpec
@@ -254,7 +286,7 @@ type cursor struct {
 	sums    []*storage.SummaryNode
 	// deferred holds per-tuple conjuncts in original plan order (slot
 	// layout from domainSpec.preds); nil slots passed.
-	deferred []xquery.Expr
+	deferred []node
 	pos      int
 	textTail bool
 	// whole says ids is every instance of sums, the union of their
@@ -361,7 +393,8 @@ func (p *Program) Run(ctx context.Context) (*Result, error) {
 // (tests drive next directly).
 func (p *Program) newRun(ctx context.Context) (*run, error) {
 	eng := newEngine(p.store).withContext(ctx)
-	eng.slotPlans, eng.cards, eng.pcs = p.slotPlans, p.cards, make([]pathCursor, len(p.slotPlans))
+	eng.pcs, eng.owners = make([]pathCursor, len(p.paths)), make([]*conjunctOwners, p.nowners)
+	eng.joinIdx = make([]*joinIndex, p.njoins)
 	if eng.ctx != nil {
 		if err := eng.ctx.Err(); err != nil {
 			return nil, err
@@ -375,21 +408,17 @@ func (p *Program) newRun(ctx context.Context) (*run, error) {
 		doms:    make([]*domResult, len(p.doms)),
 		accs:    make([]accum, len(p.reuse)),
 	}
-	eng.run = r
-	for _, ss := range p.sorts {
-		r.sorts = append(r.sorts, newTupleSort(ss.flwor, ss.plan, ss.ranks))
+	eng.run, eng.env = r, r.env
+	for i := range p.sorts {
+		r.sorts = append(r.sorts, newTupleSort(&p.sorts[i]))
 	}
 	return r, nil
 }
 
-// appendFLWOR runs the sub-program of x to its opRet, its accumulator
-// starting as dst. Its clauses bind slots of their own, which no
-// reference outside x reads, so nothing of the caller's is put back.
-func (r *run) appendFLWOR(dst seq, x *xquery.FLWOR) (seq, error) {
-	k, ok := r.prog.subOf[x]
-	if !ok {
-		return nil, fmt.Errorf("vm: run: internal error: no sub-program for %s", trunc(x.String(), 48))
-	}
+// appendFLWOR runs sub-program k to its opRet, its accumulator starting
+// as dst. Its clauses bind slots of their own, which no reference outside
+// its FLWOR reads, so nothing of the caller's is put back.
+func (r *run) appendFLWOR(dst seq, k int32) (seq, error) {
 	s := &r.prog.subs[k]
 	if s.sort >= 0 {
 		r.sorts[s.sort].reset()
@@ -447,21 +476,21 @@ func (r *run) dispatch() (Item, bool, error) {
 			c := &r.cursors[in.A]
 			c.pos = 0
 			if spec.topPath {
-				nodes, sums, textTail, err := eng.evalPathNodes(spec.path, r.env)
+				nodes, pl, err := eng.evalPathNodes(spec.path)
 				if err != nil {
 					return r.fail(err)
 				}
-				c.ids, c.sums, c.textTail, c.seqMode = nodes, sums, textTail, false
+				c.ids, c.sums, c.textTail, c.seqMode = nodes, pl.sums(), spec.path.textTail, false
 				r.pc++
 				continue
 			}
 			res := r.doms[in.B]
 			if res == nil || !spec.invariant {
-				seq, ids, sums, err := eng.evalBindingSeq(spec.expr, r.env)
+				v, err := spec.dom.bind(eng)
 				if err != nil {
 					return r.fail(err)
 				}
-				res = &domResult{seq: seq, ids: ids, sums: sums}
+				res = &v
 				if spec.invariant {
 					r.doms[in.B] = res
 				}
@@ -473,7 +502,7 @@ func (r *run) dispatch() (Item, bool, error) {
 			// not a node set) every pushdown becomes a per-tuple filter.
 			if n := len(spec.preds); n > 0 {
 				if cap(c.deferred) < n {
-					c.deferred = make([]xquery.Expr, n)
+					c.deferred = make([]node, n)
 				}
 				c.deferred = c.deferred[:n]
 				for i := range c.deferred {
@@ -481,7 +510,7 @@ func (r *run) dispatch() (Item, bool, error) {
 				}
 				if c.seqMode {
 					for i, pi := range spec.preds {
-						c.deferred[i] = p.preds[pi].pd.Conj
+						c.deferred[i] = p.preds[pi].test
 					}
 				}
 			} else {
@@ -489,44 +518,28 @@ func (r *run) dispatch() (Item, bool, error) {
 			}
 			r.pc++
 
-		case opLitRestrict:
-			c := &r.cursors[in.A]
+		case opLitRestrict, opJoinRestrict:
+			c, ps := &r.cursors[in.A], &p.preds[in.B]
 			if c.seqMode {
 				r.pc++
 				continue
 			}
-			ps := &p.preds[in.B]
-			if ps.resolved && !ps.fastOK {
-				c.deferred[ps.slot] = ps.pd.Conj
-				r.pc++
-				continue
+			var restricted algebra.NodeSet
+			var handled bool
+			var err error
+			switch {
+			case in.Op == opJoinRestrict:
+				restricted, handled, err = eng.applyJoin(ps, c.ids, c.sums)
+			case !ps.resolved || ps.fastOK: // else no container answers it
+				restricted, handled, err = eng.applyLit(&ps.lit, ps.ms, c.ids, c.sums)
 			}
-			restricted, handled, err := eng.applyLit(ps.pd, ps.ms, c.ids, c.sums)
 			if err != nil {
 				return r.fail(err)
 			}
 			if handled {
 				c.ids, c.whole = restricted, false
 			} else {
-				c.deferred[ps.slot] = ps.pd.Conj
-			}
-			r.pc++
-
-		case opJoinRestrict:
-			c := &r.cursors[in.A]
-			if c.seqMode {
-				r.pc++
-				continue
-			}
-			ps := &p.preds[in.B]
-			restricted, handled, err := eng.applyJoin(ps.pd, ps.idx, ps.whole, c.ids, c.sums, r.env)
-			if err != nil {
-				return r.fail(err)
-			}
-			if handled {
-				c.ids, c.whole = restricted, false
-			} else {
-				c.deferred[ps.slot] = ps.pd.Conj
+				c.deferred[ps.slot] = ps.test
 			}
 			r.pc++
 
@@ -557,38 +570,31 @@ func (r *run) dispatch() (Item, bool, error) {
 			r.pc++
 
 		case opDeferred:
-			c := &r.cursors[in.A]
-			pass := true
-			for _, conj := range c.deferred {
+			r.pc++
+			for _, conj := range r.cursors[in.A].deferred {
 				if conj == nil {
 					continue
 				}
-				ok, err := eng.evalBool(conj, r.env)
+				ok, err := conj.test(eng)
 				if err != nil {
 					return r.fail(err)
 				}
 				if !ok {
-					pass = false
+					r.pc = in.C
 					break
 				}
 			}
-			if !pass {
-				r.pc = in.C
-				continue
-			}
-			r.pc++
 
 		case opLet:
-			spec := &p.doms[in.B]
-			seq, ids, sums, err := eng.evalBindingSeq(spec.expr, r.env)
+			v, err := p.doms[in.B].dom.bind(eng)
 			if err != nil {
 				return r.fail(err)
 			}
-			r.env.vars[p.vars[in.A].slot].set(seq, ids, nil, sums)
+			r.env.vars[p.vars[in.A].slot].set(v.seq, v.ids, nil, v.sums)
 			r.pc++
 
 		case opWhere:
-			ok, err := eng.evalBool(p.exprs[in.A], r.env)
+			ok, err := p.exprs[in.A].n.test(eng)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -599,7 +605,7 @@ func (r *run) dispatch() (Item, bool, error) {
 			r.pc++
 
 		case opEvalPush:
-			v, err := eng.eval(p.exprs[in.A], r.env)
+			v, err := p.exprs[in.A].n.items(eng, nil)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -648,7 +654,7 @@ func (r *run) dispatch() (Item, bool, error) {
 					ts.add(0, place{}, c.seq[c.pos-1], c.sums)
 				}
 			}
-			if err := eng.collectKey(ts, r.env); err != nil {
+			if err := eng.collectKey(ts); err != nil {
 				return r.fail(err)
 			}
 			r.pc = in.C
@@ -660,7 +666,7 @@ func (r *run) dispatch() (Item, bool, error) {
 			r.pc++
 
 		case opReplay:
-			ok, err := eng.replay(r.sorts[in.A], r.env)
+			ok, err := eng.replay(r.sorts[in.A])
 			if err != nil {
 				return r.fail(err)
 			}
@@ -678,13 +684,17 @@ func (r *run) dispatch() (Item, bool, error) {
 			}
 			r.pc++
 
-		case opAppend:
-			a := &r.accs[in.A]
-			seq, err := eng.appendExpr(a.seq, p.exprs[in.B], r.env)
+		case opAppend, opAppendOut:
+			a, x := &r.accs[in.A], p.exprs[in.B].n
+			var err error
+			if in.Op == opAppend {
+				a.seq, err = x.items(eng, a.seq)
+			} else {
+				a.seq, err = eng.appendEmitted(a.seq, x)
+			}
 			if err != nil {
 				return r.fail(err)
 			}
-			a.seq = seq
 			r.pc = in.C
 
 		case opAppendCur:
@@ -709,7 +719,7 @@ func (r *run) dispatch() (Item, bool, error) {
 			r.pc++
 
 		case opEmitCtor:
-			it, err := eng.emit(p.tpls[in.A].t, r.env)
+			it, err := eng.emit(p.tpls[in.A].t)
 			if err != nil {
 				return r.fail(err)
 			}
@@ -717,21 +727,12 @@ func (r *run) dispatch() (Item, bool, error) {
 			return it, true, nil
 
 		case opAppendCtor:
-			it, err := eng.emit(p.tpls[in.B].t, r.env)
+			it, err := eng.emit(p.tpls[in.B].t)
 			if err != nil {
 				return r.fail(err)
 			}
 			a := &r.accs[in.A]
 			a.seq = append(a.seq, it)
-			r.pc = in.C
-
-		case opAppendOut:
-			a := &r.accs[in.A]
-			seq, err := eng.appendEmitted(a.seq, p.exprs[in.B], r.env)
-			if err != nil {
-				return r.fail(err)
-			}
-			a.seq = seq
 			r.pc = in.C
 
 		case opRet:
@@ -757,7 +758,7 @@ func (r *run) dispatch() (Item, bool, error) {
 }
 
 // anyDeferred reports that a cursor has a conjunct to test per tuple.
-func anyDeferred(deferred []xquery.Expr) bool {
+func anyDeferred(deferred []node) bool {
 	for _, conj := range deferred {
 		if conj != nil {
 			return true

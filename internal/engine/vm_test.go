@@ -78,29 +78,35 @@ func TestDisassemble(t *testing.T) {
 	}
 }
 
-// TestConstantFolding: folded programs still match the oracle, and
-// folding actually rewrites the arithmetic.
+// TestConstantFolding: constant arithmetic lowers to the number it is,
+// and a comparison with it is a literal restrict, but mod does not fold.
+// Lowering never mutates the input AST.
 func TestConstantFolding(t *testing.T) {
 	expr, err := xquery.Parse(`1 + 2 * 3`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	folded := foldExpr(expr)
-	n, ok := folded.(*xquery.NumberLit)
-	if !ok || n.Val != 7 {
-		t.Fatalf("fold(1+2*3) = %v, want NumberLit 7", folded)
+	c := &compiler{p: &Program{}}
+	if n, ok := c.lower(expr).(*numLit); !ok || n.val != 7 {
+		t.Fatalf("lower(1+2*3) = %#v, want the number 7", c.lower(expr))
 	}
 	// mod must NOT fold (its zero-divisor fault is an eval-time event).
 	expr2, _ := xquery.Parse(`5 mod 2`)
-	if _, isLit := foldExpr(expr2).(*xquery.NumberLit); isLit {
+	if _, isLit := c.lower(expr2).(*numLit); isLit {
 		t.Fatal("mod folded")
 	}
-	// Folding never mutates the input AST.
-	expr3, _ := xquery.Parse(`FOR $i IN /a WHERE $i/b > 1 + 1 RETURN $i`)
+	q := `FOR $i IN /site/people/person WHERE $i/profile/age > 1 + 1 RETURN $i`
+	expr3, _ := xquery.Parse(q)
 	before := expr3.String()
-	foldExpr(expr3)
+	prog, err := Compile(expr3, vm.Store(t), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dis := prog.Disassemble(); !strings.Contains(dis, "LITREST") {
+		t.Errorf("$i/profile/age > 1 + 1 is no literal restrict:\n%s", dis)
+	}
 	if expr3.String() != before {
-		t.Fatal("foldExpr mutated its input")
+		t.Fatal("Compile mutated its input")
 	}
 }
 
@@ -251,7 +257,7 @@ func TestSubProgramRestoresScope(t *testing.T) {
 			t.Fatalf("%s: err = %v, want failure %v", q, err, fails)
 		}
 		outer := expr.(*xquery.FLWOR).Clauses[0].Binder
-		got, err := r.eng.eval(&xquery.VarRef{Name: "p", Binder: outer}, r.env)
+		got, err := newNode(&varRef{name: "p", binder: outer}).items(r.eng, nil)
 		if err != nil {
 			t.Fatalf("%s: $p after the sub-program: %v", q, err)
 		}

@@ -33,6 +33,28 @@ func TestLoadAllocationCeiling(t *testing.T) {
 	}
 }
 
+// TestTextMergeIsLinear: a value split by n comments is one text leaf,
+// and its pieces are joined in time and memory linear in the value —
+// copying the joined value again at every piece allocated about n²
+// bytes, 100 MB here.
+func TestTextMergeIsLinear(t *testing.T) {
+	const n = 10_000
+	doc := []byte("<r>" + strings.Repeat("ab<!---->", n) + "</r>")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v, err := Parse(doc, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.lists) != 1 || len(v.lists[0].plains) != 1 || string(v.lists[0].plains[0]) != strings.Repeat("ab", n) {
+		t.Fatalf("the value is not one text leaf of %d bytes", 2*n)
+	}
+	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(4*len(doc)); got > ceiling {
+		t.Fatalf("Parse allocated %d bytes for a %d-byte document, ceiling %d", got, len(doc), ceiling)
+	}
+}
+
 // manyNames is <r><n0/>…<n(n-1)/></r>: n+1 distinct names.
 func manyNames(n int) []byte {
 	var sb bytes.Buffer

@@ -117,6 +117,9 @@ type ingest struct {
 	kids  childIndex
 	stack []openElem
 	slab  []byte // copies of the values the parser decoded into its own buffer
+	// textLast: the last event but comments and processing instructions
+	// was text, whose value is the last of its list.
+	textLast bool
 }
 
 type openElem struct {
@@ -125,8 +128,14 @@ type openElem struct {
 	text bool // a text leaf of this instance has been written
 }
 
-// event is the xmlparser.Handler of the pass.
+// event is the xmlparser.Handler of the pass. Comments and processing
+// instructions are dropped, and the text on either side of one is one
+// text leaf, as Serialize writes it back.
 func (in *ingest) event(ev *xmlparser.Event) error {
+	text := ev.Kind == xmlparser.EventText
+	if !text && ev.Kind != xmlparser.EventComment && ev.Kind != xmlparser.EventProcInst {
+		in.textLast = false
+	}
 	switch ev.Kind {
 	case xmlparser.EventStartElement:
 		code, err := in.dict.elem(ev.Name)
@@ -157,6 +166,21 @@ func (in *ingest) event(ev *xmlparser.Event) error {
 		in.stack = in.stack[:len(in.stack)-1]
 	case xmlparser.EventText:
 		top := &in.stack[len(in.stack)-1]
+		if in.textLast {
+			// The value is copied to the slab on its first merge and ends
+			// it from then on, so each later piece is only appended.
+			l := &in.lists[in.texts[top.sn.ID].Container]
+			last := &l.plains[len(l.plains)-1]
+			k := len(in.slab) - len(*last)
+			if len(*last) == 0 || k < 0 || &in.slab[k] != &(*last)[0] {
+				k = len(in.slab)
+				in.slab = append(in.slab, *last...)
+			}
+			in.slab = append(in.slab, ev.Text...)
+			*last = in.slab[k:len(in.slab):len(in.slab)]
+			return nil
+		}
+		in.textLast = true
 		if !top.text {
 			top.text = true
 			top.sn.TextCount++

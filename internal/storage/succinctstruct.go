@@ -560,15 +560,25 @@ walk:
 		arena[end[sn]] = NodeID(i + 1)
 		end[sn]++
 	}
+	sum.cutExtents(arena, end)
+	for i, sn := range sum.nodes {
+		sn.TextCount = int(per[i].texts)
+	}
+
+	sum.deriveStats(s.Containers)
+	return nil
+}
+
+// cutExtents makes the extents of the summary nodes, in summary order,
+// stretches of one arena: summary node i's ends at end[i]. Each has its
+// capacity at its length, so an append to one extent — algebra hands
+// extents out as node sets — copies it instead of overwriting the next.
+func (sum *Summary) cutExtents(arena []NodeID, end []int32) {
 	lo := int32(0)
 	for i, sn := range sum.nodes {
 		if hi := end[i]; hi > lo {
 			sn.Extent = arena[lo:hi:hi]
 			lo = hi
 		}
-		sn.TextCount = int(per[i].texts)
 	}
-
-	sum.deriveStats(s.Containers)
-	return nil
 }

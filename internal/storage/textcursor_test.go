@@ -224,8 +224,8 @@ func TestTextCursorIsTiedToItsStore(t *testing.T) {
 // opened and fused store, and holds SoleText to the leaf walk (Text) at
 // every instance of a Sole summary node:
 //
-//   - /r/a: text split by a comment is two text leaves, so no record is
-//     the value;
+//   - /r/a: text split by a comment is one text leaf, the comment
+//     dropped, so Sole;
 //   - /r/b: an empty <b/> among text-bearing siblings: one record each
 //     where there is one, but not all, so not Sole;
 //   - /r/c: an attribute before the text, so not Sole, and /r/c/@k is;
@@ -233,11 +233,13 @@ func TestTextCursorIsTiedToItsStore(t *testing.T) {
 //   - /r/e: one text leaf in every instance, so Sole;
 //   - /r/f: its text one level down, under a g each has one of;
 //   - /r/h: two i under one h, so no record is its value;
-//   - /r/j: text at two paths, so no record is its value.
+//   - /r/j: text at two paths, so no record is its value;
+//   - /r/l: text on either side of a child is two text leaves, so no
+//     record is the value.
 func TestSoleTextEdges(t *testing.T) {
 	doc := []byte(`<r><a>x<!-- c -->y</a><a>z</a><b>p</b><b/><b>q</b>` +
 		`<c k="1">s</c><c k="2">t</c><d v=""/><d v="w"/><e>u</e><e>v</e>` +
-		`<f><g>1</g></f><f><g>2</g></f><h><i>1</i><i>2</i></h><j>1<k>2</k></j></r>`)
+		`<f><g>1</g></f><f><g>2</g></f><h><i>1</i><i>2</i></h><j>1<k>2</k></j><l>x<m/>y</l><l>z</l></r>`)
 	type shape struct {
 		sole  bool
 		value string // the Value node's path, "" for none
@@ -245,7 +247,7 @@ func TestSoleTextEdges(t *testing.T) {
 	}
 	want := map[string]shape{
 		"/r":      {why: "/r has text at several paths"},
-		"/r/a":    {why: "/r/a has several text records under one node"},
+		"/r/a":    {sole: true, value: "/r/a/#text"},
 		"/r/b":    {value: "/r/b/#text"},
 		"/r/c":    {value: "/r/c/#text"},
 		"/r/c/@k": {sole: true, value: "/r/c/@k"},
@@ -255,6 +257,7 @@ func TestSoleTextEdges(t *testing.T) {
 		"/r/f":    {value: "/r/f/g/#text"},
 		"/r/h":    {why: "/r/h/i repeats under one parent"},
 		"/r/j":    {why: "/r/j has text at several paths"},
+		"/r/l":    {why: "/r/l has several text records under one node"},
 	}
 	for kind, s := range oracleStores(t, doc, doc) {
 		for path, w := range want {

@@ -161,6 +161,13 @@ func (v *Values) Store(plan *CompressionPlan) (*Store, error) {
 	if in := v.in; in != nil {
 		s.succ = in.arr.build()
 		s.Sum = in.sum
+		// The extents Parse appended to move into one arena.
+		arena, end := make([]NodeID, 0, len(in.arr.tags)), make([]int32, len(s.Sum.nodes))
+		for i, sn := range s.Sum.nodes {
+			arena = append(arena, sn.Extent...)
+			end[i] = int32(len(arena))
+		}
+		s.Sum.cutExtents(arena, end)
 		s.Sum.deriveStats(s.Containers)
 	} else {
 		t := v.succ

@@ -261,11 +261,11 @@ func TestDecimalScalesSurviveReopen(t *testing.T) {
 	}
 }
 
-// TestExtentsAreCutFromOneArena: the structure walk that opens a saved
-// repository and proves a fused store cuts every summary extent from
-// one arena with its capacity at its length, so appending to one extent
-// — algebra hands extents out as node sets — copies it and leaves the
-// extent after it in the arena as it was.
+// TestExtentsAreCutFromOneArena: ingest, the structure walk that opens a
+// saved repository and the one that proves a fused store cut every
+// summary extent from one arena with its capacity at its length, so
+// appending to one extent — algebra hands extents out as node sets —
+// copies it and leaves the extent after it in the arena as it was.
 func TestExtentsAreCutFromOneArena(t *testing.T) {
 	db, err := Compress(datagen.XMark(datagen.XMarkConfig{Scale: 0.05, Seed: 1}), Options{})
 	if err != nil {
@@ -290,7 +290,7 @@ func TestExtentsAreCutFromOneArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, db := range map[string]*Database{"opened": opened, "committed": committed} {
+	for name, db := range map[string]*Database{"compressed": db, "opened": opened, "committed": committed} {
 		nodes := db.store.Sum.Nodes()
 		before := make([][]storage.NodeID, len(nodes))
 		total := 0
